@@ -15,7 +15,8 @@
 //! * cross-target cone sharing (DESIGN.md ablation 9) must show encode-cache
 //!   hits and an encode-time reduction on an OoO core while leaving the
 //!   learned invariant bit-identical in all four sharing quadrants and
-//!   across worker-thread counts,
+//!   across worker-thread counts — and so must MegaBoomLite with limited
+//!   examples, where retries answer minimisation probes from witnesses,
 //! * disabled tracing (`TraceConfig::Off`, the default) must cost less than
 //!   2% of the traced workload's wall-clock — measured as the per-call-site
 //!   cost of a disabled probe times the number of events a traced run
@@ -57,12 +58,12 @@
 //! the arena solver counters) are written to `bench_results/perf_smoke.json`.
 
 use hh_bench::{
-    all_targets, known_safe_set, learn_run_config, parse_scale, prepare, scaled_target, secs,
-    Report,
+    all_targets, known_safe_set, learn_run_config, parse_scale, prepare, prepare_rds,
+    scaled_target, secs, Report,
 };
 use hh_smt::{abduct, AbductionConfig, AbductionSession, Predicate, TransitionEncoding};
 use hhoudini::mine::{CoiMiner, Miner};
-use hhoudini::{EngineConfig, Invariant, PredicateStore};
+use hhoudini::{EngineConfig, Invariant, ParallelEngine, PredicateStore};
 use std::time::Instant;
 
 /// First query + simulated backtracking retries, as in the Criterion bench.
@@ -258,6 +259,54 @@ fn main() {
         );
     }
     println!("  invariant bit-identical with portfolio racing at threads 1/2/4");
+    // Retries: MegaBoomLite with rd = x3-only examples is the configuration
+    // where backtracking fires at scale, so sessions re-minimise and answer
+    // most confirmation probes from stored witness models. Skipped probes
+    // change solver state, which must stay a function of the query history
+    // alone: same invariant at every thread count.
+    let mega = targets.last().expect("MegaBoomLite is the last target");
+    let mega_safe = known_safe_set(mega.name);
+    let (mega_miter, mega_examples, mega_props, mega_patterns) =
+        prepare_rds(&mega.design, &mega_safe, true, &[3]);
+    let mut mega_reference = None;
+    for threads in [1usize, 2, 4] {
+        let miner = CoiMiner::new(
+            &mega_miter,
+            &mega_examples,
+            Some(mega_patterns.clone()),
+            vec![],
+        );
+        let mut engine = ParallelEngine::new(
+            mega_miter.netlist(),
+            miner,
+            EngineConfig::default(),
+            threads,
+        );
+        let inv = engine
+            .learn(&mega_props)
+            .expect("limited-example run must learn");
+        let stats = engine.stats();
+        assert!(stats.backtracks > 0 && stats.minimize_witness_hits > 0);
+        let fp = fingerprint(&inv);
+        match &mega_reference {
+            None => {
+                println!(
+                    "  {} limited examples: {} backtracks, probes {} sat / {} unsat / {} from witnesses",
+                    mega.name,
+                    stats.backtracks,
+                    stats.minimize_probes_sat,
+                    stats.minimize_probes_unsat,
+                    stats.minimize_witness_hits
+                );
+                mega_reference = Some(fp);
+            }
+            Some(expect) => assert_eq!(
+                &fp, expect,
+                "limited-example invariant differs at threads={threads}"
+            ),
+        }
+    }
+    println!("  limited-example invariant bit-identical at threads 1/2/4");
     let encode_off = secs(quadrants[0].3.encode_time);
     let encode_on = secs(quadrants[3].3.encode_time);
     println!("  encode time {encode_off:.3}s (no sharing) -> {encode_on:.3}s (full sharing)");

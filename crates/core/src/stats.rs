@@ -64,6 +64,17 @@ pub struct Stats {
     pub encode_time: Duration,
     /// Total time spent inside SAT solving (including minimisation probes).
     pub solve_time: Duration,
+    /// SAT solve calls across all abduction queries: one first solve per
+    /// query plus the minimisation probes that reached the solver.
+    pub sat_solves: u64,
+    /// Minimisation probes answered SAT (one abduct member confirmed
+    /// critical each) — the dominant share of `sat_solves`.
+    pub minimize_probes_sat: u64,
+    /// Minimisation probes answered UNSAT (core shrunk).
+    pub minimize_probes_unsat: u64,
+    /// Abduct members confirmed critical from a model the session already
+    /// held, without a solve.
+    pub minimize_witness_hits: u64,
     /// SAT inprocessing passes run across all abduction queries.
     pub sat_simplifies: u64,
     /// Variables removed by bounded variable elimination.
@@ -248,6 +259,10 @@ impl Stats {
         }
         self.encode_time += t.encode_time;
         self.solve_time += t.solve_time;
+        self.sat_solves += t.solves;
+        self.minimize_probes_sat += t.minimize_probes_sat;
+        self.minimize_probes_unsat += t.minimize_probes_unsat;
+        self.minimize_witness_hits += t.minimize_witness_hits;
         self.sat_simplifies += t.simplifies;
         self.sat_eliminated_vars += t.eliminated_vars;
         self.sat_subsumed_clauses += t.subsumed_clauses;
@@ -339,6 +354,10 @@ impl Stats {
         self.clauses_saved += other.clauses_saved;
         self.encode_time += other.encode_time;
         self.solve_time += other.solve_time;
+        self.sat_solves += other.sat_solves;
+        self.minimize_probes_sat += other.minimize_probes_sat;
+        self.minimize_probes_unsat += other.minimize_probes_unsat;
+        self.minimize_witness_hits += other.minimize_witness_hits;
         self.sat_simplifies += other.sat_simplifies;
         self.sat_eliminated_vars += other.sat_eliminated_vars;
         self.sat_subsumed_clauses += other.sat_subsumed_clauses;
@@ -392,6 +411,10 @@ impl Stats {
             ("smt.word.const_folds", self.word_const_folds),
             ("smt.word.rewrites", self.word_rewrites),
             ("smt.word.strash_hits", self.word_strash_hits),
+            ("smt.minimize.probes_sat", self.minimize_probes_sat),
+            ("smt.minimize.probes_unsat", self.minimize_probes_unsat),
+            ("smt.minimize.witness_hits", self.minimize_witness_hits),
+            ("sat.solves", self.sat_solves),
             ("sat.simplify.runs", self.sat_simplifies),
             ("sat.simplify.eliminated_vars", self.sat_eliminated_vars),
             ("sat.simplify.subsumed_clauses", self.sat_subsumed_clauses),

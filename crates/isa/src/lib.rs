@@ -243,7 +243,7 @@ impl Mnemonic {
             Srli => "srli",
             Srai => "srai",
             Slti => "slti",
-            Sltiu => "sltui",
+            Sltiu => "sltiu",
             Lui => "lui",
             Auipc => "auipc",
             Mul => "mul",

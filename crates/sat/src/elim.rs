@@ -460,9 +460,9 @@ impl Solver {
         let (_, clauses) = self.elim_stack.remove(pos);
         self.eliminated[v.index()] = false;
         self.stats.restored_vars += 1;
-        // The variable dropped out of the decision heap while eliminated;
-        // make it decidable again.
-        self.order.insert(v, &self.activity);
+        // The decision queue skipped the variable while eliminated; it is
+        // free again, so the search cursor may have to move back up to it.
+        self.order.on_free(v);
         for c in &clauses {
             if !self.add_clause(c) {
                 return false;

@@ -26,7 +26,7 @@
 //! ## Features
 //!
 //! * Two-literal watching, first-UIP learning with clause minimisation,
-//!   VSIDS + phase saving, Luby restarts, LBD-aware database reduction.
+//!   VMTF decision queue + phase saving, Luby restarts, LBD-aware database reduction.
 //! * Incremental interface: interleave [`Solver::new_var`],
 //!   [`Solver::add_clause`] and [`Solver::solve_with_assumptions`] freely.
 //! * Assumption-safe inprocessing: [`Solver::simplify`] runs SatELite-style
@@ -49,20 +49,20 @@
 
 mod clause;
 mod elim;
-mod heap;
 mod lit;
 mod minimize;
 mod occurs;
 mod probe;
 mod solver;
 mod vivify;
+mod vmtf;
 mod watch;
 
 pub mod dimacs;
 pub mod proof;
 
 pub use lit::{Lit, Var};
-pub use minimize::minimize_core;
+pub use minimize::{minimize_core, minimize_core_with, ProbeCounts, ProbeMemory};
 pub use proof::{CountingSink, ProofSink};
 pub use solver::{
     BudgetProbe, Config, LimitedResult, RestartMode, SolveResult, Solver, SolverStats,

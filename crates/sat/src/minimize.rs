@@ -9,6 +9,39 @@
 use crate::solver::{SolveResult, Solver};
 use crate::Lit;
 
+/// What the caller of [`minimize_core_with`] remembers between probes.
+///
+/// A deletion probe asks whether `current \ {candidate}` is satisfiable.
+/// A caller that keeps the models of earlier SAT answers (an incremental
+/// session re-minimising after its assumption set changed) can often answer
+/// that from memory; it still proves the member critical, so the result is
+/// locally minimal either way. `()` remembers nothing.
+pub trait ProbeMemory {
+    /// Whether a model is already known that satisfies the formula together
+    /// with every member of `current` except `candidate`.
+    fn known_critical(&mut self, current: &[Lit], candidate: Lit) -> bool;
+    /// Called after a probe answered SAT, while `solver` holds its model.
+    fn on_sat_model(&mut self, solver: &Solver);
+}
+
+impl ProbeMemory for () {
+    fn known_critical(&mut self, _current: &[Lit], _candidate: Lit) -> bool {
+        false
+    }
+    fn on_sat_model(&mut self, _solver: &Solver) {}
+}
+
+/// How the members of a core were decided by [`minimize_core_with`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProbeCounts {
+    /// Probes the solver answered SAT (the member is critical).
+    pub sat: u64,
+    /// Probes the solver answered UNSAT (the member was dropped).
+    pub unsat: u64,
+    /// Members [`ProbeMemory::known_critical`] vouched for, no solve made.
+    pub remembered: u64,
+}
+
 /// Shrinks an UNSAT core to a *locally minimal* one: no single literal can be
 /// removed while keeping the remaining assumptions unsatisfiable.
 ///
@@ -32,10 +65,26 @@ use crate::Lit;
 /// assert_eq!(min.len(), 2); // {a, b}
 /// ```
 pub fn minimize_core(solver: &mut Solver, core: &[Lit]) -> Vec<Lit> {
+    minimize_core_with(solver, core, &mut ()).0
+}
+
+/// [`minimize_core`] with a [`ProbeMemory`]: members the memory vouches for
+/// are kept without solving, and every SAT model is handed to it.
+pub fn minimize_core_with(
+    solver: &mut Solver,
+    core: &[Lit],
+    memory: &mut impl ProbeMemory,
+) -> (Vec<Lit>, ProbeCounts) {
     let mut current: Vec<Lit> = core.to_vec();
+    let mut counts = ProbeCounts::default();
     let mut i = 0;
     while i < current.len() {
         let candidate = current[i];
+        if memory.known_critical(&current, candidate) {
+            counts.remembered += 1;
+            i += 1;
+            continue;
+        }
         let probe: Vec<Lit> = current
             .iter()
             .copied()
@@ -43,24 +92,23 @@ pub fn minimize_core(solver: &mut Solver, core: &[Lit]) -> Vec<Lit> {
             .collect();
         match solver.solve_with_assumptions(&probe) {
             SolveResult::Unsat => {
+                counts.unsat += 1;
                 // The candidate was not needed. Adopt the (possibly even
                 // smaller) refreshed core from this probe.
                 let refreshed = solver.unsat_core().to_vec();
                 // Keep the ordering of `current` for determinism.
-                current = current
-                    .iter()
-                    .copied()
-                    .filter(|l| refreshed.contains(l))
-                    .collect();
+                current.retain(|l| refreshed.contains(l));
                 // Do not advance `i`: position i now holds an untested lit.
             }
             SolveResult::Sat => {
                 // The candidate is essential; keep it and move on.
+                counts.sat += 1;
+                memory.on_sat_model(solver);
                 i += 1;
             }
         }
     }
-    current
+    (current, counts)
 }
 
 #[cfg(test)]

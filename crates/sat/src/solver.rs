@@ -8,8 +8,8 @@
 //!   (no arena load),
 //! * first-UIP conflict analysis with basic clause minimisation and
 //!   on-the-fly LBD refresh of reason clauses,
-//! * VSIDS decision ordering with phase saving, extended with best-trail
-//!   phase targeting reset on restarts,
+//! * VMTF decision ordering (see [`crate::vmtf`]) with phase saving,
+//!   extended with best-trail phase targeting reset on restarts,
 //! * Luby-sequence or glucose-style adaptive restarts (recent-LBD EMA vs.
 //!   the global mean, with trail-size restart blocking), selected by
 //!   [`Config::restart_mode`],
@@ -24,9 +24,9 @@
 //! literals and the UNSAT core *is* the abduct.
 
 use crate::clause::{ClauseDb, ClauseRef, Tier};
-use crate::heap::VarOrderHeap;
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::ProofSink;
+use crate::vmtf::VmtfQueue;
 use crate::watch::{WatchStore, Watcher};
 
 /// Truth value of `l` under `assigns`, as a free function so propagation can
@@ -57,7 +57,7 @@ pub enum LimitedResult {
     /// involved assumptions are available from [`Solver::unsat_core`].
     Unsat,
     /// The conflict budget was exhausted before a verdict. The search state
-    /// (learnt clauses, activities, phases) persists, so a later
+    /// (learnt clauses, decision order, phases) persists, so a later
     /// [`Solver::solve_limited`] or [`Solver::solve_with_assumptions`] call
     /// resumes from the accumulated knowledge.
     Unknown,
@@ -85,8 +85,6 @@ pub enum RestartMode {
 /// what the perf gates compare against.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Multiplicative decay applied to variable activities per conflict.
-    pub var_decay: f64,
     /// Multiplicative decay applied to clause activities per conflict.
     pub clause_decay: f64,
     /// Conflicts in the base restart interval (scaled by the Luby sequence;
@@ -183,7 +181,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Config {
         Config {
-            var_decay: 0.95,
             clause_decay: 0.999,
             restart_base: 100,
             learnt_size_factor: 1.0 / 3.0,
@@ -235,7 +232,7 @@ impl Config {
     }
 
     /// Checks the knobs for internal consistency, returning the first
-    /// violated rule. The 22 knobs otherwise accept silent nonsense
+    /// violated rule. The knobs otherwise accept silent nonsense
     /// combinations (a core tier wider than the mid tier, decays outside
     /// `(0, 1)`, zero restart intervals); [`Solver::with_config`]
     /// debug-asserts this so misconfigurations fail loudly in tests rather
@@ -248,7 +245,6 @@ impl Config {
                 Err(format!("{name} must lie in (0, 1), got {v}"))
             }
         }
-        open_unit("var_decay", self.var_decay)?;
         open_unit("clause_decay", self.clause_decay)?;
         open_unit("restart_ema_alpha", self.restart_ema_alpha)?;
         if self.restart_base == 0 {
@@ -420,10 +416,12 @@ pub struct Solver {
     pub(crate) best_phase: Vec<bool>,
     /// Trail depth at which `best_phase` was captured (per solve).
     pub(crate) best_trail: usize,
-    pub(crate) activity: Vec<f64>,
-    var_inc: f64,
+    /// Variables seen by the current conflict analysis, bumped together at
+    /// its end.
+    analyzed: Vec<Var>,
     clause_inc: f32,
-    pub(crate) order: VarOrderHeap,
+    /// Decision order: most recently bumped free variable first.
+    pub(crate) order: VmtfQueue,
     pub(crate) trail: Vec<Lit>,
     pub(crate) trail_lim: Vec<usize>,
     pub(crate) qhead: usize,
@@ -521,10 +519,9 @@ impl Solver {
             phase: Vec::new(),
             best_phase: Vec::new(),
             best_trail: 0,
-            activity: Vec::new(),
-            var_inc: 1.0,
+            analyzed: Vec::new(),
             clause_inc: 1.0,
-            order: VarOrderHeap::new(),
+            order: VmtfQueue::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
@@ -685,7 +682,6 @@ impl Solver {
         self.assigns.push(LBool::Undef);
         self.phase.push(false);
         self.best_phase.push(false);
-        self.activity.push(0.0);
         self.reason.push(None);
         self.level.push(0);
         self.seen.push(false);
@@ -696,8 +692,7 @@ impl Solver {
         self.bin_watches.add_lit();
         self.bin_watches.add_lit();
         self.lbd_levels.push(0);
-        self.order.grow_to(self.assigns.len());
-        self.order.insert(v, &self.activity);
+        self.order.push_var();
         v
     }
 
@@ -808,7 +803,7 @@ impl Solver {
     /// Runs the exact CDCL loop of [`Solver::solve_with_assumptions`], but
     /// suspends and returns [`LimitedResult::Unknown`] once `conflict_budget`
     /// conflicts have been analysed within this call without reaching a
-    /// verdict. Suspension is lossless — learnt clauses, activities and
+    /// verdict. Suspension is lossless — learnt clauses, decision order and
     /// saved phases persist — so a later `solve_limited` (or an unbudgeted
     /// solve) resumes from the accumulated knowledge, and a call whose
     /// budget is never hit behaves bit-identically to
@@ -1280,7 +1275,7 @@ impl Solver {
                 };
                 self.cancel_until(target);
                 let lbd = self.record_learnt(learnt, backtrack_level);
-                self.decay_activities();
+                self.decay_clause_activities();
                 // Restart bookkeeping: fold this conflict's LBD into the
                 // recent EMA and the global mean, and its (pre-backtrack)
                 // trail depth into the blocking EMA.
@@ -1363,12 +1358,11 @@ impl Solver {
     }
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
-        loop {
-            let v = self.order.pop_max(&self.activity)?;
-            if self.assigns[v.index()] == LBool::Undef && !self.eliminated[v.index()] {
-                return Some(v.lit(self.phase[v.index()]));
-            }
-        }
+        let (assigns, eliminated) = (&self.assigns, &self.eliminated);
+        let v = self
+            .order
+            .pick(|v| assigns[v.index()] == LBool::Undef && !eliminated[v.index()])?;
+        Some(v.lit(self.phase[v.index()]))
     }
 
     // ------------------------------------------------------------------
@@ -1573,7 +1567,7 @@ impl Solver {
                     self.phase[v] = p.is_positive();
                     self.assigns[v] = LBool::Undef;
                     self.reason[v] = None;
-                    self.order.insert(p.var(), &self.activity);
+                    self.order.on_free(p.var());
                 }
             }
             self.trail.truncate(j);
@@ -1584,7 +1578,7 @@ impl Solver {
                 self.phase[v] = p.is_positive();
                 self.assigns[v] = LBool::Undef;
                 self.reason[v] = None;
-                self.order.insert(p.var(), &self.activity);
+                self.order.on_free(p.var());
             }
             self.trail.truncate(bound);
         }
@@ -1619,7 +1613,7 @@ impl Solver {
                     }
                     let v = q.var().index();
                     if !self.seen[v] && self.level[v] > 0 {
-                        self.bump_var(q.var());
+                        self.analyzed.push(q.var());
                         self.seen[v] = true;
                         if self.level[v] >= self.decision_level() {
                             path_count += 1;
@@ -1653,6 +1647,7 @@ impl Solver {
             p = Some(pl);
         }
         learnt[0] = !p.unwrap();
+        self.order.bump_all(&mut self.analyzed);
 
         // Basic clause minimisation: drop literals whose reason clause is
         // entirely marked seen (they are implied by the rest of the clause).
@@ -1823,17 +1818,6 @@ impl Solver {
     // Activities and database reduction
     // ------------------------------------------------------------------
 
-    fn bump_var(&mut self, v: Var) {
-        self.activity[v.index()] += self.var_inc;
-        if self.activity[v.index()] > 1e100 {
-            for a in &mut self.activity {
-                *a *= 1e-100;
-            }
-            self.var_inc *= 1e-100;
-        }
-        self.order.decrease_key(v, &self.activity);
-    }
-
     fn bump_clause_activity(&mut self, cref: ClauseRef) {
         if !self.db.is_learnt(cref) {
             return;
@@ -1875,8 +1859,7 @@ impl Solver {
         }
     }
 
-    fn decay_activities(&mut self) {
-        self.var_inc /= self.config.var_decay;
+    fn decay_clause_activities(&mut self) {
         self.clause_inc /= self.config.clause_decay as f32;
     }
 
@@ -2585,10 +2568,6 @@ mod tests {
     #[test]
     fn config_validate_rejects_nonsense() {
         let bad = [
-            Config {
-                var_decay: 1.0,
-                ..Config::default()
-            },
             Config {
                 clause_decay: 0.0,
                 ..Config::default()

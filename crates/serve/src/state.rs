@@ -55,8 +55,13 @@ fn bad_request(msg: impl Into<String>) -> ServeError {
     (ErrorCode::BadRequest, msg.into())
 }
 
-/// Looks up a mnemonic by its assembly name.
+/// Looks up a mnemonic by its assembly name. Also accepts `"sltui"`, which
+/// [`Mnemonic::name`] used to print for `sltiu` and which state directories
+/// and client scripts written before the fix still contain.
 pub fn mnemonic_by_name(name: &str) -> Option<Mnemonic> {
+    if name == "sltui" {
+        return Some(Mnemonic::Sltiu);
+    }
     ALL_MNEMONICS.iter().copied().find(|m| m.name() == name)
 }
 
@@ -1138,6 +1143,9 @@ fn restore_job(
         let name = s.as_str().ok_or("safe entries must be strings")?;
         safe.push(mnemonic_by_name(name).ok_or_else(|| format!("unknown mnemonic {name:?}"))?);
     }
+    // Same order `resolve_safe_set` gives a request, so a job stored under
+    // the legacy `sltui` spelling (which sorted elsewhere) keys identically.
+    safe.sort_by_key(|m| m.name());
     let key = JobKey {
         safe,
         pairs_per_instr: meta.get("pairs").and_then(Json::as_u64).unwrap_or(1) as usize,

@@ -149,3 +149,17 @@ fn serve_trace_vocabulary_matches_docs() {
         }
     }
 }
+
+/// Every name `Stats::counters()` projects — what speedup.json, the
+/// benchmark's per-layer table and `--profile` style reports are built
+/// from — has a row in TRACE_SCHEMA.md.
+#[test]
+fn stats_counter_names_are_documented() {
+    let schema = std::fs::read_to_string(repo_root().join("docs/TRACE_SCHEMA.md")).unwrap();
+    for (name, _) in hhoudini::Stats::default().counters() {
+        assert!(
+            schema.contains(&format!("| `{name}` |")),
+            "TRACE_SCHEMA.md has no row for {name}"
+        );
+    }
+}

@@ -408,6 +408,53 @@ fn restart_from_checkpoint_reproduces_answers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every mnemonic's printed name parses back to it, and a state directory
+/// written when `sltiu` was still printed as `sltui` (and therefore sorted
+/// after `sltu`) restores warm under the corrected spelling.
+#[test]
+fn mnemonic_names_round_trip_and_legacy_sltui_state_restores() {
+    use hh_serve::state::mnemonic_by_name;
+    for &m in hh_isa::ALL_MNEMONICS.iter() {
+        assert_eq!(mnemonic_by_name(m.name()), Some(m), "{m:?}");
+    }
+    assert_eq!(hh_isa::Mnemonic::Sltiu.name(), "sltiu");
+    assert_eq!(mnemonic_by_name("sltui"), Some(hh_isa::Mnemonic::Sltiu));
+
+    let dir = temp_dir("legacy-sltui");
+    let mut fields = rocket_learn_fields();
+    fields.retain(|(k, _)| *k != "certify");
+    let daemon = Daemon::start(Some(dir.clone()));
+    let cold = daemon.client().request("learn", fields.clone()).unwrap();
+    daemon.stop(); // checkpoints on the way down
+
+    // Rewrite every job.json the way the old binary would have written it.
+    fn job_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+            if entry.is_dir() {
+                job_files(&entry, out);
+            } else if entry.file_name().is_some_and(|n| n == "job.json") {
+                out.push(entry);
+            }
+        }
+    }
+    let mut jobs = Vec::new();
+    job_files(&dir, &mut jobs);
+    assert!(!jobs.is_empty());
+    for job in jobs {
+        let text = std::fs::read_to_string(&job).unwrap();
+        let legacy = text.replace("\"sltiu\",\"sltu\"", "\"sltu\",\"sltui\"");
+        assert_ne!(legacy, text, "job.json lists the ALU safe set");
+        std::fs::write(&job, legacy).unwrap();
+    }
+
+    let daemon2 = Daemon::start(Some(dir.clone()));
+    let warm = daemon2.client().request("learn", fields).unwrap();
+    assert_eq!(warm.get("warm_hit").unwrap(), &Json::Bool(true));
+    assert_eq!(str_arr(&warm, "invariant"), str_arr(&cold, "invariant"));
+    daemon2.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Every `*.tmp` file under `dir`, recursively.
 fn tmp_debris(dir: &Path) -> Vec<PathBuf> {
     let mut found = Vec::new();

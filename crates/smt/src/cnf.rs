@@ -52,7 +52,7 @@ impl Cnf {
     /// Variables are created in index order and clauses replayed in the
     /// original order; since clause insertion neither bumps branching
     /// activity nor depends on anything but insertion order, the resulting
-    /// solver — clause arena, watchlists, level-0 trail, variable heap — is
+    /// solver — clause arena, watchlists, level-0 trail, decision queue — is
     /// exactly what the recording builder held. The gate caches are installed
     /// verbatim so subsequent gate requests keep hash-consing against the
     /// replayed structure.

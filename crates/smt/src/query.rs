@@ -33,14 +33,6 @@ pub struct AbductionConfig {
     /// Shrink UNSAT cores to local minimality (biasing toward the weakest
     /// abduct, §3.2.3).
     pub minimize: bool,
-    /// Run deletion minimisation over the *canonically ordered full
-    /// assumption set* instead of the solver-reported core. This makes the
-    /// abduct a pure function of the query — independent of any solver
-    /// history a reused [`crate::AbductionSession`] carries — at the price
-    /// of wider minimisation probes (≈2–3× slower queries). Off by default:
-    /// the engines obtain reproducibility from their deterministic
-    /// schedulers instead (identical query histories ⇒ identical answers).
-    pub canonical_cores: bool,
     /// Encoding scope.
     pub scope: EncodeScope,
     /// Race each obligation against a diversified solver arm (see
@@ -62,7 +54,6 @@ impl Default for AbductionConfig {
     fn default() -> AbductionConfig {
         AbductionConfig {
             minimize: false,
-            canonical_cores: false,
             scope: EncodeScope::default(),
             portfolio: false,
             portfolio_first_slice: crate::portfolio::DEFAULT_FIRST_SLICE,
@@ -99,8 +90,19 @@ pub struct QueryTelemetry {
     /// Clause-arena footprint (bytes) of the session's solver after this
     /// query — a gauge, not a delta.
     pub arena_bytes: u64,
-    /// Number of `solve` calls (1 + minimisation probes).
+    /// Number of `solve` calls: the first solve plus the minimisation
+    /// probes that reached the solver (`minimize_probes_sat` +
+    /// `minimize_probes_unsat`; witness hits make none).
     pub solves: u64,
+    /// Minimisation probes the solver answered SAT: each confirms one member
+    /// of the abduct as critical.
+    pub minimize_probes_sat: u64,
+    /// Minimisation probes the solver answered UNSAT: each drops at least
+    /// one member from the core.
+    pub minimize_probes_unsat: u64,
+    /// Members confirmed critical by a model the session already held from
+    /// an earlier probe — no solve made.
+    pub minimize_witness_hits: u64,
     /// Variables the query *reused* from a live session instead of
     /// re-allocating (0 for fresh queries) — the re-encoding saved.
     pub vars_reused: usize,

@@ -22,15 +22,20 @@
 //! can in principle differ from the core a fresh solver would report; both
 //! minimise to valid minimal abducts and coincide whenever the minimal core
 //! is unique (`session retry == fresh abduct()` on every workload we test).
-//! For callers that need the abduct to be a pure function of the query
-//! regardless of solver history, [`AbductionConfig::canonical_cores`] runs
-//! deletion over the **canonically ordered full assumption set** (strongest
-//! predicates first, registration order as tiebreak): each deletion probe
-//! is then a semantic SAT question, so the trajectory — and the final
-//! abduct — depends only on the query. The solver's reported core still
-//! serves as an oracle that answers most UNSAT probes without solving, but
-//! the probes carry the full assumption width, costing ≈2–3× per query —
-//! which is why it is opt-in.
+//!
+//! ## Witness reuse
+//!
+//! Minimisation confirms a core member `x` by finding a model of
+//! `core \ {x}`. A retry mostly re-confirms members the previous query
+//! already confirmed, so the session keeps, for every model a probe
+//! returns, one bit per registered candidate: whether the candidate holds in
+//! that model. Before probing `current \ {x}` it looks for a stored model in
+//! which every other member of `current` holds; that model (with the
+//! indicators of those members switched on, which the indicator clauses
+//! `¬a ∨ candidate` allow) *is* the SAT answer, so the solve is skipped and
+//! `x` is still proven critical. Candidates registered after a model was
+//! stored have no bit in it and count as false. The store is a pure
+//! function of the query history, like everything else here.
 
 use crate::blast::TransitionEncoding;
 use crate::cache::EncodeCache;
@@ -38,9 +43,9 @@ use crate::pred::Predicate;
 use crate::query::{AbductionConfig, AbductionResult, EncodeScope, QueryTelemetry};
 use hh_netlist::signature::ConeSignature;
 use hh_netlist::Netlist;
-use hh_sat::{Lit, SolveResult, Solver};
+use hh_sat::{Lit, ProbeMemory, SolveResult, Solver};
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,6 +58,53 @@ fn strength_key(p: &Predicate) -> u8 {
         Predicate::InSet { .. } => 1,
         Predicate::Impl { .. } => 2,
         Predicate::Eq { .. } => 3,
+    }
+}
+
+/// Witness models kept per session. A retry looks back one or two queries,
+/// each of which stores at most one model per core member (tens).
+const MAX_WITNESSES: usize = 256;
+
+/// The session's memory of minimisation probes (module docs, *Witness
+/// reuse*), lent to [`hh_sat::minimize_core_with`] for one query.
+struct WitnessMemory<'s> {
+    /// One bitset over slots per stored model, oldest first.
+    witnesses: &'s mut VecDeque<Box<[u64]>>,
+    slot_of_lit: &'s HashMap<Lit, usize>,
+    /// Slot -> the candidate's own literal (what the indicator implies).
+    candidate_lits: &'s [Lit],
+}
+
+impl ProbeMemory for WitnessMemory<'_> {
+    fn known_critical(&mut self, current: &[Lit], candidate: Lit) -> bool {
+        if self.witnesses.is_empty() {
+            return false;
+        }
+        let mut needed = vec![0u64; self.candidate_lits.len().div_ceil(64)];
+        for l in current.iter().filter(|&&l| l != candidate) {
+            let slot = self.slot_of_lit[l];
+            needed[slot / 64] |= 1 << (slot % 64);
+        }
+        // Newest first: the previous query's models are the likely hits.
+        self.witnesses.iter().rev().any(|model| {
+            needed
+                .iter()
+                .enumerate()
+                .all(|(w, &bits)| bits & !model.get(w).copied().unwrap_or(0) == 0)
+        })
+    }
+
+    fn on_sat_model(&mut self, solver: &Solver) {
+        let mut model = vec![0u64; self.candidate_lits.len().div_ceil(64)];
+        for (slot, &l) in self.candidate_lits.iter().enumerate() {
+            if solver.model_value(l) {
+                model[slot / 64] |= 1 << (slot % 64);
+            }
+        }
+        if self.witnesses.len() == MAX_WITNESSES {
+            self.witnesses.pop_front();
+        }
+        self.witnesses.push_back(model.into_boxed_slice());
     }
 }
 
@@ -90,6 +142,8 @@ pub struct AbductionSession<'a> {
     slots: HashMap<Predicate, usize>,
     /// Slot -> indicator literal (`indicator -> candidate holds now`).
     indicators: Vec<Lit>,
+    /// Slot -> the candidate's own literal, which the indicator implies.
+    candidate_lits: Vec<Lit>,
     /// Slot -> deletion-order strength key.
     strength: Vec<u8>,
     /// Indicator literal -> slot. Built once per *registration* instead of
@@ -102,6 +156,9 @@ pub struct AbductionSession<'a> {
     /// the solver the moment the encoding exists (per-session proof
     /// scoping: the sink's lifetime is bounded by this session's solver).
     pending_sink: Option<Box<dyn hh_sat::proof::ProofSink>>,
+    /// Candidate truth values of the models minimisation probes returned
+    /// (module docs, *Witness reuse*); bounded by [`MAX_WITNESSES`].
+    witnesses: VecDeque<Box<[u64]>>,
     queries: u64,
 }
 
@@ -126,10 +183,12 @@ impl<'a> AbductionSession<'a> {
             n_base_vars: 0,
             slots: HashMap::new(),
             indicators: Vec::new(),
+            candidate_lits: Vec::new(),
             strength: Vec::new(),
             slot_of_lit: HashMap::new(),
             last_size: (0, 0),
             pending_sink: None,
+            witnesses: VecDeque::new(),
             queries: 0,
         }
     }
@@ -337,6 +396,7 @@ impl<'a> AbductionSession<'a> {
                     solver.freeze(cl.var());
                     let s = self.indicators.len();
                     self.indicators.push(a);
+                    self.candidate_lits.push(cl);
                     self.strength.push(strength_key(cand));
                     self.slot_of_lit.insert(a, s);
                     self.slots.insert(cand.clone(), s);
@@ -385,28 +445,26 @@ impl<'a> AbductionSession<'a> {
         if race.arm_wins > 0 {
             hh_trace::counter!("smt", "portfolio.arm_wins", race.arm_wins);
         }
+        let mut probes = hh_sat::ProbeCounts::default();
         let abduct = match verdict {
             SolveResult::Sat => None,
             SolveResult::Unsat => {
-                let core = solver.unsat_core().to_vec();
-                let final_core = if self.config.minimize && self.config.canonical_cores {
-                    // Strict mode: trajectory independent of solver history.
-                    let mut ordered = assumed.clone();
-                    ordered.sort_by_key(|&(_, strength, slot)| (strength, slot));
-                    let ordered: Vec<Lit> = ordered.into_iter().map(|(l, _, _)| l).collect();
-                    canonical_minimize(solver, &ordered, &core)
-                } else if self.config.minimize {
-                    // Default: deletion over the solver core, strongest
-                    // predicates offered for deletion first (§3.2.3).
-                    let mut c = core.clone();
-                    c.sort_by_key(|l| {
+                let mut final_core = solver.unsat_core().to_vec();
+                if self.config.minimize {
+                    // Deletion over the solver core, strongest predicates
+                    // offered for deletion first (§3.2.3).
+                    final_core.sort_by_key(|l| {
                         let s = self.slot_of_lit[l];
                         (self.strength[s], s)
                     });
-                    hh_sat::minimize_core(solver, &c)
-                } else {
-                    core
-                };
+                    let mut memory = WitnessMemory {
+                        witnesses: &mut self.witnesses,
+                        slot_of_lit: &self.slot_of_lit,
+                        candidate_lits: &self.candidate_lits,
+                    };
+                    (final_core, probes) =
+                        hh_sat::minimize_core_with(solver, &final_core, &mut memory);
+                }
                 let mut idxs: Vec<usize> = final_core
                     .iter()
                     .map(|l| {
@@ -432,6 +490,9 @@ impl<'a> AbductionSession<'a> {
                 reduces: after.reduces - before.reduces,
                 arena_bytes: after.arena_bytes,
                 solves: after.solves - before.solves,
+                minimize_probes_sat: probes.sat,
+                minimize_probes_unsat: probes.unsat,
+                minimize_witness_hits: probes.remembered,
                 vars_reused,
                 clauses_reused,
                 encode_time,
@@ -474,41 +535,6 @@ impl<'a> AbductionSession<'a> {
         let p_next = target.encode_next(enc);
         enc.assert_lit(!p_next);
     }
-}
-
-/// Deletion minimisation over the canonically ordered full assumption set.
-///
-/// Trajectory-equivalent to plain deletion (probe `current \ {x}`; UNSAT ⇒
-/// drop `x`), so the result depends only on `ordered` and the formula's
-/// semantics — never on solver history. `known` (any valid UNSAT core, e.g.
-/// the solver's) answers probes `current \ {x}` with `known ⊆ current \ {x}`
-/// as UNSAT without solving, which skips every non-core deletion.
-fn canonical_minimize(solver: &mut Solver, ordered: &[Lit], initial_core: &[Lit]) -> Vec<Lit> {
-    let mut current: Vec<Lit> = ordered.to_vec();
-    let mut known: HashSet<Lit> = initial_core.iter().copied().collect();
-    let mut i = 0;
-    while i < current.len() {
-        let candidate = current[i];
-        if !known.contains(&candidate) {
-            // known ⊆ current \ {candidate}: semantically UNSAT, skip solve.
-            current.remove(i);
-            continue;
-        }
-        let probe: Vec<Lit> = current
-            .iter()
-            .copied()
-            .filter(|&l| l != candidate)
-            .collect();
-        match solver.solve_with_assumptions(&probe) {
-            SolveResult::Unsat => {
-                current.remove(i);
-                // Refresh the oracle; the new core is ⊆ probe = current.
-                known = solver.unsat_core().iter().copied().collect();
-            }
-            SolveResult::Sat => i += 1,
-        }
-    }
-    current
 }
 
 #[cfg(test)]
@@ -580,9 +606,14 @@ mod tests {
         assert!(retry.telemetry.vars_reused >= first.telemetry.vars);
         assert_eq!(retry.telemetry.vars, 0, "no new candidate, no new vars");
 
-        // Restoring the full set still answers like a fresh solver.
+        // Restoring the full set still answers like a fresh solver — and
+        // both members are confirmed critical by the first query's probe
+        // models, so the only solve is the first one.
+        assert_eq!(first.telemetry.minimize_probes_sat, 2);
         let again = sess.solve(&all);
         assert_eq!(again.abduct, Some(vec![0, 1]));
+        assert_eq!(again.telemetry.minimize_witness_hits, 2);
+        assert_eq!(again.telemetry.solves, 1);
         assert_eq!(sess.queries(), 3);
         assert_eq!(sess.registered(), 2);
     }
@@ -615,31 +646,6 @@ mod tests {
         assert_eq!(res.abduct, Some(vec![]));
         let retry = sess.solve::<Predicate>(&[]);
         assert_eq!(retry.abduct, Some(vec![]));
-    }
-
-    #[test]
-    fn canonical_mode_retry_matches_fresh_exactly() {
-        // Strict mode: the abduct is a pure function of the query, so a
-        // retry on a solver full of learnt clauses must equal a fresh query.
-        let (base, m) = and_gate();
-        let a = base.find_state("A").unwrap();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let target = Predicate::eq(m.left(a), m.right(a));
-        let eq_b = Predicate::eq(m.left(b), m.right(b));
-        let eq_c = Predicate::eq(m.left(c), m.right(c));
-        let cfg = AbductionConfig {
-            canonical_cores: true,
-            ..AbductionConfig::paper_default()
-        };
-        let mut sess = AbductionSession::new(m.netlist(), target.clone(), cfg);
-        let all = vec![eq_b.clone(), eq_c.clone()];
-        assert_eq!(sess.solve(&all).abduct, Some(vec![0, 1]));
-        assert_eq!(sess.solve(std::slice::from_ref(&eq_b)).abduct, None); // churn
-        let retry = sess.solve(&all);
-        let fresh = crate::query::abduct(m.netlist(), &target, &all, &cfg);
-        assert_eq!(retry.abduct, fresh.abduct);
-        assert_eq!(retry.abduct, Some(vec![0, 1]));
     }
 
     #[test]
@@ -799,31 +805,99 @@ mod tests {
         }
     }
 
+    /// Witness reuse over multi-query sessions on random CNFs. Candidate `i`
+    /// is a random literal behind indicator `a_i`; each session asks about a
+    /// candidate set that shrinks (the previous abduct loses a member, as
+    /// after a backtrack) and regrows. Every abduct must be UNSAT and every
+    /// member individually critical when re-checked by a fresh solver, so a
+    /// stored model that violated a current member cannot have been reused.
     #[test]
-    fn canonical_minimize_is_history_independent() {
-        // a -> x, b -> x, c -> !x: {a,c} and {b,c} are both minimal. The
-        // canonical order fixes which one wins no matter which core the
-        // solver reports first.
-        let mut s = Solver::new();
-        let a = s.new_var().positive();
-        let b = s.new_var().positive();
-        let c = s.new_var().positive();
-        let x = s.new_var().positive();
-        s.add_clause(&[!a, x]);
-        s.add_clause(&[!b, x]);
-        s.add_clause(&[!c, !x]);
-        assert_eq!(s.solve_with_assumptions(&[a, b, c]), SolveResult::Unsat);
-        let core = s.unsat_core().to_vec();
-        let ordered = [a, b, c];
-        let m1 = canonical_minimize(&mut s, &ordered, &core);
-        // Re-run after extra solver churn: same result.
-        let _ = s.solve_with_assumptions(&[b, c]);
-        assert_eq!(s.solve_with_assumptions(&[a, b, c]), SolveResult::Unsat);
-        let core2 = s.unsat_core().to_vec();
-        let m2 = canonical_minimize(&mut s, &ordered, &core2);
-        assert_eq!(m1, m2);
-        // Canonical deletion drops `a` first: the survivor pair is {b, c}.
-        assert_eq!(m1, vec![b, c]);
+    fn witness_reuse_keeps_abducts_minimal_on_random_cnfs() {
+        use hh_sat::Var;
+        const VARS: usize = 14;
+        const CANDIDATES: usize = 9;
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut unsat_queries, mut hits) = (0, 0);
+        for _ in 0..80 {
+            let clauses: Vec<Vec<Lit>> = (0..40)
+                .map(|_| {
+                    (0..3)
+                        .map(|_| Var::from_index(next(VARS)).lit(next(2) == 0))
+                        .collect()
+                })
+                .collect();
+            let candidate_lits: Vec<Lit> = (0..CANDIDATES)
+                .map(|_| Var::from_index(next(VARS)).lit(next(2) == 0))
+                .collect();
+            let indicators: Vec<Lit> = (0..CANDIDATES)
+                .map(|i| Var::from_index(VARS + i).positive())
+                .collect();
+            let build = || {
+                let mut s = Solver::new();
+                for _ in 0..VARS + CANDIDATES {
+                    let v = s.new_var();
+                    s.freeze(v);
+                }
+                for c in &clauses {
+                    s.add_clause(c);
+                }
+                for (&a, &cl) in indicators.iter().zip(&candidate_lits) {
+                    s.add_clause(&[!a, cl]);
+                }
+                s
+            };
+            let slot_of_lit: HashMap<Lit, usize> = indicators
+                .iter()
+                .enumerate()
+                .map(|(s, &a)| (a, s))
+                .collect();
+            let mut session = build();
+            let mut witnesses = VecDeque::new();
+            let mut offered = vec![true; CANDIDATES];
+            for _ in 0..10 {
+                let assumed: Vec<Lit> = (0..CANDIDATES)
+                    .filter(|&i| offered[i])
+                    .map(|i| indicators[i])
+                    .collect();
+                if session.solve_with_assumptions(&assumed) == SolveResult::Sat {
+                    // Regrow: offer everything again.
+                    offered = vec![true; CANDIDATES];
+                    continue;
+                }
+                unsat_queries += 1;
+                let core = session.unsat_core().to_vec();
+                let mut memory = WitnessMemory {
+                    witnesses: &mut witnesses,
+                    slot_of_lit: &slot_of_lit,
+                    candidate_lits: &candidate_lits,
+                };
+                let (abduct, counts) = hh_sat::minimize_core_with(&mut session, &core, &mut memory);
+                hits += counts.remembered;
+
+                let mut fresh = build();
+                assert_eq!(fresh.solve_with_assumptions(&abduct), SolveResult::Unsat);
+                for &member in &abduct {
+                    let rest: Vec<Lit> = abduct.iter().copied().filter(|&l| l != member).collect();
+                    assert_eq!(
+                        fresh.solve_with_assumptions(&rest),
+                        SolveResult::Sat,
+                        "{member:?} is not critical in {abduct:?}"
+                    );
+                }
+                // Shrink: one member of the abduct "fails downstream".
+                match abduct.get(next(abduct.len().max(1))) {
+                    Some(failed) => offered[slot_of_lit[failed]] = false,
+                    None => break, // the formula alone is UNSAT
+                }
+            }
+        }
+        assert!(unsat_queries > 100 && hits > 100, "{unsat_queries} {hits}");
     }
 
     #[test]

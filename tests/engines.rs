@@ -12,7 +12,7 @@ use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::decode::matches_pattern;
 use hh_suite::uarch::rocketlite::rocket_lite;
 use hh_suite::uarch::Design;
-use hh_suite::veloct::examples::generate_examples;
+use hh_suite::veloct::examples::{generate_examples, generate_examples_custom};
 use hh_suite::veloct::{instruction_patterns, BaselineKind, Veloct, VeloctConfig};
 
 fn alu_set() -> Vec<Mnemonic> {
@@ -145,6 +145,48 @@ fn streaming_engine_is_deterministic_across_thread_counts() {
             Some(expect) => assert_eq!(
                 expect, &preds,
                 "task commit order must not depend on thread count"
+            ),
+        }
+    }
+}
+
+#[test]
+fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
+    // Limited examples (rd = x3 only, the paper's Fig. 5 regime) let
+    // spurious predicates through mining, so the engine backtracks and
+    // sessions re-minimise on retries — the path where minimisation probes
+    // are answered from stored witness models. Skipped probes must not make
+    // the result depend on the schedule.
+    let design = boom_lite(BoomVariant::Small, 16);
+    let safe: Vec<Mnemonic> = alu_set()
+        .into_iter()
+        .filter(|&m| m != Mnemonic::Auipc)
+        .collect();
+    let (miter, _, props) = setup(&design, &safe);
+    let examples = generate_examples_custom(&design, &miter, &safe, 1, 42, true, &[3])
+        .expect("safe set examples");
+    let patterns = instruction_patterns(&safe);
+
+    let mut reference = None;
+    for threads in [1, 2, 4] {
+        let miner = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
+        let mut par = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), threads);
+        let inv = par.learn(&props).expect("invariant");
+        let stats = par.stats();
+        assert!(stats.backtracks > 0, "limited examples must backtrack");
+        assert!(
+            stats.minimize_witness_hits > 0,
+            "retries must reuse witness models"
+        );
+        match &reference {
+            None => {
+                assert!(inv.verify_monolithic(miter.netlist()));
+                reference = Some(inv.preds().to_vec());
+            }
+            Some(expect) => assert_eq!(
+                expect.as_slice(),
+                inv.preds(),
+                "{threads}-thread run must learn the 1-thread invariant"
             ),
         }
     }
