@@ -26,7 +26,8 @@
 //! ## Features
 //!
 //! * Two-literal watching, first-UIP learning with clause minimisation,
-//!   VMTF decision queue + phase saving, Luby restarts, LBD-aware database reduction.
+//!   VMTF decision queue + phase saving, Luby or adaptive restarts,
+//!   LBD-aware database reduction.
 //! * Incremental interface: interleave [`Solver::new_var`],
 //!   [`Solver::add_clause`] and [`Solver::solve_with_assumptions`] freely.
 //! * Assumption-safe inprocessing: [`Solver::simplify`] runs SatELite-style

@@ -3,10 +3,13 @@
 //! All variables sit on one doubly linked list ordered by the time of their
 //! last bump: conflict analysis moves every variable it touches to the front
 //! (keeping their relative order), and the next decision is the most recently
-//! bumped variable that is still free. Every operation is O(1) except the pick, which walks from a cursor
-//! toward older entries — and the cursor only has to move back toward the
-//! front when a variable in front of it is unassigned, so a conflict-free
-//! descent over n variables is one linear pass, not n heap operations.
+//! bumped variable that is still free. Every operation is O(1) except the
+//! pick, which walks from a cursor toward older entries — and the cursor only
+//! has to move back toward the front when a variable in front of it is
+//! unassigned, so a conflict-free descent over n variables is one linear
+//! pass, not n heap operations. That descent is what a core-minimisation
+//! probe is: a few thousand decisions and propagations, a handful of
+//! conflicts.
 //!
 //! ## Invariant
 //!

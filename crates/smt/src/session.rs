@@ -378,7 +378,7 @@ impl<'a> AbductionSession<'a> {
         let enc = self.enc.as_mut().expect("encoding just ensured");
 
         // Register unseen candidates; build this call's assumption set.
-        let mut assumed: Vec<(Lit, u8, usize)> = Vec::with_capacity(candidates.len());
+        let mut assumptions: Vec<Lit> = Vec::with_capacity(candidates.len());
         let mut call_idx_of_slot: HashMap<usize, usize> = HashMap::with_capacity(candidates.len());
         for (call_idx, cand) in candidates.iter().enumerate() {
             let cand = cand.borrow();
@@ -406,7 +406,7 @@ impl<'a> AbductionSession<'a> {
             // First occurrence wins on (degenerate) duplicate candidates.
             if let std::collections::hash_map::Entry::Vacant(e) = call_idx_of_slot.entry(slot) {
                 e.insert(call_idx);
-                assumed.push((self.indicators[slot], self.strength[slot], slot));
+                assumptions.push(self.indicators[slot]);
             }
         }
         let encode_time = t_encode.elapsed();
@@ -426,7 +426,6 @@ impl<'a> AbductionSession<'a> {
         let _solve_span = hh_trace::span!("smt", "smt.solve");
         let solver = enc.cnf_mut().solver_mut();
         let before = solver.stats();
-        let assumptions: Vec<Lit> = assumed.iter().map(|&(l, _, _)| l).collect();
         // Portfolio racing is suspended while a proof sink is attached: the
         // flow-back import would be declined anyway (it is underivable from
         // the primary's own DRAT stream), and a single-arm run keeps the
