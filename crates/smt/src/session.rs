@@ -73,6 +73,9 @@ struct WitnessMemory<'s> {
     slot_of_lit: &'s HashMap<Lit, usize>,
     /// Slot -> the candidate's own literal (what the indicator implies).
     candidate_lits: &'s [Lit],
+    /// Scratch bitset of the members a witness has to satisfy, reused from
+    /// probe to probe.
+    needed: Vec<u64>,
 }
 
 impl ProbeMemory for WitnessMemory<'_> {
@@ -80,12 +83,15 @@ impl ProbeMemory for WitnessMemory<'_> {
         if self.witnesses.is_empty() {
             return false;
         }
-        let mut needed = vec![0u64; self.candidate_lits.len().div_ceil(64)];
+        self.needed.clear();
+        self.needed
+            .resize(self.candidate_lits.len().div_ceil(64), 0);
         for l in current.iter().filter(|&&l| l != candidate) {
             let slot = self.slot_of_lit[l];
-            needed[slot / 64] |= 1 << (slot % 64);
+            self.needed[slot / 64] |= 1 << (slot % 64);
         }
         // Newest first: the previous query's models are the likely hits.
+        let needed = &self.needed;
         self.witnesses.iter().rev().any(|model| {
             needed
                 .iter()
@@ -460,6 +466,7 @@ impl<'a> AbductionSession<'a> {
                         witnesses: &mut self.witnesses,
                         slot_of_lit: &self.slot_of_lit,
                         candidate_lits: &self.candidate_lits,
+                        needed: Vec::new(),
                     };
                     (final_core, probes) =
                         hh_sat::minimize_core_with(solver, &final_core, &mut memory);
@@ -875,6 +882,7 @@ mod tests {
                     witnesses: &mut witnesses,
                     slot_of_lit: &slot_of_lit,
                     candidate_lits: &candidate_lits,
+                    needed: Vec::new(),
                 };
                 let (abduct, counts) = hh_sat::minimize_core_with(&mut session, &core, &mut memory);
                 hits += counts.remembered;
