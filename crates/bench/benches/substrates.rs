@@ -4,10 +4,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hh_bench::all_targets;
-use hh_netlist::eval::{InputValues, StateValues};
 use hh_netlist::miter::Miter;
+use hh_netlist::tape::Tape;
 use hh_sat::{SolveResult, Solver};
-use hh_sim::simulate;
 use hh_smt::{abduct, AbductionConfig, Predicate, TransitionEncoding};
 
 #[allow(clippy::needless_range_loop)] // index pairs are clearer here
@@ -83,9 +82,18 @@ fn bench_abduction(c: &mut Criterion) {
 fn bench_sim(c: &mut Criterion) {
     let targets = all_targets();
     let boom = &targets[1].design;
-    let inputs = vec![InputValues::zeros(&boom.netlist); 100];
+    // The stepping loop every multi-cycle caller runs: one compiled tape,
+    // one value buffer, all-zero (bubble) inputs.
+    let tape = Tape::compile(&boom.netlist);
+    let mut machine = tape.machine();
     c.bench_function("sim/boomlite_small_100_cycles", |b| {
-        b.iter(|| simulate(&boom.netlist, StateValues::initial(&boom.netlist), &inputs))
+        b.iter(|| {
+            machine.reset();
+            for _ in 0..100 {
+                machine.step();
+            }
+            machine.state(boom.observable[0])
+        })
     });
 }
 

@@ -32,7 +32,7 @@ pub trait Miner {
 }
 
 /// Per-base-variable facts precomputed over the positive examples.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct VarFacts {
     /// Left and right copies equal in every example.
     eq_always: bool,
@@ -117,50 +117,7 @@ impl CoiMiner {
             .map(|i| miter.origin(StateId::from_index(i)).0)
             .collect();
 
-        const MAX_VALUE_SET: usize = 8;
-        let mut facts = Vec::with_capacity(nbase);
-        for &(l, r) in pairs.iter().take(nbase) {
-            let mut eq_always = true;
-            let mut const_value = Some(examples[0].get(l));
-            let mut in_set_ok = safe_patterns.is_some();
-            let mut value_set: Option<Vec<Bv>> = Some(Vec::new());
-            for e in examples {
-                let lv = e.get(l);
-                let rv = e.get(r);
-                if lv != rv {
-                    eq_always = false;
-                    break;
-                }
-                if const_value != Some(lv) {
-                    const_value = None;
-                }
-                if let Some(ps) = &safe_patterns {
-                    if !ps.iter().any(|p| p.matches(lv.bits())) {
-                        in_set_ok = false;
-                    }
-                }
-                if let Some(vs) = &mut value_set {
-                    if !vs.contains(&lv) {
-                        if vs.len() >= MAX_VALUE_SET {
-                            value_set = None;
-                        } else {
-                            vs.push(lv);
-                        }
-                    }
-                }
-            }
-            if !eq_always {
-                const_value = None;
-                in_set_ok = false;
-                value_set = None;
-            }
-            facts.push(VarFacts {
-                eq_always,
-                const_value,
-                in_set_ok,
-                value_set,
-            });
-        }
+        let facts = var_facts(&pairs, examples, safe_patterns.as_deref());
 
         // Validate expert annotations against every example (line 15).
         let expert: Vec<Predicate> = expert
@@ -254,6 +211,64 @@ impl CoiMiner {
             .map(|s| self.origin_base[s.index()])
             .collect()
     }
+}
+
+/// Computes every base variable's [`VarFacts`] in one row-major pass: each
+/// example is read once, front to back, and a variable drops out of the
+/// pass at the first example whose two copies differ (nothing is minable
+/// over it then). Safe-set patterns are matched only while `in_set_ok` can
+/// still be true.
+fn var_facts(
+    pairs: &[(StateId, StateId)],
+    examples: &[StateValues],
+    safe_patterns: Option<&[Pattern]>,
+) -> Vec<VarFacts> {
+    const MAX_VALUE_SET: usize = 8;
+    let mut facts: Vec<VarFacts> = pairs
+        .iter()
+        .map(|&(l, _)| VarFacts {
+            eq_always: true,
+            const_value: Some(examples[0].get(l)),
+            in_set_ok: safe_patterns.is_some(),
+            value_set: Some(Vec::new()),
+        })
+        .collect();
+    // Base variables still equal on both sides in every example so far.
+    let mut live: Vec<usize> = (0..pairs.len()).collect();
+    for e in examples {
+        live.retain(|&b| {
+            let (l, r) = pairs[b];
+            let lv = e.get(l);
+            let f = &mut facts[b];
+            if lv != e.get(r) {
+                *f = VarFacts {
+                    eq_always: false,
+                    const_value: None,
+                    in_set_ok: false,
+                    value_set: None,
+                };
+                return false;
+            }
+            if f.const_value != Some(lv) {
+                f.const_value = None;
+            }
+            if f.in_set_ok {
+                f.in_set_ok =
+                    safe_patterns.is_some_and(|ps| ps.iter().any(|p| p.matches(lv.bits())));
+            }
+            if let Some(vs) = &mut f.value_set {
+                if !vs.contains(&lv) {
+                    if vs.len() >= MAX_VALUE_SET {
+                        f.value_set = None;
+                    } else {
+                        vs.push(lv);
+                    }
+                }
+            }
+            true
+        });
+    }
+    facts
 }
 
 impl Miner for CoiMiner {
@@ -444,5 +459,95 @@ mod tests {
     fn empty_examples_rejected() {
         let (_, m) = setup();
         CoiMiner::new(&m, &[], None, vec![]);
+    }
+
+    /// The column-wise loop [`var_facts`] replaced (one variable at a time
+    /// over all examples, every pattern matched on every example), kept as
+    /// its oracle.
+    fn var_facts_columnwise(
+        pairs: &[(StateId, StateId)],
+        examples: &[StateValues],
+        safe_patterns: Option<&[Pattern]>,
+    ) -> Vec<VarFacts> {
+        const MAX_VALUE_SET: usize = 8;
+        let mut facts = Vec::new();
+        for &(l, r) in pairs {
+            let mut eq_always = true;
+            let mut const_value = Some(examples[0].get(l));
+            let mut in_set_ok = safe_patterns.is_some();
+            let mut value_set: Option<Vec<Bv>> = Some(Vec::new());
+            for e in examples {
+                let lv = e.get(l);
+                let rv = e.get(r);
+                if lv != rv {
+                    eq_always = false;
+                    break;
+                }
+                if const_value != Some(lv) {
+                    const_value = None;
+                }
+                if let Some(ps) = safe_patterns {
+                    if !ps.iter().any(|p| p.matches(lv.bits())) {
+                        in_set_ok = false;
+                    }
+                }
+                if let Some(vs) = &mut value_set {
+                    if !vs.contains(&lv) {
+                        if vs.len() >= MAX_VALUE_SET {
+                            value_set = None;
+                        } else {
+                            vs.push(lv);
+                        }
+                    }
+                }
+            }
+            if !eq_always {
+                const_value = None;
+                in_set_ok = false;
+                value_set = None;
+            }
+            facts.push(VarFacts {
+                eq_always,
+                const_value,
+                in_set_ok,
+                value_set,
+            });
+        }
+        facts
+    }
+
+    #[test]
+    fn row_major_facts_equal_columnwise_on_smallboomlite() {
+        use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
+        use hh_uarch::boomlite::{boom_lite, BoomVariant};
+        use veloct::examples::generate_examples_custom;
+
+        let design = boom_lite(BoomVariant::Small, 16);
+        let safe: Vec<Mnemonic> = ALL_MNEMONICS
+            .iter()
+            .copied()
+            .filter(|m| {
+                (m.class() == InstrClass::Alu && *m != Mnemonic::Auipc)
+                    || m.class() == InstrClass::Mul
+            })
+            .collect();
+        let (miter, patterns) = veloct::Veloct::new(&design).build_miter(&safe);
+        let pairs: Vec<_> = miter.base_state_ids().map(|b| miter.pair(b)).collect();
+        // Rich, limited and unmasked examples: the last two leave variables
+        // that are equal but outside the safe set, and unequal ones.
+        for (mask, rds) in [
+            (true, &[3u8, 5, 6, 7, 1, 2, 4][..]),
+            (true, &[3]),
+            (false, &[3]),
+        ] {
+            let examples =
+                generate_examples_custom(&design, &miter, &safe, 1, 7, mask, rds).unwrap();
+            for ps in [Some(&patterns[..]), None] {
+                let facts = var_facts(&pairs, &examples, ps);
+                assert_eq!(facts, var_facts_columnwise(&pairs, &examples, ps));
+                assert!(facts.iter().any(|f| f.eq_always));
+                assert!(facts.iter().any(|f| !f.eq_always));
+            }
+        }
     }
 }

@@ -130,6 +130,16 @@ pub struct Stats {
     pub exported_clauses: u64,
     /// Learnt clauses imported from clause pools into fresh sessions.
     pub imported_clauses: u64,
+    /// Base-design cycles simulated to generate the run's positive
+    /// examples, both executions of each pair counted. The engine never
+    /// sees example generation; `veloct` fills the three `examples_*`
+    /// fields in on the stats it reports.
+    pub examples_cycles: u64,
+    /// Product states extracted from the paired traces, before
+    /// deduplication.
+    pub examples_raw: u64,
+    /// Distinct product states: the positive examples the miner received.
+    pub examples_unique: u64,
     /// Worker threads the run was configured with (1 for the serial
     /// engine; merging keeps the maximum).
     pub workers: usize,
@@ -383,6 +393,9 @@ impl Stats {
         self.encode_clauses_saved += other.encode_clauses_saved;
         self.exported_clauses += other.exported_clauses;
         self.imported_clauses += other.imported_clauses;
+        self.examples_cycles += other.examples_cycles;
+        self.examples_raw += other.examples_raw;
+        self.examples_unique += other.examples_unique;
         self.workers = self.workers.max(other.workers);
         self.worker_busy_time += other.worker_busy_time;
         self.poisoned |= other.poisoned;
@@ -431,6 +444,9 @@ impl Stats {
             ("sat.budget_rounds", self.sat_budget_rounds),
             ("portfolio.races", self.portfolio_races),
             ("portfolio.arm_wins", self.portfolio_arm_wins),
+            ("examples.cycles", self.examples_cycles),
+            ("examples.raw", self.examples_raw),
+            ("examples.unique", self.examples_unique),
         ]
     }
 }

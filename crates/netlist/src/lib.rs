@@ -8,7 +8,9 @@
 //! The crate provides everything the invariant learner needs from "the RTL":
 //!
 //! * a builder API used by `hh-uarch` to construct processor models,
-//! * a concrete evaluator ([`eval`]) used for positive-example generation,
+//! * a concrete evaluator ([`eval`]) giving the reference semantics, and its
+//!   compiled multi-cycle form ([`tape`]) used for positive-example
+//!   generation,
 //! * cone-of-influence slicing ([`coi::Coi`]) — the paper's `O_slice` oracle,
 //! * miter (product-circuit) construction ([`miter::Miter`]) for relational
 //!   2-safety properties,
@@ -47,6 +49,7 @@ pub mod eval;
 pub mod miter;
 pub mod signature;
 pub mod simp;
+pub mod tape;
 
 pub use bv::{Bv, MAX_WIDTH};
 pub use netlist::{InputId, Netlist, Node, NodeId, NodeOp, StateId};

@@ -692,6 +692,11 @@ impl Netlist {
         acc
     }
 
+    /// Whether every state has a next function.
+    pub fn is_complete(&self) -> bool {
+        self.states.iter().all(|s| s.next.is_some())
+    }
+
     /// Checks structural sanity: every state has a next function.
     ///
     /// # Panics

@@ -6,13 +6,16 @@
 //!   copies of a miter never diverge;
 //! * COI completeness: every state whose value can influence a target's
 //!   next value in one step is in the reported 1-step cone (Contract 1's
-//!   `O_slice` requirement), validated by fault injection.
+//!   `O_slice` requirement), validated by fault injection;
+//! * the compiled tape agrees with `eval_all`/`step`, node for node, on
+//!   random netlists that use every operator at widths from 1 to 64.
 
 use hh_netlist::btor2::{parse_btor2, to_btor2};
 use hh_netlist::coi::Coi;
-use hh_netlist::eval::{step, InputValues, StateValues};
+use hh_netlist::eval::{eval_all, step, InputValues, StateValues};
 use hh_netlist::miter::Miter;
-use hh_netlist::{Bv, Netlist};
+use hh_netlist::tape::Tape;
+use hh_netlist::{Bv, Netlist, NodeId, StateId};
 use proptest::prelude::*;
 
 const W: u32 = 6;
@@ -87,8 +90,172 @@ fn drive(n: &Netlist, vals: &[u64]) -> Vec<InputValues> {
         .collect()
 }
 
+/// Operators [`build_mixed`] can apply; the first `MIXED_OPS` recipes of a
+/// netlist use each once, so every case covers every `NodeOp`.
+const MIXED_OPS: u8 = 22;
+/// Leaf widths: the extremes, a narrow and a byte-sized word.
+const LEAF_WIDTHS: [u32; 4] = [1, 5, 8, 64];
+
+#[derive(Debug, Clone)]
+struct MixedRecipe {
+    op: u8,
+    a: u16,
+    b: u16,
+    c: u16,
+    k: u8,
+}
+
+fn arb_mixed() -> impl Strategy<Value = Vec<MixedRecipe>> {
+    proptest::collection::vec(
+        (
+            0u8..MIXED_OPS,
+            any::<u16>(),
+            any::<u16>(),
+            any::<u16>(),
+            any::<u8>(),
+        )
+            .prop_map(|(op, a, b, c, k)| MixedRecipe { op, a, b, c, k }),
+        MIXED_OPS as usize..60,
+    )
+}
+
+/// Values biased towards the sign and carry edges (truncated to each
+/// leaf's width when applied).
+fn arb_word() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(1u64),
+        Just(u64::MAX),
+        Just(1u64 << 63),
+        Just(0x80u64),
+        Just(0x7fu64),
+        Just(64u64),
+        0u64..70,
+        any::<u64>(),
+    ]
+}
+
+/// A random DAG over inputs, states and constants of [`LEAF_WIDTHS`]. Every
+/// state's next function is a random node of its width (possibly another
+/// state's current value, which is what makes `latch` order-sensitive).
+/// Returns the netlist and the id of every node in it.
+fn build_mixed(recipes: &[MixedRecipe]) -> (Netlist, Vec<NodeId>) {
+    let mut n = Netlist::new("mixed");
+    let mut pool: Vec<NodeId> = Vec::new();
+    let mut states: Vec<StateId> = Vec::new();
+    for &w in &LEAF_WIDTHS {
+        pool.push(n.input(format!("i{w}"), w));
+        for k in 0..2u64 {
+            let s = n.state(
+                format!("s{w}_{k}"),
+                w,
+                Bv::new(w, 0x9e37_79b9_7f4a_7c15 >> k),
+            );
+            states.push(s);
+            pool.push(n.state_node(s));
+        }
+        pool.push(n.constant(Bv::ones(w)));
+        pool.push(n.c(w, 1u64 << (w - 1)));
+    }
+    fn of_width(n: &Netlist, pool: &[NodeId], w: u32, sel: u16) -> NodeId {
+        let c: Vec<NodeId> = pool.iter().copied().filter(|&x| n.width(x) == w).collect();
+        c[sel as usize % c.len()]
+    }
+    for (i, r) in recipes.iter().enumerate() {
+        let op = if i < MIXED_OPS as usize {
+            i as u8
+        } else {
+            r.op
+        };
+        let a = pool[r.a as usize % pool.len()];
+        let w = n.width(a);
+        let same = of_width(&n, &pool, w, r.b);
+        let any = pool[r.b as usize % pool.len()];
+        let node = match op {
+            0 => n.not(a),
+            1 => n.neg(a),
+            2 => n.redor(a),
+            3 => n.redand(a),
+            4 => n.redxor(a),
+            5 => n.and(a, same),
+            6 => n.or(a, same),
+            7 => n.xor(a, same),
+            8 => n.add(a, same),
+            9 => n.sub(a, same),
+            10 => n.mul(a, same),
+            11 => n.eq(a, same),
+            12 => n.ult(a, same),
+            13 => n.slt(a, same),
+            // Shift amounts of any width: 64-bit amounts and the `arb_word`
+            // edge values routinely exceed the shifted operand's width.
+            14 => n.shl(a, any),
+            15 => n.lshr(a, any),
+            16 => n.ashr(a, any),
+            17 => {
+                let cond = of_width(&n, &pool, 1, r.c);
+                n.ite(cond, a, same)
+            }
+            18 if w + n.width(any) <= 64 => n.concat(a, any),
+            18 => a,
+            19 => {
+                let lo = r.k as u32 % w;
+                let hi = lo + (r.c as u32 % (w - lo));
+                n.slice(a, hi, lo)
+            }
+            20 => n.uext(a, w + r.k as u32 % (65 - w)),
+            _ => n.sext(a, w + r.k as u32 % (65 - w)),
+        };
+        pool.push(node);
+    }
+    for (i, &s) in states.iter().enumerate() {
+        let sel = recipes[i % recipes.len()].c;
+        let next = of_width(&n, &pool, n.state_width(s), sel);
+        n.set_next(s, next);
+    }
+    (n, pool)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The compiled tape is `eval_all` and `step`: every node value, every
+    /// cycle, from random states under random inputs.
+    #[test]
+    fn tape_matches_reference_evaluator(
+        recipes in arb_mixed(),
+        state_words in proptest::collection::vec(arb_word(), 8),
+        input_words in proptest::collection::vec(arb_word(), 12),
+    ) {
+        let (n, nodes) = build_mixed(&recipes);
+        prop_assert_eq!(nodes.iter().map(|x| x.index()).max(), Some(n.num_nodes() - 1));
+        let mut s = StateValues::initial(&n);
+        for (sid, &v) in n.state_ids().zip(&state_words) {
+            s.set(sid, Bv::new(n.state_width(sid), v));
+        }
+        let tape = Tape::compile(&n);
+        let mut m = tape.machine();
+        m.load_states(&s);
+        for cycle in input_words.chunks(LEAF_WIDTHS.len()) {
+            let mut iv = InputValues::zeros(&n);
+            for (&w, &v) in LEAF_WIDTHS.iter().zip(cycle) {
+                iv.set_by_name(&n, &format!("i{w}"), Bv::new(w, v));
+            }
+            m.load_inputs(&iv);
+            m.eval();
+            let want = eval_all(&n, &s, &iv);
+            for &id in &nodes {
+                prop_assert_eq!(
+                    m.node(id),
+                    want[id.index()].bits(),
+                    "node {:?} differs",
+                    n.node(id)
+                );
+            }
+            m.latch();
+            s = step(&n, &s, &iv);
+            prop_assert_eq!(m.state_values(), s.clone());
+        }
+    }
 
     /// btor2 round-trip preserves cycle behaviour.
     #[test]

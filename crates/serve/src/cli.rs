@@ -499,11 +499,15 @@ fn batch_main() -> ExitCode {
     let code = match &report.invariant {
         Some(inv) => {
             println!(
-                "\ninvariant: {} predicates | {} tasks | {} backtracks | {} SMT queries | {elapsed:.2?}",
+                "\ninvariant: {} predicates | {} tasks | {} backtracks | {} SMT queries | \
+                 {elapsed:.2?} (final run: examples {:.2?}, mine {:.2?}, learn {:.2?})",
                 inv.len(),
                 report.stats.num_tasks(),
                 report.stats.backtracks,
-                report.stats.smt_queries
+                report.stats.smt_queries,
+                report.examples_time,
+                report.mine_time,
+                report.stats.wall_time
             );
             match &args.certify {
                 None => ExitCode::SUCCESS,

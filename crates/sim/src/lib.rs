@@ -30,22 +30,23 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use hh_netlist::eval::{eval_all, step, InputValues, StateValues};
-use hh_netlist::miter::Miter;
+use hh_netlist::eval::{InputValues, StateValues};
+use hh_netlist::miter::{Miter, Side};
+use hh_netlist::tape::Tape;
 use hh_netlist::{Bv, Netlist, NodeId};
 
 /// A finite execution: `states[i]` is the state *entering* cycle `i`
 /// (`states[0]` is the initial state), `inputs[i]` the inputs applied during
 /// cycle `i`. `states.len() == inputs.len() + 1`.
 #[derive(Debug, Clone)]
-pub struct Trace {
+pub struct Trace<'a> {
     /// State history (length = cycles + 1).
     pub states: Vec<StateValues>,
-    /// Input history (length = cycles).
-    pub inputs: Vec<InputValues>,
+    /// Input history (length = cycles), borrowed from the caller.
+    pub inputs: &'a [InputValues],
 }
 
-impl Trace {
+impl Trace<'_> {
     /// Number of simulated cycles.
     pub fn cycles(&self) -> usize {
         self.inputs.len()
@@ -53,28 +54,44 @@ impl Trace {
 }
 
 /// Runs `netlist` from `initial` applying `inputs` cycle by cycle.
-pub fn simulate(netlist: &Netlist, initial: StateValues, inputs: &[InputValues]) -> Trace {
+///
+/// The netlist is compiled to a [`Tape`] once and stepped on one value
+/// buffer; the only per-cycle allocation is the recorded state itself.
+pub fn simulate<'a>(
+    netlist: &Netlist,
+    initial: StateValues,
+    inputs: &'a [InputValues],
+) -> Trace<'a> {
+    let tape = Tape::compile(netlist);
+    let mut machine = tape.machine();
+    machine.load_states(&initial);
     let mut states = Vec::with_capacity(inputs.len() + 1);
     states.push(initial);
     for iv in inputs {
-        let next = step(netlist, states.last().unwrap(), iv);
-        states.push(next);
+        machine.load_inputs(iv);
+        machine.step();
+        states.push(machine.state_values());
     }
-    Trace {
-        states,
-        inputs: inputs.to_vec(),
-    }
+    Trace { states, inputs }
 }
 
 /// The value of `node` during each cycle of `trace` (evaluated with that
 /// cycle's pre-state and inputs) — the attacker-visible waveform when `node`
 /// is an observable output.
 pub fn output_waveform(netlist: &Netlist, trace: &Trace, node: NodeId) -> Vec<Bv> {
+    let tape = Tape::compile(netlist);
+    let mut machine = tape.machine();
+    let width = netlist.width(node);
     trace
         .inputs
         .iter()
-        .enumerate()
-        .map(|(i, iv)| eval_all(netlist, &trace.states[i], iv)[node.index()])
+        .zip(&trace.states)
+        .map(|(iv, state)| {
+            machine.load_states(state);
+            machine.load_inputs(iv);
+            machine.eval();
+            Bv::new(width, machine.node(node))
+        })
         .collect()
 }
 
@@ -85,8 +102,8 @@ pub fn state_waveform(trace: &Trace, sid: hh_netlist::StateId) -> Vec<Bv> {
 }
 
 /// Zips two equal-length traces of the *base* design into product states of
-/// the miter: cycle `i`'s product state assigns the left trace's values to
-/// the `l$` states and the right trace's to the `r$` states.
+/// the miter: cycle `i`'s product state takes each product state element's
+/// value from the side and base state [`Miter::origin`] names.
 ///
 /// # Panics
 ///
@@ -98,16 +115,24 @@ pub fn product_states(miter: &Miter, left: &Trace, right: &Trace) -> Vec<StateVa
         right.states.len(),
         "paired traces must have equal length"
     );
+    let origin: Vec<_> = miter
+        .netlist()
+        .state_ids()
+        .map(|p| miter.origin(p))
+        .collect();
     left.states
         .iter()
         .zip(&right.states)
         .map(|(ls, rs)| {
-            let mut pv = StateValues::initial(miter.netlist());
-            for base in miter.base_state_ids() {
-                pv.set(miter.left(base), ls.get(base));
-                pv.set(miter.right(base), rs.get(base));
-            }
-            pv
+            StateValues::from_vec(
+                origin
+                    .iter()
+                    .map(|&(base, side)| match side {
+                        Side::Left => ls.get(base),
+                        Side::Right => rs.get(base),
+                    })
+                    .collect(),
+            )
         })
         .collect()
 }
@@ -115,13 +140,13 @@ pub fn product_states(miter: &Miter, left: &Trace, right: &Trace) -> Vec<StateVa
 /// Convenience: simulate the pair `(left_init, right_init)` on the *same*
 /// input sequence and return the product states (the raw positive-example
 /// stream before masking/filtering).
-pub fn simulate_pair(
+pub fn simulate_pair<'a>(
     netlist: &Netlist,
     miter: &Miter,
     left_init: StateValues,
     right_init: StateValues,
-    inputs: &[InputValues],
-) -> (Trace, Trace, Vec<StateValues>) {
+    inputs: &'a [InputValues],
+) -> (Trace<'a>, Trace<'a>, Vec<StateValues>) {
     let lt = simulate(netlist, left_init, inputs);
     let rt = simulate(netlist, right_init, inputs);
     let ps = product_states(miter, &lt, &rt);
@@ -202,8 +227,9 @@ mod tests {
     fn mismatched_traces_panic() {
         let n = accumulator();
         let m = Miter::build(&n);
-        let t1 = simulate(&n, StateValues::initial(&n), &drive(&n, &[1]));
-        let t2 = simulate(&n, StateValues::initial(&n), &drive(&n, &[1, 2]));
+        let (short, long) = (drive(&n, &[1]), drive(&n, &[1, 2]));
+        let t1 = simulate(&n, StateValues::initial(&n), &short);
+        let t2 = simulate(&n, StateValues::initial(&n), &long);
         product_states(&m, &t1, &t2);
     }
 }

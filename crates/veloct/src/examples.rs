@@ -8,15 +8,23 @@
 //! a positive example must satisfy the property). Otherwise the product
 //! states are *cleaned* by example masking (§5.2.1) and become the positive
 //! example set `E`.
+//!
+//! Every entry point shares one streamed runner (`PairRunner`): the two
+//! executions step in lockstep on a compiled [`Tape`], observables are
+//! compared each cycle (a divergent pair stops there), masking is applied
+//! per side to a copy of the base state, and each product state leaves the
+//! runner as one row of raw `u64`s. [`generate_examples`] drops duplicate
+//! rows as they arrive and materialises only the survivors.
 
 use hh_isa::{asm, Instruction, Mnemonic};
-use hh_netlist::eval::{InputValues, StateValues};
-use hh_netlist::miter::Miter;
+use hh_netlist::eval::StateValues;
+use hh_netlist::miter::{Miter, Side};
+use hh_netlist::tape::{Machine, Tape};
 use hh_netlist::Bv;
-use hh_sim::{product_states, simulate, state_waveform};
 use hh_uarch::Design;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// A left/right assignment of the architectural registers: the paired
 /// executions differ exactly here (equal-modulo-secret initial states).
@@ -141,7 +149,7 @@ pub fn exemplar(m: Mnemonic) -> Instruction {
 /// predicates survive mining, get picked into abducts, fail, and force
 /// backtracks. The public base register (x4) is written last, after the
 /// memory system no longer needs it.
-const EXAMPLE_RDS: [u8; 7] = [3, 5, 6, 7, 1, 2, 4];
+pub(crate) const EXAMPLE_RDS: [u8; 7] = [3, 5, 6, 7, 1, 2, 4];
 
 /// Builds the adversarial *probe* program for differential testing: a
 /// cache-warming public access, NOP padding, the instruction under test,
@@ -204,33 +212,197 @@ pub fn example_program_with_rds(design: &Design, m: Mnemonic, rds: &[u8]) -> (Ve
     (prog, window_start)
 }
 
-fn initial_state(design: &Design, values: &[u64]) -> StateValues {
-    let mut s = StateValues::initial(&design.netlist);
-    for (i, &v) in values.iter().enumerate() {
-        s.set(design.secret_regs[i], Bv::new(design.xlen, v));
-    }
-    s
-}
-
-fn drive(design: &Design, prog: &[u32], cycles: usize) -> Vec<InputValues> {
-    (0..cycles)
-        .map(|c| {
-            let w = prog.get(c).copied().unwrap_or(BUBBLE);
-            let mut iv = InputValues::zeros(&design.netlist);
-            iv.set_by_name(&design.netlist, &design.instr_input, Bv::new(32, w as u64));
-            iv
-        })
-        .collect()
-}
-
 /// Evidence that an instruction pair diverged: the observable waveforms
 /// differ at `cycle`.
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// The instruction under test.
     pub mnemonic: Mnemonic,
-    /// First differing cycle.
+    /// The earliest cycle at which any observable differs between the two
+    /// executions (0 is the initial state). The pair run ends there.
     pub cycle: usize,
+}
+
+/// The lockstep pair runner: both executions of one design on one compiled
+/// tape, everything that does not depend on the program resolved up front.
+struct PairRunner<'a> {
+    design: &'a Design,
+    /// Left and right execution.
+    sides: [Machine<'a>; 2],
+    /// Index of the instruction input.
+    instr_input: usize,
+    /// For each product state, which side's which base state it copies.
+    layout: Vec<(usize, usize)>,
+    /// Masking rules as base-state indices: the valid bit, then each field
+    /// with its reset value.
+    rules: Vec<(usize, Vec<(usize, u64)>)>,
+    /// Scratch: each side's (masked) base state of the current cycle.
+    base: [Vec<u64>; 2],
+    /// Scratch: the current product row.
+    row: Vec<u64>,
+    /// Base-design cycles stepped so far, both sides counted.
+    cycles: u64,
+}
+
+impl<'a> PairRunner<'a> {
+    fn new(design: &'a Design, miter: &Miter, tape: &'a Tape) -> PairRunner<'a> {
+        let netlist = &design.netlist;
+        let instr_input = netlist
+            .input_ids()
+            .find(|&i| netlist.input_name(i) == design.instr_input)
+            .unwrap_or_else(|| panic!("no input named {}", design.instr_input));
+        assert_eq!(
+            netlist.input_width(instr_input),
+            32,
+            "instruction input must be 32 bits"
+        );
+        for &reg in &design.secret_regs {
+            assert_eq!(
+                netlist.state_width(reg),
+                design.xlen,
+                "secret register width mismatch"
+            );
+        }
+        let layout = miter
+            .netlist()
+            .state_ids()
+            .map(|p| match miter.origin(p) {
+                (base, Side::Left) => (0, base.index()),
+                (base, Side::Right) => (1, base.index()),
+            })
+            .collect();
+        let rules = design
+            .masking
+            .iter()
+            .map(|rule| {
+                let fields = rule
+                    .fields
+                    .iter()
+                    .map(|&f| (f.index(), netlist.init_of(f).bits()))
+                    .collect();
+                (rule.valid.index(), fields)
+            })
+            .collect();
+        let nbase = netlist.num_states();
+        PairRunner {
+            design,
+            sides: [tape.machine(), tape.machine()],
+            instr_input: instr_input.index(),
+            layout,
+            rules,
+            base: [vec![0; nbase], vec![0; nbase]],
+            row: vec![0; miter.netlist().num_states()],
+            cycles: 0,
+        }
+    }
+
+    /// Runs `prog` from the equal-modulo-secret states of `config` and hands
+    /// `emit` the product row of every cycle from `window_start` on, except
+    /// the final state's (Def. 4.8: each example must step to another
+    /// positive example, and the last state's successor was not observed).
+    /// Rows are example-masked (§5.2.1) when `mask` is set. The observable
+    /// check covers every cycle including the start-up ones and the last.
+    fn run(
+        &mut self,
+        m: Mnemonic,
+        prog: &[u32],
+        config: &SecretConfig,
+        window_start: usize,
+        mask: bool,
+        mut emit: impl FnMut(&[u64]),
+    ) -> Result<(), Divergence> {
+        for (machine, values) in self.sides.iter_mut().zip([&config.left, &config.right]) {
+            machine.reset();
+            for (&reg, &v) in self.design.secret_regs.iter().zip(values) {
+                machine.set_state(reg, v);
+            }
+        }
+        let cycles = prog.len() + self.design.max_latency;
+        for cycle in 0..=cycles {
+            // Trace indistinguishability on the observables (Def. 4.2).
+            let [left, right] = &self.sides;
+            if self
+                .design
+                .observable
+                .iter()
+                .any(|&o| left.state(o) != right.state(o))
+            {
+                return Err(Divergence { mnemonic: m, cycle });
+            }
+            if cycle == cycles {
+                break;
+            }
+            if cycle >= window_start {
+                self.fill_row(mask);
+                emit(&self.row);
+            }
+            let word = prog.get(cycle).copied().unwrap_or(BUBBLE);
+            for machine in &mut self.sides {
+                machine.set_input(self.instr_input, u64::from(word));
+                machine.step();
+            }
+            self.cycles += 2;
+        }
+        Ok(())
+    }
+
+    /// Assembles the current product row. Example masking (§5.2.1) works on
+    /// a copy of each side's base state — entries whose valid bit is 0 are
+    /// reset to their initial values so stale uop/operand residue cannot
+    /// block predicate mining — while the machines keep running unmasked.
+    fn fill_row(&mut self, mask: bool) {
+        for (machine, base) in self.sides.iter().zip(&mut self.base) {
+            machine.read_states(base);
+            if mask {
+                for (valid, fields) in &self.rules {
+                    if base[*valid] == 0 {
+                        for &(field, init) in fields {
+                            base[field] = init;
+                        }
+                    }
+                }
+            }
+        }
+        for (slot, &(side, b)) in self.row.iter_mut().zip(&self.layout) {
+            *slot = self.base[side][b];
+        }
+    }
+}
+
+/// Widths of the product states, in state order — what turns a raw product
+/// row back into a [`StateValues`].
+fn product_widths(miter: &Miter) -> Vec<u32> {
+    let n = miter.netlist();
+    n.state_ids().map(|s| n.state_width(s)).collect()
+}
+
+fn materialise(widths: &[u32], row: &[u64]) -> StateValues {
+    StateValues::from_vec(
+        widths
+            .iter()
+            .zip(row)
+            .map(|(&w, &bits)| Bv::new(w, bits))
+            .collect(),
+    )
+}
+
+/// One paired execution, every emitted row materialised in cycle order.
+fn pair_states(
+    design: &Design,
+    miter: &Miter,
+    m: Mnemonic,
+    prog: &[u32],
+    config: &SecretConfig,
+    window_start: usize,
+    mask: bool,
+) -> Result<Vec<StateValues>, Divergence> {
+    let tape = Tape::compile(&design.netlist);
+    let widths = product_widths(miter);
+    let mut states = Vec::new();
+    PairRunner::new(design, miter, &tape).run(m, prog, config, window_start, mask, |row| {
+        states.push(materialise(&widths, row))
+    })?;
+    Ok(states)
 }
 
 /// Runs one paired execution of the given program under `config`; `m` is
@@ -258,37 +430,7 @@ pub fn run_program_pair_window(
     config: &SecretConfig,
     window_start: usize,
 ) -> Result<Vec<StateValues>, Divergence> {
-    let cycles = prog.len() + design.max_latency;
-    let inputs = drive(design, prog, cycles);
-    let lt = simulate(
-        &design.netlist,
-        initial_state(design, &config.left),
-        &inputs,
-    );
-    let rt = simulate(
-        &design.netlist,
-        initial_state(design, &config.right),
-        &inputs,
-    );
-
-    // Trace indistinguishability on the observables (Def. 4.2).
-    for &o in &design.observable {
-        let lw = state_waveform(&lt, o);
-        let rw = state_waveform(&rt, o);
-        if let Some(cycle) = lw.iter().zip(&rw).position(|(a, b)| a != b) {
-            return Err(Divergence { mnemonic: m, cycle });
-        }
-    }
-
-    let mut states = product_states(miter, &lt, &rt);
-    // Def. 4.8: each example must step to another positive example; drop the
-    // final state, whose successor we did not observe.
-    states.pop();
-    states.drain(..window_start.min(states.len()));
-    for s in &mut states {
-        apply_masking(design, miter, s);
-    }
-    Ok(states)
+    pair_states(design, miter, m, prog, config, window_start, true)
 }
 
 /// [`run_program_pair_window`] without the masking pass (ablation support).
@@ -300,30 +442,7 @@ pub fn run_program_pair_unmasked(
     config: &SecretConfig,
     window_start: usize,
 ) -> Result<Vec<StateValues>, Divergence> {
-    // Re-run the paired simulation but skip `apply_masking`.
-    let cycles = prog.len() + design.max_latency;
-    let inputs = drive(design, prog, cycles);
-    let lt = simulate(
-        &design.netlist,
-        initial_state(design, &config.left),
-        &inputs,
-    );
-    let rt = simulate(
-        &design.netlist,
-        initial_state(design, &config.right),
-        &inputs,
-    );
-    for &o in &design.observable {
-        let lw = state_waveform(&lt, o);
-        let rw = state_waveform(&rt, o);
-        if let Some(cycle) = lw.iter().zip(&rw).position(|(a, b)| a != b) {
-            return Err(Divergence { mnemonic: m, cycle });
-        }
-    }
-    let mut states = product_states(miter, &lt, &rt);
-    states.pop();
-    states.drain(..window_start.min(states.len()));
-    Ok(states)
+    pair_states(design, miter, m, prog, config, window_start, false)
 }
 
 /// Runs one paired execution of `m`'s adversarial probe program (used by
@@ -338,39 +457,80 @@ pub fn run_pair(
     run_program_pair(design, miter, m, &prog, config)
 }
 
-/// Example masking (§5.2.1): entries whose valid bit is 0 are reset to their
-/// initial values so stale uop/operand residue cannot block predicate
-/// mining.
-pub fn apply_masking(design: &Design, miter: &Miter, state: &mut StateValues) {
-    for rule in &design.masking {
-        for side in [miter.left(rule.valid), miter.right(rule.valid)] {
-            let valid = state.get(side);
-            if valid.is_nonzero() {
-                continue;
-            }
-            // Reset the rule's fields on the same side only.
-            let left_side = side == miter.left(rule.valid);
-            for &f in &rule.fields {
-                let target = if left_side {
-                    miter.left(f)
-                } else {
-                    miter.right(f)
-                };
-                state.set(target, design.netlist.init_of(f));
-            }
+/// Differentially tests `m` with the adversarial configurations; returns
+/// divergence evidence if any pair's observable timing differs. Only the
+/// observables are looked at: no product state is assembled, and a diverging
+/// pair is not simulated past its divergence.
+pub fn differential_test(design: &Design, miter: &Miter, m: Mnemonic) -> Option<Divergence> {
+    let tape = Tape::compile(&design.netlist);
+    let mut runner = PairRunner::new(design, miter, &tape);
+    let prog = probe_program(design, m);
+    adversarial_configs(design).iter().find_map(|config| {
+        runner
+            .run(m, &prog, config, usize::MAX, false, |_| {})
+            .err()
+    })
+}
+
+/// Product rows deduplicated on arrival: each distinct row is stored once,
+/// in a flat arena, found again through a hash of its words.
+struct RowSet {
+    stride: usize,
+    /// The distinct rows, `stride` words each, in arrival order.
+    rows: Vec<u64>,
+    /// Row hash → indices (in units of rows) of the stored rows with it.
+    by_hash: HashMap<u64, Vec<u32>>,
+    /// Rows offered, duplicates included.
+    offered: u64,
+}
+
+impl RowSet {
+    fn new(stride: usize) -> RowSet {
+        RowSet {
+            stride,
+            rows: Vec::new(),
+            by_hash: HashMap::new(),
+            offered: 0,
         }
+    }
+
+    fn row(&self, index: u32) -> &[u64] {
+        &self.rows[index as usize * self.stride..][..self.stride]
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len() / self.stride
+    }
+
+    fn insert(&mut self, row: &[u64]) {
+        self.offered += 1;
+        // FxHash-style fold; equal hashes are confirmed word by word, so a
+        // collision costs a comparison, never a lost example.
+        let hash = row.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        let stride = self.stride;
+        let rows = &self.rows;
+        let same = self.by_hash.entry(hash).or_default();
+        if same
+            .iter()
+            .any(|&i| rows[i as usize * stride..][..stride] == *row)
+        {
+            return;
+        }
+        same.push((rows.len() / stride) as u32);
+        self.rows.extend_from_slice(row);
     }
 }
 
-/// Differentially tests `m` with the adversarial configurations; returns
-/// divergence evidence if any pair's observable timing differs.
-pub fn differential_test(design: &Design, miter: &Miter, m: Mnemonic) -> Option<Divergence> {
-    for config in adversarial_configs(design) {
-        if let Err(d) = run_pair(design, miter, m, &config) {
-            return Some(d);
-        }
-    }
-    None
+/// A generated example set with the work it took.
+pub(crate) struct ExampleSet {
+    /// The examples: cleaned, sorted, distinct.
+    pub(crate) states: Vec<StateValues>,
+    /// Base-design cycles simulated, both executions counted.
+    pub(crate) cycles: u64,
+    /// Product states extracted before deduplication.
+    pub(crate) raw: u64,
 }
 
 /// Generates the positive example set for a proposed safe set: paired traces
@@ -424,22 +584,44 @@ pub fn generate_examples_custom(
     mask: bool,
     rds: &[u8],
 ) -> Result<Vec<StateValues>, Divergence> {
-    let mut out: Vec<StateValues> = Vec::new();
+    generate_example_set(design, miter, safe, pairs_per_instr, seed, mask, rds)
+        .map(|set| set.states)
+}
+
+/// [`generate_examples_custom`] together with its work counts.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn generate_example_set(
+    design: &Design,
+    miter: &Miter,
+    safe: &[Mnemonic],
+    pairs_per_instr: usize,
+    seed: u64,
+    mask: bool,
+    rds: &[u8],
+) -> Result<ExampleSet, Divergence> {
+    let tape = Tape::compile(&design.netlist);
+    let mut runner = PairRunner::new(design, miter, &tape);
+    let widths = product_widths(miter);
+    let mut unique = RowSet::new(widths.len());
     for (k, &m) in safe.iter().enumerate() {
         let configs = random_configs(design, pairs_per_instr, seed ^ ((k as u64) << 8));
         let (prog, window) = example_program_with_rds(design, m, rds);
         for config in &configs {
-            let states = if mask {
-                run_program_pair_window(design, miter, m, &prog, config, window)?
-            } else {
-                run_program_pair_unmasked(design, miter, m, &prog, config, window)?
-            };
-            out.extend(states);
+            runner.run(m, &prog, config, window, mask, |row| unique.insert(row))?;
         }
     }
-    out.sort_by(|a, b| a.iter().map(|(_, v)| v).cmp(b.iter().map(|(_, v)| v)));
-    out.dedup();
-    Ok(out)
+    // Widths are equal position by position, so ordering the raw rows is
+    // ordering the `Bv` rows they stand for.
+    let mut order: Vec<u32> = (0..unique.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| unique.row(a).cmp(unique.row(b)));
+    Ok(ExampleSet {
+        states: order
+            .iter()
+            .map(|&i| materialise(&widths, unique.row(i)))
+            .collect(),
+        cycles: runner.cycles,
+        raw: unique.offered,
+    })
 }
 
 #[cfg(test)]
@@ -573,5 +755,65 @@ mod tests {
         // But lw diverges even under random secrets (cold/warm cache).
         let safe2 = [Mnemonic::Lw];
         let _ = generate_examples(&d, &m, &safe2, 1, 5); // may or may not diverge
+    }
+    #[test]
+    fn divergence_is_the_earliest_cycle_over_all_observables() {
+        // Two observables latch one secret bit each: `late` (listed first)
+        // at cycle 2, `early` at cycle 0, so they first differ entering
+        // cycles 3 and 1.
+        let mut n = hh_netlist::Netlist::new("toy");
+        n.input("instr", 32);
+        let x1 = n.state("x1", 8, Bv::zero(8));
+        n.keep_state(x1);
+        let cnt = n.state("cnt", 4, Bv::zero(4));
+        let cur = n.state_node(cnt);
+        let one = n.c(4, 1);
+        let inc = n.add(cur, one);
+        n.set_next(cnt, inc);
+        let secret = n.state_node(x1);
+        let mut latch_at = |name: &str, at: u64, bit: u32| {
+            let s = n.state(name, 1, Bv::bit(false));
+            let now = n.eq_const(cur, at);
+            let b = n.bit(secret, bit);
+            let hold = n.state_node(s);
+            let next = n.ite(now, b, hold);
+            n.set_next(s, next);
+            s
+        };
+        let late = latch_at("late", 2, 0);
+        let early = latch_at("early", 0, 1);
+        let d = Design {
+            netlist: n,
+            instr_input: "instr".to_string(),
+            observable: vec![late, early],
+            secret_regs: vec![x1],
+            masking: vec![],
+            nregs: 2,
+            xlen: 8,
+            max_latency: 2,
+            example_depth: 1,
+        };
+        let m = Miter::build(&d.netlist);
+        let config = SecretConfig {
+            left: vec![0b00],
+            right: vec![0b11],
+        };
+        let tape = Tape::compile(&d.netlist);
+        let mut runner = PairRunner::new(&d, &m, &tape);
+        let mut rows = 0;
+        let div = runner
+            .run(Mnemonic::Add, &[BUBBLE; 6], &config, 0, true, |_| rows += 1)
+            .unwrap_err();
+        assert_eq!(div.cycle, 1);
+        // The run ended at the divergence: one cycle stepped per side, one
+        // product state (the initial one) extracted before it.
+        assert_eq!((runner.cycles, rows), (2, 1));
+        // Equal secrets never diverge and run the whole program.
+        let same = SecretConfig {
+            left: vec![0b11],
+            right: vec![0b11],
+        };
+        let states = run_program_pair(&d, &m, Mnemonic::Add, &[BUBBLE; 6], &same).unwrap();
+        assert_eq!(states.len(), 6 + d.max_latency);
     }
 }

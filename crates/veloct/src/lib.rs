@@ -46,6 +46,7 @@ use hhoudini::baselines::{houdini, sorcar, BaselineBudget, BaselineOutcome, Base
 use hhoudini::mine::CoiMiner;
 use hhoudini::{EngineConfig, Invariant, ParallelEngine, PredicateStore, Stats};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Configuration of the VeloCT pipeline.
 #[derive(Debug, Clone)]
@@ -110,8 +111,14 @@ pub enum UnsafeReason {
 pub struct LearnReport {
     /// The invariant, if one was learned.
     pub invariant: Option<Invariant>,
-    /// Engine telemetry.
+    /// Engine telemetry (`stats.wall_time` is the engine's learn alone),
+    /// with the `examples_*` counters filled in from example generation.
     pub stats: Stats,
+    /// Time spent generating the positive examples.
+    pub examples_time: Duration,
+    /// Time spent building the miner (COI tables and per-variable facts
+    /// over the examples).
+    pub mine_time: Duration,
     /// Number of positive examples used.
     pub num_examples: usize,
     /// Divergence evidence if generation already refuted the set.
@@ -158,6 +165,11 @@ pub struct SafeSetReport {
     pub invariant: Option<Invariant>,
     /// Telemetry of the final (successful) learning run.
     pub stats: Stats,
+    /// Example-generation time of the final run — see
+    /// [`LearnReport::examples_time`].
+    pub examples_time: Duration,
+    /// Miner-construction time of the final run.
+    pub mine_time: Duration,
     /// Positive examples used by the final run.
     pub num_examples: usize,
     /// Solution table of the final (successful) learning run — see
@@ -269,19 +281,25 @@ impl<'a> Veloct<'a> {
         // point of the extension) — generate raw examples instead.
         let mask = !self.config.impl_predicates;
         let example_span = hh_trace::span!("veloct", "veloct.examples");
-        let examples = match examples::generate_examples_opts(
+        let t0 = Instant::now();
+        let generated = examples::generate_example_set(
             self.design,
             &miter,
             safe,
             self.config.pairs_per_instr,
             self.config.seed,
             mask,
-        ) {
-            Ok(e) => e,
+            &examples::EXAMPLE_RDS,
+        );
+        let examples_time = t0.elapsed();
+        let example_set = match generated {
+            Ok(set) => set,
             Err(div) => {
                 return LearnReport {
                     invariant: None,
                     stats: Stats::default(),
+                    examples_time,
+                    mine_time: Duration::ZERO,
                     num_examples: 0,
                     divergence: Some(div),
                     state_bits,
@@ -292,7 +310,9 @@ impl<'a> Veloct<'a> {
             }
         };
         drop(example_span);
+        let examples = &example_set.states;
         let num_examples = examples.len();
+        let t0 = Instant::now();
         let miner = if self.config.impl_predicates {
             let guards: Vec<_> = self
                 .design
@@ -300,10 +320,11 @@ impl<'a> Veloct<'a> {
                 .iter()
                 .flat_map(|rule| rule.fields.iter().map(|&f| (rule.valid, f)))
                 .collect();
-            CoiMiner::new_with_guards(&miter, &examples, Some(patterns), vec![], &guards)
+            CoiMiner::new_with_guards(&miter, examples, Some(patterns), vec![], &guards)
         } else {
-            CoiMiner::new(&miter, &examples, Some(patterns), vec![])
+            CoiMiner::new(&miter, examples, Some(patterns), vec![])
         };
+        let mine_time = t0.elapsed();
         let mut engine_config = self.config.engine.clone();
         if self.config.certify {
             // Imported learnt clauses carry no DRAT derivation; re-proving
@@ -319,9 +340,15 @@ impl<'a> Veloct<'a> {
         let memo_seeded = engine.seed_solutions(&warm.seeds);
         let props = self.property(&miter);
         let invariant = engine.learn(&props);
+        let mut stats = engine.stats().clone();
+        stats.examples_cycles = example_set.cycles;
+        stats.examples_raw = example_set.raw;
+        stats.examples_unique = num_examples as u64;
         LearnReport {
             invariant,
-            stats: engine.stats().clone(),
+            stats,
+            examples_time,
+            mine_time,
             num_examples,
             divergence: None,
             state_bits,
@@ -428,6 +455,8 @@ impl<'a> Veloct<'a> {
                     rejected,
                     invariant: None,
                     stats: Stats::default(),
+                    examples_time: Duration::ZERO,
+                    mine_time: Duration::ZERO,
                     num_examples: 0,
                     solutions: Vec::new(),
                 };
@@ -446,6 +475,8 @@ impl<'a> Veloct<'a> {
                         rejected,
                         invariant: Some(inv),
                         stats: report.stats,
+                        examples_time: report.examples_time,
+                        mine_time: report.mine_time,
                         num_examples: report.num_examples,
                         solutions: report.solutions,
                     };
@@ -457,6 +488,8 @@ impl<'a> Veloct<'a> {
                             rejected,
                             invariant: None,
                             stats: report.stats,
+                            examples_time: report.examples_time,
+                            mine_time: report.mine_time,
                             num_examples: report.num_examples,
                             solutions: Vec::new(),
                         };

@@ -205,3 +205,68 @@ fn unsafe_proposal_fails_via_learning() {
         "failure must involve backtracking"
     );
 }
+
+/// The learner's input, pinned: FNV-1a over the sorted, deduplicated example
+/// rows (each value's bits, little-endian) of RocketLite and SmallBoomLite,
+/// at `pairs` 1 and 2, for the rich rotation, the `rds = [3]` limited regime
+/// and the unmasked ablation. The values were recorded at the commit before
+/// the streamed pair runner replaced the trace-materialising one, so a
+/// generator change that alters what the learner sees is a visible diff here.
+#[test]
+fn example_set_digests_are_pinned() {
+    use hh_suite::netlist::eval::StateValues;
+    use hh_suite::veloct::examples::{generate_examples, generate_examples_custom};
+
+    fn digest(examples: &[StateValues]) -> (usize, u64) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for e in examples {
+            for (_, v) in e.iter() {
+                for b in v.bits().to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        (examples.len(), h)
+    }
+
+    let boom_safe: Vec<Mnemonic> = ALL_MNEMONICS
+        .iter()
+        .copied()
+        .filter(|m| {
+            (m.class() == InstrClass::Alu && *m != Mnemonic::Auipc) || m.class() == InstrClass::Mul
+        })
+        .collect();
+    // Per design and `pairs`: rich, limited, unmasked-limited.
+    let pinned: [(usize, u64); 12] = [
+        (588, 0x1edb95f6cb7a5c43),
+        (588, 0xd6f9fd6634b92bd5),
+        (588, 0xd6f9fd6634b92bd5),
+        (1143, 0x6cd35ee429e61c87),
+        (1176, 0xd7847d5960aa4c41),
+        (1176, 0xd7847d5960aa4c41),
+        (1688, 0x7933fae256153c45),
+        (1688, 0xcce15d464e025115),
+        (1688, 0x14def087752d8950),
+        (3310, 0xb3cce64e6acf1e5d),
+        (3376, 0x30e198ca6056d8ce),
+        (3376, 0xbb00a13435aee8f7),
+    ];
+    let mut got = Vec::new();
+    for (design, safe) in [
+        (rocket_lite(16), alu_set()),
+        (boom_lite(BoomVariant::Small, 16), boom_safe),
+    ] {
+        let (miter, _) = Veloct::new(&design).build_miter(&safe);
+        for pairs in [1, 2] {
+            let rich = generate_examples(&design, &miter, &safe, pairs, 0xD1CE).unwrap();
+            let limited =
+                generate_examples_custom(&design, &miter, &safe, pairs, 0xD1CE, true, &[3])
+                    .unwrap();
+            let unmasked =
+                generate_examples_custom(&design, &miter, &safe, pairs, 0xD1CE, false, &[3])
+                    .unwrap();
+            got.extend([digest(&rich), digest(&limited), digest(&unmasked)]);
+        }
+    }
+    assert_eq!(got, pinned, "got {got:#x?}");
+}
