@@ -3,29 +3,21 @@
 //!
 //! Two workloads, both deterministic:
 //!
-//! * `propagation/*` — a dense implication ladder: assuming one literal
+//! * `propagation` — a dense implication ladder: assuming one literal
 //!   cascades through every variable, and each implication is witnessed by
 //!   one binary clause (the inlined-watcher fast path) plus several longer
 //!   redundant clauses (the blocker-check path). Each measured call is one
 //!   `solve_with_assumptions` that is pure propagation — no conflicts, no
 //!   decisions — so the number is propagations per second.
-//! * `search/*` — a fixed random 3-CNF near the satisfiability phase
+//! * `search` — a fixed random 3-CNF near the satisfiability phase
 //!   transition, solved from scratch: conflict analysis, learnt-tier
 //!   bookkeeping and restarts all engage.
 //!
-//! Both run under the default (flat-arena, glucose, tiered, chronological
-//! backtracking, flat watch lists, vivification) configuration, under
-//! single-knob A/B arms (`modern_nochrono`, `modern_nested` — nested watch
-//! Vecs, `modern_novivify`), and under `Config::seed_baseline()` so the
-//! heuristic deltas are visible next to each other in the Criterion report.
-//! A third group, `*/portfolio_*`, A/Bs deterministic portfolio racing
-//! (DESIGN.md ablation 12): the ladder measures pure racing overhead (no
-//! conflicts — the diversified arm never engages), while the search
-//! workload races for real once the opening budget slice is exceeded.
+//! Both run the one solver configuration there is; the numbers are
+//! diagnostics for reading a `benchmark/` result, not results themselves.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hh_sat::{Config, Lit, SolveResult, Solver, Var};
-use hh_smt::portfolio::race_with;
+use hh_sat::{Lit, SolveResult, Solver, Var};
 
 /// Chain length of the implication ladder (also its variable count).
 const LADDER_VARS: usize = 2_000;
@@ -59,8 +51,8 @@ impl Rng {
 /// link a binary clause, plus `LADDER_EXTRA` longer clauses per link that
 /// are satisfied by the cascade (their watched/blocker literals get hit
 /// without ever becoming units).
-fn ladder(config: Config) -> (Solver, Lit) {
-    let mut s = Solver::with_config(config);
+fn ladder() -> (Solver, Lit) {
+    let mut s = Solver::new();
     let vars: Vec<Var> = (0..LADDER_VARS).map(|_| s.new_var()).collect();
     let mut rng = Rng(0x9E3779B97F4A7C15);
     for i in 0..LADDER_VARS - 1 {
@@ -93,112 +85,34 @@ fn search_formula() -> Vec<Vec<Lit>> {
     clauses
 }
 
-/// The default configuration with chronological backtracking turned off —
-/// the chrono on/off A/B arm next to `modern` (which has it on).
-fn modern_nochrono() -> Config {
-    Config {
-        chrono: false,
-        ..Config::default()
-    }
-}
-
-/// The default configuration on the seed's nested `Vec<Vec<Watcher>>` watch
-/// lists — isolates the flat watch arena (DESIGN.md ablation 13a).
-fn modern_nested() -> Config {
-    Config {
-        flat_watches: false,
-        ..Config::default()
-    }
-}
-
-/// The default configuration with clause vivification turned off —
-/// isolates inprocessing strengthening (DESIGN.md ablation 13b).
-fn modern_novivify() -> Config {
-    Config {
-        vivify: false,
-        ..Config::default()
-    }
-}
-
 fn bench(c: &mut Criterion) {
-    for (tag, config) in [
-        ("modern", Config::default()),
-        ("modern_nochrono", modern_nochrono()),
-        ("modern_nested", modern_nested()),
-        ("modern_novivify", modern_novivify()),
-        ("seed_baseline", Config::seed_baseline()),
-    ] {
-        let (mut s, trigger) = ladder(config);
-        // Sanity: the cascade must engage — one assumption propagates the
-        // entire ladder, conflict-free.
-        assert_eq!(s.solve_with_assumptions(&[trigger]), SolveResult::Sat);
-        let stats = s.stats();
-        assert!(
-            stats.propagations >= LADDER_VARS as u64 - 1,
-            "ladder cascade did not propagate: {stats:?}"
-        );
-        assert_eq!(stats.conflicts, 0, "ladder must be conflict-free");
-        c.bench_function(&format!("propagation/{tag}"), |b| {
-            b.iter(|| black_box(s.solve_with_assumptions(black_box(&[trigger]))))
-        });
-    }
+    let (mut s, trigger) = ladder();
+    // Sanity: the cascade must engage — one assumption propagates the
+    // entire ladder, conflict-free.
+    assert_eq!(s.solve_with_assumptions(&[trigger]), SolveResult::Sat);
+    let stats = s.stats();
+    assert!(
+        stats.propagations >= LADDER_VARS as u64 - 1,
+        "ladder cascade did not propagate: {stats:?}"
+    );
+    assert_eq!(stats.conflicts, 0, "ladder must be conflict-free");
+    c.bench_function("propagation", |b| {
+        b.iter(|| black_box(s.solve_with_assumptions(black_box(&[trigger]))))
+    });
 
     let formula = search_formula();
-    for (tag, config) in [
-        ("modern", Config::default()),
-        ("modern_nochrono", modern_nochrono()),
-        ("modern_nested", modern_nested()),
-        ("modern_novivify", modern_novivify()),
-        ("seed_baseline", Config::seed_baseline()),
-    ] {
-        c.bench_function(&format!("search/{tag}"), |b| {
-            b.iter(|| {
-                let mut s = Solver::with_config(config.clone());
-                for _ in 0..SEARCH_VARS {
-                    s.new_var();
-                }
-                for cl in &formula {
-                    s.add_clause(cl);
-                }
-                black_box(s.solve())
-            })
-        });
-    }
-
-    // Portfolio on/off: identical workloads, solved solo vs raced. The
-    // ladder never conflicts, so its race concludes inside the opening
-    // slice — the delta there is the racing scaffolding itself. The search
-    // workload exceeds a 512-conflict opening slice and races for real.
-    for (tag, portfolio) in [("solo", false), ("race", true)] {
-        let (mut s, trigger) = ladder(Config::default());
-        c.bench_function(&format!("propagation/portfolio_{tag}"), |b| {
-            b.iter(|| {
-                if portfolio {
-                    black_box(race_with(&mut s, black_box(&[trigger]), 512).0)
-                } else {
-                    black_box(s.solve_with_assumptions(black_box(&[trigger])))
-                }
-            })
-        });
-    }
-    for (tag, portfolio) in [("solo", false), ("race", true)] {
-        c.bench_function(&format!("search/portfolio_{tag}"), |b| {
-            b.iter(|| {
-                let mut s = Solver::new();
-                for _ in 0..SEARCH_VARS {
-                    s.new_var();
-                }
-                for cl in &formula {
-                    s.add_clause(cl);
-                }
-                if portfolio {
-                    black_box(race_with(&mut s, &[], 512).0)
-                } else {
-                    black_box(s.solve())
-                }
-            })
-        });
-    }
+    c.bench_function("search", |b| {
+        b.iter(|| {
+            let mut s = Solver::new();
+            for _ in 0..SEARCH_VARS {
+                s.new_var();
+            }
+            for cl in &formula {
+                s.add_clause(cl);
+            }
+            black_box(s.solve())
+        })
+    });
 }
 
 criterion_group! {

@@ -103,14 +103,6 @@ pub struct Stats {
     /// Peak watch-list footprint (bytes) observed across all sessions — a
     /// high-water gauge like `sat_arena_bytes`.
     pub sat_watch_bytes: u64,
-    /// Budgeted `solve_limited` rounds driven across all SAT queries
-    /// (portfolio racing slices).
-    pub sat_budget_rounds: u64,
-    /// Abduction obligations where the portfolio's diversified arm was
-    /// engaged (the primary solver outlived its opening budget slice).
-    pub portfolio_races: u64,
-    /// Races the diversified arm concluded first.
-    pub portfolio_arm_wins: u64,
     /// Word-level constant folds performed by the blaster's simplifier.
     pub word_const_folds: u64,
     /// Word-level algebraic rewrites performed by the blaster's simplifier.
@@ -286,9 +278,6 @@ impl Stats {
         self.sat_vivified_lits += t.vivified_lits;
         self.sat_vivified_deleted += t.vivified_deleted;
         self.sat_watch_bytes = self.sat_watch_bytes.max(t.watch_bytes);
-        self.sat_budget_rounds += t.budget_rounds;
-        self.portfolio_races += t.portfolio_races;
-        self.portfolio_arm_wins += t.portfolio_arm_wins;
         self.word_const_folds += t.const_folds;
         self.word_rewrites += t.rewrites;
         self.word_strash_hits += t.strash_hits;
@@ -381,9 +370,6 @@ impl Stats {
         self.sat_vivified_lits += other.sat_vivified_lits;
         self.sat_vivified_deleted += other.sat_vivified_deleted;
         self.sat_watch_bytes = self.sat_watch_bytes.max(other.sat_watch_bytes);
-        self.sat_budget_rounds += other.sat_budget_rounds;
-        self.portfolio_races += other.portfolio_races;
-        self.portfolio_arm_wins += other.portfolio_arm_wins;
         self.word_const_folds += other.word_const_folds;
         self.word_rewrites += other.word_rewrites;
         self.word_strash_hits += other.word_strash_hits;
@@ -441,9 +427,6 @@ impl Stats {
             ("sat.vivified_lits", self.sat_vivified_lits),
             ("sat.vivified_deleted", self.sat_vivified_deleted),
             ("sat.watch_bytes", self.sat_watch_bytes),
-            ("sat.budget_rounds", self.sat_budget_rounds),
-            ("portfolio.races", self.portfolio_races),
-            ("portfolio.arm_wins", self.portfolio_arm_wins),
             ("examples.cycles", self.examples_cycles),
             ("examples.raw", self.examples_raw),
             ("examples.unique", self.examples_unique),

@@ -26,7 +26,7 @@
 //! ## Features
 //!
 //! * Two-literal watching, first-UIP learning with clause minimisation,
-//!   VMTF decision queue + phase saving, Luby or adaptive restarts,
+//!   VMTF decision queue + phase saving, adaptive restarts,
 //!   LBD-aware database reduction.
 //! * Incremental interface: interleave [`Solver::new_var`],
 //!   [`Solver::add_clause`] and [`Solver::solve_with_assumptions`] freely.
@@ -65,6 +65,4 @@ pub mod proof;
 pub use lit::{Lit, Var};
 pub use minimize::{minimize_core, minimize_core_with, ProbeCounts, ProbeMemory};
 pub use proof::{CountingSink, ProofSink};
-pub use solver::{
-    BudgetProbe, Config, LimitedResult, RestartMode, SolveResult, Solver, SolverStats,
-};
+pub use solver::{BudgetProbe, Config, LimitedResult, SolveResult, Solver, SolverStats};

@@ -49,7 +49,7 @@ impl Solver {
         if !self.ok {
             return false;
         }
-        let mut budget = self.config.vivify_budget;
+        let mut budget = self.config.vivify_budget.get();
         // Probing assumes and unwinds thousands of literals, and every
         // unwind writes the probe polarity into the saved phases (and may
         // snapshot a deep probe trail as the best-phase target). Those

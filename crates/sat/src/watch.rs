@@ -1,25 +1,17 @@
 //! Watch-list storage for the two-watched-literal scheme.
 //!
-//! Two layouts behind one accessor API, selected by
-//! [`crate::solver::Config::flat_watches`]:
-//!
-//! * **Flat** (the default): every watcher of every literal lives in one
-//!   contiguous `Vec<Watcher>` arena, with a per-literal `(offset, len,
-//!   cap)` header. Propagation walks one cache-linear slice per literal
-//!   instead of chasing a separate heap allocation per literal. A list
-//!   that outgrows its capacity is relocated to the end of the arena with
-//!   amortized doubling; the abandoned region becomes a lazy hole counted
-//!   in `garbage`. Holes are reclaimed by [`WatchStore::compact`]
-//!   (rebuild-in-place, order preserving) or by [`WatchStore::reset`],
-//!   which the solver piggybacks on the clause-arena GC — right before a
-//!   full watch rebuild the arena is dropped to empty, so reattachment
-//!   repacks it from scratch.
-//! * **Nested** (the seed layout, kept for the perf-gate baseline): the
-//!   classic `Vec<Vec<Watcher>>`, one heap allocation per literal.
+//! Every watcher of every literal lives in one contiguous `Vec<Watcher>`
+//! arena, with a per-literal `(offset, len, cap)` header. Propagation walks
+//! one cache-linear slice per literal instead of chasing a separate heap
+//! allocation per literal. A list that outgrows its capacity is relocated
+//! to the end of the arena with amortized doubling; the abandoned region
+//! becomes a lazy hole counted in `garbage`. Holes are reclaimed by
+//! [`WatchStore::compact`] (rebuild-in-place, order preserving), which the
+//! solver piggybacks on the clause-arena GC sites.
 //!
 //! The accessor methods take and return [`Watcher`] by value and index
 //! lists by literal code, so the solver can interleave them with clause
-//! arena borrows without fighting the borrow checker, in either mode.
+//! arena borrows without fighting the borrow checker.
 
 use crate::clause::ClauseRef;
 use crate::lit::Lit;
@@ -36,14 +28,14 @@ pub(crate) struct Watcher {
     pub blocker: Lit,
 }
 
-/// Placeholder entry for unused capacity inside a flat region. Never read:
+/// Placeholder entry for unused capacity inside a region. Never read:
 /// every access is bounded by the header's `len`, not its `cap`.
 const HOLE: Watcher = Watcher {
     cref: ClauseRef(u32::MAX),
     blocker: Lit(u32::MAX),
 };
 
-/// Per-literal header of the flat layout: the list occupies
+/// Per-literal header: the list occupies
 /// `data[off .. off + len]` inside its reserved region
 /// `data[off .. off + cap]`.
 #[derive(Debug, Clone, Copy, Default)]
@@ -56,13 +48,9 @@ struct Head {
 /// Minimum region capacity handed to a list on its first relocation.
 const MIN_CAP: u32 = 4;
 
-/// Watch lists for all literals, in the flat or nested layout.
-#[derive(Debug)]
+/// Watch lists for all literals.
+#[derive(Debug, Default)]
 pub(crate) struct WatchStore {
-    flat: bool,
-    /// Nested layout (empty when `flat`).
-    nested: Vec<Vec<Watcher>>,
-    /// Flat arena (empty when `!flat`).
     data: Vec<Watcher>,
     heads: Vec<Head>,
     /// Arena slots orphaned by list relocation (whole abandoned regions).
@@ -70,76 +58,46 @@ pub(crate) struct WatchStore {
 }
 
 impl WatchStore {
-    pub(crate) fn new(flat: bool) -> WatchStore {
-        WatchStore {
-            flat,
-            nested: Vec::new(),
-            data: Vec::new(),
-            heads: Vec::new(),
-            garbage: 0,
-        }
+    pub(crate) fn new() -> WatchStore {
+        WatchStore::default()
     }
 
     /// Registers one more literal code (two calls per new variable).
     pub(crate) fn add_lit(&mut self) {
-        if self.flat {
-            self.heads.push(Head::default());
-        } else {
-            self.nested.push(Vec::new());
-        }
+        self.heads.push(Head::default());
     }
 
     /// Number of literal codes registered.
     pub(crate) fn num_codes(&self) -> usize {
-        if self.flat {
-            self.heads.len()
-        } else {
-            self.nested.len()
-        }
+        self.heads.len()
     }
 
     /// Length of the watch list of literal code `code`.
     #[inline]
     pub(crate) fn len(&self, code: usize) -> usize {
-        if self.flat {
-            self.heads[code].len as usize
-        } else {
-            self.nested[code].len()
-        }
+        self.heads[code].len as usize
     }
 
     /// The `i`-th watcher of `code`.
     #[inline]
     pub(crate) fn get(&self, code: usize, i: usize) -> Watcher {
-        if self.flat {
-            let h = self.heads[code];
-            debug_assert!((i as u32) < h.len);
-            self.data[h.off as usize + i]
-        } else {
-            self.nested[code][i]
-        }
+        let h = self.heads[code];
+        debug_assert!((i as u32) < h.len);
+        self.data[h.off as usize + i]
     }
 
     /// Overwrites the `i`-th watcher of `code`.
     #[inline]
     pub(crate) fn set(&mut self, code: usize, i: usize, w: Watcher) {
-        if self.flat {
-            let h = self.heads[code];
-            debug_assert!((i as u32) < h.len);
-            self.data[h.off as usize + i] = w;
-        } else {
-            self.nested[code][i] = w;
-        }
+        let h = self.heads[code];
+        debug_assert!((i as u32) < h.len);
+        self.data[h.off as usize + i] = w;
     }
 
     /// Appends a watcher to `code`'s list, relocating the list to the end
-    /// of the arena with doubled capacity when it is full (flat mode).
+    /// of the arena with doubled capacity when it is full.
     #[inline]
     pub(crate) fn push(&mut self, code: usize, w: Watcher) {
-        if !self.flat {
-            self.nested[code].push(w);
-            return;
-        }
         let h = self.heads[code];
         if h.len < h.cap {
             self.data[(h.off + h.len) as usize] = w;
@@ -180,12 +138,8 @@ impl WatchStore {
     /// region's capacity and are reused by later pushes).
     #[inline]
     pub(crate) fn truncate(&mut self, code: usize, new_len: usize) {
-        if self.flat {
-            debug_assert!(new_len as u32 <= self.heads[code].len);
-            self.heads[code].len = new_len as u32;
-        } else {
-            self.nested[code].truncate(new_len);
-        }
+        debug_assert!(new_len as u32 <= self.heads[code].len);
+        self.heads[code].len = new_len as u32;
     }
 
     /// Removes the first watcher of `code` that watches `cref`, preserving
@@ -208,84 +162,57 @@ impl WatchStore {
 
     /// The current watch list of `code` as a slice (checks and tests).
     pub(crate) fn slice(&self, code: usize) -> &[Watcher] {
-        if self.flat {
-            let h = self.heads[code];
-            &self.data[h.off as usize..(h.off + h.len) as usize]
-        } else {
-            &self.nested[code]
-        }
+        let h = self.heads[code];
+        &self.data[h.off as usize..(h.off + h.len) as usize]
     }
 
-    /// Empties every list but keeps the flat regions in place, so a rebuild
+    /// Empties every list but keeps the regions in place, so a rebuild
     /// that reattaches roughly the same clauses refills them without
     /// relocations.
     pub(crate) fn clear(&mut self) {
-        if self.flat {
-            for h in &mut self.heads {
-                h.len = 0;
-            }
-        } else {
-            for l in &mut self.nested {
-                l.clear();
-            }
+        for h in &mut self.heads {
+            h.len = 0;
         }
     }
 
     /// Drops every watcher failing `keep`, preserving order.
     pub(crate) fn retain<F: Fn(&Watcher) -> bool>(&mut self, keep: F) {
-        if self.flat {
-            for code in 0..self.heads.len() {
-                let h = self.heads[code];
-                let (off, len) = (h.off as usize, h.len as usize);
-                let mut j = 0;
-                for i in 0..len {
-                    let w = self.data[off + i];
-                    if keep(&w) {
-                        self.data[off + j] = w;
-                        j += 1;
-                    }
+        for code in 0..self.heads.len() {
+            let h = self.heads[code];
+            let (off, len) = (h.off as usize, h.len as usize);
+            let mut j = 0;
+            for i in 0..len {
+                let w = self.data[off + i];
+                if keep(&w) {
+                    self.data[off + j] = w;
+                    j += 1;
                 }
-                self.heads[code].len = j as u32;
             }
-        } else {
-            for l in &mut self.nested {
-                l.retain(|w| keep(w));
-            }
+            self.heads[code].len = j as u32;
         }
     }
 
     /// Visits every live watcher mutably (clause-arena compaction remaps
     /// the stored [`ClauseRef`]s through this).
     pub(crate) fn for_each_mut<F: FnMut(&mut Watcher)>(&mut self, mut f: F) {
-        if self.flat {
-            for code in 0..self.heads.len() {
-                let h = self.heads[code];
-                for i in 0..h.len as usize {
-                    f(&mut self.data[h.off as usize + i]);
-                }
-            }
-        } else {
-            for l in &mut self.nested {
-                for w in l.iter_mut() {
-                    f(w);
-                }
+        for code in 0..self.heads.len() {
+            let h = self.heads[code];
+            for i in 0..h.len as usize {
+                f(&mut self.data[h.off as usize + i]);
             }
         }
     }
 
-    /// Whether relocation holes dominate the flat arena enough to justify an
-    /// in-place compaction (never true in nested mode).
+    /// Whether relocation holes dominate the arena enough to justify an
+    /// in-place compaction.
     pub(crate) fn should_compact(&self) -> bool {
-        self.flat && self.data.len() >= 1024 && self.garbage * 2 > self.data.len()
+        self.data.len() >= 1024 && self.garbage * 2 > self.data.len()
     }
 
-    /// Rebuilds the flat arena tightly in place, preserving per-list order
-    /// and granting each list a power-of-two region so post-compaction
-    /// pushes amortize as before. No-op in nested mode.
+    /// Rebuilds the arena tightly in place, preserving per-list order and
+    /// granting each list a power-of-two region so post-compaction pushes
+    /// amortize as before.
     pub(crate) fn compact(&mut self) {
-        if !self.flat {
-            return;
-        }
         let mut packed: Vec<Watcher> = Vec::with_capacity(self.data.len() - self.garbage);
         for code in 0..self.heads.len() {
             let h = self.heads[code];
@@ -312,13 +239,8 @@ impl WatchStore {
     /// Heap bytes currently held by the watch structures — the
     /// `sat.watch_bytes` gauge.
     pub(crate) fn bytes(&self) -> u64 {
-        let w = std::mem::size_of::<Watcher>();
-        if self.flat {
-            (self.data.capacity() * w + self.heads.capacity() * std::mem::size_of::<Head>()) as u64
-        } else {
-            let inner: usize = self.nested.iter().map(|l| l.capacity() * w).sum();
-            (inner + self.nested.capacity() * std::mem::size_of::<Vec<Watcher>>()) as u64
-        }
+        (self.data.capacity() * std::mem::size_of::<Watcher>()
+            + self.heads.capacity() * std::mem::size_of::<Head>()) as u64
     }
 }
 
@@ -363,7 +285,7 @@ mod verification {
     pub fn compaction_preserves_live_watchers_in_order() {
         const CODES: usize = 2;
         const OPS: usize = 6;
-        let mut store = WatchStore::new(true);
+        let mut store = WatchStore::new();
         let mut model: Vec<Vec<u32>> = vec![Vec::new(); CODES];
         for _ in 0..CODES {
             store.add_lit();
@@ -438,7 +360,7 @@ mod tests {
 
     #[test]
     fn flat_push_grow_and_order() {
-        let mut s = WatchStore::new(true);
+        let mut s = WatchStore::new();
         for _ in 0..4 {
             s.add_lit();
         }
@@ -455,7 +377,7 @@ mod tests {
 
     #[test]
     fn flat_compact_reclaims_holes_and_preserves_order() {
-        let mut s = WatchStore::new(true);
+        let mut s = WatchStore::new();
         for _ in 0..3 {
             s.add_lit();
         }
@@ -475,7 +397,7 @@ mod tests {
 
     #[test]
     fn flat_remove_first_preserves_rest() {
-        let mut s = WatchStore::new(true);
+        let mut s = WatchStore::new();
         s.add_lit();
         for i in [7u32, 8, 9, 8, 10] {
             s.push(0, w(i));
@@ -485,14 +407,17 @@ mod tests {
         assert!(!s.remove_first(0, ClauseRef(42)));
     }
 
+    /// The arena against the obvious model, one `Vec` per literal.
     #[test]
-    fn modes_agree_under_mixed_workload() {
-        let mut flat = WatchStore::new(true);
-        let mut nested = WatchStore::new(false);
+    fn agrees_with_nested_vec_model_under_mixed_workload() {
+        let mut flat = WatchStore::new();
+        let mut nested: Vec<Vec<Watcher>> = vec![Vec::new(); 6];
         for _ in 0..6 {
             flat.add_lit();
-            nested.add_lit();
         }
+        let model = |nested: &[Vec<Watcher>], code: usize| -> Vec<u32> {
+            nested[code].iter().map(|x| x.cref.0).collect()
+        };
         let mut x = 0x12345678u64;
         let mut rng = move || {
             x ^= x << 13;
@@ -507,17 +432,21 @@ mod tests {
                 0 | 1 => {
                     let c = (rng() % 50) as u32;
                     flat.push(code, w(c));
-                    nested.push(code, w(c));
+                    nested[code].push(w(c));
                 }
                 2 => {
                     let c = ClauseRef((rng() % 50) as u32);
-                    assert_eq!(flat.remove_first(code, c), nested.remove_first(code, c));
+                    let pos = nested[code].iter().position(|x| x.cref == c);
+                    if let Some(pos) = pos {
+                        nested[code].remove(pos);
+                    }
+                    assert_eq!(flat.remove_first(code, c), pos.is_some());
                 }
                 _ => {
                     if flat.len(code) > 0 {
                         let n = (rng() as usize) % flat.len(code);
                         flat.truncate(code, n);
-                        nested.truncate(code, n);
+                        nested[code].truncate(n);
                     }
                 }
             }
@@ -526,12 +455,14 @@ mod tests {
             }
         }
         for code in 0..6 {
-            assert_eq!(contents(&flat, code), contents(&nested, code));
+            assert_eq!(contents(&flat, code), model(&nested, code));
         }
         flat.retain(|w| w.cref.0 % 2 == 0);
-        nested.retain(|w| w.cref.0 % 2 == 0);
+        for l in &mut nested {
+            l.retain(|w| w.cref.0 % 2 == 0);
+        }
         for code in 0..6 {
-            assert_eq!(contents(&flat, code), contents(&nested, code));
+            assert_eq!(contents(&flat, code), model(&nested, code));
         }
     }
 }

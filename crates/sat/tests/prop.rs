@@ -4,6 +4,7 @@
 
 use hh_sat::{minimize_core, Config, LimitedResult, Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
+use std::num::{NonZeroU32, NonZeroU64};
 
 /// A random clause set over `num_vars` variables, as signed var indices.
 fn arb_cnf(num_vars: usize, max_clauses: usize) -> impl Strategy<Value = Vec<Vec<(usize, bool)>>> {
@@ -28,7 +29,11 @@ fn brute_force_sat(num_vars: usize, clauses: &[Vec<(usize, bool)>]) -> bool {
 }
 
 fn build_solver(num_vars: usize, clauses: &[Vec<(usize, bool)>]) -> Solver {
-    let mut s = Solver::new();
+    build_solver_with(Config::default(), num_vars, clauses)
+}
+
+fn build_solver_with(config: Config, num_vars: usize, clauses: &[Vec<(usize, bool)>]) -> Solver {
+    let mut s = Solver::with_config(config);
     let vars: Vec<Var> = (0..num_vars).map(|_| s.new_var()).collect();
     for clause in clauses {
         let lits: Vec<Lit> = clause.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
@@ -143,46 +148,6 @@ proptest! {
             }
         }
     }
-
-    /// Freeze semantics under assumptions: frozen variables survive
-    /// simplification, and assumption queries issued after simplify return
-    /// the same answers as on an untouched solver.
-    #[test]
-    fn simplify_is_transparent_to_assumptions(
-        clauses in arb_cnf(7, 30),
-        pattern in 0u8..128,
-        polarity in 0u8..128,
-    ) {
-        let assumed: Vec<(usize, bool)> = (0..7)
-            .filter(|i| (pattern >> i) & 1 == 1)
-            .map(|i| (i, (polarity >> i) & 1 == 1))
-            .collect();
-        let mut with_units = clauses.clone();
-        for &(v, pos) in &assumed {
-            with_units.push(vec![(v, pos)]);
-        }
-        let expected = brute_force_sat(7, &with_units);
-
-        let mut s = build_solver(7, &clauses);
-        let vars: Vec<Var> = (0..7).map(Var::from_index).collect();
-        // Freeze the assumption variables up front (the session pattern),
-        // then simplify, then query.
-        for &(v, _) in &assumed {
-            s.freeze(vars[v]);
-        }
-        let ok = s.simplify();
-        for &(v, _) in &assumed {
-            prop_assert!(!s.is_eliminated(vars[v]), "frozen var eliminated");
-        }
-        let assumptions: Vec<Lit> = assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-        let res = s.solve_with_assumptions(&assumptions);
-        prop_assert_eq!(res == SolveResult::Sat, expected && ok);
-
-        // Interleave: simplify again between queries, then re-check.
-        let _ = s.simplify();
-        let res2 = s.solve_with_assumptions(&assumptions);
-        prop_assert_eq!(res2, res);
-    }
 }
 
 proptest! {
@@ -233,42 +198,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// Every heuristic/layout knob in `Config::seed_baseline()` (Luby
-    /// restarts, flat DB, no best phases, binaries in the long watch
-    /// lists, no blocker checks) is answer-preserving: both configs agree
-    /// with brute force under arbitrary assumption sets. Regression test
-    /// for the blocker-off propagation tail, which once re-enqueued
-    /// already-true literals forever.
-    #[test]
-    fn seed_baseline_config_agrees_with_brute_force(
-        clauses in arb_cnf(7, 30),
-        pattern in 0u8..128,
-        polarity in 0u8..128,
-    ) {
-        let vars: Vec<Var> = (0..7).map(Var::from_index).collect();
-        let assumed: Vec<(usize, bool)> = (0..7)
-            .filter(|i| (pattern >> i) & 1 == 1)
-            .map(|i| (i, (polarity >> i) & 1 == 1))
-            .collect();
-        let mut with_units = clauses.clone();
-        for &(v, pos) in &assumed {
-            with_units.push(vec![(v, pos)]);
-        }
-        let expected = brute_force_sat(7, &with_units);
-        let assumptions: Vec<Lit> = assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-
-        let mut s = hh_sat::Solver::with_config(hh_sat::Config::seed_baseline());
-        for _ in 0..7 {
-            s.new_var();
-        }
-        for clause in &clauses {
-            let lits: Vec<Lit> = clause.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-            s.add_clause(&lits);
-        }
-        prop_assert_eq!(s.solve_with_assumptions(&assumptions) == SolveResult::Sat, expected);
-        prop_assert_eq!(s.debug_check_watches(), Ok(()));
-    }
 
     /// Arena garbage compaction is invisible: forcing a full sweep +
     /// compaction between incremental queries never changes an answer, the
@@ -347,60 +276,50 @@ proptest! {
     }
 }
 
-/// `build_solver` with an explicit config.
-fn build_solver_with(config: Config, num_vars: usize, clauses: &[Vec<(usize, bool)>]) -> Solver {
-    let mut s = Solver::with_config(config);
-    let vars: Vec<Var> = (0..num_vars).map(|_| s.new_var()).collect();
-    for clause in clauses {
-        let lits: Vec<Lit> = clause.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-        s.add_clause(&lits);
-    }
-    s
-}
-
-/// Chrono-always: every conflict with any backjump distance above one level
-/// takes the chronological path — the most out-of-order trail the solver
-/// can produce.
-fn chrono_aggressive() -> Config {
-    Config {
-        chrono: true,
-        chrono_threshold: 1,
-        ..Config::default()
-    }
+/// Every configuration the solver can be built with: the default, and each
+/// of the two thresholds at the extreme that makes its rare path the common
+/// one — chrono-always (any backjump longer than one level backtracks
+/// chronologically: the most out-of-order trail the solver can produce) and
+/// an unbounded vivification budget (every long clause probed in every
+/// simplify round).
+fn surviving_configs() -> [(&'static str, Config); 3] {
+    [
+        ("default", Config::default()),
+        (
+            "chrono_threshold=1",
+            Config {
+                chrono_threshold: NonZeroU32::MIN,
+                ..Config::default()
+            },
+        ),
+        (
+            "vivify_budget=MAX",
+            Config {
+                vivify_budget: NonZeroU64::MAX,
+                ..Config::default()
+            },
+        ),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// Chronological backtracking agrees with brute force and with the
-    /// backjumping solver on random CNFs, and its SAT models are real.
+    /// Differential test of every surviving configuration against brute
+    /// force, as an incremental session: optionally freeze the assumption
+    /// variables and simplify before the first query (the session pattern;
+    /// otherwise the first query searches the raw formula), query under
+    /// assumptions, simplify, re-query, then solve the bare formula. SAT
+    /// answers come with real models, UNSAT answers with a core that is a
+    /// subset of the assumptions and refutes on its own, frozen variables
+    /// survive inprocessing, and the two-watched-literal invariant holds at
+    /// the end.
     #[test]
-    fn chrono_agrees_with_brute_force_and_backjumping(clauses in arb_cnf(8, 40)) {
-        let expected = brute_force_sat(8, &clauses);
-        let mut chrono = build_solver_with(chrono_aggressive(), 8, &clauses);
-        let mut jump = build_solver_with(
-            Config { chrono: false, ..Config::default() }, 8, &clauses);
-        let rc = chrono.solve();
-        prop_assert_eq!(rc == SolveResult::Sat, expected);
-        prop_assert_eq!(jump.solve(), rc);
-        if rc == SolveResult::Sat {
-            let vars: Vec<Var> = (0..8).map(Var::from_index).collect();
-            for clause in &clauses {
-                let sat = clause.iter().any(|&(v, pos)| chrono.model_value(vars[v].lit(pos)));
-                prop_assert!(sat, "chrono model violates clause {:?}", clause);
-            }
-        }
-        prop_assert_eq!(chrono.debug_check_watches(), Ok(()));
-    }
-
-    /// Chrono + assumptions: outcomes match the unit-clause semantics, the
-    /// core is a genuine subset refutation, and incremental reuse across
-    /// assumption sets stays sound with out-of-order trails.
-    #[test]
-    fn chrono_assumption_semantics(
+    fn surviving_configs_agree_with_brute_force(
         clauses in arb_cnf(7, 30),
         pattern in 0u8..128,
         polarity in 0u8..128,
+        simplify_first in any::<bool>(),
     ) {
         let vars: Vec<Var> = (0..7).map(Var::from_index).collect();
         let assumed: Vec<(usize, bool)> = (0..7)
@@ -411,21 +330,44 @@ proptest! {
         for &(v, pos) in &assumed {
             with_units.push(vec![(v, pos)]);
         }
+        let expected_bare = brute_force_sat(7, &clauses);
         let expected = brute_force_sat(7, &with_units);
         let assumptions: Vec<Lit> = assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-        let mut s = build_solver_with(chrono_aggressive(), 7, &clauses);
-        let res = s.solve_with_assumptions(&assumptions);
-        prop_assert_eq!(res == SolveResult::Sat, expected);
-        if res == SolveResult::Unsat {
-            let core = s.unsat_core().to_vec();
-            for l in &core {
-                prop_assert!(assumptions.contains(l));
+
+        for (name, config) in surviving_configs() {
+            let mut s = build_solver_with(config, 7, &clauses);
+            if simplify_first {
+                for &(v, _) in &assumed {
+                    s.freeze(vars[v]);
+                }
+                let ok = s.simplify();
+                prop_assert!(ok || !expected_bare, "{}: simplify refuted a SAT formula", name);
+                for &(v, _) in &assumed {
+                    prop_assert!(!s.is_eliminated(vars[v]), "{}: frozen var eliminated", name);
+                }
             }
-            prop_assert_eq!(s.solve_with_assumptions(&core), SolveResult::Unsat);
+            let res = s.solve_with_assumptions(&assumptions);
+            prop_assert_eq!(res == SolveResult::Sat, expected, "{}", name);
+            if res == SolveResult::Sat {
+                for clause in &with_units {
+                    let sat = clause.iter().any(|&(v, pos)| s.model_value(vars[v].lit(pos)));
+                    prop_assert!(sat, "{}: model violates {:?}", name, clause);
+                }
+            } else {
+                let core = s.unsat_core().to_vec();
+                for l in &core {
+                    prop_assert!(assumptions.contains(l), "{}: {:?} not assumed", name, l);
+                }
+                prop_assert_eq!(s.solve_with_assumptions(&core), SolveResult::Unsat, "{}", name);
+            }
+            // Inprocessing between queries, and learnt clauses from the
+            // first one, change no later answer.
+            let ok2 = s.simplify();
+            prop_assert!(ok2 || !expected_bare, "{}: second simplify refuted", name);
+            prop_assert_eq!(s.solve_with_assumptions(&assumptions), res, "{}", name);
+            prop_assert_eq!(s.solve() == SolveResult::Sat, expected_bare, "{}", name);
+            prop_assert_eq!(s.debug_check_watches(), Ok(()), "{}", name);
         }
-        // Second round on the same solver: learnt clauses from the chrono
-        // run must not corrupt later queries.
-        prop_assert_eq!(s.solve() == SolveResult::Sat, brute_force_sat(7, &clauses));
     }
 
     /// Budgeted solving is complete and sound: driving the solver with tiny
@@ -455,39 +397,6 @@ proptest! {
             }
         }
     }
-
-    /// Racing two configurations by budget rounds never changes the verdict
-    /// either arm would reach alone — the portfolio-soundness property at
-    /// the raw solver level, driven on the diversified arm's config too.
-    #[test]
-    fn budget_racing_matches_either_arm_alone(
-        clauses in arb_cnf(7, 30),
-        slice in 1u64..16,
-    ) {
-        let expected = brute_force_sat(7, &clauses);
-        let mut primary = build_solver(7, &clauses);
-        let mut diversified = build_solver_with(
-            Config {
-                restart_mode: hh_sat::RestartMode::Luby,
-                save_best_phases: false,
-                ..Config::default()
-            },
-            7,
-            &clauses,
-        );
-        let mut verdict = None;
-        'race: for round in 0..10_000u64 {
-            let budget = slice << round.min(10);
-            for arm in [&mut primary, &mut diversified] {
-                match arm.solve_limited(&[], budget) {
-                    LimitedResult::Unknown => {}
-                    LimitedResult::Sat => { verdict = Some(true); break 'race; }
-                    LimitedResult::Unsat => { verdict = Some(false); break 'race; }
-                }
-            }
-        }
-        prop_assert_eq!(verdict, Some(expected), "race verdict diverged from brute force");
-    }
 }
 
 #[test]
@@ -496,80 +405,4 @@ fn dimacs_roundtrip_through_solver() {
     let cnf = hh_sat::dimacs::parse_dimacs(text).unwrap();
     let mut s = hh_sat::dimacs::load_into_solver(&cnf);
     assert_eq!(s.solve(), SolveResult::Sat);
-}
-
-/// Vivification-heavy config: an unbounded propagation budget so every long
-/// clause is probed in every simplify round.
-fn vivify_heavy() -> Config {
-    Config {
-        vivify: true,
-        vivify_budget: u64::MAX,
-        ..Config::default()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// Vivified formulas are equisatisfiable with the original: explicit
-    /// heavy vivification passes never flip the brute-force verdict, in
-    /// both watch layouts, including a second (fixpoint) pass.
-    #[test]
-    fn vivified_formula_is_equisatisfiable(clauses in arb_cnf(8, 40)) {
-        let expected = brute_force_sat(8, &clauses);
-        for flat in [true, false] {
-            let cfg = Config { flat_watches: flat, ..vivify_heavy() };
-            let mut s = build_solver_with(cfg, 8, &clauses);
-            let ok = s.simplify();
-            prop_assert!(ok || !expected, "vivify derived UNSAT on a SAT formula");
-            prop_assert_eq!(s.solve() == SolveResult::Sat, expected, "flat={}", flat);
-            let ok2 = s.simplify();
-            prop_assert!(ok2 || !expected);
-            prop_assert_eq!(s.solve() == SolveResult::Sat, expected, "flat={} pass 2", flat);
-        }
-    }
-
-    /// Vivification under assumptions with frozen indicator variables:
-    /// frozen vars are never eliminated, assumption queries still agree
-    /// with the reference semantics, and vivify rounds interleaved between
-    /// queries change no verdict.
-    #[test]
-    fn vivify_respects_frozen_indicators(
-        clauses in arb_cnf(7, 30),
-        pattern in 0u8..128,
-        polarity in 0u8..128,
-    ) {
-        let assumed: Vec<(usize, bool)> = (0..7)
-            .filter(|i| (pattern >> i) & 1 == 1)
-            .map(|i| (i, (polarity >> i) & 1 == 1))
-            .collect();
-        let mut with_units = clauses.clone();
-        for &(v, pos) in &assumed {
-            with_units.push(vec![(v, pos)]);
-        }
-        let expected = brute_force_sat(7, &with_units);
-
-        let mut s = build_solver_with(vivify_heavy(), 7, &clauses);
-        let vars: Vec<Var> = (0..7).map(Var::from_index).collect();
-        for &(v, _) in &assumed {
-            s.freeze(vars[v]);
-        }
-        let ok = s.simplify();
-        for &(v, _) in &assumed {
-            prop_assert!(!s.is_eliminated(vars[v]), "frozen indicator eliminated");
-        }
-        let assumptions: Vec<Lit> = assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
-        let res = s.solve_with_assumptions(&assumptions);
-        prop_assert_eq!(res == SolveResult::Sat, expected && ok);
-
-        // Vivify again between queries, then re-check both the assumption
-        // query and the assumption-free formula.
-        let ok2 = s.simplify();
-        prop_assert!(ok2 || !brute_force_sat(7, &clauses));
-        prop_assert_eq!(s.solve_with_assumptions(&assumptions), res);
-        prop_assert_eq!(
-            s.solve() == SolveResult::Sat,
-            brute_force_sat(7, &clauses) && ok2
-        );
-    }
 }

@@ -15,6 +15,7 @@
 use crate::client::Client;
 use crate::json::Json;
 use crate::server::{Bind, Server, ServerConfig};
+use crate::state::BUILTIN_XLEN;
 use hh_netlist::btor2::parse_btor2;
 use hh_uarch::boomlite::{boom_lite, BoomVariant};
 use hh_uarch::rocketlite::rocket_lite;
@@ -325,7 +326,6 @@ struct BatchArgs {
     max_latency: usize,
     threads: usize,
     impl_predicates: bool,
-    portfolio: bool,
     certify: Option<String>,
 }
 
@@ -336,7 +336,7 @@ fn batch_usage() -> ! {
          \x20               --observable <state>... --secret-reg <state>...\n\
          \x20               [--mask <valid>=<field>[,<field>...]]...\n\
          \x20               [--xlen N] [--max-latency N]\n\
-         \x20      common: [--threads N] [--impl-predicates] [--portfolio] [--certify <dir>]\n\
+         \x20      common: [--threads N] [--impl-predicates] [--certify <dir>]\n\
          \x20      daemon: veloct serve --help | veloct connect --help"
     );
     std::process::exit(2);
@@ -372,7 +372,6 @@ fn parse_batch_args() -> BatchArgs {
             }
             "--threads" => args.threads = val(&mut it).parse().unwrap_or_else(|_| batch_usage()),
             "--impl-predicates" => args.impl_predicates = true,
-            "--portfolio" => args.portfolio = true,
             "--certify" => args.certify = Some(val(&mut it)),
             "--help" | "-h" => batch_usage(),
             other => {
@@ -380,6 +379,14 @@ fn parse_batch_args() -> BatchArgs {
                 batch_usage();
             }
         }
+    }
+    if args.threads == 0 {
+        eprintln!("--threads must be at least 1");
+        batch_usage();
+    }
+    if args.builtin.is_some() && !BUILTIN_XLEN.contains(&args.xlen) {
+        eprintln!("--xlen must be in {BUILTIN_XLEN:?} for a builtin design");
+        batch_usage();
     }
     args
 }
@@ -471,14 +478,13 @@ fn batch_main() -> ExitCode {
         design.netlist.num_inputs()
     );
 
-    let mut config = VeloctConfig {
+    let config = VeloctConfig {
         threads: args.threads,
         pairs_per_instr: 1,
         impl_predicates: args.impl_predicates,
         certify: args.certify.is_some(),
         ..VeloctConfig::default()
     };
-    config.engine.abduction.portfolio = args.portfolio;
     let veloct = Veloct::with_config(&design, config);
     let t0 = std::time::Instant::now();
     let report = veloct.classify(&default_candidates());

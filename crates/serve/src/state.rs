@@ -148,6 +148,26 @@ pub struct DesignSpec {
     pub source: DesignSource,
 }
 
+/// Datapath widths the builtin cores can be built at (the range
+/// `hh_uarch::decode` asserts).
+pub(crate) const BUILTIN_XLEN: std::ops::RangeInclusive<u32> = 8..=32;
+
+/// Largest structure scale factor a request may ask for (16× MegaBoomLite
+/// is already a 512-entry reorder buffer).
+const MAX_SCALE: usize = 16;
+
+/// An optional non-negative integer field of the `design` object, which
+/// must fit `T`: `as` would wrap `2^32 + 16` into a plausible width.
+fn uint_field<T: TryFrom<u64>>(j: &Json, key: &str, default: T) -> Result<T, ServeError> {
+    match j.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .as_u64()
+            .and_then(|x| T::try_from(x).ok())
+            .ok_or_else(|| bad_design(format!("design.{key} is not an integer in range"))),
+    }
+}
+
 fn valid_name(name: &str) -> bool {
     !name.is_empty()
         && name.len() <= 64
@@ -170,10 +190,24 @@ impl DesignSpec {
             ));
         }
         let source = if let Some(builtin) = j.get("builtin").and_then(Json::as_str) {
+            // The core builders assert on both; a panic under the state
+            // lock would take the daemon down, so refuse here.
+            let xlen: u32 = uint_field(j, "xlen", 16)?;
+            if !BUILTIN_XLEN.contains(&xlen) {
+                return Err(bad_design(format!(
+                    "design.xlen must be in {BUILTIN_XLEN:?} for a builtin core, got {xlen}"
+                )));
+            }
+            let scale: usize = uint_field(j, "scale", 1)?;
+            if !scale.is_power_of_two() || scale > MAX_SCALE {
+                return Err(bad_design(format!(
+                    "design.scale must be a power of two up to {MAX_SCALE}, got {scale}"
+                )));
+            }
             DesignSource::Builtin {
                 kind: builtin.to_string(),
-                xlen: j.get("xlen").and_then(Json::as_u64).unwrap_or(16) as u32,
-                scale: j.get("scale").and_then(Json::as_u64).unwrap_or(1) as usize,
+                xlen,
+                scale,
             }
         } else if let Some(src) = j.get("btor2").and_then(Json::as_str) {
             let strings = |key: &str| -> Result<Vec<String>, ServeError> {
@@ -223,9 +257,9 @@ impl DesignSpec {
                 observables: strings("observables")?,
                 secret_regs: strings("secret_regs")?,
                 masks,
-                xlen: j.get("xlen").and_then(Json::as_u64).unwrap_or(16) as u32,
-                max_latency: j.get("max_latency").and_then(Json::as_u64).unwrap_or(8) as usize,
-                example_depth: j.get("example_depth").and_then(Json::as_u64).unwrap_or(0) as usize,
+                xlen: uint_field(j, "xlen", 16)?,
+                max_latency: uint_field(j, "max_latency", 8)?,
+                example_depth: uint_field(j, "example_depth", 0)?,
             }
         } else {
             return Err(bad_request("design needs either builtin or btor2"));
@@ -288,7 +322,7 @@ impl DesignSpec {
     pub fn build(&self) -> Result<Design, ServeError> {
         match &self.source {
             DesignSource::Builtin { kind, xlen, scale } => {
-                let variant = |v: BoomVariant| Ok(boom_lite_scaled(v, *xlen, (*scale).max(1)));
+                let variant = |v: BoomVariant| Ok(boom_lite_scaled(v, *xlen, *scale));
                 match kind.as_str() {
                     "rocketlite" => Ok(rocket_lite(*xlen)),
                     "boom-small" => variant(BoomVariant::Small),
@@ -309,8 +343,12 @@ impl DesignSpec {
                 example_depth,
             } => {
                 let netlist = parse_btor2(src).map_err(|e| bad_design(e.to_string()))?;
-                if netlist.find_input(instr_input).is_none() {
-                    return Err(bad_design(format!("no input named {instr_input:?}")));
+                match netlist.find_input(instr_input) {
+                    None => return Err(bad_design(format!("no input named {instr_input:?}"))),
+                    Some(node) if netlist.width(node) != 32 => {
+                        return Err(bad_design("the instruction input must be 32 bits wide"))
+                    }
+                    Some(_) => {}
                 }
                 let find = |name: &str| {
                     netlist
@@ -327,10 +365,18 @@ impl DesignSpec {
                     .iter()
                     .map(|o| find(o))
                     .collect::<Result<_, _>>()?;
-                let secrets = secret_regs
+                let secrets: Vec<_> = secret_regs
                     .iter()
                     .map(|s| find(s))
                     .collect::<Result<_, _>>()?;
+                // The example generator asserts this.
+                if let Some(&s) = secrets.iter().find(|&&s| netlist.state_width(s) != *xlen) {
+                    return Err(bad_design(format!(
+                        "secret register {:?} is {} bits wide, design.xlen says {xlen}",
+                        netlist.state_name(s),
+                        netlist.state_width(s)
+                    )));
+                }
                 let mut masking = Vec::new();
                 for (valid, fields) in masks {
                     masking.push(MaskRule {

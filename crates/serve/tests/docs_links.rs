@@ -163,3 +163,71 @@ fn stats_counter_names_are_documented() {
         );
     }
 }
+
+/// The `pub` field names of `pub struct <name>` in `file` (relative to the
+/// repo root), in declaration order.
+fn pub_fields(file: &str, name: &str) -> Vec<String> {
+    let src = std::fs::read_to_string(repo_root().join(file)).unwrap();
+    let open = format!("pub struct {name} {{");
+    let start = src
+        .find(&open)
+        .unwrap_or_else(|| panic!("{file} declares no {name}"));
+    let body = &src[start + open.len()..];
+    let body = &body[..body.find("\n}").expect("struct body closes")];
+    body.lines()
+        .filter_map(|l| l.trim().strip_prefix("pub "))
+        .filter_map(|l| l.split_once(':'))
+        .map(|(field, _)| field.trim().to_string())
+        .collect()
+}
+
+/// The first-column names of the table under the `## ` heading of
+/// TUNING.md that mentions `` `heading` ``.
+fn tuning_rows(tuning: &str, heading: &str) -> Vec<String> {
+    let section = tuning
+        .split("\n## ")
+        .find(|s| s.lines().next().unwrap().contains(&format!("`{heading}`")))
+        .unwrap_or_else(|| panic!("TUNING.md has no section for {heading}"));
+    section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split_once('`'))
+        .map(|(name, _)| name.to_string())
+        .collect()
+}
+
+/// TUNING.md's table for each configuration struct names exactly that
+/// struct's `pub` fields, so a deleted knob cannot linger in the docs and a
+/// new one cannot ship undocumented.
+#[test]
+fn tuning_tables_match_config_structs() {
+    let tuning = std::fs::read_to_string(repo_root().join("docs/TUNING.md")).unwrap();
+    for (file, name, heading) in [
+        (
+            "crates/core/src/engine.rs",
+            "EngineConfig",
+            "hhoudini::EngineConfig",
+        ),
+        (
+            "crates/smt/src/query.rs",
+            "AbductionConfig",
+            "hh_smt::AbductionConfig",
+        ),
+        ("crates/sat/src/solver.rs", "Config", "hh_sat::Config"),
+        (
+            "crates/veloct/src/lib.rs",
+            "VeloctConfig",
+            "veloct::VeloctConfig",
+        ),
+    ] {
+        let mut fields = pub_fields(file, name);
+        let mut rows = tuning_rows(&tuning, heading);
+        assert!(!fields.is_empty(), "{name} parsed to no fields");
+        fields.sort();
+        rows.sort();
+        assert_eq!(
+            rows, fields,
+            "TUNING.md `{heading}` rows vs {name}'s pub fields"
+        );
+    }
+}

@@ -708,6 +708,57 @@ fn error_vocabulary_round_trips() {
     daemon.stop();
 }
 
+/// Design parameters the core builders assert on must be refused at request
+/// decode: a panic inside a learn poisons the state lock and takes the whole
+/// daemon down with it. After every hostile frame a *new* connection still
+/// gets a `status`, with the refusal counted.
+#[test]
+fn hostile_design_parameters_do_not_kill_the_daemon() {
+    let daemon = Daemon::start(None);
+    let builtin = |kind: &str, extra: (&'static str, Json)| {
+        vec![(
+            "design",
+            Json::obj(vec![
+                ("name", Json::Str("bad".to_string())),
+                ("builtin", Json::Str(kind.to_string())),
+                extra,
+            ]),
+        )]
+    };
+    let toy_with_xlen = |xlen: i64| {
+        let (key, design) = toy_design_field("bad", TOY_V1);
+        let Json::Obj(mut fields) = design else {
+            panic!("toy design is an object")
+        };
+        fields.insert("xlen".to_string(), Json::Int(xlen));
+        vec![(key, Json::Obj(fields))]
+    };
+    let hostile = [
+        builtin("rocketlite", ("xlen", Json::Int(3))),
+        builtin("rocketlite", ("xlen", Json::Int(0))),
+        builtin("rocketlite", ("xlen", Json::Int(65))),
+        // 2^32 + 16 used to wrap to a plausible 16.
+        builtin("rocketlite", ("xlen", Json::Int((1 << 32) + 16))),
+        builtin("rocketlite", ("xlen", Json::Str("wide".to_string()))),
+        builtin("boom-small", ("scale", Json::Int(3))),
+        builtin("boom-small", ("scale", Json::Int(0))),
+        builtin("boom-small", ("scale", Json::Int(1 << 40))),
+        // The toy's secret registers are 8 bits wide.
+        toy_with_xlen(16),
+        toy_with_xlen(0),
+    ];
+    for (i, fields) in hostile.into_iter().enumerate() {
+        let shown = format!("{fields:?}");
+        expect_server_error(daemon.client().request("learn", fields), "bad-design");
+        let status = daemon
+            .client()
+            .status()
+            .unwrap_or_else(|e| panic!("daemon died after {shown}: {e:?}"));
+        assert_eq!(i64_field(&status, "errors"), i as i64 + 1, "after {shown}");
+    }
+    daemon.stop();
+}
+
 /// Version and framing errors, spoken raw (the typed client cannot produce
 /// them): wrong `v` answers bad-version, a non-JSON body answers bad-json,
 /// and both leave the connection usable.

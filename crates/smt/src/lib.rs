@@ -47,7 +47,6 @@
 pub mod blast;
 pub mod cache;
 pub mod cnf;
-pub mod portfolio;
 pub mod pred;
 pub mod query;
 pub mod session;

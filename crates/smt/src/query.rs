@@ -28,37 +28,13 @@ pub enum EncodeScope {
 }
 
 /// Configuration for [`abduct`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AbductionConfig {
     /// Shrink UNSAT cores to local minimality (biasing toward the weakest
     /// abduct, §3.2.3).
     pub minimize: bool,
     /// Encoding scope.
     pub scope: EncodeScope,
-    /// Race each obligation against a diversified solver arm (see
-    /// [`crate::portfolio`]): the session's solver runs first in doubling
-    /// conflict-budget slices; if it fails to conclude within the opening
-    /// slice, a second solver with a different restart/phase policy joins
-    /// the race and its learnt clauses flow back on a win. Deterministic —
-    /// no wall-clock involved. Automatically suspended for queries with a
-    /// proof sink attached so DRAT streams stay self-contained.
-    pub portfolio: bool,
-    /// Conflict budget of the opening (primary-only) portfolio round.
-    /// Queries concluding within this slice never build the diversified arm
-    /// and behave bit-identically to non-portfolio solving. Tests shrink it
-    /// to force races on small formulas.
-    pub portfolio_first_slice: u64,
-}
-
-impl Default for AbductionConfig {
-    fn default() -> AbductionConfig {
-        AbductionConfig {
-            minimize: false,
-            scope: EncodeScope::default(),
-            portfolio: false,
-            portfolio_first_slice: crate::portfolio::DEFAULT_FIRST_SLICE,
-        }
-    }
 }
 
 impl AbductionConfig {
@@ -143,16 +119,6 @@ pub struct QueryTelemetry {
     /// Chronological (one-level) backtracks the solver took during this
     /// query instead of full non-chronological backjumps.
     pub chrono_backtracks: u64,
-    /// Budgeted `solve_limited` rounds driven during this query (portfolio
-    /// racing slices; 0 for non-portfolio queries).
-    pub budget_rounds: u64,
-    /// Portfolio races engaged during this query: 1 when the session solver
-    /// failed to conclude within the opening budget slice and the
-    /// diversified arm joined in (0 when the query never raced).
-    pub portfolio_races: u64,
-    /// Races the diversified arm concluded first (its learnt clauses were
-    /// flowed back before the session solver confirmed the verdict).
-    pub portfolio_arm_wins: u64,
     /// Literals removed from clauses by vivification during this query.
     pub vivified_lits: u64,
     /// Clauses vivification deleted outright during this query (satisfied

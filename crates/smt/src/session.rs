@@ -432,24 +432,7 @@ impl<'a> AbductionSession<'a> {
         let _solve_span = hh_trace::span!("smt", "smt.solve");
         let solver = enc.cnf_mut().solver_mut();
         let before = solver.stats();
-        // Portfolio racing is suspended while a proof sink is attached: the
-        // flow-back import would be declined anyway (it is underivable from
-        // the primary's own DRAT stream), and a single-arm run keeps the
-        // certificate self-contained.
-        let (verdict, race) = if self.config.portfolio && !solver.proof_active() {
-            crate::portfolio::race_with(solver, &assumptions, self.config.portfolio_first_slice)
-        } else {
-            (
-                solver.solve_with_assumptions(&assumptions),
-                crate::portfolio::RaceReport::default(),
-            )
-        };
-        if race.races > 0 {
-            hh_trace::counter!("smt", "portfolio.races", race.races);
-        }
-        if race.arm_wins > 0 {
-            hh_trace::counter!("smt", "portfolio.arm_wins", race.arm_wins);
-        }
+        let verdict = solver.solve_with_assumptions(&assumptions);
         let mut probes = hh_sat::ProbeCounts::default();
         let abduct = match verdict {
             SolveResult::Sat => None,
@@ -519,9 +502,6 @@ impl<'a> AbductionSession<'a> {
                 cone_clauses_saved,
                 imported_clauses,
                 chrono_backtracks: after.chrono_backtracks - before.chrono_backtracks,
-                budget_rounds: after.budget_rounds - before.budget_rounds,
-                portfolio_races: race.races,
-                portfolio_arm_wins: race.arm_wins,
                 vivified_lits: after.vivified_lits - before.vivified_lits,
                 vivified_deleted: after.vivified_deleted - before.vivified_deleted,
                 watch_bytes: after.watch_bytes,
@@ -905,59 +885,5 @@ mod tests {
             }
         }
         assert!(unsat_queries > 100 && hits > 100, "{unsat_queries} {hits}");
-    }
-
-    #[test]
-    fn portfolio_sessions_match_solo_sessions() {
-        // Same query with portfolio racing on and off (racing forced by a
-        // 1-conflict opening slice): identical abducts over session reuse.
-        let (base, m) = and_gate();
-        let a = base.find_state("A").unwrap();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let target = Predicate::eq(m.left(a), m.right(a));
-        let eq_b = Predicate::eq(m.left(b), m.right(b));
-        let eq_c = Predicate::eq(m.left(c), m.right(c));
-        let cands = vec![eq_b.clone(), eq_c.clone()];
-        let solo_cfg = AbductionConfig::paper_default();
-        let port_cfg = AbductionConfig {
-            portfolio: true,
-            portfolio_first_slice: 1,
-            ..solo_cfg
-        };
-        let mut solo = AbductionSession::new(m.netlist(), target.clone(), solo_cfg);
-        let mut port = AbductionSession::new(m.netlist(), target, port_cfg);
-        assert_eq!(solo.solve(&cands).abduct, port.solve(&cands).abduct);
-        let s2 = solo.solve(std::slice::from_ref(&eq_b));
-        let p2 = port.solve(std::slice::from_ref(&eq_b));
-        assert_eq!(s2.abduct, p2.abduct);
-        assert_eq!(s2.abduct, None); // SAT: Eq(B) alone is not enough
-    }
-
-    #[test]
-    fn portfolio_with_proof_sink_skips_racing() {
-        // A proof sink suspends the race (single-arm run keeps the DRAT
-        // stream self-contained) without changing the answer.
-        let (base, m) = and_gate();
-        let a = base.find_state("A").unwrap();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let target = Predicate::eq(m.left(a), m.right(a));
-        let cands = vec![
-            Predicate::eq(m.left(b), m.right(b)),
-            Predicate::eq(m.left(c), m.right(c)),
-        ];
-        let cfg = AbductionConfig {
-            portfolio: true,
-            portfolio_first_slice: 1,
-            ..AbductionConfig::paper_default()
-        };
-        let mut sess = AbductionSession::new(m.netlist(), target, cfg);
-        sess.attach_proof_sink(Box::new(hh_sat::CountingSink::default()));
-        let res = sess.solve(&cands);
-        assert_eq!(res.abduct, Some(vec![0, 1]));
-        assert_eq!(res.telemetry.portfolio_races, 0, "race must be skipped");
-        assert_eq!(res.telemetry.budget_rounds, 0);
-        assert!(sess.take_proof_sink().is_some());
     }
 }
