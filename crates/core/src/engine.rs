@@ -23,7 +23,7 @@ use crate::mine::Miner;
 use crate::store::{PredId, PredicateStore};
 use crate::{Invariant, Stats, TaskRecord};
 use hh_netlist::Netlist;
-use hh_smt::{abduct, AbductionConfig, AbductionResult, AbductionSession, EncodeCache, Predicate};
+use hh_smt::{AbductionConfig, AbductionSession, EncodeCache, Predicate};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,84 +33,16 @@ use std::time::Instant;
 /// the result. Dropping an entry frees its solver.
 pub(crate) type SessionCache<'a> = HashMap<PredId, AbductionSession<'a>>;
 
-/// Creates the session for one target according to the sharing knobs: plain
-/// when both cross-target features are off (the PR-2 baseline, own `SimpMap`
-/// per session), cache-attached otherwise. `use_entries` (= `cone_cache`)
-/// controls base-encoding replay; the clause pools ride on the same
-/// signatures either way.
-pub(crate) fn make_session<'a>(
-    netlist: &'a Netlist,
-    target: Arc<Predicate>,
-    config: &AbductionConfig,
-    cache: Option<&Arc<EncodeCache>>,
-    cone_cache: bool,
-) -> AbductionSession<'a> {
-    match cache {
-        Some(c) => {
-            AbductionSession::with_cache(netlist, target, *config, Arc::clone(c), cone_cache)
-        }
-        None => AbductionSession::new(netlist, target, *config),
-    }
-}
-
-/// Runs one abduction query for `pred`, through its cached session when
-/// `sessions` is enabled (creating it on first use) and through the fresh
-/// per-query path otherwise. With `clause_transfer`, a newly created
-/// session imports the signature pool before solving and exports its learnt
-/// clauses after.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn abduct_via_cache<'a>(
-    cache: &mut SessionCache<'a>,
-    use_sessions: bool,
-    netlist: &'a Netlist,
-    pred: PredId,
-    target: Arc<Predicate>,
-    cands: &[Predicate],
-    config: &AbductionConfig,
-    encode_cache: Option<&Arc<EncodeCache>>,
-    cone_cache: bool,
-    clause_transfer: bool,
-) -> AbductionResult {
-    if use_sessions {
-        let session = cache
-            .entry(pred)
-            .or_insert_with(|| make_session(netlist, target, config, encode_cache, cone_cache));
-        if clause_transfer {
-            session.stage_imports();
-        }
-        let res = session.solve(cands);
-        if clause_transfer {
-            session.export_learnt_to_pool();
-        }
-        res
-    } else {
-        abduct(netlist, &target, cands, config)
-    }
-}
-
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Abduction query configuration (core minimisation, encoding scope).
     pub abduction: AbductionConfig,
     /// Memoisation across tasks (ablation knob; the paper's algorithm
-    /// requires it for efficiency, not for soundness).
+    /// requires it for efficiency, not for soundness). Read by
+    /// [`SerialEngine`] only: the streaming scheduler of
+    /// [`crate::ParallelEngine`] is built on the memo table.
     pub memoize: bool,
-    /// Keep one live [`AbductionSession`] per target so retries (after
-    /// `P_fail` grows or a stale solution is swept) re-solve incrementally
-    /// instead of re-blasting the cone (§3.2.4). Ablation knob: `false`
-    /// reproduces the fresh-encoding-per-query behaviour.
-    pub sessions: bool,
-    /// Share base encodings across signature-equal targets through an
-    /// [`EncodeCache`] (replay instead of re-blasting). Requires
-    /// `sessions`. A replay is byte-identical to a fresh build, so this
-    /// knob cannot change the learned invariant — only the encode time.
-    pub cone_cache: bool,
-    /// Transfer learnt clauses between signature-equal sessions via the
-    /// cache's per-signature pools. Requires `sessions`. Imported clauses
-    /// are implied by the receiving base formula, so invariant validity is
-    /// unaffected.
-    pub clause_transfer: bool,
 }
 
 impl Default for EngineConfig {
@@ -118,22 +50,6 @@ impl Default for EngineConfig {
         EngineConfig {
             abduction: AbductionConfig::paper_default(),
             memoize: true,
-            sessions: true,
-            cone_cache: true,
-            clause_transfer: true,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Builds the shared [`EncodeCache`] for one learn run, or `None` when
-    /// both cross-target sharing features are disabled (the exact
-    /// per-session-`SimpMap` baseline of earlier revisions).
-    pub(crate) fn make_encode_cache(&self, netlist: &Netlist) -> Option<Arc<EncodeCache>> {
-        if self.sessions && (self.cone_cache || self.clause_transfer) {
-            Some(Arc::new(EncodeCache::new(netlist)))
-        } else {
-            None
         }
     }
 }
@@ -150,10 +66,10 @@ pub struct SerialEngine<'a, M: Miner> {
     /// `P_fail`: predicates proven to have no solution.
     failed: HashSet<PredId>,
     in_progress: Vec<PredId>,
-    /// Live abduction sessions, keyed by target (§3.2.4).
+    /// Live abduction sessions, keyed by target (§3.2.4): retries (after
+    /// `P_fail` grows or a stale solution is swept) re-solve incrementally
+    /// instead of re-blasting the cone.
     sessions: SessionCache<'a>,
-    /// Cross-target encoding cache + clause pools for the current learn run.
-    encode_cache: Option<Arc<EncodeCache>>,
     stats: Stats,
 }
 
@@ -169,7 +85,6 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
             failed: HashSet::new(),
             in_progress: Vec::new(),
             sessions: SessionCache::new(),
-            encode_cache: None,
             stats: Stats::default(),
         }
     }
@@ -213,14 +128,15 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
         let t0 = Instant::now();
         let _learn_span = hh_trace::span!("engine", "engine.learn");
         self.stats.workers = 1;
-        self.encode_cache = self.config.make_encode_cache(self.netlist);
+        // Signature-equal targets replay each other's base encodings.
+        let encode_cache = Arc::new(EncodeCache::new(self.netlist));
         let prop_ids: Vec<PredId> = properties
             .iter()
             .map(|p| self.store.intern(p.clone()))
             .collect();
         let result = 'outer: loop {
             for &p in &prop_ids {
-                if !self.solve(p, None) {
+                if !self.solve(p, None, &encode_cache) {
                     break 'outer None;
                 }
             }
@@ -240,14 +156,11 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
                 self.memo.remove(&s);
             }
         };
-        if let Some(cache) = &self.encode_cache {
-            self.stats.record_encode_cache(&cache.stats());
-        }
+        self.stats.record_encode_cache(&encode_cache.stats());
         self.stats.wall_time = t0.elapsed();
         // Sessions (and the encode cache) only pay off within one learning
         // run; free the solvers and recorded encodings.
         self.sessions.clear();
-        self.encode_cache = None;
         result
     }
 
@@ -272,7 +185,7 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
     }
 
     /// Algorithm 1 for one target. Returns whether a solution exists.
-    fn solve(&mut self, p: PredId, parent: Option<usize>) -> bool {
+    fn solve(&mut self, p: PredId, parent: Option<usize>, encode_cache: &Arc<EncodeCache>) -> bool {
         if self.failed.contains(&p) {
             return false;
         }
@@ -314,20 +227,21 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
             cand_ids.retain(|q| !self.failed.contains(q));
             let cands = self.store.resolve(&cand_ids);
 
-            // Line 12: O_abduct, incremental when sessions are on.
+            // Line 12: O_abduct, through the target's live session.
             let q0 = Instant::now();
-            let res = abduct_via_cache(
-                &mut self.sessions,
-                self.config.sessions,
-                self.netlist,
-                p,
-                target,
-                &cands,
-                &self.config.abduction,
-                self.encode_cache.as_ref(),
-                self.config.cone_cache,
-                self.config.clause_transfer,
-            );
+            let res = self
+                .sessions
+                .entry(p)
+                .or_insert_with(|| {
+                    AbductionSession::with_cache(
+                        self.netlist,
+                        target,
+                        self.config.abduction,
+                        Arc::clone(encode_cache),
+                        true,
+                    )
+                })
+                .solve(&cands);
             let qd = q0.elapsed();
             self.stats.record_query(qd);
             self.stats.record_abduction(&res.telemetry);
@@ -356,7 +270,7 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
                     for q in ab {
                         // Pause own-time accounting across the recursion.
                         self.stats.tasks[task_idx].duration += own_mark.elapsed();
-                        let solved = self.solve(q, Some(task_idx));
+                        let solved = self.solve(q, Some(task_idx), encode_cache);
                         own_mark = Instant::now();
                         if !solved {
                             self.failed.insert(q);

@@ -18,11 +18,11 @@
 //! **Determinism.** Results are *committed* in job-issue order through a
 //! [`ReorderBuffer`], and the scheduler commits **exactly one** result per
 //! loop iteration before issuing again. Every issue point therefore sees
-//! scheduler state (`P_fail`, memo table, miner, priority queue, clause
-//! pools) that is a pure function of the commit count — never of worker
-//! timing. That makes every scheduling decision, the learned invariant and
-//! the task DAG identical run-to-run and across thread counts — only the
-//! measured durations vary. Out-of-order completions are buffered (cheap:
+//! scheduler state (`P_fail`, memo table, miner, priority queue) that is a
+//! pure function of the commit count — never of worker timing. That makes
+//! every scheduling decision, the learned invariant and the task DAG
+//! identical run-to-run and across thread counts — only the measured
+//! durations vary. Out-of-order completions are buffered (cheap:
 //! commits are table updates), so the barrier of the old wavefront design
 //! is gone from the *solving* path.
 //!
@@ -38,12 +38,11 @@
 //! keeps a live [`AbductionSession`] (travelling with the job and returned
 //! with the result), so backtracking retries re-solve incrementally. A
 //! per-run [`hh_smt::EncodeCache`] is shared by all sessions: signature-
-//! equal cones replay each other's base encodings, and (with clause
-//! transfer on) learnt clauses flow between them through per-signature
-//! pools. Pool imports are staged at job issue and exports run at commit —
-//! both on the scheduler thread, at deterministic points.
+//! equal cones replay each other's base encodings. A replay is
+//! byte-identical to a fresh build, so which session recorded an encoding
+//! first (the one thing worker timing does decide) cannot reach the result.
 
-use crate::engine::{make_session, SessionCache};
+use crate::engine::SessionCache;
 use crate::mine::Miner;
 use crate::reorder::ReorderBuffer;
 use crate::sim::{SchedEvent, SimDriver};
@@ -51,7 +50,7 @@ use crate::store::{PredId, PredicateStore};
 use crate::{EngineConfig, Invariant, Stats, TaskRecord};
 use hh_netlist::coi::Coi;
 use hh_netlist::Netlist;
-use hh_smt::{AbductionConfig, AbductionResult, AbductionSession, EncodeCache, Predicate};
+use hh_smt::{AbductionResult, AbductionSession, EncodeCache, Predicate};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -107,10 +106,9 @@ pub struct ParallelEngine<'a, M: Miner> {
 /// handles into the store — issuing a job clones pointers, not trees.
 struct Job<'a> {
     job_idx: usize,
-    target: Arc<Predicate>,
     cands: Vec<Arc<Predicate>>,
-    /// The target's live session (None with sessions disabled).
-    session: Option<AbductionSession<'a>>,
+    /// The target's live session.
+    session: AbductionSession<'a>,
 }
 
 /// Scheduler-side bookkeeping for an issued job, indexed by `job_idx`.
@@ -123,56 +121,38 @@ struct JobMeta {
 /// A completed query travelling back to the merge loop.
 struct JobDone<'a> {
     job_idx: usize,
-    /// `None` when the worker died (panicked) before producing a result —
-    /// the run is poisoned and the scheduler stops committing.
-    result: Option<AbductionResult>,
+    /// The answer and the session that produced it, on its way back to the
+    /// scheduler. `None` when the worker died (panicked) before producing a
+    /// result — the run is poisoned and the scheduler stops committing.
+    solved: Option<(AbductionResult, AbductionSession<'a>)>,
     duration: Duration,
-    session: Option<AbductionSession<'a>>,
 }
 
 /// Runs one abduction query — the worker body shared by the threaded pool
 /// and the virtual (simulation) backend. A panicking solve is caught and
-/// surfaced as a `result: None` completion instead of tearing the worker
+/// surfaced as a `solved: None` completion instead of tearing the worker
 /// down silently: before this, a panicked worker left the scheduler
 /// blocked forever on a `JobDone` that would never arrive.
-fn solve_job<'a>(
-    netlist: &'a Netlist,
-    abd_cfg: &AbductionConfig,
-    mut job: Job<'a>,
-    panic_on: Option<usize>,
-) -> JobDone<'a> {
+fn solve_job(job: Job<'_>, panic_on: Option<usize>) -> JobDone<'_> {
     let _job_span = hh_trace::span!("sched", "sched.job");
-    let job_idx = job.job_idx;
+    let Job {
+        job_idx,
+        cands,
+        mut session,
+    } = job;
     let q0 = Instant::now();
-    let solved = std::panic::catch_unwind(AssertUnwindSafe(|| {
+    let solved = std::panic::catch_unwind(AssertUnwindSafe(move || {
         assert!(
             panic_on != Some(job_idx),
             "injected worker death (fault-injection seam)"
         );
-        match job.session.take() {
-            Some(mut s) => {
-                let r = s.solve(&job.cands);
-                (r, Some(s))
-            }
-            None => (
-                hh_smt::abduct(netlist, &job.target, &job.cands, abd_cfg),
-                None,
-            ),
-        }
+        let result = session.solve(&cands);
+        (result, session)
     }));
-    match solved {
-        Ok((result, session)) => JobDone {
-            job_idx,
-            result: Some(result),
-            duration: q0.elapsed(),
-            session,
-        },
-        Err(_) => JobDone {
-            job_idx,
-            result: None,
-            duration: q0.elapsed(),
-            session: None,
-        },
+    JobDone {
+        job_idx,
+        solved: solved.ok(),
+        duration: q0.elapsed(),
     }
 }
 
@@ -223,15 +203,14 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     }
 
     /// Attaches an externally owned, warm [`EncodeCache`] (encoding replay
-    /// streams + per-signature learnt-clause pools). [`ParallelEngine::learn`]
-    /// then shares it across this run's sessions *instead of* building a
-    /// fresh per-run cache, and leaves it populated afterwards — this is how
-    /// a resident service (`hh-serve`) keeps blasting work warm across
-    /// requests. Replayed encodings are byte-identical to fresh builds and
-    /// imported clauses are consequences of the shared base formula, so the
-    /// learned invariant is unaffected; only timing and the cache's
-    /// cumulative counters change. The cache must have been built over a
-    /// netlist identical in content to this engine's.
+    /// streams). [`ParallelEngine::learn`] then shares it across this run's
+    /// sessions *instead of* building a fresh per-run cache, and leaves it
+    /// populated afterwards — this is how a resident service (`hh-serve`)
+    /// keeps blasting work warm across requests. Replayed encodings are
+    /// byte-identical to fresh builds, so the learned invariant is
+    /// unaffected; only timing and the cache's cumulative counters change.
+    /// The cache must have been built over a netlist identical in content
+    /// to this engine's.
     pub fn set_encode_cache(&mut self, cache: Arc<EncodeCache>) {
         self.warm_cache = Some(cache);
     }
@@ -314,13 +293,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         }
 
         let netlist = self.netlist;
-        let abd_cfg = self.config.abduction;
-        // A warm cache (resident service) takes precedence over the per-run
-        // cache; it outlives this call and keeps its recorded encodings.
-        let encode_cache = self
-            .warm_cache
-            .clone()
-            .or_else(|| self.config.make_encode_cache(netlist));
+        let encode_cache = self.run_encode_cache();
         let workers = self.threads.max(1);
         let coi = Coi::new(netlist);
         let fail_job = self.fail_job;
@@ -338,7 +311,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                         // Hold the lock only for the dequeue, not the solve.
                         let job = job_rx.lock().unwrap().recv();
                         let Ok(job) = job else { break };
-                        let done = solve_job(netlist, &abd_cfg, job, fail_job);
+                        let done = solve_job(job, fail_job);
                         if done_tx.send(done).is_err() {
                             break; // scheduler gone
                         }
@@ -355,7 +328,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             let outcome = self.run_scheduler(
                 &prop_ids,
                 &coi,
-                encode_cache.as_ref(),
+                &encode_cache,
                 |job| job_tx.send(job).expect("worker pool alive"),
                 // With the panic fix above this recv cannot strand: every
                 // dequeued job produces a JobDone (panicked or not), and
@@ -366,9 +339,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             drop(job_tx); // closes the queue; workers exit before scope joins
             outcome
         });
-        if let Some(cache) = &encode_cache {
-            self.stats.record_encode_cache(&cache.stats());
-        }
+        self.stats.record_encode_cache(&encode_cache.stats());
         self.stats.wall_time = t0.elapsed();
         // Sessions only pay off within one learning run; free the solvers.
         self.sessions.clear();
@@ -405,14 +376,9 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             self.discoverer.entry(p).or_insert(None);
         }
 
-        let netlist = self.netlist;
-        let abd_cfg = self.config.abduction;
-        let encode_cache = self
-            .warm_cache
-            .clone()
-            .or_else(|| self.config.make_encode_cache(netlist));
+        let encode_cache = self.run_encode_cache();
         let window = self.threads.max(1);
-        let coi = Coi::new(netlist);
+        let coi = Coi::new(self.netlist);
 
         // Both closures need the driver and the pending pool; RefCells keep
         // the borrows disjoint per call (the scheduler never re-enters).
@@ -422,7 +388,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         let result = self.run_scheduler(
             &prop_ids,
             &coi,
-            encode_cache.as_ref(),
+            &encode_cache,
             |job| pending.borrow_mut().push(job),
             || {
                 // The scheduler only collects while uncommitted jobs exist,
@@ -440,13 +406,12 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                     d.observe(&SchedEvent::WorkerDeath { job: job_idx });
                     return JobDone {
                         job_idx,
-                        result: None,
+                        solved: None,
                         duration: Duration::ZERO,
-                        session: None,
                     };
                 }
                 drop(d);
-                let done = solve_job(netlist, &abd_cfg, job, None);
+                let done = solve_job(job, None);
                 driver
                     .borrow_mut()
                     .observe(&SchedEvent::Arrival { job: job_idx });
@@ -454,12 +419,19 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             },
             |ev| driver.borrow_mut().observe(ev),
         );
-        if let Some(cache) = &encode_cache {
-            self.stats.record_encode_cache(&cache.stats());
-        }
+        self.stats.record_encode_cache(&encode_cache.stats());
         self.stats.wall_time = t0.elapsed();
         self.sessions.clear();
         result
+    }
+
+    /// The encode cache for one learn run: the warm one a resident service
+    /// attached (it outlives the call and keeps its recorded encodings), or
+    /// a fresh per-run cache.
+    fn run_encode_cache(&self) -> Arc<EncodeCache> {
+        self.warm_cache
+            .clone()
+            .unwrap_or_else(|| Arc::new(EncodeCache::new(self.netlist)))
     }
 
     /// The scheduler core shared by both backends. `dispatch` hands an
@@ -471,16 +443,13 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         &mut self,
         prop_ids: &[PredId],
         coi: &Coi,
-        encode_cache: Option<&Arc<EncodeCache>>,
+        encode_cache: &Arc<EncodeCache>,
         mut dispatch: impl FnMut(Job<'a>),
         mut collect: impl FnMut() -> JobDone<'a>,
         mut observe: impl FnMut(&SchedEvent),
     ) -> Option<Invariant> {
         let netlist = self.netlist;
         let abd_cfg = self.config.abduction;
-        let use_sessions = self.config.sessions;
-        let cone_cache = self.config.cone_cache;
-        let clause_transfer = self.config.clause_transfer;
         let mut weights: HashMap<PredId, u64> = HashMap::new();
 
         // Scheduler state. `queue` holds predicates to (re-)issue,
@@ -527,7 +496,15 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             // targets that resolved (or got scheduled) since they were
             // enqueued.
             while let Some((w, _, p)) = queue.pop() {
-                if self.failed.contains(&p) || self.memo.contains_key(&p) || inflight.contains(&p) {
+                if self.failed.contains(&p) {
+                    continue;
+                }
+                if self.memo.contains_key(&p) {
+                    self.stats.memo_hits += 1;
+                    hh_trace::counter!("engine", "engine.memo.hit", 1);
+                    continue;
+                }
+                if inflight.contains(&p) {
                     continue;
                 }
                 let target = self.store.get_arc(p);
@@ -543,23 +520,15 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                     cand_ids,
                     parent,
                 });
-                let session = if use_sessions {
-                    let mut s = self.sessions.remove(&p).unwrap_or_else(|| {
-                        make_session(
-                            netlist,
-                            Arc::clone(&target),
-                            &abd_cfg,
-                            encode_cache,
-                            cone_cache,
-                        )
-                    });
-                    if clause_transfer {
-                        s.stage_imports();
-                    }
-                    Some(s)
-                } else {
-                    None
-                };
+                let session = self.sessions.remove(&p).unwrap_or_else(|| {
+                    AbductionSession::with_cache(
+                        netlist,
+                        target,
+                        abd_cfg,
+                        Arc::clone(encode_cache),
+                        true,
+                    )
+                });
                 inflight.insert(p);
                 hh_trace::event!("sched", "sched.issue");
                 hh_trace::counter!("sched", "sched.inflight", 1);
@@ -569,7 +538,6 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 });
                 dispatch(Job {
                     job_idx,
-                    target,
                     cands,
                     session,
                 });
@@ -637,7 +605,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 reorder.pop_in_order().expect("checked above")
             };
             let meta = &metas[done.job_idx];
-            let Some(result) = done.result else {
+            let Some((result, session)) = done.solved else {
                 // The worker solving this job died. Surface the poisoned
                 // run instead of committing a fabricated result: stop
                 // scheduling, mark the stats, return no invariant.
@@ -684,12 +652,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 }
             }
             inflight.remove(&meta.pred);
-            if let Some(s) = done.session {
-                if clause_transfer {
-                    s.export_learnt_to_pool();
-                }
-                self.sessions.insert(meta.pred, s);
-            }
+            self.sessions.insert(meta.pred, session);
         }
     }
 
@@ -818,50 +781,31 @@ mod tests {
     }
 
     #[test]
-    fn sharing_quadrants_and_thread_counts_agree() {
-        // The learned invariant must be identical across all four ablation-9
-        // quadrants (cone cache × clause transfer) and across thread counts;
-        // with the cone cache on, the 8 isomorphic held registers must
-        // produce encode-cache hits.
+    fn sharing_and_thread_counts_agree() {
+        // The learned invariant must be identical across thread counts, and
+        // the 8 isomorphic held registers must produce encode-cache hits.
         let (base, m) = wide(8);
         let e = StateValues::initial(m.netlist());
         let t = base.find_state("t").unwrap();
         let prop = Predicate::eq(m.left(t), m.right(t));
 
         let mut reference: Option<Vec<Predicate>> = None;
-        for (cone_cache, clause_transfer) in
-            [(false, false), (true, false), (false, true), (true, true)]
-        {
-            for threads in [1, 2, 4] {
-                let cfg = EngineConfig {
-                    cone_cache,
-                    clause_transfer,
-                    ..EngineConfig::default()
-                };
-                let miner = CoiMiner::new(&m, std::slice::from_ref(&e), None, vec![]);
-                let mut par = ParallelEngine::new(m.netlist(), miner, cfg, threads);
-                let inv = par.learn(std::slice::from_ref(&prop)).unwrap();
-                let mut preds = inv.preds().to_vec();
-                preds.sort_by_key(|p| format!("{p:?}"));
-                match &reference {
-                    None => reference = Some(preds),
-                    Some(r) => assert_eq!(
-                        r, &preds,
-                        "invariant differs at cone_cache={cone_cache} \
-                         clause_transfer={clause_transfer} threads={threads}"
-                    ),
-                }
-                let stats = par.stats();
-                if cone_cache {
-                    assert!(
-                        stats.encode_cache_hits > 0,
-                        "isomorphic registers must hit the encode cache"
-                    );
-                    assert!(stats.encode_vars_saved > 0);
-                } else {
-                    assert_eq!(stats.encode_cache_hits, 0);
-                }
+        for threads in [1, 2, 4] {
+            let miner = CoiMiner::new(&m, std::slice::from_ref(&e), None, vec![]);
+            let mut par = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), threads);
+            let inv = par.learn(std::slice::from_ref(&prop)).unwrap();
+            let mut preds = inv.preds().to_vec();
+            preds.sort_by_key(|p| format!("{p:?}"));
+            match &reference {
+                None => reference = Some(preds),
+                Some(r) => assert_eq!(r, &preds, "invariant differs at threads={threads}"),
             }
+            let stats = par.stats();
+            assert!(
+                stats.encode_cache_hits > 0,
+                "isomorphic registers must hit the encode cache"
+            );
+            assert!(stats.encode_vars_saved > 0);
         }
     }
 
@@ -921,6 +865,11 @@ mod tests {
                 .unwrap();
             assert_eq!(inv_t.preds(), inv_s.preds(), "window {window}");
             assert_eq!(threaded.solutions(), sim.solutions(), "window {window}");
+            assert_eq!(
+                threaded.stats().memo_hits,
+                sim.stats().memo_hits,
+                "window {window}"
+            );
             assert!(inv_s.verify_monolithic(m.netlist()));
         }
     }

@@ -53,8 +53,8 @@ pub struct Stats {
     /// Abduction queries answered on a reused [`hh_smt::AbductionSession`]
     /// encoding (retries that skipped re-blasting the cone).
     pub session_hits: usize,
-    /// Abduction queries that had to build a fresh encoding (first query of
-    /// each session, or every query with sessions disabled).
+    /// Abduction queries that had to build a fresh encoding (the first
+    /// query of each session).
     pub session_misses: usize,
     /// SAT variables session reuse avoided re-allocating (summed over hits).
     pub vars_saved: usize,
@@ -118,10 +118,6 @@ pub struct Stats {
     pub encode_vars_saved: u64,
     /// Tseitin clauses encode-cache replay skipped re-deriving.
     pub encode_clauses_saved: u64,
-    /// Learnt clauses exported into cross-target clause pools.
-    pub exported_clauses: u64,
-    /// Learnt clauses imported from clause pools into fresh sessions.
-    pub imported_clauses: u64,
     /// Base-design cycles simulated to generate the run's positive
     /// examples, both executions of each pair counted. The engine never
     /// sees example generation; `veloct` fills the three `examples_*`
@@ -290,8 +286,6 @@ impl Stats {
         self.encode_cache_misses += c.misses;
         self.encode_vars_saved += c.vars_saved;
         self.encode_clauses_saved += c.clauses_saved;
-        self.exported_clauses += c.exported_clauses;
-        self.imported_clauses += c.imported_clauses;
     }
 
     /// Fraction of abduction queries served by a live session (0 when no
@@ -305,7 +299,7 @@ impl Stats {
     }
 
     /// Fraction of base encodings served by the cross-target encode cache
-    /// (0 when the cache was off or never consulted).
+    /// (0 when it was never consulted).
     pub fn encode_cache_hit_rate(&self) -> f64 {
         let total = self.encode_cache_hits + self.encode_cache_misses;
         if total == 0 {
@@ -377,8 +371,6 @@ impl Stats {
         self.encode_cache_misses += other.encode_cache_misses;
         self.encode_vars_saved += other.encode_vars_saved;
         self.encode_clauses_saved += other.encode_clauses_saved;
-        self.exported_clauses += other.exported_clauses;
-        self.imported_clauses += other.imported_clauses;
         self.examples_cycles += other.examples_cycles;
         self.examples_raw += other.examples_raw;
         self.examples_unique += other.examples_unique;
@@ -405,8 +397,6 @@ impl Stats {
             ("smt.cache.miss", self.encode_cache_misses),
             ("smt.cache.vars_saved", self.encode_vars_saved),
             ("smt.cache.clauses_saved", self.encode_clauses_saved),
-            ("smt.pool.exported", self.exported_clauses),
-            ("smt.pool.imported", self.imported_clauses),
             ("smt.word.const_folds", self.word_const_folds),
             ("smt.word.rewrites", self.word_rewrites),
             ("smt.word.strash_hits", self.word_strash_hits),

@@ -80,7 +80,6 @@ pub(crate) struct ClauseDb {
     /// Live + not-yet-swept original clauses, in insertion order.
     clause_list: Vec<ClauseRef>,
     /// Live + not-yet-swept learnt clauses, in insertion (= learn) order.
-    /// Insertion order is what makes learnt export deterministic.
     learnt_list: Vec<ClauseRef>,
     /// Live original clauses.
     num_orig: usize,

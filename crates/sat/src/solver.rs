@@ -381,9 +381,6 @@ impl Solver {
     /// checkable proof the sink should be attached before the first solve
     /// call, and the checker should be given the formula as captured by
     /// [`Solver::formula_clauses`].
-    ///
-    /// Attaching a sink disables [`Solver::import_clauses`]: externally
-    /// imported clauses are not derivable from this solver's own stream.
     pub fn set_proof_sink(&mut self, sink: Box<dyn ProofSink>) {
         self.proof = Some(sink);
     }
@@ -804,112 +801,6 @@ impl Solver {
     /// empty.
     pub fn unsat_core(&self) -> &[Lit] {
         &self.core
-    }
-
-    // ------------------------------------------------------------------
-    // Learned-clause export / import
-    // ------------------------------------------------------------------
-
-    /// Exports the solver's conflict knowledge over a chosen variable set:
-    /// every learnt clause (and every level-0 implied unit) whose literals
-    /// all satisfy `keep` and mention no eliminated variable.
-    ///
-    /// Soundness: learnt clauses and level-0 units are logical consequences
-    /// of the clauses added so far, so any subset of them is implied by the
-    /// formula and may be replayed into any solver holding an equisatisfiable
-    /// superset of that formula over the same variables (in particular, an
-    /// isomorphic encoding of the same cone) without changing any solve
-    /// outcome. Callers restrict `keep` to shared base variables so clauses
-    /// over caller-private variables (e.g. activation indicators) never leak.
-    ///
-    /// Must be called at decision level 0 (i.e. outside a solve; every
-    /// `solve_with_assumptions` call backtracks to level 0 before returning).
-    /// The export order — trail units first, then learnt clauses in
-    /// allocation order — is deterministic for a deterministic query history.
-    pub fn export_learnt<F: FnMut(Var) -> bool>(&self, keep: F) -> Vec<Vec<Lit>> {
-        let mut out = Vec::new();
-        self.export_learnt_with(keep, |c| out.push(c.to_vec()));
-        out
-    }
-
-    /// Visit-callback form of [`Solver::export_learnt`]: each exported
-    /// clause is handed to `emit` as a slice borrowed from the trail or the
-    /// clause arena, so callers that only iterate (clause pools, filters)
-    /// pay no per-clause allocation. Emission order is identical to
-    /// `export_learnt`.
-    pub fn export_learnt_with<K, F>(&self, mut keep: K, mut emit: F)
-    where
-        K: FnMut(Var) -> bool,
-        F: FnMut(&[Lit]),
-    {
-        debug_assert_eq!(self.decision_level(), 0);
-        // Level-0 trail prefix: units the solver has proved outright.
-        let bound = self.trail_lim.first().copied().unwrap_or(self.trail.len());
-        for l in &self.trail[..bound] {
-            let v = l.var();
-            if keep(v) && !self.eliminated[v.index()] {
-                emit(std::slice::from_ref(l));
-            }
-        }
-        for cref in self.db.learnt_refs() {
-            // `learnt_refs` filters lazily-deleted slots, but keep an
-            // explicit guard: vivification and database reduction delete
-            // learnt clauses mid-session, and a stale ref slipping through
-            // here would leak a retracted clause into a shared pool. A
-            // *strengthened* clause is exported in its current (shorter)
-            // form, which is strictly more general — still implied.
-            if self.db.is_deleted(cref) {
-                continue;
-            }
-            let lits = self.db.lits(cref);
-            if lits
-                .iter()
-                .all(|l| keep(l.var()) && !self.eliminated[l.var().index()])
-            {
-                emit(lits);
-            }
-        }
-    }
-
-    /// Imports clauses previously produced by [`Solver::export_learnt`] on an
-    /// isomorphic solver (same variable numbering for the shared prefix).
-    ///
-    /// Each clause must be logically implied by this solver's formula — the
-    /// caller guarantees this by only transferring between sessions whose
-    /// base encodings are structurally identical. The clauses are added as
-    /// ordinary (non-learnt) clauses so they survive clause-database
-    /// reduction and are never re-exported as fresh knowledge. Returns the
-    /// number of clauses actually added (tautologies and already-satisfied
-    /// clauses are filtered by [`Solver::add_clause`]).
-    pub fn import_clauses(&mut self, clauses: &[Vec<Lit>]) -> usize {
-        // Imported clauses are implied by the peer's formula, not derivable
-        // from this solver's own inference stream, so they would make an
-        // attached DRAT proof uncheckable. Imports are best-effort redundant
-        // knowledge; under proof logging we simply decline them.
-        if self.proof.is_some() {
-            return 0;
-        }
-        let mut added = 0;
-        for cl in clauses {
-            // A clause over a variable this solver has eliminated would force
-            // `add_clause` to restore the variable (and transitively its
-            // defining clauses) purely to accommodate optional knowledge,
-            // perturbing the receiver's clause database and its elimination
-            // record. Imports are free to be dropped, so skip such clauses.
-            if cl.iter().any(|l| self.eliminated[l.var().index()]) {
-                continue;
-            }
-            let before = self.db.num_clauses() + self.trail.len();
-            if !self.add_clause(cl) {
-                // An implied clause can still expose unsatisfiability that
-                // this solver simply had not derived yet; record it and stop.
-                return added;
-            }
-            if self.db.num_clauses() + self.trail.len() > before {
-                added += 1;
-            }
-        }
-        added
     }
 
     // ------------------------------------------------------------------
@@ -2176,25 +2067,6 @@ mod tests {
         assert!(core.contains(&vs[1]) && core.contains(&!vs[2]));
     }
 
-    #[test]
-    fn import_over_eliminated_var_is_skipped() {
-        let (mut s, vs) = chain_solver();
-        s.freeze(vs[0].var());
-        s.freeze(vs[3].var());
-        assert!(s.simplify());
-        assert!(s.is_eliminated(vs[1].var()));
-        // An import touching eliminated b must be dropped (imports are
-        // optional knowledge; restoring b just to hold one would perturb
-        // the clause database), while the clause over live vars lands.
-        let added = s.import_clauses(&[vec![vs[1], vs[3]], vec![vs[0], vs[3]]]);
-        assert_eq!(added, 1);
-        assert!(
-            s.is_eliminated(vs[1].var()),
-            "import must not restore an eliminated variable"
-        );
-        assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
     /// (is_delete, literals) in emission order.
     type ProofEvents = std::sync::Arc<std::sync::Mutex<Vec<(bool, Vec<Lit>)>>>;
 
@@ -2261,20 +2133,6 @@ mod tests {
                 "core literal {l:?} must be logged as a unit"
             );
         }
-    }
-
-    #[test]
-    fn import_clauses_declines_under_proof_logging() {
-        let mut s = Solver::new();
-        let a = s.new_var().positive();
-        let b = s.new_var().positive();
-        s.add_clause(&[a, b]);
-        s.set_proof_sink(Box::new(crate::proof::CountingSink::default()));
-        // Imports carry no derivation, so they would punch holes in the
-        // DRAT stream; under logging they must be declined wholesale.
-        assert_eq!(s.import_clauses(&[vec![a, !b]]), 0);
-        assert!(s.take_proof_sink().is_some());
-        assert_eq!(s.import_clauses(&[vec![a, !b]]), 1);
     }
 
     #[test]
@@ -2376,45 +2234,6 @@ mod tests {
             .position(|(is_delete, lits)| *is_delete && lits.as_slice() == [c, a, b])
             .expect("original clause deletion was logged");
         assert!(add_pos < del_pos, "add must precede delete: {log:?}");
-    }
-
-    #[test]
-    fn export_after_vivify_and_compaction_stays_sound() {
-        // Learn clauses, let vivification/compaction rewrite the learnt DB,
-        // then export: nothing exported may reference a deleted slot, and
-        // replaying the export into a twin must not change any verdict.
-        let clauses = random_3cnf(50, 205, 0xE1);
-        let mut s = Solver::new();
-        let vars: Vec<Var> = (0..50).map(|_| s.new_var()).collect();
-        for v in &vars {
-            s.freeze(*v);
-        }
-        for cl in &clauses {
-            s.add_clause(cl);
-        }
-        let expected = s.solve();
-        assert!(s.simplify(), "formula stayed satisfiable at top level");
-        s.debug_force_compact();
-        let exported = s.export_learnt(|_| true);
-        for cl in &exported {
-            assert!(!cl.is_empty(), "deleted slot leaked into export");
-        }
-        let mut twin = Solver::new();
-        for _ in 0..50 {
-            twin.new_var();
-        }
-        for cl in &clauses {
-            twin.add_clause(cl);
-        }
-        twin.import_clauses(&exported);
-        assert_eq!(twin.solve(), expected);
-        for v in vars.iter().take(8) {
-            let a = [v.positive()];
-            assert_eq!(
-                s.solve_with_assumptions(&a),
-                twin.solve_with_assumptions(&a)
-            );
-        }
     }
 
     /// A fixed random 3-CNF for the chrono/budget tests (same xorshift64*

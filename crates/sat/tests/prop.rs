@@ -153,52 +153,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// Clause transfer soundness: learnt clauses exported from one solver
-    /// are implied by its formula, so importing them into a second solver
-    /// over the *same* formula must never change any solve outcome — under
-    /// any assumption set, including sets the donor never saw.
-    #[test]
-    fn imported_clauses_never_change_outcomes(
-        clauses in arb_cnf(8, 40),
-        churn in proptest::collection::vec(
-            proptest::collection::vec((0..8usize, any::<bool>()), 0..=4), 1..4),
-        probes in proptest::collection::vec(
-            proptest::collection::vec((0..8usize, any::<bool>()), 0..=4), 1..4),
-    ) {
-        let vars: Vec<Var> = (0..8).map(Var::from_index).collect();
-        let to_lits = |set: &[(usize, bool)]| -> Vec<Lit> {
-            set.iter().map(|&(v, pos)| vars[v].lit(pos)).collect()
-        };
-
-        // Donor: accumulate learnt clauses by solving under random
-        // assumption sets, then export everything over the shared vars.
-        let mut donor = build_solver(8, &clauses);
-        for set in &churn {
-            let _ = donor.solve_with_assumptions(&to_lits(set));
-        }
-        let exported = donor.export_learnt(|_| true);
-
-        // Receiver: identical formula plus the imports. Reference: the
-        // identical formula untouched.
-        let mut receiver = build_solver(8, &clauses);
-        receiver.import_clauses(&exported);
-        let mut reference = build_solver(8, &clauses);
-
-        for set in &probes {
-            let assum = to_lits(set);
-            prop_assert_eq!(
-                receiver.solve_with_assumptions(&assum),
-                reference.solve_with_assumptions(&assum),
-                "imports changed an outcome under {:?}", set
-            );
-        }
-        prop_assert_eq!(receiver.solve(), reference.solve());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
     /// Arena garbage compaction is invisible: forcing a full sweep +
     /// compaction between incremental queries never changes an answer, the
     /// two-watched-literal invariant holds after every compaction, and SAT

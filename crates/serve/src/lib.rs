@@ -9,8 +9,7 @@
 //!
 //! * **[`server`]** — the daemon. Accepts length-prefixed JSON frames over
 //!   TCP or a Unix socket ([`proto`]), keeps per-job [`state`] warm across
-//!   requests (encode caches, learnt-clause pools, memoised solutions,
-//!   certificates), checkpoints to a state directory and restores on boot.
+//!   requests (encode caches, memoised solutions, certificates), checkpoints to a state directory and restores on boot.
 //! * **[`client`]** — a thin synchronous client used by `veloct connect`
 //!   and the integration tests.
 //! * **[`cli`]** — the `veloct` binary: `serve`, `connect`, and the

@@ -135,8 +135,8 @@ impl Server {
         let mut notes = warnings;
         if summary.jobs > 0 {
             notes.push(format!(
-                "restored {} design(s), {} job(s), {} memo entr(ies), {} pooled clause(s)",
-                summary.designs, summary.jobs, summary.solutions, summary.pool_clauses
+                "restored {} design(s), {} job(s), {} memo entr(ies)",
+                summary.designs, summary.jobs, summary.solutions
             ));
         }
         let inner = Inner {
@@ -353,7 +353,6 @@ impl Inner {
                             ("designs", Json::Int(s.designs as i64)),
                             ("jobs", Json::Int(s.jobs as i64)),
                             ("solutions", Json::Int(s.solutions as i64)),
-                            ("pool_clauses", Json::Int(s.pool_clauses as i64)),
                         ],
                     ),
                     Err(e) => err_response(id, &op, ErrorCode::Internal, &e.to_string()),
@@ -469,8 +468,6 @@ impl Inner {
                     ("num_examples", Json::Int(job.num_examples as i64)),
                     ("cache_hits", Json::Int(cache.hits as i64)),
                     ("cache_misses", Json::Int(cache.misses as i64)),
-                    ("pool_exported", Json::Int(cache.exported_clauses as i64)),
-                    ("pool_imported", Json::Int(cache.imported_clauses as i64)),
                 ]));
             }
             designs.push(Json::obj(vec![
@@ -529,8 +526,6 @@ fn outcome_fields(outcome: &LearnOutcome, elapsed_ms: i64) -> Vec<(&'static str,
         ("smt_queries", Json::Int(c.smt_queries as i64)),
         ("cache_hits", Json::Int(c.cache_hits as i64)),
         ("cache_misses", Json::Int(c.cache_misses as i64)),
-        ("pool_exported", Json::Int(c.pool_exported as i64)),
-        ("pool_imported", Json::Int(c.pool_imported as i64)),
         (
             "warm_hit",
             Json::Bool(c.memo_seeded > 0 && c.smt_queries == 0),

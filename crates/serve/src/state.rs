@@ -6,8 +6,7 @@
 //!
 //! * the product **miter** (deterministically rebuilt by every engine run,
 //!   so resident predicates resolve against identical state numbering),
-//! * a shared [`EncodeCache`] — recorded Tseitin replay streams plus
-//!   per-signature learnt-clause pools,
+//! * a shared [`EncodeCache`] — recorded Tseitin replay streams,
 //! * the **solution table** (`target ⊢ premises` memo entries) of the last
 //!   successful learn, and the learned invariant.
 //!
@@ -17,15 +16,12 @@
 //! compared with its value on the old one. Entries whose signature is
 //! unchanged blast to a byte-identical obligation CNF, so their relative-
 //! inductivity result carries over; the rest are invalidated and re-learned.
-//! Learnt-clause pools are keyed by the same signatures, so they transplant
-//! wholesale — clauses for surviving cone shapes stay usable, orphaned keys
-//! are simply never looked up again.
 //!
 //! Persistence (SERVE.md §5) stores the *reconstructible* core — design
-//! specs, solution tables as [`Predicate::to_wire`] text, invariants, and
-//! pool dumps. Encoding replay streams are deliberately not persisted: a
-//! restored memo answers repeat requests with zero solver work anyway, and
-//! cone shapes re-record on first miss.
+//! specs, solution tables as [`Predicate::to_wire`] text and invariants.
+//! Encoding replay streams are deliberately not persisted: a restored memo
+//! answers repeat requests with zero solver work anyway, and cone shapes
+//! re-record on first miss.
 
 use crate::json::Json;
 use crate::proto::ErrorCode;
@@ -33,7 +29,6 @@ use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_netlist::btor2::{parse_btor2, to_btor2};
 use hh_netlist::miter::Miter;
 use hh_proof::cert::fnv1a;
-use hh_sat::Lit;
 use hh_smt::{EncodeCache, EncodeScope, Predicate};
 use hh_uarch::boomlite::{boom_lite_scaled, BoomVariant};
 use hh_uarch::rocketlite::rocket_lite;
@@ -479,7 +474,7 @@ pub struct JobState {
     pub key: JobKey,
     /// Resident product netlist (identical to what every engine run builds).
     pub miter: Miter,
-    /// Resident encode cache: replay streams + learnt-clause pools.
+    /// Resident encode cache: replay streams.
     pub cache: Arc<EncodeCache>,
     /// Memoised solution table of the last successful learn, over
     /// [`JobState::miter`]'s netlist.
@@ -535,10 +530,6 @@ pub struct RunCounters {
     pub cache_hits: u64,
     /// Fresh cone blasts during the run (delta). Zero on a warm hit.
     pub cache_misses: u64,
-    /// Learnt clauses exported into pools during the run (delta).
-    pub pool_exported: u64,
-    /// Learnt clauses imported from pools during the run (delta).
-    pub pool_imported: u64,
 }
 
 /// Outcome classification of a learn/verify run.
@@ -597,8 +588,6 @@ pub struct CheckpointSummary {
     pub jobs: usize,
     /// Memo entries written.
     pub solutions: usize,
-    /// Learnt clauses written across all pools.
-    pub pool_clauses: usize,
 }
 
 /// Summary of a restore.
@@ -610,11 +599,15 @@ pub struct RestoreSummary {
     pub jobs: usize,
     /// Memo entries restored.
     pub solutions: usize,
-    /// Learnt clauses re-seeded into pools.
-    pub pool_clauses: usize,
 }
 
 const STATE_VERSION: &str = "hh-serve state v1";
+
+/// Per-job learnt-clause pool dump that daemons before the removal of
+/// clause transfer wrote. Its content is never opened — pooled clauses went
+/// into solvers unchecked, so the file was a way to forge a proof — and the
+/// next checkpoint deletes it.
+const STALE_POOLS_FILE: &str = "pools.txt";
 
 impl ServeState {
     /// Creates empty state (no persistence).
@@ -760,8 +753,6 @@ impl ServeState {
             smt_queries: report.stats.smt_queries,
             cache_hits: after.hits - before.hits,
             cache_misses: after.misses - before.misses,
-            pool_exported: after.exported_clauses - before.exported_clauses,
-            pool_imported: after.imported_clauses - before.imported_clauses,
         };
         hh_trace::counter!("serve", "serve.reused", counters.memo_reused);
         hh_trace::counter!("serve", "serve.invalidated", counters.invalidated);
@@ -810,7 +801,7 @@ impl ServeState {
     }
 
     /// Drops warm state. `scope` is `"memo"` (clear solution tables and
-    /// invariants, keep encode caches and pools) or `"all"` (drop designs
+    /// invariants, keep encode caches) or `"all"` (drop designs
     /// entirely). Returns `(designs_dropped, jobs_cleared, entries_dropped)`.
     pub fn flush(
         &mut self,
@@ -986,25 +977,12 @@ impl ServeState {
                 }
                 fault.write(&jdir.join("invariant.txt"), inv.as_bytes())?;
 
-                let mut pools = String::new();
-                for (sig, clauses) in job.cache.dump_pools() {
-                    pools.push('K');
-                    for tok in &sig {
-                        use std::fmt::Write as _;
-                        let _ = write!(pools, " {tok:x}");
-                    }
-                    pools.push('\n');
-                    for clause in &clauses {
-                        pools.push('C');
-                        for lit in clause {
-                            use std::fmt::Write as _;
-                            let _ = write!(pools, " {}", lit.code());
-                        }
-                        pools.push('\n');
-                        summary.pool_clauses += 1;
-                    }
+                // Learnt-clause pools are no longer written or read; drop
+                // the file an older daemon left so the job dir shrinks.
+                match std::fs::remove_file(jdir.join(STALE_POOLS_FILE)) {
+                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                    _ => {}
                 }
-                fault.write(&jdir.join("pools.txt"), pools.as_bytes())?;
             }
         }
         hh_trace::counter!("serve", "serve.checkpoint", 1);
@@ -1070,17 +1048,29 @@ impl ServeState {
         };
         let mut paths: Vec<PathBuf> = dirs.filter_map(|e| e.ok().map(|e| e.path())).collect();
         paths.sort();
+        let mut stale_pools = 0usize;
         for ddir in paths {
-            match self.restore_design(&ddir, &mut summary) {
+            match self.restore_design(&ddir, &mut summary, &mut stale_pools) {
                 Ok(()) => {}
                 Err(msg) => warnings.push(format!("{}: {msg}", ddir.display())),
             }
+        }
+        if stale_pools > 0 {
+            warnings.push(format!(
+                "learnt-clause pools are no longer used: ignoring {stale_pools} \
+                 {STALE_POOLS_FILE} file(s); the next checkpoint removes them"
+            ));
         }
         hh_trace::counter!("serve", "serve.restored_jobs", summary.jobs);
         (summary, warnings)
     }
 
-    fn restore_design(&mut self, ddir: &Path, summary: &mut RestoreSummary) -> Result<(), String> {
+    fn restore_design(
+        &mut self,
+        ddir: &Path,
+        summary: &mut RestoreSummary,
+        stale_pools: &mut usize,
+    ) -> Result<(), String> {
         let spec_text =
             std::fs::read_to_string(ddir.join("spec.json")).map_err(|e| e.to_string())?;
         let spec_json = Json::parse(&spec_text).map_err(|e| e.to_string())?;
@@ -1104,6 +1094,7 @@ impl ServeState {
             let mut paths: Vec<PathBuf> = dirs.filter_map(|e| e.ok().map(|e| e.path())).collect();
             paths.sort();
             for jdir in paths {
+                *stale_pools += usize::from(jdir.join(STALE_POOLS_FILE).exists());
                 match restore_job(&entry.design, &jdir, summary) {
                     Ok(job) => {
                         entry.jobs.insert(job.key.id(), job);
@@ -1118,7 +1109,7 @@ impl ServeState {
 }
 
 /// Migrates every job of `entry` onto the new design: signature-directed
-/// invalidation of memo entries, pool transplant, miter/cache rebuild.
+/// invalidation of memo entries, miter/cache rebuild.
 /// Returns the number of invalidated memo entries across all jobs.
 fn migrate_entry(
     entry: &mut DesignEntry,
@@ -1134,10 +1125,6 @@ fn migrate_entry(
     for (id, old) in old_jobs {
         let veloct = Veloct::with_config(&design, ServeState::veloct_config(&old.key, opts));
         let mut fresh = JobState::fresh(old.key.clone(), &veloct);
-        // Learnt-clause pools are keyed by renaming-invariant signatures:
-        // clauses for cone shapes that survived the delta stay valid, the
-        // rest are dead keys that are never looked up.
-        fresh.cache.seed_pools(&old.cache.dump_pools());
         let old_nl = old.miter.netlist();
         let new_nl = fresh.miter.netlist();
         for (target, premises) in &old.solutions {
@@ -1240,28 +1227,6 @@ fn restore_job(
             job.invariant = Some(preds);
         }
     }
-
-    let pool_text = std::fs::read_to_string(jdir.join("pools.txt")).unwrap_or_default();
-    let mut dump: Vec<(Vec<u64>, Vec<Vec<Lit>>)> = Vec::new();
-    for line in pool_text.lines() {
-        if let Some(rest) = line.strip_prefix("K") {
-            let key: Result<Vec<u64>, _> = rest
-                .split_whitespace()
-                .map(|t| u64::from_str_radix(t, 16))
-                .collect();
-            dump.push((key.map_err(|e| e.to_string())?, Vec::new()));
-        } else if let Some(rest) = line.strip_prefix("C") {
-            let pool = dump.last_mut().ok_or("clause before pool key")?;
-            let clause: Result<Vec<Lit>, _> = rest
-                .split_whitespace()
-                .map(|t| t.parse::<usize>().map(Lit::from_code))
-                .collect();
-            pool.1.push(clause.map_err(|e| e.to_string())?);
-        } else if !line.trim().is_empty() {
-            return Err(format!("bad pools line {line:?}"));
-        }
-    }
-    summary.pool_clauses += job.cache.seed_pools(&dump);
     Ok(job)
 }
 

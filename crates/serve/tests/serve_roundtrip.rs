@@ -428,17 +428,7 @@ fn mnemonic_names_round_trip_and_legacy_sltui_state_restores() {
     daemon.stop(); // checkpoints on the way down
 
     // Rewrite every job.json the way the old binary would have written it.
-    fn job_files(dir: &Path, out: &mut Vec<PathBuf>) {
-        for entry in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
-            if entry.is_dir() {
-                job_files(&entry, out);
-            } else if entry.file_name().is_some_and(|n| n == "job.json") {
-                out.push(entry);
-            }
-        }
-    }
-    let mut jobs = Vec::new();
-    job_files(&dir, &mut jobs);
+    let jobs = files_under(&dir, |p| p.file_name().is_some_and(|n| n == "job.json"));
     assert!(!jobs.is_empty());
     for job in jobs {
         let text = std::fs::read_to_string(&job).unwrap();
@@ -455,8 +445,8 @@ fn mnemonic_names_round_trip_and_legacy_sltui_state_restores() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every `*.tmp` file under `dir`, recursively.
-fn tmp_debris(dir: &Path) -> Vec<PathBuf> {
+/// Every file under `dir`, recursively, that `pick` accepts.
+fn files_under(dir: &Path, pick: impl Fn(&Path) -> bool) -> Vec<PathBuf> {
     let mut found = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
@@ -467,7 +457,7 @@ fn tmp_debris(dir: &Path) -> Vec<PathBuf> {
             let p = e.path();
             if p.is_dir() {
                 stack.push(p);
-            } else if p.extension().is_some_and(|x| x == "tmp") {
+            } else if pick(&p) {
                 found.push(p);
             }
         }
@@ -475,8 +465,65 @@ fn tmp_debris(dir: &Path) -> Vec<PathBuf> {
     found
 }
 
+/// Every `*.tmp` file under `dir`, recursively.
+fn tmp_debris(dir: &Path) -> Vec<PathBuf> {
+    files_under(dir, |p| p.extension().is_some_and(|x| x == "tmp"))
+}
+
+/// State directories written while learnt-clause pools existed carry a
+/// `pools.txt` per job. Its clauses used to be fed to solvers unchecked, so
+/// a restore must never open it: whatever it holds, the job comes back warm
+/// with its solutions and invariant, the boot notes say once that pools are
+/// gone, and the next checkpoint deletes the file. A checkpoint of this
+/// daemon never writes one.
+#[test]
+fn stale_pools_files_are_ignored_and_removed() {
+    let pools = |dir: &Path| files_under(dir, |p| p.file_name().is_some_and(|n| n == "pools.txt"));
+
+    let dir = temp_dir("stale-pools");
+    let daemon = Daemon::start(Some(dir.clone()));
+    let mut c = daemon.client();
+    let toy = toy_learn_fields("toy", TOY_V1);
+    let toy_inv = str_arr(&c.request("learn", toy.clone()).unwrap(), "invariant");
+    let mut rocket = rocket_learn_fields();
+    rocket.retain(|(k, _)| *k != "certify");
+    let rocket_inv = str_arr(&c.request("learn", rocket.clone()).unwrap(), "invariant");
+    c.checkpoint().unwrap();
+    assert!(pools(&dir).is_empty(), "a checkpoint writes no pools.txt");
+    daemon.stop();
+
+    // Neither a pool key, nor a clause under a key, nor text at all.
+    let jobs = files_under(&dir, |p| p.file_name().is_some_and(|n| n == "job.json"));
+    assert_eq!(jobs.len(), 2);
+    for job in &jobs {
+        std::fs::write(job.with_file_name("pools.txt"), b"K zz\nC 1\n\0\xff").unwrap();
+    }
+
+    let mut state = hh_serve::state::ServeState::new(Some(dir.clone()));
+    let (restored, warnings) = state.restore();
+    assert_eq!(restored.jobs, 2, "garbage pools must not drop a job");
+    let notes: Vec<&String> = warnings.iter().filter(|w| w.contains("pools")).collect();
+    assert_eq!(notes.len(), 1, "one note for all files: {warnings:?}");
+    assert_eq!(warnings.len(), 1, "and nothing else: {warnings:?}");
+    drop(state);
+
+    let daemon2 = Daemon::start(Some(dir.clone()));
+    let mut c2 = daemon2.client();
+    for (fields, inv) in [(toy, toy_inv), (rocket, rocket_inv)] {
+        let warm = c2.request("learn", fields).unwrap();
+        assert_eq!(warm.get("warm_hit").unwrap(), &Json::Bool(true));
+        assert_eq!(i64_field(&warm, "smt_queries"), 0, "restore keeps warmth");
+        assert_eq!(str_arr(&warm, "invariant"), inv);
+    }
+    assert_eq!(pools(&dir).len(), 2, "restore leaves the files alone");
+    c2.checkpoint().unwrap();
+    assert!(pools(&dir).is_empty(), "the next checkpoint removes them");
+    daemon2.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A checkpoint killed between tmp-write and rename leaves a synced `.tmp`
-/// sibling and no renamed file. Whichever of the six per-job writes the
+/// sibling and no renamed file. Whichever of the five per-job writes the
 /// kill lands on, a restart must sweep the debris and come back warm from
 /// the last completed checkpoint, answering identically to pre-crash.
 #[test]
@@ -491,8 +538,8 @@ fn killed_mid_checkpoint_restarts_warm_from_last_good_state() {
     daemon.stop(); // checkpoints on the way down: the last good state
 
     // Re-run the checkpoint, killing it at each atomic write in turn
-    // (VERSION, spec, job meta, solutions, invariant, pools).
-    for crash_after in 0..6 {
+    // (VERSION, spec, job meta, solutions, invariant).
+    for crash_after in 0..5 {
         let mut state = ServeState::new(Some(dir.clone()));
         let (restored, warnings) = state.restore();
         assert_eq!(restored.jobs, 1, "warm state restores before the crash");

@@ -1,4 +1,4 @@
-//! Cross-target encoding cache and learned-clause pools.
+//! Cross-target encoding cache.
 //!
 //! Real designs are full of structurally identical 1-step cones (replicated
 //! pipeline registers, per-entry queue slots, miter left/right symmetry).
@@ -18,14 +18,9 @@
 //!   cones receive *identical* variable numbering. Replay therefore needs no
 //!   renaming arithmetic, and — crucially for reproducibility — a cache hit
 //!   yields a solver state byte-identical to the one a miss would have
-//!   built. Learned invariants cannot depend on cache on/off or on which
-//!   thread populated an entry first; only the telemetry differs.
-//! * **Learned-clause transfer.** Per signature, a bounded pool of learnt
-//!   clauses exported from finished sessions ([`hh_sat::Solver::export_learnt`]).
-//!   A later signature-equal session imports them (identity renaming again)
-//!   so cone N+1 starts with cone N's conflict knowledge. Exported clauses
-//!   are logical consequences of the shared base formula, so importing them
-//!   never changes a solve outcome (see `export_learnt` for the argument).
+//!   built. Learned invariants cannot depend on whether an encoding was
+//!   replayed or on which thread populated an entry first; only the
+//!   telemetry differs.
 //!
 //! The cache is engine-lifetime shared state behind plain [`Mutex`]es: entry
 //! construction happens off-lock, the critical sections are map lookups and
@@ -37,7 +32,7 @@ use hh_netlist::signature::{ConeSignature, SigBuilder};
 use hh_netlist::simp::SimpMap;
 use hh_netlist::{Netlist, StateId};
 use hh_sat::Lit;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -75,33 +70,6 @@ pub struct EncodedCone {
     pub(crate) xor_cache: HashMap<(Lit, Lit), Lit>,
 }
 
-/// Bounds on the per-signature learnt-clause pool: short clauses propagate
-/// the most per literal, and a bounded pool keeps import cost predictable.
-const POOL_MAX_CLAUSES: usize = 256;
-const POOL_MAX_LEN: usize = 8;
-
-/// Deduplicated, bounded pool of learnt clauses for one cone signature.
-#[derive(Debug, Default)]
-struct ClausePool {
-    clauses: Vec<Vec<Lit>>,
-    seen: HashSet<Vec<Lit>>,
-}
-
-impl ClausePool {
-    fn absorb(&mut self, clause: &[Lit]) -> bool {
-        if clause.len() > POOL_MAX_LEN || self.clauses.len() >= POOL_MAX_CLAUSES {
-            return false;
-        }
-        let mut key = clause.to_vec();
-        key.sort_unstable_by_key(|l| l.code());
-        if !self.seen.insert(key) {
-            return false;
-        }
-        self.clauses.push(clause.to_vec());
-        true
-    }
-}
-
 /// Aggregate cache telemetry, readable at any time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -113,16 +81,12 @@ pub struct CacheStats {
     pub vars_saved: u64,
     /// Clauses a replay spared the Tseitin encoder.
     pub clauses_saved: u64,
-    /// Learnt clauses exported into pools.
-    pub exported_clauses: u64,
-    /// Learnt clauses imported from pools into fresh sessions.
-    pub imported_clauses: u64,
     /// Recorded base encodings dropped by [`EncodeCache::evict`] /
     /// [`EncodeCache::evict_encodings`].
     pub evictions: u64,
 }
 
-/// Thread-shared cross-target encoding cache + learnt-clause pools.
+/// Thread-shared cross-target encoding cache.
 ///
 /// One instance serves one learn run over one netlist: the embedded
 /// [`SimpMap`] is built once and shared by every session (itself a saving —
@@ -132,13 +96,10 @@ pub struct CacheStats {
 pub struct EncodeCache {
     simp: Arc<SimpMap>,
     entries: Mutex<HashMap<Vec<u64>, Arc<EncodedCone>>>,
-    pools: Mutex<HashMap<Vec<u64>, ClausePool>>,
     hits: AtomicU64,
     misses: AtomicU64,
     vars_saved: AtomicU64,
     clauses_saved: AtomicU64,
-    exported: AtomicU64,
-    imported: AtomicU64,
     evicted: AtomicU64,
 }
 
@@ -149,13 +110,10 @@ impl EncodeCache {
         EncodeCache {
             simp: Arc::new(SimpMap::build(netlist)),
             entries: Mutex::new(HashMap::new()),
-            pools: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             vars_saved: AtomicU64::new(0),
             clauses_saved: AtomicU64::new(0),
-            exported: AtomicU64::new(0),
-            imported: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
         }
     }
@@ -208,86 +166,6 @@ impl EncodeCache {
             .or_insert_with(|| Arc::new(entry));
     }
 
-    /// Adds exported learnt clauses to the pool for `key`; returns how many
-    /// were actually absorbed (dedup + bounds).
-    pub fn export_to_pool(&self, key: &[u64], clauses: &[Vec<Lit>]) -> usize {
-        self.export_to_pool_with(key, |absorb| {
-            for c in clauses {
-                absorb(c);
-            }
-        })
-    }
-
-    /// Visitor form of [`EncodeCache::export_to_pool`]: `provide` is called
-    /// with an absorb callback and feeds it borrowed clause slices, so
-    /// exporters that stream straight out of a solver arena (see
-    /// [`hh_sat::Solver::export_learnt_with`]) allocate only for the clauses
-    /// the pool actually keeps. Returns how many were absorbed.
-    pub fn export_to_pool_with<F>(&self, key: &[u64], provide: F) -> usize
-    where
-        F: FnOnce(&mut dyn FnMut(&[Lit])),
-    {
-        let mut pools = self.pools.lock().unwrap();
-        let pool = pools.entry(key.to_vec()).or_default();
-        let mut n = 0usize;
-        provide(&mut |c: &[Lit]| {
-            if pool.absorb(c) {
-                n += 1;
-            }
-        });
-        self.exported.fetch_add(n as u64, Ordering::Relaxed);
-        hh_trace::counter!("smt", "smt.pool.exported", n);
-        n
-    }
-
-    /// Snapshot of the pool for `key`, in absorption order.
-    pub fn pool_snapshot(&self, key: &[u64]) -> Vec<Vec<Lit>> {
-        let pools = self.pools.lock().unwrap();
-        let out = pools
-            .get(key)
-            .map(|p| p.clauses.clone())
-            .unwrap_or_default();
-        self.imported.fetch_add(out.len() as u64, Ordering::Relaxed);
-        hh_trace::counter!("smt", "smt.pool.imported", out.len());
-        out
-    }
-
-    /// Dumps every learnt-clause pool as `(signature key, clauses)` pairs,
-    /// sorted by key for deterministic output. Unlike
-    /// [`EncodeCache::pool_snapshot`] this is a telemetry-neutral export —
-    /// it does not count as an import. Used by warm-state checkpointing
-    /// (`hh-serve`): signature keys are renaming-invariant, so a dumped pool
-    /// re-imported into a cache over a *rebuilt* (or delta-patched) netlist
-    /// stays valid for every cone whose signature survived the change.
-    pub fn dump_pools(&self) -> Vec<(Vec<u64>, Vec<Vec<Lit>>)> {
-        let pools = self.pools.lock().unwrap();
-        let mut out: Vec<(Vec<u64>, Vec<Vec<Lit>>)> = pools
-            .iter()
-            .map(|(k, p)| (k.clone(), p.clauses.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Seeds learnt-clause pools from a previous [`EncodeCache::dump_pools`]
-    /// dump (warm restore). Clauses pass through the same dedup/bounds
-    /// filter as live exports; returns how many were absorbed. Telemetry
-    /// neutral: restored clauses count as neither exports nor imports, so
-    /// post-restore counter deltas measure only the new run's work.
-    pub fn seed_pools(&self, dump: &[(Vec<u64>, Vec<Vec<Lit>>)]) -> usize {
-        let mut pools = self.pools.lock().unwrap();
-        let mut n = 0usize;
-        for (key, clauses) in dump {
-            let pool = pools.entry(key.clone()).or_default();
-            for c in clauses {
-                if pool.absorb(c) {
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
     /// Current aggregate telemetry.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -295,14 +173,12 @@ impl EncodeCache {
             misses: self.misses.load(Ordering::Relaxed),
             vars_saved: self.vars_saved.load(Ordering::Relaxed),
             clauses_saved: self.clauses_saved.load(Ordering::Relaxed),
-            exported_clauses: self.exported.load(Ordering::Relaxed),
-            imported_clauses: self.imported.load(Ordering::Relaxed),
             evictions: self.evicted.load(Ordering::Relaxed),
         }
     }
 
     /// Drops the recorded base encoding for `key`, if present; returns
-    /// whether an entry was evicted. Learnt-clause pools are untouched.
+    /// whether an entry was evicted.
     ///
     /// Eviction is always *safe*, only ever a performance event: entries
     /// are handed out as `Arc` snapshots, so sessions replaying the
@@ -318,9 +194,8 @@ impl EncodeCache {
         removed
     }
 
-    /// Drops every recorded base encoding (pools are kept). Returns how
-    /// many entries were evicted. Same safety argument as
-    /// [`EncodeCache::evict`].
+    /// Drops every recorded base encoding. Returns how many entries were
+    /// evicted. Same safety argument as [`EncodeCache::evict`].
     pub fn evict_encodings(&self) -> usize {
         let mut entries = self.entries.lock().unwrap();
         let n = entries.len();

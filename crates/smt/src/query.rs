@@ -109,13 +109,11 @@ pub struct QueryTelemetry {
     pub strash_hits: u64,
     /// Whether this query's base encoding was replayed from the shared
     /// cross-target `EncodeCache` instead of bit-blasted.
-    pub cone_cache_hit: bool,
+    pub encode_cache_hit: bool,
     /// Variables the encode-cache replay spared re-deriving (hit queries).
     pub cone_vars_saved: usize,
     /// Clauses the encode-cache replay spared the Tseitin encoder.
     pub cone_clauses_saved: usize,
-    /// Learnt clauses imported from a signature-equal session's pool.
-    pub imported_clauses: usize,
     /// Chronological (one-level) backtracks the solver took during this
     /// query instead of full non-chronological backjumps.
     pub chrono_backtracks: u64,

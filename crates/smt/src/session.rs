@@ -128,22 +128,12 @@ pub struct AbductionSession<'a> {
     /// Lazily built on first solve so telemetry attributes the base
     /// encoding to the first query, exactly like the fresh path.
     enc: Option<TransitionEncoding<'a>>,
-    /// Shared cross-target encoding cache + learnt-clause pools.
+    /// Shared cross-target encoding cache (and its `SimpMap`).
     cache: Option<Arc<EncodeCache>>,
-    /// This target's base-encoding signature (computed once at creation
-    /// when a cache is attached).
+    /// This target's base-encoding signature, computed once at creation;
+    /// `Some` exactly when the base encoding is replayed from / recorded
+    /// into the cache.
     sig: Option<ConeSignature>,
-    /// Whether to look up / record base-encoding entries. Off in the
-    /// clause-transfer-only ablation quadrant: signatures still key the
-    /// clause pools, but the cone is blasted fresh.
-    use_entries: bool,
-    /// Clauses staged by [`AbductionSession::stage_imports`], applied to the
-    /// solver at the start of the next solve (after the base build).
-    pending_imports: Vec<Vec<Lit>>,
-    /// Solver variable count right after the base build — the shared,
-    /// signature-determined variable prefix that learnt clauses may be
-    /// exported over.
-    n_base_vars: usize,
     /// Registered candidate -> slot index.
     slots: HashMap<Predicate, usize>,
     /// Slot -> indicator literal (`indicator -> candidate holds now`).
@@ -184,9 +174,6 @@ impl<'a> AbductionSession<'a> {
             enc: None,
             cache: None,
             sig: None,
-            use_entries: false,
-            pending_imports: Vec::new(),
-            n_base_vars: 0,
             slots: HashMap::new(),
             indicators: Vec::new(),
             candidate_lits: Vec::new(),
@@ -201,13 +188,11 @@ impl<'a> AbductionSession<'a> {
 
     /// Like [`AbductionSession::new`], attached to a shared [`EncodeCache`].
     ///
-    /// The target's cone signature is computed up front. With `use_entries`
-    /// the base encoding is replayed from (or recorded into) the cache;
-    /// without it only the learnt-clause pools are keyed by the signature
-    /// (the clause-transfer-only ablation quadrant — the identity variable
-    /// correspondence between signature-equal cones holds either way,
-    /// because the blaster and [`hh_netlist::simp::SimpMap::build`] are
-    /// deterministic).
+    /// With `use_entries` the target's cone signature is computed up front
+    /// and the base encoding is replayed from (or recorded into) the cache.
+    /// Without it the cone is blasted fresh over the cache's shared
+    /// [`hh_netlist::simp::SimpMap`] — the reference that replay is tested
+    /// against.
     pub fn with_cache(
         netlist: &'a Netlist,
         target: impl Into<Arc<Predicate>>,
@@ -215,12 +200,9 @@ impl<'a> AbductionSession<'a> {
         cache: Arc<EncodeCache>,
         use_entries: bool,
     ) -> AbductionSession<'a> {
-        let target = target.into();
-        let sig = cache.signature(netlist, &target, config.scope);
         let mut s = AbductionSession::new(netlist, target, config);
-        s.sig = Some(sig);
+        s.sig = use_entries.then(|| cache.signature(netlist, &s.target, config.scope));
         s.cache = Some(cache);
-        s.use_entries = use_entries;
         s
     }
 
@@ -234,9 +216,7 @@ impl<'a> AbductionSession<'a> {
     /// If the base encoding already exists the sink starts logging
     /// immediately; otherwise it is installed the moment the first
     /// [`AbductionSession::solve`] builds it, so the logged stream covers
-    /// every learnt clause the solver ever derives. While a sink is
-    /// attached, learnt-clause import is disabled (imported clauses carry
-    /// no derivation, so they would punch holes in the proof).
+    /// every learnt clause the solver ever derives.
     pub fn attach_proof_sink(&mut self, sink: Box<dyn hh_sat::proof::ProofSink>) {
         match self.enc.as_mut() {
             Some(enc) => enc.cnf_mut().set_proof_sink(sink),
@@ -265,51 +245,6 @@ impl<'a> AbductionSession<'a> {
         self.indicators.len()
     }
 
-    /// Stages a snapshot of the cache's learnt-clause pool for this
-    /// session's signature, to be imported at the start of the next solve.
-    /// Only fresh sessions import (a session that has already solved holds
-    /// its own learnt clauses — some of which it exported itself). Returns
-    /// the number of staged clauses.
-    ///
-    /// Engines call this at deterministic points (job issue on the
-    /// scheduler thread), so the imported set is a pure function of commit
-    /// history — see the determinism notes in `hhoudini::parallel`.
-    pub fn stage_imports(&mut self) -> usize {
-        if self.queries > 0 || !self.pending_imports.is_empty() {
-            return 0;
-        }
-        let (Some(cache), Some(sig)) = (&self.cache, &self.sig) else {
-            return 0;
-        };
-        self.pending_imports = cache.pool_snapshot(&sig.key);
-        self.pending_imports.len()
-    }
-
-    /// Exports this session's learnt clauses over the shared base-variable
-    /// prefix into the cache's pool for its signature, making them available
-    /// to later signature-equal sessions. Returns how many the pool
-    /// absorbed. No-op before the first solve or without a cache.
-    ///
-    /// Soundness: see [`hh_sat::Solver::export_learnt`] — every exported
-    /// clause is implied by the base formula alone (indicator and candidate
-    /// encodings added after the base are definitional extensions over
-    /// fresh variables), so importing it into a signature-equal solver
-    /// (identical base formula under identity renaming) changes no solve
-    /// outcome.
-    pub fn export_learnt_to_pool(&self) -> usize {
-        let (Some(cache), Some(sig)) = (&self.cache, &self.sig) else {
-            return 0;
-        };
-        let Some(enc) = &self.enc else {
-            return 0;
-        };
-        let n_base = self.n_base_vars;
-        let solver = enc.cnf().solver();
-        cache.export_to_pool_with(&sig.key, |absorb| {
-            solver.export_learnt_with(|v| v.index() < n_base, absorb)
-        })
-    }
-
     /// Runs the abduction query for this session's target over
     /// `candidates`, reusing all encoding from earlier calls.
     ///
@@ -322,19 +257,18 @@ impl<'a> AbductionSession<'a> {
         let t_encode = Instant::now();
         let _encode_span = hh_trace::span!("smt", "smt.session.solve");
         let reused = self.enc.is_some();
-        let mut cone_cache_hit = false;
+        let mut encode_cache_hit = false;
         let mut cone_vars_saved = 0;
         let mut cone_clauses_saved = 0;
-        let mut imported_clauses = 0;
         if !reused {
             let mut enc = match (&self.cache, &self.sig) {
-                (Some(cache), Some(sig)) if self.use_entries => match cache.lookup(&sig.key) {
+                (Some(cache), Some(sig)) => match cache.lookup(&sig.key) {
                     Some(entry) => {
                         // Replay: byte-identical solver state to a fresh
                         // build (identity variable numbering), minus the
                         // Tseitin work.
                         let _replay = hh_trace::span!("smt", "smt.replay");
-                        cone_cache_hit = true;
+                        encode_cache_hit = true;
                         cone_vars_saved = entry.n_vars;
                         cone_clauses_saved = entry.clauses.len();
                         TransitionEncoding::from_cache(
@@ -354,9 +288,8 @@ impl<'a> AbductionSession<'a> {
                         enc
                     }
                 },
-                // Clause-transfer-only quadrant: blast fresh (over the
-                // shared SimpMap), no entry recording.
-                (Some(cache), Some(_)) => {
+                // Blast fresh over the shared SimpMap, no entry recording.
+                (Some(cache), None) => {
                     let _blast = hh_trace::span!("smt", "smt.blast");
                     let mut enc = TransitionEncoding::with_simp(self.netlist, cache.simp(), false);
                     Self::build_base(&mut enc, &self.target, self.config.scope);
@@ -369,15 +302,8 @@ impl<'a> AbductionSession<'a> {
                     enc
                 }
             };
-            self.n_base_vars = enc.size().0;
             if let Some(sink) = self.pending_sink.take() {
-                // Installed before any import so the no-unverified-imports
-                // rule applies from the first clause on.
                 enc.cnf_mut().set_proof_sink(sink);
-            }
-            if !self.pending_imports.is_empty() {
-                let imports = std::mem::take(&mut self.pending_imports);
-                imported_clauses = enc.cnf_mut().solver_mut().import_clauses(&imports);
             }
             self.enc = Some(enc);
         }
@@ -497,10 +423,9 @@ impl<'a> AbductionSession<'a> {
                 const_folds: if reused { 0 } else { simp.const_folds },
                 rewrites: if reused { 0 } else { simp.rewrites },
                 strash_hits: if reused { 0 } else { simp.strash_hits },
-                cone_cache_hit,
+                encode_cache_hit,
                 cone_vars_saved,
                 cone_clauses_saved,
-                imported_clauses,
                 chrono_backtracks: after.chrono_backtracks - before.chrono_backtracks,
                 vivified_lits: after.vivified_lits - before.vivified_lits,
                 vivified_deleted: after.vivified_deleted - before.vivified_deleted,
@@ -651,7 +576,7 @@ mod tests {
             AbductionSession::with_cache(m.netlist(), eq_b.clone(), cfg, Arc::clone(&cache), true);
         let r1 = s1.solve(std::slice::from_ref(&eq_c));
         assert_eq!(r1.abduct, Some(vec![])); // B is self-inductive
-        assert!(!r1.telemetry.cone_cache_hit);
+        assert!(!r1.telemetry.encode_cache_hit);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 0);
 
@@ -661,7 +586,7 @@ mod tests {
         let fresh = crate::query::abduct(m.netlist(), &eq_c, std::slice::from_ref(&eq_b), &cfg);
         assert_eq!(r2.abduct, fresh.abduct);
         assert_eq!(r2.abduct, Some(vec![]));
-        assert!(r2.telemetry.cone_cache_hit);
+        assert!(r2.telemetry.encode_cache_hit);
         assert!(r2.telemetry.cone_vars_saved > 0);
         assert_eq!(cache.stats().hits, 1);
     }
@@ -692,103 +617,8 @@ mod tests {
         let mut s2 = AbductionSession::with_cache(m.netlist(), eq_b, cfg, Arc::clone(&cache), true);
         let r2 = s2.solve(std::slice::from_ref(&eq_c));
         assert_eq!(r2.abduct, Some(vec![]));
-        assert!(!r2.telemetry.cone_cache_hit, "different cones must miss");
+        assert!(!r2.telemetry.encode_cache_hit, "different cones must miss");
         assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn clause_transfer_preserves_answers() {
-        // Export session 1's learnt clauses into the pool, import them into
-        // a signature-equal session 2: the abduct must be unchanged vs a
-        // fresh solver.
-        let (base, m) = and_gate();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let eq_b = Predicate::eq(m.left(b), m.right(b));
-        let eq_c = Predicate::eq(m.left(c), m.right(c));
-        let cfg = AbductionConfig::paper_default();
-        let cache = Arc::new(EncodeCache::new(m.netlist()));
-
-        let mut s1 =
-            AbductionSession::with_cache(m.netlist(), eq_b.clone(), cfg, Arc::clone(&cache), true);
-        s1.solve(std::slice::from_ref(&eq_c));
-        s1.export_learnt_to_pool();
-
-        let mut s2 =
-            AbductionSession::with_cache(m.netlist(), eq_c.clone(), cfg, Arc::clone(&cache), true);
-        let staged = s2.stage_imports();
-        let r2 = s2.solve(std::slice::from_ref(&eq_b));
-        assert!(r2.telemetry.imported_clauses <= staged);
-        let fresh = crate::query::abduct(m.netlist(), &eq_c, std::slice::from_ref(&eq_b), &cfg);
-        assert_eq!(r2.abduct, fresh.abduct);
-        // Staging again after a solve is a no-op.
-        assert_eq!(s2.stage_imports(), 0);
-    }
-
-    #[test]
-    fn pool_export_survives_vivification_and_compaction() {
-        // Regression: a session solver that vivified (deleting and
-        // strengthening learnt clauses) and compacted its arena must still
-        // export a sound pool — no stale refs (empty or dead clauses), and
-        // a signature-equal importer answers exactly as before.
-        use hh_sat::Var;
-        let num_vars = 40usize;
-        let mut clauses: Vec<Vec<Lit>> = Vec::new();
-        let mut state = 0xBEEF_u64;
-        let mut next = move || {
-            state ^= state >> 12;
-            state ^= state << 25;
-            state ^= state >> 27;
-            state.wrapping_mul(0x2545F4914F6CDD1D)
-        };
-        for _ in 0..165 {
-            let mut c: Vec<Lit> = Vec::new();
-            while c.len() < 3 {
-                let v = Var::from_index((next() % num_vars as u64) as usize);
-                if c.iter().all(|l| l.var() != v) {
-                    c.push(v.lit(next() & 1 == 0));
-                }
-            }
-            clauses.push(c);
-        }
-        let build = || {
-            let mut s = Solver::new();
-            for _ in 0..num_vars {
-                let v = s.new_var();
-                s.freeze(v);
-            }
-            for cl in &clauses {
-                s.add_clause(cl);
-            }
-            s
-        };
-        let mut exporter = build();
-        let expected = exporter.solve();
-        assert!(exporter.simplify());
-        exporter.debug_force_compact();
-
-        let (_base, m) = and_gate();
-        let cache = EncodeCache::new(m.netlist());
-        let key = vec![0xD15Cu64];
-        let absorbed =
-            cache.export_to_pool_with(&key, |absorb| exporter.export_learnt_with(|_| true, absorb));
-        let pooled = cache.pool_snapshot(&key);
-        assert_eq!(pooled.len(), absorbed);
-        for cl in &pooled {
-            assert!(!cl.is_empty(), "stale/deleted clause leaked into pool");
-        }
-        let mut importer = build();
-        importer.import_clauses(&pooled);
-        assert_eq!(importer.solve(), expected);
-        for i in 0..6 {
-            let a = [Var::from_index(i).positive()];
-            let mut fresh = build();
-            assert_eq!(
-                importer.solve_with_assumptions(&a),
-                fresh.solve_with_assumptions(&a),
-                "imported pool changed a verdict"
-            );
-        }
     }
 
     /// Witness reuse over multi-query sessions on random CNFs. Candidate `i`

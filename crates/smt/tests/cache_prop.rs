@@ -1,8 +1,6 @@
 //! Property tests for the cross-target encoding cache: replaying a cached
 //! base encoding into a signature-equal session must be indistinguishable
-//! from blasting it fresh — same abducts, same variable/clause allocation —
-//! and clause transfer between signature-equal sessions must never change
-//! an answer.
+//! from blasting it fresh — same abducts, same variable/clause allocation.
 
 use hh_netlist::{Bv, Netlist, NodeId, StateId};
 use hh_smt::query::{abduct, AbductionConfig};
@@ -141,9 +139,28 @@ fn replayed_encodings_answer_like_fresh_sessions() {
             // allocation telemetry must agree on both paths.
             assert_eq!(rc.telemetry.vars, rf.telemetry.vars);
             assert_eq!(rc.telemetry.clauses, rf.telemetry.clauses);
+            // So is blasting fresh over the cache's shared SimpMap
+            // (`use_entries` off): no lookup, no recording.
+            let before = cache.stats();
+            let rs = AbductionSession::with_cache(
+                &d.netlist,
+                target.clone(),
+                cfg,
+                Arc::clone(&cache),
+                false,
+            )
+            .solve(&cands);
+            assert_eq!(rs.abduct, rc.abduct);
+            assert_eq!(rs.telemetry.vars, rc.telemetry.vars);
+            assert_eq!(rs.telemetry.clauses, rc.telemetry.clauses);
+            assert!(!rs.telemetry.encode_cache_hit);
+            assert_eq!(cache.stats(), before);
             if g >= 2 {
                 // Same-parity earlier group populated this signature.
-                assert!(rc.telemetry.cone_cache_hit, "expected replay at group {g}");
+                assert!(
+                    rc.telemetry.encode_cache_hit,
+                    "expected replay at group {g}"
+                );
             }
         }
         // At most one miss per recipe parity (fewer if the two random
@@ -153,36 +170,5 @@ fn replayed_encodings_answer_like_fresh_sessions() {
         assert!(stats.misses <= 2, "misses: {}", stats.misses);
         assert!(stats.hits as usize >= d.groups.len() - 2);
         assert_eq!(stats.hits + stats.misses, d.groups.len() as u64);
-    }
-}
-
-#[test]
-fn clause_transfer_preserves_abducts_on_random_twins() {
-    let mut rng = Rng::new(0x1234_5678_9abc_def1);
-    for _trial in 0..10 {
-        let groups = 4;
-        let d = build(&mut rng, groups);
-        let cfg = AbductionConfig::paper_default();
-        let cache = Arc::new(EncodeCache::new(&d.netlist));
-
-        for g in 0..groups {
-            let (target, cands) = query_for(&d, g);
-            let mut sess = AbductionSession::with_cache(
-                &d.netlist,
-                target.clone(),
-                cfg,
-                Arc::clone(&cache),
-                true,
-            );
-            // Import everything previous signature-equal sessions exported.
-            sess.stage_imports();
-            let rt = sess.solve(&cands);
-            sess.export_learnt_to_pool();
-            let rf = abduct(&d.netlist, &target, &cands, &cfg);
-            assert_eq!(
-                rt.abduct, rf.abduct,
-                "imported clauses changed the abduct for group {g}"
-            );
-        }
     }
 }

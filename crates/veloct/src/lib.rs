@@ -68,12 +68,11 @@ pub struct VeloctConfig {
     /// from the masking annotations, constraining table payloads only while
     /// their entries are valid.
     pub impl_predicates: bool,
-    /// Run in certification mode: cross-cone learnt-clause transfer is
-    /// disabled (imported clauses carry no derivation, so they would punch
-    /// holes in DRAT proofs), and [`Veloct::emit_certificate`] can replay
-    /// the memoised solutions into an `hh-proof` bundle. Learning results
-    /// are bit-identical with the flag on or off — only solver-internal
-    /// sharing changes.
+    /// Marks a run whose memoised solutions the caller will hand to
+    /// [`Veloct::emit_certificate`]. The learn itself is the same engine
+    /// run with the flag on or off — same queries, same solver work, same
+    /// invariant — so today nothing in [`Veloct::learn`] reads it; it is
+    /// where logging proofs during the learn attaches.
     pub certify: bool,
 }
 
@@ -147,8 +146,8 @@ pub struct LearnReport {
 /// `hh_netlist::signature`) — `hh-serve` enforces both before calling.
 #[derive(Debug, Default)]
 pub struct WarmContext {
-    /// Resident encode cache (replay streams + learnt-clause pools), or
-    /// `None` to build a per-run cache as usual.
+    /// Resident encode cache (replay streams), or `None` to build a
+    /// per-run cache as usual.
     pub encode_cache: Option<Arc<EncodeCache>>,
     /// `(target, premises)` solutions to preload into the engine memo.
     pub seeds: Vec<(Predicate, Vec<Predicate>)>,
@@ -325,15 +324,12 @@ impl<'a> Veloct<'a> {
             CoiMiner::new(&miter, examples, Some(patterns), vec![])
         };
         let mine_time = t0.elapsed();
-        let mut engine_config = self.config.engine.clone();
-        if self.config.certify {
-            // Imported learnt clauses carry no DRAT derivation; re-proving
-            // them at import would cost more than the transfer saves, so
-            // certification mode simply turns the sharing off.
-            engine_config.clause_transfer = false;
-        }
-        let mut engine =
-            ParallelEngine::new(miter.netlist(), miner, engine_config, self.config.threads);
+        let mut engine = ParallelEngine::new(
+            miter.netlist(),
+            miner,
+            self.config.engine.clone(),
+            self.config.threads,
+        );
         if let Some(cache) = warm.encode_cache {
             engine.set_encode_cache(cache);
         }

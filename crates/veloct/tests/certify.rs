@@ -20,9 +20,8 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The certified quadrant (clause transfer off, solutions recorded) learns
-/// the exact same invariant as the default configuration, at every thread
-/// count.
+/// A certified run learns the exact same invariant as the default
+/// configuration, at every thread count.
 #[test]
 fn certification_mode_is_bit_identical() {
     let design = rocket_lite(16);
@@ -58,6 +57,44 @@ fn certification_mode_is_bit_identical() {
                 );
             }
         }
+    }
+}
+
+/// `certify` selects nothing inside the engine: with the schedule pinned to
+/// one worker (at more, which of two signature-equal sessions records a
+/// cone first is a race, so cache hits vary), a certified and a plain learn
+/// agree on the invariant and on every counter — queries, solver calls,
+/// conflicts, propagations, encode-cache hits.
+#[test]
+fn certified_and_plain_learns_are_the_same_run() {
+    let design = rocket_lite(16);
+    let safe = alu_safe_set();
+    let run = |certify: bool| {
+        let v = Veloct::with_config(
+            &design,
+            VeloctConfig {
+                threads: 1,
+                pairs_per_instr: 1,
+                certify,
+                ..VeloctConfig::default()
+            },
+        );
+        let report = v.learn(&safe);
+        let inv = report.invariant.expect("ALU set is provable on RocketLite");
+        (inv.preds().to_vec(), report.stats.counters())
+    };
+    let (plain_inv, plain) = run(false);
+    let (certified_inv, certified) = run(true);
+    assert_eq!(plain_inv, certified_inv);
+    assert_eq!(plain, certified);
+    let count = |name: &str| plain.iter().find(|(n, _)| *n == name).expect(name).1;
+    for name in [
+        "engine.query",
+        "sat.solves",
+        "sat.conflicts",
+        "sat.propagations",
+    ] {
+        assert!(count(name) > 0, "{name} must count real work");
     }
 }
 

@@ -93,8 +93,10 @@ impl FaultPlan {
             });
         }
         if rng.chance(1, 2) {
+            // One design, one job: VERSION, spec, job meta, solutions,
+            // invariant.
             faults.push(Fault::CheckpointCrash {
-                at_write: rng.below(6) as usize,
+                at_write: rng.below(5) as usize,
             });
         }
         FaultPlan { faults }

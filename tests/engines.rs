@@ -3,11 +3,11 @@
 //! designs rather than toy circuits.
 
 use hh_suite::hhoudini::baselines::BaselineBudget;
-use hh_suite::hhoudini::mine::CoiMiner;
-use hh_suite::hhoudini::{EngineConfig, ParallelEngine, SerialEngine};
+use hh_suite::hhoudini::mine::{CoiMiner, Miner};
+use hh_suite::hhoudini::{EngineConfig, ParallelEngine, PredicateStore, SerialEngine};
 use hh_suite::isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_suite::netlist::miter::Miter;
-use hh_suite::smt::{EncodeScope, Predicate};
+use hh_suite::smt::{abduct, check_relative_inductive, EncodeScope, Predicate};
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::decode::matches_pattern;
 use hh_suite::uarch::rocketlite::rocket_lite;
@@ -128,7 +128,7 @@ fn streaming_engine_is_deterministic_across_thread_counts() {
     let inv_s = serial.learn(&props).expect("serial invariant");
     assert!(inv_s.verify_monolithic(miter.netlist()));
 
-    let mut task_preds: Option<Vec<_>> = None;
+    let mut reference: Option<(Vec<_>, usize)> = None;
     for threads in [1, 2, 4] {
         let miner = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
         let mut par = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), threads);
@@ -138,14 +138,24 @@ fn streaming_engine_is_deterministic_across_thread_counts() {
             inv_p.preds(),
             "{threads}-thread streaming engine must match serial"
         );
-        // The committed task order (discovery order) must also be stable.
-        let preds: Vec<_> = par.stats().tasks.iter().map(|t| t.pred).collect();
-        match &task_preds {
-            None => task_preds = Some(preds),
-            Some(expect) => assert_eq!(
-                expect, &preds,
-                "task commit order must not depend on thread count"
-            ),
+        // The committed task order (discovery order) must also be stable,
+        // and with it the memo hits: which queued targets the issue phase
+        // finds already solved is a function of commit order alone.
+        let stats = par.stats();
+        let preds: Vec<_> = stats.tasks.iter().map(|t| t.pred).collect();
+        assert!(stats.memo_hits > 0, "overlapping cones must hit the memo");
+        match &reference {
+            None => reference = Some((preds, stats.memo_hits)),
+            Some((expect, hits)) => {
+                assert_eq!(
+                    expect, &preds,
+                    "task commit order must not depend on thread count"
+                );
+                assert_eq!(
+                    *hits, stats.memo_hits,
+                    "memo hits must not depend on thread count"
+                );
+            }
         }
     }
 }
@@ -194,43 +204,46 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
 
 #[test]
 fn session_cache_ablation_preserves_results_and_saves_encoding() {
-    // With sessions off every query re-blasts its cone; with sessions on,
-    // retries after backtracking reuse the live encoding. The invariant must
-    // be identical either way, and the cached run must report reuse whenever
-    // any retry happened.
+    // The engine answers every query through a live session over the shared
+    // encode cache. The reference is the path with neither: each memoised
+    // solution must be a valid relative-induction step on its own, and a
+    // fresh `abduct` over the target's re-mined candidates must pick the
+    // same premises. RocketLite does not backtrack, so no candidate was
+    // ever filtered by `P_fail` and the re-mined set is the set the engine
+    // asked about.
     let design = rocket_lite(16);
     let safe = alu_set();
     let (miter, examples, props) = setup(&design, &safe);
     let patterns = instruction_patterns(&safe);
+    let netlist = miter.netlist();
 
-    let run = |sessions: bool| {
-        let miner = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
-        let cfg = EngineConfig {
-            sessions,
-            ..EngineConfig::default()
-        };
-        let mut eng = SerialEngine::new(miter.netlist(), miner, cfg);
-        let inv = eng.learn(&props).expect("invariant");
-        let stats = eng.stats();
-        (
-            inv,
-            stats.session_hits,
-            stats.vars_saved + stats.clauses_saved,
-            stats.backtracks,
-        )
-    };
-    let (inv_on, hits_on, saved_on, backtracks) = run(true);
-    let (inv_off, hits_off, saved_off, _) = run(false);
-    assert_eq!(
-        inv_on.preds(),
-        inv_off.preds(),
-        "sessions must not change the result"
-    );
-    assert_eq!(hits_off, 0, "disabled cache must never report hits");
-    assert_eq!(saved_off, 0);
-    if backtracks > 0 {
-        assert!(hits_on > 0, "retries must hit the session cache");
-        assert!(saved_on > 0, "session hits must avoid re-encoding work");
+    let miner = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
+    let mut eng = SerialEngine::new(netlist, miner, EngineConfig::default());
+    eng.learn(&props).expect("invariant");
+    let stats = eng.stats();
+    assert_eq!(stats.backtracks, 0);
+    assert_eq!(stats.session_hits, 0, "no retry, no session reuse");
+
+    let config = EngineConfig::default().abduction;
+    let mut miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
+    let mut store = PredicateStore::new();
+    for (target, premises) in eng.solutions() {
+        assert!(
+            check_relative_inductive(netlist, &premises, &target),
+            "{target:?} is not inductive relative to its memoised premises"
+        );
+        let mut ids = miner.mine(&target, &mut store);
+        ids.sort_unstable();
+        ids.dedup();
+        let cands = store.resolve(&ids);
+        let fresh = abduct(netlist, &target, &cands, &config)
+            .abduct
+            .expect("fresh query must find an abduct");
+        let mut fresh: Vec<Predicate> = fresh.into_iter().map(|i| cands[i].clone()).collect();
+        fresh.sort();
+        let mut premises = premises;
+        premises.sort();
+        assert_eq!(fresh, premises, "fresh abduct of {target:?} differs");
     }
 }
 
