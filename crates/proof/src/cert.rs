@@ -33,9 +33,11 @@
 //! `obligation-NNN.drat` (binary DRAT) per obligation. See
 //! `docs/PROOF_FORMAT.md` for the grammar.
 
-use crate::check::{check_proof, CheckStats};
+use crate::check::{check_refutation, CheckStats};
 use crate::drat::{self, MemoryProof, ProofLine};
 use hh_isa::MaskMatch;
+use hh_netlist::miter::Miter;
+use hh_netlist::simp::SimpMap;
 use hh_sat::dimacs::{self, Cnf};
 use hh_sat::SolveResult;
 use hh_smt::{Predicate, TransitionEncoding};
@@ -44,6 +46,8 @@ use hh_uarch::Design;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// One discharged relative-induction obligation.
 #[derive(Debug, Clone)]
@@ -161,74 +165,216 @@ pub struct CheckReport {
     pub predicates: usize,
     /// Aggregated checker statistics.
     pub stats: CheckStats,
+    /// Worker threads the obligations were checked on.
+    pub threads: usize,
 }
 
 /// FNV-1a over a byte string; used to fingerprint obligation CNFs as
 /// defense-in-depth on top of the variable/clause counts.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.0
 }
 
-/// Encodes one relative-induction obligation `⋀premises ∧ target ∧ ¬target′`
-/// into a fresh solver, mirroring `hh_smt::check_relative_inductive`'s
-/// encoding order exactly (target-now first, premises in list order, then
-/// the negated next-state target). Both the emitter and the checker go
-/// through this single function, which is what makes the CNF reproducible.
-fn encode_obligation<'a>(
-    netlist: &'a hh_netlist::Netlist,
-    target: &Predicate,
-    premises: &[&Predicate],
-) -> TransitionEncoding<'a> {
-    let mut enc = TransitionEncoding::new(netlist);
-    let now = target.encode_current(&mut enc);
-    enc.assert_lit(now);
-    for p in premises {
-        let l = p.encode_current(&mut enc);
-        enc.assert_lit(l);
+/// Running FNV-1a state. It is also a text sink, so a CNF's DIMACS
+/// rendering is hashed as it is produced instead of being collected into a
+/// `String` first.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    let next = target.encode_next(&mut enc);
-    enc.assert_lit(!next);
-    enc
 }
 
+impl Fnv1a {
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// `fnv1a(to_dimacs(cnf).as_bytes())` without materialising the text.
 fn cnf_fingerprint(cnf: &Cnf) -> u64 {
-    fnv1a(dimacs::to_dimacs(cnf).as_bytes())
+    let mut h = Fnv1a::default();
+    dimacs::write_dimacs(cnf, &mut h).expect("the hasher never reports an error");
+    h.0
 }
 
-/// Proves one obligation, returning its CNF shape and DRAT refutation.
-fn prove_obligation(
-    netlist: &hh_netlist::Netlist,
-    target_idx: usize,
-    target: &Predicate,
-    premises: &[&Predicate],
-) -> Result<(usize, usize, u64, Vec<ProofLine>), CertError> {
-    let _span = hh_trace::span!("proof", "proof.log");
-    let mut enc = encode_obligation(netlist, target, premises);
-    let solver = enc.cnf_mut().solver_mut();
-    let cnf = dimacs::from_solver(solver);
-    let mem = MemoryProof::new();
-    solver.set_proof_sink(Box::new(mem.handle()));
-    let res = solver.solve();
-    solver.take_proof_sink();
-    if res != SolveResult::Unsat {
-        return Err(CertError::NotInductive { target: target_idx });
+/// What every obligation of one bundle shares, built once per bundle: the
+/// safe-set-constrained miter, its word-level simplification map (a pass
+/// over the whole netlist — the reason this is not rebuilt per obligation)
+/// and the sorted predicate table the obligations index into. The emitter
+/// and the checker each build their own from the design reference and hand
+/// it to their workers by shared reference.
+struct ObligationContext {
+    miter: Miter,
+    simp: Arc<SimpMap>,
+    preds: Vec<Predicate>,
+}
+
+impl ObligationContext {
+    fn new(miter: Miter, preds: Vec<Predicate>) -> ObligationContext {
+        let simp = Arc::new(SimpMap::build(miter.netlist()));
+        ObligationContext { miter, simp, preds }
     }
-    let proof = mem.take_lines();
-    Ok((
-        cnf.num_vars,
-        cnf.clauses.len(),
-        cnf_fingerprint(&cnf),
-        proof,
-    ))
+
+    /// Encodes one relative-induction obligation `⋀premises ∧ target ∧
+    /// ¬target′` into a fresh solver, mirroring
+    /// `hh_smt::check_relative_inductive`'s encoding order exactly
+    /// (target-now first, premises in list order, then the negated
+    /// next-state target), and snapshots its CNF. Both the emitter and the
+    /// checker go through this single function, which is what makes the CNF
+    /// reproducible.
+    fn encode(&self, target: usize, premises: &[usize]) -> (TransitionEncoding<'_>, Cnf) {
+        let mut enc = TransitionEncoding::with_simp(self.miter.netlist(), self.simp.clone());
+        let target = &self.preds[target];
+        let now = target.encode_current(&mut enc);
+        enc.assert_lit(now);
+        for &j in premises {
+            let l = self.preds[j].encode_current(&mut enc);
+            enc.assert_lit(l);
+        }
+        let next = target.encode_next(&mut enc);
+        enc.assert_lit(!next);
+        let cnf = dimacs::from_solver(enc.cnf_mut().solver_mut());
+        (enc, cnf)
+    }
+
+    /// Proves obligation `target`, returning it with its CNF shape and DRAT
+    /// refutation.
+    fn prove(&self, target: usize, premises: &[usize]) -> Result<Obligation, CertError> {
+        let _span = hh_trace::span!("proof", "proof.log");
+        let (mut enc, cnf) = self.encode(target, premises);
+        let solver = enc.cnf_mut().solver_mut();
+        let mem = MemoryProof::new();
+        solver.set_proof_sink(Box::new(mem.handle()));
+        let res = solver.solve();
+        solver.take_proof_sink();
+        if res != SolveResult::Unsat {
+            return Err(CertError::NotInductive { target });
+        }
+        if hh_trace::enabled() {
+            hh_trace::counter!("proof", "proof.obligations", 1);
+        }
+        Ok(Obligation {
+            target,
+            premises: premises.to_vec(),
+            num_vars: cnf.num_vars,
+            num_clauses: cnf.clauses.len(),
+            cnf_hash: cnf_fingerprint(&cnf),
+            proof: mem.take_lines(),
+        })
+    }
+
+    /// Checks obligation number `k` of a bundle: re-derives its CNF,
+    /// compares it with the certified shape and runs the independent
+    /// checker over the attached proof.
+    fn check(&self, k: usize, ob: &Obligation) -> Result<CheckStats, CertError> {
+        let (_, cnf) = self.encode(ob.target, &ob.premises);
+        if cnf.num_vars != ob.num_vars || cnf.clauses.len() != ob.num_clauses {
+            return Err(CertError::CnfMismatch {
+                obligation: k,
+                detail: format!(
+                    "expected {} vars / {} clauses, re-derived {} / {}",
+                    ob.num_vars,
+                    ob.num_clauses,
+                    cnf.num_vars,
+                    cnf.clauses.len()
+                ),
+            });
+        }
+        let hash = cnf_fingerprint(&cnf);
+        if hash != ob.cnf_hash {
+            return Err(CertError::CnfMismatch {
+                obligation: k,
+                detail: format!("hash {:016x} != certified {:016x}", hash, ob.cnf_hash),
+            });
+        }
+        check_refutation(cnf.clauses, &[], &ob.proof).map_err(|error| CertError::ProofRejected {
+            obligation: k,
+            error,
+        })
+    }
+}
+
+/// The one loop both [`build_certificate`] and [`verify_certificate`] run
+/// their per-obligation step through: `workers` threads (see
+/// [`worker_count`]; the caller is one of them) pull obligation indices
+/// from a shared cursor, and the results come back in index order.
+///
+/// The outcome does not depend on the interleaving. Indices are handed out
+/// in ascending order and a failure only stops indices *above* it from
+/// starting, so every obligation below the lowest failing one has run to
+/// completion, and that lowest failure is the error reported — the same one
+/// a single worker walking the list in order stops at.
+fn run_obligations<T, F>(n: usize, workers: usize, step: F) -> Result<Vec<T>, CertError>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T, CertError> + Sync,
+{
+    // Both atomics only ration work — results travel through `join` — so
+    // relaxed ordering is enough: a stale `failed` costs a wasted step,
+    // never a wrong answer.
+    let cursor = AtomicUsize::new(0);
+    let failed = AtomicUsize::new(usize::MAX);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n || i > failed.load(Ordering::Relaxed) {
+                return done;
+            }
+            let result = step(i);
+            if result.is_err() {
+                failed.fetch_min(i, Ordering::Relaxed);
+            }
+            done.push((i, result));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let done = worker();
+                    // The scope join does not wait for thread-local
+                    // destructors; hand the trace ring over before it.
+                    hh_trace::flush();
+                    done
+                })
+            })
+            .collect();
+        let mut done = worker();
+        for handle in spawned {
+            match handle.join() {
+                Ok(theirs) => done.extend(theirs),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Worker count for `n` obligations when the caller asks for `threads`.
+fn worker_count(threads: usize, n: usize) -> usize {
+    threads.clamp(1, n.max(1))
 }
 
 /// Builds a certificate for `invariant` on `design` with the instruction
-/// alphabet constrained to `patterns`.
+/// alphabet constrained to `patterns`, proving the obligations on `threads`
+/// worker threads. The certificate does not depend on `threads`.
 ///
 /// `solutions` supplies per-predicate premise sets (H-Houdini's memo table,
 /// via the engines' `solutions()` accessor). Predicates without an entry
@@ -239,25 +385,26 @@ fn prove_obligation(
 /// # Errors
 ///
 /// [`CertError::NotInductive`] if some obligation is SAT (the invariant or
-/// the supplied premise sets are wrong), [`CertError::Structure`] if the
-/// design's property predicates are missing from the invariant, or
+/// the supplied premise sets are wrong; the lowest such predicate index is
+/// the one named), [`CertError::Structure`] if the design's property
+/// predicates are missing from the invariant, or
 /// [`CertError::UnknownDesign`] for non-builtin designs.
 pub fn build_certificate(
     design: &Design,
     patterns: &[MaskMatch],
     invariant: &[Predicate],
     solutions: &[(Predicate, Vec<Predicate>)],
+    threads: usize,
 ) -> Result<Certificate, CertError> {
     let _span = hh_trace::span!("proof", "proof.emit");
     if hh_uarch::builtin_by_netlist_name(design.netlist.name()).is_none() {
         return Err(CertError::UnknownDesign(design.netlist.name().to_string()));
     }
-    let miter = constrained_miter(design, patterns);
-    let netlist = miter.netlist();
-
     let mut preds: Vec<Predicate> = invariant.to_vec();
     preds.sort();
     preds.dedup();
+    let ctx = ObligationContext::new(constrained_miter(design, patterns), preds);
+    let (miter, netlist, preds) = (&ctx.miter, ctx.miter.netlist(), &ctx.preds);
     let index: HashMap<&Predicate, usize> = preds.iter().zip(0..).collect();
 
     let mut properties = Vec::new();
@@ -276,46 +423,28 @@ pub fn build_certificate(
 
     let memo: HashMap<&Predicate, &Vec<Predicate>> =
         solutions.iter().map(|(p, ab)| (p, ab)).collect();
+    // Premise indices per target: the memoised abduct when available
+    // (small, cone-scoped obligation), otherwise every *other* predicate.
+    let premises: Vec<Vec<usize>> = preds
+        .iter()
+        .enumerate()
+        .map(|(i, target)| {
+            let everything_else = || (0..preds.len()).filter(|&j| j != i).collect();
+            // A memo premise outside the invariant would be unsound to
+            // cite; fall back to the full set.
+            let mut premise_idx: Vec<usize> = memo
+                .get(target)
+                .and_then(|ab| ab.iter().map(|p| index.get(p).copied()).collect())
+                .unwrap_or_else(everything_else);
+            premise_idx.sort_unstable();
+            premise_idx.dedup();
+            premise_idx
+        })
+        .collect();
 
-    let mut obligations = Vec::with_capacity(preds.len());
-    for (i, target) in preds.iter().enumerate() {
-        // Premise indices: the memoised abduct when available (small,
-        // cone-scoped obligation), otherwise every *other* predicate.
-        let mut premise_idx: Vec<usize> = match memo.get(target) {
-            Some(ab) => {
-                let mut v = Vec::with_capacity(ab.len());
-                for p in ab.iter() {
-                    match index.get(p) {
-                        Some(&j) => v.push(j),
-                        // A memo premise outside the invariant would be
-                        // unsound to cite; fall back to the full set.
-                        None => {
-                            v = (0..preds.len()).filter(|&j| j != i).collect();
-                            break;
-                        }
-                    }
-                }
-                v
-            }
-            None => (0..preds.len()).filter(|&j| j != i).collect(),
-        };
-        premise_idx.sort_unstable();
-        premise_idx.dedup();
-        let premise_preds: Vec<&Predicate> = premise_idx.iter().map(|&j| &preds[j]).collect();
-        let (num_vars, num_clauses, cnf_hash, proof) =
-            prove_obligation(netlist, i, target, &premise_preds)?;
-        if hh_trace::enabled() {
-            hh_trace::counter!("proof", "proof.obligations", 1);
-        }
-        obligations.push(Obligation {
-            target: i,
-            premises: premise_idx,
-            num_vars,
-            num_clauses,
-            cnf_hash,
-            proof,
-        });
-    }
+    let obligations = run_obligations(preds.len(), worker_count(threads, preds.len()), |i| {
+        ctx.prove(i, &premises[i])
+    })?;
 
     Ok(Certificate {
         design: design.netlist.name().to_string(),
@@ -328,6 +457,12 @@ pub fn build_certificate(
 
 /// Verifies a certificate end to end: re-derives the design and every
 /// obligation CNF, checks structure, shapes, and all DRAT proofs.
+///
+/// Obligations are independent, so they are checked on
+/// [`std::thread::available_parallelism`] worker threads; what is checked —
+/// every CNF re-derived and compared, every added clause RUP/RAT-checked —
+/// and which failure is reported (the lowest-numbered failing obligation)
+/// are the same at every thread count.
 pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> {
     let _span = hh_trace::span!("proof", "proof.verify");
     let design = hh_uarch::builtin_by_netlist_name(&cert.design)
@@ -413,49 +548,26 @@ pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> 
         )));
     }
 
+    let ctx = ObligationContext::new(miter, preds);
+    let threads = worker_count(
+        std::thread::available_parallelism().map_or(1, |t| t.get()),
+        cert.obligations.len(),
+    );
+    let checked = run_obligations(cert.obligations.len(), threads, |k| {
+        ctx.check(k, &cert.obligations[k])
+    })?;
     let mut report = CheckReport {
         obligations: cert.obligations.len(),
         predicates: n,
         stats: CheckStats::default(),
+        threads,
     };
-    for (k, ob) in cert.obligations.iter().enumerate() {
-        let premise_preds: Vec<&Predicate> = ob.premises.iter().map(|&j| &preds[j]).collect();
-        let mut enc = encode_obligation(netlist, &preds[ob.target], &premise_preds);
-        let cnf = dimacs::from_solver(enc.cnf_mut().solver_mut());
-        if cnf.num_vars != ob.num_vars || cnf.clauses.len() != ob.num_clauses {
-            return Err(CertError::CnfMismatch {
-                obligation: k,
-                detail: format!(
-                    "expected {} vars / {} clauses, re-derived {} / {}",
-                    ob.num_vars,
-                    ob.num_clauses,
-                    cnf.num_vars,
-                    cnf.clauses.len()
-                ),
-            });
-        }
-        let hash = cnf_fingerprint(&cnf);
-        if hash != ob.cnf_hash {
-            return Err(CertError::CnfMismatch {
-                obligation: k,
-                detail: format!("hash {:016x} != certified {:016x}", hash, ob.cnf_hash),
-            });
-        }
-        match check_proof(&cnf.clauses, &ob.proof) {
-            Ok(stats) => {
-                report.stats.lines += stats.lines;
-                report.stats.adds += stats.adds;
-                report.stats.deletes += stats.deletes;
-                report.stats.rat_steps += stats.rat_steps;
-                report.stats.ignored_deletes += stats.ignored_deletes;
-            }
-            Err(error) => {
-                return Err(CertError::ProofRejected {
-                    obligation: k,
-                    error,
-                })
-            }
-        }
+    for stats in checked {
+        report.stats.lines += stats.lines;
+        report.stats.adds += stats.adds;
+        report.stats.deletes += stats.deletes;
+        report.stats.rat_steps += stats.rat_steps;
+        report.stats.ignored_deletes += stats.ignored_deletes;
     }
     Ok(report)
 }
@@ -618,22 +730,24 @@ pub fn read_bundle(dir: &Path) -> Result<Certificate, CertError> {
         let bad = || parse(format!("line {ln}: malformed obligation"));
         let target: usize = toks.first().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
         let k: usize = toks.get(1).and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        if toks.len() != k + 10 {
+        // `<target> <k>`, k premises, then eight fixed tokens. `k` is
+        // hostile input: compare without adding to it.
+        if toks.len().checked_sub(10) != Some(k) {
             return Err(bad());
         }
-        let premises: Vec<usize> = toks[2..2 + k]
+        let (premises, rest) = toks[2..].split_at(k);
+        let premises: Vec<usize> = premises
             .iter()
             .map(|s| s.parse::<usize>())
             .collect::<Result<_, _>>()
             .map_err(|_| bad())?;
-        let rest = &toks[2 + k..];
-        if rest[0] != "vars" || rest[2] != "clauses" || rest[4] != "hash" || rest[6] != "proof" {
+        let &["vars", num_vars, "clauses", num_clauses, "hash", cnf_hash, "proof", file] = rest
+        else {
             return Err(bad());
-        }
-        let num_vars: usize = rest[1].parse().map_err(|_| bad())?;
-        let num_clauses: usize = rest[3].parse().map_err(|_| bad())?;
-        let cnf_hash = u64::from_str_radix(rest[5], 16).map_err(|_| bad())?;
-        let file = rest[7];
+        };
+        let num_vars: usize = num_vars.parse().map_err(|_| bad())?;
+        let num_clauses: usize = num_clauses.parse().map_err(|_| bad())?;
+        let cnf_hash = u64::from_str_radix(cnf_hash, 16).map_err(|_| bad())?;
         if file.contains(['/', '\\']) || file.contains("..") {
             return Err(parse(format!("line {ln}: unsafe proof path {file:?}")));
         }
@@ -685,18 +799,107 @@ mod tests {
     }
 
     #[test]
-    fn obligation_encoding_is_deterministic() {
+    fn obligation_encoding_is_deterministic_and_matches_the_one_shot_form() {
         let mut base = Netlist::new("t");
         let r = base.state("r", 4, Bv::zero(4));
         base.keep_state(r);
         let m = hh_netlist::miter::Miter::build(&base);
         let target = Predicate::eq(m.left(r), m.right(r));
-        let shape = |_: ()| {
-            let mut enc = encode_obligation(m.netlist(), &target, &[]);
-            let cnf = dimacs::from_solver(enc.cnf_mut().solver_mut());
-            (cnf.num_vars, cnf.clauses.len(), cnf_fingerprint(&cnf))
+        // The same obligation through `TransitionEncoding::new`, which
+        // builds its own simplification map.
+        let one_shot = {
+            let mut enc = TransitionEncoding::new(m.netlist());
+            let now = target.encode_current(&mut enc);
+            enc.assert_lit(now);
+            let next = target.encode_next(&mut enc);
+            enc.assert_lit(!next);
+            dimacs::from_solver(enc.cnf_mut().solver_mut())
         };
-        assert_eq!(shape(()), shape(()));
+        let ctx = ObligationContext::new(m, vec![target]);
+        let (_, first) = ctx.encode(0, &[]);
+        let (_, second) = ctx.encode(0, &[]);
+        assert_eq!(first, second);
+        assert_eq!(first, one_shot);
+    }
+
+    #[test]
+    fn streamed_fingerprint_is_the_hash_of_the_dimacs_text() {
+        let v = |i: usize, pos: bool| hh_sat::Var::from_index(i).lit(pos);
+        let cnfs = [
+            Cnf {
+                num_vars: 0,
+                clauses: vec![],
+            },
+            Cnf {
+                num_vars: 3,
+                clauses: vec![vec![]],
+            },
+            Cnf {
+                num_vars: 1200,
+                clauses: vec![
+                    vec![v(0, true), v(1199, false)],
+                    vec![v(7, false)],
+                    vec![v(99, true), v(100, true), v(101, false)],
+                ],
+            },
+        ];
+        for cnf in &cnfs {
+            assert_eq!(
+                cnf_fingerprint(cnf),
+                fnv1a(dimacs::to_dimacs(cnf).as_bytes())
+            );
+        }
+    }
+
+    #[test]
+    fn queue_returns_results_in_index_order_at_any_worker_count() {
+        for workers in [1, 2, 3, 8] {
+            let out = run_obligations(37, workers, |i| Ok(i * i)).unwrap();
+            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert_eq!(worker_count(0, 37), 1);
+        assert_eq!(worker_count(100, 37), 37);
+        assert_eq!(worker_count(4, 0), 1);
+        assert_eq!(run_obligations(0, 1, Ok).unwrap(), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn queue_reports_the_lowest_failing_index_whatever_the_interleaving() {
+        use std::sync::mpsc;
+        use std::sync::Mutex;
+        // Obligation 3 fails *last*: it blocks until obligation 41 has
+        // failed on another worker. The answer must still be 3.
+        for workers in [2, 4] {
+            let (tx, rx) = mpsc::channel::<()>();
+            let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+            let result = run_obligations(58, workers, |i| match i {
+                3 => {
+                    rx.lock().unwrap().recv().unwrap();
+                    Err(CertError::NotInductive { target: 3 })
+                }
+                41 => {
+                    tx.lock().unwrap().send(()).unwrap();
+                    Err(CertError::NotInductive { target: 41 })
+                }
+                _ => Ok(i),
+            });
+            assert!(
+                matches!(result, Err(CertError::NotInductive { target: 3 })),
+                "workers={workers}: {result:?}"
+            );
+        }
+        // One worker walks the list in order and stops at the first failure.
+        let seen = Mutex::new(Vec::new());
+        let result = run_obligations(58, 1, |i| {
+            seen.lock().unwrap().push(i);
+            if i == 3 || i == 41 {
+                Err(CertError::NotInductive { target: i })
+            } else {
+                Ok(())
+            }
+        });
+        assert!(matches!(result, Err(CertError::NotInductive { target: 3 })));
+        assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -770,6 +973,31 @@ mod tests {
                         obligation 0 0 vars 1 clauses 1 hash 0 proof ../../etc/passwd\n";
         std::fs::write(dir.join(MANIFEST), manifest).unwrap();
         assert!(matches!(read_bundle(&dir), Err(CertError::Parse(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_with_an_overflowing_premise_count_is_a_parse_error() {
+        let dir = std::env::temp_dir().join(format!("hh-cert-premise-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        for obligation in [
+            "obligation 0 18446744073709551615 vars 1 clauses 1 hash 0 proof",
+            "obligation 0 18446744073709551607 vars 1 clauses 1 hash 0 proof x.drat",
+            "obligation 0 3 1 2 vars 1 clauses 1 hash 0 proof x.drat",
+            "obligation 0 0 vars 1 clauses 1 hash 0 evidence x.drat",
+            "obligation 0",
+        ] {
+            let manifest = format!(
+                "hh-certificate v1\ndesign rocketlite_x16\npatterns 0\npredicates 0\n\
+                 properties 0 \nobligations 1\n{obligation}\n"
+            );
+            std::fs::write(dir.join(MANIFEST), manifest).unwrap();
+            match check_bundle(&dir) {
+                Err(CertError::Parse(msg)) => assert!(msg.contains("line 7"), "{msg}"),
+                other => panic!("{obligation:?}: expected a parse error, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

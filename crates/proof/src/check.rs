@@ -6,7 +6,15 @@
 //! expect a conflict) and, failing that, for RAT on its first literal
 //! (every resolvent on the pivot must itself be RUP). Propagation uses
 //! two-watched literals; deletions are resolved through a hash index from
-//! sorted literal vectors to clause slots.
+//! sorted literal vectors to clause slots, built from the live clauses when
+//! the first deletion arrives (the streams `hh-sat` emits for certificate
+//! obligations contain none, and then the index is never built).
+//!
+//! Memory is linear in the input: an added clause may only name variables
+//! below the formula's variable count plus the number of literal
+//! occurrences in the proof's additions (a proof cannot introduce more
+//! fresh variables than it adds literals), so a hostile stream cannot make
+//! the per-variable tables larger than the stream itself.
 //!
 //! Deletion conventions (matching `drat-trim`):
 //!
@@ -51,6 +59,17 @@ pub enum CheckError {
     },
     /// The stream ended without deriving (or implying) the empty clause.
     NoRefutation,
+    /// An added clause names a variable the proof cannot have introduced:
+    /// its index is not below the formula's variable count plus the literal
+    /// occurrences of the proof's additions.
+    VariableOutOfRange {
+        /// 0-based index of the offending line in the proof.
+        line: usize,
+        /// The offending literal.
+        lit: Lit,
+        /// The exclusive bound on variable indices for this check.
+        bound: usize,
+    },
 }
 
 impl std::fmt::Display for CheckError {
@@ -60,6 +79,11 @@ impl std::fmt::Display for CheckError {
                 write!(f, "proof line {line}: clause {clause:?} is not RUP/RAT")
             }
             CheckError::NoRefutation => write!(f, "proof does not derive the empty clause"),
+            CheckError::VariableOutOfRange { line, lit, bound } => write!(
+                f,
+                "proof line {line}: literal {lit} names a variable outside the {bound} \
+                 this formula and proof can use"
+            ),
         }
     }
 }
@@ -81,8 +105,10 @@ struct Checker {
     assigns: Vec<i8>,
     trail: Vec<Lit>,
     qhead: usize,
-    /// Sorted-literal key -> active clause slots (for deletions).
-    index: HashMap<Vec<Lit>, Vec<usize>>,
+    /// Sorted-literal key -> active clause slots (for deletions). `None`
+    /// until the first deletion builds it from the live clauses; kept up to
+    /// date by `install` from then on.
+    index: Option<HashMap<Vec<Lit>, Vec<usize>>>,
     /// Slot of the clause that propagated each trail literal (by var).
     /// Entries for temporary (in-check) assignments are erased on undo, so
     /// at deletion time only top-level reasons remain.
@@ -237,12 +263,34 @@ impl Checker {
             }
             _ => {}
         }
-        let mut key = lits.clone();
-        key.sort_unstable();
         self.watches[(!lits[0]).code()].push(slot);
         self.watches[(!lits[1]).code()].push(slot);
-        self.index.entry(key).or_default().push(slot);
+        if let Some(index) = &mut self.index {
+            index.entry(deletion_key(&lits)).or_default().push(slot);
+        }
         self.clauses.push(CClause { lits, active: true });
+    }
+
+    /// The deletion index over the live clauses, slots in installation
+    /// order. Built when the first deletion arrives, it is exactly the map
+    /// that indexing every clause as it was installed would have produced,
+    /// because no deletion has been applied before the first one.
+    fn build_deletion_index(&self) -> HashMap<Vec<Lit>, Vec<usize>> {
+        let mut index: HashMap<Vec<Lit>, Vec<usize>> = HashMap::new();
+        for (slot, c) in self.clauses.iter().enumerate() {
+            if c.active {
+                index.entry(deletion_key(&c.lits)).or_default().push(slot);
+            }
+        }
+        index
+    }
+
+    /// Whether clause `slot` is the reason of a fixed propagation.
+    fn is_reason(&self, slot: usize) -> bool {
+        self.clauses[slot]
+            .lits
+            .iter()
+            .any(|l| self.value(*l) == 1 && self.reason[l.var().index()] == Some(slot))
     }
 
     /// RUP check: assume the negation of `c` on top of the current fixed
@@ -319,62 +367,128 @@ impl Checker {
         ok
     }
 
+    /// Installs `formula ∧ assumptions`, then consumes `proof` line by line.
+    fn run(
+        &mut self,
+        formula: Vec<Vec<Lit>>,
+        assumptions: &[Lit],
+        proof: &[ProofLine],
+    ) -> Result<CheckStats, CheckError> {
+        for mut c in formula {
+            c.sort_unstable();
+            c.dedup();
+            if c.windows(2).any(|w| w[1] == !w[0]) {
+                continue; // tautology: never constrains anything
+            }
+            self.install(c);
+            if self.refuted {
+                break;
+            }
+        }
+        for &a in assumptions {
+            if self.refuted {
+                break;
+            }
+            self.install(vec![a]);
+        }
+        if !self.refuted && self.propagate() {
+            self.refuted = true;
+        }
+        for (i, line) in proof.iter().enumerate() {
+            self.stats.lines = i + 1;
+            if self.refuted {
+                self.stats.lines = proof.len();
+                break;
+            }
+            match line {
+                ProofLine::Add(c) => {
+                    if !self.check_add(c) {
+                        return Err(CheckError::NotRedundant {
+                            line: i,
+                            clause: c.clone(),
+                        });
+                    }
+                    self.stats.adds += 1;
+                    self.install(c.clone());
+                }
+                ProofLine::Delete(c) => self.delete(c),
+            }
+        }
+        if self.refuted {
+            Ok(self.stats)
+        } else {
+            Err(CheckError::NoRefutation)
+        }
+    }
+
     fn delete(&mut self, lits: &[Lit]) {
         if lits.len() <= 1 {
             self.stats.ignored_deletes += 1;
             return;
         }
-        let mut key = lits.to_vec();
-        key.sort_unstable();
+        let mut key = deletion_key(lits);
         key.dedup();
-        let Some(slots) = self.index.get(&key) else {
-            self.stats.ignored_deletes += 1;
-            return;
-        };
+        let mut index = self
+            .index
+            .take()
+            .unwrap_or_else(|| self.build_deletion_index());
         // Skip slots that are the reason of a fixed propagation.
-        let mut chosen = None;
-        for (pos, &slot) in slots.iter().enumerate() {
-            let is_reason = self.clauses[slot]
-                .lits
-                .iter()
-                .any(|l| self.value(*l) == 1 && self.reason[l.var().index()] == Some(slot));
-            if !is_reason {
-                chosen = Some((pos, slot));
-                break;
-            }
-        }
+        let chosen = index.get_mut(&key).and_then(|slots| {
+            let pos = slots.iter().position(|&slot| !self.is_reason(slot))?;
+            Some((slots.swap_remove(pos), slots.is_empty()))
+        });
         match chosen {
-            Some((pos, slot)) => {
-                let slots = self.index.get_mut(&key).expect("slot list present");
-                slots.swap_remove(pos);
-                if slots.is_empty() {
-                    self.index.remove(&key);
+            Some((slot, last)) => {
+                if last {
+                    index.remove(&key);
                 }
                 self.clauses[slot].active = false;
                 self.stats.deletes += 1;
             }
-            None => {
-                self.stats.ignored_deletes += 1;
-            }
+            None => self.stats.ignored_deletes += 1,
         }
+        self.index = Some(index);
     }
 }
 
-fn max_var(formula: &[Vec<Lit>], assumptions: &[Lit], proof: &[ProofLine]) -> usize {
-    let mut m = 0usize;
-    let scan = |m: &mut usize, lits: &[Lit]| {
-        for l in lits {
-            *m = (*m).max(l.var().index() + 1);
-        }
+/// The key a clause is filed under in the deletion index: its literals in
+/// sorted order.
+fn deletion_key(lits: &[Lit]) -> Vec<Lit> {
+    let mut key = lits.to_vec();
+    key.sort_unstable();
+    key
+}
+
+/// The number of variables the check needs tables for, or the first added
+/// clause with a literal that is out of range. Additions may name every
+/// variable of the formula and the assumptions, plus at most one fresh
+/// variable per literal they contain — so the tables stay linear in the
+/// size of the input however large a variable index a hostile stream spells
+/// out. Deletions are looked up by key and never index a table, so they are
+/// not bounded (a deletion naming an unknown variable matches nothing).
+fn num_vars(
+    formula: &[Vec<Lit>],
+    assumptions: &[Lit],
+    proof: &[ProofLine],
+) -> Result<usize, CheckError> {
+    let top = |lits: &[Lit]| lits.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
+    let given = formula.iter().map(|c| top(c)).max().unwrap_or(0);
+    let given = given.max(top(assumptions));
+    let adds = || {
+        proof.iter().enumerate().filter_map(|(i, line)| match line {
+            ProofLine::Add(c) => Some((i, c)),
+            ProofLine::Delete(_) => None,
+        })
     };
-    for c in formula {
-        scan(&mut m, c);
+    let bound = given.saturating_add(adds().map(|(_, c)| c.len()).sum());
+    let mut used = given;
+    for (line, c) in adds() {
+        if let Some(&lit) = c.iter().find(|l| l.var().index() >= bound) {
+            return Err(CheckError::VariableOutOfRange { line, lit, bound });
+        }
+        used = used.max(top(c));
     }
-    scan(&mut m, assumptions);
-    for line in proof {
-        scan(&mut m, line.lits());
-    }
-    m
+    Ok(used)
 }
 
 /// Checks that `proof` refutes `formula`.
@@ -383,7 +497,8 @@ fn max_var(formula: &[Vec<Lit>], assumptions: &[Lit], proof: &[ProofLine]) -> us
 ///
 /// [`CheckError::NotRedundant`] if an addition fails RUP/RAT,
 /// [`CheckError::NoRefutation`] if the stream never reaches (or implies)
-/// the empty clause.
+/// the empty clause, [`CheckError::VariableOutOfRange`] if an added clause
+/// names a variable beyond what the formula and proof can use.
 pub fn check_proof(formula: &[Vec<Lit>], proof: &[ProofLine]) -> Result<CheckStats, CheckError> {
     check_proof_with_assumptions(formula, &[], proof)
 }
@@ -404,59 +519,24 @@ pub fn check_proof_with_assumptions(
     assumptions: &[Lit],
     proof: &[ProofLine],
 ) -> Result<CheckStats, CheckError> {
+    check_refutation(formula.to_vec(), assumptions, proof)
+}
+
+/// [`check_proof_with_assumptions`] over a formula the caller gives away:
+/// its clauses are normalised in place and become the checker's clause
+/// store, with no second copy.
+pub(crate) fn check_refutation(
+    formula: Vec<Vec<Lit>>,
+    assumptions: &[Lit],
+    proof: &[ProofLine],
+) -> Result<CheckStats, CheckError> {
     let _span = hh_trace::span!("proof", "proof.check");
-    let mut ck = Checker::new(max_var(formula, assumptions, proof));
-    for c in formula {
-        let mut c = c.clone();
-        c.sort_unstable();
-        c.dedup();
-        if c.windows(2).any(|w| w[1] == !w[0]) {
-            continue; // tautology: never constrains anything
-        }
-        ck.install(c);
-        if ck.refuted {
-            break;
-        }
-    }
-    for &a in assumptions {
-        if ck.refuted {
-            break;
-        }
-        ck.install(vec![a]);
-    }
-    if !ck.refuted && ck.propagate() {
-        ck.refuted = true;
-    }
-    for (i, line) in proof.iter().enumerate() {
-        ck.stats.lines = i + 1;
-        if ck.refuted {
-            ck.stats.lines = proof.len();
-            break;
-        }
-        match line {
-            ProofLine::Add(c) => {
-                if !ck.check_add(c) {
-                    return Err(CheckError::NotRedundant {
-                        line: i,
-                        clause: c.clone(),
-                    });
-                }
-                ck.stats.adds += 1;
-                ck.install(c.clone());
-            }
-            ProofLine::Delete(c) => {
-                ck.delete(c);
-            }
-        }
-    }
+    let mut ck = Checker::new(num_vars(&formula, assumptions, proof)?);
+    let verdict = ck.run(formula, assumptions, proof);
     if hh_trace::enabled() {
         hh_trace::counter!("proof", "proof.check.lines", ck.stats.lines as u64);
     }
-    if ck.refuted {
-        Ok(ck.stats)
-    } else {
-        Err(CheckError::NoRefutation)
-    }
+    verdict
 }
 
 #[cfg(test)]
@@ -600,5 +680,157 @@ mod tests {
             check_proof(&f, &p),
             Err(CheckError::NotRedundant { line: 0, .. })
         ));
+    }
+
+    /// The checker as it was before the deletion index became lazy: with
+    /// the index present from the start, `install` files every clause as it
+    /// lands. Kept here as the oracle for the lazy build.
+    fn eager_checker(num_vars: usize) -> Checker {
+        Checker {
+            index: Some(HashMap::new()),
+            ..Checker::new(num_vars)
+        }
+    }
+
+    /// Runs one stream through the lazy and the eager checker and requires
+    /// the same verdict, counters, live clauses and (once built) index.
+    fn lazy_matches_eager(
+        formula: &[Vec<Lit>],
+        proof: &[ProofLine],
+    ) -> Result<CheckStats, CheckError> {
+        let n = num_vars(formula, &[], proof).expect("test streams stay in range");
+        let mut lazy = Checker::new(n);
+        let mut eager = eager_checker(n);
+        let verdict = lazy.run(formula.to_vec(), &[], proof);
+        assert_eq!(verdict, eager.run(formula.to_vec(), &[], proof));
+        assert_eq!(lazy.stats, eager.stats);
+        let live = |ck: &Checker| -> Vec<bool> { ck.clauses.iter().map(|c| c.active).collect() };
+        assert_eq!(live(&lazy), live(&eager));
+        if let Some(index) = &lazy.index {
+            assert_eq!(Some(index), eager.index.as_ref());
+        }
+        verdict
+    }
+
+    #[test]
+    fn first_delete_after_lemmas_builds_the_same_index() {
+        // Units 1 and 3 get fixed (3 with (-1 3) as its reason), the four
+        // clauses over 8/9 then need one more lemma — so the three deletes
+        // arrive with a lemma already installed and the refutation still
+        // ahead of them.
+        let f = vec![
+            cl(&[1, 2]),
+            cl(&[1, -2]),
+            cl(&[-1, 3]),
+            cl(&[4, 5]),
+            cl(&[-3, 8, 9]),
+            cl(&[-3, 8, -9]),
+            cl(&[-3, -8, 9]),
+            cl(&[-3, -8, -9]),
+        ];
+        let p = vec![
+            ProofLine::Add(cl(&[4, 5, 6])),
+            ProofLine::Add(cl(&[1])),
+            ProofLine::Delete(cl(&[5, 4])),    // a formula clause
+            ProofLine::Delete(cl(&[6, 5, 4])), // the lemma, permuted
+            ProofLine::Delete(cl(&[3, -1])),   // reason of 3: ignored
+            ProofLine::Add(cl(&[8])),
+            ProofLine::Add(vec![]),
+        ];
+        let stats = lazy_matches_eager(&f, &p).unwrap();
+        assert_eq!(stats.adds, 3);
+        assert_eq!(stats.deletes, 2);
+        assert_eq!(stats.ignored_deletes, 1);
+        assert_eq!(stats.lines, 7);
+        // A stream without deletions never builds the index at all.
+        let (f, p) = tiny_unsat();
+        let mut ck = Checker::new(2);
+        ck.run(f, &[], &p).unwrap();
+        assert!(ck.index.is_none());
+    }
+
+    #[test]
+    fn lazy_index_matches_eager_on_random_delete_heavy_streams() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x1de1);
+        let (mut accepted, mut applied) = (0, 0);
+        for _ in 0..300 {
+            // A random 3-CNF around the threshold, its solver-logged proof,
+            // and deletions of random formula clauses, earlier lemmas
+            // (permuted) and absent clauses sprinkled over it.
+            let nv = 20 + rng.gen_range(0..10) as i64;
+            let mut f: Vec<Vec<Lit>> = Vec::new();
+            for _ in 0..(9 * nv / 2) {
+                let c: Vec<i64> = (0..3)
+                    .map(|_| {
+                        (1 + rng.gen_range(0..nv as u64) as i64) * if rng.gen() { 1 } else { -1 }
+                    })
+                    .collect();
+                f.push(cl(&c));
+            }
+            let mut s = hh_sat::Solver::new();
+            for _ in 0..nv {
+                s.new_var();
+            }
+            for c in &f {
+                s.add_clause(c);
+            }
+            let formula = hh_sat::dimacs::from_solver(&s).clauses;
+            let sink = crate::MemoryProof::new();
+            s.set_proof_sink(Box::new(sink.handle()));
+            s.solve();
+            let mut proof = Vec::new();
+            for line in sink.take_lines() {
+                if rng.gen_bool(0.3) {
+                    let pool: Vec<&Vec<Lit>> = formula
+                        .iter()
+                        .chain(proof.iter().map(|l: &ProofLine| match l {
+                            ProofLine::Add(c) | ProofLine::Delete(c) => c,
+                        }))
+                        .collect();
+                    let mut victim = pool[rng.gen_range(0..pool.len() as u64) as usize].clone();
+                    victim.reverse();
+                    if rng.gen_bool(0.1) {
+                        victim.push(lit(nv + 1));
+                    }
+                    proof.push(ProofLine::Delete(victim));
+                }
+                proof.push(line);
+            }
+            // Deleting needed clauses may break the proof; the two
+            // checkers must then fail identically.
+            if let Ok(stats) = lazy_matches_eager(&formula, &proof) {
+                accepted += 1;
+                applied += stats.deletes;
+            }
+        }
+        assert!(
+            accepted > 50 && applied > 100,
+            "{accepted} streams accepted, {applied} deletions applied in them"
+        );
+    }
+
+    #[test]
+    fn out_of_range_proof_variable_is_an_error_not_an_allocation() {
+        let (f, mut p) = tiny_unsat();
+        // Two formula variables and three proof literals: indices 0..5 are
+        // usable, and the largest representable variable is far outside.
+        let huge = Var::from_index(Var::MAX_INDEX).positive();
+        p.insert(0, ProofLine::Add(vec![lit(1), huge]));
+        match check_proof(&f, &p) {
+            Err(CheckError::VariableOutOfRange {
+                line: 0,
+                lit,
+                bound: 5,
+            }) => assert_eq!(lit, huge),
+            other => panic!("expected VariableOutOfRange, got {other:?}"),
+        }
+        // Just inside the bound is fine (a vacuously RAT definition).
+        p[0] = ProofLine::Add(vec![lit(5), lit(1)]);
+        assert!(check_proof(&f, &p).is_ok());
+        // A deletion is looked up, never indexed: it may name anything.
+        p[0] = ProofLine::Delete(vec![huge, lit(1)]);
+        assert_eq!(check_proof(&f, &p).unwrap().ignored_deletes, 1);
     }
 }

@@ -102,7 +102,13 @@ fn lit_from_dimacs(n: i64) -> Result<Lit, String> {
     if n == 0 {
         return Err("literal 0 inside a clause".into());
     }
-    Ok(Var::from_index(n.unsigned_abs() as usize - 1).lit(n > 0))
+    // Proof text is outside input: a variable the solver's literal packing
+    // cannot represent is an error here, not a truncated `Var`.
+    let index = usize::try_from(n.unsigned_abs() - 1)
+        .ok()
+        .filter(|&i| i <= Var::MAX_INDEX)
+        .ok_or_else(|| format!("literal {n}: variable out of range"))?;
+    Ok(Var::from_index(index).lit(n > 0))
 }
 
 /// Renders a proof in text DRAT.
@@ -124,7 +130,8 @@ pub fn to_text(lines: &[ProofLine]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed token.
+/// Returns a description of the first malformed token or out-of-range
+/// variable (see [`Var::MAX_INDEX`]).
 pub fn parse_text(text: &str) -> Result<Vec<ProofLine>, String> {
     let mut lines = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
@@ -206,7 +213,8 @@ pub fn to_binary(lines: &[ProofLine]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a description of the first malformed byte (bad step tag,
-/// truncated varint or truncated clause).
+/// truncated varint, truncated clause, or a literal whose variable is out
+/// of range, see [`Var::MAX_INDEX`]).
 pub fn parse_binary(bytes: &[u8]) -> Result<Vec<ProofLine>, String> {
     let mut lines = Vec::new();
     let mut i = 0usize;

@@ -6,7 +6,6 @@
 
 use crate::lit::{Lit, Var};
 use crate::solver::Solver;
-use std::fmt::Write as _;
 
 /// A parsed CNF formula: the number of variables and the clause list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,15 +137,27 @@ pub fn parse_dimacs(text: &str) -> Result<Cnf, ParseDimacsError> {
 /// Renders a CNF in DIMACS format.
 pub fn to_dimacs(cnf: &Cnf) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "p cnf {} {}", cnf.num_vars, cnf.clauses.len());
+    let _ = write_dimacs(cnf, &mut out);
+    out
+}
+
+/// Streams the DIMACS text of `cnf` — byte for byte what [`to_dimacs`]
+/// returns — into `out`, for consumers (hashers, files) that do not need
+/// the text as one `String`.
+///
+/// # Errors
+///
+/// Whatever `out` reports.
+pub fn write_dimacs<W: std::fmt::Write>(cnf: &Cnf, out: &mut W) -> std::fmt::Result {
+    writeln!(out, "p cnf {} {}", cnf.num_vars, cnf.clauses.len())?;
     for clause in &cnf.clauses {
         for &l in clause {
             let n = l.var().index() as i64 + 1;
-            let _ = write!(out, "{} ", if l.is_positive() { n } else { -n });
+            write!(out, "{} ", if l.is_positive() { n } else { -n })?;
         }
-        let _ = writeln!(out, "0");
+        writeln!(out, "0")?;
     }
-    out
+    Ok(())
 }
 
 /// Loads a CNF into a fresh solver (creating `num_vars` variables).

@@ -24,9 +24,20 @@ use std::ops::Not;
 pub struct Var(pub(crate) u32);
 
 impl Var {
-    /// Constructs a variable from its dense index.
+    /// The largest index a variable can have: both literal codes of the
+    /// variable must fit a `u32` below `u32::MAX`, which the watch lists
+    /// keep as a sentinel. Parsers of outside input check against this
+    /// before calling [`Var::from_index`].
+    pub const MAX_INDEX: usize = (u32::MAX >> 1) as usize - 1;
+
+    /// Constructs a variable from its dense index, which must not exceed
+    /// [`Var::MAX_INDEX`] (a larger one would be silently truncated).
     #[inline]
     pub fn from_index(index: usize) -> Var {
+        debug_assert!(
+            index <= Var::MAX_INDEX,
+            "variable index {index} out of range"
+        );
         Var(index as u32)
     }
 

@@ -519,13 +519,17 @@ fn batch_main() -> ExitCode {
                 None => ExitCode::SUCCESS,
                 Some(dir) => {
                     let dir = std::path::Path::new(dir);
+                    let emit_t0 = std::time::Instant::now();
                     match veloct.emit_certificate(&report.safe, inv, &report.solutions, dir) {
                         Ok(summary) => {
                             println!(
-                                "certificate: {} obligations, {} proof lines, {} bytes -> {}",
+                                "certificate: {} obligations, {} proof lines, {} bytes \
+                                 in {:.2?} on {} threads -> {}",
                                 summary.obligations,
                                 summary.proof_lines,
                                 summary.proof_bytes,
+                                emit_t0.elapsed(),
+                                args.threads,
                                 dir.display()
                             );
                             ExitCode::SUCCESS

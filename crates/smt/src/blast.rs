@@ -35,18 +35,29 @@ pub struct TransitionEncoding<'a> {
 impl<'a> TransitionEncoding<'a> {
     /// Creates an encoding for `netlist` with all environment assumptions
     /// ([`Netlist::constraints`]) asserted. Nothing else is blasted yet.
+    /// The one-shot form: builds a private [`SimpMap`] over the whole
+    /// netlist, so a caller that encodes many queries on one netlist should
+    /// build the map once and use [`TransitionEncoding::with_simp`].
     pub fn new(netlist: &'a Netlist) -> TransitionEncoding<'a> {
-        Self::with_simp(netlist, Arc::new(SimpMap::build(netlist)), false)
+        Self::with_simp(netlist, Arc::new(SimpMap::build(netlist)))
     }
 
     /// Like [`TransitionEncoding::new`] but over a pre-built simplification
-    /// map. With `record`, every clause added from here on is logged so the
-    /// base encoding can be harvested into an `EncodeCache` entry.
-    pub(crate) fn with_simp(
-        netlist: &'a Netlist,
-        simp: Arc<SimpMap>,
-        record: bool,
-    ) -> TransitionEncoding<'a> {
+    /// map, which must be `SimpMap::build(netlist)` of this same netlist
+    /// (the map is a pure function of it, so the resulting CNF is the one
+    /// `new` produces).
+    pub fn with_simp(netlist: &'a Netlist, simp: Arc<SimpMap>) -> TransitionEncoding<'a> {
+        Self::build(netlist, simp, false)
+    }
+
+    /// [`TransitionEncoding::with_simp`] with every clause added from here
+    /// on logged, so the base encoding can be harvested into an
+    /// `EncodeCache` entry.
+    pub(crate) fn recording(netlist: &'a Netlist, simp: Arc<SimpMap>) -> TransitionEncoding<'a> {
+        Self::build(netlist, simp, true)
+    }
+
+    fn build(netlist: &'a Netlist, simp: Arc<SimpMap>, record: bool) -> TransitionEncoding<'a> {
         let mut enc = TransitionEncoding {
             netlist,
             cnf: Cnf::new(),

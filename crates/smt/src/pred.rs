@@ -351,9 +351,10 @@ impl Predicate {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message on malformed input or when a state
+    /// Returns a human-readable message on malformed input, when a state
     /// name does not exist in the netlist (the certificate and the design it
-    /// claims to certify disagree).
+    /// claims to certify disagree), or when the two states of a pair — or a
+    /// constant and its states — differ in width.
     pub fn from_wire(text: &str, netlist: &Netlist) -> Result<Predicate, String> {
         let mut toks = text.split_whitespace();
         let pred = Predicate::parse_wire(&mut toks, netlist)?;
@@ -377,20 +378,36 @@ impl Predicate {
                 .find_state(&name)
                 .ok_or_else(|| format!("unknown state {name:?}"))
         };
+        // Every predicate relates the two copies of one state (or one
+        // guard): the encoder compares them bit by bit, so a pair of unequal
+        // widths is malformed input, not a predicate.
+        let pair = |left: &str, right: &str| {
+            let (left, right) = (state(left)?, state(right)?);
+            if netlist.state_width(left) != netlist.state_width(right) {
+                return Err(format!(
+                    "states {:?} and {:?} differ in width",
+                    netlist.state_name(left),
+                    netlist.state_name(right)
+                ));
+            }
+            Ok((left, right))
+        };
         let kind = next("kind")?;
         match kind {
-            "eq" => Ok(Predicate::Eq {
-                left: state(next("left")?)?,
-                right: state(next("right")?)?,
-            }),
+            "eq" => {
+                let (left, right) = pair(next("left")?, next("right")?)?;
+                Ok(Predicate::Eq { left, right })
+            }
             "eqc" => {
-                let left = state(next("left")?)?;
-                let right = state(next("right")?)?;
+                let (left, right) = pair(next("left")?, next("right")?)?;
                 let width: u32 = next("width")?
                     .parse()
                     .map_err(|e| format!("bad width: {e}"))?;
-                if width == 0 || width > 64 {
-                    return Err(format!("bad width {width}"));
+                if width != netlist.state_width(left) {
+                    return Err(format!(
+                        "constant width {width} is not the width of state {:?}",
+                        netlist.state_name(left)
+                    ));
                 }
                 let bits =
                     u64::from_str_radix(next("bits")?, 16).map_err(|e| format!("bad bits: {e}"))?;
@@ -404,8 +421,7 @@ impl Predicate {
                 })
             }
             "inset" => {
-                let left = state(next("left")?)?;
-                let right = state(next("right")?)?;
+                let (left, right) = pair(next("left")?, next("right")?)?;
                 let tag = next("label")?;
                 let label = match tag {
                     "eqconstset" => SetLabel::EqConstSet,
@@ -441,8 +457,7 @@ impl Predicate {
                 })
             }
             "impl" => {
-                let guard_left = state(next("guard left")?)?;
-                let guard_right = state(next("guard right")?)?;
+                let (guard_left, guard_right) = pair(next("guard left")?, next("guard right")?)?;
                 let body = Predicate::parse_wire(toks, netlist)?;
                 Ok(Predicate::Impl {
                     guard_left,
@@ -735,10 +750,17 @@ mod tests {
 
     #[test]
     fn wire_format_rejects_malformed_input() {
-        let (_base, m) = simple_miter();
+        let (mut base, _) = simple_miter();
+        let v = base.state("v", 1, Bv::zero(1));
+        base.keep_state(v);
+        let m = Miter::build(&base);
         let n = m.netlist();
         for bad in [
             "",
+            "eq l$r r$v",                     // a pair of unequal widths
+            "eqc l$r r$r 4 1",                // constant narrower than the state
+            "inset l$v r$r insafeset 0",      // unequal widths again
+            "impl l$v r$r eq l$r r$r",        // ... in a guard
             "eq l$r",                         // missing right
             "eq l$r r$nope",                  // unknown state
             "frob l$r r$r",                   // unknown kind

@@ -280,8 +280,7 @@ impl<'a> AbductionSession<'a> {
                     }
                     None => {
                         let _blast = hh_trace::span!("smt", "smt.blast");
-                        let mut enc =
-                            TransitionEncoding::with_simp(self.netlist, cache.simp(), true);
+                        let mut enc = TransitionEncoding::recording(self.netlist, cache.simp());
                         Self::build_base(&mut enc, &self.target, self.config.scope);
                         let entry = enc.harvest(&sig.witness);
                         cache.insert(sig.key.clone(), entry);
@@ -291,7 +290,7 @@ impl<'a> AbductionSession<'a> {
                 // Blast fresh over the shared SimpMap, no entry recording.
                 (Some(cache), None) => {
                     let _blast = hh_trace::span!("smt", "smt.blast");
-                    let mut enc = TransitionEncoding::with_simp(self.netlist, cache.simp(), false);
+                    let mut enc = TransitionEncoding::with_simp(self.netlist, cache.simp());
                     Self::build_base(&mut enc, &self.target, self.config.scope);
                     enc
                 }

@@ -51,7 +51,8 @@ use std::time::{Duration, Instant};
 /// Configuration of the VeloCT pipeline.
 #[derive(Debug, Clone)]
 pub struct VeloctConfig {
-    /// Worker threads for the parallel engine.
+    /// Worker threads for the parallel engine and for proving a
+    /// certificate's obligations in [`Veloct::emit_certificate`].
     pub threads: usize,
     /// Engine configuration (abduction scope, memoisation).
     pub engine: EngineConfig,
@@ -71,8 +72,11 @@ pub struct VeloctConfig {
     /// Marks a run whose memoised solutions the caller will hand to
     /// [`Veloct::emit_certificate`]. The learn itself is the same engine
     /// run with the flag on or off — same queries, same solver work, same
-    /// invariant — so today nothing in [`Veloct::learn`] reads it; it is
-    /// where logging proofs during the learn attaches.
+    /// invariant — so nothing in [`Veloct::learn`] reads it: emission
+    /// re-proves every obligation from the solution table. Proofs logged
+    /// during the learn could not stand in for that, because a session's CNF
+    /// (indicator-guarded candidates) is not the obligation CNF the checker
+    /// re-derives.
     pub certify: bool,
 }
 
@@ -268,9 +272,10 @@ impl<'a> Veloct<'a> {
     /// [`Veloct::learn`] over externally owned warm state: the resident
     /// encode cache and memo seeds of a long-running service. With the
     /// default context this *is* `learn`; with warm state the learned
-    /// invariant is bit-identical to the cold run (replay and clause import
-    /// cannot change outcomes, and seeds are solutions of the identical
-    /// problem) — only the amount of fresh work differs, reported through
+    /// invariant is bit-identical to the cold run (encode-cache replay
+    /// rebuilds the solver state a fresh blast would produce, and seeds are
+    /// solutions of the identical problem) — only the amount of fresh work
+    /// differs, reported through
     /// [`LearnReport::memo_seeded`] / [`LearnReport::memo_reused`].
     pub fn learn_warm(&self, safe: &[Mnemonic], warm: WarmContext) -> LearnReport {
         let _span = hh_trace::span!("veloct", "veloct.learn");
@@ -357,7 +362,9 @@ impl<'a> Veloct<'a> {
     /// Replays a learning run's memoised solutions into an `hh-proof`
     /// certificate bundle at `dir`: one DRAT-certified relative-induction
     /// obligation per invariant predicate, re-derivable and checkable by
-    /// the standalone `certify` binary with no trust in this process.
+    /// the standalone `certify` binary with no trust in this process. The
+    /// obligations are proved on [`VeloctConfig::threads`] workers; the
+    /// bundle is byte-identical at every thread count.
     pub fn emit_certificate(
         &self,
         safe: &[Mnemonic],
@@ -371,6 +378,7 @@ impl<'a> Veloct<'a> {
             &pattern_mask_matches(&patterns),
             invariant.preds(),
             solutions,
+            self.config.threads,
         )?;
         hh_proof::cert::write_bundle(&cert, dir)
     }
