@@ -16,6 +16,11 @@
 //!   hits on an OoO core while leaving the learned invariant bit-identical
 //!   across worker-thread counts — and so must MegaBoomLite with limited
 //!   examples, where retries answer minimisation probes from witnesses,
+//! * on that MegaBoomLite run memory must follow the cones: the parked
+//!   sessions' high-water bytes per session stay within 10% of the recorded
+//!   figure, and every session of the run's solution table, replayed
+//!   through a first query and a retry, ends each query with a watch store
+//!   that reserves at most twice the bytes of its live watchers,
 //! * disabled tracing (`TraceConfig::Off`, the default) must cost less than
 //!   2% of the traced workload's wall-clock — measured as the per-call-site
 //!   cost of a disabled probe times the number of events a traced run
@@ -52,9 +57,12 @@ use hh_bench::{
     all_targets, known_safe_set, learn_run, parse_scale, prepare, prepare_rds, scaled_target, secs,
     Report,
 };
-use hh_smt::{abduct, AbductionConfig, AbductionSession, Predicate, TransitionEncoding};
+use hh_smt::{
+    abduct, AbductionConfig, AbductionSession, EncodeCache, Predicate, TransitionEncoding,
+};
 use hhoudini::mine::{CoiMiner, Miner};
 use hhoudini::{EngineConfig, Invariant, ParallelEngine, PredicateStore};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// First query + simulated backtracking retries, as in the Criterion bench.
@@ -63,6 +71,10 @@ const RETRIES: usize = 4;
 const ROUNDS: usize = 5;
 /// Minimum acceptable fresh/session time ratio.
 const MIN_SPEEDUP: f64 = 1.5;
+/// `smt.session.resident_bytes` per session on MegaBoomLite with limited
+/// examples, as recorded when sessions first parked (PR 19; 1 789 000 with
+/// the layout before it). Capacities, not RSS: it repeats exactly.
+const MEGA_SESSION_BYTES: u64 = 721_163;
 
 fn main() {
     let targets = all_targets();
@@ -195,6 +207,7 @@ fn main() {
     let (mega_miter, mega_examples, mega_props, mega_patterns) =
         prepare_rds(&mega.design, &mega_safe, true, &[3]);
     let mut mega_reference = None;
+    let mut mega_solutions = Vec::new();
     for threads in [1usize, 2, 4] {
         let miner = CoiMiner::new(
             &mega_miter,
@@ -214,6 +227,11 @@ fn main() {
         let stats = engine.stats();
         assert!(stats.backtracks > 0 && stats.minimize_witness_hits > 0);
         let fp = fingerprint(&inv);
+        let bytes = (
+            stats.session_resident_bytes,
+            stats.encode_cache_resident_bytes,
+            stats.session_misses as u64,
+        );
         match &mega_reference {
             None => {
                 println!(
@@ -224,15 +242,87 @@ fn main() {
                     stats.minimize_probes_unsat,
                     stats.minimize_witness_hits
                 );
-                mega_reference = Some(fp);
+                mega_reference = Some((fp, bytes));
+                mega_solutions = engine.solutions();
             }
-            Some(expect) => assert_eq!(
-                &fp, expect,
-                "limited-example invariant differs at threads={threads}"
-            ),
+            Some((expect, expect_bytes)) => {
+                assert_eq!(
+                    &fp, expect,
+                    "limited-example invariant differs at threads={threads}"
+                );
+                assert_eq!(
+                    &bytes, expect_bytes,
+                    "byte gauges differ at threads={threads}"
+                );
+            }
         }
     }
     println!("  limited-example invariant bit-identical at threads 1/2/4");
+
+    // Memory follows the cones (DESIGN.md decision 20). The engine's own
+    // gauge first, then every session of the solution table replayed
+    // through a first query and a retry without the abduct's first member:
+    // a parked watch store is its live watchers plus the per-literal
+    // headers, so it must not reserve more than twice the live bytes.
+    let (_, (session_bytes, cache_bytes, mega_sessions)) = mega_reference.expect("the sweep ran");
+    let bytes_per_session = session_bytes / mega_sessions;
+    let mut watch_worst: f64 = 0.0;
+    let mut watch_sum = (0u64, 0u64);
+    {
+        let mut miner = CoiMiner::new(
+            &mega_miter,
+            &mega_examples,
+            Some(mega_patterns.clone()),
+            vec![],
+        );
+        let mut store = PredicateStore::new();
+        let cache = Arc::new(EncodeCache::new(mega_miter.netlist()));
+        for (target, _) in &mega_solutions {
+            let ids = miner.mine(target, &mut store);
+            let mut cands: Vec<Predicate> = store.resolve(&ids);
+            let mut session = AbductionSession::with_cache(
+                mega_miter.netlist(),
+                target.clone(),
+                AbductionConfig::paper_default(),
+                Arc::clone(&cache),
+                true,
+            );
+            for _ in 0..2 {
+                let result = session.solve(&cands);
+                let t = result.telemetry;
+                assert!(
+                    t.watch_bytes <= 2 * t.watch_live_bytes,
+                    "{target:?}: watch store reserves {} bytes for {} live",
+                    t.watch_bytes,
+                    t.watch_live_bytes
+                );
+                watch_worst = watch_worst.max(t.watch_bytes as f64 / t.watch_live_bytes as f64);
+                watch_sum = (
+                    watch_sum.0 + t.watch_bytes,
+                    watch_sum.1 + t.watch_live_bytes,
+                );
+                match result.abduct.as_deref() {
+                    Some([first, ..]) => drop(cands.remove(*first)),
+                    _ => break,
+                }
+            }
+        }
+    }
+    println!(
+        "  parked sessions {:.1} MB at the high-water mark = {bytes_per_session} bytes/session \
+         (gate: <= {MEGA_SESSION_BYTES} + 10%), encode cache {:.1} MB",
+        session_bytes as f64 / 1e6,
+        cache_bytes as f64 / 1e6
+    );
+    println!(
+        "  watch stores reserve {:.2}x their live bytes over the replayed queries, \
+         {watch_worst:.2}x at worst (gate: <= 2x each)",
+        watch_sum.0 as f64 / watch_sum.1 as f64
+    );
+    assert!(
+        bytes_per_session * 10 <= MEGA_SESSION_BYTES * 11,
+        "parked sessions grew: {bytes_per_session} bytes/session vs {MEGA_SESSION_BYTES} recorded"
+    );
 
     // ------------------------------------------------------------------
     // Tracing gates. (a) A traced run must yield a parseable
@@ -474,8 +564,8 @@ fn main() {
         modern_stats.restart_blocks
     );
     println!(
-        "  watch   store {} bytes (flat arena, long + binary)",
-        modern_stats.watch_bytes
+        "  watch   store {} bytes, {} of them live watchers",
+        modern_stats.watch_bytes, modern_stats.watch_live_bytes
     );
     println!(
         "  proof-on stream: {proof_on_s:.3}s end-to-end ({:+.2}% vs unlogged, noise-dominated)",
@@ -517,6 +607,11 @@ fn main() {
             "blocks",
         ),
         ("sat.watch_bytes", modern_stats.watch_bytes as f64, "bytes"),
+        (
+            "sat.watch_live_bytes",
+            modern_stats.watch_live_bytes as f64,
+            "bytes",
+        ),
         ("arena_proof_on_s", proof_on_s, "s"),
         ("arena_proof_event_ns", proof_event_ns, "ns"),
         ("arena_proof_overhead_frac", stream_proof_overhead, "frac"),
@@ -578,6 +673,29 @@ fn main() {
         ("thread_invariants_identical", 1.0, "bool"),
     ] {
         report.push("perf_smoke", boom.name, key, value, unit);
+    }
+    for (key, value, unit) in [
+        ("smt.session.resident_bytes", session_bytes as f64, "bytes"),
+        ("smt.cache.resident_bytes", cache_bytes as f64, "bytes"),
+        ("sessions", mega_sessions as f64, "sessions"),
+        (
+            "session_bytes_per_session",
+            bytes_per_session as f64,
+            "bytes",
+        ),
+        (
+            "session_bytes_per_session_gate",
+            MEGA_SESSION_BYTES as f64 * 1.1,
+            "bytes",
+        ),
+        (
+            "watch_reserved_over_live",
+            watch_sum.0 as f64 / watch_sum.1 as f64,
+            "x",
+        ),
+        ("watch_reserved_over_live_worst", watch_worst, "x"),
+    ] {
+        report.push("perf_smoke", "MegaBoomLite-limited", key, value, unit);
     }
     report.push(
         "perf_smoke",

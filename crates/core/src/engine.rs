@@ -30,8 +30,48 @@ use std::time::Instant;
 
 /// Per-target cache of live abduction sessions, owned by an engine and (in
 /// the parallel engine) handed to workers with the job and returned with
-/// the result. Dropping an entry frees its solver.
-pub(crate) type SessionCache<'a> = HashMap<PredId, AbductionSession<'a>>;
+/// the result. A session is *parked* here between its queries; dropping it
+/// frees its solver.
+#[derive(Debug, Default)]
+pub(crate) struct SessionCache<'a> {
+    parked: HashMap<PredId, AbductionSession<'a>>,
+    /// Sum of [`AbductionSession::resident_bytes`] over `parked`.
+    resident_bytes: u64,
+    /// High-water mark of `resident_bytes`.
+    peak_resident_bytes: u64,
+}
+
+impl<'a> SessionCache<'a> {
+    pub(crate) fn new() -> SessionCache<'a> {
+        SessionCache::default()
+    }
+
+    /// Takes `target`'s session out for its next query, if it has one.
+    pub(crate) fn take(&mut self, target: PredId) -> Option<AbductionSession<'a>> {
+        let session = self.parked.remove(&target)?;
+        self.resident_bytes -= session.resident_bytes();
+        Some(session)
+    }
+
+    /// Parks `target`'s session until its next query or the end of the run.
+    pub(crate) fn park(&mut self, target: PredId, session: AbductionSession<'a>) {
+        self.resident_bytes += session.resident_bytes();
+        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
+        let displaced = self.parked.insert(target, session);
+        debug_assert!(displaced.is_none(), "a target has one session");
+    }
+
+    /// The most bytes the parked sessions ever held together.
+    pub(crate) fn peak_resident_bytes(&self) -> u64 {
+        self.peak_resident_bytes
+    }
+
+    /// Frees every parked session (the peak is kept).
+    pub(crate) fn clear(&mut self) {
+        self.parked.clear();
+        self.resident_bytes = 0;
+    }
+}
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -156,7 +196,8 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
                 self.memo.remove(&s);
             }
         };
-        self.stats.record_encode_cache(&encode_cache.stats());
+        self.stats
+            .record_run_end(&encode_cache, self.sessions.peak_resident_bytes());
         self.stats.wall_time = t0.elapsed();
         // Sessions (and the encode cache) only pay off within one learning
         // run; free the solvers and recorded encodings.
@@ -229,19 +270,16 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
 
             // Line 12: O_abduct, through the target's live session.
             let q0 = Instant::now();
-            let res = self
-                .sessions
-                .entry(p)
-                .or_insert_with(|| {
-                    AbductionSession::with_cache(
-                        self.netlist,
-                        target,
-                        self.config.abduction,
-                        Arc::clone(encode_cache),
-                        true,
-                    )
-                })
-                .solve(&cands);
+            let mut session = self.sessions.take(p).unwrap_or_else(|| {
+                AbductionSession::with_cache(
+                    self.netlist,
+                    target,
+                    self.config.abduction,
+                    Arc::clone(encode_cache),
+                    true,
+                )
+            });
+            let res = session.solve(&cands);
             let qd = q0.elapsed();
             self.stats.record_query(qd);
             self.stats.record_abduction(&res.telemetry);
@@ -255,12 +293,14 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
 
             match res.abduct {
                 None => {
-                    // Lines 14–16.
+                    // Lines 14–16. A failed target is never queried again,
+                    // so its session is dropped rather than parked.
                     self.failed.insert(p);
                     self.memo.remove(&p);
                     break false;
                 }
                 Some(idxs) => {
+                    self.sessions.park(p, session);
                     let ab: Vec<PredId> = idxs.into_iter().map(|i| cand_ids[i]).collect();
                     // Line 13: memoise before recursing so cycles see the
                     // pending solution.

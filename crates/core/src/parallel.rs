@@ -339,10 +339,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             drop(job_tx); // closes the queue; workers exit before scope joins
             outcome
         });
-        self.stats.record_encode_cache(&encode_cache.stats());
-        self.stats.wall_time = t0.elapsed();
-        // Sessions only pay off within one learning run; free the solvers.
-        self.sessions.clear();
+        self.finish_run(&encode_cache, t0);
         result
     }
 
@@ -419,10 +416,17 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             },
             |ev| driver.borrow_mut().observe(ev),
         );
-        self.stats.record_encode_cache(&encode_cache.stats());
-        self.stats.wall_time = t0.elapsed();
-        self.sessions.clear();
+        self.finish_run(&encode_cache, t0);
         result
+    }
+
+    /// End-of-run bookkeeping shared by both backends.
+    fn finish_run(&mut self, encode_cache: &EncodeCache, t0: Instant) {
+        self.stats
+            .record_run_end(encode_cache, self.sessions.peak_resident_bytes());
+        self.stats.wall_time = t0.elapsed();
+        // Sessions only pay off within one learning run; free the solvers.
+        self.sessions.clear();
     }
 
     /// The encode cache for one learn run: the warm one a resident service
@@ -520,7 +524,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                     cand_ids,
                     parent,
                 });
-                let session = self.sessions.remove(&p).unwrap_or_else(|| {
+                let session = self.sessions.take(p).unwrap_or_else(|| {
                     AbductionSession::with_cache(
                         netlist,
                         target,
@@ -636,9 +640,12 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             self.stats.task_time += done.duration;
             match result.abduct {
                 None => {
+                    // Never issued again (the issue phase skips `P_fail`),
+                    // so the session is dropped rather than parked.
                     self.failed.insert(meta.pred);
                 }
                 Some(idxs) => {
+                    self.sessions.park(meta.pred, session);
                     let ab: Vec<PredId> = idxs.into_iter().map(|i| meta.cand_ids[i]).collect();
                     for &q in &ab {
                         self.discoverer.entry(q).or_insert(Some(task_idx));
@@ -652,7 +659,6 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 }
             }
             inflight.remove(&meta.pred);
-            self.sessions.insert(meta.pred, session);
         }
     }
 

@@ -118,6 +118,17 @@ pub struct Stats {
     pub encode_vars_saved: u64,
     /// Tseitin clauses encode-cache replay skipped re-deriving.
     pub encode_clauses_saved: u64,
+    /// Most heap bytes the run's parked abduction sessions ever held
+    /// together ([`hh_smt::AbductionSession::resident_bytes`], summed at
+    /// every commit). Computed from capacities, so it repeats exactly and
+    /// is the same at every thread count — a high-water gauge: folds take
+    /// the maximum.
+    pub session_resident_bytes: u64,
+    /// Heap bytes the run's encode cache held when the run ended
+    /// ([`hh_smt::EncodeCache::resident_bytes`]; a warm cache a service
+    /// attached counts everything it has accumulated) — a gauge like
+    /// `session_resident_bytes`.
+    pub encode_cache_resident_bytes: u64,
     /// Base-design cycles simulated to generate the run's positive
     /// examples, both executions of each pair counted. The engine never
     /// sees example generation; `veloct` fills the three `examples_*`
@@ -279,13 +290,18 @@ impl Stats {
         self.word_strash_hits += t.strash_hits;
     }
 
-    /// Folds the final [`hh_smt::CacheStats`] of a learn run's shared
-    /// encode cache into the counters.
-    pub(crate) fn record_encode_cache(&mut self, c: &hh_smt::CacheStats) {
+    /// End-of-run fold of the shared encode cache's final
+    /// [`hh_smt::CacheStats`] and footprint, and of the parked sessions'
+    /// high-water footprint.
+    pub(crate) fn record_run_end(&mut self, cache: &hh_smt::EncodeCache, session_peak: u64) {
+        let c = cache.stats();
         self.encode_cache_hits += c.hits;
         self.encode_cache_misses += c.misses;
         self.encode_vars_saved += c.vars_saved;
         self.encode_clauses_saved += c.clauses_saved;
+        self.encode_cache_resident_bytes =
+            self.encode_cache_resident_bytes.max(cache.resident_bytes());
+        self.session_resident_bytes = self.session_resident_bytes.max(session_peak);
     }
 
     /// Fraction of abduction queries served by a live session (0 when no
@@ -371,6 +387,12 @@ impl Stats {
         self.encode_cache_misses += other.encode_cache_misses;
         self.encode_vars_saved += other.encode_vars_saved;
         self.encode_clauses_saved += other.encode_clauses_saved;
+        self.session_resident_bytes = self
+            .session_resident_bytes
+            .max(other.session_resident_bytes);
+        self.encode_cache_resident_bytes = self
+            .encode_cache_resident_bytes
+            .max(other.encode_cache_resident_bytes);
         self.examples_cycles += other.examples_cycles;
         self.examples_raw += other.examples_raw;
         self.examples_unique += other.examples_unique;
@@ -393,10 +415,12 @@ impl Stats {
             ("smt.session.miss", self.session_misses as u64),
             ("smt.session.vars_saved", self.vars_saved as u64),
             ("smt.session.clauses_saved", self.clauses_saved as u64),
+            ("smt.session.resident_bytes", self.session_resident_bytes),
             ("smt.cache.hit", self.encode_cache_hits),
             ("smt.cache.miss", self.encode_cache_misses),
             ("smt.cache.vars_saved", self.encode_vars_saved),
             ("smt.cache.clauses_saved", self.encode_clauses_saved),
+            ("smt.cache.resident_bytes", self.encode_cache_resident_bytes),
             ("smt.word.const_folds", self.word_const_folds),
             ("smt.word.rewrites", self.word_rewrites),
             ("smt.word.strash_hits", self.word_strash_hits),

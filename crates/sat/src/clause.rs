@@ -301,6 +301,19 @@ impl ClauseDb {
         self.data.len()
     }
 
+    /// Releases the spare capacity of the arena and the clause lists.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
+        self.clause_list.shrink_to_fit();
+        self.learnt_list.shrink_to_fit();
+    }
+
+    /// Heap bytes held by the arena and the clause lists.
+    pub(crate) fn bytes(&self) -> u64 {
+        ((self.data.capacity() + self.clause_list.capacity() + self.learnt_list.capacity()) * 4)
+            as u64
+    }
+
     /// Fraction of the arena occupied by deleted/shrunk-away words.
     pub(crate) fn garbage_frac(&self) -> f64 {
         if self.data.is_empty() {

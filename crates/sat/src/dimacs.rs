@@ -73,8 +73,9 @@ impl std::error::Error for ParseDimacsError {}
 ///
 /// # Errors
 ///
-/// Returns [`ParseDimacsError`] on malformed headers, non-integer tokens or
-/// out-of-range variables; every error reports the 1-based line number.
+/// Returns [`ParseDimacsError`] on malformed headers (a variable count above
+/// [`Var::MAX_INDEX`]` + 1` included), non-integer tokens or out-of-range
+/// variables; every error reports the 1-based line number.
 pub fn parse_dimacs(text: &str) -> Result<Cnf, ParseDimacsError> {
     let mut num_vars: Option<usize> = None;
     let mut clauses = Vec::new();
@@ -87,16 +88,22 @@ pub fn parse_dimacs(text: &str) -> Result<Cnf, ParseDimacsError> {
         }
         if line.starts_with('p') {
             let parts: Vec<&str> = line.split_whitespace().collect();
-            if parts.len() != 4 || parts[1] != "cnf" {
-                return Err(ParseDimacsError::BadHeader {
-                    line: lineno,
-                    text: line.to_string(),
-                });
+            // A count above `Var::MAX_INDEX + 1` promises variables no
+            // `Var` can name; accepting it would let the range check below
+            // pass literals that `Var::from_index` silently truncates.
+            let count = match parts[..] {
+                [_, "cnf", vars, _] => vars.parse().ok(),
+                _ => None,
+            };
+            match count {
+                Some(n) if n <= Var::MAX_INDEX + 1 => num_vars = Some(n),
+                _ => {
+                    return Err(ParseDimacsError::BadHeader {
+                        line: lineno,
+                        text: line.to_string(),
+                    })
+                }
             }
-            num_vars = Some(parts[2].parse().map_err(|_| ParseDimacsError::BadHeader {
-                line: lineno,
-                text: line.to_string(),
-            })?);
             continue;
         }
         let nv = num_vars.ok_or(ParseDimacsError::BadHeader {
@@ -233,6 +240,45 @@ mod tests {
                 literal: 2
             })
         ));
+    }
+
+    #[test]
+    fn rejects_variables_no_var_can_name() {
+        // Once `p cnf 4294967295 1` was accepted and literal 2147483649
+        // came back as variable 1 (`[Lit(0), Lit(0)]`) in release builds.
+        let err = parse_dimacs("p cnf 4294967295 1\n2147483649 1 0\n").unwrap_err();
+        assert!(
+            matches!(err, ParseDimacsError::BadHeader { line: 1, .. }),
+            "{err}"
+        );
+        let too_many = Var::MAX_INDEX + 2;
+        assert!(matches!(
+            parse_dimacs(&format!("c pad\np cnf {too_many} 0\n")),
+            Err(ParseDimacsError::BadHeader { line: 2, .. })
+        ));
+        // Under the largest header there is, a literal beyond it is out of
+        // range in either polarity.
+        let most = Var::MAX_INDEX + 1;
+        for literal in [2147483649i64, -2147483649, 2147483648] {
+            assert_eq!(
+                parse_dimacs(&format!("p cnf {most} 1\n1 {literal} 0\n")),
+                Err(ParseDimacsError::VarOutOfRange { line: 2, literal })
+            );
+        }
+        // The largest literal there is parses to the largest variable and
+        // round-trips through the writer.
+        let text = format!("p cnf {most} 1\n{most} -{most} 1 0\n");
+        let cnf = parse_dimacs(&text).unwrap();
+        let top = Var::from_index(Var::MAX_INDEX);
+        assert_eq!(
+            cnf.clauses,
+            vec![vec![
+                top.positive(),
+                top.negative(),
+                Var::from_index(0).positive()
+            ]]
+        );
+        assert_eq!(to_dimacs(&cnf), text);
     }
 
     #[test]

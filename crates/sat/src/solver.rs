@@ -27,15 +27,8 @@ use crate::clause::{ClauseDb, ClauseRef, Tier};
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::ProofSink;
 use crate::vmtf::VmtfQueue;
-use crate::watch::{WatchStore, Watcher};
+use crate::watch::{Fit, WatchStore, Watcher};
 use std::num::{NonZeroU32, NonZeroU64};
-
-/// Truth value of `l` under `assigns`, as a free function so propagation can
-/// hold a mutable borrow of the clause arena at the same time.
-#[inline]
-fn val(assigns: &[LBool], l: Lit) -> LBool {
-    assigns[l.var().index()].of_lit(l)
-}
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,9 +145,13 @@ pub struct SolverStats {
     /// Clauses deleted outright by vivification (satisfied by implication at
     /// level 0 or collapsed to a unit).
     pub vivified_deleted: u64,
-    /// Current heap footprint of the watch lists in bytes — a gauge
-    /// refreshed after every solve, not a monotone counter.
+    /// Current heap footprint of the watch lists in bytes (watchers, idle
+    /// capacity, holes and per-literal headers) — a gauge refreshed after
+    /// every solve and by [`Solver::shrink_to_fit`], not a monotone counter.
     pub watch_bytes: u64,
+    /// The part of `watch_bytes` that is watchers currently in a list — a
+    /// gauge refreshed together with it.
+    pub watch_live_bytes: u64,
 }
 
 // Fixed search parameters. No workload sets any of them, so they are
@@ -229,15 +226,18 @@ enum SearchOutcome {
 pub struct Solver {
     pub(crate) config: Config,
     pub(crate) db: ClauseDb,
-    /// Watch lists for clauses of three or more literals, indexed by literal
-    /// code: list `p` holds clauses that must be inspected when `p` becomes
-    /// true (they watch `!p`). See [`crate::watch`] for the layout.
+    /// Watch lists indexed by literal code: list `p` holds the clauses that
+    /// must be inspected when `p` becomes true (they watch `!p`), binary
+    /// clauses first — their watcher's blocker is the implied literal, so
+    /// that part needs no arena access at all. See [`crate::watch`] for the
+    /// layout.
     watches: WatchStore,
-    /// Watch lists for binary clauses, processed before `watches`: the
-    /// watcher's blocker is the implied literal, so the fast path needs no
-    /// arena access at all.
-    bin_watches: WatchStore,
     pub(crate) assigns: Vec<LBool>,
+    /// The assignment again, per literal code and as a signed byte (`1`
+    /// true, `-1` false, `0` unassigned): what propagation reads, one byte
+    /// load per literal with nothing to decode. Written only where
+    /// `assigns` is (`new_var`, `unchecked_enqueue_at`, `cancel_until`).
+    vals: Vec<i8>,
     /// Saved phase per variable, used as the decision polarity.
     pub(crate) phase: Vec<bool>,
     /// Phases captured at the deepest trail of the current solve; restarts
@@ -335,8 +335,8 @@ impl Solver {
             config,
             db: ClauseDb::new(),
             watches: WatchStore::new(),
-            bin_watches: WatchStore::new(),
             assigns: Vec::new(),
+            vals: Vec::new(),
             phase: Vec::new(),
             best_phase: Vec::new(),
             best_trail: 0,
@@ -498,6 +498,7 @@ impl Solver {
     pub fn new_var(&mut self) -> Var {
         let v = Var::from_index(self.assigns.len());
         self.assigns.push(LBool::Undef);
+        self.vals.extend([0, 0]);
         self.phase.push(false);
         self.best_phase.push(false);
         self.reason.push(None);
@@ -507,8 +508,6 @@ impl Solver {
         self.eliminated.push(false);
         self.watches.add_lit();
         self.watches.add_lit();
-        self.bin_watches.add_lit();
-        self.bin_watches.add_lit();
         self.lbd_levels.push(0);
         self.order.push_var();
         v
@@ -654,11 +653,10 @@ impl Solver {
             self.stats.chrono_backtracks,
             self.stats.vivified_lits,
             self.stats.vivified_deleted,
-            self.stats.watch_bytes,
         );
         let result = self.solve_internal(assumptions, budget);
         self.stats.arena_bytes = (self.db.arena_words() * 4) as u64;
-        self.stats.watch_bytes = self.watches.bytes() + self.bin_watches.bytes();
+        self.refresh_watch_gauges();
         if hh_trace::enabled() {
             hh_trace::counter!(
                 "sat",
@@ -689,13 +687,6 @@ impl Solver {
                 "sat",
                 "sat.vivified_deleted",
                 self.stats.vivified_deleted - before.7
-            );
-            // Like the arena size, the watch footprint is a gauge: the
-            // signed delta keeps the trace total equal to the live value.
-            hh_trace::counter!(
-                "sat",
-                "sat.watch_bytes",
-                self.stats.watch_bytes as i64 - before.8 as i64
             );
             if budget.is_some() {
                 hh_trace::counter!("sat", "sat.budget_rounds", 1u64);
@@ -732,6 +723,10 @@ impl Solver {
         {
             return Some(SolveResult::Unsat);
         }
+        // The formula has stopped growing and no list is being walked: the
+        // one point per solve where a wasteful watch arena (a bulk load's
+        // relocation holes, a park's exact fit since outgrown) is rebuilt.
+        self.fit_watches();
         self.max_learnts = (self.db.num_clauses() as f64) * LEARNT_SIZE_FACTOR + 1000.0;
         // Seed the best-phase snapshot from the saved phases so a restart
         // before any record never installs stale polarities.
@@ -1060,46 +1055,43 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.stats.propagations += 1;
-            let pc = p.code();
+            // The list's bounds, read once. Nothing below pushes to this
+            // list: enqueueing touches no list, and a relocated watcher
+            // goes to a *different* literal's list (the new watch is
+            // non-false, `!p` is false).
+            let (start, mid, end) = self.watches.spans(p.code());
 
-            // Binary fast path: the watcher's blocker *is* the implied
-            // literal, so every two-literal clause is resolved without
-            // touching the clause arena. Enqueueing never mutates the list
-            // being walked, so plain index iteration is safe.
-            let mut bi = 0;
-            while bi < self.bin_watches.len(pc) {
-                let w = self.bin_watches.get(pc, bi);
-                bi += 1;
-                match val(&self.assigns, w.blocker) {
-                    LBool::True => {}
-                    LBool::Undef => self.unchecked_enqueue(w.blocker, Some(w.cref)),
-                    LBool::False => {
+            // Binary part: the watcher's blocker *is* the implied literal,
+            // so every two-literal clause is resolved without touching the
+            // clause arena.
+            for i in start..mid {
+                let w = self.watches.get(i);
+                match self.vals[w.blocker.code()] {
+                    1 => {}
+                    0 => self.unchecked_enqueue(w.blocker, Some(w.cref)),
+                    _ => {
                         self.qhead = self.trail.len();
                         return Some(w.cref);
                     }
                 }
             }
 
-            // Long-clause walk, compacting kept watchers in place with an
-            // i/j index pair. A relocated watcher is only ever pushed to a
-            // *different* literal's list (the new watch is non-false, `!p`
-            // is false), so the list being walked never grows underneath
-            // the snapshot length.
+            // Long part, compacting kept watchers in place with an i/j
+            // index pair.
+            let false_lit = !p;
             let mut conflict = None;
-            let n = self.watches.len(pc);
-            let mut i = 0;
-            let mut j = 0;
-            'watchers: while i < n {
-                let w = self.watches.get(pc, i);
+            let mut i = mid;
+            let mut j = mid;
+            while i < end {
+                let w = self.watches.get(i);
                 i += 1;
                 // Blocker check before any arena load: if some other
                 // literal of the clause is already true, keep the watcher.
-                if val(&self.assigns, w.blocker) == LBool::True {
-                    self.watches.set(pc, j, w);
+                if self.vals[w.blocker.code()] > 0 {
+                    self.watches.set(j, w);
                     j += 1;
                     continue;
                 }
-                let false_lit = !p;
                 let cref = w.cref;
                 // One arena dereference for the whole clause body.
                 let lits = self.db.lits_mut(cref);
@@ -1109,66 +1101,41 @@ impl Solver {
                 }
                 debug_assert_eq!(lits[1], false_lit);
                 let first = lits[0];
-                if first != w.blocker && val(&self.assigns, first) == LBool::True {
-                    self.watches.set(
-                        pc,
-                        j,
-                        Watcher {
-                            cref,
-                            blocker: first,
-                        },
-                    );
+                let first_val = self.vals[first.code()];
+                let w = Watcher {
+                    cref,
+                    blocker: first,
+                };
+                if first_val > 0 {
+                    self.watches.set(j, w);
                     j += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
-                let mut new_watch = None;
-                for k in 2..lits.len() {
-                    if val(&self.assigns, lits[k]) != LBool::False {
-                        lits.swap(1, k);
-                        new_watch = Some(lits[1]);
-                        break;
-                    }
+                if let Some(k) = (2..lits.len()).find(|&k| self.vals[lits[k].code()] >= 0) {
+                    lits.swap(1, k);
+                    let new_watch = lits[1];
+                    self.watches.push_long((!new_watch).code(), w);
+                    continue;
                 }
-                if let Some(nw) = new_watch {
-                    self.watches.push(
-                        (!nw).code(),
-                        Watcher {
-                            cref,
-                            blocker: first,
-                        },
-                    );
-                    continue 'watchers;
-                }
-                // Clause is satisfied by `first`, unit, or conflicting.
-                self.watches.set(
-                    pc,
-                    j,
-                    Watcher {
-                        cref,
-                        blocker: first,
-                    },
-                );
+                // Clause is unit or conflicting.
+                self.watches.set(j, w);
                 j += 1;
-                match val(&self.assigns, first) {
-                    LBool::True => {
-                        unreachable!("the blocker and `first` checks keep satisfied clauses")
-                    }
-                    LBool::Undef => self.unchecked_enqueue(first, Some(cref)),
-                    LBool::False => {
-                        conflict = Some(cref);
-                        self.qhead = self.trail.len();
-                        // Copy remaining watchers back.
-                        while i < n {
-                            let w = self.watches.get(pc, i);
-                            self.watches.set(pc, j, w);
-                            j += 1;
-                            i += 1;
-                        }
+                if first_val == 0 {
+                    self.unchecked_enqueue(first, Some(cref));
+                } else {
+                    conflict = Some(cref);
+                    self.qhead = self.trail.len();
+                    // Copy remaining watchers back.
+                    while i < end {
+                        let w = self.watches.get(i);
+                        self.watches.set(j, w);
+                        j += 1;
+                        i += 1;
                     }
                 }
             }
-            self.watches.truncate(pc, j);
+            self.watches.truncate_longs(p.code(), j - mid);
             if conflict.is_some() {
                 return conflict;
             }
@@ -1197,6 +1164,8 @@ impl Solver {
         debug_assert!(lvl <= self.decision_level());
         let v = p.var().index();
         self.assigns[v] = LBool::from_bool(p.is_positive());
+        self.vals[p.code()] = 1;
+        self.vals[(!p).code()] = -1;
         self.reason[v] = from;
         self.level[v] = lvl;
         self.trail.push(p);
@@ -1248,6 +1217,8 @@ impl Solver {
             } else {
                 self.phase[v] = p.is_positive();
                 self.assigns[v] = LBool::Undef;
+                self.vals[p.code()] = 0;
+                self.vals[(!p).code()] = 0;
                 self.reason[v] = None;
                 self.order.on_free(p.var());
             }
@@ -1462,16 +1433,13 @@ impl Solver {
     pub(crate) fn attach(&mut self, cref: ClauseRef) {
         let lits = self.db.lits(cref);
         let (l0, l1, binary) = (lits[0], lits[1], lits.len() == 2);
+        let (w0, w1) = (Watcher { cref, blocker: l1 }, Watcher { cref, blocker: l0 });
         if binary {
-            self.bin_watches
-                .push((!l0).code(), Watcher { cref, blocker: l1 });
-            self.bin_watches
-                .push((!l1).code(), Watcher { cref, blocker: l0 });
+            self.watches.push_bin((!l0).code(), w0);
+            self.watches.push_bin((!l1).code(), w1);
         } else {
-            self.watches
-                .push((!l0).code(), Watcher { cref, blocker: l1 });
-            self.watches
-                .push((!l1).code(), Watcher { cref, blocker: l0 });
+            self.watches.push_long((!l0).code(), w0);
+            self.watches.push_long((!l1).code(), w1);
         }
     }
 
@@ -1483,8 +1451,8 @@ impl Solver {
     pub(crate) fn detach_long(&mut self, cref: ClauseRef) {
         let lits = self.db.lits(cref);
         let (l0, l1) = (lits[0], lits[1]);
-        let r0 = self.watches.remove_first((!l0).code(), cref);
-        let r1 = self.watches.remove_first((!l1).code(), cref);
+        let r0 = self.watches.remove_first_long((!l0).code(), cref);
+        let r1 = self.watches.remove_first_long((!l1).code(), cref);
         debug_assert!(r0 && r1, "detach of unattached clause {cref:?}");
     }
 
@@ -1599,24 +1567,37 @@ impl Solver {
 
     fn clear_watches(&mut self) {
         self.watches.clear();
-        self.bin_watches.clear();
+    }
+
+    /// Rebuilds the watch arena, with headroom, if it has become wasteful
+    /// (see [`crate::watch`]). Called where no list is being walked: the
+    /// start of a solve and the clause-GC sites.
+    fn fit_watches(&mut self) {
+        if self.watches.wasteful() {
+            self.watches.compact(Fit::Roomy);
+        }
+    }
+
+    /// Refreshes the two watch gauges. Like the arena size, the footprint
+    /// is traced as a signed delta, which keeps the trace total equal to the
+    /// current value.
+    fn refresh_watch_gauges(&mut self) {
+        let bytes = self.watches.bytes();
+        hh_trace::counter!(
+            "sat",
+            "sat.watch_bytes",
+            bytes as i64 - self.stats.watch_bytes as i64
+        );
+        self.stats.watch_bytes = bytes;
+        self.stats.watch_live_bytes = self.watches.live_bytes();
     }
 
     /// Drops watchers that point at deleted clauses, leaving live watchers
-    /// in place. Cheaper than a full rebuild after a reduction round. In
-    /// flat mode, compacts a watch arena whose relocation holes have come
-    /// to dominate it — piggybacked here because this is the clause-GC
-    /// call site where the lists are already being rewritten.
+    /// in place. Cheaper than a full rebuild after a reduction round.
     fn scrub_watches(&mut self) {
         let db = &self.db;
         self.watches.retain(|x| !db.is_deleted(x.cref));
-        self.bin_watches.retain(|x| !db.is_deleted(x.cref));
-        if self.watches.should_compact() {
-            self.watches.compact();
-        }
-        if self.bin_watches.should_compact() {
-            self.bin_watches.compact();
-        }
+        self.fit_watches();
     }
 
     /// Compacts the clause arena in place and remaps every stored
@@ -1629,8 +1610,6 @@ impl Solver {
         }
         self.watches
             .for_each_mut(|x| x.cref = ClauseDb::remap_ref(&remap, x.cref));
-        self.bin_watches
-            .for_each_mut(|x| x.cref = ClauseDb::remap_ref(&remap, x.cref));
     }
 
     pub(crate) fn rebuild_watches(&mut self) {
@@ -1639,14 +1618,78 @@ impl Solver {
         for cref in refs {
             self.attach(cref);
         }
-        // A full rebuild repopulates the same lists, so the flat regions are
-        // mostly reused; compact only if relocation holes still dominate.
-        if self.watches.should_compact() {
-            self.watches.compact();
+        // A full rebuild repopulates the same lists, so the regions are
+        // mostly reused.
+        self.fit_watches();
+    }
+
+    // ------------------------------------------------------------------
+    // Memory
+    // ------------------------------------------------------------------
+
+    /// Parks the solver: rebuilds the watch arena with no slack at all and
+    /// releases the spare capacity of every other vector, so that
+    /// [`Solver::resident_bytes`] is what the formula and the search state
+    /// need and nothing more. For a solver about to sit idle — an
+    /// incremental session between queries. Nothing the search reads
+    /// changes (watcher order included), so later calls answer exactly as
+    /// they would have; they re-grow what they need.
+    pub fn shrink_to_fit(&mut self) {
+        debug_assert_eq!(self.decision_level(), 0);
+        self.watches.compact(Fit::Exact);
+        self.refresh_watch_gauges();
+        self.db.shrink_to_fit();
+        self.order.shrink_to_fit();
+        self.assigns.shrink_to_fit();
+        self.vals.shrink_to_fit();
+        self.phase.shrink_to_fit();
+        self.best_phase.shrink_to_fit();
+        self.analyzed.shrink_to_fit();
+        self.trail.shrink_to_fit();
+        self.trail_lim.shrink_to_fit();
+        self.reason.shrink_to_fit();
+        self.level.shrink_to_fit();
+        self.seen.shrink_to_fit();
+        self.model.shrink_to_fit();
+        self.core.shrink_to_fit();
+        self.frozen.shrink_to_fit();
+        self.eliminated.shrink_to_fit();
+        self.elim_stack.shrink_to_fit();
+        self.lbd_levels.shrink_to_fit();
+    }
+
+    /// Heap bytes this solver holds, computed from the capacities of its
+    /// vectors (so it repeats exactly run to run, unlike an RSS reading):
+    /// clause arena, watch arena and headers, and the per-variable arrays.
+    pub fn resident_bytes(&self) -> u64 {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
         }
-        if self.bin_watches.should_compact() {
-            self.bin_watches.compact();
-        }
+        let eliminated_clauses: usize = self
+            .elim_stack
+            .iter()
+            .map(|(_, clauses)| bytes(clauses) + clauses.iter().map(bytes).sum::<usize>())
+            .sum();
+        self.db.bytes()
+            + self.watches.bytes()
+            + self.order.bytes()
+            + (bytes(&self.assigns)
+                + bytes(&self.vals)
+                + bytes(&self.phase)
+                + bytes(&self.best_phase)
+                + bytes(&self.analyzed)
+                + bytes(&self.trail)
+                + bytes(&self.trail_lim)
+                + bytes(&self.reason)
+                + bytes(&self.level)
+                + bytes(&self.seen)
+                + bytes(&self.model)
+                + bytes(&self.core)
+                + bytes(&self.frozen)
+                + bytes(&self.eliminated)
+                + bytes(&self.elim_stack)
+                + eliminated_clauses
+                + bytes(&self.lbd_levels)) as u64
     }
 
     // ------------------------------------------------------------------
@@ -1704,43 +1747,58 @@ impl Solver {
             .collect()
     }
 
+    /// Checks that the per-literal value bytes propagation reads say what
+    /// the per-variable assignment says. Test hook.
+    #[doc(hidden)]
+    pub fn debug_check_values(&self) -> Result<(), String> {
+        if self.vals.len() != 2 * self.assigns.len() {
+            return Err(format!("{} value bytes", self.vals.len()));
+        }
+        for (v, &a) in self.assigns.iter().enumerate() {
+            let want = match a {
+                LBool::True => 1,
+                LBool::False => -1,
+                LBool::Undef => 0,
+            };
+            let got = (self.vals[2 * v], self.vals[2 * v + 1]);
+            if got != (want, -want) {
+                return Err(format!("x{v} is {a:?} but its literals read {got:?}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Checks the two-watched-literal invariant: every live clause of size
     /// ≥ 2 is watched exactly twice, on the complements of two of its own
-    /// literals (binary clauses in the binary lists, longer clauses in the
-    /// main lists), and no watcher points at a deleted clause. Test hook.
+    /// literals (binary clauses in the binary part of the lists, longer
+    /// clauses behind it), and no watcher points at a deleted clause. Test
+    /// hook.
     #[doc(hidden)]
     pub fn debug_check_watches(&self) -> Result<(), String> {
         use std::collections::HashMap;
         let mut count: HashMap<u32, Vec<Lit>> = HashMap::new();
         for code in 0..self.watches.num_codes() {
-            for w in self.watches.slice(code) {
-                if self.db.is_deleted(w.cref) {
-                    return Err(format!("watcher on deleted clause {:?}", w.cref));
+            for (part, binary) in [
+                (self.watches.bins(code), true),
+                (self.watches.longs(code), false),
+            ] {
+                for w in part {
+                    if self.db.is_deleted(w.cref) {
+                        return Err(format!("watcher on deleted clause {:?}", w.cref));
+                    }
+                    if (self.db.size(w.cref) == 2) != binary {
+                        return Err(format!(
+                            "clause {:?} of size {} in the {} part of a watch list",
+                            w.cref,
+                            self.db.size(w.cref),
+                            if binary { "binary" } else { "long" }
+                        ));
+                    }
+                    count
+                        .entry(w.cref.0)
+                        .or_default()
+                        .push(!Lit::from_code(code));
                 }
-                if self.db.size(w.cref) == 2 {
-                    return Err(format!("binary clause {:?} in long watch list", w.cref));
-                }
-                count
-                    .entry(w.cref.0)
-                    .or_default()
-                    .push(!Lit::from_code(code));
-            }
-        }
-        for code in 0..self.bin_watches.num_codes() {
-            for w in self.bin_watches.slice(code) {
-                if self.db.is_deleted(w.cref) {
-                    return Err(format!("bin watcher on deleted clause {:?}", w.cref));
-                }
-                if self.db.size(w.cref) != 2 {
-                    return Err(format!(
-                        "non-binary clause {:?} in binary watch list",
-                        w.cref
-                    ));
-                }
-                count
-                    .entry(w.cref.0)
-                    .or_default()
-                    .push(!Lit::from_code(code));
             }
         }
         for cref in self.db.live_refs() {
@@ -2349,6 +2407,46 @@ mod tests {
         assert_eq!(trajectory(&s), [19670, 214901, 6247, 16, 4]);
         let st = s.stats();
         assert_eq!((st.simplifies, st.vivified_lits), (2, 831));
+    }
+
+    #[test]
+    fn parking_between_solves_changes_no_trajectory() {
+        // The incremental stream of `default_trajectory_is_pinned`, twice:
+        // one solver parks after every answer, and clauses (binary and
+        // long) keep arriving after each park.
+        let clauses = random_3cnf(140, 590, 3);
+        let mut plain = solver_with(Config::default(), 140, &clauses);
+        let mut parked = solver_with(Config::default(), 140, &clauses);
+        let mut assumptions: Vec<Lit> = (0..600).map(|_| plain.new_var().positive()).collect();
+        for _ in 0..600 {
+            parked.new_var();
+        }
+        let extra_clauses = random_3cnf(140, 8, 77);
+        for round in 0..4 {
+            assumptions.push(Var::from_index(round).lit(round % 2 == 0));
+            let verdict = plain.solve_with_assumptions(&assumptions);
+            assert_eq!(parked.solve_with_assumptions(&assumptions), verdict);
+            assert_eq!(parked.unsat_core(), plain.unsat_core());
+            assumptions.pop();
+
+            parked.shrink_to_fit();
+            assert_eq!(parked.debug_check_watches(), Ok(()));
+            assert_eq!(parked.debug_check_values(), Ok(()));
+            let st = parked.stats();
+            let headers = (2 * parked.num_vars() * 16) as u64;
+            assert_eq!(st.watch_bytes, st.watch_live_bytes + headers, "no slack");
+            assert!(parked.resident_bytes() < plain.resident_bytes());
+
+            let long = &extra_clauses[2 * round];
+            let binary = &extra_clauses[2 * round + 1][..2];
+            for s in [&mut plain, &mut parked] {
+                s.add_clause(long);
+                s.add_clause(binary);
+            }
+        }
+        assert_eq!(trajectory(&parked), trajectory(&plain));
+        assert!(plain.stats().simplifies >= 2 && plain.stats().chrono_backtracks > 0);
+        assert_eq!(plain.debug_check_values(), Ok(()));
     }
 
     #[test]

@@ -1,17 +1,28 @@
 //! Watch-list storage for the two-watched-literal scheme.
 //!
 //! Every watcher of every literal lives in one contiguous `Vec<Watcher>`
-//! arena, with a per-literal `(offset, len, cap)` header. Propagation walks
-//! one cache-linear slice per literal instead of chasing a separate heap
-//! allocation per literal. A list that outgrows its capacity is relocated
+//! arena. A literal's list is one region of it, binary-clause watchers first
+//! and long-clause watchers behind them, described by a 16-byte
+//! `(offset, bins, len, cap)` header: propagation reads the header once and
+//! then walks one cache-linear slice, resolving the binary prefix without
+//! touching the clause arena. A list that outgrows its region is relocated
 //! to the end of the arena with amortized doubling; the abandoned region
-//! becomes a lazy hole counted in `garbage`. Holes are reclaimed by
-//! [`WatchStore::compact`] (rebuild-in-place, order preserving), which the
-//! solver piggybacks on the clause-arena GC sites.
+//! becomes a hole.
 //!
-//! The accessor methods take and return [`Watcher`] by value and index
-//! lists by literal code, so the solver can interleave them with clause
-//! arena borrows without fighting the borrow checker.
+//! The arena's reserved size follows its live size. Live watchers are
+//! counted as they come and go, and when the arena holds more than
+//! `WASTE_FACTOR` slots per live watcher the solver rebuilds it
+//! ([`WatchStore::compact`], one linear, order-preserving copy) at a point
+//! where no list is being walked: the start of a solve call — which is where
+//! a freshly loaded or replayed formula first stops growing — and the
+//! clause-GC sites, both with power-of-two headroom per list
+//! ([`Fit::Roomy`]) so steady-state watch moves do not relocate; and when
+//! the solver is parked ([`crate::Solver::shrink_to_fit`]) with no slack at
+//! all ([`Fit::Exact`]).
+//!
+//! Watcher order inside the binary and the long part of every list is the
+//! propagation visit order, which is part of the solver's determinism
+//! contract: no operation here, compaction included, changes it.
 
 use crate::clause::ClauseRef;
 use crate::lit::Lit;
@@ -35,26 +46,62 @@ const HOLE: Watcher = Watcher {
     blocker: Lit(u32::MAX),
 };
 
-/// Per-literal header: the list occupies
-/// `data[off .. off + len]` inside its reserved region
-/// `data[off .. off + cap]`.
+/// Per-literal header: the list occupies `data[off .. off + len]` — binary
+/// watchers in the first `bins` slots, long ones behind them — inside its
+/// reserved region `data[off .. off + cap]`.
 #[derive(Debug, Clone, Copy, Default)]
 struct Head {
     off: u32,
+    bins: u32,
     len: u32,
     cap: u32,
 }
 
-/// Minimum region capacity handed to a list on its first relocation.
+impl Head {
+    #[inline]
+    fn start(self) -> usize {
+        self.off as usize
+    }
+
+    #[inline]
+    fn mid(self) -> usize {
+        (self.off + self.bins) as usize
+    }
+
+    #[inline]
+    fn end(self) -> usize {
+        (self.off + self.len) as usize
+    }
+}
+
+/// Minimum region capacity handed to a list when it outgrows its region.
 const MIN_CAP: u32 = 4;
+
+/// The arena is rebuilt once it reserves more than this many slots per live
+/// watcher. A [`Fit::Roomy`] rebuild reserves at most two, so the arena has
+/// to grow by as many slots as it has live watchers before the next one.
+const WASTE_FACTOR: usize = 3;
+
+/// Arenas below this many slots are never worth a rebuild.
+const WASTE_FLOOR: usize = 1024;
+
+/// How much room [`WatchStore::compact`] leaves each list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fit {
+    /// A power-of-two region with at least one free slot per non-empty
+    /// list, so steady-state watch moves do not relocate.
+    Roomy,
+    /// No slack: every region is exactly its list, and so is the arena.
+    Exact,
+}
 
 /// Watch lists for all literals.
 #[derive(Debug, Default)]
 pub(crate) struct WatchStore {
     data: Vec<Watcher>,
     heads: Vec<Head>,
-    /// Arena slots orphaned by list relocation (whole abandoned regions).
-    garbage: usize,
+    /// Watchers in all lists: the sum of the headers' `len`.
+    live: usize,
 }
 
 impl WatchStore {
@@ -72,98 +119,113 @@ impl WatchStore {
         self.heads.len()
     }
 
-    /// Length of the watch list of literal code `code`.
+    /// Arena index bounds of `code`'s list, read once per propagated
+    /// literal: binary watchers are [`WatchStore::get`]`(start..mid)`, long
+    /// ones `(mid..end)`. The bounds stay valid while other lists are pushed
+    /// to (a relocation moves only the list that grew).
     #[inline]
-    pub(crate) fn len(&self, code: usize) -> usize {
-        self.heads[code].len as usize
+    pub(crate) fn spans(&self, code: usize) -> (usize, usize, usize) {
+        let h = self.heads[code];
+        (h.start(), h.mid(), h.end())
     }
 
-    /// The `i`-th watcher of `code`.
+    /// The watcher at arena index `i` (from [`WatchStore::spans`]).
     #[inline]
-    pub(crate) fn get(&self, code: usize, i: usize) -> Watcher {
-        let h = self.heads[code];
-        debug_assert!((i as u32) < h.len);
-        self.data[h.off as usize + i]
+    pub(crate) fn get(&self, i: usize) -> Watcher {
+        self.data[i]
     }
 
-    /// Overwrites the `i`-th watcher of `code`.
+    /// Overwrites the watcher at arena index `i` (from
+    /// [`WatchStore::spans`]).
     #[inline]
-    pub(crate) fn set(&mut self, code: usize, i: usize, w: Watcher) {
-        let h = self.heads[code];
-        debug_assert!((i as u32) < h.len);
-        self.data[h.off as usize + i] = w;
+    pub(crate) fn set(&mut self, i: usize, w: Watcher) {
+        self.data[i] = w;
     }
 
-    /// Appends a watcher to `code`'s list, relocating the list to the end
-    /// of the arena with doubled capacity when it is full.
+    /// Appends a long-clause watcher to `code`'s list, relocating the list
+    /// to the end of the arena with doubled capacity when it is full.
     #[inline]
-    pub(crate) fn push(&mut self, code: usize, w: Watcher) {
-        let h = self.heads[code];
-        if h.len < h.cap {
-            self.data[(h.off + h.len) as usize] = w;
-            self.heads[code].len = h.len + 1;
-            return;
+    pub(crate) fn push_long(&mut self, code: usize, w: Watcher) {
+        if self.heads[code].len == self.heads[code].cap {
+            self.grow(code);
         }
-        self.relocate_and_push(code, w);
+        let h = &mut self.heads[code];
+        self.data[h.end()] = w;
+        h.len += 1;
+        self.live += 1;
     }
 
-    /// Cold path of [`WatchStore::push`]: move `code`'s full region to the
-    /// arena end with `max(MIN_CAP, 2 * cap)` capacity, leaving the old
-    /// region as a lazy hole.
+    /// Appends a binary-clause watcher behind `code`'s other binary
+    /// watchers, shifting the long ones up a slot (which keeps their order).
+    pub(crate) fn push_bin(&mut self, code: usize, w: Watcher) {
+        if self.heads[code].len == self.heads[code].cap {
+            self.grow(code);
+        }
+        let h = &mut self.heads[code];
+        self.data.copy_within(h.mid()..h.end(), h.mid() + 1);
+        self.data[h.mid()] = w;
+        h.bins += 1;
+        h.len += 1;
+        self.live += 1;
+    }
+
+    /// Moves `code`'s full region to the arena end with
+    /// `max(MIN_CAP, 2 * cap)` capacity, leaving the old region as a hole.
     #[cold]
-    fn relocate_and_push(&mut self, code: usize, w: Watcher) {
+    fn grow(&mut self, code: usize) {
         let h = self.heads[code];
-        let new_cap = (h.cap * 2).max(MIN_CAP);
-        let new_off = self.data.len() as u32;
-        self.data.reserve(new_cap as usize);
-        for i in 0..h.len {
-            let x = self.data[(h.off + i) as usize];
-            self.data.push(x);
-        }
-        self.data.push(w);
+        let cap = (h.cap * 2).max(MIN_CAP);
+        let off = self.data.len();
+        assert!(
+            off + cap as usize <= u32::MAX as usize,
+            "watch arena exceeds 32-bit addressing"
+        );
+        self.data.extend_from_within(h.start()..h.end());
         // Physically own the whole region so later relocations of other
         // lists append past it, never into it.
-        for _ in (h.len + 1)..new_cap {
-            self.data.push(HOLE);
-        }
-        self.garbage += h.cap as usize;
+        self.data.resize(off + cap as usize, HOLE);
         self.heads[code] = Head {
-            off: new_off,
-            len: h.len + 1,
-            cap: new_cap,
+            off: off as u32,
+            cap,
+            ..h
         };
     }
 
-    /// Shrinks `code`'s list to `new_len` (the freed slots stay inside the
-    /// region's capacity and are reused by later pushes).
+    /// Shrinks the long part of `code`'s list to its first `kept` watchers
+    /// (the freed slots stay inside the region and are reused by later
+    /// pushes).
     #[inline]
-    pub(crate) fn truncate(&mut self, code: usize, new_len: usize) {
-        debug_assert!(new_len as u32 <= self.heads[code].len);
-        self.heads[code].len = new_len as u32;
+    pub(crate) fn truncate_longs(&mut self, code: usize, kept: usize) {
+        let h = &mut self.heads[code];
+        let len = h.bins + kept as u32;
+        debug_assert!(len <= h.len);
+        self.live -= (h.len - len) as usize;
+        h.len = len;
     }
 
-    /// Removes the first watcher of `code` that watches `cref`, preserving
-    /// the order of the rest (propagation visit order is part of the
-    /// solver's determinism contract). Returns whether one was found.
-    pub(crate) fn remove_first(&mut self, code: usize, cref: ClauseRef) -> bool {
-        let n = self.len(code);
-        for i in 0..n {
-            if self.get(code, i).cref == cref {
-                for j in i..n - 1 {
-                    let w = self.get(code, j + 1);
-                    self.set(code, j, w);
-                }
-                self.truncate(code, n - 1);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The current watch list of `code` as a slice (checks and tests).
-    pub(crate) fn slice(&self, code: usize) -> &[Watcher] {
+    /// Removes the first long watcher of `code` that watches `cref`,
+    /// preserving the order of the rest. Returns whether one was found.
+    pub(crate) fn remove_first_long(&mut self, code: usize, cref: ClauseRef) -> bool {
         let h = self.heads[code];
-        &self.data[h.off as usize..(h.off + h.len) as usize]
+        let Some(i) = (h.mid()..h.end()).find(|&i| self.data[i].cref == cref) else {
+            return false;
+        };
+        self.data.copy_within(i + 1..h.end(), i);
+        self.heads[code].len -= 1;
+        self.live -= 1;
+        true
+    }
+
+    /// The binary watchers of `code` (checks and tests).
+    pub(crate) fn bins(&self, code: usize) -> &[Watcher] {
+        let h = self.heads[code];
+        &self.data[h.start()..h.mid()]
+    }
+
+    /// The long watchers of `code` (checks and tests).
+    pub(crate) fn longs(&self, code: usize) -> &[Watcher] {
+        let h = self.heads[code];
+        &self.data[h.mid()..h.end()]
     }
 
     /// Empties every list but keeps the regions in place, so a rebuild
@@ -171,69 +233,71 @@ impl WatchStore {
     /// relocations.
     pub(crate) fn clear(&mut self) {
         for h in &mut self.heads {
+            h.bins = 0;
             h.len = 0;
         }
+        self.live = 0;
     }
 
     /// Drops every watcher failing `keep`, preserving order.
     pub(crate) fn retain<F: Fn(&Watcher) -> bool>(&mut self, keep: F) {
-        for code in 0..self.heads.len() {
-            let h = self.heads[code];
-            let (off, len) = (h.off as usize, h.len as usize);
-            let mut j = 0;
-            for i in 0..len {
-                let w = self.data[off + i];
+        let mut live = 0;
+        for h in &mut self.heads {
+            let (mid, mut j, mut bins) = (h.mid(), h.start(), 0);
+            for i in h.start()..h.end() {
+                let w = self.data[i];
                 if keep(&w) {
-                    self.data[off + j] = w;
+                    self.data[j] = w;
                     j += 1;
+                    bins += u32::from(i < mid);
                 }
             }
-            self.heads[code].len = j as u32;
+            h.bins = bins;
+            h.len = (j - h.start()) as u32;
+            live += h.len as usize;
         }
+        self.live = live;
     }
 
     /// Visits every live watcher mutably (clause-arena compaction remaps
     /// the stored [`ClauseRef`]s through this).
     pub(crate) fn for_each_mut<F: FnMut(&mut Watcher)>(&mut self, mut f: F) {
-        for code in 0..self.heads.len() {
-            let h = self.heads[code];
-            for i in 0..h.len as usize {
-                f(&mut self.data[h.off as usize + i]);
-            }
+        for h in &self.heads {
+            self.data[h.start()..h.end()].iter_mut().for_each(&mut f);
         }
     }
 
-    /// Whether relocation holes dominate the arena enough to justify an
-    /// in-place compaction.
-    pub(crate) fn should_compact(&self) -> bool {
-        self.data.len() >= 1024 && self.garbage * 2 > self.data.len()
+    /// Whether holes and idle capacity dominate the arena enough to justify
+    /// a rebuild.
+    pub(crate) fn wasteful(&self) -> bool {
+        self.data.len() >= WASTE_FLOOR && self.data.len() > WASTE_FACTOR * self.live
     }
 
-    /// Rebuilds the arena tightly in place, preserving per-list order and
-    /// granting each list a power-of-two region so post-compaction pushes
-    /// amortize as before.
-    pub(crate) fn compact(&mut self) {
-        let mut packed: Vec<Watcher> = Vec::with_capacity(self.data.len() - self.garbage);
-        for code in 0..self.heads.len() {
-            let h = self.heads[code];
-            let new_off = packed.len() as u32;
-            let new_cap = if h.len == 0 {
-                0
-            } else {
-                h.len.next_power_of_two().max(MIN_CAP)
-            };
-            for i in 0..h.len {
-                packed.push(self.data[(h.off + i) as usize]);
+    /// Rebuilds the arena without holes, lists in literal order, each list's
+    /// watchers in their current order, leaving every list the room `fit`
+    /// asks for.
+    pub(crate) fn compact(&mut self, fit: Fit) {
+        let room = |len: u32| match fit {
+            Fit::Exact => len,
+            Fit::Roomy if len == 0 => 0,
+            Fit::Roomy => (len + 1).next_power_of_two(),
+        };
+        let slots = self.heads.iter().map(|h| room(h.len) as usize).sum();
+        if fit == Fit::Exact {
+            self.heads.shrink_to_fit();
+            if self.data.len() == slots && self.data.capacity() == slots {
+                return; // every region is already exactly its list
             }
-            packed.extend(std::iter::repeat_n(HOLE, (new_cap - h.len) as usize));
-            self.heads[code] = Head {
-                off: new_off,
-                len: h.len,
-                cap: new_cap,
-            };
+        }
+        let mut packed: Vec<Watcher> = Vec::with_capacity(slots);
+        for h in &mut self.heads {
+            let off = packed.len();
+            packed.extend_from_slice(&self.data[h.start()..h.end()]);
+            h.off = off as u32;
+            h.cap = room(h.len);
+            packed.resize(off + h.cap as usize, HOLE);
         }
         self.data = packed;
-        self.garbage = 0;
     }
 
     /// Heap bytes currently held by the watch structures — the
@@ -242,19 +306,64 @@ impl WatchStore {
         (self.data.capacity() * std::mem::size_of::<Watcher>()
             + self.heads.capacity() * std::mem::size_of::<Head>()) as u64
     }
+
+    /// Bytes of the watchers actually in the lists — the
+    /// `sat.watch_live_bytes` gauge; the rest of [`WatchStore::bytes`] is
+    /// headers, idle capacity and holes.
+    pub(crate) fn live_bytes(&self) -> u64 {
+        (self.live * std::mem::size_of::<Watcher>()) as u64
+    }
 }
 
-/// Bounded verification harness for flat-arena compaction under a
-/// BVE-style workload: arbitrary interleavings of pushes (forcing
-/// relocations, which orphan regions) and `remove_first` detachments (what
-/// bounded variable elimination does to a dying clause's watchers), then a
-/// compaction. The live watcher lists must survive byte-for-byte, in
-/// order, with the arena usable afterwards. Proved by Kani under
-/// `cargo kani`; compiled and concretely executed under `kani-harness`.
+/// The obvious model the arena is tested against: one `Vec` per literal for
+/// the binary watchers and one for the long ones.
+#[cfg(any(test, kani, feature = "kani-harness"))]
+#[derive(Debug, Default, Clone)]
+struct NestedModel {
+    bins: Vec<Vec<u32>>,
+    longs: Vec<Vec<u32>>,
+}
+
+#[cfg(any(test, kani, feature = "kani-harness"))]
+impl NestedModel {
+    fn new(codes: usize) -> NestedModel {
+        NestedModel {
+            bins: vec![Vec::new(); codes],
+            longs: vec![Vec::new(); codes],
+        }
+    }
+
+    /// Asserts that `store` holds exactly this model's lists, in order, and
+    /// counts them right.
+    fn assert_matches(&self, store: &WatchStore) {
+        let crefs = |ws: &[Watcher]| ws.iter().map(|w| w.cref.0).collect::<Vec<u32>>();
+        let mut live = 0;
+        for code in 0..self.bins.len() {
+            assert_eq!(crefs(store.bins(code)), self.bins[code], "bins of {code}");
+            assert_eq!(
+                crefs(store.longs(code)),
+                self.longs[code],
+                "longs of {code}"
+            );
+            live += self.bins[code].len() + self.longs[code].len();
+        }
+        assert_eq!(store.live, live, "live-watcher count");
+    }
+}
+
+/// Bounded verification harness for arena compaction under a BVE-style
+/// workload: arbitrary interleavings of binary and long pushes (forcing
+/// relocations, which orphan regions, and binary inserts, which shift the
+/// long part) and `remove_first_long` detachments (what bounded variable
+/// elimination does to a dying clause's watchers), with a compaction of
+/// either fit at an arbitrary point in the middle and an exact one at the
+/// end. The live watcher lists must survive byte-for-byte, in order, with
+/// the arena usable afterwards. Proved by Kani under `cargo kani`; compiled
+/// and concretely executed under `kani-harness`.
 #[cfg(any(kani, feature = "kani-harness"))]
 #[allow(dead_code)]
 mod verification {
-    use super::{WatchStore, Watcher};
+    use super::{Fit, NestedModel, WatchStore, Watcher};
     use crate::clause::ClauseRef;
     use crate::lit::Lit;
 
@@ -281,62 +390,73 @@ mod verification {
         })
     }
 
+    fn w(cref: u32) -> Watcher {
+        Watcher {
+            cref: ClauseRef(cref),
+            blocker: Lit(0),
+        }
+    }
+
     #[cfg_attr(kani, kani::proof, kani::unwind(24))]
     pub fn compaction_preserves_live_watchers_in_order() {
         const CODES: usize = 2;
         const OPS: usize = 6;
         let mut store = WatchStore::new();
-        let mut model: Vec<Vec<u32>> = vec![Vec::new(); CODES];
+        let mut model = NestedModel::new(CODES);
         for _ in 0..CODES {
             store.add_lit();
         }
+        let compact_before = arb_below(OPS);
         let mut next_cref = 0u32;
-        for _ in 0..OPS {
+        for op in 0..OPS {
+            if op == compact_before {
+                store.compact(if arb_below(2) == 0 {
+                    Fit::Roomy
+                } else {
+                    Fit::Exact
+                });
+                model.assert_matches(&store);
+            }
             let code = arb_below(CODES);
-            if arb_below(4) == 0 && !model[code].is_empty() {
-                // BVE detaches a dying clause's watcher.
-                let victim = model[code][arb_below(model[code].len())];
-                assert!(store.remove_first(code, ClauseRef(victim)));
-                let pos = model[code].iter().position(|&c| c == victim).unwrap();
-                model[code].remove(pos);
-            } else {
-                store.push(
-                    code,
-                    Watcher {
-                        cref: ClauseRef(next_cref),
-                        blocker: Lit(0),
-                    },
-                );
-                model[code].push(next_cref);
-                next_cref += 1;
+            match arb_below(4) {
+                0 if !model.longs[code].is_empty() => {
+                    // BVE detaches a dying clause's watcher.
+                    let pos = arb_below(model.longs[code].len());
+                    let victim = model.longs[code].remove(pos);
+                    assert!(store.remove_first_long(code, ClauseRef(victim)));
+                }
+                1 => {
+                    store.push_bin(code, w(next_cref));
+                    model.bins[code].push(next_cref);
+                    next_cref += 1;
+                }
+                _ => {
+                    store.push_long(code, w(next_cref));
+                    model.longs[code].push(next_cref);
+                    next_cref += 1;
+                }
             }
         }
-        store.compact();
-        assert_eq!(store.garbage, 0, "compaction reclaims every hole");
-        for (code, want) in model.iter().enumerate() {
-            let got: Vec<u32> = store.slice(code).iter().map(|w| w.cref.0).collect();
-            assert_eq!(&got, want, "list {code} must survive compaction in order");
-        }
-        // The arena stays writable: a post-compaction push lands normally.
-        store.push(
-            0,
-            Watcher {
-                cref: ClauseRef(next_cref),
-                blocker: Lit(0),
-            },
-        );
+        store.compact(Fit::Exact);
         assert_eq!(
-            store.slice(0).last().map(|w| w.cref.0),
-            Some(next_cref),
-            "post-compaction push must append"
+            store.data.len(),
+            store.live,
+            "an exact fit leaves no hole and no idle slot"
         );
+        model.assert_matches(&store);
+        // The arena stays writable: post-compaction pushes land normally.
+        store.push_long(0, w(next_cref));
+        model.longs[0].push(next_cref);
+        store.push_bin(0, w(next_cref + 1));
+        model.bins[0].push(next_cref + 1);
+        model.assert_matches(&store);
     }
 
     #[cfg(all(test, not(kani)))]
     mod exec {
         #[test]
         fn harness_runs_concretely() {
-            for _ in 0..128 {
+            for _ in 0..256 {
                 super::compaction_preserves_live_watchers_in_order();
             }
         }
@@ -354,70 +474,108 @@ mod tests {
         }
     }
 
-    fn contents(s: &WatchStore, code: usize) -> Vec<u32> {
-        s.slice(code).iter().map(|x| x.cref.0).collect()
+    fn store(codes: usize) -> WatchStore {
+        let mut s = WatchStore::new();
+        for _ in 0..codes {
+            s.add_lit();
+        }
+        s
     }
 
     #[test]
-    fn flat_push_grow_and_order() {
-        let mut s = WatchStore::new();
-        for _ in 0..4 {
-            s.add_lit();
+    fn push_grow_and_order() {
+        let mut s = store(4);
+        let mut model = NestedModel::new(4);
+        // Interleave pushes so lists relocate around each other, binary
+        // watchers arriving after long ones.
+        for i in 0..40u32 {
+            let code = (i % 4) as usize;
+            if i % 3 == 0 {
+                s.push_bin(code, w(i));
+                model.bins[code].push(i);
+            } else {
+                s.push_long(code, w(i));
+                model.longs[code].push(i);
+            }
         }
-        // Interleave pushes so lists relocate around each other.
-        for i in 0..20u32 {
-            s.push((i % 4) as usize, w(i));
-        }
-        for code in 0..4 {
-            let got = contents(&s, code);
-            let want: Vec<u32> = (0..20).filter(|i| (i % 4) as usize == code).collect();
-            assert_eq!(got, want, "list {code} lost order");
-        }
+        model.assert_matches(&s);
+        let (start, mid, end) = s.spans(1);
+        assert_eq!(mid - start, model.bins[1].len());
+        assert_eq!(end - mid, model.longs[1].len());
+        assert_eq!(s.get(mid).cref.0, model.longs[1][0]);
     }
 
     #[test]
-    fn flat_compact_reclaims_holes_and_preserves_order() {
-        let mut s = WatchStore::new();
-        for _ in 0..3 {
-            s.add_lit();
-        }
+    fn compact_reclaims_holes_and_preserves_order() {
+        let mut s = store(3);
+        let mut model = NestedModel::new(3);
         for i in 0..300u32 {
-            s.push((i % 3) as usize, w(i));
+            s.push_long((i % 3) as usize, w(i));
+            model.longs[(i % 3) as usize].push(i);
         }
-        assert!(s.garbage > 0, "relocations must leave holes");
-        let before: Vec<Vec<u32>> = (0..3).map(|c| contents(&s, c)).collect();
-        s.compact();
-        assert_eq!(s.garbage, 0);
-        let after: Vec<Vec<u32>> = (0..3).map(|c| contents(&s, c)).collect();
-        assert_eq!(before, after);
-        // Lists keep working after compaction.
-        s.push(1, w(999));
-        assert_eq!(*contents(&s, 1).last().unwrap(), 999);
+        assert!(s.data.len() > 2 * s.live, "relocations must leave holes");
+        s.compact(Fit::Roomy);
+        assert_eq!(s.data.len(), 3 * 128, "100 watchers get a 128-slot region");
+        assert!(!s.wasteful());
+        model.assert_matches(&s);
+        s.compact(Fit::Exact);
+        assert_eq!((s.data.len(), s.data.capacity()), (300, 300));
+        assert_eq!(s.bytes(), 300 * 8 + 3 * 16);
+        assert_eq!(s.live_bytes(), 300 * 8);
+        model.assert_matches(&s);
+        // Lists keep working after an exact fit: the push relocates.
+        s.push_long(1, w(999));
+        model.longs[1].push(999);
+        model.assert_matches(&s);
     }
 
     #[test]
-    fn flat_remove_first_preserves_rest() {
-        let mut s = WatchStore::new();
-        s.add_lit();
-        for i in [7u32, 8, 9, 8, 10] {
-            s.push(0, w(i));
+    fn a_roomy_rebuild_is_never_wasteful() {
+        // The worst cases for the headroom policy: lists of one watcher and
+        // lists that are a power of two long both get twice their length.
+        let mut s = store(WASTE_FLOOR);
+        for code in 0..WASTE_FLOOR {
+            for i in 0..9 {
+                s.push_long(code, w(i));
+            }
+            s.truncate_longs(code, 1 + 3 * (code % 2));
         }
-        assert!(s.remove_first(0, ClauseRef(8)));
-        assert_eq!(contents(&s, 0), vec![7, 9, 8, 10]);
-        assert!(!s.remove_first(0, ClauseRef(42)));
+        assert!(s.wasteful());
+        s.compact(Fit::Roomy);
+        assert!(!s.wasteful());
+        assert_eq!(s.data.len(), 2 * s.live);
+        // Every list can take a push where it is.
+        let before = s.data.len();
+        for code in 0..WASTE_FLOOR {
+            s.push_long(code, w(99));
+        }
+        assert_eq!(s.data.len(), before);
     }
 
-    /// The arena against the obvious model, one `Vec` per literal.
+    #[test]
+    fn remove_first_long_preserves_rest() {
+        let mut s = store(1);
+        s.push_bin(0, w(8));
+        for i in [7u32, 8, 9, 8, 10] {
+            s.push_long(0, w(i));
+        }
+        // The binary watcher of clause 8 is not a candidate.
+        assert!(s.remove_first_long(0, ClauseRef(8)));
+        let crefs = |ws: &[Watcher]| ws.iter().map(|x| x.cref.0).collect::<Vec<_>>();
+        assert_eq!(crefs(s.bins(0)), vec![8]);
+        assert_eq!(crefs(s.longs(0)), vec![7, 9, 8, 10]);
+        assert!(!s.remove_first_long(0, ClauseRef(42)));
+        assert_eq!(s.live, 5);
+    }
+
+    /// The arena against the nested model under every operation the solver
+    /// performs, with compactions of both fits at arbitrary moments in
+    /// between and more pushes after each.
     #[test]
     fn agrees_with_nested_vec_model_under_mixed_workload() {
-        let mut flat = WatchStore::new();
-        let mut nested: Vec<Vec<Watcher>> = vec![Vec::new(); 6];
-        for _ in 0..6 {
-            flat.add_lit();
-        }
-        let model = |nested: &[Vec<Watcher>], code: usize| -> Vec<u32> {
-            nested[code].iter().map(|x| x.cref.0).collect()
-        };
+        const CODES: usize = 6;
+        let mut flat = store(CODES);
+        let mut model = NestedModel::new(CODES);
         let mut x = 0x12345678u64;
         let mut rng = move || {
             x ^= x << 13;
@@ -425,44 +583,67 @@ mod tests {
             x ^= x << 17;
             x
         };
-        for _ in 0..2000 {
-            let op = rng() % 4;
-            let code = (rng() % 6) as usize;
-            match op {
-                0 | 1 => {
+        let (mut roomy, mut exact) = (0, 0);
+        for step in 0..6000 {
+            let code = (rng() % CODES as u64) as usize;
+            match rng() % 16 {
+                0..=5 => {
                     let c = (rng() % 50) as u32;
-                    flat.push(code, w(c));
-                    nested[code].push(w(c));
+                    flat.push_long(code, w(c));
+                    model.longs[code].push(c);
                 }
-                2 => {
-                    let c = ClauseRef((rng() % 50) as u32);
-                    let pos = nested[code].iter().position(|x| x.cref == c);
+                6..=8 => {
+                    let c = (rng() % 50) as u32;
+                    flat.push_bin(code, w(c));
+                    model.bins[code].push(c);
+                }
+                9 | 10 => {
+                    let c = (rng() % 50) as u32;
+                    let pos = model.longs[code].iter().position(|&x| x == c);
                     if let Some(pos) = pos {
-                        nested[code].remove(pos);
+                        model.longs[code].remove(pos);
                     }
-                    assert_eq!(flat.remove_first(code, c), pos.is_some());
+                    assert_eq!(flat.remove_first_long(code, ClauseRef(c)), pos.is_some());
+                }
+                11 | 12 => {
+                    let kept = (rng() as usize) % (model.longs[code].len() + 1);
+                    flat.truncate_longs(code, kept);
+                    model.longs[code].truncate(kept);
+                }
+                13 => {
+                    let parity = (rng() % 2) as u32;
+                    flat.retain(|w| w.cref.0 % 2 == parity);
+                    for l in model.bins.iter_mut().chain(&mut model.longs) {
+                        l.retain(|c| c % 2 == parity);
+                    }
+                }
+                14 => {
+                    flat.compact(Fit::Roomy);
+                    roomy += 1;
                 }
                 _ => {
-                    if flat.len(code) > 0 {
-                        let n = (rng() as usize) % flat.len(code);
-                        flat.truncate(code, n);
-                        nested[code].truncate(n);
-                    }
+                    // Park: no slot is left that is not a live watcher.
+                    flat.compact(Fit::Exact);
+                    assert_eq!(flat.data.len(), flat.live);
+                    assert_eq!(flat.bytes(), flat.live_bytes() + (CODES * 16) as u64);
+                    exact += 1;
                 }
             }
-            if flat.should_compact() {
-                flat.compact();
+            if flat.wasteful() {
+                flat.compact(Fit::Roomy);
+            }
+            if step % 7 == 0 {
+                model.assert_matches(&flat);
             }
         }
-        for code in 0..6 {
-            assert_eq!(contents(&flat, code), model(&nested, code));
+        model.assert_matches(&flat);
+        assert!(roomy > 100 && exact > 100, "{roomy} {exact}");
+        flat.for_each_mut(|w| w.cref.0 += 1);
+        for l in model.bins.iter_mut().chain(&mut model.longs) {
+            l.iter_mut().for_each(|c| *c += 1);
         }
-        flat.retain(|w| w.cref.0 % 2 == 0);
-        for l in &mut nested {
-            l.retain(|w| w.cref.0 % 2 == 0);
-        }
-        for code in 0..6 {
-            assert_eq!(contents(&flat, code), model(&nested, code));
-        }
+        model.assert_matches(&flat);
+        flat.clear();
+        NestedModel::new(CODES).assert_matches(&flat);
     }
 }

@@ -295,12 +295,14 @@ proptest! {
                     s.freeze(vars[v]);
                 }
                 let ok = s.simplify();
+                prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);
                 prop_assert!(ok || !expected_bare, "{}: simplify refuted a SAT formula", name);
                 for &(v, _) in &assumed {
                     prop_assert!(!s.is_eliminated(vars[v]), "{}: frozen var eliminated", name);
                 }
             }
             let res = s.solve_with_assumptions(&assumptions);
+            prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);
             prop_assert_eq!(res == SolveResult::Sat, expected, "{}", name);
             if res == SolveResult::Sat {
                 for clause in &with_units {
@@ -316,10 +318,22 @@ proptest! {
             }
             // Inprocessing between queries, and learnt clauses from the
             // first one, change no later answer.
+            // The per-literal values propagation reads agree with the
+            // assignment after every call, the restores of eliminated
+            // assumption variables included; and parking in between
+            // changes no answer.
             let ok2 = s.simplify();
+            prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);
             prop_assert!(ok2 || !expected_bare, "{}: second simplify refuted", name);
+            s.shrink_to_fit();
+            prop_assert_eq!(s.debug_check_watches(), Ok(()), "{}", name);
             prop_assert_eq!(s.solve_with_assumptions(&assumptions), res, "{}", name);
+            prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);
+            for &(v, _) in &assumed {
+                prop_assert!(!s.is_eliminated(vars[v]), "{}: assumed var eliminated", name);
+            }
             prop_assert_eq!(s.solve() == SolveResult::Sat, expected_bare, "{}", name);
+            prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);
             prop_assert_eq!(s.debug_check_watches(), Ok(()), "{}", name);
         }
     }

@@ -506,11 +506,13 @@ fn batch_main() -> ExitCode {
         Some(inv) => {
             println!(
                 "\ninvariant: {} predicates | {} tasks | {} backtracks | {} SMT queries | \
+                 sessions {:.1} MB | \
                  {elapsed:.2?} (final run: examples {:.2?}, mine {:.2?}, learn {:.2?})",
                 inv.len(),
                 report.stats.num_tasks(),
                 report.stats.backtracks,
                 report.stats.smt_queries,
+                report.stats.session_resident_bytes as f64 / 1e6,
                 report.examples_time,
                 report.mine_time,
                 report.stats.wall_time

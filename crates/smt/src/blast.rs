@@ -10,11 +10,13 @@
 //! the monolithic cost model.
 
 use crate::cache::EncodedCone;
-use crate::cnf::Cnf;
+use crate::cnf::{map_bytes, vec_bytes, Cnf, LitRows};
 use hh_netlist::signature::ConeWitness;
 use hh_netlist::simp::{Repr, SimpMap, SimpStats};
-use hh_netlist::{Bv, Netlist, NodeId, NodeOp, StateId};
+use hh_netlist::{Bv, InputId, Netlist, NodeId, NodeOp, StateId};
 use hh_sat::Lit;
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// One-step transition encoding over an embedded CNF builder.
@@ -27,9 +29,20 @@ pub struct TransitionEncoding<'a> {
     /// structurally identical cones encode once. Shared (`Arc`) so an
     /// engine-wide `EncodeCache` builds it once instead of once per session.
     simp: Arc<SimpMap>,
+    /// Memo of the nodes encoded so far, one slot per netlist node while it
+    /// is in use (empty otherwise). Only a memo: every node is a function of
+    /// the state and input variables below, so a node encoded again after
+    /// [`TransitionEncoding::park`] dropped the table gets equivalent
+    /// literals.
     node_lits: Vec<Option<Vec<Lit>>>,
-    state_vars: Vec<Option<Vec<Lit>>>,
-    input_vars: Vec<Option<Vec<Lit>>>,
+    /// The free variables of the step: the current value of each state
+    /// element and each input that some encoded cone reads. Unlike the memo
+    /// these are identities — a second set of variables for the same state
+    /// or input would be a different state or input — so they are kept for
+    /// the encoding's whole life, sparsely: sized by the cones encoded, not
+    /// by the netlist.
+    state_vars: HashMap<StateId, Vec<Lit>>,
+    input_vars: HashMap<InputId, Vec<Lit>>,
 }
 
 impl<'a> TransitionEncoding<'a> {
@@ -62,9 +75,9 @@ impl<'a> TransitionEncoding<'a> {
             netlist,
             cnf: Cnf::new(),
             simp,
-            node_lits: vec![None; netlist.num_nodes()],
-            state_vars: vec![None; netlist.num_states()],
-            input_vars: vec![None; netlist.num_inputs()],
+            node_lits: Vec::new(),
+            state_vars: HashMap::new(),
+            input_vars: HashMap::new(),
         };
         if record {
             enc.cnf.start_recording();
@@ -95,72 +108,83 @@ impl<'a> TransitionEncoding<'a> {
             entry.and_cache.clone(),
             entry.xor_cache.clone(),
         );
-        let mut node_lits = vec![None; netlist.num_nodes()];
-        for (k, &id) in witness.nodes.iter().enumerate() {
-            node_lits[id.index()] = Some(entry.node_lits[k].clone());
-        }
-        let mut state_vars = vec![None; netlist.num_states()];
-        for (k, &s) in witness.states.iter().enumerate() {
-            state_vars[s.index()] = Some(entry.state_lits[k].clone());
-        }
-        let mut input_vars = vec![None; netlist.num_inputs()];
-        for (k, &i) in witness.inputs.iter().enumerate() {
-            input_vars[i.index()] = Some(entry.input_lits[k].clone());
+        fn table<K: Copy + Eq + Hash>(ids: &[K], rows: &LitRows) -> HashMap<K, Vec<Lit>> {
+            debug_assert_eq!(ids.len(), rows.len());
+            let rows = rows.iter().map(<[Lit]>::to_vec);
+            ids.iter().copied().zip(rows).collect()
         }
         TransitionEncoding {
             netlist,
             cnf,
             simp,
-            node_lits,
-            state_vars,
-            input_vars,
+            node_lits: Vec::new(),
+            state_vars: table(&witness.states, &entry.state_lits),
+            input_vars: table(&witness.inputs, &entry.input_lits),
         }
     }
 
     /// Harvests the recorded base encoding into a cache entry. `witness`
     /// lists exactly the leaders/states/inputs this encoding touched, in
-    /// canonical order; a signature-equal target restores them positionally.
+    /// canonical order; a signature-equal target restores the states and
+    /// inputs positionally.
     ///
     /// # Panics
     ///
-    /// Panics if the witness mentions anything this encoding never built —
-    /// that would mean the signature serialisation diverged from the
-    /// blaster's traversal, which would corrupt the cache.
+    /// Panics if the witness mentions a state or input this encoding never
+    /// allocated — that would mean the signature serialisation diverged
+    /// from the blaster's traversal, which would corrupt the cache.
     pub(crate) fn harvest(&mut self, witness: &ConeWitness) -> EncodedCone {
+        debug_assert!(
+            witness.nodes.iter().all(|&id| self.memo(id).is_some()),
+            "witness node was encoded"
+        );
         let (and_cache, xor_cache) = self.cnf.gate_caches();
+        // An entry lives as long as its cache: no growth slack. (The tables
+        // only ever grew, and a hash map that only grew has none.)
+        let mut clauses = self.cnf.take_recording();
+        clauses.shrink_to_fit();
         EncodedCone {
             n_vars: self.cnf.solver().num_vars(),
-            clauses: self.cnf.take_recording(),
-            node_lits: witness
-                .nodes
-                .iter()
-                .map(|id| {
-                    self.node_lits[id.index()]
-                        .clone()
-                        .expect("witness node was encoded")
-                })
-                .collect(),
+            clauses,
             state_lits: witness
                 .states
                 .iter()
-                .map(|s| {
-                    self.state_vars[s.index()]
-                        .clone()
-                        .expect("witness state was allocated")
-                })
+                .map(|s| self.state_vars[s].as_slice())
                 .collect(),
             input_lits: witness
                 .inputs
                 .iter()
-                .map(|i| {
-                    self.input_vars[i.index()]
-                        .clone()
-                        .expect("witness input was allocated")
-                })
+                .map(|i| self.input_vars[i].as_slice())
                 .collect(),
             and_cache,
             xor_cache,
         }
+    }
+
+    /// Parks the encoding between queries: drops the node memo — the one
+    /// table with a slot per netlist node — and parks the solver
+    /// ([`hh_sat::Solver::shrink_to_fit`]), so that what stays resident is
+    /// sized by the cones encoded and the clauses learnt, not by the netlist
+    /// or by growth slack. (The variable tables and gate caches are hash
+    /// maps that only ever grow; those carry no slack to release.) The
+    /// encoding stays fully usable; later calls re-grow what they need.
+    pub fn park(&mut self) {
+        self.node_lits = Vec::new();
+        self.cnf.solver_mut().shrink_to_fit();
+    }
+
+    /// Heap bytes this encoding holds, computed from capacities (so the
+    /// figure repeats exactly run to run): the solver, the gate caches, the
+    /// node memo and the state and input variable tables.
+    pub fn resident_bytes(&self) -> u64 {
+        fn table_bytes<K>(t: &HashMap<K, Vec<Lit>>) -> u64 {
+            map_bytes(t) + t.values().map(vec_bytes).sum::<u64>()
+        }
+        self.cnf.resident_bytes()
+            + vec_bytes(&self.node_lits)
+            + self.node_lits.iter().flatten().map(vec_bytes).sum::<u64>()
+            + table_bytes(&self.state_vars)
+            + table_bytes(&self.input_vars)
     }
 
     /// Word-level simplification counters (constant folds, rewrites,
@@ -186,12 +210,11 @@ impl<'a> TransitionEncoding<'a> {
 
     /// Free variables for the *current* value of a state element.
     pub fn state_lits(&mut self, sid: StateId) -> Vec<Lit> {
-        if self.state_vars[sid.index()].is_none() {
-            let w = self.netlist.state_width(sid);
-            let v = self.cnf.fresh_vec(w);
-            self.state_vars[sid.index()] = Some(v);
-        }
-        self.state_vars[sid.index()].clone().unwrap()
+        let (netlist, cnf) = (self.netlist, &mut self.cnf);
+        self.state_vars
+            .entry(sid)
+            .or_insert_with(|| cnf.fresh_vec(netlist.state_width(sid)))
+            .clone()
     }
 
     /// Encoding of the *next* value of a state element (bit-blasts the
@@ -208,34 +231,34 @@ impl<'a> TransitionEncoding<'a> {
     /// the CNF, and structurally merged nodes alias their representative's
     /// literals, so each distinct cone is blasted at most once.
     pub fn node_lits_of(&mut self, root: NodeId) -> Vec<Lit> {
-        if let Some(v) = &self.node_lits[root.index()] {
+        if let Some(v) = self.memo(root) {
             return v.clone();
         }
         let leader = match self.simp.repr(root) {
             Repr::Const(c) => {
                 let lits = self.cnf.const_bits(c.width(), c.bits());
-                self.node_lits[root.index()] = Some(lits.clone());
+                self.memoize(root, lits.clone());
                 return lits;
             }
             Repr::Node(r) => r,
         };
         if leader != root {
             let lits = self.node_lits_of(leader); // depth 1: a leader is its own repr
-            self.node_lits[root.index()] = Some(lits.clone());
+            self.memoize(root, lits.clone());
             return lits;
         }
         // Iterative post-order over *representatives* to bound stack depth
         // on deep cones. Constant-valued operands need no traversal.
         let mut stack: Vec<(NodeId, bool)> = vec![(root, false)];
         while let Some((id, expanded)) = stack.pop() {
-            if self.node_lits[id.index()].is_some() {
+            if self.memo(id).is_some() {
                 continue;
             }
             if !expanded {
                 stack.push((id, true));
                 for op in self.netlist.operands(id) {
                     if let Repr::Node(r) = self.simp.repr(op) {
-                        if self.node_lits[r.index()].is_none() {
+                        if self.memo(r).is_none() {
                             stack.push((r, false));
                         }
                     }
@@ -243,9 +266,22 @@ impl<'a> TransitionEncoding<'a> {
                 continue;
             }
             let lits = self.encode_one(id);
-            self.node_lits[id.index()] = Some(lits);
+            self.memoize(id, lits);
         }
-        self.node_lits[root.index()].clone().unwrap()
+        self.memo(root).expect("root encoded by the walk").clone()
+    }
+
+    /// The memoised literals of `id`, if it was encoded since the memo was
+    /// last dropped.
+    fn memo(&self, id: NodeId) -> Option<&Vec<Lit>> {
+        self.node_lits.get(id.index())?.as_ref()
+    }
+
+    fn memoize(&mut self, id: NodeId, lits: Vec<Lit>) {
+        if self.node_lits.is_empty() {
+            self.node_lits.resize(self.netlist.num_nodes(), None);
+        }
+        self.node_lits[id.index()] = Some(lits);
     }
 
     /// Literals for an operand, resolved through the simplification map:
@@ -253,9 +289,7 @@ impl<'a> TransitionEncoding<'a> {
     fn operand_lits(&mut self, x: NodeId) -> Vec<Lit> {
         match self.simp.repr(x) {
             Repr::Const(c) => self.cnf.const_bits(c.width(), c.bits()),
-            Repr::Node(r) => self.node_lits[r.index()]
-                .clone()
-                .expect("operand encoded before parent"),
+            Repr::Node(r) => self.memo(r).expect("operand encoded before parent").clone(),
         }
     }
 
@@ -264,11 +298,11 @@ impl<'a> TransitionEncoding<'a> {
         let node = self.netlist.node(id);
         match node.op {
             NodeOp::Input(i) => {
-                if self.input_vars[i.index()].is_none() {
-                    let v = self.cnf.fresh_vec(self.netlist.input_width(i));
-                    self.input_vars[i.index()] = Some(v);
-                }
-                self.input_vars[i.index()].clone().unwrap()
+                let (netlist, cnf) = (self.netlist, &mut self.cnf);
+                self.input_vars
+                    .entry(i)
+                    .or_insert_with(|| cnf.fresh_vec(netlist.input_width(i)))
+                    .clone()
             }
             NodeOp::State(s) => self.state_lits(s),
             NodeOp::Const(c) => self.cnf.const_bits(c.width(), c.bits()),
@@ -397,7 +431,7 @@ impl<'a> TransitionEncoding<'a> {
     ///
     /// Panics if the last solve was not SAT.
     pub fn decode_state(&self, sid: StateId) -> Option<Bv> {
-        let lits = self.state_vars[sid.index()].as_ref()?;
+        let lits = self.state_vars.get(&sid)?;
         let mut bits = 0u64;
         for (i, &l) in lits.iter().enumerate() {
             if self.cnf.solver().model_value(l) {

@@ -10,9 +10,13 @@
 //!
 //! * **Encoding replay.** The first session to build a given cone shape
 //!   records its base encoding — the ordered clause stream plus the
-//!   state/input/node literal tables and gate hash-cons caches — keyed by the
+//!   state/input literal tables and gate hash-cons caches — keyed by the
 //!   cone's [`ConeSignature`]. Signature-equal targets *replay* that record
-//!   into their fresh solver instead of re-running Tseitin.
+//!   into their fresh solver instead of re-running Tseitin. A record is flat
+//!   buffers (literals and row ends), not a heap block per clause, and holds
+//!   no per-node table: nothing reads one after a replay (candidates encode
+//!   over current-state literals, and a node asked for again is re-derived
+//!   from them).
 //! * **Identity renaming.** Every session starts from an empty solver, and
 //!   the blaster allocates variables in traversal order, so signature-equal
 //!   cones receive *identical* variable numbering. Replay therefore needs no
@@ -26,12 +30,12 @@
 //! construction happens off-lock, the critical sections are map lookups and
 //! inserts.
 
+use crate::cnf::{map_bytes, vec_bytes, GateCache, LitRows};
 use crate::pred::Predicate;
 use crate::query::EncodeScope;
 use hh_netlist::signature::{ConeSignature, SigBuilder};
 use hh_netlist::simp::SimpMap;
 use hh_netlist::{Netlist, StateId};
-use hh_sat::Lit;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -56,18 +60,26 @@ pub struct EncodedCone {
     /// Solver variable count after the base build.
     pub(crate) n_vars: usize,
     /// Every clause added after `Cnf::new`, in insertion order.
-    pub(crate) clauses: Vec<Vec<Lit>>,
-    /// Literals of each encoded leader node, in the witness's canonical
-    /// node order.
-    pub(crate) node_lits: Vec<Vec<Lit>>,
+    pub(crate) clauses: LitRows,
     /// Current-state literals, in the witness's canonical state order.
-    pub(crate) state_lits: Vec<Vec<Lit>>,
+    pub(crate) state_lits: LitRows,
     /// Input literals, in the witness's canonical input order.
-    pub(crate) input_lits: Vec<Vec<Lit>>,
+    pub(crate) input_lits: LitRows,
     /// AND-gate hash-cons cache at harvest time.
-    pub(crate) and_cache: HashMap<(Lit, Lit), Lit>,
+    pub(crate) and_cache: GateCache,
     /// XOR-gate hash-cons cache at harvest time.
-    pub(crate) xor_cache: HashMap<(Lit, Lit), Lit>,
+    pub(crate) xor_cache: GateCache,
+}
+
+impl EncodedCone {
+    /// Heap bytes of the record's buffers and tables.
+    fn bytes(&self) -> u64 {
+        self.clauses.bytes()
+            + self.state_lits.bytes()
+            + self.input_lits.bytes()
+            + map_bytes(&self.and_cache)
+            + map_bytes(&self.xor_cache)
+    }
 }
 
 /// Aggregate cache telemetry, readable at any time.
@@ -158,7 +170,8 @@ impl EncodeCache {
 
     /// Records a freshly built base encoding (first writer wins; a racing
     /// duplicate is identical by construction, so either copy serves).
-    pub(crate) fn insert(&self, key: Vec<u64>, entry: EncodedCone) {
+    pub(crate) fn insert(&self, mut key: Vec<u64>, entry: EncodedCone) {
+        key.shrink_to_fit();
         self.entries
             .lock()
             .unwrap()
@@ -175,6 +188,20 @@ impl EncodeCache {
             clauses_saved: self.clauses_saved.load(Ordering::Relaxed),
             evictions: self.evicted.load(Ordering::Relaxed),
         }
+    }
+
+    /// Heap bytes the cache holds right now, computed from capacities (so
+    /// the figure repeats exactly): the entry table, every key's token
+    /// stream and every recorded encoding.
+    pub fn resident_bytes(&self) -> u64 {
+        let entries = self.entries.lock().expect("encode cache lock");
+        map_bytes(&entries)
+            + entries
+                .iter()
+                .map(|(key, entry)| {
+                    vec_bytes(key) + std::mem::size_of::<EncodedCone>() as u64 + entry.bytes()
+                })
+                .sum::<u64>()
     }
 
     /// Drops the recorded base encoding for `key`, if present; returns

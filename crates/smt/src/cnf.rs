@@ -11,6 +11,72 @@ use std::collections::HashMap;
 /// A hash-cons table mapping normalised gate input pairs to output literals.
 pub(crate) type GateCache = HashMap<(Lit, Lit), Lit>;
 
+/// Heap bytes of a vector's buffer.
+pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> u64 {
+    (v.capacity() * std::mem::size_of::<T>()) as u64
+}
+
+/// Heap bytes of a hash map's table, estimated from its capacity: one entry
+/// and one control byte per bucket at the standard library's 7/8 load
+/// factor. A function of the insertion history only, so it repeats exactly.
+pub(crate) fn map_bytes<K, V>(m: &HashMap<K, V>) -> u64 {
+    (m.capacity() * (std::mem::size_of::<(K, V)>() + 1) * 8 / 7) as u64
+}
+
+/// A sequence of literal rows (clauses, or the bit vectors of a literal
+/// table) stored back to back: one buffer of literals and one of row ends,
+/// instead of one heap block per row.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LitRows {
+    lits: Vec<Lit>,
+    /// `ends[i]` is where row `i` stops in `lits`; it starts where row
+    /// `i - 1` stopped.
+    ends: Vec<u32>,
+}
+
+impl LitRows {
+    pub(crate) fn push(&mut self, row: &[Lit]) {
+        self.lits.extend_from_slice(row);
+        let end = u32::try_from(self.lits.len()).expect("literal rows exceed 32-bit addressing");
+        self.ends.push(end);
+    }
+
+    /// Number of rows.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The rows in insertion order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[Lit]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let row = &self.lits[start..end as usize];
+            start = end as usize;
+            row
+        })
+    }
+
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.lits.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Heap bytes of the two buffers.
+    pub(crate) fn bytes(&self) -> u64 {
+        vec_bytes(&self.lits) + vec_bytes(&self.ends)
+    }
+}
+
+impl<'a> FromIterator<&'a [Lit]> for LitRows {
+    fn from_iter<I: IntoIterator<Item = &'a [Lit]>>(rows: I) -> LitRows {
+        let mut out = LitRows::default();
+        for row in rows {
+            out.push(row);
+        }
+        out
+    }
+}
+
 /// A CNF builder over an embedded SAT solver.
 #[derive(Debug)]
 pub struct Cnf {
@@ -21,7 +87,7 @@ pub struct Cnf {
     /// When recording, every clause added after [`Cnf::new`]'s true-literal
     /// unit is appended here in order, so an identical builder state can be
     /// replayed later by [`Cnf::restore`].
-    recording: Option<Vec<Vec<Lit>>>,
+    recording: Option<LitRows>,
 }
 
 impl Default for Cnf {
@@ -58,7 +124,7 @@ impl Cnf {
     /// replayed structure.
     pub(crate) fn restore(
         n_vars: usize,
-        clauses: &[Vec<Lit>],
+        clauses: &LitRows,
         and_cache: GateCache,
         xor_cache: GateCache,
     ) -> Cnf {
@@ -66,7 +132,7 @@ impl Cnf {
         while cnf.solver.num_vars() < n_vars {
             cnf.solver.new_var();
         }
-        for cl in clauses {
+        for cl in clauses.iter() {
             cnf.solver.add_clause(cl);
         }
         cnf.and_cache = and_cache;
@@ -76,21 +142,26 @@ impl Cnf {
 
     /// Starts recording every subsequently added clause for later replay.
     pub(crate) fn start_recording(&mut self) {
-        self.recording = Some(Vec::new());
+        self.recording = Some(LitRows::default());
     }
 
     /// Stops recording and returns the ordered clause log (empty if
     /// recording was never started).
-    pub(crate) fn take_recording(&mut self) -> Vec<Vec<Lit>> {
+    pub(crate) fn take_recording(&mut self) -> LitRows {
         self.recording.take().unwrap_or_default()
     }
 
     /// Single funnel for clause insertion so recording sees every clause.
     fn add(&mut self, lits: &[Lit]) {
         if let Some(rec) = &mut self.recording {
-            rec.push(lits.to_vec());
+            rec.push(lits);
         }
         self.solver.add_clause(lits);
+    }
+
+    /// Heap bytes held by the solver and the gate caches.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        self.solver.resident_bytes() + map_bytes(&self.and_cache) + map_bytes(&self.xor_cache)
     }
 
     /// The literal that is constant true.

@@ -122,9 +122,12 @@ pub struct QueryTelemetry {
     /// Clauses vivification deleted outright during this query (satisfied
     /// by implication at level 0 or collapsed to a unit).
     pub vivified_deleted: u64,
-    /// Watch-list footprint (bytes) of the session's solver after this
-    /// query — a gauge, not a delta.
+    /// Watch-list footprint (bytes) of the session's parked solver after
+    /// this query — a gauge, not a delta.
     pub watch_bytes: u64,
+    /// The part of `watch_bytes` that is watchers in a list; the rest is
+    /// the per-literal headers (a parked solver keeps no other slack).
+    pub watch_live_bytes: u64,
 }
 
 /// Result of an abduction query.

@@ -9,6 +9,19 @@
 //! by re-solving under a filtered assumption set — the cone is never
 //! re-blasted, and learnt clauses accumulate across retries.
 //!
+//! ## Parking
+//!
+//! Engines keep one session per target predicate alive for a whole learn
+//! run, and most of them answer once and then sit until the run ends. So a
+//! session that has answered *parks*: at the end of every
+//! [`AbductionSession::solve`] it drops the encoder's per-netlist-node memo
+//! and the cone signature (both only serve the base build), has the solver
+//! rebuild its watch arena to an exact fit, and releases every vector's
+//! growth slack. What stays resident ([`AbductionSession::resident_bytes`])
+//! is sized by the cone and the clauses learnt on it. Nothing the solver
+//! reads changes, so a retry answers exactly as an unparked session would;
+//! it re-grows what it touches.
+//!
 //! ## Determinism
 //!
 //! The CDCL solver is deterministic, so a session's answer is a pure
@@ -39,6 +52,7 @@
 
 use crate::blast::TransitionEncoding;
 use crate::cache::EncodeCache;
+use crate::cnf::{map_bytes, vec_bytes};
 use crate::pred::Predicate;
 use crate::query::{AbductionConfig, AbductionResult, EncodeScope, QueryTelemetry};
 use hh_netlist::signature::ConeSignature;
@@ -130,9 +144,9 @@ pub struct AbductionSession<'a> {
     enc: Option<TransitionEncoding<'a>>,
     /// Shared cross-target encoding cache (and its `SimpMap`).
     cache: Option<Arc<EncodeCache>>,
-    /// This target's base-encoding signature, computed once at creation;
-    /// `Some` exactly when the base encoding is replayed from / recorded
-    /// into the cache.
+    /// This target's base-encoding signature, computed once at creation and
+    /// consumed by the base build; `Some` until then exactly when the base
+    /// encoding is to be replayed from / recorded into the cache.
     sig: Option<ConeSignature>,
     /// Registered candidate -> slot index.
     slots: HashMap<Predicate, usize>,
@@ -245,6 +259,29 @@ impl<'a> AbductionSession<'a> {
         self.indicators.len()
     }
 
+    /// Heap bytes this session holds, computed from the capacities of its
+    /// vectors and tables (so the figure repeats exactly run to run, unlike
+    /// an RSS reading): the solver and encoder state plus the candidate
+    /// registry and the witness models. Candidate predicates are counted at
+    /// their inline size only (engines share them with their store).
+    pub fn resident_bytes(&self) -> u64 {
+        let witnesses = self.witnesses.capacity() * std::mem::size_of::<Box<[u64]>>()
+            + self.witnesses.iter().map(|w| w.len() * 8).sum::<usize>();
+        self.enc.as_ref().map_or(0, |e| e.resident_bytes())
+            + self.sig.as_ref().map_or(0, |sig| {
+                vec_bytes(&sig.key)
+                    + vec_bytes(&sig.witness.states)
+                    + vec_bytes(&sig.witness.inputs)
+                    + vec_bytes(&sig.witness.nodes)
+            })
+            + map_bytes(&self.slots)
+            + map_bytes(&self.slot_of_lit)
+            + vec_bytes(&self.indicators)
+            + vec_bytes(&self.candidate_lits)
+            + vec_bytes(&self.strength)
+            + witnesses as u64
+    }
+
     /// Runs the abduction query for this session's target over
     /// `candidates`, reusing all encoding from earlier calls.
     ///
@@ -261,7 +298,9 @@ impl<'a> AbductionSession<'a> {
         let mut cone_vars_saved = 0;
         let mut cone_clauses_saved = 0;
         if !reused {
-            let mut enc = match (&self.cache, &self.sig) {
+            // The signature is only ever needed here; the session does not
+            // keep its token stream around afterwards.
+            let mut enc = match (&self.cache, self.sig.take()) {
                 (Some(cache), Some(sig)) => match cache.lookup(&sig.key) {
                     Some(entry) => {
                         // Replay: byte-identical solver state to a fresh
@@ -283,7 +322,7 @@ impl<'a> AbductionSession<'a> {
                         let mut enc = TransitionEncoding::recording(self.netlist, cache.simp());
                         Self::build_base(&mut enc, &self.target, self.config.scope);
                         let entry = enc.harvest(&sig.witness);
-                        cache.insert(sig.key.clone(), entry);
+                        cache.insert(sig.key, entry);
                         enc
                     }
                 },
@@ -354,7 +393,7 @@ impl<'a> AbductionSession<'a> {
         self.queries += 1;
 
         let t_solve = Instant::now();
-        let _solve_span = hh_trace::span!("smt", "smt.solve");
+        let solve_span = hh_trace::span!("smt", "smt.solve");
         let solver = enc.cnf_mut().solver_mut();
         let before = solver.stats();
         let verdict = solver.solve_with_assumptions(&assumptions);
@@ -390,8 +429,16 @@ impl<'a> AbductionSession<'a> {
                 Some(idxs)
             }
         };
-        let after = enc.cnf().solver().stats();
         let solve_time = t_solve.elapsed();
+        drop(solve_span);
+        // Most sessions never answer again (module docs, *Parking*); the
+        // gauges below are read off the parked solver.
+        enc.park();
+        self.indicators.shrink_to_fit();
+        self.candidate_lits.shrink_to_fit();
+        self.strength.shrink_to_fit();
+        self.witnesses.shrink_to_fit();
+        let after = enc.cnf().solver().stats();
         let simp = enc.simp_stats();
 
         AbductionResult {
@@ -429,6 +476,7 @@ impl<'a> AbductionSession<'a> {
                 vivified_lits: after.vivified_lits - before.vivified_lits,
                 vivified_deleted: after.vivified_deleted - before.vivified_deleted,
                 watch_bytes: after.watch_bytes,
+                watch_live_bytes: after.watch_live_bytes,
             },
         }
     }
@@ -620,12 +668,127 @@ mod tests {
         assert_eq!(cache.stats().misses, 2);
     }
 
+    #[test]
+    fn a_retry_registers_a_new_candidate_after_a_park() {
+        let (base, m) = and_gate();
+        let a = base.find_state("A").unwrap();
+        let b = base.find_state("B").unwrap();
+        let c = base.find_state("C").unwrap();
+        let target = Predicate::eq(m.left(a), m.right(a));
+        let eq_b = Predicate::eq(m.left(b), m.right(b));
+        let eq_c = Predicate::eq(m.left(c), m.right(c));
+        let cfg = AbductionConfig::paper_default();
+        let mut sess = AbductionSession::new(m.netlist(), target.clone(), cfg);
+        // Eq(B) alone does not do; the session parks on its way out.
+        assert_eq!(sess.solve(std::slice::from_ref(&eq_b)).abduct, None);
+        let parked = sess.resident_bytes();
+        // Eq(C) is encoded and registered on the parked session.
+        let both = [eq_b, eq_c];
+        let retry = sess.solve(&both);
+        let fresh = crate::query::abduct(m.netlist(), &target, &both, &cfg);
+        assert_eq!(retry.abduct, Some(vec![0, 1]));
+        assert_eq!(retry.abduct, fresh.abduct);
+        assert!(retry.telemetry.cached && retry.telemetry.vars > 0);
+        assert_eq!(sess.registered(), 2);
+        assert!(sess.resident_bytes() > parked);
+    }
+
+    #[test]
+    fn a_parked_session_holds_nothing_sized_by_the_netlist() {
+        // The same cone in a small netlist and in one with 20 000 nodes
+        // (and 2 000 states) nothing in the cone reads.
+        let build = |padding: usize| {
+            let mut n = Netlist::new("padded");
+            let b = n.state("B", 1, Bv::bit(true));
+            let c = n.state("C", 1, Bv::bit(true));
+            let a = n.state("A", 1, Bv::bit(true));
+            let band = n.and(n.state_node(b), n.state_node(c));
+            n.set_next(a, band);
+            n.keep_state(b);
+            n.keep_state(c);
+            for i in 0..padding {
+                let s = n.state(format!("pad{i}"), 8, Bv::zero(8));
+                let mut x = n.state_node(s);
+                for k in 0..10 {
+                    let k = n.c(8, k + 1);
+                    x = n.add(x, k);
+                }
+                n.set_next(s, x);
+            }
+            n
+        };
+        let resident = |n: &Netlist| {
+            let [a, b, c] = ["A", "B", "C"].map(|s| n.find_state(s).unwrap());
+            let cache = Arc::new(EncodeCache::new(n));
+            let mut sess = AbductionSession::with_cache(
+                n,
+                Predicate::eq_const(a, a, Bv::bit(true)),
+                AbductionConfig::paper_default(),
+                Arc::clone(&cache),
+                true,
+            );
+            let cands = [
+                Predicate::eq_const(b, b, Bv::bit(true)),
+                Predicate::eq_const(c, c, Bv::bit(true)),
+            ];
+            assert_eq!(sess.solve(&cands).abduct, Some(vec![0, 1]));
+            (sess.resident_bytes(), cache.resident_bytes())
+        };
+        let (small, padded) = (build(0), build(2000));
+        assert!(padded.num_nodes() > small.num_nodes() + 20_000);
+        assert_eq!(resident(&padded), resident(&small));
+        assert!(resident(&small).0 > 0 && resident(&small).1 > 0);
+    }
+
+    #[test]
+    fn a_replayed_encoding_is_the_fresh_one() {
+        // Eq(B) records the cone shape, Eq(C) replays it; a third session
+        // blasts Eq(C) fresh over the same SimpMap. Same solver formula,
+        // same variables, same bytes at rest.
+        let (base, m) = and_gate();
+        let b = base.find_state("B").unwrap();
+        let c = base.find_state("C").unwrap();
+        let eq_b = Predicate::eq(m.left(b), m.right(b));
+        let eq_c = Predicate::eq(m.left(c), m.right(c));
+        let cfg = AbductionConfig::paper_default();
+        let cache = Arc::new(EncodeCache::new(m.netlist()));
+        let before = cache.resident_bytes();
+        let mut recorder =
+            AbductionSession::with_cache(m.netlist(), eq_b.clone(), cfg, Arc::clone(&cache), true);
+        recorder.solve(std::slice::from_ref(&eq_c));
+        let recorded = cache.resident_bytes();
+        assert!(recorded > before);
+
+        let mut replayed =
+            AbductionSession::with_cache(m.netlist(), eq_c.clone(), cfg, Arc::clone(&cache), true);
+        let r = replayed.solve(std::slice::from_ref(&eq_b));
+        assert!(r.telemetry.encode_cache_hit);
+        assert_eq!(cache.resident_bytes(), recorded, "a hit stores nothing");
+        let mut fresh =
+            AbductionSession::with_cache(m.netlist(), eq_c, cfg, Arc::clone(&cache), false);
+        let f = fresh.solve(std::slice::from_ref(&eq_b));
+        assert_eq!(r.abduct, f.abduct);
+        let formula = |s: &AbductionSession<'_>| {
+            let solver = s.enc.as_ref().unwrap().cnf().solver();
+            (solver.num_vars(), solver.formula_clauses())
+        };
+        assert_eq!(formula(&replayed), formula(&fresh));
+        assert_eq!(replayed.resident_bytes(), fresh.resident_bytes());
+
+        assert!(cache.evict_encodings() > 0);
+        assert!(cache.resident_bytes() < recorded);
+    }
+
     /// Witness reuse over multi-query sessions on random CNFs. Candidate `i`
     /// is a random literal behind indicator `a_i`; each session asks about a
     /// candidate set that shrinks (the previous abduct loses a member, as
     /// after a backtrack) and regrows. Every abduct must be UNSAT and every
     /// member individually critical when re-checked by a fresh solver, so a
     /// stored model that violated a current member cannot have been reused.
+    ///
+    /// Every session also runs a second time on a solver that is parked
+    /// ([`Solver::shrink_to_fit`]) after every query, next to the unparked
+    /// one: parking must change no abduct and no work count.
     #[test]
     fn witness_reuse_keeps_abducts_minimal_on_random_cnfs() {
         use hh_sat::Var;
@@ -674,14 +837,19 @@ mod tests {
                 .collect();
             let mut session = build();
             let mut witnesses = VecDeque::new();
+            let mut parked = build();
+            let mut parked_witnesses = VecDeque::new();
             let mut offered = vec![true; CANDIDATES];
             for _ in 0..10 {
                 let assumed: Vec<Lit> = (0..CANDIDATES)
                     .filter(|&i| offered[i])
                     .map(|i| indicators[i])
                     .collect();
-                if session.solve_with_assumptions(&assumed) == SolveResult::Sat {
+                let verdict = session.solve_with_assumptions(&assumed);
+                assert_eq!(parked.solve_with_assumptions(&assumed), verdict);
+                if verdict == SolveResult::Sat {
                     // Regrow: offer everything again.
+                    parked.shrink_to_fit();
                     offered = vec![true; CANDIDATES];
                     continue;
                 }
@@ -695,6 +863,23 @@ mod tests {
                 };
                 let (abduct, counts) = hh_sat::minimize_core_with(&mut session, &core, &mut memory);
                 hits += counts.remembered;
+
+                let parked_core = parked.unsat_core().to_vec();
+                let mut memory = WitnessMemory {
+                    witnesses: &mut parked_witnesses,
+                    slot_of_lit: &slot_of_lit,
+                    candidate_lits: &candidate_lits,
+                    needed: Vec::new(),
+                };
+                let parked_answer =
+                    hh_sat::minimize_core_with(&mut parked, &parked_core, &mut memory);
+                parked.shrink_to_fit();
+                assert_eq!(parked_answer, (abduct.clone(), counts));
+                let (a, b) = (parked.stats(), session.stats());
+                assert_eq!(
+                    (a.solves, a.conflicts, a.propagations, a.decisions),
+                    (b.solves, b.conflicts, b.propagations, b.decisions)
+                );
 
                 let mut fresh = build();
                 assert_eq!(fresh.solve_with_assumptions(&abduct), SolveResult::Unsat);

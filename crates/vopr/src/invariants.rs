@@ -252,9 +252,14 @@ pub fn check_death_surfacing(run: &RunArtifacts) -> InvariantResult {
 // Pair checkers
 // ---------------------------------------------------------------------------
 
-/// `sat.arena_bytes` and `sat.watch_bytes` are gauges (merged by max);
-/// every other projected counter is a sum.
-const MERGE_MAX_GAUGES: [&str; 2] = ["sat.arena_bytes", "sat.watch_bytes"];
+/// The byte counters are gauges (merged by max); every other projected
+/// counter is a sum.
+const MERGE_MAX_GAUGES: [&str; 4] = [
+    "sat.arena_bytes",
+    "sat.watch_bytes",
+    "smt.session.resident_bytes",
+    "smt.cache.resident_bytes",
+];
 
 /// `Stats::merge` must be additive on counters (gauges max), and poisoning
 /// must be sticky across merges — an aggregated report must never launder

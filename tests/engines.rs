@@ -128,7 +128,7 @@ fn streaming_engine_is_deterministic_across_thread_counts() {
     let inv_s = serial.learn(&props).expect("serial invariant");
     assert!(inv_s.verify_monolithic(miter.netlist()));
 
-    let mut reference: Option<(Vec<_>, usize)> = None;
+    let mut reference: Option<(Vec<_>, usize, u64)> = None;
     for threads in [1, 2, 4] {
         let miner = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
         let mut par = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), threads);
@@ -144,9 +144,15 @@ fn streaming_engine_is_deterministic_across_thread_counts() {
         let stats = par.stats();
         let preds: Vec<_> = stats.tasks.iter().map(|t| t.pred).collect();
         assert!(stats.memo_hits > 0, "overlapping cones must hit the memo");
+        let resident = stats.session_resident_bytes;
+        assert!(resident > 0);
         match &reference {
-            None => reference = Some((preds, stats.memo_hits)),
-            Some((expect, hits)) => {
+            None => reference = Some((preds, stats.memo_hits, resident)),
+            Some((expect, hits, expect_resident)) => {
+                assert_eq!(
+                    *expect_resident, resident,
+                    "parked-session bytes must not depend on thread count"
+                );
                 assert_eq!(
                     expect, &preds,
                     "task commit order must not depend on thread count"
@@ -166,7 +172,9 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
     // spurious predicates through mining, so the engine backtracks and
     // sessions re-minimise on retries — the path where minimisation probes
     // are answered from stored witness models. Skipped probes must not make
-    // the result depend on the schedule.
+    // the result depend on the schedule. Every session parks after every
+    // query and 20 of them answer again: the work counts are the ones
+    // recorded at f951c72, before sessions parked.
     let design = boom_lite(BoomVariant::Small, 16);
     let safe: Vec<Mnemonic> = alu_set()
         .into_iter()
@@ -188,16 +196,46 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
             stats.minimize_witness_hits > 0,
             "retries must reuse witness models"
         );
+        assert_eq!(
+            (stats.smt_queries, stats.backtracks, stats.session_hits),
+            (72, 20, 20)
+        );
+        assert_eq!(
+            (
+                stats.sat_solves,
+                stats.sat_conflicts,
+                stats.sat_propagations
+            ),
+            (707, 12_026, 2_639_092)
+        );
+        assert_eq!(
+            (
+                stats.minimize_probes_sat,
+                stats.minimize_probes_unsat,
+                stats.minimize_witness_hits
+            ),
+            (533, 102, 338)
+        );
+        // Byte gauges come from capacities, not from the allocator or the
+        // clock: the same at every thread count.
+        let resident = (
+            stats.session_resident_bytes,
+            stats.encode_cache_resident_bytes,
+        );
+        assert!(resident.0 > 0 && resident.1 > 0);
         match &reference {
             None => {
                 assert!(inv.verify_monolithic(miter.netlist()));
-                reference = Some(inv.preds().to_vec());
+                reference = Some((inv.preds().to_vec(), resident));
             }
-            Some(expect) => assert_eq!(
-                expect.as_slice(),
-                inv.preds(),
-                "{threads}-thread run must learn the 1-thread invariant"
-            ),
+            Some((expect, expect_resident)) => {
+                assert_eq!(
+                    expect.as_slice(),
+                    inv.preds(),
+                    "{threads}-thread run must learn the 1-thread invariant"
+                );
+                assert_eq!(*expect_resident, resident, "{threads} threads");
+            }
         }
     }
 }
