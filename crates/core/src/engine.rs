@@ -19,6 +19,7 @@
 //! the stale-entry sweep in [`SerialEngine::learn`] re-solves anything whose
 //! abduct later intersects `P_fail` (§3.2.2).
 
+use crate::invariant::closure;
 use crate::mine::Miner;
 use crate::store::{PredId, PredicateStore};
 use crate::{Invariant, Stats, TaskRecord};
@@ -208,20 +209,14 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
     /// Collects the transitive closure of memoised abducts from the
     /// property predicates — the composed invariant `H = ⋀ H_i`.
     fn assemble(&self, props: &[PredId]) -> Invariant {
-        let mut seen: HashSet<PredId> = HashSet::new();
-        let mut work: Vec<PredId> = props.to_vec();
-        while let Some(p) = work.pop() {
-            if !seen.insert(p) {
-                continue;
-            }
-            let ab = self
-                .memo
-                .get(&p)
-                .expect("assembled predicate must have a solution");
+        let ids: Vec<PredId> = closure(props.iter().copied(), |p| {
+            let ab = self.memo.get(&p)?;
             debug_assert!(ab.iter().all(|q| !self.failed.contains(q)));
-            work.extend(ab.iter().copied());
-        }
-        let ids: Vec<PredId> = seen.into_iter().collect();
+            Some(ab.iter().copied())
+        })
+        .expect("assembled predicate must have a solution")
+        .into_iter()
+        .collect();
         Invariant::new(self.store.resolve(&ids))
     }
 

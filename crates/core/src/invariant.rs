@@ -3,6 +3,31 @@
 use hh_netlist::eval::StateValues;
 use hh_netlist::Netlist;
 use hh_smt::{monolithic_induction_check, MonolithicOutcome, Predicate};
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
+
+/// Every key reachable from `roots` through a solution table — the roots,
+/// their premises, the premises' premises — or `None` when the walk reaches
+/// a key the table has no entry for. This is how a memo table composes into
+/// an invariant (`H = ⋀ H_i`): the engines run it over their predicate ids
+/// at the end of a learn, [`Invariant::from_closed_table`] over predicates.
+pub(crate) fn closure<K, I>(
+    roots: impl IntoIterator<Item = K>,
+    premises: impl Fn(K) -> Option<I>,
+) -> Option<HashSet<K>>
+where
+    K: Copy + Eq + Hash,
+    I: IntoIterator<Item = K>,
+{
+    let mut seen = HashSet::new();
+    let mut work: Vec<K> = roots.into_iter().collect();
+    while let Some(p) = work.pop() {
+        if seen.insert(p) {
+            work.extend(premises(p)?);
+        }
+    }
+    Some(seen)
+}
 
 /// An inductive invariant: a conjunction of relational predicates, including
 /// the property predicates themselves.
@@ -17,6 +42,36 @@ impl Invariant {
         preds.sort();
         preds.dedup();
         Invariant { preds }
+    }
+
+    /// The invariant a solution table already holds, if the table is
+    /// **closed**: one entry per target, an entry for every property and
+    /// for every premise of every entry. An engine seeded with such a table
+    /// issues no task — each predicate it schedules is a memo hit — and
+    /// assembles exactly this invariant, so a caller that holds the table
+    /// need not run one. `None` for any other table (an entry invalidated,
+    /// flushed or lost; a target listed twice): those need the engine.
+    pub fn from_closed_table(
+        properties: &[Predicate],
+        table: &[(Predicate, Vec<Predicate>)],
+    ) -> Option<Invariant> {
+        let mut entries: HashMap<&Predicate, &[Predicate]> = HashMap::with_capacity(table.len());
+        for (target, premises) in table {
+            if entries.insert(target, premises).is_some() {
+                return None;
+            }
+        }
+        // The engine schedules the premises of *every* seeded entry, not
+        // only those the properties reach.
+        if !table
+            .iter()
+            .flat_map(|(_, premises)| premises)
+            .all(|q| entries.contains_key(q))
+        {
+            return None;
+        }
+        let reached = closure(properties, |p| entries.get(p).copied())?;
+        Some(Invariant::new(reached.into_iter().cloned().collect()))
     }
 
     /// The predicates (sorted, deduplicated).
@@ -90,6 +145,49 @@ mod tests {
         assert_eq!(inv.len(), 1);
         assert!(inv.contains(&p));
         assert!(!inv.is_empty());
+    }
+
+    #[test]
+    fn closed_tables_compose_and_open_ones_do_not() {
+        let mut n = Netlist::new("t");
+        let regs: Vec<_> = (0..4)
+            .map(|i| n.state(format!("r{i}"), 4, Bv::zero(4)))
+            .collect();
+        for &r in &regs {
+            n.keep_state(r);
+        }
+        let m = Miter::build(&n);
+        let eq = |i: usize| Predicate::eq(m.left(regs[i]), m.right(regs[i]));
+        // 0 ⊢ {1, 2}, 1 ⊢ {2}, 2 ⊢ {}; 3 ⊢ {3} is an entry no property reaches.
+        let table = vec![
+            (eq(0), vec![eq(1), eq(2)]),
+            (eq(1), vec![eq(2)]),
+            (eq(2), vec![]),
+            (eq(3), vec![eq(3)]),
+        ];
+        let inv = Invariant::from_closed_table(&[eq(0)], &table).expect("closed");
+        assert_eq!(
+            inv.preds(),
+            Invariant::new(vec![eq(0), eq(1), eq(2)]).preds()
+        );
+        let both = Invariant::from_closed_table(&[eq(1), eq(3)], &table).expect("closed");
+        assert_eq!(both.len(), 3);
+
+        // A property without an entry, a premise without one (reached from
+        // the property or not), and a target listed twice all need an engine.
+        assert!(Invariant::from_closed_table(&[eq(0)], &table[1..]).is_none());
+        assert!(Invariant::from_closed_table(&[eq(0)], &table[..2]).is_none());
+        let mut dangling = table.clone();
+        dangling[3].1 = vec![Predicate::eq_const(
+            m.left(regs[3]),
+            m.right(regs[3]),
+            Bv::zero(4),
+        )];
+        assert!(Invariant::from_closed_table(&[eq(0)], &dangling).is_none());
+        let mut twice = table.clone();
+        twice.push((eq(2), vec![]));
+        assert!(Invariant::from_closed_table(&[eq(0)], &twice).is_none());
+        assert!(Invariant::from_closed_table(&[eq(0)], &[]).is_none());
     }
 
     #[test]

@@ -43,6 +43,7 @@
 //! first (the one thing worker timing does decide) cannot reach the result.
 
 use crate::engine::SessionCache;
+use crate::invariant::closure;
 use crate::mine::Miner;
 use crate::reorder::ReorderBuffer;
 use crate::sim::{SchedEvent, SimDriver};
@@ -663,19 +664,12 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     }
 
     fn assemble(&self, props: &[PredId]) -> Invariant {
-        let mut seen: HashSet<PredId> = HashSet::new();
-        let mut work: Vec<PredId> = props.to_vec();
-        while let Some(p) = work.pop() {
-            if !seen.insert(p) {
-                continue;
-            }
-            let ab = self
-                .memo
-                .get(&p)
-                .expect("assembled predicate must have a solution");
-            work.extend(ab.iter().copied());
-        }
-        let ids: Vec<PredId> = seen.into_iter().collect();
+        let ids: Vec<PredId> = closure(props.iter().copied(), |p| {
+            self.memo.get(&p).map(|ab| ab.iter().copied())
+        })
+        .expect("assembled predicate must have a solution")
+        .into_iter()
+        .collect();
         Invariant::new(self.store.resolve(&ids))
     }
 }

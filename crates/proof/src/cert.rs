@@ -46,7 +46,6 @@ use hh_uarch::Design;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One discharged relative-induction obligation.
@@ -309,65 +308,20 @@ impl ObligationContext {
 }
 
 /// The one loop both [`build_certificate`] and [`verify_certificate`] run
-/// their per-obligation step through: `workers` threads (see
-/// [`worker_count`]; the caller is one of them) pull obligation indices
-/// from a shared cursor, and the results come back in index order.
-///
-/// The outcome does not depend on the interleaving. Indices are handed out
-/// in ascending order and a failure only stops indices *above* it from
-/// starting, so every obligation below the lowest failing one has run to
-/// completion, and that lowest failure is the error reported — the same one
-/// a single worker walking the list in order stops at.
-fn run_obligations<T, F>(n: usize, workers: usize, step: F) -> Result<Vec<T>, CertError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, CertError> + Sync,
-{
-    // Both atomics only ration work — results travel through `join` — so
-    // relaxed ordering is enough: a stale `failed` costs a wasted step,
-    // never a wrong answer.
-    let cursor = AtomicUsize::new(0);
-    let failed = AtomicUsize::new(usize::MAX);
-    let worker = || {
-        let mut done = Vec::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n || i > failed.load(Ordering::Relaxed) {
-                return done;
-            }
-            let result = step(i);
-            if result.is_err() {
-                failed.fetch_min(i, Ordering::Relaxed);
-            }
-            done.push((i, result));
-        }
-    };
-    let mut done = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let done = worker();
-                    // The scope join does not wait for thread-local
-                    // destructors; hand the trace ring over before it.
-                    hh_trace::flush();
-                    done
-                })
-            })
-            .collect();
-        let mut done = worker();
-        for handle in spawned {
-            match handle.join() {
-                Ok(theirs) => done.extend(theirs),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, result)| result).collect()
+/// their per-obligation step through: the stack's shared indexed queue
+/// ([`hh_trace::run_indexed`]) with no per-worker state. Results come back
+/// in index order and the lowest failing obligation is the error reported,
+/// at any worker count and interleaving.
+fn run_obligations<T: Send>(
+    n: usize,
+    workers: usize,
+    step: impl Fn(usize) -> Result<T, CertError> + Sync,
+) -> Result<Vec<T>, CertError> {
+    hh_trace::run_indexed(n, workers, || (), |(), i| step(i))
 }
 
-/// Worker count for `n` obligations when the caller asks for `threads`.
+/// Workers the queue runs for `n` obligations when asked for `threads` —
+/// what [`CheckReport::threads`] reports.
 fn worker_count(threads: usize, n: usize) -> usize {
     threads.clamp(1, n.max(1))
 }
@@ -442,9 +396,7 @@ pub fn build_certificate(
         })
         .collect();
 
-    let obligations = run_obligations(preds.len(), worker_count(threads, preds.len()), |i| {
-        ctx.prove(i, &premises[i])
-    })?;
+    let obligations = run_obligations(preds.len(), threads, |i| ctx.prove(i, &premises[i]))?;
 
     Ok(Certificate {
         design: design.netlist.name().to_string(),
@@ -852,35 +804,14 @@ mod tests {
     }
 
     #[test]
-    fn queue_returns_results_in_index_order_at_any_worker_count() {
-        for workers in [1, 2, 3, 8] {
+    fn obligation_queue_keeps_index_order_and_reports_the_lowest_failure() {
+        // The queue itself is tested where it lives (`hh_trace::run_indexed`);
+        // this pins what the wrapper promises about `CertError`s.
+        for workers in [1, 2, 4] {
             let out = run_obligations(37, workers, |i| Ok(i * i)).unwrap();
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert_eq!(worker_count(0, 37), 1);
-        assert_eq!(worker_count(100, 37), 37);
-        assert_eq!(worker_count(4, 0), 1);
-        assert_eq!(run_obligations(0, 1, Ok).unwrap(), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn queue_reports_the_lowest_failing_index_whatever_the_interleaving() {
-        use std::sync::mpsc;
-        use std::sync::Mutex;
-        // Obligation 3 fails *last*: it blocks until obligation 41 has
-        // failed on another worker. The answer must still be 3.
-        for workers in [2, 4] {
-            let (tx, rx) = mpsc::channel::<()>();
-            let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
             let result = run_obligations(58, workers, |i| match i {
-                3 => {
-                    rx.lock().unwrap().recv().unwrap();
-                    Err(CertError::NotInductive { target: 3 })
-                }
-                41 => {
-                    tx.lock().unwrap().send(()).unwrap();
-                    Err(CertError::NotInductive { target: 41 })
-                }
+                3 | 41 => Err(CertError::NotInductive { target: i }),
                 _ => Ok(i),
             });
             assert!(
@@ -888,18 +819,9 @@ mod tests {
                 "workers={workers}: {result:?}"
             );
         }
-        // One worker walks the list in order and stops at the first failure.
-        let seen = Mutex::new(Vec::new());
-        let result = run_obligations(58, 1, |i| {
-            seen.lock().unwrap().push(i);
-            if i == 3 || i == 41 {
-                Err(CertError::NotInductive { target: i })
-            } else {
-                Ok(())
-            }
-        });
-        assert!(matches!(result, Err(CertError::NotInductive { target: 3 })));
-        assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(worker_count(0, 37), 1);
+        assert_eq!(worker_count(100, 37), 37);
+        assert_eq!(worker_count(4, 0), 1);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::proto::{
     err_response, ok_response, read_frame, write_frame, ErrorCode, FrameError, PROTOCOL_VERSION,
 };
 use crate::state::{
-    resolve_safe_set, CheckpointSummary, DesignSpec, JobKey, LearnOutcome, LearnResult, RunOptions,
-    ServeState,
+    count_field, resolve_safe_set, CheckpointSummary, DesignSpec, JobKey, LearnOutcome,
+    LearnResult, RunOptions, ServeState, MAX_PAIRS, MAX_THREADS,
 };
 use std::io::{Read, Write};
 use std::net::TcpListener;
@@ -399,7 +399,7 @@ impl Inner {
         let safe = resolve_safe_set(&safe_json)?;
         let key = JobKey {
             safe,
-            pairs_per_instr: frame.get("pairs").and_then(Json::as_u64).unwrap_or(2) as usize,
+            pairs_per_instr: count_field(frame, "pairs", 2, MAX_PAIRS)?,
             seed: frame
                 .get("seed")
                 .and_then(Json::as_i64)
@@ -418,11 +418,7 @@ impl Inner {
                 .unwrap_or(1)
         };
         let opts = RunOptions {
-            threads: frame
-                .get("threads")
-                .and_then(Json::as_u64)
-                .map(|t| t as usize)
-                .unwrap_or(default_threads),
+            threads: count_field(frame, "threads", default_threads, MAX_THREADS)?,
             certify: frame
                 .get("certify")
                 .and_then(Json::as_bool)

@@ -151,6 +151,31 @@ pub(crate) const BUILTIN_XLEN: std::ops::RangeInclusive<u32> = 8..=32;
 /// is already a 512-entry reorder buffer).
 const MAX_SCALE: usize = 16;
 
+/// Most paired executions per instruction a request may ask for. Zero is
+/// refused too: a learn with no example panics in the miner.
+pub(crate) const MAX_PAIRS: usize = 64;
+
+/// Most worker threads a request may ask for (every one is a spawn).
+pub(crate) const MAX_THREADS: usize = 256;
+
+/// An optional count field of a `learn`/`verify` frame: an integer in
+/// `1..=max`, or `default` when the frame does not carry the key.
+pub(crate) fn count_field(
+    frame: &Json,
+    key: &str,
+    default: usize,
+    max: usize,
+) -> Result<usize, ServeError> {
+    match frame.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .as_u64()
+            .and_then(|x| usize::try_from(x).ok())
+            .filter(|x| (1..=max).contains(x))
+            .ok_or_else(|| bad_request(format!("{key} must be an integer in 1..={max}"))),
+    }
+}
+
 /// An optional non-negative integer field of the `design` object, which
 /// must fit `T`: `as` would wrap `2^32 + 16` into a plausible width.
 fn uint_field<T: TryFrom<u64>>(j: &Json, key: &str, default: T) -> Result<T, ServeError> {
@@ -659,37 +684,43 @@ impl ServeState {
                     .to_string(),
             ));
         }
-        let design = spec.build()?;
-        let fingerprint = design_fingerprint(&design);
         let name = spec.name.clone();
 
-        // Register the design or migrate resident jobs across a delta.
+        // Register the design or migrate resident jobs across a delta. A
+        // spec equal to the resident one builds the very design that is
+        // resident, so neither the build nor its fingerprint is repeated.
         let mut invalidated = 0usize;
-        match self.designs.get_mut(&name) {
-            None => {
-                if opts.require_baseline {
-                    return Err((
-                        ErrorCode::UnknownDesign,
-                        format!("design {name:?} has never been learned on this server"),
-                    ));
+        if self.designs.get(&name).is_none_or(|e| e.spec != spec) {
+            let design = spec.build()?;
+            let fingerprint = design_fingerprint(&design);
+            match self.designs.get_mut(&name) {
+                None => {
+                    if opts.require_baseline {
+                        return Err((
+                            ErrorCode::UnknownDesign,
+                            format!("design {name:?} has never been learned on this server"),
+                        ));
+                    }
+                    self.designs.insert(
+                        name.clone(),
+                        DesignEntry {
+                            spec,
+                            design,
+                            fingerprint,
+                            jobs: HashMap::new(),
+                        },
+                    );
                 }
-                self.designs.insert(
-                    name.clone(),
-                    DesignEntry {
-                        spec,
-                        design,
-                        fingerprint,
-                        jobs: HashMap::new(),
-                    },
-                );
-            }
-            Some(entry) if entry.fingerprint == fingerprint => {
-                // Identical content: resident state applies verbatim.
-            }
-            Some(entry) => {
-                // Design delta: migrate every resident job before swapping
-                // the design in, so signatures can be compared old-vs-new.
-                invalidated = migrate_entry(entry, spec, design, fingerprint, opts);
+                Some(entry) if entry.fingerprint == fingerprint => {
+                    // Identical content under another spelling: resident
+                    // state applies verbatim.
+                }
+                Some(entry) => {
+                    // Design delta: migrate every resident job before
+                    // swapping the design in, so signatures can be compared
+                    // old-vs-new.
+                    invalidated = migrate_entry(entry, spec, design, fingerprint, opts);
+                }
             }
         }
 
@@ -720,7 +751,16 @@ impl ServeState {
             seeds: job.solutions.clone(),
         };
         hh_trace::counter!("serve", "serve.seeded", warm.seeds.len());
-        let report = veloct.learn_warm(&key.safe, warm);
+        // A job that holds an invariant holds the table of a learn that
+        // proved it on this very design, examples checked: if that table is
+        // still closed it is the answer. Without one — never learned,
+        // flushed, unprovable, or carried across a design delta — the
+        // examples are regenerated and the engine runs.
+        let report = if job.invariant.is_some() {
+            veloct.learn_warm(&key.safe, warm)
+        } else {
+            veloct.learn_seeded(&key.safe, warm)
+        };
         let after = job.cache.stats();
 
         let (result, invariant_preds) = match (&report.divergence, &report.invariant) {
@@ -739,7 +779,11 @@ impl ServeState {
         if result == LearnResult::Proved {
             job.solutions = report.solutions.clone();
             job.invariant = Some(invariant_preds.clone());
-            job.num_examples = report.num_examples;
+            // A closed-table answer generated none: the count stays that
+            // of the learn which produced the table.
+            if report.num_examples > 0 {
+                job.num_examples = report.num_examples;
+            }
         } else {
             job.solutions.clear();
             job.invariant = None;
@@ -795,7 +839,7 @@ impl ServeState {
                 .map(|p| p.to_wire(job.miter.netlist()))
                 .collect(),
             counters,
-            num_examples: report.num_examples,
+            num_examples: job.num_examples,
             certificate,
         })
     }

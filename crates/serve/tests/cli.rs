@@ -17,3 +17,44 @@ fn out_of_range_batch_flags_print_usage_and_exit_2() {
         assert!(stderr.contains("usage: veloct"), "{flag:?}: {stderr}");
     }
 }
+
+/// `veloct connect … learn --pairs 0` is refused by the daemon, not by a
+/// panic inside it: the client exits non-zero naming `bad-request`, and the
+/// daemon goes on answering.
+#[test]
+fn connect_learn_with_no_pairs_is_a_bad_request_and_the_daemon_survives() {
+    use hh_serve::client::Client;
+    use hh_serve::server::{Bind, Server, ServerConfig};
+
+    let (server, _) = Server::bind(ServerConfig {
+        bind: Bind::Tcp("127.0.0.1:0".to_string()),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("tcp addr").to_string();
+    let daemon = std::thread::spawn(move || server.run());
+
+    let connect = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_veloct"))
+            .args(["connect", &addr])
+            .args(args)
+            .output()
+            .expect("run veloct connect")
+    };
+    let learn = ["learn", "--name", "rocket", "--builtin", "rocketlite"];
+    for flag in [
+        ["--pairs", "0"],
+        ["--threads", "0"],
+        ["--threads", "100000"],
+    ] {
+        let out = connect(&[&learn[..], &flag[..]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag:?}: {stderr}");
+        assert!(stderr.contains("bad-request"), "{flag:?}: {stderr}");
+        assert!(stderr.contains(&flag[0][2..]), "{flag:?}: {stderr}");
+        let status = connect(&["status"]);
+        assert!(status.status.success(), "daemon died after {flag:?}");
+    }
+    Client::connect_tcp(&addr).unwrap().shutdown().unwrap();
+    daemon.join().unwrap().unwrap();
+}

@@ -608,6 +608,111 @@ fn killed_mid_checkpoint_restarts_warm_from_last_good_state() {
     let _ = std::fs::remove_dir_all(&fresh);
 }
 
+/// The response fields that describe the *answer* rather than the work it
+/// took: everything but the memo, solver and cache counters and the time.
+fn answer_fields(resp: &Json) -> Vec<(String, Json)> {
+    const WORK: [&str; 10] = [
+        "id",
+        "memo_seeded",
+        "memo_reused",
+        "relearned",
+        "smt_queries",
+        "cache_hits",
+        "cache_misses",
+        "warm_hit",
+        "elapsed_ms",
+        "certificate",
+    ];
+    let Json::Obj(fields) = resp else {
+        panic!("response is an object: {resp}")
+    };
+    let mut answer: Vec<(String, Json)> = fields
+        .iter()
+        .filter(|(k, _)| !WORK.contains(&k.as_str()))
+        .map(|(k, v)| (k.clone(), v.clone()))
+        .collect();
+    answer.sort_by(|a, b| a.0.cmp(&b.0));
+    answer
+}
+
+/// A warm hit generates no example and runs no engine, yet answers what the
+/// cold learn answered, field for field — `num_examples` included, which it
+/// reads from the resident job — and so does the first hit after a restart.
+#[test]
+fn warm_and_restored_answers_equal_the_cold_one_field_for_field() {
+    let dir = temp_dir("fields");
+    let mut rocket = rocket_learn_fields();
+    rocket.retain(|(k, _)| *k != "certify");
+    for (tag, fields) in [("toy", toy_learn_fields("toy", TOY_V1)), ("rocket", rocket)] {
+        let daemon = Daemon::start(Some(dir.clone()));
+        let mut c = daemon.client();
+        let cold = c.request("learn", fields.clone()).unwrap();
+        assert_eq!(cold.get("warm_hit").unwrap(), &Json::Bool(false), "{tag}");
+        assert!(i64_field(&cold, "num_examples") > 0);
+        let answer = answer_fields(&cold);
+        assert!(answer.iter().any(|(k, _)| k == "num_examples"));
+        assert!(answer.iter().any(|(k, _)| k == "invariant"));
+
+        for _ in 0..2 {
+            let warm = c.request("learn", fields.clone()).unwrap();
+            assert_eq!(warm.get("warm_hit").unwrap(), &Json::Bool(true), "{tag}");
+            assert_eq!(answer_fields(&warm), answer, "{tag}: warm != cold");
+            assert_eq!(
+                i64_field(&warm, "memo_seeded"),
+                i64_field(&warm, "memo_reused")
+            );
+            for zero in ["relearned", "smt_queries", "cache_hits", "cache_misses"] {
+                assert_eq!(i64_field(&warm, zero), 0, "{tag}: {zero}");
+            }
+        }
+        daemon.stop();
+
+        let daemon2 = Daemon::start(Some(dir.clone()));
+        let restored = daemon2.client().request("learn", fields).unwrap();
+        assert_eq!(restored.get("warm_hit").unwrap(), &Json::Bool(true));
+        assert_eq!(answer_fields(&restored), answer, "{tag}: restored != cold");
+        daemon2.stop();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A memo table that lost an entry on disk is not closed: the restored
+/// daemon does not answer from it but runs the engine, re-learns what is
+/// missing and reaches the identical invariant.
+#[test]
+fn truncated_solution_table_falls_back_to_the_engine() {
+    let dir = temp_dir("truncated");
+    let fields = toy_learn_fields("toy", TOY_V1);
+    let daemon = Daemon::start(Some(dir.clone()));
+    let cold = daemon.client().request("learn", fields.clone()).unwrap();
+    daemon.stop(); // checkpoints on the way down
+
+    // Delete the last `T …` / `P …`* / `.` block.
+    let tables = files_under(&dir, |p| {
+        p.file_name().is_some_and(|n| n == "solutions.txt")
+    });
+    assert_eq!(tables.len(), 1);
+    let text = std::fs::read_to_string(&tables[0]).unwrap();
+    let last = text.rfind("T ").expect("a checkpointed table has entries");
+    assert!(text[last..].ends_with(".\n") && text[..last].ends_with(".\n"));
+    std::fs::write(&tables[0], &text[..last]).unwrap();
+
+    let daemon2 = Daemon::start(Some(dir.clone()));
+    let mut c = daemon2.client();
+    let relearned = c.request("learn", fields.clone()).unwrap();
+    assert_eq!(relearned.get("result").unwrap().as_str(), Some("proved"));
+    assert_eq!(relearned.get("warm_hit").unwrap(), &Json::Bool(false));
+    assert!(i64_field(&relearned, "relearned") > 0);
+    assert!(i64_field(&relearned, "memo_seeded") > 0, "the rest seeds");
+    assert_eq!(answer_fields(&relearned), answer_fields(&cold));
+    // The table is whole again.
+    let warm = c.request("learn", fields).unwrap();
+    assert_eq!(warm.get("warm_hit").unwrap(), &Json::Bool(true));
+    assert_eq!(answer_fields(&warm), answer_fields(&cold));
+    daemon2.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------------
 // Design deltas
 // ---------------------------------------------------------------------------
@@ -651,6 +756,51 @@ fn delta_relearns_only_changed_cones() {
         .unwrap();
     assert_eq!(again.get("warm_hit").unwrap(), &Json::Bool(true));
     assert_eq!(i64_field(&again, "invalidated"), 0);
+    daemon.stop();
+}
+
+/// A delta that leaves every memoised cone alone — here only an annotation
+/// that shapes the example programs changes — carries the whole table over,
+/// closed. It is still not answered from the table: the examples of the new
+/// design were never checked for divergence, so they are regenerated, and
+/// the answer is the one a daemon that never saw the old design gives.
+#[test]
+fn delta_that_invalidates_nothing_still_regenerates_the_examples() {
+    let longer_latency = |name: &str| {
+        let mut fields = toy_learn_fields(name, TOY_V1);
+        let Json::Obj(design) = &mut fields[0].1 else {
+            panic!("toy design is an object")
+        };
+        design.insert("max_latency".to_string(), Json::Int(5));
+        fields
+    };
+    let fresh = Daemon::start(None);
+    let reference = fresh
+        .client()
+        .request("learn", longer_latency("toy"))
+        .unwrap();
+    fresh.stop();
+
+    let daemon = Daemon::start(None);
+    let mut c = daemon.client();
+    let v1 = c.request("learn", toy_learn_fields("toy", TOY_V1)).unwrap();
+    assert_ne!(
+        i64_field(&v1, "num_examples"),
+        i64_field(&reference, "num_examples"),
+        "the annotation must change the example set for this test to bite"
+    );
+    let delta = c.request("learn", longer_latency("toy")).unwrap();
+    assert_eq!(i64_field(&delta, "invalidated"), 0);
+    assert_eq!(i64_field(&delta, "smt_queries"), 0);
+    assert_eq!(
+        i64_field(&delta, "memo_seeded"),
+        i64_field(&delta, "memo_reused")
+    );
+    assert!(i64_field(&delta, "memo_seeded") > 0);
+    assert_eq!(answer_fields(&delta), answer_fields(&reference));
+    // Proved on this design now: the next request is answered from the table.
+    let warm = c.request("learn", longer_latency("toy")).unwrap();
+    assert_eq!(answer_fields(&warm), answer_fields(&reference));
     daemon.stop();
 }
 
@@ -794,15 +944,56 @@ fn hostile_design_parameters_do_not_kill_the_daemon() {
         toy_with_xlen(16),
         toy_with_xlen(0),
     ];
-    for (i, fields) in hostile.into_iter().enumerate() {
+    let mut errors = 0;
+    for fields in hostile {
         let shown = format!("{fields:?}");
         expect_server_error(daemon.client().request("learn", fields), "bad-design");
+        errors += 1;
         let status = daemon
             .client()
             .status()
             .unwrap_or_else(|e| panic!("daemon died after {shown}: {e:?}"));
-        assert_eq!(i64_field(&status, "errors"), i as i64 + 1, "after {shown}");
+        assert_eq!(i64_field(&status, "errors"), errors, "after {shown}");
     }
+
+    // Run parameters: no example pair makes the miner assert, and every
+    // worker thread is a spawn. Out of range is `bad-request`, for `learn`
+    // and `verify` alike, on a design that would otherwise learn.
+    let with = |key: &'static str, value: Json| {
+        let mut fields = toy_learn_fields("toy", TOY_V1);
+        fields.retain(|(k, _)| *k != key);
+        fields.push((key, value));
+        fields
+    };
+    let hostile_runs = [
+        with("pairs", Json::Int(0)),
+        with("pairs", Json::Int(65)),
+        with("pairs", Json::Int(-1)),
+        with("pairs", Json::Int(1 << 40)),
+        with("pairs", Json::Str("many".to_string())),
+        with("threads", Json::Int(0)),
+        with("threads", Json::Int(257)),
+        with("threads", Json::Int(1_000_000)),
+        with("threads", Json::Bool(true)),
+    ];
+    for fields in hostile_runs {
+        let shown = format!("{:?}", &fields[1..]);
+        for op in ["learn", "verify"] {
+            expect_server_error(daemon.client().request(op, fields.clone()), "bad-request");
+            errors += 1;
+            let status = daemon
+                .client()
+                .status()
+                .unwrap_or_else(|e| panic!("daemon died after {op} {shown}: {e:?}"));
+            assert_eq!(i64_field(&status, "errors"), errors, "after {op} {shown}");
+        }
+    }
+    // The edges of both ranges are served.
+    let mut edge = with("pairs", Json::Int(64));
+    edge.retain(|(k, _)| *k != "threads");
+    edge.push(("threads", Json::Int(256)));
+    let resp = daemon.client().request("learn", edge).unwrap();
+    assert_eq!(resp.get("result").unwrap().as_str(), Some("proved"));
     daemon.stop();
 }
 

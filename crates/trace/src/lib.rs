@@ -38,7 +38,8 @@
 //! natural pattern — trace on the main thread, solve on scoped workers,
 //! drain after — loses nothing. Threads that are still alive (and are not
 //! the caller) keep their rings and deliver them at the next drain after
-//! they exit.
+//! they exit. [`run_indexed`] is that pattern packaged for index-parallel
+//! loops: a scoped pool whose workers flush before the scope joins.
 //!
 //! ## Example
 //!
@@ -59,10 +60,12 @@
 #![warn(missing_debug_implementations)]
 
 mod json;
+mod queue;
 mod report;
 mod ring;
 
 pub use json::validate_json;
+pub use queue::run_indexed;
 pub use ring::Ring;
 
 use std::cell::RefCell;

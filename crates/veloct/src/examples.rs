@@ -14,7 +14,17 @@
 //! compared each cycle (a divergent pair stops there), masking is applied
 //! per side to a copy of the base state, and each product state leaves the
 //! runner as one row of raw `u64`s. [`generate_examples`] drops duplicate
-//! rows as they arrive and materialises only the survivors.
+//! rows pair by pair and materialises only the survivors.
+//!
+//! Pairs are independent of each other, so the two loops over them — one
+//! pair per `(instruction, secret configuration)` in example generation, one
+//! candidate per step in differential testing — run on the stack's indexed
+//! queue ([`hh_trace::run_indexed`]): each worker owns a `PairRunner` over
+//! the one shared tape, all of them insert into one row set (a pair's rows
+//! under one lock), and the final sort makes the example set independent of
+//! arrival order. The public
+//! entry points here run it on one worker; `Veloct::learn` and
+//! `Veloct::classify` pass `VeloctConfig::threads`.
 
 use hh_isa::{asm, Instruction, Mnemonic};
 use hh_netlist::eval::StateValues;
@@ -25,6 +35,8 @@ use hh_uarch::Design;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::sync::Mutex;
 
 /// A left/right assignment of the architectural registers: the paired
 /// executions differ exactly here (equal-modulo-secret initial states).
@@ -462,14 +474,34 @@ pub fn run_pair(
 /// observables are looked at: no product state is assembled, and a diverging
 /// pair is not simulated past its divergence.
 pub fn differential_test(design: &Design, miter: &Miter, m: Mnemonic) -> Option<Divergence> {
+    differential_tests(design, miter, &[m], 1).pop().flatten()
+}
+
+/// [`differential_test`] of every candidate, on `threads` workers over one
+/// compiled tape; verdicts come back in candidate order.
+pub(crate) fn differential_tests(
+    design: &Design,
+    miter: &Miter,
+    candidates: &[Mnemonic],
+    threads: usize,
+) -> Vec<Option<Divergence>> {
     let tape = Tape::compile(&design.netlist);
-    let mut runner = PairRunner::new(design, miter, &tape);
-    let prog = probe_program(design, m);
-    adversarial_configs(design).iter().find_map(|config| {
-        runner
-            .run(m, &prog, config, usize::MAX, false, |_| {})
-            .err()
-    })
+    let configs = adversarial_configs(design);
+    let Ok(verdicts) = hh_trace::run_indexed(
+        candidates.len(),
+        threads,
+        || PairRunner::new(design, miter, &tape),
+        |runner, i| {
+            let m = candidates[i];
+            let prog = probe_program(design, m);
+            Ok::<_, Infallible>(configs.iter().find_map(|config| {
+                runner
+                    .run(m, &prog, config, usize::MAX, false, |_| {})
+                    .err()
+            }))
+        },
+    );
+    verdicts
 }
 
 /// Product rows deduplicated on arrival: each distinct row is stored once,
@@ -524,6 +556,7 @@ impl RowSet {
 }
 
 /// A generated example set with the work it took.
+#[derive(Debug, PartialEq)]
 pub(crate) struct ExampleSet {
     /// The examples: cleaned, sorted, distinct.
     pub(crate) states: Vec<StateValues>,
@@ -584,11 +617,14 @@ pub fn generate_examples_custom(
     mask: bool,
     rds: &[u8],
 ) -> Result<Vec<StateValues>, Divergence> {
-    generate_example_set(design, miter, safe, pairs_per_instr, seed, mask, rds)
+    generate_example_set(design, miter, safe, pairs_per_instr, seed, mask, rds, 1)
         .map(|set| set.states)
 }
 
-/// [`generate_examples_custom`] together with its work counts.
+/// [`generate_examples_custom`] together with its work counts, the pairs
+/// simulated on `threads` workers. The set, the counts and — when several
+/// pairs diverge — the [`Divergence`] reported (the lowest pair in
+/// `(instruction, configuration)` order) are the same at every thread count.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn generate_example_set(
     design: &Design,
@@ -598,20 +634,51 @@ pub(crate) fn generate_example_set(
     seed: u64,
     mask: bool,
     rds: &[u8],
+    threads: usize,
 ) -> Result<ExampleSet, Divergence> {
     let tape = Tape::compile(&design.netlist);
-    let mut runner = PairRunner::new(design, miter, &tape);
     let widths = product_widths(miter);
-    let mut unique = RowSet::new(widths.len());
-    for (k, &m) in safe.iter().enumerate() {
-        let configs = random_configs(design, pairs_per_instr, seed ^ ((k as u64) << 8));
-        let (prog, window) = example_program_with_rds(design, m, rds);
-        for config in &configs {
-            runner.run(m, &prog, config, window, mask, |row| unique.insert(row))?;
-        }
-    }
+    let programs: Vec<_> = safe
+        .iter()
+        .map(|&m| example_program_with_rds(design, m, rds))
+        .collect();
+    let pairs: Vec<(usize, SecretConfig)> = (0..safe.len())
+        .flat_map(|k| {
+            random_configs(design, pairs_per_instr, seed ^ ((k as u64) << 8))
+                .into_iter()
+                .map(move |config| (k, config))
+        })
+        .collect();
+    // One row set for all workers, so the idle-cycle rows every pair shares
+    // are held once. A worker collects the rows of a pair in its own buffer
+    // and inserts them under one lock: simulating a row costs an order of
+    // magnitude more than inserting it, but a lock per row has two workers
+    // collide often enough to cost a third of the speed-up.
+    let stride = widths.len();
+    let unique = Mutex::new(RowSet::new(stride));
+    let cycles = hh_trace::run_indexed(
+        pairs.len(),
+        threads,
+        || (PairRunner::new(design, miter, &tape), Vec::new()),
+        |(runner, rows), i| {
+            let (k, config) = &pairs[i];
+            let (prog, window) = &programs[*k];
+            let before = runner.cycles;
+            rows.clear();
+            runner.run(safe[*k], prog, config, *window, mask, |row| {
+                rows.extend_from_slice(row)
+            })?;
+            let mut unique = unique.lock().expect("no worker panics holding the row set");
+            rows.chunks_exact(stride).for_each(|row| unique.insert(row));
+            Ok(runner.cycles - before)
+        },
+    )?;
+    let unique = unique
+        .into_inner()
+        .expect("no worker panics holding the row set");
     // Widths are equal position by position, so ordering the raw rows is
-    // ordering the `Bv` rows they stand for.
+    // ordering the `Bv` rows they stand for — and sorting distinct rows
+    // forgets the order they arrived in.
     let mut order: Vec<u32> = (0..unique.len() as u32).collect();
     order.sort_unstable_by(|&a, &b| unique.row(a).cmp(unique.row(b)));
     Ok(ExampleSet {
@@ -619,7 +686,7 @@ pub(crate) fn generate_example_set(
             .iter()
             .map(|&i| materialise(&widths, unique.row(i)))
             .collect(),
-        cycles: runner.cycles,
+        cycles: cycles.iter().sum(),
         raw: unique.offered,
     })
 }
@@ -756,6 +823,130 @@ mod tests {
         let safe2 = [Mnemonic::Lw];
         let _ = generate_examples(&d, &m, &safe2, 1, 5); // may or may not diverge
     }
+    #[test]
+    fn example_sets_do_not_depend_on_the_thread_count() {
+        let mut designs = vec![rocket_lite(16)];
+        designs.extend(
+            [
+                BoomVariant::Small,
+                BoomVariant::Medium,
+                BoomVariant::Large,
+                BoomVariant::Mega,
+            ]
+            .map(|v| boom_lite(v, 16)),
+        );
+        // Six pairs, so four workers all get some.
+        let safe = [Mnemonic::Add, Mnemonic::Sltiu, Mnemonic::Mulhu];
+        for d in &designs {
+            let m = Miter::build(&d.netlist);
+            let set = |rds: &[u8], threads| {
+                generate_example_set(d, &m, &safe, 2, 0xD1CE, true, rds, threads)
+                    .expect("no divergence under random secrets")
+            };
+            let one = set(&EXAMPLE_RDS, 1);
+            assert!(one.raw > one.states.len() as u64 && one.cycles > 0);
+            for threads in [2, 4] {
+                assert_eq!(set(&EXAMPLE_RDS, threads), one, "{}", d.netlist.name());
+            }
+            assert_eq!(set(&[3], 2), set(&[3], 1), "{}", d.netlist.name());
+            // The public forms are the one-worker run.
+            let public = generate_examples(d, &m, &safe, 2, 0xD1CE).unwrap();
+            assert_eq!(public, one.states);
+        }
+    }
+
+    /// A core where exactly `leaky` instructions latch a secret register
+    /// into the observable, whatever the operand values.
+    fn leaky_core(leaky: &[Mnemonic]) -> Design {
+        let mut n = hh_netlist::Netlist::new("leaky");
+        let instr = n.input("instr", 32);
+        let regs: Vec<_> = (1..=4)
+            .map(|i| n.state(format!("x{i}"), 8, Bv::zero(8)))
+            .collect();
+        for &r in &regs {
+            n.keep_state(r);
+        }
+        let hits: Vec<_> = hh_isa::safe_set_patterns(leaky)
+            .iter()
+            .map(|p| {
+                let mask = n.c(32, u64::from(p.mask));
+                let masked = n.and(instr, mask);
+                n.eq_const(masked, u64::from(p.matches))
+            })
+            .collect();
+        let leak = n.or_all(&hits);
+        let obs = n.state("obs", 8, Bv::zero(8));
+        let (secret, hold) = (n.state_node(regs[0]), n.state_node(obs));
+        let next = n.ite(leak, secret, hold);
+        n.set_next(obs, next);
+        Design {
+            netlist: n,
+            instr_input: "instr".to_string(),
+            observable: vec![obs],
+            secret_regs: regs,
+            masking: vec![],
+            nregs: 5,
+            xlen: 8,
+            max_latency: 2,
+            example_depth: 1,
+        }
+    }
+
+    #[test]
+    fn the_lowest_diverging_pair_is_reported_at_every_thread_count() {
+        let d = leaky_core(&[Mnemonic::Mul, Mnemonic::Xor]);
+        let m = Miter::build(&d.netlist);
+        let mut safe = vec![
+            Mnemonic::Add,
+            Mnemonic::Sub,
+            Mnemonic::Mul,
+            Mnemonic::And,
+            Mnemonic::Or,
+            Mnemonic::Xor,
+            Mnemonic::Sll,
+        ];
+        for first in [Mnemonic::Mul, Mnemonic::Xor] {
+            let serial = generate_example_set(&d, &m, &safe, 2, 9, true, &EXAMPLE_RDS, 1)
+                .expect_err("two members leak");
+            assert_eq!(serial.mnemonic, first);
+            for threads in [2, 4] {
+                let div = generate_example_set(&d, &m, &safe, 2, 9, true, &EXAMPLE_RDS, threads)
+                    .expect_err("two members leak");
+                assert_eq!(
+                    (div.mnemonic, div.cycle),
+                    (serial.mnemonic, serial.cycle),
+                    "threads={threads}"
+                );
+            }
+            safe.reverse();
+        }
+        // Without the leaky members the same core generates a set.
+        safe.retain(|m| ![Mnemonic::Mul, Mnemonic::Xor].contains(m));
+        assert!(generate_example_set(&d, &m, &safe, 2, 9, true, &EXAMPLE_RDS, 4).is_ok());
+    }
+
+    #[test]
+    fn differential_verdicts_keep_candidate_order_at_every_thread_count() {
+        let candidates = crate::default_candidates();
+        for d in [rocket_lite(16), boom_lite(BoomVariant::Small, 16)] {
+            let m = Miter::build(&d.netlist);
+            let cycles = |threads| -> Vec<Option<usize>> {
+                differential_tests(&d, &m, &candidates, threads)
+                    .iter()
+                    .map(|v| v.as_ref().map(|div| div.cycle))
+                    .collect()
+            };
+            let one = cycles(1);
+            assert!(one.iter().any(Option::is_some) && one.iter().any(Option::is_none));
+            for (&c, verdict) in candidates.iter().zip(&one) {
+                let alone = differential_test(&d, &m, c).map(|div| div.cycle);
+                assert_eq!(alone, *verdict, "{c:?}");
+            }
+            assert_eq!(cycles(2), one);
+            assert_eq!(cycles(4), one);
+        }
+    }
+
     #[test]
     fn divergence_is_the_earliest_cycle_over_all_observables() {
         // Two observables latch one secret bit each: `late` (listed first)

@@ -36,7 +36,7 @@
 
 pub mod examples;
 
-use examples::{differential_test, generate_examples, Divergence};
+use examples::{differential_tests, generate_examples, Divergence};
 use hh_isa::{safe_set_patterns, InstrClass, Instruction, Mnemonic, ALL_MNEMONICS};
 use hh_netlist::miter::Miter;
 use hh_smt::EncodeCache;
@@ -51,8 +51,10 @@ use std::time::{Duration, Instant};
 /// Configuration of the VeloCT pipeline.
 #[derive(Debug, Clone)]
 pub struct VeloctConfig {
-    /// Worker threads for the parallel engine and for proving a
-    /// certificate's obligations in [`Veloct::emit_certificate`].
+    /// Worker threads: for the parallel engine, for the work in front of it
+    /// (simulating the example pairs of a learn, differential-testing the
+    /// candidates of [`Veloct::classify`]) and for proving a certificate's
+    /// obligations in [`Veloct::emit_certificate`]. No result depends on it.
     pub threads: usize,
     /// Engine configuration (abduction scope, memoisation).
     pub engine: EngineConfig,
@@ -117,12 +119,14 @@ pub struct LearnReport {
     /// Engine telemetry (`stats.wall_time` is the engine's learn alone),
     /// with the `examples_*` counters filled in from example generation.
     pub stats: Stats,
-    /// Time spent generating the positive examples.
+    /// Time spent generating the positive examples (zero when the answer
+    /// came from a closed memo table: see [`Veloct::learn_warm`]).
     pub examples_time: Duration,
     /// Time spent building the miner (COI tables and per-variable facts
     /// over the examples).
     pub mine_time: Duration,
-    /// Number of positive examples used.
+    /// Number of positive examples generated — zero when none was needed
+    /// because the answer came from a closed memo table.
     pub num_examples: usize,
     /// Divergence evidence if generation already refuted the set.
     pub divergence: Option<Divergence>,
@@ -139,10 +143,11 @@ pub struct LearnReport {
     pub memo_reused: usize,
 }
 
-/// Warm state carried into [`Veloct::learn_warm`] by a resident service:
-/// an engine-external [`EncodeCache`] that outlives the call, plus memoised
-/// solutions from an earlier run to preload. Both are optional; the default
-/// context reproduces the cold [`Veloct::learn`] behaviour exactly.
+/// Warm state carried into [`Veloct::learn_warm`] / [`Veloct::learn_seeded`]
+/// by a resident service: an engine-external [`EncodeCache`] that outlives
+/// the call, plus memoised solutions from an earlier run to preload. Both
+/// are optional; the default context reproduces the cold [`Veloct::learn`]
+/// behaviour exactly.
 ///
 /// Soundness contract: the cache must have been built over a netlist whose
 /// content is identical to the miter this run constructs, and every seeded
@@ -266,20 +271,73 @@ impl<'a> Veloct<'a> {
 
     /// Attempts to learn an invariant proving the proposed safe set.
     pub fn learn(&self, safe: &[Mnemonic]) -> LearnReport {
-        self.learn_warm(safe, WarmContext::default())
+        self.learn_seeded(safe, WarmContext::default())
     }
 
-    /// [`Veloct::learn`] over externally owned warm state: the resident
-    /// encode cache and memo seeds of a long-running service. With the
-    /// default context this *is* `learn`; with warm state the learned
-    /// invariant is bit-identical to the cold run (encode-cache replay
-    /// rebuilds the solver state a fresh blast would produce, and seeds are
-    /// solutions of the identical problem) — only the amount of fresh work
-    /// differs, reported through
-    /// [`LearnReport::memo_seeded`] / [`LearnReport::memo_reused`].
+    /// [`Veloct::learn`] for a caller that holds the memo table of an
+    /// earlier, successful learn of this *identical* problem (same design
+    /// content, safe set and example configuration): the memo table is
+    /// consulted before anything is mined (paper Algorithm 1), and positive
+    /// examples exist only to prune what is mined, so when the seeds are
+    /// closed ([`Invariant::from_closed_table`]) the report is assembled
+    /// from them alone — no example simulated, no miner, no worker pool.
+    /// It is the report [`Veloct::learn_seeded`] would return (the same
+    /// invariant, solution table, [`LearnReport::memo_seeded`] /
+    /// [`LearnReport::memo_reused`], zero tasks and queries) with
+    /// `num_examples`, the `examples_*` counters and every time left at
+    /// zero. Seeds that are not closed — an entry invalidated, flushed or
+    /// lost — go through `learn_seeded` unchanged.
+    ///
+    /// Skipping generation skips its divergence check, which is only right
+    /// because the earlier learn ran it on these very examples. Seeds that
+    /// merely survived a design delta do not qualify: pass those to
+    /// [`Veloct::learn_seeded`].
     pub fn learn_warm(&self, safe: &[Mnemonic], warm: WarmContext) -> LearnReport {
         let _span = hh_trace::span!("veloct", "veloct.learn");
         let (miter, patterns) = self.build_miter(safe);
+        let Some(invariant) = Invariant::from_closed_table(&self.property(&miter), &warm.seeds)
+        else {
+            return self.learn_on(safe, miter, patterns, warm);
+        };
+        let mut solutions = warm.seeds;
+        solutions.sort_by(|a, b| a.0.cmp(&b.0));
+        LearnReport {
+            invariant: Some(invariant),
+            stats: Stats::default(),
+            examples_time: Duration::ZERO,
+            mine_time: Duration::ZERO,
+            num_examples: 0,
+            divergence: None,
+            state_bits: self.design.state_bits(),
+            memo_seeded: solutions.len(),
+            memo_reused: solutions.len(),
+            solutions,
+        }
+    }
+
+    /// [`Veloct::learn`] over externally owned warm state: the resident
+    /// encode cache and memo seeds of a long-running service. The examples
+    /// are always regenerated (and checked for divergence) and the engine
+    /// always runs; seeded targets skip their own solve. With the default
+    /// context this *is* `learn`; with warm state the learned invariant is
+    /// bit-identical to the cold run (encode-cache replay rebuilds the
+    /// solver state a fresh blast would produce, and seeds are solutions of
+    /// unchanged cones) — only the amount of fresh work differs, reported
+    /// through [`LearnReport::memo_seeded`] / [`LearnReport::memo_reused`].
+    pub fn learn_seeded(&self, safe: &[Mnemonic], warm: WarmContext) -> LearnReport {
+        let _span = hh_trace::span!("veloct", "veloct.learn");
+        let (miter, patterns) = self.build_miter(safe);
+        self.learn_on(safe, miter, patterns, warm)
+    }
+
+    /// Examples, miner and engine run over an already built miter.
+    fn learn_on(
+        &self,
+        safe: &[Mnemonic],
+        miter: Miter,
+        patterns: Vec<Pattern>,
+        warm: WarmContext,
+    ) -> LearnReport {
         let state_bits = self.design.state_bits();
         // With Impl predicates on, masking is unnecessary (that is the
         // point of the extension) — generate raw examples instead.
@@ -294,6 +352,7 @@ impl<'a> Veloct<'a> {
             self.config.seed,
             mask,
             &examples::EXAMPLE_RDS,
+            self.config.threads,
         );
         let examples_time = t0.elapsed();
         let example_set = match generated {
@@ -329,6 +388,10 @@ impl<'a> Veloct<'a> {
             CoiMiner::new(&miter, examples, Some(patterns), vec![])
         };
         let mine_time = t0.elapsed();
+        // The miner keeps facts about the examples, not the examples: free
+        // them before the engine's sessions grow.
+        let (examples_cycles, examples_raw) = (example_set.cycles, example_set.raw);
+        drop(example_set);
         let mut engine = ParallelEngine::new(
             miter.netlist(),
             miner,
@@ -342,8 +405,8 @@ impl<'a> Veloct<'a> {
         let props = self.property(&miter);
         let invariant = engine.learn(&props);
         let mut stats = engine.stats().clone();
-        stats.examples_cycles = example_set.cycles;
-        stats.examples_raw = example_set.raw;
+        stats.examples_cycles = examples_cycles;
+        stats.examples_raw = examples_raw;
         stats.examples_unique = num_examples as u64;
         LearnReport {
             invariant,
@@ -443,8 +506,10 @@ impl<'a> Veloct<'a> {
         let mut survivors: Vec<Mnemonic> = Vec::new();
         {
             let _difftest = hh_trace::span!("veloct", "veloct.difftest");
-            for &m in candidates {
-                match differential_test(self.design, &probe_miter, m) {
+            let verdicts =
+                differential_tests(self.design, &probe_miter, candidates, self.config.threads);
+            for (&m, verdict) in candidates.iter().zip(verdicts) {
+                match verdict {
                     Some(div) => rejected.push((m, UnsafeReason::TimingDivergence(div.cycle))),
                     None => survivors.push(m),
                 }
