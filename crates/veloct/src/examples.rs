@@ -504,6 +504,15 @@ pub(crate) fn differential_tests(
     verdicts
 }
 
+/// Smallest reservation of a [`RowSet`] arena, in words: just over 32 MiB,
+/// the largest size glibc's malloc will ever serve from a heap. At or under
+/// it, where a freed arena's pages go depends on its size — the first such
+/// free raises the allocator's mmap and trim thresholds to that size for the
+/// rest of the process, the next arena of that size comes out of the calling
+/// thread's heap and nothing is returned to the system any more. Over it,
+/// every arena is a mapping of its own, unmapped when the set is dropped.
+const ROW_ARENA_MIN_WORDS: usize = (32 << 17) + 512;
+
 /// Product rows deduplicated on arrival: each distinct row is stored once,
 /// in a flat arena, found again through a hash of its words.
 struct RowSet {
@@ -517,10 +526,25 @@ struct RowSet {
 }
 
 impl RowSet {
-    fn new(stride: usize) -> RowSet {
+    /// A set of `stride`-word rows that is offered at most `offered` of them.
+    ///
+    /// The arena is reserved here, once, for every row that can arrive (and
+    /// never less than [`ROW_ARENA_MIN_WORDS`]): pages no row reaches cost
+    /// address space, not memory. An arena grown on demand left some tens of
+    /// MiB to chance. Each regrowth landed in the allocator arena of whichever
+    /// worker held the lock, and the final capacity, a power of two times the
+    /// stride, fell on one side or the other of the 32 MiB above —
+    /// LargeBoomLite yields 8 179 to 8 254 distinct rows around the 8 192
+    /// boundary, so the seed decided between 31 and 62 MB. Peak RSS of a
+    /// process that learns repeatedly read 170 or 227 MiB. If the
+    /// reservation is refused the arena grows on demand.
+    fn with_capacity(stride: usize, offered: usize) -> RowSet {
+        let mut rows = Vec::new();
+        let words = stride.saturating_mul(offered).max(ROW_ARENA_MIN_WORDS);
+        let _ = rows.try_reserve_exact(words);
         RowSet {
             stride,
-            rows: Vec::new(),
+            rows,
             by_hash: HashMap::new(),
             offered: 0,
         }
@@ -655,7 +679,17 @@ pub(crate) fn generate_example_set(
     // magnitude more than inserting it, but a lock per row has two workers
     // collide often enough to cost a third of the speed-up.
     let stride = widths.len();
-    let unique = Mutex::new(RowSet::new(stride));
+    // A pair emits one row per cycle from its window's start to its last
+    // step (see `PairRunner::run`), so the rows on offer are known here and
+    // the calling thread reserves the arena: no worker regrows it.
+    let offered: usize = pairs
+        .iter()
+        .map(|(k, _)| {
+            let (prog, window) = &programs[*k];
+            (prog.len() + design.max_latency).saturating_sub(*window)
+        })
+        .sum();
+    let unique = Mutex::new(RowSet::with_capacity(stride, offered));
     let cycles = hh_trace::run_indexed(
         pairs.len(),
         threads,
@@ -676,6 +710,7 @@ pub(crate) fn generate_example_set(
     let unique = unique
         .into_inner()
         .expect("no worker panics holding the row set");
+    debug_assert_eq!(unique.offered, offered as u64);
     // Widths are equal position by position, so ordering the raw rows is
     // ordering the `Bv` rows they stand for — and sorting distinct rows
     // forgets the order they arrived in.
@@ -823,6 +858,24 @@ mod tests {
         let safe2 = [Mnemonic::Lw];
         let _ = generate_examples(&d, &m, &safe2, 1, 5); // may or may not diverge
     }
+
+    #[test]
+    fn the_row_arena_is_reserved_once_and_never_regrown() {
+        let (stride, offered) = (7, 1000);
+        let mut set = RowSet::with_capacity(stride, offered);
+        let (arena, capacity) = (set.rows.as_ptr(), set.rows.capacity());
+        assert!(capacity >= ROW_ARENA_MIN_WORDS);
+        // Every row on offer twice over: 1 000 distinct rows arrive.
+        for i in 0..2 * offered as u64 {
+            set.insert(&[i % offered as u64; 7]);
+        }
+        assert_eq!((set.len(), set.offered), (offered, 2 * offered as u64));
+        assert_eq!((set.rows.as_ptr(), set.rows.capacity()), (arena, capacity));
+        // A large set reserves what it is offered, not a power of two.
+        let large = RowSet::with_capacity(474, 25_000);
+        assert!((474 * 25_000..474 * 32_768).contains(&large.rows.capacity()));
+    }
+
     #[test]
     fn example_sets_do_not_depend_on_the_thread_count() {
         let mut designs = vec![rocket_lite(16)];
