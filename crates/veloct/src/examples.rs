@@ -21,9 +21,9 @@
 //! candidate per step in differential testing — run on the stack's indexed
 //! queue ([`hh_trace::run_indexed`]): each worker owns a `PairRunner` over
 //! the one shared tape, all of them insert into one row set (a pair's rows
-//! under one lock), and the final sort makes the example set independent of
-//! arrival order. The public
-//! entry points here run it on one worker; `Veloct::learn` and
+//! under one lock, into an arena the caller reserved before they started),
+//! and the final sort makes the example set independent of arrival order.
+//! The public entry points here run it on one worker; `Veloct::learn` and
 //! `Veloct::classify` pass `VeloctConfig::threads`.
 
 use hh_isa::{asm, Instruction, Mnemonic};
@@ -534,7 +534,7 @@ impl RowSet {
     /// MiB to chance. Each regrowth landed in the allocator arena of whichever
     /// worker held the lock, and the final capacity, a power of two times the
     /// stride, fell on one side or the other of the 32 MiB above —
-    /// LargeBoomLite yields 8 179 to 8 254 distinct rows around the 8 192
+    /// LargeBoomLite yields 8 090 to 8 392 distinct rows around the 8 192
     /// boundary, so the seed decided between 31 and 62 MB. Peak RSS of a
     /// process that learns repeatedly read 170 or 227 MiB. If the
     /// reservation is refused the arena grows on demand.
