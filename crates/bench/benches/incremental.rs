@@ -62,46 +62,6 @@ fn bench(c: &mut Criterion) {
     );
     drop(session);
 
-    // CNF-reduction telemetry: blast the target's abduction query once,
-    // then run the SAT simplifier explicitly and report before/after sizes.
-    {
-        let mut enc = hh_smt::TransitionEncoding::new(miter.netlist());
-        let p_now = target.encode_current(&mut enc);
-        enc.assert_lit(p_now);
-        let p_next = target.encode_next(&mut enc);
-        enc.assert_lit(!p_next);
-        for c in &cands {
-            let l = c.encode_current(&mut enc);
-            enc.cnf_mut().solver_mut().freeze(l.var());
-        }
-        let word = enc.simp_stats();
-        let solver = enc.cnf_mut().solver_mut();
-        let before = (solver.num_free_vars(), solver.num_live_clauses());
-        assert!(solver.simplify(), "query cone must not be trivially unsat");
-        let after = (solver.num_free_vars(), solver.num_live_clauses());
-        let sat = solver.stats();
-        println!(
-            "incremental/cnf_reduction: vars {} -> {}, clauses {} -> {} \
-             (BVE {}, subsumed {}, strengthened {}, probed {}; \
-             word-level folds {}, rewrites {}, strash hits {})",
-            before.0,
-            after.0,
-            before.1,
-            after.1,
-            sat.eliminated_vars,
-            sat.subsumed_clauses,
-            sat.strengthened_lits,
-            sat.probed_units,
-            word.const_folds,
-            word.rewrites,
-            word.strash_hits,
-        );
-        assert!(
-            after.0 < before.0 || after.1 < before.1,
-            "simplify produced no CNF reduction: {before:?} -> {after:?}"
-        );
-    }
-
     c.bench_function("incremental/fresh_per_query", |b| {
         b.iter(|| {
             for k in 0..RETRIES {

@@ -10,12 +10,11 @@
 //!
 //! * session reuse must answer the retry stream at least 1.5x faster than
 //!   rebuilding the cone encoding per query,
-//! * `Solver::simplify()` must produce a measurable CNF reduction on the
-//!   query cone (fewer free variables or fewer live clauses),
 //! * cross-target cone sharing (DESIGN.md ablation 9) must show encode-cache
 //!   hits on an OoO core while leaving the learned invariant bit-identical
 //!   across worker-thread counts — and so must MegaBoomLite with limited
-//!   examples, where retries answer minimisation probes from witnesses,
+//!   examples, where retries answer minimisation probes from witnesses; the
+//!   LargeBoomLite invariant must be the pinned one,
 //! * on that MegaBoomLite run memory must follow the cones: the parked
 //!   sessions' high-water bytes per session stay within 10% of the recorded
 //!   figure, and every session of the run's solution table, replayed
@@ -49,9 +48,9 @@
 //! (`hh_bench::scaled_target`) so the stream has headroom beyond the
 //! saturated Table 1 size; it defaults to depth 2.
 //!
-//! Results (including the before/after CNF sizes, the simplification
-//! counters, the encode-cache counters, the tracing overhead numbers and
-//! the arena solver counters) are written to `bench_results/perf_smoke.json`.
+//! Results (including the word-level simplification counters, the
+//! encode-cache counters, the tracing overhead numbers and the arena solver
+//! counters) are written to `bench_results/perf_smoke.json`.
 
 use hh_bench::{
     all_targets, known_safe_set, learn_run, parse_scale, prepare, prepare_rds, scaled_target, secs,
@@ -72,9 +71,13 @@ const ROUNDS: usize = 5;
 /// Minimum acceptable fresh/session time ratio.
 const MIN_SPEEDUP: f64 = 1.5;
 /// `smt.session.resident_bytes` per session on MegaBoomLite with limited
-/// examples, as recorded when sessions first parked (PR 19; 1 789 000 with
-/// the layout before it). Capacities, not RSS: it repeats exactly.
-const MEGA_SESSION_BYTES: u64 = 721_163;
+/// examples, as recorded with the current solver layout (DESIGN.md §4
+/// decisions 20 and 22 have the earlier figures). Capacities, not RSS: it
+/// repeats exactly.
+const MEGA_SESSION_BYTES: u64 = 711_382;
+/// FNV-1a of LargeBoomLite's invariant, as sorted `Predicate::to_wire` lines
+/// joined by newlines (pairs 1, xlen 16, the Table 2 safe set).
+const LARGE_INVARIANT_DIGEST: u64 = 0xdf95_ddce_56b7_e660;
 
 fn main() {
     let targets = all_targets();
@@ -117,39 +120,21 @@ fn main() {
     }
     let speedup = fresh_s / session_s;
 
-    // CNF reduction on the query cone: blast once, simplify, compare.
+    // Word-level simplification of the query cone: blast once, report.
     let mut enc = TransitionEncoding::new(miter.netlist());
     let p_now = target.encode_current(&mut enc);
     enc.assert_lit(p_now);
     let p_next = target.encode_next(&mut enc);
     enc.assert_lit(!p_next);
     for c in &cands {
-        let l = c.encode_current(&mut enc);
-        enc.cnf_mut().solver_mut().freeze(l.var());
+        c.encode_current(&mut enc);
     }
     let word = enc.simp_stats();
-    let solver = enc.cnf_mut().solver_mut();
-    let before = (solver.num_free_vars(), solver.num_live_clauses());
-    assert!(solver.simplify(), "query cone must not be trivially unsat");
-    let after = (solver.num_free_vars(), solver.num_live_clauses());
-    let sat = solver.stats();
 
-    println!("Perf smoke — incremental sessions + simplification");
+    println!("Perf smoke — incremental sessions");
     println!("  fresh   {fresh_s:.3}s for {ROUNDS}x{RETRIES} queries");
     println!("  session {session_s:.3}s for {ROUNDS}x{RETRIES} queries");
     println!("  speedup {speedup:.2}x (gate: >= {MIN_SPEEDUP}x)");
-    println!(
-        "  cnf     vars {} -> {}, clauses {} -> {}",
-        before.0, after.0, before.1, after.1
-    );
-    println!(
-        "  sat     BVE {}, subsumed {}, strengthened {}, probed {}",
-        sat.eliminated_vars, sat.subsumed_clauses, sat.strengthened_lits, sat.probed_units
-    );
-    println!(
-        "  vivify  {} literals removed, {} clauses deleted",
-        sat.vivified_lits, sat.vivified_deleted
-    );
     println!(
         "  word    folds {}, rewrites {}, strash hits {}",
         word.const_folds, word.rewrites, word.strash_hits
@@ -197,6 +182,34 @@ fn main() {
         );
     }
     println!("  invariant bit-identical at threads 1/2/4");
+    // The smallest builtin whose learn runs past 50 000 conflicts: its
+    // invariant is pinned, so a solver change that moves it says so.
+    let large = targets
+        .iter()
+        .find(|t| t.name == "LargeBoomLite")
+        .expect("LargeBoomLite is a target");
+    let large_safe = known_safe_set(large.name);
+    let large_inv = learn_run(&large.design, &large_safe, 2)
+        .invariant
+        .expect("LargeBoomLite must learn");
+    let (large_miter, _) = veloct::Veloct::new(&large.design).build_miter(&large_safe);
+    let mut wire: Vec<String> = large_inv
+        .preds()
+        .iter()
+        .map(|p| p.to_wire(large_miter.netlist()))
+        .collect();
+    wire.sort();
+    let large_digest = hh_proof::cert::fnv1a(wire.join("\n").as_bytes());
+    println!(
+        "  {} invariant: {} predicates, digest {large_digest:016x}",
+        large.name,
+        wire.len()
+    );
+    assert_eq!(
+        (wire.len(), large_digest),
+        (124, LARGE_INVARIANT_DIGEST),
+        "the LargeBoomLite invariant moved"
+    );
     // Retries: MegaBoomLite with rd = x3-only examples is the configuration
     // where backtracking fires at scale, so sessions re-minimise and answer
     // most confirmation probes from stored witness models. Skipped probes
@@ -477,9 +490,7 @@ fn main() {
 
     // One stream = the abduction suffix sweep the engines actually issue:
     // assume cands[k..], solve, for every k. Deterministic and
-    // conflict-driven. (The stream is too short for the automatic simplify
-    // cadence to fire, so vivification's counters are reported from the
-    // explicit-simplify section above.)
+    // conflict-driven.
     let run_stream = |proof: bool| {
         let mut s = hh_sat::Solver::new();
         while s.num_vars() < m_vars {
@@ -627,29 +638,7 @@ fn main() {
     report.push("perf_smoke", name, "fresh_s", fresh_s, "s");
     report.push("perf_smoke", name, "session_s", session_s, "s");
     report.push("perf_smoke", name, "session_speedup", speedup, "x");
-    report.push("perf_smoke", name, "vars_before", before.0 as f64, "vars");
-    report.push("perf_smoke", name, "vars_after", after.0 as f64, "vars");
-    report.push(
-        "perf_smoke",
-        name,
-        "clauses_before",
-        before.1 as f64,
-        "clauses",
-    );
-    report.push(
-        "perf_smoke",
-        name,
-        "clauses_after",
-        after.1 as f64,
-        "clauses",
-    );
     for (key, value, unit) in [
-        ("sat_eliminated_vars", sat.eliminated_vars, "vars"),
-        ("sat_subsumed_clauses", sat.subsumed_clauses, "clauses"),
-        ("sat_strengthened_lits", sat.strengthened_lits, "lits"),
-        ("sat_probed_units", sat.probed_units, "units"),
-        ("sat_vivified_lits", sat.vivified_lits, "lits"),
-        ("sat_vivified_deleted", sat.vivified_deleted, "clauses"),
         ("word_const_folds", word.const_folds, "nodes"),
         ("word_rewrites", word.rewrites, "nodes"),
         ("word_strash_hits", word.strash_hits, "nodes"),
@@ -749,10 +738,6 @@ fn main() {
     }
     report.finish("perf_smoke");
 
-    assert!(
-        after.0 < before.0 || after.1 < before.1,
-        "simplify produced no CNF reduction: {before:?} -> {after:?}"
-    );
     assert!(
         speedup >= MIN_SPEEDUP,
         "session-reuse speedup regressed: {speedup:.2}x < {MIN_SPEEDUP}x"

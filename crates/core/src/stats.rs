@@ -75,16 +75,6 @@ pub struct Stats {
     /// Abduct members confirmed critical from a model the session already
     /// held, without a solve.
     pub minimize_witness_hits: u64,
-    /// SAT inprocessing passes run across all abduction queries.
-    pub sat_simplifies: u64,
-    /// Variables removed by bounded variable elimination.
-    pub sat_eliminated_vars: u64,
-    /// Clauses deleted by backward subsumption.
-    pub sat_subsumed_clauses: u64,
-    /// Literals removed by self-subsuming resolution.
-    pub sat_strengthened_lits: u64,
-    /// Top-level units found by failed-literal probing.
-    pub sat_probed_units: u64,
     /// Literals propagated across all SAT queries.
     pub sat_propagations: u64,
     /// Conflicts analysed across all SAT queries.
@@ -96,10 +86,6 @@ pub struct Stats {
     pub sat_arena_bytes: u64,
     /// Chronological (one-level) backtracks across all SAT queries.
     pub sat_chrono_backtracks: u64,
-    /// Literals removed from clauses by vivification across all SAT queries.
-    pub sat_vivified_lits: u64,
-    /// Clauses vivification deleted outright across all SAT queries.
-    pub sat_vivified_deleted: u64,
     /// Peak watch-list footprint (bytes) observed across all sessions — a
     /// high-water gauge like `sat_arena_bytes`.
     pub sat_watch_bytes: u64,
@@ -272,18 +258,11 @@ impl Stats {
         self.minimize_probes_sat += t.minimize_probes_sat;
         self.minimize_probes_unsat += t.minimize_probes_unsat;
         self.minimize_witness_hits += t.minimize_witness_hits;
-        self.sat_simplifies += t.simplifies;
-        self.sat_eliminated_vars += t.eliminated_vars;
-        self.sat_subsumed_clauses += t.subsumed_clauses;
-        self.sat_strengthened_lits += t.strengthened_lits;
-        self.sat_probed_units += t.probed_units;
         self.sat_propagations += t.propagations;
         self.sat_conflicts += t.conflicts;
         self.sat_reduces += t.reduces;
         self.sat_arena_bytes = self.sat_arena_bytes.max(t.arena_bytes);
         self.sat_chrono_backtracks += t.chrono_backtracks;
-        self.sat_vivified_lits += t.vivified_lits;
-        self.sat_vivified_deleted += t.vivified_deleted;
         self.sat_watch_bytes = self.sat_watch_bytes.max(t.watch_bytes);
         self.word_const_folds += t.const_folds;
         self.word_rewrites += t.rewrites;
@@ -367,18 +346,11 @@ impl Stats {
         self.minimize_probes_sat += other.minimize_probes_sat;
         self.minimize_probes_unsat += other.minimize_probes_unsat;
         self.minimize_witness_hits += other.minimize_witness_hits;
-        self.sat_simplifies += other.sat_simplifies;
-        self.sat_eliminated_vars += other.sat_eliminated_vars;
-        self.sat_subsumed_clauses += other.sat_subsumed_clauses;
-        self.sat_strengthened_lits += other.sat_strengthened_lits;
-        self.sat_probed_units += other.sat_probed_units;
         self.sat_propagations += other.sat_propagations;
         self.sat_conflicts += other.sat_conflicts;
         self.sat_reduces += other.sat_reduces;
         self.sat_arena_bytes = self.sat_arena_bytes.max(other.sat_arena_bytes);
         self.sat_chrono_backtracks += other.sat_chrono_backtracks;
-        self.sat_vivified_lits += other.sat_vivified_lits;
-        self.sat_vivified_deleted += other.sat_vivified_deleted;
         self.sat_watch_bytes = self.sat_watch_bytes.max(other.sat_watch_bytes);
         self.word_const_folds += other.word_const_folds;
         self.word_rewrites += other.word_rewrites;
@@ -428,18 +400,11 @@ impl Stats {
             ("smt.minimize.probes_unsat", self.minimize_probes_unsat),
             ("smt.minimize.witness_hits", self.minimize_witness_hits),
             ("sat.solves", self.sat_solves),
-            ("sat.simplify.runs", self.sat_simplifies),
-            ("sat.simplify.eliminated_vars", self.sat_eliminated_vars),
-            ("sat.simplify.subsumed_clauses", self.sat_subsumed_clauses),
-            ("sat.simplify.strengthened_lits", self.sat_strengthened_lits),
-            ("sat.simplify.probed_units", self.sat_probed_units),
             ("sat.propagations", self.sat_propagations),
             ("sat.conflicts", self.sat_conflicts),
             ("sat.reduce", self.sat_reduces),
             ("sat.arena_bytes", self.sat_arena_bytes),
             ("sat.chrono_backtracks", self.sat_chrono_backtracks),
-            ("sat.vivified_lits", self.sat_vivified_lits),
-            ("sat.vivified_deleted", self.sat_vivified_deleted),
             ("sat.watch_bytes", self.sat_watch_bytes),
             ("examples.cycles", self.examples_cycles),
             ("examples.raw", self.examples_raw),

@@ -5,9 +5,9 @@
 //! thousands of SAT queries through `hh-sat`; nothing in that pipeline is
 //! independently auditable. With `hh-proof`:
 //!
-//! 1. `hh-sat` logs every learnt clause, deletion, and inprocessing rewrite
-//!    as a DRAT stream through its `ProofSink` trait ([`drat`] provides
-//!    in-memory and streaming text/binary sinks);
+//! 1. `hh-sat` logs every learnt clause and deletion as a DRAT stream
+//!    through its `ProofSink` trait ([`drat`] provides in-memory and
+//!    streaming text/binary sinks);
 //! 2. [`check`] re-validates those streams with a forward RUP/RAT checker
 //!    that shares no code with the solver's search;
 //! 3. [`cert`] packages a learned invariant as a *certificate bundle* — the

@@ -10,7 +10,7 @@ use hh_sat::{dimacs, Config, LimitedResult, Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::num::{NonZeroU32, NonZeroU64};
+use std::num::NonZeroU32;
 use std::path::PathBuf;
 
 /// A random clause set over `num_vars` variables, as signed var indices.
@@ -172,62 +172,6 @@ proptest! {
         }
     }
 
-    /// Clause vivification rewrites the database between queries — every
-    /// strengthened clause is logged add-then-delete — and the stream must
-    /// stay checkable across vivify/reduce/compact cycles. All variables
-    /// are frozen so elimination cannot hide them from later assumptions.
-    #[test]
-    fn proofs_check_across_vivification(
-        clauses in arb_cnf(7, 30),
-        churn in proptest::collection::vec(
-            proptest::collection::vec((0..7usize, any::<bool>()), 0..=3), 1..4),
-        pattern in 0u8..128,
-        polarity in 0u8..128,
-    ) {
-        let vars: Vec<Var> = (0..7).map(Var::from_index).collect();
-        let to_lits = |set: &[(usize, bool)]| -> Vec<Lit> {
-            set.iter().map(|&(v, pos)| vars[v].lit(pos)).collect()
-        };
-        let mut s = Solver::with_config(Config {
-            vivify_budget: NonZeroU64::MAX,
-            ..Config::default()
-        });
-        for _ in 0..7 {
-            s.new_var();
-        }
-        for clause in &clauses {
-            s.add_clause(&to_lits(clause));
-        }
-        for v in &vars {
-            s.freeze(*v);
-        }
-        let formula = dimacs::from_solver(&s).clauses;
-        let sink = MemoryProof::new();
-        let handle = sink.handle();
-        s.set_proof_sink(Box::new(sink));
-        for set in &churn {
-            if s.solve_with_assumptions(&to_lits(set)) == SolveResult::Unsat {
-                return Ok(());
-            }
-            if !s.simplify() {
-                break;
-            }
-            s.debug_force_reduce();
-            s.debug_force_compact();
-        }
-        let assumptions: Vec<Lit> = (0..7)
-            .filter(|i| (pattern >> i) & 1 == 1)
-            .map(|i| vars[i].lit((polarity >> i) & 1 == 1))
-            .collect();
-        if s.solve_with_assumptions(&assumptions) == SolveResult::Unsat {
-            let proof = handle.take_lines();
-            check_proof_with_assumptions(&formula, &assumptions, &proof)
-                .unwrap_or_else(|e| {
-                    panic!("proof broken by vivification: {e}\nformula: {clauses:?}")
-                });
-        }
-    }
-
     /// Chronological backtracking at its most aggressive threshold still
     /// emits checkable DRAT streams, with and without assumptions. The
     /// out-of-order trail must never leak underivable clauses into the
@@ -245,7 +189,6 @@ proptest! {
             .collect();
         let mut s = Solver::with_config(Config {
             chrono_threshold: NonZeroU32::MIN,
-            ..Config::default()
         });
         for _ in 0..7 {
             s.new_var();

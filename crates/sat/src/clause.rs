@@ -20,8 +20,7 @@
 //! the slot stays valid (for watcher scrubbing and proof logging) until
 //! [`ClauseDb::compact`] slides the live clauses down in place and returns
 //! an old→new offset table for the solver to remap its reasons and
-//! watchers. Shrinking a clause in place (inprocessing strengthening) turns
-//! the freed tail into garbage the same way.
+//! watchers.
 //!
 //! Learnt clauses carry a three-tier classification (`core`/`mid`/`local`)
 //! driven by LBD; the solver's database reduction deletes only from the
@@ -87,7 +86,7 @@ pub(crate) struct ClauseDb {
     num_learnts: usize,
     /// Live learnt clauses currently in [`Tier::Local`].
     num_local: usize,
-    /// Arena words occupied by deleted clauses or shrunk-away tails.
+    /// Arena words occupied by deleted clauses.
     garbage: usize,
 }
 
@@ -165,19 +164,6 @@ impl ClauseDb {
         let words = &mut self.data[off + HEADER_WORDS..off + HEADER_WORDS + size];
         // SAFETY: as in [`ClauseDb::lits`].
         unsafe { &mut *(words as *mut [u32] as *mut [Lit]) }
-    }
-
-    /// Replaces the clause's literals with a (shorter or equal) set; the
-    /// freed tail becomes garbage. Used by inprocessing strengthening.
-    pub(crate) fn shrink_clause(&mut self, cref: ClauseRef, new_lits: &[Lit]) {
-        let off = cref.0 as usize;
-        let old = self.size(cref);
-        debug_assert!(!new_lits.is_empty() && new_lits.len() <= old);
-        for (i, l) in new_lits.iter().enumerate() {
-            self.data[off + HEADER_WORDS + i] = l.0;
-        }
-        self.data[off] = (self.data[off] & !SIZE_MASK) | new_lits.len() as u32;
-        self.garbage += old - new_lits.len();
     }
 
     #[inline]
@@ -314,7 +300,7 @@ impl ClauseDb {
             as u64
     }
 
-    /// Fraction of the arena occupied by deleted/shrunk-away words.
+    /// Fraction of the arena occupied by deleted words.
     pub(crate) fn garbage_frac(&self) -> f64 {
         if self.data.is_empty() {
             0.0
@@ -482,16 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn shrink_updates_size_and_garbage() {
-        let mut db = ClauseDb::new();
-        let c = db.alloc(&lits(4), false, 0, Tier::Core);
-        let kept = lits(2);
-        db.shrink_clause(c, &kept);
-        assert_eq!(db.lits(c), kept.as_slice());
-        assert!(db.garbage_frac() > 0.0);
-    }
-
-    #[test]
     fn delete_is_lazy_until_compaction() {
         let mut db = ClauseDb::new();
         let a = db.alloc(&lits(2), true, 2, Tier::Local);
@@ -526,18 +502,5 @@ mod tests {
         assert_eq!(db.tier(nb), Tier::Mid);
         assert_eq!(db.lbd(nb), 5);
         assert_eq!(db.live_refs().collect::<Vec<_>>(), vec![nc, nb]);
-    }
-
-    #[test]
-    fn compact_reclaims_shrunk_tails() {
-        let mut db = ClauseDb::new();
-        let a = db.alloc(&lits(6), false, 0, Tier::Core);
-        let _b = db.alloc(&lits(2), false, 0, Tier::Core);
-        db.shrink_clause(a, &lits(2));
-        let remap = db.compact();
-        // 2 clauses × (2 header + 2 lits) words.
-        assert_eq!(db.arena_words(), 8);
-        let na = ClauseDb::remap_ref(&remap, a);
-        assert_eq!(db.lits(na), lits(2).as_slice());
     }
 }

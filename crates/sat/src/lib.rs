@@ -30,32 +30,21 @@
 //!   LBD-aware database reduction.
 //! * Incremental interface: interleave [`Solver::new_var`],
 //!   [`Solver::add_clause`] and [`Solver::solve_with_assumptions`] freely.
-//! * Assumption-safe inprocessing: [`Solver::simplify`] runs SatELite-style
-//!   subsumption, self-subsuming resolution, bounded variable elimination
-//!   (with model reconstruction), failed-literal probing and budgeted
-//!   clause vivification, automatically at a conflict-count cadence;
-//!   [`Solver::freeze`] protects variables
-//!   the caller will reference again, and clauses that mention an
-//!   eliminated variable transparently restore it.
 //! * [`minimize_core`] shrinks assumption cores to local minimality
 //!   (deletion-based), mirroring cvc5's `minimal-unsat-cores`.
 //! * DRAT proof logging: attach a [`proof::ProofSink`] with
-//!   [`Solver::set_proof_sink`] and every learnt clause, inprocessing
-//!   rewrite and deletion is streamed out for independent checking (the
-//!   `hh-proof` crate provides writers and a RUP/RAT checker).
+//!   [`Solver::set_proof_sink`] and every learnt clause and deletion is
+//!   streamed out for independent checking (the `hh-proof` crate provides
+//!   writers and a RUP/RAT checker).
 //! * A small DIMACS reader/writer in [`dimacs`] for debugging and tests.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod clause;
-mod elim;
 mod lit;
 mod minimize;
-mod occurs;
-mod probe;
 mod solver;
-mod vivify;
 mod vmtf;
 mod watch;
 

@@ -1,25 +1,15 @@
 //! DRAT proof logging interface.
 //!
 //! The solver can stream its clausal inferences to a [`ProofSink`]: every
-//! learnt clause, every inprocessing rewrite (expressed as an addition of the
-//! new clause followed by a deletion of the old one) and every clause-database
-//! deletion. Together with the original input formula this stream forms a
-//! DRAT proof that an independent checker (the `hh-proof` crate) can verify
-//! without trusting any of the solver's reasoning.
+//! learnt clause and every clause-database deletion. Together with the
+//! original input formula this stream forms a DRAT proof that an independent
+//! checker (the `hh-proof` crate) can verify without trusting any of the
+//! solver's reasoning.
 //!
-//! Two deliberate deviations from a byte-exact solver trace keep the stream
-//! checkable under this solver's *assumption-safe* inprocessing:
-//!
-//! * Clauses removed by bounded variable elimination are **not** logged as
-//!   deletions. The solver may later restore an eliminated variable (when a
-//!   caller re-mentions it) by re-adding the stored clauses, and those
-//!   re-additions are only justified if the checker never dropped the
-//!   originals. Keeping them merely weakens the deletion information, which
-//!   is always sound for a forward checker.
-//! * Assumption-based UNSAT answers are certified with the standard wrapper
-//!   trick: the final-core literals are appended as unit additions followed
-//!   by the empty clause. The resulting stream is a valid DRAT refutation of
-//!   `formula ∧ core`.
+//! Assumption-based UNSAT answers are certified with the standard wrapper
+//! trick: the final-core literals are appended as unit additions followed by
+//! the empty clause. The resulting stream is a valid DRAT refutation of
+//! `formula ∧ core`.
 //!
 //! Clause storage details never leak into the stream. Deletion in the flat
 //! clause arena is lazy (a header bit; the words are reclaimed by a later
@@ -36,10 +26,10 @@ use crate::lit::Lit;
 /// moved across worker threads, and [`std::fmt::Debug`] because the solver
 /// derives `Debug`.
 pub trait ProofSink: std::fmt::Debug + Send {
-    /// A clause was derived (or introduced by an inprocessing rewrite). The
-    /// clause is redundant with respect to everything previously in the
-    /// formula: it is RUP (reverse unit propagation) checkable. An empty
-    /// slice is the empty clause, i.e. the refutation is complete.
+    /// A clause was derived. The clause is redundant with respect to
+    /// everything previously in the formula: it is RUP (reverse unit
+    /// propagation) checkable. An empty slice is the empty clause, i.e. the
+    /// refutation is complete.
     fn add_clause(&mut self, lits: &[Lit]);
 
     /// A clause was removed from the solver's database. Deletions are hints:

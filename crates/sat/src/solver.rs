@@ -28,7 +28,7 @@ use crate::lit::{LBool, Lit, Var};
 use crate::proof::ProofSink;
 use crate::vmtf::VmtfQueue;
 use crate::watch::{Fit, WatchStore, Watcher};
-use std::num::{NonZeroU32, NonZeroU64};
+use std::num::NonZeroU32;
 
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,10 +57,10 @@ pub enum LimitedResult {
     Unknown,
 }
 
-/// The two thresholds of the solver that tests shrink (or lift) to make
-/// rare paths fire on small formulas. Every other parameter is a private
-/// constant of this module; no caller outside tests constructs anything
-/// but [`Config::default`].
+/// The one threshold of the solver that tests shrink to make a rare path
+/// fire on small formulas. Every other parameter is a private constant of
+/// this module; no caller outside tests constructs anything but
+/// [`Config::default`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Config {
     /// Backjump distance (in decision levels) above which a conflict
@@ -77,18 +77,12 @@ pub struct Config {
     /// churn on short ones, so it should engage only when a conflict would
     /// throw away a genuinely long trail.
     pub chrono_threshold: NonZeroU32,
-    /// Propagation budget per vivification pass: once a pass has spent this
-    /// many propagations, no further candidate clauses are started. The
-    /// budget is counted in propagations (not wall-clock), so identical
-    /// query sequences vivify identically (determinism).
-    pub vivify_budget: NonZeroU64,
 }
 
 impl Default for Config {
     fn default() -> Config {
         Config {
             chrono_threshold: const { NonZeroU32::new(500).unwrap() },
-            vivify_budget: const { NonZeroU64::new(10_000).unwrap() },
         }
     }
 }
@@ -108,19 +102,6 @@ pub struct SolverStats {
     pub restarts: u64,
     /// Learnt clauses deleted by database reduction.
     pub deleted_clauses: u64,
-    /// [`Solver::simplify`] runs (explicit or cadence-triggered).
-    pub simplifies: u64,
-    /// Variables removed by bounded variable elimination.
-    pub eliminated_vars: u64,
-    /// Eliminated variables re-introduced because a later clause or
-    /// assumption referenced them.
-    pub restored_vars: u64,
-    /// Clauses deleted by backward subsumption.
-    pub subsumed_clauses: u64,
-    /// Literals removed by self-subsuming resolution (strengthening).
-    pub strengthened_lits: u64,
-    /// Unit literals derived by failed-literal probing.
-    pub probed_units: u64,
     /// Learnt-database reductions performed.
     pub reduces: u64,
     /// Adaptive restarts suppressed by the trail-size blocking rule.
@@ -139,12 +120,6 @@ pub struct SolverStats {
     /// [`Solver::solve_limited`] calls — each is one budgeted round of a
     /// caller-paced solve.
     pub budget_rounds: u64,
-    /// Literals removed from clauses by vivification (see
-    /// [`Config::vivify_budget`]).
-    pub vivified_lits: u64,
-    /// Clauses deleted outright by vivification (satisfied by implication at
-    /// level 0 or collapsed to a unit).
-    pub vivified_deleted: u64,
     /// Current heap footprint of the watch lists in bytes (watchers, idle
     /// capacity, holes and per-literal headers) — a gauge refreshed after
     /// every solve and by [`Solver::shrink_to_fit`], not a monotone counter.
@@ -175,11 +150,6 @@ const TIER2_LBD: u32 = 6;
 /// Garbage-compact the clause arena when at least this fraction of it is
 /// dead words.
 const COMPACT_GARBAGE_FRAC: f64 = 0.25;
-/// Conflicts between automatic [`Solver::simplify`] runs at the start of a
-/// solve call. The cadence is keyed to the cumulative conflict counter,
-/// which is a pure function of the query history, so identical query
-/// sequences simplify identically (determinism).
-const SIMPLIFY_INTERVAL: u64 = 2000;
 /// EMA smoothing factor for the recent-LBD average.
 const RESTART_EMA_ALPHA: f64 = 1.0 / 32.0;
 /// Restart when the recent-LBD EMA exceeds this multiple of the global LBD
@@ -224,65 +194,53 @@ enum SearchOutcome {
 /// ```
 #[derive(Debug)]
 pub struct Solver {
-    pub(crate) config: Config,
-    pub(crate) db: ClauseDb,
+    config: Config,
+    db: ClauseDb,
     /// Watch lists indexed by literal code: list `p` holds the clauses that
     /// must be inspected when `p` becomes true (they watch `!p`), binary
     /// clauses first — their watcher's blocker is the implied literal, so
     /// that part needs no arena access at all. See [`crate::watch`] for the
     /// layout.
     watches: WatchStore,
-    pub(crate) assigns: Vec<LBool>,
+    assigns: Vec<LBool>,
     /// The assignment again, per literal code and as a signed byte (`1`
     /// true, `-1` false, `0` unassigned): what propagation reads, one byte
     /// load per literal with nothing to decode. Written only where
     /// `assigns` is (`new_var`, `unchecked_enqueue_at`, `cancel_until`).
     vals: Vec<i8>,
     /// Saved phase per variable, used as the decision polarity.
-    pub(crate) phase: Vec<bool>,
+    phase: Vec<bool>,
     /// Phases captured at the deepest trail of the current solve; restarts
     /// reset `phase` to this (best-phase targeting).
-    pub(crate) best_phase: Vec<bool>,
+    best_phase: Vec<bool>,
     /// Trail depth at which `best_phase` was captured (per solve).
-    pub(crate) best_trail: usize,
+    best_trail: usize,
     /// Variables seen by the current conflict analysis, bumped together at
     /// its end.
     analyzed: Vec<Var>,
     clause_inc: f32,
     /// Decision order: most recently bumped free variable first.
-    pub(crate) order: VmtfQueue,
-    pub(crate) trail: Vec<Lit>,
-    pub(crate) trail_lim: Vec<usize>,
-    pub(crate) qhead: usize,
-    pub(crate) reason: Vec<Option<ClauseRef>>,
-    pub(crate) level: Vec<u32>,
+    order: VmtfQueue,
+    trail: Vec<Lit>,
+    trail_lim: Vec<usize>,
+    qhead: usize,
+    reason: Vec<Option<ClauseRef>>,
+    level: Vec<u32>,
     /// Scratch flags for conflict analysis, indexed by variable.
     seen: Vec<bool>,
     /// False iff a top-level conflict has been derived (formula is UNSAT
     /// regardless of assumptions).
-    pub(crate) ok: bool,
+    ok: bool,
     /// An input clause falsified outright by the level-0 trail at
     /// [`Solver::add_clause`] time. The clause database never stores it, but
     /// [`Solver::formula_clauses`] must include it — without it the
     /// snapshot would lose the input-level contradiction and no proof
     /// stream could refute it.
     input_conflict: Option<Vec<Lit>>,
-    pub(crate) model: Vec<LBool>,
+    model: Vec<LBool>,
     core: Vec<Lit>,
     max_learnts: f64,
-    pub(crate) stats: SolverStats,
-    /// Frozen variables are never eliminated by inprocessing; assumption
-    /// variables are frozen automatically, external code can use
-    /// [`Solver::freeze`] for variables it will reference later.
-    pub(crate) frozen: Vec<bool>,
-    /// Variables currently removed by bounded variable elimination.
-    pub(crate) eliminated: Vec<bool>,
-    /// Elimination record in elimination order: each entry holds the
-    /// eliminated variable and every original clause it occurred in, used
-    /// for model reconstruction and for restoring the variable on demand.
-    pub(crate) elim_stack: Vec<(Var, Vec<Vec<Lit>>)>,
-    /// Value of `stats.conflicts` at the last simplify run (cadence anchor).
-    last_simplify_conflicts: u64,
+    stats: SolverStats,
     /// Per-level stamps for O(clause) LBD computation: a level is counted
     /// once per `lbd_stamp` generation.
     lbd_levels: Vec<u64>,
@@ -355,10 +313,6 @@ impl Solver {
             core: Vec::new(),
             max_learnts: 0.0,
             stats: SolverStats::default(),
-            frozen: Vec::new(),
-            eliminated: Vec::new(),
-            elim_stack: Vec::new(),
-            last_simplify_conflicts: 0,
             lbd_levels: vec![0],
             lbd_stamp: 0,
             lbd_fast: 0.0,
@@ -375,11 +329,11 @@ impl Solver {
     // Proof logging
     // ------------------------------------------------------------------
 
-    /// Attaches a DRAT proof sink. From this point on every learnt clause,
-    /// inprocessing rewrite and clause deletion is streamed to `sink` (see
-    /// the [`crate::proof`] module for the exact conventions). For a
-    /// checkable proof the sink should be attached before the first solve
-    /// call, and the checker should be given the formula as captured by
+    /// Attaches a DRAT proof sink. From this point on every learnt clause
+    /// and clause deletion is streamed to `sink` (see the [`crate::proof`]
+    /// module for the exact conventions). For a checkable proof the sink
+    /// should be attached before the first solve call, and the checker
+    /// should be given the formula as captured by
     /// [`Solver::formula_clauses`].
     pub fn set_proof_sink(&mut self, sink: Box<dyn ProofSink>) {
         self.proof = Some(sink);
@@ -444,17 +398,9 @@ impl Solver {
 
     /// Logs a derived clause to the proof stream, if one is attached.
     #[inline]
-    pub(crate) fn proof_add(&mut self, lits: &[Lit]) {
+    fn proof_add(&mut self, lits: &[Lit]) {
         if let Some(sink) = &mut self.proof {
             sink.add_clause(lits);
-        }
-    }
-
-    /// Logs a clause deletion to the proof stream, if one is attached.
-    #[inline]
-    pub(crate) fn proof_delete(&mut self, lits: &[Lit]) {
-        if let Some(sink) = &mut self.proof {
-            sink.delete_clause(lits);
         }
     }
 
@@ -462,7 +408,7 @@ impl Solver {
     /// that sets `ok = false`: once the formula is refuted the stream is
     /// complete and further lines would be noise.
     #[inline]
-    pub(crate) fn proof_empty(&mut self) {
+    fn proof_empty(&mut self) {
         if self.proof.is_some() && !self.proof_done {
             self.proof_done = true;
             self.proof_add(&[]);
@@ -472,7 +418,7 @@ impl Solver {
     /// Deletes `cref` from the clause database, logging the deletion.
     /// Deletion in the arena is a lazy mark, so the literals can be streamed
     /// to the proof sink directly from the (still readable) slot — no clone.
-    pub(crate) fn delete_clause_logged(&mut self, cref: ClauseRef) {
+    fn delete_clause_logged(&mut self, cref: ClauseRef) {
         if let Some(sink) = self.proof.as_mut() {
             sink.delete_clause(self.db.lits(cref));
         }
@@ -504,8 +450,6 @@ impl Solver {
         self.reason.push(None);
         self.level.push(0);
         self.seen.push(false);
-        self.frozen.push(false);
-        self.eliminated.push(false);
         self.watches.add_lit();
         self.watches.add_lit();
         self.lbd_levels.push(0);
@@ -550,28 +494,6 @@ impl Solver {
         for w in filtered.windows(2) {
             if w[1] == !w[0] {
                 return true; // tautology: contains both l and !l
-            }
-        }
-        // If the clause mentions variables removed by variable elimination,
-        // bring them (and, transitively, anything their defining clauses
-        // mention) back before constraining them further: the eliminated
-        // form of the formula says nothing about such variables, so adding
-        // this clause as-is would be unsound. Restoring may propagate new
-        // top-level units, so re-filter afterwards.
-        if filtered.iter().any(|l| self.eliminated[l.var().index()]) {
-            let vars: Vec<Var> = filtered.iter().map(|l| l.var()).collect();
-            for v in vars {
-                if self.eliminated[v.index()] && !self.restore_var(v) {
-                    return false;
-                }
-            }
-            let unfiltered = std::mem::take(&mut filtered);
-            for l in unfiltered {
-                match self.lit_value(l) {
-                    LBool::True => return true,
-                    LBool::False => {}
-                    LBool::Undef => filtered.push(l),
-                }
             }
         }
         match filtered.len() {
@@ -651,8 +573,6 @@ impl Solver {
             self.stats.reduces,
             self.stats.arena_bytes,
             self.stats.chrono_backtracks,
-            self.stats.vivified_lits,
-            self.stats.vivified_deleted,
         );
         let result = self.solve_internal(assumptions, budget);
         self.stats.arena_bytes = (self.db.arena_words() * 4) as u64;
@@ -678,16 +598,6 @@ impl Solver {
                 "sat.chrono_backtracks",
                 self.stats.chrono_backtracks - before.5
             );
-            hh_trace::counter!(
-                "sat",
-                "sat.vivified_lits",
-                self.stats.vivified_lits - before.6
-            );
-            hh_trace::counter!(
-                "sat",
-                "sat.vivified_deleted",
-                self.stats.vivified_deleted - before.7
-            );
             if budget.is_some() {
                 hh_trace::counter!("sat", "sat.budget_rounds", 1u64);
             }
@@ -709,20 +619,6 @@ impl Solver {
             return Some(SolveResult::Unsat);
         }
         self.cancel_until(0);
-        // Assumption variables must survive inprocessing: freeze them, and
-        // restore any that an earlier simplify round already eliminated.
-        for a in assumptions {
-            let v = a.var();
-            self.frozen[v.index()] = true;
-            if self.eliminated[v.index()] && !self.restore_var(v) {
-                return Some(SolveResult::Unsat);
-            }
-        }
-        if self.stats.conflicts - self.last_simplify_conflicts >= SIMPLIFY_INTERVAL
-            && !self.simplify()
-        {
-            return Some(SolveResult::Unsat);
-        }
         // The formula has stopped growing and no list is being walked: the
         // one point per solve where a wasteful watch arena (a bulk load's
         // relocation holes, a park's exact fit since outgrown) is rebuilt.
@@ -739,9 +635,7 @@ impl Solver {
             match self.search(ceiling, assumptions) {
                 SearchOutcome::Done(result) => {
                     self.cancel_until(0);
-                    if result == SolveResult::Sat {
-                        self.extend_model();
-                    } else if self.ok && self.proof.is_some() {
+                    if result == SolveResult::Unsat && self.ok && self.proof.is_some() {
                         // Assumption-based UNSAT: the standard DRAT wrapper
                         // trick. The final-core literals are logged as unit
                         // additions followed by the empty clause; a checker
@@ -796,122 +690,6 @@ impl Solver {
     /// empty.
     pub fn unsat_core(&self) -> &[Lit] {
         &self.core
-    }
-
-    // ------------------------------------------------------------------
-    // Inprocessing
-    // ------------------------------------------------------------------
-
-    /// Marks `v` as frozen: inprocessing will never eliminate it, so its
-    /// literals remain valid in future clauses and assumptions.
-    ///
-    /// If `v` was already eliminated by an earlier [`Solver::simplify`] run
-    /// it is restored first. Returns `false` if restoring exposed a
-    /// top-level conflict (the formula is unsatisfiable).
-    pub fn freeze(&mut self, v: Var) -> bool {
-        self.frozen[v.index()] = true;
-        if self.eliminated[v.index()] {
-            self.restore_var(v)
-        } else {
-            self.ok
-        }
-    }
-
-    /// Whether `v` is currently frozen (protected from elimination).
-    pub fn is_frozen(&self, v: Var) -> bool {
-        self.frozen[v.index()]
-    }
-
-    /// Whether `v` is currently eliminated by inprocessing.
-    pub fn is_eliminated(&self, v: Var) -> bool {
-        self.eliminated[v.index()]
-    }
-
-    /// Number of live (non-deleted) clauses, including learnt ones.
-    pub fn num_live_clauses(&self) -> usize {
-        self.db.live_refs().count()
-    }
-
-    /// Number of variables that are neither fixed at the top level nor
-    /// eliminated — the effective search space.
-    pub fn num_free_vars(&self) -> usize {
-        (0..self.num_vars())
-            .filter(|&i| self.assigns[i] == LBool::Undef && !self.eliminated[i])
-            .count()
-    }
-
-    /// Runs one round of SatELite-style simplification: top-level
-    /// propagation, failed-literal probing, backward subsumption,
-    /// self-subsuming resolution and bounded variable elimination with
-    /// model reconstruction.
-    ///
-    /// Must be called at decision level 0 (i.e. outside of a solve call).
-    /// Frozen variables are never eliminated; clauses of eliminated
-    /// variables are stored so [`Solver::model_value`] stays correct and
-    /// the variables can be restored if referenced again. Returns `false`
-    /// if simplification derived a top-level conflict.
-    pub fn simplify(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        if !self.ok {
-            return false;
-        }
-        let _span = hh_trace::span!("sat", "sat.simplify");
-        self.stats.simplifies += 1;
-        self.last_simplify_conflicts = self.stats.conflicts;
-        if self.propagate().is_some() {
-            self.ok = false;
-            self.proof_empty();
-            return false;
-        }
-        // Top-level assignments need no reason clauses for conflict
-        // analysis; dropping them unlocks their antecedents for deletion.
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var();
-            self.reason[v.index()] = None;
-        }
-        if !self.probe_failed_literals() {
-            return false;
-        }
-        if !self.simplify_with_occurrences() {
-            return false;
-        }
-        // The occurrence phases mutate clauses in place, so every watch
-        // list is stale: scrub all clauses against the (possibly larger)
-        // top-level assignment, then rebuild watches from scratch.
-        if !self.final_cleanup() {
-            return false;
-        }
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var();
-            self.reason[v.index()] = None;
-        }
-        // Inprocessing deletes and shrinks many clauses; compact the arena
-        // while the watch lists are about to be rebuilt anyway (reasons were
-        // just cleared, so nothing else holds a ClauseRef).
-        self.db.sweep_lists();
-        if self.db.garbage_frac() >= COMPACT_GARBAGE_FRAC {
-            self.clear_watches();
-            self.compact_arena();
-        }
-        self.rebuild_watches();
-        self.qhead = self.trail.len();
-        // Vivification runs last: it needs consistent watch lists (it
-        // propagates) and a clause set already scrubbed by the cheaper
-        // phases above, so its propagation budget is spent on clauses the
-        // other techniques could not touch.
-        if !self.vivify_clauses() {
-            return false;
-        }
-        // Vivified clauses shrink in place and deleted ones become arena
-        // garbage; if enough accumulated, compact again while only the
-        // (rebuilt-below) watch lists hold ClauseRefs.
-        if self.db.garbage_frac() >= COMPACT_GARBAGE_FRAC {
-            self.clear_watches();
-            self.compact_arena();
-            self.rebuild_watches();
-        }
-        self.qhead = self.trail.len();
-        true
     }
 
     // ------------------------------------------------------------------
@@ -1039,10 +817,8 @@ impl Solver {
     }
 
     fn pick_branch_lit(&mut self) -> Option<Lit> {
-        let (assigns, eliminated) = (&self.assigns, &self.eliminated);
-        let v = self
-            .order
-            .pick(|v| assigns[v.index()] == LBool::Undef && !eliminated[v.index()])?;
+        let assigns = &self.assigns;
+        let v = self.order.pick(|v| assigns[v.index()] == LBool::Undef)?;
         Some(v.lit(self.phase[v.index()]))
     }
 
@@ -1050,7 +826,7 @@ impl Solver {
     // Propagation
     // ------------------------------------------------------------------
 
-    pub(crate) fn propagate(&mut self) -> Option<ClauseRef> {
+    fn propagate(&mut self) -> Option<ClauseRef> {
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -1144,11 +920,11 @@ impl Solver {
     }
 
     #[inline]
-    pub(crate) fn lit_value(&self, l: Lit) -> LBool {
+    fn lit_value(&self, l: Lit) -> LBool {
         self.assigns[l.var().index()].of_lit(l)
     }
 
-    pub(crate) fn unchecked_enqueue(&mut self, p: Lit, from: Option<ClauseRef>) {
+    fn unchecked_enqueue(&mut self, p: Lit, from: Option<ClauseRef>) {
         let lvl = self.decision_level();
         self.unchecked_enqueue_at(p, from, lvl);
     }
@@ -1185,11 +961,11 @@ impl Solver {
     }
 
     #[inline]
-    pub(crate) fn decision_level(&self) -> u32 {
+    fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
     }
 
-    pub(crate) fn cancel_until(&mut self, target_level: u32) {
+    fn cancel_until(&mut self, target_level: u32) {
         if self.decision_level() <= target_level {
             return;
         }
@@ -1430,7 +1206,7 @@ impl Solver {
         lbd_of(&self.level, &mut self.lbd_levels, &mut self.lbd_stamp, lits)
     }
 
-    pub(crate) fn attach(&mut self, cref: ClauseRef) {
+    fn attach(&mut self, cref: ClauseRef) {
         let lits = self.db.lits(cref);
         let (l0, l1, binary) = (lits[0], lits[1], lits.len() == 2);
         let (w0, w1) = (Watcher { cref, blocker: l1 }, Watcher { cref, blocker: l0 });
@@ -1441,19 +1217,6 @@ impl Solver {
             self.watches.push_long((!l0).code(), w0);
             self.watches.push_long((!l1).code(), w1);
         }
-    }
-
-    /// Removes a long clause's two watchers from the main watch lists
-    /// (vivification detaches a candidate before probing it so its own
-    /// watchers cannot propagate it against itself). The clause must be
-    /// live, of size ≥ 3, and currently attached — its watched literals are
-    /// `lits[0]` and `lits[1]` by the propagation invariant.
-    pub(crate) fn detach_long(&mut self, cref: ClauseRef) {
-        let lits = self.db.lits(cref);
-        let (l0, l1) = (lits[0], lits[1]);
-        let r0 = self.watches.remove_first_long((!l0).code(), cref);
-        let r1 = self.watches.remove_first_long((!l1).code(), cref);
-        debug_assert!(r0 && r1, "detach of unattached clause {cref:?}");
     }
 
     // ------------------------------------------------------------------
@@ -1612,7 +1375,7 @@ impl Solver {
             .for_each_mut(|x| x.cref = ClauseDb::remap_ref(&remap, x.cref));
     }
 
-    pub(crate) fn rebuild_watches(&mut self) {
+    fn rebuild_watches(&mut self) {
         self.clear_watches();
         let refs: Vec<ClauseRef> = self.db.live_refs().collect();
         for cref in refs {
@@ -1652,9 +1415,6 @@ impl Solver {
         self.seen.shrink_to_fit();
         self.model.shrink_to_fit();
         self.core.shrink_to_fit();
-        self.frozen.shrink_to_fit();
-        self.eliminated.shrink_to_fit();
-        self.elim_stack.shrink_to_fit();
         self.lbd_levels.shrink_to_fit();
     }
 
@@ -1665,11 +1425,6 @@ impl Solver {
         fn bytes<T>(v: &Vec<T>) -> usize {
             v.capacity() * std::mem::size_of::<T>()
         }
-        let eliminated_clauses: usize = self
-            .elim_stack
-            .iter()
-            .map(|(_, clauses)| bytes(clauses) + clauses.iter().map(bytes).sum::<usize>())
-            .sum();
         self.db.bytes()
             + self.watches.bytes()
             + self.order.bytes()
@@ -1685,10 +1440,6 @@ impl Solver {
                 + bytes(&self.seen)
                 + bytes(&self.model)
                 + bytes(&self.core)
-                + bytes(&self.frozen)
-                + bytes(&self.eliminated)
-                + bytes(&self.elim_stack)
-                + eliminated_clauses
                 + bytes(&self.lbd_levels)) as u64
     }
 
@@ -2030,101 +1781,6 @@ mod tests {
         assert!(!s.model_value(b));
     }
 
-    /// A chain a -> b -> c -> d where the middle variables are BVE fodder.
-    fn chain_solver() -> (Solver, Vec<Lit>) {
-        let mut s = Solver::new();
-        let vs: Vec<Lit> = (0..4).map(|_| s.new_var().positive()).collect();
-        for w in vs.windows(2) {
-            s.add_clause(&[!w[0], w[1]]);
-        }
-        (s, vs)
-    }
-
-    #[test]
-    fn simplify_eliminates_and_reconstructs_model() {
-        let (mut s, vs) = chain_solver();
-        s.freeze(vs[0].var());
-        s.freeze(vs[3].var());
-        assert!(s.simplify());
-        let eliminated: Vec<bool> = (0..4)
-            .map(|i| s.is_eliminated(Var::from_index(i)))
-            .collect();
-        assert!(!eliminated[0] && !eliminated[3], "frozen vars kept");
-        assert!(
-            eliminated[1] && eliminated[2],
-            "chain interior should be eliminated, got {eliminated:?}"
-        );
-        // The implication a -> d must survive as a resolvent...
-        assert_eq!(
-            s.solve_with_assumptions(&[vs[0], !vs[3]]),
-            SolveResult::Unsat
-        );
-        // ...and a model must extend to the eliminated middle variables in
-        // a way that satisfies the original chain clauses.
-        assert_eq!(s.solve_with_assumptions(&[vs[0]]), SolveResult::Sat);
-        for i in 0..3 {
-            assert!(
-                !s.model_value(vs[i]) || s.model_value(vs[i + 1]),
-                "original clause {} -> {} violated",
-                i,
-                i + 1
-            );
-        }
-        assert!(s.model_value(vs[0]));
-    }
-
-    #[test]
-    fn adding_clause_on_eliminated_var_restores_it() {
-        let (mut s, vs) = chain_solver();
-        s.freeze(vs[0].var());
-        s.freeze(vs[3].var());
-        assert!(s.simplify());
-        assert!(s.is_eliminated(vs[1].var()));
-        // New clause referencing the eliminated b: must restore b's
-        // defining clauses, not silently constrain a free variable.
-        assert!(s.add_clause(&[!vs[1]]));
-        assert!(!s.is_eliminated(vs[1].var()));
-        // b false and a -> b force a false.
-        assert_eq!(s.solve_with_assumptions(&[vs[0]]), SolveResult::Unsat);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert!(!s.model_value(vs[0]));
-    }
-
-    #[test]
-    fn assumption_on_eliminated_var_restores_it() {
-        let (mut s, vs) = chain_solver();
-        s.freeze(vs[0].var());
-        s.freeze(vs[3].var());
-        assert!(s.simplify());
-        assert!(s.is_eliminated(vs[1].var()));
-        // Assuming b directly must see the original semantics: b -> c -> d.
-        assert_eq!(
-            s.solve_with_assumptions(&[vs[1], !vs[3]]),
-            SolveResult::Unsat
-        );
-        assert!(!s.is_eliminated(vs[1].var()));
-        assert!(s.is_frozen(vs[1].var()), "assumption vars are auto-frozen");
-    }
-
-    #[test]
-    fn freeze_protects_from_elimination_under_assumptions() {
-        let (mut s, vs) = chain_solver();
-        for v in &vs {
-            s.freeze(v.var());
-        }
-        assert!(s.simplify());
-        for v in &vs {
-            assert!(!s.is_eliminated(v.var()));
-        }
-        // Frozen vars keep answering assumption queries exactly.
-        assert_eq!(
-            s.solve_with_assumptions(&[vs[1], !vs[2]]),
-            SolveResult::Unsat
-        );
-        let core = s.unsat_core().to_vec();
-        assert!(core.contains(&vs[1]) && core.contains(&!vs[2]));
-    }
-
     /// (is_delete, literals) in emission order.
     type ProofEvents = std::sync::Arc<std::sync::Mutex<Vec<(bool, Vec<Lit>)>>>;
 
@@ -2193,107 +1849,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn simplify_subsumption_and_strengthening() {
-        let mut s = Solver::new();
-        let a = s.new_var().positive();
-        let b = s.new_var().positive();
-        let c = s.new_var().positive();
-        let d = s.new_var().positive();
-        for v in [a, b, c, d] {
-            s.freeze(v.var());
-        }
-        s.add_clause(&[a, b]);
-        s.add_clause(&[a, b, c]); // subsumed by [a, b]
-        s.add_clause(&[!a, b, d]); // self-subsumed by [a, b] to [b, d]
-        assert!(s.simplify());
-        let st = s.stats();
-        assert!(st.subsumed_clauses >= 1, "stats: {st:?}");
-        assert!(st.strengthened_lits >= 1, "stats: {st:?}");
-        assert_eq!(s.solve_with_assumptions(&[!b, !d]), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn probing_finds_forced_units() {
-        // !a leads to a conflict via two chains, so probing should fix a.
-        let mut s = Solver::new();
-        let a = s.new_var().positive();
-        let b = s.new_var().positive();
-        let c = s.new_var().positive();
-        for v in [a, b, c] {
-            s.freeze(v.var());
-        }
-        s.add_clause(&[a, b]);
-        s.add_clause(&[a, c]);
-        s.add_clause(&[a, !b, !c]);
-        assert!(s.simplify());
-        assert!(s.stats().probed_units >= 1);
-        assert_eq!(s.solve_with_assumptions(&[!a]), SolveResult::Unsat);
-        assert!(s.unsat_core().contains(&!a));
-    }
-
-    #[test]
-    fn vivify_strengthens_via_propagation() {
-        // Candidate (c ∨ a ∨ b) with chain c ∨ d, ¬d ∨ a: assuming ¬c
-        // propagates d then a, so scanning hits a true literal and the
-        // candidate strengthens to (c ∨ a). Variables are created in
-        // sorted-candidate order (add_clause sorts) and all frozen so BVE
-        // cannot pre-empt the vivifier by resolving d away.
-        let mut s = Solver::new();
-        let c = s.new_var().positive();
-        let a = s.new_var().positive();
-        let b = s.new_var().positive();
-        let d = s.new_var().positive();
-        for v in [a, b, c, d] {
-            s.freeze(v.var());
-        }
-        s.add_clause(&[c, a, b]);
-        s.add_clause(&[c, d]);
-        s.add_clause(&[!d, a]);
-        assert!(s.simplify());
-        let st = s.stats();
-        assert!(st.vivified_lits >= 1, "stats: {st:?}");
-        // The strengthened clause is binding: ¬c ∧ ¬a is now two falsified
-        // literals of a binary clause.
-        assert_eq!(s.solve_with_assumptions(&[!c, !a]), SolveResult::Unsat);
-        assert_eq!(s.solve_with_assumptions(&[!c, !d]), SolveResult::Unsat);
-        assert_eq!(s.solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn vivify_logs_checkable_rewrites() {
-        // Same instance as `vivify_strengthens_via_propagation`, with a
-        // recording sink: the strengthened clause must be added before the
-        // original is deleted (the DRAT order hh-proof checks).
-        let events = ProofEvents::default();
-        let mut s = Solver::new();
-        s.set_proof_sink(Box::new(RecordingSink {
-            events: events.clone(),
-        }));
-        let c = s.new_var().positive();
-        let a = s.new_var().positive();
-        let b = s.new_var().positive();
-        let d = s.new_var().positive();
-        for v in [a, b, c, d] {
-            s.freeze(v.var());
-        }
-        s.add_clause(&[c, a, b]);
-        s.add_clause(&[c, d]);
-        s.add_clause(&[!d, a]);
-        assert!(s.simplify());
-        assert!(s.stats().vivified_lits >= 1);
-        let log = events.lock().unwrap().clone();
-        let add_pos = log
-            .iter()
-            .position(|(is_delete, lits)| !*is_delete && lits.as_slice() == [c, a])
-            .expect("strengthened clause was logged");
-        let del_pos = log
-            .iter()
-            .position(|(is_delete, lits)| *is_delete && lits.as_slice() == [c, a, b])
-            .expect("original clause deletion was logged");
-        assert!(add_pos < del_pos, "add must precede delete: {log:?}");
-    }
-
     /// A fixed random 3-CNF for the chrono/budget tests (same xorshift64*
     /// stream as the bench workloads).
     fn random_3cnf(num_vars: usize, num_clauses: usize, seed: u64) -> Vec<Vec<Lit>> {
@@ -2335,7 +1890,6 @@ mod tests {
     fn chrono_aggressive() -> Config {
         Config {
             chrono_threshold: NonZeroU32::MIN,
-            ..Config::default()
         }
     }
 
@@ -2382,8 +1936,9 @@ mod tests {
 
     #[test]
     fn default_trajectory_is_pinned() {
-        // Recorded at b4ea24c. A change that moves these moved the search
-        // every benchmark workload runs.
+        // A change that moves these moved the search every benchmark
+        // workload runs (the first recorded at b4ea24c; the second with
+        // inprocessing gone, DESIGN.md §4 decision 22).
         let clauses = random_3cnf(150, 630, 0xC0FFEE);
         let mut s = solver_with(Config::default(), 150, &clauses);
         assert_eq!(s.solve(), SolveResult::Sat);
@@ -2391,7 +1946,7 @@ mod tests {
 
         // Incremental queries above 600 satisfied assumption levels: the
         // only shape in which the default threshold backtracks
-        // chronologically, and enough conflicts for two inprocessing runs.
+        // chronologically.
         let clauses = random_3cnf(140, 590, 3);
         let mut s = solver_with(Config::default(), 140, &clauses);
         let mut assumptions: Vec<Lit> = (0..600).map(|_| s.new_var().positive()).collect();
@@ -2404,9 +1959,7 @@ mod tests {
             assert_eq!(s.unsat_core(), [extra]);
             assumptions.pop();
         }
-        assert_eq!(trajectory(&s), [19670, 214901, 6247, 16, 4]);
-        let st = s.stats();
-        assert_eq!((st.simplifies, st.vivified_lits), (2, 831));
+        assert_eq!(trajectory(&s), [13600, 201437, 6737, 5, 4]);
     }
 
     #[test]
@@ -2445,7 +1998,7 @@ mod tests {
             }
         }
         assert_eq!(trajectory(&parked), trajectory(&plain));
-        assert!(plain.stats().simplifies >= 2 && plain.stats().chrono_backtracks > 0);
+        assert!(plain.stats().chrono_backtracks > 0);
         assert_eq!(plain.debug_check_values(), Ok(()));
     }
 
@@ -2550,18 +2103,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn simplify_keeps_solver_incremental() {
-        let (mut s, vs) = chain_solver();
-        assert!(s.simplify());
-        // Grow the formula after simplification: new vars and clauses over
-        // old (possibly eliminated) variables must still work.
-        let e = s.new_var().positive();
-        s.add_clause(&[!vs[3], e]);
-        assert_eq!(s.solve_with_assumptions(&[vs[0], !e]), SolveResult::Unsat);
-        assert_eq!(s.solve_with_assumptions(&[vs[0], e]), SolveResult::Sat);
-        assert!(s.model_value(vs[3]));
     }
 }

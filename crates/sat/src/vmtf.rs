@@ -14,9 +14,8 @@
 //! ## Invariant
 //!
 //! Every variable strictly in front of `search` (bumped later than it) is
-//! not free — assigned or eliminated. `search` itself may be either. The
-//! solver keeps it by calling [`VmtfQueue::on_free`] whenever a variable
-//! becomes free again (backtracking, restoring an eliminated variable).
+//! assigned. `search` itself may be either. The solver keeps it by calling
+//! [`VmtfQueue::on_free`] whenever backtracking unassigns a variable.
 
 use crate::lit::Var;
 
@@ -115,9 +114,8 @@ impl VmtfQueue {
         ((self.older.capacity() + self.newer.capacity()) * 4 + self.stamp.capacity() * 8) as u64
     }
 
-    /// Records that `v` became free (unassigned on backtrack, or restored
-    /// after elimination): if it sits in front of the cursor, the cursor
-    /// moves up to it.
+    /// Records that `v` became free (unassigned on backtrack): if it sits in
+    /// front of the cursor, the cursor moves up to it.
     #[inline]
     pub(crate) fn on_free(&mut self, v: Var) {
         if self.stamp[v.index()] > self.stamp[self.search as usize] {
@@ -194,7 +192,7 @@ mod tests {
         assert_eq!(q.pick(|v| v.0 != 1), Some(Var(2)));
     }
 
-    /// Random assign / unassign / eliminate / restore / bump interleavings
+    /// Random assign / unassign / bump interleavings
     /// against a model that recomputes the answer from scratch: the pick is
     /// always the free variable with the latest bump, so the cursor never
     /// skipped one.
@@ -210,24 +208,18 @@ mod tests {
         for round in 0..200 {
             let n = 1 + next(24);
             let mut q = queue(n);
-            // Model: variables front-to-back, plus who is assigned/eliminated.
+            // Model: variables front-to-back, plus who is assigned.
             let mut order: Vec<u32> = (0..n as u32).rev().collect();
             let mut assigned = vec![false; n];
-            let mut eliminated = vec![false; n];
             for step in 0..400 {
                 let v = next(n);
-                match next(6) {
+                match next(4) {
                     0 => assigned[v] = true,
                     1 if assigned[v] => {
                         assigned[v] = false;
                         q.on_free(Var(v as u32));
                     }
-                    2 if !assigned[v] => eliminated[v] = true,
-                    3 if eliminated[v] => {
-                        eliminated[v] = false;
-                        q.on_free(Var(v as u32));
-                    }
-                    4 => {
+                    2 => {
                         // Conflict analysis: bump a few assigned variables.
                         let mut group: Vec<Var> = (0..n)
                             .filter(|&u| assigned[u] && next(3) == 0)
@@ -247,7 +239,7 @@ mod tests {
                         assert!(group.is_empty());
                     }
                     _ => {
-                        let free = |u: usize| !assigned[u] && !eliminated[u];
+                        let free = |u: usize| !assigned[u];
                         let want = order.iter().copied().find(|&u| free(u as usize));
                         let got = q.pick(|u| free(u.index()));
                         assert_eq!(got.map(|u| u.0), want, "round {round} step {step}");

@@ -203,19 +203,6 @@ impl WatchStore {
         h.len = len;
     }
 
-    /// Removes the first long watcher of `code` that watches `cref`,
-    /// preserving the order of the rest. Returns whether one was found.
-    pub(crate) fn remove_first_long(&mut self, code: usize, cref: ClauseRef) -> bool {
-        let h = self.heads[code];
-        let Some(i) = (h.mid()..h.end()).find(|&i| self.data[i].cref == cref) else {
-            return false;
-        };
-        self.data.copy_within(i + 1..h.end(), i);
-        self.heads[code].len -= 1;
-        self.live -= 1;
-        true
-    }
-
     /// The binary watchers of `code` (checks and tests).
     pub(crate) fn bins(&self, code: usize) -> &[Watcher] {
         let h = self.heads[code];
@@ -351,15 +338,14 @@ impl NestedModel {
     }
 }
 
-/// Bounded verification harness for arena compaction under a BVE-style
-/// workload: arbitrary interleavings of binary and long pushes (forcing
-/// relocations, which orphan regions, and binary inserts, which shift the
-/// long part) and `remove_first_long` detachments (what bounded variable
-/// elimination does to a dying clause's watchers), with a compaction of
-/// either fit at an arbitrary point in the middle and an exact one at the
-/// end. The live watcher lists must survive byte-for-byte, in order, with
-/// the arena usable afterwards. Proved by Kani under `cargo kani`; compiled
-/// and concretely executed under `kani-harness`.
+/// Bounded verification harness for arena compaction: arbitrary
+/// interleavings of binary and long pushes (forcing relocations, which
+/// orphan regions, and binary inserts, which shift the long part) and
+/// `truncate_longs` calls (what propagation does to a list it walked), with
+/// a compaction of either fit at an arbitrary point in the middle and an
+/// exact one at the end. The live watcher lists must survive byte-for-byte,
+/// in order, with the arena usable afterwards. Proved by Kani under
+/// `cargo kani`; compiled and concretely executed under `kani-harness`.
 #[cfg(any(kani, feature = "kani-harness"))]
 #[allow(dead_code)]
 mod verification {
@@ -419,11 +405,11 @@ mod verification {
             }
             let code = arb_below(CODES);
             match arb_below(4) {
-                0 if !model.longs[code].is_empty() => {
-                    // BVE detaches a dying clause's watcher.
-                    let pos = arb_below(model.longs[code].len());
-                    let victim = model.longs[code].remove(pos);
-                    assert!(store.remove_first_long(code, ClauseRef(victim)));
+                0 => {
+                    // Propagation keeps a prefix of the long part.
+                    let kept = arb_below(model.longs[code].len() + 1);
+                    store.truncate_longs(code, kept);
+                    model.longs[code].truncate(kept);
                 }
                 1 => {
                     store.push_bin(code, w(next_cref));
@@ -552,22 +538,6 @@ mod tests {
         assert_eq!(s.data.len(), before);
     }
 
-    #[test]
-    fn remove_first_long_preserves_rest() {
-        let mut s = store(1);
-        s.push_bin(0, w(8));
-        for i in [7u32, 8, 9, 8, 10] {
-            s.push_long(0, w(i));
-        }
-        // The binary watcher of clause 8 is not a candidate.
-        assert!(s.remove_first_long(0, ClauseRef(8)));
-        let crefs = |ws: &[Watcher]| ws.iter().map(|x| x.cref.0).collect::<Vec<_>>();
-        assert_eq!(crefs(s.bins(0)), vec![8]);
-        assert_eq!(crefs(s.longs(0)), vec![7, 9, 8, 10]);
-        assert!(!s.remove_first_long(0, ClauseRef(42)));
-        assert_eq!(s.live, 5);
-    }
-
     /// The arena against the nested model under every operation the solver
     /// performs, with compactions of both fits at arbitrary moments in
     /// between and more pushes after each.
@@ -597,15 +567,7 @@ mod tests {
                     flat.push_bin(code, w(c));
                     model.bins[code].push(c);
                 }
-                9 | 10 => {
-                    let c = (rng() % 50) as u32;
-                    let pos = model.longs[code].iter().position(|&x| x == c);
-                    if let Some(pos) = pos {
-                        model.longs[code].remove(pos);
-                    }
-                    assert_eq!(flat.remove_first_long(code, ClauseRef(c)), pos.is_some());
-                }
-                11 | 12 => {
+                9..=12 => {
                     let kept = (rng() as usize) % (model.longs[code].len() + 1);
                     flat.truncate_longs(code, kept);
                     model.longs[code].truncate(kept);

@@ -4,7 +4,7 @@
 
 use hh_sat::{minimize_core, Config, LimitedResult, Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
-use std::num::{NonZeroU32, NonZeroU64};
+use std::num::NonZeroU32;
 
 /// A random clause set over `num_vars` variables, as signed var indices.
 fn arb_cnf(num_vars: usize, max_clauses: usize) -> impl Strategy<Value = Vec<Vec<(usize, bool)>>> {
@@ -118,36 +118,6 @@ proptest! {
             prop_assert_eq!(s.solve() == SolveResult::Sat, expected);
         }
     }
-
-    /// `simplify()` (probing, subsumption, strengthening, BVE) preserves
-    /// satisfiability on random CNFs.
-    #[test]
-    fn simplify_preserves_satisfiability(clauses in arb_cnf(8, 40)) {
-        let expected = brute_force_sat(8, &clauses);
-        let mut s = build_solver(8, &clauses);
-        let simplify_ok = s.simplify();
-        prop_assert!(simplify_ok || !expected, "simplify derived UNSAT on a SAT formula");
-        prop_assert_eq!(s.solve() == SolveResult::Sat, expected);
-    }
-
-    /// After BVE, models reconstructed from the elimination stack satisfy
-    /// every ORIGINAL clause, not just the resolvent form.
-    #[test]
-    fn reconstructed_models_satisfy_original_clauses(clauses in arb_cnf(10, 50)) {
-        let mut s = build_solver(10, &clauses);
-        if !s.simplify() {
-            // Simplification proved top-level UNSAT; nothing to check.
-            prop_assert_eq!(s.solve(), SolveResult::Unsat);
-            return Ok(());
-        }
-        if s.solve() == SolveResult::Sat {
-            let vars: Vec<Var> = (0..10).map(Var::from_index).collect();
-            for clause in &clauses {
-                let sat = clause.iter().any(|&(v, pos)| s.model_value(vars[v].lit(pos)));
-                prop_assert!(sat, "reconstructed model violates original clause {:?}", clause);
-            }
-        }
-    }
 }
 
 proptest! {
@@ -230,27 +200,17 @@ proptest! {
     }
 }
 
-/// Every configuration the solver can be built with: the default, and each
-/// of the two thresholds at the extreme that makes its rare path the common
-/// one — chrono-always (any backjump longer than one level backtracks
-/// chronologically: the most out-of-order trail the solver can produce) and
-/// an unbounded vivification budget (every long clause probed in every
-/// simplify round).
-fn surviving_configs() -> [(&'static str, Config); 3] {
+/// Every configuration the solver can be built with: the default, and the
+/// one threshold at the extreme that makes its rare path the common one —
+/// chrono-always (any backjump longer than one level backtracks
+/// chronologically: the most out-of-order trail the solver can produce).
+fn surviving_configs() -> [(&'static str, Config); 2] {
     [
         ("default", Config::default()),
         (
             "chrono_threshold=1",
             Config {
                 chrono_threshold: NonZeroU32::MIN,
-                ..Config::default()
-            },
-        ),
-        (
-            "vivify_budget=MAX",
-            Config {
-                vivify_budget: NonZeroU64::MAX,
-                ..Config::default()
             },
         ),
     ]
@@ -260,20 +220,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Differential test of every surviving configuration against brute
-    /// force, as an incremental session: optionally freeze the assumption
-    /// variables and simplify before the first query (the session pattern;
-    /// otherwise the first query searches the raw formula), query under
-    /// assumptions, simplify, re-query, then solve the bare formula. SAT
-    /// answers come with real models, UNSAT answers with a core that is a
-    /// subset of the assumptions and refutes on its own, frozen variables
-    /// survive inprocessing, and the two-watched-literal invariant holds at
-    /// the end.
+    /// force, as an incremental session: query under assumptions, park,
+    /// re-query, add a clause over the old variables, then solve the grown
+    /// formula bare. SAT answers come with real models, UNSAT answers with a
+    /// core that is a subset of the assumptions and refutes on its own, and
+    /// the two-watched-literal invariant holds at the end.
     #[test]
     fn surviving_configs_agree_with_brute_force(
         clauses in arb_cnf(7, 30),
         pattern in 0u8..128,
         polarity in 0u8..128,
-        simplify_first in any::<bool>(),
+        extra in proptest::collection::vec((0..7usize, any::<bool>()), 1..=3),
     ) {
         let vars: Vec<Var> = (0..7).map(Var::from_index).collect();
         let assumed: Vec<(usize, bool)> = (0..7)
@@ -284,23 +241,14 @@ proptest! {
         for &(v, pos) in &assumed {
             with_units.push(vec![(v, pos)]);
         }
-        let expected_bare = brute_force_sat(7, &clauses);
+        let mut grown = clauses.clone();
+        grown.push(extra.clone());
         let expected = brute_force_sat(7, &with_units);
+        let expected_grown = brute_force_sat(7, &grown);
         let assumptions: Vec<Lit> = assumed.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
 
         for (name, config) in surviving_configs() {
             let mut s = build_solver_with(config, 7, &clauses);
-            if simplify_first {
-                for &(v, _) in &assumed {
-                    s.freeze(vars[v]);
-                }
-                let ok = s.simplify();
-                prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);
-                prop_assert!(ok || !expected_bare, "{}: simplify refuted a SAT formula", name);
-                for &(v, _) in &assumed {
-                    prop_assert!(!s.is_eliminated(vars[v]), "{}: frozen var eliminated", name);
-                }
-            }
             let res = s.solve_with_assumptions(&assumptions);
             prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);
             prop_assert_eq!(res == SolveResult::Sat, expected, "{}", name);
@@ -316,23 +264,23 @@ proptest! {
                 }
                 prop_assert_eq!(s.solve_with_assumptions(&core), SolveResult::Unsat, "{}", name);
             }
-            // Inprocessing between queries, and learnt clauses from the
-            // first one, change no later answer.
-            // The per-literal values propagation reads agree with the
-            // assignment after every call, the restores of eliminated
-            // assumption variables included; and parking in between
-            // changes no answer.
-            let ok2 = s.simplify();
-            prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);
-            prop_assert!(ok2 || !expected_bare, "{}: second simplify refuted", name);
+            // Learnt clauses from the first query, and parking in between,
+            // change no later answer.
             s.shrink_to_fit();
             prop_assert_eq!(s.debug_check_watches(), Ok(()), "{}", name);
             prop_assert_eq!(s.solve_with_assumptions(&assumptions), res, "{}", name);
             prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);
-            for &(v, _) in &assumed {
-                prop_assert!(!s.is_eliminated(vars[v]), "{}: assumed var eliminated", name);
+            // The formula grows after a solve, over variables the learnt
+            // clauses already mention.
+            let lits: Vec<Lit> = extra.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
+            s.add_clause(&lits);
+            prop_assert_eq!(s.solve() == SolveResult::Sat, expected_grown, "{}", name);
+            if expected_grown {
+                for clause in &grown {
+                    let sat = clause.iter().any(|&(v, pos)| s.model_value(vars[v].lit(pos)));
+                    prop_assert!(sat, "{}: grown model violates {:?}", name, clause);
+                }
             }
-            prop_assert_eq!(s.solve() == SolveResult::Sat, expected_bare, "{}", name);
             prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);
             prop_assert_eq!(s.debug_check_watches(), Ok(()), "{}", name);
         }

@@ -15,7 +15,7 @@
 use crate::client::Client;
 use crate::json::Json;
 use crate::server::{Bind, Server, ServerConfig};
-use crate::state::BUILTIN_XLEN;
+use crate::state::{BUILTIN_XLEN, MAX_LATENCY};
 use hh_netlist::btor2::parse_btor2;
 use hh_uarch::boomlite::{boom_lite, BoomVariant};
 use hh_uarch::rocketlite::rocket_lite;
@@ -382,6 +382,10 @@ fn parse_batch_args() -> BatchArgs {
     }
     if args.threads == 0 {
         eprintln!("--threads must be at least 1");
+        batch_usage();
+    }
+    if args.max_latency > MAX_LATENCY {
+        eprintln!("--max-latency must be at most {MAX_LATENCY}");
         batch_usage();
     }
     if args.builtin.is_some() && !BUILTIN_XLEN.contains(&args.xlen) {

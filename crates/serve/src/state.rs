@@ -151,6 +151,16 @@ pub(crate) const BUILTIN_XLEN: std::ops::RangeInclusive<u32> = 8..=32;
 /// is already a 512-entry reorder buffer).
 const MAX_SCALE: usize = 16;
 
+/// Largest `max_latency` a btor2 design may declare. Every example program
+/// pads each instruction with this many bubbles, so the field sizes an
+/// allocation; the builtin cores use 16–36.
+pub(crate) const MAX_LATENCY: usize = 512;
+
+/// Largest `example_depth` a btor2 design may declare: the number of
+/// instruction copies per example program. The deepest builtin
+/// (MegaBoomLite at [`MAX_SCALE`]) needs 772.
+const MAX_EXAMPLE_DEPTH: usize = 8192;
+
 /// Most paired executions per instruction a request may ask for. Zero is
 /// refused too: a learn with no example panics in the miner.
 pub(crate) const MAX_PAIRS: usize = 64;
@@ -186,6 +196,17 @@ fn uint_field<T: TryFrom<u64>>(j: &Json, key: &str, default: T) -> Result<T, Ser
             .and_then(|x| T::try_from(x).ok())
             .ok_or_else(|| bad_design(format!("design.{key} is not an integer in range"))),
     }
+}
+
+/// [`uint_field`] with a ceiling, for the fields that size a buffer.
+fn bounded_field(j: &Json, key: &str, default: usize, max: usize) -> Result<usize, ServeError> {
+    let value: usize = uint_field(j, key, default)?;
+    if value > max {
+        return Err(bad_design(format!(
+            "design.{key} must be at most {max}, got {value}"
+        )));
+    }
+    Ok(value)
 }
 
 fn valid_name(name: &str) -> bool {
@@ -278,8 +299,8 @@ impl DesignSpec {
                 secret_regs: strings("secret_regs")?,
                 masks,
                 xlen: uint_field(j, "xlen", 16)?,
-                max_latency: uint_field(j, "max_latency", 8)?,
-                example_depth: uint_field(j, "example_depth", 0)?,
+                max_latency: bounded_field(j, "max_latency", 8, MAX_LATENCY)?,
+                example_depth: bounded_field(j, "example_depth", 0, MAX_EXAMPLE_DEPTH)?,
             }
         } else {
             return Err(bad_request("design needs either builtin or btor2"));

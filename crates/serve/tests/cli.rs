@@ -5,7 +5,13 @@ use std::process::Command;
 
 #[test]
 fn out_of_range_batch_flags_print_usage_and_exit_2() {
-    for flag in [["--xlen", "3"], ["--xlen", "33"], ["--threads", "0"]] {
+    for flag in [
+        ["--xlen", "3"],
+        ["--xlen", "33"],
+        ["--threads", "0"],
+        ["--max-latency", "513"],
+        ["--max-latency", "100000000000"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_veloct"))
             .args(["--builtin", "rocketlite"])
             .args(flag)

@@ -922,12 +922,12 @@ fn hostile_design_parameters_do_not_kill_the_daemon() {
             ]),
         )]
     };
-    let toy_with_xlen = |xlen: i64| {
+    let toy_with = |field: &str, value: i64| {
         let (key, design) = toy_design_field("bad", TOY_V1);
         let Json::Obj(mut fields) = design else {
             panic!("toy design is an object")
         };
-        fields.insert("xlen".to_string(), Json::Int(xlen));
+        fields.insert(field.to_string(), Json::Int(value));
         vec![(key, Json::Obj(fields))]
     };
     let hostile = [
@@ -941,8 +941,14 @@ fn hostile_design_parameters_do_not_kill_the_daemon() {
         builtin("boom-small", ("scale", Json::Int(0))),
         builtin("boom-small", ("scale", Json::Int(1 << 40))),
         // The toy's secret registers are 8 bits wide.
-        toy_with_xlen(16),
-        toy_with_xlen(0),
+        toy_with("xlen", 16),
+        toy_with("xlen", 0),
+        // Both size the example programs: 10^11 was a 400 GB allocation
+        // that aborted the process.
+        toy_with("max_latency", 100_000_000_000),
+        toy_with("max_latency", 513),
+        toy_with("example_depth", 100_000_000_000),
+        toy_with("example_depth", 8193),
     ];
     let mut errors = 0;
     for fields in hostile {

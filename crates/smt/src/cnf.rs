@@ -204,8 +204,8 @@ impl Cnf {
     }
 
     /// Attaches a DRAT proof sink to the embedded solver. Every learnt
-    /// clause, deletion and inprocessing rewrite from this point on is
-    /// logged; see [`hh_sat::proof`] for the exact conventions.
+    /// clause and deletion from this point on is logged; see
+    /// [`hh_sat::proof`] for the exact conventions.
     pub fn set_proof_sink(&mut self, sink: Box<dyn hh_sat::proof::ProofSink>) {
         self.solver.set_proof_sink(sink);
     }

@@ -90,16 +90,6 @@ pub struct QueryTelemetry {
     pub solve_time: std::time::Duration,
     /// Whether the query was answered on a reused session encoding.
     pub cached: bool,
-    /// Inprocessing passes run by the SAT solver during this query.
-    pub simplifies: u64,
-    /// Variables removed by bounded variable elimination during this query.
-    pub eliminated_vars: u64,
-    /// Clauses deleted by backward subsumption during this query.
-    pub subsumed_clauses: u64,
-    /// Literals removed by self-subsuming resolution during this query.
-    pub strengthened_lits: u64,
-    /// Top-level units discovered by failed-literal probing during this query.
-    pub probed_units: u64,
     /// Word-level constant folds in the encoding (fresh queries only; a
     /// reused session already reported its encoding's folds).
     pub const_folds: u64,
@@ -117,11 +107,6 @@ pub struct QueryTelemetry {
     /// Chronological (one-level) backtracks the solver took during this
     /// query instead of full non-chronological backjumps.
     pub chrono_backtracks: u64,
-    /// Literals removed from clauses by vivification during this query.
-    pub vivified_lits: u64,
-    /// Clauses vivification deleted outright during this query (satisfied
-    /// by implication at level 0 or collapsed to a unit).
-    pub vivified_deleted: u64,
     /// Watch-list footprint (bytes) of the session's parked solver after
     /// this query — a gauge, not a delta.
     pub watch_bytes: u64,

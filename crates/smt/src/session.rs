@@ -358,12 +358,6 @@ impl<'a> AbductionSession<'a> {
                     let cl = cand.encode_current(enc);
                     let a = enc.cnf_mut().fresh();
                     enc.cnf_mut().clause(&[!a, cl]);
-                    // Protect the indicator and the predicate literal from
-                    // variable elimination: both are re-assumed / re-linked
-                    // on later queries, after inprocessing may have run.
-                    let solver = enc.cnf_mut().solver_mut();
-                    solver.freeze(a.var());
-                    solver.freeze(cl.var());
                     let s = self.indicators.len();
                     self.indicators.push(a);
                     self.candidate_lits.push(cl);
@@ -459,11 +453,6 @@ impl<'a> AbductionSession<'a> {
                 encode_time,
                 solve_time,
                 cached: reused,
-                simplifies: after.simplifies - before.simplifies,
-                eliminated_vars: after.eliminated_vars - before.eliminated_vars,
-                subsumed_clauses: after.subsumed_clauses - before.subsumed_clauses,
-                strengthened_lits: after.strengthened_lits - before.strengthened_lits,
-                probed_units: after.probed_units - before.probed_units,
                 // Word-level counters belong to the encoding, built once per
                 // session: attribute them to the first (fresh) query only.
                 const_folds: if reused { 0 } else { simp.const_folds },
@@ -473,8 +462,6 @@ impl<'a> AbductionSession<'a> {
                 cone_vars_saved,
                 cone_clauses_saved,
                 chrono_backtracks: after.chrono_backtracks - before.chrono_backtracks,
-                vivified_lits: after.vivified_lits - before.vivified_lits,
-                vivified_deleted: after.vivified_deleted - before.vivified_deleted,
                 watch_bytes: after.watch_bytes,
                 watch_live_bytes: after.watch_live_bytes,
             },
@@ -819,8 +806,7 @@ mod tests {
             let build = || {
                 let mut s = Solver::new();
                 for _ in 0..VARS + CANDIDATES {
-                    let v = s.new_var();
-                    s.freeze(v);
+                    s.new_var();
                 }
                 for c in &clauses {
                     s.add_clause(c);

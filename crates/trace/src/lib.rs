@@ -8,7 +8,7 @@
 //!
 //! The flat `Stats` counters of `hhoudini` say *how much* work a run did;
 //! the trace says *where the wall-clock went* — per-target SMT time,
-//! scheduler occupancy, cache hits, inprocessing passes — which is what the
+//! scheduler occupancy, cache hits, solver restarts — which is what the
 //! paper's scalability story (§6, Fig. 2–5) actually rests on. Every
 //! span/event/counter name is documented in `docs/TRACE_SCHEMA.md`.
 //!
