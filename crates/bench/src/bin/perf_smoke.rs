@@ -1,6 +1,5 @@
-//! Perf smoke check for CI: a quick-mode run of the incremental-session
-//! workload (no Criterion statistics) that **fails** when the session fast
-//! path regresses.
+//! Perf smoke check for CI: a quick run of the incremental-session workload
+//! that **fails** when the session fast path regresses.
 //!
 //! ```text
 //! cargo run -p hh-bench --release --bin perf_smoke
@@ -53,8 +52,8 @@
 //! counters) are written to `bench_results/perf_smoke.json`.
 
 use hh_bench::{
-    all_targets, known_safe_set, learn_run, parse_scale, prepare, prepare_rds, scaled_target, secs,
-    Report,
+    all_targets, known_safe_set, learn, parse_scale, prepare, scaled_target, secs, LearnSpec,
+    Report, LIMITED_RDS, RICH_RDS,
 };
 use hh_smt::{
     abduct, AbductionConfig, AbductionSession, EncodeCache, Predicate, TransitionEncoding,
@@ -64,9 +63,9 @@ use hhoudini::{EngineConfig, Invariant, ParallelEngine, PredicateStore};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// First query + simulated backtracking retries, as in the Criterion bench.
+/// First query + simulated backtracking retries.
 const RETRIES: usize = 4;
-/// Timed repetitions of each variant (quick mode; Criterion uses 20+).
+/// Timed repetitions of each variant.
 const ROUNDS: usize = 5;
 /// Minimum acceptable fresh/session time ratio.
 const MIN_SPEEDUP: f64 = 1.5;
@@ -83,7 +82,7 @@ fn main() {
     let targets = all_targets();
     let rocket = &targets[0];
     let safe = known_safe_set(rocket.name);
-    let (miter, examples, props, patterns) = prepare(&rocket.design, &safe, true);
+    let (miter, examples, props, patterns) = prepare(&rocket.design, &safe, true, RICH_RDS);
     let target = props[0].clone();
     let mut miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
     let mut store = PredicateStore::new();
@@ -148,7 +147,7 @@ fn main() {
     // ------------------------------------------------------------------
     let boom = &targets[1];
     let boom_safe = known_safe_set(boom.name);
-    let run_boom = |threads: usize| learn_run(&boom.design, &boom_safe, threads);
+    let run_boom = |threads: usize| learn(&boom.design, &boom_safe, LearnSpec::parallel(threads));
     let fingerprint = |inv: &Invariant| -> Vec<String> {
         let mut v: Vec<String> = inv.preds().iter().map(|p| format!("{p:?}")).collect();
         v.sort();
@@ -189,7 +188,7 @@ fn main() {
         .find(|t| t.name == "LargeBoomLite")
         .expect("LargeBoomLite is a target");
     let large_safe = known_safe_set(large.name);
-    let large_inv = learn_run(&large.design, &large_safe, 2)
+    let large_inv = learn(&large.design, &large_safe, LearnSpec::parallel(2))
         .invariant
         .expect("LargeBoomLite must learn");
     let (large_miter, _) = veloct::Veloct::new(&large.design).build_miter(&large_safe);
@@ -218,7 +217,7 @@ fn main() {
     let mega = targets.last().expect("MegaBoomLite is the last target");
     let mega_safe = known_safe_set(mega.name);
     let (mega_miter, mega_examples, mega_props, mega_patterns) =
-        prepare_rds(&mega.design, &mega_safe, true, &[3]);
+        prepare(&mega.design, &mega_safe, true, LIMITED_RDS);
     let mut mega_reference = None;
     let mut mega_solutions = Vec::new();
     for threads in [1usize, 2, 4] {
@@ -355,7 +354,7 @@ fn main() {
         "tracing changed the learned invariant"
     );
     let json = trace.chrome_json();
-    hh_trace::validate_json(&json).expect("traced run must emit valid Chrome JSON");
+    hh_serve::json::Json::parse(&json).expect("traced run must emit valid Chrome JSON");
     let counters = trace.counter_totals();
     let cache_hits = counters.get("smt.cache.hit").copied().unwrap_or(0);
     assert!(
@@ -471,7 +470,7 @@ fn main() {
     };
     let mega = scaled_target(scale);
     let msafe = known_safe_set(mega.name);
-    let (mmiter, mexamples, mprops, mpatterns) = prepare(&mega.design, &msafe, true);
+    let (mmiter, mexamples, mprops, mpatterns) = prepare(&mega.design, &msafe, true, RICH_RDS);
     let mtarget = mprops[0].clone();
     let mut mminer = CoiMiner::new(&mmiter, &mexamples, Some(mpatterns), vec![]);
     let mut mstore = PredicateStore::new();
@@ -587,7 +586,7 @@ fn main() {
         stream_proof_overhead * 100.0
     );
 
-    let mut report = Report::new();
+    let mut report = Report::new("perf_smoke");
     for (key, value, unit) in [
         ("arena_scale", scale as f64, "x"),
         ("arena_stream_queries", cand_lits.len() as f64, "queries"),
@@ -632,18 +631,18 @@ fn main() {
             "backtracks",
         ),
     ] {
-        report.push("perf_smoke", mega.name, key, value, unit);
+        report.push(mega.name, key, value, unit);
     }
     let name = "RocketLite";
-    report.push("perf_smoke", name, "fresh_s", fresh_s, "s");
-    report.push("perf_smoke", name, "session_s", session_s, "s");
-    report.push("perf_smoke", name, "session_speedup", speedup, "x");
+    report.push(name, "fresh_s", fresh_s, "s");
+    report.push(name, "session_s", session_s, "s");
+    report.push(name, "session_speedup", speedup, "x");
     for (key, value, unit) in [
         ("word_const_folds", word.const_folds, "nodes"),
         ("word_rewrites", word.rewrites, "nodes"),
         ("word_strash_hits", word.strash_hits, "nodes"),
     ] {
-        report.push("perf_smoke", name, key, value as f64, unit);
+        report.push(name, key, value as f64, unit);
     }
     for (key, value, unit) in [
         ("encode_s", secs(shared.encode_time), "s"),
@@ -661,7 +660,7 @@ fn main() {
         ),
         ("thread_invariants_identical", 1.0, "bool"),
     ] {
-        report.push("perf_smoke", boom.name, key, value, unit);
+        report.push(boom.name, key, value, unit);
     }
     for (key, value, unit) in [
         ("smt.session.resident_bytes", session_bytes as f64, "bytes"),
@@ -684,43 +683,18 @@ fn main() {
         ),
         ("watch_reserved_over_live_worst", watch_worst, "x"),
     ] {
-        report.push("perf_smoke", "MegaBoomLite-limited", key, value, unit);
+        report.push("MegaBoomLite-limited", key, value, unit);
     }
+    report.push(boom.name, "trace_events", trace_events as f64, "events");
+    report.push(boom.name, "trace_json_bytes", json.len() as f64, "bytes");
     report.push(
-        "perf_smoke",
-        boom.name,
-        "trace_events",
-        trace_events as f64,
-        "events",
-    );
-    report.push(
-        "perf_smoke",
-        boom.name,
-        "trace_json_bytes",
-        json.len() as f64,
-        "bytes",
-    );
-    report.push(
-        "perf_smoke",
         boom.name,
         "trace_cache_hit_events",
         cache_hits as f64,
         "hits",
     );
-    report.push(
-        "perf_smoke",
-        boom.name,
-        "trace_off_ns_per_call",
-        off_ns_per_call,
-        "ns",
-    );
-    report.push(
-        "perf_smoke",
-        boom.name,
-        "trace_off_overhead_frac",
-        overhead_frac,
-        "frac",
-    );
+    report.push(boom.name, "trace_off_ns_per_call", off_ns_per_call, "ns");
+    report.push(boom.name, "trace_off_overhead_frac", overhead_frac, "frac");
     for (key, value, unit) in [
         (
             "proof_obligations",
@@ -734,9 +708,9 @@ fn main() {
         ("proof_off_ns_per_call", proof_off_ns_per_call, "ns"),
         ("proof_off_overhead_frac", proof_overhead_frac, "frac"),
     ] {
-        report.push("perf_smoke", name, key, value, unit);
+        report.push(name, key, value, unit);
     }
-    report.finish("perf_smoke");
+    report.finish();
 
     assert!(
         speedup >= MIN_SPEEDUP,

@@ -1,22 +1,20 @@
 //! # hh-bench — the experiment harness
 //!
 //! Shared machinery for regenerating the paper's tables and figures: the
-//! evaluated designs, the known-correct safe sets, single-call learning
-//! runs that return full telemetry, and machine-readable result rows.
+//! evaluated designs, the known-correct safe sets, one learning entry point
+//! that returns full telemetry, and machine-readable result rows.
 //!
-//! Every experiment exists twice:
-//!
-//! * a **binary** (`cargo run -p hh-bench --release --bin table1` etc.) that
-//!   runs the experiment at full scale and prints the paper-style rows plus
-//!   a JSON record, and
-//! * a **Criterion bench** (`cargo bench -p hh-bench`) that exercises the
-//!   same code path at a scale suitable for statistical timing.
+//! Two binaries use it: `experiments` (`cargo run -p hh-bench --release
+//! --bin experiments -- all`) regenerates every table and figure of the
+//! paper's §6 from a few learns per design, and `perf_smoke` is the CI gate
+//! on the session, tracing, proof and memory fast paths.
 
 #![warn(missing_docs)]
 
 use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_netlist::miter::Miter;
-use hh_smt::Predicate;
+use hh_serve::json::Json;
+use hh_smt::{AbductionConfig, Predicate};
 use hh_uarch::boomlite::{boom_lite, boom_lite_scaled, BoomVariant, ALL_VARIANTS};
 use hh_uarch::decode::matches_pattern;
 use hh_uarch::rocketlite::rocket_lite;
@@ -132,22 +130,18 @@ pub struct RunResult {
     pub total_time: Duration,
 }
 
-/// Builds the constrained miter, examples and property for a target.
-pub fn prepare(
-    design: &Design,
-    safe: &[Mnemonic],
-    mask: bool,
-) -> (
-    Miter,
-    Vec<hh_netlist::eval::StateValues>,
-    Vec<Predicate>,
-    Vec<hh_smt::Pattern>,
-) {
-    prepare_rds(design, safe, mask, &[3, 5, 6, 7, 1, 2, 4])
-}
+/// The full destination-register rotation: near-exhaustive positive
+/// examples, under which learning does not backtrack.
+pub const RICH_RDS: &[u8] = &[3, 5, 6, 7, 1, 2, 4];
+/// One destination register, as a minimal harness would generate. Fewer
+/// registers = less exhaustive examples = more backtracking (the paper's
+/// Figure 5 regime).
+pub const LIMITED_RDS: &[u8] = &[3];
 
-/// [`prepare`] with an explicit example-richness (rd rotation) knob.
-pub fn prepare_rds(
+/// Builds the constrained miter, examples and property for a target.
+/// `rds` is the destination-register rotation of example generation
+/// ([`RICH_RDS`] or [`LIMITED_RDS`]).
+pub fn prepare(
     design: &Design,
     safe: &[Mnemonic],
     mask: bool,
@@ -184,94 +178,116 @@ pub fn prepare_rds(
     (miter, examples, props, patterns)
 }
 
-/// Runs H-Houdini (parallel engine) on a target's known safe set.
-pub fn learn_run(design: &Design, safe: &[Mnemonic], threads: usize) -> RunResult {
-    learn_run_config(design, safe, threads, EngineConfig::default(), true)
+/// Which engine a [`learn`] runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Engine {
+    /// [`ParallelEngine`] on this many worker threads (what `veloct`, the
+    /// daemon and the benchmark run).
+    Parallel(usize),
+    /// [`SerialEngine`], the depth-first reference: per-task times without
+    /// scheduler interleaving (Figure 4) and the paper's backtrack
+    /// accounting (Figure 5).
+    Serial,
 }
 
-/// [`learn_run`] with explicit engine configuration and masking knob.
-pub fn learn_run_config(
-    design: &Design,
-    safe: &[Mnemonic],
-    threads: usize,
-    config: EngineConfig,
-    mask: bool,
-) -> RunResult {
+/// Everything the experiments vary about a learning run.
+#[derive(Debug, Clone, Copy)]
+pub struct LearnSpec {
+    /// The engine (and its thread count).
+    pub engine: Engine,
+    /// Core minimisation and encoding scope.
+    pub abduction: AbductionConfig,
+    /// Example masking through the design's valid-bit annotations (§5.2.1).
+    pub mask: bool,
+    /// Destination-register rotation of example generation.
+    pub rds: &'static [u8],
+}
+
+impl LearnSpec {
+    /// The paper's configuration on `threads` workers of the parallel
+    /// engine: minimal cores over cone-scoped encodings, masked rich
+    /// examples. The other specs are this one with a field changed.
+    pub fn parallel(threads: usize) -> LearnSpec {
+        LearnSpec {
+            engine: Engine::Parallel(threads),
+            abduction: AbductionConfig::paper_default(),
+            mask: true,
+            rds: RICH_RDS,
+        }
+    }
+}
+
+/// Runs H-Houdini on a target's known safe set.
+pub fn learn(design: &Design, safe: &[Mnemonic], spec: LearnSpec) -> RunResult {
     let t0 = Instant::now();
-    let (miter, examples, props, patterns) = prepare(design, safe, mask);
+    let (miter, examples, props, patterns) = prepare(design, safe, spec.mask, spec.rds);
     let num_examples = examples.len();
     let miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
-    let mut engine = ParallelEngine::new(miter.netlist(), miner, config, threads);
-    let invariant = engine.learn(&props);
+    let config = EngineConfig {
+        abduction: spec.abduction,
+    };
+    let (invariant, stats) = match spec.engine {
+        Engine::Parallel(threads) => {
+            let mut engine = ParallelEngine::new(miter.netlist(), miner, config, threads);
+            (engine.learn(&props), engine.stats().clone())
+        }
+        Engine::Serial => {
+            let mut engine = SerialEngine::new(miter.netlist(), miner, config);
+            (engine.learn(&props), engine.stats().clone())
+        }
+    };
     RunResult {
         invariant,
-        stats: engine.stats().clone(),
+        stats,
         num_examples,
         total_time: t0.elapsed(),
     }
 }
 
-/// Runs the *serial* engine (richer per-task backtrack semantics, used by
-/// Figure 5).
-pub fn learn_run_serial(design: &Design, safe: &[Mnemonic], config: EngineConfig) -> RunResult {
-    learn_run_serial_rds(design, safe, config, &[3, 5, 6, 7, 1, 2, 4])
+/// One machine-readable experiment row (EXPERIMENTS.md cites these).
+#[derive(Debug, PartialEq)]
+struct Row {
+    target: String,
+    /// Free-form.
+    key: String,
+    value: f64,
+    unit: String,
 }
 
-/// [`learn_run_serial`] with an explicit destination-register rotation for
-/// example generation. Fewer registers = less exhaustive examples = more
-/// backtracking (the paper's Figure 5 regime).
-pub fn learn_run_serial_rds(
-    design: &Design,
-    safe: &[Mnemonic],
-    config: EngineConfig,
-    rds: &[u8],
-) -> RunResult {
-    let t0 = Instant::now();
-    let (miter, examples, props, patterns) = prepare_rds(design, safe, true, rds);
-    let num_examples = examples.len();
-    let miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
-    let mut engine = SerialEngine::new(miter.netlist(), miner, config);
-    let invariant = engine.learn(&props);
-    RunResult {
-        invariant,
-        stats: engine.stats().clone(),
-        num_examples,
-        total_time: t0.elapsed(),
-    }
-}
+/// The units whose rows are counts: the same on every run of the same
+/// tree, so a committed file that disagrees with a fresh run is stale.
+/// Every other unit is a time, a rate or a ratio.
+const EXACT_UNITS: [&str; 9] = [
+    "bits",
+    "predicates",
+    "tasks",
+    "backtracks",
+    "safe",
+    "bool",
+    "count",
+    "bytes",
+    "obligations",
+];
 
-/// One machine-readable experiment row (accumulated into a JSON report so
-/// EXPERIMENTS.md can cite exact numbers).
-#[derive(Debug)]
-pub struct Row {
-    /// Experiment id (e.g. "table1", "fig3").
-    pub experiment: String,
-    /// Target name.
-    pub target: String,
-    /// Free-form key.
-    pub key: String,
-    /// Measured value.
-    pub value: f64,
-    /// Unit label.
-    pub unit: String,
-}
-
-/// Collects rows and emits them as JSON on drop-free `finish`.
-#[derive(Debug, Default)]
+/// The rows of one experiment, kept in `bench_results/<experiment>.json`.
+#[derive(Debug, PartialEq)]
 pub struct Report {
+    experiment: String,
     rows: Vec<Row>,
 }
 
 impl Report {
-    /// Creates an empty report.
-    pub fn new() -> Report {
-        Report::default()
+    /// Creates an empty report for the experiment of this id.
+    pub fn new(experiment: &str) -> Report {
+        Report {
+            experiment: experiment.to_string(),
+            rows: Vec::new(),
+        }
     }
 
     /// Adds a row.
-    pub fn push(&mut self, experiment: &str, target: &str, key: &str, value: f64, unit: &str) {
+    pub fn push(&mut self, target: &str, key: &str, value: f64, unit: &str) {
         self.rows.push(Row {
-            experiment: experiment.to_string(),
             target: target.to_string(),
             key: key.to_string(),
             value,
@@ -279,65 +295,103 @@ impl Report {
         });
     }
 
-    /// Writes the report to `bench_results/<name>.json` (best effort) and
-    /// prints the path.
-    pub fn finish(&self, name: &str) {
+    fn path(&self) -> String {
+        format!("bench_results/{}.json", self.experiment)
+    }
+
+    /// Reads the experiment's committed file; an absent or malformed file
+    /// is a report without rows.
+    pub fn load(experiment: &str) -> Report {
+        let empty = Report::new(experiment);
+        std::fs::read_to_string(empty.path())
+            .ok()
+            .and_then(|text| Report::from_json(experiment, &text))
+            .unwrap_or(empty)
+    }
+
+    /// Writes the report to `bench_results/<experiment>.json` (best effort)
+    /// and prints the path.
+    pub fn finish(&self) {
         let _ = std::fs::create_dir_all("bench_results");
-        let path = format!("bench_results/{name}.json");
+        let path = self.path();
         if std::fs::write(&path, self.to_json()).is_ok() {
             println!("\n[results written to {path}]");
         }
     }
 
-    /// Serialises the rows as pretty-printed JSON (hand-rolled: the build
-    /// environment has no serde, and the row shape is trivially flat).
+    /// Serialises the rows as a JSON array, one row object per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let rows: Vec<String> = self
+            .rows
+            .iter()
+            .map(|row| {
+                Json::obj(vec![
+                    ("experiment", Json::Str(self.experiment.clone())),
+                    ("target", Json::Str(row.target.clone())),
+                    ("key", Json::Str(row.key.clone())),
+                    ("value", Json::Float(row.value)),
+                    ("unit", Json::Str(row.unit.clone())),
+                ])
+                .to_string()
+            })
+            .collect();
+        format!("[\n{}\n]\n", rows.join(",\n"))
+    }
+
+    /// Parses what [`Report::to_json`] wrote; `None` if any row lacks a
+    /// field.
+    pub fn from_json(experiment: &str, text: &str) -> Option<Report> {
+        let doc = Json::parse(text).ok()?;
+        let field = |row: &Json, name: &str| Some(row.get(name)?.as_str()?.to_string());
+        let rows = doc
+            .as_arr()?
+            .iter()
+            .map(|row| {
+                Some(Row {
+                    target: field(row, "target")?,
+                    key: field(row, "key")?,
+                    // A non-finite value is written as `null`.
+                    value: row.get("value")?.as_f64().unwrap_or(f64::NAN),
+                    unit: field(row, "unit")?,
+                })
+            })
+            .collect::<Option<Vec<Row>>>()?;
+        Some(Report {
+            experiment: experiment.to_string(),
+            rows,
+        })
+    }
+
+    /// How this fresh report disagrees with the committed one: a row either
+    /// side lacks, or a count (see `EXACT_UNITS`) with another value.
+    /// Timings, rates and ratios differ on every run and are not compared.
+    pub fn differences(&self, committed: &Report) -> Vec<String> {
+        fn find<'a>(rows: &'a [Row], r: &Row) -> Option<&'a Row> {
+            rows.iter().find(|o| o.target == r.target && o.key == r.key)
+        }
+        let mut out = Vec::new();
+        for row in &self.rows {
+            let at = format!("{} {} {}", self.experiment, row.target, row.key);
+            match find(&committed.rows, row) {
+                None => out.push(format!("{at}: not in the committed file")),
+                Some(old) if EXACT_UNITS.contains(&row.unit.as_str()) && old != row => {
+                    out.push(format!(
+                        "{at}: committed {} {}, measured {} {}",
+                        old.value, old.unit, row.value, row.unit
+                    ));
+                }
+                Some(_) => {}
             }
-            out.push_str(&format!(
-                "\n  {{\n    \"experiment\": {},\n    \"target\": {},\n    \"key\": {},\n    \
-                 \"value\": {},\n    \"unit\": {}\n  }}",
-                json_str(&row.experiment),
-                json_str(&row.target),
-                json_str(&row.key),
-                json_f64(row.value),
-                json_str(&row.unit),
-            ));
         }
-        out.push_str("\n]");
+        for old in &committed.rows {
+            if find(&self.rows, old).is_none() {
+                out.push(format!(
+                    "{} {} {}: committed, no longer measured",
+                    self.experiment, old.target, old.key
+                ));
+            }
+        }
         out
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // Bare `NaN`/`inf` never reach here; ensure integral floats keep a
-        // numeric JSON form (e.g. `3` not `3.0` is fine for JSON).
-        s
-    } else {
-        "null".to_string()
     }
 }
 
@@ -369,10 +423,60 @@ mod tests {
     }
 
     #[test]
-    fn learn_run_works_on_rocketlite() {
+    fn both_engines_learn_rocketlite() {
         let t = &all_targets()[0];
-        let r = learn_run(&t.design, &known_safe_set(t.name), 1);
-        assert!(r.invariant.is_some());
-        assert!(r.num_examples > 0);
+        let safe = known_safe_set(t.name);
+        let parallel = learn(&t.design, &safe, LearnSpec::parallel(1));
+        let serial = learn(
+            &t.design,
+            &safe,
+            LearnSpec {
+                engine: Engine::Serial,
+                ..LearnSpec::parallel(1)
+            },
+        );
+        assert!(parallel.num_examples > 0);
+        assert_eq!(parallel.num_examples, serial.num_examples);
+        assert_eq!(
+            parallel.invariant.expect("provable").len(),
+            serial.invariant.expect("provable").len()
+        );
+    }
+
+    fn committed() -> Report {
+        let mut r = Report::new("fig5");
+        r.push("SmallBoomLite", "tasks_rich", 58.0, "tasks");
+        r.push("SmallBoomLite", "backtracks_rich", 0.0, "backtracks");
+        r.push("SmallBoomLite", "wall", 0.25, "s");
+        r
+    }
+
+    #[test]
+    fn reports_round_trip_through_json() {
+        let r = committed();
+        assert_eq!(Report::from_json("fig5", &r.to_json()), Some(r));
+        assert_eq!(Report::from_json("fig5", "[{\"target\":\"x\"}]"), None);
+    }
+
+    #[test]
+    fn only_counts_and_the_row_set_make_a_report_stale() {
+        let old = committed();
+        assert!(committed().differences(&old).is_empty());
+
+        let mut count_changed = committed();
+        count_changed.rows[0].value = 59.0;
+        let d = count_changed.differences(&old);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].contains("tasks_rich") && d[0].contains("58") && d[0].contains("59"));
+
+        let mut timing_changed = committed();
+        timing_changed.rows[2].value = 0.31;
+        assert!(timing_changed.differences(&old).is_empty());
+
+        // A missing row is stale in both directions, whatever its unit.
+        let mut row_missing = committed();
+        row_missing.rows.pop();
+        assert_eq!(row_missing.differences(&old).len(), 1);
+        assert_eq!(old.differences(&row_missing).len(), 1);
     }
 }

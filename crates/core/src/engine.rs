@@ -79,18 +79,12 @@ impl<'a> SessionCache<'a> {
 pub struct EngineConfig {
     /// Abduction query configuration (core minimisation, encoding scope).
     pub abduction: AbductionConfig,
-    /// Memoisation across tasks (ablation knob; the paper's algorithm
-    /// requires it for efficiency, not for soundness). Read by
-    /// [`SerialEngine`] only: the streaming scheduler of
-    /// [`crate::ParallelEngine`] is built on the memo table.
-    pub memoize: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig {
             abduction: AbductionConfig::paper_default(),
-            memoize: true,
         }
     }
 }
@@ -229,16 +223,12 @@ impl<'a, M: Miner> SerialEngine<'a, M> {
             // Cycle through a backedge: use the pending solution (§3.2.2).
             return true;
         }
-        if self.config.memoize {
-            if let Some(ab) = self.memo.get(&p) {
-                if ab.iter().all(|q| !self.failed.contains(q)) {
-                    self.stats.memo_hits += 1;
-                    hh_trace::counter!("engine", "engine.memo.hit", 1);
-                    return true; // line 3–4
-                }
-                self.memo.remove(&p);
+        if let Some(ab) = self.memo.get(&p) {
+            if ab.iter().all(|q| !self.failed.contains(q)) {
+                self.stats.memo_hits += 1;
+                hh_trace::counter!("engine", "engine.memo.hit", 1);
+                return true; // line 3–4
             }
-        } else {
             self.memo.remove(&p);
         }
         self.in_progress.push(p);

@@ -15,7 +15,7 @@
 use crate::client::Client;
 use crate::json::Json;
 use crate::server::{Bind, Server, ServerConfig};
-use crate::state::{BUILTIN_XLEN, MAX_LATENCY};
+use crate::state::{BUILTIN_XLEN, MAX_LATENCY, MAX_THREADS};
 use hh_netlist::btor2::parse_btor2;
 use hh_uarch::boomlite::{boom_lite, BoomVariant};
 use hh_uarch::rocketlite::rocket_lite;
@@ -380,8 +380,8 @@ fn parse_batch_args() -> BatchArgs {
             }
         }
     }
-    if args.threads == 0 {
-        eprintln!("--threads must be at least 1");
+    if !(1..=MAX_THREADS).contains(&args.threads) {
+        eprintln!("--threads must be in 1..={MAX_THREADS}");
         batch_usage();
     }
     if args.max_latency > MAX_LATENCY {

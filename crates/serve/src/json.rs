@@ -66,6 +66,15 @@ impl Json {
         }
     }
 
+    /// The numeric payload as a float, if numeric.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Int(n) => Some(*n as f64),
+            Json::Float(f) => Some(*f),
+            _ => None,
+        }
+    }
+
     /// Unsigned integer view of [`Json::as_i64`].
     pub fn as_u64(&self) -> Option<u64> {
         self.as_i64().and_then(|n| u64::try_from(n).ok())

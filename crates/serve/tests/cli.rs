@@ -9,6 +9,7 @@ fn out_of_range_batch_flags_print_usage_and_exit_2() {
         ["--xlen", "3"],
         ["--xlen", "33"],
         ["--threads", "0"],
+        ["--threads", "100000"],
         ["--max-latency", "513"],
         ["--max-latency", "100000000000"],
     ] {

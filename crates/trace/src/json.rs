@@ -1,4 +1,4 @@
-//! Chrome `trace_event` JSON output and a minimal JSON validity checker.
+//! Chrome `trace_event` JSON output.
 //!
 //! The writer emits the *object* form (`{"traceEvents": [...]}`), which both
 //! `chrome://tracing` and Perfetto accept. Span records use the complete
@@ -79,212 +79,12 @@ pub(crate) fn write_chrome_json<W: Write>(trace: &Trace, w: &mut W) -> io::Resul
     w.write_all(out.as_bytes())
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON validator
-// ---------------------------------------------------------------------------
-
-/// Checks that `s` is one syntactically valid JSON value (RFC 8259 grammar,
-/// no extensions). Used by the trace tests and the `perf_smoke` gate to
-/// assert the emitted trace is parseable without pulling in a JSON
-/// dependency.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn err(pos: usize, what: &str) -> String {
-    format!("invalid JSON at byte {pos}: {what}")
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    match b.get(*pos) {
-        Some(b'{') => object(b, pos),
-        Some(b'[') => array(b, pos),
-        Some(b'"') => string(b, pos),
-        Some(b't') => literal(b, pos, b"true"),
-        Some(b'f') => literal(b, pos, b"false"),
-        Some(b'n') => literal(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, pos),
-        _ => Err(err(*pos, "expected a value")),
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(err(*pos, "bad literal"))
-    }
-}
-
-fn object(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(err(*pos, "expected ':'"));
-        }
-        *pos += 1;
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(err(*pos, "expected ',' or '}'")),
-        }
-    }
-}
-
-fn array(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(b, pos);
-        value(b, pos)?;
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(err(*pos, "expected ',' or ']'")),
-        }
-    }
-}
-
-fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(err(*pos, "expected string"));
-    }
-    *pos += 1;
-    while let Some(&c) = b.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return Err(err(*pos, "bad \\u escape"));
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(err(*pos, "bad escape")),
-                }
-            }
-            c if c < 0x20 => return Err(err(*pos, "raw control character")),
-            _ => *pos += 1,
-        }
-    }
-    Err(err(*pos, "unterminated string"))
-}
-
-fn number(b: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |b: &[u8], pos: &mut usize| {
-        let s = *pos;
-        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos > s
-    };
-    if !digits(b, pos) {
-        return Err(err(start, "expected digits"));
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(b, pos) {
-            return Err(err(*pos, "expected fraction digits"));
-        }
-    }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(b, pos) {
-            return Err(err(*pos, "expected exponent digits"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn validator_accepts_valid_json() {
-        for ok in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e+10",
-            r#"{"a":[1,2,{"b":"c\nA"}],"d":true}"#,
-            r#"{"traceEvents":[],"displayTimeUnit":"ms"}"#,
-        ] {
-            assert!(validate_json(ok).is_ok(), "{ok}");
-        }
-    }
-
-    #[test]
-    fn validator_rejects_invalid_json() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{'a':1}",
-            "01x",
-            "\"unterminated",
-            "{} trailing",
-            "{\"a\":1,}",
-        ] {
-            assert!(validate_json(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn writer_output_is_valid_json() {
+    fn writer_emits_every_phase_and_escapes_names() {
         let trace = Trace {
             events: vec![
                 Event {
@@ -311,9 +111,11 @@ mod tests {
             ],
             dropped: 2,
         };
+        // That the output parses is checked where a parser is in reach:
+        // `tests/trace.rs` at the repository root.
         let json = trace.chrome_json();
-        validate_json(&json).expect("writer must emit valid JSON");
         assert!(json.contains("\"traceEvents\""));
+        assert!(json.contains("a.span \\\"quoted\\\""));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"ph\":\"i\""));

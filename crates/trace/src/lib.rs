@@ -64,7 +64,6 @@ mod queue;
 mod report;
 mod ring;
 
-pub use json::validate_json;
 pub use queue::run_indexed;
 pub use ring::Ring;
 

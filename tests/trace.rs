@@ -6,6 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use hh_serve::json::Json;
 use hh_suite::hhoudini::mine::CoiMiner;
 use hh_suite::hhoudini::{EngineConfig, ParallelEngine};
 use hh_suite::isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
@@ -179,7 +180,7 @@ fn parallel_trace_is_sound_at_every_thread_count() {
 
         // Chrome JSON must parse and carry the scheduler's commit markers.
         let json = trace.chrome_json();
-        trace::validate_json(&json).expect("chrome trace must be valid JSON");
+        Json::parse(&json).expect("chrome trace must be valid JSON");
         assert!(json.contains("\"ph\":\"X\"") && json.contains("sched.commit"));
 
         // Issue and commit counters cancel: the reorder buffer commits every
@@ -241,7 +242,7 @@ fn veloct_run_covers_all_four_layers() {
     ] {
         assert!(spans.contains_key(name), "missing span {name}");
     }
-    trace::validate_json(&trace.chrome_json()).expect("valid JSON");
+    Json::parse(&trace.chrome_json()).expect("valid JSON");
 
     // The text report is deterministic: rendering the same trace twice gives
     // byte-identical output.
