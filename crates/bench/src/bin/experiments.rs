@@ -7,11 +7,11 @@
 //!
 //! Each experiment is a projection — printed rows, shape assertions and a
 //! `bench_results/<name>.json` file — over learning runs that [`Runs`]
-//! makes once per design and hands to every experiment that asks: one
-//! 1-thread `ParallelEngine` run (Table 1, Figs. 2–3, the hierarchical side
-//! of the speedup, the reference arm of each ablation), one `SerialEngine`
-//! run (Fig. 4, Fig. 5 with rich examples) and one `SerialEngine` run with
-//! rd = x3 examples (Fig. 5 with limited examples). Table 2 classifies, the
+//! makes once per design and hands to every experiment that asks: one run
+//! with rich examples (Table 1, Figs. 2–4, Fig. 5 rich, the hierarchical
+//! side of the speedup, the reference arm of each ablation) and one with
+//! rd = x3 examples (Fig. 5 limited), both on one thread of the
+//! `ParallelEngine` every product path runs. Table 2 classifies, the
 //! speedup adds the two monolithic baselines per design, and three ablation
 //! arms learn under a changed configuration.
 //!
@@ -20,8 +20,8 @@
 //! a second run exits 0); 101 if a shape assertion fails; 2 on bad usage.
 
 use hh_bench::{
-    all_targets, is_boom, known_safe_set, learn, secs, Engine, LearnSpec, Report, RunResult,
-    Target, LIMITED_RDS,
+    all_targets, is_boom, known_safe_set, learn, secs, LearnSpec, Report, RunResult, Target,
+    LIMITED_RDS,
 };
 use hh_isa::Mnemonic;
 use hh_smt::{EncodeScope, Predicate};
@@ -33,27 +33,19 @@ use veloct::{default_candidates, BaselineKind, Veloct, VeloctConfig};
 /// The runs more than one experiment reads.
 #[derive(Clone, Copy)]
 enum Shared {
-    /// `ParallelEngine`, one thread, rich examples.
-    Parallel,
-    /// `SerialEngine`, rich examples.
-    Serial,
-    /// `SerialEngine`, rd = x3 examples only.
-    SerialLimited,
+    /// The paper's configuration: rich examples.
+    Rich,
+    /// rd = x3 examples only.
+    Limited,
 }
 
 impl Shared {
     fn spec(self) -> LearnSpec {
-        let paper = LearnSpec::parallel(1);
         match self {
-            Shared::Parallel => paper,
-            Shared::Serial => LearnSpec {
-                engine: Engine::Serial,
-                ..paper
-            },
-            Shared::SerialLimited => LearnSpec {
-                engine: Engine::Serial,
+            Shared::Rich => LearnSpec::paper(),
+            Shared::Limited => LearnSpec {
                 rds: LIMITED_RDS,
-                ..paper
+                ..LearnSpec::paper()
             },
         }
     }
@@ -64,7 +56,7 @@ struct Runs {
     targets: Vec<Target>,
     safe: Vec<Vec<Mnemonic>>,
     /// Indexed by `Shared`, then by target.
-    shared: [Vec<OnceCell<RunResult>>; 3],
+    shared: [Vec<OnceCell<RunResult>>; 2],
     learns: Cell<usize>,
 }
 
@@ -74,20 +66,20 @@ impl Runs {
         let cells = || targets.iter().map(|_| OnceCell::new()).collect();
         Runs {
             safe: targets.iter().map(|t| known_safe_set(t.name)).collect(),
-            shared: [cells(), cells(), cells()],
+            shared: [cells(), cells()],
             learns: Cell::new(0),
             targets,
         }
     }
 
-    /// Learns target `i`'s known safe set under `spec`.
+    /// Learns target `i`'s known safe set under `spec`, on one thread.
     fn learn(&self, i: usize, spec: LearnSpec) -> RunResult {
         self.count_learn();
-        learn(&self.targets[i].design, &self.safe[i], spec)
+        learn(&self.targets[i].design, &self.safe[i], 1, spec)
     }
 
     /// The shared run of target `i`, made on first use. The known safe set
-    /// is provable under all three specs.
+    /// is provable under both specs.
     fn shared(&self, i: usize, which: Shared) -> &RunResult {
         self.shared[which as usize][i].get_or_init(|| {
             let run = self.learn(i, which.spec());
@@ -203,7 +195,7 @@ fn table1(runs: &Runs, report: &mut Report) {
         "{:<16} {:>12} {:>14} | {:>12} {:>14}",
         "Target", "size (bits)", "invariant", "paper (bits)", "paper inv."
     );
-    for (t, run) in runs.each(Shared::Parallel) {
+    for (t, run) in runs.each(Shared::Rich) {
         let bits = t.design.state_bits();
         let inv = invariant_size(run);
         println!(
@@ -272,7 +264,7 @@ fn fig2(runs: &Runs, report: &mut Report) {
         print!(" {c:>9}");
     }
     println!(" {:>9}", "span");
-    for (t, run) in runs.each(Shared::Parallel) {
+    for (t, run) in runs.each(Shared::Rich) {
         let times: Vec<f64> = cores
             .iter()
             .map(|&c| secs(run.stats.simulated_time(c)))
@@ -301,7 +293,7 @@ fn fig3(runs: &Runs, report: &mut Report) {
         "Target", "bits", "80 cores (s)", "inf (s)", "wall 1T (s)"
     );
     let mut rows = Vec::new();
-    for (t, run) in runs.each(Shared::Parallel) {
+    for (t, run) in runs.each(Shared::Rich) {
         let bits = t.design.state_bits();
         let t80 = secs(run.stats.simulated_time(80));
         let tinf = secs(run.stats.span());
@@ -330,16 +322,16 @@ fn fig3(runs: &Runs, report: &mut Report) {
     println!("the fixed-core time, with a widening gap — as in the paper.");
 }
 
-/// Figure 4: median SMT-query time and median task time vs design size,
-/// the SMT share of task time and the long-tail percentiles the paper
-/// quotes for MegaBOOM.
+/// Figure 4: median SAT solve time per query and median task time (one
+/// query: encode + solve) vs design size, the solve share of task time and
+/// the long-tail percentiles the paper quotes for MegaBOOM.
 fn fig4(runs: &Runs, report: &mut Report) {
     println!(
         "{:<16} {:>10} {:>14} {:>14} {:>9} {:>10} {:>10}",
-        "Target", "bits", "med. SMT (ms)", "med. task (ms)", "SMT %", "p95 (ms)", "p99 (ms)"
+        "Target", "bits", "med. SAT (ms)", "med. task (ms)", "SAT %", "p95 (ms)", "p99 (ms)"
     );
     let mut med_queries = Vec::new();
-    for (t, run) in runs.each(Shared::Serial) {
+    for (t, run) in runs.each(Shared::Rich) {
         let mq = secs(run.stats.median_smt_query()) * 1e3;
         let mt = secs(run.stats.median_task()) * 1e3;
         let frac = run.stats.smt_fraction() * 100.0;
@@ -378,7 +370,7 @@ fn fig5(runs: &Runs, report: &mut Report) {
         "{:<16} {:>10} {:>8} {:>11} {:>12}",
         "Target", "bits", "tasks", "backtracks", "bt fraction"
     );
-    for (t, run) in runs.each(Shared::SerialLimited) {
+    for (t, run) in runs.each(Shared::Limited) {
         let tasks = run.stats.num_tasks();
         let bt = run.stats.backtracks;
         println!(
@@ -397,7 +389,7 @@ fn fig5(runs: &Runs, report: &mut Report) {
         "Target", "bits", "tasks", "backtracks", "memo hits"
     );
     let mut prev_tasks = 0usize;
-    for (t, run) in runs.each(Shared::Serial) {
+    for (t, run) in runs.each(Shared::Rich) {
         let tasks = run.stats.num_tasks();
         let bt = run.stats.backtracks;
         println!(
@@ -435,7 +427,7 @@ fn speedup(runs: &Runs, report: &mut Report) {
         max_time: Duration::from_secs(1800),
     };
     let mut factors = Vec::new();
-    for (i, (t, run)) in runs.each(Shared::Parallel).enumerate() {
+    for (i, (t, run)) in runs.each(Shared::Rich).enumerate() {
         let hh = secs(run.stats.wall_time);
         let v = runs.veloct(i, one_thread());
         let mut times = Vec::new();
@@ -534,15 +526,15 @@ fn speedup(runs: &Runs, report: &mut Report) {
 /// Ablations: each arm changes one field of the shared 1-thread run's spec.
 fn ablation(runs: &Runs, report: &mut Report) {
     let (rocket, small) = (0, 1);
-    let paper = Shared::Parallel.spec();
+    let paper = Shared::Rich.spec();
 
     println!("1. Cone-scoped vs monolithic query encodings (RocketLite)");
-    let cone = runs.shared(rocket, Shared::Parallel);
+    let cone = runs.shared(rocket, Shared::Rich);
     let mut monolithic = paper;
     monolithic.abduction.scope = EncodeScope::Monolithic;
     let mono = runs.learn(rocket, monolithic);
     assert!(mono.invariant.is_some());
-    let (cone_s, mono_s) = (secs(cone.stats.smt_time), secs(mono.stats.smt_time));
+    let (cone_s, mono_s) = (secs(cone.stats.task_time), secs(mono.stats.task_time));
     println!(
         "  cone: SMT {cone_s:.3}s | monolithic: SMT {mono_s:.3}s ({:.1}x)",
         mono_s / cone_s.max(1e-9)
@@ -551,7 +543,7 @@ fn ablation(runs: &Runs, report: &mut Report) {
     report.push("scope", "monolithic_smt_s", mono_s, "s");
 
     println!("\n2. Minimal vs raw UNSAT cores (SmallBoomLite)");
-    let minimized = runs.shared(small, Shared::Parallel);
+    let minimized = runs.shared(small, Shared::Rich);
     let mut raw_cores = paper;
     raw_cores.abduction.minimize = false;
     let raw = runs.learn(small, raw_cores);

@@ -147,7 +147,7 @@ fn main() {
     // ------------------------------------------------------------------
     let boom = &targets[1];
     let boom_safe = known_safe_set(boom.name);
-    let run_boom = |threads: usize| learn(&boom.design, &boom_safe, LearnSpec::parallel(threads));
+    let run_boom = |threads: usize| learn(&boom.design, &boom_safe, threads, LearnSpec::paper());
     let fingerprint = |inv: &Invariant| -> Vec<String> {
         let mut v: Vec<String> = inv.preds().iter().map(|p| format!("{p:?}")).collect();
         v.sort();
@@ -188,7 +188,7 @@ fn main() {
         .find(|t| t.name == "LargeBoomLite")
         .expect("LargeBoomLite is a target");
     let large_safe = known_safe_set(large.name);
-    let large_inv = learn(&large.design, &large_safe, LearnSpec::parallel(2))
+    let large_inv = learn(&large.design, &large_safe, 2, LearnSpec::paper())
         .invariant
         .expect("LargeBoomLite must learn");
     let (large_miter, _) = veloct::Veloct::new(&large.design).build_miter(&large_safe);

@@ -16,13 +16,12 @@ use hh_netlist::miter::Miter;
 use hh_serve::json::Json;
 use hh_smt::{AbductionConfig, Predicate};
 use hh_uarch::boomlite::{boom_lite, boom_lite_scaled, BoomVariant, ALL_VARIANTS};
-use hh_uarch::decode::matches_pattern;
 use hh_uarch::rocketlite::rocket_lite;
 use hh_uarch::Design;
 use hhoudini::mine::CoiMiner;
-use hhoudini::{EngineConfig, Invariant, ParallelEngine, SerialEngine, Stats};
+use hhoudini::{EngineConfig, Invariant, ParallelEngine, Stats};
 use std::time::{Duration, Instant};
-use veloct::instruction_patterns;
+use veloct::Veloct;
 
 /// A named evaluated design.
 #[derive(Debug)]
@@ -152,49 +151,19 @@ pub fn prepare(
     Vec<Predicate>,
     Vec<hh_smt::Pattern>,
 ) {
-    let mut miter = Miter::build(&design.netlist);
-    let patterns = instruction_patterns(safe);
-    let instr = miter.netlist().find_input(&design.instr_input).unwrap();
-    let terms: Vec<_> = patterns
-        .iter()
-        .map(|p| {
-            let mm = hh_isa::MaskMatch {
-                mask: p.mask as u32,
-                matches: p.value as u32,
-            };
-            matches_pattern(miter.netlist_mut(), instr, mm)
-        })
-        .collect();
-    let c = miter.netlist_mut().or_all(&terms);
-    miter.netlist_mut().add_constraint(c);
+    let veloct = Veloct::new(design);
+    let (miter, patterns) = veloct.build_miter(safe);
     let examples =
         veloct::examples::generate_examples_custom(design, &miter, safe, 1, 0xBEEF, mask, rds)
             .expect("safe set examples");
-    let props: Vec<Predicate> = design
-        .observable
-        .iter()
-        .map(|&o| Predicate::eq(miter.left(o), miter.right(o)))
-        .collect();
+    let props = veloct.property(&miter);
     (miter, examples, props, patterns)
 }
 
-/// Which engine a [`learn`] runs.
-#[derive(Debug, Clone, Copy)]
-pub enum Engine {
-    /// [`ParallelEngine`] on this many worker threads (what `veloct`, the
-    /// daemon and the benchmark run).
-    Parallel(usize),
-    /// [`SerialEngine`], the depth-first reference: per-task times without
-    /// scheduler interleaving (Figure 4) and the paper's backtrack
-    /// accounting (Figure 5).
-    Serial,
-}
-
-/// Everything the experiments vary about a learning run.
+/// Everything the experiments vary about what a learning run computes.
+/// (The thread count is not here: it changes the timings and nothing else.)
 #[derive(Debug, Clone, Copy)]
 pub struct LearnSpec {
-    /// The engine (and its thread count).
-    pub engine: Engine,
     /// Core minimisation and encoding scope.
     pub abduction: AbductionConfig,
     /// Example masking through the design's valid-bit annotations (§5.2.1).
@@ -204,12 +173,11 @@ pub struct LearnSpec {
 }
 
 impl LearnSpec {
-    /// The paper's configuration on `threads` workers of the parallel
-    /// engine: minimal cores over cone-scoped encodings, masked rich
-    /// examples. The other specs are this one with a field changed.
-    pub fn parallel(threads: usize) -> LearnSpec {
+    /// The paper's configuration: minimal cores over cone-scoped
+    /// encodings, masked rich examples. The other specs are this one with
+    /// a field changed.
+    pub fn paper() -> LearnSpec {
         LearnSpec {
-            engine: Engine::Parallel(threads),
             abduction: AbductionConfig::paper_default(),
             mask: true,
             rds: RICH_RDS,
@@ -217,8 +185,9 @@ impl LearnSpec {
     }
 }
 
-/// Runs H-Houdini on a target's known safe set.
-pub fn learn(design: &Design, safe: &[Mnemonic], spec: LearnSpec) -> RunResult {
+/// Runs H-Houdini on a target's known safe set, on `threads` workers of
+/// the engine `veloct`, the daemon and the benchmark run.
+pub fn learn(design: &Design, safe: &[Mnemonic], threads: usize, spec: LearnSpec) -> RunResult {
     let t0 = Instant::now();
     let (miter, examples, props, patterns) = prepare(design, safe, spec.mask, spec.rds);
     let num_examples = examples.len();
@@ -226,19 +195,11 @@ pub fn learn(design: &Design, safe: &[Mnemonic], spec: LearnSpec) -> RunResult {
     let config = EngineConfig {
         abduction: spec.abduction,
     };
-    let (invariant, stats) = match spec.engine {
-        Engine::Parallel(threads) => {
-            let mut engine = ParallelEngine::new(miter.netlist(), miner, config, threads);
-            (engine.learn(&props), engine.stats().clone())
-        }
-        Engine::Serial => {
-            let mut engine = SerialEngine::new(miter.netlist(), miner, config);
-            (engine.learn(&props), engine.stats().clone())
-        }
-    };
+    let mut engine = ParallelEngine::new(miter.netlist(), miner, config, threads);
+    let invariant = engine.learn(&props);
     RunResult {
         invariant,
-        stats,
+        stats: engine.stats().clone(),
         num_examples,
         total_time: t0.elapsed(),
     }
@@ -423,23 +384,16 @@ mod tests {
     }
 
     #[test]
-    fn both_engines_learn_rocketlite() {
+    fn one_and_two_threads_learn_rocketlite() {
         let t = &all_targets()[0];
         let safe = known_safe_set(t.name);
-        let parallel = learn(&t.design, &safe, LearnSpec::parallel(1));
-        let serial = learn(
-            &t.design,
-            &safe,
-            LearnSpec {
-                engine: Engine::Serial,
-                ..LearnSpec::parallel(1)
-            },
-        );
-        assert!(parallel.num_examples > 0);
-        assert_eq!(parallel.num_examples, serial.num_examples);
+        let one = learn(&t.design, &safe, 1, LearnSpec::paper());
+        let two = learn(&t.design, &safe, 2, LearnSpec::paper());
+        assert!(one.num_examples > 0);
+        assert_eq!(one.num_examples, two.num_examples);
         assert_eq!(
-            parallel.invariant.expect("provable").len(),
-            serial.invariant.expect("provable").len()
+            one.invariant.expect("provable").preds(),
+            two.invariant.expect("provable").preds()
         );
     }
 

@@ -6,10 +6,11 @@
 //! relative-induction checks that compose into a full inductive invariant
 //! correct-by-construction (paper §3).
 //!
-//! * [`SerialEngine`] — the faithful Algorithm 1 (memoisation, `P_fail`,
-//!   partial backtracking, cycle handling).
-//! * [`ParallelEngine`] — the wavefront parallelisation of the recursion
-//!   (§3.2.4), sharing the memo table across worker threads.
+//! * [`ParallelEngine`] — the one engine: Algorithm 1 (memoisation,
+//!   `P_fail`, partial backtracking, cycle handling) run as the task DAG
+//!   its recursion is (§3.2.4), on a worker pool of any size — one worker
+//!   is the serial run — or, through [`ParallelEngine::learn_sim`], on no
+//!   threads at all with a [`SimDriver`] choosing the completion order.
 //! * [`mine::CoiMiner`] — `O_slice` + `O_mine` (Algorithm 2): 1-step
 //!   cone-of-influence slicing and positive-example-filtered predicate
 //!   mining (`Eq` / `EqConst` / `InSafeSet` / validated expert annotations).
@@ -25,7 +26,7 @@
 //! use hh_netlist::{Netlist, Bv, miter::Miter};
 //! use hh_netlist::eval::StateValues;
 //! use hh_smt::Predicate;
-//! use hhoudini::{SerialEngine, EngineConfig, mine::CoiMiner};
+//! use hhoudini::{ParallelEngine, EngineConfig, mine::CoiMiner};
 //!
 //! // A <= B & C; B and C hold their values.
 //! let mut n = Netlist::new("and_gate");
@@ -43,7 +44,7 @@
 //! let examples = vec![e];
 //!
 //! let miner = CoiMiner::new(&m, &examples, None, vec![]);
-//! let mut engine = SerialEngine::new(m.netlist(), miner, EngineConfig::default());
+//! let mut engine = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), 1);
 //! let property = Predicate::eq(m.left(a), m.right(a));
 //! let inv = engine.learn(&[property]).expect("invariant exists");
 //! assert!(inv.verify_monolithic(m.netlist()));
@@ -53,7 +54,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod baselines;
-mod engine;
 mod invariant;
 pub mod mine;
 mod parallel;
@@ -62,9 +62,8 @@ pub mod sim;
 mod stats;
 mod store;
 
-pub use engine::{EngineConfig, SerialEngine};
 pub use invariant::Invariant;
-pub use parallel::ParallelEngine;
+pub use parallel::{EngineConfig, ParallelEngine};
 pub use reorder::ReorderBuffer;
 pub use sim::{FifoDriver, SchedEvent, SimDriver};
 pub use stats::{Stats, TaskRecord};

@@ -1,12 +1,35 @@
-//! The parallel streaming engine (paper §3.2.4).
+//! The H-Houdini engine: Algorithm 1 of the paper, run as the task DAG its
+//! recursion is (§3.2.4).
 //!
-//! The recursion of Algorithm 1 is a task DAG: each target predicate's
-//! abduction is independent of its siblings'. This engine runs the DAG on a
-//! **persistent worker pool with streaming results** (the paper's
-//! async-task model): the scheduler mines jobs and pushes them to a shared
-//! queue; as each abduction completes, the merge loop immediately mines and
-//! enqueues its newly discovered children — fast tasks never wait on a
-//! wave's straggler, and workers stay busy as long as any job is queued.
+//! **Algorithm 1, line by line.** For a target predicate `p` the scheduler
+//!
+//! * skips it at issue when it is memoised — the solution is reused (line
+//!   3–4, counted as a memo hit) — or known to have failed;
+//! * otherwise mines candidates over the 1-step cone (`O_slice` + `O_mine`,
+//!   lines 9–10), subtracts `P_fail` (line 11) and asks the abduction oracle
+//!   for an abduct through the target's live [`AbductionSession`] (lines
+//!   12–13: the answer is memoised at commit);
+//! * enqueues every abduct member as a child target (line 18) — each is
+//!   independent of its siblings, which is what makes the recursion a DAG;
+//! * puts a target with no abduct into `P_fail` (lines 14–16), and at
+//!   quiescence sweeps every memoised solution that mentions a failed
+//!   predicate and re-queries it over the strictly smaller candidate set
+//!   (partial backtracking, lines 20–26; `P_fail` only grows, so this
+//!   converges);
+//! * composes the invariant from the transitive closure of memoised abducts
+//!   — never issuing a monolithic inductivity query (§3.1).
+//!
+//! Cycles through the design's backedges need no special case: a target
+//! that is memoised or in flight is never issued again, so a cycle closes
+//! on the pending solution, and the stale sweep re-solves it should a
+//! member later fail (§3.2.2).
+//!
+//! **Execution.** The DAG runs on a **persistent worker pool with streaming
+//! results** (the paper's async-task model): the scheduler mines jobs and
+//! pushes them to a shared queue; as each abduction completes, the merge
+//! loop immediately mines and enqueues its newly discovered children — fast
+//! tasks never wait on a wave's straggler, and workers stay busy as long as
+//! any job is queued. One worker is the serial run.
 //!
 //! **Priority.** Ready targets are issued **largest 1-step cone first**
 //! (cone weight = bit-width of the target's states plus its one-step
@@ -31,27 +54,28 @@
 //! threaded backend runs the real worker pool over mpsc channels, while
 //! the virtual backend hands completion *order* to a [`SimDriver`] and
 //! solves on the calling thread — the seam hh-vopr uses to simulate the
-//! whole engine deterministically from a seed (see [`crate::sim`]).
+//! whole engine deterministically from a seed (see [`crate::sim`]), and,
+//! with [`FifoDriver`](crate::FifoDriver) at window 1, the thread-free
+//! serial reference the tests compare the pool against.
 //!
-//! The memo table and `P_fail` are shared across the run exactly as in the
-//! serial engine, so overlapping cones are still analysed once. Each target
-//! keeps a live [`AbductionSession`] (travelling with the job and returned
-//! with the result), so backtracking retries re-solve incrementally. A
-//! per-run [`hh_smt::EncodeCache`] is shared by all sessions: signature-
-//! equal cones replay each other's base encodings. A replay is
-//! byte-identical to a fresh build, so which session recorded an encoding
-//! first (the one thing worker timing does decide) cannot reach the result.
+//! The memo table and `P_fail` are shared across the run, so overlapping
+//! cones are analysed once. Each target keeps a live [`AbductionSession`]
+//! (travelling with the job and returned with the result), so backtracking
+//! retries re-solve incrementally. A per-run [`hh_smt::EncodeCache`] is
+//! shared by all sessions: signature-equal cones replay each other's base
+//! encodings. A replay is byte-identical to a fresh build, so which session
+//! recorded an encoding first (the one thing worker timing does decide)
+//! cannot reach the result.
 
-use crate::engine::SessionCache;
 use crate::invariant::closure;
 use crate::mine::Miner;
 use crate::reorder::ReorderBuffer;
 use crate::sim::{SchedEvent, SimDriver};
 use crate::store::{PredId, PredicateStore};
-use crate::{EngineConfig, Invariant, Stats, TaskRecord};
+use crate::{Invariant, Stats, TaskRecord};
 use hh_netlist::coi::Coi;
 use hh_netlist::Netlist;
-use hh_smt::{AbductionResult, AbductionSession, EncodeCache, Predicate};
+use hh_smt::{AbductionConfig, AbductionResult, AbductionSession, EncodeCache, Predicate};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -59,6 +83,56 @@ use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Engine tuning knobs.
+#[derive(Debug, Clone)]
+pub struct EngineConfig {
+    /// Abduction query configuration (core minimisation, encoding scope).
+    pub abduction: AbductionConfig,
+}
+
+impl Default for EngineConfig {
+    fn default() -> EngineConfig {
+        EngineConfig {
+            abduction: AbductionConfig::paper_default(),
+        }
+    }
+}
+
+/// Per-target cache of live abduction sessions, owned by the scheduler: a
+/// session travels to a worker with its job, comes back with the result and
+/// is *parked* here between its queries; dropping it frees its solver.
+#[derive(Debug, Default)]
+struct SessionCache<'a> {
+    parked: HashMap<PredId, AbductionSession<'a>>,
+    /// Sum of [`AbductionSession::resident_bytes`] over `parked`.
+    resident_bytes: u64,
+    /// High-water mark of `resident_bytes`.
+    peak_resident_bytes: u64,
+}
+
+impl<'a> SessionCache<'a> {
+    /// Takes `target`'s session out for its next query, if it has one.
+    fn take(&mut self, target: PredId) -> Option<AbductionSession<'a>> {
+        let session = self.parked.remove(&target)?;
+        self.resident_bytes -= session.resident_bytes();
+        Some(session)
+    }
+
+    /// Parks `target`'s session until its next query or the end of the run.
+    fn park(&mut self, target: PredId, session: AbductionSession<'a>) {
+        self.resident_bytes += session.resident_bytes();
+        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
+        let displaced = self.parked.insert(target, session);
+        debug_assert!(displaced.is_none(), "a target has one session");
+    }
+
+    /// Frees every parked session (the peak is kept).
+    fn clear(&mut self) {
+        self.parked.clear();
+        self.resident_bytes = 0;
+    }
+}
 
 /// Scheduling weight of a target: total bit-width of its own states plus
 /// its 1-step cone support. A proxy for encode + solve cost — wide cones
@@ -72,7 +146,7 @@ fn cone_weight(netlist: &Netlist, coi: &Coi, pred: &Predicate) -> u64 {
     w
 }
 
-/// The parallel H-Houdini engine.
+/// The H-Houdini engine (see the module docs).
 #[derive(Debug)]
 pub struct ParallelEngine<'a, M: Miner> {
     netlist: &'a Netlist,
@@ -158,7 +232,8 @@ fn solve_job(job: Job<'_>, panic_on: Option<usize>) -> JobDone<'_> {
 }
 
 impl<'a, M: Miner> ParallelEngine<'a, M> {
-    /// Creates a parallel engine with the given worker-thread count.
+    /// Creates an engine over a product netlist with the given
+    /// worker-thread count.
     pub fn new(
         netlist: &'a Netlist,
         miner: M,
@@ -175,7 +250,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             memo: HashMap::new(),
             failed: HashSet::new(),
             discoverer: HashMap::new(),
-            sessions: SessionCache::new(),
+            sessions: SessionCache::default(),
             warm_cache: None,
             seeded: HashSet::new(),
             stats: Stats::default(),
@@ -257,10 +332,10 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     }
 
     /// The memoised solution table as `(target, premises)` pairs, sorted by
-    /// target predicate — the same shape as
-    /// [`SerialEngine::solutions`](crate::engine::SerialEngine::solutions),
-    /// and deterministic across thread counts because the scheduler commits
-    /// results in issue order.
+    /// target predicate. Each entry records the abduct that made `target`
+    /// relatively inductive; `hh-proof` replays these obligations when
+    /// emitting a certificate bundle. Deterministic across thread counts
+    /// because the scheduler commits results in issue order.
     pub fn solutions(&self) -> Vec<(Predicate, Vec<Predicate>)> {
         let mut out: Vec<(Predicate, Vec<Predicate>)> = self
             .memo
@@ -282,66 +357,52 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     /// panic is caught, the run is marked poisoned ([`Stats::poisoned`])
     /// and `None` is returned.
     pub fn learn(&mut self, properties: &[Predicate]) -> Option<Invariant> {
-        let t0 = Instant::now();
-        let _learn_span = hh_trace::span!("engine", "engine.learn");
-        self.stats.workers = self.threads.max(1);
-        let prop_ids: Vec<PredId> = properties
-            .iter()
-            .map(|p| self.store.intern(p.clone()))
-            .collect();
-        for &p in &prop_ids {
-            self.discoverer.entry(p).or_insert(None);
-        }
-
-        let netlist = self.netlist;
-        let encode_cache = self.run_encode_cache();
-        let workers = self.threads.max(1);
-        let coi = Coi::new(netlist);
+        let workers = self.threads;
         let fail_job = self.fail_job;
+        self.run(properties, |engine, prop_ids, coi, encode_cache| {
+            let (job_tx, job_rx) = mpsc::channel::<Job<'a>>();
+            let job_rx = Mutex::new(job_rx);
+            let (done_tx, done_rx) = mpsc::channel::<JobDone<'a>>();
 
-        let (job_tx, job_rx) = mpsc::channel::<Job<'a>>();
-        let job_rx = Mutex::new(job_rx);
-        let (done_tx, done_rx) = mpsc::channel::<JobDone<'a>>();
-
-        let result = std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let done_tx = done_tx.clone();
-                let job_rx = &job_rx;
-                scope.spawn(move || {
-                    loop {
-                        // Hold the lock only for the dequeue, not the solve.
-                        let job = job_rx.lock().unwrap().recv();
-                        let Ok(job) = job else { break };
-                        let done = solve_job(job, fail_job);
-                        if done_tx.send(done).is_err() {
-                            break; // scheduler gone
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    let done_tx = done_tx.clone();
+                    let job_rx = &job_rx;
+                    scope.spawn(move || {
+                        loop {
+                            // Hold the lock only for the dequeue, not the solve.
+                            let job = job_rx.lock().unwrap().recv();
+                            let Ok(job) = job else { break };
+                            let done = solve_job(job, fail_job);
+                            if done_tx.send(done).is_err() {
+                                break; // scheduler gone
+                            }
                         }
-                    }
-                    // Hand this worker's trace ring over before the closure
-                    // returns: the scope join does not wait for TLS
-                    // destructors, so a drain right after learn() could
-                    // otherwise race with thread teardown.
-                    hh_trace::flush();
-                });
-            }
-            drop(done_tx); // scheduler keeps only done_rx
+                        // Hand this worker's trace ring over before the
+                        // closure returns: the scope join does not wait for
+                        // TLS destructors, so a drain right after learn()
+                        // could otherwise race with thread teardown.
+                        hh_trace::flush();
+                    });
+                }
+                drop(done_tx); // scheduler keeps only done_rx
 
-            let outcome = self.run_scheduler(
-                &prop_ids,
-                &coi,
-                &encode_cache,
-                |job| job_tx.send(job).expect("worker pool alive"),
-                // With the panic fix above this recv cannot strand: every
-                // dequeued job produces a JobDone (panicked or not), and
-                // workers outlive the scheduler (job_tx closes below).
-                || done_rx.recv().expect("worker result"),
-                |_| {},
-            );
-            drop(job_tx); // closes the queue; workers exit before scope joins
-            outcome
-        });
-        self.finish_run(&encode_cache, t0);
-        result
+                let outcome = engine.run_scheduler(
+                    prop_ids,
+                    coi,
+                    encode_cache,
+                    |job| job_tx.send(job).expect("worker pool alive"),
+                    // With the panic fix above this recv cannot strand:
+                    // every dequeued job produces a JobDone (panicked or
+                    // not), and workers outlive the scheduler (job_tx
+                    // closes below).
+                    || done_rx.recv().expect("worker result"),
+                    |_| {},
+                );
+                drop(job_tx); // closes the queue; workers exit before scope joins
+                outcome
+            })
+        })
     }
 
     /// Learns like [`ParallelEngine::learn`], but on the **virtual
@@ -363,9 +424,67 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         properties: &[Predicate],
         driver: &mut dyn SimDriver,
     ) -> Option<Invariant> {
+        let window = self.threads;
+        self.run(properties, |engine, prop_ids, coi, encode_cache| {
+            // Both closures need the driver and the pending pool; RefCells
+            // keep the borrows disjoint per call (the scheduler never
+            // re-enters).
+            let pending: RefCell<Vec<Job<'a>>> = RefCell::new(Vec::new());
+            let driver = RefCell::new(driver);
+
+            engine.run_scheduler(
+                prop_ids,
+                coi,
+                encode_cache,
+                |job| pending.borrow_mut().push(job),
+                || {
+                    // The scheduler only collects while uncommitted jobs
+                    // exist, and every uncommitted job is either buffered
+                    // (collected) or pending — so the pool is non-empty.
+                    let mut pool = pending.borrow_mut();
+                    let k = pool.len().min(window);
+                    let eligible: Vec<usize> = pool[..k].iter().map(|j| j.job_idx).collect();
+                    let mut d = driver.borrow_mut();
+                    let pick = d.pick(&eligible).min(eligible.len() - 1);
+                    let job = pool.remove(pick);
+                    drop(pool);
+                    let job_idx = job.job_idx;
+                    if d.worker_dies(job_idx) {
+                        d.observe(&SchedEvent::WorkerDeath { job: job_idx });
+                        return JobDone {
+                            job_idx,
+                            solved: None,
+                            duration: Duration::ZERO,
+                        };
+                    }
+                    drop(d);
+                    let done = solve_job(job, None);
+                    driver
+                        .borrow_mut()
+                        .observe(&SchedEvent::Arrival { job: job_idx });
+                    done
+                },
+                |ev| driver.borrow_mut().observe(ev),
+            )
+        })
+    }
+
+    /// One learn run around `backend`, which drives
+    /// [`Self::run_scheduler`] on its execution model. Everything either
+    /// backend needs before the first issue and after the last commit is
+    /// here: the properties are interned and seeded as roots of the task
+    /// DAG; the encode cache is the warm one a resident service attached
+    /// (it outlives the call and keeps its recorded encodings) or a fresh
+    /// per-run cache; sessions only pay off within one run, so their
+    /// solvers are freed at its end.
+    fn run(
+        &mut self,
+        properties: &[Predicate],
+        backend: impl FnOnce(&mut Self, &[PredId], &Coi, &Arc<EncodeCache>) -> Option<Invariant>,
+    ) -> Option<Invariant> {
         let t0 = Instant::now();
         let _learn_span = hh_trace::span!("engine", "engine.learn");
-        self.stats.workers = self.threads.max(1);
+        self.stats.workers = self.threads;
         let prop_ids: Vec<PredId> = properties
             .iter()
             .map(|p| self.store.intern(p.clone()))
@@ -373,70 +492,19 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         for &p in &prop_ids {
             self.discoverer.entry(p).or_insert(None);
         }
-
-        let encode_cache = self.run_encode_cache();
-        let window = self.threads.max(1);
+        let encode_cache = self
+            .warm_cache
+            .clone()
+            .unwrap_or_else(|| Arc::new(EncodeCache::new(self.netlist)));
         let coi = Coi::new(self.netlist);
 
-        // Both closures need the driver and the pending pool; RefCells keep
-        // the borrows disjoint per call (the scheduler never re-enters).
-        let pending: RefCell<Vec<Job<'a>>> = RefCell::new(Vec::new());
-        let driver = RefCell::new(driver);
+        let result = backend(self, &prop_ids, &coi, &encode_cache);
 
-        let result = self.run_scheduler(
-            &prop_ids,
-            &coi,
-            &encode_cache,
-            |job| pending.borrow_mut().push(job),
-            || {
-                // The scheduler only collects while uncommitted jobs exist,
-                // and every uncommitted job is either buffered (collected)
-                // or pending — so the pool is non-empty here.
-                let mut pool = pending.borrow_mut();
-                let k = pool.len().min(window);
-                let eligible: Vec<usize> = pool[..k].iter().map(|j| j.job_idx).collect();
-                let mut d = driver.borrow_mut();
-                let pick = d.pick(&eligible).min(eligible.len() - 1);
-                let job = pool.remove(pick);
-                drop(pool);
-                let job_idx = job.job_idx;
-                if d.worker_dies(job_idx) {
-                    d.observe(&SchedEvent::WorkerDeath { job: job_idx });
-                    return JobDone {
-                        job_idx,
-                        solved: None,
-                        duration: Duration::ZERO,
-                    };
-                }
-                drop(d);
-                let done = solve_job(job, None);
-                driver
-                    .borrow_mut()
-                    .observe(&SchedEvent::Arrival { job: job_idx });
-                done
-            },
-            |ev| driver.borrow_mut().observe(ev),
-        );
-        self.finish_run(&encode_cache, t0);
-        result
-    }
-
-    /// End-of-run bookkeeping shared by both backends.
-    fn finish_run(&mut self, encode_cache: &EncodeCache, t0: Instant) {
         self.stats
-            .record_run_end(encode_cache, self.sessions.peak_resident_bytes());
+            .record_run_end(&encode_cache, self.sessions.peak_resident_bytes);
         self.stats.wall_time = t0.elapsed();
-        // Sessions only pay off within one learning run; free the solvers.
         self.sessions.clear();
-    }
-
-    /// The encode cache for one learn run: the warm one a resident service
-    /// attached (it outlives the call and keeps its recorded encodings), or
-    /// a fresh per-run cache.
-    fn run_encode_cache(&self) -> Arc<EncodeCache> {
-        self.warm_cache
-            .clone()
-            .unwrap_or_else(|| Arc::new(EncodeCache::new(self.netlist)))
+        result
     }
 
     /// The scheduler core shared by both backends. `dispatch` hands an
@@ -635,8 +703,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 pred: meta.pred,
                 parent: meta.parent,
                 duration: done.duration,
-                smt_time: done.duration,
-                queries: 1,
+                smt_time: result.telemetry.solve_time,
             });
             self.stats.task_time += done.duration;
             match result.abduct {
@@ -701,20 +768,20 @@ mod tests {
         (n, m)
     }
 
+    /// The threaded pool learns exactly what the thread-free serial
+    /// schedule (virtual backend, FIFO completions, window 1) learns.
     #[test]
     fn parallel_matches_serial_result() {
         let (base, m) = wide(8);
-        let e = {
-            let mut s = StateValues::initial(m.netlist());
-            let _ = &mut s;
-            s
-        };
+        let e = StateValues::initial(m.netlist());
         let t = base.find_state("t").unwrap();
         let prop = Predicate::eq(m.left(t), m.right(t));
 
         let miner_s = CoiMiner::new(&m, std::slice::from_ref(&e), None, vec![]);
-        let mut serial = crate::SerialEngine::new(m.netlist(), miner_s, EngineConfig::default());
-        let inv_s = serial.learn(std::slice::from_ref(&prop)).unwrap();
+        let mut serial = ParallelEngine::new(m.netlist(), miner_s, EngineConfig::default(), 1);
+        let inv_s = serial
+            .learn_sim(std::slice::from_ref(&prop), &mut FifoDriver)
+            .unwrap();
 
         let miner_p = CoiMiner::new(&m, std::slice::from_ref(&e), None, vec![]);
         let mut par = ParallelEngine::new(m.netlist(), miner_p, EngineConfig::default(), 4);
@@ -729,10 +796,110 @@ mod tests {
         assert!(stats.span() <= stats.simulated_time(1));
     }
 
-    #[test]
-    fn parallel_handles_failure_and_backtracking() {
-        // out' = sel ? secret : pub, as in the serial backtrack test.
+    /// One Algorithm 1 behaviour on a toy design: the base netlist and its
+    /// miter, the register whose two copies must stay equal, the positive
+    /// examples — each the reset state with the listed registers set to
+    /// `(name, left, right)` — and what the outcome must look like.
+    struct Case {
+        base: Netlist,
+        miter: Miter,
+        target: &'static str,
+        examples: Vec<StateValues>,
+        check: fn(&Case, Option<&Invariant>, &Stats),
+    }
+
+    impl Case {
+        fn new(
+            base: Netlist,
+            target: &'static str,
+            examples: &[&[(&str, u64, u64)]],
+            check: fn(&Case, Option<&Invariant>, &Stats),
+        ) -> Case {
+            let miter = Miter::build(&base);
+            let examples = examples
+                .iter()
+                .map(|regs| {
+                    let mut e = StateValues::initial(miter.netlist());
+                    for &(name, l, r) in *regs {
+                        let s = base.find_state(name).unwrap();
+                        let w = base.state_width(s);
+                        e.set(miter.left(s), Bv::new(w, l));
+                        e.set(miter.right(s), Bv::new(w, r));
+                    }
+                    e
+                })
+                .collect();
+            Case {
+                base,
+                miter,
+                target,
+                examples,
+                check,
+            }
+        }
+
+        /// `Eq` over the two copies of the named base register.
+        fn eq(&self, name: &str) -> Predicate {
+            let s = self.base.find_state(name).unwrap();
+            Predicate::eq(self.miter.left(s), self.miter.right(s))
+        }
+
+        /// The invariant a provable case learned, checked monolithically —
+        /// the correct-by-construction claim.
+        fn proved<'i>(&self, inv: Option<&'i Invariant>) -> &'i Invariant {
+            let inv = inv.expect("invariant exists");
+            assert!(inv.verify_monolithic(self.miter.netlist()));
+            inv
+        }
+    }
+
+    /// The paper's intro example: A <= B & C; B, C hold. One example,
+    /// everything 1 on both sides (the reset state).
+    fn and_gate() -> Case {
+        let mut n = Netlist::new("and_gate");
+        let b = n.state("B", 1, Bv::bit(true));
+        let c = n.state("C", 1, Bv::bit(true));
+        let a = n.state("A", 1, Bv::bit(true));
+        let band = n.and(n.state_node(b), n.state_node(c));
+        n.set_next(a, band);
+        n.keep_state(b);
+        n.keep_state(c);
+        Case::new(n, "A", &[&[]], |case, inv, stats| {
+            let inv = case.proved(inv);
+            // Eq(A), Eq(B), Eq(C) (possibly with EqConst variants).
+            assert!(inv.contains(&case.eq("A")));
+            assert!(inv.len() >= 3);
+            // The invariant admits the positive example (precision).
+            assert!(inv.holds_on(&case.examples[0]));
+            assert!(stats.num_tasks() >= 3);
+            assert_eq!(stats.backtracks, 0);
+        })
+    }
+
+    /// Cyclic dependency (two registers swapping) must terminate and solve:
+    /// Eq(y) rediscovers Eq(x) after Eq(x) committed, so the cycle closes
+    /// on the memoised solution.
+    fn swap() -> Case {
+        let mut n = Netlist::new("swap");
+        let x = n.state("x", 4, Bv::zero(4));
+        let y = n.state("y", 4, Bv::zero(4));
+        let xn = n.state_node(x);
+        let yn = n.state_node(y);
+        n.set_next(x, yn);
+        n.set_next(y, xn);
+        Case::new(n, "x", &[&[]], |case, inv, stats| {
+            assert!(case.proved(inv).len() >= 2); // Eq(x) and Eq(y)
+            assert_eq!(stats.num_tasks(), 2);
+            assert!(stats.memo_hits >= 1, "hits: {}", stats.memo_hits);
+        })
+    }
+
+    /// Backtracking: a mux register can be proven equal either via its
+    /// selected input (which fails) or via pinning the selector. Mirrors
+    /// Figure 1 / the Appendix C backtrack.
+    fn mux_backtrack() -> Case {
         let mut n = Netlist::new("bt");
+        // sel holds 0 forever; out' = sel ? secret : pub; pub/secret hold.
         let sel = n.state("sel", 1, Bv::bit(false));
         let secret = n.state("secret", 4, Bv::zero(4));
         let publ = n.state("pub", 4, Bv::zero(4));
@@ -745,39 +912,97 @@ mod tests {
         let pubn = n.state_node(publ);
         let muxed = n.ite(seln, secn, pubn);
         n.set_next(out, muxed);
-        let m = Miter::build(&n);
-        let mut e = StateValues::initial(m.netlist());
-        let sb = n.find_state("secret").unwrap();
-        e.set(m.left(sb), Bv::new(4, 3));
-        e.set(m.right(sb), Bv::new(4, 9));
-        let miner = CoiMiner::new(&m, &[e], None, vec![]);
-        let mut par = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), 3);
-        let ob = n.find_state("out").unwrap();
-        let prop = Predicate::eq(m.left(ob), m.right(ob));
-        let inv = par.learn(&[prop]).expect("provable with backtracking");
-        assert!(inv.verify_monolithic(m.netlist()));
-        let eq_secret = Predicate::eq(m.left(sb), m.right(sb));
-        assert!(!inv.contains(&eq_secret));
+        // Example: secrets differ; sel = 0; pub equal; out equal.
+        Case::new(n, "out", &[&[("secret", 3, 9)]], |case, inv, _| {
+            let inv = case.proved(inv);
+            // The invariant must pin the selector, not the secret.
+            let sel = case.base.find_state("sel").unwrap();
+            let (l, r) = (case.miter.left(sel), case.miter.right(sel));
+            let pin = Predicate::eq_const(l, r, Bv::bit(false));
+            assert!(inv.contains(&pin) || inv.contains(&case.eq("sel")));
+            assert!(!inv.contains(&case.eq("secret")));
+        })
     }
 
-    #[test]
-    fn parallel_reports_unprovable() {
+    /// The property is unprovable: the observable copies a secret whose
+    /// example values differ between the sides.
+    fn leak() -> Case {
         let mut n = Netlist::new("leak");
         let s = n.state("secret", 4, Bv::zero(4));
         let o = n.state("obs", 4, Bv::zero(4));
         let sn = n.state_node(s);
         n.keep_state(s);
         n.set_next(o, sn);
-        let m = Miter::build(&n);
-        let mut e = StateValues::initial(m.netlist());
-        let sb = n.find_state("secret").unwrap();
-        e.set(m.left(sb), Bv::new(4, 1));
-        e.set(m.right(sb), Bv::new(4, 2));
-        let miner = CoiMiner::new(&m, &[e], None, vec![]);
-        let mut par = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), 2);
-        let ob = n.find_state("obs").unwrap();
-        let prop = Predicate::eq(m.left(ob), m.right(ob));
-        assert!(par.learn(&[prop]).is_none());
+        Case::new(n, "obs", &[&[("secret", 1, 2)]], |_, inv, _| {
+            assert!(inv.is_none())
+        })
+    }
+
+    /// Diamond: t' = l XOR r, where l and r both copy the shared upstream
+    /// register. Eq(t) needs Eq(l) AND Eq(r), and both reduce to Eq(up) —
+    /// which must only be analysed once (paper §3.2.1 overlap argument).
+    fn diamond() -> Case {
+        let mut n = Netlist::new("diamond");
+        let up = n.state("up", 1, Bv::bit(false));
+        let l = n.state("l", 1, Bv::bit(false));
+        let r = n.state("r", 1, Bv::bit(false));
+        let t = n.state("t", 1, Bv::bit(false));
+        n.keep_state(up);
+        let un = n.state_node(up);
+        n.set_next(l, un);
+        n.set_next(r, un);
+        let ln = n.state_node(l);
+        let rn = n.state_node(r);
+        let bxor = n.xor(ln, rn);
+        n.set_next(t, bxor);
+        // Two examples with different values so no EqConst is minable and
+        // the shared Eq(up) predicate is forced.
+        let ones: &[(&str, u64, u64)] = &[("up", 1, 1), ("l", 1, 1), ("r", 1, 1)];
+        Case::new(n, "t", &[&[], ones], |case, inv, stats| {
+            assert!(case.proved(inv).contains(&case.eq("up")));
+            // `up` is in the cone of both l and r; the second visit must
+            // not be a new task. The siblings are in flight together and
+            // commit before `up` does, so it is the in-flight set that
+            // absorbs the visit here (the memo does when the first visit
+            // has committed: see `swap`).
+            assert_eq!(stats.num_tasks(), 4); // t, l, r, up — up only once
+        })
+    }
+
+    /// Memoisation, cycles, backtracking, failure and overlap, each on the
+    /// thread-free serial schedule (virtual backend, window 1) and on pools
+    /// of 1 and 3 workers: every run passes the case's checks, and the
+    /// three agree on the invariant, the solution table and the task count.
+    #[test]
+    fn algorithm_1_cases_agree_on_every_backend() {
+        for case in [and_gate(), swap(), mux_backtrack(), leak(), diamond()] {
+            let name = case.base.name().to_string();
+            let prop = case.eq(case.target);
+            let mut reference = None;
+            for (threads, threaded) in [(1, false), (1, true), (3, true)] {
+                let miner = CoiMiner::new(&case.miter, &case.examples, None, vec![]);
+                let config = EngineConfig::default();
+                let mut eng = ParallelEngine::new(case.miter.netlist(), miner, config, threads);
+                let inv = if threaded {
+                    eng.learn(std::slice::from_ref(&prop))
+                } else {
+                    eng.learn_sim(std::slice::from_ref(&prop), &mut FifoDriver)
+                };
+                (case.check)(&case, inv.as_ref(), eng.stats());
+                let got = (
+                    inv.map(|i| i.preds().to_vec()),
+                    eng.solutions(),
+                    eng.stats().num_tasks(),
+                );
+                match &reference {
+                    None => reference = Some(got),
+                    Some(expect) => assert_eq!(
+                        expect, &got,
+                        "{name}: {threads} thread(s) vs the window-1 virtual run"
+                    ),
+                }
+            }
+        }
     }
 
     #[test]
@@ -807,18 +1032,6 @@ mod tests {
             );
             assert!(stats.encode_vars_saved > 0);
         }
-    }
-
-    #[test]
-    fn single_thread_parallel_engine_works() {
-        let (base, m) = wide(3);
-        let e = StateValues::initial(m.netlist());
-        let t = base.find_state("t").unwrap();
-        let prop = Predicate::eq(m.left(t), m.right(t));
-        let miner = CoiMiner::new(&m, &[e], None, vec![]);
-        let mut par = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), 1);
-        let inv = par.learn(&[prop]).unwrap();
-        assert!(inv.verify_monolithic(m.netlist()));
     }
 
     /// Regression for the worker-panic hang: before the `catch_unwind`

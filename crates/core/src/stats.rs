@@ -1,33 +1,31 @@
 //! Learning-run telemetry: the task tree, SMT-time accounting, and the
 //! virtual-core scheduler used to regenerate the paper's Figures 2–5.
 //!
-//! Each H-Houdini *task* (one execution of the function body for one target
-//! predicate, paper §6.3) records its own work time, its SMT time and the
-//! task that discovered it. The resulting task DAG is exactly the structure
-//! the paper parallelises, so given the per-task durations we can replay the
-//! run on any number of virtual cores (greedy list scheduling) — including
-//! the paper's "∞ cores" span measurement — independent of how many physical
-//! cores this machine has.
+//! Each H-Houdini *task* (one abduction query for one target predicate —
+//! a retried target is a new task; paper §6.3) records its work time, the
+//! SAT share of it and the task that discovered it. The resulting task DAG
+//! is exactly the structure the paper parallelises, so given the per-task
+//! durations we can replay the run on any number of virtual cores (greedy
+//! list scheduling) — including the paper's "∞ cores" span measurement —
+//! independent of how many physical cores this machine has.
 
 use crate::store::PredId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Duration;
 
-/// One H-Houdini task (a non-memoised solve of one target predicate).
+/// One H-Houdini task (one abduction query for one target predicate).
 #[derive(Debug, Clone)]
 pub struct TaskRecord {
     /// Target predicate of the task.
     pub pred: PredId,
     /// Index of the discovering (parent) task, if any.
     pub parent: Option<usize>,
-    /// The task's own work time (mining + SMT queries + bookkeeping),
-    /// excluding time spent inside recursive child tasks.
+    /// The query's time on its worker: encoding plus SAT solving.
     pub duration: Duration,
-    /// Time spent inside SMT solving.
+    /// The part of `duration` spent inside SAT solving (first solve plus
+    /// minimisation probes); the rest is bit-blasting or encode replay.
     pub smt_time: Duration,
-    /// Number of abduction queries issued (>1 means backtracking).
-    pub queries: usize,
 }
 
 /// Aggregated statistics of one learning run.
@@ -42,11 +40,9 @@ pub struct Stats {
     pub backtracks: usize,
     /// Total abduction/induction queries issued.
     pub smt_queries: usize,
-    /// Individual SMT query durations.
+    /// Individual SMT query durations (one per task, in commit order).
     pub query_durations: Vec<Duration>,
-    /// Total SMT time.
-    pub smt_time: Duration,
-    /// Total task (function body) time.
+    /// Total task time: the sum of the tasks' durations.
     pub task_time: Duration,
     /// End-to-end wall-clock of the learning call.
     pub wall_time: Duration,
@@ -125,13 +121,12 @@ pub struct Stats {
     pub examples_raw: u64,
     /// Distinct product states: the positive examples the miner received.
     pub examples_unique: u64,
-    /// Worker threads the run was configured with (1 for the serial
-    /// engine; merging keeps the maximum).
+    /// Worker threads the run was configured with (the reordering window
+    /// of a virtual run; merging keeps the maximum).
     pub workers: usize,
-    /// Total worker solve time: the sum of committed job durations in the
-    /// parallel engine (equal to the sum of task durations there), or the
-    /// sum of task durations in the serial engine. Divided by
-    /// `workers × wall_time` this is the scheduler occupancy.
+    /// Total worker solve time: the sum of committed job durations, equal
+    /// to `task_time` for a single run. Divided by `workers × wall_time`
+    /// this is the scheduler occupancy.
     ///
     /// Accounting invariant: each completed job is folded in **exactly
     /// once, at its commit**. The streaming scheduler's reorder buffer may
@@ -153,9 +148,10 @@ impl Stats {
         self.tasks.len()
     }
 
-    /// Median of the individual SMT query durations (Figure 4).
+    /// Median of the tasks' SAT solve times (Figure 4).
     pub fn median_smt_query(&self) -> Duration {
-        median(&mut self.query_durations.clone())
+        let mut d: Vec<Duration> = self.tasks.iter().map(|t| t.smt_time).collect();
+        median(&mut d)
     }
 
     /// Median task duration (Figure 4).
@@ -176,13 +172,13 @@ impl Stats {
         d[idx.min(d.len() - 1)]
     }
 
-    /// Fraction of task time spent inside the SMT solver (Figure 4 reports
-    /// roughly 50%).
+    /// Fraction of task time spent inside the SAT solver — the rest is
+    /// encoding (Figure 4 reports roughly 50%).
     pub fn smt_fraction(&self) -> f64 {
         if self.task_time.is_zero() {
             return 0.0;
         }
-        self.smt_time.as_secs_f64() / self.task_time.as_secs_f64()
+        self.solve_time.as_secs_f64() / self.task_time.as_secs_f64()
     }
 
     /// Replays the task DAG on `cores` virtual cores with greedy list
@@ -236,7 +232,6 @@ impl Stats {
 
     pub(crate) fn record_query(&mut self, d: Duration) {
         self.smt_queries += 1;
-        self.smt_time += d;
         self.query_durations.push(d);
         hh_trace::counter!("engine", "engine.query", 1);
     }
@@ -333,7 +328,6 @@ impl Stats {
         self.smt_queries += other.smt_queries;
         self.query_durations
             .extend(other.query_durations.iter().copied());
-        self.smt_time += other.smt_time;
         self.task_time += other.task_time;
         self.wall_time = self.wall_time.max(other.wall_time);
         self.session_hits += other.session_hits;
@@ -431,7 +425,6 @@ mod tests {
             parent,
             duration: Duration::from_millis(ms),
             smt_time: Duration::from_millis(ms / 2),
-            queries: 1,
         }
     }
 

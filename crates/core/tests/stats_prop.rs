@@ -30,7 +30,6 @@ fn arb_stats() -> impl Strategy<Value = Stats> {
                         parent,
                         duration: d,
                         smt_time: d / 2,
-                        queries: 1,
                     });
                     s.task_time += d;
                 }

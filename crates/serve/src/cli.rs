@@ -65,7 +65,11 @@ fn serve_main(argv: &[String]) -> ExitCode {
             "--socket" => config.bind = Bind::Unix(PathBuf::from(val(&mut it))),
             "--state-dir" => config.state_dir = Some(PathBuf::from(val(&mut it))),
             "--threads" => match val(&mut it).parse() {
-                Ok(n) => config.threads = n,
+                Ok(n) if n <= MAX_THREADS => config.threads = n,
+                Ok(_) => {
+                    eprintln!("--threads must be in 0..={MAX_THREADS} (0 = all cores)");
+                    serve_usage();
+                }
                 Err(_) => serve_usage(),
             },
             "--checkpoint-every" => match val(&mut it).parse() {

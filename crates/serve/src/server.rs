@@ -37,8 +37,9 @@ pub struct ServerConfig {
     pub bind: Bind,
     /// Persistence root, or `None` for a memory-only daemon.
     pub state_dir: Option<PathBuf>,
-    /// Default engine threads for requests that do not specify `threads`
-    /// (0 = all available cores).
+    /// Default engine threads for requests that do not specify `threads`:
+    /// at most 256, the bound on the frame field ([`Server::bind`] refuses
+    /// more); 0 = all available cores, up to the same bound.
     pub threads: usize,
     /// Auto-checkpoint after every N successful learn/verify requests
     /// (0 = only on explicit `checkpoint` and on `shutdown`).
@@ -107,6 +108,14 @@ impl Server {
     /// Binds the socket and restores warm state from the state directory
     /// (if any). Returns the server plus restore warnings for logging.
     pub fn bind(config: ServerConfig) -> std::io::Result<(Server, Vec<String>)> {
+        if config.threads > MAX_THREADS {
+            // A learn frame without `threads` takes this value unchecked,
+            // and every thread is a spawn.
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("threads must be in 0..={MAX_THREADS} (0 = all cores)"),
+            ));
+        }
         let (listener, local_addr) = match &config.bind {
             Bind::Tcp(addr) => {
                 let l = TcpListener::bind(addr)?;
@@ -414,7 +423,7 @@ impl Inner {
             self.config.threads
         } else {
             std::thread::available_parallelism()
-                .map(|n| n.get())
+                .map(|n| n.get().min(MAX_THREADS))
                 .unwrap_or(1)
         };
         let opts = RunOptions {

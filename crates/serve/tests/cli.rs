@@ -1,5 +1,6 @@
-//! The batch CLI refuses flag values the engine and the core builders
-//! assert on with its usage text and exit status 2, not a panic (101).
+//! The batch CLI and `veloct serve` refuse flag values the engine and the
+//! core builders assert on with their usage text and exit status 2, not a
+//! panic (101).
 
 use std::process::Command;
 
@@ -64,4 +65,58 @@ fn connect_learn_with_no_pairs_is_a_bad_request_and_the_daemon_survives() {
     }
     Client::connect_tcp(&addr).unwrap().shutdown().unwrap();
     daemon.join().unwrap().unwrap();
+}
+
+/// `veloct serve --threads` is the default of every `learn` frame that
+/// omits `threads`, and each thread is a spawn: a value the frame field
+/// would refuse is refused at startup (once it was taken unchecked, and the
+/// first such frame spawned until `EAGAIN` and killed the daemon). The
+/// largest value allowed and 0 (all cores) serve such a frame.
+#[cfg(unix)]
+#[test]
+fn serve_threads_flag_is_bounded_like_the_frame_field() {
+    use hh_serve::client::Client;
+    use hh_serve::json::Json;
+
+    let sock = std::env::temp_dir().join(format!("hh-serve-cli-{}.sock", std::process::id()));
+    let serve = |threads: &str| {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_veloct"));
+        cmd.args(["serve", "--socket"]).arg(&sock);
+        cmd.args(["--threads", threads]);
+        cmd
+    };
+
+    for threads in ["257", "1000000"] {
+        let out = serve(threads).output().expect("run veloct serve");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--threads {threads}: {stderr}");
+        assert!(stderr.contains("--threads must be in 0..=256"), "{stderr}");
+        assert!(stderr.contains("usage: veloct serve"), "{stderr}");
+    }
+
+    for threads in ["256", "0"] {
+        let _ = std::fs::remove_file(&sock);
+        let mut daemon = serve(threads)
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn veloct serve");
+        let mut client = (0..200).find_map(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            Client::connect_unix(&sock).ok()
+        });
+        let client = client.as_mut().expect("daemon listens");
+        let design = Json::obj(vec![
+            ("name", Json::Str("rocket".to_string())),
+            ("builtin", Json::Str("rocketlite".to_string())),
+        ]);
+        let fields = vec![
+            ("design", design),
+            ("safe", Json::Str("alu".to_string())),
+            ("pairs", Json::Int(1)),
+        ];
+        let resp = client.request("learn", fields).expect("learn served");
+        assert_eq!(resp.get("result").unwrap().as_str(), Some("proved"));
+        client.shutdown().expect("shutdown");
+        assert!(daemon.wait().expect("daemon exits").success());
+    }
 }

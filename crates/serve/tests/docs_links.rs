@@ -96,24 +96,113 @@ fn serve_doc_set_is_complete() {
     }
 }
 
-/// Every `serve.*` trace record the daemon emits is documented in both
-/// TRACE_SCHEMA.md (the stable vocabulary) and MONITORING.md (the
-/// runbook), and conversely everything documented is actually emitted —
-/// the sources are scanned for the literal counter!/event! names.
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()) {
+        if entry.is_dir() {
+            rust_sources(&entry, out);
+        } else if entry.extension().is_some_and(|x| x == "rs") {
+            out.push(entry);
+        }
+    }
+}
+
+/// If `text` starts (after whitespace) with a string literal, the literal's
+/// contents and the text after its closing quote.
+fn leading_literal(text: &str) -> Option<(&str, &str)> {
+    let body = text.trim_start().strip_prefix('"')?;
+    let end = body.find('"')?;
+    Some((&body[..end], &body[end + 1..]))
+}
+
+/// Every trace record the workspace can emit, as `(macro, name)`: the
+/// `span!` / `counter!` / `event!` invocations under `crates/*/src` whose
+/// category and name are string literals. hh-trace itself is skipped — the
+/// macros' own crate holds their definitions, doc examples and unit tests.
+fn emitted_records() -> std::collections::BTreeSet<(&'static str, String)> {
+    let mut sources = Vec::new();
+    for krate in std::fs::read_dir(repo_root().join("crates")).unwrap() {
+        let krate = krate.unwrap().path();
+        if krate.file_name().unwrap() != "trace" && krate.join("src").is_dir() {
+            rust_sources(&krate.join("src"), &mut sources);
+        }
+    }
+    let mut emitted = std::collections::BTreeSet::new();
+    for file in sources {
+        let text = std::fs::read_to_string(&file).unwrap();
+        for kind in ["span", "counter", "event"] {
+            let call = format!("{kind}!(");
+            for (pos, _) in text.match_indices(&call) {
+                let args = &text[pos + call.len()..];
+                let Some((_cat, rest)) = leading_literal(args) else {
+                    continue;
+                };
+                let Some(rest) = rest.trim_start().strip_prefix(',') else {
+                    continue;
+                };
+                if let Some((name, _)) = leading_literal(rest) {
+                    emitted.insert((kind, name.to_string()));
+                }
+            }
+        }
+    }
+    emitted
+}
+
+/// The backticked first-column names of the table under the `## ` heading
+/// of `doc` that contains `heading`.
+fn table_rows(doc: &str, heading: &str) -> Vec<String> {
+    let section = doc
+        .split("\n## ")
+        .find(|s| s.lines().next().unwrap().contains(heading))
+        .unwrap_or_else(|| panic!("no `## ` section for {heading}"));
+    section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split_once('`'))
+        .map(|(name, _)| name.to_string())
+        .collect()
+}
+
+/// TRACE_SCHEMA.md's Spans, Instants and Counters tables name exactly the
+/// records the sources emit through `span!`, `event!` and `counter!`: a
+/// new record cannot ship undocumented, and a row cannot outlive the code
+/// that emitted it.
+#[test]
+fn trace_vocabulary_matches_docs() {
+    let schema = std::fs::read_to_string(repo_root().join("docs/TRACE_SCHEMA.md")).unwrap();
+    let emitted = emitted_records();
+    for (kind, heading) in [
+        ("span", "Spans"),
+        ("event", "Instants"),
+        ("counter", "Counters"),
+    ] {
+        let code: Vec<String> = emitted
+            .iter()
+            .filter(|(k, _)| *k == kind)
+            .map(|(_, name)| name.clone())
+            .collect();
+        assert!(code.len() >= 5, "{kind}! scan found only {code:?}");
+        let mut rows = table_rows(&schema, heading);
+        rows.sort();
+        assert_eq!(
+            rows, code,
+            "TRACE_SCHEMA.md `## {heading}` rows vs the {kind}! literals under crates/*/src"
+        );
+    }
+}
+
+/// Every `serve.*` trace record the daemon emits is also mapped in
+/// MONITORING.md (the runbook), and conversely neither document promises a
+/// `serve.*` record the code never emits.
 #[test]
 fn serve_trace_vocabulary_matches_docs() {
     let root = repo_root();
-    let mut emitted = std::collections::BTreeSet::new();
-    for src in ["server.rs", "state.rs"] {
-        let text = std::fs::read_to_string(root.join("crates/serve/src").join(src)).unwrap();
-        let mut rest = text.as_str();
-        while let Some(pos) = rest.find("\"serve.") {
-            let tail = &rest[pos + 1..];
-            let end = tail.find('"').unwrap();
-            emitted.insert(tail[..end].to_string());
-            rest = &tail[end..];
-        }
-    }
+    let emitted: std::collections::BTreeSet<String> = emitted_records()
+        .into_iter()
+        .map(|(_, name)| name)
+        .filter(|name| name.starts_with("serve."))
+        .collect();
     assert!(
         emitted.len() >= 12,
         "serve trace vocabulary shrank: {emitted:?}"
@@ -122,7 +211,6 @@ fn serve_trace_vocabulary_matches_docs() {
     let schema = std::fs::read_to_string(root.join("docs/TRACE_SCHEMA.md")).unwrap();
     let runbook = std::fs::read_to_string(root.join("docs/MONITORING.md")).unwrap();
     for name in &emitted {
-        assert!(schema.contains(name), "TRACE_SCHEMA.md missing {name}");
         assert!(runbook.contains(name), "MONITORING.md missing {name}");
     }
     // And the docs do not promise records the code never emits.
@@ -181,21 +269,6 @@ fn pub_fields(file: &str, name: &str) -> Vec<String> {
         .collect()
 }
 
-/// The first-column names of the table under the `## ` heading of
-/// TUNING.md that mentions `` `heading` ``.
-fn tuning_rows(tuning: &str, heading: &str) -> Vec<String> {
-    let section = tuning
-        .split("\n## ")
-        .find(|s| s.lines().next().unwrap().contains(&format!("`{heading}`")))
-        .unwrap_or_else(|| panic!("TUNING.md has no section for {heading}"));
-    section
-        .lines()
-        .filter_map(|l| l.strip_prefix("| `"))
-        .filter_map(|l| l.split_once('`'))
-        .map(|(name, _)| name.to_string())
-        .collect()
-}
-
 /// TUNING.md's table for each configuration struct names exactly that
 /// struct's `pub` fields, so a deleted knob cannot linger in the docs and a
 /// new one cannot ship undocumented.
@@ -204,7 +277,7 @@ fn tuning_tables_match_config_structs() {
     let tuning = std::fs::read_to_string(repo_root().join("docs/TUNING.md")).unwrap();
     for (file, name, heading) in [
         (
-            "crates/core/src/engine.rs",
+            "crates/core/src/parallel.rs",
             "EngineConfig",
             "hhoudini::EngineConfig",
         ),
@@ -221,7 +294,7 @@ fn tuning_tables_match_config_structs() {
         ),
     ] {
         let mut fields = pub_fields(file, name);
-        let mut rows = tuning_rows(&tuning, heading);
+        let mut rows = table_rows(&tuning, &format!("`{heading}`"));
         assert!(!fields.is_empty(), "{name} parsed to no fields");
         fields.sort();
         rows.sort();

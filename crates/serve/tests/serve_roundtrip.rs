@@ -1085,6 +1085,24 @@ fn unix_socket_round_trip() {
     assert!(!sock.exists(), "socket file removed on shutdown");
 }
 
+/// A default thread count beyond what a `learn` frame may ask for is
+/// refused at bind: frames without `threads` would take it unchecked.
+#[test]
+fn bind_refuses_a_default_thread_count_above_the_frame_bound() {
+    let bind = |threads| {
+        Server::bind(ServerConfig {
+            bind: Bind::Tcp("127.0.0.1:0".to_string()),
+            threads,
+            ..ServerConfig::default()
+        })
+    };
+    let err = bind(257).err().expect("257 threads must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("0..=256"), "{err}");
+    assert!(bind(256).is_ok());
+    assert!(bind(0).is_ok());
+}
+
 // ---------------------------------------------------------------------------
 // Trace counters
 // ---------------------------------------------------------------------------

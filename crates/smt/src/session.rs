@@ -26,10 +26,10 @@
 //!
 //! The CDCL solver is deterministic, so a session's answer is a pure
 //! function of its **query history** (the sequence of candidate sets it was
-//! asked about). Both engines issue per-target query sequences that are
-//! themselves deterministic — the serial engine by construction, the
-//! streaming engine by committing results in issue order — so learned
-//! invariants are reproducible run-to-run and across thread counts.
+//! asked about). The engine issues per-target query sequences that are
+//! themselves deterministic — its scheduler commits results in issue order
+//! — so learned invariants are reproducible run-to-run and across thread
+//! counts.
 //!
 //! A reused solver does carry learnt clauses, so a *retry*'s raw UNSAT core
 //! can in principle differ from the core a fresh solver would report; both

@@ -14,7 +14,7 @@
 //!    backtracks until it correctly reports that no invariant exists.
 
 use hh_suite::hhoudini::mine::CoiMiner;
-use hh_suite::hhoudini::{EngineConfig, SerialEngine};
+use hh_suite::hhoudini::{EngineConfig, ParallelEngine};
 use hh_suite::netlist::eval::{InputValues, StateValues};
 use hh_suite::netlist::miter::Miter;
 use hh_suite::netlist::Bv;
@@ -106,7 +106,7 @@ fn learn(stage: &ExecStage, allow_mul: bool) {
         })
         .collect();
     let miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
-    let mut engine = SerialEngine::new(miter.netlist(), miner, EngineConfig::default());
+    let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 1);
     let prop = Predicate::eq(miter.left(stage.valid), miter.right(stage.valid));
 
     let label = if allow_mul { "ADD+MUL" } else { "ADD-only" };

@@ -10,7 +10,7 @@
 //! pipeline works from the external format, as the paper's tool does.
 
 use hh_suite::hhoudini::mine::CoiMiner;
-use hh_suite::hhoudini::{EngineConfig, SerialEngine};
+use hh_suite::hhoudini::{EngineConfig, ParallelEngine};
 use hh_suite::isa::asm;
 use hh_suite::isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_suite::netlist::btor2::{parse_btor2, to_btor2};
@@ -86,7 +86,7 @@ fn main() {
 
     let examples = generate_examples(&design, &miter, &safe, 1, 1).expect("safe set");
     let miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
-    let mut engine = SerialEngine::new(miter.netlist(), miner, EngineConfig::default());
+    let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 1);
     let props: Vec<Predicate> = design
         .observable
         .iter()

@@ -13,7 +13,7 @@
 //! command is correctly rejected.
 
 use hh_suite::hhoudini::mine::CoiMiner;
-use hh_suite::hhoudini::{EngineConfig, SerialEngine};
+use hh_suite::hhoudini::{EngineConfig, ParallelEngine};
 use hh_suite::netlist::eval::StateValues;
 use hh_suite::netlist::miter::Miter;
 use hh_suite::netlist::{Bv, Netlist, StateId};
@@ -168,7 +168,7 @@ fn learn(accel: &Accel, allow_reduce: bool) {
         })
         .collect();
     let miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
-    let mut engine = SerialEngine::new(miter.netlist(), miner, EngineConfig::default());
+    let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 1);
     let prop = Predicate::eq(miter.left(accel.done), miter.right(accel.done));
     match engine.learn(&[prop]) {
         Some(inv) => {

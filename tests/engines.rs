@@ -1,15 +1,14 @@
-//! Engine-level integration: serial vs parallel agreement, memoisation and
-//! scheduling telemetry, baseline cross-checks — all on real processor
-//! designs rather than toy circuits.
+//! Engine-level integration: the worker pool against the thread-free serial
+//! schedule, memoisation and scheduling telemetry, baseline cross-checks —
+//! all on real processor designs rather than toy circuits.
 
 use hh_suite::hhoudini::baselines::BaselineBudget;
 use hh_suite::hhoudini::mine::{CoiMiner, Miner};
-use hh_suite::hhoudini::{EngineConfig, ParallelEngine, PredicateStore, SerialEngine};
+use hh_suite::hhoudini::{EngineConfig, FifoDriver, Invariant, ParallelEngine, PredicateStore};
 use hh_suite::isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_suite::netlist::miter::Miter;
 use hh_suite::smt::{abduct, check_relative_inductive, EncodeScope, Predicate};
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
-use hh_suite::uarch::decode::matches_pattern;
 use hh_suite::uarch::rocketlite::rocket_lite;
 use hh_suite::uarch::Design;
 use hh_suite::veloct::examples::{generate_examples, generate_examples_custom};
@@ -23,7 +22,7 @@ fn alu_set() -> Vec<Mnemonic> {
         .collect()
 }
 
-/// Builds the constrained miter + examples + miner for a design/safe set.
+/// Builds the constrained miter, examples and property for a design/safe set.
 fn setup(
     design: &Design,
     safe: &[Mnemonic],
@@ -32,43 +31,37 @@ fn setup(
     Vec<hh_suite::netlist::eval::StateValues>,
     Vec<Predicate>,
 ) {
-    let mut miter = Miter::build(&design.netlist);
-    let patterns = instruction_patterns(safe);
-    let instr = miter.netlist().find_input(&design.instr_input).unwrap();
-    let terms: Vec<_> = patterns
-        .iter()
-        .map(|p| {
-            let mm = hh_suite::isa::MaskMatch {
-                mask: p.mask as u32,
-                matches: p.value as u32,
-            };
-            matches_pattern(miter.netlist_mut(), instr, mm)
-        })
-        .collect();
-    let c = miter.netlist_mut().or_all(&terms);
-    miter.netlist_mut().add_constraint(c);
+    let veloct = Veloct::new(design);
+    let (miter, _) = veloct.build_miter(safe);
     let examples = generate_examples(design, &miter, safe, 1, 42).expect("safe set");
-    let props: Vec<Predicate> = design
-        .observable
-        .iter()
-        .map(|&o| Predicate::eq(miter.left(o), miter.right(o)))
-        .collect();
+    let props = veloct.property(&miter);
     (miter, examples, props)
 }
 
-#[test]
-fn serial_and_parallel_agree_on_rocketlite() {
-    let design = rocket_lite(16);
-    let safe = alu_set();
-    let (miter, examples, props) = setup(&design, &safe);
-    let patterns = instruction_patterns(&safe);
+/// The serial reference: the engine's virtual backend with completions in
+/// issue order and a window of one job — no thread is spawned, and every
+/// job is solved on the calling thread before the next is picked.
+fn learn_serial(
+    miter: &Miter,
+    examples: &[hh_suite::netlist::eval::StateValues],
+    safe: &[Mnemonic],
+    props: &[Predicate],
+) -> Invariant {
+    let miner = CoiMiner::new(miter, examples, Some(instruction_patterns(safe)), vec![]);
+    let mut serial = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 1);
+    serial
+        .learn_sim(props, &mut FifoDriver)
+        .expect("serial invariant")
+}
 
-    let miner_s = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
-    let mut serial = SerialEngine::new(miter.netlist(), miner_s, EngineConfig::default());
-    let inv_s = serial.learn(&props).expect("serial invariant");
+/// A pool of `threads` workers learns exactly the serial reference's
+/// invariant, and both are inductive.
+fn assert_pool_matches_serial(design: &Design, safe: &[Mnemonic], threads: usize) {
+    let (miter, examples, props) = setup(design, safe);
+    let inv_s = learn_serial(&miter, &examples, safe, &props);
 
-    let miner_p = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
-    let mut par = ParallelEngine::new(miter.netlist(), miner_p, EngineConfig::default(), 3);
+    let miner_p = CoiMiner::new(&miter, &examples, Some(instruction_patterns(safe)), vec![]);
+    let mut par = ParallelEngine::new(miter.netlist(), miner_p, EngineConfig::default(), threads);
     let inv_p = par.learn(&props).expect("parallel invariant");
 
     assert!(inv_s.verify_monolithic(miter.netlist()));
@@ -76,13 +69,17 @@ fn serial_and_parallel_agree_on_rocketlite() {
     assert_eq!(
         inv_s.preds(),
         inv_p.preds(),
-        "engines must find the same invariant"
+        "the pool must find the serial schedule's invariant"
     );
 }
 
 #[test]
+fn serial_and_parallel_agree_on_rocketlite() {
+    assert_pool_matches_serial(&rocket_lite(16), &alu_set(), 3);
+}
+
+#[test]
 fn serial_and_parallel_agree_on_boomlite() {
-    let design = boom_lite(BoomVariant::Small, 16);
     let safe: Vec<Mnemonic> = ALL_MNEMONICS
         .iter()
         .copied()
@@ -90,42 +87,20 @@ fn serial_and_parallel_agree_on_boomlite() {
             (m.class() == InstrClass::Alu && *m != Mnemonic::Auipc) || m.class() == InstrClass::Mul
         })
         .collect();
-    let (miter, examples, props) = setup(&design, &safe);
-    let patterns = instruction_patterns(&safe);
-
-    let miner_s = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
-    let mut serial = SerialEngine::new(miter.netlist(), miner_s, EngineConfig::default());
-    let inv_s = serial.learn(&props).expect("serial invariant");
-
-    let miner_p = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
-    let mut par = ParallelEngine::new(miter.netlist(), miner_p, EngineConfig::default(), 4);
-    let inv_p = par.learn(&props).expect("parallel invariant");
-
-    assert!(inv_s.verify_monolithic(miter.netlist()));
-    assert!(inv_p.verify_monolithic(miter.netlist()));
-    // Both inductive and both prove the property; exact predicate sets may
-    // differ by solver nondeterminism across wave orderings, but sizes
-    // should be close.
-    let (a, b) = (inv_s.len(), inv_p.len());
-    assert!(
-        a.abs_diff(b) <= a.max(b) / 2,
-        "sizes too different: {a} vs {b}"
-    );
+    assert_pool_matches_serial(&boom_lite(BoomVariant::Small, 16), &safe, 4);
 }
 
 #[test]
 fn streaming_engine_is_deterministic_across_thread_counts() {
     // The streaming scheduler commits results in issue order, so the learned
     // invariant — and the task DAG itself — must be identical for any worker
-    // count, and identical to the serial engine's.
+    // count, and identical to the thread-free serial schedule's.
     let design = rocket_lite(16);
     let safe = alu_set();
     let (miter, examples, props) = setup(&design, &safe);
     let patterns = instruction_patterns(&safe);
 
-    let miner_s = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
-    let mut serial = SerialEngine::new(miter.netlist(), miner_s, EngineConfig::default());
-    let inv_s = serial.learn(&props).expect("serial invariant");
+    let inv_s = learn_serial(&miter, &examples, &safe, &props);
     assert!(inv_s.verify_monolithic(miter.netlist()));
 
     let mut reference: Option<(Vec<_>, usize, u64)> = None;
@@ -256,7 +231,7 @@ fn session_cache_ablation_preserves_results_and_saves_encoding() {
     let netlist = miter.netlist();
 
     let miner = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
-    let mut eng = SerialEngine::new(netlist, miner, EngineConfig::default());
+    let mut eng = ParallelEngine::new(netlist, miner, EngineConfig::default(), 1);
     eng.learn(&props).expect("invariant");
     let stats = eng.stats();
     assert_eq!(stats.backtracks, 0);
@@ -324,9 +299,9 @@ fn monolithic_scope_ablation_is_more_expensive() {
         let miner = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
         let mut cfg = EngineConfig::default();
         cfg.abduction.scope = scope;
-        let mut eng = SerialEngine::new(miter.netlist(), miner, cfg);
+        let mut eng = ParallelEngine::new(miter.netlist(), miner, cfg, 1);
         let inv = eng.learn(&props).expect("invariant");
-        (inv.len(), eng.stats().smt_time)
+        (inv.len(), eng.stats().task_time)
     };
     let (len_cone, time_cone) = run(EncodeScope::Cone);
     let (len_mono, time_mono) = run(EncodeScope::Monolithic);

@@ -8,7 +8,7 @@
 //!   Appendix-C execute stage.
 
 use hh_suite::hhoudini::mine::CoiMiner;
-use hh_suite::hhoudini::{EngineConfig, SerialEngine};
+use hh_suite::hhoudini::{EngineConfig, ParallelEngine};
 use hh_suite::isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_suite::netlist::eval::{InputValues, StateValues};
 use hh_suite::netlist::miter::Miter;
@@ -123,7 +123,7 @@ fn value_set_mining_replaces_pattern_annotations() {
     // NO safe patterns, NO expert annotations — only auto-mined value sets.
     let mut miner = CoiMiner::new(&miter, &examples, None, vec![]);
     miner.mine_value_sets = true;
-    let mut engine = SerialEngine::new(miter.netlist(), miner, EngineConfig::default());
+    let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 1);
     let prop = Predicate::eq(miter.left(stage.valid), miter.right(stage.valid));
     let inv = engine
         .learn(&[prop])
@@ -148,7 +148,7 @@ fn value_set_mining_replaces_pattern_annotations() {
     // Control: without value-set mining (and without patterns) learning
     // must fail — nothing can restrict the opcode.
     let miner2 = CoiMiner::new(&miter, &examples, None, vec![]);
-    let mut engine2 = SerialEngine::new(miter.netlist(), miner2, EngineConfig::default());
+    let mut engine2 = ParallelEngine::new(miter.netlist(), miner2, EngineConfig::default(), 1);
     let prop2 = Predicate::eq(miter.left(stage.valid), miter.right(stage.valid));
     assert!(engine2.learn(&[prop2]).is_none());
 }

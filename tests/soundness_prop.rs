@@ -5,7 +5,7 @@
 //! correct-by-construction claim of §3.1, checked adversarially.
 
 use hh_suite::hhoudini::mine::CoiMiner;
-use hh_suite::hhoudini::{EngineConfig, SerialEngine};
+use hh_suite::hhoudini::{EngineConfig, FifoDriver, ParallelEngine};
 use hh_suite::netlist::eval::{InputValues, StateValues};
 use hh_suite::netlist::miter::Miter;
 use hh_suite::netlist::{Bv, Netlist, NodeId};
@@ -133,8 +133,9 @@ proptest! {
         let r0 = base.find_state("r0").unwrap();
         let prop = Predicate::eq(miter.left(r0), miter.right(r0));
         let miner = CoiMiner::new(&miter, &examples, None, vec![]);
-        let mut engine = SerialEngine::new(miter.netlist(), miner, EngineConfig::default());
-        match engine.learn(std::slice::from_ref(&prop)) {
+        // The virtual backend: the whole engine on this thread.
+        let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 1);
+        match engine.learn_sim(std::slice::from_ref(&prop), &mut FifoDriver) {
             Some(inv) => {
                 LEARNED.fetch_add(1, Ordering::Relaxed);
                 // (a) Correct by construction: the composed invariant must
@@ -190,9 +191,9 @@ fn zz_generator_produces_nontrivial_mix() {
     let r0 = base.find_state("r0").unwrap();
     let prop = Predicate::eq(miter.left(r0), miter.right(r0));
     let miner = CoiMiner::new(&miter, &examples, None, vec![]);
-    let mut engine = SerialEngine::new(miter.netlist(), miner, EngineConfig::default());
+    let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 1);
     let inv = engine
-        .learn(std::slice::from_ref(&prop))
+        .learn_sim(std::slice::from_ref(&prop), &mut FifoDriver)
         .expect("self-holding r0 is provable");
     assert!(inv.verify_monolithic(miter.netlist()));
 
