@@ -12,7 +12,7 @@
 //! side of the speedup, the reference arm of each ablation) and one with
 //! rd = x3 examples (Fig. 5 limited), both on one thread of the
 //! `ParallelEngine` every product path runs. Table 2 classifies, the
-//! speedup adds the two monolithic baselines per design, and three ablation
+//! speedup adds the two monolithic baselines per design, and two ablation
 //! arms learn under a changed configuration.
 //!
 //! Exit code: 1 if a committed `bench_results/<name>.json` held other counts
@@ -24,7 +24,7 @@ use hh_bench::{
     LIMITED_RDS,
 };
 use hh_isa::Mnemonic;
-use hh_smt::{EncodeScope, Predicate};
+use hh_smt::Predicate;
 use hhoudini::baselines::BaselineBudget;
 use std::cell::{Cell, OnceCell};
 use std::time::{Duration, Instant};
@@ -372,7 +372,7 @@ fn fig5(runs: &Runs, report: &mut Report) {
     );
     for (t, run) in runs.each(Shared::Limited) {
         let tasks = run.stats.num_tasks();
-        let bt = run.stats.backtracks;
+        let bt = run.stats.counters.backtracks;
         println!(
             "{:<16} {:>10} {tasks:>8} {bt:>11} {:>11.1}%",
             t.name,
@@ -391,17 +391,17 @@ fn fig5(runs: &Runs, report: &mut Report) {
     let mut prev_tasks = 0usize;
     for (t, run) in runs.each(Shared::Rich) {
         let tasks = run.stats.num_tasks();
-        let bt = run.stats.backtracks;
+        let bt = run.stats.counters.backtracks;
         println!(
             "{:<16} {:>10} {tasks:>8} {bt:>11} {:>10}",
             t.name,
             t.design.state_bits(),
-            run.stats.memo_hits
+            run.stats.counters.memo_hits
         );
         report.push(t.name, "tasks_rich", tasks as f64, "tasks");
         report.push(t.name, "backtracks_rich", bt as f64, "backtracks");
         assert!(
-            bt <= tasks / 10,
+            bt <= tasks as u64 / 10,
             "rich examples should nearly eliminate backtracking"
         );
         assert!(tasks >= prev_tasks, "task count grows with design size");
@@ -525,24 +525,10 @@ fn speedup(runs: &Runs, report: &mut Report) {
 
 /// Ablations: each arm changes one field of the shared 1-thread run's spec.
 fn ablation(runs: &Runs, report: &mut Report) {
-    let (rocket, small) = (0, 1);
+    let small = 1;
     let paper = Shared::Rich.spec();
 
-    println!("1. Cone-scoped vs monolithic query encodings (RocketLite)");
-    let cone = runs.shared(rocket, Shared::Rich);
-    let mut monolithic = paper;
-    monolithic.abduction.scope = EncodeScope::Monolithic;
-    let mono = runs.learn(rocket, monolithic);
-    assert!(mono.invariant.is_some());
-    let (cone_s, mono_s) = (secs(cone.stats.task_time), secs(mono.stats.task_time));
-    println!(
-        "  cone: SMT {cone_s:.3}s | monolithic: SMT {mono_s:.3}s ({:.1}x)",
-        mono_s / cone_s.max(1e-9)
-    );
-    report.push("scope", "cone_smt_s", cone_s, "s");
-    report.push("scope", "monolithic_smt_s", mono_s, "s");
-
-    println!("\n2. Minimal vs raw UNSAT cores (SmallBoomLite)");
+    println!("1. Minimal vs raw UNSAT cores (SmallBoomLite)");
     let minimized = runs.shared(small, Shared::Rich);
     let mut raw_cores = paper;
     raw_cores.abduction.minimize = false;
@@ -560,7 +546,7 @@ fn ablation(runs: &Runs, report: &mut Report) {
     report.push("min_cores", "inv_minimal", a as f64, "predicates");
     report.push("min_cores", "inv_raw", b as f64, "predicates");
 
-    println!("\n3. Example masking on an OoO core (SmallBoomLite)");
+    println!("\n2. Example masking on an OoO core (SmallBoomLite)");
     let mut no_mask = paper;
     no_mask.mask = false;
     let unmasked = runs.learn(small, no_mask);
@@ -579,7 +565,7 @@ fn ablation(runs: &Runs, report: &mut Report) {
     report.push("masking", "masked_ok", 1.0, "bool");
     report.push("masking", "unmasked_ok", 0.0, "bool");
 
-    println!("\n4. Impl predicates replace masking (SmallBoomLite; §5.2.1 future work)");
+    println!("\n3. Impl predicates replace masking (SmallBoomLite; §5.2.1 future work)");
     let v = runs.veloct(
         small,
         VeloctConfig {

@@ -7,7 +7,7 @@
 //! Two binaries use it: `experiments` (`cargo run -p hh-bench --release
 //! --bin experiments -- all`) regenerates every table and figure of the
 //! paper's §6 from a few learns per design, and `perf_smoke` is the CI gate
-//! on the session, tracing, proof and memory fast paths.
+//! on what the session, sharing, memory and tracing fast paths compute.
 
 #![warn(missing_docs)]
 
@@ -15,7 +15,7 @@ use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_netlist::miter::Miter;
 use hh_serve::json::Json;
 use hh_smt::{AbductionConfig, Predicate};
-use hh_uarch::boomlite::{boom_lite, boom_lite_scaled, BoomVariant, ALL_VARIANTS};
+use hh_uarch::boomlite::{boom_lite, BoomVariant, ALL_VARIANTS};
 use hh_uarch::rocketlite::rocket_lite;
 use hh_uarch::Design;
 use hhoudini::mine::CoiMiner;
@@ -66,33 +66,6 @@ pub fn all_targets() -> Vec<Target> {
 /// Whether a target is a BoomLite (OoO) design.
 pub fn is_boom(name: &str) -> bool {
     name.contains("Boom")
-}
-
-/// The largest synthetic design (MegaBoomLite), deepened by `scale`: the
-/// issue queues and reorder buffer grow `scale`-fold, so the control-path
-/// cones — and the SAT queries under them — grow with it. `scale = 1` is
-/// exactly the Table 1 MegaBoomLite; `scale` must be a power of two (ROB
-/// index arithmetic wraps).
-///
-/// Solver-time gates need this headroom: at the default depth the per-query
-/// solve time is saturated by fixed overhead (ROADMAP notes RocketLite
-/// speedups pinned at ≈1.0x), which hides propagation-level wins.
-pub fn scaled_target(scale: u32) -> Target {
-    assert!(scale >= 1, "scale must be >= 1");
-    Target {
-        name: "MegaBoomLite",
-        design: boom_lite_scaled(BoomVariant::Mega, 16, scale as usize),
-        paper: (133_417, 4640),
-    }
-}
-
-/// Parses a `--scale N` argument from `args` (default 1).
-pub fn parse_scale(args: &[String]) -> u32 {
-    args.iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--scale takes a positive integer"))
-        .unwrap_or(1)
 }
 
 /// The verified-safe instruction set for a target (Table 2): used by
@@ -164,7 +137,7 @@ pub fn prepare(
 /// (The thread count is not here: it changes the timings and nothing else.)
 #[derive(Debug, Clone, Copy)]
 pub struct LearnSpec {
-    /// Core minimisation and encoding scope.
+    /// Core minimisation.
     pub abduction: AbductionConfig,
     /// Example masking through the design's valid-bit annotations (§5.2.1).
     pub mask: bool,
@@ -173,8 +146,7 @@ pub struct LearnSpec {
 }
 
 impl LearnSpec {
-    /// The paper's configuration: minimal cores over cone-scoped
-    /// encodings, masked rich examples. The other specs are this one with
+    /// The paper's configuration: minimal cores, masked rich examples. The other specs are this one with
     /// a field changed.
     pub fn paper() -> LearnSpec {
         LearnSpec {

@@ -87,7 +87,7 @@ use std::time::{Duration, Instant};
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Abduction query configuration (core minimisation, encoding scope).
+    /// Abduction query configuration (core minimisation).
     pub abduction: AbductionConfig,
 }
 
@@ -573,7 +573,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                     continue;
                 }
                 if self.memo.contains_key(&p) {
-                    self.stats.memo_hits += 1;
+                    self.stats.counters.memo_hits += 1;
                     hh_trace::counter!("engine", "engine.memo.hit", 1);
                     continue;
                 }
@@ -632,7 +632,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                     break Some(self.assemble(prop_ids));
                 }
                 stale.sort_unstable(); // deterministic re-issue order
-                self.stats.backtracks += stale.len();
+                self.stats.counters.backtracks += stale.len() as u64;
                 hh_trace::counter!("engine", "engine.backtrack", stale.len());
                 for s in stale {
                     self.memo.remove(&s);
@@ -697,6 +697,11 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             // the one place worker busy time may be accumulated.
             self.stats.worker_busy_time += done.duration;
             self.stats.record_query(done.duration);
+            if result.telemetry.counters.session_hits > 0 {
+                hh_trace::counter!("smt", "smt.session.hit", 1);
+            } else {
+                hh_trace::counter!("smt", "smt.session.miss", 1);
+            }
             self.stats.record_abduction(&result.telemetry);
             let task_idx = self.stats.tasks.len();
             self.stats.tasks.push(TaskRecord {
@@ -872,7 +877,7 @@ mod tests {
             // The invariant admits the positive example (precision).
             assert!(inv.holds_on(&case.examples[0]));
             assert!(stats.num_tasks() >= 3);
-            assert_eq!(stats.backtracks, 0);
+            assert_eq!(stats.counters.backtracks, 0);
         })
     }
 
@@ -890,7 +895,7 @@ mod tests {
         Case::new(n, "x", &[&[]], |case, inv, stats| {
             assert!(case.proved(inv).len() >= 2); // Eq(x) and Eq(y)
             assert_eq!(stats.num_tasks(), 2);
-            assert!(stats.memo_hits >= 1, "hits: {}", stats.memo_hits);
+            assert!(stats.counters.memo_hits >= 1, "{:?}", stats.counters);
         })
     }
 
@@ -1027,10 +1032,10 @@ mod tests {
             }
             let stats = par.stats();
             assert!(
-                stats.encode_cache_hits > 0,
+                stats.counters.encode_cache_hits > 0,
                 "isomorphic registers must hit the encode cache"
             );
-            assert!(stats.encode_vars_saved > 0);
+            assert!(stats.counters.encode_vars_saved > 0);
         }
     }
 
@@ -1079,8 +1084,8 @@ mod tests {
             assert_eq!(inv_t.preds(), inv_s.preds(), "window {window}");
             assert_eq!(threaded.solutions(), sim.solutions(), "window {window}");
             assert_eq!(
-                threaded.stats().memo_hits,
-                sim.stats().memo_hits,
+                threaded.stats().counters.memo_hits,
+                sim.stats().counters.memo_hits,
                 "window {window}"
             );
             assert!(inv_s.verify_monolithic(m.netlist()));

@@ -10,6 +10,7 @@
 //! independent of how many physical cores this machine has.
 
 use crate::store::PredId;
+use hh_trace::Counters;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Duration;
@@ -33,12 +34,8 @@ pub struct TaskRecord {
 pub struct Stats {
     /// All executed tasks, in discovery order (parents precede children).
     pub tasks: Vec<TaskRecord>,
-    /// Memo-table hits (tasks avoided).
-    pub memo_hits: usize,
-    /// Backtracks: abducts that had to be abandoned because a member
-    /// predicate turned out to have no solution.
-    pub backtracks: usize,
-    /// Total abduction/induction queries issued.
+    /// Total abduction/induction queries issued: `counters.queries` as a
+    /// `usize`, the form the benchmark reads.
     pub smt_queries: usize,
     /// Individual SMT query durations (one per task, in commit order).
     pub query_durations: Vec<Duration>,
@@ -46,81 +43,15 @@ pub struct Stats {
     pub task_time: Duration,
     /// End-to-end wall-clock of the learning call.
     pub wall_time: Duration,
-    /// Abduction queries answered on a reused [`hh_smt::AbductionSession`]
-    /// encoding (retries that skipped re-blasting the cone).
-    pub session_hits: usize,
-    /// Abduction queries that had to build a fresh encoding (the first
-    /// query of each session).
-    pub session_misses: usize,
-    /// SAT variables session reuse avoided re-allocating (summed over hits).
-    pub vars_saved: usize,
-    /// Clauses session reuse avoided re-allocating (summed over hits).
-    pub clauses_saved: usize,
     /// Total time spent bit-blasting / registering candidates.
     pub encode_time: Duration,
     /// Total time spent inside SAT solving (including minimisation probes).
     pub solve_time: Duration,
-    /// SAT solve calls across all abduction queries: one first solve per
-    /// query plus the minimisation probes that reached the solver.
-    pub sat_solves: u64,
-    /// Minimisation probes answered SAT (one abduct member confirmed
-    /// critical each) — the dominant share of `sat_solves`.
-    pub minimize_probes_sat: u64,
-    /// Minimisation probes answered UNSAT (core shrunk).
-    pub minimize_probes_unsat: u64,
-    /// Abduct members confirmed critical from a model the session already
-    /// held, without a solve.
-    pub minimize_witness_hits: u64,
-    /// Literals propagated across all SAT queries.
-    pub sat_propagations: u64,
-    /// Conflicts analysed across all SAT queries.
-    pub sat_conflicts: u64,
-    /// Learnt-database reduction rounds across all SAT queries.
-    pub sat_reduces: u64,
-    /// Peak clause-arena footprint (bytes) observed across all sessions —
-    /// a high-water gauge, so folds take the maximum rather than the sum.
-    pub sat_arena_bytes: u64,
-    /// Chronological (one-level) backtracks across all SAT queries.
-    pub sat_chrono_backtracks: u64,
-    /// Peak watch-list footprint (bytes) observed across all sessions — a
-    /// high-water gauge like `sat_arena_bytes`.
-    pub sat_watch_bytes: u64,
-    /// Word-level constant folds performed by the blaster's simplifier.
-    pub word_const_folds: u64,
-    /// Word-level algebraic rewrites performed by the blaster's simplifier.
-    pub word_rewrites: u64,
-    /// Structural-hashing merges performed by the blaster's simplifier.
-    pub word_strash_hits: u64,
-    /// Base encodings replayed from the cross-target encode cache instead of
-    /// being re-blasted (signature hits).
-    pub encode_cache_hits: u64,
-    /// Base encodings blasted fresh and recorded into the cache.
-    pub encode_cache_misses: u64,
-    /// SAT variables whose allocation encode-cache replay skipped.
-    pub encode_vars_saved: u64,
-    /// Tseitin clauses encode-cache replay skipped re-deriving.
-    pub encode_clauses_saved: u64,
-    /// Most heap bytes the run's parked abduction sessions ever held
-    /// together ([`hh_smt::AbductionSession::resident_bytes`], summed at
-    /// every commit). Computed from capacities, so it repeats exactly and
-    /// is the same at every thread count — a high-water gauge: folds take
-    /// the maximum.
-    pub session_resident_bytes: u64,
-    /// Heap bytes the run's encode cache held when the run ended
-    /// ([`hh_smt::EncodeCache::resident_bytes`]; a warm cache a service
-    /// attached counts everything it has accumulated) — a gauge like
-    /// `session_resident_bytes`.
-    pub encode_cache_resident_bytes: u64,
-    /// Base-design cycles simulated to generate the run's positive
-    /// examples, both executions of each pair counted. The engine never
-    /// sees example generation; `veloct` fills the three `examples_*`
-    /// fields in on the stats it reports.
-    pub examples_cycles: u64,
-    /// Product states extracted from the paired traces, before
-    /// deduplication.
-    pub examples_raw: u64,
-    /// Distinct product states: the positive examples the miner received.
-    pub examples_unique: u64,
+    /// The run counters ([`hh_trace::COUNTERS`] declares each one, its
+    /// trace-schema name and how it folds). The engine never sees example
+    /// generation; `veloct` fills the three `examples_*` counters in on the
+    /// stats it reports.
+    pub counters: Counters,
     /// Worker threads the run was configured with (the reordering window
     /// of a virtual run; merging keeps the maximum).
     pub workers: usize,
@@ -232,36 +163,16 @@ impl Stats {
 
     pub(crate) fn record_query(&mut self, d: Duration) {
         self.smt_queries += 1;
+        self.counters.queries += 1;
         self.query_durations.push(d);
         hh_trace::counter!("engine", "engine.query", 1);
     }
 
-    /// Folds one abduction query's telemetry into the session counters.
+    /// Folds one abduction query's telemetry into the run.
     pub(crate) fn record_abduction(&mut self, t: &hh_smt::QueryTelemetry) {
-        if t.cached {
-            self.session_hits += 1;
-            self.vars_saved += t.vars_reused;
-            self.clauses_saved += t.clauses_reused;
-            hh_trace::counter!("smt", "smt.session.hit", 1);
-        } else {
-            self.session_misses += 1;
-            hh_trace::counter!("smt", "smt.session.miss", 1);
-        }
         self.encode_time += t.encode_time;
         self.solve_time += t.solve_time;
-        self.sat_solves += t.solves;
-        self.minimize_probes_sat += t.minimize_probes_sat;
-        self.minimize_probes_unsat += t.minimize_probes_unsat;
-        self.minimize_witness_hits += t.minimize_witness_hits;
-        self.sat_propagations += t.propagations;
-        self.sat_conflicts += t.conflicts;
-        self.sat_reduces += t.reduces;
-        self.sat_arena_bytes = self.sat_arena_bytes.max(t.arena_bytes);
-        self.sat_chrono_backtracks += t.chrono_backtracks;
-        self.sat_watch_bytes = self.sat_watch_bytes.max(t.watch_bytes);
-        self.word_const_folds += t.const_folds;
-        self.word_rewrites += t.rewrites;
-        self.word_strash_hits += t.strash_hits;
+        self.counters.merge(&t.counters);
     }
 
     /// End-of-run fold of the shared encode cache's final
@@ -269,33 +180,28 @@ impl Stats {
     /// high-water footprint.
     pub(crate) fn record_run_end(&mut self, cache: &hh_smt::EncodeCache, session_peak: u64) {
         let c = cache.stats();
-        self.encode_cache_hits += c.hits;
-        self.encode_cache_misses += c.misses;
-        self.encode_vars_saved += c.vars_saved;
-        self.encode_clauses_saved += c.clauses_saved;
-        self.encode_cache_resident_bytes =
-            self.encode_cache_resident_bytes.max(cache.resident_bytes());
-        self.session_resident_bytes = self.session_resident_bytes.max(session_peak);
+        self.counters.merge(&Counters {
+            encode_cache_hits: c.hits,
+            encode_cache_misses: c.misses,
+            encode_vars_saved: c.vars_saved,
+            encode_clauses_saved: c.clauses_saved,
+            encode_cache_resident_bytes: cache.resident_bytes(),
+            session_resident_bytes: session_peak,
+            ..Counters::default()
+        });
     }
 
     /// Fraction of abduction queries served by a live session (0 when no
     /// queries ran).
     pub fn session_hit_rate(&self) -> f64 {
-        let total = self.session_hits + self.session_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.session_hits as f64 / total as f64
+        hit_rate(self.counters.session_hits, self.counters.session_misses)
     }
 
     /// Fraction of base encodings served by the cross-target encode cache
     /// (0 when it was never consulted).
     pub fn encode_cache_hit_rate(&self) -> f64 {
-        let total = self.encode_cache_hits + self.encode_cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.encode_cache_hits as f64 / total as f64
+        let c = &self.counters;
+        hit_rate(c.encode_cache_hits, c.encode_cache_misses)
     }
 
     /// Scheduler occupancy: the fraction of configured worker capacity
@@ -313,7 +219,8 @@ impl Stats {
     /// This is the per-thread counter fold: **associative** (and commutative
     /// on everything except task/query order), so partial aggregates can be
     /// combined in any grouping — `(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)` is property-
-    /// tested in this module. Scalar counters and times add; `wall_time`
+    /// tested in `tests/stats_prop.rs`. Counters fold by their table row
+    /// (sums add, byte gauges take the maximum) and times add; `wall_time`
     /// and `workers` take the maximum (concurrent intervals don't add);
     /// task lists concatenate with parent indices re-based, preserving each
     /// input's internal DAG.
@@ -323,88 +230,35 @@ impl Stats {
             parent: t.parent.map(|p| p + base),
             ..t.clone()
         }));
-        self.memo_hits += other.memo_hits;
-        self.backtracks += other.backtracks;
         self.smt_queries += other.smt_queries;
         self.query_durations
             .extend(other.query_durations.iter().copied());
         self.task_time += other.task_time;
         self.wall_time = self.wall_time.max(other.wall_time);
-        self.session_hits += other.session_hits;
-        self.session_misses += other.session_misses;
-        self.vars_saved += other.vars_saved;
-        self.clauses_saved += other.clauses_saved;
         self.encode_time += other.encode_time;
         self.solve_time += other.solve_time;
-        self.sat_solves += other.sat_solves;
-        self.minimize_probes_sat += other.minimize_probes_sat;
-        self.minimize_probes_unsat += other.minimize_probes_unsat;
-        self.minimize_witness_hits += other.minimize_witness_hits;
-        self.sat_propagations += other.sat_propagations;
-        self.sat_conflicts += other.sat_conflicts;
-        self.sat_reduces += other.sat_reduces;
-        self.sat_arena_bytes = self.sat_arena_bytes.max(other.sat_arena_bytes);
-        self.sat_chrono_backtracks += other.sat_chrono_backtracks;
-        self.sat_watch_bytes = self.sat_watch_bytes.max(other.sat_watch_bytes);
-        self.word_const_folds += other.word_const_folds;
-        self.word_rewrites += other.word_rewrites;
-        self.word_strash_hits += other.word_strash_hits;
-        self.encode_cache_hits += other.encode_cache_hits;
-        self.encode_cache_misses += other.encode_cache_misses;
-        self.encode_vars_saved += other.encode_vars_saved;
-        self.encode_clauses_saved += other.encode_clauses_saved;
-        self.session_resident_bytes = self
-            .session_resident_bytes
-            .max(other.session_resident_bytes);
-        self.encode_cache_resident_bytes = self
-            .encode_cache_resident_bytes
-            .max(other.encode_cache_resident_bytes);
-        self.examples_cycles += other.examples_cycles;
-        self.examples_raw += other.examples_raw;
-        self.examples_unique += other.examples_unique;
+        self.counters.merge(&other.counters);
         self.workers = self.workers.max(other.workers);
         self.worker_busy_time += other.worker_busy_time;
         self.poisoned |= other.poisoned;
     }
 
-    /// Projects the scalar counters under their trace-schema names (see
-    /// `docs/TRACE_SCHEMA.md`). The names match the `hh-trace` counters
-    /// emitted at the same recording sites, so JSON reports built from this
-    /// projection (e.g. `bench_results/speedup.json`) are a pure projection
-    /// of the trace-counter namespace.
+    /// The run counters under their trace-schema names, in
+    /// [`hh_trace::COUNTERS`] order (see `docs/TRACE_SCHEMA.md`). The names
+    /// match the `hh-trace` counters emitted at the same recording sites, so
+    /// JSON reports built from this projection (e.g.
+    /// `bench_results/speedup.json`) are a pure projection of the
+    /// trace-counter namespace.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("engine.query", self.smt_queries as u64),
-            ("engine.memo.hit", self.memo_hits as u64),
-            ("engine.backtrack", self.backtracks as u64),
-            ("smt.session.hit", self.session_hits as u64),
-            ("smt.session.miss", self.session_misses as u64),
-            ("smt.session.vars_saved", self.vars_saved as u64),
-            ("smt.session.clauses_saved", self.clauses_saved as u64),
-            ("smt.session.resident_bytes", self.session_resident_bytes),
-            ("smt.cache.hit", self.encode_cache_hits),
-            ("smt.cache.miss", self.encode_cache_misses),
-            ("smt.cache.vars_saved", self.encode_vars_saved),
-            ("smt.cache.clauses_saved", self.encode_clauses_saved),
-            ("smt.cache.resident_bytes", self.encode_cache_resident_bytes),
-            ("smt.word.const_folds", self.word_const_folds),
-            ("smt.word.rewrites", self.word_rewrites),
-            ("smt.word.strash_hits", self.word_strash_hits),
-            ("smt.minimize.probes_sat", self.minimize_probes_sat),
-            ("smt.minimize.probes_unsat", self.minimize_probes_unsat),
-            ("smt.minimize.witness_hits", self.minimize_witness_hits),
-            ("sat.solves", self.sat_solves),
-            ("sat.propagations", self.sat_propagations),
-            ("sat.conflicts", self.sat_conflicts),
-            ("sat.reduce", self.sat_reduces),
-            ("sat.arena_bytes", self.sat_arena_bytes),
-            ("sat.chrono_backtracks", self.sat_chrono_backtracks),
-            ("sat.watch_bytes", self.sat_watch_bytes),
-            ("examples.cycles", self.examples_cycles),
-            ("examples.raw", self.examples_raw),
-            ("examples.unique", self.examples_unique),
-        ]
+        self.counters.iter().collect()
     }
+}
+
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    if hits + misses == 0 {
+        return 0.0;
+    }
+    hits as f64 / (hits + misses) as f64
 }
 
 fn median(d: &mut [Duration]) -> Duration {

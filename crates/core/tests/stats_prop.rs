@@ -3,49 +3,47 @@
 //! on `Stats::default()`, and must keep the occupancy accounting invariant
 //! (worker busy time = sum of committed task durations, each exactly once).
 
+use hh_trace::{Counters, COUNTERS};
 use hhoudini::{Stats, TaskRecord};
 use proptest::prelude::*;
 use std::time::Duration;
 
-/// A random Stats value. Task parents point strictly backwards (or nowhere),
-/// matching the discovery-order invariant of real runs.
+/// A random Stats value: every counter of the table set at random (so both
+/// the summed rows and the maximum-folded byte gauges are exercised), and
+/// task parents pointing strictly backwards (or nowhere), matching the
+/// discovery-order invariant of real runs.
 fn arb_stats() -> impl Strategy<Value = Stats> {
     (
         proptest::collection::vec((0u64..5000, 0usize..3, any::<bool>()), 0..6),
-        (0u64..100, 0u64..100, 0u64..100, 0u64..100),
+        proptest::collection::vec(0u64..1 << 40, COUNTERS.len()),
         (0u64..5000, 0u64..5000, 0usize..9),
     )
-        .prop_map(
-            |(tasks, (memo, back, hits, misses), (wall, busy, workers))| {
-                let mut s = Stats::default();
-                for (i, &(us, back_off, has_parent)) in tasks.iter().enumerate() {
-                    let parent = if has_parent && i > 0 {
-                        Some(i - 1 - back_off.min(i - 1))
-                    } else {
-                        None
-                    };
-                    let d = Duration::from_micros(us);
-                    s.tasks.push(TaskRecord {
-                        pred: hhoudini::PredId::from_index(i),
-                        parent,
-                        duration: d,
-                        smt_time: d / 2,
-                    });
-                    s.task_time += d;
-                }
-                s.smt_queries = s.tasks.len();
-                s.memo_hits = memo as usize;
-                s.backtracks = back as usize;
-                s.session_hits = hits as usize;
-                s.session_misses = misses as usize;
-                s.encode_cache_hits = hits;
-                s.encode_cache_misses = misses;
-                s.wall_time = Duration::from_micros(wall);
-                s.worker_busy_time = Duration::from_micros(busy);
-                s.workers = workers;
-                s
-            },
-        )
+        .prop_map(|(tasks, counters, (wall, busy, workers))| {
+            let mut s = Stats::default();
+            for (i, &(us, back_off, has_parent)) in tasks.iter().enumerate() {
+                let parent = if has_parent && i > 0 {
+                    Some(i - 1 - back_off.min(i - 1))
+                } else {
+                    None
+                };
+                let d = Duration::from_micros(us);
+                s.tasks.push(TaskRecord {
+                    pred: hhoudini::PredId::from_index(i),
+                    parent,
+                    duration: d,
+                    smt_time: d / 2,
+                });
+                s.task_time += d;
+                s.encode_time += d / 3;
+                s.solve_time += d / 2;
+            }
+            s.smt_queries = s.tasks.len();
+            s.counters = Counters::from_values(counters.try_into().expect("one value per row"));
+            s.wall_time = Duration::from_micros(wall);
+            s.worker_busy_time = Duration::from_micros(busy);
+            s.workers = workers;
+            s
+        })
 }
 
 fn merged(a: &Stats, b: &Stats) -> Stats {
@@ -58,25 +56,21 @@ type TaskKey = (usize, Option<usize>, Duration);
 
 /// Everything `merge` folds, in a directly comparable form. Tasks compare by
 /// (pred, parent, duration) so re-based parent indices are included.
-fn fingerprint(s: &Stats) -> (Vec<TaskKey>, Vec<u64>, Duration) {
+fn fingerprint(s: &Stats) -> (Vec<TaskKey>, Counters, Vec<u64>, Vec<Duration>) {
     let tasks = s
         .tasks
         .iter()
         .map(|t| (t.pred.index(), t.parent, t.duration))
         .collect();
-    let scalars = vec![
-        s.memo_hits as u64,
-        s.backtracks as u64,
-        s.smt_queries as u64,
-        s.session_hits as u64,
-        s.session_misses as u64,
-        s.encode_cache_hits,
-        s.encode_cache_misses,
-        s.workers as u64,
-        s.wall_time.as_micros() as u64,
-        s.task_time.as_micros() as u64,
+    let scalars = vec![s.smt_queries as u64, s.workers as u64];
+    let times = vec![
+        s.wall_time,
+        s.task_time,
+        s.encode_time,
+        s.solve_time,
+        s.worker_busy_time,
     ];
-    (tasks, scalars, s.worker_busy_time)
+    (tasks, s.counters, scalars, times)
 }
 
 proptest! {

@@ -6,8 +6,8 @@
 //! independently auditable. With `hh-proof`:
 //!
 //! 1. `hh-sat` logs every learnt clause and deletion as a DRAT stream
-//!    through its `ProofSink` trait ([`drat`] provides in-memory and
-//!    streaming text/binary sinks);
+//!    through its `ProofSink` trait ([`drat`] provides the in-memory sink
+//!    and the binary wire format);
 //! 2. [`check`] re-validates those streams with a forward RUP/RAT checker
 //!    that shares no code with the solver's search;
 //! 3. [`cert`] packages a learned invariant as a *certificate bundle* — the
@@ -25,4 +25,4 @@ pub mod check;
 pub mod drat;
 
 pub use check::{check_proof, check_proof_with_assumptions, CheckError, CheckStats};
-pub use drat::{DratBinaryWriter, DratTextWriter, MemoryProof, ProofLine};
+pub use drat::{MemoryProof, ProofLine};

@@ -232,14 +232,12 @@ proptest! {
         }
     }
 
-    /// Text and binary DRAT serialisations round-trip arbitrary streams.
+    /// Binary DRAT round-trips arbitrary streams.
     #[test]
     fn drat_serialisation_roundtrips(clauses in arb_cnf(8, 40)) {
         let (_, res, proof) = solve_logged(8, &clauses, &[]);
         // SAT runs still log learnt clauses; every stream must round-trip.
         let _ = res;
-        let text = hh_proof::drat::to_text(&proof);
-        prop_assert_eq!(&hh_proof::drat::parse_text(&text).unwrap(), &proof);
         let bin = hh_proof::drat::to_binary(&proof);
         prop_assert_eq!(&hh_proof::drat::parse_binary(&bin).unwrap(), &proof);
     }
@@ -308,12 +306,21 @@ fn write_bundle(dir: &std::path::Path, manifest: &str, blob: &[u8]) {
 fn huge_variable_blob_is_rejected_at_parse_time() {
     let err = hh_proof::drat::parse_binary(&HUGE_VARIABLE_BLOB).unwrap_err();
     assert!(err.contains("out of range"), "{err}");
-    assert!(hh_proof::drat::parse_text("2147483648 0\n").is_err());
-    assert!(hh_proof::drat::parse_text("-9223372036854775808 0\n").is_err());
+    // The largest varint (literal -(2^63 - 1)) is out of range too.
+    let mut widest = vec![b'a'];
+    widest.extend([0xff; 9]);
+    widest.extend([0x01, 0x00]);
+    let err = hh_proof::drat::parse_binary(&widest).unwrap_err();
+    assert!(err.contains("out of range"), "{err}");
     // The largest variable that *is* representable parses — and is then the
     // checker's to bound: the tables it sizes follow the input, not the
     // number.
-    let lines = hh_proof::drat::parse_text("2147483647 0\n0\n").unwrap();
+    let largest = vec![
+        ProofLine::Add(vec![Var::from_index(Var::MAX_INDEX).positive()]),
+        ProofLine::Add(vec![]),
+    ];
+    let lines = hh_proof::drat::parse_binary(&hh_proof::drat::to_binary(&largest)).unwrap();
+    assert_eq!(lines, largest);
     let x0 = Var::from_index(0);
     let formula = vec![vec![x0.positive()], vec![x0.negative(), x0.negative()]];
     assert!(matches!(
@@ -380,8 +387,6 @@ fn random_proof_bytes_never_panic() {
                 checked += 1;
             }
         }
-        let text = String::from_utf8_lossy(&bytes);
-        let _ = hh_proof::drat::parse_text(&text);
     }
     assert!(parsed > 500, "only {parsed} random blobs parsed");
     // The formula is satisfiable: no byte string is a proof of it.

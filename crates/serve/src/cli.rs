@@ -15,11 +15,8 @@
 use crate::client::Client;
 use crate::json::Json;
 use crate::server::{Bind, Server, ServerConfig};
-use crate::state::{BUILTIN_XLEN, MAX_LATENCY, MAX_THREADS};
-use hh_netlist::btor2::parse_btor2;
-use hh_uarch::boomlite::{boom_lite, BoomVariant};
-use hh_uarch::rocketlite::rocket_lite;
-use hh_uarch::{Design, MaskRule};
+use crate::state::{DesignSource, DesignSpec, BUILTIN_XLEN, MAX_LATENCY, MAX_THREADS};
+use hh_uarch::Design;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use veloct::{default_candidates, Veloct, VeloctConfig};
@@ -399,71 +396,38 @@ fn parse_batch_args() -> BatchArgs {
     args
 }
 
+/// The batch design, built and checked exactly as a daemon `learn` frame's
+/// would be.
 fn load_design(args: &BatchArgs) -> Result<Design, String> {
-    if let Some(name) = &args.builtin {
-        return Ok(match name.as_str() {
-            "rocketlite" => rocket_lite(args.xlen),
-            "boom-small" => boom_lite(BoomVariant::Small, args.xlen),
-            "boom-medium" => boom_lite(BoomVariant::Medium, args.xlen),
-            "boom-large" => boom_lite(BoomVariant::Large, args.xlen),
-            "boom-mega" => boom_lite(BoomVariant::Mega, args.xlen),
-            other => return Err(format!("unknown builtin design: {other}")),
-        });
-    }
-    let path = args
-        .design_path
-        .as_ref()
-        .ok_or("missing --design or --builtin")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let netlist = parse_btor2(&text).map_err(|e| e.to_string())?;
-
-    let instr_input = args
-        .instr_input
-        .clone()
-        .ok_or("missing --instr-input for a btor2 design")?;
-    if netlist.find_input(&instr_input).is_none() {
-        return Err(format!("design has no input named {instr_input}"));
-    }
-    let find = |name: &str| {
-        netlist
-            .find_state(name)
-            .ok_or_else(|| format!("design has no state named {name}"))
-    };
-    let mut observable = Vec::new();
-    for o in &args.observables {
-        observable.push(find(o)?);
-    }
-    if observable.is_empty() {
-        return Err("at least one --observable is required".into());
-    }
-    let mut secret_regs = Vec::new();
-    for s in &args.secret_regs {
-        secret_regs.push(find(s)?);
-    }
-    if secret_regs.is_empty() {
-        return Err("at least one --secret-reg is required".into());
-    }
-    let mut masking = Vec::new();
-    for (valid, fields) in &args.masks {
-        let valid = find(valid)?;
-        let mut fs = Vec::new();
-        for f in fields {
-            fs.push(find(f)?);
+    let source = match &args.builtin {
+        Some(kind) => DesignSource::Builtin {
+            kind: kind.clone(),
+            xlen: args.xlen,
+            scale: 1,
+        },
+        None => {
+            let path = args
+                .design_path
+                .as_ref()
+                .ok_or("missing --design or --builtin")?;
+            DesignSource::Btor2 {
+                src: std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?,
+                instr_input: (args.instr_input.clone())
+                    .ok_or("missing --instr-input for a btor2 design")?,
+                observables: args.observables.clone(),
+                secret_regs: args.secret_regs.clone(),
+                masks: args.masks.clone(),
+                xlen: args.xlen,
+                max_latency: args.max_latency,
+                example_depth: 0,
+            }
         }
-        masking.push(MaskRule { valid, fields: fs });
-    }
-    let nregs = secret_regs.len() + 1;
-    Ok(Design {
-        netlist,
-        instr_input,
-        observable,
-        secret_regs,
-        masking,
-        nregs,
-        xlen: args.xlen,
-        max_latency: args.max_latency,
-        example_depth: args.max_latency.max(8),
-    })
+    };
+    let spec = DesignSpec {
+        name: "batch".to_string(),
+        source,
+    };
+    spec.build().map_err(|(_, msg)| msg)
 }
 
 fn batch_main() -> ExitCode {
@@ -518,9 +482,9 @@ fn batch_main() -> ExitCode {
                  {elapsed:.2?} (final run: examples {:.2?}, mine {:.2?}, learn {:.2?})",
                 inv.len(),
                 report.stats.num_tasks(),
-                report.stats.backtracks,
+                report.stats.counters.backtracks,
                 report.stats.smt_queries,
-                report.stats.session_resident_bytes as f64 / 1e6,
+                report.stats.counters.session_resident_bytes as f64 / 1e6,
                 report.examples_time,
                 report.mine_time,
                 report.stats.wall_time

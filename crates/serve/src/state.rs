@@ -29,7 +29,7 @@ use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_netlist::btor2::{parse_btor2, to_btor2};
 use hh_netlist::miter::Miter;
 use hh_proof::cert::fnv1a;
-use hh_smt::{EncodeCache, EncodeScope, Predicate};
+use hh_smt::{EncodeCache, Predicate};
 use hh_uarch::boomlite::{boom_lite_scaled, BoomVariant};
 use hh_uarch::rocketlite::rocket_lite;
 use hh_uarch::{Design, MaskRule};
@@ -37,6 +37,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use veloct::examples::PUBLIC_BASE_REG;
 use veloct::{Veloct, VeloctConfig, WarmContext};
 
 /// A request-level failure: protocol error code plus a message.
@@ -399,8 +400,13 @@ impl DesignSpec {
                 if observables.is_empty() {
                     return Err(bad_design("at least one observable is required"));
                 }
-                if secret_regs.is_empty() {
-                    return Err(bad_design("at least one secret_reg is required"));
+                // Example programs read x1 and x2 and keep a public base
+                // address in x4 (`veloct::examples::PUBLIC_BASE_REG`).
+                if secret_regs.len() < PUBLIC_BASE_REG {
+                    return Err(bad_design(format!(
+                        "at least {PUBLIC_BASE_REG} secret_regs (x1..x{PUBLIC_BASE_REG}) are required, got {}",
+                        secret_regs.len()
+                    )));
                 }
                 let observable = observables
                     .iter()
@@ -413,7 +419,7 @@ impl DesignSpec {
                 // The example generator asserts this.
                 if let Some(&s) = secrets.iter().find(|&&s| netlist.state_width(s) != *xlen) {
                     return Err(bad_design(format!(
-                        "secret register {:?} is {} bits wide, design.xlen says {xlen}",
+                        "secret register {:?} is {} bits wide, but xlen is {xlen}",
                         netlist.state_name(s),
                         netlist.state_width(s)
                     )));
@@ -674,13 +680,6 @@ impl ServeState {
             certify: opts.certify,
             ..VeloctConfig::default()
         }
-    }
-
-    /// The encode scope warm signatures are computed under — must match the
-    /// scope [`hh_smt::AbductionSession`] uses, which is the engine config's
-    /// abduction scope (the default; serve never overrides it).
-    fn scope() -> EncodeScope {
-        VeloctConfig::default().engine.abduction.scope
     }
 
     /// Handles a learn/verify request end to end: design registration or
@@ -1183,7 +1182,6 @@ fn migrate_entry(
     fingerprint: u64,
     opts: RunOptions,
 ) -> usize {
-    let scope = ServeState::scope();
     let mut invalidated = 0usize;
     let old_jobs = std::mem::take(&mut entry.jobs);
     let mut new_jobs = HashMap::new();
@@ -1207,8 +1205,8 @@ fn migrate_entry(
             };
             // The decisive check: the target's obligation encoding is
             // unchanged iff its cone signature is.
-            let old_sig = old.cache.signature(old_nl, target, scope);
-            let new_sig = fresh.cache.signature(new_nl, &new_target, scope);
+            let old_sig = old.cache.signature(old_nl, target);
+            let new_sig = fresh.cache.signature(new_nl, &new_target);
             if old_sig.key == new_sig.key {
                 fresh.solutions.push((new_target, new_premises));
             } else {

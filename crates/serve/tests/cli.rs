@@ -26,6 +26,70 @@ fn out_of_range_batch_flags_print_usage_and_exit_2() {
     }
 }
 
+/// A batch btor2 design goes through the checks the daemon makes, so a
+/// design the example generator would assert on is an error naming the
+/// offender with exit status 2, not a panic (101): a secret register that
+/// is not `--xlen` bits (RocketLite, 16 bits, run with `--xlen 8`), an
+/// instruction input that is not 32 bits, and fewer secret registers than
+/// the example programs read.
+#[test]
+fn batch_btor2_designs_the_example_generator_rejects_exit_2() {
+    use hh_netlist::btor2::to_btor2;
+    use hh_netlist::{Bv, Netlist};
+
+    let dir = std::env::temp_dir().join(format!("hh-serve-cli-btor2-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("design.btor2");
+    let run = |netlist: &Netlist, observable: &str, secrets: &[String]| {
+        std::fs::write(&path, to_btor2(netlist)).unwrap();
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_veloct"));
+        cmd.arg("--design").arg(&path);
+        cmd.args([
+            "--instr-input",
+            "instr",
+            "--xlen",
+            "8",
+            "--observable",
+            observable,
+        ]);
+        for s in secrets {
+            cmd.args(["--secret-reg", s]);
+        }
+        let out = cmd.output().expect("run veloct");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        stderr
+    };
+
+    let rocket = hh_uarch::rocketlite::rocket_lite(16);
+    let name = |s| rocket.netlist.state_name(s).to_string();
+    let secrets: Vec<String> = rocket.secret_regs.iter().map(|&s| name(s)).collect();
+    let stderr = run(&rocket.netlist, &name(rocket.observable[0]), &secrets);
+    assert!(
+        stderr.contains(&secrets[0]) && stderr.contains("16 bits"),
+        "{stderr}"
+    );
+
+    let secrets: Vec<String> = (1..=4).map(|i| format!("x{i}")).collect();
+    let toy = |instr_width| {
+        let mut n = Netlist::new("toy");
+        n.input("instr", instr_width);
+        for s in &secrets {
+            let reg = n.state(s.as_str(), 8, Bv::zero(8));
+            n.keep_state(reg);
+        }
+        n
+    };
+    let stderr = run(&toy(8), "x1", &secrets);
+    assert!(
+        stderr.contains("instruction input") && stderr.contains("32 bits"),
+        "{stderr}"
+    );
+    let stderr = run(&toy(32), "x1", &secrets[..3]);
+    assert!(stderr.contains("secret_reg"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `veloct connect … learn --pairs 0` is refused by the daemon, not by a
 /// panic inside it: the client exits non-zero naming `bad-request`, and the
 /// daemon goes on answering.

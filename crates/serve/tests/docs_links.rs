@@ -149,14 +149,18 @@ fn emitted_records() -> std::collections::BTreeSet<(&'static str, String)> {
     emitted
 }
 
+/// The section of `doc` under the first `## ` heading that contains
+/// `heading`.
+fn section<'d>(doc: &'d str, heading: &str) -> &'d str {
+    doc.split("\n## ")
+        .find(|s| s.lines().next().unwrap().contains(heading))
+        .unwrap_or_else(|| panic!("no `## ` section for {heading}"))
+}
+
 /// The backticked first-column names of the table under the `## ` heading
 /// of `doc` that contains `heading`.
 fn table_rows(doc: &str, heading: &str) -> Vec<String> {
-    let section = doc
-        .split("\n## ")
-        .find(|s| s.lines().next().unwrap().contains(heading))
-        .unwrap_or_else(|| panic!("no `## ` section for {heading}"));
-    section
+    section(doc, heading)
         .lines()
         .filter_map(|l| l.strip_prefix("| `"))
         .filter_map(|l| l.split_once('`'))
@@ -238,18 +242,29 @@ fn serve_trace_vocabulary_matches_docs() {
     }
 }
 
-/// Every name `Stats::counters()` projects — what speedup.json, the
-/// benchmark's per-layer table and `--profile` style reports are built
-/// from — has a row in TRACE_SCHEMA.md.
+/// TRACE_SCHEMA.md's *Stats projection* table is the counter table
+/// `hh_trace::COUNTERS` — what `Stats::counters()`, speedup.json and the
+/// benchmark's per-layer table are built from — row for row: the same names
+/// in the same order, each with its fold and its meaning. A counter cannot
+/// ship undocumented, and a row cannot outlive its counter.
 #[test]
-fn stats_counter_names_are_documented() {
+fn stats_projection_table_is_the_counter_table() {
     let schema = std::fs::read_to_string(repo_root().join("docs/TRACE_SCHEMA.md")).unwrap();
-    for (name, _) in hhoudini::Stats::default().counters() {
-        assert!(
-            schema.contains(&format!("| `{name}` |")),
-            "TRACE_SCHEMA.md has no row for {name}"
-        );
-    }
+    let rows: Vec<&str> = section(&schema, "Stats projection")
+        .lines()
+        .filter(|l| l.starts_with("| `"))
+        .collect();
+    let table: Vec<String> = hh_trace::COUNTERS
+        .iter()
+        .map(|c| {
+            let fold = format!("{:?}", c.fold).to_lowercase();
+            format!("| `{}` | {fold} | {} |", c.name, c.meaning)
+        })
+        .collect();
+    assert_eq!(
+        rows, table,
+        "TRACE_SCHEMA.md `## Stats projection` vs hh_trace::COUNTERS"
+    );
 }
 
 /// The `pub` field names of `pub struct <name>` in `file` (relative to the

@@ -398,15 +398,6 @@ impl<'a> TransitionEncoding<'a> {
         }
     }
 
-    /// Forces the entire design to be encoded (every next-state function).
-    /// Used to reproduce the *monolithic* query cost of HOUDINI/SORCAR-style
-    /// learners (ablation of the cone-scoped advantage).
-    pub fn encode_everything(&mut self) {
-        for s in self.netlist.state_ids() {
-            self.next_state_lits(s);
-        }
-    }
-
     /// Asserts a literal as a hard unit clause.
     pub fn assert_lit(&mut self, l: Lit) {
         self.cnf.clause(&[l]);
@@ -525,23 +516,6 @@ mod tests {
             assert_eq!(read(&n1, &enc), next.get(r1).bits(), "r1 mismatch");
             assert_eq!(read(&n2, &enc), next.get(r2).bits(), "r2 mismatch");
         }
-    }
-
-    #[test]
-    fn cone_scoped_encoding_is_smaller() {
-        let n = design();
-        let r2 = n.find_state("r2").unwrap();
-        // r2's next is just a constant shift of r2: tiny cone (no multiplier).
-        let mut cone = TransitionEncoding::new(&n);
-        cone.next_state_lits(r2);
-        let (v_cone, _) = cone.size();
-        let mut full = TransitionEncoding::new(&n);
-        full.encode_everything();
-        let (v_full, _) = full.size();
-        assert!(
-            v_cone * 2 < v_full,
-            "cone ({v_cone} vars) should be much smaller than full ({v_full} vars)"
-        );
     }
 
     #[test]

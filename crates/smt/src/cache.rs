@@ -32,7 +32,6 @@
 
 use crate::cnf::{map_bytes, vec_bytes, GateCache, LitRows};
 use crate::pred::Predicate;
-use crate::query::EncodeScope;
 use hh_netlist::signature::{ConeSignature, SigBuilder};
 use hh_netlist::simp::SimpMap;
 use hh_netlist::{Netlist, StateId};
@@ -43,7 +42,6 @@ use std::sync::{Arc, Mutex};
 // Caller-level tokens for predicate shape; disjoint from the structural tags
 // used inside `SigBuilder` so the streams cannot alias.
 const TOK_CONSTRAINT: u64 = 101;
-const TOK_MONO: u64 = 102;
 const TOK_ASSERT_NOW: u64 = 103;
 const TOK_ASSERT_NEXT: u64 = 104;
 const TOK_EQ: u64 = 105;
@@ -136,16 +134,10 @@ impl EncodeCache {
     }
 
     /// Computes the canonical signature of `target`'s base encoding: the
-    /// constraint cones, the optional monolithic sweep, and the predicate's
-    /// current/next fetches, serialised in the exact order
-    /// [`crate::AbductionSession`] encodes them.
-    pub fn signature(
-        &self,
-        netlist: &Netlist,
-        target: &Predicate,
-        scope: EncodeScope,
-    ) -> ConeSignature {
-        signature(netlist, &self.simp, target, scope)
+    /// constraint cones and the predicate's current/next fetches, serialised
+    /// in the exact order [`crate::AbductionSession`] encodes them.
+    pub fn signature(&self, netlist: &Netlist, target: &Predicate) -> ConeSignature {
+        signature(netlist, &self.simp, target)
     }
 
     /// Looks up a recorded base encoding for `key`.
@@ -243,25 +235,14 @@ impl EncodeCache {
 
 /// Serialises the base encoding a session would build for `target`:
 /// constraints first (they are asserted by `TransitionEncoding::new`), then
-/// the monolithic sweep if requested, then the predicate's current-state
-/// fetch, then its next-state fetch. Equal results guarantee the two base
-/// builds produce byte-identical solver states (identity variable renaming).
-pub fn signature(
-    netlist: &Netlist,
-    simp: &SimpMap,
-    target: &Predicate,
-    scope: EncodeScope,
-) -> ConeSignature {
+/// the predicate's current-state fetch, then its next-state fetch. Equal
+/// results guarantee the two base builds produce byte-identical solver
+/// states (identity variable renaming).
+pub fn signature(netlist: &Netlist, simp: &SimpMap, target: &Predicate) -> ConeSignature {
     let mut b = SigBuilder::new(netlist, simp);
     for &c in netlist.constraints() {
         b.push(TOK_CONSTRAINT);
         b.root(c);
-    }
-    if scope == EncodeScope::Monolithic {
-        b.push(TOK_MONO);
-        for s in netlist.state_ids() {
-            b.root(netlist.next_of(s));
-        }
     }
     b.push(TOK_ASSERT_NOW);
     sig_predicate(&mut b, netlist, target, false);

@@ -15,17 +15,8 @@ use crate::pred::Predicate;
 use crate::session::AbductionSession;
 use hh_netlist::{Bv, Netlist, StateId};
 use hh_sat::{Lit, SolveResult};
+use hh_trace::Counters;
 use std::collections::BTreeMap;
-
-/// Encoding scope for queries (ablation knob; see DESIGN.md §4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EncodeScope {
-    /// Encode only the 1-step cone the query touches (H-Houdini's advantage).
-    #[default]
-    Cone,
-    /// Pre-encode the entire design for every query (monolithic cost model).
-    Monolithic,
-}
 
 /// Configuration for [`abduct`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -33,22 +24,17 @@ pub struct AbductionConfig {
     /// Shrink UNSAT cores to local minimality (biasing toward the weakest
     /// abduct, §3.2.3).
     pub minimize: bool,
-    /// Encoding scope.
-    pub scope: EncodeScope,
 }
 
 impl AbductionConfig {
-    /// The configuration used by the paper's tool: minimal cores over
-    /// cone-scoped encodings.
+    /// The configuration used by the paper's tool: minimal cores.
     pub fn paper_default() -> AbductionConfig {
-        AbductionConfig {
-            minimize: true,
-            ..AbductionConfig::default()
-        }
+        AbductionConfig { minimize: true }
     }
 }
 
-/// Telemetry from one abduction query.
+/// Telemetry from one abduction query: its share of the run counters plus
+/// the per-query sizes and times the counters do not keep.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryTelemetry {
     /// SAT variables newly allocated by the query (for a fresh query, the
@@ -57,62 +43,21 @@ pub struct QueryTelemetry {
     /// Clauses newly allocated by the query (on reused sessions this delta
     /// also includes clauses learnt during earlier queries).
     pub clauses: usize,
-    /// Solver conflicts spent.
-    pub conflicts: u64,
-    /// Literals the solver propagated during this query.
-    pub propagations: u64,
-    /// Learnt-database reduction rounds the solver ran during this query.
-    pub reduces: u64,
-    /// Clause-arena footprint (bytes) of the session's solver after this
-    /// query — a gauge, not a delta.
-    pub arena_bytes: u64,
     /// Number of `solve` calls: the first solve plus the minimisation
-    /// probes that reached the solver (`minimize_probes_sat` +
-    /// `minimize_probes_unsat`; witness hits make none).
+    /// probes that reached the solver (`counters.sat_solves` again).
     pub solves: u64,
-    /// Minimisation probes the solver answered SAT: each confirms one member
-    /// of the abduct as critical.
-    pub minimize_probes_sat: u64,
-    /// Minimisation probes the solver answered UNSAT: each drops at least
-    /// one member from the core.
-    pub minimize_probes_unsat: u64,
-    /// Members confirmed critical by a model the session already held from
-    /// an earlier probe — no solve made.
-    pub minimize_witness_hits: u64,
-    /// Variables the query *reused* from a live session instead of
-    /// re-allocating (0 for fresh queries) — the re-encoding saved.
-    pub vars_reused: usize,
-    /// Clauses reused from a live session (0 for fresh queries).
-    pub clauses_reused: usize,
     /// Time spent blasting/registering (encode side of the query).
     pub encode_time: std::time::Duration,
     /// Time spent solving (including minimisation probes).
     pub solve_time: std::time::Duration,
-    /// Whether the query was answered on a reused session encoding.
-    pub cached: bool,
-    /// Word-level constant folds in the encoding (fresh queries only; a
-    /// reused session already reported its encoding's folds).
-    pub const_folds: u64,
-    /// Word-level algebraic rewrites in the encoding (fresh queries only).
-    pub rewrites: u64,
-    /// Structural-hashing merges in the encoding (fresh queries only).
-    pub strash_hits: u64,
-    /// Whether this query's base encoding was replayed from the shared
-    /// cross-target `EncodeCache` instead of bit-blasted.
-    pub encode_cache_hit: bool,
-    /// Variables the encode-cache replay spared re-deriving (hit queries).
-    pub cone_vars_saved: usize,
-    /// Clauses the encode-cache replay spared the Tseitin encoder.
-    pub cone_clauses_saved: usize,
-    /// Chronological (one-level) backtracks the solver took during this
-    /// query instead of full non-chronological backjumps.
-    pub chrono_backtracks: u64,
-    /// Watch-list footprint (bytes) of the session's parked solver after
-    /// this query — a gauge, not a delta.
-    pub watch_bytes: u64,
-    /// The part of `watch_bytes` that is watchers in a list; the rest is
-    /// the per-literal headers (a parked solver keeps no other slack).
+    /// The part of the parked solver's watch store that is watchers in a
+    /// list; the rest of `counters.sat_watch_bytes` is per-literal headers.
     pub watch_live_bytes: u64,
+    /// The query's contribution to the run counters
+    /// ([`hh_trace::COUNTERS`]): session hit or miss and reuse savings,
+    /// word-level rewrites of a fresh encoding, minimisation probes, SAT
+    /// work deltas and the parked solver's byte gauges.
+    pub counters: Counters,
 }
 
 /// Result of an abduction query.

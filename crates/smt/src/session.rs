@@ -54,10 +54,11 @@ use crate::blast::TransitionEncoding;
 use crate::cache::EncodeCache;
 use crate::cnf::{map_bytes, vec_bytes};
 use crate::pred::Predicate;
-use crate::query::{AbductionConfig, AbductionResult, EncodeScope, QueryTelemetry};
+use crate::query::{AbductionConfig, AbductionResult, QueryTelemetry};
 use hh_netlist::signature::ConeSignature;
 use hh_netlist::Netlist;
 use hh_sat::{Lit, ProbeMemory, SolveResult, Solver};
+use hh_trace::Counters;
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -215,7 +216,7 @@ impl<'a> AbductionSession<'a> {
         use_entries: bool,
     ) -> AbductionSession<'a> {
         let mut s = AbductionSession::new(netlist, target, config);
-        s.sig = use_entries.then(|| cache.signature(netlist, &s.target, config.scope));
+        s.sig = use_entries.then(|| cache.signature(netlist, &s.target));
         s.cache = Some(cache);
         s
     }
@@ -294,9 +295,6 @@ impl<'a> AbductionSession<'a> {
         let t_encode = Instant::now();
         let _encode_span = hh_trace::span!("smt", "smt.session.solve");
         let reused = self.enc.is_some();
-        let mut encode_cache_hit = false;
-        let mut cone_vars_saved = 0;
-        let mut cone_clauses_saved = 0;
         if !reused {
             // The signature is only ever needed here; the session does not
             // keep its token stream around afterwards.
@@ -307,9 +305,6 @@ impl<'a> AbductionSession<'a> {
                         // build (identity variable numbering), minus the
                         // Tseitin work.
                         let _replay = hh_trace::span!("smt", "smt.replay");
-                        encode_cache_hit = true;
-                        cone_vars_saved = entry.n_vars;
-                        cone_clauses_saved = entry.clauses.len();
                         TransitionEncoding::from_cache(
                             self.netlist,
                             cache.simp(),
@@ -320,7 +315,7 @@ impl<'a> AbductionSession<'a> {
                     None => {
                         let _blast = hh_trace::span!("smt", "smt.blast");
                         let mut enc = TransitionEncoding::recording(self.netlist, cache.simp());
-                        Self::build_base(&mut enc, &self.target, self.config.scope);
+                        Self::build_base(&mut enc, &self.target);
                         let entry = enc.harvest(&sig.witness);
                         cache.insert(sig.key, entry);
                         enc
@@ -330,13 +325,13 @@ impl<'a> AbductionSession<'a> {
                 (Some(cache), None) => {
                     let _blast = hh_trace::span!("smt", "smt.blast");
                     let mut enc = TransitionEncoding::with_simp(self.netlist, cache.simp());
-                    Self::build_base(&mut enc, &self.target, self.config.scope);
+                    Self::build_base(&mut enc, &self.target);
                     enc
                 }
                 _ => {
                     let _blast = hh_trace::span!("smt", "smt.blast");
                     let mut enc = TransitionEncoding::new(self.netlist);
-                    Self::build_base(&mut enc, &self.target, self.config.scope);
+                    Self::build_base(&mut enc, &self.target);
                     enc
                 }
             };
@@ -433,48 +428,51 @@ impl<'a> AbductionSession<'a> {
         self.strength.shrink_to_fit();
         self.witnesses.shrink_to_fit();
         let after = enc.cnf().solver().stats();
-        let simp = enc.simp_stats();
-
+        // Word-level counters belong to the encoding, built once per
+        // session: they go to the first (fresh) query only.
+        let simp = if reused {
+            Default::default()
+        } else {
+            enc.simp_stats()
+        };
+        let solves = after.solves - before.solves;
         AbductionResult {
             abduct,
             telemetry: QueryTelemetry {
                 vars,
                 clauses,
-                conflicts: after.conflicts - before.conflicts,
-                propagations: after.propagations - before.propagations,
-                reduces: after.reduces - before.reduces,
-                arena_bytes: after.arena_bytes,
-                solves: after.solves - before.solves,
-                minimize_probes_sat: probes.sat,
-                minimize_probes_unsat: probes.unsat,
-                minimize_witness_hits: probes.remembered,
-                vars_reused,
-                clauses_reused,
+                solves,
                 encode_time,
                 solve_time,
-                cached: reused,
-                // Word-level counters belong to the encoding, built once per
-                // session: attribute them to the first (fresh) query only.
-                const_folds: if reused { 0 } else { simp.const_folds },
-                rewrites: if reused { 0 } else { simp.rewrites },
-                strash_hits: if reused { 0 } else { simp.strash_hits },
-                encode_cache_hit,
-                cone_vars_saved,
-                cone_clauses_saved,
-                chrono_backtracks: after.chrono_backtracks - before.chrono_backtracks,
-                watch_bytes: after.watch_bytes,
                 watch_live_bytes: after.watch_live_bytes,
+                counters: Counters {
+                    session_hits: u64::from(reused),
+                    session_misses: u64::from(!reused),
+                    vars_saved: vars_reused as u64,
+                    clauses_saved: clauses_reused as u64,
+                    word_const_folds: simp.const_folds,
+                    word_rewrites: simp.rewrites,
+                    word_strash_hits: simp.strash_hits,
+                    minimize_probes_sat: probes.sat,
+                    minimize_probes_unsat: probes.unsat,
+                    minimize_witness_hits: probes.remembered,
+                    sat_solves: solves,
+                    sat_propagations: after.propagations - before.propagations,
+                    sat_conflicts: after.conflicts - before.conflicts,
+                    sat_reduces: after.reduces - before.reduces,
+                    sat_arena_bytes: after.arena_bytes,
+                    sat_chrono_backtracks: after.chrono_backtracks - before.chrono_backtracks,
+                    sat_watch_bytes: after.watch_bytes,
+                    ..Counters::default()
+                },
             },
         }
     }
 
-    /// Asserts the base formula: optional monolithic transition sweep, then
-    /// `target ∧ ¬target'`. Shared by the fresh and cache-miss build paths
-    /// (the cache-hit path replays a recording of exactly this sequence).
-    fn build_base(enc: &mut TransitionEncoding<'a>, target: &Predicate, scope: EncodeScope) {
-        if scope == EncodeScope::Monolithic {
-            enc.encode_everything();
-        }
+    /// Asserts the base formula `target ∧ ¬target'`. Shared by the fresh and
+    /// cache-miss build paths (the cache-hit path replays a recording of
+    /// exactly this sequence).
+    fn build_base(enc: &mut TransitionEncoding<'a>, target: &Predicate) {
         let p_now = target.encode_current(enc);
         enc.assert_lit(p_now);
         let p_next = target.encode_next(enc);
@@ -519,8 +517,8 @@ mod tests {
         let first = sess.solve(&cands);
         assert_eq!(first.abduct, fresh.abduct);
         assert_eq!(first.abduct, Some(vec![0, 1]));
-        assert!(!first.telemetry.cached);
-        assert_eq!(first.telemetry.vars_reused, 0);
+        assert_eq!(first.telemetry.counters.session_misses, 1);
+        assert_eq!(first.telemetry.counters.vars_saved, 0);
     }
 
     #[test]
@@ -547,17 +545,17 @@ mod tests {
         assert_eq!(retry.abduct, fresh.abduct);
         assert_eq!(retry.abduct, None);
         // The retry reused the first call's whole encoding.
-        assert!(retry.telemetry.cached);
-        assert!(retry.telemetry.vars_reused >= first.telemetry.vars);
+        assert_eq!(retry.telemetry.counters.session_hits, 1);
+        assert!(retry.telemetry.counters.vars_saved >= first.telemetry.vars as u64);
         assert_eq!(retry.telemetry.vars, 0, "no new candidate, no new vars");
 
         // Restoring the full set still answers like a fresh solver — and
         // both members are confirmed critical by the first query's probe
         // models, so the only solve is the first one.
-        assert_eq!(first.telemetry.minimize_probes_sat, 2);
+        assert_eq!(first.telemetry.counters.minimize_probes_sat, 2);
         let again = sess.solve(&all);
         assert_eq!(again.abduct, Some(vec![0, 1]));
-        assert_eq!(again.telemetry.minimize_witness_hits, 2);
+        assert_eq!(again.telemetry.counters.minimize_witness_hits, 2);
         assert_eq!(again.telemetry.solves, 1);
         assert_eq!(sess.queries(), 3);
         assert_eq!(sess.registered(), 2);
@@ -610,7 +608,6 @@ mod tests {
             AbductionSession::with_cache(m.netlist(), eq_b.clone(), cfg, Arc::clone(&cache), true);
         let r1 = s1.solve(std::slice::from_ref(&eq_c));
         assert_eq!(r1.abduct, Some(vec![])); // B is self-inductive
-        assert!(!r1.telemetry.encode_cache_hit);
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 0);
 
@@ -620,9 +617,8 @@ mod tests {
         let fresh = crate::query::abduct(m.netlist(), &eq_c, std::slice::from_ref(&eq_b), &cfg);
         assert_eq!(r2.abduct, fresh.abduct);
         assert_eq!(r2.abduct, Some(vec![]));
-        assert!(r2.telemetry.encode_cache_hit);
-        assert!(r2.telemetry.cone_vars_saved > 0);
         assert_eq!(cache.stats().hits, 1);
+        assert!(cache.stats().vars_saved > 0);
     }
 
     #[test]
@@ -638,9 +634,9 @@ mod tests {
         let eq_c = Predicate::eq(m.left(c), m.right(c));
         let cfg = AbductionConfig::paper_default();
         let cache = Arc::new(EncodeCache::new(m.netlist()));
-        let sig_a = cache.signature(m.netlist(), &eq_a, cfg.scope);
-        let sig_b = cache.signature(m.netlist(), &eq_b, cfg.scope);
-        let sig_c = cache.signature(m.netlist(), &eq_c, cfg.scope);
+        let sig_a = cache.signature(m.netlist(), &eq_a);
+        let sig_b = cache.signature(m.netlist(), &eq_b);
+        let sig_c = cache.signature(m.netlist(), &eq_c);
         assert_ne!(sig_a.key, sig_b.key);
         assert_eq!(sig_b.key, sig_c.key);
 
@@ -651,8 +647,7 @@ mod tests {
         let mut s2 = AbductionSession::with_cache(m.netlist(), eq_b, cfg, Arc::clone(&cache), true);
         let r2 = s2.solve(std::slice::from_ref(&eq_c));
         assert_eq!(r2.abduct, Some(vec![]));
-        assert!(!r2.telemetry.encode_cache_hit, "different cones must miss");
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(cache.stats().misses, 2, "different cones must miss");
     }
 
     #[test]
@@ -675,7 +670,7 @@ mod tests {
         let fresh = crate::query::abduct(m.netlist(), &target, &both, &cfg);
         assert_eq!(retry.abduct, Some(vec![0, 1]));
         assert_eq!(retry.abduct, fresh.abduct);
-        assert!(retry.telemetry.cached && retry.telemetry.vars > 0);
+        assert!(retry.telemetry.counters.session_hits == 1 && retry.telemetry.vars > 0);
         assert_eq!(sess.registered(), 2);
         assert!(sess.resident_bytes() > parked);
     }
@@ -749,7 +744,7 @@ mod tests {
         let mut replayed =
             AbductionSession::with_cache(m.netlist(), eq_c.clone(), cfg, Arc::clone(&cache), true);
         let r = replayed.solve(std::slice::from_ref(&eq_b));
-        assert!(r.telemetry.encode_cache_hit);
+        assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.resident_bytes(), recorded, "a hit stores nothing");
         let mut fresh =
             AbductionSession::with_cache(m.netlist(), eq_c, cfg, Arc::clone(&cache), false);

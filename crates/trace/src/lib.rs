@@ -10,7 +10,9 @@
 //! the trace says *where the wall-clock went* — per-target SMT time,
 //! scheduler occupancy, cache hits, solver restarts — which is what the
 //! paper's scalability story (§6, Fig. 2–5) actually rests on. Every
-//! span/event/counter name is documented in `docs/TRACE_SCHEMA.md`.
+//! span/event/counter name is documented in `docs/TRACE_SCHEMA.md`, and
+//! [`COUNTERS`] is the one table declaring the counters of the `Stats`
+//! projection.
 //!
 //! ## Design
 //!
@@ -27,8 +29,9 @@
 //!   ring wraparound can never orphan a begin/end pair and nesting is
 //!   balanced by construction.
 //! * **`TraceConfig::Off` is a near-no-op.** Every recording call starts
-//!   with an inlined relaxed load of one `AtomicBool`; the `perf_smoke` gate
-//!   asserts the measured tracing-off overhead stays under 2%.
+//!   with an inlined relaxed load of one `AtomicBool`; the benchmark's
+//!   `hh-trace.overhead_frac` and its end-to-end metrics judge what that
+//!   costs.
 //!
 //! ## Harvesting
 //!
@@ -59,11 +62,13 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod counters;
 mod json;
 mod queue;
 mod report;
 mod ring;
 
+pub use counters::{CounterDef, Counters, Fold, COUNTERS};
 pub use queue::run_indexed;
 pub use ring::Ring;
 

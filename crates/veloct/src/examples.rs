@@ -398,77 +398,6 @@ fn materialise(widths: &[u32], row: &[u64]) -> StateValues {
     )
 }
 
-/// One paired execution, every emitted row materialised in cycle order.
-fn pair_states(
-    design: &Design,
-    miter: &Miter,
-    m: Mnemonic,
-    prog: &[u32],
-    config: &SecretConfig,
-    window_start: usize,
-    mask: bool,
-) -> Result<Vec<StateValues>, Divergence> {
-    let tape = Tape::compile(&design.netlist);
-    let widths = product_widths(miter);
-    let mut states = Vec::new();
-    PairRunner::new(design, miter, &tape).run(m, prog, config, window_start, mask, |row| {
-        states.push(materialise(&widths, row))
-    })?;
-    Ok(states)
-}
-
-/// Runs one paired execution of the given program under `config`; `m` is
-/// carried for divergence reporting. Returns the masked product states or
-/// the divergence evidence.
-pub fn run_program_pair(
-    design: &Design,
-    miter: &Miter,
-    m: Mnemonic,
-    prog: &[u32],
-    config: &SecretConfig,
-) -> Result<Vec<StateValues>, Divergence> {
-    run_program_pair_window(design, miter, m, prog, config, 0)
-}
-
-/// [`run_program_pair`] extracting examples only from `window_start`
-/// onwards (the in-flight window of §5.2, excluding start-up cycles whose
-/// states reflect unsafe-instruction execution). The divergence check still
-/// covers the whole trace.
-pub fn run_program_pair_window(
-    design: &Design,
-    miter: &Miter,
-    m: Mnemonic,
-    prog: &[u32],
-    config: &SecretConfig,
-    window_start: usize,
-) -> Result<Vec<StateValues>, Divergence> {
-    pair_states(design, miter, m, prog, config, window_start, true)
-}
-
-/// [`run_program_pair_window`] without the masking pass (ablation support).
-pub fn run_program_pair_unmasked(
-    design: &Design,
-    miter: &Miter,
-    m: Mnemonic,
-    prog: &[u32],
-    config: &SecretConfig,
-    window_start: usize,
-) -> Result<Vec<StateValues>, Divergence> {
-    pair_states(design, miter, m, prog, config, window_start, false)
-}
-
-/// Runs one paired execution of `m`'s adversarial probe program (used by
-/// differential testing).
-pub fn run_pair(
-    design: &Design,
-    miter: &Miter,
-    m: Mnemonic,
-    config: &SecretConfig,
-) -> Result<Vec<StateValues>, Divergence> {
-    let prog = probe_program(design, m);
-    run_program_pair(design, miter, m, &prog, config)
-}
-
 /// Differentially tests `m` with the adversarial configurations; returns
 /// divergence evidence if any pair's observable timing differs. Only the
 /// observables are looked at: no product state is assembled, and a diverging
@@ -604,33 +533,21 @@ pub fn generate_examples(
     pairs_per_instr: usize,
     seed: u64,
 ) -> Result<Vec<StateValues>, Divergence> {
-    generate_examples_opts(design, miter, safe, pairs_per_instr, seed, true)
-}
-
-/// [`generate_examples`] with example masking optionally disabled — the
-/// ablation of §5.2.1: without masking, stale-uop residue in out-of-order
-/// structures blocks the `InSafeSet` predicates the invariant needs.
-pub fn generate_examples_opts(
-    design: &Design,
-    miter: &Miter,
-    safe: &[Mnemonic],
-    pairs_per_instr: usize,
-    seed: u64,
-    mask: bool,
-) -> Result<Vec<StateValues>, Divergence> {
     generate_examples_custom(
         design,
         miter,
         safe,
         pairs_per_instr,
         seed,
-        mask,
+        true,
         &EXAMPLE_RDS,
     )
 }
 
-/// [`generate_examples_opts`] with an explicit destination-register
-/// rotation (example-richness knob).
+/// [`generate_examples`] with an explicit destination-register rotation
+/// (example-richness knob) and example masking optionally disabled — the
+/// ablation of §5.2.1: without masking, stale-uop residue in out-of-order
+/// structures blocks the `InSafeSet` predicates the invariant needs.
 #[allow(clippy::too_many_arguments)]
 pub fn generate_examples_custom(
     design: &Design,
@@ -732,13 +649,33 @@ mod tests {
     use hh_uarch::boomlite::{boom_lite, BoomVariant};
     use hh_uarch::rocketlite::rocket_lite;
 
+    /// One masked paired execution of `prog`, every product state it emits
+    /// materialised in cycle order.
+    fn run_program_pair(
+        design: &Design,
+        miter: &Miter,
+        m: Mnemonic,
+        prog: &[u32],
+        config: &SecretConfig,
+    ) -> Result<Vec<StateValues>, Divergence> {
+        let tape = Tape::compile(&design.netlist);
+        let widths = product_widths(miter);
+        let mut states = Vec::new();
+        PairRunner::new(design, miter, &tape).run(m, prog, config, 0, true, |row| {
+            states.push(materialise(&widths, row))
+        })?;
+        Ok(states)
+    }
+
     #[test]
     fn safe_alu_instruction_generates_examples() {
         let d = rocket_lite(16);
         let m = Miter::build(&d.netlist);
         let cfgs = random_configs(&d, 2, 7);
         for c in cfgs {
-            let states = run_pair(&d, &m, Mnemonic::Add, &c).expect("add is timing-safe");
+            let prog = probe_program(&d, Mnemonic::Add);
+            let states =
+                run_program_pair(&d, &m, Mnemonic::Add, &prog, &c).expect("add is timing-safe");
             assert!(states.len() > 10);
             // Property holds on every example: observables equal.
             for s in &states {
@@ -804,7 +741,8 @@ mod tests {
         // Run a mul, then inspect post-issue states: the stale muliq uop
         // must be masked back to the NOP reset value.
         let cfg = &random_configs(&d, 1, 3)[0];
-        let states = run_pair(&d, &m, Mnemonic::Mul, cfg).unwrap();
+        let prog = probe_program(&d, Mnemonic::Mul);
+        let states = run_program_pair(&d, &m, Mnemonic::Mul, &prog, cfg).unwrap();
         let uop0 = d.netlist.find_state("muliq$uop0").unwrap();
         let v0 = d.netlist.find_state("muliq$v0").unwrap();
         let nopw = hh_isa::Instruction::nop().encode() as u64;

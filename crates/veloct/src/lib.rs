@@ -405,9 +405,9 @@ impl<'a> Veloct<'a> {
         let props = self.property(&miter);
         let invariant = engine.learn(&props);
         let mut stats = engine.stats().clone();
-        stats.examples_cycles = examples_cycles;
-        stats.examples_raw = examples_raw;
-        stats.examples_unique = num_examples as u64;
+        stats.counters.examples_cycles = examples_cycles;
+        stats.counters.examples_raw = examples_raw;
+        stats.counters.examples_unique = num_examples as u64;
         LearnReport {
             invariant,
             stats,

@@ -48,7 +48,7 @@ fn closed_memo_report_equals_the_seeded_engine_run() {
             let veloct = Veloct::with_config(&design, cfg.clone());
             let cold = veloct.learn(&safe);
             let cold_inv = cold.invariant.expect("the ALU set proves");
-            assert!(cold.num_examples > 0 && cold.stats.examples_cycles > 0);
+            assert!(cold.num_examples > 0 && cold.stats.counters.examples_cycles > 0);
             let seeds = || WarmContext {
                 encode_cache: None,
                 seeds: cold.solutions.clone(),
@@ -80,10 +80,10 @@ fn closed_memo_report_equals_the_seeded_engine_run() {
             assert!(warm.divergence.is_none());
             assert_eq!(warm.state_bits, cold.state_bits);
             // No example was simulated and no miner built.
-            assert_eq!(warm.stats.examples_cycles, 0);
+            let c = warm.stats.counters;
             assert_eq!(
-                (warm.stats.examples_raw, warm.stats.examples_unique),
-                (0, 0)
+                (c.examples_cycles, c.examples_raw, c.examples_unique),
+                (0, 0, 0)
             );
             assert_eq!(warm.num_examples, 0);
             assert_eq!(warm.examples_time, Duration::ZERO);
@@ -128,9 +128,10 @@ fn classify_is_identical_across_thread_counts() {
         assert_eq!(many.rejected, one.rejected, "threads={threads}");
         assert_eq!(many.safe, one.safe);
         assert_eq!(many.num_examples, one.num_examples);
+        let (m, o) = (many.stats.counters, one.stats.counters);
         assert_eq!(
-            (many.stats.examples_cycles, many.stats.examples_raw),
-            (one.stats.examples_cycles, one.stats.examples_raw)
+            (m.examples_cycles, m.examples_raw),
+            (o.examples_cycles, o.examples_raw)
         );
         assert_eq!(
             many.invariant.as_ref().map(|i| i.preds()),

@@ -176,8 +176,8 @@ pub fn check_inflight_balance(run: &RunArtifacts) -> InvariantResult {
 pub fn check_trace_agreement(run: &RunArtifacts) -> InvariantResult {
     let pairs: [(&str, u64); 3] = [
         ("engine.query", run.stats.smt_queries as u64),
-        ("smt.cache.hit", run.stats.encode_cache_hits),
-        ("smt.cache.miss", run.stats.encode_cache_misses),
+        ("smt.cache.hit", run.stats.counters.encode_cache_hits),
+        ("smt.cache.miss", run.stats.counters.encode_cache_misses),
     ];
     for (name, stat) in pairs {
         let traced = *run.counters.get(name).unwrap_or(&0);
@@ -252,28 +252,18 @@ pub fn check_death_surfacing(run: &RunArtifacts) -> InvariantResult {
 // Pair checkers
 // ---------------------------------------------------------------------------
 
-/// The byte counters are gauges (merged by max); every other projected
-/// counter is a sum.
-const MERGE_MAX_GAUGES: [&str; 4] = [
-    "sat.arena_bytes",
-    "sat.watch_bytes",
-    "smt.session.resident_bytes",
-    "smt.cache.resident_bytes",
-];
-
-/// `Stats::merge` must be additive on counters (gauges max), and poisoning
-/// must be sticky across merges — an aggregated report must never launder
-/// a poisoned run into a clean total.
+/// `Stats::merge` must fold every counter by its table row (sums add, byte
+/// gauges take the maximum), and poisoning must be sticky across merges — an
+/// aggregated report must never launder a poisoned run into a clean total.
 pub fn check_stats_additivity(a: &Stats, b: &Stats) -> InvariantResult {
     let mut merged = a.clone();
     merged.merge(b);
     let (ca, cb, cm) = (a.counters(), b.counters(), merged.counters());
-    for ((name, va), ((_, vb), (_, vm))) in ca.iter().zip(cb.iter().zip(cm.iter())) {
-        let want = if MERGE_MAX_GAUGES.contains(name) {
-            (*va).max(*vb)
-        } else {
-            va + vb
-        };
+    for (def, ((name, va), ((_, vb), (_, vm)))) in hh_trace::COUNTERS
+        .iter()
+        .zip(ca.iter().zip(cb.iter().zip(cm.iter())))
+    {
+        let want = def.fold.apply(*va, *vb);
         if *vm != want {
             return InvariantResult::Violation(format!(
                 "merge broke {name}: {va} ⊕ {vb} gave {vm}, expected {want}"
@@ -481,17 +471,13 @@ mod tests {
 
     #[test]
     fn stats_additivity_holds_for_engine_stats() {
-        let a = Stats {
-            smt_queries: 3,
-            sat_arena_bytes: 100,
-            ..Stats::default()
-        };
-        let b = Stats {
-            smt_queries: 4,
-            sat_arena_bytes: 60,
+        let mut a = Stats::default();
+        (a.counters.queries, a.counters.sat_arena_bytes) = (3, 100);
+        let mut b = Stats {
             poisoned: true,
             ..Stats::default()
         };
+        (b.counters.queries, b.counters.sat_arena_bytes) = (4, 60);
         assert_eq!(check_stats_additivity(&a, &b), InvariantResult::Ok);
     }
 }

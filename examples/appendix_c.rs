@@ -121,7 +121,7 @@ fn learn(stage: &ExecStage, allow_mul: bool) {
                 "    monolithic re-verification: {} | tasks {} backtracks {}",
                 if ok { "INDUCTIVE" } else { "BROKEN" },
                 engine.stats().num_tasks(),
-                engine.stats().backtracks
+                engine.stats().counters.backtracks
             );
             assert!(ok);
         }
@@ -130,7 +130,7 @@ fn learn(stage: &ExecStage, allow_mul: bool) {
                 "[{label}] no invariant exists (tasks {}, backtracks {}) — \
                  the zero-skip multiplier leaks operand timing",
                 engine.stats().num_tasks(),
-                engine.stats().backtracks
+                engine.stats().counters.backtracks
             );
         }
     }

@@ -41,7 +41,7 @@ fn main() {
             design.state_bits(),
             report.invariant.as_ref().map(|i| i.len()).unwrap_or(0),
             report.stats.num_tasks(),
-            report.stats.backtracks,
+            report.stats.counters.backtracks,
             elapsed,
             mul_safe
         );

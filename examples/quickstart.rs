@@ -51,7 +51,7 @@ fn main() {
                 "\ninvariant: {} predicates | tasks {} | backtracks {} | SMT queries {} | {elapsed:?}",
                 inv.len(),
                 report.stats.num_tasks(),
-                report.stats.backtracks,
+                report.stats.counters.backtracks,
                 report.stats.smt_queries
             );
         }

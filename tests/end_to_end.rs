@@ -201,7 +201,7 @@ fn unsafe_proposal_fails_via_learning() {
         "nonzero operands hide the fast path"
     );
     assert!(
-        report.stats.backtracks > 0,
+        report.stats.counters.backtracks > 0,
         "failure must involve backtracking"
     );
 }
