@@ -98,7 +98,7 @@ impl Runs {
     }
 
     /// The full pipeline on target `i`, with one example pair per
-    /// instruction as in [`hh_bench::prepare`]. The learns it makes are the
+    /// instruction as in [`hh_bench::learn`]. The learns it makes are the
     /// caller's to [`Runs::count_learn`].
     fn veloct(&self, i: usize, config: VeloctConfig) -> Veloct<'_> {
         Veloct::with_config(
@@ -124,6 +124,19 @@ fn one_thread() -> VeloctConfig {
 
 fn invariant_size(run: &RunResult) -> usize {
     run.invariant.as_ref().map_or(usize::MAX, |inv| inv.len())
+}
+
+/// FNV-1a of target `i`'s invariant as sorted, newline-joined
+/// `Predicate::to_wire` lines, kept to its low 52 bits so that the row's
+/// f64 holds it exactly.
+fn invariant_digest(runs: &Runs, i: usize, run: &RunResult) -> u64 {
+    let inv = run.invariant.as_ref().expect("shared runs learn");
+    let (miter, _) = Veloct::new(&runs.targets[i].design).build_miter(&runs.safe[i]);
+    let mut wire: Vec<String> = (inv.preds().iter())
+        .map(|p| p.to_wire(miter.netlist()))
+        .collect();
+    wire.sort();
+    hh_proof::cert::fnv1a(wire.join("\n").as_bytes()) & ((1 << 52) - 1)
 }
 
 /// Command-line name (and `bench_results/<name>.json`), heading, projection.
@@ -192,18 +205,20 @@ fn main() {
 /// (# predicates), beside the paper's.
 fn table1(runs: &Runs, report: &mut Report) {
     println!(
-        "{:<16} {:>12} {:>14} | {:>12} {:>14}",
-        "Target", "size (bits)", "invariant", "paper (bits)", "paper inv."
+        "{:<16} {:>12} {:>14} {:>14} | {:>12} {:>14}",
+        "Target", "size (bits)", "invariant", "digest", "paper (bits)", "paper inv."
     );
-    for (t, run) in runs.each(Shared::Rich) {
+    for (i, (t, run)) in runs.each(Shared::Rich).enumerate() {
         let bits = t.design.state_bits();
         let inv = invariant_size(run);
+        let digest = invariant_digest(runs, i, run);
         println!(
-            "{:<16} {:>12} {:>14} | {:>12} {:>14}",
+            "{:<16} {:>12} {:>14} {digest:>14x} | {:>12} {:>14}",
             t.name, bits, inv, t.paper.0, t.paper.1
         );
         report.push(t.name, "state_bits", bits as f64, "bits");
         report.push(t.name, "invariant_size", inv as f64, "predicates");
+        report.push(t.name, "invariant_digest", digest as f64, "digest");
         report.push(t.name, "paper_state_bits", t.paper.0 as f64, "bits");
         report.push(
             t.name,
@@ -214,6 +229,7 @@ fn table1(runs: &Runs, report: &mut Report) {
     }
     println!("\nShape check: both size and invariant grow monotonically Small→Mega,");
     println!("as in the paper (absolute numbers differ: synthetic cores are smaller).");
+    println!("The digest pins each invariant predicate for predicate.");
 }
 
 /// Table 2: the synthesized safe instruction sets. The mul family is unsafe
@@ -363,7 +379,11 @@ fn fig4(runs: &Runs, report: &mut Report) {
 /// generate — the paper's regime) backtracks are a small, bounded fraction
 /// of tasks; with rich examples the paper's prediction "if the set of
 /// positive examples was exhaustive, the number of backtracks would be 0"
-/// holds exactly.
+/// holds exactly. Every limited run's `Stats::counters()` is pinned as
+/// `<target>-limited` rows — solver calls per learned predicate in the
+/// terms of Feldman et al., and the parked sessions' bytes — and the
+/// MegaBoomLite one, where retries answer probes from witness models, is
+/// learned again on two workers and must not move.
 fn fig5(runs: &Runs, report: &mut Report) {
     println!("Limited examples (rd = x3 only; the paper's regime):");
     println!(
@@ -381,7 +401,36 @@ fn fig5(runs: &Runs, report: &mut Report) {
         );
         report.push(t.name, "tasks_limited", tasks as f64, "tasks");
         report.push(t.name, "backtracks_limited", bt as f64, "backtracks");
+        let limited = format!("{}-limited", t.name);
+        for (key, value) in run.stats.counters() {
+            report.push(&limited, key, value as f64, "count");
+        }
     }
+    let mega = runs.targets.len() - 1;
+    let one = runs.shared(mega, Shared::Limited);
+    let c = one.stats.counters;
+    assert!(
+        c.backtracks > 0 && c.minimize_witness_hits > 0,
+        "limited examples must backtrack on MegaBoomLite, and retries reuse witness models"
+    );
+    runs.count_learn();
+    let (t, safe) = (&runs.targets[mega], &runs.safe[mega]);
+    let two = learn(&t.design, safe, 2, Shared::Limited.spec());
+    let preds = |run: &RunResult| run.invariant.as_ref().map(|inv| inv.preds().to_vec());
+    assert_eq!(
+        preds(&two),
+        preds(one),
+        "2 workers learned another invariant"
+    );
+    assert_eq!(
+        two.stats.counters(),
+        one.stats.counters(),
+        "2 workers did other work"
+    );
+    println!(
+        "{}: {} probes answered from witness models; invariant and counters identical on 2 workers",
+        t.name, c.minimize_witness_hits
+    );
 
     println!("\nRich examples (full rd rotation — near-exhaustive coverage):");
     println!(

@@ -4,17 +4,18 @@
 //! evaluated designs, the known-correct safe sets, one learning entry point
 //! that returns full telemetry, and machine-readable result rows.
 //!
-//! Two binaries use it: `experiments` (`cargo run -p hh-bench --release
-//! --bin experiments -- all`) regenerates every table and figure of the
-//! paper's §6 from a few learns per design, and `perf_smoke` is the CI gate
-//! on what the session, sharing, memory and tracing fast paths compute.
+//! Its one binary, `experiments` (`cargo run -p hh-bench --release --bin
+//! experiments -- all`), regenerates every table and figure of the paper's
+//! §6 from a few learns per design and checks the committed counts in
+//! `bench_results/`. How fast the learner runs is the `benchmark/`
+//! package's question; whether its paths compute the right thing is
+//! `cargo test`'s and those committed counts'.
 
 #![warn(missing_docs)]
 
 use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
-use hh_netlist::miter::Miter;
 use hh_serve::json::Json;
-use hh_smt::{AbductionConfig, Predicate};
+use hh_smt::AbductionConfig;
 use hh_uarch::boomlite::{boom_lite, BoomVariant, ALL_VARIANTS};
 use hh_uarch::rocketlite::rocket_lite;
 use hh_uarch::Design;
@@ -110,29 +111,6 @@ pub const RICH_RDS: &[u8] = &[3, 5, 6, 7, 1, 2, 4];
 /// Figure 5 regime).
 pub const LIMITED_RDS: &[u8] = &[3];
 
-/// Builds the constrained miter, examples and property for a target.
-/// `rds` is the destination-register rotation of example generation
-/// ([`RICH_RDS`] or [`LIMITED_RDS`]).
-pub fn prepare(
-    design: &Design,
-    safe: &[Mnemonic],
-    mask: bool,
-    rds: &[u8],
-) -> (
-    Miter,
-    Vec<hh_netlist::eval::StateValues>,
-    Vec<Predicate>,
-    Vec<hh_smt::Pattern>,
-) {
-    let veloct = Veloct::new(design);
-    let (miter, patterns) = veloct.build_miter(safe);
-    let examples =
-        veloct::examples::generate_examples_custom(design, &miter, safe, 1, 0xBEEF, mask, rds)
-            .expect("safe set examples");
-    let props = veloct.property(&miter);
-    (miter, examples, props, patterns)
-}
-
 /// Everything the experiments vary about what a learning run computes.
 /// (The thread count is not here: it changes the timings and nothing else.)
 #[derive(Debug, Clone, Copy)]
@@ -141,7 +119,8 @@ pub struct LearnSpec {
     pub abduction: AbductionConfig,
     /// Example masking through the design's valid-bit annotations (§5.2.1).
     pub mask: bool,
-    /// Destination-register rotation of example generation.
+    /// Destination-register rotation of example generation ([`RICH_RDS`]
+    /// or [`LIMITED_RDS`]).
     pub rds: &'static [u8],
 }
 
@@ -158,10 +137,17 @@ impl LearnSpec {
 }
 
 /// Runs H-Houdini on a target's known safe set, on `threads` workers of
-/// the engine `veloct`, the daemon and the benchmark run.
+/// the engine `veloct`, the daemon and the benchmark run, over one example
+/// pair per instruction.
 pub fn learn(design: &Design, safe: &[Mnemonic], threads: usize, spec: LearnSpec) -> RunResult {
     let t0 = Instant::now();
-    let (miter, examples, props, patterns) = prepare(design, safe, spec.mask, spec.rds);
+    let veloct = Veloct::new(design);
+    let (miter, patterns) = veloct.build_miter(safe);
+    let examples = veloct::examples::generate_examples_custom(
+        design, &miter, safe, 1, 0xBEEF, spec.mask, spec.rds,
+    )
+    .expect("safe set examples");
+    let props = veloct.property(&miter);
     let num_examples = examples.len();
     let miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
     let config = EngineConfig {
@@ -190,7 +176,7 @@ struct Row {
 /// The units whose rows are counts: the same on every run of the same
 /// tree, so a committed file that disagrees with a fresh run is stale.
 /// Every other unit is a time, a rate or a ratio.
-const EXACT_UNITS: [&str; 9] = [
+const EXACT_UNITS: [&str; 10] = [
     "bits",
     "predicates",
     "tasks",
@@ -200,6 +186,7 @@ const EXACT_UNITS: [&str; 9] = [
     "count",
     "bytes",
     "obligations",
+    "digest",
 ];
 
 /// The rows of one experiment, kept in `bench_results/<experiment>.json`.

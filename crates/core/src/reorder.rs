@@ -101,52 +101,25 @@ impl<T> ReorderBuffer<T> {
     }
 }
 
-/// Bounded verification harnesses (chutoro-style ADR: `#[cfg(kani)]` proofs
-/// that also compile — and run with concrete pseudo-arbitrary inputs —
-/// under the `kani-harness` cargo feature, so CI type-checks them without
-/// the Kani toolchain).
-#[cfg(any(kani, feature = "kani-harness"))]
-#[allow(dead_code)]
+/// Bounded verification harness (chutoro-style ADR): a `#[cfg(kani)]`
+/// proof under `cargo kani`, and under `cargo test` the same body run on
+/// every choice within the same bound.
+#[cfg(any(test, kani))]
 mod verification {
     use super::ReorderBuffer;
 
-    /// A bounded arbitrary `usize` below `bound`. Under Kani this is a
-    /// symbolic value; without the toolchain it is a deterministic LCG so
-    /// the harness still executes as a plain test.
-    #[cfg(kani)]
-    fn arb_below(bound: usize) -> usize {
-        let x: usize = kani::any();
-        kani::assume(x < bound);
-        x
-    }
-
-    #[cfg(not(kani))]
-    fn arb_below(bound: usize) -> usize {
-        use std::cell::Cell;
-        thread_local! {
-            static STATE: Cell<u64> = const { Cell::new(0x9e3779b97f4a7c15) };
-        }
-        STATE.with(|s| {
-            let next = s
-                .get()
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s.set(next);
-            (next >> 33) as usize % bound.max(1)
-        })
-    }
+    const N: usize = 4;
 
     /// For every arrival permutation of `N` completions, the pop sequence
     /// is exactly `0, 1, …, N-1` and nothing pops before its turn.
-    #[cfg_attr(kani, kani::proof, kani::unwind(6))]
-    pub fn reorder_pops_in_issue_order() {
-        const N: usize = 4;
+    /// `choose(n)` picks a value below `n`.
+    fn reorder_pops_in_issue_order(choose: &mut dyn FnMut(usize) -> usize) {
         // Build an arrival permutation of 0..N from bounded choices.
         let mut remaining: Vec<usize> = (0..N).collect();
         let mut buf: ReorderBuffer<usize> = ReorderBuffer::new();
         let mut popped: Vec<usize> = Vec::new();
         for _ in 0..N {
-            let pick = arb_below(remaining.len());
+            let pick = choose(remaining.len());
             let seq = remaining.swap_remove(pick);
             buf.insert(seq, seq * 10);
             // Drain everything that is in order so far.
@@ -160,14 +133,21 @@ mod verification {
         assert_eq!(buf.buffered(), 0);
     }
 
-    #[cfg(all(test, not(kani)))]
-    mod exec {
-        #[test]
-        fn harness_runs_concretely() {
-            for _ in 0..64 {
-                super::reorder_pops_in_issue_order();
-            }
-        }
+    #[cfg(kani)]
+    #[kani::proof]
+    #[kani::unwind(6)]
+    fn reorder_proof() {
+        reorder_pops_in_issue_order(&mut |bound| {
+            let x: usize = kani::any();
+            kani::assume(x < bound);
+            x
+        });
+    }
+
+    #[test]
+    fn reorder_pops_in_issue_order_for_every_arrival_order() {
+        let runs = hh_trace::for_every_choice(reorder_pops_in_issue_order);
+        assert_eq!(runs, 24, "4! arrival orders");
     }
 }
 

@@ -42,6 +42,17 @@ fn err(line: usize, message: impl Into<String>) -> Btor2Error {
     }
 }
 
+/// `Err` on `line` unless `ok`. The [`Netlist`] builders `assert!` their
+/// width and name preconditions, so the reader checks each one first: a
+/// hostile file is an error, never a panic.
+fn require(ok: bool, line: usize, message: impl FnOnce() -> String) -> Result<(), Btor2Error> {
+    if ok {
+        Ok(())
+    } else {
+        Err(err(line, message()))
+    }
+}
+
 /// Parses btor2 text into a [`Netlist`].
 ///
 /// States without an `init` line default to zero; states without a `next`
@@ -49,8 +60,9 @@ fn err(line: usize, message: impl Into<String>) -> Btor2Error {
 ///
 /// # Errors
 ///
-/// Returns [`Btor2Error`] on unsupported constructs, malformed lines, or
-/// dangling references.
+/// Returns [`Btor2Error`] on unsupported constructs, malformed lines,
+/// dangling references, duplicate names or `next` lines, and operand widths
+/// the operator does not accept.
 pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
     let mut netlist = Netlist::new("btor2");
     let mut sorts: HashMap<u64, u32> = HashMap::new();
@@ -117,6 +129,9 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     anon_counter += 1;
                     format!("input_{id}")
                 });
+                require(netlist.find_input(&name).is_none(), lineno, || {
+                    format!("duplicate input name {name}")
+                })?;
                 let node = netlist.input(name, w);
                 nodes.insert(id, node);
             }
@@ -126,6 +141,9 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     anon_counter += 1;
                     format!("state_{id}")
                 });
+                require(netlist.find_state(&name).is_none(), lineno, || {
+                    format!("duplicate state name {name}")
+                })?;
                 let sid = netlist.state(name, w, Bv::zero(w));
                 nodes.insert(id, netlist.state_node(sid));
                 states.insert(id, sid);
@@ -143,10 +161,14 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(4).ok_or_else(|| err(lineno, "missing value"))?,
                 )?;
-                match netlist.node(val).op {
-                    NodeOp::Const(c) => netlist.set_init(sid, c),
-                    _ => return Err(err(lineno, "init value must be a constant")),
-                }
+                let NodeOp::Const(c) = netlist.node(val).op else {
+                    return Err(err(lineno, "init value must be a constant"));
+                };
+                let w = netlist.state_width(sid);
+                require(c.width() == w, lineno, || {
+                    format!("init of a {w}-bit state with a {}-bit value", c.width())
+                })?;
+                netlist.set_init(sid, c);
             }
             "next" => {
                 let state_tok = toks.get(3).ok_or_else(|| err(lineno, "missing state"))?;
@@ -160,6 +182,13 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(4).ok_or_else(|| err(lineno, "missing value"))?,
                 )?;
+                let (w, vw) = (netlist.state_width(sid), netlist.width(val));
+                require(w == vw, lineno, || {
+                    format!("next of a {w}-bit state with a {vw}-bit value")
+                })?;
+                require(!next_seen[&sref], lineno, || {
+                    format!("second next of state {sref}")
+                })?;
                 netlist.set_next(sid, val);
                 next_seen.insert(sref, true);
             }
@@ -189,6 +218,8 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(2).ok_or_else(|| err(lineno, "missing node"))?,
                 )?;
+                let w = netlist.width(node);
+                require(w == 1, lineno, || format!("{w}-bit constraint"))?;
                 netlist.add_constraint(node);
             }
             "output" | "bad" => {
@@ -225,6 +256,10 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(3).ok_or_else(|| err(lineno, "missing operand"))?,
                 )?;
+                let aw = netlist.width(a);
+                require(w >= aw, lineno, || {
+                    format!("{kind} of a {aw}-bit operand to {w} bits")
+                })?;
                 let node = if kind == "uext" {
                     netlist.uext(a, w)
                 } else {
@@ -246,6 +281,10 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     .get(5)
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| err(lineno, "bad slice lo"))?;
+                let w = netlist.width(a);
+                require(hi >= lo && hi < w, lineno, || {
+                    format!("slice [{hi}:{lo}] of a {w}-bit operand")
+                })?;
                 nodes.insert(id, netlist.slice(a, hi, lo));
             }
             "ite" => {
@@ -262,6 +301,10 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(5).ok_or_else(|| err(lineno, "missing else"))?,
                 )?;
+                let (cw, tw, ew) = (netlist.width(c), netlist.width(t), netlist.width(e));
+                require(cw == 1 && tw == ew, lineno, || {
+                    format!("ite of a {cw}-bit condition over {tw} and {ew} bits")
+                })?;
                 nodes.insert(id, netlist.ite(c, t, e));
             }
             // Binary operators.
@@ -276,6 +319,16 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(4).ok_or_else(|| err(lineno, "missing rhs"))?,
                 )?;
+                let (aw, bw) = (netlist.width(a), netlist.width(b));
+                let ok = match kind {
+                    // Shift amounts may have any width.
+                    "sll" | "srl" | "sra" => true,
+                    "concat" => aw + bw <= crate::bv::MAX_WIDTH,
+                    _ => aw == bw,
+                };
+                require(ok, lineno, || {
+                    format!("{kind} of {aw}-bit and {bw}-bit operands")
+                })?;
                 let node = match kind {
                     "and" => netlist.and(a, b),
                     "or" => netlist.or(a, b),
@@ -508,6 +561,28 @@ mod tests {
         let text = "1 sort array 2 2\n";
         let e = parse_btor2(text).unwrap_err();
         assert!(e.message.contains("bitvec"));
+    }
+
+    /// Widths the `Netlist` builders assert on are errors naming the line
+    /// (each case's last).
+    #[test]
+    fn inconsistent_widths_are_errors_not_panics() {
+        let cases = [
+            // `and` of an 8-bit and a 4-bit state.
+            "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 state 2 b\n5 and 1 3 4\n",
+            // `next` of an 8-bit state with a 4-bit value.
+            "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 state 2 b\n5 next 1 3 4\n",
+            // Bit 20 of an 8-bit state.
+            "1 sort bitvec 8\n2 sort bitvec 21\n3 state 1 a\n4 slice 2 3 20 0\n",
+            // `uext` to fewer bits.
+            "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 uext 2 3 0\n",
+            // 40 + 40 bits.
+            "1 sort bitvec 40\n2 sort bitvec 64\n3 state 1 a\n4 concat 2 3 3\n",
+        ];
+        for text in cases {
+            let e = parse_btor2(text).expect_err(text);
+            assert_eq!(e.line, text.lines().count(), "{text}: {e}");
+        }
     }
 
     #[test]

@@ -43,11 +43,10 @@ pub fn node_support(netlist: &Netlist, root: NodeId) -> (Vec<StateId>, Vec<Input
 }
 
 /// Precomputed 1-step cone-of-influence table: for every state element, the
-/// states and inputs its next-state function reads.
+/// states its next-state function reads.
 #[derive(Debug, Clone)]
 pub struct Coi {
     state_deps: Vec<Vec<StateId>>,
-    input_deps: Vec<Vec<InputId>>,
 }
 
 impl Coi {
@@ -57,27 +56,15 @@ impl Coi {
     ///
     /// Panics if any state lacks a next function.
     pub fn new(netlist: &Netlist) -> Coi {
-        let mut state_deps = Vec::with_capacity(netlist.num_states());
-        let mut input_deps = Vec::with_capacity(netlist.num_states());
-        for s in netlist.state_ids() {
-            let (st, inp) = node_support(netlist, netlist.next_of(s));
-            state_deps.push(st);
-            input_deps.push(inp);
-        }
-        Coi {
-            state_deps,
-            input_deps,
-        }
+        let state_deps = (netlist.state_ids())
+            .map(|s| node_support(netlist, netlist.next_of(s)).0)
+            .collect();
+        Coi { state_deps }
     }
 
     /// The state elements read by the next-state function of `s`.
     pub fn states_of(&self, s: StateId) -> &[StateId] {
         &self.state_deps[s.index()]
-    }
-
-    /// The inputs read by the next-state function of `s`.
-    pub fn inputs_of(&self, s: StateId) -> &[InputId] {
-        &self.input_deps[s.index()]
     }
 
     /// `O_slice`: the union of 1-step cones of the given target variables —
@@ -93,25 +80,6 @@ impl Coi {
             out.extend(self.states_of(t).iter().copied());
         }
         out.into_iter().collect()
-    }
-
-    /// The transitive (fixed-point) cone of influence of the given targets:
-    /// all states that can ever influence them. Useful for sanity checks and
-    /// for pruning designs before monolithic baseline runs.
-    ///
-    /// Like [`Coi::one_step`], the result is sorted ascending and
-    /// deduplicated — deterministic no matter the frontier exploration order.
-    pub fn transitive(&self, targets: &[StateId]) -> Vec<StateId> {
-        let mut reached: BTreeSet<StateId> = targets.iter().copied().collect();
-        let mut frontier: Vec<StateId> = targets.to_vec();
-        while let Some(t) = frontier.pop() {
-            for &d in self.states_of(t) {
-                if reached.insert(d) {
-                    frontier.push(d);
-                }
-            }
-        }
-        reached.into_iter().collect()
     }
 }
 
@@ -150,22 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn input_deps_recorded() {
-        let (n, [a, b, _, _]) = pipeline();
-        let coi = Coi::new(&n);
-        assert_eq!(coi.inputs_of(a).len(), 1);
-        assert!(coi.inputs_of(b).is_empty());
-    }
-
-    #[test]
-    fn transitive_closure() {
-        let (n, [a, b, c, u]) = pipeline();
-        let coi = Coi::new(&n);
-        assert_eq!(coi.transitive(&[c]), vec![a, b, c]);
-        assert_eq!(coi.transitive(&[u]), vec![u]);
-    }
-
-    #[test]
     fn node_support_sees_through_logic() {
         let mut n = Netlist::new("t");
         let a = n.state("a", 1, Bv::bit(false));
@@ -182,10 +134,9 @@ mod tests {
 
     /// Regression against brute force on pseudo-random netlists: `one_step`
     /// must equal the sorted, deduplicated union of per-target
-    /// [`node_support`] calls, and `transitive` must equal a naive fixpoint
-    /// — both in guaranteed ascending order.
+    /// [`node_support`] calls, in guaranteed ascending order.
     #[test]
-    fn one_step_and_transitive_match_brute_force_support() {
+    fn one_step_matches_brute_force_support() {
         let mut rng = 0x9e3779b97f4a7c15u64;
         let mut next = move || {
             // xorshift64*: deterministic, no external crates.
@@ -238,23 +189,6 @@ mod tests {
                 let got = coi.one_step(&targets);
                 assert_eq!(got, expect, "trial {trial}: one_step != brute force");
                 assert!(got.windows(2).all(|w| w[0] < w[1]), "unsorted/duplicated");
-
-                // Brute force transitive: naive fixpoint over one_step.
-                let mut reach: BTreeSet<StateId> = targets.iter().copied().collect();
-                loop {
-                    let frontier: Vec<StateId> = reach.iter().copied().collect();
-                    let before = reach.len();
-                    for s in coi.one_step(&frontier) {
-                        reach.insert(s);
-                    }
-                    if reach.len() == before {
-                        break;
-                    }
-                }
-                let expect_t: Vec<StateId> = reach.into_iter().collect();
-                let got_t = coi.transitive(&targets);
-                assert_eq!(got_t, expect_t, "trial {trial}: transitive mismatch");
-                assert!(got_t.windows(2).all(|w| w[0] < w[1]));
             }
         }
     }

@@ -153,17 +153,6 @@ pub fn eval_all(netlist: &Netlist, states: &StateValues, inputs: &InputValues) -
     values
 }
 
-/// Evaluates a single node (by evaluating the full design; use
-/// [`eval_all`] when several nodes are needed).
-pub fn eval_node(
-    netlist: &Netlist,
-    node: NodeId,
-    states: &StateValues,
-    inputs: &InputValues,
-) -> Bv {
-    eval_all(netlist, states, inputs)[node.index()]
-}
-
 /// Applies the transition relation once: computes the successor state of
 /// `states` under `inputs`.
 ///

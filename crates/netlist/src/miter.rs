@@ -8,7 +8,6 @@
 //! primary inputs *shared* between the copies — the attacker-controlled
 //! instruction stream is identical on both sides.
 
-use crate::bv::Bv;
 use crate::netlist::{Netlist, NodeId, NodeOp, StateId};
 
 /// Which copy of the design a product-state element belongs to.
@@ -193,29 +192,10 @@ fn copy_nodes(
     map
 }
 
-/// Builds the product of two *different* initial states: a clone of the miter
-/// whose left/right initial values are overridden. Used by tests that run the
-/// product circuit concretely from equal-modulo-secret states.
-pub fn with_initial_values(
-    miter: &Miter,
-    left_init: impl Fn(StateId) -> Option<Bv>,
-    right_init: impl Fn(StateId) -> Option<Bv>,
-) -> crate::eval::StateValues {
-    let mut values = crate::eval::StateValues::initial(miter.netlist());
-    for base in miter.base_state_ids() {
-        if let Some(v) = left_init(base) {
-            values.set(miter.left(base), v);
-        }
-        if let Some(v) = right_init(base) {
-            values.set(miter.right(base), v);
-        }
-    }
-    values
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bv::Bv;
     use crate::eval::{step, InputValues, StateValues};
 
     fn accumulator() -> Netlist {
@@ -272,7 +252,9 @@ mod tests {
         let base = accumulator();
         let m = Miter::build(&base);
         let acc = base.find_state("acc").unwrap();
-        let mut s = with_initial_values(&m, |_| Some(Bv::new(8, 1)), |_| Some(Bv::new(8, 2)));
+        let mut s = StateValues::initial(m.netlist());
+        s.set(m.left(acc), Bv::new(8, 1));
+        s.set(m.right(acc), Bv::new(8, 2));
         let inputs = InputValues::zeros(m.netlist());
         s = step(m.netlist(), &s, &inputs);
         assert_eq!(s.get(m.left(acc)), Bv::new(8, 1));

@@ -112,11 +112,6 @@ impl SimpMap {
         self.repr[id.index()]
     }
 
-    /// Whether `id` is its own representative (i.e. must be encoded).
-    pub fn is_leader(&self, id: NodeId) -> bool {
-        self.repr[id.index()] == Repr::Node(id)
-    }
-
     /// Simplification counters.
     pub fn stats(&self) -> SimpStats {
         self.stats

@@ -8,7 +8,10 @@
 //!   next value in one step is in the reported 1-step cone (Contract 1's
 //!   `O_slice` requirement), validated by fault injection;
 //! * the compiled tape agrees with `eval_all`/`step`, node for node, on
-//!   random netlists that use every operator at widths from 1 to 64.
+//!   random netlists that use every operator at widths from 1 to 64;
+//! * hostile btor2 — such a netlist's `to_btor2` text with one sort width,
+//!   slice bound, constant or reference changed — is `Ok` or `Err` from
+//!   `parse_btor2`, never a panic.
 
 use hh_netlist::btor2::{parse_btor2, to_btor2};
 use hh_netlist::coi::Coi;
@@ -339,4 +342,66 @@ proptest! {
             }
         }
     }
+}
+
+/// splitmix64: the hostile-btor2 property's seeded generator.
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// btor2 text with one number after a line's kind replaced: a sort width,
+/// a slice bound, a constant or a sort or operand reference, each set to a
+/// value the line's neighbours may not accept.
+fn mutate_btor2(text: &str, rng: &mut SplitMix) -> String {
+    let mut lines: Vec<Vec<String>> = text
+        .lines()
+        .filter(|l| !l.starts_with(';'))
+        .map(|l| l.split_whitespace().map(str::to_string).collect())
+        .collect();
+    let ids = lines.len();
+    let toks = &mut lines[rng.below(ids)];
+    let at = 2 + rng.below(toks.len() - 2);
+    if toks[at].parse::<u64>().is_ok() {
+        toks[at] = (1 + rng.below(ids.max(70))).to_string();
+    }
+    let out: Vec<String> = lines.iter().map(|t| t.join(" ")).collect();
+    out.join("\n")
+}
+
+#[test]
+fn mutated_btor2_is_an_error_never_a_panic() {
+    let mut rng = SplitMix(0x4854_4232);
+    let (mut ok, mut rejected) = (0, 0);
+    for case in 0..400 {
+        let len = MIXED_OPS as usize + rng.below(30);
+        let recipes: Vec<MixedRecipe> = (0..len)
+            .map(|_| MixedRecipe {
+                op: rng.below(MIXED_OPS as usize) as u8,
+                a: rng.next() as u16,
+                b: rng.next() as u16,
+                c: rng.next() as u16,
+                k: rng.next() as u8,
+            })
+            .collect();
+        let text = mutate_btor2(&to_btor2(&build_mixed(&recipes).0), &mut rng);
+        match std::panic::catch_unwind(|| parse_btor2(&text).is_ok()) {
+            Ok(true) => ok += 1,
+            Ok(false) => rejected += 1,
+            Err(_) => panic!("case {case}: parse_btor2 panicked on\n{text}"),
+        }
+    }
+    // Both outcomes occur, so the mutations reach the width checks.
+    assert!(ok > 0 && rejected > 0, "{ok} parsed, {rejected} rejected");
 }

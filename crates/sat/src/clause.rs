@@ -270,7 +270,7 @@ impl ClauseDb {
     }
 
     /// Live learnt clauses.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn num_learnts(&self) -> usize {
         self.num_learnts
     }

@@ -356,14 +356,6 @@ impl Solver {
         self.budget_probe.take()
     }
 
-    /// Whether a proof sink is currently attached. This is the exact branch
-    /// every logging site pays when proof logging is off, so it doubles as
-    /// the probe for overhead measurements.
-    #[inline]
-    pub fn proof_active(&self) -> bool {
-        self.proof.is_some()
-    }
-
     /// Visits the current formula as seen by a proof checker: the level-0
     /// implied units (as one-literal slices) followed by every live
     /// non-learnt clause, borrowed straight from the clause arena — no
@@ -1462,18 +1454,6 @@ impl Solver {
         self.clear_watches();
         self.compact_arena();
         self.rebuild_watches();
-    }
-
-    /// Fraction of the arena occupied by dead words. Test hook.
-    #[doc(hidden)]
-    pub fn debug_garbage_frac(&self) -> f64 {
-        self.db.garbage_frac()
-    }
-
-    /// Number of live learnt clauses. Test hook.
-    #[doc(hidden)]
-    pub fn debug_num_learnts(&self) -> usize {
-        self.db.num_learnts()
     }
 
     /// Literals of every live learnt clause together with its tier

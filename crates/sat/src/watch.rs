@@ -304,14 +304,14 @@ impl WatchStore {
 
 /// The obvious model the arena is tested against: one `Vec` per literal for
 /// the binary watchers and one for the long ones.
-#[cfg(any(test, kani, feature = "kani-harness"))]
+#[cfg(any(test, kani))]
 #[derive(Debug, Default, Clone)]
 struct NestedModel {
     bins: Vec<Vec<u32>>,
     longs: Vec<Vec<u32>>,
 }
 
-#[cfg(any(test, kani, feature = "kani-harness"))]
+#[cfg(any(test, kani))]
 impl NestedModel {
     fn new(codes: usize) -> NestedModel {
         NestedModel {
@@ -345,36 +345,21 @@ impl NestedModel {
 /// a compaction of either fit at an arbitrary point in the middle and an
 /// exact one at the end. The live watcher lists must survive byte-for-byte,
 /// in order, with the arena usable afterwards. Proved by Kani under
-/// `cargo kani`; compiled and concretely executed under `kani-harness`.
-#[cfg(any(kani, feature = "kani-harness"))]
-#[allow(dead_code)]
+/// `cargo kani` over `OPS` operations; `cargo test` runs the same body on
+/// every choice over `SMOKE_OPS` operations, which takes seconds.
+#[cfg(any(test, kani))]
 mod verification {
     use super::{Fit, NestedModel, WatchStore, Watcher};
     use crate::clause::ClauseRef;
     use crate::lit::Lit;
 
+    const CODES: usize = 2;
+    /// The Kani bound.
     #[cfg(kani)]
-    fn arb_below(bound: usize) -> usize {
-        let x: usize = kani::any();
-        kani::assume(x < bound);
-        x
-    }
-
-    #[cfg(not(kani))]
-    fn arb_below(bound: usize) -> usize {
-        use std::cell::Cell;
-        thread_local! {
-            static STATE: Cell<u64> = const { Cell::new(0xda3e_39cb_94b9_5bdb) };
-        }
-        STATE.with(|s| {
-            let next = s
-                .get()
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s.set(next);
-            (next >> 33) as usize % bound.max(1)
-        })
-    }
+    const OPS: usize = 6;
+    /// The enumerated bound.
+    #[cfg(test)]
+    const SMOKE_OPS: usize = 5;
 
     fn w(cref: u32) -> Watcher {
         Watcher {
@@ -383,31 +368,32 @@ mod verification {
         }
     }
 
-    #[cfg_attr(kani, kani::proof, kani::unwind(24))]
-    pub fn compaction_preserves_live_watchers_in_order() {
-        const CODES: usize = 2;
-        const OPS: usize = 6;
+    /// `choose(n)` picks a value below `n`.
+    fn compaction_preserves_live_watchers_in_order(
+        ops: usize,
+        choose: &mut dyn FnMut(usize) -> usize,
+    ) {
         let mut store = WatchStore::new();
         let mut model = NestedModel::new(CODES);
         for _ in 0..CODES {
             store.add_lit();
         }
-        let compact_before = arb_below(OPS);
+        let compact_before = choose(ops);
         let mut next_cref = 0u32;
-        for op in 0..OPS {
+        for op in 0..ops {
             if op == compact_before {
-                store.compact(if arb_below(2) == 0 {
+                store.compact(if choose(2) == 0 {
                     Fit::Roomy
                 } else {
                     Fit::Exact
                 });
                 model.assert_matches(&store);
             }
-            let code = arb_below(CODES);
-            match arb_below(4) {
+            let code = choose(CODES);
+            match choose(3) {
                 0 => {
                     // Propagation keeps a prefix of the long part.
-                    let kept = arb_below(model.longs[code].len() + 1);
+                    let kept = choose(model.longs[code].len() + 1);
                     store.truncate_longs(code, kept);
                     model.longs[code].truncate(kept);
                 }
@@ -438,14 +424,23 @@ mod verification {
         model.assert_matches(&store);
     }
 
-    #[cfg(all(test, not(kani)))]
-    mod exec {
-        #[test]
-        fn harness_runs_concretely() {
-            for _ in 0..256 {
-                super::compaction_preserves_live_watchers_in_order();
-            }
-        }
+    #[cfg(kani)]
+    #[kani::proof]
+    #[kani::unwind(24)]
+    fn compaction_proof() {
+        compaction_preserves_live_watchers_in_order(OPS, &mut |bound| {
+            let x: usize = kani::any();
+            kani::assume(x < bound);
+            x
+        });
+    }
+
+    #[test]
+    fn compaction_preserves_live_watchers_for_every_choice() {
+        let runs = hh_trace::for_every_choice(|choose| {
+            compaction_preserves_live_watchers_in_order(SMOKE_OPS, choose)
+        });
+        assert_eq!(runs, 123_960, "choice sequences of {SMOKE_OPS} operations");
     }
 }
 

@@ -90,6 +90,39 @@ fn batch_btor2_designs_the_example_generator_rejects_exit_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A btor2 design whose widths the netlist builders assert on is a parse
+/// error naming its (last) line, with exit status 2 (it used to panic, 101): an
+/// `and` of an 8-bit and a 4-bit state, a 4-bit `next` of an 8-bit state,
+/// bit 20 of an 8-bit state, a `uext` to fewer bits and a 40 + 40-bit
+/// `concat`.
+#[test]
+fn batch_btor2_designs_with_inconsistent_widths_exit_2() {
+    let dir = std::env::temp_dir().join(format!("hh-serve-cli-widths-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("design.btor2");
+    for src in [
+        "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 state 2 b\n5 and 1 3 4\n",
+        "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 state 2 b\n5 next 1 3 4\n",
+        "1 sort bitvec 8\n2 sort bitvec 21\n3 state 1 a\n4 slice 2 3 20 0\n",
+        "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 uext 2 3 0\n",
+        "1 sort bitvec 40\n2 sort bitvec 64\n3 state 1 a\n4 concat 2 3 3\n",
+    ] {
+        std::fs::write(&path, src).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_veloct"))
+            .arg("--design")
+            .arg(&path)
+            .args(["--instr-input", "instr", "--observable", "a"])
+            .args(["--secret-reg", "a"])
+            .output()
+            .expect("run veloct");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{src}: {stderr}");
+        let line = format!("line {}", src.lines().count());
+        assert!(stderr.contains(&line), "{src}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `veloct connect … learn --pairs 0` is refused by the daemon, not by a
 /// panic inside it: the client exits non-zero naming `bad-request`, and the
 /// daemon goes on answering.

@@ -151,6 +151,17 @@ const TOY_V2: &str = "\
 31 next 1 11 9
 ";
 
+/// Five designs whose widths do not fit together: an `and` of an 8-bit and
+/// a 4-bit state, a 4-bit `next` of an 8-bit state, bit 20 of an 8-bit
+/// state, a `uext` to fewer bits and a 40 + 40-bit `concat`.
+const WIDTH_INCONSISTENT_BTOR2: [&str; 5] = [
+    "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 state 2 b\n5 and 1 3 4\n",
+    "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 state 2 b\n5 next 1 3 4\n",
+    "1 sort bitvec 8\n2 sort bitvec 21\n3 state 1 a\n4 slice 2 3 20 0\n",
+    "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 uext 2 3 0\n",
+    "1 sort bitvec 40\n2 sort bitvec 64\n3 state 1 a\n4 concat 2 3 3\n",
+];
+
 fn toy_design_field(name: &str, src: &str) -> (&'static str, Json) {
     (
         "design",
@@ -950,8 +961,11 @@ fn hostile_design_parameters_do_not_kill_the_daemon() {
         toy_with("example_depth", 100_000_000_000),
         toy_with("example_depth", 8193),
     ];
+    // btor2 whose widths the netlist builders assert on: the parse used to
+    // panic under the state lock.
+    let btor2 = WIDTH_INCONSISTENT_BTOR2.map(|src| vec![toy_design_field("bad", src)]);
     let mut errors = 0;
-    for fields in hostile {
+    for fields in hostile.into_iter().chain(btor2) {
         let shown = format!("{fields:?}");
         expect_server_error(daemon.client().request("learn", fields), "bad-design");
         errors += 1;

@@ -95,12 +95,6 @@ pub fn output_waveform(netlist: &Netlist, trace: &Trace, node: NodeId) -> Vec<Bv
         .collect()
 }
 
-/// The value of a *state element* at every point of the trace (length =
-/// cycles + 1).
-pub fn state_waveform(trace: &Trace, sid: hh_netlist::StateId) -> Vec<Bv> {
-    trace.states.iter().map(|s| s.get(sid)).collect()
-}
-
 /// Zips two equal-length traces of the *base* design into product states of
 /// the miter: cycle `i`'s product state takes each product state element's
 /// value from the side and base state [`Miter::origin`] names.
@@ -137,22 +131,6 @@ pub fn product_states(miter: &Miter, left: &Trace, right: &Trace) -> Vec<StateVa
         .collect()
 }
 
-/// Convenience: simulate the pair `(left_init, right_init)` on the *same*
-/// input sequence and return the product states (the raw positive-example
-/// stream before masking/filtering).
-pub fn simulate_pair<'a>(
-    netlist: &Netlist,
-    miter: &Miter,
-    left_init: StateValues,
-    right_init: StateValues,
-    inputs: &'a [InputValues],
-) -> (Trace<'a>, Trace<'a>, Vec<StateValues>) {
-    let lt = simulate(netlist, left_init, inputs);
-    let rt = simulate(netlist, right_init, inputs);
-    let ps = product_states(miter, &lt, &rt);
-    (lt, rt, ps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,8 +164,7 @@ mod tests {
         let inputs = drive(&n, &[1, 2, 3, 4]);
         let t = simulate(&n, StateValues::initial(&n), &inputs);
         assert_eq!(t.cycles(), 4);
-        let wave = state_waveform(&t, acc);
-        let got: Vec<u64> = wave.iter().map(|v| v.bits()).collect();
+        let got: Vec<u64> = t.states.iter().map(|s| s.get(acc).bits()).collect();
         assert_eq!(got, vec![0, 1, 3, 6, 10]);
     }
 
@@ -214,7 +191,8 @@ mod tests {
         li.set(acc, Bv::new(8, 10));
         let mut ri = StateValues::initial(&n);
         ri.set(acc, Bv::new(8, 20));
-        let (_, _, ps) = simulate_pair(&n, &m, li, ri, &inputs);
+        let (lt, rt) = (simulate(&n, li, &inputs), simulate(&n, ri, &inputs));
+        let ps = product_states(&m, &lt, &rt);
         assert_eq!(ps.len(), 3);
         assert_eq!(ps[0].get(m.left(acc)).bits(), 10);
         assert_eq!(ps[0].get(m.right(acc)).bits(), 20);

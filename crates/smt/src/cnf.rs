@@ -203,23 +203,6 @@ impl Cnf {
         (self.and_cache.clone(), self.xor_cache.clone())
     }
 
-    /// Attaches a DRAT proof sink to the embedded solver. Every learnt
-    /// clause and deletion from this point on is logged; see
-    /// [`hh_sat::proof`] for the exact conventions.
-    pub fn set_proof_sink(&mut self, sink: Box<dyn hh_sat::proof::ProofSink>) {
-        self.solver.set_proof_sink(sink);
-    }
-
-    /// Detaches and returns the proof sink, ending proof logging.
-    pub fn take_proof_sink(&mut self) -> Option<Box<dyn hh_sat::proof::ProofSink>> {
-        self.solver.take_proof_sink()
-    }
-
-    /// Whether a proof sink is currently attached.
-    pub fn proof_active(&self) -> bool {
-        self.solver.proof_active()
-    }
-
     /// Access to the underlying solver (for solving and model extraction).
     pub fn solver_mut(&mut self) -> &mut Solver {
         &mut self.solver

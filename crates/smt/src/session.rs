@@ -163,10 +163,6 @@ pub struct AbductionSession<'a> {
     /// `(vars, clauses)` at the end of the previous call's registration
     /// phase; deltas against it give per-query allocation telemetry.
     last_size: (usize, usize),
-    /// Proof sink handed over before the lazy base build; installed into
-    /// the solver the moment the encoding exists (per-session proof
-    /// scoping: the sink's lifetime is bounded by this session's solver).
-    pending_sink: Option<Box<dyn hh_sat::proof::ProofSink>>,
     /// Candidate truth values of the models minimisation probes returned
     /// (module docs, *Witness reuse*); bounded by [`MAX_WITNESSES`].
     witnesses: VecDeque<Box<[u64]>>,
@@ -195,7 +191,6 @@ impl<'a> AbductionSession<'a> {
             strength: Vec::new(),
             slot_of_lit: HashMap::new(),
             last_size: (0, 0),
-            pending_sink: None,
             witnesses: VecDeque::new(),
             queries: 0,
         }
@@ -224,30 +219,6 @@ impl<'a> AbductionSession<'a> {
     /// The session's target predicate.
     pub fn target(&self) -> &Predicate {
         &self.target
-    }
-
-    /// Attaches a DRAT proof sink scoped to this session's solver.
-    ///
-    /// If the base encoding already exists the sink starts logging
-    /// immediately; otherwise it is installed the moment the first
-    /// [`AbductionSession::solve`] builds it, so the logged stream covers
-    /// every learnt clause the solver ever derives.
-    pub fn attach_proof_sink(&mut self, sink: Box<dyn hh_sat::proof::ProofSink>) {
-        match self.enc.as_mut() {
-            Some(enc) => enc.cnf_mut().set_proof_sink(sink),
-            None => self.pending_sink = Some(sink),
-        }
-    }
-
-    /// Detaches the session's proof sink (installed or still pending), or
-    /// `None` if no sink was attached.
-    pub fn take_proof_sink(&mut self) -> Option<Box<dyn hh_sat::proof::ProofSink>> {
-        if let Some(sink) = self.pending_sink.take() {
-            return Some(sink);
-        }
-        self.enc
-            .as_mut()
-            .and_then(|e| e.cnf_mut().take_proof_sink())
     }
 
     /// Number of queries answered so far.
@@ -298,7 +269,7 @@ impl<'a> AbductionSession<'a> {
         if !reused {
             // The signature is only ever needed here; the session does not
             // keep its token stream around afterwards.
-            let mut enc = match (&self.cache, self.sig.take()) {
+            let enc = match (&self.cache, self.sig.take()) {
                 (Some(cache), Some(sig)) => match cache.lookup(&sig.key) {
                     Some(entry) => {
                         // Replay: byte-identical solver state to a fresh
@@ -335,9 +306,6 @@ impl<'a> AbductionSession<'a> {
                     enc
                 }
             };
-            if let Some(sink) = self.pending_sink.take() {
-                enc.cnf_mut().set_proof_sink(sink);
-            }
             self.enc = Some(enc);
         }
         let enc = self.enc.as_mut().expect("encoding just ensured");

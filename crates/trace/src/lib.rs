@@ -588,9 +588,62 @@ pub fn finish_to_env() -> io::Result<Option<String>> {
     Ok(Some(path))
 }
 
+/// Runs a bounded harness `body` once for every sequence of choices it can
+/// make, and returns the number of runs. Each call `choose(n)` picks a value
+/// below `n`; the runs walk the choice tree depth first, so a deterministic
+/// body is checked on every path a `kani::any()` chooser would cover. The
+/// bounded verification harnesses of hh-trace, hh-sat and hhoudini run
+/// through it as plain tests.
+///
+/// # Panics
+///
+/// Panics if `body` calls `choose(0)`: there is nothing to choose from.
+pub fn for_every_choice(mut body: impl FnMut(&mut dyn FnMut(usize) -> usize)) -> usize {
+    // The current path: (choice, bound) per call, in call order.
+    let mut path: Vec<(usize, usize)> = Vec::new();
+    let mut runs = 0;
+    loop {
+        let mut depth = 0;
+        body(&mut |bound| {
+            assert!(bound > 0, "nothing to choose from");
+            if depth == path.len() {
+                path.push((0, bound));
+            }
+            depth += 1;
+            path[depth - 1].0
+        });
+        runs += 1;
+        // Advance the deepest choice that has an untried value left.
+        path.truncate(depth);
+        while let Some((choice, bound)) = path.pop() {
+            if choice + 1 < bound {
+                path.push((choice + 1, bound));
+                break;
+            }
+        }
+        if path.is_empty() {
+            return runs;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_choice_sequence_runs_once() {
+        let mut seen = Vec::new();
+        // The second choice's range depends on the first.
+        let runs = for_every_choice(|choose| {
+            let a = choose(3);
+            let b = choose(a + 1);
+            seen.push((a, b));
+        });
+        assert_eq!(runs, 6);
+        assert_eq!(seen, [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]);
+        assert_eq!(for_every_choice(|_| {}), 1);
+    }
 
     /// The whole test module shares process-global trace state, so unit
     /// tests here run under one lock (integration tests spawn their own

@@ -69,10 +69,9 @@ impl Ring {
 /// Bounded verification harness: for *any* capacity and push count within
 /// the bound, the ring holds exactly the newest `min(n, capacity)` events
 /// in push order and accounts every overwritten one as dropped. Proved by
-/// Kani under `cargo kani`; compiled (and concretely executed as a test)
-/// under the `kani-harness` feature so CI checks it without the toolchain.
-#[cfg(any(kani, feature = "kani-harness"))]
-#[allow(dead_code)]
+/// Kani under `cargo kani`; `cargo test` runs the same body on every choice
+/// within the same bound.
+#[cfg(any(test, kani))]
 mod verification {
     use super::Ring;
     use crate::{Event, EventKind};
@@ -87,34 +86,12 @@ mod verification {
         }
     }
 
-    #[cfg(kani)]
-    fn arb_below(bound: usize) -> usize {
-        let x: usize = kani::any();
-        kani::assume(x < bound);
-        x
-    }
+    const MAX: usize = 8;
 
-    #[cfg(not(kani))]
-    fn arb_below(bound: usize) -> usize {
-        use std::cell::Cell;
-        thread_local! {
-            static STATE: Cell<u64> = const { Cell::new(0x853c_49e6_748f_ea9b) };
-        }
-        STATE.with(|s| {
-            let next = s
-                .get()
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            s.set(next);
-            (next >> 33) as usize % bound.max(1)
-        })
-    }
-
-    #[cfg_attr(kani, kani::proof, kani::unwind(10))]
-    pub fn ring_wraparound_keeps_newest_in_order() {
-        const MAX: usize = 8;
-        let capacity = arb_below(MAX);
-        let pushes = arb_below(MAX);
+    /// `choose(n)` picks a value below `n`.
+    fn ring_wraparound_keeps_newest_in_order(choose: &mut dyn FnMut(usize) -> usize) {
+        let capacity = choose(MAX);
+        let pushes = choose(MAX);
         let mut r = Ring::new(capacity);
         for i in 0..pushes {
             r.push(ev(i as u64));
@@ -126,14 +103,21 @@ mod verification {
         assert_eq!(ts, want, "the newest events survive, in push order");
     }
 
-    #[cfg(all(test, not(kani)))]
-    mod exec {
-        #[test]
-        fn harness_runs_concretely() {
-            for _ in 0..64 {
-                super::ring_wraparound_keeps_newest_in_order();
-            }
-        }
+    #[cfg(kani)]
+    #[kani::proof]
+    #[kani::unwind(10)]
+    fn ring_wraparound_proof() {
+        ring_wraparound_keeps_newest_in_order(&mut |bound| {
+            let x: usize = kani::any();
+            kani::assume(x < bound);
+            x
+        });
+    }
+
+    #[test]
+    fn ring_wraparound_holds_for_every_capacity_and_push_count() {
+        let runs = crate::for_every_choice(ring_wraparound_keeps_newest_in_order);
+        assert_eq!(runs, MAX * MAX);
     }
 }
 

@@ -188,12 +188,9 @@ pub fn probe_program(design: &Design, m: Mnemonic) -> Vec<u32> {
 /// extracted state has the unsafe instruction concurrently in flight; what
 /// remains of it is *residue* in the out-of-order structures, which example
 /// masking (§5.2.1) scrubs.
-pub fn example_program(design: &Design, m: Mnemonic) -> (Vec<u32>, usize) {
-    example_program_with_rds(design, m, &EXAMPLE_RDS)
-}
-
-/// [`example_program`] with an explicit destination-register rotation —
-/// passing fewer registers yields deliberately *less* exhaustive examples
+///
+/// `rds` is the destination-register rotation (every register but x0 by
+/// default, x4 last): passing fewer registers yields deliberately *less* exhaustive examples
 /// (more spurious predicates survive mining, more backtracking), which is
 /// how the benchmarks reproduce the paper's Figure 5 regime.
 pub fn example_program_with_rds(design: &Design, m: Mnemonic, rds: &[u8]) -> (Vec<u32>, usize) {

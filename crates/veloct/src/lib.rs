@@ -56,7 +56,7 @@ pub struct VeloctConfig {
     /// candidates of [`Veloct::classify`]) and for proving a certificate's
     /// obligations in [`Veloct::emit_certificate`]. No result depends on it.
     pub threads: usize,
-    /// Engine configuration (abduction scope, memoisation).
+    /// Engine configuration: the abduction queries' core minimisation.
     pub engine: EngineConfig,
     /// Paired executions per instruction during example generation.
     pub pairs_per_instr: usize,

@@ -1,12 +1,14 @@
 //! End-to-end reproduction checks: the safe sets of the paper's Table 2 and
 //! the soundness guarantees of the learned invariants.
 
-use hh_suite::isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
+mod common;
+
+use common::{alu_set, boom_set};
+use hh_suite::isa::Mnemonic;
 use hh_suite::netlist::miter::Miter;
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
-use hh_suite::uarch::decode::matches_pattern;
 use hh_suite::uarch::rocketlite::rocket_lite;
-use hh_suite::veloct::{default_candidates, instruction_patterns, Veloct, VeloctConfig};
+use hh_suite::veloct::{default_candidates, Veloct, VeloctConfig};
 
 fn fast_config() -> VeloctConfig {
     VeloctConfig {
@@ -14,14 +16,6 @@ fn fast_config() -> VeloctConfig {
         pairs_per_instr: 1,
         ..VeloctConfig::default()
     }
-}
-
-fn alu_set() -> Vec<Mnemonic> {
-    ALL_MNEMONICS
-        .iter()
-        .copied()
-        .filter(|m| m.class() == InstrClass::Alu)
-        .collect()
 }
 
 /// Table 2, RocketLite row: all ALU instructions (incl. lui/auipc) are safe;
@@ -90,21 +84,7 @@ fn learned_invariants_verify_monolithically() {
     let v = Veloct::with_config(&design, fast_config());
     let report = v.learn(&alu_set());
     let inv = report.invariant.expect("invariant");
-    let mut miter = Miter::build(&design.netlist);
-    let patterns = instruction_patterns(&alu_set());
-    let instr = miter.netlist().find_input("instr").unwrap();
-    let terms: Vec<_> = patterns
-        .iter()
-        .map(|p| {
-            let mm = hh_suite::isa::MaskMatch {
-                mask: p.mask as u32,
-                matches: p.value as u32,
-            };
-            matches_pattern(miter.netlist_mut(), instr, mm)
-        })
-        .collect();
-    let c = miter.netlist_mut().or_all(&terms);
-    miter.netlist_mut().add_constraint(c);
+    let (miter, _) = v.build_miter(&alu_set());
     assert!(inv.verify_monolithic(miter.netlist()));
 }
 
@@ -164,21 +144,7 @@ fn invariant_admits_positive_examples() {
     let report = v.learn(&safe);
     let inv = report.invariant.expect("invariant");
     // Regenerate the same examples (same seed as the default config).
-    let mut miter = Miter::build(&design.netlist);
-    let patterns = instruction_patterns(&safe);
-    let instr = miter.netlist().find_input("instr").unwrap();
-    let terms: Vec<_> = patterns
-        .iter()
-        .map(|p| {
-            let mm = hh_suite::isa::MaskMatch {
-                mask: p.mask as u32,
-                matches: p.value as u32,
-            };
-            matches_pattern(miter.netlist_mut(), instr, mm)
-        })
-        .collect();
-    let c = miter.netlist_mut().or_all(&terms);
-    miter.netlist_mut().add_constraint(c);
+    let (miter, _) = v.build_miter(&safe);
     let examples = generate_examples(&design, &miter, &safe, 1, fast_config().seed).unwrap();
     assert!(!examples.is_empty());
     for (i, e) in examples.iter().enumerate() {
@@ -229,13 +195,6 @@ fn example_set_digests_are_pinned() {
         (examples.len(), h)
     }
 
-    let boom_safe: Vec<Mnemonic> = ALL_MNEMONICS
-        .iter()
-        .copied()
-        .filter(|m| {
-            (m.class() == InstrClass::Alu && *m != Mnemonic::Auipc) || m.class() == InstrClass::Mul
-        })
-        .collect();
     // Per design and `pairs`: rich, limited, unmasked-limited.
     let pinned: [(usize, u64); 12] = [
         (588, 0x1edb95f6cb7a5c43),
@@ -254,7 +213,7 @@ fn example_set_digests_are_pinned() {
     let mut got = Vec::new();
     for (design, safe) in [
         (rocket_lite(16), alu_set()),
-        (boom_lite(BoomVariant::Small, 16), boom_safe),
+        (boom_lite(BoomVariant::Small, 16), boom_set()),
     ] {
         let (miter, _) = Veloct::new(&design).build_miter(&safe);
         for pairs in [1, 2] {

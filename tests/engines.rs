@@ -2,41 +2,22 @@
 //! schedule, memoisation and scheduling telemetry, baseline cross-checks —
 //! all on real processor designs rather than toy circuits.
 
+mod common;
+
+use common::{alu_set, boom_set, setup};
 use hh_suite::hhoudini::baselines::BaselineBudget;
 use hh_suite::hhoudini::mine::{CoiMiner, Miner};
 use hh_suite::hhoudini::{EngineConfig, FifoDriver, Invariant, ParallelEngine, PredicateStore};
-use hh_suite::isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
+use hh_suite::isa::Mnemonic;
 use hh_suite::netlist::miter::Miter;
-use hh_suite::smt::{abduct, check_relative_inductive, Predicate};
+use hh_suite::smt::{
+    abduct, check_relative_inductive, AbductionResult, AbductionSession, EncodeCache, Predicate,
+};
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::rocketlite::rocket_lite;
 use hh_suite::uarch::Design;
-use hh_suite::veloct::examples::{generate_examples, generate_examples_custom};
+use hh_suite::veloct::examples::generate_examples_custom;
 use hh_suite::veloct::{instruction_patterns, BaselineKind, Veloct, VeloctConfig};
-
-fn alu_set() -> Vec<Mnemonic> {
-    ALL_MNEMONICS
-        .iter()
-        .copied()
-        .filter(|m| m.class() == InstrClass::Alu)
-        .collect()
-}
-
-/// Builds the constrained miter, examples and property for a design/safe set.
-fn setup(
-    design: &Design,
-    safe: &[Mnemonic],
-) -> (
-    Miter,
-    Vec<hh_suite::netlist::eval::StateValues>,
-    Vec<Predicate>,
-) {
-    let veloct = Veloct::new(design);
-    let (miter, _) = veloct.build_miter(safe);
-    let examples = generate_examples(design, &miter, safe, 1, 42).expect("safe set");
-    let props = veloct.property(&miter);
-    (miter, examples, props)
-}
 
 /// The serial reference: the engine's virtual backend with completions in
 /// issue order and a window of one job — no thread is spawned, and every
@@ -80,14 +61,7 @@ fn serial_and_parallel_agree_on_rocketlite() {
 
 #[test]
 fn serial_and_parallel_agree_on_boomlite() {
-    let safe: Vec<Mnemonic> = ALL_MNEMONICS
-        .iter()
-        .copied()
-        .filter(|m| {
-            (m.class() == InstrClass::Alu && *m != Mnemonic::Auipc) || m.class() == InstrClass::Mul
-        })
-        .collect();
-    assert_pool_matches_serial(&boom_lite(BoomVariant::Small, 16), &safe, 4);
+    assert_pool_matches_serial(&boom_lite(BoomVariant::Small, 16), &boom_set(), 4);
 }
 
 #[test]
@@ -224,7 +198,11 @@ fn session_cache_ablation_preserves_results_and_saves_encoding() {
     // fresh `abduct` over the target's re-mined candidates must pick the
     // same premises. RocketLite does not backtrack, so no candidate was
     // ever filtered by `P_fail` and the re-mined set is the set the engine
-    // asked about.
+    // asked about. Each target's session over a shared encode cache is then
+    // asked the same query and re-asked, as a retry would, without its
+    // abduct's first member: both answers must be the fresh ones, and the
+    // watch store parked after each query (its live watchers plus one
+    // header per literal) must reserve at most twice its live bytes.
     let design = rocket_lite(16);
     let safe = alu_set();
     let (miter, examples, props) = setup(&design, &safe);
@@ -241,6 +219,17 @@ fn session_cache_ablation_preserves_results_and_saves_encoding() {
     let config = EngineConfig::default().abduction;
     let mut miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
     let mut store = PredicateStore::new();
+    let cache = std::sync::Arc::new(EncodeCache::new(netlist));
+    let parked_small = |result: &AbductionResult| {
+        let (reserved, live) = (
+            result.telemetry.counters.sat_watch_bytes,
+            result.telemetry.watch_live_bytes,
+        );
+        assert!(
+            0 < live && reserved <= 2 * live,
+            "watch store reserves {reserved} bytes for {live} live"
+        );
+    };
     for (target, premises) in eng.solutions() {
         assert!(
             check_relative_inductive(netlist, &premises, &target),
@@ -250,14 +239,26 @@ fn session_cache_ablation_preserves_results_and_saves_encoding() {
         ids.sort_unstable();
         ids.dedup();
         let cands = store.resolve(&ids);
-        let fresh = abduct(netlist, &target, &cands, &config)
+        let first = abduct(netlist, &target, &cands, &config)
             .abduct
             .expect("fresh query must find an abduct");
-        let mut fresh: Vec<Predicate> = fresh.into_iter().map(|i| cands[i].clone()).collect();
+        let mut fresh: Vec<Predicate> = first.iter().map(|&i| cands[i].clone()).collect();
         fresh.sort();
         let mut premises = premises;
         premises.sort();
         assert_eq!(fresh, premises, "fresh abduct of {target:?} differs");
+
+        let mut session =
+            AbductionSession::with_cache(netlist, target.clone(), config, cache.clone(), true);
+        let asked = session.solve(&cands);
+        assert_eq!(asked.abduct.as_ref(), Some(&first), "{target:?}: session");
+        parked_small(&asked);
+        let mut retry = cands.clone();
+        retry.remove(first[0]);
+        let reasked = session.solve(&retry);
+        let fresh = abduct(netlist, &target, &retry, &config);
+        assert_eq!(reasked.abduct, fresh.abduct, "{target:?}: session retry");
+        parked_small(&reasked);
     }
 }
 

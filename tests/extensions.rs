@@ -7,9 +7,11 @@
 //!   automatically, removing the need for manual pattern annotations on the
 //!   Appendix-C execute stage.
 
+mod common;
+
+use common::boom_set;
 use hh_suite::hhoudini::mine::CoiMiner;
 use hh_suite::hhoudini::{EngineConfig, ParallelEngine};
-use hh_suite::isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_suite::netlist::eval::{InputValues, StateValues};
 use hh_suite::netlist::miter::Miter;
 use hh_suite::netlist::Bv;
@@ -19,23 +21,13 @@ use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::execstage::{cmd, exec_stage, Opcode, CMD_INPUT};
 use hh_suite::veloct::{Veloct, VeloctConfig};
 
-fn boom_safe_set() -> Vec<Mnemonic> {
-    ALL_MNEMONICS
-        .iter()
-        .copied()
-        .filter(|m| {
-            (m.class() == InstrClass::Alu && *m != Mnemonic::Auipc) || m.class() == InstrClass::Mul
-        })
-        .collect()
-}
-
 /// The headline extension result: without masking, plain learning fails
 /// (ablation 4), but with Impl predicates enabled it succeeds and the
 /// invariant contains a conditional predicate.
 #[test]
 fn impl_predicates_replace_masking() {
     let design = boom_lite(BoomVariant::Small, 16);
-    let safe = boom_safe_set();
+    let safe = boom_set();
 
     // Plain pipeline without masking: must fail.
     let plain = Veloct::with_config(

@@ -3,20 +3,18 @@
 //! JSON, per-thread monotone timestamps, balanced (laminar) span nesting —
 //! at every worker count, and spans from all four instrumented layers.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
+use common::{alu_set, boom_set, setup};
 use hh_serve::json::Json;
 use hh_suite::hhoudini::mine::CoiMiner;
 use hh_suite::hhoudini::{EngineConfig, ParallelEngine};
-use hh_suite::isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
-use hh_suite::netlist::miter::Miter;
-use hh_suite::smt::Predicate;
 use hh_suite::trace::{self, Event, EventKind, Trace, TraceConfig};
-use hh_suite::uarch::decode::matches_pattern;
+use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::rocketlite::rocket_lite;
-use hh_suite::uarch::Design;
-use hh_suite::veloct::examples::generate_examples;
 use hh_suite::veloct::{default_candidates, instruction_patterns, Veloct, VeloctConfig};
 
 /// Tracing is process-global state, so tests that toggle it must not
@@ -24,46 +22,6 @@ use hh_suite::veloct::{default_candidates, instruction_patterns, Veloct, VeloctC
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     static GUARD: Mutex<()> = Mutex::new(());
     GUARD.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn alu_set() -> Vec<Mnemonic> {
-    ALL_MNEMONICS
-        .iter()
-        .copied()
-        .filter(|m| m.class() == InstrClass::Alu)
-        .collect()
-}
-
-fn setup(
-    design: &Design,
-    safe: &[Mnemonic],
-) -> (
-    Miter,
-    Vec<hh_suite::netlist::eval::StateValues>,
-    Vec<Predicate>,
-) {
-    let mut miter = Miter::build(&design.netlist);
-    let patterns = instruction_patterns(safe);
-    let instr = miter.netlist().find_input(&design.instr_input).unwrap();
-    let terms: Vec<_> = patterns
-        .iter()
-        .map(|p| {
-            let mm = hh_suite::isa::MaskMatch {
-                mask: p.mask as u32,
-                matches: p.value as u32,
-            };
-            matches_pattern(miter.netlist_mut(), instr, mm)
-        })
-        .collect();
-    let c = miter.netlist_mut().or_all(&terms);
-    miter.netlist_mut().add_constraint(c);
-    let examples = generate_examples(design, &miter, safe, 1, 42).expect("safe set");
-    let props: Vec<Predicate> = design
-        .observable
-        .iter()
-        .map(|&o| Predicate::eq(miter.left(o), miter.right(o)))
-        .collect();
-    (miter, examples, props)
 }
 
 /// Groups events by thread, preserving per-thread push order (rings keep
@@ -213,6 +171,36 @@ fn parallel_trace_is_sound_at_every_thread_count() {
             "{threads} threads: occupancy {occ} out of range"
         );
     }
+}
+
+/// SmallBoomLite has signature-equal cones (RocketLite has none), so a
+/// traced learn records encode-cache hits — and tracing must not change
+/// what it learns.
+#[test]
+fn traced_boom_run_hits_the_encode_cache_and_learns_the_untraced_invariant() {
+    let _g = lock();
+    let design = boom_lite(BoomVariant::Small, 16);
+    let safe = boom_set();
+    let (miter, examples, props) = setup(&design, &safe);
+    let learn = || {
+        let miner = CoiMiner::new(&miter, &examples, Some(instruction_patterns(&safe)), vec![]);
+        let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 2);
+        engine.learn(&props).expect("invariant")
+    };
+    trace::init(TraceConfig::Off);
+    let untraced = learn();
+    trace::init(TraceConfig::on());
+    let traced = learn();
+    let trace = trace::drain();
+    trace::init(TraceConfig::Off);
+    assert_eq!(
+        traced.preds(),
+        untraced.preds(),
+        "tracing moved the invariant"
+    );
+    Json::parse(&trace.chrome_json()).expect("chrome trace must be valid JSON");
+    let hits = trace.counter_totals().get("smt.cache.hit").copied();
+    assert!(hits > Some(0), "no smt.cache.hit events: {hits:?}");
 }
 
 #[test]
