@@ -229,10 +229,9 @@ impl ObligationContext {
     }
 
     /// Encodes one relative-induction obligation `⋀premises ∧ target ∧
-    /// ¬target′` into a fresh solver, mirroring
-    /// `hh_smt::check_relative_inductive`'s encoding order exactly
-    /// (target-now first, premises in list order, then the negated
-    /// next-state target), and snapshots its CNF. Both the emitter and the
+    /// ¬target′` into a fresh solver, in a fixed order (target-now first,
+    /// premises in list order, then the negated next-state target), and
+    /// snapshots its CNF. Both the emitter and the
     /// checker go through this single function, which is what makes the CNF
     /// reproducible.
     fn encode(&self, target: usize, premises: &[usize]) -> (TransitionEncoding<'_>, Cnf) {

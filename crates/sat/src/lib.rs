@@ -36,7 +36,10 @@
 //!   [`Solver::set_proof_sink`] and every learnt clause and deletion is
 //!   streamed out for independent checking (the `hh-proof` crate provides
 //!   writers and a RUP/RAT checker).
-//! * A small DIMACS reader/writer in [`dimacs`] for debugging and tests.
+//! * Budgeted solving: [`Solver::solve_limited`] stops after a conflict
+//!   budget with [`LimitedResult::Unknown`] and resumes losslessly.
+//! * A DIMACS writer in [`dimacs`]: [`dimacs::from_solver`] captures the
+//!   formula a proof refutes, which certificates hash.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -54,4 +57,4 @@ pub mod proof;
 pub use lit::{Lit, Var};
 pub use minimize::{minimize_core, minimize_core_with, ProbeCounts, ProbeMemory};
 pub use proof::{CountingSink, ProofSink};
-pub use solver::{BudgetProbe, Config, LimitedResult, SolveResult, Solver, SolverStats};
+pub use solver::{Config, LimitedResult, SolveResult, Solver, SolverStats};

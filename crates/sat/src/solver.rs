@@ -258,21 +258,6 @@ pub struct Solver {
     /// itself, not just an assumption set, was refuted). Keeps the stream
     /// free of duplicate empty clauses across repeated solve calls.
     proof_done: bool,
-    /// Optional budget-round observer (see [`BudgetProbe`]).
-    budget_probe: Option<Box<dyn BudgetProbe>>,
-}
-
-/// Observer of budgeted solve rounds: [`Solver::solve_limited`] invokes
-/// [`BudgetProbe::on_round`] at the start of every round, before any
-/// search. Budget rounds are the solver's deterministic unit of progress
-/// (conflicts, not wall-clock), so they are the natural boundary for
-/// simulation tooling — hh-vopr's fault
-/// injector uses this hook to align events like proof-sink detach with an
-/// exact round, reproducibly from a seed.
-pub trait BudgetProbe: std::fmt::Debug + Send {
-    /// Called with the 1-based cumulative round number (the value
-    /// [`SolverStats::budget_rounds`] was just incremented to).
-    fn on_round(&mut self, round: u64);
 }
 
 impl Default for Solver {
@@ -321,7 +306,6 @@ impl Solver {
             trail_ema: 0.0,
             proof: None,
             proof_done: false,
-            budget_probe: None,
         }
     }
 
@@ -342,18 +326,6 @@ impl Solver {
     /// Detaches and returns the proof sink, if any.
     pub fn take_proof_sink(&mut self) -> Option<Box<dyn ProofSink>> {
         self.proof.take()
-    }
-
-    /// Attaches a [`BudgetProbe`] fired at every future budget-round
-    /// boundary ([`Solver::solve_limited`]). Observation only — the probe
-    /// cannot alter the search, so attaching one never changes a verdict.
-    pub fn set_budget_probe(&mut self, probe: Box<dyn BudgetProbe>) {
-        self.budget_probe = Some(probe);
-    }
-
-    /// Detaches and returns the budget probe, if any.
-    pub fn take_budget_probe(&mut self) -> Option<Box<dyn BudgetProbe>> {
-        self.budget_probe.take()
     }
 
     /// Visits the current formula as seen by a proof checker: the level-0
@@ -543,9 +515,6 @@ impl Solver {
     /// wall-clock time (hh-vopr's budget-sliced SAT leg).
     pub fn solve_limited(&mut self, assumptions: &[Lit], conflict_budget: u64) -> LimitedResult {
         self.stats.budget_rounds += 1;
-        if let Some(probe) = self.budget_probe.as_mut() {
-            probe.on_round(self.stats.budget_rounds);
-        }
         match self.solve_traced(assumptions, Some(conflict_budget)) {
             Some(SolveResult::Sat) => LimitedResult::Sat,
             Some(SolveResult::Unsat) => LimitedResult::Unsat,

@@ -314,11 +314,3 @@ proptest! {
         }
     }
 }
-
-#[test]
-fn dimacs_roundtrip_through_solver() {
-    let text = "p cnf 4 4\n1 2 0\n-1 3 0\n-2 4 0\n-3 -4 0\n";
-    let cnf = hh_sat::dimacs::parse_dimacs(text).unwrap();
-    let mut s = hh_sat::dimacs::load_into_solver(&cnf);
-    assert_eq!(s.solve(), SolveResult::Sat);
-}

@@ -14,9 +14,9 @@
 
 use crate::client::Client;
 use crate::json::Json;
+use crate::request::{self, DesignSpec, RunOptions};
 use crate::server::{Bind, Server, ServerConfig};
-use crate::state::{DesignSource, DesignSpec, BUILTIN_XLEN, MAX_LATENCY, MAX_THREADS};
-use hh_uarch::Design;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use veloct::{default_candidates, Veloct, VeloctConfig};
@@ -62,11 +62,13 @@ fn serve_main(argv: &[String]) -> ExitCode {
             "--socket" => config.bind = Bind::Unix(PathBuf::from(val(&mut it))),
             "--state-dir" => config.state_dir = Some(PathBuf::from(val(&mut it))),
             "--threads" => match val(&mut it).parse() {
-                Ok(n) if n <= MAX_THREADS => config.threads = n,
-                Ok(_) => {
-                    eprintln!("--threads must be in 0..={MAX_THREADS} (0 = all cores)");
-                    serve_usage();
-                }
+                Ok(n) => match request::default_threads(n) {
+                    Ok(_) => config.threads = n,
+                    Err(msg) => {
+                        eprintln!("--{msg}");
+                        serve_usage();
+                    }
+                },
                 Err(_) => serve_usage(),
             },
             "--checkpoint-every" => match val(&mut it).parse() {
@@ -176,7 +178,7 @@ fn connect_main(argv: &[String]) -> ExitCode {
             }
             client.flush(&scope, design.as_deref())
         }
-        "learn" | "verify" => match build_learn_request(rest) {
+        "learn" | "verify" => match learn_fields(rest) {
             Ok(fields) => client.request(op, fields),
             Err(e) => {
                 eprintln!("error: {e}");
@@ -197,138 +199,124 @@ fn connect_main(argv: &[String]) -> ExitCode {
     }
 }
 
-/// Builds the learn/verify request payload from `connect` flags. The design
-/// file, if any, is inlined into the request — the daemon never touches the
-/// client's filesystem.
-fn build_learn_request(argv: &[String]) -> Result<Vec<(&'static str, Json)>, String> {
-    let mut name = None;
-    let mut builtin = None;
-    let mut design_path: Option<String> = None;
-    let mut instr_input = None;
-    let mut observables = Vec::new();
-    let mut secret_regs = Vec::new();
-    let mut masks: Vec<Json> = Vec::new();
-    let mut xlen: Option<i64> = None;
-    let mut max_latency: Option<i64> = None;
-    let mut safe: Option<String> = None;
-    let mut pairs: Option<i64> = None;
-    let mut seed: Option<i64> = None;
-    let mut threads: Option<i64> = None;
-    let mut impl_predicates = false;
-    let mut certify = false;
-
+/// The fields of a learn/verify frame from `connect` flags. The design is
+/// read by [`DesignSpec`], exactly as the daemon will read it, and sent
+/// with every default spelled out; the job and run fields go through
+/// unchecked, so the daemon is their only judge. The design file, if any,
+/// is inlined: the daemon never touches the client's filesystem.
+fn learn_fields(argv: &[String]) -> Result<Vec<(&'static str, Json)>, String> {
+    let mut design = BTreeMap::new();
+    let mut fields = Vec::new();
     let mut it = argv.iter();
-    while let Some(a) = it.next() {
+    while let Some(flag) = it.next() {
+        if design_flag(&mut design, flag, &mut it)? {
+            continue;
+        }
         let mut val = || {
             it.next()
                 .cloned()
-                .ok_or_else(|| format!("{a} needs a value"))
+                .ok_or_else(|| format!("{flag} needs a value"))
         };
-        match a.as_str() {
-            "--name" => name = Some(val()?),
-            "--builtin" => builtin = Some(val()?),
-            "--design" => design_path = Some(val()?),
-            "--instr-input" => instr_input = Some(val()?),
-            "--observable" => observables.push(Json::Str(val()?)),
-            "--secret-reg" => secret_regs.push(Json::Str(val()?)),
-            "--mask" => {
-                let spec = val()?;
-                let (valid, fields) = spec
-                    .split_once('=')
-                    .ok_or("--mask takes VALID=FIELD[,FIELD...]")?;
-                masks.push(Json::Arr(vec![
-                    Json::Str(valid.to_string()),
-                    Json::Arr(
-                        fields
-                            .split(',')
-                            .map(|f| Json::Str(f.to_string()))
-                            .collect(),
-                    ),
-                ]));
+        match flag.as_str() {
+            "--name" => {
+                design.insert("name".to_string(), Json::Str(val()?));
             }
-            "--xlen" => xlen = Some(val()?.parse().map_err(|_| "--xlen takes a number")?),
-            "--max-latency" => {
-                max_latency = Some(val()?.parse().map_err(|_| "--max-latency takes a number")?)
+            "--safe" => {
+                let s = val()?;
+                let spec = if s == "alu" || s == "default" {
+                    Json::Str(s)
+                } else {
+                    Json::Arr(s.split(',').map(|m| Json::Str(m.to_string())).collect())
+                };
+                fields.push(("safe", spec));
             }
-            "--safe" => safe = Some(val()?),
-            "--pairs" => pairs = Some(val()?.parse().map_err(|_| "--pairs takes a number")?),
-            "--seed" => seed = Some(val()?.parse().map_err(|_| "--seed takes a number")?),
-            "--threads" => threads = Some(val()?.parse().map_err(|_| "--threads takes a number")?),
-            "--impl-predicates" => impl_predicates = true,
-            "--certify" => certify = true,
+            "--pairs" => fields.push(("pairs", wire_int(val()?))),
+            "--seed" => fields.push(("seed", wire_int(val()?))),
+            "--threads" => fields.push(("threads", wire_int(val()?))),
+            "--impl-predicates" => fields.push(("impl_predicates", Json::Bool(true))),
+            "--certify" => fields.push(("certify", Json::Bool(true))),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
+    let spec = DesignSpec::from_json(&Json::Obj(design)).map_err(|(_, msg)| flag_error(&msg))?;
+    fields.insert(0, ("design", spec.to_json()));
+    Ok(fields)
+}
 
-    let name = name.ok_or("--name is required")?;
-    let mut design = vec![("name", Json::Str(name))];
-    if let Some(b) = builtin {
-        design.push(("builtin", Json::Str(b)));
-    } else if let Some(path) = design_path {
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        design.push(("btor2", Json::Str(src)));
-        design.push((
-            "instr_input",
-            Json::Str(instr_input.ok_or("--instr-input is required for a btor2 design")?),
-        ));
-        design.push(("observables", Json::Arr(observables)));
-        design.push(("secret_regs", Json::Arr(secret_regs)));
-        design.push(("masks", Json::Arr(masks)));
-        if let Some(l) = max_latency {
-            design.push(("max_latency", Json::Int(l)));
+/// Reads `flag` into `design`, the `design` object of a learn frame
+/// (SERVE.md §3.2), if it is one of the design flags batch mode and
+/// `connect` share: each sets the field its name spells (`--max-latency`
+/// sets `max_latency`, `--observable` appends to `observables`), and
+/// `--design` inlines the file as `btor2`. `Ok(false)`: not a design flag.
+fn design_flag<'a>(
+    design: &mut BTreeMap<String, Json>,
+    flag: &str,
+    it: &mut impl Iterator<Item = &'a String>,
+) -> Result<bool, String> {
+    let mut val = || {
+        it.next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value"))
+    };
+    let (key, value) = match flag {
+        "--builtin" => ("builtin", Json::Str(val()?)),
+        "--design" => {
+            let path = val()?;
+            let src = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
+            ("btor2", Json::Str(src))
+        }
+        "--instr-input" => ("instr_input", Json::Str(val()?)),
+        "--observable" => ("observables", Json::Str(val()?)),
+        "--secret-reg" => ("secret_regs", Json::Str(val()?)),
+        "--mask" => {
+            let spec = val()?;
+            let (valid, fields) = spec
+                .split_once('=')
+                .ok_or("--mask takes VALID=FIELD[,FIELD...]")?;
+            let fields = fields.split(',').map(|f| Json::Str(f.to_string()));
+            let rule = vec![Json::Str(valid.to_string()), Json::Arr(fields.collect())];
+            ("masks", Json::Arr(rule))
+        }
+        "--xlen" => ("xlen", wire_int(val()?)),
+        "--max-latency" => ("max_latency", wire_int(val()?)),
+        _ => return Ok(false),
+    };
+    if matches!(key, "observables" | "secret_regs" | "masks") {
+        let list = design
+            .entry(key.to_string())
+            .or_insert(Json::Arr(Vec::new()));
+        if let Json::Arr(items) = list {
+            items.push(value);
         }
     } else {
-        return Err("either --builtin or --design is required".to_string());
+        design.insert(key.to_string(), value);
     }
-    if let Some(x) = xlen {
-        design.push(("xlen", Json::Int(x)));
-    }
+    Ok(true)
+}
 
-    let mut fields = vec![("design", Json::obj(design))];
-    if let Some(s) = safe {
-        let spec = if s == "alu" || s == "default" {
-            Json::Str(s)
-        } else {
-            Json::Arr(s.split(',').map(|m| Json::Str(m.to_string())).collect())
-        };
-        fields.push(("safe", spec));
+/// A numeric flag value as a frame carries it. Anything else goes as the
+/// string it is, for the request checks to refuse by name.
+fn wire_int(value: String) -> Json {
+    value.parse().map_or(Json::Str(value), Json::Int)
+}
+
+/// Speaks a refused field in flag terms: the request checks name the field
+/// first (`design.max_latency must be …`), and a flag is its field's key
+/// with dashes (`--max-latency must be …`).
+fn flag_error(msg: &str) -> String {
+    let (field, rest) = msg.split_once(' ').unwrap_or((msg, ""));
+    match field
+        .strip_prefix("design.")
+        .or((field == "threads").then_some(field))
+    {
+        Some(key) => format!("--{} {rest}", key.replace('_', "-")),
+        None => msg.to_string(),
     }
-    if let Some(p) = pairs {
-        fields.push(("pairs", Json::Int(p)));
-    }
-    if let Some(s) = seed {
-        fields.push(("seed", Json::Int(s)));
-    }
-    if let Some(t) = threads {
-        fields.push(("threads", Json::Int(t)));
-    }
-    if impl_predicates {
-        fields.push(("impl_predicates", Json::Bool(true)));
-    }
-    if certify {
-        fields.push(("certify", Json::Bool(true)));
-    }
-    Ok(fields)
 }
 
 // ---------------------------------------------------------------------------
 // Batch mode (the original veloct CLI)
 // ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct BatchArgs {
-    design_path: Option<String>,
-    builtin: Option<String>,
-    instr_input: Option<String>,
-    observables: Vec<String>,
-    secret_regs: Vec<String>,
-    masks: Vec<(String, Vec<String>)>,
-    xlen: u32,
-    max_latency: usize,
-    threads: usize,
-    impl_predicates: bool,
-    certify: Option<String>,
-}
 
 fn batch_usage() -> ! {
     eprintln!(
@@ -343,101 +331,44 @@ fn batch_usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_batch_args() -> BatchArgs {
-    let mut args = BatchArgs {
-        xlen: 16,
-        max_latency: 24,
-        threads: 1,
-        ..BatchArgs::default()
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let val = |it: &mut dyn Iterator<Item = String>| it.next().unwrap_or_else(|| batch_usage());
-        match a.as_str() {
-            "--design" => args.design_path = Some(val(&mut it)),
-            "--builtin" => args.builtin = Some(val(&mut it)),
-            "--instr-input" => args.instr_input = Some(val(&mut it)),
-            "--observable" => args.observables.push(val(&mut it)),
-            "--secret-reg" => args.secret_regs.push(val(&mut it)),
-            "--mask" => {
-                let spec = val(&mut it);
-                let (valid, fields) = spec.split_once('=').unwrap_or_else(|| batch_usage());
-                args.masks.push((
-                    valid.to_string(),
-                    fields.split(',').map(|s| s.to_string()).collect(),
-                ));
-            }
-            "--xlen" => args.xlen = val(&mut it).parse().unwrap_or_else(|_| batch_usage()),
-            "--max-latency" => {
-                args.max_latency = val(&mut it).parse().unwrap_or_else(|_| batch_usage())
-            }
-            "--threads" => args.threads = val(&mut it).parse().unwrap_or_else(|_| batch_usage()),
-            "--impl-predicates" => args.impl_predicates = true,
-            "--certify" => args.certify = Some(val(&mut it)),
-            "--help" | "-h" => batch_usage(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                batch_usage();
-            }
-        }
-    }
-    if !(1..=MAX_THREADS).contains(&args.threads) {
-        eprintln!("--threads must be in 1..={MAX_THREADS}");
-        batch_usage();
-    }
-    if args.max_latency > MAX_LATENCY {
-        eprintln!("--max-latency must be at most {MAX_LATENCY}");
-        batch_usage();
-    }
-    if args.builtin.is_some() && !BUILTIN_XLEN.contains(&args.xlen) {
-        eprintln!("--xlen must be in {BUILTIN_XLEN:?} for a builtin design");
-        batch_usage();
-    }
-    args
-}
-
-/// The batch design, built and checked exactly as a daemon `learn` frame's
-/// would be.
-fn load_design(args: &BatchArgs) -> Result<Design, String> {
-    let source = match &args.builtin {
-        Some(kind) => DesignSource::Builtin {
-            kind: kind.clone(),
-            xlen: args.xlen,
-            scale: 1,
-        },
-        None => {
-            let path = args
-                .design_path
-                .as_ref()
-                .ok_or("missing --design or --builtin")?;
-            DesignSource::Btor2 {
-                src: std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?,
-                instr_input: (args.instr_input.clone())
-                    .ok_or("missing --instr-input for a btor2 design")?,
-                observables: args.observables.clone(),
-                secret_regs: args.secret_regs.clone(),
-                masks: args.masks.clone(),
-                xlen: args.xlen,
-                max_latency: args.max_latency,
-                example_depth: 0,
-            }
-        }
-    };
-    let spec = DesignSpec {
-        name: "batch".to_string(),
-        source,
-    };
-    spec.build().map_err(|(_, msg)| msg)
+/// Prints `msg` and the usage text, and exits 2.
+fn batch_refuse(msg: &str) -> ! {
+    eprintln!("{msg}");
+    batch_usage()
 }
 
 fn batch_main() -> ExitCode {
     // HH_TRACE=<path.json> captures a Chrome trace of the run; see
     // docs/TRACE_SCHEMA.md for the span/counter vocabulary.
     let tracing = hh_trace::init_from_env();
-    let args = parse_batch_args();
-    let design = match load_design(&args) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut design = BTreeMap::from([("name".to_string(), Json::Str("batch".to_string()))]);
+    let mut run = Vec::new();
+    let mut impl_predicates = false;
+    let mut certify: Option<String> = None;
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        match design_flag(&mut design, flag, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(msg) => batch_refuse(&msg),
+        }
+        let mut val = || it.next().cloned().unwrap_or_else(|| batch_usage());
+        match flag.as_str() {
+            "--threads" => run.push(("threads", wire_int(val()))),
+            "--impl-predicates" => impl_predicates = true,
+            "--certify" => certify = Some(val()),
+            "--help" | "-h" => batch_usage(),
+            other => batch_refuse(&format!("unknown argument: {other}")),
+        }
+    }
+    let RunOptions { threads, .. } = RunOptions::from_json(&Json::obj(run), 1, false)
+        .unwrap_or_else(|(_, msg)| batch_refuse(&flag_error(&msg)));
+    let spec = DesignSpec::from_json(&Json::Obj(design))
+        .unwrap_or_else(|(_, msg)| batch_refuse(&flag_error(&msg)));
+    let design = match spec.build() {
         Ok(d) => d,
-        Err(e) => {
+        Err((_, e)) => {
             eprintln!("error: {e}");
             return ExitCode::from(2);
         }
@@ -451,10 +382,10 @@ fn batch_main() -> ExitCode {
     );
 
     let config = VeloctConfig {
-        threads: args.threads,
+        threads,
         pairs_per_instr: 1,
-        impl_predicates: args.impl_predicates,
-        certify: args.certify.is_some(),
+        impl_predicates,
+        certify: certify.is_some(),
         ..VeloctConfig::default()
     };
     let veloct = Veloct::with_config(&design, config);
@@ -489,7 +420,7 @@ fn batch_main() -> ExitCode {
                 report.mine_time,
                 report.stats.wall_time
             );
-            match &args.certify {
+            match &certify {
                 None => ExitCode::SUCCESS,
                 Some(dir) => {
                     let dir = std::path::Path::new(dir);
@@ -503,7 +434,7 @@ fn batch_main() -> ExitCode {
                                 summary.proof_lines,
                                 summary.proof_bytes,
                                 emit_t0.elapsed(),
-                                args.threads,
+                                threads,
                                 dir.display()
                             );
                             ExitCode::SUCCESS

@@ -10,6 +10,9 @@
 //! * **[`server`]** — the daemon. Accepts length-prefixed JSON frames over
 //!   TCP or a Unix socket ([`proto`]), keeps per-job [`state`] warm across
 //!   requests (encode caches, memoised solutions, certificates), checkpoints to a state directory and restores on boot.
+//! * **[`request`]** — what counts as a valid request: every design, job
+//!   and run field parsed, bounded and defaulted once, for frames, the
+//!   state directory, `veloct connect` and batch flags alike.
 //! * **[`client`]** — a thin synchronous client used by `veloct connect`
 //!   and the integration tests.
 //! * **[`cli`]** — the `veloct` binary: `serve`, `connect`, and the
@@ -36,5 +39,6 @@ pub mod cli;
 pub mod client;
 pub mod json;
 pub mod proto;
+pub mod request;
 pub mod server;
 pub mod state;

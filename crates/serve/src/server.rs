@@ -11,10 +11,8 @@ use crate::json::Json;
 use crate::proto::{
     err_response, ok_response, read_frame, write_frame, ErrorCode, FrameError, PROTOCOL_VERSION,
 };
-use crate::state::{
-    count_field, resolve_safe_set, CheckpointSummary, DesignSpec, JobKey, LearnOutcome,
-    LearnResult, RunOptions, ServeState, MAX_PAIRS, MAX_THREADS,
-};
+use crate::request::{self, DesignSpec, JobKey, RunOptions};
+use crate::state::{CheckpointSummary, LearnOutcome, LearnResult, ServeState};
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -87,6 +85,8 @@ enum Listener {
 /// Everything the connection threads share, behind one lock.
 struct Inner {
     config: ServerConfig,
+    /// `threads` of a frame that does not carry it.
+    default_threads: usize,
     state: ServeState,
     counters: ServerCounters,
     started: Instant,
@@ -108,14 +108,10 @@ impl Server {
     /// Binds the socket and restores warm state from the state directory
     /// (if any). Returns the server plus restore warnings for logging.
     pub fn bind(config: ServerConfig) -> std::io::Result<(Server, Vec<String>)> {
-        if config.threads > MAX_THREADS {
-            // A learn frame without `threads` takes this value unchecked,
-            // and every thread is a spawn.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!("threads must be in 0..={MAX_THREADS} (0 = all cores)"),
-            ));
-        }
+        // A learn frame without `threads` takes this value, and every
+        // thread is a spawn.
+        let default_threads = request::default_threads(config.threads)
+            .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))?;
         let (listener, local_addr) = match &config.bind {
             Bind::Tcp(addr) => {
                 let l = TcpListener::bind(addr)?;
@@ -150,6 +146,7 @@ impl Server {
         }
         let inner = Inner {
             config,
+            default_threads,
             state,
             counters: ServerCounters::default(),
             started: Instant::now(),
@@ -401,39 +398,8 @@ impl Inner {
             .get("design")
             .ok_or((ErrorCode::BadRequest, "design is required".to_string()))?;
         let spec = DesignSpec::from_json(design_json)?;
-        let safe_json = frame
-            .get("safe")
-            .cloned()
-            .unwrap_or(Json::Str("default".to_string()));
-        let safe = resolve_safe_set(&safe_json)?;
-        let key = JobKey {
-            safe,
-            pairs_per_instr: count_field(frame, "pairs", 2, MAX_PAIRS)?,
-            seed: frame
-                .get("seed")
-                .and_then(Json::as_i64)
-                .map(|s| s as u64)
-                .unwrap_or(0xD1CE),
-            impl_predicates: frame
-                .get("impl_predicates")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-        };
-        let default_threads = if self.config.threads > 0 {
-            self.config.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get().min(MAX_THREADS))
-                .unwrap_or(1)
-        };
-        let opts = RunOptions {
-            threads: count_field(frame, "threads", default_threads, MAX_THREADS)?,
-            certify: frame
-                .get("certify")
-                .and_then(Json::as_bool)
-                .unwrap_or(false),
-            require_baseline: verify,
-        };
+        let key = JobKey::from_json(frame)?;
+        let opts = RunOptions::from_json(frame, self.default_threads, verify)?;
         let started = Instant::now();
         let outcome = self.state.learn(spec, key, opts)?;
         if outcome.counters.memo_seeded > 0 && outcome.counters.smt_queries == 0 {

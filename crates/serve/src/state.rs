@@ -25,432 +25,19 @@
 
 use crate::json::Json;
 use crate::proto::ErrorCode;
-use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
-use hh_netlist::btor2::{parse_btor2, to_btor2};
+use crate::request::{
+    bool_field, int_field, DesignSource, DesignSpec, JobKey, RunOptions, ServeError,
+};
+use hh_netlist::btor2::to_btor2;
 use hh_netlist::miter::Miter;
 use hh_proof::cert::fnv1a;
 use hh_smt::{EncodeCache, Predicate};
-use hh_uarch::boomlite::{boom_lite_scaled, BoomVariant};
-use hh_uarch::rocketlite::rocket_lite;
-use hh_uarch::{Design, MaskRule};
+use hh_uarch::Design;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use veloct::examples::PUBLIC_BASE_REG;
 use veloct::{Veloct, VeloctConfig, WarmContext};
-
-/// A request-level failure: protocol error code plus a message.
-pub type ServeError = (ErrorCode, String);
-
-fn bad_design(msg: impl Into<String>) -> ServeError {
-    (ErrorCode::BadDesign, msg.into())
-}
-
-fn bad_request(msg: impl Into<String>) -> ServeError {
-    (ErrorCode::BadRequest, msg.into())
-}
-
-/// Looks up a mnemonic by its assembly name. Also accepts `"sltui"`, which
-/// [`Mnemonic::name`] used to print for `sltiu` and which state directories
-/// and client scripts written before the fix still contain.
-pub fn mnemonic_by_name(name: &str) -> Option<Mnemonic> {
-    if name == "sltui" {
-        return Some(Mnemonic::Sltiu);
-    }
-    ALL_MNEMONICS.iter().copied().find(|m| m.name() == name)
-}
-
-/// Resolves a protocol safe-set specification: the literal shorthands
-/// `"alu"` (ALU-class instructions) and `"default"` (every non-control
-/// candidate), or an explicit array of mnemonic names.
-pub fn resolve_safe_set(spec: &Json) -> Result<Vec<Mnemonic>, ServeError> {
-    let mut out = match spec {
-        Json::Str(s) if s == "alu" => ALL_MNEMONICS
-            .iter()
-            .copied()
-            .filter(|m| m.class() == InstrClass::Alu)
-            .collect(),
-        Json::Str(s) if s == "default" => veloct::default_candidates(),
-        Json::Str(s) => return Err(bad_request(format!("unknown safe-set shorthand {s:?}"))),
-        Json::Arr(items) => {
-            let mut v = Vec::with_capacity(items.len());
-            for it in items {
-                let name = it
-                    .as_str()
-                    .ok_or_else(|| bad_request("safe-set entries must be strings"))?;
-                v.push(
-                    mnemonic_by_name(name)
-                        .ok_or_else(|| bad_request(format!("unknown mnemonic {name:?}")))?,
-                );
-            }
-            v
-        }
-        _ => {
-            return Err(bad_request(
-                "safe must be \"alu\", \"default\", or an array",
-            ))
-        }
-    };
-    out.sort_by_key(|m| m.name());
-    out.dedup();
-    if out.is_empty() {
-        return Err(bad_request("safe set must not be empty"));
-    }
-    Ok(out)
-}
-
-/// How a design is specified on the wire and in `spec.json` — either a
-/// builtin core from `hh-uarch` or an inlined btor2 source plus the
-/// annotations the batch CLI takes as flags.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DesignSource {
-    /// A builtin core constructor.
-    Builtin {
-        /// `rocketlite`, `boom-small`, `boom-medium`, `boom-large`, `boom-mega`.
-        kind: String,
-        /// Datapath width.
-        xlen: u32,
-        /// Structure scale factor (BOOM variants only; 1 = paper size).
-        scale: usize,
-    },
-    /// An inlined btor2 design with verification annotations.
-    Btor2 {
-        /// The btor2 source text.
-        src: String,
-        /// Name of the 32-bit instruction input.
-        instr_input: String,
-        /// Observable state names.
-        observables: Vec<String>,
-        /// Secret register state names.
-        secret_regs: Vec<String>,
-        /// Masking rules as `(valid, fields)` name tuples.
-        masks: Vec<(String, Vec<String>)>,
-        /// Datapath width.
-        xlen: u32,
-        /// Worst-case single-instruction latency.
-        max_latency: usize,
-        /// Example-program depth override (`0` = derive from latency).
-        example_depth: usize,
-    },
-}
-
-/// A named design specification.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DesignSpec {
-    /// The client-chosen design key (directory-safe, validated).
-    pub name: String,
-    /// How to build it.
-    pub source: DesignSource,
-}
-
-/// Datapath widths the builtin cores can be built at (the range
-/// `hh_uarch::decode` asserts).
-pub(crate) const BUILTIN_XLEN: std::ops::RangeInclusive<u32> = 8..=32;
-
-/// Largest structure scale factor a request may ask for (16× MegaBoomLite
-/// is already a 512-entry reorder buffer).
-const MAX_SCALE: usize = 16;
-
-/// Largest `max_latency` a btor2 design may declare. Every example program
-/// pads each instruction with this many bubbles, so the field sizes an
-/// allocation; the builtin cores use 16–36.
-pub(crate) const MAX_LATENCY: usize = 512;
-
-/// Largest `example_depth` a btor2 design may declare: the number of
-/// instruction copies per example program. The deepest builtin
-/// (MegaBoomLite at [`MAX_SCALE`]) needs 772.
-const MAX_EXAMPLE_DEPTH: usize = 8192;
-
-/// Most paired executions per instruction a request may ask for. Zero is
-/// refused too: a learn with no example panics in the miner.
-pub(crate) const MAX_PAIRS: usize = 64;
-
-/// Most worker threads a request may ask for (every one is a spawn).
-pub(crate) const MAX_THREADS: usize = 256;
-
-/// An optional count field of a `learn`/`verify` frame: an integer in
-/// `1..=max`, or `default` when the frame does not carry the key.
-pub(crate) fn count_field(
-    frame: &Json,
-    key: &str,
-    default: usize,
-    max: usize,
-) -> Result<usize, ServeError> {
-    match frame.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .and_then(|x| usize::try_from(x).ok())
-            .filter(|x| (1..=max).contains(x))
-            .ok_or_else(|| bad_request(format!("{key} must be an integer in 1..={max}"))),
-    }
-}
-
-/// An optional non-negative integer field of the `design` object, which
-/// must fit `T`: `as` would wrap `2^32 + 16` into a plausible width.
-fn uint_field<T: TryFrom<u64>>(j: &Json, key: &str, default: T) -> Result<T, ServeError> {
-    match j.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .as_u64()
-            .and_then(|x| T::try_from(x).ok())
-            .ok_or_else(|| bad_design(format!("design.{key} is not an integer in range"))),
-    }
-}
-
-/// [`uint_field`] with a ceiling, for the fields that size a buffer.
-fn bounded_field(j: &Json, key: &str, default: usize, max: usize) -> Result<usize, ServeError> {
-    let value: usize = uint_field(j, key, default)?;
-    if value > max {
-        return Err(bad_design(format!(
-            "design.{key} must be at most {max}, got {value}"
-        )));
-    }
-    Ok(value)
-}
-
-fn valid_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.len() <= 64
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
-}
-
-impl DesignSpec {
-    /// Parses the protocol `design` object (SERVE.md §3.2).
-    pub fn from_json(j: &Json) -> Result<DesignSpec, ServeError> {
-        let name = j
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad_request("design.name is required"))?
-            .to_string();
-        if !valid_name(&name) {
-            return Err(bad_request(
-                "design.name must be 1-64 chars of [A-Za-z0-9_-]",
-            ));
-        }
-        let source = if let Some(builtin) = j.get("builtin").and_then(Json::as_str) {
-            // The core builders assert on both; a panic under the state
-            // lock would take the daemon down, so refuse here.
-            let xlen: u32 = uint_field(j, "xlen", 16)?;
-            if !BUILTIN_XLEN.contains(&xlen) {
-                return Err(bad_design(format!(
-                    "design.xlen must be in {BUILTIN_XLEN:?} for a builtin core, got {xlen}"
-                )));
-            }
-            let scale: usize = uint_field(j, "scale", 1)?;
-            if !scale.is_power_of_two() || scale > MAX_SCALE {
-                return Err(bad_design(format!(
-                    "design.scale must be a power of two up to {MAX_SCALE}, got {scale}"
-                )));
-            }
-            DesignSource::Builtin {
-                kind: builtin.to_string(),
-                xlen,
-                scale,
-            }
-        } else if let Some(src) = j.get("btor2").and_then(Json::as_str) {
-            let strings = |key: &str| -> Result<Vec<String>, ServeError> {
-                match j.get(key) {
-                    None => Ok(Vec::new()),
-                    Some(Json::Arr(a)) => a
-                        .iter()
-                        .map(|e| {
-                            e.as_str().map(str::to_string).ok_or_else(|| {
-                                bad_request(format!("{key} entries must be strings"))
-                            })
-                        })
-                        .collect(),
-                    Some(_) => Err(bad_request(format!("{key} must be an array"))),
-                }
-            };
-            let mut masks = Vec::new();
-            if let Some(Json::Arr(entries)) = j.get("masks") {
-                for e in entries {
-                    let pair = e
-                        .as_arr()
-                        .filter(|p| p.len() == 2)
-                        .ok_or_else(|| bad_request("masks entries must be [valid, [fields]]"))?;
-                    let valid = pair[0]
-                        .as_str()
-                        .ok_or_else(|| bad_request("mask valid must be a string"))?;
-                    let fields: Result<Vec<String>, ServeError> = pair[1]
-                        .as_arr()
-                        .ok_or_else(|| bad_request("mask fields must be an array"))?
-                        .iter()
-                        .map(|f| {
-                            f.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| bad_request("mask fields must be strings"))
-                        })
-                        .collect();
-                    masks.push((valid.to_string(), fields?));
-                }
-            }
-            DesignSource::Btor2 {
-                src: src.to_string(),
-                instr_input: j
-                    .get("instr_input")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| bad_request("design.instr_input is required for btor2"))?
-                    .to_string(),
-                observables: strings("observables")?,
-                secret_regs: strings("secret_regs")?,
-                masks,
-                xlen: uint_field(j, "xlen", 16)?,
-                max_latency: bounded_field(j, "max_latency", 8, MAX_LATENCY)?,
-                example_depth: bounded_field(j, "example_depth", 0, MAX_EXAMPLE_DEPTH)?,
-            }
-        } else {
-            return Err(bad_request("design needs either builtin or btor2"));
-        };
-        Ok(DesignSpec { name, source })
-    }
-
-    /// Serializes back to the protocol/persistence JSON object.
-    pub fn to_json(&self) -> Json {
-        match &self.source {
-            DesignSource::Builtin { kind, xlen, scale } => Json::obj(vec![
-                ("name", Json::Str(self.name.clone())),
-                ("builtin", Json::Str(kind.clone())),
-                ("xlen", Json::Int(*xlen as i64)),
-                ("scale", Json::Int(*scale as i64)),
-            ]),
-            DesignSource::Btor2 {
-                src,
-                instr_input,
-                observables,
-                secret_regs,
-                masks,
-                xlen,
-                max_latency,
-                example_depth,
-            } => Json::obj(vec![
-                ("name", Json::Str(self.name.clone())),
-                ("btor2", Json::Str(src.clone())),
-                ("instr_input", Json::Str(instr_input.clone())),
-                (
-                    "observables",
-                    Json::Arr(observables.iter().cloned().map(Json::Str).collect()),
-                ),
-                (
-                    "secret_regs",
-                    Json::Arr(secret_regs.iter().cloned().map(Json::Str).collect()),
-                ),
-                (
-                    "masks",
-                    Json::Arr(
-                        masks
-                            .iter()
-                            .map(|(v, fs)| {
-                                Json::Arr(vec![
-                                    Json::Str(v.clone()),
-                                    Json::Arr(fs.iter().cloned().map(Json::Str).collect()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("xlen", Json::Int(*xlen as i64)),
-                ("max_latency", Json::Int(*max_latency as i64)),
-                ("example_depth", Json::Int(*example_depth as i64)),
-            ]),
-        }
-    }
-
-    /// Builds the concrete [`Design`].
-    pub fn build(&self) -> Result<Design, ServeError> {
-        match &self.source {
-            DesignSource::Builtin { kind, xlen, scale } => {
-                let variant = |v: BoomVariant| Ok(boom_lite_scaled(v, *xlen, *scale));
-                match kind.as_str() {
-                    "rocketlite" => Ok(rocket_lite(*xlen)),
-                    "boom-small" => variant(BoomVariant::Small),
-                    "boom-medium" => variant(BoomVariant::Medium),
-                    "boom-large" => variant(BoomVariant::Large),
-                    "boom-mega" => variant(BoomVariant::Mega),
-                    other => Err(bad_design(format!("unknown builtin design {other:?}"))),
-                }
-            }
-            DesignSource::Btor2 {
-                src,
-                instr_input,
-                observables,
-                secret_regs,
-                masks,
-                xlen,
-                max_latency,
-                example_depth,
-            } => {
-                let netlist = parse_btor2(src).map_err(|e| bad_design(e.to_string()))?;
-                match netlist.find_input(instr_input) {
-                    None => return Err(bad_design(format!("no input named {instr_input:?}"))),
-                    Some(node) if netlist.width(node) != 32 => {
-                        return Err(bad_design("the instruction input must be 32 bits wide"))
-                    }
-                    Some(_) => {}
-                }
-                let find = |name: &str| {
-                    netlist
-                        .find_state(name)
-                        .ok_or_else(|| bad_design(format!("no state named {name:?}")))
-                };
-                if observables.is_empty() {
-                    return Err(bad_design("at least one observable is required"));
-                }
-                // Example programs read x1 and x2 and keep a public base
-                // address in x4 (`veloct::examples::PUBLIC_BASE_REG`).
-                if secret_regs.len() < PUBLIC_BASE_REG {
-                    return Err(bad_design(format!(
-                        "at least {PUBLIC_BASE_REG} secret_regs (x1..x{PUBLIC_BASE_REG}) are required, got {}",
-                        secret_regs.len()
-                    )));
-                }
-                let observable = observables
-                    .iter()
-                    .map(|o| find(o))
-                    .collect::<Result<_, _>>()?;
-                let secrets: Vec<_> = secret_regs
-                    .iter()
-                    .map(|s| find(s))
-                    .collect::<Result<_, _>>()?;
-                // The example generator asserts this.
-                if let Some(&s) = secrets.iter().find(|&&s| netlist.state_width(s) != *xlen) {
-                    return Err(bad_design(format!(
-                        "secret register {:?} is {} bits wide, but xlen is {xlen}",
-                        netlist.state_name(s),
-                        netlist.state_width(s)
-                    )));
-                }
-                let mut masking = Vec::new();
-                for (valid, fields) in masks {
-                    masking.push(MaskRule {
-                        valid: find(valid)?,
-                        fields: fields.iter().map(|f| find(f)).collect::<Result<_, _>>()?,
-                    });
-                }
-                let nregs = secret_regs.len() + 1;
-                Ok(Design {
-                    netlist,
-                    instr_input: instr_input.clone(),
-                    observable,
-                    secret_regs: secrets,
-                    masking,
-                    nregs,
-                    xlen: *xlen,
-                    max_latency: *max_latency,
-                    example_depth: if *example_depth > 0 {
-                        *example_depth
-                    } else {
-                        (*max_latency).max(8)
-                    },
-                })
-            }
-        }
-    }
-}
 
 /// Content fingerprint of a built design: structure (canonical btor2
 /// serialization) plus every annotation that influences learning. Equal
@@ -483,40 +70,6 @@ pub fn design_fingerprint(design: &Design) -> u64 {
         design.nregs, design.xlen, design.max_latency, design.example_depth
     );
     fnv1a(text.as_bytes())
-}
-
-/// The per-job portion of a warm learn configuration that changes the
-/// learning *problem* (and therefore keys warm state). Thread count and
-/// certification mode deliberately excluded: both are gated bit-identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobKey {
-    /// Sorted safe set.
-    pub safe: Vec<Mnemonic>,
-    /// Paired executions per instruction.
-    pub pairs_per_instr: usize,
-    /// Example RNG seed.
-    pub seed: u64,
-    /// Impl-predicate (ConjunCT §5.2.1) mode.
-    pub impl_predicates: bool,
-}
-
-impl JobKey {
-    /// Stable human-readable key string.
-    pub fn key_string(&self) -> String {
-        let names: Vec<&str> = self.safe.iter().map(|m| m.name()).collect();
-        format!(
-            "safe={};pairs={};seed={:#x};impl={}",
-            names.join("+"),
-            self.pairs_per_instr,
-            self.seed,
-            self.impl_predicates
-        )
-    }
-
-    /// Directory-safe job id: FNV-1a of [`JobKey::key_string`].
-    pub fn id(&self) -> String {
-        format!("{:016x}", fnv1a(self.key_string().as_bytes()))
-    }
 }
 
 /// One warm job: resident miter, encode cache, memo table, invariant.
@@ -609,17 +162,6 @@ pub struct LearnOutcome {
     pub num_examples: usize,
     /// Where the certificate bundle was written, if requested.
     pub certificate: Option<PathBuf>,
-}
-
-/// Per-request options that do *not* key warm state.
-#[derive(Debug, Clone, Copy)]
-pub struct RunOptions {
-    /// Worker threads for the engine.
-    pub threads: usize,
-    /// Emit an `hh-proof` certificate bundle after a successful learn.
-    pub certify: bool,
-    /// `verify` semantics: require an existing warm baseline.
-    pub require_baseline: bool,
 }
 
 /// The server's complete resident state.
@@ -908,9 +450,10 @@ impl ServeState {
                 }
                 Ok((designs, jobs, entries))
             }
-            other => Err(bad_request(format!(
-                "unknown flush scope {other:?} (expected \"memo\" or \"all\")"
-            ))),
+            other => Err((
+                ErrorCode::BadRequest,
+                format!("unknown flush scope {other:?} (expected \"memo\" or \"all\")"),
+            )),
         }
     }
 
@@ -997,23 +540,14 @@ impl ServeState {
                 std::fs::create_dir_all(&jdir)?;
                 summary.jobs += 1;
 
-                let meta = Json::obj(vec![
-                    (
-                        "safe",
-                        Json::Arr(
-                            job.key
-                                .safe
-                                .iter()
-                                .map(|m| Json::Str(m.name().to_string()))
-                                .collect(),
-                        ),
-                    ),
-                    ("pairs", Json::Int(job.key.pairs_per_instr as i64)),
-                    ("seed", Json::Int(job.key.seed as i64)),
-                    ("impl_predicates", Json::Bool(job.key.impl_predicates)),
-                    ("proved", Json::Bool(job.invariant.is_some())),
-                    ("num_examples", Json::Int(job.num_examples as i64)),
-                ]);
+                let mut meta = job.key.to_json();
+                if let Json::Obj(m) = &mut meta {
+                    m.insert("proved".to_string(), Json::Bool(job.invariant.is_some()));
+                    m.insert(
+                        "num_examples".to_string(),
+                        Json::Int(job.num_examples as i64),
+                    );
+                }
                 fault.write(&jdir.join("job.json"), meta.to_string().as_bytes())?;
 
                 let nl = job.miter.netlist();
@@ -1233,25 +767,9 @@ fn restore_job(
 ) -> Result<JobState, String> {
     let meta_text = std::fs::read_to_string(jdir.join("job.json")).map_err(|e| e.to_string())?;
     let meta = Json::parse(&meta_text).map_err(|e| e.to_string())?;
-    let safe_json = meta.get("safe").ok_or("job.json missing safe")?;
-    let mut safe = Vec::new();
-    for s in safe_json.as_arr().ok_or("safe must be an array")? {
-        let name = s.as_str().ok_or("safe entries must be strings")?;
-        safe.push(mnemonic_by_name(name).ok_or_else(|| format!("unknown mnemonic {name:?}"))?);
-    }
-    // Same order `resolve_safe_set` gives a request, so a job stored under
-    // the legacy `sltui` spelling (which sorted elsewhere) keys identically.
-    safe.sort_by_key(|m| m.name());
-    let key = JobKey {
-        safe,
-        pairs_per_instr: meta.get("pairs").and_then(Json::as_u64).unwrap_or(1) as usize,
-        seed: meta.get("seed").and_then(Json::as_i64).unwrap_or(0) as u64,
-        impl_predicates: meta
-            .get("impl_predicates")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
-    };
-    let proved = meta.get("proved").and_then(Json::as_bool).unwrap_or(false);
+    let key = JobKey::from_json(&meta).map_err(|(_, m)| m)?;
+    let proved = bool_field(&meta, "proved")?;
+    let num_examples = int_field(&meta, "num_examples", 0, 0..=usize::MAX)?;
     let opts = RunOptions {
         threads: 1,
         certify: false,
@@ -1259,7 +777,7 @@ fn restore_job(
     };
     let veloct = Veloct::with_config(design, ServeState::veloct_config(&key, opts));
     let mut job = JobState::fresh(key, &veloct);
-    job.num_examples = meta.get("num_examples").and_then(Json::as_u64).unwrap_or(0) as usize;
+    job.num_examples = num_examples;
     summary.jobs += 1;
 
     let nl = job.miter.netlist();

@@ -164,6 +164,69 @@ fn connect_learn_with_no_pairs_is_a_bad_request_and_the_daemon_survives() {
     daemon.join().unwrap().unwrap();
 }
 
+/// `veloct connect` sends the design as the daemon reads it, defaults
+/// spelled out: a btor2 learn without `--max-latency` is checkpointed with
+/// the one default, 24, that batch mode uses too. (Once the frame and
+/// `connect` defaulted it to 8 and batch mode to 24.)
+#[test]
+fn connect_btor2_learn_checkpoints_the_batch_max_latency() {
+    use hh_netlist::btor2::to_btor2;
+    use hh_netlist::{Bv, Netlist};
+    use hh_serve::client::Client;
+    use hh_serve::json::Json;
+    use hh_serve::server::{Bind, Server, ServerConfig};
+
+    let dir = std::env::temp_dir().join(format!("hh-serve-cli-latency-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut toy = Netlist::new("toy");
+    toy.input("instr", 32);
+    for i in 1..=4 {
+        let reg = toy.state(format!("x{i}").as_str(), 8, Bv::zero(8));
+        toy.keep_state(reg);
+    }
+    let path = dir.join("toy.btor2");
+    std::fs::write(&path, to_btor2(&toy)).unwrap();
+
+    let (server, _) = Server::bind(ServerConfig {
+        bind: Bind::Tcp("127.0.0.1:0".to_string()),
+        state_dir: Some(dir.join("state")),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().expect("tcp addr").to_string();
+    let daemon = std::thread::spawn(move || server.run());
+
+    let mut learn = Command::new(env!("CARGO_BIN_EXE_veloct"));
+    learn.args(["connect", &addr, "learn", "--name", "toy", "--design"]);
+    learn.arg(&path);
+    learn.args([
+        "--instr-input",
+        "instr",
+        "--xlen",
+        "8",
+        "--observable",
+        "x1",
+    ]);
+    for i in 1..=4 {
+        learn.args(["--secret-reg", &format!("x{i}")]);
+    }
+    learn.args(["--safe", "alu", "--pairs", "1", "--threads", "1"]);
+    let out = learn.output().expect("run veloct connect");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    Client::connect_tcp(&addr).unwrap().shutdown().unwrap();
+    daemon.join().unwrap().unwrap();
+
+    let spec_path = dir.join("state/designs/toy/spec.json");
+    let spec = Json::parse(&std::fs::read_to_string(spec_path).unwrap()).unwrap();
+    assert_eq!(spec.get("max_latency"), Some(&Json::Int(24)), "{spec}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `veloct serve --threads` is the default of every `learn` frame that
 /// omits `threads`, and each thread is a spawn: a value the frame field
 /// would refuse is refused at startup (once it was taken unchecked, and the

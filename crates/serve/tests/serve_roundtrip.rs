@@ -424,7 +424,7 @@ fn restart_from_checkpoint_reproduces_answers() {
 /// after `sltu`) restores warm under the corrected spelling.
 #[test]
 fn mnemonic_names_round_trip_and_legacy_sltui_state_restores() {
-    use hh_serve::state::mnemonic_by_name;
+    use hh_serve::request::mnemonic_by_name;
     for &m in hh_isa::ALL_MNEMONICS.iter() {
         assert_eq!(mnemonic_by_name(m.name()), Some(m), "{m:?}");
     }
@@ -453,6 +453,75 @@ fn mnemonic_names_round_trip_and_legacy_sltui_state_restores() {
     assert_eq!(warm.get("warm_hit").unwrap(), &Json::Bool(true));
     assert_eq!(str_arr(&warm, "invariant"), str_arr(&cold, "invariant"));
     daemon2.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrites every `job.json` under `dir` through `edit`.
+fn edit_job_files(dir: &Path, edit: impl Fn(&mut std::collections::BTreeMap<String, Json>)) {
+    let jobs = files_under(dir, |p| p.file_name().is_some_and(|n| n == "job.json"));
+    assert!(!jobs.is_empty());
+    for job in jobs {
+        let Json::Obj(mut meta) = Json::parse(&std::fs::read_to_string(&job).unwrap()).unwrap()
+        else {
+            panic!("job.json is an object")
+        };
+        edit(&mut meta);
+        std::fs::write(&job, Json::Obj(meta).to_string()).unwrap();
+    }
+}
+
+/// A `job.json` and a frame default a missing field alike: a job stored
+/// without `pairs` and `seed` restores under the key of a frame that
+/// carries neither, so that frame is a warm hit. (Once a restored job
+/// defaulted them to 1 and 0, the frame to 2 and 0xD1CE, and the frame
+/// learned cold beside an unreachable job.)
+#[test]
+fn job_json_without_pairs_or_seed_restores_under_the_frame_defaults() {
+    let dir = temp_dir("job-defaults");
+    let mut fields = toy_learn_fields("toy", TOY_V1);
+    fields.retain(|(k, _)| *k != "pairs");
+    let daemon = Daemon::start(Some(dir.clone()));
+    let cold = daemon.client().request("learn", fields.clone()).unwrap();
+    daemon.stop();
+
+    edit_job_files(&dir, |meta| {
+        assert!(meta.remove("pairs").is_some() && meta.remove("seed").is_some());
+    });
+    let daemon = Daemon::start(Some(dir.clone()));
+    let warm = daemon.client().request("learn", fields).unwrap();
+    assert_eq!(warm.get("warm_hit").unwrap(), &Json::Bool(true));
+    assert_eq!(i64_field(&warm, "smt_queries"), 0);
+    assert_eq!(str_arr(&warm, "invariant"), str_arr(&cold, "invariant"));
+    daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A `job.json` is read by the frame's rules: `pairs` of 0 or 2^40 (which
+/// a frame answers `bad-request`) is not restored but named in a boot
+/// warning. (Once both were cast into the job key unchecked.)
+#[test]
+fn job_json_with_pairs_out_of_range_is_skipped_with_a_warning() {
+    use hh_serve::state::ServeState;
+    let dir = temp_dir("job-pairs");
+    let daemon = Daemon::start(Some(dir.clone()));
+    daemon
+        .client()
+        .request("learn", toy_learn_fields("toy", TOY_V1))
+        .unwrap();
+    daemon.stop();
+
+    for pairs in [0, 1 << 40] {
+        edit_job_files(&dir, |meta| {
+            meta.insert("pairs".to_string(), Json::Int(pairs));
+        });
+        let (restored, warnings) = ServeState::new(Some(dir.clone())).restore();
+        assert_eq!(restored.jobs, 0, "pairs {pairs}");
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(
+            warnings[0].contains("pairs must be an integer in 1..=64"),
+            "{warnings:?}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -55,8 +55,7 @@ pub use blast::TransitionEncoding;
 pub use cache::{CacheStats, EncodeCache};
 pub use pred::{Pattern, Predicate, SetLabel};
 pub use query::{
-    abduct, check_relative_inductive, monolithic_induction_check,
-    monolithic_induction_check_tracked, AbductionConfig, AbductionResult, InductionCex,
-    MonolithicOutcome, QueryTelemetry,
+    abduct, monolithic_induction_check, monolithic_induction_check_tracked, AbductionConfig,
+    AbductionResult, InductionCex, MonolithicOutcome, QueryTelemetry,
 };
 pub use session::AbductionSession;

@@ -5,7 +5,6 @@
 //!   the UNSAT core over the candidate indicator literals *is* the abduct,
 //!   optionally shrunk to a locally minimal core (cvc5's
 //!   `minimal-unsat-cores` equivalent).
-//! * [`check_relative_inductive`] — verifies `G ∧ p ⟹ p'` for a fixed `G`.
 //! * [`monolithic_induction_check`] — the classic HOUDINI query
 //!   `H ∧ T ∧ ¬H'` over the *entire* design, used by the baselines and for
 //!   final invariant validation.
@@ -94,24 +93,6 @@ pub fn abduct<P: std::borrow::Borrow<Predicate>>(
     // deletion minimisation (strongest predicates offered for deletion
     // first, biasing toward the weakest abduct, §3.2.3).
     AbductionSession::new(netlist, target.clone(), *config).solve(candidates)
-}
-
-/// Checks `(⋀ premise) ∧ target ⟹ target'` (relative induction, Def. 2.4).
-pub fn check_relative_inductive(
-    netlist: &Netlist,
-    premise: &[Predicate],
-    target: &Predicate,
-) -> bool {
-    let mut enc = TransitionEncoding::new(netlist);
-    let p_now = target.encode_current(&mut enc);
-    enc.assert_lit(p_now);
-    for pred in premise {
-        let l = pred.encode_current(&mut enc);
-        enc.assert_lit(l);
-    }
-    let p_next = target.encode_next(&mut enc);
-    enc.assert_lit(!p_next);
-    enc.cnf_mut().solver_mut().solve() == SolveResult::Unsat
 }
 
 /// A counterexample to monolithic induction: the pre-state and post-state
@@ -327,30 +308,6 @@ mod tests {
         let target = Predicate::eq_const(m.left(r), m.right(r), Bv::zero(4));
         let res = abduct::<Predicate>(m.netlist(), &target, &[], &AbductionConfig::paper_default());
         assert_eq!(res.abduct, None);
-    }
-
-    #[test]
-    fn relative_induction_check() {
-        let (base, m) = and_gate();
-        let a = base.find_state("A").unwrap();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let eq_a = Predicate::eq(m.left(a), m.right(a));
-        let eq_b = Predicate::eq(m.left(b), m.right(b));
-        let eq_c = Predicate::eq(m.left(c), m.right(c));
-        assert!(check_relative_inductive(
-            m.netlist(),
-            &[eq_b.clone(), eq_c.clone()],
-            &eq_a
-        ));
-        // Eq(B) alone is not enough: C may differ and flip the AND.
-        assert!(!check_relative_inductive(
-            m.netlist(),
-            std::slice::from_ref(&eq_b),
-            &eq_a
-        ));
-        // Eq(B) is inductive relative to nothing (B holds itself).
-        assert!(check_relative_inductive(m.netlist(), &[], &eq_b));
     }
 
     #[test]

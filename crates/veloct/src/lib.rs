@@ -48,6 +48,18 @@ use hhoudini::{EngineConfig, Invariant, ParallelEngine, PredicateStore, Stats};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// [`VeloctConfig::pairs_per_instr`] by default: also the default of a
+/// serve request's `pairs`.
+pub const DEFAULT_PAIRS_PER_INSTR: usize = 2;
+
+/// [`VeloctConfig::seed`] by default: also the default of a serve request's
+/// `seed`.
+pub const DEFAULT_SEED: u64 = 0xD1CE;
+
+/// Greedy drop attempts [`Veloct::classify`] makes when learning fails for
+/// a set that passed differential testing.
+const FALLBACK_DROPS: usize = 4;
+
 /// Configuration of the VeloCT pipeline.
 #[derive(Debug, Clone)]
 pub struct VeloctConfig {
@@ -62,9 +74,6 @@ pub struct VeloctConfig {
     pub pairs_per_instr: usize,
     /// RNG seed for secret values.
     pub seed: u64,
-    /// Maximum greedy drop attempts when learning fails for a set that
-    /// passed differential testing.
-    pub fallback_drops: usize,
     /// Enable Impl-type conditional predicates (the paper's §5.2.1
     /// future-work extension). When set, example masking is *disabled* and
     /// the miner instead emits `Impl(valid → InSafeSet(field))` predicates
@@ -89,9 +98,8 @@ impl Default for VeloctConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             engine: EngineConfig::default(),
-            pairs_per_instr: 2,
-            seed: 0xD1CE,
-            fallback_drops: 4,
+            pairs_per_instr: DEFAULT_PAIRS_PER_INSTR,
+            seed: DEFAULT_SEED,
             impl_predicates: false,
             certify: false,
         }
@@ -551,7 +559,7 @@ impl<'a> Veloct<'a> {
                     };
                 }
                 None => {
-                    if drops >= self.config.fallback_drops {
+                    if drops >= FALLBACK_DROPS {
                         return SafeSetReport {
                             safe: vec![],
                             rejected,

@@ -4,9 +4,7 @@
 //! checker with `record_*` entry points returning an [`InvariantResult`];
 //! the [`Registry`] owns one of each, feeds them the run artifacts, and
 //! accumulates violations with enough context to reproduce (`scenario`,
-//! checker name, message). [`InvariantConfig`] lets a debugging session
-//! switch individual checkers off; everything defaults to on, and CI runs
-//! with everything on.
+//! checker name, message). Every checker runs on every seed.
 //!
 //! Checkers come in three shapes:
 //!
@@ -28,42 +26,6 @@ pub enum InvariantResult {
     Ok,
     /// The invariant was violated; the message states what and where.
     Violation(String),
-}
-
-/// Per-checker enable switches. All on by default; CI never turns any off.
-#[derive(Debug, Clone, Copy)]
-pub struct InvariantConfig {
-    /// Commits must be the issue-order projection: commit *i* commits job *i*.
-    pub commit_order: bool,
-    /// Issue/commit balance and a drained `sched.inflight` counter.
-    pub inflight_balance: bool,
-    /// Trace counter totals agree with the `Stats` the engine reports.
-    pub trace_agreement: bool,
-    /// Spans on each thread are laminar (disjoint or nested, never crossing).
-    pub laminarity: bool,
-    /// `Stats::merge` adds counters (maxing only the documented gauges).
-    pub stats_additivity: bool,
-    /// Non-poisoning faults leave invariant and solution table bit-identical.
-    pub fault_transparency: bool,
-    /// A worker death is surfaced (poisoned, no invariant), never absorbed.
-    pub death_surfacing: bool,
-    /// Same seed, same faults ⇒ bit-identical run (event-log hash equality).
-    pub replay_determinism: bool,
-}
-
-impl Default for InvariantConfig {
-    fn default() -> InvariantConfig {
-        InvariantConfig {
-            commit_order: true,
-            inflight_balance: true,
-            trace_agreement: true,
-            laminarity: true,
-            stats_additivity: true,
-            fault_transparency: true,
-            death_surfacing: true,
-            replay_determinism: true,
-        }
-    }
 }
 
 /// Everything one engine run leaves behind, in comparison-friendly form.
@@ -330,9 +292,8 @@ pub fn check_replay(first: &RunArtifacts, second: &RunArtifacts) -> InvariantRes
 
 /// Owns every checker, routes run artifacts through them, and accumulates
 /// violations. One registry lives for one seed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Registry {
-    config: InvariantConfig,
     /// Human-readable violations: `scenario: checker: message`.
     pub violations: Vec<String>,
     /// Total checker applications (for "did anything actually run" smoke).
@@ -340,15 +301,6 @@ pub struct Registry {
 }
 
 impl Registry {
-    /// A registry with the given switches (CI uses `Default`: all on).
-    pub fn new(config: InvariantConfig) -> Registry {
-        Registry {
-            config,
-            violations: Vec::new(),
-            checks: 0,
-        }
-    }
-
     fn apply(&mut self, scenario: &str, checker: &str, result: InvariantResult) {
         self.checks += 1;
         if let InvariantResult::Violation(msg) = result {
@@ -360,29 +312,19 @@ impl Registry {
     /// Runs every single-run checker over one run's artifacts.
     pub fn record_run(&mut self, scenario: &str, run: &RunArtifacts) {
         let label = format!("{scenario}/{}", run.label);
-        if self.config.commit_order {
-            let mut checker = CommitOrderChecker::default();
-            for ev in &run.events {
-                let r = checker.record_event(ev);
-                if !matches!(r, InvariantResult::Ok) {
-                    self.apply(&label, "commit-order", r);
-                    break; // one violation per run is enough context
-                }
+        let mut checker = CommitOrderChecker::default();
+        for ev in &run.events {
+            let r = checker.record_event(ev);
+            if !matches!(r, InvariantResult::Ok) {
+                self.apply(&label, "commit-order", r);
+                break; // one violation per run is enough context
             }
-            self.checks += 1;
         }
-        if self.config.inflight_balance {
-            self.apply(&label, "inflight-balance", check_inflight_balance(run));
-        }
-        if self.config.trace_agreement {
-            self.apply(&label, "trace-agreement", check_trace_agreement(run));
-        }
-        if self.config.laminarity {
-            self.apply(&label, "laminarity", check_laminarity(run));
-        }
-        if self.config.death_surfacing {
-            self.apply(&label, "death-surfacing", check_death_surfacing(run));
-        }
+        self.checks += 1;
+        self.apply(&label, "inflight-balance", check_inflight_balance(run));
+        self.apply(&label, "trace-agreement", check_trace_agreement(run));
+        self.apply(&label, "laminarity", check_laminarity(run));
+        self.apply(&label, "death-surfacing", check_death_surfacing(run));
     }
 
     /// Runs the pair checkers over (unfaulted reference, faulted run).
@@ -392,27 +334,21 @@ impl Registry {
         reference: &RunArtifacts,
         faulted: &RunArtifacts,
     ) {
-        if self.config.fault_transparency {
-            self.apply(
-                scenario,
-                "fault-transparency",
-                check_fault_transparency(reference, faulted),
-            );
-        }
-        if self.config.stats_additivity {
-            self.apply(
-                scenario,
-                "stats-additivity",
-                check_stats_additivity(&reference.stats, &faulted.stats),
-            );
-        }
+        self.apply(
+            scenario,
+            "fault-transparency",
+            check_fault_transparency(reference, faulted),
+        );
+        self.apply(
+            scenario,
+            "stats-additivity",
+            check_stats_additivity(&reference.stats, &faulted.stats),
+        );
     }
 
     /// Runs the replay checker over two executions of the same seed.
     pub fn record_replay(&mut self, scenario: &str, first: &RunArtifacts, second: &RunArtifacts) {
-        if self.config.replay_determinism {
-            self.apply(scenario, "replay-determinism", check_replay(first, second));
-        }
+        self.apply(scenario, "replay-determinism", check_replay(first, second));
     }
 
     /// Records a violation discovered outside the checker structs (the

@@ -27,5 +27,5 @@ pub mod rng;
 
 pub use fault::{Fault, FaultPlan};
 pub use harness::{minimize, run_seed, SeedReport, VoprOptions};
-pub use invariants::{InvariantConfig, InvariantResult, Registry};
+pub use invariants::{InvariantResult, Registry};
 pub use rng::SplitMix64;

@@ -77,7 +77,6 @@ fn canary_commit_shuffle_is_detected() {
     let opts = VoprOptions {
         canary: true,
         serve: false,
-        ..VoprOptions::default()
     };
     let caught = (0..8u64).any(|seed| {
         harness::run_seed(seed, &opts)
@@ -98,7 +97,6 @@ fn minimize_isolates_schedule_only_failures() {
     let opts = VoprOptions {
         canary: true,
         serve: false,
-        ..VoprOptions::default()
     };
     // Find a canary-failing seed with a non-empty fault plan first.
     let seed = (0..16u64)

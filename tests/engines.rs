@@ -10,8 +10,10 @@ use hh_suite::hhoudini::mine::{CoiMiner, Miner};
 use hh_suite::hhoudini::{EngineConfig, FifoDriver, Invariant, ParallelEngine, PredicateStore};
 use hh_suite::isa::Mnemonic;
 use hh_suite::netlist::miter::Miter;
+use hh_suite::netlist::Netlist;
+use hh_suite::sat::SolveResult;
 use hh_suite::smt::{
-    abduct, check_relative_inductive, AbductionResult, AbductionSession, EncodeCache, Predicate,
+    abduct, AbductionResult, AbductionSession, EncodeCache, Predicate, TransitionEncoding,
 };
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::rocketlite::rocket_lite;
@@ -33,6 +35,22 @@ fn learn_serial(
     serial
         .learn_sim(props, &mut FifoDriver)
         .expect("serial invariant")
+}
+
+/// Checks `(⋀ premises) ∧ target ⟹ target'` (relative induction, Def.
+/// 2.4) on a fresh encoding and solver, sharing no session code with the
+/// engine.
+fn check_relative_inductive(netlist: &Netlist, premises: &[Predicate], target: &Predicate) -> bool {
+    let mut enc = TransitionEncoding::new(netlist);
+    let now = target.encode_current(&mut enc);
+    enc.assert_lit(now);
+    for pred in premises {
+        let l = pred.encode_current(&mut enc);
+        enc.assert_lit(l);
+    }
+    let next = target.encode_next(&mut enc);
+    enc.assert_lit(!next);
+    enc.cnf_mut().solver_mut().solve() == SolveResult::Unsat
 }
 
 /// A pool of `threads` workers learns exactly the serial reference's
