@@ -15,9 +15,14 @@
 //! speedup adds the two monolithic baselines per design, and two ablation
 //! arms learn under a changed configuration.
 //!
-//! Exit code: 1 if a committed `bench_results/<name>.json` held other counts
-//! or other rows than this run measured (the file is overwritten first, so
-//! a second run exits 0); 101 if a shape assertion fails; 2 on bad usage.
+//! Every invariant whose digest Table 1 pins, and Fig. 5's
+//! MegaBoomLite-limited one, is re-checked with one monolithic induction
+//! query (§6.4).
+//!
+//! Exit code: 1 if a re-checked invariant is not inductive, or if a
+//! committed `bench_results/<name>.json` held other counts or other rows
+//! than this run measured (the file is overwritten first, so a second run
+//! exits 0); 101 if a shape assertion fails; 2 on bad usage.
 
 use hh_bench::{
     all_targets, is_boom, known_safe_set, learn, secs, LearnSpec, Report, RunResult, Target,
@@ -26,7 +31,7 @@ use hh_bench::{
 use hh_isa::Mnemonic;
 use hh_smt::Predicate;
 use hhoudini::baselines::BaselineBudget;
-use std::cell::{Cell, OnceCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::time::{Duration, Instant};
 use veloct::{default_candidates, BaselineKind, Veloct, VeloctConfig};
 
@@ -58,6 +63,8 @@ struct Runs {
     /// Indexed by `Shared`, then by target.
     shared: [Vec<OnceCell<RunResult>>; 2],
     learns: Cell<usize>,
+    /// The runs whose invariant [`Runs::verify`] found not inductive.
+    unsound: RefCell<Vec<String>>,
 }
 
 impl Runs {
@@ -68,6 +75,7 @@ impl Runs {
             safe: targets.iter().map(|t| known_safe_set(t.name)).collect(),
             shared: [cells(), cells()],
             learns: Cell::new(0),
+            unsound: RefCell::new(Vec::new()),
             targets,
         }
     }
@@ -112,6 +120,17 @@ impl Runs {
 
     fn count_learn(&self) {
         self.learns.set(self.learns.get() + 1);
+    }
+
+    /// Re-checks the invariant `run` learned on target `i` with one
+    /// monolithic induction query over the whole miter; `label` names the
+    /// run in the list a failure is recorded in, which makes `main` exit 1.
+    fn verify(&self, i: usize, run: &RunResult, label: &str) {
+        let inv = run.invariant.as_ref().expect("verified runs learn");
+        let (miter, _) = Veloct::new(&self.targets[i].design).build_miter(&self.safe[i]);
+        if !inv.verify_monolithic(miter.netlist()) {
+            self.unsound.borrow_mut().push(label.to_string());
+        }
     }
 }
 
@@ -192,11 +211,17 @@ fn main() {
         runs.learns.get(),
         secs(started.elapsed())
     );
+    let unsound = runs.unsound.borrow();
+    for label in unsound.iter() {
+        eprintln!("\n{label}: the learned invariant is not inductive");
+    }
     if !stale.is_empty() {
         eprintln!("\nbench_results/ was stale (now rewritten); commit the new files:");
         for line in &stale {
             eprintln!("  {line}");
         }
+    }
+    if !unsound.is_empty() || !stale.is_empty() {
         std::process::exit(1);
     }
 }
@@ -212,6 +237,7 @@ fn table1(runs: &Runs, report: &mut Report) {
         let bits = t.design.state_bits();
         let inv = invariant_size(run);
         let digest = invariant_digest(runs, i, run);
+        runs.verify(i, run, t.name);
         println!(
             "{:<16} {:>12} {:>14} {digest:>14x} | {:>12} {:>14}",
             t.name, bits, inv, t.paper.0, t.paper.1
@@ -229,7 +255,8 @@ fn table1(runs: &Runs, report: &mut Report) {
     }
     println!("\nShape check: both size and invariant grow monotonically Small→Mega,");
     println!("as in the paper (absolute numbers differ: synthetic cores are smaller).");
-    println!("The digest pins each invariant predicate for predicate.");
+    println!("The digest pins each invariant predicate for predicate, and each");
+    println!("invariant is re-checked by one monolithic induction query (§6.4).");
 }
 
 /// Table 2: the synthesized safe instruction sets. The mul family is unsafe
@@ -302,40 +329,56 @@ fn fig2(runs: &Runs, report: &mut Report) {
 }
 
 /// Figure 3: learning time vs design size, for a fixed core budget and for
-/// "infinite" cores (the task-DAG span).
+/// "infinite" cores (the task-DAG span). The growth check is on the span
+/// in SAT propagations, which repeats exactly: the spans in seconds are a
+/// few millisecond-long tasks, too short to compare across runs.
 fn fig3(runs: &Runs, report: &mut Report) {
     println!(
-        "{:<16} {:>12} {:>12} {:>12} {:>12}",
-        "Target", "bits", "80 cores (s)", "inf (s)", "wall 1T (s)"
+        "{:<16} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "Target", "bits", "80 cores (s)", "inf (s)", "span (props)", "wall 1T (s)"
     );
     let mut rows = Vec::new();
     for (t, run) in runs.each(Shared::Rich) {
         let bits = t.design.state_bits();
         let t80 = secs(run.stats.simulated_time(80));
         let tinf = secs(run.stats.span());
+        let props = span_propagations(&run.stats);
         let wall = secs(run.total_time);
         println!(
-            "{:<16} {bits:>12} {t80:>12.3} {tinf:>12.3} {wall:>12.3}",
+            "{:<16} {bits:>12} {t80:>12.3} {tinf:>12.3} {props:>12} {wall:>12.3}",
             t.name
         );
         report.push(t.name, "state_bits", bits as f64, "bits");
         report.push(t.name, "time_80cores", t80, "s");
         report.push(t.name, "time_inf_cores", tinf, "s");
+        report.push(t.name, "span_propagations", props as f64, "count");
         report.push(t.name, "wall_1thread", wall, "s");
-        rows.push((bits as f64, t80));
+        rows.push((bits as f64, props as f64));
     }
     // Growth across the Boom variants (RocketLite's tiny invariant sits
     // below the trend).
     for w in rows[1..].windows(2) {
         let size_ratio = w[1].0 / w[0].0;
-        let time_ratio = w[1].1 / w[0].1;
+        let span_ratio = w[1].1 / w[0].1;
         assert!(
-            time_ratio > size_ratio * 0.5,
-            "time should grow at least with size (got {time_ratio:.2}x vs size {size_ratio:.2}x)"
+            span_ratio > size_ratio * 0.5,
+            "the span should grow at least with size (got {span_ratio:.2}x vs size {size_ratio:.2}x)"
         );
     }
-    println!("\nShape check: superlinear growth with size; ∞-core span well below");
-    println!("the fixed-core time, with a widening gap — as in the paper.");
+    println!("\nShape check: superlinear growth of the 1-thread time with size; the");
+    println!("span, counted in SAT propagations, grows at least half as fast as the");
+    println!("state bits between BoomLite variants — as in the paper.");
+}
+
+/// The SAT propagations along the heaviest discovery chain of the run's
+/// task DAG: the span measured in solver work, the same on every run.
+/// Parents precede their children in `tasks`.
+fn span_propagations(stats: &hhoudini::Stats) -> u64 {
+    let mut chain = Vec::with_capacity(stats.tasks.len());
+    for t in &stats.tasks {
+        chain.push(t.propagations + t.parent.map_or(0, |p| chain[p]));
+    }
+    chain.into_iter().max().unwrap_or(0)
 }
 
 /// Figure 4: median SAT solve time per query and median task time (one
@@ -382,8 +425,9 @@ fn fig4(runs: &Runs, report: &mut Report) {
 /// holds exactly. Every limited run's `Stats::counters()` is pinned as
 /// `<target>-limited` rows — solver calls per learned predicate in the
 /// terms of Feldman et al., and the parked sessions' bytes — and the
-/// MegaBoomLite one, where retries answer probes from witness models, is
-/// learned again on two workers and must not move.
+/// MegaBoomLite one, where sessions re-trim their cores on retries, passes
+/// a monolithic induction check and is learned again on two workers, where
+/// it must not move.
 fn fig5(runs: &Runs, report: &mut Report) {
     println!("Limited examples (rd = x3 only; the paper's regime):");
     println!(
@@ -410,11 +454,12 @@ fn fig5(runs: &Runs, report: &mut Report) {
     let one = runs.shared(mega, Shared::Limited);
     let c = one.stats.counters;
     assert!(
-        c.backtracks > 0 && c.minimize_witness_hits > 0,
-        "limited examples must backtrack on MegaBoomLite, and retries reuse witness models"
+        c.backtracks > 0 && c.session_hits > 0,
+        "limited examples must backtrack on MegaBoomLite, and retries reuse sessions"
     );
-    runs.count_learn();
     let (t, safe) = (&runs.targets[mega], &runs.safe[mega]);
+    runs.verify(mega, one, &format!("{}-limited", t.name));
+    runs.count_learn();
     let two = learn(&t.design, safe, 2, Shared::Limited.spec());
     let preds = |run: &RunResult| run.invariant.as_ref().map(|inv| inv.preds().to_vec());
     assert_eq!(
@@ -428,8 +473,8 @@ fn fig5(runs: &Runs, report: &mut Report) {
         "2 workers did other work"
     );
     println!(
-        "{}: {} probes answered from witness models; invariant and counters identical on 2 workers",
-        t.name, c.minimize_witness_hits
+        "{}: {} backtracks, {} session retries; invariant re-checked monolithically, and identical with its counters on 2 workers",
+        t.name, c.backtracks, c.session_hits
     );
 
     println!("\nRich examples (full rd rotation — near-exhaustive coverage):");
@@ -555,8 +600,12 @@ fn speedup(runs: &Runs, report: &mut Report) {
         .expect("certificate emission succeeds");
     let emit_s = secs(t0.elapsed());
     let t0 = Instant::now();
-    hh_proof::cert::check_bundle(&dir).expect("emitted bundle must check");
+    let checked = hh_proof::cert::check_bundle(&dir).expect("emitted bundle must check");
     let check_s = secs(t0.elapsed());
+    assert_eq!(
+        checked.stats.rat_steps, 0,
+        "the emitter writes RUP steps only"
+    );
     println!(
         "\nCertification: {} obligations, {} proof bytes; emit {emit_s:.3}s, check {check_s:.3}s",
         summary.obligations, summary.proof_bytes
@@ -577,23 +626,23 @@ fn ablation(runs: &Runs, report: &mut Report) {
     let small = 1;
     let paper = Shared::Rich.spec();
 
-    println!("1. Minimal vs raw UNSAT cores (SmallBoomLite)");
-    let minimized = runs.shared(small, Shared::Rich);
+    println!("1. Trimmed vs raw UNSAT cores (SmallBoomLite)");
+    let trimmed = runs.shared(small, Shared::Rich);
     let mut raw_cores = paper;
     raw_cores.abduction.minimize = false;
     let raw = runs.learn(small, raw_cores);
-    let (a, b) = (invariant_size(minimized), invariant_size(&raw));
+    let (a, b) = (invariant_size(trimmed), invariant_size(&raw));
     println!(
-        "  minimal cores: {a} predicates, {} tasks",
-        minimized.stats.num_tasks()
+        "  trimmed cores: {a} predicates, {} tasks",
+        trimmed.stats.num_tasks()
     );
     println!(
         "  raw cores    : {b} predicates, {} tasks",
         raw.stats.num_tasks()
     );
-    assert!(a <= b, "minimal cores must not grow the invariant");
-    report.push("min_cores", "inv_minimal", a as f64, "predicates");
-    report.push("min_cores", "inv_raw", b as f64, "predicates");
+    assert!(a <= b, "trimmed cores must not grow the invariant");
+    report.push("trim_cores", "inv_trimmed", a as f64, "predicates");
+    report.push("trim_cores", "inv_raw", b as f64, "predicates");
 
     println!("\n2. Example masking on an OoO core (SmallBoomLite)");
     let mut no_mask = paper;
@@ -601,7 +650,7 @@ fn ablation(runs: &Runs, report: &mut Report) {
     let unmasked = runs.learn(small, no_mask);
     println!(
         "  masked  : invariant with {} predicates",
-        invariant_size(minimized)
+        invariant_size(trimmed)
     );
     match &unmasked.invariant {
         Some(inv) => println!("  unmasked: invariant with {} predicates", inv.len()),

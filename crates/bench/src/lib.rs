@@ -115,7 +115,7 @@ pub const LIMITED_RDS: &[u8] = &[3];
 /// (The thread count is not here: it changes the timings and nothing else.)
 #[derive(Debug, Clone, Copy)]
 pub struct LearnSpec {
-    /// Core minimisation.
+    /// Core trimming.
     pub abduction: AbductionConfig,
     /// Example masking through the design's valid-bit annotations (§5.2.1).
     pub mask: bool,
@@ -125,8 +125,9 @@ pub struct LearnSpec {
 }
 
 impl LearnSpec {
-    /// The paper's configuration: minimal cores, masked rich examples. The other specs are this one with
-    /// a field changed.
+    /// The paper's configuration, with trimmed cores in place of its
+    /// minimal ones ([`AbductionConfig::paper_default`]): masked rich
+    /// examples. The other specs are this one with a field changed.
     pub fn paper() -> LearnSpec {
         LearnSpec {
             abduction: AbductionConfig::paper_default(),

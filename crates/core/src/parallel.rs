@@ -87,7 +87,7 @@ use std::time::{Duration, Instant};
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Abduction query configuration (core minimisation).
+    /// Abduction query configuration (core trimming).
     pub abduction: AbductionConfig,
 }
 
@@ -709,6 +709,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 parent: meta.parent,
                 duration: done.duration,
                 smt_time: result.telemetry.solve_time,
+                propagations: result.telemetry.counters.sat_propagations,
             });
             self.stats.task_time += done.duration;
             match result.abduct {

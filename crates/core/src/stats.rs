@@ -25,8 +25,11 @@ pub struct TaskRecord {
     /// The query's time on its worker: encoding plus SAT solving.
     pub duration: Duration,
     /// The part of `duration` spent inside SAT solving (first solve plus
-    /// minimisation probes); the rest is bit-blasting or encode replay.
+    /// core-trimming re-solves); the rest is bit-blasting or encode replay.
     pub smt_time: Duration,
+    /// The SAT propagations of those solves: the task's work as a count,
+    /// the same on every run.
+    pub propagations: u64,
 }
 
 /// Aggregated statistics of one learning run.
@@ -45,7 +48,8 @@ pub struct Stats {
     pub wall_time: Duration,
     /// Total time spent bit-blasting / registering candidates.
     pub encode_time: Duration,
-    /// Total time spent inside SAT solving (including minimisation probes).
+    /// Total time spent inside SAT solving (including core-trimming
+    /// re-solves).
     pub solve_time: Duration,
     /// The run counters ([`hh_trace::COUNTERS`] declares each one, its
     /// trace-schema name and how it folds). The engine never sees example
@@ -279,6 +283,7 @@ mod tests {
             parent,
             duration: Duration::from_millis(ms),
             smt_time: Duration::from_millis(ms / 2),
+            propagations: 0,
         }
     }
 

@@ -32,6 +32,7 @@ fn arb_stats() -> impl Strategy<Value = Stats> {
                     parent,
                     duration: d,
                     smt_time: d / 2,
+                    propagations: us,
                 });
                 s.task_time += d;
                 s.encode_time += d / 3;

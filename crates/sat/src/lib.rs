@@ -3,13 +3,13 @@
 //! A from-scratch conflict-driven clause-learning SAT solver built as the
 //! decision-procedure substrate for the H-Houdini invariant learner. The
 //! paper uses cvc5 with `minimal-unsat-cores`; the abduction oracle only
-//! requires (i) incremental solving under assumptions and (ii) locally
-//! minimal UNSAT cores over those assumptions — both provided here.
+//! requires (i) incremental solving under assumptions and (ii) small UNSAT
+//! cores over those assumptions — both provided here.
 //!
 //! ## Quick start
 //!
 //! ```
-//! use hh_sat::{Solver, SolveResult, minimize_core};
+//! use hh_sat::{Solver, SolveResult, trim_core};
 //!
 //! let mut solver = Solver::new();
 //! let a = solver.new_var().positive();
@@ -19,8 +19,8 @@
 //!
 //! assert_eq!(solver.solve_with_assumptions(&[a, b, c]), SolveResult::Unsat);
 //! let core = solver.unsat_core().to_vec();
-//! let minimal = minimize_core(&mut solver, &core);
-//! assert_eq!(minimal.len(), 2); // c is not part of the contradiction
+//! let trimmed = trim_core(&mut solver, &core);
+//! assert_eq!(trimmed, [a, b]); // c is not part of the contradiction
 //! ```
 //!
 //! ## Features
@@ -30,8 +30,9 @@
 //!   LBD-aware database reduction.
 //! * Incremental interface: interleave [`Solver::new_var`],
 //!   [`Solver::add_clause`] and [`Solver::solve_with_assumptions`] freely.
-//! * [`minimize_core`] shrinks assumption cores to local minimality
-//!   (deletion-based), mirroring cvc5's `minimal-unsat-cores`.
+//! * [`trim_core`] shrinks assumption cores by re-solving under them to a
+//!   fixpoint: UNSAT solves only, where cvc5's `minimal-unsat-cores` also
+//!   proves each member critical with a SAT probe.
 //! * DRAT proof logging: attach a [`proof::ProofSink`] with
 //!   [`Solver::set_proof_sink`] and every learnt clause and deletion is
 //!   streamed out for independent checking (the `hh-proof` crate provides
@@ -46,8 +47,8 @@
 
 mod clause;
 mod lit;
-mod minimize;
 mod solver;
+mod trim;
 mod vmtf;
 mod watch;
 
@@ -55,6 +56,6 @@ pub mod dimacs;
 pub mod proof;
 
 pub use lit::{Lit, Var};
-pub use minimize::{minimize_core, minimize_core_with, ProbeCounts, ProbeMemory};
 pub use proof::{CountingSink, ProofSink};
 pub use solver::{Config, LimitedResult, SolveResult, Solver, SolverStats};
+pub use trim::trim_core;

@@ -7,9 +7,8 @@
 //! pick, which walks from a cursor toward older entries — and the cursor only
 //! has to move back toward the front when a variable in front of it is
 //! unassigned, so a conflict-free descent over n variables is one linear
-//! pass, not n heap operations. That descent is what a core-minimisation
-//! probe is: a few thousand decisions and propagations, a handful of
-//! conflicts.
+//! pass, not n heap operations. That descent is what most cone queries
+//! are: a few thousand decisions and propagations, a handful of conflicts.
 //!
 //! ## Invariant
 //!

@@ -1,8 +1,9 @@
 //! Property-based tests: the CDCL solver is checked against a brute-force
 //! enumerator on random small formulas, and core extraction is validated
-//! semantically (cores are UNSAT, minimised cores are locally minimal).
+//! semantically (cores are UNSAT, trimmed cores are UNSAT subsets and
+//! fixpoints of trimming).
 
-use hh_sat::{minimize_core, Config, LimitedResult, Lit, SolveResult, Solver, Var};
+use hh_sat::{trim_core, Config, LimitedResult, Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
 use std::num::NonZeroU32;
 
@@ -97,14 +98,15 @@ proptest! {
             }
             // The core alone is already unsatisfiable.
             prop_assert_eq!(s.solve_with_assumptions(&core), SolveResult::Unsat);
-            // And minimisation yields a locally minimal core.
-            let min = minimize_core(&mut s, &core);
-            prop_assert_eq!(s.solve_with_assumptions(&min), SolveResult::Unsat);
-            for &drop in &min {
-                let probe: Vec<Lit> = min.iter().copied().filter(|&l| l != drop).collect();
-                prop_assert_eq!(s.solve_with_assumptions(&probe), SolveResult::Sat,
-                    "core not minimal: {:?} removable", drop);
+            // And trimming yields a subset a fresh solver refutes, which
+            // trimming again leaves alone.
+            let trimmed = trim_core(&mut s, &core);
+            for l in &trimmed {
+                prop_assert!(core.contains(l));
             }
+            let mut fresh = build_solver(7, &clauses);
+            prop_assert_eq!(fresh.solve_with_assumptions(&trimmed), SolveResult::Unsat);
+            prop_assert_eq!(trim_core(&mut s, &trimmed), trimmed);
         }
     }
 

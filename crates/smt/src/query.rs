@@ -3,8 +3,8 @@
 //! * [`abduct`] — the abduction query of §3.2.3: `⋀ P_V ∧ p ∧ ¬p'`. UNSAT
 //!   means a conjunction of candidates makes `p` 1-step relatively inductive;
 //!   the UNSAT core over the candidate indicator literals *is* the abduct,
-//!   optionally shrunk to a locally minimal core (cvc5's
-//!   `minimal-unsat-cores` equivalent).
+//!   optionally trimmed by re-solving it to a fixpoint (where the paper asks
+//!   cvc5 for `minimal-unsat-cores`).
 //! * [`monolithic_induction_check`] — the classic HOUDINI query
 //!   `H ∧ T ∧ ¬H'` over the *entire* design, used by the baselines and for
 //!   final invariant validation.
@@ -20,13 +20,18 @@ use std::collections::BTreeMap;
 /// Configuration for [`abduct`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AbductionConfig {
-    /// Shrink UNSAT cores to local minimality (biasing toward the weakest
-    /// abduct, §3.2.3).
+    /// Shrink the raw UNSAT core: re-solve under it, strongest predicates
+    /// assumed first, until it stops shrinking ([`hh_sat::trim_core`]).
+    /// `false` commits the raw core.
     pub minimize: bool,
 }
 
 impl AbductionConfig {
-    /// The configuration used by the paper's tool: minimal cores.
+    /// The configuration the engines run: trimmed cores. Here we depart
+    /// from the paper, whose tool asks cvc5 for `minimal-unsat-cores`
+    /// (§3.2.3): trimming makes no SAT probe, so an abduct is an UNSAT core
+    /// but need not be locally minimal, and invariants come out a few
+    /// predicates larger for far fewer solver calls.
     pub fn paper_default() -> AbductionConfig {
         AbductionConfig { minimize: true }
     }
@@ -42,20 +47,20 @@ pub struct QueryTelemetry {
     /// Clauses newly allocated by the query (on reused sessions this delta
     /// also includes clauses learnt during earlier queries).
     pub clauses: usize,
-    /// Number of `solve` calls: the first solve plus the minimisation
-    /// probes that reached the solver (`counters.sat_solves` again).
+    /// Number of `solve` calls: the first solve plus the trimming
+    /// re-solves (`counters.sat_solves` again).
     pub solves: u64,
     /// Time spent blasting/registering (encode side of the query).
     pub encode_time: std::time::Duration,
-    /// Time spent solving (including minimisation probes).
+    /// Time spent solving (including trimming re-solves).
     pub solve_time: std::time::Duration,
     /// The part of the parked solver's watch store that is watchers in a
     /// list; the rest of `counters.sat_watch_bytes` is per-literal headers.
     pub watch_live_bytes: u64,
     /// The query's contribution to the run counters
     /// ([`hh_trace::COUNTERS`]): session hit or miss and reuse savings,
-    /// word-level rewrites of a fresh encoding, minimisation probes, SAT
-    /// work deltas and the parked solver's byte gauges.
+    /// word-level rewrites of a fresh encoding, SAT work deltas and the
+    /// parked solver's byte gauges.
     pub counters: Counters,
 }
 
@@ -90,8 +95,7 @@ pub fn abduct<P: std::borrow::Borrow<Predicate>>(
 ) -> AbductionResult {
     // An ephemeral single-query session: the fresh path and a session's
     // first query are literally the same code, and retries share the same
-    // deletion minimisation (strongest predicates offered for deletion
-    // first, biasing toward the weakest abduct, §3.2.3).
+    // core trimming (strongest predicates assumed first, §3.2.3).
     AbductionSession::new(netlist, target.clone(), *config).solve(candidates)
 }
 
@@ -266,7 +270,7 @@ mod tests {
         let c = base.find_state("C").unwrap();
         // Target: Eq(B). B holds itself, so Eq(B) alone is inductive; the
         // candidate list contains an irrelevant predicate that must not
-        // appear in the minimised abduct.
+        // appear in the trimmed abduct.
         let target = Predicate::eq(m.left(b), m.right(b));
         let candidates = vec![Predicate::eq(m.left(c), m.right(c))];
         let res = abduct(

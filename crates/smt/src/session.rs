@@ -32,23 +32,21 @@
 //! counts.
 //!
 //! A reused solver does carry learnt clauses, so a *retry*'s raw UNSAT core
-//! can in principle differ from the core a fresh solver would report; both
-//! minimise to valid minimal abducts and coincide whenever the minimal core
-//! is unique (`session retry == fresh abduct()` on every workload we test).
+//! can differ from the core a fresh solver would report, and so can the
+//! trimmed abduct: both are cores a fresh solver refutes, but trimming
+//! stops at a fixpoint, not at a unique minimum. Reproducibility does not
+//! need them to agree: the retry is a pure function of the session's
+//! history, and the schedule does not change that history.
 //!
-//! ## Witness reuse
+//! ## Trimming
 //!
-//! Minimisation confirms a core member `x` by finding a model of
-//! `core \ {x}`. A retry mostly re-confirms members the previous query
-//! already confirmed, so the session keeps, for every model a probe
-//! returns, one bit per registered candidate: whether the candidate holds in
-//! that model. Before probing `current \ {x}` it looks for a stored model in
-//! which every other member of `current` holds; that model (with the
-//! indicators of those members switched on, which the indicator clauses
-//! `¬a ∨ candidate` allow) *is* the SAT answer, so the solve is skipped and
-//! `x` is still proven critical. Candidates registered after a model was
-//! stored have no bit in it and count as false. The store is a pure
-//! function of the query history, like everything else here.
+//! An UNSAT answer's core is shrunk by [`hh_sat::trim_core`]: re-solve with
+//! the core's members assumed strongest first, adopt the refreshed core,
+//! and repeat while it strictly shrinks. That is one to three UNSAT solves
+//! per query. The paper's cvc5 also proves every member critical
+//! (`minimal-unsat-cores`, §3.2.3) with a SAT probe per member; trimming
+//! skips those probes, so an abduct may keep a member it could lose.
+//! [`AbductionConfig::minimize`] `false` commits the raw core instead.
 
 use crate::blast::TransitionEncoding;
 use crate::cache::EncodeCache;
@@ -57,75 +55,25 @@ use crate::pred::Predicate;
 use crate::query::{AbductionConfig, AbductionResult, QueryTelemetry};
 use hh_netlist::signature::ConeSignature;
 use hh_netlist::Netlist;
-use hh_sat::{Lit, ProbeMemory, SolveResult, Solver};
+use hh_sat::{Lit, SolveResult};
 use hh_trace::Counters;
 use std::borrow::Borrow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Deletion-minimisation bias (§3.2.3): strong predicates are easy to prove
-/// relatively inductive *now* but likely to fail downstream, so they are
-/// offered for deletion first, steering toward the weakest abduct.
+/// Trimming order: a core is re-solved with its members assumed strongest
+/// first, the order minimal-core deletion offered them for removal in
+/// (§3.2.3). The order matters because the solver decides assumptions in
+/// order, so a refreshed core ends at the first member the earlier ones
+/// refute: assumed weakest first, trimming removes nothing on the builtin
+/// designs.
 fn strength_key(p: &Predicate) -> u8 {
     match p {
         Predicate::EqConst { .. } => 0,
         Predicate::InSet { .. } => 1,
         Predicate::Impl { .. } => 2,
         Predicate::Eq { .. } => 3,
-    }
-}
-
-/// Witness models kept per session. A retry looks back one or two queries,
-/// each of which stores at most one model per core member (tens).
-const MAX_WITNESSES: usize = 256;
-
-/// The session's memory of minimisation probes (module docs, *Witness
-/// reuse*), lent to [`hh_sat::minimize_core_with`] for one query.
-struct WitnessMemory<'s> {
-    /// One bitset over slots per stored model, oldest first.
-    witnesses: &'s mut VecDeque<Box<[u64]>>,
-    slot_of_lit: &'s HashMap<Lit, usize>,
-    /// Slot -> the candidate's own literal (what the indicator implies).
-    candidate_lits: &'s [Lit],
-    /// Scratch bitset of the members a witness has to satisfy, reused from
-    /// probe to probe.
-    needed: Vec<u64>,
-}
-
-impl ProbeMemory for WitnessMemory<'_> {
-    fn known_critical(&mut self, current: &[Lit], candidate: Lit) -> bool {
-        if self.witnesses.is_empty() {
-            return false;
-        }
-        self.needed.clear();
-        self.needed
-            .resize(self.candidate_lits.len().div_ceil(64), 0);
-        for l in current.iter().filter(|&&l| l != candidate) {
-            let slot = self.slot_of_lit[l];
-            self.needed[slot / 64] |= 1 << (slot % 64);
-        }
-        // Newest first: the previous query's models are the likely hits.
-        let needed = &self.needed;
-        self.witnesses.iter().rev().any(|model| {
-            needed
-                .iter()
-                .enumerate()
-                .all(|(w, &bits)| bits & !model.get(w).copied().unwrap_or(0) == 0)
-        })
-    }
-
-    fn on_sat_model(&mut self, solver: &Solver) {
-        let mut model = vec![0u64; self.candidate_lits.len().div_ceil(64)];
-        for (slot, &l) in self.candidate_lits.iter().enumerate() {
-            if solver.model_value(l) {
-                model[slot / 64] |= 1 << (slot % 64);
-            }
-        }
-        if self.witnesses.len() == MAX_WITNESSES {
-            self.witnesses.pop_front();
-        }
-        self.witnesses.push_back(model.into_boxed_slice());
     }
 }
 
@@ -153,9 +101,7 @@ pub struct AbductionSession<'a> {
     slots: HashMap<Predicate, usize>,
     /// Slot -> indicator literal (`indicator -> candidate holds now`).
     indicators: Vec<Lit>,
-    /// Slot -> the candidate's own literal, which the indicator implies.
-    candidate_lits: Vec<Lit>,
-    /// Slot -> deletion-order strength key.
+    /// Slot -> trimming-order strength key.
     strength: Vec<u8>,
     /// Indicator literal -> slot. Built once per *registration* instead of
     /// the old per-core `iter().position()` scan.
@@ -163,9 +109,6 @@ pub struct AbductionSession<'a> {
     /// `(vars, clauses)` at the end of the previous call's registration
     /// phase; deltas against it give per-query allocation telemetry.
     last_size: (usize, usize),
-    /// Candidate truth values of the models minimisation probes returned
-    /// (module docs, *Witness reuse*); bounded by [`MAX_WITNESSES`].
-    witnesses: VecDeque<Box<[u64]>>,
     queries: u64,
 }
 
@@ -187,11 +130,9 @@ impl<'a> AbductionSession<'a> {
             sig: None,
             slots: HashMap::new(),
             indicators: Vec::new(),
-            candidate_lits: Vec::new(),
             strength: Vec::new(),
             slot_of_lit: HashMap::new(),
             last_size: (0, 0),
-            witnesses: VecDeque::new(),
             queries: 0,
         }
     }
@@ -234,11 +175,9 @@ impl<'a> AbductionSession<'a> {
     /// Heap bytes this session holds, computed from the capacities of its
     /// vectors and tables (so the figure repeats exactly run to run, unlike
     /// an RSS reading): the solver and encoder state plus the candidate
-    /// registry and the witness models. Candidate predicates are counted at
-    /// their inline size only (engines share them with their store).
+    /// registry. Candidate predicates are counted at their inline size only
+    /// (engines share them with their store).
     pub fn resident_bytes(&self) -> u64 {
-        let witnesses = self.witnesses.capacity() * std::mem::size_of::<Box<[u64]>>()
-            + self.witnesses.iter().map(|w| w.len() * 8).sum::<usize>();
         self.enc.as_ref().map_or(0, |e| e.resident_bytes())
             + self.sig.as_ref().map_or(0, |sig| {
                 vec_bytes(&sig.key)
@@ -249,9 +188,7 @@ impl<'a> AbductionSession<'a> {
             + map_bytes(&self.slots)
             + map_bytes(&self.slot_of_lit)
             + vec_bytes(&self.indicators)
-            + vec_bytes(&self.candidate_lits)
             + vec_bytes(&self.strength)
-            + witnesses as u64
     }
 
     /// Runs the abduction query for this session's target over
@@ -323,7 +260,6 @@ impl<'a> AbductionSession<'a> {
                     enc.cnf_mut().clause(&[!a, cl]);
                     let s = self.indicators.len();
                     self.indicators.push(a);
-                    self.candidate_lits.push(cl);
                     self.strength.push(strength_key(cand));
                     self.slot_of_lit.insert(a, s);
                     self.slots.insert(cand.clone(), s);
@@ -354,26 +290,18 @@ impl<'a> AbductionSession<'a> {
         let solver = enc.cnf_mut().solver_mut();
         let before = solver.stats();
         let verdict = solver.solve_with_assumptions(&assumptions);
-        let mut probes = hh_sat::ProbeCounts::default();
         let abduct = match verdict {
             SolveResult::Sat => None,
             SolveResult::Unsat => {
                 let mut final_core = solver.unsat_core().to_vec();
                 if self.config.minimize {
-                    // Deletion over the solver core, strongest predicates
-                    // offered for deletion first (§3.2.3).
+                    // Trim the solver core to a fixpoint, strongest
+                    // predicates assumed first (§3.2.3).
                     final_core.sort_by_key(|l| {
                         let s = self.slot_of_lit[l];
                         (self.strength[s], s)
                     });
-                    let mut memory = WitnessMemory {
-                        witnesses: &mut self.witnesses,
-                        slot_of_lit: &self.slot_of_lit,
-                        candidate_lits: &self.candidate_lits,
-                        needed: Vec::new(),
-                    };
-                    (final_core, probes) =
-                        hh_sat::minimize_core_with(solver, &final_core, &mut memory);
+                    final_core = hh_sat::trim_core(solver, &final_core);
                 }
                 let mut idxs: Vec<usize> = final_core
                     .iter()
@@ -392,9 +320,7 @@ impl<'a> AbductionSession<'a> {
         // gauges below are read off the parked solver.
         enc.park();
         self.indicators.shrink_to_fit();
-        self.candidate_lits.shrink_to_fit();
         self.strength.shrink_to_fit();
-        self.witnesses.shrink_to_fit();
         let after = enc.cnf().solver().stats();
         // Word-level counters belong to the encoding, built once per
         // session: they go to the first (fresh) query only.
@@ -421,9 +347,6 @@ impl<'a> AbductionSession<'a> {
                     word_const_folds: simp.const_folds,
                     word_rewrites: simp.rewrites,
                     word_strash_hits: simp.strash_hits,
-                    minimize_probes_sat: probes.sat,
-                    minimize_probes_unsat: probes.unsat,
-                    minimize_witness_hits: probes.remembered,
                     sat_solves: solves,
                     sat_propagations: after.propagations - before.propagations,
                     sat_conflicts: after.conflicts - before.conflicts,
@@ -517,14 +440,14 @@ mod tests {
         assert!(retry.telemetry.counters.vars_saved >= first.telemetry.vars as u64);
         assert_eq!(retry.telemetry.vars, 0, "no new candidate, no new vars");
 
-        // Restoring the full set still answers like a fresh solver — and
-        // both members are confirmed critical by the first query's probe
-        // models, so the only solve is the first one.
-        assert_eq!(first.telemetry.counters.minimize_probes_sat, 2);
+        // Restoring the full set still answers like a fresh solver. Both
+        // queries cost the query's solve plus one trimming re-solve, which
+        // keeps both members; a SAT answer costs no trimming.
+        assert_eq!(first.telemetry.solves, 2);
+        assert_eq!(retry.telemetry.solves, 1);
         let again = sess.solve(&all);
         assert_eq!(again.abduct, Some(vec![0, 1]));
-        assert_eq!(again.telemetry.counters.minimize_witness_hits, 2);
-        assert_eq!(again.telemetry.solves, 1);
+        assert_eq!(again.telemetry.solves, 2);
         assert_eq!(sess.queries(), 3);
         assert_eq!(sess.registered(), 2);
     }
@@ -729,19 +652,21 @@ mod tests {
         assert!(cache.resident_bytes() < recorded);
     }
 
-    /// Witness reuse over multi-query sessions on random CNFs. Candidate `i`
-    /// is a random literal behind indicator `a_i`; each session asks about a
-    /// candidate set that shrinks (the previous abduct loses a member, as
-    /// after a backtrack) and regrows. Every abduct must be UNSAT and every
-    /// member individually critical when re-checked by a fresh solver, so a
-    /// stored model that violated a current member cannot have been reused.
+    /// Trimming over multi-query sessions on random CNFs. Candidate `i` is
+    /// a random literal behind indicator `a_i` with a random strength key;
+    /// each session asks about a candidate set that shrinks (the previous
+    /// abduct loses a member, as after a backtrack) and regrows, and trims
+    /// each raw core with its members in strength order, as
+    /// [`AbductionSession::solve`] does. Every abduct must be a subset of its
+    /// raw core that a fresh solver refutes, and trimming it again must
+    /// change nothing.
     ///
     /// Every session also runs a second time on a solver that is parked
-    /// ([`Solver::shrink_to_fit`]) after every query, next to the unparked
-    /// one: parking must change no abduct and no work count.
+    /// ([`hh_sat::Solver::shrink_to_fit`]) after every query, next to the
+    /// unparked one: parking must change no abduct and no work count.
     #[test]
-    fn witness_reuse_keeps_abducts_minimal_on_random_cnfs() {
-        use hh_sat::Var;
+    fn trimmed_abducts_are_sound_on_random_cnfs() {
+        use hh_sat::{trim_core, Solver, Var};
         const VARS: usize = 14;
         const CANDIDATES: usize = 9;
         let mut state = 0x5EED_u64;
@@ -751,7 +676,7 @@ mod tests {
             state ^= state << 17;
             (state % bound as u64) as usize
         };
-        let (mut unsat_queries, mut hits) = (0, 0);
+        let (mut unsat_queries, mut trimmed_away) = (0, 0);
         for _ in 0..80 {
             let clauses: Vec<Vec<Lit>> = (0..40)
                 .map(|_| {
@@ -766,6 +691,8 @@ mod tests {
             let indicators: Vec<Lit> = (0..CANDIDATES)
                 .map(|i| Var::from_index(VARS + i).positive())
                 .collect();
+            let strength: Vec<usize> = (0..CANDIDATES).map(|_| next(4)).collect();
+            let slot = |a: &Lit| indicators.iter().position(|b| b == a).unwrap();
             let build = || {
                 let mut s = Solver::new();
                 for _ in 0..VARS + CANDIDATES {
@@ -779,15 +706,8 @@ mod tests {
                 }
                 s
             };
-            let slot_of_lit: HashMap<Lit, usize> = indicators
-                .iter()
-                .enumerate()
-                .map(|(s, &a)| (a, s))
-                .collect();
             let mut session = build();
-            let mut witnesses = VecDeque::new();
             let mut parked = build();
-            let mut parked_witnesses = VecDeque::new();
             let mut offered = vec![true; CANDIDATES];
             for _ in 0..10 {
                 let assumed: Vec<Lit> = (0..CANDIDATES)
@@ -803,27 +723,17 @@ mod tests {
                     continue;
                 }
                 unsat_queries += 1;
-                let core = session.unsat_core().to_vec();
-                let mut memory = WitnessMemory {
-                    witnesses: &mut witnesses,
-                    slot_of_lit: &slot_of_lit,
-                    candidate_lits: &candidate_lits,
-                    needed: Vec::new(),
-                };
-                let (abduct, counts) = hh_sat::minimize_core_with(&mut session, &core, &mut memory);
-                hits += counts.remembered;
+                let mut core = session.unsat_core().to_vec();
+                core.sort_by_key(|a| (strength[slot(a)], slot(a)));
+                let abduct = trim_core(&mut session, &core);
+                assert!(abduct.iter().all(|l| core.contains(l)));
+                trimmed_away += core.len() - abduct.len();
 
-                let parked_core = parked.unsat_core().to_vec();
-                let mut memory = WitnessMemory {
-                    witnesses: &mut parked_witnesses,
-                    slot_of_lit: &slot_of_lit,
-                    candidate_lits: &candidate_lits,
-                    needed: Vec::new(),
-                };
-                let parked_answer =
-                    hh_sat::minimize_core_with(&mut parked, &parked_core, &mut memory);
+                let mut parked_core = parked.unsat_core().to_vec();
+                parked_core.sort_by_key(|a| (strength[slot(a)], slot(a)));
+                let parked_answer = trim_core(&mut parked, &parked_core);
                 parked.shrink_to_fit();
-                assert_eq!(parked_answer, (abduct.clone(), counts));
+                assert_eq!(parked_answer, abduct);
                 let (a, b) = (parked.stats(), session.stats());
                 assert_eq!(
                     (a.solves, a.conflicts, a.propagations, a.decisions),
@@ -832,21 +742,18 @@ mod tests {
 
                 let mut fresh = build();
                 assert_eq!(fresh.solve_with_assumptions(&abduct), SolveResult::Unsat);
-                for &member in &abduct {
-                    let rest: Vec<Lit> = abduct.iter().copied().filter(|&l| l != member).collect();
-                    assert_eq!(
-                        fresh.solve_with_assumptions(&rest),
-                        SolveResult::Sat,
-                        "{member:?} is not critical in {abduct:?}"
-                    );
-                }
+                assert_eq!(trim_core(&mut session, &abduct), abduct);
+                assert_eq!(trim_core(&mut parked, &abduct), abduct);
                 // Shrink: one member of the abduct "fails downstream".
                 match abduct.get(next(abduct.len().max(1))) {
-                    Some(failed) => offered[slot_of_lit[failed]] = false,
+                    Some(failed) => offered[slot(failed)] = false,
                     None => break, // the formula alone is UNSAT
                 }
             }
         }
-        assert!(unsat_queries > 100 && hits > 100, "{unsat_queries} {hits}");
+        assert!(
+            unsat_queries > 100 && trimmed_away > 0,
+            "{unsat_queries} {trimmed_away}"
+        );
     }
 }

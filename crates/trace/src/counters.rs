@@ -103,14 +103,8 @@ counter_table! {
         "word-level algebraic rewrites during pre-blast simplification";
     word_strash_hits, "smt.word.strash_hits", Sum,
         "structural-hashing merges during pre-blast simplification";
-    minimize_probes_sat, "smt.minimize.probes_sat", Sum,
-        "core-minimisation probes answered SAT, each confirming one member critical";
-    minimize_probes_unsat, "smt.minimize.probes_unsat", Sum,
-        "core-minimisation probes answered UNSAT, each dropping a member";
-    minimize_witness_hits, "smt.minimize.witness_hits", Sum,
-        "members confirmed critical from a stored probe model, without a solve";
     sat_solves, "sat.solves", Sum,
-        "SAT solve calls: one per query plus the probes that reached the solver";
+        "SAT solve calls: one per query plus its core-trimming re-solves";
     sat_propagations, "sat.propagations", Sum,
         "literals propagated";
     sat_conflicts, "sat.conflicts", Sum,

@@ -68,7 +68,7 @@ pub struct VeloctConfig {
     /// candidates of [`Veloct::classify`]) and for proving a certificate's
     /// obligations in [`Veloct::emit_certificate`]. No result depends on it.
     pub threads: usize,
-    /// Engine configuration: the abduction queries' core minimisation.
+    /// Engine configuration: the abduction queries' core trimming.
     pub engine: EngineConfig,
     /// Paired executions per instruction during example generation.
     pub pairs_per_instr: usize,

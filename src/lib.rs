@@ -15,7 +15,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`sat`] | `hh-sat` | CDCL solver, assumption cores, core minimisation |
+//! | [`sat`] | `hh-sat` | CDCL solver, assumption cores, core trimming |
 //! | [`trace`] | `hh-trace` | run-level span/event/counter tracing |
 //! | [`netlist`] | `hh-netlist` | circuit IR, evaluator, COI, miter, btor2 |
 //! | [`smt`] | `hh-smt` | bit-blasting, predicates, abduction queries |
