@@ -600,12 +600,8 @@ fn speedup(runs: &Runs, report: &mut Report) {
         .expect("certificate emission succeeds");
     let emit_s = secs(t0.elapsed());
     let t0 = Instant::now();
-    let checked = hh_proof::cert::check_bundle(&dir).expect("emitted bundle must check");
+    hh_proof::cert::check_bundle(&dir).expect("emitted bundle must check");
     let check_s = secs(t0.elapsed());
-    assert_eq!(
-        checked.stats.rat_steps, 0,
-        "the emitter writes RUP steps only"
-    );
     println!(
         "\nCertification: {} obligations, {} proof bytes; emit {emit_s:.3}s, check {check_s:.3}s",
         summary.obligations, summary.proof_bytes

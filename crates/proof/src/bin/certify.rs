@@ -6,7 +6,7 @@
 //!
 //! Reads the bundle's MANIFEST, re-runs the builtin design constructor it
 //! references, re-derives every obligation CNF via `hh-smt`, and checks
-//! every attached DRAT refutation with the forward RUP/RAT checker, one
+//! every attached DRAT refutation with the forward RUP checker, one
 //! obligation per worker at a time on as many threads as the host offers
 //! (the verdict and the reported failure do not depend on that). Exits 0
 //! only when the certificate is valid end to end; any parse error, CNF
@@ -45,13 +45,11 @@ fn main() -> ExitCode {
             if !quiet {
                 println!(
                     "certificate OK: {} predicates, {} obligations, {} proof lines \
-                     ({} adds, {} deletes, {} RAT steps) in {:.2?} on {} threads",
+                     ({} adds) in {:.2?} on {} threads",
                     report.predicates,
                     report.obligations,
                     report.stats.lines,
                     report.stats.adds,
-                    report.stats.deletes,
-                    report.stats.rat_steps,
                     t0.elapsed(),
                     report.threads
                 );

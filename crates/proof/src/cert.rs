@@ -18,7 +18,7 @@
 //!
 //! Checking re-derives each obligation CNF from the netlist via `hh-smt`
 //! (the encoding is deterministic), confirms the shape matches what the
-//! proof was logged against, and runs the independent RUP/RAT checker of
+//! proof was logged against, and runs the independent RUP checker of
 //! [`crate::check`]. Structural closure — premises drawn from the predicate
 //! set, every predicate discharged exactly once, the design's observable
 //! properties present — is verified on top, so the checked statement really
@@ -34,12 +34,12 @@
 //! `docs/PROOF_FORMAT.md` for the grammar.
 
 use crate::check::{check_refutation, CheckStats};
-use crate::drat::{self, MemoryProof, ProofLine};
+use crate::drat::{self, MemoryProof};
 use hh_isa::MaskMatch;
 use hh_netlist::miter::Miter;
 use hh_netlist::simp::SimpMap;
 use hh_sat::dimacs::{self, Cnf};
-use hh_sat::SolveResult;
+use hh_sat::{Lit, SolveResult};
 use hh_smt::{Predicate, TransitionEncoding};
 use hh_uarch::decode::constrained_miter;
 use hh_uarch::Design;
@@ -61,8 +61,8 @@ pub struct Obligation {
     pub num_clauses: usize,
     /// FNV-1a hash of the obligation CNF's DIMACS text.
     pub cnf_hash: u64,
-    /// The DRAT refutation.
-    pub proof: Vec<ProofLine>,
+    /// The DRAT refutation: the clauses the solver added, in order.
+    pub proof: Vec<Vec<Lit>>,
 }
 
 /// A complete invariant certificate (in-memory form of a bundle).
@@ -411,7 +411,7 @@ pub fn build_certificate(
 ///
 /// Obligations are independent, so they are checked on
 /// [`std::thread::available_parallelism`] worker threads; what is checked —
-/// every CNF re-derived and compared, every added clause RUP/RAT-checked —
+/// every CNF re-derived and compared, every added clause RUP-checked —
 /// and which failure is reported (the lowest-numbered failing obligation)
 /// are the same at every thread count.
 pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> {
@@ -516,9 +516,6 @@ pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> 
     for stats in checked {
         report.stats.lines += stats.lines;
         report.stats.adds += stats.adds;
-        report.stats.deletes += stats.deletes;
-        report.stats.rat_steps += stats.rat_steps;
-        report.stats.ignored_deletes += stats.ignored_deletes;
     }
     Ok(report)
 }
@@ -739,7 +736,6 @@ pub fn check_bundle(dir: &Path) -> Result<CheckReport, CertError> {
 mod tests {
     use super::*;
     use hh_netlist::{Bv, Netlist};
-    use hh_sat::Lit;
 
     #[test]
     fn fnv_is_stable() {
@@ -842,10 +838,7 @@ mod tests {
                     num_vars: 10,
                     num_clauses: 20,
                     cnf_hash: 0xdead_beef,
-                    proof: vec![
-                        ProofLine::Add(vec![Lit::from_code(0)]),
-                        ProofLine::Add(vec![]),
-                    ],
+                    proof: vec![vec![Lit::from_code(0)], vec![]],
                 },
                 Obligation {
                     target: 1,
@@ -853,7 +846,7 @@ mod tests {
                     num_vars: 5,
                     num_clauses: 6,
                     cnf_hash: 1,
-                    proof: vec![ProofLine::Add(vec![])],
+                    proof: vec![vec![]],
                 },
             ],
         };

@@ -1,45 +1,28 @@
 //! DRAT proof representation and its binary wire format.
 //!
-//! A proof is a sequence of [`ProofLine`]s: clause additions and clause
-//! deletions, exactly as streamed by `hh-sat`'s
-//! [`hh_sat::proof::ProofSink`] into a [`MemoryProof`]. Certificate bundles
-//! store it as **binary DRAT**, the compact format used by `drat-trim`:
-//! each step is an `a`/`d` byte followed by variable-length (7-bit,
+//! A proof is the sequence of clauses a solver added, in order, exactly as
+//! streamed by `hh-sat`'s [`hh_sat::proof::ProofSink`] into a
+//! [`MemoryProof`]; the empty clause completes a refutation. Certificate
+//! bundles store it as **binary DRAT**, the compact format used by
+//! `drat-trim`: each step is an `a` byte followed by variable-length (7-bit,
 //! continuation-bit) encoded literals and a terminating `0x00`. A literal
 //! `i` (DIMACS convention: 1-based, sign = polarity) maps to the unsigned
-//! `2i` when positive and `2|i| + 1` when negative.
+//! `2i` when positive and `2|i| + 1` when negative. The reader also accepts
+//! the format's `d` (deletion) steps, which older bundles may hold, and
+//! drops them.
 
 use hh_sat::proof::ProofSink;
 use hh_sat::{Lit, Var};
 use std::sync::{Arc, Mutex};
 
-/// One step of a DRAT proof.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProofLine {
-    /// Addition of a (RUP/RAT-redundant) clause; empty = refutation done.
-    Add(Vec<Lit>),
-    /// Deletion of a clause previously in the formula. A hint: checkers may
-    /// ignore it.
-    Delete(Vec<Lit>),
-}
-
-impl ProofLine {
-    /// The literals of the step, regardless of kind.
-    pub fn lits(&self) -> &[Lit] {
-        match self {
-            ProofLine::Add(l) | ProofLine::Delete(l) => l,
-        }
-    }
-}
-
-/// An in-memory [`ProofSink`] capturing the proof as [`ProofLine`]s.
+/// An in-memory [`ProofSink`] capturing the added clauses.
 ///
 /// The line buffer lives behind an [`Arc`] so the caller can keep a
 /// [`MemoryProof::handle`] while the sink itself is boxed into the solver,
 /// and read the lines back after solving without downcasting.
 #[derive(Debug, Default, Clone)]
 pub struct MemoryProof {
-    lines: Arc<Mutex<Vec<ProofLine>>>,
+    lines: Arc<Mutex<Vec<Vec<Lit>>>>,
 }
 
 impl MemoryProof {
@@ -54,7 +37,7 @@ impl MemoryProof {
     }
 
     /// Takes the recorded lines out of the buffer.
-    pub fn take_lines(&self) -> Vec<ProofLine> {
+    pub fn take_lines(&self) -> Vec<Vec<Lit>> {
         std::mem::take(&mut *self.lines.lock().unwrap())
     }
 
@@ -71,17 +54,7 @@ impl MemoryProof {
 
 impl ProofSink for MemoryProof {
     fn add_clause(&mut self, lits: &[Lit]) {
-        self.lines
-            .lock()
-            .unwrap()
-            .push(ProofLine::Add(lits.to_vec()));
-    }
-
-    fn delete_clause(&mut self, lits: &[Lit]) {
-        self.lines
-            .lock()
-            .unwrap()
-            .push(ProofLine::Delete(lits.to_vec()));
+        self.lines.lock().unwrap().push(lits.to_vec());
     }
 }
 
@@ -128,15 +101,12 @@ fn push_varint(out: &mut Vec<u8>, mut u: u64) {
     }
 }
 
-/// Renders a proof in binary DRAT.
-pub fn to_binary(lines: &[ProofLine]) -> Vec<u8> {
+/// Renders a proof in binary DRAT: one `a` step per added clause.
+pub fn to_binary(lines: &[Vec<Lit>]) -> Vec<u8> {
     let mut out = Vec::new();
     for line in lines {
-        out.push(match line {
-            ProofLine::Add(_) => b'a',
-            ProofLine::Delete(_) => b'd',
-        });
-        for &l in line.lits() {
+        out.push(b'a');
+        for &l in line {
             push_varint(&mut out, mapped_unsigned(l));
         }
         out.push(0);
@@ -144,14 +114,17 @@ pub fn to_binary(lines: &[ProofLine]) -> Vec<u8> {
     out
 }
 
-/// Parses a binary DRAT proof.
+/// Parses a binary DRAT proof into its added clauses. Deletion steps are
+/// parsed like additions and then dropped: a forward RUP check over a
+/// superset of the clauses a proof kept still only derives what the
+/// formula implies.
 ///
 /// # Errors
 ///
 /// Returns a description of the first malformed byte (bad step tag,
-/// truncated varint, truncated clause, or a literal whose variable is out
-/// of range, see [`Var::MAX_INDEX`]).
-pub fn parse_binary(bytes: &[u8]) -> Result<Vec<ProofLine>, String> {
+/// truncated varint, a varint wider than 64 bits, truncated clause, or a
+/// literal whose variable is out of range, see [`Var::MAX_INDEX`]).
+pub fn parse_binary(bytes: &[u8]) -> Result<Vec<Vec<Lit>>, String> {
     let mut lines = Vec::new();
     let mut i = 0usize;
     while i < bytes.len() {
@@ -171,7 +144,11 @@ pub fn parse_binary(bytes: &[u8]) -> Result<Vec<ProofLine>, String> {
                     .get(i)
                     .ok_or_else(|| format!("offset {i}: truncated proof"))?;
                 i += 1;
-                u |= u64::from(byte & 0x7f) << shift;
+                let bits = u64::from(byte & 0x7f);
+                if (bits << shift) >> shift != bits {
+                    return Err(format!("offset {i}: varint overflow"));
+                }
+                u |= bits << shift;
                 shift += 7;
                 if byte & 0x80 == 0 {
                     break;
@@ -190,11 +167,9 @@ pub fn parse_binary(bytes: &[u8]) -> Result<Vec<ProofLine>, String> {
             };
             lits.push(lit_from_dimacs(n).map_err(|e| format!("offset {i}: {e}"))?);
         }
-        lines.push(if delete {
-            ProofLine::Delete(lits)
-        } else {
-            ProofLine::Add(lits)
-        });
+        if !delete {
+            lines.push(lits);
+        }
     }
     Ok(lines)
 }
@@ -207,17 +182,9 @@ mod tests {
         lit_from_dimacs(n).unwrap()
     }
 
-    fn sample() -> Vec<ProofLine> {
-        vec![
-            ProofLine::Add(vec![lit(1), lit(-2), lit(130)]),
-            ProofLine::Delete(vec![lit(-1), lit(2)]),
-            ProofLine::Add(vec![]),
-        ]
-    }
-
     #[test]
     fn binary_roundtrip() {
-        let p = sample();
+        let p = vec![vec![lit(1), lit(-2), lit(130)], vec![lit(-1)], vec![]];
         let bin = to_binary(&p);
         assert_eq!(parse_binary(&bin).unwrap(), p);
         // Spot-check the mapping: literal 130 -> unsigned 260 -> two bytes.
@@ -228,10 +195,30 @@ mod tests {
     }
 
     #[test]
+    fn deletion_steps_are_parsed_and_dropped() {
+        // a 1 -2 0, d -1 2 0, a 0: the deletion goes, the additions stay.
+        let bytes = [b'a', 2, 5, 0, b'd', 3, 4, 0, b'a', 0];
+        assert_eq!(
+            parse_binary(&bytes).unwrap(),
+            vec![vec![lit(1), lit(-2)], vec![]]
+        );
+        // A deletion is still held to the byte grammar.
+        assert!(parse_binary(&[b'd', 3]).is_err());
+    }
+
+    #[test]
     fn binary_rejects_garbage() {
         assert!(parse_binary(&[b'x', 0]).is_err());
         assert!(parse_binary(&[b'a', 0x80]).is_err());
         assert!(parse_binary(&[b'a', 2]).is_err()); // missing terminator
+
+        // A tenth varint byte carries bit 63 only. These bytes spell
+        // 2 + 2^64; read modulo 2^64 they would be the unit clause [1].
+        let mut loose = vec![b'a', 0x82];
+        loose.extend([0x80; 8]);
+        loose.extend([0x02, 0x00]);
+        let err = parse_binary(&loose).unwrap_err();
+        assert!(err.contains("varint overflow"), "{err}");
     }
 
     #[test]
@@ -239,13 +226,10 @@ mod tests {
         let mut sink = MemoryProof::new();
         let handle = sink.handle();
         sink.add_clause(&[lit(1)]);
-        sink.delete_clause(&[lit(1), lit(2)]);
+        sink.add_clause(&[lit(1), lit(2)]);
         sink.add_clause(&[]);
         let lines = handle.take_lines();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], ProofLine::Add(vec![lit(1)]));
-        assert_eq!(lines[1], ProofLine::Delete(vec![lit(1), lit(2)]));
-        assert_eq!(lines[2], ProofLine::Add(vec![]));
+        assert_eq!(lines, vec![vec![lit(1)], vec![lit(1), lit(2)], vec![]]);
         assert!(handle.is_empty());
     }
 }

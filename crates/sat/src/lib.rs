@@ -34,9 +34,9 @@
 //!   fixpoint: UNSAT solves only, where cvc5's `minimal-unsat-cores` also
 //!   proves each member critical with a SAT probe.
 //! * DRAT proof logging: attach a [`proof::ProofSink`] with
-//!   [`Solver::set_proof_sink`] and every learnt clause and deletion is
-//!   streamed out for independent checking (the `hh-proof` crate provides
-//!   writers and a RUP/RAT checker).
+//!   [`Solver::set_proof_sink`] and every learnt clause is streamed out for
+//!   independent checking (the `hh-proof` crate provides the binary writer
+//!   and a RUP checker).
 //! * Budgeted solving: [`Solver::solve_limited`] stops after a conflict
 //!   budget with [`LimitedResult::Unknown`] and resumes losslessly.
 //! * A DIMACS writer in [`dimacs`]: [`dimacs::from_solver`] captures the

@@ -1,22 +1,20 @@
 //! DRAT proof logging interface.
 //!
 //! The solver can stream its clausal inferences to a [`ProofSink`]: every
-//! learnt clause and every clause-database deletion. Together with the
-//! original input formula this stream forms a DRAT proof that an independent
-//! checker (the `hh-proof` crate) can verify without trusting any of the
-//! solver's reasoning.
+//! learnt clause. Together with the original input formula this stream forms
+//! a RUP proof that an independent checker (the `hh-proof` crate) can verify
+//! without trusting any of the solver's reasoning.
 //!
 //! Assumption-based UNSAT answers are certified with the standard wrapper
 //! trick: the final-core literals are appended as unit additions followed by
-//! the empty clause. The resulting stream is a valid DRAT refutation of
+//! the empty clause. The resulting stream is a valid refutation of
 //! `formula ∧ core`.
 //!
-//! Clause storage details never leak into the stream. Deletion in the flat
-//! clause arena is lazy (a header bit; the words are reclaimed by a later
-//! in-place compaction), but the deletion *event* is logged exactly once, at
-//! the moment database reduction marks the clause — the checker's view
-//! matches the solver's logical database, not its memory. Compaction itself
-//! moves clauses without changing the clause set and emits nothing.
+//! Deletions are not logged. A clause the solver drops from its database
+//! stays in the checker's, which only makes the checker's propagation
+//! stronger; the proof stays sound because every clause in it is implied by
+//! the formula. Clause storage details (lazy deletion marks, in-place
+//! compaction) therefore never reach the stream.
 
 use crate::lit::Lit;
 
@@ -31,10 +29,6 @@ pub trait ProofSink: std::fmt::Debug + Send {
     /// propagation) checkable. An empty slice is the empty clause, i.e. the
     /// refutation is complete.
     fn add_clause(&mut self, lits: &[Lit]);
-
-    /// A clause was removed from the solver's database. Deletions are hints:
-    /// a checker may ignore them (this only makes its propagation stronger).
-    fn delete_clause(&mut self, lits: &[Lit]);
 }
 
 /// A sink that counts events and bytes but stores nothing. Useful for
@@ -43,8 +37,6 @@ pub trait ProofSink: std::fmt::Debug + Send {
 pub struct CountingSink {
     /// Number of `add_clause` events seen.
     pub adds: u64,
-    /// Number of `delete_clause` events seen.
-    pub deletes: u64,
     /// Total literal count across all events.
     pub lits: u64,
 }
@@ -52,11 +44,6 @@ pub struct CountingSink {
 impl ProofSink for CountingSink {
     fn add_clause(&mut self, lits: &[Lit]) {
         self.adds += 1;
-        self.lits += lits.len() as u64;
-    }
-
-    fn delete_clause(&mut self, lits: &[Lit]) {
-        self.deletes += 1;
         self.lits += lits.len() as u64;
     }
 }
@@ -70,10 +57,9 @@ mod tests {
         let mut s = CountingSink::default();
         let a = crate::lit::Var::from_index(0).positive();
         s.add_clause(&[a, !a]);
-        s.delete_clause(&[a]);
+        s.add_clause(&[a]);
         s.add_clause(&[]);
-        assert_eq!(s.adds, 2);
-        assert_eq!(s.deletes, 1);
+        assert_eq!(s.adds, 3);
         assert_eq!(s.lits, 3);
     }
 }

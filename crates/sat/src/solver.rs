@@ -314,7 +314,7 @@ impl Solver {
     // ------------------------------------------------------------------
 
     /// Attaches a DRAT proof sink. From this point on every learnt clause
-    /// and clause deletion is streamed to `sink` (see the [`crate::proof`]
+    /// is streamed to `sink` (see the [`crate::proof`]
     /// module for the exact conventions). For a checkable proof the sink
     /// should be attached before the first solve call, and the checker
     /// should be given the formula as captured by
@@ -377,16 +377,6 @@ impl Solver {
             self.proof_done = true;
             self.proof_add(&[]);
         }
-    }
-
-    /// Deletes `cref` from the clause database, logging the deletion.
-    /// Deletion in the arena is a lazy mark, so the literals can be streamed
-    /// to the proof sink directly from the (still readable) slot — no clone.
-    fn delete_clause_logged(&mut self, cref: ClauseRef) {
-        if let Some(sink) = self.proof.as_mut() {
-            sink.delete_clause(self.db.lits(cref));
-        }
-        self.db.delete(cref);
     }
 
     /// Number of variables created so far.
@@ -1257,7 +1247,7 @@ impl Solver {
         });
         let target = (cands.len() as f64 * REDUCE_FRACTION) as usize;
         for &cref in cands.iter().take(target) {
-            self.delete_clause_logged(cref);
+            self.db.delete(cref);
             self.stats.deleted_clauses += 1;
         }
         // Demotion pass: mid-tier clauses that were not used as reasons since
@@ -1730,8 +1720,8 @@ mod tests {
         assert!(!s.model_value(b));
     }
 
-    /// (is_delete, literals) in emission order.
-    type ProofEvents = std::sync::Arc<std::sync::Mutex<Vec<(bool, Vec<Lit>)>>>;
+    /// Added clauses in emission order.
+    type ProofEvents = std::sync::Arc<std::sync::Mutex<Vec<Vec<Lit>>>>;
 
     /// A test sink recording every event through a shared handle.
     #[derive(Debug, Clone, Default)]
@@ -1741,10 +1731,7 @@ mod tests {
 
     impl crate::proof::ProofSink for RecordingSink {
         fn add_clause(&mut self, lits: &[Lit]) {
-            self.events.lock().unwrap().push((false, lits.to_vec()));
-        }
-        fn delete_clause(&mut self, lits: &[Lit]) {
-            self.events.lock().unwrap().push((true, lits.to_vec()));
+            self.events.lock().unwrap().push(lits.to_vec());
         }
     }
 
@@ -1761,8 +1748,7 @@ mod tests {
         let events = sink.events.clone();
         s.set_proof_sink(Box::new(sink));
         assert_eq!(s.solve(), SolveResult::Unsat);
-        let ev = events.lock().unwrap();
-        let adds: Vec<&Vec<Lit>> = ev.iter().filter(|(d, _)| !d).map(|(_, c)| c).collect();
+        let adds = events.lock().unwrap();
         assert!(!adds.is_empty(), "an UNSAT run must log derivations");
         assert!(
             adds.last().unwrap().is_empty(),
@@ -1787,8 +1773,7 @@ mod tests {
         assert_eq!(s.solve_with_assumptions(&[a, b]), SolveResult::Unsat);
         let core = s.unsat_core().to_vec();
         assert!(!core.is_empty());
-        let ev = events.lock().unwrap();
-        let adds: Vec<&Vec<Lit>> = ev.iter().filter(|(d, _)| !d).map(|(_, c)| c).collect();
+        let adds = events.lock().unwrap();
         assert!(adds.last().unwrap().is_empty());
         for l in &core {
             assert!(
@@ -2044,8 +2029,7 @@ mod tests {
             let events = sink.events.clone();
             s.set_proof_sink(Box::new(sink));
             if s.solve() == SolveResult::Unsat {
-                let ev = events.lock().unwrap();
-                let adds: Vec<&Vec<Lit>> = ev.iter().filter(|(d, _)| !d).map(|(_, c)| c).collect();
+                let adds = events.lock().unwrap();
                 assert!(
                     adds.last().is_some_and(|c| c.is_empty()),
                     "seed {seed}: chrono UNSAT proof must end with the empty clause"

@@ -98,7 +98,8 @@ pub enum Predicate {
         guard_left: StateId,
         /// Product state id of the right guard.
         guard_right: StateId,
-        /// The conditionally-required predicate.
+        /// The conditionally-required predicate; never itself an `Impl`
+        /// (the wire reader refuses one).
         body: Box<Predicate>,
     },
 }
@@ -353,11 +354,13 @@ impl Predicate {
     ///
     /// Returns a human-readable message on malformed input, when a state
     /// name does not exist in the netlist (the certificate and the design it
-    /// claims to certify disagree), or when the two states of a pair — or a
-    /// constant and its states — differ in width.
+    /// claims to certify disagree), when the two states of a pair — or a
+    /// constant and its states — differ in width, or when an `impl` body is
+    /// itself an `impl` (nothing builds one, and parsing a hostile chain of
+    /// them would recurse once per link).
     pub fn from_wire(text: &str, netlist: &Netlist) -> Result<Predicate, String> {
         let mut toks = text.split_whitespace();
-        let pred = Predicate::parse_wire(&mut toks, netlist)?;
+        let pred = Predicate::parse_wire(&mut toks, netlist, false)?;
         match toks.next() {
             None => Ok(pred),
             Some(t) => Err(format!("trailing token {t:?} after predicate")),
@@ -367,6 +370,7 @@ impl Predicate {
     fn parse_wire<'t>(
         toks: &mut impl Iterator<Item = &'t str>,
         netlist: &Netlist,
+        in_impl: bool,
     ) -> Result<Predicate, String> {
         let mut next = |what: &str| {
             toks.next()
@@ -456,9 +460,10 @@ impl Predicate {
                     label,
                 })
             }
+            "impl" if in_impl => Err("an impl body cannot itself be an impl".into()),
             "impl" => {
                 let (guard_left, guard_right) = pair(next("guard left")?, next("guard right")?)?;
-                let body = Predicate::parse_wire(toks, netlist)?;
+                let body = Predicate::parse_wire(toks, netlist, true)?;
                 Ok(Predicate::Impl {
                     guard_left,
                     guard_right,
@@ -733,11 +738,7 @@ mod tests {
                 vec![Pattern::exact(8, 1)],
                 SetLabel::Expert("my annotation %".into()),
             ),
-            Predicate::implication(
-                m.left(valid),
-                m.right(valid),
-                Predicate::implication(m.left(valid), m.right(valid), Predicate::eq(l, r)),
-            ),
+            Predicate::implication(m.left(valid), m.right(valid), Predicate::eq(l, r)),
         ];
         for p in &preds {
             let wire = p.to_wire(n);
@@ -769,12 +770,15 @@ mod tests {
             "inset l$r r$r insafeset 2 ff:1", // missing pattern
             "inset l$r r$r insafeset 1 f:10", // value outside mask
             "eq l$r r$r trailing",            // trailing garbage
+            // An impl whose body is an impl (the guard pair alone is fine).
+            "impl l$v r$v impl l$v r$v eq l$r r$r",
         ] {
             assert!(
                 Predicate::from_wire(bad, n).is_err(),
                 "{bad:?} should be rejected"
             );
         }
+        assert!(Predicate::from_wire("impl l$v r$v eq l$r r$r", n).is_ok());
     }
 
     #[test]
