@@ -51,7 +51,7 @@ struct VarFacts {
 #[derive(Debug)]
 pub struct CoiMiner {
     /// Per-product-state 1-step COI, precomputed.
-    coi: Coi,
+    pub(crate) coi: Coi,
     /// Map product state -> base index/side (only base needed here).
     origin_base: Vec<StateId>,
     /// Left/right product ids per base state.
@@ -65,8 +65,6 @@ pub struct CoiMiner {
     expert_by_var: HashMap<StateId, Vec<usize>>,
     /// Conditional-predicate guards: base field -> (base valid bit, fact ok).
     impl_guards: HashMap<StateId, (StateId, bool)>,
-    /// Disable EqConst mining (ablation knob).
-    pub mine_eq_const: bool,
     /// Auto-mine `EqConstSet` predicates from observed value sets — an
     /// automation extension: the paper's implementation only adds these via
     /// expert annotations (§6.2) and flags auto-mining as future work.
@@ -162,7 +160,6 @@ impl CoiMiner {
             expert,
             expert_by_var,
             impl_guards,
-            mine_eq_const: true,
             mine_value_sets: false,
         }
     }
@@ -180,10 +177,8 @@ impl CoiMiner {
             }
             let (l, r) = self.pairs[base_idx];
             out.push(store.intern(Predicate::eq(l, r)));
-            if self.mine_eq_const {
-                if let Some(c) = f.const_value {
-                    out.push(store.intern(Predicate::eq_const(l, r, c)));
-                }
+            if let Some(c) = f.const_value {
+                out.push(store.intern(Predicate::eq_const(l, r, c)));
             }
             if f.in_set_ok {
                 if let Some(ps) = &self.safe_patterns {
@@ -293,10 +288,8 @@ impl Miner for CoiMiner {
             }
             let (l, r) = self.pairs[base.index()];
             out.push(store.intern(Predicate::eq(l, r)));
-            if self.mine_eq_const {
-                if let Some(c) = f.const_value {
-                    out.push(store.intern(Predicate::eq_const(l, r, c)));
-                }
+            if let Some(c) = f.const_value {
+                out.push(store.intern(Predicate::eq_const(l, r, c)));
             }
             if f.in_set_ok {
                 if let Some(ps) = &self.safe_patterns {

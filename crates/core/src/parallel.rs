@@ -73,12 +73,12 @@ use crate::reorder::ReorderBuffer;
 use crate::sim::{SchedEvent, SimDriver};
 use crate::store::{PredId, PredicateStore};
 use crate::{Invariant, Stats, TaskRecord};
-use hh_netlist::coi::Coi;
+use hh_netlist::coi::node_support;
 use hh_netlist::Netlist;
 use hh_smt::{AbductionConfig, AbductionResult, AbductionSession, EncodeCache, Predicate};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -135,15 +135,18 @@ impl<'a> SessionCache<'a> {
 }
 
 /// Scheduling weight of a target: total bit-width of its own states plus
-/// its 1-step cone support. A proxy for encode + solve cost — wide cones
-/// blast more gates and take longer, so they are issued first.
-fn cone_weight(netlist: &Netlist, coi: &Coi, pred: &Predicate) -> u64 {
+/// its 1-step cone support (the states its next-state functions read). A
+/// proxy for encode + solve cost — wide cones blast more gates and take
+/// longer, so they are issued first.
+fn cone_weight(netlist: &Netlist, pred: &Predicate) -> u64 {
     let states = pred.all_states();
-    let mut w: u64 = states.iter().map(|&s| netlist.state_width(s) as u64).sum();
-    for s in coi.one_step(&states) {
-        w += netlist.state_width(s) as u64;
-    }
-    w
+    let support: BTreeSet<_> = states
+        .iter()
+        .flat_map(|&s| node_support(netlist, netlist.next_of(s)).0)
+        .collect();
+    (states.iter().chain(&support))
+        .map(|&s| netlist.state_width(s) as u64)
+        .sum()
 }
 
 /// The H-Houdini engine (see the module docs).
@@ -359,7 +362,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     pub fn learn(&mut self, properties: &[Predicate]) -> Option<Invariant> {
         let workers = self.threads;
         let fail_job = self.fail_job;
-        self.run(properties, |engine, prop_ids, coi, encode_cache| {
+        self.run(properties, |engine, prop_ids, encode_cache| {
             let (job_tx, job_rx) = mpsc::channel::<Job<'a>>();
             let job_rx = Mutex::new(job_rx);
             let (done_tx, done_rx) = mpsc::channel::<JobDone<'a>>();
@@ -389,7 +392,6 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
 
                 let outcome = engine.run_scheduler(
                     prop_ids,
-                    coi,
                     encode_cache,
                     |job| job_tx.send(job).expect("worker pool alive"),
                     // With the panic fix above this recv cannot strand:
@@ -425,7 +427,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         driver: &mut dyn SimDriver,
     ) -> Option<Invariant> {
         let window = self.threads;
-        self.run(properties, |engine, prop_ids, coi, encode_cache| {
+        self.run(properties, |engine, prop_ids, encode_cache| {
             // Both closures need the driver and the pending pool; RefCells
             // keep the borrows disjoint per call (the scheduler never
             // re-enters).
@@ -434,7 +436,6 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
 
             engine.run_scheduler(
                 prop_ids,
-                coi,
                 encode_cache,
                 |job| pending.borrow_mut().push(job),
                 || {
@@ -480,7 +481,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     fn run(
         &mut self,
         properties: &[Predicate],
-        backend: impl FnOnce(&mut Self, &[PredId], &Coi, &Arc<EncodeCache>) -> Option<Invariant>,
+        backend: impl FnOnce(&mut Self, &[PredId], &Arc<EncodeCache>) -> Option<Invariant>,
     ) -> Option<Invariant> {
         let t0 = Instant::now();
         let _learn_span = hh_trace::span!("engine", "engine.learn");
@@ -496,9 +497,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             .warm_cache
             .clone()
             .unwrap_or_else(|| Arc::new(EncodeCache::new(self.netlist)));
-        let coi = Coi::new(self.netlist);
 
-        let result = backend(self, &prop_ids, &coi, &encode_cache);
+        let result = backend(self, &prop_ids, &encode_cache);
 
         self.stats
             .record_run_end(&encode_cache, self.sessions.peak_resident_bytes);
@@ -515,7 +515,6 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     fn run_scheduler(
         &mut self,
         prop_ids: &[PredId],
-        coi: &Coi,
         encode_cache: &Arc<EncodeCache>,
         mut dispatch: impl FnMut(Job<'a>),
         mut collect: impl FnMut() -> JobDone<'a>,
@@ -533,7 +532,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         for &p in prop_ids {
             let w = *weights
                 .entry(p)
-                .or_insert_with(|| cone_weight(netlist, coi, self.store.get(p)));
+                .or_insert_with(|| cone_weight(netlist, self.store.get(p)));
             queue.push((w, Reverse(seq), p));
             seq += 1;
         }
@@ -554,7 +553,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                     self.discoverer.entry(q).or_insert(None);
                     let w = *weights
                         .entry(q)
-                        .or_insert_with(|| cone_weight(netlist, coi, self.store.get(q)));
+                        .or_insert_with(|| cone_weight(netlist, self.store.get(q)));
                     queue.push((w, Reverse(seq), q));
                     seq += 1;
                 }
@@ -641,7 +640,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                     self.seeded.remove(&s);
                     let w = *weights
                         .entry(s)
-                        .or_insert_with(|| cone_weight(netlist, coi, self.store.get(s)));
+                        .or_insert_with(|| cone_weight(netlist, self.store.get(s)));
                     queue.push((w, Reverse(seq), s));
                     seq += 1;
                 }
@@ -725,7 +724,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                         self.discoverer.entry(q).or_insert(Some(task_idx));
                         let w = *weights
                             .entry(q)
-                            .or_insert_with(|| cone_weight(netlist, coi, self.store.get(q)));
+                            .or_insert_with(|| cone_weight(netlist, self.store.get(q)));
                         queue.push((w, Reverse(seq), q));
                         seq += 1;
                     }
@@ -772,6 +771,30 @@ mod tests {
         n.set_next(t, conj);
         let m = Miter::build(&n);
         (n, m)
+    }
+
+    /// The scheduler's on-demand cone weight equals the weight over the
+    /// miner's precomputed COI table ([`hh_netlist::coi::Coi::one_step`])
+    /// for every product state of a BoomLite miter, each in the `Eq` over
+    /// its pair: priorities, and so issue order, commit order and every
+    /// count, are the table's.
+    #[test]
+    fn cone_weight_matches_the_coi_table() {
+        use hh_netlist::StateId;
+        use hh_uarch::boomlite::{boom_lite, BoomVariant};
+        let m = Miter::build(&boom_lite(BoomVariant::Small, 16).netlist);
+        let n = m.netlist();
+        let miner = CoiMiner::new(&m, &[StateValues::initial(n)], None, vec![]);
+        let coi = &miner.coi;
+        let width = |ss: &[StateId]| ss.iter().map(|&s| n.state_width(s) as u64).sum::<u64>();
+        assert_eq!(2 * m.num_base_states(), n.num_states());
+        for b in m.base_state_ids() {
+            let (l, r) = m.pair(b);
+            let pred = Predicate::eq(l, r);
+            let states = pred.all_states();
+            let table = width(&states) + width(&coi.one_step(&states));
+            assert_eq!(cone_weight(n, &pred), table, "{pred:?}");
+        }
     }
 
     /// The threaded pool learns exactly what the thread-free serial

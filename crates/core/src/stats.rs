@@ -57,11 +57,11 @@ pub struct Stats {
     /// stats it reports.
     pub counters: Counters,
     /// Worker threads the run was configured with (the reordering window
-    /// of a virtual run; merging keeps the maximum).
+    /// of a virtual run).
     pub workers: usize,
     /// Total worker solve time: the sum of committed job durations, equal
-    /// to `task_time` for a single run. Divided by `workers × wall_time`
-    /// this is the scheduler occupancy.
+    /// to `task_time`. Divided by `workers × wall_time` this is the
+    /// scheduler occupancy.
     ///
     /// Accounting invariant: each completed job is folded in **exactly
     /// once, at its commit**. The streaming scheduler's reorder buffer may
@@ -72,8 +72,7 @@ pub struct Stats {
     /// Whether a worker died (panicked) mid-job during the run. A poisoned
     /// run surfaces no invariant: the scheduler stops committing as soon as
     /// the death reaches it, instead of waiting forever on a `JobDone` that
-    /// will never arrive. Merging ORs — any poisoned shard poisons the
-    /// aggregate.
+    /// will never arrive.
     pub poisoned: bool,
 }
 
@@ -216,35 +215,6 @@ impl Stats {
             return 0.0;
         }
         (self.worker_busy_time.as_secs_f64() / capacity).min(1.0)
-    }
-
-    /// Folds another `Stats` into this one.
-    ///
-    /// This is the per-thread counter fold: **associative** (and commutative
-    /// on everything except task/query order), so partial aggregates can be
-    /// combined in any grouping — `(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)` is property-
-    /// tested in `tests/stats_prop.rs`. Counters fold by their table row
-    /// (sums add, byte gauges take the maximum) and times add; `wall_time`
-    /// and `workers` take the maximum (concurrent intervals don't add);
-    /// task lists concatenate with parent indices re-based, preserving each
-    /// input's internal DAG.
-    pub fn merge(&mut self, other: &Stats) {
-        let base = self.tasks.len();
-        self.tasks.extend(other.tasks.iter().map(|t| TaskRecord {
-            parent: t.parent.map(|p| p + base),
-            ..t.clone()
-        }));
-        self.smt_queries += other.smt_queries;
-        self.query_durations
-            .extend(other.query_durations.iter().copied());
-        self.task_time += other.task_time;
-        self.wall_time = self.wall_time.max(other.wall_time);
-        self.encode_time += other.encode_time;
-        self.solve_time += other.solve_time;
-        self.counters.merge(&other.counters);
-        self.workers = self.workers.max(other.workers);
-        self.worker_busy_time += other.worker_busy_time;
-        self.poisoned |= other.poisoned;
     }
 
     /// The run counters under their trace-schema names, in

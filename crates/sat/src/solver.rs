@@ -100,17 +100,8 @@ pub struct SolverStats {
     pub conflicts: u64,
     /// Restarts performed.
     pub restarts: u64,
-    /// Learnt clauses deleted by database reduction.
-    pub deleted_clauses: u64,
     /// Learnt-database reductions performed.
     pub reduces: u64,
-    /// Adaptive restarts suppressed by the trail-size blocking rule.
-    pub restart_blocks: u64,
-    /// In-place garbage compactions of the clause arena.
-    pub compactions: u64,
-    /// Cumulative wall-clock microseconds spent in database reduction
-    /// (including watcher scrubbing and compaction it triggers).
-    pub reduce_time_us: u64,
     /// Current clause-arena size in bytes — a gauge refreshed after every
     /// solve and reduction, not a monotone counter.
     pub arena_bytes: u64,
@@ -706,7 +697,6 @@ impl Solver {
                     // restart would throw away likely progress towards a
                     // model. Pull the EMA back to the mean to defer it.
                     self.lbd_fast = self.lbd_sum / self.lbd_count as f64;
-                    self.stats.restart_blocks += 1;
                 }
             } else {
                 if ceiling.is_some_and(|c| self.stats.conflicts >= c) {
@@ -1227,7 +1217,6 @@ impl Solver {
     /// Core-tier clauses are never touched. Compacts the arena when enough
     /// garbage has accumulated.
     fn reduce_db(&mut self) {
-        let start = std::time::Instant::now();
         self.stats.reduces += 1;
         let learnts = self.db.learnt_refs();
         let mut cands: Vec<ClauseRef> = learnts
@@ -1248,7 +1237,6 @@ impl Solver {
         let target = (cands.len() as f64 * REDUCE_FRACTION) as usize;
         for &cref in cands.iter().take(target) {
             self.db.delete(cref);
-            self.stats.deleted_clauses += 1;
         }
         // Demotion pass: mid-tier clauses that were not used as reasons since
         // the previous reduction slide down to local; every surviving clause
@@ -1271,7 +1259,6 @@ impl Solver {
                 self.rebuild_watches();
             }
         }
-        self.stats.reduce_time_us += start.elapsed().as_micros() as u64;
     }
 
     fn is_locked(&self, cref: ClauseRef) -> bool {
@@ -1318,7 +1305,6 @@ impl Solver {
     /// [`ClauseRef`] (reasons and watchers) through the move table.
     fn compact_arena(&mut self) {
         let remap = self.db.compact();
-        self.stats.compactions += 1;
         for cref in self.reason.iter_mut().flatten() {
             *cref = ClauseDb::remap_ref(&remap, *cref);
         }

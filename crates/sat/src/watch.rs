@@ -534,7 +534,7 @@ mod tests {
     }
 
     /// The arena against the nested model under every operation the solver
-    /// performs, with compactions of both fits at arbitrary moments in
+    /// performs, compacting to both fits at arbitrary moments in
     /// between and more pushes after each.
     #[test]
     fn agrees_with_nested_vec_model_under_mixed_workload() {

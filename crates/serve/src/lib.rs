@@ -37,8 +37,11 @@
 
 pub mod cli;
 pub mod client;
-pub mod json;
 pub mod proto;
 pub mod request;
 pub mod server;
 pub mod state;
+
+/// The JSON value, parser and writer of the serve protocol: the
+/// repository's one JSON grammar, [`hh_trace::json`].
+pub use hh_trace::json;

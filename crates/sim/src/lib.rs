@@ -6,7 +6,6 @@
 //!
 //! * [`simulate`] — run a netlist for N cycles from a given initial state,
 //! * [`Trace`] — the resulting state/input history,
-//! * [`output_waveform`] — observe a signal over time (the attacker's view),
 //! * [`product_states`] — zip a left and right trace into product states of a
 //!   miter, which is the raw material for positive examples (Def. 4.8).
 //!
@@ -33,7 +32,7 @@
 use hh_netlist::eval::{InputValues, StateValues};
 use hh_netlist::miter::{Miter, Side};
 use hh_netlist::tape::Tape;
-use hh_netlist::{Bv, Netlist, NodeId};
+use hh_netlist::Netlist;
 
 /// A finite execution: `states[i]` is the state *entering* cycle `i`
 /// (`states[0]` is the initial state), `inputs[i]` the inputs applied during
@@ -75,26 +74,6 @@ pub fn simulate<'a>(
     Trace { states, inputs }
 }
 
-/// The value of `node` during each cycle of `trace` (evaluated with that
-/// cycle's pre-state and inputs) — the attacker-visible waveform when `node`
-/// is an observable output.
-pub fn output_waveform(netlist: &Netlist, trace: &Trace, node: NodeId) -> Vec<Bv> {
-    let tape = Tape::compile(netlist);
-    let mut machine = tape.machine();
-    let width = netlist.width(node);
-    trace
-        .inputs
-        .iter()
-        .zip(&trace.states)
-        .map(|(iv, state)| {
-            machine.load_states(state);
-            machine.load_inputs(iv);
-            machine.eval();
-            Bv::new(width, machine.node(node))
-        })
-        .collect()
-}
-
 /// Zips two equal-length traces of the *base* design into product states of
 /// the miter: cycle `i`'s product state takes each product state element's
 /// value from the side and base state [`Miter::origin`] names.
@@ -134,8 +113,9 @@ pub fn product_states(miter: &Miter, left: &Trace, right: &Trace) -> Vec<StateVa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hh_netlist::Bv;
 
-    /// acc' = acc + in; out = acc.
+    /// acc' = acc + in.
     fn accumulator() -> Netlist {
         let mut n = Netlist::new("acc");
         let acc = n.state("acc", 8, Bv::zero(8));
@@ -143,7 +123,6 @@ mod tests {
         let cur = n.state_node(acc);
         let nxt = n.add(cur, i);
         n.set_next(acc, nxt);
-        n.add_output("o", cur);
         n
     }
 
@@ -166,19 +145,6 @@ mod tests {
         assert_eq!(t.cycles(), 4);
         let got: Vec<u64> = t.states.iter().map(|s| s.get(acc).bits()).collect();
         assert_eq!(got, vec![0, 1, 3, 6, 10]);
-    }
-
-    #[test]
-    fn output_waveform_sees_combinational_value() {
-        let n = accumulator();
-        let out = n.find_output("o").unwrap();
-        let inputs = drive(&n, &[5, 5]);
-        let t = simulate(&n, StateValues::initial(&n), &inputs);
-        let wave = output_waveform(&n, &t, out);
-        assert_eq!(
-            wave.iter().map(|v| v.bits()).collect::<Vec<_>>(),
-            vec![0, 5]
-        );
     }
 
     #[test]

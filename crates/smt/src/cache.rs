@@ -91,9 +91,6 @@ pub struct CacheStats {
     pub vars_saved: u64,
     /// Clauses a replay spared the Tseitin encoder.
     pub clauses_saved: u64,
-    /// Recorded base encodings dropped by [`EncodeCache::evict`] /
-    /// [`EncodeCache::evict_encodings`].
-    pub evictions: u64,
 }
 
 /// Thread-shared cross-target encoding cache.
@@ -110,7 +107,6 @@ pub struct EncodeCache {
     misses: AtomicU64,
     vars_saved: AtomicU64,
     clauses_saved: AtomicU64,
-    evicted: AtomicU64,
 }
 
 impl EncodeCache {
@@ -124,7 +120,6 @@ impl EncodeCache {
             misses: AtomicU64::new(0),
             vars_saved: AtomicU64::new(0),
             clauses_saved: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
         }
     }
 
@@ -178,7 +173,6 @@ impl EncodeCache {
             misses: self.misses.load(Ordering::Relaxed),
             vars_saved: self.vars_saved.load(Ordering::Relaxed),
             clauses_saved: self.clauses_saved.load(Ordering::Relaxed),
-            evictions: self.evicted.load(Ordering::Relaxed),
         }
     }
 
@@ -206,21 +200,7 @@ impl EncodeCache {
     /// fault calls this at adversarial points mid-run and asserts the
     /// learned invariant is unchanged while misses increase.
     pub fn evict(&self, key: &[u64]) -> bool {
-        let removed = self.entries.lock().unwrap().remove(key).is_some();
-        if removed {
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        removed
-    }
-
-    /// Drops every recorded base encoding. Returns how many entries were
-    /// evicted. Same safety argument as [`EncodeCache::evict`].
-    pub fn evict_encodings(&self) -> usize {
-        let mut entries = self.entries.lock().unwrap();
-        let n = entries.len();
-        entries.clear();
-        self.evicted.fetch_add(n as u64, Ordering::Relaxed);
-        n
+        self.entries.lock().unwrap().remove(key).is_some()
     }
 
     /// The signatures of the currently recorded base encodings, sorted —

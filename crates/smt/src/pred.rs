@@ -355,9 +355,10 @@ impl Predicate {
     /// Returns a human-readable message on malformed input, when a state
     /// name does not exist in the netlist (the certificate and the design it
     /// claims to certify disagree), when the two states of a pair — or a
-    /// constant and its states — differ in width, or when an `impl` body is
-    /// itself an `impl` (nothing builds one, and parsing a hostile chain of
-    /// them would recurse once per link).
+    /// constant and its states — differ in width, when a constant or an
+    /// `inset` pattern value has a bit at or above that width, or when an
+    /// `impl` body is itself an `impl` (nothing builds one, and parsing a
+    /// hostile chain of them would recurse once per link).
     pub fn from_wire(text: &str, netlist: &Netlist) -> Result<Predicate, String> {
         let mut toks = text.split_whitespace();
         let pred = Predicate::parse_wire(&mut toks, netlist, false)?;
@@ -439,6 +440,7 @@ impl Predicate {
                 let n: usize = next("pattern count")?
                     .parse()
                     .map_err(|e| format!("bad pattern count: {e}"))?;
+                let width = netlist.state_width(left);
                 let mut patterns = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
                     let tok = next("pattern")?;
@@ -450,6 +452,13 @@ impl Predicate {
                         u64::from_str_radix(v, 16).map_err(|e| format!("bad value: {e}"))?;
                     if value & mask != value {
                         return Err(format!("pattern value {value:#x} outside mask {mask:#x}"));
+                    }
+                    // Mask bits above the width are legal (a 32-bit
+                    // instruction mask on a narrower field reads them as
+                    // 0), but a value bit there would match nothing to
+                    // `eval` while the encoder drops it.
+                    if width < 64 && value >> width != 0 {
+                        return Err(format!("pattern value {value:#x} exceeds width {width}"));
                     }
                     patterns.push(Pattern { mask, value });
                 }
@@ -758,18 +767,19 @@ mod tests {
         let n = m.netlist();
         for bad in [
             "",
-            "eq l$r r$v",                     // a pair of unequal widths
-            "eqc l$r r$r 4 1",                // constant narrower than the state
-            "inset l$v r$r insafeset 0",      // unequal widths again
-            "impl l$v r$r eq l$r r$r",        // ... in a guard
-            "eq l$r",                         // missing right
-            "eq l$r r$nope",                  // unknown state
-            "frob l$r r$r",                   // unknown kind
-            "eqc l$r r$r 0 0",                // zero width
-            "eqc l$r r$r 8 1ff",              // constant exceeds width
-            "inset l$r r$r insafeset 2 ff:1", // missing pattern
-            "inset l$r r$r insafeset 1 f:10", // value outside mask
-            "eq l$r r$r trailing",            // trailing garbage
+            "eq l$r r$v",                        // a pair of unequal widths
+            "eqc l$r r$r 4 1",                   // constant narrower than the state
+            "inset l$v r$r insafeset 0",         // unequal widths again
+            "impl l$v r$r eq l$r r$r",           // ... in a guard
+            "eq l$r",                            // missing right
+            "eq l$r r$nope",                     // unknown state
+            "frob l$r r$r",                      // unknown kind
+            "eqc l$r r$r 0 0",                   // zero width
+            "eqc l$r r$r 8 1ff",                 // constant exceeds width
+            "inset l$r r$r insafeset 2 ff:1",    // missing pattern
+            "inset l$r r$r insafeset 1 f:10",    // value outside mask
+            "inset l$r r$r insafeset 1 1ff:100", // value exceeds width
+            "eq l$r r$r trailing",               // trailing garbage
             // An impl whose body is an impl (the guard pair alone is fine).
             "impl l$v r$v impl l$v r$v eq l$r r$r",
         ] {

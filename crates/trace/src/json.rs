@@ -1,125 +1,540 @@
-//! Chrome `trace_event` JSON output.
+//! The repository's one JSON grammar: a minimal value, parser and writer.
 //!
-//! The writer emits the *object* form (`{"traceEvents": [...]}`), which both
-//! `chrome://tracing` and Perfetto accept. Span records use the complete
-//! (`ph:"X"`) phase so begin/end can never be orphaned by ring wraparound;
-//! counters use `ph:"C"` with a `value` arg; instants use `ph:"i"` with
-//! thread scope. Every thread gets a `thread_name` metadata record so the
-//! viewer labels rows deterministically.
+//! The workspace builds with no registry access, so the format is
+//! implemented here rather than pulled from serde. It lives in hh-trace,
+//! the crate every JSON user already depends on: the serve protocol and its
+//! state dir (re-exported as `hh_serve::json`), the Chrome trace, and the
+//! committed result files. The subset is exactly what RFC 8259 requires of
+//! a receiver: objects, arrays, strings with the standard escapes
+//! (including `\uXXXX`, with surrogate pairs), numbers, booleans and null.
+//! Numbers are kept as `i64` when they parse exactly (protocol counters are
+//! integers; `f64` would silently lose precision above 2^53) and as `f64`
+//! otherwise.
+//!
+//! Writing is canonical enough for tests to compare strings: object keys
+//! are emitted in sorted order, no whitespace, and strings escape only
+//! what must be escaped. [`write_streamed`] writes an object whose one long
+//! array is produced element by element.
 
-use crate::{Event, EventKind, Trace};
-use std::io::{self, Write};
+use std::collections::BTreeMap;
+use std::fmt;
+use std::io;
 
-/// All events share one synthetic process.
-const PID: u64 = 1;
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number that parsed exactly as a 64-bit signed integer.
+    Int(i64),
+    /// Any other number.
+    Float(f64),
+    /// A string.
+    Str(String),
+    /// An array.
+    Arr(Vec<Json>),
+    /// An object. `BTreeMap` gives deterministic iteration (and therefore
+    /// deterministic serialization) regardless of insertion order.
+    Obj(BTreeMap<String, Json>),
+}
 
-fn escape(s: &str, out: &mut String) {
+impl Json {
+    /// Builds an object from key/value pairs.
+    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Field lookup on an object; `None` for non-objects or missing keys.
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(m) => m.get(key),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The integer payload (accepting exact floats), if numeric.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Json::Int(n) => Some(*n),
+            Json::Float(f) if f.fract() == 0.0 && f.abs() < 9e15 => Some(*f as i64),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload as a float, if numeric.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Int(n) => Some(*n as f64),
+            Json::Float(f) => Some(*f),
+            _ => None,
+        }
+    }
+
+    /// Unsigned integer view of [`Json::as_i64`].
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_i64().and_then(|n| u64::try_from(n).ok())
+    }
+
+    /// The boolean payload, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The element list, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    fn write(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(true) => out.push_str("true"),
+            Json::Bool(false) => out.push_str("false"),
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Float(f) => {
+                if f.is_finite() {
+                    let _ = write!(out, "{f}");
+                } else {
+                    // JSON has no Inf/NaN; the protocol never needs them.
+                    out.push_str("null");
+                }
+            }
+            Json::Str(s) => write_json_string(s, out),
+            Json::Arr(v) => {
+                out.push('[');
+                for (i, e) in v.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    e.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(m) => {
+                out.push('{');
+                for (i, (k, v)) in m.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_json_string(k, out);
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+
+    /// Parses a JSON document; the whole input must be consumed (trailing
+    /// whitespace allowed).
+    pub fn parse(text: &str) -> Result<Json, JsonError> {
+        let bytes = text.as_bytes();
+        let mut p = Parser { bytes, pos: 0 };
+        p.skip_ws();
+        let v = p.value(0)?;
+        p.skip_ws();
+        if p.pos != bytes.len() {
+            return Err(p.err("trailing data after document"));
+        }
+        Ok(v)
+    }
+}
+
+/// Streams the object of the `head` members plus one more member, `key`:
+/// an array whose elements are serialised one at a time as `items` yields
+/// them, so a long array (a trace's records) never exists in memory as one
+/// [`Json`] value. The array follows the `head` members.
+pub fn write_streamed<W: io::Write>(
+    w: &mut W,
+    head: Vec<(&str, Json)>,
+    key: &str,
+    items: impl IntoIterator<Item = Json>,
+) -> io::Result<()> {
+    let mut out = Json::obj(head).to_string();
+    out.pop(); // the closing brace
+    if out.len() > 1 {
+        out.push(',');
+    }
+    write_json_string(key, &mut out);
+    out.push_str(":[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.write(&mut out);
+        if out.len() >= 1 << 16 {
+            w.write_all(out.as_bytes())?;
+            out.clear();
+        }
+    }
+    out.push_str("]}");
+    w.write_all(out.as_bytes())
+}
+
+fn write_json_string(s: &str, out: &mut String) {
+    use std::fmt::Write as _;
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
+    out.push('"');
 }
 
-fn write_event(e: &Event, out: &mut String) {
-    out.push_str("{\"name\":\"");
-    escape(e.name, out);
-    out.push_str("\",\"cat\":\"");
-    escape(e.cat, out);
-    out.push_str("\",");
-    match e.kind {
-        EventKind::Span { dur_us } => {
-            out.push_str(&format!("\"ph\":\"X\",\"dur\":{dur_us},"));
-        }
-        EventKind::Instant => out.push_str("\"ph\":\"i\",\"s\":\"t\","),
-        EventKind::Counter { value } => {
-            out.push_str(&format!("\"ph\":\"C\",\"args\":{{\"value\":{value}}},"));
-        }
+/// Compact (no-whitespace) JSON serialization; `Json::to_string()` comes
+/// from the blanket [`ToString`] impl.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = String::new();
+        self.write(&mut s);
+        f.write_str(&s)
     }
-    out.push_str(&format!(
-        "\"ts\":{},\"pid\":{PID},\"tid\":{}}}",
-        e.ts_us, e.tid
-    ));
 }
 
-pub(crate) fn write_chrome_json<W: Write>(trace: &Trace, w: &mut W) -> io::Result<()> {
-    let events = trace.sorted_events();
-    let mut out = String::with_capacity(events.len() * 96 + 256);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    // Thread-name metadata first, one per recording thread.
-    for tid in trace.thread_ids() {
-        if !first {
-            out.push(',');
+/// A parse failure with a byte offset for diagnostics.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the failure.
+    pub pos: usize,
+    /// Human-readable message.
+    pub msg: String,
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "json error at byte {}: {}", self.pos, self.msg)
+    }
+}
+
+/// Nesting depth cap: a hostile frame must not be able to blow the stack.
+const MAX_DEPTH: usize = 64;
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Parser<'a> {
+    fn err(&self, msg: impl Into<String>) -> JsonError {
+        JsonError {
+            pos: self.pos,
+            msg: msg.into(),
         }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\
-             \"args\":{{\"name\":\"hh-thread-{tid}\"}}}}"
-        ));
     }
-    for e in &events {
-        if !first {
-            out.push(',');
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
-        first = false;
-        write_event(e, &mut out);
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"");
-    if trace.dropped > 0 {
-        out.push_str(&format!(
-            ",\"otherData\":{{\"droppedEvents\":\"{}\"}}",
-            trace.dropped
-        ));
+
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(format!("expected {:?}", b as char)))
+        }
     }
-    out.push('}');
-    w.write_all(out.as_bytes())
+
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.lit("true", Json::Bool(true)),
+            Some(b'f') => self.lit("false", Json::Bool(false)),
+            Some(b'n') => self.lit("null", Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(c) => Err(self.err(format!("unexpected byte {:?}", c as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    fn lit(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(v)
+        } else {
+            Err(self.err(format!("expected {word}")))
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        let mut float = false;
+        while let Some(c) = self.peek() {
+            match c {
+                b'0'..=b'9' => self.pos += 1,
+                b'.' | b'e' | b'E' | b'+' | b'-' => {
+                    float = true;
+                    self.pos += 1;
+                }
+                _ => break,
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("invalid utf-8 in number"))?;
+        if !float {
+            if let Ok(n) = text.parse::<i64>() {
+                return Ok(Json::Int(n));
+            }
+        }
+        text.parse::<f64>()
+            .map(Json::Float)
+            .map_err(|_| self.err(format!("bad number {text:?}")))
+    }
+
+    fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let Some(c) = self.peek() else {
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += 1;
+            match c {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let Some(e) = self.peek() else {
+                        return Err(self.err("unterminated escape"));
+                    };
+                    self.pos += 1;
+                    match e {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hi = self.hex4()?;
+                            let code = if (0xD800..0xDC00).contains(&hi) {
+                                // Surrogate pair: require the low half.
+                                if self.peek() == Some(b'\\') {
+                                    self.pos += 1;
+                                    self.expect(b'u')?;
+                                    let lo = self.hex4()?;
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(self.err("invalid low surrogate"));
+                                    }
+                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                                } else {
+                                    return Err(self.err("lone high surrogate"));
+                                }
+                            } else {
+                                hi
+                            };
+                            match char::from_u32(code) {
+                                Some(ch) => out.push(ch),
+                                None => return Err(self.err("invalid unicode escape")),
+                            }
+                        }
+                        other => {
+                            return Err(self.err(format!("bad escape \\{}", other as char)));
+                        }
+                    }
+                }
+                c if c < 0x20 => return Err(self.err("raw control byte in string")),
+                c if c < 0x80 => out.push(c as char),
+                _ => {
+                    // Multi-byte UTF-8: re-decode from the byte stream.
+                    let start = self.pos - 1;
+                    let len = utf8_len(c);
+                    let end = start + len;
+                    let slice = self
+                        .bytes
+                        .get(start..end)
+                        .ok_or_else(|| self.err("truncated utf-8"))?;
+                    let s = std::str::from_utf8(slice).map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(s);
+                    self.pos = end;
+                }
+            }
+        }
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
+        let slice = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let text = std::str::from_utf8(slice).map_err(|_| self.err("invalid \\u escape"))?;
+        let v = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        self.pos += 4;
+        Ok(v)
+    }
+
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.expect(b'[')?;
+        let mut out = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(out));
+        }
+        loop {
+            self.skip_ws();
+            out.push(self.value(depth + 1)?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(out));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.expect(b'{')?;
+        let mut out = BTreeMap::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(out));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let val = self.value(depth + 1)?;
+            out.insert(key, val);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(out));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+}
+
+fn utf8_len(first: u8) -> usize {
+    match first {
+        0xC0..=0xDF => 2,
+        0xE0..=0xEF => 3,
+        _ => 4,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn round_trip(text: &str) -> String {
+        Json::parse(text).unwrap().to_string()
+    }
+
     #[test]
-    fn writer_emits_every_phase_and_escapes_names() {
-        let trace = Trace {
-            events: vec![
-                Event {
-                    name: "a.span \"quoted\"",
-                    cat: "t",
-                    ts_us: 5,
-                    tid: 1,
-                    kind: EventKind::Span { dur_us: 10 },
-                },
-                Event {
-                    name: "a.count",
-                    cat: "t",
-                    ts_us: 7,
-                    tid: 2,
-                    kind: EventKind::Counter { value: -3 },
-                },
-                Event {
-                    name: "a.mark",
-                    cat: "t",
-                    ts_us: 8,
-                    tid: 1,
-                    kind: EventKind::Instant,
-                },
-            ],
-            dropped: 2,
-        };
-        // That the output parses is checked where a parser is in reach:
-        // `tests/trace.rs` at the repository root.
-        let json = trace.chrome_json();
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("a.span \\\"quoted\\\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"ph\":\"M\""));
-        assert!(json.contains("droppedEvents"));
+    fn scalars_round_trip() {
+        assert_eq!(round_trip("null"), "null");
+        assert_eq!(round_trip("true"), "true");
+        assert_eq!(round_trip(" false "), "false");
+        assert_eq!(round_trip("42"), "42");
+        assert_eq!(round_trip("-7"), "-7");
+        assert_eq!(round_trip("1.5"), "1.5");
+        assert_eq!(
+            round_trip("\"hi\\n\\\"there\\\"\""),
+            "\"hi\\n\\\"there\\\"\""
+        );
+    }
+
+    #[test]
+    fn big_integers_stay_exact() {
+        // 2^60 — would corrupt through an f64-only representation.
+        let n = 1_152_921_504_606_846_976i64;
+        let j = Json::parse(&n.to_string()).unwrap();
+        assert_eq!(j.as_i64(), Some(n));
+        assert_eq!(j.to_string(), n.to_string());
+    }
+
+    #[test]
+    fn nested_structures_round_trip() {
+        let text = r#"{"b":[1,2,{"x":null}],"a":"s","c":{"k":true}}"#;
+        let j = Json::parse(text).unwrap();
+        assert_eq!(j.get("a").and_then(Json::as_str), Some("s"));
+        assert_eq!(j.get("b").and_then(Json::as_arr).map(|a| a.len()), Some(3));
+        // Keys sort on output (BTreeMap) — deterministic regardless of input order.
+        assert_eq!(
+            j.to_string(),
+            r#"{"a":"s","b":[1,2,{"x":null}],"c":{"k":true}}"#
+        );
+    }
+
+    #[test]
+    fn unicode_escapes_parse() {
+        let j = Json::parse(r#""\u00e9\ud83d\ude00""#).unwrap();
+        assert_eq!(j.as_str(), Some("é😀"));
+        // Raw multi-byte UTF-8 passes through too.
+        let j = Json::parse("\"héllo\"").unwrap();
+        assert_eq!(j.as_str(), Some("héllo"));
+    }
+
+    #[test]
+    fn malformed_inputs_rejected() {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "tru",
+            "\"\\q\"",
+            "1 2",
+            "{\"a\":1,}",
+            "\"\\ud800\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        // Depth bomb must be an error, not a stack overflow.
+        let bomb = "[".repeat(1000) + &"]".repeat(1000);
+        assert!(Json::parse(&bomb).is_err());
     }
 }

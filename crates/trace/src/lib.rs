@@ -4,7 +4,9 @@
 //! events and counters, recorded into **per-thread ring buffers** and
 //! flushed into Chrome `trace_event` JSON (loadable in `chrome://tracing` or
 //! [Perfetto](https://ui.perfetto.dev)) plus a deterministic plain-text run
-//! report.
+//! report. The crate also hosts [`json`], the repository's one JSON value,
+//! parser and writer: the Chrome trace, the serve protocol and the result
+//! files all go through it.
 //!
 //! The flat `Stats` counters of `hhoudini` say *how much* work a run did;
 //! the trace says *where the wall-clock went* — per-target SMT time,
@@ -54,16 +56,19 @@
 //! }
 //! let trace = hh_trace::drain();
 //! assert_eq!(trace.events.len(), 2);
-//! let json = trace.chrome_json();
-//! assert!(json.contains("\"traceEvents\""));
+//! // One thread-name record plus the two events.
+//! let doc = hh_trace::json::Json::parse(&trace.chrome_json()).unwrap();
+//! let records = doc.get("traceEvents").and_then(|r| r.as_arr());
+//! assert_eq!(records.map(|r| r.len()), Some(3));
 //! hh_trace::init(hh_trace::TraceConfig::Off);
 //! ```
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod chrome;
 mod counters;
-mod json;
+pub mod json;
 mod queue;
 mod report;
 mod ring;
@@ -494,7 +499,7 @@ impl Trace {
     /// Writes the trace as Chrome `trace_event` JSON (the object form with a
     /// `traceEvents` array, as accepted by `chrome://tracing` and Perfetto).
     pub fn write_chrome_json<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        json::write_chrome_json(self, w)
+        chrome::write_chrome_json(self, w)
     }
 
     /// [`Trace::write_chrome_json`] into a `String`.

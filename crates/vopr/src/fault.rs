@@ -118,7 +118,7 @@ impl FaultPlan {
         })
     }
 
-    /// Commit sequence numbers at which cache evictions fire.
+    /// Commit sequence numbers at which cache-evict faults fire.
     pub fn evict_commits(&self) -> BTreeSet<usize> {
         self.faults
             .iter()

@@ -90,7 +90,7 @@ impl SeedReport {
 // ---------------------------------------------------------------------------
 
 /// The [`SimDriver`] owning all scheduler nondeterminism: window picks come
-/// from the seed's RNG, worker deaths and cache evictions from the fault
+/// from the seed's RNG, worker deaths and cache-evict faults from the fault
 /// plan. Records the scheduler event log for the checkers.
 #[derive(Debug)]
 struct VoprDriver {

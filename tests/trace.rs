@@ -9,9 +9,9 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use common::{alu_set, boom_set, setup};
-use hh_serve::json::Json;
 use hh_suite::hhoudini::mine::CoiMiner;
 use hh_suite::hhoudini::{EngineConfig, ParallelEngine};
+use hh_suite::trace::json::Json;
 use hh_suite::trace::{self, Event, EventKind, Trace, TraceConfig};
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::rocketlite::rocket_lite;
