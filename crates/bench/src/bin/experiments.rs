@@ -517,7 +517,6 @@ fn speedup(runs: &Runs, report: &mut Report) {
         "Target", "H-Houdini(s)", "Houdini(s)", "Sorcar(s)", "vs Hou", "vs Sor"
     );
     let budget = BaselineBudget {
-        max_rounds: 5_000,
         max_time: Duration::from_secs(1800),
     };
     let mut factors = Vec::new();

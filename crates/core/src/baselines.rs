@@ -25,19 +25,17 @@ pub struct BaselineStats {
 
 /// Abort knob so benchmark sweeps can bound hopeless baseline runs (the
 /// paper reports the monolithic approach "did not scale to BOOM"; we cap it
-/// the same way a human would).
+/// the same way a human would). Rounds need no cap: HOUDINI's set shrinks
+/// every round, and SORCAR lowers `2·|remaining| + |set|` every round.
 #[derive(Debug, Clone, Copy)]
 pub struct BaselineBudget {
-    /// Maximum teacher rounds.
-    pub max_rounds: usize,
-    /// Maximum wall-clock.
+    /// Maximum wall-clock, checked before each round.
     pub max_time: Duration,
 }
 
 impl Default for BaselineBudget {
     fn default() -> BaselineBudget {
         BaselineBudget {
-            max_rounds: 10_000,
             max_time: Duration::from_secs(3600),
         }
     }
@@ -84,7 +82,7 @@ pub fn houdini(
     set.dedup();
 
     loop {
-        if stats.rounds >= budget.max_rounds || t0.elapsed() > budget.max_time {
+        if t0.elapsed() >= budget.max_time {
             stats.wall_time = t0.elapsed();
             return (BaselineOutcome::BudgetExceeded, stats);
         }
@@ -135,7 +133,7 @@ pub fn sorcar(
     let mut remaining: Vec<Predicate> = pool.iter().filter(|p| !set.contains(p)).cloned().collect();
 
     loop {
-        if stats.rounds >= budget.max_rounds || t0.elapsed() > budget.max_time {
+        if t0.elapsed() >= budget.max_time {
             stats.wall_time = t0.elapsed();
             return (BaselineOutcome::BudgetExceeded, stats);
         }
@@ -265,13 +263,15 @@ mod tests {
     }
 
     #[test]
-    fn budget_caps_rounds() {
+    fn zero_time_budget_is_exceeded() {
         let (_, m, pool, prop) = setup();
         let budget = BaselineBudget {
-            max_rounds: 0,
-            max_time: Duration::from_secs(3600),
+            max_time: Duration::ZERO,
         };
-        let (out, _) = houdini(m.netlist(), &pool, std::slice::from_ref(&prop), &budget);
-        assert!(matches!(out, BaselineOutcome::BudgetExceeded));
+        for learn in [houdini, sorcar] {
+            let (out, stats) = learn(m.netlist(), &pool, std::slice::from_ref(&prop), &budget);
+            assert!(matches!(out, BaselineOutcome::BudgetExceeded));
+            assert_eq!(stats.rounds, 0);
+        }
     }
 }

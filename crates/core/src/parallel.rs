@@ -45,9 +45,7 @@
 //! pure function of the commit count — never of worker timing. That makes
 //! every scheduling decision, the learned invariant and the task DAG
 //! identical run-to-run and across thread counts — only the measured
-//! durations vary. Out-of-order completions are buffered (cheap:
-//! commits are table updates), so the barrier of the old wavefront design
-//! is gone from the *solving* path.
+//! durations vary.
 //!
 //! **Backends.** The scheduler core ([`ParallelEngine::learn`] vs
 //! [`ParallelEngine::learn_sim`]) is generic over how jobs execute: the
@@ -58,27 +56,29 @@
 //! with [`FifoDriver`](crate::FifoDriver) at window 1, the thread-free
 //! serial reference the tests compare the pool against.
 //!
-//! The memo table and `P_fail` are shared across the run, so overlapping
-//! cones are analysed once. Each target keeps a live [`AbductionSession`]
-//! (travelling with the job and returned with the result), so backtracking
-//! retries re-solve incrementally. A per-run [`hh_smt::EncodeCache`] is
-//! shared by all sessions: signature-equal cones replay each other's base
-//! encodings. A replay is byte-identical to a fresh build, so which session
-//! recorded an encoding first (the one thing worker timing does decide)
-//! cannot reach the result.
+//! **State.** Each predicate has one record, shared across the run so
+//! overlapping cones are analysed once: its Algorithm 1 status (open, in
+//! flight, memoised with its abduct, or in `P_fail`), the task that
+//! discovered it, its cone weight and its live [`AbductionSession`], which
+//! travels with each job and is parked in the record between queries, so
+//! backtracking retries re-solve incrementally. A per-run
+//! [`hh_smt::EncodeCache`] is shared by all sessions: signature-equal cones
+//! replay each other's base encodings. A replay is byte-identical to a
+//! fresh build, so which session recorded an encoding first (the one thing
+//! worker timing does decide) cannot reach the result.
 
 use crate::invariant::closure;
 use crate::mine::Miner;
 use crate::reorder::ReorderBuffer;
 use crate::sim::{SchedEvent, SimDriver};
 use crate::store::{PredId, PredicateStore};
-use crate::{Invariant, Stats, TaskRecord};
+use crate::{Invariant, Stats};
 use hh_netlist::coi::node_support;
 use hh_netlist::Netlist;
 use hh_smt::{AbductionConfig, AbductionResult, AbductionSession, EncodeCache, Predicate};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap};
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -99,39 +99,113 @@ impl Default for EngineConfig {
     }
 }
 
-/// Per-target cache of live abduction sessions, owned by the scheduler: a
-/// session travels to a worker with its job, comes back with the result and
-/// is *parked* here between its queries; dropping it frees its solver.
+/// Algorithm 1's state of a target predicate, one at a time: unsolved,
+/// in flight (never past the learn call that issued it), memoised with its
+/// abduct (`seeded` when [`ParallelEngine::seed_solutions`] preloaded it),
+/// or in `P_fail`.
 #[derive(Debug, Default)]
-struct SessionCache<'a> {
-    parked: HashMap<PredId, AbductionSession<'a>>,
-    /// Sum of [`AbductionSession::resident_bytes`] over `parked`.
+enum Status {
+    #[default]
+    Open,
+    InFlight,
+    Solved {
+        abduct: Vec<PredId>,
+        seeded: bool,
+    },
+    Failed,
+}
+
+/// The engine's record of one predicate as a target.
+#[derive(Debug, Default)]
+struct Target<'a> {
+    status: Status,
+    /// The task that first discovered the target: `Some(None)` for a root
+    /// (a property or a seeded premise), `None` until it is discovered.
+    found_by: Option<Option<usize>>,
+    /// Cone weight, computed the first time the target is enqueued.
+    weight: Option<u64>,
+    /// The live session, parked between the target's queries; boxed, so a
+    /// record of a never-issued candidate stays a few words.
+    session: Option<Box<AbductionSession<'a>>>,
+}
+
+/// One [`Target`] per predicate, indexed by [`PredId`], and the bytes of
+/// the sessions parked in them (the peak is kept across learn calls).
+#[derive(Debug, Default)]
+struct Targets<'a> {
+    records: Vec<Target<'a>>,
     resident_bytes: u64,
-    /// High-water mark of `resident_bytes`.
     peak_resident_bytes: u64,
 }
 
-impl<'a> SessionCache<'a> {
-    /// Takes `target`'s session out for its next query, if it has one.
-    fn take(&mut self, target: PredId) -> Option<AbductionSession<'a>> {
-        let session = self.parked.remove(&target)?;
-        self.resident_bytes -= session.resident_bytes();
-        Some(session)
+impl<'a> Targets<'a> {
+    fn failed(&self, p: PredId) -> bool {
+        (self.records.get(p.index())).is_some_and(|t| matches!(t.status, Status::Failed))
     }
 
-    /// Parks `target`'s session until its next query or the end of the run.
-    fn park(&mut self, target: PredId, session: AbductionSession<'a>) {
+    fn get_mut(&mut self, p: PredId) -> &mut Target<'a> {
+        if p.index() >= self.records.len() {
+            self.records.resize_with(p.index() + 1, Target::default);
+        }
+        &mut self.records[p.index()]
+    }
+
+    /// `(target, abduct, seeded)` of each memoised record, in `PredId` order.
+    fn solved(&self) -> impl Iterator<Item = (PredId, &[PredId], bool)> {
+        self.records
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| match &t.status {
+                Status::Solved { abduct, seeded } => {
+                    Some((PredId::from_index(i), &abduct[..], *seeded))
+                }
+                _ => None,
+            })
+    }
+
+    /// Marks `p` in flight; returns its parked session, if it has one, and
+    /// the task that discovered it.
+    fn issue(&mut self, p: PredId) -> (Option<Box<AbductionSession<'a>>>, Option<usize>) {
+        let target = self.get_mut(p);
+        target.status = Status::InFlight;
+        let (session, parent) = (target.session.take(), target.found_by.flatten());
+        self.resident_bytes -= session.as_ref().map_or(0, |s| s.resident_bytes());
+        (session, parent)
+    }
+
+    /// Memoises `p`'s abduct and parks its session until its next query or
+    /// the end of the run.
+    fn memoise(&mut self, p: PredId, abduct: Vec<PredId>, session: Box<AbductionSession<'a>>) {
         self.resident_bytes += session.resident_bytes();
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
-        let displaced = self.parked.insert(target, session);
+        let target = self.get_mut(p);
+        target.status = Status::Solved {
+            abduct,
+            seeded: false,
+        };
+        let displaced = target.session.replace(session);
         debug_assert!(displaced.is_none(), "a target has one session");
     }
 
-    /// Frees every parked session (the peak is kept).
-    fn clear(&mut self) {
-        self.parked.clear();
+    /// Ends a learn call: parked sessions are freed, and a target whose job
+    /// a poisoned run left uncommitted is open again.
+    fn end_run(&mut self) {
+        for t in &mut self.records {
+            t.session = None;
+            if matches!(t.status, Status::InFlight) {
+                t.status = Status::Open;
+            }
+        }
         self.resident_bytes = 0;
     }
+}
+
+/// Targets ready to (re-)issue: largest cone first, enqueue order breaking
+/// ties. [`ParallelEngine::enqueue`] is its one writer.
+#[derive(Default)]
+struct Ready {
+    heap: BinaryHeap<(u64, Reverse<usize>, PredId)>,
+    enqueued: usize,
 }
 
 /// Scheduling weight of a target: total bit-width of its own states plus
@@ -157,20 +231,13 @@ pub struct ParallelEngine<'a, M: Miner> {
     config: EngineConfig,
     threads: usize,
     store: PredicateStore,
-    memo: HashMap<PredId, Vec<PredId>>,
-    failed: HashSet<PredId>,
-    /// Task index that first discovered each predicate (for the task DAG).
-    discoverer: HashMap<PredId, Option<usize>>,
-    /// Live abduction sessions, keyed by target. Sessions travel to the
-    /// worker with the job and come back with the result.
-    sessions: SessionCache<'a>,
+    /// Algorithm 1's state of every target: memo table, `P_fail`, the task
+    /// DAG's discovery links and the live sessions.
+    targets: Targets<'a>,
     /// Externally owned warm [`EncodeCache`] (a resident service keeps one
     /// across requests); when set, [`ParallelEngine::learn`] uses it instead
     /// of building a per-run cache. See [`ParallelEngine::set_encode_cache`].
     warm_cache: Option<Arc<EncodeCache>>,
-    /// Targets whose memo entry was preloaded via
-    /// [`ParallelEngine::seed_solutions`] rather than solved in this engine.
-    seeded: HashSet<PredId>,
     stats: Stats,
     /// Fault-injection seam: job index whose worker panics mid-solve (the
     /// hh-vopr worker-death fault in the threaded backend).
@@ -186,7 +253,7 @@ struct Job<'a> {
     job_idx: usize,
     cands: Vec<Arc<Predicate>>,
     /// The target's live session.
-    session: AbductionSession<'a>,
+    session: Box<AbductionSession<'a>>,
 }
 
 /// Scheduler-side bookkeeping for an issued job, indexed by `job_idx`.
@@ -202,15 +269,14 @@ struct JobDone<'a> {
     /// The answer and the session that produced it, on its way back to the
     /// scheduler. `None` when the worker died (panicked) before producing a
     /// result — the run is poisoned and the scheduler stops committing.
-    solved: Option<(AbductionResult, AbductionSession<'a>)>,
+    solved: Option<(AbductionResult, Box<AbductionSession<'a>>)>,
     duration: Duration,
 }
 
 /// Runs one abduction query — the worker body shared by the threaded pool
 /// and the virtual (simulation) backend. A panicking solve is caught and
-/// surfaced as a `solved: None` completion instead of tearing the worker
-/// down silently: before this, a panicked worker left the scheduler
-/// blocked forever on a `JobDone` that would never arrive.
+/// surfaced as a `solved: None` completion, so the scheduler never waits
+/// on a `JobDone` that would never arrive.
 fn solve_job(job: Job<'_>, panic_on: Option<usize>) -> JobDone<'_> {
     let _job_span = hh_trace::span!("sched", "sched.job");
     let Job {
@@ -250,12 +316,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             config,
             threads,
             store: PredicateStore::new(),
-            memo: HashMap::new(),
-            failed: HashSet::new(),
-            discoverer: HashMap::new(),
-            sessions: SessionCache::default(),
+            targets: Targets::default(),
             warm_cache: None,
-            seeded: HashSet::new(),
             stats: Stats::default(),
             fail_job: None,
             canary_shuffle: false,
@@ -304,18 +366,18 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     /// renaming-invariant cone signatures before seeding. Returns the
     /// number of entries seeded.
     pub fn seed_solutions(&mut self, solutions: &[(Predicate, Vec<Predicate>)]) -> usize {
-        let mut n = 0usize;
         for (target, premises) in solutions {
             let p = self.store.intern(target.clone());
-            let ab: Vec<PredId> = premises
+            let abduct = premises
                 .iter()
                 .map(|q| self.store.intern(q.clone()))
                 .collect();
-            self.memo.insert(p, ab);
-            self.seeded.insert(p);
-            n += 1;
+            self.targets.get_mut(p).status = Status::Solved {
+                abduct,
+                seeded: true,
+            };
         }
-        n
+        solutions.len()
     }
 
     /// How many seeded memo entries survived the most recent learn call
@@ -323,10 +385,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     /// swept stale and re-solved). `seeded - seeds_reused()` entries were
     /// invalidated during the run.
     pub fn seeds_reused(&self) -> usize {
-        self.seeded
-            .iter()
-            .filter(|p| self.memo.contains_key(p))
-            .count()
+        self.targets.solved().filter(|&(.., seeded)| seeded).count()
     }
 
     /// Telemetry of the most recent learn call.
@@ -341,9 +400,9 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     /// because the scheduler commits results in issue order.
     pub fn solutions(&self) -> Vec<(Predicate, Vec<Predicate>)> {
         let mut out: Vec<(Predicate, Vec<Predicate>)> = self
-            .memo
-            .iter()
-            .map(|(&p, ab)| (self.store.get(p).clone(), self.store.resolve(ab)))
+            .targets
+            .solved()
+            .map(|(p, ab, _)| (self.store.get(p).clone(), self.store.resolve(ab)))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
@@ -394,10 +453,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                     prop_ids,
                     encode_cache,
                     |job| job_tx.send(job).expect("worker pool alive"),
-                    // With the panic fix above this recv cannot strand:
-                    // every dequeued job produces a JobDone (panicked or
-                    // not), and workers outlive the scheduler (job_tx
-                    // closes below).
+                    // Cannot strand: every dequeued job produces a JobDone,
+                    // panicked or not, and workers outlive the scheduler.
                     || done_rx.recv().expect("worker result"),
                     |_| {},
                 );
@@ -473,11 +530,10 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     /// One learn run around `backend`, which drives
     /// [`Self::run_scheduler`] on its execution model. Everything either
     /// backend needs before the first issue and after the last commit is
-    /// here: the properties are interned and seeded as roots of the task
-    /// DAG; the encode cache is the warm one a resident service attached
-    /// (it outlives the call and keeps its recorded encodings) or a fresh
-    /// per-run cache; sessions only pay off within one run, so their
-    /// solvers are freed at its end.
+    /// here: the properties are interned; the encode cache is the warm one
+    /// a resident service attached (it outlives the call and keeps its
+    /// recorded encodings) or a fresh per-run cache; sessions only pay off
+    /// within one run, so their solvers are freed at its end.
     fn run(
         &mut self,
         properties: &[Predicate],
@@ -490,9 +546,6 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             .iter()
             .map(|p| self.store.intern(p.clone()))
             .collect();
-        for &p in &prop_ids {
-            self.discoverer.entry(p).or_insert(None);
-        }
         let encode_cache = self
             .warm_cache
             .clone()
@@ -501,9 +554,9 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         let result = backend(self, &prop_ids, &encode_cache);
 
         self.stats
-            .record_run_end(&encode_cache, self.sessions.peak_resident_bytes);
+            .record_run_end(&encode_cache, self.targets.peak_resident_bytes);
         self.stats.wall_time = t0.elapsed();
-        self.sessions.clear();
+        self.targets.end_run();
         result
     }
 
@@ -520,88 +573,61 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         mut collect: impl FnMut() -> JobDone<'a>,
         mut observe: impl FnMut(&SchedEvent),
     ) -> Option<Invariant> {
-        let netlist = self.netlist;
-        let abd_cfg = self.config.abduction;
-        let mut weights: HashMap<PredId, u64> = HashMap::new();
-
-        // Scheduler state. `queue` holds predicates to (re-)issue,
-        // largest cone first (enqueue order as tiebreak); `reorder`
-        // buffers out-of-order completions until their turn to commit.
-        let mut queue: BinaryHeap<(u64, Reverse<usize>, PredId)> = BinaryHeap::new();
-        let mut seq = 0usize;
+        // `ready` holds targets to (re-)issue; `reorder` buffers
+        // out-of-order completions until their turn to commit.
+        let mut ready = Ready::default();
         for &p in prop_ids {
-            let w = *weights
-                .entry(p)
-                .or_insert_with(|| cone_weight(netlist, self.store.get(p)));
-            queue.push((w, Reverse(seq), p));
-            seq += 1;
+            self.enqueue(&mut ready, p, Some(None));
         }
-        // Seeded memo entries short-circuit their own solve, but their
-        // premises must still be scheduled: a premise whose entry was
-        // invalidated (or never seeded) has to be re-learned before
-        // `assemble` walks through it. Enqueue every seeded premise in
-        // deterministic (target, position) order; already-memoised ones
-        // are skipped at issue, exactly like memo hits.
-        if !self.seeded.is_empty() {
-            let mut seeded: Vec<PredId> = self.seeded.iter().copied().collect();
-            seeded.sort_unstable();
-            for p in seeded {
-                let Some(ab) = self.memo.get(&p).cloned() else {
-                    continue;
-                };
-                for q in ab {
-                    self.discoverer.entry(q).or_insert(None);
-                    let w = *weights
-                        .entry(q)
-                        .or_insert_with(|| cone_weight(netlist, self.store.get(q)));
-                    queue.push((w, Reverse(seq), q));
-                    seq += 1;
-                }
-            }
+        // A seeded target is never solved, but its premises are scheduled
+        // in (target, position) order: one never seeded, or invalidated,
+        // must be learned before `assemble` walks through it. Memoised
+        // ones are skipped at issue, like memo hits.
+        let premises: Vec<PredId> = (self.targets.solved())
+            .filter(|&(.., seeded)| seeded)
+            .flat_map(|(_, ab, _)| ab.iter().copied())
+            .collect();
+        for q in premises {
+            self.enqueue(&mut ready, q, Some(None));
         }
         let mut metas: Vec<JobMeta> = Vec::new();
         let mut reorder: ReorderBuffer<JobDone<'a>> = ReorderBuffer::new();
-        let mut inflight: HashSet<PredId> = HashSet::new();
 
         loop {
             // Issue phase: drain the queue in priority order, skipping
-            // targets that resolved (or got scheduled) since they were
-            // enqueued.
-            while let Some((w, _, p)) = queue.pop() {
-                if self.failed.contains(&p) {
-                    continue;
-                }
-                if self.memo.contains_key(&p) {
-                    self.stats.counters.memo_hits += 1;
-                    hh_trace::counter!("engine", "engine.memo.hit", 1);
-                    continue;
-                }
-                if inflight.contains(&p) {
-                    continue;
+            // targets that resolved or were issued since they were queued.
+            while let Some((w, _, p)) = ready.heap.pop() {
+                match self.targets.records[p.index()].status {
+                    Status::Open => {}
+                    Status::Solved { .. } => {
+                        self.stats.counters.memo_hits += 1;
+                        hh_trace::counter!("engine", "engine.memo.hit", 1);
+                        continue;
+                    }
+                    Status::InFlight | Status::Failed => continue,
                 }
                 let target = self.store.get_arc(p);
                 let mut cand_ids = self.miner.mine(&target, &mut self.store);
                 cand_ids.sort_unstable();
                 cand_ids.dedup();
-                cand_ids.retain(|q| !self.failed.contains(q));
+                cand_ids.retain(|&q| !self.targets.failed(q));
                 let cands = self.store.resolve_arc(&cand_ids);
-                let parent = self.discoverer.get(&p).copied().flatten();
                 let job_idx = metas.len();
+                let (parked, parent) = self.targets.issue(p);
+                let session = parked.unwrap_or_else(|| {
+                    Box::new(AbductionSession::with_cache(
+                        self.netlist,
+                        target,
+                        self.config.abduction,
+                        Arc::clone(encode_cache),
+                        true,
+                    ))
+                });
                 metas.push(JobMeta {
                     pred: p,
                     cand_ids,
                     parent,
                 });
-                let session = self.sessions.take(p).unwrap_or_else(|| {
-                    AbductionSession::with_cache(
-                        netlist,
-                        target,
-                        abd_cfg,
-                        Arc::clone(encode_cache),
-                        true,
-                    )
-                });
-                inflight.insert(p);
                 hh_trace::event!("sched", "sched.issue");
                 hh_trace::counter!("sched", "sched.inflight", 1);
                 observe(&SchedEvent::Issue {
@@ -618,43 +644,34 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             // Quiescence: nothing queued, nothing in flight. Sweep
             // stale solutions (partial backtracking) or finish.
             if reorder.committed() == metas.len() {
-                if prop_ids.iter().any(|p| self.failed.contains(p)) {
+                if prop_ids.iter().any(|&p| self.targets.failed(p)) {
                     break None;
                 }
-                let mut stale: Vec<PredId> = self
-                    .memo
-                    .iter()
-                    .filter(|(_, ab)| ab.iter().any(|q| self.failed.contains(q)))
-                    .map(|(&p, _)| p)
+                // In `PredId` order: the deterministic re-issue order.
+                let stale: Vec<PredId> = (self.targets.solved())
+                    .filter(|(_, ab, _)| ab.iter().any(|&q| self.targets.failed(q)))
+                    .map(|(p, _, _)| p)
                     .collect();
                 if stale.is_empty() {
                     break Some(self.assemble(prop_ids));
                 }
-                stale.sort_unstable(); // deterministic re-issue order
                 self.stats.counters.backtracks += stale.len() as u64;
                 hh_trace::counter!("engine", "engine.backtrack", stale.len());
                 for s in stale {
-                    self.memo.remove(&s);
-                    // A swept seed was *not* reused — its re-solve below
-                    // is fresh work and must be accounted as such.
-                    self.seeded.remove(&s);
-                    let w = *weights
-                        .entry(s)
-                        .or_insert_with(|| cone_weight(netlist, self.store.get(s)));
-                    queue.push((w, Reverse(seq), s));
-                    seq += 1;
+                    // Reopening a swept seed also ends its being a seed:
+                    // its re-solve below is fresh work.
+                    self.targets.get_mut(s).status = Status::Open;
+                    self.enqueue(&mut ready, s, None);
                 }
                 continue;
             }
 
-            // Stream phase: block for the next completion in issue
-            // order, then commit exactly ONE result before issuing
-            // again. Single-step commits keep every issue point a pure
-            // function of the commit count (see module docs); children
-            // mined from the commit land in `queue` and are issued on
-            // the next loop iteration — while other jobs are still
-            // solving.
-            let (commit_seq, done) = if self.canary_shuffle {
+            // Stream phase: block for the next completion in issue order,
+            // then commit exactly ONE result before issuing again, so every
+            // issue point is a pure function of the commit count (see the
+            // module docs). The commit's children are issued on the next
+            // iteration, while other jobs are still solving.
+            let (_, done) = if self.canary_shuffle {
                 // CANARY: commit whatever arrived most recently — the bug
                 // the vopr commit-order checker exists to catch.
                 while reorder.buffered() == 0 {
@@ -665,22 +682,14 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             } else {
                 while !reorder.ready() {
                     let done = collect();
-                    // NOTE: do NOT fold `done.duration` into the occupancy
-                    // accounting here. Several completions can be buffered
-                    // while waiting for the in-order commit, and each of
-                    // them passes through the single-commit step below —
-                    // accounting at both points would double-count every
-                    // buffered job (`worker_busy_time` would exceed the sum
-                    // of task durations).
                     reorder.insert(done.job_idx, done);
                 }
                 reorder.pop_in_order().expect("checked above")
             };
             let meta = &metas[done.job_idx];
             let Some((result, session)) = done.solved else {
-                // The worker solving this job died. Surface the poisoned
-                // run instead of committing a fabricated result: stop
-                // scheduling, mark the stats, return no invariant.
+                // The worker solving this job died: surface the poisoned run
+                // instead of committing a fabricated result.
                 self.stats.poisoned = true;
                 hh_trace::event!("engine", "engine.poisoned");
                 break None;
@@ -691,53 +700,43 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 seq: reorder.committed() - 1,
                 job: done.job_idx,
             });
-            let _ = commit_seq;
-            // Occupancy: every job is committed exactly once, so this is
-            // the one place worker busy time may be accumulated.
-            self.stats.worker_busy_time += done.duration;
-            self.stats.record_query(done.duration);
-            if result.telemetry.counters.session_hits > 0 {
-                hh_trace::counter!("smt", "smt.session.hit", 1);
-            } else {
-                hh_trace::counter!("smt", "smt.session.miss", 1);
+            let task_idx = (self.stats).record_commit(
+                meta.pred,
+                meta.parent,
+                done.duration,
+                &result.telemetry,
+            );
+            let Some(idxs) = result.abduct else {
+                // Never issued again, so its session is dropped, not parked.
+                self.targets.get_mut(meta.pred).status = Status::Failed;
+                continue;
+            };
+            let abduct: Vec<PredId> = idxs.into_iter().map(|i| meta.cand_ids[i]).collect();
+            for &q in &abduct {
+                self.enqueue(&mut ready, q, Some(Some(task_idx)));
             }
-            self.stats.record_abduction(&result.telemetry);
-            let task_idx = self.stats.tasks.len();
-            self.stats.tasks.push(TaskRecord {
-                pred: meta.pred,
-                parent: meta.parent,
-                duration: done.duration,
-                smt_time: result.telemetry.solve_time,
-                propagations: result.telemetry.counters.sat_propagations,
-            });
-            self.stats.task_time += done.duration;
-            match result.abduct {
-                None => {
-                    // Never issued again (the issue phase skips `P_fail`),
-                    // so the session is dropped rather than parked.
-                    self.failed.insert(meta.pred);
-                }
-                Some(idxs) => {
-                    self.sessions.park(meta.pred, session);
-                    let ab: Vec<PredId> = idxs.into_iter().map(|i| meta.cand_ids[i]).collect();
-                    for &q in &ab {
-                        self.discoverer.entry(q).or_insert(Some(task_idx));
-                        let w = *weights
-                            .entry(q)
-                            .or_insert_with(|| cone_weight(netlist, self.store.get(q)));
-                        queue.push((w, Reverse(seq), q));
-                        seq += 1;
-                    }
-                    self.memo.insert(meta.pred, ab);
-                }
-            }
-            inflight.remove(&meta.pred);
+            self.targets.memoise(meta.pred, abduct, session);
         }
+    }
+
+    /// Queues `p` at its cone weight, computed once per predicate, and
+    /// records a discovery (`Some(by)`, `by` `None` for a root) unless `p`
+    /// was discovered before; a re-queued stale target passes `None`.
+    fn enqueue(&mut self, ready: &mut Ready, p: PredId, found_by: Option<Option<usize>>) {
+        let (netlist, store) = (self.netlist, &self.store);
+        let target = self.targets.get_mut(p);
+        target.found_by = target.found_by.or(found_by);
+        let weight = *(target.weight).get_or_insert_with(|| cone_weight(netlist, store.get(p)));
+        ready.heap.push((weight, Reverse(ready.enqueued), p));
+        ready.enqueued += 1;
     }
 
     fn assemble(&self, props: &[PredId]) -> Invariant {
         let ids: Vec<PredId> = closure(props.iter().copied(), |p| {
-            self.memo.get(&p).map(|ab| ab.iter().copied())
+            match &self.targets.records[p.index()].status {
+                Status::Solved { abduct, .. } => Some(abduct.iter().copied()),
+                _ => None,
+            }
         })
         .expect("assembled predicate must have a solution")
         .into_iter()
@@ -797,32 +796,47 @@ mod tests {
         }
     }
 
-    /// The threaded pool learns exactly what the thread-free serial
-    /// schedule (virtual backend, FIFO completions, window 1) learns.
+    /// The threaded pool at 1, 2 and 4 workers and the virtual backend
+    /// with FIFO completions at windows 1, 2 and 4 (window 1 is the
+    /// thread-free serial schedule) learn the same invariant, solution
+    /// table and memo hits on a wide design: one whose task DAG has
+    /// parallel width and whose 8 isomorphic held registers hit the
+    /// encode cache.
     #[test]
-    fn parallel_matches_serial_result() {
+    fn backends_and_thread_counts_agree() {
         let (base, m) = wide(8);
         let e = StateValues::initial(m.netlist());
         let t = base.find_state("t").unwrap();
         let prop = Predicate::eq(m.left(t), m.right(t));
-
-        let miner_s = CoiMiner::new(&m, std::slice::from_ref(&e), None, vec![]);
-        let mut serial = ParallelEngine::new(m.netlist(), miner_s, EngineConfig::default(), 1);
-        let inv_s = serial
-            .learn_sim(std::slice::from_ref(&prop), &mut FifoDriver)
-            .unwrap();
-
-        let miner_p = CoiMiner::new(&m, std::slice::from_ref(&e), None, vec![]);
-        let mut par = ParallelEngine::new(m.netlist(), miner_p, EngineConfig::default(), 4);
-        let inv_p = par.learn(std::slice::from_ref(&prop)).unwrap();
-
-        assert!(inv_p.verify_monolithic(m.netlist()));
-        assert_eq!(inv_s.preds(), inv_p.preds());
-        // The wavefront should have produced a task DAG with parallelism:
-        // span < serial sum.
-        let stats = par.stats();
-        assert!(stats.num_tasks() >= 9);
-        assert!(stats.span() <= stats.simulated_time(1));
+        let mut reference = None;
+        for threaded in [false, true] {
+            for threads in [1, 2, 4] {
+                let miner = CoiMiner::new(&m, std::slice::from_ref(&e), None, vec![]);
+                let config = EngineConfig::default();
+                let mut eng = ParallelEngine::new(m.netlist(), miner, config, threads);
+                let inv = if threaded {
+                    eng.learn(std::slice::from_ref(&prop))
+                } else {
+                    eng.learn_sim(std::slice::from_ref(&prop), &mut FifoDriver)
+                };
+                let inv = inv.unwrap();
+                assert!(inv.verify_monolithic(m.netlist()));
+                let stats = eng.stats();
+                assert!(stats.counters.encode_cache_hits > 0);
+                assert!(stats.counters.encode_vars_saved > 0);
+                assert!(stats.num_tasks() >= 9);
+                assert!(stats.span() <= stats.simulated_time(1));
+                let got = (
+                    inv.preds().to_vec(),
+                    eng.solutions(),
+                    stats.counters.memo_hits,
+                );
+                match &reference {
+                    None => reference = Some(got),
+                    Some(r) => assert_eq!(r, &got, "threaded {threaded}, {threads} thread(s)"),
+                }
+            }
+        }
     }
 
     /// One Algorithm 1 behaviour on a toy design: the base netlist and its
@@ -991,9 +1005,9 @@ mod tests {
             assert!(case.proved(inv).contains(&case.eq("up")));
             // `up` is in the cone of both l and r; the second visit must
             // not be a new task. The siblings are in flight together and
-            // commit before `up` does, so it is the in-flight set that
-            // absorbs the visit here (the memo does when the first visit
-            // has committed: see `swap`).
+            // commit before `up` does, so it is `up`'s in-flight status
+            // that absorbs the visit here (its memoised one does when the
+            // first visit has committed: see `swap`).
             assert_eq!(stats.num_tasks(), 4); // t, l, r, up — up only once
         })
     }
@@ -1034,35 +1048,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharing_and_thread_counts_agree() {
-        // The learned invariant must be identical across thread counts, and
-        // the 8 isomorphic held registers must produce encode-cache hits.
-        let (base, m) = wide(8);
-        let e = StateValues::initial(m.netlist());
-        let t = base.find_state("t").unwrap();
-        let prop = Predicate::eq(m.left(t), m.right(t));
-
-        let mut reference: Option<Vec<Predicate>> = None;
-        for threads in [1, 2, 4] {
-            let miner = CoiMiner::new(&m, std::slice::from_ref(&e), None, vec![]);
-            let mut par = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), threads);
-            let inv = par.learn(std::slice::from_ref(&prop)).unwrap();
-            let mut preds = inv.preds().to_vec();
-            preds.sort_by_key(|p| format!("{p:?}"));
-            match &reference {
-                None => reference = Some(preds),
-                Some(r) => assert_eq!(r, &preds, "invariant differs at threads={threads}"),
-            }
-            let stats = par.stats();
-            assert!(
-                stats.counters.encode_cache_hits > 0,
-                "isomorphic registers must hit the encode cache"
-            );
-            assert!(stats.counters.encode_vars_saved > 0);
-        }
-    }
-
     /// Regression for the worker-panic hang: before the `catch_unwind`
     /// conversion, a panicking worker never sent its `JobDone` and the
     /// scheduler blocked forever in `done_rx.recv()`. Now the run must
@@ -1086,36 +1071,6 @@ mod tests {
         assert!(par.stats().poisoned, "worker death must surface in Stats");
     }
 
-    /// The virtual backend with a FIFO driver reproduces the threaded
-    /// engine's invariant and solution table exactly, at every window size.
-    #[test]
-    fn learn_sim_fifo_matches_threaded() {
-        let (base, m) = wide(6);
-        let e = StateValues::initial(m.netlist());
-        let t = base.find_state("t").unwrap();
-        let prop = Predicate::eq(m.left(t), m.right(t));
-
-        let miner = CoiMiner::new(&m, std::slice::from_ref(&e), None, vec![]);
-        let mut threaded = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), 4);
-        let inv_t = threaded.learn(std::slice::from_ref(&prop)).unwrap();
-
-        for window in [1, 2, 4] {
-            let miner = CoiMiner::new(&m, std::slice::from_ref(&e), None, vec![]);
-            let mut sim = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), window);
-            let inv_s = sim
-                .learn_sim(std::slice::from_ref(&prop), &mut FifoDriver)
-                .unwrap();
-            assert_eq!(inv_t.preds(), inv_s.preds(), "window {window}");
-            assert_eq!(threaded.solutions(), sim.solutions(), "window {window}");
-            assert_eq!(
-                threaded.stats().counters.memo_hits,
-                sim.stats().counters.memo_hits,
-                "window {window}"
-            );
-            assert!(inv_s.verify_monolithic(m.netlist()));
-        }
-    }
-
     /// A driver-injected worker death poisons a virtual run just like a
     /// real panic poisons a threaded one.
     #[test]
@@ -1137,5 +1092,11 @@ mod tests {
         let mut par = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), 2);
         assert!(par.learn_sim(&[prop], &mut DieOnSecond).is_none());
         assert!(par.stats().poisoned);
+        // The jobs the death left uncommitted leave no target in flight
+        // and no session parked.
+        let targets = &par.targets;
+        let idle = |t: &Target| !matches!(t.status, Status::InFlight) && t.session.is_none();
+        assert!(targets.records.iter().all(idle));
+        assert_eq!(targets.resident_bytes, 0);
     }
 }

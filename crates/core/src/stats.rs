@@ -61,13 +61,8 @@ pub struct Stats {
     pub workers: usize,
     /// Total worker solve time: the sum of committed job durations, equal
     /// to `task_time`. Divided by `workers × wall_time` this is the
-    /// scheduler occupancy.
-    ///
-    /// Accounting invariant: each completed job is folded in **exactly
-    /// once, at its commit**. The streaming scheduler's reorder buffer may
-    /// *receive* several completions while waiting for the next in-order
-    /// commit; folding at receive time as well would double-count every
-    /// buffered job (see `ParallelEngine`'s single-commit loop).
+    /// scheduler occupancy. Each job is folded in once, at its commit, not
+    /// when the reorder buffer receives it.
     pub worker_busy_time: Duration,
     /// Whether a worker died (panicked) mid-job during the run. A poisoned
     /// run surfaces no invariant: the scheduler stops committing as soon as
@@ -164,18 +159,38 @@ impl Stats {
         self.simulated_time(usize::MAX)
     }
 
-    pub(crate) fn record_query(&mut self, d: Duration) {
+    /// Folds one committed query into the run: its task, its time and its
+    /// telemetry. Every job commits exactly once, so this is the one place
+    /// worker busy time accumulates. Returns the new task's index.
+    pub(crate) fn record_commit(
+        &mut self,
+        pred: PredId,
+        parent: Option<usize>,
+        duration: Duration,
+        t: &hh_smt::QueryTelemetry,
+    ) -> usize {
+        self.worker_busy_time += duration;
+        self.task_time += duration;
         self.smt_queries += 1;
         self.counters.queries += 1;
-        self.query_durations.push(d);
+        self.query_durations.push(duration);
         hh_trace::counter!("engine", "engine.query", 1);
-    }
-
-    /// Folds one abduction query's telemetry into the run.
-    pub(crate) fn record_abduction(&mut self, t: &hh_smt::QueryTelemetry) {
+        if t.counters.session_hits > 0 {
+            hh_trace::counter!("smt", "smt.session.hit", 1);
+        } else {
+            hh_trace::counter!("smt", "smt.session.miss", 1);
+        }
         self.encode_time += t.encode_time;
         self.solve_time += t.solve_time;
         self.counters.merge(&t.counters);
+        self.tasks.push(TaskRecord {
+            pred,
+            parent,
+            duration,
+            smt_time: t.solve_time,
+            propagations: t.counters.sat_propagations,
+        });
+        self.tasks.len() - 1
     }
 
     /// End-of-run fold of the shared encode cache's final

@@ -211,41 +211,29 @@ impl Server {
 }
 
 /// Serves one connection to completion. Requests are handled one frame at a
-/// time; the state lock is taken per request, not per connection.
+/// time; the state lock is taken per request, not per connection. Every
+/// answered frame counts once in `requests` (and `serve.request`), a bad
+/// one in `errors` too.
 fn serve_connection(mut stream: impl Read + Write, inner: Arc<Mutex<Inner>>) {
     loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(f) => f,
-            Err(FrameError::Eof) => return,
-            Err(FrameError::BadJson(msg)) => {
-                // Framing survived: answer and keep the connection.
-                {
-                    let mut g = inner.lock().unwrap();
-                    g.counters.requests += 1;
-                    g.counters.errors += 1;
-                }
-                hh_trace::counter!("serve", "serve.error", 1);
-                let resp = err_response(0, "", ErrorCode::BadJson, &msg);
-                if write_frame(&mut stream, &resp).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Err(e) => {
-                // TooLarge / mid-frame I/O: the stream position is unknown,
-                // so the connection cannot continue.
-                inner.lock().unwrap().counters.errors += 1;
-                hh_trace::counter!("serve", "serve.error", 1);
-                let resp = err_response(0, "", ErrorCode::BadJson, &e.to_string());
-                let _ = write_frame(&mut stream, &resp);
-                return;
-            }
-        };
+        let frame = read_frame(&mut stream);
+        if let Err(FrameError::Eof) = frame {
+            return;
+        }
         let (resp, shutdown) = {
             let mut g = inner.lock().unwrap();
             g.counters.requests += 1;
             hh_trace::counter!("serve", "serve.request", 1);
-            let (resp, shutdown) = g.dispatch(&frame);
+            let (resp, shutdown) = match &frame {
+                Ok(frame) => g.dispatch(frame),
+                Err(FrameError::BadJson(msg)) => {
+                    (err_response(0, "", ErrorCode::BadJson, msg), false)
+                }
+                Err(e) => (
+                    err_response(0, "", ErrorCode::BadJson, &e.to_string()),
+                    false,
+                ),
+            };
             if resp.get("ok") == Some(&Json::Bool(false)) {
                 g.counters.errors += 1;
                 hh_trace::counter!("serve", "serve.error", 1);
@@ -255,7 +243,11 @@ fn serve_connection(mut stream: impl Read + Write, inner: Arc<Mutex<Inner>>) {
             }
             (resp, shutdown)
         };
-        if write_frame(&mut stream, &resp).is_err() {
+        // After a too-large or cut-off frame the stream position is
+        // unknown, so the connection cannot continue; a bad-json frame
+        // leaves the framing intact.
+        let lost_framing = matches!(frame, Err(FrameError::TooLarge(_) | FrameError::Io(_)));
+        if write_frame(&mut stream, &resp).is_err() || lost_framing {
             return;
         }
         if shutdown {

@@ -5,7 +5,7 @@
 
 use hh_serve::client::{Client, ClientError};
 use hh_serve::json::Json;
-use hh_serve::proto::{read_frame, write_frame, PROTOCOL_VERSION};
+use hh_serve::proto::{read_frame, write_frame, MAX_FRAME, PROTOCOL_VERSION};
 use hh_serve::server::{Bind, Server, ServerConfig};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
@@ -1139,6 +1139,29 @@ fn version_and_framing_errors() {
     write_frame(&mut s, &req).unwrap();
     let resp = read_frame(&mut s).unwrap();
     assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
+    daemon.stop();
+}
+
+/// A frame that loses the framing (here an oversized length prefix) is
+/// answered, counted once in `requests` and once in `errors`, and closes
+/// its connection: `errors` never outgrows `requests`.
+#[test]
+fn oversized_frames_count_as_requests() {
+    use std::io::Write as _;
+    let daemon = Daemon::start(None);
+    for _ in 0..2 {
+        let mut s = TcpStream::connect(&daemon.addr).unwrap();
+        s.write_all(&(MAX_FRAME as u32 + 1).to_be_bytes()).unwrap();
+        s.flush().unwrap();
+        let resp = read_frame(&mut s).unwrap();
+        assert_eq!(
+            resp.get("error").unwrap().get("code").unwrap().as_str(),
+            Some("bad-json")
+        );
+    }
+    let status = daemon.client().status().unwrap();
+    assert_eq!(i64_field(&status, "requests"), 3);
+    assert_eq!(i64_field(&status, "errors"), 2);
     daemon.stop();
 }
 

@@ -91,8 +91,9 @@ pub struct AbductionSession<'a> {
     /// Lazily built on first solve so telemetry attributes the base
     /// encoding to the first query, exactly like the fresh path.
     enc: Option<TransitionEncoding<'a>>,
-    /// Shared cross-target encoding cache (and its `SimpMap`).
-    cache: Option<Arc<EncodeCache>>,
+    /// Cross-target encoding cache (and its `SimpMap`): shared, or the
+    /// session's own without entries.
+    cache: Arc<EncodeCache>,
     /// This target's base-encoding signature, computed once at creation and
     /// consumed by the base build; `Some` until then exactly when the base
     /// encoding is to be replayed from / recorded into the cache.
@@ -113,28 +114,16 @@ pub struct AbductionSession<'a> {
 }
 
 impl<'a> AbductionSession<'a> {
-    /// Creates an idle session for `target`. No encoding happens until the
-    /// first [`AbductionSession::solve`].
+    /// Creates an idle session for `target`, over a private
+    /// [`EncodeCache`] that records no entries. No encoding happens until
+    /// the first [`AbductionSession::solve`].
     pub fn new(
         netlist: &'a Netlist,
         target: impl Into<Arc<Predicate>>,
         config: AbductionConfig,
     ) -> AbductionSession<'a> {
-        hh_trace::event!("smt", "smt.session.create");
-        AbductionSession {
-            netlist,
-            target: target.into(),
-            config,
-            enc: None,
-            cache: None,
-            sig: None,
-            slots: HashMap::new(),
-            indicators: Vec::new(),
-            strength: Vec::new(),
-            slot_of_lit: HashMap::new(),
-            last_size: (0, 0),
-            queries: 0,
-        }
+        let cache = Arc::new(EncodeCache::new(netlist));
+        AbductionSession::with_cache(netlist, target, config, cache, false)
     }
 
     /// Like [`AbductionSession::new`], attached to a shared [`EncodeCache`].
@@ -151,10 +140,22 @@ impl<'a> AbductionSession<'a> {
         cache: Arc<EncodeCache>,
         use_entries: bool,
     ) -> AbductionSession<'a> {
-        let mut s = AbductionSession::new(netlist, target, config);
-        s.sig = use_entries.then(|| cache.signature(netlist, &s.target));
-        s.cache = Some(cache);
-        s
+        hh_trace::event!("smt", "smt.session.create");
+        let target = target.into();
+        AbductionSession {
+            netlist,
+            sig: use_entries.then(|| cache.signature(netlist, &target)),
+            target,
+            config,
+            enc: None,
+            cache,
+            slots: HashMap::new(),
+            indicators: Vec::new(),
+            strength: Vec::new(),
+            slot_of_lit: HashMap::new(),
+            last_size: (0, 0),
+            queries: 0,
+        }
     }
 
     /// The session's target predicate.
@@ -206,8 +207,9 @@ impl<'a> AbductionSession<'a> {
         if !reused {
             // The signature is only ever needed here; the session does not
             // keep its token stream around afterwards.
-            let enc = match (&self.cache, self.sig.take()) {
-                (Some(cache), Some(sig)) => match cache.lookup(&sig.key) {
+            let cache = &self.cache;
+            let enc = match self.sig.take() {
+                Some(sig) => match cache.lookup(&sig.key) {
                     Some(entry) => {
                         // Replay: byte-identical solver state to a fresh
                         // build (identity variable numbering), minus the
@@ -229,16 +231,10 @@ impl<'a> AbductionSession<'a> {
                         enc
                     }
                 },
-                // Blast fresh over the shared SimpMap, no entry recording.
-                (Some(cache), None) => {
+                // Blast fresh over the cache's SimpMap, no entry recording.
+                None => {
                     let _blast = hh_trace::span!("smt", "smt.blast");
                     let mut enc = TransitionEncoding::with_simp(self.netlist, cache.simp());
-                    Self::build_base(&mut enc, &self.target);
-                    enc
-                }
-                _ => {
-                    let _blast = hh_trace::span!("smt", "smt.blast");
-                    let mut enc = TransitionEncoding::new(self.netlist);
                     Self::build_base(&mut enc, &self.target);
                     enc
                 }

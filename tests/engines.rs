@@ -308,8 +308,22 @@ fn baselines_agree_with_hhoudini_on_provability() {
     let budget = BaselineBudget::default();
     let h = v.learn(&safe);
     assert!(h.invariant.is_some());
+    let property = v.property(&v.build_miter(&safe).0).len();
     for kind in [BaselineKind::Houdini, BaselineKind::Sorcar] {
         let b = v.learn_baseline(&safe, kind, &budget);
+        // The bounds that make a round cap unnecessary: HOUDINI drops at
+        // least one member of pool ∪ property per round (at most
+        // |pool| + |property| of them), SORCAR lowers 2·|remaining| + |set|.
+        let pool = b.pool_size;
+        let bound = match kind {
+            BaselineKind::Houdini => pool + property + 1,
+            BaselineKind::Sorcar => 2 * pool + property + 1,
+        };
+        assert!(
+            b.stats.rounds <= bound,
+            "{kind:?}: {} rounds",
+            b.stats.rounds
+        );
         let inv = b
             .invariant
             .unwrap_or_else(|| panic!("{kind:?} must also prove the set"));
