@@ -19,7 +19,7 @@ use hh_smt::AbductionConfig;
 use hh_uarch::boomlite::{boom_lite, BoomVariant, ALL_VARIANTS};
 use hh_uarch::rocketlite::rocket_lite;
 use hh_uarch::Design;
-use hhoudini::mine::CoiMiner;
+use hhoudini::mine::{CoiMiner, ExampleFacts};
 use hhoudini::{EngineConfig, Invariant, ParallelEngine, Stats};
 use std::time::{Duration, Instant};
 use veloct::Veloct;
@@ -144,13 +144,13 @@ pub fn learn(design: &Design, safe: &[Mnemonic], threads: usize, spec: LearnSpec
     let t0 = Instant::now();
     let veloct = Veloct::new(design);
     let (miter, patterns) = veloct.build_miter(safe);
-    let examples = veloct::examples::generate_examples_custom(
-        design, &miter, safe, 1, 0xBEEF, spec.mask, spec.rds,
+    let facts = ExampleFacts::new(&miter, Some(patterns), vec![], &[]);
+    let (facts, counts) = veloct::examples::fold_examples(
+        design, &miter, safe, 1, 0xBEEF, spec.mask, spec.rds, threads, facts,
     )
     .expect("safe set examples");
     let props = veloct.property(&miter);
-    let num_examples = examples.len();
-    let miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
+    let miner = CoiMiner::from_facts(&miter, facts);
     let config = EngineConfig {
         abduction: spec.abduction,
     };
@@ -159,7 +159,7 @@ pub fn learn(design: &Design, safe: &[Mnemonic], threads: usize, spec: LearnSpec
     RunResult {
         invariant,
         stats: engine.stats().clone(),
-        num_examples,
+        num_examples: counts.examples_unique as usize,
         total_time: t0.elapsed(),
     }
 }

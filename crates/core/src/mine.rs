@@ -13,8 +13,10 @@
 //! 4. adds expert annotation predicates, **also validated against the
 //!    examples** so that wrong annotations cannot break soundness (§5.1.2).
 //!
-//! Per-variable facts are precomputed once over the example set, so each of
-//! the thousands of mining calls is a cheap table lookup.
+//! The miner reads the examples only as "holds on every example", so it
+//! keeps no example: [`ExampleFacts`] folds each one into per-variable facts
+//! as it is produced, and each of the thousands of mining calls is a cheap
+//! table lookup.
 
 use crate::store::{PredId, PredicateStore};
 use hh_netlist::coi::Coi;
@@ -23,6 +25,7 @@ use hh_netlist::miter::Miter;
 use hh_netlist::{Bv, StateId};
 use hh_smt::{Pattern, Predicate, SetLabel};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Abstraction over `O_mine ∘ O_slice`: produce the candidate predicates for
 /// making `target` 1-step relatively inductive.
@@ -31,20 +34,192 @@ pub trait Miner {
     fn mine(&mut self, target: &Predicate, store: &mut PredicateStore) -> Vec<PredId>;
 }
 
-/// Per-base-variable facts precomputed over the positive examples.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The value both copies of a variable held in the examples folded so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Value {
+    /// No example yet.
+    Unseen,
+    /// The same value in every example.
+    Const(u64),
+    /// Two examples disagree.
+    Varies,
+}
+
+impl Value {
+    /// The common value of two sets of examples.
+    fn join(self, other: Value) -> Value {
+        match (self, other) {
+            (Value::Unseen, v) | (v, Value::Unseen) => v,
+            (Value::Const(a), Value::Const(b)) if a == b => self,
+            _ => Value::Varies,
+        }
+    }
+}
+
+/// Per-base-variable facts over the positive examples folded so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct VarFacts {
     /// Left and right copies equal in every example.
     eq_always: bool,
-    /// The common constant value, if the variable is constant across all
-    /// examples (and equal on both sides).
-    const_value: Option<Bv>,
+    /// The common value; `Varies` once the copies differ anywhere.
+    value: Value,
     /// Every example value matches one of the safe-set patterns.
     in_set_ok: bool,
-    /// The distinct observed values, when few enough to form an
-    /// `EqConstSet` (auto-mining extension; the paper's implementation adds
-    /// these only as expert annotations, §6.2).
-    value_set: Option<Vec<Bv>>,
+}
+
+impl VarFacts {
+    /// The facts of a variable some example refutes: nothing is minable.
+    const UNEQUAL: VarFacts = VarFacts {
+        eq_always: false,
+        value: Value::Varies,
+        in_set_ok: false,
+    };
+}
+
+/// What does not depend on the examples: shared by every accumulator of one
+/// set of examples.
+#[derive(Debug, PartialEq, Eq)]
+struct Frame {
+    /// Left/right product ids per base state.
+    pairs: Vec<(StateId, StateId)>,
+    /// Product state widths.
+    widths: Vec<u32>,
+    /// The `InSafeSet` pattern set (from the proposed safe set), if any.
+    safe_patterns: Option<Vec<Pattern>>,
+    /// Predicates kept only if every example satisfies them: the expert
+    /// annotations, then one `Impl(valid → InSafeUop(field))` per guard.
+    checks: Vec<Predicate>,
+    /// How many of `checks` are expert annotations.
+    experts: usize,
+}
+
+/// What the positive examples say: per base variable whether its copies are
+/// always equal, its common value and whether every value is in the safe
+/// set; per expert annotation and Impl guard whether it held on every
+/// example. One example at a time is folded in ([`ExampleFacts::fold`]),
+/// and two accumulators over parts of the examples merge into the one over
+/// all of them ([`ExampleFacts::merge`]). Both are commutative and
+/// idempotent, so the facts depend on the set of examples only: not on
+/// their order, their repetitions or how they were split.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ExampleFacts {
+    frame: Arc<Frame>,
+    vars: Vec<VarFacts>,
+    /// Per check: held on every example.
+    held: Vec<bool>,
+    /// Whether any example has been folded.
+    folded: bool,
+}
+
+impl ExampleFacts {
+    /// The facts of no example over `miter`'s product states, for the
+    /// `InSafeSet` mask/match set `safe_patterns` and the `expert`
+    /// annotations (the ones an example refutes are dropped, as Algorithm 2
+    /// line 15 requires). Each `(valid, field)` of `guards` (base-design
+    /// state ids, typically the design's masking annotations) lets the miner
+    /// emit `Impl(valid → InSafeUop(field))` — the Impl-type future-work
+    /// extension of the paper's §5.2.1, with which stale-uop residue needs
+    /// no example masking — when there are safe-set patterns and the field
+    /// is 32 bits (uop-shaped) wide.
+    pub fn new(
+        miter: &Miter,
+        safe_patterns: Option<Vec<Pattern>>,
+        expert: Vec<Predicate>,
+        guards: &[(StateId, StateId)],
+    ) -> ExampleFacts {
+        let product = miter.netlist();
+        let pairs: Vec<_> = miter.base_state_ids().map(|b| miter.pair(b)).collect();
+        let experts = expert.len();
+        let mut checks = expert;
+        if let Some(ps) = &safe_patterns {
+            for &(valid, field) in guards {
+                let (l, r) = miter.pair(field);
+                if product.state_width(l) == 32 {
+                    let body = Predicate::in_set(l, r, ps.clone(), SetLabel::InSafeUop);
+                    let (gl, gr) = miter.pair(valid);
+                    checks.push(Predicate::implication(gl, gr, body));
+                }
+            }
+        }
+        let var = VarFacts {
+            eq_always: true,
+            value: Value::Unseen,
+            in_set_ok: safe_patterns.is_some(),
+        };
+        ExampleFacts {
+            vars: vec![var; pairs.len()],
+            held: vec![true; checks.len()],
+            folded: false,
+            frame: Arc::new(Frame {
+                widths: product
+                    .state_ids()
+                    .map(|s| product.state_width(s))
+                    .collect(),
+                pairs,
+                safe_patterns,
+                checks,
+                experts,
+            }),
+        }
+    }
+
+    /// Folds in one example given as a raw product row: the bits of every
+    /// product state, in state order.
+    pub fn fold(&mut self, row: &[u64]) {
+        self.fold_with(|s| row[s.index()]);
+    }
+
+    /// Folds in one example given as product state values.
+    pub fn fold_state(&mut self, example: &StateValues) {
+        self.fold_with(|s| example.get(s).bits());
+    }
+
+    /// The fold, row-major: a variable is read no more once an example's
+    /// two copies differ (nothing is minable over it then), and safe-set
+    /// patterns are matched only while `in_set_ok` can still be true and
+    /// the value is new.
+    fn fold_with(&mut self, get: impl Fn(StateId) -> u64) {
+        self.folded = true;
+        let frame = &*self.frame;
+        for (f, &(l, r)) in self.vars.iter_mut().zip(&frame.pairs) {
+            if !f.eq_always {
+                continue;
+            }
+            let v = get(l);
+            if v != get(r) {
+                *f = VarFacts::UNEQUAL;
+                continue;
+            }
+            if f.in_set_ok && f.value != Value::Const(v) {
+                f.in_set_ok = frame
+                    .safe_patterns
+                    .as_ref()
+                    .is_some_and(|ps| ps.iter().any(|p| p.matches(v)));
+            }
+            f.value = f.value.join(Value::Const(v));
+        }
+        for (held, p) in self.held.iter_mut().zip(&frame.checks) {
+            *held = *held && p.eval_with(&mut |s| Bv::new(frame.widths[s.index()], get(s)));
+        }
+    }
+
+    /// Merges in the facts of other examples over the same frame: the
+    /// result is the fold of both sets.
+    pub fn merge(&mut self, other: &ExampleFacts) {
+        debug_assert!(self.frame == other.frame, "facts over different frames");
+        self.folded |= other.folded;
+        for (f, o) in self.vars.iter_mut().zip(&other.vars) {
+            if f.eq_always && o.eq_always {
+                f.value = f.value.join(o.value);
+                f.in_set_ok &= o.in_set_ok;
+            } else {
+                *f = VarFacts::UNEQUAL;
+            }
+        }
+        for (held, &o) in self.held.iter_mut().zip(&other.held) {
+            *held &= o;
+        }
+    }
 }
 
 /// The Algorithm-2 miner over a miter (product) design.
@@ -54,73 +229,50 @@ pub struct CoiMiner {
     pub(crate) coi: Coi,
     /// Map product state -> base index/side (only base needed here).
     origin_base: Vec<StateId>,
-    /// Left/right product ids per base state.
-    pairs: Vec<(StateId, StateId)>,
-    facts: Vec<VarFacts>,
-    /// The `InSafeSet` pattern set (from the proposed safe set), if any.
-    safe_patterns: Option<Vec<Pattern>>,
-    /// Expert annotation predicates, already validated against examples.
+    /// The example facts (and the patterns, pairs and widths they are over).
+    facts: ExampleFacts,
+    /// Expert annotation predicates the examples did not refute.
     expert: Vec<Predicate>,
     /// Expert predicates indexed by the base vars they constrain.
     expert_by_var: HashMap<StateId, Vec<usize>>,
-    /// Conditional-predicate guards: base field -> (base valid bit, fact ok).
-    impl_guards: HashMap<StateId, (StateId, bool)>,
-    /// Auto-mine `EqConstSet` predicates from observed value sets — an
-    /// automation extension: the paper's implementation only adds these via
-    /// expert annotations (§6.2) and flags auto-mining as future work.
-    /// Off by default for fidelity; can increase backtracking when example
-    /// coverage is thin (narrow value sets overfit).
-    pub mine_value_sets: bool,
+    /// Conditional predicates by the base field they guard, with whether
+    /// every example satisfies them.
+    impl_guards: HashMap<StateId, (Predicate, bool)>,
 }
 
 impl CoiMiner {
-    /// Builds the miner: precomputes COI tables and per-variable example
-    /// facts.
-    ///
-    /// `examples` are *clean* product states (masking already applied);
-    /// `safe_patterns` the `InSafeSet` mask/match set; `expert` optional
-    /// annotation predicates (checked against the examples here — ones the
-    /// examples refute are dropped, as Algorithm 2 line 15 requires).
+    /// Builds the miner over `examples`, *clean* product states (masking
+    /// already applied): folds them into [`ExampleFacts::new`]`(miter,
+    /// safe_patterns, expert, &[])`, then [`CoiMiner::from_facts`].
     pub fn new(
         miter: &Miter,
         examples: &[StateValues],
         safe_patterns: Option<Vec<Pattern>>,
         expert: Vec<Predicate>,
     ) -> CoiMiner {
-        CoiMiner::new_with_guards(miter, examples, safe_patterns, expert, &[])
+        let mut facts = ExampleFacts::new(miter, safe_patterns, expert, &[]);
+        for e in examples {
+            facts.fold_state(e);
+        }
+        CoiMiner::from_facts(miter, facts)
     }
 
-    /// [`CoiMiner::new`] extended with conditional-predicate guards — the
-    /// Impl-type future-work extension of the paper's §5.2.1. Each `(valid,
-    /// field)` pair (base-design state ids, typically straight from the
-    /// design's masking annotations) lets the miner emit
-    /// `Impl(valid → InSafeSet(field))`, constraining the field only while
-    /// its entry is valid. With these predicates, stale-uop residue no
-    /// longer needs example masking at all.
-    pub fn new_with_guards(
-        miter: &Miter,
-        examples: &[StateValues],
-        safe_patterns: Option<Vec<Pattern>>,
-        expert: Vec<Predicate>,
-        guards: &[(StateId, StateId)],
-    ) -> CoiMiner {
-        assert!(!examples.is_empty(), "mining requires positive examples");
+    /// Builds the miner from the facts of its positive examples: the COI
+    /// table, the surviving expert annotations and the Impl guards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no example was folded into `facts`.
+    pub fn from_facts(miter: &Miter, facts: ExampleFacts) -> CoiMiner {
+        assert!(facts.folded, "mining requires positive examples");
         let coi = Coi::new(miter.netlist());
-        let nbase = miter.num_base_states();
-        let mut pairs = Vec::with_capacity(nbase);
-        for b in miter.base_state_ids() {
-            pairs.push(miter.pair(b));
-        }
         let origin_base: Vec<StateId> = (0..miter.netlist().num_states())
             .map(|i| miter.origin(StateId::from_index(i)).0)
             .collect();
-
-        let facts = var_facts(&pairs, examples, safe_patterns.as_deref());
-
-        // Validate expert annotations against every example (line 15).
-        let expert: Vec<Predicate> = expert
-            .into_iter()
-            .filter(|p| examples.iter().all(|e| p.eval(e)))
+        let frame = &*facts.frame;
+        let mut checks = frame.checks.iter().cloned().zip(facts.held.iter().copied());
+        let expert: Vec<Predicate> = (checks.by_ref().take(frame.experts))
+            .filter_map(|(p, held)| held.then_some(p))
             .collect();
         let mut expert_by_var: HashMap<StateId, Vec<usize>> = HashMap::new();
         for (i, p) in expert.iter().enumerate() {
@@ -128,40 +280,41 @@ impl CoiMiner {
             let base = origin_base[l.index()];
             expert_by_var.entry(base).or_default().push(i);
         }
-
-        // Conditional facts: Impl(valid -> field in safe set) must hold on
-        // every example, with fields only required to be equal/safe while
-        // their valid bit is set (and 32 bits wide, i.e. uop-shaped).
-        let mut impl_guards = HashMap::new();
-        if let Some(ps) = &safe_patterns {
-            for &(valid, field) in guards {
-                if miter.netlist().state_width(miter.left(field)) != 32 {
-                    continue;
-                }
-                let (gvl, gvr) = (miter.left(valid), miter.right(valid));
-                let (fl, fr) = (miter.left(field), miter.right(field));
-                let ok = examples.iter().all(|e| {
-                    let gl = e.get(gvl);
-                    gl == e.get(gvr)
-                        && (!gl.is_nonzero()
-                            || (e.get(fl) == e.get(fr)
-                                && ps.iter().any(|p| p.matches(e.get(fl).bits()))))
-                });
-                impl_guards.insert(field, (valid, ok));
-            }
-        }
-
+        let impl_guards = checks
+            .map(|(p, held)| (origin_base[p.states().0.index()], (p, held)))
+            .collect();
         CoiMiner {
             coi,
             origin_base,
-            pairs,
             facts,
-            safe_patterns,
             expert,
             expert_by_var,
             impl_guards,
-            mine_value_sets: false,
         }
+    }
+
+    /// `EqConst(v, c)` when the facts of `base` give it a constant.
+    fn eq_const(&self, base: usize) -> Option<Predicate> {
+        let frame = &*self.facts.frame;
+        let Value::Const(c) = self.facts.vars[base].value else {
+            return None;
+        };
+        let (l, r) = frame.pairs[base];
+        Some(Predicate::eq_const(
+            l,
+            r,
+            Bv::new(frame.widths[l.index()], c),
+        ))
+    }
+
+    /// `InSafeSet(v)` when every example value of `base` is in the safe set.
+    fn in_safe_set(&self, base: usize) -> Option<Predicate> {
+        let frame = &*self.facts.frame;
+        let ps = frame.safe_patterns.as_ref()?;
+        let (l, r) = frame.pairs[base];
+        self.facts.vars[base]
+            .in_set_ok
+            .then(|| Predicate::in_set(l, r, ps.clone(), SetLabel::InSafeSet))
     }
 
     /// Mines the *global* predicate pool: every example-consistent predicate
@@ -170,26 +323,13 @@ impl CoiMiner {
     /// itself never needs it.
     pub fn mine_global(&self, store: &mut PredicateStore) -> Vec<PredId> {
         let mut out = Vec::new();
-        for base_idx in 0..self.facts.len() {
-            let f = &self.facts[base_idx];
-            if !f.eq_always {
+        for (base, &(l, r)) in self.facts.frame.pairs.iter().enumerate() {
+            if !self.facts.vars[base].eq_always {
                 continue;
             }
-            let (l, r) = self.pairs[base_idx];
             out.push(store.intern(Predicate::eq(l, r)));
-            if let Some(c) = f.const_value {
-                out.push(store.intern(Predicate::eq_const(l, r, c)));
-            }
-            if f.in_set_ok {
-                if let Some(ps) = &self.safe_patterns {
-                    out.push(store.intern(Predicate::in_set(
-                        l,
-                        r,
-                        ps.clone(),
-                        SetLabel::InSafeSet,
-                    )));
-                }
-            }
+            out.extend(self.eq_const(base).map(|p| store.intern(p)));
+            out.extend(self.in_safe_set(base).map(|p| store.intern(p)));
         }
         for p in &self.expert {
             out.push(store.intern(p.clone()));
@@ -208,114 +348,26 @@ impl CoiMiner {
     }
 }
 
-/// Computes every base variable's [`VarFacts`] in one row-major pass: each
-/// example is read once, front to back, and a variable drops out of the
-/// pass at the first example whose two copies differ (nothing is minable
-/// over it then). Safe-set patterns are matched only while `in_set_ok` can
-/// still be true.
-fn var_facts(
-    pairs: &[(StateId, StateId)],
-    examples: &[StateValues],
-    safe_patterns: Option<&[Pattern]>,
-) -> Vec<VarFacts> {
-    const MAX_VALUE_SET: usize = 8;
-    let mut facts: Vec<VarFacts> = pairs
-        .iter()
-        .map(|&(l, _)| VarFacts {
-            eq_always: true,
-            const_value: Some(examples[0].get(l)),
-            in_set_ok: safe_patterns.is_some(),
-            value_set: Some(Vec::new()),
-        })
-        .collect();
-    // Base variables still equal on both sides in every example so far.
-    let mut live: Vec<usize> = (0..pairs.len()).collect();
-    for e in examples {
-        live.retain(|&b| {
-            let (l, r) = pairs[b];
-            let lv = e.get(l);
-            let f = &mut facts[b];
-            if lv != e.get(r) {
-                *f = VarFacts {
-                    eq_always: false,
-                    const_value: None,
-                    in_set_ok: false,
-                    value_set: None,
-                };
-                return false;
-            }
-            if f.const_value != Some(lv) {
-                f.const_value = None;
-            }
-            if f.in_set_ok {
-                f.in_set_ok =
-                    safe_patterns.is_some_and(|ps| ps.iter().any(|p| p.matches(lv.bits())));
-            }
-            if let Some(vs) = &mut f.value_set {
-                if !vs.contains(&lv) {
-                    if vs.len() >= MAX_VALUE_SET {
-                        f.value_set = None;
-                    } else {
-                        vs.push(lv);
-                    }
-                }
-            }
-            true
-        });
-    }
-    facts
-}
-
 impl Miner for CoiMiner {
     fn mine(&mut self, target: &Predicate, store: &mut PredicateStore) -> Vec<PredId> {
         let mut out = Vec::new();
+        let frame = &*self.facts.frame;
         for base in self.slice(target) {
-            let f = &self.facts[base.index()];
+            let f = &self.facts.vars[base.index()];
             // Conditional (Impl-type) predicates do not require the field to
             // be in V_Eq — only the guarded condition must hold on examples.
-            if let Some(&(valid, ok)) = self.impl_guards.get(&base) {
-                if ok && !f.in_set_ok {
-                    if let Some(ps) = &self.safe_patterns {
-                        let (l, r) = self.pairs[base.index()];
-                        let body = Predicate::in_set(l, r, ps.clone(), SetLabel::InSafeUop);
-                        let (gl, gr) = self.pairs[valid.index()];
-                        out.push(store.intern(Predicate::implication(gl, gr, body)));
-                    }
+            if let Some((p, true)) = self.impl_guards.get(&base) {
+                if !f.in_set_ok {
+                    out.push(store.intern(p.clone()));
                 }
             }
             if !f.eq_always {
                 continue; // not in V_Eq: refuted by a positive example
             }
-            let (l, r) = self.pairs[base.index()];
+            let (l, r) = frame.pairs[base.index()];
             out.push(store.intern(Predicate::eq(l, r)));
-            if let Some(c) = f.const_value {
-                out.push(store.intern(Predicate::eq_const(l, r, c)));
-            }
-            if f.in_set_ok {
-                if let Some(ps) = &self.safe_patterns {
-                    out.push(store.intern(Predicate::in_set(
-                        l,
-                        r,
-                        ps.clone(),
-                        SetLabel::InSafeSet,
-                    )));
-                }
-            }
-            if self.mine_value_sets && f.const_value.is_none() {
-                if let Some(vs) = &f.value_set {
-                    if vs.len() >= 2 {
-                        let w = vs[0].width();
-                        let patterns: Vec<Pattern> =
-                            vs.iter().map(|v| Pattern::exact(w, v.bits())).collect();
-                        out.push(store.intern(Predicate::in_set(
-                            l,
-                            r,
-                            patterns,
-                            SetLabel::EqConstSet,
-                        )));
-                    }
-                }
-            }
+            out.extend(self.eq_const(base.index()).map(|p| store.intern(p)));
+            out.extend(self.in_safe_set(base.index()).map(|p| store.intern(p)));
             if let Some(idxs) = self.expert_by_var.get(&base) {
                 for &i in idxs {
                     out.push(store.intern(self.expert[i].clone()));
@@ -454,21 +506,19 @@ mod tests {
         CoiMiner::new(&m, &[], None, vec![]);
     }
 
-    /// The column-wise loop [`var_facts`] replaced (one variable at a time
-    /// over all examples, every pattern matched on every example), kept as
-    /// its oracle.
+    /// The column-wise loop the row-major fold replaced (one variable at a
+    /// time over all examples, every pattern matched on every example), kept
+    /// as its oracle.
     fn var_facts_columnwise(
         pairs: &[(StateId, StateId)],
         examples: &[StateValues],
         safe_patterns: Option<&[Pattern]>,
     ) -> Vec<VarFacts> {
-        const MAX_VALUE_SET: usize = 8;
         let mut facts = Vec::new();
         for &(l, r) in pairs {
             let mut eq_always = true;
             let mut const_value = Some(examples[0].get(l));
             let mut in_set_ok = safe_patterns.is_some();
-            let mut value_set: Option<Vec<Bv>> = Some(Vec::new());
             for e in examples {
                 let lv = e.get(l);
                 let rv = e.get(r);
@@ -484,33 +534,22 @@ mod tests {
                         in_set_ok = false;
                     }
                 }
-                if let Some(vs) = &mut value_set {
-                    if !vs.contains(&lv) {
-                        if vs.len() >= MAX_VALUE_SET {
-                            value_set = None;
-                        } else {
-                            vs.push(lv);
-                        }
-                    }
+            }
+            facts.push(if eq_always {
+                VarFacts {
+                    eq_always,
+                    value: const_value.map_or(Value::Varies, |v| Value::Const(v.bits())),
+                    in_set_ok,
                 }
-            }
-            if !eq_always {
-                const_value = None;
-                in_set_ok = false;
-                value_set = None;
-            }
-            facts.push(VarFacts {
-                eq_always,
-                const_value,
-                in_set_ok,
-                value_set,
+            } else {
+                VarFacts::UNEQUAL
             });
         }
         facts
     }
 
     #[test]
-    fn row_major_facts_equal_columnwise_on_smallboomlite() {
+    fn folded_facts_equal_columnwise_and_do_not_depend_on_order_or_split() {
         use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
         use hh_uarch::boomlite::{boom_lite, BoomVariant};
         use veloct::examples::generate_examples_custom;
@@ -536,10 +575,23 @@ mod tests {
             let examples =
                 generate_examples_custom(&design, &miter, &safe, 1, 7, mask, rds).unwrap();
             for ps in [Some(&patterns[..]), None] {
-                let facts = var_facts(&pairs, &examples, ps);
-                assert_eq!(facts, var_facts_columnwise(&pairs, &examples, ps));
-                assert!(facts.iter().any(|f| f.eq_always));
-                assert!(facts.iter().any(|f| !f.eq_always));
+                let empty = ExampleFacts::new(&miter, ps.map(<[_]>::to_vec), vec![], &[]);
+                let mut facts = empty.clone();
+                examples.iter().for_each(|e| facts.fold_state(e));
+                assert_eq!(facts.vars, var_facts_columnwise(&pairs, &examples, ps));
+                assert!(facts.vars.iter().any(|f| f.eq_always));
+                assert!(facts.vars.iter().any(|f| !f.eq_always));
+                // Backwards, twice over, dealt round-robin to three
+                // accumulators and merged: the same facts.
+                let mut parts = [empty.clone(), empty.clone(), empty];
+                let again = examples.iter().rev().chain(&examples);
+                for (i, e) in again.enumerate() {
+                    parts[i % 3].fold_state(e);
+                }
+                let [mut merged, b, c] = parts;
+                merged.merge(&c);
+                merged.merge(&b);
+                assert_eq!(merged, facts);
             }
         }
     }

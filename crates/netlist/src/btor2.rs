@@ -61,15 +61,14 @@ fn require(ok: bool, line: usize, message: impl FnOnce() -> String) -> Result<()
 /// # Errors
 ///
 /// Returns [`Btor2Error`] on unsupported constructs, malformed lines,
-/// dangling references, duplicate names or `next` lines, and operand widths
-/// the operator does not accept.
+/// dangling references, a reused id, duplicate names or `next` lines, and
+/// operand widths the operator does not accept.
 pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
     let mut netlist = Netlist::new("btor2");
     let mut sorts: HashMap<u64, u32> = HashMap::new();
     let mut nodes: HashMap<u64, NodeId> = HashMap::new();
     let mut states: HashMap<u64, StateId> = HashMap::new();
     let mut next_seen: HashMap<u64, bool> = HashMap::new();
-    let mut anon_counter = 0usize;
 
     for (lineno, raw) in text.lines().enumerate() {
         let lineno = lineno + 1;
@@ -86,6 +85,11 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
             .parse()
             .map_err(|_| err(lineno, format!("bad node id {}", toks[0])))?;
         let kind = *toks.get(1).ok_or_else(|| err(lineno, "missing kind"))?;
+        require(
+            !sorts.contains_key(&id) && !nodes.contains_key(&id),
+            lineno,
+            || format!("id {id} is already bound"),
+        )?;
 
         let get_sort = |tok: &str| -> Result<u32, Btor2Error> {
             let sid: u64 = tok
@@ -125,10 +129,9 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
             }
             "input" => {
                 let w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
-                let name = toks.get(3).map(|s| s.to_string()).unwrap_or_else(|| {
-                    anon_counter += 1;
-                    format!("input_{id}")
-                });
+                let name = toks
+                    .get(3)
+                    .map_or_else(|| format!("input_{id}"), |s| s.to_string());
                 require(netlist.find_input(&name).is_none(), lineno, || {
                     format!("duplicate input name {name}")
                 })?;
@@ -137,10 +140,9 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
             }
             "state" => {
                 let w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
-                let name = toks.get(3).map(|s| s.to_string()).unwrap_or_else(|| {
-                    anon_counter += 1;
-                    format!("state_{id}")
-                });
+                let name = toks
+                    .get(3)
+                    .map_or_else(|| format!("state_{id}"), |s| s.to_string());
                 require(netlist.find_state(&name).is_none(), lineno, || {
                     format!("duplicate state name {name}")
                 })?;
@@ -554,6 +556,24 @@ mod tests {
     fn missing_next_is_error() {
         let text = "1 sort bitvec 1\n2 state 1 r\n";
         assert!(parse_btor2(text).is_err());
+    }
+
+    /// A second binding of an id is refused on its line: a repeated state
+    /// would shadow the first, which then has no next function.
+    #[test]
+    fn reused_id_is_error() {
+        for (text, line) in [
+            (
+                "1 sort bitvec 1\n2 state 1 a\n2 state 1 b\n3 next 1 2 2\n",
+                3,
+            ),
+            ("1 sort bitvec 1\n1 sort bitvec 2\n", 2),
+            ("1 sort bitvec 1\n2 state 1 a\n1 input 1 i\n", 3),
+        ] {
+            let e = parse_btor2(text).expect_err(text);
+            assert_eq!(e.line, line, "{text}: {e}");
+            assert!(e.message.contains("already bound"), "{e}");
+        }
     }
 
     #[test]

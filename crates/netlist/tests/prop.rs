@@ -380,6 +380,26 @@ fn mutate_btor2(text: &str, rng: &mut SplitMix) -> String {
     out.join("\n")
 }
 
+/// btor2 text with one line repeated right after itself under the same id,
+/// an input or state under a new name: a repeated state that shadowed the
+/// first would leave that one without a next function.
+fn reuse_btor2_id(text: &str, rng: &mut SplitMix) -> String {
+    let mut lines: Vec<String> = text
+        .lines()
+        .filter(|l| !l.starts_with(';'))
+        .map(str::to_string)
+        .collect();
+    let at = rng.below(lines.len());
+    let mut copy = lines[at].clone();
+    if matches!(copy.split_whitespace().nth(1), Some("input" | "state")) {
+        copy.push_str("_again");
+    }
+    lines.insert(at + 1, copy);
+    lines.join("\n")
+}
+
+/// Mutated netlists are refused or accepted, never a panic; and what
+/// `parse_btor2` accepts, `Miter::build` builds.
 #[test]
 fn mutated_btor2_is_an_error_never_a_panic() {
     let mut rng = SplitMix(0x4854_4232);
@@ -395,11 +415,17 @@ fn mutated_btor2_is_an_error_never_a_panic() {
                 k: rng.next() as u8,
             })
             .collect();
-        let text = mutate_btor2(&to_btor2(&build_mixed(&recipes).0), &mut rng);
-        match std::panic::catch_unwind(|| parse_btor2(&text).is_ok()) {
-            Ok(true) => ok += 1,
-            Ok(false) => rejected += 1,
-            Err(_) => panic!("case {case}: parse_btor2 panicked on\n{text}"),
+        let text = to_btor2(&build_mixed(&recipes).0);
+        for text in [
+            mutate_btor2(&text, &mut rng),
+            reuse_btor2_id(&text, &mut rng),
+        ] {
+            let parsed = std::panic::catch_unwind(|| parse_btor2(&text).map(|n| Miter::build(&n)));
+            match parsed {
+                Ok(Ok(_)) => ok += 1,
+                Ok(Err(_)) => rejected += 1,
+                Err(_) => panic!("case {case}: parse_btor2 or Miter::build panicked on\n{text}"),
+            }
         }
     }
     // Both outcomes occur, so the mutations reach the width checks.

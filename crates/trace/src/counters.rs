@@ -120,9 +120,9 @@ counter_table! {
     examples_cycles, "examples.cycles", Sum,
         "base-design cycles simulated to generate the positive examples";
     examples_raw, "examples.raw", Sum,
-        "product states extracted from the paired traces, before deduplication";
+        "product states folded into the miner's example facts, duplicates included";
     examples_unique, "examples.unique", Sum,
-        "distinct product states: the positive examples the miner received";
+        "distinct product states, told apart by 128-bit row fingerprints";
 }
 
 impl Counters {

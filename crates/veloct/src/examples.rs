@@ -13,30 +13,32 @@
 //! executions step in lockstep on a compiled [`Tape`], observables are
 //! compared each cycle (a divergent pair stops there), masking is applied
 //! per side to a copy of the base state, and each product state leaves the
-//! runner as one row of raw `u64`s. [`generate_examples`] drops duplicate
-//! rows pair by pair and materialises only the survivors.
+//! runner as one row of raw `u64`s.
 //!
-//! Pairs are independent of each other, so the two loops over them — one
-//! pair per `(instruction, secret configuration)` in example generation, one
-//! candidate per step in differential testing — run on the stack's indexed
-//! queue ([`hh_trace::run_indexed`]): each worker owns a `PairRunner` over
-//! the one shared tape, all of them insert into one row set (a pair's rows
-//! under one lock, into an arena the caller reserved before they started),
-//! and the final sort makes the example set independent of arrival order.
-//! The public entry points here run it on one worker; `Veloct::learn` and
-//! `Veloct::classify` pass `VeloctConfig::threads`.
+//! A learn stores no row: [`fold_examples`] folds each into the miner's
+//! [`ExampleFacts`] as it is produced. Pairs are independent of each other,
+//! so the two loops over them — one pair per `(instruction, secret
+//! configuration)` in example generation, one candidate per step in
+//! differential testing — run on the stack's indexed queue
+//! ([`hh_trace::run_indexed`]): each worker owns a `PairRunner` over the one
+//! shared tape, each pair folds into its own facts, and the pairs merge in
+//! pair order. `Veloct::learn` and `Veloct::classify` pass
+//! `VeloctConfig::threads`. [`generate_examples`] is the one-worker
+//! reference that keeps the distinct rows, for callers that need concrete
+//! states.
 
 use hh_isa::{asm, Instruction, Mnemonic};
 use hh_netlist::eval::StateValues;
 use hh_netlist::miter::{Miter, Side};
 use hh_netlist::tape::{Machine, Tape};
 use hh_netlist::Bv;
+use hh_trace::Counters;
 use hh_uarch::Design;
+use hhoudini::mine::ExampleFacts;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashSet};
 use std::convert::Infallible;
-use std::sync::Mutex;
 
 /// A left/right assignment of the architectural registers: the paired
 /// executions differ exactly here (equal-modulo-secret initial states).
@@ -378,21 +380,11 @@ impl<'a> PairRunner<'a> {
     }
 }
 
-/// Widths of the product states, in state order — what turns a raw product
-/// row back into a [`StateValues`].
-fn product_widths(miter: &Miter) -> Vec<u32> {
+/// A raw product row as the [`StateValues`] it stands for.
+fn materialise(miter: &Miter, row: &[u64]) -> StateValues {
     let n = miter.netlist();
-    n.state_ids().map(|s| n.state_width(s)).collect()
-}
-
-fn materialise(widths: &[u32], row: &[u64]) -> StateValues {
-    StateValues::from_vec(
-        widths
-            .iter()
-            .zip(row)
-            .map(|(&w, &bits)| Bv::new(w, bits))
-            .collect(),
-    )
+    let widths = n.state_ids().map(|s| n.state_width(s));
+    StateValues::from_vec(widths.zip(row).map(|(w, &bits)| Bv::new(w, bits)).collect())
 }
 
 /// Differentially tests `m` with the adversarial configurations; returns
@@ -430,90 +422,29 @@ pub(crate) fn differential_tests(
     verdicts
 }
 
-/// Smallest reservation of a [`RowSet`] arena, in words: just over 32 MiB,
-/// the largest size glibc's malloc will ever serve from a heap. At or under
-/// it, where a freed arena's pages go depends on its size — the first such
-/// free raises the allocator's mmap and trim thresholds to that size for the
-/// rest of the process, the next arena of that size comes out of the calling
-/// thread's heap and nothing is returned to the system any more. Over it,
-/// every arena is a mapping of its own, unmapped when the set is dropped.
-const ROW_ARENA_MIN_WORDS: usize = (32 << 17) + 512;
-
-/// Product rows deduplicated on arrival: each distinct row is stored once,
-/// in a flat arena, found again through a hash of its words.
-struct RowSet {
-    stride: usize,
-    /// The distinct rows, `stride` words each, in arrival order.
-    rows: Vec<u64>,
-    /// Row hash → indices (in units of rows) of the stored rows with it.
-    by_hash: HashMap<u64, Vec<u32>>,
-    /// Rows offered, duplicates included.
-    offered: u64,
-}
-
-impl RowSet {
-    /// A set of `stride`-word rows that is offered at most `offered` of them.
-    ///
-    /// The arena is reserved here, once, for every row that can arrive (and
-    /// never less than [`ROW_ARENA_MIN_WORDS`]): pages no row reaches cost
-    /// address space, not memory. An arena grown on demand left some tens of
-    /// MiB to chance. Each regrowth landed in the allocator arena of whichever
-    /// worker held the lock, and the final capacity, a power of two times the
-    /// stride, fell on one side or the other of the 32 MiB above —
-    /// LargeBoomLite yields 8 090 to 8 392 distinct rows around the 8 192
-    /// boundary, so the seed decided between 31 and 62 MB. Peak RSS of a
-    /// process that learns repeatedly read 170 or 227 MiB. If the
-    /// reservation is refused the arena grows on demand.
-    fn with_capacity(stride: usize, offered: usize) -> RowSet {
-        let mut rows = Vec::new();
-        let words = stride.saturating_mul(offered).max(ROW_ARENA_MIN_WORDS);
-        let _ = rows.try_reserve_exact(words);
-        RowSet {
-            stride,
-            rows,
-            by_hash: HashMap::new(),
-            offered: 0,
-        }
-    }
-
-    fn row(&self, index: u32) -> &[u64] {
-        &self.rows[index as usize * self.stride..][..self.stride]
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len() / self.stride
-    }
-
-    fn insert(&mut self, row: &[u64]) {
-        self.offered += 1;
-        // FxHash-style fold; equal hashes are confirmed word by word, so a
-        // collision costs a comparison, never a lost example.
-        let hash = row.iter().fold(0u64, |h, &w| {
-            (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
-        });
-        let stride = self.stride;
-        let rows = &self.rows;
-        let same = self.by_hash.entry(hash).or_default();
-        if same
-            .iter()
-            .any(|&i| rows[i as usize * stride..][..stride] == *row)
-        {
-            return;
-        }
-        same.push((rows.len() / stride) as u32);
-        self.rows.extend_from_slice(row);
-    }
-}
-
-/// A generated example set with the work it took.
-#[derive(Debug, PartialEq)]
-pub(crate) struct ExampleSet {
-    /// The examples: cleaned, sorted, distinct.
-    pub(crate) states: Vec<StateValues>,
-    /// Base-design cycles simulated, both executions counted.
-    pub(crate) cycles: u64,
-    /// Product states extracted before deduplication.
-    pub(crate) raw: u64,
+/// The example pairs of a safe set, in `(instruction, configuration)`
+/// order: per instruction its program and window start, per pair the
+/// instruction's index and the secret configuration.
+#[allow(clippy::type_complexity)]
+fn example_pairs(
+    design: &Design,
+    safe: &[Mnemonic],
+    pairs_per_instr: usize,
+    seed: u64,
+    rds: &[u8],
+) -> (Vec<(Vec<u32>, usize)>, Vec<(usize, SecretConfig)>) {
+    let programs = safe
+        .iter()
+        .map(|&m| example_program_with_rds(design, m, rds))
+        .collect();
+    let pairs = (0..safe.len())
+        .flat_map(|k| {
+            random_configs(design, pairs_per_instr, seed ^ ((k as u64) << 8))
+                .into_iter()
+                .map(move |config| (k, config))
+        })
+        .collect();
+    (programs, pairs)
 }
 
 /// Generates the positive example set for a proposed safe set: paired traces
@@ -545,6 +476,13 @@ pub fn generate_examples(
 /// (example-richness knob) and example masking optionally disabled — the
 /// ablation of §5.2.1: without masking, stale-uop residue in out-of-order
 /// structures blocks the `InSafeSet` predicates the invariant needs.
+///
+/// This is the reference table, for callers that need concrete states: one
+/// worker runs the pairs in order, the distinct rows collect in a sorted
+/// set, and the examples come out sorted (widths are equal position by
+/// position, so ordering the raw rows is ordering the `Bv` rows they stand
+/// for). A learn keeps no table: [`fold_examples`] folds the same rows into
+/// the same facts.
 #[allow(clippy::too_many_arguments)]
 pub fn generate_examples_custom(
     design: &Design,
@@ -555,16 +493,41 @@ pub fn generate_examples_custom(
     mask: bool,
     rds: &[u8],
 ) -> Result<Vec<StateValues>, Divergence> {
-    generate_example_set(design, miter, safe, pairs_per_instr, seed, mask, rds, 1)
-        .map(|set| set.states)
+    let tape = Tape::compile(&design.netlist);
+    let (programs, pairs) = example_pairs(design, safe, pairs_per_instr, seed, rds);
+    let mut runner = PairRunner::new(design, miter, &tape);
+    let mut rows: BTreeSet<Vec<u64>> = BTreeSet::new();
+    for (k, config) in &pairs {
+        let (prog, window) = &programs[*k];
+        runner.run(safe[*k], prog, config, *window, mask, |row| {
+            if !rows.contains(row) {
+                rows.insert(row.to_vec());
+            }
+        })?;
+    }
+    Ok(rows
+        .into_iter()
+        .map(|row| materialise(miter, &row))
+        .collect())
 }
 
-/// [`generate_examples_custom`] together with its work counts, the pairs
-/// simulated on `threads` workers. The set, the counts and — when several
-/// pairs diverge — the [`Divergence`] reported (the lowest pair in
-/// `(instruction, configuration)` order) are the same at every thread count.
+/// The positive examples of [`generate_examples_custom`], folded into
+/// `facts` (an accumulator of no example) instead of stored, with the work
+/// it took in the three `examples_*` counters: `cycles` simulated, `raw`
+/// rows folded and `unique` rows, told apart by 128-bit fingerprints (the
+/// length of the table). The pairs run on `threads` workers over one
+/// compiled tape; each pair folds its rows into its own copy of `facts`
+/// and a set of row fingerprints, and the pairs merge in pair order. The
+/// folds commute, so the facts, the counts and — when several pairs
+/// diverge — the [`Divergence`] reported (the lowest pair in `(instruction,
+/// configuration)` order) are the same at every thread count, and the
+/// facts are those of the table.
+///
+/// # Errors
+///
+/// Returns the lowest diverging pair's [`Divergence`].
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn generate_example_set(
+pub fn fold_examples(
     design: &Design,
     miter: &Miter,
     safe: &[Mnemonic],
@@ -573,76 +536,52 @@ pub(crate) fn generate_example_set(
     mask: bool,
     rds: &[u8],
     threads: usize,
-) -> Result<ExampleSet, Divergence> {
+    facts: ExampleFacts,
+) -> Result<(ExampleFacts, Counters), Divergence> {
     let tape = Tape::compile(&design.netlist);
-    let widths = product_widths(miter);
-    let programs: Vec<_> = safe
-        .iter()
-        .map(|&m| example_program_with_rds(design, m, rds))
-        .collect();
-    let pairs: Vec<(usize, SecretConfig)> = (0..safe.len())
-        .flat_map(|k| {
-            random_configs(design, pairs_per_instr, seed ^ ((k as u64) << 8))
-                .into_iter()
-                .map(move |config| (k, config))
-        })
-        .collect();
-    // One row set for all workers, so the idle-cycle rows every pair shares
-    // are held once. A worker collects the rows of a pair in its own buffer
-    // and inserts them under one lock: simulating a row costs an order of
-    // magnitude more than inserting it, but a lock per row has two workers
-    // collide often enough to cost a third of the speed-up.
-    let stride = widths.len();
-    // A pair emits one row per cycle from its window's start to its last
-    // step (see `PairRunner::run`), so the rows on offer are known here and
-    // the calling thread reserves the arena: no worker regrows it.
-    let offered: usize = pairs
-        .iter()
-        .map(|(k, _)| {
-            let (prog, window) = &programs[*k];
-            (prog.len() + design.max_latency).saturating_sub(*window)
-        })
-        .sum();
-    let unique = Mutex::new(RowSet::with_capacity(stride, offered));
-    let cycles = hh_trace::run_indexed(
+    let (programs, pairs) = example_pairs(design, safe, pairs_per_instr, seed, rds);
+    let folded = hh_trace::run_indexed(
         pairs.len(),
         threads,
-        || (PairRunner::new(design, miter, &tape), Vec::new()),
-        |(runner, rows), i| {
+        || PairRunner::new(design, miter, &tape),
+        |runner, i| {
             let (k, config) = &pairs[i];
             let (prog, window) = &programs[*k];
             let before = runner.cycles;
-            rows.clear();
+            let (mut pair, mut seen, mut raw) = (facts.clone(), HashSet::new(), 0);
             runner.run(safe[*k], prog, config, *window, mask, |row| {
-                rows.extend_from_slice(row)
+                pair.fold(row);
+                seen.insert(fingerprint(row));
+                raw += 1;
             })?;
-            let mut unique = unique.lock().expect("no worker panics holding the row set");
-            rows.chunks_exact(stride).for_each(|row| unique.insert(row));
-            Ok(runner.cycles - before)
+            Ok((pair, seen, raw, runner.cycles - before))
         },
     )?;
-    let unique = unique
-        .into_inner()
-        .expect("no worker panics holding the row set");
-    debug_assert_eq!(unique.offered, offered as u64);
-    // Widths are equal position by position, so ordering the raw rows is
-    // ordering the `Bv` rows they stand for — and sorting distinct rows
-    // forgets the order they arrived in.
-    let mut order: Vec<u32> = (0..unique.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| unique.row(a).cmp(unique.row(b)));
-    Ok(ExampleSet {
-        states: order
-            .iter()
-            .map(|&i| materialise(&widths, unique.row(i)))
-            .collect(),
-        cycles: cycles.iter().sum(),
-        raw: unique.offered,
+    let (mut all, mut counts, mut seen) = (facts, Counters::default(), HashSet::new());
+    for (pair, rows, raw, cycles) in folded {
+        all.merge(&pair);
+        seen.extend(rows);
+        counts.examples_raw += raw;
+        counts.examples_cycles += cycles;
+    }
+    counts.examples_unique = seen.len() as u64;
+    Ok((all, counts))
+}
+
+/// A 128-bit fingerprint of a row. Each step is a bijection of the state
+/// for a fixed word and injective in the word for a fixed state, so rows
+/// that differ in one word never collide.
+fn fingerprint(row: &[u64]) -> u128 {
+    const K: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835;
+    row.iter().fold(row.len() as u128, |h, &w| {
+        (h.rotate_left(29) ^ u128::from(w)).wrapping_mul(K)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hh_smt::Predicate;
     use hh_uarch::boomlite::{boom_lite, BoomVariant};
     use hh_uarch::rocketlite::rocket_lite;
 
@@ -656,10 +595,9 @@ mod tests {
         config: &SecretConfig,
     ) -> Result<Vec<StateValues>, Divergence> {
         let tape = Tape::compile(&design.netlist);
-        let widths = product_widths(miter);
         let mut states = Vec::new();
         PairRunner::new(design, miter, &tape).run(m, prog, config, 0, true, |row| {
-            states.push(materialise(&widths, row))
+            states.push(materialise(miter, row))
         })?;
         Ok(states)
     }
@@ -794,25 +732,23 @@ mod tests {
         let _ = generate_examples(&d, &m, &safe2, 1, 5); // may or may not diverge
     }
 
-    #[test]
-    fn the_row_arena_is_reserved_once_and_never_regrown() {
-        let (stride, offered) = (7, 1000);
-        let mut set = RowSet::with_capacity(stride, offered);
-        let (arena, capacity) = (set.rows.as_ptr(), set.rows.capacity());
-        assert!(capacity >= ROW_ARENA_MIN_WORDS);
-        // Every row on offer twice over: 1 000 distinct rows arrive.
-        for i in 0..2 * offered as u64 {
-            set.insert(&[i % offered as u64; 7]);
-        }
-        assert_eq!((set.len(), set.offered), (offered, 2 * offered as u64));
-        assert_eq!((set.rows.as_ptr(), set.rows.capacity()), (arena, capacity));
-        // A large set reserves what it is offered, not a power of two.
-        let large = RowSet::with_capacity(474, 25_000);
-        assert!((474 * 25_000..474 * 32_768).contains(&large.rows.capacity()));
-    }
+    /// The work counts of `the_learn_folds_the_facts_of_the_reference_table`,
+    /// per design and example kind (rich, limited, unmasked): `(cycles,
+    /// raw, unique)` as the table-building generator counted them.
+    const PINNED_COUNTS: [[(u64, u64, u64); 3]; 5] = [
+        [(3276, 1362, 429), (3276, 1362, 440), (3276, 1362, 440)],
+        [(3156, 1350, 409), (3156, 1350, 442), (3156, 1350, 442)],
+        [(4524, 2034, 613), (4524, 2034, 682), (4524, 2034, 682)],
+        [(7260, 3402, 1021), (7260, 3402, 1162), (7260, 3402, 1162)],
+        [
+            (12732, 6138, 1837),
+            (12732, 6138, 2122),
+            (12732, 6138, 2122),
+        ],
+    ];
 
     #[test]
-    fn example_sets_do_not_depend_on_the_thread_count() {
+    fn the_learn_folds_the_facts_of_the_reference_table() {
         let mut designs = vec![rocket_lite(16)];
         designs.extend(
             [
@@ -825,21 +761,48 @@ mod tests {
         );
         // Six pairs, so four workers all get some.
         let safe = [Mnemonic::Add, Mnemonic::Sltiu, Mnemonic::Mulhu];
-        for d in &designs {
+        for (d, pinned) in designs.iter().zip(PINNED_COUNTS) {
             let m = Miter::build(&d.netlist);
-            let set = |rds: &[u8], threads| {
-                generate_example_set(d, &m, &safe, 2, 0xD1CE, true, rds, threads)
-                    .expect("no divergence under random secrets")
-            };
-            let one = set(&EXAMPLE_RDS, 1);
-            assert!(one.raw > one.states.len() as u64 && one.cycles > 0);
-            for threads in [2, 4] {
-                assert_eq!(set(&EXAMPLE_RDS, threads), one, "{}", d.netlist.name());
+            // Every fold at once: safe-set patterns, the masking rules as
+            // Impl guards, and an expert annotation per base state (the
+            // examples refute some of them).
+            let guards: Vec<_> = d
+                .masking
+                .iter()
+                .flat_map(|rule| rule.fields.iter().map(|&f| (rule.valid, f)))
+                .collect();
+            let expert = m
+                .base_state_ids()
+                .map(|b| {
+                    let w = d.netlist.state_width(b);
+                    Predicate::eq_const(m.left(b), m.right(b), Bv::zero(w))
+                })
+                .collect();
+            let empty = ExampleFacts::new(
+                &m,
+                Some(crate::instruction_patterns(&safe)),
+                expert,
+                &guards,
+            );
+            for ((mask, rds), counts) in [(true, &EXAMPLE_RDS[..]), (true, &[3]), (false, &[3])]
+                .into_iter()
+                .zip(pinned)
+            {
+                let table = generate_examples_custom(d, &m, &safe, 2, 0xD1CE, mask, rds)
+                    .expect("no divergence under random secrets");
+                let mut reference = empty.clone();
+                table.iter().for_each(|e| reference.fold_state(e));
+                for threads in [1, 2, 4] {
+                    let (facts, c) =
+                        fold_examples(d, &m, &safe, 2, 0xD1CE, mask, rds, threads, empty.clone())
+                            .expect("no divergence under random secrets");
+                    let name = d.netlist.name();
+                    assert!(facts == reference, "{name} {rds:?} threads={threads}");
+                    let got = (c.examples_cycles, c.examples_raw, c.examples_unique);
+                    assert_eq!(got, counts, "{name}");
+                    assert_eq!(c.examples_unique, table.len() as u64);
+                }
             }
-            assert_eq!(set(&[3], 2), set(&[3], 1), "{}", d.netlist.name());
-            // The public forms are the one-worker run.
-            let public = generate_examples(d, &m, &safe, 2, 0xD1CE).unwrap();
-            assert_eq!(public, one.states);
         }
     }
 
@@ -893,13 +856,30 @@ mod tests {
             Mnemonic::Xor,
             Mnemonic::Sll,
         ];
+        let empty = ExampleFacts::new(&m, None, vec![], &[]);
+        let fold = |safe: &[Mnemonic], threads| {
+            fold_examples(
+                &d,
+                &m,
+                safe,
+                2,
+                9,
+                true,
+                &EXAMPLE_RDS,
+                threads,
+                empty.clone(),
+            )
+        };
         for first in [Mnemonic::Mul, Mnemonic::Xor] {
-            let serial = generate_example_set(&d, &m, &safe, 2, 9, true, &EXAMPLE_RDS, 1)
-                .expect_err("two members leak");
+            let serial = fold(&safe, 1).expect_err("two members leak");
             assert_eq!(serial.mnemonic, first);
+            let table = generate_examples(&d, &m, &safe, 2, 9).expect_err("two members leak");
+            assert_eq!(
+                (table.mnemonic, table.cycle),
+                (serial.mnemonic, serial.cycle)
+            );
             for threads in [2, 4] {
-                let div = generate_example_set(&d, &m, &safe, 2, 9, true, &EXAMPLE_RDS, threads)
-                    .expect_err("two members leak");
+                let div = fold(&safe, threads).expect_err("two members leak");
                 assert_eq!(
                     (div.mnemonic, div.cycle),
                     (serial.mnemonic, serial.cycle),
@@ -910,7 +890,7 @@ mod tests {
         }
         // Without the leaky members the same core generates a set.
         safe.retain(|m| ![Mnemonic::Mul, Mnemonic::Xor].contains(m));
-        assert!(generate_example_set(&d, &m, &safe, 2, 9, true, &EXAMPLE_RDS, 4).is_ok());
+        assert!(fold(&safe, 4).is_ok());
     }
 
     #[test]

@@ -36,14 +36,14 @@
 
 pub mod examples;
 
-use examples::{differential_tests, generate_examples, Divergence};
+use examples::{differential_tests, Divergence};
 use hh_isa::{safe_set_patterns, InstrClass, Instruction, Mnemonic, ALL_MNEMONICS};
 use hh_netlist::miter::Miter;
 use hh_smt::EncodeCache;
 use hh_smt::{Pattern, Predicate};
 use hh_uarch::Design;
 use hhoudini::baselines::{houdini, sorcar, BaselineBudget, BaselineOutcome, BaselineStats};
-use hhoudini::mine::CoiMiner;
+use hhoudini::mine::{CoiMiner, ExampleFacts};
 use hhoudini::{EngineConfig, Invariant, ParallelEngine, PredicateStore, Stats};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -127,14 +127,16 @@ pub struct LearnReport {
     /// Engine telemetry (`stats.wall_time` is the engine's learn alone),
     /// with the `examples_*` counters filled in from example generation.
     pub stats: Stats,
-    /// Time spent generating the positive examples (zero when the answer
-    /// came from a closed memo table: see [`Veloct::learn_warm`]).
+    /// Time spent generating the positive examples and folding them into
+    /// the miner's facts (zero when the answer came from a closed memo
+    /// table: see [`Veloct::learn_warm`]).
     pub examples_time: Duration,
-    /// Time spent building the miner (COI tables and per-variable facts
-    /// over the examples).
+    /// Time spent building the miner from those facts (COI table and
+    /// indexes).
     pub mine_time: Duration,
-    /// Number of positive examples generated — zero when none was needed
-    /// because the answer came from a closed memo table.
+    /// Number of distinct positive examples generated
+    /// (`examples.unique`) — zero when none was needed because the answer
+    /// came from a closed memo table.
     pub num_examples: usize,
     /// Divergence evidence if generation already refuted the set.
     pub divergence: Option<Divergence>,
@@ -348,11 +350,15 @@ impl<'a> Veloct<'a> {
     ) -> LearnReport {
         let state_bits = self.design.state_bits();
         // With Impl predicates on, masking is unnecessary (that is the
-        // point of the extension) — generate raw examples instead.
+        // point of the extension) — fold raw examples instead, with the
+        // masking annotations as the guards.
         let mask = !self.config.impl_predicates;
+        let guards: Vec<_> = (self.design.masking.iter().filter(|_| !mask))
+            .flat_map(|rule| rule.fields.iter().map(|&f| (rule.valid, f)))
+            .collect();
         let example_span = hh_trace::span!("veloct", "veloct.examples");
         let t0 = Instant::now();
-        let generated = examples::generate_example_set(
+        let folded = examples::fold_examples(
             self.design,
             &miter,
             safe,
@@ -361,10 +367,11 @@ impl<'a> Veloct<'a> {
             mask,
             &examples::EXAMPLE_RDS,
             self.config.threads,
+            ExampleFacts::new(&miter, Some(patterns), vec![], &guards),
         );
         let examples_time = t0.elapsed();
-        let example_set = match generated {
-            Ok(set) => set,
+        let (facts, counts) = match folded {
+            Ok(folded) => folded,
             Err(div) => {
                 return LearnReport {
                     invariant: None,
@@ -381,25 +388,10 @@ impl<'a> Veloct<'a> {
             }
         };
         drop(example_span);
-        let examples = &example_set.states;
-        let num_examples = examples.len();
+        let num_examples = counts.examples_unique as usize;
         let t0 = Instant::now();
-        let miner = if self.config.impl_predicates {
-            let guards: Vec<_> = self
-                .design
-                .masking
-                .iter()
-                .flat_map(|rule| rule.fields.iter().map(|&f| (rule.valid, f)))
-                .collect();
-            CoiMiner::new_with_guards(&miter, examples, Some(patterns), vec![], &guards)
-        } else {
-            CoiMiner::new(&miter, examples, Some(patterns), vec![])
-        };
+        let miner = CoiMiner::from_facts(&miter, facts);
         let mine_time = t0.elapsed();
-        // The miner keeps facts about the examples, not the examples: free
-        // them before the engine's sessions grow.
-        let (examples_cycles, examples_raw) = (example_set.cycles, example_set.raw);
-        drop(example_set);
         let mut engine = ParallelEngine::new(
             miter.netlist(),
             miner,
@@ -413,9 +405,7 @@ impl<'a> Veloct<'a> {
         let props = self.property(&miter);
         let invariant = engine.learn(&props);
         let mut stats = engine.stats().clone();
-        stats.counters.examples_cycles = examples_cycles;
-        stats.counters.examples_raw = examples_raw;
-        stats.counters.examples_unique = num_examples as u64;
+        stats.counters.merge(&counts);
         LearnReport {
             invariant,
             stats,
@@ -466,14 +456,19 @@ impl<'a> Veloct<'a> {
     ) -> BaselineReport {
         let _span = hh_trace::span!("veloct", "veloct.baseline");
         let (miter, patterns) = self.build_miter(safe);
-        let examples = match generate_examples(
+        let folded = examples::fold_examples(
             self.design,
             &miter,
             safe,
             self.config.pairs_per_instr,
             self.config.seed,
-        ) {
-            Ok(e) => e,
+            true,
+            &examples::EXAMPLE_RDS,
+            self.config.threads,
+            ExampleFacts::new(&miter, Some(patterns), vec![], &[]),
+        );
+        let miner = match folded {
+            Ok((facts, _)) => CoiMiner::from_facts(&miter, facts),
             Err(_) => {
                 return BaselineReport {
                     invariant: None,
@@ -483,7 +478,6 @@ impl<'a> Veloct<'a> {
                 }
             }
         };
-        let miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
         let mut store = PredicateStore::new();
         let pool_ids = miner.mine_global(&mut store);
         let pool = store.resolve(&pool_ids);

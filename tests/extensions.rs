@@ -1,24 +1,12 @@
-//! Tests for the implemented future-work extensions:
-//!
-//! * **Impl-type predicates** (§5.2.1): conditional `valid → InSafeSet(uop)`
-//!   predicates make example masking unnecessary on out-of-order cores.
-//! * **EqConstSet auto-mining** (§6.2 footnote: the paper adds these only as
-//!   expert annotations): observed value sets become predicates
-//!   automatically, removing the need for manual pattern annotations on the
-//!   Appendix-C execute stage.
+//! Tests for the implemented future-work extension, **Impl-type
+//! predicates** (§5.2.1): conditional `valid → InSafeSet(uop)` predicates
+//! make example masking unnecessary on out-of-order cores.
 
 mod common;
 
 use common::boom_set;
-use hh_suite::hhoudini::mine::CoiMiner;
-use hh_suite::hhoudini::{EngineConfig, ParallelEngine};
-use hh_suite::netlist::eval::{InputValues, StateValues};
-use hh_suite::netlist::miter::Miter;
-use hh_suite::netlist::Bv;
-use hh_suite::sim::{product_states, simulate};
 use hh_suite::smt::Predicate;
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
-use hh_suite::uarch::execstage::{cmd, exec_stage, Opcode, CMD_INPUT};
 use hh_suite::veloct::{Veloct, VeloctConfig};
 
 /// The headline extension result: without masking, plain learning fails
@@ -64,83 +52,4 @@ fn impl_predicates_replace_masking() {
     assert!(n_impl >= 1, "expected at least one conditional predicate");
     // Same order of invariant size as the masked run.
     assert!(inv_impl.len() <= 2 * inv_masked.len());
-}
-
-/// EqConstSet auto-mining on the Appendix-C stage: learn the ADD-only
-/// invariant with *no* safe-set patterns and *no* annotations at all —
-/// the opcode restriction is discovered from the observed value set.
-#[test]
-fn value_set_mining_replaces_pattern_annotations() {
-    let stage = exec_stage(16);
-    let mut miter = Miter::build(&stage.netlist);
-    // Σ: NOP and ADD only.
-    let cmd_in = miter.netlist().find_input(CMD_INPUT).unwrap();
-    let opc = miter.netlist_mut().slice(cmd_in, 1, 0);
-    let t0 = miter.netlist_mut().eq_const(opc, Opcode::Nop as u64);
-    let t1 = miter.netlist_mut().eq_const(opc, Opcode::Add as u64);
-    let constraint = miter.netlist_mut().or(t0, t1);
-    miter.netlist_mut().add_constraint(constraint);
-
-    // Examples: a couple of ADD/NOP programs with differing secrets.
-    let n = &stage.netlist;
-    let mut examples = Vec::new();
-    for (l1, r1) in [(3u64, 9u64), (0x55, 0xaa)] {
-        let program = [
-            cmd(Opcode::Add, 0, 1),
-            cmd(Opcode::Nop, 0, 0),
-            cmd(Opcode::Add, 2, 3),
-        ];
-        let inputs: Vec<InputValues> = program
-            .iter()
-            .chain(std::iter::repeat_n(&cmd(Opcode::Nop, 0, 0), 20))
-            .map(|&w| {
-                let mut iv = InputValues::zeros(n);
-                iv.set_by_name(n, CMD_INPUT, Bv::new(6, w));
-                iv
-            })
-            .collect();
-        let mut left = StateValues::initial(n);
-        let mut right = StateValues::initial(n);
-        for (i, &reg) in stage.regs.iter().enumerate() {
-            left.set(reg, Bv::new(16, l1 + i as u64));
-            right.set(reg, Bv::new(16, r1 + 2 * i as u64));
-        }
-        let lt = simulate(n, left, &inputs);
-        let rt = simulate(n, right, &inputs);
-        let mut ps = product_states(&miter, &lt, &rt);
-        ps.pop();
-        examples.extend(ps);
-    }
-
-    // NO safe patterns, NO expert annotations — only auto-mined value sets.
-    let mut miner = CoiMiner::new(&miter, &examples, None, vec![]);
-    miner.mine_value_sets = true;
-    let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 1);
-    let prop = Predicate::eq(miter.left(stage.valid), miter.right(stage.valid));
-    let inv = engine
-        .learn(&[prop])
-        .expect("value-set mining must discover the opcode restriction");
-    assert!(inv.verify_monolithic(miter.netlist()));
-    // The invariant must contain an auto-mined EqConstSet over the opcode.
-    let has_set = inv.preds().iter().any(|p| {
-        matches!(
-            p,
-            Predicate::InSet {
-                label: hh_suite::smt::SetLabel::EqConstSet,
-                ..
-            }
-        )
-    });
-    assert!(
-        has_set,
-        "expected an auto-mined EqConstSet:\n{}",
-        inv.describe(miter.netlist())
-    );
-
-    // Control: without value-set mining (and without patterns) learning
-    // must fail — nothing can restrict the opcode.
-    let miner2 = CoiMiner::new(&miter, &examples, None, vec![]);
-    let mut engine2 = ParallelEngine::new(miter.netlist(), miner2, EngineConfig::default(), 1);
-    let prop2 = Predicate::eq(miter.left(stage.valid), miter.right(stage.valid));
-    assert!(engine2.learn(&[prop2]).is_none());
 }
