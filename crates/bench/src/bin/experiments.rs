@@ -370,6 +370,12 @@ fn fig3(runs: &Runs, report: &mut Report) {
     println!("state bits between BoomLite variants — as in the paper.");
 }
 
+/// Solver calls per learned predicate, the cost measure of Feldman et
+/// al.'s *Complexity and Information in Invariant Inference*.
+fn queries_per_pred(run: &RunResult) -> f64 {
+    run.stats.smt_queries as f64 / invariant_size(run) as f64
+}
+
 /// The SAT propagations along the heaviest discovery chain of the run's
 /// task DAG: the span measured in solver work, the same on every run.
 /// Parents precede their children in `tasks`.
@@ -423,22 +429,24 @@ fn fig4(runs: &Runs, report: &mut Report) {
 /// of tasks; with rich examples the paper's prediction "if the set of
 /// positive examples was exhaustive, the number of backtracks would be 0"
 /// holds exactly. Every limited run's `Stats::counters()` is pinned as
-/// `<target>-limited` rows — solver calls per learned predicate in the
-/// terms of Feldman et al., and the parked sessions' bytes — and the
-/// MegaBoomLite one, where sessions re-trim their cores on retries, passes
-/// a monolithic induction check and is learned again on two workers, where
-/// it must not move.
+/// `<target>-limited` rows — among them the parked sessions' bytes —
+/// beside its `queries_per_pred`, solver calls per learned predicate in
+/// the terms of Feldman et al. The MegaBoomLite one, where sessions
+/// re-trim their cores on retries, spends at most 1.15 queries per
+/// predicate, passes a monolithic induction check and is learned again on
+/// two workers, where it must not move.
 fn fig5(runs: &Runs, report: &mut Report) {
     println!("Limited examples (rd = x3 only; the paper's regime):");
     println!(
-        "{:<16} {:>10} {:>8} {:>11} {:>12}",
-        "Target", "bits", "tasks", "backtracks", "bt fraction"
+        "{:<16} {:>10} {:>8} {:>11} {:>12} {:>9}",
+        "Target", "bits", "tasks", "backtracks", "bt fraction", "q / pred"
     );
     for (t, run) in runs.each(Shared::Limited) {
         let tasks = run.stats.num_tasks();
         let bt = run.stats.counters.backtracks;
+        let per_pred = queries_per_pred(run);
         println!(
-            "{:<16} {:>10} {tasks:>8} {bt:>11} {:>11.1}%",
+            "{:<16} {:>10} {tasks:>8} {bt:>11} {:>11.1}% {per_pred:>9.3}",
             t.name,
             t.design.state_bits(),
             bt as f64 / tasks.max(1) as f64 * 100.0
@@ -446,6 +454,7 @@ fn fig5(runs: &Runs, report: &mut Report) {
         report.push(t.name, "tasks_limited", tasks as f64, "tasks");
         report.push(t.name, "backtracks_limited", bt as f64, "backtracks");
         let limited = format!("{}-limited", t.name);
+        report.push(&limited, "queries_per_pred", per_pred, "1/pred");
         for (key, value) in run.stats.counters() {
             report.push(&limited, key, value as f64, "count");
         }
@@ -456,6 +465,13 @@ fn fig5(runs: &Runs, report: &mut Report) {
     assert!(
         c.backtracks > 0 && c.session_hits > 0,
         "limited examples must backtrack on MegaBoomLite, and retries reuse sessions"
+    );
+    // Most-referenced first inside the issue window: a member that fails
+    // is mostly in `P_fail` before the abducts that would name it are mined.
+    assert!(
+        queries_per_pred(one) <= 1.15,
+        "MegaBoomLite-limited spends {:.3} queries per learned predicate",
+        queries_per_pred(one)
     );
     let (t, safe) = (&runs.targets[mega], &runs.safe[mega]);
     runs.verify(mega, one, &format!("{}-limited", t.name));

@@ -174,10 +174,11 @@ struct Row {
     unit: String,
 }
 
-/// The units whose rows are counts: the same on every run of the same
-/// tree, so a committed file that disagrees with a fresh run is stale.
-/// Every other unit is a time, a rate or a ratio.
-const EXACT_UNITS: [&str; 10] = [
+/// The units whose rows are counts, or a ratio of two counts (`1/pred`):
+/// the same on every run of the same tree, so a committed file that
+/// disagrees with a fresh run is stale. Every other unit is a time, a rate
+/// or another ratio.
+const EXACT_UNITS: [&str; 11] = [
     "bits",
     "predicates",
     "tasks",
@@ -188,6 +189,7 @@ const EXACT_UNITS: [&str; 10] = [
     "bytes",
     "obligations",
     "digest",
+    "1/pred",
 ];
 
 /// The rows of one experiment, kept in `bench_results/<experiment>.json`.

@@ -63,7 +63,7 @@ mod stats;
 mod store;
 
 pub use invariant::Invariant;
-pub use parallel::{EngineConfig, ParallelEngine};
+pub use parallel::{EngineConfig, ParallelEngine, ISSUE_WINDOW};
 pub use reorder::ReorderBuffer;
 pub use sim::{FifoDriver, SchedEvent, SimDriver};
 pub use stats::{Stats, TaskRecord};

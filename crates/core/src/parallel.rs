@@ -3,8 +3,9 @@
 //!
 //! **Algorithm 1, line by line.** For a target predicate `p` the scheduler
 //!
-//! * skips it at issue when it is memoised — the solution is reused (line
-//!   3–4, counted as a memo hit) — or known to have failed;
+//! * queues it for issue only when it is open: a memoised target's solution
+//!   is reused (lines 3–4, counted as a memo hit when it is named), and a
+//!   failed or in-flight one needs no query;
 //! * otherwise mines candidates over the 1-step cone (`O_slice` + `O_mine`,
 //!   lines 9–10), subtracts `P_fail` (line 11) and asks the abduction oracle
 //!   for an abduct through the target's live [`AbductionSession`] (lines
@@ -26,23 +27,29 @@
 //!
 //! **Execution.** The DAG runs on a **persistent worker pool with streaming
 //! results** (the paper's async-task model): the scheduler mines jobs and
-//! pushes them to a shared queue; as each abduction completes, the merge
-//! loop immediately mines and enqueues its newly discovered children — fast
-//! tasks never wait on a wave's straggler, and workers stay busy as long as
-//! any job is queued. One worker is the serial run.
+//! pushes them to a shared queue, at most [`ISSUE_WINDOW`] uncommitted at
+//! a time; as each abduction commits, the merge loop mines and issues the
+//! next ready targets into the freed slot — fast tasks never wait on a
+//! wave's straggler. The issue window is what lets a failure prune: job
+//! `k` is mined once job `k - ISSUE_WINDOW` has committed, so a predicate
+//! that failed by then is not among its candidates, and no abduct naming
+//! it has to be swept and retried. One worker is the serial run; a pool of
+//! more than [`ISSUE_WINDOW`] workers leaves the rest idle.
 //!
-//! **Priority.** Ready targets are issued **largest 1-step cone first**
-//! (cone weight = bit-width of the target's states plus its one-step
-//! support, computed once per predicate). Big cones are the stragglers of a
-//! run; starting them earliest shortens the makespan without touching the
-//! result — see the determinism argument below. Ties break by enqueue
-//! order, so the issue order is total and reproducible.
+//! **Priority.** Ready targets are issued **most-referenced first**: a
+//! target's count grows by one as a root and by one per committed abduct
+//! that names it, and ties break by enqueue order, so the issue order is
+//! total and reproducible. This is fail-first from constraint solving: the
+//! member most solutions depend on is resolved first, and if it fails, it
+//! does so before the issue window has mined the targets that would name
+//! it.
 //!
 //! **Determinism.** Results are *committed* in job-issue order through a
 //! [`ReorderBuffer`], and the scheduler commits **exactly one** result per
 //! loop iteration before issuing again. Every issue point therefore sees
 //! scheduler state (`P_fail`, memo table, miner, priority queue) that is a
-//! pure function of the commit count — never of worker timing. That makes
+//! pure function of the commit count — never of worker timing — and the
+//! issue window is counted in commits too, not in workers. That makes
 //! every scheduling decision, the learned invariant and the task DAG
 //! identical run-to-run and across thread counts — only the measured
 //! durations vary.
@@ -59,9 +66,9 @@
 //! **State.** Each predicate has one record, shared across the run so
 //! overlapping cones are analysed once: its Algorithm 1 status (open, in
 //! flight, memoised with its abduct, or in `P_fail`), the task that
-//! discovered it, its cone weight and its live [`AbductionSession`], which
-//! travels with each job and is parked in the record between queries, so
-//! backtracking retries re-solve incrementally. A per-run
+//! discovered it, its reference count and its live [`AbductionSession`],
+//! which travels with each job and is parked in the record between
+//! queries, so backtracking retries re-solve incrementally. A per-run
 //! [`hh_smt::EncodeCache`] is shared by all sessions: signature-equal cones
 //! replay each other's base encodings. A replay is byte-identical to a
 //! fresh build, so which session recorded an encoding first (the one thing
@@ -73,16 +80,22 @@ use crate::reorder::ReorderBuffer;
 use crate::sim::{SchedEvent, SimDriver};
 use crate::store::{PredId, PredicateStore};
 use crate::{Invariant, Stats};
-use hh_netlist::coi::node_support;
 use hh_netlist::Netlist;
 use hh_smt::{AbductionConfig, AbductionResult, AbductionSession, EncodeCache, Predicate};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::panic::AssertUnwindSafe;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// How many issued jobs may be uncommitted at once. The issue phase stops
+/// when this many are, so job `k` is mined once job `k - ISSUE_WINDOW`
+/// has committed, and a predicate that failed by then is out of its
+/// candidates. A constant, not a knob: the schedule must not depend on the
+/// thread count, so a pool of more workers than this leaves the rest idle.
+pub const ISSUE_WINDOW: usize = 8;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
@@ -122,8 +135,9 @@ struct Target<'a> {
     /// The task that first discovered the target: `Some(None)` for a root
     /// (a property or a seeded premise), `None` until it is discovered.
     found_by: Option<Option<usize>>,
-    /// Cone weight, computed the first time the target is enqueued.
-    weight: Option<u64>,
+    /// How many times this run named the target: once as a root, once per
+    /// committed abduct it is a member of. Its issue priority.
+    refs: u64,
     /// The live session, parked between the target's queries; boxed, so a
     /// record of a never-issued candidate stays a few words.
     session: Option<Box<AbductionSession<'a>>>,
@@ -187,11 +201,13 @@ impl<'a> Targets<'a> {
         debug_assert!(displaced.is_none(), "a target has one session");
     }
 
-    /// Ends a learn call: parked sessions are freed, and a target whose job
-    /// a poisoned run left uncommitted is open again.
+    /// Ends a learn call: parked sessions are freed, reference counts start
+    /// over, and a target whose job a poisoned run left uncommitted is open
+    /// again.
     fn end_run(&mut self) {
         for t in &mut self.records {
             t.session = None;
+            t.refs = 0;
             if matches!(t.status, Status::InFlight) {
                 t.status = Status::Open;
             }
@@ -200,27 +216,13 @@ impl<'a> Targets<'a> {
     }
 }
 
-/// Targets ready to (re-)issue: largest cone first, enqueue order breaking
-/// ties. [`ParallelEngine::enqueue`] is its one writer.
+/// Targets ready to (re-)issue: most-referenced first, enqueue order
+/// breaking ties. [`ParallelEngine::enqueue`] is its one writer; an entry
+/// whose target has been issued or resolved since is skipped at issue.
 #[derive(Default)]
 struct Ready {
     heap: BinaryHeap<(u64, Reverse<usize>, PredId)>,
     enqueued: usize,
-}
-
-/// Scheduling weight of a target: total bit-width of its own states plus
-/// its 1-step cone support (the states its next-state functions read). A
-/// proxy for encode + solve cost — wide cones blast more gates and take
-/// longer, so they are issued first.
-fn cone_weight(netlist: &Netlist, pred: &Predicate) -> u64 {
-    let states = pred.all_states();
-    let support: BTreeSet<_> = states
-        .iter()
-        .flat_map(|&s| node_support(netlist, netlist.next_of(s)).0)
-        .collect();
-    (states.iter().chain(&support))
-        .map(|&s| netlist.state_width(s) as u64)
-        .sum()
 }
 
 /// The H-Houdini engine (see the module docs).
@@ -427,26 +429,26 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             let (done_tx, done_rx) = mpsc::channel::<JobDone<'a>>();
 
             std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let done_tx = done_tx.clone();
-                    let job_rx = &job_rx;
-                    scope.spawn(move || {
-                        loop {
-                            // Hold the lock only for the dequeue, not the solve.
-                            let job = job_rx.lock().unwrap().recv();
-                            let Ok(job) = job else { break };
-                            let done = solve_job(job, fail_job);
-                            if done_tx.send(done).is_err() {
-                                break; // scheduler gone
+                let pool: Vec<_> = (0..workers)
+                    .map(|_| {
+                        let done_tx = done_tx.clone();
+                        let job_rx = &job_rx;
+                        scope.spawn(move || {
+                            loop {
+                                // Hold the lock only for the dequeue, not the solve.
+                                let job = job_rx.lock().unwrap().recv();
+                                let Ok(job) = job else { break };
+                                let done = solve_job(job, fail_job);
+                                if done_tx.send(done).is_err() {
+                                    break; // scheduler gone
+                                }
                             }
-                        }
-                        // Hand this worker's trace ring over before the
-                        // closure returns: the scope join does not wait for
-                        // TLS destructors, so a drain right after learn()
-                        // could otherwise race with thread teardown.
-                        hh_trace::flush();
-                    });
-                }
+                            // A worker's last act, as `hh_trace::flush`
+                            // asks of every worker thread.
+                            hh_trace::flush();
+                        })
+                    })
+                    .collect();
                 drop(done_tx); // scheduler keeps only done_rx
 
                 let outcome = engine.run_scheduler(
@@ -458,7 +460,20 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                     || done_rx.recv().expect("worker result"),
                     |_| {},
                 );
-                drop(job_tx); // closes the queue; workers exit before scope joins
+                // Close the queue, so every worker exits, and join each
+                // one: the scope returns once the closures have, a join
+                // once the thread has also torn down, which is when the C
+                // allocator takes its arena back. A thread spawned right
+                // after learn (a certificate worker) then reuses that arena
+                // instead of racing the teardown into a fresh one, whose
+                // high-water heap would stay resident for the rest of the
+                // process.
+                drop(job_tx);
+                for worker in pool {
+                    if let Err(panic) = worker.join() {
+                        std::panic::resume_unwind(panic);
+                    }
+                }
                 outcome
             })
         })
@@ -582,7 +597,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         // A seeded target is never solved, but its premises are scheduled
         // in (target, position) order: one never seeded, or invalidated,
         // must be learned before `assemble` walks through it. Memoised
-        // ones are skipped at issue, like memo hits.
+        // ones are memo hits.
         let premises: Vec<PredId> = (self.targets.solved())
             .filter(|&(.., seeded)| seeded)
             .flat_map(|(_, ab, _)| ab.iter().copied())
@@ -594,17 +609,15 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         let mut reorder: ReorderBuffer<JobDone<'a>> = ReorderBuffer::new();
 
         loop {
-            // Issue phase: drain the queue in priority order, skipping
-            // targets that resolved or were issued since they were queued.
-            while let Some((w, _, p)) = ready.heap.pop() {
-                match self.targets.records[p.index()].status {
-                    Status::Open => {}
-                    Status::Solved { .. } => {
-                        self.stats.counters.memo_hits += 1;
-                        hh_trace::counter!("engine", "engine.memo.hit", 1);
-                        continue;
-                    }
-                    Status::InFlight | Status::Failed => continue,
+            // Issue phase: drain the queue in priority order until the
+            // window is full, skipping targets issued or resolved since
+            // they were queued.
+            while metas.len() - reorder.committed() < ISSUE_WINDOW {
+                let Some((_, _, p)) = ready.heap.pop() else {
+                    break;
+                };
+                if !matches!(self.targets.records[p.index()].status, Status::Open) {
+                    continue;
                 }
                 let target = self.store.get_arc(p);
                 let mut cand_ids = self.miner.mine(&target, &mut self.store);
@@ -630,10 +643,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 });
                 hh_trace::event!("sched", "sched.issue");
                 hh_trace::counter!("sched", "sched.inflight", 1);
-                observe(&SchedEvent::Issue {
-                    job: job_idx,
-                    weight: w,
-                });
+                observe(&SchedEvent::Issue { job: job_idx });
                 dispatch(Job {
                     job_idx,
                     cands,
@@ -641,7 +651,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 });
             }
 
-            // Quiescence: nothing queued, nothing in flight. Sweep
+            // Quiescence: nothing queued (the window was not full, so the
+            // issue phase drained the queue), nothing in flight. Sweep
             // stale solutions (partial backtracking) or finish.
             if reorder.committed() == metas.len() {
                 if prop_ids.iter().any(|&p| self.targets.failed(p)) {
@@ -719,16 +730,27 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         }
     }
 
-    /// Queues `p` at its cone weight, computed once per predicate, and
-    /// records a discovery (`Some(by)`, `by` `None` for a root) unless `p`
-    /// was discovered before; a re-queued stale target passes `None`.
+    /// Counts a reference to `p` (`found_by` is `Some(by)`: a member of
+    /// task `by`'s abduct, or a root when `by` is `None`) and records it as
+    /// `p`'s discovery unless `p` was discovered before; a re-queued stale
+    /// target passes `None` and counts nothing. A memoised `p` is a memo
+    /// hit (Algorithm 1, line 3) and an in-flight or failed one needs no
+    /// issue, so only an open `p` is queued, at its reference count.
     fn enqueue(&mut self, ready: &mut Ready, p: PredId, found_by: Option<Option<usize>>) {
-        let (netlist, store) = (self.netlist, &self.store);
         let target = self.targets.get_mut(p);
         target.found_by = target.found_by.or(found_by);
-        let weight = *(target.weight).get_or_insert_with(|| cone_weight(netlist, store.get(p)));
-        ready.heap.push((weight, Reverse(ready.enqueued), p));
-        ready.enqueued += 1;
+        target.refs += u64::from(found_by.is_some());
+        match target.status {
+            Status::Open => {
+                ready.heap.push((target.refs, Reverse(ready.enqueued), p));
+                ready.enqueued += 1;
+            }
+            Status::Solved { .. } => {
+                self.stats.counters.memo_hits += 1;
+                hh_trace::counter!("engine", "engine.memo.hit", 1);
+            }
+            Status::InFlight | Status::Failed => {}
+        }
     }
 
     fn assemble(&self, props: &[PredId]) -> Invariant {
@@ -770,30 +792,6 @@ mod tests {
         n.set_next(t, conj);
         let m = Miter::build(&n);
         (n, m)
-    }
-
-    /// The scheduler's on-demand cone weight equals the weight over the
-    /// miner's precomputed COI table ([`hh_netlist::coi::Coi::one_step`])
-    /// for every product state of a BoomLite miter, each in the `Eq` over
-    /// its pair: priorities, and so issue order, commit order and every
-    /// count, are the table's.
-    #[test]
-    fn cone_weight_matches_the_coi_table() {
-        use hh_netlist::StateId;
-        use hh_uarch::boomlite::{boom_lite, BoomVariant};
-        let m = Miter::build(&boom_lite(BoomVariant::Small, 16).netlist);
-        let n = m.netlist();
-        let miner = CoiMiner::new(&m, &[StateValues::initial(n)], None, vec![]);
-        let coi = &miner.coi;
-        let width = |ss: &[StateId]| ss.iter().map(|&s| n.state_width(s) as u64).sum::<u64>();
-        assert_eq!(2 * m.num_base_states(), n.num_states());
-        for b in m.base_state_ids() {
-            let (l, r) = m.pair(b);
-            let pred = Predicate::eq(l, r);
-            let states = pred.all_states();
-            let table = width(&states) + width(&coi.one_step(&states));
-            assert_eq!(cone_weight(n, &pred), table, "{pred:?}");
-        }
     }
 
     /// The threaded pool at 1, 2 and 4 workers and the virtual backend
@@ -1012,13 +1010,76 @@ mod tests {
         })
     }
 
+    /// A shared member that fails, reached before the abducts that would
+    /// name it. `x` starts at 0 and toggles, so `EqConst(x, 0)` holds on
+    /// every example and fails at its first query. The root `t' = x ? y :
+    /// AND(pads, siblings)` names it, beside `ISSUE_WINDOW - 1` held pads
+    /// and `ISSUE_WINDOW + 2` siblings `s' = x ? z : s`; each sibling can
+    /// use it alone or fall back on `Eq(x)` and `Eq(z)`. `x` is declared
+    /// first, so its pin is the root's first referenced member and shares
+    /// the issue window with the pads: it fails before any sibling is
+    /// mined, and only the root backtracks. A scheduler that mines every
+    /// ready target at once backtracks once per sibling.
+    fn shared_failure() -> Case {
+        let mut n = Netlist::new("shared_failure");
+        let x = n.state("x", 1, Bv::bit(false));
+        let y = n.state("y", 1, Bv::bit(false));
+        let z = n.state("z", 1, Bv::bit(false));
+        let pads = ISSUE_WINDOW - 1;
+        let names: Vec<String> = ((0..pads).map(|i| format!("p{i}")))
+            .chain((0..ISSUE_WINDOW + 2).map(|i| format!("s{i}")))
+            .collect();
+        let regs: Vec<_> = (names.iter())
+            .map(|r| n.state(r, 1, Bv::bit(false)))
+            .collect();
+        let t = n.state("t", 1, Bv::bit(false));
+        let (xn, yn, zn) = (n.state_node(x), n.state_node(y), n.state_node(z));
+        let flip = n.not(xn);
+        n.set_next(x, flip);
+        n.keep_state(y);
+        n.keep_state(z);
+        for (i, &r) in regs.iter().enumerate() {
+            if i < pads {
+                n.keep_state(r);
+            } else {
+                let rn = n.state_node(r);
+                let next = n.ite(xn, zn, rn);
+                n.set_next(r, next);
+            }
+        }
+        let nodes: Vec<_> = regs.iter().map(|&r| n.state_node(r)).collect();
+        let all = n.and_all(&nodes);
+        let next = n.ite(xn, yn, all);
+        n.set_next(t, next);
+        // All zeros, and all ones but `x`: only `x` is pinned.
+        let ones: Vec<(&str, u64, u64)> = (["y", "z", "t"].into_iter())
+            .chain(names.iter().map(String::as_str))
+            .map(|r| (r, 1, 1))
+            .collect();
+        Case::new(n, "t", &[&[], &ones], |case, inv, stats| {
+            let inv = case.proved(inv);
+            let x = case.base.find_state("x").unwrap();
+            let (l, r) = (case.miter.left(x), case.miter.right(x));
+            assert!(!inv.contains(&Predicate::eq_const(l, r, Bv::bit(false))));
+            assert!(stats.counters.backtracks <= 2, "{:?}", stats.counters);
+        })
+    }
+
     /// Memoisation, cycles, backtracking, failure and overlap, each on the
     /// thread-free serial schedule (virtual backend, window 1) and on pools
     /// of 1 and 3 workers: every run passes the case's checks, and the
     /// three agree on the invariant, the solution table and the task count.
     #[test]
     fn algorithm_1_cases_agree_on_every_backend() {
-        for case in [and_gate(), swap(), mux_backtrack(), leak(), diamond()] {
+        let cases = [
+            and_gate(),
+            swap(),
+            mux_backtrack(),
+            leak(),
+            diamond(),
+            shared_failure(),
+        ];
+        for case in cases {
             let name = case.base.name().to_string();
             let prop = case.eq(case.target);
             let mut reference = None;

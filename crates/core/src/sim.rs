@@ -15,7 +15,9 @@
 //! configured threads, only the `t` oldest pending jobs are eligible to
 //! complete (a real pool of `t` workers pulls jobs in queue order, so a job
 //! can only overtake the `t-1` jobs ahead of it). `t = 1` degenerates to
-//! FIFO — the serial schedule.
+//! FIFO — the serial schedule. No more than
+//! [`ISSUE_WINDOW`](crate::ISSUE_WINDOW) jobs are ever pending, so a larger
+//! `t` makes every pending job eligible.
 
 /// A scheduler transition observed by a [`SimDriver`] during virtual
 /// execution. Sequence numbers are job issue indices (commit order equals
@@ -27,8 +29,6 @@ pub enum SchedEvent {
     Issue {
         /// Issue index of the job (also its commit sequence number).
         job: usize,
-        /// Scheduling weight (1-step cone width) of the job's target.
-        weight: u64,
     },
     /// The driver picked this job to complete; its result is now buffered
     /// in the reorder buffer (worker → scheduler arrival point).

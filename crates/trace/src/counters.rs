@@ -74,7 +74,7 @@ counter_table! {
     queries, "engine.query", Sum,
         "abduction queries committed";
     memo_hits, "engine.memo.hit", Sum,
-        "targets skipped at issue because the memo table already solved them";
+        "targets named again after the memo table solved them (Algorithm 1, line 3)";
     backtracks, "engine.backtrack", Sum,
         "memoised solutions swept because a member predicate failed";
     session_hits, "smt.session.hit", Sum,

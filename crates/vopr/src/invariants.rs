@@ -9,14 +9,14 @@
 //! Checkers come in three shapes:
 //!
 //! * **event checkers** replay the scheduler event log of one run
-//!   (commit order, issue/commit balance);
+//!   (commit order, the issue window);
 //! * **run checkers** look at one run's artifacts (trace/Stats agreement,
 //!   span laminarity, death surfacing);
 //! * **pair checkers** compare two runs (fault transparency against the
 //!   unfaulted reference, bit-exact replay equality).
 
 use hhoudini::sim::SchedEvent;
-use hhoudini::Stats;
+use hhoudini::{Stats, ISSUE_WINDOW};
 use std::collections::BTreeMap;
 
 /// Outcome of one checker application.
@@ -100,6 +100,37 @@ impl CommitOrderChecker {
                      be the issue-order projection"
                 ));
             }
+        }
+        InvariantResult::Ok
+    }
+}
+
+/// The issue window: no issue point leaves more than
+/// [`ISSUE_WINDOW`] jobs issued and uncommitted, counting the job just
+/// issued. A scheduler that mined further ahead would fix candidate sets
+/// before the failures that should prune them commit.
+#[derive(Debug, Default)]
+pub struct IssueWindowChecker {
+    issued: usize,
+    committed: usize,
+}
+
+impl IssueWindowChecker {
+    /// Feeds one scheduler event.
+    pub fn record_event(&mut self, ev: &SchedEvent) -> InvariantResult {
+        match ev {
+            SchedEvent::Issue { job } => {
+                self.issued += 1;
+                let open = self.issued - self.committed;
+                if open > ISSUE_WINDOW {
+                    return InvariantResult::Violation(format!(
+                        "job {job} issued with {open} jobs uncommitted; the \
+                         window is {ISSUE_WINDOW}"
+                    ));
+                }
+            }
+            SchedEvent::Commit { .. } => self.committed += 1,
+            _ => {}
         }
         InvariantResult::Ok
     }
@@ -285,18 +316,30 @@ impl Registry {
         }
     }
 
+    /// Replays a run's event log through one event checker and records its
+    /// first violation: one per run is enough context.
+    fn replay_events(
+        &mut self,
+        label: &str,
+        checker: &str,
+        events: &[SchedEvent],
+        mut record: impl FnMut(&SchedEvent) -> InvariantResult,
+    ) {
+        let first = (events.iter().map(&mut record)).find(|r| *r != InvariantResult::Ok);
+        self.apply(label, checker, first.unwrap_or(InvariantResult::Ok));
+    }
+
     /// Runs every single-run checker over one run's artifacts.
     pub fn record_run(&mut self, scenario: &str, run: &RunArtifacts) {
         let label = format!("{scenario}/{}", run.label);
-        let mut checker = CommitOrderChecker::default();
-        for ev in &run.events {
-            let r = checker.record_event(ev);
-            if !matches!(r, InvariantResult::Ok) {
-                self.apply(&label, "commit-order", r);
-                break; // one violation per run is enough context
-            }
-        }
-        self.checks += 1;
+        let mut order = CommitOrderChecker::default();
+        self.replay_events(&label, "commit-order", &run.events, |ev| {
+            order.record_event(ev)
+        });
+        let mut window = IssueWindowChecker::default();
+        self.replay_events(&label, "issue-window", &run.events, |ev| {
+            window.record_event(ev)
+        });
         self.apply(&label, "inflight-balance", check_inflight_balance(run));
         self.apply(&label, "trace-agreement", check_trace_agreement(run));
         self.apply(&label, "laminarity", check_laminarity(run));
@@ -350,6 +393,22 @@ mod tests {
         );
         assert!(matches!(
             c.record_event(&SchedEvent::Commit { seq: 1, job: 2 }),
+            InvariantResult::Violation(_)
+        ));
+    }
+
+    #[test]
+    fn issue_window_checker_rejects_one_issue_past_the_window() {
+        let issue = |job| SchedEvent::Issue { job };
+        let mut c = IssueWindowChecker::default();
+        for job in 0..ISSUE_WINDOW {
+            assert_eq!(c.record_event(&issue(job)), InvariantResult::Ok);
+        }
+        let commit = SchedEvent::Commit { seq: 0, job: 0 };
+        assert_eq!(c.record_event(&commit), InvariantResult::Ok);
+        assert_eq!(c.record_event(&issue(ISSUE_WINDOW)), InvariantResult::Ok);
+        assert!(matches!(
+            c.record_event(&issue(ISSUE_WINDOW + 1)),
             InvariantResult::Violation(_)
         ));
     }

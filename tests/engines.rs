@@ -139,8 +139,10 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
     // spurious predicates through mining, so the engine backtracks and
     // sessions re-trim on retries, over solvers that carry what earlier
     // queries learnt. That must not make the result depend on the
-    // schedule. Every session parks after every query and 19 of them
-    // answer again. The work counts are pinned.
+    // schedule: the thread-free serial schedule and pools of 1, 2 and 4
+    // learn the same invariant and solution table. Every session parks
+    // after every query and 15 of them answer again. The work counts are
+    // pinned.
     let design = boom_lite(BoomVariant::Small, 16);
     let safe: Vec<Mnemonic> = alu_set()
         .into_iter()
@@ -152,16 +154,21 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
     let patterns = instruction_patterns(&safe);
 
     let mut reference = None;
-    for threads in [1, 2, 4] {
+    for (threads, threaded) in [(1, false), (1, true), (2, true), (4, true)] {
         let miner = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
         let mut par = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), threads);
-        let inv = par.learn(&props).expect("invariant");
+        let inv = if threaded {
+            par.learn(&props)
+        } else {
+            par.learn_sim(&props, &mut FifoDriver)
+        };
+        let inv = inv.expect("invariant");
         let queries = par.stats().smt_queries;
         let stats = par.stats().counters;
         assert!(stats.backtracks > 0, "limited examples must backtrack");
         assert_eq!(
             (queries, stats.backtracks, stats.session_hits),
-            (70, 19, 19)
+            (66, 15, 15)
         );
         assert_eq!(
             (
@@ -169,7 +176,7 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
                 stats.sat_conflicts,
                 stats.sat_propagations
             ),
-            (186, 9_652, 1_488_169)
+            (174, 8_756, 1_326_376)
         );
         // Byte gauges come from capacities, not from the allocator or the
         // clock: the same at every thread count.
@@ -181,14 +188,15 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
         match &reference {
             None => {
                 assert!(inv.verify_monolithic(miter.netlist()));
-                reference = Some((inv.preds().to_vec(), resident));
+                reference = Some((inv.preds().to_vec(), par.solutions(), resident));
             }
-            Some((expect, expect_resident)) => {
+            Some((expect, solutions, expect_resident)) => {
                 assert_eq!(
                     expect.as_slice(),
                     inv.preds(),
-                    "{threads}-thread run must learn the 1-thread invariant"
+                    "{threads}-thread run must learn the serial invariant"
                 );
+                assert_eq!(solutions, &par.solutions(), "{threads} threads");
                 assert_eq!(*expect_resident, resident, "{threads} threads");
             }
         }
