@@ -429,10 +429,10 @@ fn fig4(runs: &Runs, report: &mut Report) {
 /// of tasks; with rich examples the paper's prediction "if the set of
 /// positive examples was exhaustive, the number of backtracks would be 0"
 /// holds exactly. Every limited run's `Stats::counters()` is pinned as
-/// `<target>-limited` rows — among them the parked sessions' bytes —
+/// `<target>-limited` rows — among them the largest session's bytes —
 /// beside its `queries_per_pred`, solver calls per learned predicate in
-/// the terms of Feldman et al. The MegaBoomLite one, where sessions
-/// re-trim their cores on retries, spends at most 1.15 queries per
+/// the terms of Feldman et al. The MegaBoomLite one, where every retry
+/// replays its cone from the encode cache, spends at most 1.15 queries per
 /// predicate, passes a monolithic induction check and is learned again on
 /// two workers, where it must not move.
 fn fig5(runs: &Runs, report: &mut Report) {
@@ -463,8 +463,8 @@ fn fig5(runs: &Runs, report: &mut Report) {
     let one = runs.shared(mega, Shared::Limited);
     let c = one.stats.counters;
     assert!(
-        c.backtracks > 0 && c.session_hits > 0,
-        "limited examples must backtrack on MegaBoomLite, and retries reuse sessions"
+        c.backtracks > 0 && c.encode_cache_hits >= c.backtracks,
+        "limited examples must backtrack on MegaBoomLite, and every retry replays its cone"
     );
     // Most-referenced first inside the issue window: a member that fails
     // is mostly in `P_fail` before the abducts that would name it are mined.
@@ -489,8 +489,8 @@ fn fig5(runs: &Runs, report: &mut Report) {
         "2 workers did other work"
     );
     println!(
-        "{}: {} backtracks, {} session retries; invariant re-checked monolithically, and identical with its counters on 2 workers",
-        t.name, c.backtracks, c.session_hits
+        "{}: {} backtracks, {} encode-cache replays; invariant re-checked monolithically, and identical with its counters on 2 workers",
+        t.name, c.backtracks, c.encode_cache_hits
     );
 
     println!("\nRich examples (full rd rotation — near-exhaustive coverage):");
@@ -571,7 +571,6 @@ fn speedup(runs: &Runs, report: &mut Report) {
         for (key, value) in s.counters() {
             report.push(t.name, key, value as f64, "count");
         }
-        report.push(t.name, "session_hit_rate", s.session_hit_rate(), "frac");
         report.push(
             t.name,
             "encode_cache_hit_rate",

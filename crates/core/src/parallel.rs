@@ -8,8 +8,8 @@
 //!   failed or in-flight one needs no query;
 //! * otherwise mines candidates over the 1-step cone (`O_slice` + `O_mine`,
 //!   lines 9–10), subtracts `P_fail` (line 11) and asks the abduction oracle
-//!   for an abduct through the target's live [`AbductionSession`] (lines
-//!   12–13: the answer is memoised at commit);
+//!   for an abduct through an [`AbductionSession`] that lives for that one
+//!   query (lines 12–13: the answer is memoised at commit);
 //! * enqueues every abduct member as a child target (line 18) — each is
 //!   independent of its siblings, which is what makes the recursion a DAG;
 //! * puts a target with no abduct into `P_fail` (lines 14–16), and at
@@ -66,13 +66,16 @@
 //! **State.** Each predicate has one record, shared across the run so
 //! overlapping cones are analysed once: its Algorithm 1 status (open, in
 //! flight, memoised with its abduct, or in `P_fail`), the task that
-//! discovered it, its reference count and its live [`AbductionSession`],
-//! which travels with each job and is parked in the record between
-//! queries, so backtracking retries re-solve incrementally. A per-run
+//! discovered it and its reference count. A job carries only the target
+//! and its candidates: the worker that dequeues it builds the target's
+//! [`AbductionSession`], answers the query and drops the session before
+//! the answer travels back, so at most one session per worker exists and
+//! a query's answer is a function of (target, candidates) alone. A per-run
 //! [`hh_smt::EncodeCache`] is shared by all sessions: signature-equal cones
-//! replay each other's base encodings. A replay is byte-identical to a
-//! fresh build, so which session recorded an encoding first (the one thing
-//! worker timing does decide) cannot reach the result.
+//! and backtracking retries replay the base encoding an earlier session
+//! recorded. A replay is byte-identical to a fresh build, so which session
+//! recorded an encoding first (the one thing worker timing does decide)
+//! cannot reach the result.
 
 use crate::invariant::closure;
 use crate::mine::Miner;
@@ -130,7 +133,7 @@ enum Status {
 
 /// The engine's record of one predicate as a target.
 #[derive(Debug, Default)]
-struct Target<'a> {
+struct Target {
     status: Status,
     /// The task that first discovered the target: `Some(None)` for a root
     /// (a property or a seeded premise), `None` until it is discovered.
@@ -138,26 +141,20 @@ struct Target<'a> {
     /// How many times this run named the target: once as a root, once per
     /// committed abduct it is a member of. Its issue priority.
     refs: u64,
-    /// The live session, parked between the target's queries; boxed, so a
-    /// record of a never-issued candidate stays a few words.
-    session: Option<Box<AbductionSession<'a>>>,
 }
 
-/// One [`Target`] per predicate, indexed by [`PredId`], and the bytes of
-/// the sessions parked in them (the peak is kept across learn calls).
+/// One [`Target`] per predicate, indexed by [`PredId`].
 #[derive(Debug, Default)]
-struct Targets<'a> {
-    records: Vec<Target<'a>>,
-    resident_bytes: u64,
-    peak_resident_bytes: u64,
+struct Targets {
+    records: Vec<Target>,
 }
 
-impl<'a> Targets<'a> {
+impl Targets {
     fn failed(&self, p: PredId) -> bool {
         (self.records.get(p.index())).is_some_and(|t| matches!(t.status, Status::Failed))
     }
 
-    fn get_mut(&mut self, p: PredId) -> &mut Target<'a> {
+    fn get_mut(&mut self, p: PredId) -> &mut Target {
         if p.index() >= self.records.len() {
             self.records.resize_with(p.index() + 1, Target::default);
         }
@@ -177,42 +174,22 @@ impl<'a> Targets<'a> {
             })
     }
 
-    /// Marks `p` in flight; returns its parked session, if it has one, and
-    /// the task that discovered it.
-    fn issue(&mut self, p: PredId) -> (Option<Box<AbductionSession<'a>>>, Option<usize>) {
+    /// Marks `p` in flight; returns the task that discovered it.
+    fn issue(&mut self, p: PredId) -> Option<usize> {
         let target = self.get_mut(p);
         target.status = Status::InFlight;
-        let (session, parent) = (target.session.take(), target.found_by.flatten());
-        self.resident_bytes -= session.as_ref().map_or(0, |s| s.resident_bytes());
-        (session, parent)
+        target.found_by.flatten()
     }
 
-    /// Memoises `p`'s abduct and parks its session until its next query or
-    /// the end of the run.
-    fn memoise(&mut self, p: PredId, abduct: Vec<PredId>, session: Box<AbductionSession<'a>>) {
-        self.resident_bytes += session.resident_bytes();
-        self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
-        let target = self.get_mut(p);
-        target.status = Status::Solved {
-            abduct,
-            seeded: false,
-        };
-        let displaced = target.session.replace(session);
-        debug_assert!(displaced.is_none(), "a target has one session");
-    }
-
-    /// Ends a learn call: parked sessions are freed, reference counts start
-    /// over, and a target whose job a poisoned run left uncommitted is open
-    /// again.
+    /// Ends a learn call: reference counts start over, and a target whose
+    /// job a poisoned run left uncommitted is open again.
     fn end_run(&mut self) {
         for t in &mut self.records {
-            t.session = None;
             t.refs = 0;
             if matches!(t.status, Status::InFlight) {
                 t.status = Status::Open;
             }
         }
-        self.resident_bytes = 0;
     }
 }
 
@@ -233,9 +210,9 @@ pub struct ParallelEngine<'a, M: Miner> {
     config: EngineConfig,
     threads: usize,
     store: PredicateStore,
-    /// Algorithm 1's state of every target: memo table, `P_fail`, the task
-    /// DAG's discovery links and the live sessions.
-    targets: Targets<'a>,
+    /// Algorithm 1's state of every target: memo table, `P_fail` and the
+    /// task DAG's discovery links.
+    targets: Targets,
     /// Externally owned warm [`EncodeCache`] (a resident service keeps one
     /// across requests); when set, [`ParallelEngine::learn`] uses it instead
     /// of building a per-run cache. See [`ParallelEngine::set_encode_cache`].
@@ -251,11 +228,19 @@ pub struct ParallelEngine<'a, M: Miner> {
 
 /// What a worker needs to run one abduction query. Predicates are shared
 /// handles into the store — issuing a job clones pointers, not trees.
-struct Job<'a> {
+struct Job {
     job_idx: usize,
+    target: Arc<Predicate>,
     cands: Vec<Arc<Predicate>>,
-    /// The target's live session.
-    session: Box<AbductionSession<'a>>,
+}
+
+/// What every job of a run shares: the netlist, the query configuration
+/// and the run's encode cache.
+#[derive(Clone, Copy)]
+struct Oracle<'r, 'a> {
+    netlist: &'a Netlist,
+    config: AbductionConfig,
+    cache: &'r Arc<EncodeCache>,
 }
 
 /// Scheduler-side bookkeeping for an issued job, indexed by `job_idx`.
@@ -266,25 +251,27 @@ struct JobMeta {
 }
 
 /// A completed query travelling back to the merge loop.
-struct JobDone<'a> {
+struct JobDone {
     job_idx: usize,
-    /// The answer and the session that produced it, on its way back to the
-    /// scheduler. `None` when the worker died (panicked) before producing a
-    /// result — the run is poisoned and the scheduler stops committing.
-    solved: Option<(AbductionResult, Box<AbductionSession<'a>>)>,
+    /// The answer. `None` when the worker died (panicked) before producing
+    /// a result — the run is poisoned and the scheduler stops committing.
+    solved: Option<AbductionResult>,
     duration: Duration,
 }
 
 /// Runs one abduction query — the worker body shared by the threaded pool
-/// and the virtual (simulation) backend. A panicking solve is caught and
-/// surfaced as a `solved: None` completion, so the scheduler never waits
-/// on a `JobDone` that would never arrive.
-fn solve_job(job: Job<'_>, panic_on: Option<usize>) -> JobDone<'_> {
+/// and the virtual (simulation) backend. The target's session is built
+/// here, over the run's encode cache (so the cone signature is computed
+/// off the scheduler thread too), and dropped before the answer returns;
+/// its bytes at the drop go into the answer's telemetry. A panicking solve
+/// is caught and surfaced as a `solved: None` completion, so the scheduler
+/// never waits on a `JobDone` that would never arrive.
+fn solve_job(job: Job, oracle: Oracle<'_, '_>, panic_on: Option<usize>) -> JobDone {
     let _job_span = hh_trace::span!("sched", "sched.job");
     let Job {
         job_idx,
+        target,
         cands,
-        mut session,
     } = job;
     let q0 = Instant::now();
     let solved = std::panic::catch_unwind(AssertUnwindSafe(move || {
@@ -292,8 +279,12 @@ fn solve_job(job: Job<'_>, panic_on: Option<usize>) -> JobDone<'_> {
             panic_on != Some(job_idx),
             "injected worker death (fault-injection seam)"
         );
-        let result = session.solve(&cands);
-        (result, session)
+        let cache = Arc::clone(oracle.cache);
+        let mut session =
+            AbductionSession::with_cache(oracle.netlist, target, oracle.config, cache, true);
+        let mut result = session.solve(&cands);
+        result.telemetry.counters.session_resident_bytes = session.resident_bytes();
+        result
     }));
     JobDone {
         job_idx,
@@ -423,10 +414,10 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     pub fn learn(&mut self, properties: &[Predicate]) -> Option<Invariant> {
         let workers = self.threads;
         let fail_job = self.fail_job;
-        self.run(properties, |engine, prop_ids, encode_cache| {
-            let (job_tx, job_rx) = mpsc::channel::<Job<'a>>();
+        self.run(properties, |engine, prop_ids, oracle| {
+            let (job_tx, job_rx) = mpsc::channel::<Job>();
             let job_rx = Mutex::new(job_rx);
-            let (done_tx, done_rx) = mpsc::channel::<JobDone<'a>>();
+            let (done_tx, done_rx) = mpsc::channel::<JobDone>();
 
             std::thread::scope(|scope| {
                 let pool: Vec<_> = (0..workers)
@@ -438,7 +429,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                                 // Hold the lock only for the dequeue, not the solve.
                                 let job = job_rx.lock().unwrap().recv();
                                 let Ok(job) = job else { break };
-                                let done = solve_job(job, fail_job);
+                                let done = solve_job(job, oracle, fail_job);
                                 if done_tx.send(done).is_err() {
                                     break; // scheduler gone
                                 }
@@ -453,7 +444,6 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
 
                 let outcome = engine.run_scheduler(
                     prop_ids,
-                    encode_cache,
                     |job| job_tx.send(job).expect("worker pool alive"),
                     // Cannot strand: every dequeued job produces a JobDone,
                     // panicked or not, and workers outlive the scheduler.
@@ -499,16 +489,15 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         driver: &mut dyn SimDriver,
     ) -> Option<Invariant> {
         let window = self.threads;
-        self.run(properties, |engine, prop_ids, encode_cache| {
+        self.run(properties, |engine, prop_ids, oracle| {
             // Both closures need the driver and the pending pool; RefCells
             // keep the borrows disjoint per call (the scheduler never
             // re-enters).
-            let pending: RefCell<Vec<Job<'a>>> = RefCell::new(Vec::new());
+            let pending: RefCell<Vec<Job>> = RefCell::new(Vec::new());
             let driver = RefCell::new(driver);
 
             engine.run_scheduler(
                 prop_ids,
-                encode_cache,
                 |job| pending.borrow_mut().push(job),
                 || {
                     // The scheduler only collects while uncommitted jobs
@@ -531,7 +520,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                         };
                     }
                     drop(d);
-                    let done = solve_job(job, None);
+                    let done = solve_job(job, oracle, None);
                     driver
                         .borrow_mut()
                         .observe(&SchedEvent::Arrival { job: job_idx });
@@ -545,14 +534,13 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     /// One learn run around `backend`, which drives
     /// [`Self::run_scheduler`] on its execution model. Everything either
     /// backend needs before the first issue and after the last commit is
-    /// here: the properties are interned; the encode cache is the warm one
-    /// a resident service attached (it outlives the call and keeps its
-    /// recorded encodings) or a fresh per-run cache; sessions only pay off
-    /// within one run, so their solvers are freed at its end.
+    /// here: the properties are interned, and the encode cache is the warm
+    /// one a resident service attached (it outlives the call and keeps its
+    /// recorded encodings) or a fresh per-run cache.
     fn run(
         &mut self,
         properties: &[Predicate],
-        backend: impl FnOnce(&mut Self, &[PredId], &Arc<EncodeCache>) -> Option<Invariant>,
+        backend: impl FnOnce(&mut Self, &[PredId], Oracle<'_, 'a>) -> Option<Invariant>,
     ) -> Option<Invariant> {
         let t0 = Instant::now();
         let _learn_span = hh_trace::span!("engine", "engine.learn");
@@ -566,10 +554,14 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             .clone()
             .unwrap_or_else(|| Arc::new(EncodeCache::new(self.netlist)));
 
-        let result = backend(self, &prop_ids, &encode_cache);
+        let oracle = Oracle {
+            netlist: self.netlist,
+            config: self.config.abduction,
+            cache: &encode_cache,
+        };
+        let result = backend(self, &prop_ids, oracle);
 
-        self.stats
-            .record_run_end(&encode_cache, self.targets.peak_resident_bytes);
+        self.stats.record_run_end(&encode_cache);
         self.stats.wall_time = t0.elapsed();
         self.targets.end_run();
         result
@@ -583,9 +575,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     fn run_scheduler(
         &mut self,
         prop_ids: &[PredId],
-        encode_cache: &Arc<EncodeCache>,
-        mut dispatch: impl FnMut(Job<'a>),
-        mut collect: impl FnMut() -> JobDone<'a>,
+        mut dispatch: impl FnMut(Job),
+        mut collect: impl FnMut() -> JobDone,
         mut observe: impl FnMut(&SchedEvent),
     ) -> Option<Invariant> {
         // `ready` holds targets to (re-)issue; `reorder` buffers
@@ -606,7 +597,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             self.enqueue(&mut ready, q, Some(None));
         }
         let mut metas: Vec<JobMeta> = Vec::new();
-        let mut reorder: ReorderBuffer<JobDone<'a>> = ReorderBuffer::new();
+        let mut reorder: ReorderBuffer<JobDone> = ReorderBuffer::new();
 
         loop {
             // Issue phase: drain the queue in priority order until the
@@ -626,16 +617,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 cand_ids.retain(|&q| !self.targets.failed(q));
                 let cands = self.store.resolve_arc(&cand_ids);
                 let job_idx = metas.len();
-                let (parked, parent) = self.targets.issue(p);
-                let session = parked.unwrap_or_else(|| {
-                    Box::new(AbductionSession::with_cache(
-                        self.netlist,
-                        target,
-                        self.config.abduction,
-                        Arc::clone(encode_cache),
-                        true,
-                    ))
-                });
+                let parent = self.targets.issue(p);
                 metas.push(JobMeta {
                     pred: p,
                     cand_ids,
@@ -646,8 +628,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 observe(&SchedEvent::Issue { job: job_idx });
                 dispatch(Job {
                     job_idx,
+                    target,
                     cands,
-                    session,
                 });
             }
 
@@ -698,7 +680,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 reorder.pop_in_order().expect("checked above")
             };
             let meta = &metas[done.job_idx];
-            let Some((result, session)) = done.solved else {
+            let Some(result) = done.solved else {
                 // The worker solving this job died: surface the poisoned run
                 // instead of committing a fabricated result.
                 self.stats.poisoned = true;
@@ -718,7 +700,6 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 &result.telemetry,
             );
             let Some(idxs) = result.abduct else {
-                // Never issued again, so its session is dropped, not parked.
                 self.targets.get_mut(meta.pred).status = Status::Failed;
                 continue;
             };
@@ -726,7 +707,10 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             for &q in &abduct {
                 self.enqueue(&mut ready, q, Some(Some(task_idx)));
             }
-            self.targets.memoise(meta.pred, abduct, session);
+            self.targets.get_mut(meta.pred).status = Status::Solved {
+                abduct,
+                seeded: false,
+            };
         }
     }
 
@@ -1153,11 +1137,8 @@ mod tests {
         let mut par = ParallelEngine::new(m.netlist(), miner, EngineConfig::default(), 2);
         assert!(par.learn_sim(&[prop], &mut DieOnSecond).is_none());
         assert!(par.stats().poisoned);
-        // The jobs the death left uncommitted leave no target in flight
-        // and no session parked.
-        let targets = &par.targets;
-        let idle = |t: &Target| !matches!(t.status, Status::InFlight) && t.session.is_none();
-        assert!(targets.records.iter().all(idle));
-        assert_eq!(targets.resident_bytes, 0);
+        // The jobs the death left uncommitted leave no target in flight.
+        let in_flight = |t: &Target| matches!(t.status, Status::InFlight);
+        assert!(!par.targets.records.iter().any(in_flight));
     }
 }

@@ -175,11 +175,6 @@ impl Stats {
         self.counters.queries += 1;
         self.query_durations.push(duration);
         hh_trace::counter!("engine", "engine.query", 1);
-        if t.counters.session_hits > 0 {
-            hh_trace::counter!("smt", "smt.session.hit", 1);
-        } else {
-            hh_trace::counter!("smt", "smt.session.miss", 1);
-        }
         self.encode_time += t.encode_time;
         self.solve_time += t.solve_time;
         self.counters.merge(&t.counters);
@@ -194,9 +189,8 @@ impl Stats {
     }
 
     /// End-of-run fold of the shared encode cache's final
-    /// [`hh_smt::CacheStats`] and footprint, and of the parked sessions'
-    /// high-water footprint.
-    pub(crate) fn record_run_end(&mut self, cache: &hh_smt::EncodeCache, session_peak: u64) {
+    /// [`hh_smt::CacheStats`] and footprint.
+    pub(crate) fn record_run_end(&mut self, cache: &hh_smt::EncodeCache) {
         let c = cache.stats();
         self.counters.merge(&Counters {
             encode_cache_hits: c.hits,
@@ -204,22 +198,19 @@ impl Stats {
             encode_vars_saved: c.vars_saved,
             encode_clauses_saved: c.clauses_saved,
             encode_cache_resident_bytes: cache.resident_bytes(),
-            session_resident_bytes: session_peak,
             ..Counters::default()
         });
-    }
-
-    /// Fraction of abduction queries served by a live session (0 when no
-    /// queries ran).
-    pub fn session_hit_rate(&self) -> f64 {
-        hit_rate(self.counters.session_hits, self.counters.session_misses)
     }
 
     /// Fraction of base encodings served by the cross-target encode cache
     /// (0 when it was never consulted).
     pub fn encode_cache_hit_rate(&self) -> f64 {
         let c = &self.counters;
-        hit_rate(c.encode_cache_hits, c.encode_cache_misses)
+        let consulted = c.encode_cache_hits + c.encode_cache_misses;
+        if consulted == 0 {
+            return 0.0;
+        }
+        c.encode_cache_hits as f64 / consulted as f64
     }
 
     /// Scheduler occupancy: the fraction of configured worker capacity
@@ -241,13 +232,6 @@ impl Stats {
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         self.counters.iter().collect()
     }
-}
-
-fn hit_rate(hits: u64, misses: u64) -> f64 {
-    if hits + misses == 0 {
-        return 0.0;
-    }
-    hits as f64 / (hits + misses) as f64
 }
 
 fn median(d: &mut [Duration]) -> Duration {

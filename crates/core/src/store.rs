@@ -31,7 +31,7 @@ impl PredId {
 /// Interning table for [`Predicate`]s.
 ///
 /// Predicates are stored behind [`Arc`] so that job payloads (worker-thread
-/// abduction jobs, live sessions) can share them without deep-cloning the
+/// abduction jobs, sessions) can share them without deep-cloning the
 /// predicate tree per job.
 #[derive(Debug, Default)]
 pub struct PredicateStore {

@@ -287,13 +287,6 @@ impl ClauseDb {
         self.data.len()
     }
 
-    /// Releases the spare capacity of the arena and the clause lists.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.data.shrink_to_fit();
-        self.clause_list.shrink_to_fit();
-        self.learnt_list.shrink_to_fit();
-    }
-
     /// Heap bytes held by the arena and the clause lists.
     pub(crate) fn bytes(&self) -> u64 {
         ((self.data.capacity() + self.clause_list.capacity() + self.learnt_list.capacity()) * 4)

@@ -27,7 +27,7 @@ use crate::clause::{ClauseDb, ClauseRef, Tier};
 use crate::lit::{LBool, Lit, Var};
 use crate::proof::ProofSink;
 use crate::vmtf::VmtfQueue;
-use crate::watch::{Fit, WatchStore, Watcher};
+use crate::watch::{WatchStore, Watcher};
 use std::num::NonZeroU32;
 
 /// Outcome of a [`Solver::solve`] call.
@@ -113,11 +113,8 @@ pub struct SolverStats {
     pub budget_rounds: u64,
     /// Current heap footprint of the watch lists in bytes (watchers, idle
     /// capacity, holes and per-literal headers) — a gauge refreshed after
-    /// every solve and by [`Solver::shrink_to_fit`], not a monotone counter.
+    /// every solve, not a monotone counter.
     pub watch_bytes: u64,
-    /// The part of `watch_bytes` that is watchers currently in a list — a
-    /// gauge refreshed together with it.
-    pub watch_live_bytes: u64,
 }
 
 // Fixed search parameters. No workload sets any of them, so they are
@@ -518,7 +515,7 @@ impl Solver {
         );
         let result = self.solve_internal(assumptions, budget);
         self.stats.arena_bytes = (self.db.arena_words() * 4) as u64;
-        self.refresh_watch_gauges();
+        self.refresh_watch_gauge();
         if hh_trace::enabled() {
             hh_trace::counter!(
                 "sat",
@@ -563,7 +560,7 @@ impl Solver {
         self.cancel_until(0);
         // The formula has stopped growing and no list is being walked: the
         // one point per solve where a wasteful watch arena (a bulk load's
-        // relocation holes, a park's exact fit since outgrown) is rebuilt.
+        // relocation holes, or lists since emptied) is rebuilt.
         self.fit_watches();
         self.max_learnts = (self.db.num_clauses() as f64) * LEARNT_SIZE_FACTOR + 1000.0;
         // Seed the best-phase snapshot from the saved phases so a restart
@@ -1275,14 +1272,14 @@ impl Solver {
     /// start of a solve and the clause-GC sites.
     fn fit_watches(&mut self) {
         if self.watches.wasteful() {
-            self.watches.compact(Fit::Roomy);
+            self.watches.compact();
         }
     }
 
-    /// Refreshes the two watch gauges. Like the arena size, the footprint
+    /// Refreshes the watch-store gauge. Like the arena size, the footprint
     /// is traced as a signed delta, which keeps the trace total equal to the
     /// current value.
-    fn refresh_watch_gauges(&mut self) {
+    fn refresh_watch_gauge(&mut self) {
         let bytes = self.watches.bytes();
         hh_trace::counter!(
             "sat",
@@ -1290,7 +1287,6 @@ impl Solver {
             bytes as i64 - self.stats.watch_bytes as i64
         );
         self.stats.watch_bytes = bytes;
-        self.stats.watch_live_bytes = self.watches.live_bytes();
     }
 
     /// Drops watchers that point at deleted clauses, leaving live watchers
@@ -1326,34 +1322,6 @@ impl Solver {
     // ------------------------------------------------------------------
     // Memory
     // ------------------------------------------------------------------
-
-    /// Parks the solver: rebuilds the watch arena with no slack at all and
-    /// releases the spare capacity of every other vector, so that
-    /// [`Solver::resident_bytes`] is what the formula and the search state
-    /// need and nothing more. For a solver about to sit idle — an
-    /// incremental session between queries. Nothing the search reads
-    /// changes (watcher order included), so later calls answer exactly as
-    /// they would have; they re-grow what they need.
-    pub fn shrink_to_fit(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        self.watches.compact(Fit::Exact);
-        self.refresh_watch_gauges();
-        self.db.shrink_to_fit();
-        self.order.shrink_to_fit();
-        self.assigns.shrink_to_fit();
-        self.vals.shrink_to_fit();
-        self.phase.shrink_to_fit();
-        self.best_phase.shrink_to_fit();
-        self.analyzed.shrink_to_fit();
-        self.trail.shrink_to_fit();
-        self.trail_lim.shrink_to_fit();
-        self.reason.shrink_to_fit();
-        self.level.shrink_to_fit();
-        self.seen.shrink_to_fit();
-        self.model.shrink_to_fit();
-        self.core.shrink_to_fit();
-        self.lbd_levels.shrink_to_fit();
-    }
 
     /// Heap bytes this solver holds, computed from the capacities of its
     /// vectors (so it repeats exactly run to run, unlike an RSS reading):
@@ -1880,46 +1848,6 @@ mod tests {
             assumptions.pop();
         }
         assert_eq!(trajectory(&s), [13600, 201437, 6737, 5, 4]);
-    }
-
-    #[test]
-    fn parking_between_solves_changes_no_trajectory() {
-        // The incremental stream of `default_trajectory_is_pinned`, twice:
-        // one solver parks after every answer, and clauses (binary and
-        // long) keep arriving after each park.
-        let clauses = random_3cnf(140, 590, 3);
-        let mut plain = solver_with(Config::default(), 140, &clauses);
-        let mut parked = solver_with(Config::default(), 140, &clauses);
-        let mut assumptions: Vec<Lit> = (0..600).map(|_| plain.new_var().positive()).collect();
-        for _ in 0..600 {
-            parked.new_var();
-        }
-        let extra_clauses = random_3cnf(140, 8, 77);
-        for round in 0..4 {
-            assumptions.push(Var::from_index(round).lit(round % 2 == 0));
-            let verdict = plain.solve_with_assumptions(&assumptions);
-            assert_eq!(parked.solve_with_assumptions(&assumptions), verdict);
-            assert_eq!(parked.unsat_core(), plain.unsat_core());
-            assumptions.pop();
-
-            parked.shrink_to_fit();
-            assert_eq!(parked.debug_check_watches(), Ok(()));
-            assert_eq!(parked.debug_check_values(), Ok(()));
-            let st = parked.stats();
-            let headers = (2 * parked.num_vars() * 16) as u64;
-            assert_eq!(st.watch_bytes, st.watch_live_bytes + headers, "no slack");
-            assert!(parked.resident_bytes() < plain.resident_bytes());
-
-            let long = &extra_clauses[2 * round];
-            let binary = &extra_clauses[2 * round + 1][..2];
-            for s in [&mut plain, &mut parked] {
-                s.add_clause(long);
-                s.add_clause(binary);
-            }
-        }
-        assert_eq!(trajectory(&parked), trajectory(&plain));
-        assert!(plain.stats().chrono_backtracks > 0);
-        assert_eq!(plain.debug_check_values(), Ok(()));
     }
 
     #[test]

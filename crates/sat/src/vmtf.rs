@@ -101,13 +101,6 @@ impl VmtfQueue {
         }
     }
 
-    /// Releases the spare capacity of the per-variable arrays.
-    pub(crate) fn shrink_to_fit(&mut self) {
-        self.older.shrink_to_fit();
-        self.newer.shrink_to_fit();
-        self.stamp.shrink_to_fit();
-    }
-
     /// Heap bytes held by the per-variable arrays.
     pub(crate) fn bytes(&self) -> u64 {
         ((self.older.capacity() + self.newer.capacity()) * 4 + self.stamp.capacity() * 8) as u64

@@ -15,10 +15,8 @@
 //! ([`WatchStore::compact`], one linear, order-preserving copy) at a point
 //! where no list is being walked: the start of a solve call — which is where
 //! a freshly loaded or replayed formula first stops growing — and the
-//! clause-GC sites, both with power-of-two headroom per list
-//! ([`Fit::Roomy`]) so steady-state watch moves do not relocate; and when
-//! the solver is parked ([`crate::Solver::shrink_to_fit`]) with no slack at
-//! all ([`Fit::Exact`]).
+//! clause-GC sites, with power-of-two headroom per list so steady-state
+//! watch moves do not relocate.
 //!
 //! Watcher order inside the binary and the long part of every list is the
 //! propagation visit order, which is part of the solver's determinism
@@ -78,22 +76,12 @@ impl Head {
 const MIN_CAP: u32 = 4;
 
 /// The arena is rebuilt once it reserves more than this many slots per live
-/// watcher. A [`Fit::Roomy`] rebuild reserves at most two, so the arena has
+/// watcher. A rebuild reserves at most two, so the arena has
 /// to grow by as many slots as it has live watchers before the next one.
 const WASTE_FACTOR: usize = 3;
 
 /// Arenas below this many slots are never worth a rebuild.
 const WASTE_FLOOR: usize = 1024;
-
-/// How much room [`WatchStore::compact`] leaves each list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Fit {
-    /// A power-of-two region with at least one free slot per non-empty
-    /// list, so steady-state watch moves do not relocate.
-    Roomy,
-    /// No slack: every region is exactly its list, and so is the arena.
-    Exact,
-}
 
 /// Watch lists for all literals.
 #[derive(Debug, Default)]
@@ -261,21 +249,18 @@ impl WatchStore {
     }
 
     /// Rebuilds the arena without holes, lists in literal order, each list's
-    /// watchers in their current order, leaving every list the room `fit`
-    /// asks for.
-    pub(crate) fn compact(&mut self, fit: Fit) {
-        let room = |len: u32| match fit {
-            Fit::Exact => len,
-            Fit::Roomy if len == 0 => 0,
-            Fit::Roomy => (len + 1).next_power_of_two(),
+    /// watchers in their current order, leaving every non-empty list a
+    /// power-of-two region with at least one free slot, so steady-state
+    /// watch moves do not relocate.
+    pub(crate) fn compact(&mut self) {
+        let room = |len: u32| {
+            if len == 0 {
+                0
+            } else {
+                (len + 1).next_power_of_two()
+            }
         };
         let slots = self.heads.iter().map(|h| room(h.len) as usize).sum();
-        if fit == Fit::Exact {
-            self.heads.shrink_to_fit();
-            if self.data.len() == slots && self.data.capacity() == slots {
-                return; // every region is already exactly its list
-            }
-        }
         let mut packed: Vec<Watcher> = Vec::with_capacity(slots);
         for h in &mut self.heads {
             let off = packed.len();
@@ -292,13 +277,6 @@ impl WatchStore {
     pub(crate) fn bytes(&self) -> u64 {
         (self.data.capacity() * std::mem::size_of::<Watcher>()
             + self.heads.capacity() * std::mem::size_of::<Head>()) as u64
-    }
-
-    /// Bytes of the watchers actually in the lists — the
-    /// `sat.watch_live_bytes` gauge; the rest of [`WatchStore::bytes`] is
-    /// headers, idle capacity and holes.
-    pub(crate) fn live_bytes(&self) -> u64 {
-        (self.live * std::mem::size_of::<Watcher>()) as u64
     }
 }
 
@@ -349,7 +327,7 @@ impl NestedModel {
 /// every choice over `SMOKE_OPS` operations, which takes seconds.
 #[cfg(any(test, kani))]
 mod verification {
-    use super::{Fit, NestedModel, WatchStore, Watcher};
+    use super::{NestedModel, WatchStore, Watcher};
     use crate::clause::ClauseRef;
     use crate::lit::Lit;
 
@@ -382,11 +360,7 @@ mod verification {
         let mut next_cref = 0u32;
         for op in 0..ops {
             if op == compact_before {
-                store.compact(if choose(2) == 0 {
-                    Fit::Roomy
-                } else {
-                    Fit::Exact
-                });
+                store.compact();
                 model.assert_matches(&store);
             }
             let code = choose(CODES);
@@ -409,11 +383,10 @@ mod verification {
                 }
             }
         }
-        store.compact(Fit::Exact);
-        assert_eq!(
-            store.data.len(),
-            store.live,
-            "an exact fit leaves no hole and no idle slot"
+        store.compact();
+        assert!(
+            store.data.len() <= 2 * store.live,
+            "a rebuild reserves at most two slots per live watcher"
         );
         model.assert_matches(&store);
         // The arena stays writable: post-compaction pushes land normally.
@@ -440,7 +413,7 @@ mod verification {
         let runs = hh_trace::for_every_choice(|choose| {
             compaction_preserves_live_watchers_in_order(SMOKE_OPS, choose)
         });
-        assert_eq!(runs, 123_960, "choice sequences of {SMOKE_OPS} operations");
+        assert_eq!(runs, 61_980, "choice sequences of {SMOKE_OPS} operations");
     }
 }
 
@@ -495,16 +468,12 @@ mod tests {
             model.longs[(i % 3) as usize].push(i);
         }
         assert!(s.data.len() > 2 * s.live, "relocations must leave holes");
-        s.compact(Fit::Roomy);
+        s.compact();
         assert_eq!(s.data.len(), 3 * 128, "100 watchers get a 128-slot region");
         assert!(!s.wasteful());
+        assert_eq!((s.data.capacity(), s.live), (3 * 128, 300));
         model.assert_matches(&s);
-        s.compact(Fit::Exact);
-        assert_eq!((s.data.len(), s.data.capacity()), (300, 300));
-        assert_eq!(s.bytes(), 300 * 8 + 3 * 16);
-        assert_eq!(s.live_bytes(), 300 * 8);
-        model.assert_matches(&s);
-        // Lists keep working after an exact fit: the push relocates.
+        // Lists keep working after a rebuild: the push lands in the room.
         s.push_long(1, w(999));
         model.longs[1].push(999);
         model.assert_matches(&s);
@@ -522,7 +491,7 @@ mod tests {
             s.truncate_longs(code, 1 + 3 * (code % 2));
         }
         assert!(s.wasteful());
-        s.compact(Fit::Roomy);
+        s.compact();
         assert!(!s.wasteful());
         assert_eq!(s.data.len(), 2 * s.live);
         // Every list can take a push where it is.
@@ -534,8 +503,8 @@ mod tests {
     }
 
     /// The arena against the nested model under every operation the solver
-    /// performs, compacting to both fits at arbitrary moments in
-    /// between and more pushes after each.
+    /// performs, compacting at arbitrary moments in between and more pushes
+    /// after each.
     #[test]
     fn agrees_with_nested_vec_model_under_mixed_workload() {
         const CODES: usize = 6;
@@ -548,7 +517,7 @@ mod tests {
             x ^= x << 17;
             x
         };
-        let (mut roomy, mut exact) = (0, 0);
+        let mut rebuilds = 0;
         for step in 0..6000 {
             let code = (rng() % CODES as u64) as usize;
             match rng() % 16 {
@@ -574,27 +543,23 @@ mod tests {
                         l.retain(|c| c % 2 == parity);
                     }
                 }
-                14 => {
-                    flat.compact(Fit::Roomy);
-                    roomy += 1;
-                }
                 _ => {
-                    // Park: no slot is left that is not a live watcher.
-                    flat.compact(Fit::Exact);
-                    assert_eq!(flat.data.len(), flat.live);
-                    assert_eq!(flat.bytes(), flat.live_bytes() + (CODES * 16) as u64);
-                    exact += 1;
+                    // At most two slots per live watcher, and no hole.
+                    flat.compact();
+                    assert!(flat.data.len() <= 2 * flat.live);
+                    assert_eq!(flat.data.capacity(), flat.data.len());
+                    rebuilds += 1;
                 }
             }
             if flat.wasteful() {
-                flat.compact(Fit::Roomy);
+                flat.compact();
             }
             if step % 7 == 0 {
                 model.assert_matches(&flat);
             }
         }
         model.assert_matches(&flat);
-        assert!(roomy > 100 && exact > 100, "{roomy} {exact}");
+        assert!(rebuilds > 200, "{rebuilds}");
         flat.for_each_mut(|w| w.cref.0 += 1);
         for l in model.bins.iter_mut().chain(&mut model.longs) {
             l.iter_mut().for_each(|c| *c += 1);

@@ -222,7 +222,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Differential test of every surviving configuration against brute
-    /// force, as an incremental session: query under assumptions, park,
+    /// force, as an incremental session: query under assumptions,
     /// re-query, add a clause over the old variables, then solve the grown
     /// formula bare. SAT answers come with real models, UNSAT answers with a
     /// core that is a subset of the assumptions and refutes on its own, and
@@ -266,9 +266,7 @@ proptest! {
                 }
                 prop_assert_eq!(s.solve_with_assumptions(&core), SolveResult::Unsat, "{}", name);
             }
-            // Learnt clauses from the first query, and parking in between,
-            // change no later answer.
-            s.shrink_to_fit();
+            // Learnt clauses from the first query change no later answer.
             prop_assert_eq!(s.debug_check_watches(), Ok(()), "{}", name);
             prop_assert_eq!(s.solve_with_assumptions(&assumptions), res, "{}", name);
             prop_assert_eq!(s.debug_check_values(), Ok(()), "{}", name);

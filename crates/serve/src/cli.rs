@@ -409,7 +409,7 @@ fn batch_main() -> ExitCode {
         Some(inv) => {
             println!(
                 "\ninvariant: {} predicates | {} tasks | {} backtracks | {} SMT queries | \
-                 sessions {:.1} MB | \
+                 largest session {:.2} MB | \
                  {elapsed:.2?} (final run: examples {:.2?}, mine {:.2?}, learn {:.2?})",
                 inv.len(),
                 report.stats.num_tasks(),

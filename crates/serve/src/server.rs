@@ -6,6 +6,10 @@
 //! cores and interleave nondeterministically. Serialized dispatch keeps
 //! answers deterministic while letting any number of clients stay
 //! connected (an idle connection never blocks another client's request).
+//!
+//! A request that panics is answered `internal`, and the lock is taken
+//! through `lock`, which recovers it from poisoning: one bad request
+//! cannot take the daemon down for every later one.
 
 use crate::json::Json;
 use crate::proto::{
@@ -15,8 +19,9 @@ use crate::request::{self, DesignSpec, JobKey, RunOptions};
 use crate::state::{CheckpointSummary, LearnOutcome, LearnResult, ServeState};
 use std::io::{Read, Write};
 use std::net::TcpListener;
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Where the daemon listens.
@@ -174,15 +179,12 @@ impl Server {
     /// `shutdown` handler *before* its response frame, so a client that saw
     /// the acknowledgement can rely on the state directory being current.
     pub fn run(self) -> std::io::Result<ServerCounters> {
-        let bind = {
-            let inner = self.inner.lock().unwrap();
-            inner.config.bind.clone()
-        };
+        let bind = lock(&self.inner).config.bind.clone();
         loop {
             match &self.listener {
                 Listener::Tcp(l) => {
                     let (stream, _) = l.accept()?;
-                    if self.inner.lock().unwrap().shutdown {
+                    if lock(&self.inner).shutdown {
                         break;
                     }
                     // Learn responses can lag requests by minutes; never
@@ -194,7 +196,7 @@ impl Server {
                 #[cfg(unix)]
                 Listener::Unix(l) => {
                     let (stream, _) = l.accept()?;
-                    if self.inner.lock().unwrap().shutdown {
+                    if lock(&self.inner).shutdown {
                         break;
                     }
                     let inner = Arc::clone(&self.inner);
@@ -205,9 +207,17 @@ impl Server {
         if let Bind::Unix(path) = &bind {
             let _ = std::fs::remove_file(path);
         }
-        let counters = self.inner.lock().unwrap().counters;
+        let counters = lock(&self.inner).counters;
         Ok(counters)
     }
+}
+
+/// Takes the state lock. A thread that panicked while holding it poisons
+/// it; the state is then as far as that request got, which every request
+/// handler already has to tolerate (a learn error leaves it that way too),
+/// so the guard is recovered rather than the panic passed on.
+fn lock(inner: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
+    inner.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Serves one connection to completion. Requests are handled one frame at a
@@ -221,11 +231,22 @@ fn serve_connection(mut stream: impl Read + Write, inner: Arc<Mutex<Inner>>) {
             return;
         }
         let (resp, shutdown) = {
-            let mut g = inner.lock().unwrap();
+            let mut g = lock(&inner);
             g.counters.requests += 1;
             hh_trace::counter!("serve", "serve.request", 1);
             let (resp, shutdown) = match &frame {
-                Ok(frame) => g.dispatch(frame),
+                // The unwind boundary: a panicking request is answered, and
+                // the guard outlives the unwind, so the lock is not poisoned.
+                Ok(frame) => std::panic::catch_unwind(AssertUnwindSafe(|| g.dispatch(frame)))
+                    .unwrap_or_else(|panic| {
+                        let id = frame.get("id").and_then(Json::as_i64).unwrap_or(0);
+                        let op = frame.get("op").and_then(Json::as_str).unwrap_or("");
+                        let why = (panic.downcast_ref::<&str>().copied())
+                            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                            .unwrap_or("no message");
+                        let msg = format!("request panicked: {why}");
+                        (err_response(id, op, ErrorCode::Internal, &msg), false)
+                    }),
                 Err(FrameError::BadJson(msg)) => {
                     (err_response(0, "", ErrorCode::BadJson, msg), false)
                 }
@@ -261,7 +282,7 @@ fn serve_connection(mut stream: impl Read + Write, inner: Arc<Mutex<Inner>>) {
 /// throwaway connection to our own listener.
 fn wake_acceptor(inner: &Arc<Mutex<Inner>>) {
     let (addr, bind) = {
-        let g = inner.lock().unwrap();
+        let g = lock(inner);
         (g.local_addr, g.config.bind.clone())
     };
     match bind {
@@ -502,4 +523,77 @@ fn outcome_fields(outcome: &LearnOutcome, elapsed_ms: i64) -> Vec<(&'static str,
         ),
         ("elapsed_ms", Json::Int(elapsed_ms)),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    /// One end of a connection: reads what the client sent, keeps what the
+    /// daemon answers.
+    struct Pipe {
+        sent: Cursor<Vec<u8>>,
+        answered: Vec<u8>,
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.sent.read(buf)
+        }
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.answered.write(buf)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_poisoned_state_lock_still_answers_status() {
+        let inner = Arc::new(Mutex::new(Inner {
+            config: ServerConfig::default(),
+            default_threads: 1,
+            state: ServeState::new(None),
+            counters: ServerCounters::default(),
+            started: Instant::now(),
+            since_checkpoint: 0,
+            shutdown: false,
+            local_addr: None,
+        }));
+        let holder = Arc::clone(&inner);
+        let died = std::thread::spawn(move || {
+            let _guard = holder.lock().unwrap();
+            panic!("a request panicked under the state lock");
+        })
+        .join();
+        assert!(died.is_err() && inner.is_poisoned());
+
+        let mut sent = Vec::new();
+        for id in [1, 2] {
+            let status = Json::obj(vec![
+                ("v", Json::Int(PROTOCOL_VERSION)),
+                ("id", Json::Int(id)),
+                ("op", Json::Str("status".to_string())),
+            ]);
+            write_frame(&mut sent, &status).unwrap();
+        }
+        let mut pipe = Pipe {
+            sent: Cursor::new(sent),
+            answered: Vec::new(),
+        };
+        serve_connection(&mut pipe, Arc::clone(&inner));
+        let mut answered = pipe.answered.as_slice();
+        for id in [1, 2] {
+            let resp = read_frame(&mut answered).unwrap();
+            assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+            assert_eq!(resp.get("id"), Some(&Json::Int(id)));
+            assert_eq!(resp.get("requests"), Some(&Json::Int(id)));
+        }
+        assert!(answered.is_empty());
+    }
 }

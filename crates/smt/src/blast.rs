@@ -32,8 +32,8 @@ pub struct TransitionEncoding<'a> {
     /// Memo of the nodes encoded so far, one slot per netlist node while it
     /// is in use (empty otherwise). Only a memo: every node is a function of
     /// the state and input variables below, so a node encoded again after
-    /// [`TransitionEncoding::park`] dropped the table gets equivalent
-    /// literals.
+    /// [`TransitionEncoding::without_node_memo`] dropped the table gets
+    /// equivalent literals.
     node_lits: Vec<Option<Vec<Lit>>>,
     /// The free variables of the step: the current value of each state
     /// element and each input that some encoded cone reads. Unlike the memo
@@ -161,16 +161,14 @@ impl<'a> TransitionEncoding<'a> {
         }
     }
 
-    /// Parks the encoding between queries: drops the node memo — the one
-    /// table with a slot per netlist node — and parks the solver
-    /// ([`hh_sat::Solver::shrink_to_fit`]), so that what stays resident is
-    /// sized by the cones encoded and the clauses learnt, not by the netlist
-    /// or by growth slack. (The variable tables and gate caches are hash
-    /// maps that only ever grow; those carry no slack to release.) The
-    /// encoding stays fully usable; later calls re-grow what they need.
-    pub fn park(&mut self) {
+    /// The encoding without its node memo, the one table sized by the
+    /// netlist rather than by the cones encoded. A session's base build is
+    /// its only reader (candidates encode over current-state literals), and
+    /// a replayed encoding never has one, so a blasted base encoding
+    /// without it holds what the replayed one does.
+    pub(crate) fn without_node_memo(mut self) -> TransitionEncoding<'a> {
         self.node_lits = Vec::new();
-        self.cnf.solver_mut().shrink_to_fit();
+        self
     }
 
     /// Heap bytes this encoding holds, computed from capacities (so the

@@ -54,13 +54,9 @@ pub struct QueryTelemetry {
     pub encode_time: std::time::Duration,
     /// Time spent solving (including trimming re-solves).
     pub solve_time: std::time::Duration,
-    /// The part of the parked solver's watch store that is watchers in a
-    /// list; the rest of `counters.sat_watch_bytes` is per-literal headers.
-    pub watch_live_bytes: u64,
     /// The query's contribution to the run counters
-    /// ([`hh_trace::COUNTERS`]): session hit or miss and reuse savings,
-    /// word-level rewrites of a fresh encoding, SAT work deltas and the
-    /// parked solver's byte gauges.
+    /// ([`hh_trace::COUNTERS`]): word-level rewrites of a fresh encoding,
+    /// SAT work deltas and the solver's byte gauges after the query.
     pub counters: Counters,
 }
 

@@ -1,42 +1,20 @@
 //! Incremental abduction sessions (paper §3.2.4).
 //!
-//! The paper's tool keeps one cvc5 context alive per target predicate and
-//! re-asks the abduction query incrementally whenever `P_fail` grows or a
-//! backtracking sweep invalidates a memoised solution. An
-//! [`AbductionSession`] reproduces that: it owns a live
-//! [`TransitionEncoding`] + CDCL solver for one target, registers each
-//! candidate **once** behind an indicator literal, and answers every retry
-//! by re-solving under a filtered assumption set — the cone is never
-//! re-blasted, and learnt clauses accumulate across retries.
-//!
-//! ## Parking
-//!
-//! Engines keep one session per target predicate alive for a whole learn
-//! run, and most of them answer once and then sit until the run ends. So a
-//! session that has answered *parks*: at the end of every
-//! [`AbductionSession::solve`] it drops the encoder's per-netlist-node memo
-//! and the cone signature (both only serve the base build), has the solver
-//! rebuild its watch arena to an exact fit, and releases every vector's
-//! growth slack. What stays resident ([`AbductionSession::resident_bytes`])
-//! is sized by the cone and the clauses learnt on it. Nothing the solver
-//! reads changes, so a retry answers exactly as an unparked session would;
-//! it re-grows what it touches.
+//! An [`AbductionSession`] owns a [`TransitionEncoding`] + CDCL solver for
+//! one target predicate, registers each candidate **once** behind an
+//! indicator literal, and answers a repeated query by re-solving under a
+//! filtered assumption set: the cone is never re-blasted, and learnt
+//! clauses accumulate across calls. The paper's tool keeps such a context
+//! alive per target for backtracking retries; the engine instead builds a
+//! session per query and drops it with the answer, and a retry replays its
+//! base encoding from the [`EncodeCache`].
 //!
 //! ## Determinism
 //!
 //! The CDCL solver is deterministic, so a session's answer is a pure
 //! function of its **query history** (the sequence of candidate sets it was
-//! asked about). The engine issues per-target query sequences that are
-//! themselves deterministic — its scheduler commits results in issue order
-//! — so learned invariants are reproducible run-to-run and across thread
-//! counts.
-//!
-//! A reused solver does carry learnt clauses, so a *retry*'s raw UNSAT core
-//! can differ from the core a fresh solver would report, and so can the
-//! trimmed abduct: both are cores a fresh solver refutes, but trimming
-//! stops at a fixpoint, not at a unique minimum. Reproducibility does not
-//! need them to agree: the retry is a pure function of the session's
-//! history, and the schedule does not change that history.
+//! asked about). A session that answers one query answers as a function of
+//! (target, candidates) alone.
 //!
 //! ## Trimming
 //!
@@ -94,7 +72,7 @@ pub struct AbductionSession<'a> {
     /// Cross-target encoding cache (and its `SimpMap`): shared, or the
     /// session's own without entries.
     cache: Arc<EncodeCache>,
-    /// This target's base-encoding signature, computed once at creation and
+    /// This target's base-encoding signature, computed at creation and
     /// consumed by the base build; `Some` until then exactly when the base
     /// encoding is to be replayed from / recorded into the cache.
     sig: Option<ConeSignature>,
@@ -239,7 +217,7 @@ impl<'a> AbductionSession<'a> {
                     enc
                 }
             };
-            self.enc = Some(enc);
+            self.enc = Some(enc.without_node_memo());
         }
         let enc = self.enc.as_mut().expect("encoding just ensured");
 
@@ -312,11 +290,6 @@ impl<'a> AbductionSession<'a> {
         };
         let solve_time = t_solve.elapsed();
         drop(solve_span);
-        // Most sessions never answer again (module docs, *Parking*); the
-        // gauges below are read off the parked solver.
-        enc.park();
-        self.indicators.shrink_to_fit();
-        self.strength.shrink_to_fit();
         let after = enc.cnf().solver().stats();
         // Word-level counters belong to the encoding, built once per
         // session: they go to the first (fresh) query only.
@@ -334,12 +307,7 @@ impl<'a> AbductionSession<'a> {
                 solves,
                 encode_time,
                 solve_time,
-                watch_live_bytes: after.watch_live_bytes,
                 counters: Counters {
-                    session_hits: u64::from(reused),
-                    session_misses: u64::from(!reused),
-                    vars_saved: vars_reused as u64,
-                    clauses_saved: clauses_reused as u64,
                     word_const_folds: simp.const_folds,
                     word_rewrites: simp.rewrites,
                     word_strash_hits: simp.strash_hits,
@@ -404,8 +372,6 @@ mod tests {
         let first = sess.solve(&cands);
         assert_eq!(first.abduct, fresh.abduct);
         assert_eq!(first.abduct, Some(vec![0, 1]));
-        assert_eq!(first.telemetry.counters.session_misses, 1);
-        assert_eq!(first.telemetry.counters.vars_saved, 0);
     }
 
     #[test]
@@ -432,8 +398,7 @@ mod tests {
         assert_eq!(retry.abduct, fresh.abduct);
         assert_eq!(retry.abduct, None);
         // The retry reused the first call's whole encoding.
-        assert_eq!(retry.telemetry.counters.session_hits, 1);
-        assert!(retry.telemetry.counters.vars_saved >= first.telemetry.vars as u64);
+        assert!(first.telemetry.vars > 0);
         assert_eq!(retry.telemetry.vars, 0, "no new candidate, no new vars");
 
         // Restoring the full set still answers like a fresh solver. Both
@@ -538,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn a_retry_registers_a_new_candidate_after_a_park() {
+    fn a_retry_registers_a_new_candidate() {
         let (base, m) = and_gate();
         let a = base.find_state("A").unwrap();
         let b = base.find_state("B").unwrap();
@@ -548,22 +513,22 @@ mod tests {
         let eq_c = Predicate::eq(m.left(c), m.right(c));
         let cfg = AbductionConfig::paper_default();
         let mut sess = AbductionSession::new(m.netlist(), target.clone(), cfg);
-        // Eq(B) alone does not do; the session parks on its way out.
+        // Eq(B) alone does not do.
         assert_eq!(sess.solve(std::slice::from_ref(&eq_b)).abduct, None);
-        let parked = sess.resident_bytes();
-        // Eq(C) is encoded and registered on the parked session.
+        let before = sess.resident_bytes();
+        // Eq(C) is encoded and registered on the same session.
         let both = [eq_b, eq_c];
         let retry = sess.solve(&both);
         let fresh = crate::query::abduct(m.netlist(), &target, &both, &cfg);
         assert_eq!(retry.abduct, Some(vec![0, 1]));
         assert_eq!(retry.abduct, fresh.abduct);
-        assert!(retry.telemetry.counters.session_hits == 1 && retry.telemetry.vars > 0);
+        assert!(retry.telemetry.vars > 0);
         assert_eq!(sess.registered(), 2);
-        assert!(sess.resident_bytes() > parked);
+        assert!(sess.resident_bytes() > before);
     }
 
     #[test]
-    fn a_parked_session_holds_nothing_sized_by_the_netlist() {
+    fn a_session_holds_nothing_sized_by_the_netlist() {
         // The same cone in a small netlist and in one with 20 000 nodes
         // (and 2 000 states) nothing in the cone reads.
         let build = |padding: usize| {
@@ -660,10 +625,6 @@ mod tests {
     /// [`AbductionSession::solve`] does. Every abduct must be a subset of its
     /// raw core that a fresh solver refutes, and trimming it again must
     /// change nothing.
-    ///
-    /// Every session also runs a second time on a solver that is parked
-    /// ([`hh_sat::Solver::shrink_to_fit`]) after every query, next to the
-    /// unparked one: parking must change no abduct and no work count.
     #[test]
     fn trimmed_abducts_are_sound_on_random_cnfs() {
         use hh_sat::{trim_core, Solver, Var};
@@ -707,18 +668,14 @@ mod tests {
                 s
             };
             let mut session = build();
-            let mut parked = build();
             let mut offered = vec![true; CANDIDATES];
             for _ in 0..10 {
                 let assumed: Vec<Lit> = (0..CANDIDATES)
                     .filter(|&i| offered[i])
                     .map(|i| indicators[i])
                     .collect();
-                let verdict = session.solve_with_assumptions(&assumed);
-                assert_eq!(parked.solve_with_assumptions(&assumed), verdict);
-                if verdict == SolveResult::Sat {
+                if session.solve_with_assumptions(&assumed) == SolveResult::Sat {
                     // Regrow: offer everything again.
-                    parked.shrink_to_fit();
                     offered = vec![true; CANDIDATES];
                     continue;
                 }
@@ -729,21 +686,9 @@ mod tests {
                 assert!(abduct.iter().all(|l| core.contains(l)));
                 trimmed_away += core.len() - abduct.len();
 
-                let mut parked_core = parked.unsat_core().to_vec();
-                parked_core.sort_by_key(|a| (strength[slot(a)], slot(a)));
-                let parked_answer = trim_core(&mut parked, &parked_core);
-                parked.shrink_to_fit();
-                assert_eq!(parked_answer, abduct);
-                let (a, b) = (parked.stats(), session.stats());
-                assert_eq!(
-                    (a.solves, a.conflicts, a.propagations, a.decisions),
-                    (b.solves, b.conflicts, b.propagations, b.decisions)
-                );
-
                 let mut fresh = build();
                 assert_eq!(fresh.solve_with_assumptions(&abduct), SolveResult::Unsat);
                 assert_eq!(trim_core(&mut session, &abduct), abduct);
-                assert_eq!(trim_core(&mut parked, &abduct), abduct);
                 // Shrink: one member of the abduct "fails downstream".
                 match abduct.get(next(abduct.len().max(1))) {
                     Some(failed) => offered[slot(failed)] = false,

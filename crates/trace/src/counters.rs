@@ -77,16 +77,8 @@ counter_table! {
         "targets named again after the memo table solved them (Algorithm 1, line 3)";
     backtracks, "engine.backtrack", Sum,
         "memoised solutions swept because a member predicate failed";
-    session_hits, "smt.session.hit", Sum,
-        "queries answered on a live session without re-blasting";
-    session_misses, "smt.session.miss", Sum,
-        "queries that built (or replayed) a session's base encoding";
-    vars_saved, "smt.session.vars_saved", Sum,
-        "SAT variables session reuse avoided re-allocating";
-    clauses_saved, "smt.session.clauses_saved", Sum,
-        "clauses session reuse avoided re-allocating";
     session_resident_bytes, "smt.session.resident_bytes", Max,
-        "high-water heap bytes of the run's parked abduction sessions together";
+        "heap bytes of the largest abduction session when its query ended and it was dropped";
     encode_cache_hits, "smt.cache.hit", Sum,
         "base encodings replayed from the encode cache";
     encode_cache_misses, "smt.cache.miss", Sum,
@@ -116,7 +108,7 @@ counter_table! {
     sat_chrono_backtracks, "sat.chrono_backtracks", Sum,
         "conflicts resolved by chronological backtracking instead of a backjump";
     sat_watch_bytes, "sat.watch_bytes", Max,
-        "largest watch store of any parked session after a query";
+        "largest watch store of any session after a query";
     examples_cycles, "examples.cycles", Sum,
         "base-design cycles simulated to generate the positive examples";
     examples_raw, "examples.raw", Sum,

@@ -12,9 +12,7 @@ use hh_suite::isa::Mnemonic;
 use hh_suite::netlist::miter::Miter;
 use hh_suite::netlist::Netlist;
 use hh_suite::sat::SolveResult;
-use hh_suite::smt::{
-    abduct, AbductionResult, AbductionSession, EncodeCache, Predicate, TransitionEncoding,
-};
+use hh_suite::smt::{abduct, AbductionSession, EncodeCache, Predicate, TransitionEncoding};
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::rocketlite::rocket_lite;
 use hh_suite::uarch::Design;
@@ -137,12 +135,11 @@ fn streaming_engine_is_deterministic_across_thread_counts() {
 fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
     // Limited examples (rd = x3 only, the paper's Fig. 5 regime) let
     // spurious predicates through mining, so the engine backtracks and
-    // sessions re-trim on retries, over solvers that carry what earlier
-    // queries learnt. That must not make the result depend on the
-    // schedule: the thread-free serial schedule and pools of 1, 2 and 4
-    // learn the same invariant and solution table. Every session parks
-    // after every query and 15 of them answer again. The work counts are
-    // pinned.
+    // retried targets are asked again, each on a fresh session that
+    // replays its base encoding from the encode cache. That must not make
+    // the result depend on the schedule: the thread-free serial schedule
+    // and pools of 1, 2 and 4 learn the same invariant and solution table.
+    // The work counts are pinned.
     let design = boom_lite(BoomVariant::Small, 16);
     let safe: Vec<Mnemonic> = alu_set()
         .into_iter()
@@ -166,9 +163,10 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
         let queries = par.stats().smt_queries;
         let stats = par.stats().counters;
         assert!(stats.backtracks > 0, "limited examples must backtrack");
-        assert_eq!(
-            (queries, stats.backtracks, stats.session_hits),
-            (66, 15, 15)
+        assert_eq!((queries, stats.backtracks), (66, 15));
+        assert!(
+            stats.encode_cache_hits >= stats.backtracks,
+            "every retry replays the cone its first query recorded"
         );
         assert_eq!(
             (
@@ -176,7 +174,7 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
                 stats.sat_conflicts,
                 stats.sat_propagations
             ),
-            (174, 8_756, 1_326_376)
+            (174, 8_870, 1_485_604)
         );
         // Byte gauges come from capacities, not from the allocator or the
         // clock: the same at every thread count.
@@ -213,9 +211,7 @@ fn session_cache_ablation_preserves_results_and_saves_encoding() {
     // ever filtered by `P_fail` and the re-mined set is the set the engine
     // asked about. Each target's session over a shared encode cache is then
     // asked the same query and re-asked, as a retry would, without its
-    // abduct's first member: both answers must be the fresh ones, and the
-    // watch store parked after each query (its live watchers plus one
-    // header per literal) must reserve at most twice its live bytes.
+    // abduct's first member: both answers must be the fresh ones.
     let design = rocket_lite(16);
     let safe = alu_set();
     let (miter, examples, props) = setup(&design, &safe);
@@ -227,22 +223,11 @@ fn session_cache_ablation_preserves_results_and_saves_encoding() {
     eng.learn(&props).expect("invariant");
     let stats = eng.stats().counters;
     assert_eq!(stats.backtracks, 0);
-    assert_eq!(stats.session_hits, 0, "no retry, no session reuse");
 
     let config = EngineConfig::default().abduction;
     let mut miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
     let mut store = PredicateStore::new();
     let cache = std::sync::Arc::new(EncodeCache::new(netlist));
-    let parked_small = |result: &AbductionResult| {
-        let (reserved, live) = (
-            result.telemetry.counters.sat_watch_bytes,
-            result.telemetry.watch_live_bytes,
-        );
-        assert!(
-            0 < live && reserved <= 2 * live,
-            "watch store reserves {reserved} bytes for {live} live"
-        );
-    };
     for (target, premises) in eng.solutions() {
         assert!(
             check_relative_inductive(netlist, &premises, &target),
@@ -265,13 +250,11 @@ fn session_cache_ablation_preserves_results_and_saves_encoding() {
             AbductionSession::with_cache(netlist, target.clone(), config, cache.clone(), true);
         let asked = session.solve(&cands);
         assert_eq!(asked.abduct.as_ref(), Some(&first), "{target:?}: session");
-        parked_small(&asked);
         let mut retry = cands.clone();
         retry.remove(first[0]);
         let reasked = session.solve(&retry);
         let fresh = abduct(netlist, &target, &retry, &config);
         assert_eq!(reasked.abduct, fresh.abduct, "{target:?}: session retry");
-        parked_small(&reasked);
     }
 }
 
