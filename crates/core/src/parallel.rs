@@ -263,7 +263,7 @@ struct JobDone {
 /// and the virtual (simulation) backend. The target's session is built
 /// here, over the run's encode cache (so the cone signature is computed
 /// off the scheduler thread too), and dropped before the answer returns;
-/// its bytes at the drop go into the answer's telemetry. A panicking solve
+/// the answer's telemetry carries the query's bytes. A panicking solve
 /// is caught and surfaced as a `solved: None` completion, so the scheduler
 /// never waits on a `JobDone` that would never arrive.
 fn solve_job(job: Job, oracle: Oracle<'_, '_>, panic_on: Option<usize>) -> JobDone {
@@ -280,11 +280,8 @@ fn solve_job(job: Job, oracle: Oracle<'_, '_>, panic_on: Option<usize>) -> JobDo
             "injected worker death (fault-injection seam)"
         );
         let cache = Arc::clone(oracle.cache);
-        let mut session =
-            AbductionSession::with_cache(oracle.netlist, target, oracle.config, cache, true);
-        let mut result = session.solve(&cands);
-        result.telemetry.counters.session_resident_bytes = session.resident_bytes();
-        result
+        AbductionSession::with_cache(oracle.netlist, target, oracle.config, cache, true)
+            .solve(&cands)
     }));
     JobDone {
         job_idx,

@@ -189,15 +189,21 @@ impl Stats {
     }
 
     /// End-of-run fold of the shared encode cache's final
-    /// [`hh_smt::CacheStats`] and footprint.
+    /// [`hh_smt::CacheStats`] and footprint, and of its word-level
+    /// simplification map's counts (the map is built once per cache, so
+    /// they are counted once, not per query).
     pub(crate) fn record_run_end(&mut self, cache: &hh_smt::EncodeCache) {
         let c = cache.stats();
+        let simp = cache.simp().stats();
         self.counters.merge(&Counters {
             encode_cache_hits: c.hits,
             encode_cache_misses: c.misses,
             encode_vars_saved: c.vars_saved,
             encode_clauses_saved: c.clauses_saved,
             encode_cache_resident_bytes: cache.resident_bytes(),
+            word_const_folds: simp.const_folds,
+            word_rewrites: simp.rewrites,
+            word_strash_hits: simp.strash_hits,
             ..Counters::default()
         });
     }

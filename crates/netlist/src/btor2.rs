@@ -11,7 +11,7 @@
 
 use crate::bv::Bv;
 use crate::netlist::{Netlist, NodeId, NodeOp, StateId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// Errors produced by [`parse_btor2`].
@@ -61,14 +61,15 @@ fn require(ok: bool, line: usize, message: impl FnOnce() -> String) -> Result<()
 /// # Errors
 ///
 /// Returns [`Btor2Error`] on unsupported constructs, malformed lines,
-/// dangling references, a reused id, duplicate names or `next` lines, and
-/// operand widths the operator does not accept.
+/// dangling references, a reused id, duplicate names or `next` lines,
+/// operand widths the operator does not accept, a result whose width is not
+/// its line's declared sort, and a constant that does not fit its sort.
 pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
     let mut netlist = Netlist::new("btor2");
     let mut sorts: HashMap<u64, u32> = HashMap::new();
     let mut nodes: HashMap<u64, NodeId> = HashMap::new();
     let mut states: HashMap<u64, StateId> = HashMap::new();
-    let mut next_seen: HashMap<u64, bool> = HashMap::new();
+    let mut next_seen: BTreeMap<u64, bool> = BTreeMap::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let lineno = lineno + 1;
@@ -204,7 +205,11 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                 };
                 let bits = u64::from_str_radix(lit, radix)
                     .map_err(|_| err(lineno, format!("bad constant {lit}")))?;
-                nodes.insert(id, netlist.constant(Bv::new(w, bits)));
+                let value = Bv::new(w, bits);
+                require(value.bits() == bits, lineno, || {
+                    format!("constant {lit} does not fit {w} bits")
+                })?;
+                nodes.insert(id, netlist.constant(value));
             }
             "one" | "ones" | "zero" => {
                 let w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
@@ -237,7 +242,7 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
             }
             // Unary operators.
             "not" | "neg" | "redor" | "redand" | "redxor" => {
-                let _w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
+                let w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
                 let a = get_node(
                     &nodes,
                     toks.get(3).ok_or_else(|| err(lineno, "missing operand"))?,
@@ -249,7 +254,7 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     "redand" => netlist.redand(a),
                     _ => netlist.redxor(a),
                 };
-                nodes.insert(id, node);
+                nodes.insert(id, declared(&netlist, lineno, w, node)?);
             }
             // Extensions carry the pad amount.
             "uext" | "sext" => {
@@ -258,9 +263,13 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     &nodes,
                     toks.get(3).ok_or_else(|| err(lineno, "missing operand"))?,
                 )?;
+                let pad: u32 = toks
+                    .get(4)
+                    .and_then(|t| t.parse().ok())
+                    .ok_or_else(|| err(lineno, "bad extension width"))?;
                 let aw = netlist.width(a);
-                require(w >= aw, lineno, || {
-                    format!("{kind} of a {aw}-bit operand to {w} bits")
+                require(w.checked_sub(aw) == Some(pad), lineno, || {
+                    format!("{kind} of a {aw}-bit operand by {pad} to {w} bits")
                 })?;
                 let node = if kind == "uext" {
                     netlist.uext(a, w)
@@ -270,7 +279,7 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                 nodes.insert(id, node);
             }
             "slice" => {
-                let _w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
+                let w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
                 let a = get_node(
                     &nodes,
                     toks.get(3).ok_or_else(|| err(lineno, "missing operand"))?,
@@ -283,14 +292,15 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     .get(5)
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| err(lineno, "bad slice lo"))?;
-                let w = netlist.width(a);
-                require(hi >= lo && hi < w, lineno, || {
-                    format!("slice [{hi}:{lo}] of a {w}-bit operand")
+                let aw = netlist.width(a);
+                require(hi >= lo && hi < aw, lineno, || {
+                    format!("slice [{hi}:{lo}] of a {aw}-bit operand")
                 })?;
-                nodes.insert(id, netlist.slice(a, hi, lo));
+                let node = netlist.slice(a, hi, lo);
+                nodes.insert(id, declared(&netlist, lineno, w, node)?);
             }
             "ite" => {
-                let _w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
+                let w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
                 let c = get_node(
                     &nodes,
                     toks.get(3).ok_or_else(|| err(lineno, "missing cond"))?,
@@ -307,12 +317,13 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                 require(cw == 1 && tw == ew, lineno, || {
                     format!("ite of a {cw}-bit condition over {tw} and {ew} bits")
                 })?;
-                nodes.insert(id, netlist.ite(c, t, e));
+                let node = netlist.ite(c, t, e);
+                nodes.insert(id, declared(&netlist, lineno, w, node)?);
             }
             // Binary operators.
             "and" | "or" | "xor" | "add" | "sub" | "mul" | "eq" | "neq" | "ult" | "slt" | "sll"
             | "srl" | "sra" | "concat" => {
-                let _w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
+                let w = get_sort(toks.get(2).ok_or_else(|| err(lineno, "missing sort"))?)?;
                 let a = get_node(
                     &nodes,
                     toks.get(3).ok_or_else(|| err(lineno, "missing lhs"))?,
@@ -347,7 +358,7 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
                     "sra" => netlist.ashr(a, b),
                     _ => netlist.concat(a, b),
                 };
-                nodes.insert(id, node);
+                nodes.insert(id, declared(&netlist, lineno, w, node)?);
             }
             other => {
                 return Err(err(
@@ -358,12 +369,23 @@ pub fn parse_btor2(text: &str) -> Result<Netlist, Btor2Error> {
         }
     }
 
+    // In btor id order, so the error names the lowest such state.
     for (&sref, &seen) in &next_seen {
         if !seen {
             return Err(err(0, format!("state (btor id {sref}) has no next")));
         }
     }
     Ok(netlist)
+}
+
+/// `node`, the result of an operator line, if its width is the line's
+/// declared sort `w`.
+fn declared(netlist: &Netlist, line: usize, w: u32, node: NodeId) -> Result<NodeId, Btor2Error> {
+    let nw = netlist.width(node);
+    require(nw == w, line, || {
+        format!("a {nw}-bit result declared as {w} bits")
+    })?;
+    Ok(node)
 }
 
 /// Serialises a [`Netlist`] to btor2 text (round-trips through
@@ -596,13 +618,36 @@ mod tests {
             "1 sort bitvec 8\n2 sort bitvec 21\n3 state 1 a\n4 slice 2 3 20 0\n",
             // `uext` to fewer bits.
             "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 uext 2 3 0\n",
+            // `uext` by 5 declared 16 bits wide.
+            "1 sort bitvec 8\n2 sort bitvec 16\n3 state 1 a\n4 uext 2 3 5\n",
             // 40 + 40 bits.
             "1 sort bitvec 40\n2 sort bitvec 64\n3 state 1 a\n4 concat 2 3 3\n",
+            // `eq` declared 8 bits wide.
+            "1 sort bitvec 8\n2 state 1 a\n3 eq 1 2 2\n",
+            // `not` of an 8-bit state declared 4 bits wide.
+            "1 sort bitvec 8\n2 sort bitvec 4\n3 state 1 a\n4 not 2 3\n",
+            // `slice [3:0]` declared 8 bits wide.
+            "1 sort bitvec 8\n2 state 1 a\n3 slice 1 2 3 0\n",
+            // `ite` over 8 bits declared 1 bit wide.
+            "1 sort bitvec 8\n2 sort bitvec 1\n3 state 1 a\n4 state 2 c\n5 ite 2 4 3 3\n",
+            // Binary 101 in one bit.
+            "1 sort bitvec 1\n2 const 1 101\n",
+            // 300 in four bits.
+            "1 sort bitvec 4\n2 constd 1 300\n",
+            // 0x1ff in eight bits.
+            "1 sort bitvec 8\n2 consth 1 1ff\n",
         ];
         for text in cases {
             let e = parse_btor2(text).expect_err(text);
             assert_eq!(e.line, text.lines().count(), "{text}: {e}");
         }
+        // Of several states without a `next`, the lowest btor id is named.
+        let mut text = String::from("1 sort bitvec 1\n");
+        for id in (2..40).rev() {
+            text.push_str(&format!("{id} state 1 s{id}\n"));
+        }
+        let e = parse_btor2(&text).expect_err(&text);
+        assert!(e.message.contains("btor id 2)"), "{e}");
     }
 
     #[test]

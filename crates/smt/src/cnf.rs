@@ -6,7 +6,7 @@
 //! structure of a netlist cone maps to shared CNF.
 
 use hh_sat::{Lit, Solver};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A hash-cons table mapping normalised gate input pairs to output literals.
 pub(crate) type GateCache = HashMap<(Lit, Lit), Lit>;
@@ -21,6 +21,11 @@ pub(crate) fn vec_bytes<T>(v: &Vec<T>) -> u64 {
 /// factor. A function of the insertion history only, so it repeats exactly.
 pub(crate) fn map_bytes<K, V>(m: &HashMap<K, V>) -> u64 {
     (m.capacity() * (std::mem::size_of::<(K, V)>() + 1) * 8 / 7) as u64
+}
+
+/// [`map_bytes`] of a hash set.
+pub(crate) fn set_bytes<K>(s: &HashSet<K>) -> u64 {
+    (s.capacity() * (std::mem::size_of::<K>() + 1) * 8 / 7) as u64
 }
 
 /// A sequence of literal rows (clauses, or the bit vectors of a literal

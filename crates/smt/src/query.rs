@@ -41,22 +41,22 @@ impl AbductionConfig {
 /// the per-query sizes and times the counters do not keep.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryTelemetry {
-    /// SAT variables newly allocated by the query (for a fresh query, the
-    /// whole cone encoding; for a session reuse, only unseen candidates).
+    /// SAT variables of the query's encoding: the target's cone plus each
+    /// registered candidate and its indicator.
     pub vars: usize,
-    /// Clauses newly allocated by the query (on reused sessions this delta
-    /// also includes clauses learnt during earlier queries).
+    /// Clauses of the query's encoding before it was solved.
     pub clauses: usize,
     /// Number of `solve` calls: the first solve plus the trimming
     /// re-solves (`counters.sat_solves` again).
     pub solves: u64,
-    /// Time spent blasting/registering (encode side of the query).
+    /// Time spent building the base encoding and registering candidates.
     pub encode_time: std::time::Duration,
     /// Time spent solving (including trimming re-solves).
     pub solve_time: std::time::Duration,
     /// The query's contribution to the run counters
-    /// ([`hh_trace::COUNTERS`]): word-level rewrites of a fresh encoding,
-    /// SAT work deltas and the solver's byte gauges after the query.
+    /// ([`hh_trace::COUNTERS`]): SAT work, the solver's byte gauges after
+    /// the query and the query's heap at its end
+    /// (`smt.session.resident_bytes`).
     pub counters: Counters,
 }
 
@@ -89,9 +89,7 @@ pub fn abduct<P: std::borrow::Borrow<Predicate>>(
     candidates: &[P],
     config: &AbductionConfig,
 ) -> AbductionResult {
-    // An ephemeral single-query session: the fresh path and a session's
-    // first query are literally the same code, and retries share the same
-    // core trimming (strongest predicates assumed first, §3.2.3).
+    // The engine's query without the encode cache's entries.
     AbductionSession::new(netlist, target.clone(), *config).solve(candidates)
 }
 

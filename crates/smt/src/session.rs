@@ -1,20 +1,14 @@
-//! Incremental abduction sessions (paper §3.2.4).
+//! Abduction sessions: one query per solve (paper §3.2.3).
 //!
-//! An [`AbductionSession`] owns a [`TransitionEncoding`] + CDCL solver for
-//! one target predicate, registers each candidate **once** behind an
-//! indicator literal, and answers a repeated query by re-solving under a
-//! filtered assumption set: the cone is never re-blasted, and learnt
-//! clauses accumulate across calls. The paper's tool keeps such a context
-//! alive per target for backtracking retries; the engine instead builds a
-//! session per query and drops it with the answer, and a retry replays its
-//! base encoding from the [`EncodeCache`].
-//!
-//! ## Determinism
-//!
-//! The CDCL solver is deterministic, so a session's answer is a pure
-//! function of its **query history** (the sequence of candidate sets it was
-//! asked about). A session that answers one query answers as a function of
-//! (target, candidates) alone.
+//! An [`AbductionSession`] holds a query's inputs — the netlist, the target
+//! predicate, the configuration and the run's [`EncodeCache`] — and nothing
+//! else. Each [`AbductionSession::solve`] call builds the target's base
+//! encoding (replayed from the cache on a cone-signature hit), registers
+//! every candidate behind an indicator literal, solves under those
+//! assumptions, trims the core and drops the encoding before it returns. The paper's tool keeps an incremental context alive
+//! per target for backtracking retries (§3.2.4); here a retry is a fresh
+//! query whose base encoding replays from the cache, so an answer is a
+//! function of (target, candidates) alone.
 //!
 //! ## Trimming
 //!
@@ -28,7 +22,7 @@
 
 use crate::blast::TransitionEncoding;
 use crate::cache::EncodeCache;
-use crate::cnf::{map_bytes, vec_bytes};
+use crate::cnf::{map_bytes, set_bytes, vec_bytes};
 use crate::pred::Predicate;
 use crate::query::{AbductionConfig, AbductionResult, QueryTelemetry};
 use hh_netlist::signature::ConeSignature;
@@ -36,7 +30,7 @@ use hh_netlist::Netlist;
 use hh_sat::{Lit, SolveResult};
 use hh_trace::Counters;
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -55,46 +49,28 @@ fn strength_key(p: &Predicate) -> u8 {
     }
 }
 
-/// A live incremental abduction context for one target predicate.
+/// The inputs of one abduction query for one target predicate.
 ///
-/// The first [`AbductionSession::solve`] call blasts the target's 1-step
-/// cone and asserts `target ∧ ¬target'`; later calls only encode candidates
-/// not seen before and re-solve under assumptions. Dropping the session
-/// frees the solver.
+/// No encoding exists between [`AbductionSession::solve`] calls: each call
+/// is a whole query, and a second call on the same session answers exactly
+/// as a second fresh session would.
 #[derive(Debug)]
 pub struct AbductionSession<'a> {
     netlist: &'a Netlist,
     target: Arc<Predicate>,
     config: AbductionConfig,
-    /// Lazily built on first solve so telemetry attributes the base
-    /// encoding to the first query, exactly like the fresh path.
-    enc: Option<TransitionEncoding<'a>>,
     /// Cross-target encoding cache (and its `SimpMap`): shared, or the
     /// session's own without entries.
     cache: Arc<EncodeCache>,
-    /// This target's base-encoding signature, computed at creation and
-    /// consumed by the base build; `Some` until then exactly when the base
-    /// encoding is to be replayed from / recorded into the cache.
-    sig: Option<ConeSignature>,
-    /// Registered candidate -> slot index.
-    slots: HashMap<Predicate, usize>,
-    /// Slot -> indicator literal (`indicator -> candidate holds now`).
-    indicators: Vec<Lit>,
-    /// Slot -> trimming-order strength key.
-    strength: Vec<u8>,
-    /// Indicator literal -> slot. Built once per *registration* instead of
-    /// the old per-core `iter().position()` scan.
-    slot_of_lit: HashMap<Lit, usize>,
-    /// `(vars, clauses)` at the end of the previous call's registration
-    /// phase; deltas against it give per-query allocation telemetry.
-    last_size: (usize, usize),
-    queries: u64,
+    /// Whether the base encoding is replayed from / recorded into the
+    /// cache, keyed by the target's cone signature.
+    use_entries: bool,
 }
 
 impl<'a> AbductionSession<'a> {
-    /// Creates an idle session for `target`, over a private
-    /// [`EncodeCache`] that records no entries. No encoding happens until
-    /// the first [`AbductionSession::solve`].
+    /// Creates a session for `target` over a private [`EncodeCache`] that
+    /// records no entries. No encoding happens until
+    /// [`AbductionSession::solve`].
     pub fn new(
         netlist: &'a Netlist,
         target: impl Into<Arc<Predicate>>,
@@ -106,8 +82,8 @@ impl<'a> AbductionSession<'a> {
 
     /// Like [`AbductionSession::new`], attached to a shared [`EncodeCache`].
     ///
-    /// With `use_entries` the target's cone signature is computed up front
-    /// and the base encoding is replayed from (or recorded into) the cache.
+    /// With `use_entries` each solve computes the target's cone signature
+    /// and replays the base encoding from (or records it into) the cache.
     /// Without it the cone is blasted fresh over the cache's shared
     /// [`hh_netlist::simp::SimpMap`] — the reference that replay is tested
     /// against.
@@ -119,145 +95,51 @@ impl<'a> AbductionSession<'a> {
         use_entries: bool,
     ) -> AbductionSession<'a> {
         hh_trace::event!("smt", "smt.session.create");
-        let target = target.into();
         AbductionSession {
             netlist,
-            sig: use_entries.then(|| cache.signature(netlist, &target)),
-            target,
+            target: target.into(),
             config,
-            enc: None,
             cache,
-            slots: HashMap::new(),
-            indicators: Vec::new(),
-            strength: Vec::new(),
-            slot_of_lit: HashMap::new(),
-            last_size: (0, 0),
-            queries: 0,
+            use_entries,
         }
-    }
-
-    /// The session's target predicate.
-    pub fn target(&self) -> &Predicate {
-        &self.target
-    }
-
-    /// Number of queries answered so far.
-    pub fn queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// Number of candidates registered (encoded) so far.
-    pub fn registered(&self) -> usize {
-        self.indicators.len()
-    }
-
-    /// Heap bytes this session holds, computed from the capacities of its
-    /// vectors and tables (so the figure repeats exactly run to run, unlike
-    /// an RSS reading): the solver and encoder state plus the candidate
-    /// registry. Candidate predicates are counted at their inline size only
-    /// (engines share them with their store).
-    pub fn resident_bytes(&self) -> u64 {
-        self.enc.as_ref().map_or(0, |e| e.resident_bytes())
-            + self.sig.as_ref().map_or(0, |sig| {
-                vec_bytes(&sig.key)
-                    + vec_bytes(&sig.witness.states)
-                    + vec_bytes(&sig.witness.inputs)
-                    + vec_bytes(&sig.witness.nodes)
-            })
-            + map_bytes(&self.slots)
-            + map_bytes(&self.slot_of_lit)
-            + vec_bytes(&self.indicators)
-            + vec_bytes(&self.strength)
     }
 
     /// Runs the abduction query for this session's target over
-    /// `candidates`, reusing all encoding from earlier calls.
+    /// `candidates`. Returned indices point into `candidates`; a candidate
+    /// given twice is asked about once, under its first index.
     ///
-    /// Candidates absent from earlier calls are appended incrementally;
-    /// candidates registered earlier but missing from `candidates` (e.g.
-    /// freshly failed predicates) are simply not assumed, so they impose no
-    /// constraint. Returned indices point into **this call's** `candidates`
-    /// slice.
+    /// The telemetry's `session_resident_bytes` counter is the heap the
+    /// query held when it ended, computed from the capacities of its
+    /// vectors and tables (so the figure repeats exactly run to run, unlike
+    /// an RSS reading): the solver and encoder state plus the candidate
+    /// registry. Candidate predicates themselves are not counted (the
+    /// caller owns them).
     pub fn solve<P: Borrow<Predicate>>(&mut self, candidates: &[P]) -> AbductionResult {
+        let sig = self
+            .use_entries
+            .then(|| self.cache.signature(self.netlist, &self.target));
         let t_encode = Instant::now();
         let _encode_span = hh_trace::span!("smt", "smt.session.solve");
-        let reused = self.enc.is_some();
-        if !reused {
-            // The signature is only ever needed here; the session does not
-            // keep its token stream around afterwards.
-            let cache = &self.cache;
-            let enc = match self.sig.take() {
-                Some(sig) => match cache.lookup(&sig.key) {
-                    Some(entry) => {
-                        // Replay: byte-identical solver state to a fresh
-                        // build (identity variable numbering), minus the
-                        // Tseitin work.
-                        let _replay = hh_trace::span!("smt", "smt.replay");
-                        TransitionEncoding::from_cache(
-                            self.netlist,
-                            cache.simp(),
-                            &entry,
-                            &sig.witness,
-                        )
-                    }
-                    None => {
-                        let _blast = hh_trace::span!("smt", "smt.blast");
-                        let mut enc = TransitionEncoding::recording(self.netlist, cache.simp());
-                        Self::build_base(&mut enc, &self.target);
-                        let entry = enc.harvest(&sig.witness);
-                        cache.insert(sig.key, entry);
-                        enc
-                    }
-                },
-                // Blast fresh over the cache's SimpMap, no entry recording.
-                None => {
-                    let _blast = hh_trace::span!("smt", "smt.blast");
-                    let mut enc = TransitionEncoding::with_simp(self.netlist, cache.simp());
-                    Self::build_base(&mut enc, &self.target);
-                    enc
-                }
-            };
-            self.enc = Some(enc.without_node_memo());
-        }
-        let enc = self.enc.as_mut().expect("encoding just ensured");
+        let mut enc = self.base(sig).without_node_memo();
 
-        // Register unseen candidates; build this call's assumption set.
+        // Each distinct candidate behind a fresh indicator literal
+        // (`indicator -> candidate holds now`), in first-occurrence order.
+        let mut seen: HashSet<&Predicate> = HashSet::with_capacity(candidates.len());
+        let mut index_of: HashMap<Lit, usize> = HashMap::with_capacity(candidates.len());
         let mut assumptions: Vec<Lit> = Vec::with_capacity(candidates.len());
-        let mut call_idx_of_slot: HashMap<usize, usize> = HashMap::with_capacity(candidates.len());
-        for (call_idx, cand) in candidates.iter().enumerate() {
+        for (i, cand) in candidates.iter().enumerate() {
             let cand = cand.borrow();
-            let slot = match self.slots.get(cand) {
-                Some(&s) => s,
-                None => {
-                    let cl = cand.encode_current(enc);
-                    let a = enc.cnf_mut().fresh();
-                    enc.cnf_mut().clause(&[!a, cl]);
-                    let s = self.indicators.len();
-                    self.indicators.push(a);
-                    self.strength.push(strength_key(cand));
-                    self.slot_of_lit.insert(a, s);
-                    self.slots.insert(cand.clone(), s);
-                    s
-                }
-            };
-            // First occurrence wins on (degenerate) duplicate candidates.
-            if let std::collections::hash_map::Entry::Vacant(e) = call_idx_of_slot.entry(slot) {
-                e.insert(call_idx);
-                assumptions.push(self.indicators[slot]);
+            if !seen.insert(cand) {
+                continue;
             }
+            let cl = cand.encode_current(&mut enc);
+            let a = enc.cnf_mut().fresh();
+            enc.cnf_mut().clause(&[!a, cl]);
+            index_of.insert(a, i);
+            assumptions.push(a);
         }
         let encode_time = t_encode.elapsed();
-
-        // Allocation telemetry: what this call added on top of what the
-        // session already had. (The clause delta on reused sessions also
-        // counts clauses learnt during earlier queries — still memory this
-        // query occupies, and dwarfed by the re-blasting it avoids.)
-        let size_now = enc.size();
-        let (vars_reused, clauses_reused) = if reused { self.last_size } else { (0, 0) };
-        let vars = size_now.0 - vars_reused;
-        let clauses = size_now.1.saturating_sub(clauses_reused);
-        self.last_size = size_now;
-        self.queries += 1;
+        let (vars, clauses) = enc.size();
 
         let t_solve = Instant::now();
         let solve_span = hh_trace::span!("smt", "smt.solve");
@@ -272,18 +154,12 @@ impl<'a> AbductionSession<'a> {
                     // Trim the solver core to a fixpoint, strongest
                     // predicates assumed first (§3.2.3).
                     final_core.sort_by_key(|l| {
-                        let s = self.slot_of_lit[l];
-                        (self.strength[s], s)
+                        let i = index_of[l];
+                        (strength_key(candidates[i].borrow()), i)
                     });
                     final_core = hh_sat::trim_core(solver, &final_core);
                 }
-                let mut idxs: Vec<usize> = final_core
-                    .iter()
-                    .map(|l| {
-                        let slot = self.slot_of_lit[l];
-                        call_idx_of_slot[&slot]
-                    })
-                    .collect();
+                let mut idxs: Vec<usize> = final_core.iter().map(|l| index_of[l]).collect();
                 idxs.sort_unstable();
                 Some(idxs)
             }
@@ -291,13 +167,6 @@ impl<'a> AbductionSession<'a> {
         let solve_time = t_solve.elapsed();
         drop(solve_span);
         let after = enc.cnf().solver().stats();
-        // Word-level counters belong to the encoding, built once per
-        // session: they go to the first (fresh) query only.
-        let simp = if reused {
-            Default::default()
-        } else {
-            enc.simp_stats()
-        };
         let solves = after.solves - before.solves;
         AbductionResult {
             abduct,
@@ -308,9 +177,10 @@ impl<'a> AbductionSession<'a> {
                 encode_time,
                 solve_time,
                 counters: Counters {
-                    word_const_folds: simp.const_folds,
-                    word_rewrites: simp.rewrites,
-                    word_strash_hits: simp.strash_hits,
+                    session_resident_bytes: enc.resident_bytes()
+                        + set_bytes(&seen)
+                        + map_bytes(&index_of)
+                        + vec_bytes(&assumptions),
                     sat_solves: solves,
                     sat_propagations: after.propagations - before.propagations,
                     sat_conflicts: after.conflicts - before.conflicts,
@@ -324,13 +194,44 @@ impl<'a> AbductionSession<'a> {
         }
     }
 
+    /// The target's base encoding: replayed from the cache on a hit of its
+    /// signature `sig`, else blasted (and recorded, under `sig`, when there
+    /// is one). The signature is consumed here, so it does not outlive the
+    /// base build, and a recorded key is moved into the cache, not copied.
+    fn base(&self, sig: Option<ConeSignature>) -> TransitionEncoding<'a> {
+        let cache = &self.cache;
+        let Some(sig) = sig else {
+            let _blast = hh_trace::span!("smt", "smt.blast");
+            let mut enc = TransitionEncoding::with_simp(self.netlist, cache.simp());
+            self.assert_base(&mut enc);
+            return enc;
+        };
+        if let Some(entry) = cache.lookup(&sig.key) {
+            // Replay: byte-identical solver state to a fresh build (identity
+            // variable numbering), minus the Tseitin work.
+            let _replay = hh_trace::span!("smt", "smt.replay");
+            return TransitionEncoding::from_cache(
+                self.netlist,
+                cache.simp(),
+                &entry,
+                &sig.witness,
+            );
+        }
+        let _blast = hh_trace::span!("smt", "smt.blast");
+        let mut enc = TransitionEncoding::recording(self.netlist, cache.simp());
+        self.assert_base(&mut enc);
+        let entry = enc.harvest(&sig.witness);
+        cache.insert(sig.key, entry);
+        enc
+    }
+
     /// Asserts the base formula `target ∧ ¬target'`. Shared by the fresh and
     /// cache-miss build paths (the cache-hit path replays a recording of
     /// exactly this sequence).
-    fn build_base(enc: &mut TransitionEncoding<'a>, target: &Predicate) {
-        let p_now = target.encode_current(enc);
+    fn assert_base(&self, enc: &mut TransitionEncoding<'a>) {
+        let p_now = self.target.encode_current(enc);
         enc.assert_lit(p_now);
-        let p_next = target.encode_next(enc);
+        let p_next = self.target.encode_next(enc);
         enc.assert_lit(!p_next);
     }
 }
@@ -355,62 +256,54 @@ mod tests {
         (n, m)
     }
 
+    /// A second `solve` on one session is a second fresh query: its
+    /// answer and its work are what a fresh `abduct` reports, whatever the
+    /// session was asked before.
     #[test]
-    fn session_matches_fresh_abduct() {
+    fn each_solve_answers_as_a_fresh_abduct() {
         let (base, m) = and_gate();
-        let a = base.find_state("A").unwrap();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let target = Predicate::eq(m.left(a), m.right(a));
-        let cands = vec![
-            Predicate::eq(m.left(b), m.right(b)),
-            Predicate::eq(m.left(c), m.right(c)),
-        ];
-        let cfg = AbductionConfig::paper_default();
-        let fresh = crate::query::abduct(m.netlist(), &target, &cands, &cfg);
-        let mut sess = AbductionSession::new(m.netlist(), target, cfg);
-        let first = sess.solve(&cands);
-        assert_eq!(first.abduct, fresh.abduct);
-        assert_eq!(first.abduct, Some(vec![0, 1]));
-    }
-
-    #[test]
-    fn retry_reuses_encoding_and_matches_fresh() {
-        let (base, m) = and_gate();
-        let a = base.find_state("A").unwrap();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
+        let [a, b, c] = ["A", "B", "C"].map(|s| base.find_state(s).unwrap());
         let target = Predicate::eq(m.left(a), m.right(a));
         let eq_b = Predicate::eq(m.left(b), m.right(b));
         let eq_c = Predicate::eq(m.left(c), m.right(c));
         let cfg = AbductionConfig::paper_default();
         let mut sess = AbductionSession::new(m.netlist(), target.clone(), cfg);
+        let both = vec![eq_b.clone(), eq_c];
+        // Both inputs do, Eq(B) alone does not (a retry after Eq(C)
+        // failed), and both again (a retry that offers a new candidate).
+        for (cands, expect) in [
+            (both.clone(), Some(vec![0, 1])),
+            (vec![eq_b], None),
+            (both, Some(vec![0, 1])),
+        ] {
+            let asked = sess.solve(&cands);
+            let fresh = crate::query::abduct(m.netlist(), &target, &cands, &cfg);
+            assert_eq!(asked.abduct, expect);
+            assert_eq!(asked.abduct, fresh.abduct);
+            let (t, f) = (asked.telemetry, fresh.telemetry);
+            assert_eq!((t.vars, t.clauses, t.solves), (f.vars, f.clauses, f.solves));
+            assert_eq!(t.counters, f.counters);
+        }
+    }
 
-        let all = vec![eq_b.clone(), eq_c.clone()];
-        let first = sess.solve(&all);
-        assert_eq!(first.abduct, Some(vec![0, 1]));
-
-        // Retry with Eq(C) "failed": only Eq(B) remains — SAT (no abduct),
-        // exactly like a fresh query over the reduced set.
-        let reduced = vec![eq_b.clone()];
-        let retry = sess.solve(&reduced);
-        let fresh = crate::query::abduct(m.netlist(), &target, &reduced, &cfg);
-        assert_eq!(retry.abduct, fresh.abduct);
-        assert_eq!(retry.abduct, None);
-        // The retry reused the first call's whole encoding.
-        assert!(first.telemetry.vars > 0);
-        assert_eq!(retry.telemetry.vars, 0, "no new candidate, no new vars");
-
-        // Restoring the full set still answers like a fresh solver. Both
-        // queries cost the query's solve plus one trimming re-solve, which
-        // keeps both members; a SAT answer costs no trimming.
-        assert_eq!(first.telemetry.solves, 2);
-        assert_eq!(retry.telemetry.solves, 1);
-        let again = sess.solve(&all);
-        assert_eq!(again.abduct, Some(vec![0, 1]));
-        assert_eq!(again.telemetry.solves, 2);
-        assert_eq!(sess.queries(), 3);
-        assert_eq!(sess.registered(), 2);
+    #[test]
+    fn a_duplicate_candidate_answers_under_its_first_index() {
+        let (base, m) = and_gate();
+        let [a, b, c] = ["A", "B", "C"].map(|s| base.find_state(s).unwrap());
+        let target = Predicate::eq(m.left(a), m.right(a));
+        let eq_b = Predicate::eq(m.left(b), m.right(b));
+        let eq_c = Predicate::eq(m.left(c), m.right(c));
+        let cfg = AbductionConfig::paper_default();
+        let distinct = crate::query::abduct(m.netlist(), &target, &[&eq_b, &eq_c], &cfg);
+        for (cands, expect) in [
+            ([&eq_b, &eq_c, &eq_b], vec![0, 1]),
+            ([&eq_b, &eq_b, &eq_c], vec![0, 2]),
+        ] {
+            let res = crate::query::abduct(m.netlist(), &target, &cands, &cfg);
+            assert_eq!(res.abduct, Some(expect));
+            // The duplicate is registered once.
+            assert_eq!(res.telemetry.vars, distinct.telemetry.vars);
+        }
     }
 
     #[test]
@@ -503,31 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn a_retry_registers_a_new_candidate() {
-        let (base, m) = and_gate();
-        let a = base.find_state("A").unwrap();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let target = Predicate::eq(m.left(a), m.right(a));
-        let eq_b = Predicate::eq(m.left(b), m.right(b));
-        let eq_c = Predicate::eq(m.left(c), m.right(c));
-        let cfg = AbductionConfig::paper_default();
-        let mut sess = AbductionSession::new(m.netlist(), target.clone(), cfg);
-        // Eq(B) alone does not do.
-        assert_eq!(sess.solve(std::slice::from_ref(&eq_b)).abduct, None);
-        let before = sess.resident_bytes();
-        // Eq(C) is encoded and registered on the same session.
-        let both = [eq_b, eq_c];
-        let retry = sess.solve(&both);
-        let fresh = crate::query::abduct(m.netlist(), &target, &both, &cfg);
-        assert_eq!(retry.abduct, Some(vec![0, 1]));
-        assert_eq!(retry.abduct, fresh.abduct);
-        assert!(retry.telemetry.vars > 0);
-        assert_eq!(sess.registered(), 2);
-        assert!(sess.resident_bytes() > before);
-    }
-
-    #[test]
     fn a_session_holds_nothing_sized_by_the_netlist() {
         // The same cone in a small netlist and in one with 20 000 nodes
         // (and 2 000 states) nothing in the cone reads.
@@ -565,8 +433,10 @@ mod tests {
                 Predicate::eq_const(b, b, Bv::bit(true)),
                 Predicate::eq_const(c, c, Bv::bit(true)),
             ];
-            assert_eq!(sess.solve(&cands).abduct, Some(vec![0, 1]));
-            (sess.resident_bytes(), cache.resident_bytes())
+            let res = sess.solve(&cands);
+            assert_eq!(res.abduct, Some(vec![0, 1]));
+            let resident = res.telemetry.counters.session_resident_bytes;
+            (resident, cache.resident_bytes())
         };
         let (small, padded) = (build(0), build(2000));
         assert!(padded.num_nodes() > small.num_nodes() + 20_000);
@@ -577,8 +447,8 @@ mod tests {
     #[test]
     fn a_replayed_encoding_is_the_fresh_one() {
         // Eq(B) records the cone shape, Eq(C) replays it; a third session
-        // blasts Eq(C) fresh over the same SimpMap. Same solver formula,
-        // same variables, same bytes at rest.
+        // blasts Eq(C) fresh over the same SimpMap. Same formula size, same
+        // search, same bytes.
         let (base, m) = and_gate();
         let b = base.find_state("B").unwrap();
         let c = base.find_state("C").unwrap();
@@ -602,12 +472,12 @@ mod tests {
             AbductionSession::with_cache(m.netlist(), eq_c, cfg, Arc::clone(&cache), false);
         let f = fresh.solve(std::slice::from_ref(&eq_b));
         assert_eq!(r.abduct, f.abduct);
-        let formula = |s: &AbductionSession<'_>| {
-            let solver = s.enc.as_ref().unwrap().cnf().solver();
-            (solver.num_vars(), solver.formula_clauses())
-        };
-        assert_eq!(formula(&replayed), formula(&fresh));
-        assert_eq!(replayed.resident_bytes(), fresh.resident_bytes());
+        let (rt, ft) = (r.telemetry, f.telemetry);
+        assert_eq!(
+            (rt.vars, rt.clauses, rt.solves),
+            (ft.vars, ft.clauses, ft.solves)
+        );
+        assert_eq!(rt.counters, ft.counters);
 
         let keys = cache.encoding_keys();
         assert!(!keys.is_empty());
@@ -617,12 +487,11 @@ mod tests {
         assert!(cache.resident_bytes() < recorded);
     }
 
-    /// Trimming over multi-query sessions on random CNFs. Candidate `i` is
-    /// a random literal behind indicator `a_i` with a random strength key;
-    /// each session asks about a candidate set that shrinks (the previous
-    /// abduct loses a member, as after a backtrack) and regrows, and trims
-    /// each raw core with its members in strength order, as
-    /// [`AbductionSession::solve`] does. Every abduct must be a subset of its
+    /// Trimming on random CNFs. Candidate `i` is a random literal behind
+    /// indicator `a_i` with a random strength key; one solver is asked about
+    /// a candidate set that shrinks (the previous abduct loses a member, as
+    /// after a backtrack) and regrows, and trims each raw core with its
+    /// members in strength order, as [`AbductionSession::solve`] does. Every abduct must be a subset of its
     /// raw core that a fresh solver refutes, and trimming it again must
     /// change nothing.
     #[test]

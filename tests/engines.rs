@@ -116,7 +116,7 @@ fn streaming_engine_is_deterministic_across_thread_counts() {
             Some((expect, hits, expect_resident)) => {
                 assert_eq!(
                     *expect_resident, resident,
-                    "parked-session bytes must not depend on thread count"
+                    "the largest query's bytes must not depend on thread count"
                 );
                 assert_eq!(
                     expect, &preds,
@@ -203,15 +203,15 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
 
 #[test]
 fn session_cache_ablation_preserves_results_and_saves_encoding() {
-    // The engine answers every query through a live session over the shared
+    // The engine answers every query through a session over the shared
     // encode cache. The reference is the path with neither: each memoised
     // solution must be a valid relative-induction step on its own, and a
     // fresh `abduct` over the target's re-mined candidates must pick the
     // same premises. RocketLite does not backtrack, so no candidate was
     // ever filtered by `P_fail` and the re-mined set is the set the engine
     // asked about. Each target's session over a shared encode cache is then
-    // asked the same query and re-asked, as a retry would, without its
-    // abduct's first member: both answers must be the fresh ones.
+    // asked the same query and, as a retry would be, asked again without
+    // its abduct's first member: both answers must be the fresh ones.
     let design = rocket_lite(16);
     let safe = alu_set();
     let (miter, examples, props) = setup(&design, &safe);
