@@ -21,8 +21,11 @@
 //!
 //! Exit code: 1 if a re-checked invariant is not inductive, or if a
 //! committed `bench_results/<name>.json` held other counts or other rows
-//! than this run measured (the file is overwritten first, so a second run
-//! exits 0); 101 if a shape assertion fails; 2 on bad usage.
+//! than this run measured (the file is rewritten, so a second run exits 0);
+//! 101 if a shape assertion fails; 2 on bad usage. A file that carries the
+//! counts and rows just measured is not rewritten, so its timings are those
+//! of the run that last moved a count, and a clean run leaves the tree
+//! clean: this run's timings are in what it prints.
 
 use hh_bench::{
     all_targets, is_boom, known_safe_set, learn, secs, LearnSpec, Report, RunResult, Target,
@@ -202,9 +205,11 @@ fn main() {
         println!("\n{title}");
         let mut report = Report::new(name);
         run(&runs, &mut report);
-        let committed = Report::load(name);
-        report.finish();
-        stale.extend(report.differences(&committed));
+        let differences = report.differences(&Report::load(name));
+        if !differences.is_empty() {
+            report.finish();
+        }
+        stale.extend(differences);
     }
     println!(
         "\n{} hierarchical learns (Table 2's classification and the baselines apart) in {:.1} s",

@@ -352,8 +352,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     /// never re-solved (their premises are still scheduled, so invalidated
     /// or missing sub-solutions are re-learned and the usual stale sweep
     /// applies if one fails). Callers are responsible for only seeding
-    /// entries whose obligation is unchanged — a resident service checks
-    /// renaming-invariant cone signatures before seeding. Returns the
+    /// entries whose obligation is unchanged — a resident service compares
+    /// cone signatures and their leaves' names before seeding. Returns the
     /// number of entries seeded.
     pub fn seed_solutions(&mut self, solutions: &[(Predicate, Vec<Predicate>)]) -> usize {
         for (target, premises) in solutions {

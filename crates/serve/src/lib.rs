@@ -27,8 +27,8 @@
 //!    equals what a cold batch run at any thread count produces.
 //! 2. **Warmth survives restart and design deltas.** A daemon restarted
 //!    from its checkpoint reproduces its answers without re-solving, and a
-//!    changed design re-learns only the cones whose renaming-invariant
-//!    signatures changed.
+//!    changed design re-learns only the cones whose signature or leaves
+//!    (compared by state name) changed.
 //!
 //! The protocol and operational story are documented in `docs/SERVE.md`,
 //! `docs/PRODUCTION.md` and `docs/MONITORING.md`.

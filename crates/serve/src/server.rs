@@ -447,7 +447,7 @@ impl Inner {
                 jobs.push(Json::obj(vec![
                     ("id", Json::Str(id.clone())),
                     ("key", Json::Str(job.key.key_string())),
-                    ("proved", Json::Bool(job.invariant.is_some())),
+                    ("proved", Json::Bool(job.proved)),
                     ("solutions", Json::Int(job.solutions.len() as i64)),
                     ("num_examples", Json::Int(job.num_examples as i64)),
                     ("cache_hits", Json::Int(cache.hits as i64)),

@@ -8,20 +8,25 @@
 //!   so resident predicates resolve against identical state numbering),
 //! * a shared [`EncodeCache`] — recorded Tseitin replay streams,
 //! * the **solution table** (`target ⊢ premises` memo entries) of the last
-//!   successful learn, and the learned invariant.
+//!   successful learn. It is the job's one record of what was learned: the
+//!   answer's invariant is the table's closure
+//!   (`hhoudini::Invariant::from_closed_table`), so no copy is kept.
 //!
 //! On a **design delta** (same design key, different content) the job is
-//! migrated: every memoised target's renaming-invariant cone signature
-//! (`hh_netlist::signature`) is recomputed against the new netlist and
-//! compared with its value on the old one. Entries whose signature is
-//! unchanged blast to a byte-identical obligation CNF, so their relative-
-//! inductivity result carries over; the rest are invalidated and re-learned.
+//! migrated: every memoised target's cone signature (`hh_netlist::signature`)
+//! is recomputed against the new netlist and compared with its value on the
+//! old one, leaf by name. The signature key alone is renaming-invariant —
+//! it numbers state and input leaves by first use — so an entry is kept
+//! only when the keys are equal *and* its cone reads the same states and
+//! inputs, by name, in the same canonical order: then the new obligation is
+//! the old one over the same predicates, and its relative-inductivity
+//! result carries over. The rest are invalidated and re-learned.
 //!
 //! Persistence (SERVE.md §5) stores the *reconstructible* core — design
-//! specs, solution tables as [`Predicate::to_wire`] text and invariants.
-//! Encoding replay streams are deliberately not persisted: a restored memo
-//! answers repeat requests with zero solver work anyway, and cone shapes
-//! re-record on first miss.
+//! specs, and per job its key, `proved` flag, example count and solution
+//! table as [`Predicate::to_wire`] text. Encoding replay streams are
+//! deliberately not persisted: a restored memo answers repeat requests with
+//! zero solver work anyway, and cone shapes re-record on first miss.
 
 use crate::json::Json;
 use crate::proto::ErrorCode;
@@ -30,6 +35,7 @@ use crate::request::{
 };
 use hh_netlist::btor2::to_btor2;
 use hh_netlist::miter::Miter;
+use hh_netlist::signature::ConeWitness;
 use hh_proof::cert::fnv1a;
 use hh_smt::{EncodeCache, Predicate};
 use hh_uarch::Design;
@@ -72,7 +78,7 @@ pub fn design_fingerprint(design: &Design) -> u64 {
     fnv1a(text.as_bytes())
 }
 
-/// One warm job: resident miter, encode cache, memo table, invariant.
+/// One warm job: resident miter, encode cache and memo table.
 #[derive(Debug)]
 pub struct JobState {
     /// The job key.
@@ -84,8 +90,10 @@ pub struct JobState {
     /// Memoised solution table of the last successful learn, over
     /// [`JobState::miter`]'s netlist.
     pub solutions: Vec<(Predicate, Vec<Predicate>)>,
-    /// The learned invariant (sorted predicates), if the last learn proved.
-    pub invariant: Option<Vec<Predicate>>,
+    /// The last learn proved on this very design, examples checked, so a
+    /// closed [`JobState::solutions`] is the answer. False when never
+    /// learned, flushed, unprovable or carried across a design delta.
+    pub proved: bool,
     /// Positive examples used by the last learn.
     pub num_examples: usize,
 }
@@ -99,7 +107,7 @@ impl JobState {
             miter,
             cache,
             solutions: Vec::new(),
-            invariant: None,
+            proved: false,
             num_examples: 0,
         }
     }
@@ -196,12 +204,6 @@ pub struct RestoreSummary {
 }
 
 const STATE_VERSION: &str = "hh-serve state v1";
-
-/// Per-job learnt-clause pool dump that daemons before the removal of
-/// clause transfer wrote. Its content is never opened — pooled clauses went
-/// into solvers unchecked, so the file was a way to forge a proof — and the
-/// next checkpoint deletes it.
-const STALE_POOLS_FILE: &str = "pools.txt";
 
 impl ServeState {
     /// Creates empty state (no persistence).
@@ -313,12 +315,11 @@ impl ServeState {
             seeds: job.solutions.clone(),
         };
         hh_trace::counter!("serve", "serve.seeded", warm.seeds.len());
-        // A job that holds an invariant holds the table of a learn that
-        // proved it on this very design, examples checked: if that table is
-        // still closed it is the answer. Without one — never learned,
-        // flushed, unprovable, or carried across a design delta — the
-        // examples are regenerated and the engine runs.
-        let report = if job.invariant.is_some() {
+        // A proved job holds the table of a learn that proved on this very
+        // design, examples checked: if that table is still closed it is the
+        // answer. Otherwise the examples are regenerated and the engine
+        // runs.
+        let report = if job.proved {
             veloct.learn_warm(&key.safe, warm)
         } else {
             veloct.learn_seeded(&key.safe, warm)
@@ -338,9 +339,9 @@ impl ServeState {
         // Update warm state: keep the last *successful* memo (seeding from
         // a failed run would be wasted work — its entries reference
         // predicates in P_fail).
-        if result == LearnResult::Proved {
-            job.solutions = report.solutions.clone();
-            job.invariant = Some(invariant_preds.clone());
+        job.proved = result == LearnResult::Proved;
+        if job.proved {
+            job.solutions = report.solutions;
             // A closed-table answer generated none: the count stays that
             // of the learn which produced the table.
             if report.num_examples > 0 {
@@ -348,7 +349,6 @@ impl ServeState {
             }
         } else {
             job.solutions.clear();
-            job.invariant = None;
         }
 
         let counters = RunCounters {
@@ -406,9 +406,9 @@ impl ServeState {
         })
     }
 
-    /// Drops warm state. `scope` is `"memo"` (clear solution tables and
-    /// invariants, keep encode caches) or `"all"` (drop designs
-    /// entirely). Returns `(designs_dropped, jobs_cleared, entries_dropped)`.
+    /// Drops warm state. `scope` is `"memo"` (clear solution tables, keep
+    /// encode caches) or `"all"` (drop designs entirely). Returns
+    /// `(designs_dropped, jobs_cleared, entries_dropped)`.
     pub fn flush(
         &mut self,
         scope: &str,
@@ -433,7 +433,7 @@ impl ServeState {
                         jobs += 1;
                         entries += job.solutions.len();
                         job.solutions.clear();
-                        job.invariant = None;
+                        job.proved = false;
                     }
                 }
                 Ok((0, jobs, entries))
@@ -542,7 +542,7 @@ impl ServeState {
 
                 let mut meta = job.key.to_json();
                 if let Json::Obj(m) = &mut meta {
-                    m.insert("proved".to_string(), Json::Bool(job.invariant.is_some()));
+                    m.insert("proved".to_string(), Json::Bool(job.proved));
                     m.insert(
                         "num_examples".to_string(),
                         Json::Int(job.num_examples as i64),
@@ -565,22 +565,6 @@ impl ServeState {
                     summary.solutions += 1;
                 }
                 fault.write(&jdir.join("solutions.txt"), sol.as_bytes())?;
-
-                let mut inv = String::new();
-                if let Some(preds) = &job.invariant {
-                    for p in preds {
-                        inv.push_str(&p.to_wire(nl));
-                        inv.push('\n');
-                    }
-                }
-                fault.write(&jdir.join("invariant.txt"), inv.as_bytes())?;
-
-                // Learnt-clause pools are no longer written or read; drop
-                // the file an older daemon left so the job dir shrinks.
-                match std::fs::remove_file(jdir.join(STALE_POOLS_FILE)) {
-                    Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
-                    _ => {}
-                }
             }
         }
         hh_trace::counter!("serve", "serve.checkpoint", 1);
@@ -646,29 +630,19 @@ impl ServeState {
         };
         let mut paths: Vec<PathBuf> = dirs.filter_map(|e| e.ok().map(|e| e.path())).collect();
         paths.sort();
-        let mut stale_pools = 0usize;
         for ddir in paths {
-            match self.restore_design(&ddir, &mut summary, &mut stale_pools) {
-                Ok(()) => {}
-                Err(msg) => warnings.push(format!("{}: {msg}", ddir.display())),
+            let before = summary;
+            if let Err(msg) = self.restore_design(&ddir, &mut summary) {
+                // A skipped design restores nothing, whatever it counted.
+                summary = before;
+                warnings.push(format!("{}: {msg}", ddir.display()));
             }
-        }
-        if stale_pools > 0 {
-            warnings.push(format!(
-                "learnt-clause pools are no longer used: ignoring {stale_pools} \
-                 {STALE_POOLS_FILE} file(s); the next checkpoint removes them"
-            ));
         }
         hh_trace::counter!("serve", "serve.restored_jobs", summary.jobs);
         (summary, warnings)
     }
 
-    fn restore_design(
-        &mut self,
-        ddir: &Path,
-        summary: &mut RestoreSummary,
-        stale_pools: &mut usize,
-    ) -> Result<(), String> {
+    fn restore_design(&mut self, ddir: &Path, summary: &mut RestoreSummary) -> Result<(), String> {
         let spec_text =
             std::fs::read_to_string(ddir.join("spec.json")).map_err(|e| e.to_string())?;
         let spec_json = Json::parse(&spec_text).map_err(|e| e.to_string())?;
@@ -692,7 +666,6 @@ impl ServeState {
             let mut paths: Vec<PathBuf> = dirs.filter_map(|e| e.ok().map(|e| e.path())).collect();
             paths.sort();
             for jdir in paths {
-                *stale_pools += usize::from(jdir.join(STALE_POOLS_FILE).exists());
                 match restore_job(&entry.design, &jdir, summary) {
                     Ok(job) => {
                         entry.jobs.insert(job.key.id(), job);
@@ -737,19 +710,30 @@ fn migrate_entry(
                 invalidated += 1;
                 continue;
             };
-            // The decisive check: the target's obligation encoding is
-            // unchanged iff its cone signature is.
+            // The decisive check: the target's obligation is unchanged iff
+            // its cone has the same shape over the same leaves. The key
+            // numbers leaves by first use, so a cone rewired to another
+            // state of the same width keeps its key; the names tell.
             let old_sig = old.cache.signature(old_nl, target);
             let new_sig = fresh.cache.signature(new_nl, &new_target);
-            if old_sig.key == new_sig.key {
+            let same_leaves = |o: &ConeWitness, n: &ConeWitness| {
+                o.states
+                    .iter()
+                    .map(|&s| old_nl.state_name(s))
+                    .eq(n.states.iter().map(|&s| new_nl.state_name(s)))
+                    && o.inputs
+                        .iter()
+                        .map(|&i| old_nl.input_name(i))
+                        .eq(n.inputs.iter().map(|&i| new_nl.input_name(i)))
+            };
+            if old_sig.key == new_sig.key && same_leaves(&old_sig.witness, &new_sig.witness) {
                 fresh.solutions.push((new_target, new_premises));
             } else {
                 invalidated += 1;
             }
         }
-        // The invariant itself is re-derived by the next learn; carrying a
-        // stale one across a delta would misreport "proved".
-        fresh.invariant = None;
+        // `fresh.proved` stays false: the table is re-checked by the next
+        // learn, whose examples of the new design are regenerated.
         fresh.num_examples = old.num_examples;
         new_jobs.insert(id, fresh);
     }
@@ -777,6 +761,7 @@ fn restore_job(
     };
     let veloct = Veloct::with_config(design, ServeState::veloct_config(&key, opts));
     let mut job = JobState::fresh(key, &veloct);
+    job.proved = proved;
     job.num_examples = num_examples;
     summary.jobs += 1;
 
@@ -795,17 +780,6 @@ fn restore_job(
             summary.solutions += 1;
         } else if !line.trim().is_empty() {
             return Err(format!("bad solutions line {line:?}"));
-        }
-    }
-
-    if proved {
-        let inv_text = std::fs::read_to_string(jdir.join("invariant.txt")).unwrap_or_default();
-        let mut preds = Vec::new();
-        for line in inv_text.lines().filter(|l| !l.trim().is_empty()) {
-            preds.push(Predicate::from_wire(line, nl)?);
-        }
-        if !preds.is_empty() {
-            job.invariant = Some(preds);
         }
     }
     Ok(job)

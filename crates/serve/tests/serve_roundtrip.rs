@@ -516,6 +516,7 @@ fn job_json_with_pairs_out_of_range_is_skipped_with_a_warning() {
         });
         let (restored, warnings) = ServeState::new(Some(dir.clone())).restore();
         assert_eq!(restored.jobs, 0, "pairs {pairs}");
+        assert_eq!(restored.designs, 0, "the design is skipped whole");
         assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert!(
             warnings[0].contains("pairs must be an integer in 1..=64"),
@@ -550,60 +551,86 @@ fn tmp_debris(dir: &Path) -> Vec<PathBuf> {
     files_under(dir, |p| p.extension().is_some_and(|x| x == "tmp"))
 }
 
-/// State directories written while learnt-clause pools existed carry a
-/// `pools.txt` per job. Its clauses used to be fed to solvers unchecked, so
-/// a restore must never open it: whatever it holds, the job comes back warm
-/// with its solutions and invariant, the boot notes say once that pools are
-/// gone, and the next checkpoint deletes the file. A checkpoint of this
-/// daemon never writes one.
+/// A job directory is `job.json` and `solutions.txt` (plus `cert/`). The
+/// files older daemons wrote beside them are never opened: `invariant.txt`,
+/// a copy of the answer that the table's closure already is, and
+/// `pools.txt`, learnt clauses that once went into solvers unchecked.
+/// Whatever they hold, every job restores without a warning and answers
+/// warm, field for field as the cold learn did, and a checkpoint neither
+/// writes nor removes them.
 #[test]
-fn stale_pools_files_are_ignored_and_removed() {
-    let pools = |dir: &Path| files_under(dir, |p| p.file_name().is_some_and(|n| n == "pools.txt"));
+fn leftover_invariant_and_pools_files_are_never_opened() {
+    let leftovers = |dir: &Path| {
+        files_under(dir, |p| {
+            p.file_name()
+                .is_some_and(|n| n == "invariant.txt" || n == "pools.txt")
+        })
+    };
 
-    let dir = temp_dir("stale-pools");
+    let dir = temp_dir("leftovers");
     let daemon = Daemon::start(Some(dir.clone()));
     let mut c = daemon.client();
-    let toy = toy_learn_fields("toy", TOY_V1);
-    let toy_inv = str_arr(&c.request("learn", toy.clone()).unwrap(), "invariant");
     let mut rocket = rocket_learn_fields();
     rocket.retain(|(k, _)| *k != "certify");
-    let rocket_inv = str_arr(&c.request("learn", rocket.clone()).unwrap(), "invariant");
+    let mut cold = Vec::new();
+    for fields in [toy_learn_fields("toy", TOY_V1), rocket] {
+        let answer = answer_fields(&c.request("learn", fields.clone()).unwrap());
+        cold.push((fields, answer));
+    }
     c.checkpoint().unwrap();
-    assert!(pools(&dir).is_empty(), "a checkpoint writes no pools.txt");
+    assert!(
+        leftovers(&dir).is_empty(),
+        "a checkpoint writes neither file"
+    );
     daemon.stop();
 
-    // Neither a pool key, nor a clause under a key, nor text at all.
+    // Text that names no state of the design, and a pool key, a clause and
+    // bytes that are not text at all.
+    let garbage = |name: &std::ffi::OsStr| -> &'static [u8] {
+        if name == "invariant.txt" {
+            b"eq l$nowhere r$nowhere\nnot a predicate\n"
+        } else {
+            b"K zz\nC 1\n\0\xff"
+        }
+    };
     let jobs = files_under(&dir, |p| p.file_name().is_some_and(|n| n == "job.json"));
     assert_eq!(jobs.len(), 2);
     for job in &jobs {
-        std::fs::write(job.with_file_name("pools.txt"), b"K zz\nC 1\n\0\xff").unwrap();
+        for name in ["invariant.txt", "pools.txt"] {
+            std::fs::write(job.with_file_name(name), garbage(name.as_ref())).unwrap();
+        }
     }
 
     let mut state = hh_serve::state::ServeState::new(Some(dir.clone()));
     let (restored, warnings) = state.restore();
-    assert_eq!(restored.jobs, 2, "garbage pools must not drop a job");
-    let notes: Vec<&String> = warnings.iter().filter(|w| w.contains("pools")).collect();
-    assert_eq!(notes.len(), 1, "one note for all files: {warnings:?}");
-    assert_eq!(warnings.len(), 1, "and nothing else: {warnings:?}");
+    assert_eq!(restored.jobs, 2, "leftover files must not drop a job");
+    assert_eq!(state.designs.len(), 2, "nor a design");
+    assert!(warnings.is_empty(), "nothing to note: {warnings:?}");
     drop(state);
 
     let daemon2 = Daemon::start(Some(dir.clone()));
     let mut c2 = daemon2.client();
-    for (fields, inv) in [(toy, toy_inv), (rocket, rocket_inv)] {
+    for (fields, answer) in cold {
         let warm = c2.request("learn", fields).unwrap();
         assert_eq!(warm.get("warm_hit").unwrap(), &Json::Bool(true));
         assert_eq!(i64_field(&warm, "smt_queries"), 0, "restore keeps warmth");
-        assert_eq!(str_arr(&warm, "invariant"), inv);
+        assert_eq!(answer_fields(&warm), answer, "restored != cold");
     }
-    assert_eq!(pools(&dir).len(), 2, "restore leaves the files alone");
     c2.checkpoint().unwrap();
-    assert!(pools(&dir).is_empty(), "the next checkpoint removes them");
+    let left = leftovers(&dir);
+    assert_eq!(left.len(), 4, "a checkpoint leaves the files alone");
+    for file in left {
+        assert_eq!(
+            std::fs::read(&file).unwrap(),
+            garbage(file.file_name().unwrap())
+        );
+    }
     daemon2.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A checkpoint killed between tmp-write and rename leaves a synced `.tmp`
-/// sibling and no renamed file. Whichever of the five per-job writes the
+/// sibling and no renamed file. Whichever of the four writes the
 /// kill lands on, a restart must sweep the debris and come back warm from
 /// the last completed checkpoint, answering identically to pre-crash.
 #[test]
@@ -618,8 +645,8 @@ fn killed_mid_checkpoint_restarts_warm_from_last_good_state() {
     daemon.stop(); // checkpoints on the way down: the last good state
 
     // Re-run the checkpoint, killing it at each atomic write in turn
-    // (VERSION, spec, job meta, solutions, invariant).
-    for crash_after in 0..5 {
+    // (VERSION, spec, job meta, solutions).
+    for crash_after in 0..4 {
         let mut state = ServeState::new(Some(dir.clone()));
         let (restored, warnings) = state.restore();
         assert_eq!(restored.jobs, 1, "warm state restores before the crash");
@@ -881,6 +908,59 @@ fn delta_that_invalidates_nothing_still_regenerates_the_examples() {
     // Proved on this design now: the next request is answered from the table.
     let warm = c.request("learn", longer_latency("toy")).unwrap();
     assert_eq!(answer_fields(&warm), answer_fields(&reference));
+    daemon.stop();
+}
+
+/// A delta that rewires a cone to another state of the same width keeps the
+/// cone's signature key, which numbers leaves by first use; the leaves'
+/// names differ. Here `obs_a` stops copying `a` and copies a held state `z`:
+/// the entries whose obligation reads `next(obs_a)` are stale, and the table
+/// they closed (`a` and `obs_a` equal) is not inductive on the new design.
+/// The delta's answer is the one a daemon that never saw the old design
+/// gives. (Once the stale entries were kept and the table answered, with
+/// `invalidated` 0.)
+#[test]
+fn delta_that_rewires_a_cone_to_a_same_width_state_invalidates_it() {
+    let held_z = TOY_V1.replace(
+        "30 next 1 10 8\n",
+        "40 state 1 z\n41 init 1 40 12\n42 next 1 40 40\n30 next 1 10 8\n",
+    );
+    let rewired = held_z.replace("30 next 1 10 8\n", "30 next 1 10 40\n");
+    assert_ne!(held_z, rewired);
+    let without_invalidated = |resp: &Json| {
+        let mut answer = answer_fields(resp);
+        answer.retain(|(k, _)| k != "invalidated");
+        answer
+    };
+
+    let fresh = Daemon::start(None);
+    let reference = fresh
+        .client()
+        .request("learn", toy_learn_fields("toy", &rewired))
+        .unwrap();
+    fresh.stop();
+    assert_eq!(reference.get("result").unwrap().as_str(), Some("proved"));
+
+    let daemon = Daemon::start(None);
+    let mut c = daemon.client();
+    let v1 = c
+        .request("learn", toy_learn_fields("toy", &held_z))
+        .unwrap();
+    assert_ne!(
+        str_arr(&v1, "invariant"),
+        str_arr(&reference, "invariant"),
+        "the rewiring must change the invariant for this test to bite"
+    );
+    let delta = c
+        .request("learn", toy_learn_fields("toy", &rewired))
+        .unwrap();
+    assert!(
+        i64_field(&delta, "invalidated") >= 1,
+        "obs_a's cone is stale"
+    );
+    assert!(i64_field(&delta, "smt_queries") > 0, "and re-learned");
+    assert_eq!(without_invalidated(&delta), without_invalidated(&reference));
+    assert_eq!(i64_field(&reference, "invalidated"), 0);
     daemon.stop();
 }
 

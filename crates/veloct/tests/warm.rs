@@ -5,9 +5,9 @@ use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_uarch::boomlite::{boom_lite, BoomVariant};
 use hh_uarch::rocketlite::rocket_lite;
 use hhoudini::mine::CoiMiner;
-use hhoudini::{EngineConfig, ParallelEngine};
+use hhoudini::{EngineConfig, Invariant, ParallelEngine};
 use std::time::Duration;
-use veloct::examples::generate_examples;
+use veloct::examples::{generate_examples, generate_examples_custom};
 use veloct::{default_candidates, Veloct, VeloctConfig, WarmContext};
 
 fn config(threads: usize) -> VeloctConfig {
@@ -110,6 +110,45 @@ fn closed_memo_report_equals_the_seeded_engine_run() {
             assert_eq!(relearned.num_examples, cold.num_examples);
             assert_eq!(relearned.memo_seeded, seeded - 1);
         }
+    }
+}
+
+/// The warm path's premise on a run that backtracks: with one destination
+/// register in the examples (rd = x3, the paper's Fig. 5 regime) spurious
+/// predicates are mined, fail, and sweep the entries that used them, which
+/// are solved again. The table the engine ends with is still closed, and
+/// its closure from the properties is the learned invariant.
+#[test]
+fn closure_of_a_backtracking_runs_table_is_its_invariant() {
+    let design = boom_lite(BoomVariant::Small, 16);
+    let safe: Vec<Mnemonic> = ALL_MNEMONICS
+        .iter()
+        .copied()
+        .filter(|&m| m.class() == InstrClass::Alu && m != Mnemonic::Auipc)
+        .collect();
+    for threads in [1, 2] {
+        let cfg = config(threads);
+        let veloct = Veloct::with_config(&design, cfg.clone());
+        let (miter, patterns) = veloct.build_miter(&safe);
+        let examples = generate_examples_custom(
+            &design,
+            &miter,
+            &safe,
+            cfg.pairs_per_instr,
+            cfg.seed,
+            true,
+            &[3],
+        )
+        .unwrap();
+        let miner = CoiMiner::new(&miter, &examples, Some(patterns), vec![]);
+        let mut engine =
+            ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), threads);
+        let props = veloct.property(&miter);
+        let learned = engine.learn(&props).expect("the ALU set proves");
+        assert!(engine.stats().counters.backtracks > 0, "rd = x3 backtracks");
+        let closed = Invariant::from_closed_table(&props, &engine.solutions())
+            .expect("the final table is closed");
+        assert_eq!(closed.preds(), learned.preds(), "threads={threads}");
     }
 }
 

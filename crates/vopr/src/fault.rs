@@ -93,10 +93,9 @@ impl FaultPlan {
             });
         }
         if rng.chance(1, 2) {
-            // One design, one job: VERSION, spec, job meta, solutions,
-            // invariant.
+            // One design, one job: VERSION, spec, job meta, solutions.
             faults.push(Fault::CheckpointCrash {
-                at_write: rng.below(5) as usize,
+                at_write: rng.below(4) as usize,
             });
         }
         FaultPlan { faults }
