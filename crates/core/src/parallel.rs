@@ -71,11 +71,11 @@
 //! [`AbductionSession`], answers the query and drops the session before
 //! the answer travels back, so at most one session per worker exists and
 //! a query's answer is a function of (target, candidates) alone. A per-run
-//! [`hh_smt::EncodeCache`] is shared by all sessions: signature-equal cones
-//! and backtracking retries replay the base encoding an earlier session
-//! recorded. A replay is byte-identical to a fresh build, so which session
-//! recorded an encoding first (the one thing worker timing does decide)
-//! cannot reach the result.
+//! [`hh_smt::EncodeCache`] is shared by all sessions and keyed by target: a
+//! backtracking retry replays the base encoding the target's first query
+//! recorded. A replay is byte-identical to a fresh build, and a target is
+//! never in flight twice, so the cache's hits and misses are the same at
+//! every thread count.
 
 use crate::invariant::closure;
 use crate::mine::Miner;
@@ -261,8 +261,8 @@ struct JobDone {
 
 /// Runs one abduction query — the worker body shared by the threaded pool
 /// and the virtual (simulation) backend. The target's session is built
-/// here, over the run's encode cache (so the cone signature is computed
-/// off the scheduler thread too), and dropped before the answer returns;
+/// here, over the run's encode cache (so a replay happens off the
+/// scheduler thread too), and dropped before the answer returns;
 /// the answer's telemetry carries the query's bytes. A panicking solve
 /// is caught and surfaced as a `solved: None` completion, so the scheduler
 /// never waits on a `JobDone` that would never arrive.
@@ -346,28 +346,59 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         self.warm_cache = Some(cache);
     }
 
-    /// Preloads the memo table with solutions from an earlier run over an
-    /// identical-content netlist: each `(target, premises)` pair is the
-    /// abduct that made `target` relatively inductive. Seeded targets are
-    /// never re-solved (their premises are still scheduled, so invalidated
-    /// or missing sub-solutions are re-learned and the usual stale sweep
-    /// applies if one fails). Callers are responsible for only seeding
-    /// entries whose obligation is unchanged — a resident service compares
-    /// cone signatures and their leaves' names before seeding. Returns the
-    /// number of entries seeded.
+    /// Preloads the memo table with solutions from an earlier run: each
+    /// `(target, premises)` pair claims that `premises` make `target`
+    /// relatively inductive. An entry is seeded only if it passes the two
+    /// checks a memo entry of this run would have passed: its premises are
+    /// all among the candidates the miner offers `target` (they agree with
+    /// this run's positive examples), and its obligation
+    /// `⋀premises ∧ target ∧ ¬target′` is UNSAT on this engine's netlist.
+    /// The re-checks run one after another, in the order given; their SAT
+    /// work is added to the run counters, but they are neither queries nor
+    /// tasks. Seeded targets are never re-solved (their premises are still
+    /// scheduled, so dropped or missing sub-solutions are re-learned and the
+    /// usual stale sweep applies if one fails). Returns the number of
+    /// entries seeded.
     pub fn seed_solutions(&mut self, solutions: &[(Predicate, Vec<Predicate>)]) -> usize {
+        // A cold learn seeds nothing: build no `SimpMap` for it.
+        if solutions.is_empty() {
+            return 0;
+        }
+        // Only the cache's `SimpMap` is used: a re-check records nothing.
+        let cache = match &self.warm_cache {
+            Some(cache) => Arc::clone(cache),
+            None => Arc::new(EncodeCache::new(self.netlist)),
+        };
+        let mut seeded = 0;
         for (target, premises) in solutions {
             let p = self.store.intern(target.clone());
-            let abduct = premises
+            let abduct: Vec<PredId> = premises
                 .iter()
                 .map(|q| self.store.intern(q.clone()))
                 .collect();
-            self.targets.get_mut(p).status = Status::Solved {
-                abduct,
-                seeded: true,
-            };
+            let mined = self.miner.mine(target, &mut self.store);
+            if !abduct.iter().all(|q| mined.contains(q)) {
+                continue;
+            }
+            // UNSAT or not is the whole answer: no core to trim.
+            let check = AbductionSession::with_cache(
+                self.netlist,
+                target.clone(),
+                AbductionConfig::default(),
+                Arc::clone(&cache),
+                false,
+            )
+            .solve(premises);
+            self.stats.counters.merge(&check.telemetry.counters);
+            if check.abduct.is_some() {
+                self.targets.get_mut(p).status = Status::Solved {
+                    abduct,
+                    seeded: true,
+                };
+                seeded += 1;
+            }
         }
-        solutions.len()
+        seeded
     }
 
     /// How many seeded memo entries survived the most recent learn call
@@ -778,9 +809,10 @@ mod tests {
     /// The threaded pool at 1, 2 and 4 workers and the virtual backend
     /// with FIFO completions at windows 1, 2 and 4 (window 1 is the
     /// thread-free serial schedule) learn the same invariant, solution
-    /// table and memo hits on a wide design: one whose task DAG has
-    /// parallel width and whose 8 isomorphic held registers hit the
-    /// encode cache.
+    /// table and memo hits on a wide design, one whose task DAG has
+    /// parallel width, and count the same encode-cache hits and misses: a
+    /// target is never in flight twice, so no two sessions race to record
+    /// one encoding.
     #[test]
     fn backends_and_thread_counts_agree() {
         let (base, m) = wide(8);
@@ -801,14 +833,15 @@ mod tests {
                 let inv = inv.unwrap();
                 assert!(inv.verify_monolithic(m.netlist()));
                 let stats = eng.stats();
-                assert!(stats.counters.encode_cache_hits > 0);
-                assert!(stats.counters.encode_vars_saved > 0);
+                assert!(stats.counters.encode_cache_misses > 0);
                 assert!(stats.num_tasks() >= 9);
                 assert!(stats.span() <= stats.simulated_time(1));
                 let got = (
                     inv.preds().to_vec(),
                     eng.solutions(),
                     stats.counters.memo_hits,
+                    stats.counters.encode_cache_hits,
+                    stats.counters.encode_cache_misses,
                 );
                 match &reference {
                     None => reference = Some(got),
@@ -1088,6 +1121,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A seed is re-checked before it is seeded: on the AND gate,
+    /// `Eq(A) ⊢ Eq(B), Eq(C)` and `Eq(C) ⊢ ∅` are kept; `Eq(A) ⊢ Eq(B)` is
+    /// dropped because its obligation is SAT, and `Eq(B) ⊢ Eq(A)` because
+    /// `Eq(A)` is not among `Eq(B)`'s candidates (A is outside B's cone),
+    /// although that obligation is UNSAT. Only `Eq(B)` is then solved; the
+    /// re-checks' solves are in the counters but are not queries.
+    #[test]
+    fn seeds_are_rechecked_before_they_are_seeded() {
+        let case = and_gate();
+        let [a, b, c] = ["A", "B", "C"].map(|r| case.eq(r));
+        let seeds = [
+            (a.clone(), vec![b.clone(), c.clone()]),
+            (a.clone(), vec![b.clone()]),
+            (b.clone(), vec![a.clone()]),
+            (c.clone(), vec![]),
+        ];
+        let miner = CoiMiner::new(&case.miter, &case.examples, None, vec![]);
+        let config = EngineConfig::default();
+        let mut eng = ParallelEngine::new(case.miter.netlist(), miner, config, 1);
+        assert_eq!(eng.seed_solutions(&seeds), 2);
+        let inv = eng.learn(std::slice::from_ref(&a));
+        case.proved(inv.as_ref());
+        assert_eq!(eng.seeds_reused(), 2);
+        let stats = eng.stats();
+        assert_eq!((stats.smt_queries, stats.num_tasks()), (1, 1));
+        assert_eq!(eng.store.get(stats.tasks[0].pred), &b);
+        assert!(stats.counters.sat_solves >= 4, "{:?}", stats.counters);
     }
 
     /// Regression for the worker-panic hang: before the `catch_unwind`

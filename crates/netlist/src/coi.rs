@@ -16,9 +16,8 @@ use std::collections::BTreeSet;
 /// Returns vectors sorted ascending by id and deduplicated. The order is
 /// **guaranteed deterministic** — a pure function of the netlist, independent
 /// of traversal order (the collection goes through `BTreeSet`s) — because
-/// downstream consumers key on it: encoding-cache signatures and the
-/// parallel scheduler's cone-size priorities must see identical support
-/// lists run-to-run.
+/// the [`Coi`] table the miner slices with must list identical supports
+/// run-to-run.
 pub fn node_support(netlist: &Netlist, root: NodeId) -> (Vec<StateId>, Vec<InputId>) {
     let mut seen = vec![false; netlist.num_nodes()];
     let mut states = BTreeSet::new();

@@ -47,7 +47,6 @@ pub mod btor2;
 pub mod coi;
 pub mod eval;
 pub mod miter;
-pub mod signature;
 pub mod simp;
 pub mod tape;
 

@@ -27,8 +27,9 @@
 //!    equals what a cold batch run at any thread count produces.
 //! 2. **Warmth survives restart and design deltas.** A daemon restarted
 //!    from its checkpoint reproduces its answers without re-solving, and a
-//!    changed design re-learns only the cones whose signature or leaves
-//!    (compared by state name) changed.
+//!    changed design re-learns only the memo entries that fail a re-check
+//!    on it: premises among the candidates its examples give, obligation
+//!    UNSAT on its netlist.
 //!
 //! The protocol and operational story are documented in `docs/SERVE.md`,
 //! `docs/PRODUCTION.md` and `docs/MONITORING.md`.

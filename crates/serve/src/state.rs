@@ -13,14 +13,13 @@
 //!   (`hhoudini::Invariant::from_closed_table`), so no copy is kept.
 //!
 //! On a **design delta** (same design key, different content) the job is
-//! migrated: every memoised target's cone signature (`hh_netlist::signature`)
-//! is recomputed against the new netlist and compared with its value on the
-//! old one, leaf by name. The signature key alone is renaming-invariant —
-//! it numbers state and input leaves by first use — so an entry is kept
-//! only when the keys are equal *and* its cone reads the same states and
-//! inputs, by name, in the same canonical order: then the new obligation is
-//! the old one over the same predicates, and its relative-inductivity
-//! result carries over. The rest are invalidated and re-learned.
+//! migrated: every memo entry whose predicates still resolve, by state name,
+//! on the new design is carried over, and nothing else is compared. The
+//! next learn re-checks each carried entry the way a fresh memo entry was
+//! checked (`ParallelEngine::seed_solutions`: premises among the candidates
+//! this design's examples give, obligation UNSAT on the new netlist) and
+//! re-learns the rest. A delta's `invalidated` counts the entries dropped at
+//! either step.
 //!
 //! Persistence (SERVE.md §5) stores the *reconstructible* core — design
 //! specs, and per job its key, `proved` flag, example count and solution
@@ -35,7 +34,6 @@ use crate::request::{
 };
 use hh_netlist::btor2::to_btor2;
 use hh_netlist::miter::Miter;
-use hh_netlist::signature::ConeWitness;
 use hh_proof::cert::fnv1a;
 use hh_smt::{EncodeCache, Predicate};
 use hh_uarch::Design;
@@ -48,7 +46,7 @@ use veloct::{Veloct, VeloctConfig, WarmContext};
 /// Content fingerprint of a built design: structure (canonical btor2
 /// serialization) plus every annotation that influences learning. Equal
 /// fingerprints mean the resident warm state applies verbatim; a change
-/// triggers signature-directed invalidation.
+/// migrates it, and the next learn re-checks what was carried.
 pub fn design_fingerprint(design: &Design) -> u64 {
     let mut text = to_btor2(&design.netlist);
     text.push('\x1f');
@@ -281,8 +279,8 @@ impl ServeState {
                 }
                 Some(entry) => {
                     // Design delta: migrate every resident job before
-                    // swapping the design in, so signatures can be compared
-                    // old-vs-new.
+                    // swapping the design in, so predicates can be renamed
+                    // old-to-new.
                     invalidated = migrate_entry(entry, spec, design, fingerprint, opts);
                 }
             }
@@ -314,7 +312,8 @@ impl ServeState {
             encode_cache: Some(Arc::clone(&job.cache)),
             seeds: job.solutions.clone(),
         };
-        hh_trace::counter!("serve", "serve.seeded", warm.seeds.len());
+        let warm_seeds = warm.seeds.len();
+        hh_trace::counter!("serve", "serve.seeded", warm_seeds);
         // A proved job holds the table of a learn that proved on this very
         // design, examples checked: if that table is still closed it is the
         // answer. Otherwise the examples are regenerated and the engine
@@ -325,6 +324,12 @@ impl ServeState {
             veloct.learn_seeded(&key.safe, warm)
         };
         let after = job.cache.stats();
+        // Carried entries the engine's re-check dropped are invalidated too
+        // (a closed-table answer re-checks nothing and seeds them all; a
+        // diverged run seeds nothing because it re-checks nothing).
+        if report.divergence.is_none() {
+            invalidated += warm_seeds - report.memo_seeded;
+        }
 
         let (result, invariant_preds) = match (&report.divergence, &report.invariant) {
             (Some(div), _) => (LearnResult::Diverged(div.cycle), Vec::new()),
@@ -679,9 +684,10 @@ impl ServeState {
     }
 }
 
-/// Migrates every job of `entry` onto the new design: signature-directed
-/// invalidation of memo entries, miter/cache rebuild.
-/// Returns the number of invalidated memo entries across all jobs.
+/// Migrates every job of `entry` onto the new design: each memo entry is
+/// renamed onto the new miter, and one whose predicates no longer resolve
+/// is dropped; the miter and cache are rebuilt. Returns the number of
+/// dropped memo entries across all jobs.
 fn migrate_entry(
     entry: &mut DesignEntry,
     spec: DesignSpec,
@@ -697,39 +703,15 @@ fn migrate_entry(
         let mut fresh = JobState::fresh(old.key.clone(), &veloct);
         let old_nl = old.miter.netlist();
         let new_nl = fresh.miter.netlist();
+        // Remap by state name; a predicate that no longer resolves is
+        // invalid by construction. Whether a renamed entry still holds is
+        // the next learn's re-check, not a comparison here.
+        let remap = |p: &Predicate| Predicate::from_wire(&p.to_wire(old_nl), new_nl).ok();
         for (target, premises) in &old.solutions {
-            // Remap by state name; a predicate that no longer resolves is
-            // invalid by construction.
-            let remap = |p: &Predicate| Predicate::from_wire(&p.to_wire(old_nl), new_nl).ok();
-            let Some(new_target) = remap(target) else {
-                invalidated += 1;
-                continue;
-            };
-            let new_premises: Option<Vec<Predicate>> = premises.iter().map(remap).collect();
-            let Some(new_premises) = new_premises else {
-                invalidated += 1;
-                continue;
-            };
-            // The decisive check: the target's obligation is unchanged iff
-            // its cone has the same shape over the same leaves. The key
-            // numbers leaves by first use, so a cone rewired to another
-            // state of the same width keeps its key; the names tell.
-            let old_sig = old.cache.signature(old_nl, target);
-            let new_sig = fresh.cache.signature(new_nl, &new_target);
-            let same_leaves = |o: &ConeWitness, n: &ConeWitness| {
-                o.states
-                    .iter()
-                    .map(|&s| old_nl.state_name(s))
-                    .eq(n.states.iter().map(|&s| new_nl.state_name(s)))
-                    && o.inputs
-                        .iter()
-                        .map(|&i| old_nl.input_name(i))
-                        .eq(n.inputs.iter().map(|&i| new_nl.input_name(i)))
-            };
-            if old_sig.key == new_sig.key && same_leaves(&old_sig.witness, &new_sig.witness) {
-                fresh.solutions.push((new_target, new_premises));
-            } else {
-                invalidated += 1;
+            let renamed = remap(target).zip(premises.iter().map(remap).collect());
+            match renamed {
+                Some(solution) => fresh.solutions.push(solution),
+                None => invalidated += 1,
             }
         }
         // `fresh.proved` stays false: the table is re-checked by the next

@@ -1,5 +1,5 @@
 //! End-to-end tests of the serve daemon: warm hits, bit-identity with cold
-//! batch runs, checkpoint/restart, signature-directed delta invalidation,
+//! batch runs, checkpoint/restart, design deltas and their re-check,
 //! and the protocol error vocabulary. Every op and every documented
 //! `serve.*` counter is exercised here.
 
@@ -114,9 +114,10 @@ const TOY_V1: &str = "\
 31 next 1 11 9
 ";
 
-/// V2 changes only `b`'s update function (`xor` → `and`). The cones of the
-/// secrets, `a`, `obs_a` and `obs_b` are untouched, so only memo entries
-/// whose target reads `next(b)` may be invalidated.
+/// V2 changes only `b`'s update: `b` copies `a` instead of toggling. The
+/// cones of the secrets, `a`, `obs_a` and `obs_b` are untouched; the
+/// entry of `Eq(b)`, inductive on its own over `b' = b ^ 1`, needs `Eq(a)`
+/// now, so it is the one a delta to V2 must drop.
 const TOY_V2: &str = "\
 1 sort bitvec 8
 2 sort bitvec 32
@@ -145,8 +146,8 @@ const TOY_V2: &str = "\
 25 next 1 7 7
 26 add 1 8 13
 27 next 1 8 26
-28 and 1 9 13
-29 next 1 9 28
+28 xor 1 9 13
+29 next 1 9 8
 30 next 1 10 8
 31 next 1 11 9
 ";
@@ -824,11 +825,30 @@ fn truncated_solution_table_falls_back_to_the_engine() {
 // Design deltas
 // ---------------------------------------------------------------------------
 
-/// A signature-preserving delta re-learns only the changed cones: the `b`
-/// update function changes, so exactly the memo entries reading `next(b)`
-/// are invalidated; everything else seeds the re-run.
+/// The answer a daemon that never saw an earlier design gives to `fields`.
+fn fresh_answer(fields: Vec<(&'static str, Json)>) -> Json {
+    let fresh = Daemon::start(None);
+    let reference = fresh.client().request("learn", fields).unwrap();
+    fresh.stop();
+    assert_eq!(reference.get("result").unwrap().as_str(), Some("proved"));
+    reference
+}
+
+/// [`answer_fields`] without `invalidated`, which only a delta sets, and
+/// `op`, which is `verify` for a re-check of a resident job.
+fn delta_answer(resp: &Json) -> Vec<(String, Json)> {
+    let mut answer = answer_fields(resp);
+    answer.retain(|(k, _)| k != "invalidated" && k != "op");
+    answer
+}
+
+/// A delta re-learns only the changed cones: `b` copies `a` now, so the
+/// entry of `Eq(b)` fails its re-check (its obligation is no longer UNSAT
+/// without `Eq(a)`) and is invalidated; everything else seeds the re-run,
+/// whose answer is a fresh daemon's.
 #[test]
 fn delta_relearns_only_changed_cones() {
+    let reference = fresh_answer(toy_learn_fields("toy", TOY_V2));
     let daemon = Daemon::start(None);
     let mut c = daemon.client();
 
@@ -856,6 +876,7 @@ fn delta_relearns_only_changed_cones() {
         "incremental re-verification must solve less than the cold run \
          ({v2_queries} vs {v1_queries})"
     );
+    assert_eq!(delta_answer(&v2), delta_answer(&reference));
 
     // Same delta again: now fully warm.
     let again = c
@@ -863,6 +884,67 @@ fn delta_relearns_only_changed_cones() {
         .unwrap();
     assert_eq!(again.get("warm_hit").unwrap(), &Json::Bool(true));
     assert_eq!(i64_field(&again, "invalidated"), 0);
+    daemon.stop();
+}
+
+/// A delta that changes a cone but keeps every obligation UNSAT: `b`'s
+/// update goes from `xor` to `and` with 1, and `Eq(b)` is still inductive
+/// on its own. Every entry passes its re-check, nothing is solved, and the
+/// answer is a fresh daemon's.
+#[test]
+fn delta_that_keeps_every_obligation_relearns_nothing() {
+    let anded = TOY_V1.replace("28 xor 1 9 13\n", "28 and 1 9 13\n");
+    assert_ne!(anded, TOY_V1);
+    let reference = fresh_answer(toy_learn_fields("toy", &anded));
+    let daemon = Daemon::start(None);
+    let mut c = daemon.client();
+    let v1 = c.request("learn", toy_learn_fields("toy", TOY_V1)).unwrap();
+    assert_eq!(v1.get("result").unwrap().as_str(), Some("proved"));
+    let delta = c
+        .request("verify", toy_learn_fields("toy", &anded))
+        .unwrap();
+    assert_eq!(i64_field(&delta, "smt_queries"), 0);
+    assert_eq!(i64_field(&delta, "invalidated"), 0);
+    assert!(i64_field(&delta, "memo_seeded") > 0);
+    assert_eq!(delta_answer(&delta), delta_answer(&reference));
+    daemon.stop();
+}
+
+/// A delta that changes only a reset value: `obs_a` copies `a + k` for a
+/// held state `k` that resets to 0 on the old design and to 1 on the new
+/// one. Every obligation is still UNSAT, but `k = 0` is false on every
+/// reachable state of the new design, so the entries naming it are not
+/// among the candidates the new examples give and are dropped at their
+/// re-check; the answer names `k = 1`, as a fresh daemon's does. (Once the
+/// whole table was kept and answered, with `invalidated` 0.)
+#[test]
+fn delta_that_changes_only_a_reset_value_relearns_what_it_falsifies() {
+    let k_resets_to_0 = TOY_V1.replace(
+        "30 next 1 10 8\n",
+        "40 state 1 k\n41 init 1 40 12\n42 next 1 40 40\n43 add 1 8 40\n30 next 1 10 43\n",
+    );
+    let k_resets_to_1 = k_resets_to_0.replace("41 init 1 40 12\n", "41 init 1 40 13\n");
+    assert_ne!(k_resets_to_0, k_resets_to_1);
+    let reference = fresh_answer(toy_learn_fields("toy", &k_resets_to_1));
+    let k_is = |resp: &Json, value: u8| {
+        let eqc = format!("eqc l$k r$k 8 {value}");
+        str_arr(resp, "invariant").contains(&eqc)
+    };
+    assert!(k_is(&reference, 1) && !k_is(&reference, 0));
+
+    let daemon = Daemon::start(None);
+    let mut c = daemon.client();
+    let v1 = c
+        .request("learn", toy_learn_fields("toy", &k_resets_to_0))
+        .unwrap();
+    assert!(k_is(&v1, 0), "the old invariant must name k = 0 to bite");
+    let delta = c
+        .request("verify", toy_learn_fields("toy", &k_resets_to_1))
+        .unwrap();
+    assert!(k_is(&delta, 1) && !k_is(&delta, 0));
+    assert!(i64_field(&delta, "invalidated") >= 1);
+    assert!(i64_field(&delta, "smt_queries") > 0, "and re-learned");
+    assert_eq!(delta_answer(&delta), delta_answer(&reference));
     daemon.stop();
 }
 
@@ -912,13 +994,13 @@ fn delta_that_invalidates_nothing_still_regenerates_the_examples() {
 }
 
 /// A delta that rewires a cone to another state of the same width keeps the
-/// cone's signature key, which numbers leaves by first use; the leaves'
-/// names differ. Here `obs_a` stops copying `a` and copies a held state `z`:
-/// the entries whose obligation reads `next(obs_a)` are stale, and the table
-/// they closed (`a` and `obs_a` equal) is not inductive on the new design.
-/// The delta's answer is the one a daemon that never saw the old design
-/// gives. (Once the stale entries were kept and the table answered, with
-/// `invalidated` 0.)
+/// cone's shape; only its leaves differ. Here `obs_a` stops copying `a` and
+/// copies a held state `z`: `Eq(a)` leaves `obs_a`'s cone, so the entry
+/// naming it fails its re-check, and the table it closed (`a` and `obs_a`
+/// equal) is not inductive on the new design. The delta's answer is the one
+/// a daemon that never saw the old design gives. (Once a structural cone
+/// signature decided, the stale entries were kept and the table answered,
+/// with `invalidated` 0.)
 #[test]
 fn delta_that_rewires_a_cone_to_a_same_width_state_invalidates_it() {
     let held_z = TOY_V1.replace(

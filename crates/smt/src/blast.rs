@@ -11,7 +11,6 @@
 
 use crate::cache::EncodedCone;
 use crate::cnf::{map_bytes, vec_bytes, Cnf, LitRows};
-use hh_netlist::signature::ConeWitness;
 use hh_netlist::simp::{Repr, SimpMap, SimpStats};
 use hh_netlist::{Bv, InputId, Netlist, NodeId, NodeOp, StateId};
 use hh_sat::Lit;
@@ -89,10 +88,9 @@ impl<'a> TransitionEncoding<'a> {
         enc
     }
 
-    /// Rebuilds an encoding from a cached base record of a signature-equal
+    /// Rebuilds an encoding from the cached base record of the same
     /// target. The replayed solver state is byte-identical to what a fresh
-    /// build would produce (see [`Cnf::restore`]); `witness` maps the
-    /// record's canonical indices onto *this* target's concrete ids.
+    /// build would produce (see [`Cnf::restore`]).
     ///
     /// The caller must not re-assert constraints or re-encode the target —
     /// those clauses are part of the replayed record.
@@ -100,7 +98,6 @@ impl<'a> TransitionEncoding<'a> {
         netlist: &'a Netlist,
         simp: Arc<SimpMap>,
         entry: &EncodedCone,
-        witness: &ConeWitness,
     ) -> TransitionEncoding<'a> {
         let cnf = Cnf::restore(
             entry.n_vars,
@@ -118,44 +115,36 @@ impl<'a> TransitionEncoding<'a> {
             cnf,
             simp,
             node_lits: Vec::new(),
-            state_vars: table(&witness.states, &entry.state_lits),
-            input_vars: table(&witness.inputs, &entry.input_lits),
+            state_vars: table(&entry.states, &entry.state_lits),
+            input_vars: table(&entry.inputs, &entry.input_lits),
         }
     }
 
-    /// Harvests the recorded base encoding into a cache entry. `witness`
-    /// lists exactly the leaders/states/inputs this encoding touched, in
-    /// canonical order; a signature-equal target restores the states and
-    /// inputs positionally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the witness mentions a state or input this encoding never
-    /// allocated — that would mean the signature serialisation diverged
-    /// from the blaster's traversal, which would corrupt the cache.
-    pub(crate) fn harvest(&mut self, witness: &ConeWitness) -> EncodedCone {
-        debug_assert!(
-            witness.nodes.iter().all(|&id| self.memo(id).is_some()),
-            "witness node was encoded"
-        );
+    /// Harvests the recorded base encoding into a cache entry: the clause
+    /// stream, the gate caches and the state and input literals by id, in
+    /// ascending id order (so the entry's buffers, and their bytes, do not
+    /// depend on a hash map's iteration order).
+    pub(crate) fn harvest(&mut self) -> EncodedCone {
+        fn split<K: Copy + Ord + Hash>(t: &HashMap<K, Vec<Lit>>) -> (Vec<K>, LitRows) {
+            let mut ids: Vec<K> = t.keys().copied().collect();
+            ids.sort_unstable();
+            let rows = ids.iter().map(|id| t[id].as_slice()).collect();
+            (ids, rows)
+        }
         let (and_cache, xor_cache) = self.cnf.gate_caches();
         // An entry lives as long as its cache: no growth slack. (The tables
         // only ever grew, and a hash map that only grew has none.)
         let mut clauses = self.cnf.take_recording();
         clauses.shrink_to_fit();
+        let (states, state_lits) = split(&self.state_vars);
+        let (inputs, input_lits) = split(&self.input_vars);
         EncodedCone {
             n_vars: self.cnf.solver().num_vars(),
             clauses,
-            state_lits: witness
-                .states
-                .iter()
-                .map(|s| self.state_vars[s].as_slice())
-                .collect(),
-            input_lits: witness
-                .inputs
-                .iter()
-                .map(|i| self.input_vars[i].as_slice())
-                .collect(),
+            states,
+            state_lits,
+            inputs,
+            input_lits,
             and_cache,
             xor_cache,
         }

@@ -3,8 +3,8 @@
 //! An [`AbductionSession`] holds a query's inputs — the netlist, the target
 //! predicate, the configuration and the run's [`EncodeCache`] — and nothing
 //! else. Each [`AbductionSession::solve`] call builds the target's base
-//! encoding (replayed from the cache on a cone-signature hit), registers
-//! every candidate behind an indicator literal, solves under those
+//! encoding (replayed from the cache when the target was encoded before),
+//! registers every candidate behind an indicator literal, solves under those
 //! assumptions, trims the core and drops the encoding before it returns. The paper's tool keeps an incremental context alive
 //! per target for backtracking retries (§3.2.4); here a retry is a fresh
 //! query whose base encoding replays from the cache, so an answer is a
@@ -25,7 +25,6 @@ use crate::cache::EncodeCache;
 use crate::cnf::{map_bytes, set_bytes, vec_bytes};
 use crate::pred::Predicate;
 use crate::query::{AbductionConfig, AbductionResult, QueryTelemetry};
-use hh_netlist::signature::ConeSignature;
 use hh_netlist::Netlist;
 use hh_sat::{Lit, SolveResult};
 use hh_trace::Counters;
@@ -63,7 +62,7 @@ pub struct AbductionSession<'a> {
     /// session's own without entries.
     cache: Arc<EncodeCache>,
     /// Whether the base encoding is replayed from / recorded into the
-    /// cache, keyed by the target's cone signature.
+    /// cache, keyed by the target.
     use_entries: bool,
 }
 
@@ -82,8 +81,8 @@ impl<'a> AbductionSession<'a> {
 
     /// Like [`AbductionSession::new`], attached to a shared [`EncodeCache`].
     ///
-    /// With `use_entries` each solve computes the target's cone signature
-    /// and replays the base encoding from (or records it into) the cache.
+    /// With `use_entries` each solve replays the target's base encoding
+    /// from (or records it into) the cache.
     /// Without it the cone is blasted fresh over the cache's shared
     /// [`hh_netlist::simp::SimpMap`] — the reference that replay is tested
     /// against.
@@ -115,12 +114,9 @@ impl<'a> AbductionSession<'a> {
     /// registry. Candidate predicates themselves are not counted (the
     /// caller owns them).
     pub fn solve<P: Borrow<Predicate>>(&mut self, candidates: &[P]) -> AbductionResult {
-        let sig = self
-            .use_entries
-            .then(|| self.cache.signature(self.netlist, &self.target));
         let t_encode = Instant::now();
         let _encode_span = hh_trace::span!("smt", "smt.session.solve");
-        let mut enc = self.base(sig).without_node_memo();
+        let mut enc = self.base().without_node_memo();
 
         // Each distinct candidate behind a fresh indicator literal
         // (`indicator -> candidate holds now`), in first-occurrence order.
@@ -194,34 +190,27 @@ impl<'a> AbductionSession<'a> {
         }
     }
 
-    /// The target's base encoding: replayed from the cache on a hit of its
-    /// signature `sig`, else blasted (and recorded, under `sig`, when there
-    /// is one). The signature is consumed here, so it does not outlive the
-    /// base build, and a recorded key is moved into the cache, not copied.
-    fn base(&self, sig: Option<ConeSignature>) -> TransitionEncoding<'a> {
+    /// The target's base encoding: replayed from the cache when it holds
+    /// one, else blasted (and recorded, when the session uses entries).
+    fn base(&self) -> TransitionEncoding<'a> {
         let cache = &self.cache;
-        let Some(sig) = sig else {
+        if !self.use_entries {
             let _blast = hh_trace::span!("smt", "smt.blast");
             let mut enc = TransitionEncoding::with_simp(self.netlist, cache.simp());
             self.assert_base(&mut enc);
             return enc;
-        };
-        if let Some(entry) = cache.lookup(&sig.key) {
+        }
+        if let Some(entry) = cache.lookup(&self.target) {
             // Replay: byte-identical solver state to a fresh build (identity
             // variable numbering), minus the Tseitin work.
             let _replay = hh_trace::span!("smt", "smt.replay");
-            return TransitionEncoding::from_cache(
-                self.netlist,
-                cache.simp(),
-                &entry,
-                &sig.witness,
-            );
+            return TransitionEncoding::from_cache(self.netlist, cache.simp(), &entry);
         }
         let _blast = hh_trace::span!("smt", "smt.blast");
         let mut enc = TransitionEncoding::recording(self.netlist, cache.simp());
         self.assert_base(&mut enc);
-        let entry = enc.harvest(&sig.witness);
-        cache.insert(sig.key, entry);
+        let entry = enc.harvest();
+        cache.insert(Arc::clone(&self.target), entry);
         enc
     }
 
@@ -337,62 +326,70 @@ mod tests {
     }
 
     #[test]
-    fn cache_replays_isomorphic_cone_with_identical_answer() {
-        // B and C are structurally identical held states, so their miter
-        // targets Eq(B) / Eq(C) share a cone signature: the second session
-        // must hit the cache and still answer exactly like a fresh solver.
+    fn cache_replays_a_retried_target_with_identical_answer() {
+        // Eq(A) needs Eq(B) and Eq(C). A retry without Eq(C) (as after a
+        // backtrack) is a second session for the same target: it must hit
+        // the cache and still answer exactly like a fresh solver.
         let (base, m) = and_gate();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let eq_b = Predicate::eq(m.left(b), m.right(b));
-        let eq_c = Predicate::eq(m.left(c), m.right(c));
-        let cfg = AbductionConfig::paper_default();
-        let cache = Arc::new(EncodeCache::new(m.netlist()));
-
-        let mut s1 =
-            AbductionSession::with_cache(m.netlist(), eq_b.clone(), cfg, Arc::clone(&cache), true);
-        let r1 = s1.solve(std::slice::from_ref(&eq_c));
-        assert_eq!(r1.abduct, Some(vec![])); // B is self-inductive
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 0);
-
-        let mut s2 =
-            AbductionSession::with_cache(m.netlist(), eq_c.clone(), cfg, Arc::clone(&cache), true);
-        let r2 = s2.solve(std::slice::from_ref(&eq_b));
-        let fresh = crate::query::abduct(m.netlist(), &eq_c, std::slice::from_ref(&eq_b), &cfg);
-        assert_eq!(r2.abduct, fresh.abduct);
-        assert_eq!(r2.abduct, Some(vec![]));
-        assert_eq!(cache.stats().hits, 1);
-        assert!(cache.stats().vars_saved > 0);
-    }
-
-    #[test]
-    fn cache_distinguishes_structurally_different_cones() {
-        // Eq(A) (cone: A' = B & C) must not collide with Eq(B) (cone:
-        // B' = B).
-        let (base, m) = and_gate();
-        let a = base.find_state("A").unwrap();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
+        let [a, b, c] = ["A", "B", "C"].map(|s| base.find_state(s).unwrap());
         let eq_a = Predicate::eq(m.left(a), m.right(a));
         let eq_b = Predicate::eq(m.left(b), m.right(b));
         let eq_c = Predicate::eq(m.left(c), m.right(c));
         let cfg = AbductionConfig::paper_default();
         let cache = Arc::new(EncodeCache::new(m.netlist()));
-        let sig_a = cache.signature(m.netlist(), &eq_a);
-        let sig_b = cache.signature(m.netlist(), &eq_b);
-        let sig_c = cache.signature(m.netlist(), &eq_c);
-        assert_ne!(sig_a.key, sig_b.key);
-        assert_eq!(sig_b.key, sig_c.key);
+
+        let mut s1 =
+            AbductionSession::with_cache(m.netlist(), eq_a.clone(), cfg, Arc::clone(&cache), true);
+        let r1 = s1.solve(&[eq_b.clone(), eq_c]);
+        assert_eq!(r1.abduct, Some(vec![0, 1]));
+        assert_eq!(cache.stats().misses, 1);
+        assert_eq!(cache.stats().hits, 0);
+
+        let mut s2 =
+            AbductionSession::with_cache(m.netlist(), eq_a.clone(), cfg, Arc::clone(&cache), true);
+        let r2 = s2.solve(std::slice::from_ref(&eq_b));
+        let fresh = crate::query::abduct(m.netlist(), &eq_a, std::slice::from_ref(&eq_b), &cfg);
+        assert_eq!(r2.abduct, fresh.abduct);
+        assert_eq!(r2.abduct, None);
+        assert_eq!(cache.stats().hits, 1);
+        assert!(cache.stats().vars_saved > 0);
+    }
+
+    #[test]
+    fn cache_keys_on_the_target() {
+        // Eq(B) and Eq(C) have cones of the same shape (B' = B, C' = C),
+        // but they are different targets: neither replays the other, nor
+        // Eq(A) (cone: A' = B & C).
+        let (base, m) = and_gate();
+        let [a, b, c] = ["A", "B", "C"].map(|s| base.find_state(s).unwrap());
+        let eq_a = Predicate::eq(m.left(a), m.right(a));
+        let eq_b = Predicate::eq(m.left(b), m.right(b));
+        let eq_c = Predicate::eq(m.left(c), m.right(c));
+        let cfg = AbductionConfig::paper_default();
+        let cache = Arc::new(EncodeCache::new(m.netlist()));
 
         let mut s1 =
             AbductionSession::with_cache(m.netlist(), eq_a.clone(), cfg, Arc::clone(&cache), true);
         let r1 = s1.solve(&[eq_b.clone(), eq_c.clone()]);
         assert_eq!(r1.abduct, Some(vec![0, 1]));
-        let mut s2 = AbductionSession::with_cache(m.netlist(), eq_b, cfg, Arc::clone(&cache), true);
-        let r2 = s2.solve(std::slice::from_ref(&eq_c));
-        assert_eq!(r2.abduct, Some(vec![]));
-        assert_eq!(cache.stats().misses, 2, "different cones must miss");
+        for (target, other) in [(&eq_b, &eq_c), (&eq_c, &eq_b)] {
+            let mut s = AbductionSession::with_cache(
+                m.netlist(),
+                target.clone(),
+                cfg,
+                Arc::clone(&cache),
+                true,
+            );
+            let r = s.solve(std::slice::from_ref(other));
+            assert_eq!(r.abduct, Some(vec![]));
+        }
+        assert_eq!(cache.stats().misses, 3, "different targets must miss");
+        assert_eq!(cache.stats().hits, 0);
+        assert_eq!(
+            cache.encoding_keys(),
+            [eq_b, eq_c, eq_a].map(Arc::new).to_vec(),
+            "one entry per target, sorted"
+        );
     }
 
     #[test]
@@ -446,31 +443,33 @@ mod tests {
 
     #[test]
     fn a_replayed_encoding_is_the_fresh_one() {
-        // Eq(B) records the cone shape, Eq(C) replays it; a third session
-        // blasts Eq(C) fresh over the same SimpMap. Same formula size, same
-        // search, same bytes.
+        // A first session for Eq(A) records its base encoding, a second one
+        // replays it; a third blasts Eq(A) fresh over the same SimpMap.
+        // Same formula size, same search, same bytes.
         let (base, m) = and_gate();
-        let b = base.find_state("B").unwrap();
-        let c = base.find_state("C").unwrap();
-        let eq_b = Predicate::eq(m.left(b), m.right(b));
-        let eq_c = Predicate::eq(m.left(c), m.right(c));
+        let [a, b, c] = ["A", "B", "C"].map(|s| base.find_state(s).unwrap());
+        let eq_a = Predicate::eq(m.left(a), m.right(a));
+        let cands = [
+            Predicate::eq(m.left(b), m.right(b)),
+            Predicate::eq(m.left(c), m.right(c)),
+        ];
         let cfg = AbductionConfig::paper_default();
         let cache = Arc::new(EncodeCache::new(m.netlist()));
         let before = cache.resident_bytes();
         let mut recorder =
-            AbductionSession::with_cache(m.netlist(), eq_b.clone(), cfg, Arc::clone(&cache), true);
-        recorder.solve(std::slice::from_ref(&eq_c));
+            AbductionSession::with_cache(m.netlist(), eq_a.clone(), cfg, Arc::clone(&cache), true);
+        recorder.solve(&cands);
         let recorded = cache.resident_bytes();
         assert!(recorded > before);
 
         let mut replayed =
-            AbductionSession::with_cache(m.netlist(), eq_c.clone(), cfg, Arc::clone(&cache), true);
-        let r = replayed.solve(std::slice::from_ref(&eq_b));
+            AbductionSession::with_cache(m.netlist(), eq_a.clone(), cfg, Arc::clone(&cache), true);
+        let r = replayed.solve(&cands);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.resident_bytes(), recorded, "a hit stores nothing");
         let mut fresh =
-            AbductionSession::with_cache(m.netlist(), eq_c, cfg, Arc::clone(&cache), false);
-        let f = fresh.solve(std::slice::from_ref(&eq_b));
+            AbductionSession::with_cache(m.netlist(), eq_a, cfg, Arc::clone(&cache), false);
+        let f = fresh.solve(&cands);
         assert_eq!(r.abduct, f.abduct);
         let (rt, ft) = (r.telemetry, f.telemetry);
         assert_eq!(

@@ -1,6 +1,7 @@
-//! Property tests for the cross-target encoding cache: replaying a cached
-//! base encoding into a signature-equal session must be indistinguishable
-//! from blasting it fresh — same abducts, same variable/clause allocation.
+//! Property tests for the per-target encoding cache: replaying a cached
+//! base encoding into a later session for the same target must be
+//! indistinguishable from blasting it fresh — same abducts, same
+//! variable/clause allocation.
 
 use hh_netlist::{Bv, Netlist, NodeId, StateId};
 use hh_smt::query::{abduct, AbductionConfig};
@@ -49,8 +50,8 @@ fn apply_op(n: &mut Netlist, pool: &mut Vec<NodeId>, op: u64, a: u64, b: u64) {
 
 /// Builds `groups` twin groups; groups with even index share recipe 0,
 /// groups with odd index share recipe 1, so `Eq(p_i, q_i)` targets of
-/// same-parity groups are signature-equal (renamed copies), and
-/// `(target, candidates)` pairs exercise both the miss and the hit path.
+/// same-parity groups have cones of the same shape (renamed copies) and
+/// are still different targets to the cache.
 struct TwinDesign {
     netlist: Netlist,
     /// Per group: (p, q, aux).
@@ -123,49 +124,59 @@ fn replayed_encodings_answer_like_fresh_sessions() {
 
         for g in 0..d.groups.len() {
             let (target, cands) = query_for(&d, g);
-            let mut cached = AbductionSession::with_cache(
-                &d.netlist,
-                target.clone(),
-                cfg,
-                Arc::clone(&cache),
-                true,
-            );
-            let hits = cache.stats().hits;
-            let rc = cached.solve(&cands);
-            if g >= 2 {
-                // Same-parity earlier group populated this signature.
-                assert_eq!(cache.stats().hits, hits + 1, "expected replay at group {g}");
+            // The first query records the target's encoding; a retry over a
+            // random subset of the candidates (as after a backtrack)
+            // replays it.
+            let retry: Vec<Predicate> = (cands.iter())
+                .filter(|_| rng.below(3) != 0)
+                .cloned()
+                .collect();
+            for (round, cands) in [cands, retry].iter().enumerate() {
+                let mut cached = AbductionSession::with_cache(
+                    &d.netlist,
+                    target.clone(),
+                    cfg,
+                    Arc::clone(&cache),
+                    true,
+                );
+                let hits = cache.stats().hits;
+                let rc = cached.solve(cands);
+                let replayed = u64::from(round == 1);
+                assert_eq!(
+                    cache.stats().hits,
+                    hits + replayed,
+                    "group {g} round {round}"
+                );
+                // The reference is a plain fresh session — identical
+                // netlist, identical query, no cache.
+                let rf = abduct(&d.netlist, &target, cands, &cfg);
+                assert_eq!(rc.abduct, rf.abduct, "cache changed an abduct");
+                // Replay is byte-identical to a fresh build: the per-query
+                // allocation telemetry must agree on both paths.
+                assert_eq!(rc.telemetry.vars, rf.telemetry.vars);
+                assert_eq!(rc.telemetry.clauses, rf.telemetry.clauses);
+                assert_eq!(rc.telemetry.counters, rf.telemetry.counters);
+                // So is blasting fresh over the cache's shared SimpMap
+                // (`use_entries` off): no lookup, no recording.
+                let before = cache.stats();
+                let rs = AbductionSession::with_cache(
+                    &d.netlist,
+                    target.clone(),
+                    cfg,
+                    Arc::clone(&cache),
+                    false,
+                )
+                .solve(cands);
+                assert_eq!(rs.abduct, rc.abduct);
+                assert_eq!(rs.telemetry.vars, rc.telemetry.vars);
+                assert_eq!(rs.telemetry.clauses, rc.telemetry.clauses);
+                assert_eq!(cache.stats(), before);
             }
-            // The reference is a plain fresh session — identical netlist,
-            // identical query, no cache.
-            let rf = abduct(&d.netlist, &target, &cands, &cfg);
-            assert_eq!(rc.abduct, rf.abduct, "cache changed an abduct");
-            // Replay is byte-identical to a fresh build: the per-query
-            // allocation telemetry must agree on both paths.
-            assert_eq!(rc.telemetry.vars, rf.telemetry.vars);
-            assert_eq!(rc.telemetry.clauses, rf.telemetry.clauses);
-            // So is blasting fresh over the cache's shared SimpMap
-            // (`use_entries` off): no lookup, no recording.
-            let before = cache.stats();
-            let rs = AbductionSession::with_cache(
-                &d.netlist,
-                target.clone(),
-                cfg,
-                Arc::clone(&cache),
-                false,
-            )
-            .solve(&cands);
-            assert_eq!(rs.abduct, rc.abduct);
-            assert_eq!(rs.telemetry.vars, rc.telemetry.vars);
-            assert_eq!(rs.telemetry.clauses, rc.telemetry.clauses);
-            assert_eq!(cache.stats(), before);
         }
-        // At most one miss per recipe parity (fewer if the two random
-        // recipes happen to simplify to the same cone), everything else a
-        // replay.
+        // One miss per target, however its cone is shaped, and one replay
+        // per retry.
         let stats = cache.stats();
-        assert!(stats.misses <= 2, "misses: {}", stats.misses);
-        assert!(stats.hits as usize >= d.groups.len() - 2);
-        assert_eq!(stats.hits + stats.misses, d.groups.len() as u64);
+        let targets = d.groups.len() as u64;
+        assert_eq!((stats.misses, stats.hits), (targets, targets));
     }
 }

@@ -146,7 +146,9 @@ pub struct LearnReport {
     /// premise set that made it relatively inductive. This is the raw
     /// material for [`Veloct::emit_certificate`].
     pub solutions: Vec<(Predicate, Vec<Predicate>)>,
-    /// Memo entries preloaded from a [`WarmContext`] before solving.
+    /// Memo entries preloaded from a [`WarmContext`] before solving: those
+    /// that passed the engine's re-check (all of them on the closed-table
+    /// path of [`Veloct::learn_warm`]).
     pub memo_seeded: usize,
     /// Preloaded entries that survived into the final solution table (the
     /// rest were swept stale and re-learned).
@@ -159,10 +161,10 @@ pub struct LearnReport {
 /// are optional; the default context reproduces the cold [`Veloct::learn`]
 /// behaviour exactly.
 ///
-/// Soundness contract: the cache must have been built over a netlist whose
-/// content is identical to the miter this run constructs, and every seeded
-/// solution's target must have an unchanged cone signature (see
-/// `hh_netlist::signature`) — `hh-serve` enforces both before calling.
+/// The cache must have been built over a netlist whose content is identical
+/// to the miter this run constructs. Seeds need no such promise: the engine
+/// re-checks each one against this run's examples and netlist before it
+/// seeds it ([`ParallelEngine::seed_solutions`]).
 #[derive(Debug, Default)]
 pub struct WarmContext {
     /// Resident encode cache (replay streams), or `None` to build a
@@ -331,9 +333,10 @@ impl<'a> Veloct<'a> {
     /// always runs; seeded targets skip their own solve. With the default
     /// context this *is* `learn`; with warm state the learned invariant is
     /// bit-identical to the cold run (encode-cache replay rebuilds the
-    /// solver state a fresh blast would produce, and seeds are solutions of
-    /// unchanged cones) — only the amount of fresh work differs, reported
-    /// through [`LearnReport::memo_seeded`] / [`LearnReport::memo_reused`].
+    /// solver state a fresh blast would produce, and a seed is kept only if
+    /// it passes the checks a fresh memo entry passed) — only the amount of
+    /// fresh work differs, reported through [`LearnReport::memo_seeded`] /
+    /// [`LearnReport::memo_reused`].
     pub fn learn_seeded(&self, safe: &[Mnemonic], warm: WarmContext) -> LearnReport {
         let _span = hh_trace::span!("veloct", "veloct.learn");
         let (miter, patterns) = self.build_miter(safe);

@@ -66,41 +66,43 @@ fn certification_mode_is_bit_identical() {
     }
 }
 
-/// `certify` selects nothing inside the engine: with the schedule pinned to
-/// one worker (at more, which of two signature-equal sessions records a
-/// cone first is a race, so cache hits vary), a certified and a plain learn
-/// agree on the invariant and on every counter — queries, solver calls,
-/// conflicts, propagations, encode-cache hits.
+/// `certify` selects nothing inside the engine: at one worker and at two,
+/// a certified and a plain learn agree on the invariant and on every
+/// counter — queries, solver calls, conflicts, propagations, encode-cache
+/// hits (the cache is keyed by target and a target is never in flight
+/// twice, so no race decides a hit).
 #[test]
 fn certified_and_plain_learns_are_the_same_run() {
     let design = rocket_lite(16);
     let safe = alu_safe_set();
-    let run = |certify: bool| {
-        let v = Veloct::with_config(
-            &design,
-            VeloctConfig {
-                threads: 1,
-                pairs_per_instr: 1,
-                certify,
-                ..VeloctConfig::default()
-            },
-        );
-        let report = v.learn(&safe);
-        let inv = report.invariant.expect("ALU set is provable on RocketLite");
-        (inv.preds().to_vec(), report.stats.counters())
-    };
-    let (plain_inv, plain) = run(false);
-    let (certified_inv, certified) = run(true);
-    assert_eq!(plain_inv, certified_inv);
-    assert_eq!(plain, certified);
-    let count = |name: &str| plain.iter().find(|(n, _)| *n == name).expect(name).1;
-    for name in [
-        "engine.query",
-        "sat.solves",
-        "sat.conflicts",
-        "sat.propagations",
-    ] {
-        assert!(count(name) > 0, "{name} must count real work");
+    for threads in [1, 2] {
+        let run = |certify: bool| {
+            let v = Veloct::with_config(
+                &design,
+                VeloctConfig {
+                    threads,
+                    pairs_per_instr: 1,
+                    certify,
+                    ..VeloctConfig::default()
+                },
+            );
+            let report = v.learn(&safe);
+            let inv = report.invariant.expect("ALU set is provable on RocketLite");
+            (inv.preds().to_vec(), report.stats.counters())
+        };
+        let (plain_inv, plain) = run(false);
+        let (certified_inv, certified) = run(true);
+        assert_eq!(plain_inv, certified_inv, "threads={threads}");
+        assert_eq!(plain, certified, "threads={threads}");
+        let count = |name: &str| plain.iter().find(|(n, _)| *n == name).expect(name).1;
+        for name in [
+            "engine.query",
+            "sat.solves",
+            "sat.conflicts",
+            "sat.propagations",
+        ] {
+            assert!(count(name) > 0, "{name} must count real work");
+        }
     }
 }
 

@@ -15,6 +15,7 @@ use hh_suite::trace::json::Json;
 use hh_suite::trace::{self, Event, EventKind, Trace, TraceConfig};
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::rocketlite::rocket_lite;
+use hh_suite::veloct::examples::generate_examples_custom;
 use hh_suite::veloct::{default_candidates, instruction_patterns, Veloct, VeloctConfig};
 
 /// Tracing is process-global state, so tests that toggle it must not
@@ -173,24 +174,28 @@ fn parallel_trace_is_sound_at_every_thread_count() {
     }
 }
 
-/// SmallBoomLite has signature-equal cones (RocketLite has none), so a
-/// traced learn records encode-cache hits — and tracing must not change
-/// what it learns.
+/// With one destination register in the examples (rd = x3, the Fig. 5
+/// regime) a SmallBoomLite learn backtracks, and every retry replays its
+/// target's encoding, so a traced learn records one encode-cache hit per
+/// backtrack — and tracing must not change what it learns.
 #[test]
 fn traced_boom_run_hits_the_encode_cache_and_learns_the_untraced_invariant() {
     let _g = lock();
     let design = boom_lite(BoomVariant::Small, 16);
     let safe = boom_set();
-    let (miter, examples, props) = setup(&design, &safe);
+    let (miter, _, props) = setup(&design, &safe);
+    let examples =
+        generate_examples_custom(&design, &miter, &safe, 1, 42, true, &[3]).expect("safe set");
     let learn = || {
         let miner = CoiMiner::new(&miter, &examples, Some(instruction_patterns(&safe)), vec![]);
         let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 2);
-        engine.learn(&props).expect("invariant")
+        let inv = engine.learn(&props).expect("invariant");
+        (inv, engine.stats().counters.backtracks)
     };
     trace::init(TraceConfig::Off);
-    let untraced = learn();
+    let (untraced, _) = learn();
     trace::init(TraceConfig::on());
-    let traced = learn();
+    let (traced, backtracks) = learn();
     let trace = trace::drain();
     trace::init(TraceConfig::Off);
     assert_eq!(
@@ -199,8 +204,9 @@ fn traced_boom_run_hits_the_encode_cache_and_learns_the_untraced_invariant() {
         "tracing moved the invariant"
     );
     Json::parse(&trace.chrome_json()).expect("chrome trace must be valid JSON");
+    assert!(backtracks > 0, "rd = x3 backtracks");
     let hits = trace.counter_totals().get("smt.cache.hit").copied();
-    assert!(hits > Some(0), "no smt.cache.hit events: {hits:?}");
+    assert_eq!(hits, Some(backtracks as i64), "one replay per retry");
 }
 
 #[test]
