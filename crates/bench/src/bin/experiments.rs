@@ -567,6 +567,9 @@ fn speedup(runs: &Runs, report: &mut Report) {
             };
             let row = if time.is_finite() { time } else { -1.0 };
             report.push(t.name, &format!("{kind:?}_s"), row, "s");
+            // The baseline's work, pinned like the learner's counters.
+            let rounds = b.stats.rounds as f64;
+            report.push(t.name, &format!("{kind:?}_rounds"), rounds, "count");
             times.push(time);
         }
         let f_h = times[0] / hh;

@@ -2,14 +2,16 @@
 //!
 //! Both learn conjunctive invariants over the *same* predicate pool as
 //! H-Houdini, but through **monolithic** SMT queries — every inductivity
-//! check encodes the entire design (paper §2.2). They exist to reproduce the
+//! check is over the entire design (paper §2.2). HOUDINI's set shrinks, so
+//! each of its rounds blasts a fresh encoding; SORCAR's grows, so it keeps
+//! one [`MonolithicSession`] while it does. They exist to reproduce the
 //! paper's headline comparison: the hierarchical learner beating the
 //! monolithic ones by orders of magnitude (2880× on Rocketchip, and the
 //! monolithic queries simply not scaling to BOOM).
 
 use crate::Invariant;
 use hh_netlist::Netlist;
-use hh_smt::{monolithic_induction_check_tracked, MonolithicOutcome, Predicate};
+use hh_smt::{monolithic_induction_check, MonolithicOutcome, MonolithicSession, Predicate};
 use std::time::{Duration, Instant};
 
 /// Telemetry for a baseline run.
@@ -87,7 +89,7 @@ pub fn houdini(
             return (BaselineOutcome::BudgetExceeded, stats);
         }
         let q0 = Instant::now();
-        let outcome = monolithic_induction_check_tracked(netlist, &set, &[]);
+        let outcome = monolithic_induction_check(netlist, &set);
         stats.smt_time += q0.elapsed();
         stats.rounds += 1;
         match outcome {
@@ -118,7 +120,9 @@ pub fn houdini(
 /// A SORCAR-style property-directed learner: grow the candidate set from
 /// the property outward, adding pool predicates that exclude the current
 /// counterexample's pre-state. Fewer predicates per query than HOUDINI, but
-/// every query is still monolithic.
+/// every query is still monolithic. The set grows in every round that
+/// finds a helpful predicate, and those rounds share one session; only the
+/// fallback that drops predicates starts a new one.
 pub fn sorcar(
     netlist: &Netlist,
     pool: &[Predicate],
@@ -131,6 +135,13 @@ pub fn sorcar(
     set.sort();
     set.dedup();
     let mut remaining: Vec<Predicate> = pool.iter().filter(|p| !set.contains(p)).cloned().collect();
+    let open = |set: &[Predicate], remaining: &[Predicate]| {
+        let mut session = MonolithicSession::new(netlist);
+        session.assert(set);
+        session.track(remaining);
+        session
+    };
+    let mut session = open(&set, &remaining);
 
     loop {
         if t0.elapsed() >= budget.max_time {
@@ -138,7 +149,7 @@ pub fn sorcar(
             return (BaselineOutcome::BudgetExceeded, stats);
         }
         let q0 = Instant::now();
-        let outcome = monolithic_induction_check_tracked(netlist, &set, &remaining);
+        let outcome = session.check();
         stats.smt_time += q0.elapsed();
         stats.rounds += 1;
         match outcome {
@@ -162,7 +173,10 @@ pub fn sorcar(
                         stats.wall_time = t0.elapsed();
                         return (BaselineOutcome::NoInvariant, stats);
                     }
+                    // An asserted unit cannot be taken back.
+                    session = open(&set, &remaining);
                 } else {
+                    session.assert(&helpful);
                     set.extend(helpful);
                     set.sort();
                     set.dedup();
@@ -231,6 +245,38 @@ mod tests {
         let inv = out.invariant().expect("sorcar proves the AND gate");
         assert!(inv.contains(&prop));
         assert!(inv.verify_monolithic(m.netlist()));
+    }
+
+    /// SORCAR's fallback: `A' = D` and `D' = D + 1`, with pool
+    /// `{Eq(D), EqConst(D, 0)}`. Every counterexample to `Eq(A)` has `D`
+    /// unequal, which both pool predicates exclude, so round 1 adds both;
+    /// round 2's successor breaks `EqConst(D, 0)` and the pool is empty, so
+    /// the fallback drops it and rebuilds the session, on which round 3
+    /// proves `{Eq(A), Eq(D)}`.
+    #[test]
+    fn sorcar_rebuilds_its_session_when_the_fallback_drops_a_predicate() {
+        let mut n = Netlist::new("counter");
+        let a = n.state("A", 4, Bv::zero(4));
+        let d = n.state("D", 4, Bv::zero(4));
+        let dn = n.state_node(d);
+        let one = n.constant(Bv::new(4, 1));
+        let inc = n.add(dn, one);
+        n.set_next(a, dn);
+        n.set_next(d, inc);
+        let m = Miter::build(&n);
+        let eq_a = Predicate::eq(m.left(a), m.right(a));
+        let eq_d = Predicate::eq(m.left(d), m.right(d));
+        let d_is_0 = Predicate::eq_const(m.left(d), m.right(d), Bv::zero(4));
+        let (out, stats) = sorcar(
+            m.netlist(),
+            &[eq_d.clone(), d_is_0],
+            std::slice::from_ref(&eq_a),
+            &BaselineBudget::default(),
+        );
+        let inv = out.invariant().expect("sorcar proves Eq(A) after the drop");
+        assert_eq!(inv.preds(), Invariant::new(vec![eq_a, eq_d]).preds());
+        assert!(inv.verify_monolithic(m.netlist()));
+        assert_eq!(stats.rounds, 3);
     }
 
     #[test]

@@ -403,8 +403,9 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
 
     /// How many seeded memo entries survived the most recent learn call
     /// (i.e. were *reused*: still present in the final solution table, not
-    /// swept stale and re-solved). `seeded - seeds_reused()` entries were
-    /// invalidated during the run.
+    /// swept stale and re-solved, and, when the run proved its properties,
+    /// reached from them). `seeded - seeds_reused()` entries were
+    /// invalidated or left unreached during the run.
     pub fn seeds_reused(&self) -> usize {
         self.targets.solved().filter(|&(.., seeded)| seeded).count()
     }
@@ -417,7 +418,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     /// The memoised solution table as `(target, premises)` pairs, sorted by
     /// target predicate. Each entry records the abduct that made `target`
     /// relatively inductive; `hh-proof` replays these obligations when
-    /// emitting a certificate bundle. Deterministic across thread counts
+    /// emitting a certificate bundle. After a proved learn it is the
+    /// closure of the properties' solutions. Deterministic across thread counts
     /// because the scheduler commits results in issue order.
     pub fn solutions(&self) -> Vec<(Predicate, Vec<Predicate>)> {
         let mut out: Vec<(Predicate, Vec<Predicate>)> = self
@@ -765,16 +767,27 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         }
     }
 
-    fn assemble(&self, props: &[PredId]) -> Invariant {
-        let ids: Vec<PredId> = closure(props.iter().copied(), |p| {
+    /// The invariant of a proved run: the closure of the properties'
+    /// solutions. A memo entry outside it — a seed that passed its
+    /// re-check but that no entry reaches, or an abduct member a re-solve
+    /// left behind — is reopened, so [`ParallelEngine::solutions`] and
+    /// [`ParallelEngine::seeds_reused`] cover exactly the closure.
+    fn assemble(&mut self, props: &[PredId]) -> Invariant {
+        let reached = closure(props.iter().copied(), |p| {
             match &self.targets.records[p.index()].status {
                 Status::Solved { abduct, .. } => Some(abduct.iter().copied()),
                 _ => None,
             }
         })
-        .expect("assembled predicate must have a solution")
-        .into_iter()
-        .collect();
+        .expect("assembled predicate must have a solution");
+        for (i, t) in self.targets.records.iter_mut().enumerate() {
+            if matches!(t.status, Status::Solved { .. })
+                && !reached.contains(&PredId::from_index(i))
+            {
+                t.status = Status::Open;
+            }
+        }
+        let ids: Vec<PredId> = reached.into_iter().collect();
         Invariant::new(self.store.resolve(&ids))
     }
 }
@@ -1150,6 +1163,26 @@ mod tests {
         assert_eq!((stats.smt_queries, stats.num_tasks()), (1, 1));
         assert_eq!(eng.store.get(stats.tasks[0].pred), &b);
         assert!(stats.counters.sat_solves >= 4, "{:?}", stats.counters);
+    }
+
+    /// A seed that passes its re-check but that the properties do not
+    /// reach is not part of the proved run's table: `Eq(C) ⊢ ∅` is seeded,
+    /// `Eq(B)` is learned on its own, and neither `solutions()` nor
+    /// `seeds_reused()` keeps `Eq(C)`.
+    #[test]
+    fn a_seed_the_properties_do_not_reach_leaves_the_table() {
+        let case = and_gate();
+        let [b, c] = ["B", "C"].map(|r| case.eq(r));
+        let miner = CoiMiner::new(&case.miter, &case.examples, None, vec![]);
+        let config = EngineConfig::default();
+        let mut eng = ParallelEngine::new(case.miter.netlist(), miner, config, 1);
+        assert_eq!(eng.seed_solutions(&[(c, vec![])]), 1);
+        let inv = eng
+            .learn(std::slice::from_ref(&b))
+            .expect("Eq(B) holds itself");
+        assert_eq!(inv.preds(), std::slice::from_ref(&b));
+        assert_eq!(eng.solutions(), vec![(b, vec![])]);
+        assert_eq!(eng.seeds_reused(), 0);
     }
 
     /// Regression for the worker-panic hang: before the `catch_unwind`

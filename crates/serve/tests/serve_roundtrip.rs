@@ -916,7 +916,10 @@ fn delta_that_keeps_every_obligation_relearns_nothing() {
 /// reachable state of the new design, so the entries naming it are not
 /// among the candidates the new examples give and are dropped at their
 /// re-check; the answer names `k = 1`, as a fresh daemon's does. (Once the
-/// whole table was kept and answered, with `invalidated` 0.)
+/// whole table was kept and answered, with `invalidated` 0.) The entry of
+/// `k = 0` itself still passes its re-check — `k` is held, and the entry
+/// has no premises — but no entry reaches it any more, so it is neither
+/// reused nor kept in the job's table. (Once it was both.)
 #[test]
 fn delta_that_changes_only_a_reset_value_relearns_what_it_falsifies() {
     let k_resets_to_0 = TOY_V1.replace(
@@ -932,7 +935,8 @@ fn delta_that_changes_only_a_reset_value_relearns_what_it_falsifies() {
     };
     assert!(k_is(&reference, 1) && !k_is(&reference, 0));
 
-    let daemon = Daemon::start(None);
+    let dir = temp_dir("reset-delta");
+    let daemon = Daemon::start(Some(dir.clone()));
     let mut c = daemon.client();
     let v1 = c
         .request("learn", toy_learn_fields("toy", &k_resets_to_0))
@@ -945,7 +949,34 @@ fn delta_that_changes_only_a_reset_value_relearns_what_it_falsifies() {
     assert!(i64_field(&delta, "invalidated") >= 1);
     assert!(i64_field(&delta, "smt_queries") > 0, "and re-learned");
     assert_eq!(delta_answer(&delta), delta_answer(&reference));
+
+    // The job's table is the answer's closure: one entry per invariant
+    // predicate, none for `k = 0`, and every reused seed is one of them.
+    c.checkpoint().unwrap();
+    let tables = files_under(&dir, |p| {
+        p.file_name().is_some_and(|n| n == "solutions.txt")
+    });
+    assert_eq!(tables.len(), 1);
+    let table = std::fs::read_to_string(&tables[0]).unwrap();
+    let targets: Vec<&str> = (table.lines())
+        .filter_map(|line| line.strip_prefix("T "))
+        .collect();
+    let mut invariant = str_arr(&delta, "invariant");
+    invariant.sort();
+    let mut sorted = targets.clone();
+    sorted.sort();
+    assert_eq!(sorted, invariant);
+    assert!(!targets.contains(&"eqc l$k r$k 8 0"), "{table}");
+    let (seeded, reused) = (
+        i64_field(&delta, "memo_seeded"),
+        i64_field(&delta, "memo_reused"),
+    );
+    assert!(
+        reused < seeded,
+        "the k = 0 seed is not reused: {reused} of {seeded}"
+    );
     daemon.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A delta that leaves every memoised cone alone — here only an annotation

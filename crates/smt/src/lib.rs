@@ -55,7 +55,7 @@ pub use blast::TransitionEncoding;
 pub use cache::{CacheStats, EncodeCache};
 pub use pred::{Pattern, Predicate, SetLabel};
 pub use query::{
-    abduct, monolithic_induction_check, monolithic_induction_check_tracked, AbductionConfig,
-    AbductionResult, InductionCex, MonolithicOutcome, QueryTelemetry,
+    abduct, monolithic_induction_check, AbductionConfig, AbductionResult, InductionCex,
+    MonolithicOutcome, MonolithicSession, QueryTelemetry,
 };
 pub use session::AbductionSession;

@@ -7,7 +7,8 @@
 //!   cvc5 for `minimal-unsat-cores`).
 //! * [`monolithic_induction_check`] — the classic HOUDINI query
 //!   `H ∧ T ∧ ¬H'` over the *entire* design, used by the baselines and for
-//!   final invariant validation.
+//!   final invariant validation; [`MonolithicSession`] is the same query
+//!   over a set that only grows, checked once per SORCAR round.
 
 use crate::blast::TransitionEncoding;
 use crate::pred::Predicate;
@@ -15,7 +16,7 @@ use crate::session::AbductionSession;
 use hh_netlist::{Bv, Netlist, StateId};
 use hh_sat::{Lit, SolveResult};
 use hh_trace::Counters;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration for [`abduct`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -131,7 +132,7 @@ impl InductionCex {
     }
 }
 
-/// Outcome of [`monolithic_induction_check`].
+/// Outcome of a monolithic inductivity check.
 #[derive(Debug, Clone)]
 pub enum MonolithicOutcome {
     /// `⋀H ∧ T ⟹ ⋀H'` holds.
@@ -141,75 +142,122 @@ pub enum MonolithicOutcome {
 }
 
 /// The classic monolithic inductivity query `H ∧ T ∧ ¬H'` over the whole
-/// predicate set (paper §2.2.1). Used by the HOUDINI/SORCAR baselines and to
-/// independently validate invariants learned hierarchically (§6.4 does the
-/// same for Rocketchip).
+/// predicate set (paper §2.2.1), on a fresh [`MonolithicSession`]. Used by
+/// HOUDINI, whose set shrinks every round, and to independently validate
+/// invariants learned hierarchically (§6.4 does the same for Rocketchip).
 pub fn monolithic_induction_check(netlist: &Netlist, invariant: &[Predicate]) -> MonolithicOutcome {
-    monolithic_induction_check_tracked(netlist, invariant, &[])
+    let mut session = MonolithicSession::new(netlist);
+    session.assert(invariant);
+    session.check()
 }
 
-/// Like [`monolithic_induction_check`], but additionally encodes and decodes
-/// the current-state values of the states mentioned by `tracked` predicates.
-/// Property-directed learners (SORCAR) need those values to decide which
-/// pool predicates would exclude the counterexample pre-state.
-pub fn monolithic_induction_check_tracked(
-    netlist: &Netlist,
-    invariant: &[Predicate],
-    tracked: &[Predicate],
-) -> MonolithicOutcome {
-    assert!(
-        !invariant.is_empty(),
-        "empty invariant is trivially inductive"
-    );
-    let mut enc = TransitionEncoding::new(netlist);
-    // Assert every predicate now.
-    for pred in invariant {
-        let l = pred.encode_current(&mut enc);
-        enc.assert_lit(l);
-    }
-    // Allocate current-state variables for tracked predicates so the model
-    // assigns them values consistent with the transition constraints.
-    for pred in tracked {
-        for s in pred.all_states() {
-            enc.state_lits(s);
-        }
-    }
-    // Assert the disjunction of negated next-state predicates.
-    let negated: Vec<Lit> = invariant
-        .iter()
-        .map(|pred| !pred.encode_next(&mut enc))
-        .collect();
-    enc.cnf_mut().clause(&negated);
+/// A monolithic inductivity query whose predicate set only grows: one
+/// [`TransitionEncoding`] over the whole netlist, checked any number of
+/// times. Each asserted predicate's current-state literal is blasted once
+/// and asserted as a level-0 unit, so the solver keeps its learnt clauses
+/// across checks and a later clause that a unit satisfies is never stored.
+/// A unit cannot be taken back: a caller whose set shrinks starts a new
+/// session. This is how SORCAR, whose set grows every round that finds a
+/// helpful predicate, avoids re-blasting the design each round.
+#[derive(Debug)]
+pub struct MonolithicSession<'a> {
+    enc: TransitionEncoding<'a>,
+    /// The asserted predicates, each with its next-state literal once a
+    /// check has blasted it.
+    asserted: BTreeMap<Predicate, Option<Lit>>,
+    /// The states whose current value a counterexample reports: those of
+    /// the asserted and of the tracked predicates.
+    reported: BTreeSet<StateId>,
+}
 
-    match enc.cnf_mut().solver_mut().solve() {
-        SolveResult::Unsat => MonolithicOutcome::Inductive,
-        SolveResult::Sat => {
-            let mut current = BTreeMap::new();
-            let mut next = BTreeMap::new();
-            // Decode the pre-state of every state any predicate mentions.
-            for pred in invariant.iter().chain(tracked) {
-                for s in pred.all_states() {
-                    if let Some(v) = enc.decode_state(s) {
-                        current.insert(s, v);
-                    }
-                }
-            }
-            // Post-state values only for the invariant's states (their next
-            // cones are encoded; tracked states' cones may not be).
-            for pred in invariant {
-                for s in pred.all_states() {
-                    let lits = enc.next_state_lits(s);
-                    let mut bits = 0u64;
-                    for (i, &lit) in lits.iter().enumerate() {
-                        if enc.cnf().solver().model_value(lit) {
-                            bits |= 1 << i;
-                        }
-                    }
-                    next.insert(s, Bv::new(lits.len() as u32, bits));
-                }
-            }
-            MonolithicOutcome::Cex(Box::new(InductionCex { current, next }))
+impl<'a> MonolithicSession<'a> {
+    /// A session over `netlist` with nothing asserted.
+    pub fn new(netlist: &'a Netlist) -> MonolithicSession<'a> {
+        MonolithicSession {
+            enc: TransitionEncoding::new(netlist),
+            asserted: BTreeMap::new(),
+            reported: BTreeSet::new(),
         }
+    }
+
+    /// Asserts each predicate of `preds` not asserted yet in the current
+    /// state, as a unit clause.
+    pub fn assert(&mut self, preds: &[Predicate]) {
+        for pred in preds {
+            if self.asserted.contains_key(pred) {
+                continue;
+            }
+            let l = pred.encode_current(&mut self.enc);
+            self.enc.assert_lit(l);
+            self.reported.extend(pred.all_states());
+            self.asserted.insert(pred.clone(), None);
+        }
+    }
+
+    /// Allocates current-state variables for the states `preds` mention, so
+    /// counterexamples report their values, consistent with the transition
+    /// constraints. Property-directed learners (SORCAR) need them to decide
+    /// which pool predicates would exclude a counterexample's pre-state.
+    pub fn track(&mut self, preds: &[Predicate]) {
+        for pred in preds {
+            for s in pred.all_states() {
+                self.enc.state_lits(s);
+                self.reported.insert(s);
+            }
+        }
+    }
+
+    /// Checks `⋀H ∧ T ⟹ ⋀H'` for the asserted set `H`. The query's
+    /// `⋁¬p'` clause is added under a fresh activation literal, solved
+    /// under it and then retired by the unit `¬act`, so it constrains no
+    /// later check.
+    pub fn check(&mut self) -> MonolithicOutcome {
+        assert!(
+            !self.asserted.is_empty(),
+            "empty invariant is trivially inductive"
+        );
+        let enc = &mut self.enc;
+        for (pred, next) in &mut self.asserted {
+            if next.is_none() {
+                *next = Some(pred.encode_next(enc));
+            }
+        }
+        let act = enc.cnf_mut().fresh();
+        let mut query = vec![!act];
+        query.extend(self.asserted.values().flatten().map(|&l| !l));
+        enc.cnf_mut().clause(&query);
+
+        let outcome = match enc.cnf_mut().solver_mut().solve_with_assumptions(&[act]) {
+            SolveResult::Unsat => MonolithicOutcome::Inductive,
+            SolveResult::Sat => MonolithicOutcome::Cex(Box::new(self.decode())),
+        };
+        self.enc.assert_lit(!act);
+        outcome
+    }
+
+    /// The counterexample of the last (satisfiable) check: the pre-state of
+    /// every reported state and the post-state of every asserted
+    /// predicate's states (their next cones are encoded; tracked states'
+    /// cones may not be).
+    fn decode(&mut self) -> InductionCex {
+        let enc = &mut self.enc;
+        let current = (self.reported.iter())
+            .filter_map(|&s| Some((s, enc.decode_state(s)?)))
+            .collect();
+        let mut next = BTreeMap::new();
+        for s in self.asserted.keys().flat_map(Predicate::all_states) {
+            next.entry(s).or_insert_with(|| {
+                let lits = enc.next_state_lits(s);
+                let mut bits = 0u64;
+                for (i, &lit) in lits.iter().enumerate() {
+                    if enc.cnf().solver().model_value(lit) {
+                        bits |= 1 << i;
+                    }
+                }
+                Bv::new(lits.len() as u32, bits)
+            });
+        }
+        InductionCex { current, next }
     }
 }
 
@@ -337,6 +385,50 @@ mod tests {
             }
             MonolithicOutcome::Inductive => panic!("expected cex"),
         }
+    }
+
+    /// A check's query clause is retired before the next check: Eq(A)'s
+    /// counterexample demands a successor that breaks Eq(A), and once
+    /// Eq(B), Eq(C) and the non-inductive `D = 0` (`D' = D + 1`) are
+    /// asserted as well, every successor keeps Eq(A), so a check the first
+    /// query still constrained would answer inductive.
+    #[test]
+    fn a_retired_query_constrains_no_later_check() {
+        let mut n = Netlist::new("and_gate_and_counter");
+        let b = n.state("B", 1, Bv::bit(true));
+        let c = n.state("C", 1, Bv::bit(true));
+        let a = n.state("A", 1, Bv::bit(true));
+        let d = n.state("D", 4, Bv::zero(4));
+        let band = n.and(n.state_node(b), n.state_node(c));
+        let dn = n.state_node(d);
+        let one = n.constant(Bv::new(4, 1));
+        let inc = n.add(dn, one);
+        n.set_next(a, band);
+        n.set_next(d, inc);
+        n.keep_state(b);
+        n.keep_state(c);
+        let m = Miter::build(&n);
+        let eq = |s| Predicate::eq(m.left(s), m.right(s));
+        let d_is_0 = Predicate::eq_const(m.left(d), m.right(d), Bv::zero(4));
+
+        let mut session = MonolithicSession::new(m.netlist());
+        session.assert(&[eq(a)]);
+        let MonolithicOutcome::Cex(cex) = session.check() else {
+            panic!("Eq(A) alone is not inductive");
+        };
+        assert!(!cex.pred_holds_after(m.netlist(), &eq(a)));
+
+        session.assert(&[eq(b), eq(c)]);
+        assert!(matches!(session.check(), MonolithicOutcome::Inductive));
+
+        session.assert(std::slice::from_ref(&d_is_0));
+        let MonolithicOutcome::Cex(cex) = session.check() else {
+            panic!("D = 0 is not inductive");
+        };
+        for s in [a, b, c] {
+            assert!(cex.pred_holds_after(m.netlist(), &eq(s)));
+        }
+        assert!(!cex.pred_holds_after(m.netlist(), &d_is_0));
     }
 
     #[test]

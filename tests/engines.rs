@@ -318,6 +318,13 @@ fn baselines_agree_with_hhoudini_on_provability() {
         let inv = b
             .invariant
             .unwrap_or_else(|| panic!("{kind:?} must also prove the set"));
+        // Checked by a fresh one-shot query, not by the learner's own
+        // session.
+        let (miter, _) = v.build_miter(&safe);
+        assert!(
+            inv.verify_monolithic(miter.netlist()),
+            "{kind:?}'s invariant is not inductive"
+        );
         // The baselines learn a (possibly larger) invariant over the same
         // pool; H-Houdini's property-directed one should be no larger.
         assert!(h.invariant.as_ref().unwrap().len() <= inv.len());
