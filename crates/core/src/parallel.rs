@@ -84,7 +84,10 @@ use crate::sim::{SchedEvent, SimDriver};
 use crate::store::{PredId, PredicateStore};
 use crate::{Invariant, Stats};
 use hh_netlist::Netlist;
-use hh_smt::{AbductionConfig, AbductionResult, AbductionSession, EncodeCache, Predicate};
+use hh_smt::{
+    AbductionConfig, AbductionResult, AbductionSession, EncodeCache, LoggedSolution, Predicate,
+    SessionLog,
+};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -117,8 +120,9 @@ impl Default for EngineConfig {
 
 /// Algorithm 1's state of a target predicate, one at a time: unsolved,
 /// in flight (never past the learn call that issued it), memoised with its
-/// abduct (`seeded` when [`ParallelEngine::seed_solutions`] preloaded it),
-/// or in `P_fail`.
+/// abduct (`seeded` when [`ParallelEngine::seed_solutions`] preloaded it;
+/// with the query's candidates and proof when the run logs proofs), or in
+/// `P_fail`.
 #[derive(Debug, Default)]
 enum Status {
     #[default]
@@ -127,6 +131,7 @@ enum Status {
     Solved {
         abduct: Vec<PredId>,
         seeded: bool,
+        logged: Option<Box<(Vec<PredId>, SessionLog)>>,
     },
     Failed,
 }
@@ -167,7 +172,7 @@ impl Targets {
             .iter()
             .enumerate()
             .filter_map(|(i, t)| match &t.status {
-                Status::Solved { abduct, seeded } => {
+                Status::Solved { abduct, seeded, .. } => {
                     Some((PredId::from_index(i), &abduct[..], *seeded))
                 }
                 _ => None,
@@ -224,6 +229,8 @@ pub struct ParallelEngine<'a, M: Miner> {
     /// Regression canary: commit buffered completions newest-first instead
     /// of in issue order. See [`ParallelEngine::enable_commit_shuffle`].
     canary_shuffle: bool,
+    /// Whether queries log their proofs. See [`ParallelEngine::log_proofs`].
+    log_proofs: bool,
 }
 
 /// What a worker needs to run one abduction query. Predicates are shared
@@ -234,13 +241,14 @@ struct Job {
     cands: Vec<Arc<Predicate>>,
 }
 
-/// What every job of a run shares: the netlist, the query configuration
-/// and the run's encode cache.
+/// What every job of a run shares: the netlist, the query configuration,
+/// the run's encode cache and whether queries log proofs.
 #[derive(Clone, Copy)]
 struct Oracle<'r, 'a> {
     netlist: &'a Netlist,
     config: AbductionConfig,
     cache: &'r Arc<EncodeCache>,
+    log_proofs: bool,
 }
 
 /// Scheduler-side bookkeeping for an issued job, indexed by `job_idx`.
@@ -281,6 +289,7 @@ fn solve_job(job: Job, oracle: Oracle<'_, '_>, panic_on: Option<usize>) -> JobDo
         );
         let cache = Arc::clone(oracle.cache);
         AbductionSession::with_cache(oracle.netlist, target, oracle.config, cache, true)
+            .log_proofs(oracle.log_proofs)
             .solve(&cands)
     }));
     JobDone {
@@ -311,7 +320,15 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             stats: Stats::default(),
             fail_job: None,
             canary_shuffle: false,
+            log_proofs: false,
         }
+    }
+
+    /// Makes every query of later learn calls log its proof, kept with the
+    /// memo entry it commits ([`ParallelEngine::take_logged_solutions`]). The
+    /// queries, their answers and their work are the same as without.
+    pub fn log_proofs(&mut self) {
+        self.log_proofs = true;
     }
 
     /// Fault-injection seam (hh-vopr worker-death fault): the worker that
@@ -394,6 +411,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 self.targets.get_mut(p).status = Status::Solved {
                     abduct,
                     seeded: true,
+                    logged: None,
                 };
                 seeded += 1;
             }
@@ -417,8 +435,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
 
     /// The memoised solution table as `(target, premises)` pairs, sorted by
     /// target predicate. Each entry records the abduct that made `target`
-    /// relatively inductive; `hh-proof` replays these obligations when
-    /// emitting a certificate bundle. After a proved learn it is the
+    /// relatively inductive; `hh-proof` writes one obligation per entry
+    /// when emitting a certificate bundle. After a proved learn it is the
     /// closure of the properties' solutions. Deterministic across thread counts
     /// because the scheduler commits results in issue order.
     pub fn solutions(&self) -> Vec<(Predicate, Vec<Predicate>)> {
@@ -428,6 +446,32 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             .map(|(p, ab, _)| (self.store.get(p).clone(), self.store.resolve(ab)))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Takes the proofs out of the memo entries whose query logged one
+    /// ([`ParallelEngine::log_proofs`]), sorted by target predicate: each
+    /// with the candidates its query registered, its abduct (the premises
+    /// [`ParallelEngine::solutions`] lists for it) and the proof. A seeded
+    /// entry has none, and neither has an entry once its proof was taken.
+    /// Deterministic across thread counts, like the table.
+    pub fn take_logged_solutions(&mut self) -> Vec<LoggedSolution> {
+        let (records, store) = (&mut self.targets.records, &self.store);
+        let mut out: Vec<LoggedSolution> = (records.iter_mut().enumerate())
+            .filter_map(|(i, t)| match &mut t.status {
+                Status::Solved { abduct, logged, .. } => {
+                    let (cands, log) = *logged.take()?;
+                    Some(LoggedSolution {
+                        target: store.get_arc(PredId::from_index(i)),
+                        candidates: store.resolve_arc(&cands),
+                        abduct: store.resolve_arc(abduct),
+                        log,
+                    })
+                }
+                _ => None,
+            })
+            .collect();
+        out.sort_by(|a, b| a.target.cmp(&b.target));
         out
     }
 
@@ -588,6 +632,7 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             netlist: self.netlist,
             config: self.config.abduction,
             cache: &encode_cache,
+            log_proofs: self.log_proofs,
         };
         let result = backend(self, &prop_ids, oracle);
 
@@ -737,9 +782,11 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             for &q in &abduct {
                 self.enqueue(&mut ready, q, Some(Some(task_idx)));
             }
+            let logged = (result.log).map(|log| Box::new((meta.cand_ids.clone(), log)));
             self.targets.get_mut(meta.pred).status = Status::Solved {
                 abduct,
                 seeded: false,
+                logged,
             };
         }
     }

@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Reads the bundle's MANIFEST, re-runs the builtin design constructor it
-//! references, re-derives every obligation CNF via `hh-smt`, and checks
-//! every attached DRAT refutation with the forward RUP checker, one
+//! references, re-derives every obligation's session CNF via `hh-smt`, and
+//! checks every attached DRAT refutation with the forward RUP checker, one
 //! obligation per worker at a time on as many threads as the host offers
 //! (the verdict and the reported failure do not depend on that). Exits 0
 //! only when the certificate is valid end to end; any parse error, CNF

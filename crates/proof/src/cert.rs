@@ -11,19 +11,33 @@
 //!   is re-run at check time, so the certified circuit cannot be swapped),
 //! * the **safe-set patterns** that constrain the instruction alphabet Σ,
 //! * the **predicate set** in the wire format of
-//!   [`Predicate::to_wire`],
-//! * one **obligation** per predicate: its premise indices, the shape
-//!   (variable/clause counts + FNV hash) of the obligation CNF, and a
-//!   binary-DRAT refutation of that CNF.
+//!   [`Predicate::to_wire`], and a **candidate table** of the other
+//!   predicates the obligations' queries registered,
+//! * one **obligation** per predicate: the abduction query that proved it —
+//!   its target, its candidates in registration order and its premises
+//!   (the abduct, a subset of the invariant) — with the shape (variable and
+//!   clause counts, fingerprint) of the query's session CNF and that
+//!   query's own binary-DRAT refutation under the premises' indicators.
 //!
-//! Checking re-derives each obligation CNF from the netlist via `hh-smt`
-//! (the encoding is deterministic), confirms the shape matches what the
-//! proof was logged against, and runs the independent RUP checker of
-//! [`crate::check`]. Structural closure — premises drawn from the predicate
-//! set, every predicate discharged exactly once, the design's observable
-//! properties present — is verified on top, so the checked statement really
-//! is "this predicate set is a 1-step inductive relational invariant of
-//! this design containing the timing-equality properties".
+//! The proofs come from the learn: a certified engine run logs each query
+//! ([`hh_smt::SessionLog`]) and [`build_certificate`] writes the log of
+//! every memo entry whose abduct is the entry's premises. Any other entry
+//! (a seeded or restored table, a missing memo entry) is proved here by the
+//! same session over its premises, so there is one obligation form and one
+//! checker path.
+//!
+//! Checking re-derives each session CNF from the netlist through
+//! [`AbductionSession::encode`] (the encoding is deterministic), confirms
+//! the shape matches what the proof was logged against, and runs the
+//! independent RUP checker of [`crate::check`] with the premises'
+//! indicators assumed. Each candidate clause `¬a ∨ c` is satisfied by
+//! `a = false` and Tseitin variables are definitional, so "session CNF ∧
+//! premise indicators ⊢ ⊥" is "⋀premises ∧ target ∧ ¬target′ is UNSAT".
+//! Structural closure — premises drawn from the predicate set, every
+//! predicate discharged exactly once, the design's observable properties
+//! present — is verified on top, so the checked statement really is "this
+//! predicate set is a 1-step inductive relational invariant of this design
+//! containing the timing-equality properties".
 //!
 //! Initiation (the invariant holding on paired reset states) is *not* part
 //! of the certificate, mirroring `Invariant::verify_monolithic`, which also
@@ -34,35 +48,40 @@
 //! `docs/PROOF_FORMAT.md` for the grammar.
 
 use crate::check::{check_refutation, CheckStats};
-use crate::drat::{self, MemoryProof};
+use crate::drat;
 use hh_isa::MaskMatch;
 use hh_netlist::miter::Miter;
-use hh_netlist::simp::SimpMap;
-use hh_sat::dimacs::{self, Cnf};
-use hh_sat::{Lit, SolveResult};
-use hh_smt::{Predicate, TransitionEncoding};
+use hh_sat::dimacs::{Fnv1a, ShapeHasher};
+use hh_sat::Lit;
+use hh_smt::{AbductionConfig, AbductionSession, EncodeCache, LoggedSolution, Predicate};
 use hh_uarch::decode::constrained_miter;
 use hh_uarch::Design;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// One discharged relative-induction obligation.
+/// One discharged relative-induction obligation: an abduction query and its
+/// refutation.
 #[derive(Debug, Clone)]
 pub struct Obligation {
     /// Index of the target predicate in the certificate's predicate list.
     pub target: usize,
-    /// Indices of the premise predicates (strictly ascending).
+    /// The query's candidates in registration order, duplicate-free:
+    /// indices into the certificate's predicates followed by its candidate
+    /// table (index `predicates.len() + j` is candidate `j`).
+    pub candidates: Vec<usize>,
+    /// Indices of the premise predicates (strictly ascending), each among
+    /// `candidates`: the indicators the proof assumes.
     pub premises: Vec<usize>,
-    /// Variable count of the obligation CNF the proof refutes.
+    /// Variable count of the session CNF the proof refutes.
     pub num_vars: usize,
-    /// Clause count of the obligation CNF.
+    /// Clause count of the session CNF.
     pub num_clauses: usize,
-    /// FNV-1a hash of the obligation CNF's DIMACS text.
+    /// Fingerprint of the session CNF ([`hh_sat::dimacs::CnfShape::hash`]).
     pub cnf_hash: u64,
-    /// The DRAT refutation: the clauses the solver added, in order.
-    pub proof: Vec<Vec<Lit>>,
+    /// The refutation in binary DRAT, as logged.
+    pub proof: Vec<u8>,
 }
 
 /// A complete invariant certificate (in-memory form of a bundle).
@@ -75,6 +94,9 @@ pub struct Certificate {
     pub patterns: Vec<MaskMatch>,
     /// Predicates in wire format, sorted by their structural order.
     pub predicates: Vec<String>,
+    /// Candidates registered by some obligation's query that are not
+    /// predicates, in wire format, sorted.
+    pub candidates: Vec<String>,
     /// Indices of the property predicates (`Eq(observable)`).
     pub properties: Vec<usize>,
     /// One obligation per predicate, in target-index order.
@@ -94,8 +116,8 @@ pub enum CertError {
     /// or duplicate obligations, property set mismatch, unsorted
     /// predicates).
     Structure(String),
-    /// A re-derived obligation CNF does not match the certified shape —
-    /// the proof was logged against a different formula.
+    /// A re-derived session CNF does not match the certified shape — the
+    /// proof was logged against a different formula.
     CnfMismatch {
         /// Obligation index.
         obligation: usize,
@@ -168,138 +190,118 @@ pub struct CheckReport {
     pub threads: usize,
 }
 
-/// FNV-1a over a byte string; used to fingerprint obligation CNFs as
-/// defense-in-depth on top of the variable/clause counts.
+/// FNV-1a over a byte string ([`hh_sat::dimacs::Fnv1a`], the hash session
+/// CNFs are fingerprinted with).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv1a::default();
     h.update(bytes);
-    h.0
+    h.finish()
 }
 
-/// Running FNV-1a state. It is also a text sink, so a CNF's DIMACS
-/// rendering is hashed as it is produced instead of being collected into a
-/// `String` first.
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv1a {
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
-
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.update(s.as_bytes());
-        Ok(())
-    }
-}
-
-/// `fnv1a(to_dimacs(cnf).as_bytes())` without materialising the text.
-fn cnf_fingerprint(cnf: &Cnf) -> u64 {
-    let mut h = Fnv1a::default();
-    dimacs::write_dimacs(cnf, &mut h).expect("the hasher never reports an error");
-    h.0
-}
-
-/// What every obligation of one bundle shares, built once per bundle: the
-/// safe-set-constrained miter, its word-level simplification map (a pass
-/// over the whole netlist — the reason this is not rebuilt per obligation)
-/// and the sorted predicate table the obligations index into. The emitter
-/// and the checker each build their own from the design reference and hand
-/// it to their workers by shared reference.
-struct ObligationContext {
+/// What every obligation of one bundle is built from, built once per
+/// bundle: the safe-set-constrained miter, an encode cache without entries
+/// for its word-level simplification map (a pass over the whole netlist,
+/// built on first use) and the table the obligations index into — the
+/// predicates, then the candidates. The emitter and the checker each build
+/// their own from the design reference and hand it to their workers by
+/// shared reference.
+struct SessionContext {
     miter: Miter,
-    simp: Arc<SimpMap>,
-    preds: Vec<Predicate>,
+    cache: OnceLock<Arc<EncodeCache>>,
+    table: Vec<Predicate>,
 }
 
-impl ObligationContext {
-    fn new(miter: Miter, preds: Vec<Predicate>) -> ObligationContext {
-        let simp = Arc::new(SimpMap::build(miter.netlist()));
-        ObligationContext { miter, simp, preds }
-    }
-
-    /// Encodes one relative-induction obligation `⋀premises ∧ target ∧
-    /// ¬target′` into a fresh solver, in a fixed order (target-now first,
-    /// premises in list order, then the negated next-state target), and
-    /// snapshots its CNF. Both the emitter and the
-    /// checker go through this single function, which is what makes the CNF
-    /// reproducible.
-    fn encode(&self, target: usize, premises: &[usize]) -> (TransitionEncoding<'_>, Cnf) {
-        let mut enc = TransitionEncoding::with_simp(self.miter.netlist(), self.simp.clone());
-        let target = &self.preds[target];
-        let now = target.encode_current(&mut enc);
-        enc.assert_lit(now);
-        for &j in premises {
-            let l = self.preds[j].encode_current(&mut enc);
-            enc.assert_lit(l);
+impl SessionContext {
+    fn new(miter: Miter, table: Vec<Predicate>) -> SessionContext {
+        SessionContext {
+            miter,
+            cache: OnceLock::new(),
+            table,
         }
-        let next = target.encode_next(&mut enc);
-        enc.assert_lit(!next);
-        let cnf = dimacs::from_solver(enc.cnf_mut().solver_mut());
-        (enc, cnf)
     }
 
-    /// Proves obligation `target`, returning it with its CNF shape and DRAT
-    /// refutation.
-    fn prove(&self, target: usize, premises: &[usize]) -> Result<Obligation, CertError> {
+    /// The abduction session of `target`, blasting fresh over the shared
+    /// simplification map: the session the learn runs, minus its cache
+    /// entries (a replay is byte-identical to a fresh blast).
+    fn session(&self, target: usize) -> AbductionSession<'_> {
+        let netlist = self.miter.netlist();
+        let cache = self
+            .cache
+            .get_or_init(|| Arc::new(EncodeCache::new(netlist)));
+        AbductionSession::with_cache(
+            netlist,
+            self.table[target].clone(),
+            AbductionConfig::default(),
+            Arc::clone(cache),
+            false,
+        )
+    }
+
+    /// The obligation of a memo entry without a logged proof: the session
+    /// the learn runs, asked with the premises as its candidates and its
+    /// proof logged. An UNSAT answer's wrapper assumes a subset of them.
+    fn log(&self, target: usize, premises: Vec<usize>) -> Result<Obligation, CertError> {
         let _span = hh_trace::span!("proof", "proof.log");
-        let (mut enc, cnf) = self.encode(target, premises);
-        let solver = enc.cnf_mut().solver_mut();
-        let mem = MemoryProof::new();
-        solver.set_proof_sink(Box::new(mem.handle()));
-        let res = solver.solve();
-        solver.take_proof_sink();
-        if res != SolveResult::Unsat {
-            return Err(CertError::NotInductive { target });
-        }
-        if hh_trace::enabled() {
-            hh_trace::counter!("proof", "proof.obligations", 1);
-        }
+        let cands: Vec<&Predicate> = premises.iter().map(|&j| &self.table[j]).collect();
+        let answer = self.session(target).log_proofs(true).solve(&cands);
+        let log = answer.log.ok_or(CertError::NotInductive { target })?;
         Ok(Obligation {
             target,
-            premises: premises.to_vec(),
-            num_vars: cnf.num_vars,
-            num_clauses: cnf.clauses.len(),
-            cnf_hash: cnf_fingerprint(&cnf),
-            proof: mem.take_lines(),
+            candidates: premises.clone(),
+            premises,
+            num_vars: log.shape.num_vars,
+            num_clauses: log.shape.num_clauses,
+            cnf_hash: log.shape.hash,
+            proof: log.drat,
         })
     }
 
-    /// Checks obligation number `k` of a bundle: re-derives its CNF,
-    /// compares it with the certified shape and runs the independent
-    /// checker over the attached proof.
+    /// Checks obligation number `k` of a bundle whose structure has been
+    /// verified: re-derives its session CNF, compares it with the certified
+    /// shape and runs the independent checker over the attached proof with
+    /// the premises' indicators assumed.
     fn check(&self, k: usize, ob: &Obligation) -> Result<CheckStats, CertError> {
-        let (_, cnf) = self.encode(ob.target, &ob.premises);
-        if cnf.num_vars != ob.num_vars || cnf.clauses.len() != ob.num_clauses {
+        let cands: Vec<&Predicate> = ob.candidates.iter().map(|&j| &self.table[j]).collect();
+        let session = self.session(ob.target);
+        let cnf = session.encode(&cands);
+        let solver = cnf.enc.cnf().solver();
+        let mut shape = ShapeHasher::default();
+        let mut formula = Vec::new();
+        solver.visit_formula_clauses(|c| {
+            shape.clause(c);
+            formula.push(c.to_vec());
+        });
+        let shape = shape.finish(solver.num_vars());
+        if shape.num_vars != ob.num_vars || shape.num_clauses != ob.num_clauses {
             return Err(CertError::CnfMismatch {
                 obligation: k,
                 detail: format!(
                     "expected {} vars / {} clauses, re-derived {} / {}",
-                    ob.num_vars,
-                    ob.num_clauses,
-                    cnf.num_vars,
-                    cnf.clauses.len()
+                    ob.num_vars, ob.num_clauses, shape.num_vars, shape.num_clauses
                 ),
             });
         }
-        let hash = cnf_fingerprint(&cnf);
-        if hash != ob.cnf_hash {
+        if shape.hash != ob.cnf_hash {
             return Err(CertError::CnfMismatch {
                 obligation: k,
-                detail: format!("hash {:016x} != certified {:016x}", hash, ob.cnf_hash),
+                detail: format!("hash {:016x} != certified {:016x}", shape.hash, ob.cnf_hash),
             });
         }
-        check_refutation(cnf.clauses, &[], &ob.proof).map_err(|error| CertError::ProofRejected {
+        // Candidates are distinct table entries, so slot `i` of the list is
+        // the session's `i`-th indicator.
+        let slot: HashMap<usize, usize> = ob
+            .candidates
+            .iter()
+            .zip(0..)
+            .map(|(&c, i)| (c, i))
+            .collect();
+        let assumptions: Vec<Lit> = (ob.premises.iter())
+            .map(|p| cnf.indicators[slot[p]])
+            .collect();
+        drop(cnf);
+        let proof = drat::parse_binary(&ob.proof)
+            .map_err(|e| CertError::Parse(format!("obligation {k}: bad binary DRAT: {e}")))?;
+        check_refutation(formula, &assumptions, &proof).map_err(|error| CertError::ProofRejected {
             obligation: k,
             error,
         })
@@ -326,27 +328,32 @@ fn worker_count(threads: usize, n: usize) -> usize {
 }
 
 /// Builds a certificate for `invariant` on `design` with the instruction
-/// alphabet constrained to `patterns`, proving the obligations on `threads`
-/// worker threads. The certificate does not depend on `threads`.
+/// alphabet constrained to `patterns`. The certificate does not depend on
+/// `threads`.
 ///
 /// `solutions` supplies per-predicate premise sets (H-Houdini's memo table,
 /// via the engines' `solutions()` accessor). Predicates without an entry
 /// fall back to the full invariant as premise — always sound, just a larger
-/// obligation. Every obligation is (re-)proved here with proof logging on;
-/// nothing from the learning run is trusted.
+/// obligation. `logged` holds the proofs the learn's queries logged: an
+/// entry whose abduct is its target's premises becomes that target's
+/// obligation, its proof moved in as it stands. Every other obligation is
+/// proved here, on `threads` workers, by the same session over its
+/// premises. Nothing is trusted: the checker re-derives every formula and
+/// checks every proof.
 ///
 /// # Errors
 ///
-/// [`CertError::NotInductive`] if some obligation is SAT (the invariant or
-/// the supplied premise sets are wrong; the lowest such predicate index is
-/// the one named), [`CertError::Structure`] if the design's property
-/// predicates are missing from the invariant, or
+/// [`CertError::NotInductive`] if some obligation proved here is SAT (the
+/// invariant or the supplied premise sets are wrong; the lowest such
+/// predicate index is the one named), [`CertError::Structure`] if the
+/// design's property predicates are missing from the invariant, or
 /// [`CertError::UnknownDesign`] for non-builtin designs.
 pub fn build_certificate(
     design: &Design,
     patterns: &[MaskMatch],
     invariant: &[Predicate],
     solutions: &[(Predicate, Vec<Predicate>)],
+    logged: Vec<LoggedSolution>,
     threads: usize,
 ) -> Result<Certificate, CertError> {
     let _span = hh_trace::span!("proof", "proof.emit");
@@ -356,8 +363,8 @@ pub fn build_certificate(
     let mut preds: Vec<Predicate> = invariant.to_vec();
     preds.sort();
     preds.dedup();
-    let ctx = ObligationContext::new(constrained_miter(design, patterns), preds);
-    let (miter, netlist, preds) = (&ctx.miter, ctx.miter.netlist(), &ctx.preds);
+    let n = preds.len();
+    let miter = constrained_miter(design, patterns);
     let index: HashMap<&Predicate, usize> = preds.iter().zip(0..).collect();
 
     let mut properties = Vec::new();
@@ -368,7 +375,7 @@ pub fn build_certificate(
             None => {
                 return Err(CertError::Structure(format!(
                     "invariant does not contain the property predicate {}",
-                    prop.describe(netlist)
+                    prop.describe(miter.netlist())
                 )))
             }
         }
@@ -382,7 +389,7 @@ pub fn build_certificate(
         .iter()
         .enumerate()
         .map(|(i, target)| {
-            let everything_else = || (0..preds.len()).filter(|&j| j != i).collect();
+            let everything_else = || (0..n).filter(|&j| j != i).collect();
             // A memo premise outside the invariant would be unsound to
             // cite; fall back to the full set.
             let mut premise_idx: Vec<usize> = memo
@@ -394,20 +401,109 @@ pub fn build_certificate(
             premise_idx
         })
         .collect();
+    // The learn's proof of a target, when its abduct is exactly the
+    // target's premises.
+    let mut by_target: HashMap<Arc<Predicate>, LoggedSolution> = (logged.into_iter())
+        .map(|l| (Arc::clone(&l.target), l))
+        .collect();
+    let proofs: Vec<Option<LoggedSolution>> = preds
+        .iter()
+        .zip(&premises)
+        .map(|(target, premises)| {
+            let entry = by_target.remove(target)?;
+            let abduct: Option<Vec<usize>> = entry
+                .abduct
+                .iter()
+                .map(|p| index.get(&**p).copied())
+                .collect();
+            let mut abduct = abduct?;
+            abduct.sort_unstable();
+            abduct.dedup();
+            (abduct == *premises).then_some(entry)
+        })
+        .collect();
+    drop((index, by_target));
 
-    let obligations = run_obligations(preds.len(), threads, |i| ctx.prove(i, &premises[i]))?;
+    // The candidate table: what those queries registered outside the
+    // invariant.
+    let mut extra: Vec<&Predicate> = (proofs.iter().flatten())
+        .flat_map(|entry| entry.candidates.iter().map(|c| &**c))
+        .filter(|c| preds.binary_search(c).is_err())
+        .collect();
+    extra.sort();
+    extra.dedup();
+    let extra: Vec<Predicate> = extra.into_iter().cloned().collect();
+    let mut table = preds;
+    table.extend(extra);
+    let ctx = SessionContext::new(miter, table);
+    let slot: HashMap<&Predicate, usize> = ctx.table.iter().zip(0..).collect();
 
+    let mut obligations: Vec<Option<Obligation>> = (proofs.into_iter().zip(&premises))
+        .enumerate()
+        .map(|(i, (entry, premises))| {
+            let entry = entry?;
+            Some(Obligation {
+                target: i,
+                candidates: entry.candidates.iter().map(|c| slot[&**c]).collect(),
+                premises: premises.clone(),
+                num_vars: entry.log.shape.num_vars,
+                num_clauses: entry.log.shape.num_clauses,
+                cnf_hash: entry.log.shape.hash,
+                proof: entry.log.drat,
+            })
+        })
+        .collect();
+    // In ascending order, so the lowest failing target is the one named.
+    let unlogged: Vec<usize> = (0..n).filter(|&i| obligations[i].is_none()).collect();
+    let proved = run_obligations(unlogged.len(), threads, |k| {
+        ctx.log(unlogged[k], premises[unlogged[k]].clone())
+    })?;
+    for (i, obligation) in unlogged.into_iter().zip(proved) {
+        obligations[i] = Some(obligation);
+    }
+    let obligations: Vec<Obligation> = obligations.into_iter().flatten().collect();
+    if hh_trace::enabled() {
+        hh_trace::counter!("proof", "proof.obligations", obligations.len());
+    }
+
+    let netlist = ctx.miter.netlist();
+    let wire = |p: &Predicate| p.to_wire(netlist);
     Ok(Certificate {
         design: design.netlist.name().to_string(),
         patterns: patterns.to_vec(),
-        predicates: preds.iter().map(|p| p.to_wire(netlist)).collect(),
+        predicates: ctx.table[..n].iter().map(wire).collect(),
+        candidates: ctx.table[n..].iter().map(wire).collect(),
         properties,
         obligations,
     })
 }
 
+/// Parses a sorted, duplicate-free wire-format predicate list against
+/// `netlist` with `parse`; `what` names the list in errors.
+fn parse_sorted(
+    wires: &[String],
+    netlist: &hh_netlist::Netlist,
+    parse: fn(&str, &hh_netlist::Netlist) -> Result<Predicate, String>,
+    what: &str,
+) -> Result<Vec<Predicate>, CertError> {
+    let mut out = Vec::with_capacity(wires.len());
+    for (i, wire) in wires.iter().enumerate() {
+        let p = parse(wire, netlist).map_err(|e| CertError::Parse(format!("{what} {i}: {e}")))?;
+        out.push(p);
+    }
+    // Canonical order: sorted and duplicate-free. This makes the list
+    // itself tamper-evident (no hidden reordering games) and is what the
+    // emitter produces.
+    if !out.windows(2).all(|w| w[0] < w[1]) {
+        return Err(CertError::Structure(format!(
+            "{what} list is not strictly sorted"
+        )));
+    }
+    Ok(out)
+}
+
 /// Verifies a certificate end to end: re-derives the design and every
-/// obligation CNF, checks structure, shapes, and all DRAT proofs.
+/// obligation's session CNF, checks structure, shapes, and all DRAT proofs.
 ///
 /// Obligations are independent, so they are checked on
 /// [`std::thread::available_parallelism`] worker threads; what is checked —
@@ -421,23 +517,24 @@ pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> 
     let miter = constrained_miter(&design, &cert.patterns);
     let netlist = miter.netlist();
 
-    let mut preds = Vec::with_capacity(cert.predicates.len());
-    for (i, wire) in cert.predicates.iter().enumerate() {
-        let p = Predicate::from_wire(wire, netlist)
-            .map_err(|e| CertError::Parse(format!("predicate {i}: {e}")))?;
-        preds.push(p);
-    }
+    let preds = parse_sorted(&cert.predicates, netlist, Predicate::from_wire, "predicate")?;
     let n = preds.len();
     if n == 0 {
         return Err(CertError::Structure("empty predicate set".into()));
     }
-    // Canonical order: sorted and duplicate-free. This makes the predicate
-    // list itself tamper-evident (no hidden reordering games) and is what
-    // the emitter produces.
-    if !preds.windows(2).all(|w| w[0] < w[1]) {
-        return Err(CertError::Structure(
-            "predicate list is not strictly sorted".into(),
-        ));
+    // A candidate is never assumed unless it is a premise, and premises are
+    // predicates: its clauses only define a fresh indicator, so it is held
+    // to the encoder's grammar, not the evaluator's.
+    let cands = parse_sorted(
+        &cert.candidates,
+        netlist,
+        Predicate::candidate_from_wire,
+        "candidate",
+    )?;
+    if let Some(c) = cands.iter().position(|c| preds.binary_search(c).is_ok()) {
+        return Err(CertError::Structure(format!(
+            "candidate {c} is also a predicate"
+        )));
     }
 
     // The properties must be exactly the design's observable equalities —
@@ -464,7 +561,10 @@ pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> 
         ));
     }
 
-    // Every predicate must be discharged exactly once.
+    // Every predicate must be discharged exactly once, by a query whose
+    // candidates are distinct table entries and whose premises are
+    // predicates among them.
+    let table_len = n + cands.len();
     let mut covered = vec![false; n];
     for ob in &cert.obligations {
         if ob.target >= n {
@@ -480,15 +580,26 @@ pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> 
             )));
         }
         covered[ob.target] = true;
+        let mut seen = HashSet::with_capacity(ob.candidates.len());
+        if !ob
+            .candidates
+            .iter()
+            .all(|&c| c < table_len && seen.insert(c))
+        {
+            return Err(CertError::Structure(format!(
+                "obligation {} lists an out-of-range or repeated candidate",
+                ob.target
+            )));
+        }
         if !ob.premises.windows(2).all(|w| w[0] < w[1]) {
             return Err(CertError::Structure(format!(
                 "obligation {} premises not strictly sorted",
                 ob.target
             )));
         }
-        if ob.premises.iter().any(|&j| j >= n) {
+        if ob.premises.iter().any(|&j| j >= n || !seen.contains(&j)) {
             return Err(CertError::Structure(format!(
-                "obligation {} cites an out-of-range premise",
+                "obligation {} cites a premise that is not one of its candidate predicates",
                 ob.target
             )));
         }
@@ -499,7 +610,9 @@ pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> 
         )));
     }
 
-    let ctx = ObligationContext::new(miter, preds);
+    let mut table = preds;
+    table.extend(cands);
+    let ctx = SessionContext::new(miter, table);
     let threads = worker_count(
         std::thread::available_parallelism().map_or(1, |t| t.get()),
         cert.obligations.len(),
@@ -522,6 +635,9 @@ pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> 
 
 const MANIFEST: &str = "MANIFEST";
 
+/// The first line of a MANIFEST of this format.
+const HEADER: &str = "hh-certificate v2";
+
 fn proof_file_name(i: usize) -> String {
     format!("obligation-{i:03}.drat")
 }
@@ -540,7 +656,7 @@ pub fn write_bundle(cert: &Certificate, dir: &Path) -> Result<EmitSummary, CertE
         ..EmitSummary::default()
     };
     let mut m = String::new();
-    let _ = writeln!(m, "hh-certificate v1");
+    let _ = writeln!(m, "{HEADER}");
     let _ = writeln!(m, "design {}", cert.design);
     let _ = writeln!(m, "patterns {}", cert.patterns.len());
     for p in &cert.patterns {
@@ -550,31 +666,41 @@ pub fn write_bundle(cert: &Certificate, dir: &Path) -> Result<EmitSummary, CertE
     for p in &cert.predicates {
         let _ = writeln!(m, "pred {p}");
     }
-    let props: Vec<String> = cert.properties.iter().map(|i| i.to_string()).collect();
-    let _ = writeln!(
-        m,
-        "properties {} {}",
-        cert.properties.len(),
-        props.join(" ")
-    );
-    let _ = writeln!(m, "obligations {}", cert.obligations.len());
+    let _ = writeln!(m, "candidates {}", cert.candidates.len());
+    for c in &cert.candidates {
+        let _ = writeln!(m, "cand {c}");
+    }
+    let _ = write!(m, "properties {}", cert.properties.len());
+    for i in &cert.properties {
+        let _ = write!(m, " {i}");
+    }
+    let _ = writeln!(m, "\nobligations {}", cert.obligations.len());
     for (i, ob) in cert.obligations.iter().enumerate() {
-        let prem: Vec<String> = ob.premises.iter().map(|j| j.to_string()).collect();
+        let _ = write!(
+            m,
+            "obligation {} candidates {}",
+            ob.target,
+            ob.candidates.len()
+        );
+        for c in &ob.candidates {
+            let _ = write!(m, " {c}");
+        }
+        let _ = write!(m, " premises {}", ob.premises.len());
+        for p in &ob.premises {
+            let _ = write!(m, " {p}");
+        }
         let _ = writeln!(
             m,
-            "obligation {} {} {} vars {} clauses {} hash {:016x} proof {}",
-            ob.target,
-            ob.premises.len(),
-            prem.join(" "),
+            " vars {} clauses {} hash {:016x} proof {}",
             ob.num_vars,
             ob.num_clauses,
             ob.cnf_hash,
             proof_file_name(i)
         );
-        let bin = drat::to_binary(&ob.proof);
-        summary.proof_bytes += bin.len() as u64;
-        summary.proof_lines += ob.proof.len();
-        std::fs::write(dir.join(proof_file_name(i)), bin).map_err(io)?;
+        summary.proof_bytes += ob.proof.len() as u64;
+        // Every step ends in the one 0x00 byte it holds.
+        summary.proof_lines += ob.proof.iter().filter(|&&b| b == 0).count();
+        std::fs::write(dir.join(proof_file_name(i)), &ob.proof).map_err(io)?;
     }
     std::fs::write(dir.join(MANIFEST), &m).map_err(io)?;
     if hh_trace::enabled() {
@@ -583,12 +709,32 @@ pub fn write_bundle(cert: &Certificate, dir: &Path) -> Result<EmitSummary, CertE
     Ok(summary)
 }
 
-/// Reads a certificate bundle from disk.
+/// Reads `<keyword> <k>` and then exactly `k` indices from `toks`. `k` is
+/// hostile input: it sizes nothing, and the read stops at the first token
+/// that is missing or not an index.
+fn index_list<'t>(toks: &mut impl Iterator<Item = &'t str>, keyword: &str) -> Option<Vec<usize>> {
+    if toks.next()? != keyword {
+        return None;
+    }
+    let k: usize = toks.next()?.parse().ok()?;
+    let mut out = Vec::new();
+    for _ in 0..k {
+        out.push(toks.next()?.parse().ok()?);
+    }
+    Some(out)
+}
+
+/// Reads a certificate bundle from disk. The whole MANIFEST is parsed and
+/// its proof file names checked — plain names, none named twice, no more
+/// obligations than predicates — before any proof file is opened, so a
+/// bundle cannot make the reader load one file more than once. Proofs are
+/// read as bytes and parsed by the checker, one obligation per worker at a
+/// time.
 ///
 /// # Errors
 ///
 /// [`CertError::Io`] on filesystem failure, [`CertError::Parse`] on a
-/// malformed MANIFEST or proof file.
+/// malformed MANIFEST.
 pub fn read_bundle(dir: &Path) -> Result<Certificate, CertError> {
     let io = |e: std::io::Error| CertError::Io(e.to_string());
     let parse = |msg: String| CertError::Parse(msg);
@@ -602,8 +748,8 @@ pub fn read_bundle(dir: &Path) -> Result<Certificate, CertError> {
     };
 
     let (_, header) = next()?;
-    if header != "hh-certificate v1" {
-        return Err(parse(format!("bad header {header:?}")));
+    if header != HEADER {
+        return Err(parse(format!("bad header {header:?}, expected {HEADER:?}")));
     }
     let (ln, design_line) = next()?;
     let design = design_line
@@ -632,19 +778,26 @@ pub fn read_bundle(dir: &Path) -> Result<Certificate, CertError> {
         patterns.push(MaskMatch { mask, matches });
     }
 
-    let (ln, pred_hdr) = next()?;
-    let npred: usize = pred_hdr
-        .strip_prefix("predicates ")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| parse(format!("line {ln}: expected predicates <n>")))?;
-    let mut predicates = Vec::with_capacity(npred.min(65536));
-    for _ in 0..npred {
-        let (ln, l) = next()?;
-        let p = l
-            .strip_prefix("pred ")
-            .ok_or_else(|| parse(format!("line {ln}: expected pred")))?;
-        predicates.push(p.to_string());
-    }
+    let mut wire_list = |keyword: &str, tag: &str| -> Result<Vec<String>, CertError> {
+        let (ln, hdr) = next()?;
+        let count: usize = hdr
+            .strip_prefix(keyword)
+            .and_then(|s| s.strip_prefix(' '))
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| parse(format!("line {ln}: expected {keyword} <n>")))?;
+        let mut out = Vec::with_capacity(count.min(65536));
+        for _ in 0..count {
+            let (ln, l) = next()?;
+            let p = l
+                .strip_prefix(tag)
+                .and_then(|s| s.strip_prefix(' '))
+                .ok_or_else(|| parse(format!("line {ln}: expected {tag}")))?;
+            out.push(p.to_string());
+        }
+        Ok(out)
+    };
+    let predicates = wire_list("predicates", "pred")?;
+    let candidates = wire_list("candidates", "cand")?;
 
     let (ln, prop_line) = next()?;
     let mut toks = prop_line
@@ -668,28 +821,28 @@ pub fn read_bundle(dir: &Path) -> Result<Certificate, CertError> {
         .strip_prefix("obligations ")
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| parse(format!("line {ln}: expected obligations <n>")))?;
-    let mut obligations = Vec::with_capacity(nobs.min(65536));
+    if nobs > predicates.len() {
+        return Err(parse(format!(
+            "line {ln}: {nobs} obligations for {} predicates",
+            predicates.len()
+        )));
+    }
+    let mut obligations = Vec::with_capacity(nobs);
+    let mut files: Vec<&str> = Vec::with_capacity(nobs);
+    let mut named: HashSet<&str> = HashSet::with_capacity(nobs);
     for _ in 0..nobs {
         let (ln, l) = next()?;
         let body = l
             .strip_prefix("obligation ")
             .ok_or_else(|| parse(format!("line {ln}: expected obligation")))?;
-        let toks: Vec<&str> = body.split_whitespace().collect();
         let bad = || parse(format!("line {ln}: malformed obligation"));
-        let target: usize = toks.first().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        let k: usize = toks.get(1).and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        // `<target> <k>`, k premises, then eight fixed tokens. `k` is
-        // hostile input: compare without adding to it.
-        if toks.len().checked_sub(10) != Some(k) {
-            return Err(bad());
-        }
-        let (premises, rest) = toks[2..].split_at(k);
-        let premises: Vec<usize> = premises
-            .iter()
-            .map(|s| s.parse::<usize>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| bad())?;
-        let &["vars", num_vars, "clauses", num_clauses, "hash", cnf_hash, "proof", file] = rest
+        let mut toks = body.split_whitespace();
+        let target: usize = toks.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
+        let candidates = index_list(&mut toks, "candidates").ok_or_else(bad)?;
+        let premises = index_list(&mut toks, "premises").ok_or_else(bad)?;
+        let rest: Vec<&str> = toks.collect();
+        let &["vars", num_vars, "clauses", num_clauses, "hash", cnf_hash, "proof", file] =
+            &rest[..]
         else {
             return Err(bad());
         };
@@ -699,23 +852,31 @@ pub fn read_bundle(dir: &Path) -> Result<Certificate, CertError> {
         if file.contains(['/', '\\']) || file.contains("..") {
             return Err(parse(format!("line {ln}: unsafe proof path {file:?}")));
         }
-        let bytes = std::fs::read(dir.join(file)).map_err(io)?;
-        let proof = drat::parse_binary(&bytes)
-            .map_err(|e| parse(format!("{file}: bad binary DRAT: {e}")))?;
+        if !named.insert(file) {
+            return Err(parse(format!(
+                "line {ln}: proof file {file:?} is named twice"
+            )));
+        }
+        files.push(file);
         obligations.push(Obligation {
             target,
+            candidates,
             premises,
             num_vars,
             num_clauses,
             cnf_hash,
-            proof,
+            proof: Vec::new(),
         });
+    }
+    for (ob, file) in obligations.iter_mut().zip(files) {
+        ob.proof = std::fs::read(dir.join(file)).map_err(io)?;
     }
 
     Ok(Certificate {
         design,
         patterns,
         predicates,
+        candidates,
         properties,
         obligations,
     })
@@ -745,57 +906,90 @@ mod tests {
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
-    #[test]
-    fn obligation_encoding_is_deterministic_and_matches_the_one_shot_form() {
-        let mut base = Netlist::new("t");
-        let r = base.state("r", 4, Bv::zero(4));
-        base.keep_state(r);
-        let m = hh_netlist::miter::Miter::build(&base);
-        let target = Predicate::eq(m.left(r), m.right(r));
-        // The same obligation through `TransitionEncoding::new`, which
-        // builds its own simplification map.
-        let one_shot = {
-            let mut enc = TransitionEncoding::new(m.netlist());
-            let now = target.encode_current(&mut enc);
-            enc.assert_lit(now);
-            let next = target.encode_next(&mut enc);
-            enc.assert_lit(!next);
-            dimacs::from_solver(enc.cnf_mut().solver_mut())
-        };
-        let ctx = ObligationContext::new(m, vec![target]);
-        let (_, first) = ctx.encode(0, &[]);
-        let (_, second) = ctx.encode(0, &[]);
-        assert_eq!(first, second);
-        assert_eq!(first, one_shot);
+    /// The paper's AND-gate, `A <= B & C` with `B`, `C` and an unrelated
+    /// `D` holding, as a builtin-free context: the target `Eq(A)`, then the
+    /// candidates `Eq(C)`, `Eq(B)` and `Eq(D)`.
+    fn and_gate() -> (Miter, Vec<Predicate>) {
+        let mut n = Netlist::new("and_gate");
+        let b = n.state("B", 1, Bv::bit(true));
+        let c = n.state("C", 1, Bv::bit(true));
+        let a = n.state("A", 1, Bv::bit(true));
+        let d = n.state("D", 1, Bv::bit(true));
+        let band = n.and(n.state_node(b), n.state_node(c));
+        n.set_next(a, band);
+        for s in [b, c, d] {
+            n.keep_state(s);
+        }
+        let m = Miter::build(&n);
+        let eq = |s| Predicate::eq(m.left(s), m.right(s));
+        let table = vec![eq(a), eq(c), eq(b), eq(d)];
+        (m, table)
     }
 
+    /// A query the learn would run — encode-cache replay, trimming, proof
+    /// logged — checks against the session CNF a fresh context re-derives,
+    /// under its abduct's indicators and no fewer.
     #[test]
-    fn streamed_fingerprint_is_the_hash_of_the_dimacs_text() {
-        let v = |i: usize, pos: bool| hh_sat::Var::from_index(i).lit(pos);
-        let cnfs = [
-            Cnf {
-                num_vars: 0,
-                clauses: vec![],
-            },
-            Cnf {
-                num_vars: 3,
-                clauses: vec![vec![]],
-            },
-            Cnf {
-                num_vars: 1200,
-                clauses: vec![
-                    vec![v(0, true), v(1199, false)],
-                    vec![v(7, false)],
-                    vec![v(99, true), v(100, true), v(101, false)],
-                ],
-            },
-        ];
-        for cnf in &cnfs {
-            assert_eq!(
-                cnf_fingerprint(cnf),
-                fnv1a(dimacs::to_dimacs(cnf).as_bytes())
-            );
+    fn a_logged_query_checks_against_the_re_derived_session() {
+        let (m, table) = and_gate();
+        let cache = Arc::new(EncodeCache::new(m.netlist()));
+        let cfg = AbductionConfig::paper_default();
+        let cands = &table[1..];
+        for _ in 0..2 {
+            // The second round replays the base encoding from the cache.
+            let answer = AbductionSession::with_cache(
+                m.netlist(),
+                table[0].clone(),
+                cfg,
+                cache.clone(),
+                true,
+            )
+            .log_proofs(true)
+            .solve(cands);
+            assert_eq!(answer.abduct, Some(vec![0, 1]));
+            let log = answer.log.expect("an UNSAT answer carries its log");
+            let ctx = SessionContext::new(m.clone(), table.clone());
+            let mut ob = Obligation {
+                target: 0,
+                candidates: vec![1, 2, 3],
+                premises: vec![1, 2],
+                num_vars: log.shape.num_vars,
+                num_clauses: log.shape.num_clauses,
+                cnf_hash: log.shape.hash,
+                proof: log.drat,
+            };
+            ctx.check(0, &ob).expect("the learn's own proof checks");
+            // One premise fewer: the wrapper's unit is no longer RUP.
+            ob.premises = vec![1];
+            assert!(matches!(
+                ctx.check(0, &ob),
+                Err(CertError::ProofRejected { obligation: 0, .. })
+            ));
+            // One candidate fewer: a different formula.
+            ob.premises = vec![1, 2];
+            ob.candidates = vec![1, 2];
+            assert!(matches!(
+                ctx.check(0, &ob),
+                Err(CertError::CnfMismatch { obligation: 0, .. })
+            ));
         }
+        assert_eq!(cache.stats().hits, 1);
+        // A SAT answer logs nothing, and an unlogged entry fails to prove.
+        let sat = AbductionSession::new(m.netlist(), table[0].clone(), cfg)
+            .log_proofs(true)
+            .solve(&table[1..2]);
+        assert_eq!((sat.abduct, sat.log), (None, None));
+        let ctx = SessionContext::new(m, table);
+        assert!(matches!(
+            ctx.log(0, vec![1]),
+            Err(CertError::NotInductive { target: 0 })
+        ));
+        let ob = ctx.log(0, vec![1, 2]).expect("Eq(B) and Eq(C) prove Eq(A)");
+        assert_eq!(
+            (ob.candidates.as_slice(), ob.premises.as_slice()),
+            (&[1, 2][..], &[1, 2][..])
+        );
+        ctx.check(0, &ob).expect("an emit-time proof checks");
     }
 
     #[test]
@@ -819,10 +1013,25 @@ mod tests {
         assert_eq!(worker_count(4, 0), 1);
     }
 
+    fn temp_bundle(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("hh-cert-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A MANIFEST over one predicate, ending in `tail` (the obligations
+    /// header and lines); its obligation lines start at line 9.
+    fn manifest(tail: &str) -> String {
+        format!(
+            "{HEADER}\ndesign rocketlite_x16\npatterns 0\npredicates 1\npred eq l$a r$a\n\
+             candidates 0\nproperties 0\n{tail}"
+        )
+    }
+
     #[test]
     fn manifest_roundtrip_and_tamper_detection() {
-        let dir = std::env::temp_dir().join(format!("hh-cert-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_bundle("roundtrip");
         let cert = Certificate {
             design: "rocketlite_x16".into(),
             patterns: vec![MaskMatch {
@@ -830,35 +1039,40 @@ mod tests {
                 matches: 0x13,
             }],
             predicates: vec!["eq l$a r$a".into(), "eq l$b r$b".into()],
+            candidates: vec!["eq l$c r$c".into()],
             properties: vec![0],
             obligations: vec![
                 Obligation {
                     target: 0,
+                    candidates: vec![2, 1],
                     premises: vec![1],
                     num_vars: 10,
                     num_clauses: 20,
                     cnf_hash: 0xdead_beef,
-                    proof: vec![vec![Lit::from_code(0)], vec![]],
+                    proof: vec![b'a', 2, 0, b'a', 0],
                 },
                 Obligation {
                     target: 1,
+                    candidates: vec![],
                     premises: vec![],
                     num_vars: 5,
                     num_clauses: 6,
                     cnf_hash: 1,
-                    proof: vec![vec![]],
+                    proof: vec![b'a', 0],
                 },
             ],
         };
         let summary = write_bundle(&cert, &dir).unwrap();
         assert_eq!(summary.obligations, 2);
-        assert!(summary.proof_bytes > 0);
+        assert_eq!((summary.proof_lines, summary.proof_bytes), (3, 7));
         let back = read_bundle(&dir).unwrap();
         assert_eq!(back.design, cert.design);
         assert_eq!(back.patterns, cert.patterns);
         assert_eq!(back.predicates, cert.predicates);
+        assert_eq!(back.candidates, cert.candidates);
         assert_eq!(back.properties, cert.properties);
         assert_eq!(back.obligations.len(), 2);
+        assert_eq!(back.obligations[0].candidates, vec![2, 1]);
         assert_eq!(back.obligations[0].premises, vec![1]);
         assert_eq!(back.obligations[0].cnf_hash, 0xdead_beef);
         assert_eq!(back.obligations[0].proof, cert.obligations[0].proof);
@@ -874,42 +1088,86 @@ mod tests {
     }
 
     #[test]
-    fn manifest_rejects_path_traversal() {
-        let dir = std::env::temp_dir().join(format!("hh-cert-trav-{}", std::process::id()));
+    fn a_v1_manifest_is_a_parse_error() {
+        let dir = temp_bundle("v1");
+        let v1 = format!(
+            "{}1\ndesign rocketlite_x16\npatterns 0\npredicates 1\npred eq l$a r$a\n\
+             properties 0 \nobligations 1\n\
+             obligation 0 0 vars 1 clauses 1 hash 0 proof obligation-000.drat\n",
+            HEADER.trim_end_matches('2')
+        );
+        std::fs::write(dir.join(MANIFEST), v1).unwrap();
+        std::fs::write(dir.join("obligation-000.drat"), [b'a', 0]).unwrap();
+        match check_bundle(&dir) {
+            Err(CertError::Parse(msg)) => assert!(msg.contains("bad header"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let manifest = "hh-certificate v1\n\
-                        design rocketlite_x16\n\
-                        patterns 0\n\
-                        predicates 0\n\
-                        properties 0 \n\
-                        obligations 1\n\
-                        obligation 0 0 vars 1 clauses 1 hash 0 proof ../../etc/passwd\n";
-        std::fs::write(dir.join(MANIFEST), manifest).unwrap();
+    }
+
+    #[test]
+    fn manifest_rejects_path_traversal() {
+        let dir = temp_bundle("trav");
+        let text = manifest(
+            "obligations 1\n\
+             obligation 0 candidates 0 premises 0 vars 1 clauses 1 hash 0 proof ../../etc/passwd\n",
+        );
+        std::fs::write(dir.join(MANIFEST), text).unwrap();
         assert!(matches!(read_bundle(&dir), Err(CertError::Parse(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn manifest_with_an_overflowing_premise_count_is_a_parse_error() {
-        let dir = std::env::temp_dir().join(format!("hh-cert-premise-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+    fn manifest_with_an_overflowing_index_count_is_a_parse_error() {
+        let dir = temp_bundle("premise");
         for obligation in [
-            "obligation 0 18446744073709551615 vars 1 clauses 1 hash 0 proof",
-            "obligation 0 18446744073709551607 vars 1 clauses 1 hash 0 proof x.drat",
-            "obligation 0 3 1 2 vars 1 clauses 1 hash 0 proof x.drat",
-            "obligation 0 0 vars 1 clauses 1 hash 0 evidence x.drat",
+            "obligation 0 candidates 18446744073709551615 premises 0 vars 1 clauses 1 hash 0 proof",
+            "obligation 0 candidates 0 premises 18446744073709551607 vars 1 clauses 1 hash 0 \
+             proof x.drat",
+            "obligation 0 candidates 3 1 2 premises 0 vars 1 clauses 1 hash 0 proof x.drat",
+            "obligation 0 candidates 0 premises 3 1 2 vars 1 clauses 1 hash 0 proof x.drat",
+            "obligation 0 premises 0 candidates 0 vars 1 clauses 1 hash 0 proof x.drat",
+            "obligation 0 candidates 0 premises 0 vars 1 clauses 1 hash 0 evidence x.drat",
             "obligation 0",
         ] {
-            let manifest = format!(
-                "hh-certificate v1\ndesign rocketlite_x16\npatterns 0\npredicates 0\n\
-                 properties 0 \nobligations 1\n{obligation}\n"
-            );
-            std::fs::write(dir.join(MANIFEST), manifest).unwrap();
+            let text = manifest(&format!("obligations 1\n{obligation}\n"));
+            std::fs::write(dir.join(MANIFEST), text).unwrap();
             match check_bundle(&dir) {
-                Err(CertError::Parse(msg)) => assert!(msg.contains("line 7"), "{msg}"),
+                Err(CertError::Parse(msg)) => assert!(msg.contains("line 9"), "{msg}"),
                 other => panic!("{obligation:?}: expected a parse error, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A hostile bundle that names one large proof file on every obligation
+    /// line once made the reader parse it once per line, until the
+    /// allocator gave up. The MANIFEST alone now decides: a file named
+    /// twice, or more obligations than predicates, is a parse error before
+    /// any proof is opened (here the named file does not even exist).
+    #[test]
+    fn a_proof_file_named_twice_is_rejected_before_any_proof_is_read() {
+        let dir = temp_bundle("twice");
+        let line = "obligation 0 candidates 0 premises 0 vars 1 clauses 1 hash 0 \
+                    proof obligation-000.drat";
+        let two_preds = manifest(&format!("obligations 2\n{line}\n{line}\n")).replace(
+            "predicates 1\npred eq l$a r$a",
+            "predicates 2\npred eq l$a r$a\npred eq l$b r$b",
+        );
+        for (text, expect) in [
+            (
+                two_preds,
+                "line 11: proof file \"obligation-000.drat\" is named twice",
+            ),
+            (
+                manifest(&format!("obligations 2\n{line}\n{line}\n")),
+                "line 8: 2 obligations for 1 predicates",
+            ),
+        ] {
+            std::fs::write(dir.join(MANIFEST), text).unwrap();
+            match read_bundle(&dir) {
+                Err(CertError::Parse(msg)) => assert!(msg.contains(expect), "{msg}"),
+                other => panic!("expected a parse error, got {other:?}"),
             }
         }
         let _ = std::fs::remove_dir_all(&dir);

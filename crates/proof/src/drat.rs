@@ -2,70 +2,18 @@
 //!
 //! A proof is the sequence of clauses a solver added, in order, exactly as
 //! streamed by `hh-sat`'s [`hh_sat::proof::ProofSink`] into a
-//! [`MemoryProof`]; the empty clause completes a refutation. Certificate
-//! bundles store it as **binary DRAT**, the compact format used by
-//! `drat-trim`: each step is an `a` byte followed by variable-length (7-bit,
-//! continuation-bit) encoded literals and a terminating `0x00`. A literal
-//! `i` (DIMACS convention: 1-based, sign = polarity) maps to the unsigned
-//! `2i` when positive and `2|i| + 1` when negative. The reader also accepts
-//! the format's `d` (deletion) steps, which older bundles may hold, and
-//! drops them.
+//! [`hh_sat::DratLog`]; the empty clause completes a refutation.
+//! Certificate bundles store it as **binary DRAT**, the compact format used
+//! by `drat-trim`: each step is an `a` byte followed by variable-length
+//! (7-bit, continuation-bit) encoded literals and a terminating `0x00`. A literal `i` (DIMACS convention: 1-based, sign
+//! = polarity) maps to the unsigned `2i` when positive and `2|i| + 1` when
+//! negative. The writer lives with the sinks in `hh-sat`; the reader here
+//! is the checker's and shares nothing with it. It also accepts the
+//! format's `d` (deletion) steps, which older bundles may hold, and drops
+//! them.
 
-use hh_sat::proof::ProofSink;
+use hh_sat::proof::push_binary_step;
 use hh_sat::{Lit, Var};
-use std::sync::{Arc, Mutex};
-
-/// An in-memory [`ProofSink`] capturing the added clauses.
-///
-/// The line buffer lives behind an [`Arc`] so the caller can keep a
-/// [`MemoryProof::handle`] while the sink itself is boxed into the solver,
-/// and read the lines back after solving without downcasting.
-#[derive(Debug, Default, Clone)]
-pub struct MemoryProof {
-    lines: Arc<Mutex<Vec<Vec<Lit>>>>,
-}
-
-impl MemoryProof {
-    /// Creates an empty proof buffer.
-    pub fn new() -> MemoryProof {
-        MemoryProof::default()
-    }
-
-    /// A second handle onto the same buffer.
-    pub fn handle(&self) -> MemoryProof {
-        self.clone()
-    }
-
-    /// Takes the recorded lines out of the buffer.
-    pub fn take_lines(&self) -> Vec<Vec<Lit>> {
-        std::mem::take(&mut *self.lines.lock().unwrap())
-    }
-
-    /// Number of recorded lines.
-    pub fn len(&self) -> usize {
-        self.lines.lock().unwrap().len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl ProofSink for MemoryProof {
-    fn add_clause(&mut self, lits: &[Lit]) {
-        self.lines.lock().unwrap().push(lits.to_vec());
-    }
-}
-
-fn dimacs_int(l: Lit) -> i64 {
-    let v = l.var().index() as i64 + 1;
-    if l.is_positive() {
-        v
-    } else {
-        -v
-    }
-}
 
 fn lit_from_dimacs(n: i64) -> Result<Lit, String> {
     if n == 0 {
@@ -80,36 +28,12 @@ fn lit_from_dimacs(n: i64) -> Result<Lit, String> {
     Ok(Var::from_index(index).lit(n > 0))
 }
 
-fn mapped_unsigned(l: Lit) -> u64 {
-    let n = dimacs_int(l);
-    if n > 0 {
-        2 * n as u64
-    } else {
-        2 * n.unsigned_abs() + 1
-    }
-}
-
-fn push_varint(out: &mut Vec<u8>, mut u: u64) {
-    loop {
-        let byte = (u & 0x7f) as u8;
-        u >>= 7;
-        if u == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Renders a proof in binary DRAT: one `a` step per added clause.
+/// Renders a proof in binary DRAT: one `a` step per added clause
+/// ([`hh_sat::proof::push_binary_step`], the writer session logs use).
 pub fn to_binary(lines: &[Vec<Lit>]) -> Vec<u8> {
     let mut out = Vec::new();
     for line in lines {
-        out.push(b'a');
-        for &l in line {
-            push_varint(&mut out, mapped_unsigned(l));
-        }
-        out.push(0);
+        push_binary_step(&mut out, line);
     }
     out
 }
@@ -219,17 +143,5 @@ mod tests {
         loose.extend([0x02, 0x00]);
         let err = parse_binary(&loose).unwrap_err();
         assert!(err.contains("varint overflow"), "{err}");
-    }
-
-    #[test]
-    fn memory_sink_records_in_order() {
-        let mut sink = MemoryProof::new();
-        let handle = sink.handle();
-        sink.add_clause(&[lit(1)]);
-        sink.add_clause(&[lit(1), lit(2)]);
-        sink.add_clause(&[]);
-        let lines = handle.take_lines();
-        assert_eq!(lines, vec![vec![lit(1)], vec![lit(1), lit(2)], vec![]]);
-        assert!(handle.is_empty());
     }
 }

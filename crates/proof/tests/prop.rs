@@ -5,8 +5,8 @@
 //! proof blobs and MANIFESTs nobody emitted — must come back as an error,
 //! never as a panic or an allocation the size of a spelled-out number.
 
-use hh_proof::{check_proof, check_proof_with_assumptions, CheckError, MemoryProof};
-use hh_sat::{dimacs, Config, LimitedResult, Lit, SolveResult, Solver, Var};
+use hh_proof::{check_proof, check_proof_with_assumptions, CheckError};
+use hh_sat::{dimacs, trim_core, Config, DratLog, LimitedResult, Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,6 +29,11 @@ fn build_solver(num_vars: usize, clauses: &[Vec<(usize, bool)>]) -> Solver {
     s
 }
 
+/// The lines a log holds.
+fn lines(log: &DratLog) -> Vec<Vec<Lit>> {
+    hh_proof::drat::parse_binary(&log.take()).expect("a log parses")
+}
+
 /// Runs a solver on the clauses with proof logging attached and returns
 /// `(formula snapshot, result, proof)`. The snapshot is taken before
 /// solving — it is the formula the proof stream refutes.
@@ -39,15 +44,14 @@ fn solve_logged(
 ) -> (Vec<Vec<Lit>>, SolveResult, Vec<Vec<Lit>>) {
     let mut s = build_solver(num_vars, clauses);
     let formula = dimacs::from_solver(&s).clauses;
-    let sink = MemoryProof::new();
-    let handle = sink.handle();
-    s.set_proof_sink(Box::new(sink));
+    let log = DratLog::new();
+    s.set_proof_sink(Box::new(log.handle()));
     let res = if assumptions.is_empty() {
         s.solve()
     } else {
         s.solve_with_assumptions(assumptions)
     };
-    (formula, res, handle.take_lines())
+    (formula, res, lines(&log))
 }
 
 proptest! {
@@ -128,9 +132,8 @@ proptest! {
         };
         let mut s = build_solver(7, &clauses);
         let formula = dimacs::from_solver(&s).clauses;
-        let sink = MemoryProof::new();
-        let handle = sink.handle();
-        s.set_proof_sink(Box::new(sink));
+        let log = DratLog::new();
+        s.set_proof_sink(Box::new(log.handle()));
         for set in &churn {
             if s.solve_with_assumptions(&to_lits(set)) == SolveResult::Unsat {
                 // Stream already carries this set's core units; a later
@@ -145,7 +148,7 @@ proptest! {
             .map(|i| vars[i].lit((polarity >> i) & 1 == 1))
             .collect();
         if s.solve_with_assumptions(&assumptions) == SolveResult::Unsat {
-            let proof = handle.take_lines();
+            let proof = lines(&log);
             check_proof_with_assumptions(&formula, &assumptions, &proof)
                 .unwrap_or_else(|e| {
                     panic!("proof broken by reduce/compaction: {e}\nformula: {clauses:?}")
@@ -179,11 +182,10 @@ proptest! {
             s.add_clause(&lits);
         }
         let formula = dimacs::from_solver(&s).clauses;
-        let sink = MemoryProof::new();
-        let handle = sink.handle();
-        s.set_proof_sink(Box::new(sink));
+        let log = DratLog::new();
+        s.set_proof_sink(Box::new(log.handle()));
         if s.solve_with_assumptions(&assumptions) == SolveResult::Unsat {
-            let proof = handle.take_lines();
+            let proof = lines(&log);
             check_proof_with_assumptions(&formula, &assumptions, &proof)
                 .unwrap_or_else(|e| panic!("chrono proof rejected: {e}\nformula: {clauses:?}"));
         }
@@ -196,9 +198,8 @@ proptest! {
     fn budgeted_solve_proofs_always_check(clauses in arb_cnf(7, 30), slice in 1u64..8) {
         let mut s = build_solver(7, &clauses);
         let formula = dimacs::from_solver(&s).clauses;
-        let sink = MemoryProof::new();
-        let handle = sink.handle();
-        s.set_proof_sink(Box::new(sink));
+        let log = DratLog::new();
+        s.set_proof_sink(Box::new(log.handle()));
         let mut verdict = None;
         for _ in 0..10_000 {
             match s.solve_limited(&[], slice) {
@@ -207,7 +208,7 @@ proptest! {
             }
         }
         if verdict == Some(LimitedResult::Unsat) {
-            let proof = handle.take_lines();
+            let proof = lines(&log);
             check_proof(&formula, &proof)
                 .unwrap_or_else(|e| panic!("budgeted proof rejected: {e}\nformula: {clauses:?}"));
         }
@@ -224,11 +225,12 @@ proptest! {
     }
 }
 
-/// A genuine RocketLite bundle's MANIFEST (ALU safe set; the shapes and
-/// hashes are what the encoder produced when this was captured, so with an
-/// intact frame the checker gets as far as the proof blobs): the frame the
-/// hostile-input tests below break in every way they can think of.
-const MANIFEST: &str = "hh-certificate v1
+/// A genuine RocketLite bundle's MANIFEST (ALU safe set, every obligation
+/// proved at emit time over its premises; the shapes and hashes are what
+/// the encoder produced when this was captured, so with an intact frame the
+/// checker gets as far as the proof blobs): the frame the hostile-input
+/// tests below break in every way they can think of.
+const MANIFEST: &str = "hh-certificate v2
 design rocketlite_x16
 patterns 23
 pattern 7f 17
@@ -254,15 +256,26 @@ pattern fe00707f 40005013
 pattern fe00707f 40005033
 pattern ffffffff 0
 pattern ffffffff 13
-predicates 3
+predicates 8
 pred eq l$dec_valid r$dec_valid
 pred eq l$wb_valid r$wb_valid
+pred eqc l$mul$in_use r$mul$in_use 1 0
+pred eqc l$mul$valid r$mul$valid 1 0
+pred eqc l$mem_busy r$mem_busy 1 0
+pred eqc l$mem_valid r$mem_valid 1 0
+pred eqc l$br_flush r$br_flush 1 0
 pred inset l$dec_instr r$dec_instr insafeset 23 7f:17 7f:37 707f:13 707f:2013 707f:3013 707f:4013 707f:6013 707f:7013 fe00707f:33 fe00707f:1013 fe00707f:1033 fe00707f:2033 fe00707f:3033 fe00707f:4033 fe00707f:5013 fe00707f:5033 fe00707f:6033 fe00707f:7033 fe00707f:40000033 fe00707f:40005013 fe00707f:40005033 ffffffff:0 ffffffff:13
+candidates 0
 properties 1 1
-obligations 3
-obligation 0 1 2 vars 1765 clauses 5691 hash 42f95801a0a0a6c3 proof obligation-000.drat
-obligation 1 2 0 2 vars 1683 clauses 5441 hash 414806427b1f8444 proof obligation-001.drat
-obligation 2 1 0 vars 2006 clauses 6637 hash eb721b0e7241c045 proof obligation-002.drat
+obligations 8
+obligation 0 candidates 4 3 5 6 7 premises 4 3 5 6 7 vars 1772 clauses 5639 hash 5cc1e2548cba13f8 proof obligation-000.drat
+obligation 1 candidates 5 0 3 5 6 7 premises 5 0 3 5 6 7 vars 1691 clauses 5389 hash 8086ae6ffb12ecdb proof obligation-001.drat
+obligation 2 candidates 1 7 premises 1 7 vars 1476 clauses 4701 hash 638e3426a87fca42 proof obligation-002.drat
+obligation 3 candidates 2 2 7 premises 2 2 7 vars 1480 clauses 4711 hash 9a1fd84a3852f36b proof obligation-003.drat
+obligation 4 candidates 1 7 premises 1 7 vars 1593 clauses 4266 hash 24df89aade3c0ffd proof obligation-004.drat
+obligation 5 candidates 2 4 7 premises 2 4 7 vars 1595 clauses 4276 hash 83aad6c368bc205d proof obligation-005.drat
+obligation 6 candidates 1 7 premises 1 7 vars 1420 clauses 4599 hash a994c076af2ed690 proof obligation-006.drat
+obligation 7 candidates 3 0 3 5 premises 3 0 3 5 vars 2011 clauses 6645 hash 1ba9f0246954d530 proof obligation-007.drat
 ";
 
 /// The smallest blob that used to take the checker down: one added unit
@@ -278,7 +291,7 @@ fn bundle_dir(tag: &str) -> PathBuf {
 
 fn write_bundle(dir: &std::path::Path, manifest: &str, blob: &[u8]) {
     std::fs::write(dir.join("MANIFEST"), manifest).unwrap();
-    for i in 0..3 {
+    for i in 0..8 {
         std::fs::write(dir.join(format!("obligation-{i:03}.drat")), blob).unwrap();
     }
 }
@@ -311,7 +324,33 @@ fn huge_variable_blob_is_rejected_at_parse_time() {
     write_bundle(&dir, MANIFEST, &HUGE_VARIABLE_BLOB);
     match hh_proof::cert::check_bundle(&dir) {
         Err(hh_proof::cert::CertError::Parse(msg)) => {
-            assert!(msg.contains("obligation-000.drat"), "{msg}")
+            assert!(msg.contains("obligation 0: bad binary DRAT"), "{msg}")
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every obligation line naming one large proof file: once parsed once per
+/// line, at about twelve times its size each, until an address-space cap
+/// aborted the checker. It is now a parse error before any proof is read.
+#[test]
+fn one_proof_file_named_by_every_obligation_is_a_parse_error() {
+    let dir = bundle_dir("named-twice");
+    let hostile: String = (MANIFEST.lines())
+        .map(|l| match l.split_once(" proof ") {
+            Some((head, _)) => format!("{head} proof obligation-000.drat\n"),
+            None => format!("{l}\n"),
+        })
+        .collect();
+    assert_ne!(hostile, MANIFEST);
+    write_bundle(&dir, &hostile, &b"a\0".repeat(2 << 20));
+    match hh_proof::cert::check_bundle(&dir) {
+        Err(hh_proof::cert::CertError::Parse(msg)) => {
+            assert!(
+                msg.contains("line 40: proof file \"obligation-000.drat\" is named twice"),
+                "{msg}"
+            )
         }
         other => panic!("expected a parse error, got {other:?}"),
     }
@@ -322,13 +361,14 @@ fn huge_variable_blob_is_rejected_at_parse_time() {
 fn overflowing_premise_count_is_a_parse_error() {
     let dir = bundle_dir("premises");
     let hostile = MANIFEST.replace(
-        "obligation 0 1 2 vars 1765 clauses 5691 hash 42f95801a0a0a6c3 proof obligation-000.drat",
-        "obligation 0 18446744073709551615 vars 1 clauses 1 hash 0 proof",
+        "obligation 0 candidates 4 3 5 6 7 premises 4 3 5 6 7 vars 1772 clauses 5639 \
+         hash 5cc1e2548cba13f8 proof obligation-000.drat",
+        "obligation 0 candidates 18446744073709551615 premises 0 vars 1 clauses 1 hash 0 proof",
     );
     assert_ne!(hostile, MANIFEST);
     write_bundle(&dir, &hostile, &[b'a', 0]);
     match hh_proof::cert::check_bundle(&dir) {
-        Err(hh_proof::cert::CertError::Parse(msg)) => assert!(msg.contains("line 33"), "{msg}"),
+        Err(hh_proof::cert::CertError::Parse(msg)) => assert!(msg.contains("line 39"), "{msg}"),
         other => panic!("expected a parse error, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -416,6 +456,9 @@ fn random_manifests_never_panic() {
         "",
         " ",
         "vars",
+        "candidates",
+        "premises",
+        "cand",
         "clauses",
         "hash",
         "proof",
@@ -485,4 +528,119 @@ fn random_manifests_never_panic() {
         "only {reached_verify} manifests got past the parser"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The clause over x0, x1, x2 numbered `i` (0..26): the base-3 digits of
+/// `i + 1` say per variable absent (0), positive (1) or negative (2).
+fn small_clause(i: usize) -> Vec<Lit> {
+    let mut code = i + 1;
+    let mut out = Vec::new();
+    for v in 0..3 {
+        match code % 3 {
+            1 => out.push(Var::from_index(v).positive()),
+            2 => out.push(Var::from_index(v).negative()),
+            _ => {}
+        }
+        code /= 3;
+    }
+    out
+}
+
+/// Whether literal `l` is true under the assignment `bits` of six variables.
+fn holds(bits: u32, l: Lit) -> bool {
+    (bits >> l.var().index()) & 1 == u32::from(l.is_positive())
+}
+
+/// Session-style logs, exhaustively within small bounds: every CNF of at
+/// most four distinct clauses over x0..x2, with candidate `x_i` behind
+/// indicator `a_i` (`¬a_i ∨ x_i`), the indicators assumed in every order.
+/// As an abduction session does, a solver with a [`DratLog`] attached
+/// answers under all three, and an UNSAT core is trimmed in the reverse
+/// order. The log must be accepted under the final core (all three after a
+/// SAT answer) iff brute force finds the formula UNSAT under it, and under
+/// no indicator set at which brute force finds it satisfiable.
+///
+/// Planted bugs this catches: a checker that ignores its assumptions, and
+/// one that skips the RUP test of a proof's first line. Within this bound
+/// unit propagation under the final core, helped by the learnt clauses,
+/// always reaches the conflict before a wrapper line is read, so a log that
+/// kept an earlier solve's wrapper or dropped its last one still checks
+/// here; `DratLog`'s own test in `hh-sat` pins which wrapper a log keeps.
+#[test]
+fn session_logs_check_iff_unsat_under_the_final_core() {
+    let mut trimmed = 0;
+    let runs = hh_trace::for_every_choice(|choose| {
+        // A strictly increasing clause index sequence: choice 0 stops.
+        let mut picked: Vec<usize> = Vec::new();
+        while picked.len() < 4 {
+            let from = picked.last().map_or(0, |&i| i + 1);
+            if from == 26 {
+                break;
+            }
+            match choose(26 - from + 1) {
+                0 => break,
+                k => picked.push(from + k - 1),
+            }
+        }
+        let mut order = vec![0usize, 1, 2];
+        let first = order.remove(choose(3));
+        let second = order.remove(choose(2));
+        let order = [first, second, order[0]];
+
+        let x: Vec<Lit> = (0..3).map(|v| Var::from_index(v).positive()).collect();
+        let a: Vec<Lit> = (3..6).map(|v| Var::from_index(v).positive()).collect();
+        let mut clauses: Vec<Vec<Lit>> = picked.iter().map(|&i| small_clause(i)).collect();
+        clauses.extend((0..3).map(|i| vec![!a[i], x[i]]));
+        let mut s = Solver::new();
+        for _ in 0..6 {
+            s.new_var();
+        }
+        for c in &clauses {
+            s.add_clause(c);
+        }
+        let formula = dimacs::from_solver(&s).clauses;
+        let log = DratLog::new();
+        s.set_proof_sink(Box::new(log.handle()));
+        let assumed: Vec<Lit> = order.iter().map(|&i| a[i]).collect();
+        let core = match s.solve_with_assumptions(&assumed) {
+            SolveResult::Sat => assumed.clone(),
+            SolveResult::Unsat => {
+                // Trimming assumes the core in another order than the first
+                // solve, as a session's strength order differs from its
+                // registration order: here the reverse.
+                let mut core = s.unsat_core().to_vec();
+                core.sort_by_key(|l| std::cmp::Reverse(assumed.iter().position(|m| m == l)));
+                let kept = trim_core(&mut s, &core);
+                trimmed += usize::from(kept.len() < core.len());
+                kept
+            }
+        };
+        s.take_proof_sink();
+        let proof = hh_proof::drat::parse_binary(&log.take()).unwrap();
+        let accepted =
+            |under: &[Lit]| check_proof_with_assumptions(&formula, under, &proof).is_ok();
+        // Brute force: the models of the six variables.
+        let models: Vec<u32> = (0..64)
+            .filter(|&bits| clauses.iter().all(|c| c.iter().any(|&l| holds(bits, l))))
+            .collect();
+        let sat_under = |under: &[Lit]| models.iter().any(|&m| under.iter().all(|&l| holds(m, l)));
+        assert_eq!(
+            accepted(&core),
+            !sat_under(&core),
+            "clauses {picked:?}, order {order:?}, core {core:?}"
+        );
+        for subset in 0..8u32 {
+            let under: Vec<Lit> = (0..3)
+                .filter(|i| subset >> i & 1 == 1)
+                .map(|i| a[i])
+                .collect();
+            assert!(
+                !sat_under(&under) || !accepted(&under),
+                "accepted a satisfiable case: clauses {picked:?}, order {order:?}, under {under:?}"
+            );
+        }
+    });
+    // 17 902 clause sets (0 to 4 of the 26 clauses) times 6 orders.
+    assert_eq!(runs, 107_412);
+    assert!(trimmed > 0, "some first core must trim");
 }

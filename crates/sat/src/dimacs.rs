@@ -1,9 +1,9 @@
-//! Minimal DIMACS CNF writer.
+//! A solver's formula as a CNF, and the fingerprint certificates give it.
 //!
-//! [`from_solver`] captures the formula a proof stream refutes, and
-//! [`write_dimacs`] renders it: certificates identify each obligation by a
-//! hash of that text. Dumping a query for an external solver is the same
-//! two calls.
+//! [`from_solver`] captures the formula a proof stream refutes (the clause
+//! list a DIMACS file would hold). [`fingerprint`] walks the same formula
+//! in place and hashes its literal codes ([`CnfShape`]); certificates
+//! identify each obligation's formula by it.
 
 use crate::lit::Lit;
 use crate::solver::Solver;
@@ -17,30 +17,82 @@ pub struct Cnf {
     pub clauses: Vec<Vec<Lit>>,
 }
 
-/// Renders a CNF in DIMACS format.
-pub fn to_dimacs(cnf: &Cnf) -> String {
-    let mut out = String::new();
-    let _ = write_dimacs(cnf, &mut out);
-    out
+/// 64-bit FNV-1a, the hash certificates fingerprint formulas with.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
 }
 
-/// Streams the DIMACS text of `cnf` — byte for byte what [`to_dimacs`]
-/// returns — into `out`, for consumers (hashers, files) that do not need
-/// the text as one `String`.
-///
-/// # Errors
-///
-/// Whatever `out` reports.
-pub fn write_dimacs<W: std::fmt::Write>(cnf: &Cnf, out: &mut W) -> std::fmt::Result {
-    writeln!(out, "p cnf {} {}", cnf.num_vars, cnf.clauses.len())?;
-    for clause in &cnf.clauses {
-        for &l in clause {
-            let n = l.var().index() as i64 + 1;
-            write!(out, "{} ", if l.is_positive() { n } else { -n })?;
+impl Fnv1a {
+    /// Folds `bytes` into the hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        writeln!(out, "0")?;
     }
-    Ok(())
+
+    /// The hash of everything folded in so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A formula's size and fingerprint: what a certificate records of the
+/// formula a proof refutes, and what a checker compares its re-derived
+/// formula against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CnfShape {
+    /// Variables of the solver holding the formula.
+    pub num_vars: usize,
+    /// Clauses of the formula, as [`Solver::visit_formula_clauses`] visits
+    /// them.
+    pub num_clauses: usize,
+    /// FNV-1a over the clauses in visit order: each literal's
+    /// [`Lit::code`] as four little-endian bytes, and after each clause the
+    /// four bytes `ff ff ff ff` (no literal has that code).
+    pub hash: u64,
+}
+
+/// Builds a [`CnfShape`] one clause at a time, for a caller that walks the
+/// formula for its own reasons too.
+#[derive(Debug, Default, Clone)]
+pub struct ShapeHasher {
+    fnv: Fnv1a,
+    clauses: usize,
+}
+
+impl ShapeHasher {
+    /// Folds in the next clause.
+    pub fn clause(&mut self, lits: &[Lit]) {
+        for &l in lits {
+            self.fnv.update(&(l.code() as u32).to_le_bytes());
+        }
+        self.fnv.update(&u32::MAX.to_le_bytes());
+        self.clauses += 1;
+    }
+
+    /// The shape of the clauses folded in, over `num_vars` variables.
+    pub fn finish(&self, num_vars: usize) -> CnfShape {
+        CnfShape {
+            num_vars,
+            num_clauses: self.clauses,
+            hash: self.fnv.finish(),
+        }
+    }
+}
+
+/// The shape of a solver's current formula — the one [`from_solver`] would
+/// capture — hashed in place, with no copy of a clause. Must be called at
+/// decision level 0.
+pub fn fingerprint(s: &Solver) -> CnfShape {
+    let mut h = ShapeHasher::default();
+    s.visit_formula_clauses(|c| h.clause(c));
+    h.finish(s.num_vars())
 }
 
 /// Captures a solver's current formula as a CNF.
@@ -63,23 +115,38 @@ pub fn from_solver(s: &Solver) -> Cnf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lit::Var;
 
     #[test]
-    fn writes_header_and_zero_terminated_clauses() {
-        let v = |i| Var::from_index(i);
-        let cnf = Cnf {
-            num_vars: 3,
-            clauses: vec![
-                vec![v(0).positive(), v(1).negative()],
-                vec![v(2).positive()],
-            ],
-        };
-        let text = "p cnf 3 2\n1 -2 0\n3 0\n";
-        assert_eq!(to_dimacs(&cnf), text);
-        let mut streamed = String::new();
-        write_dimacs(&cnf, &mut streamed).unwrap();
-        assert_eq!(streamed, text);
+    fn fingerprint_hashes_the_literal_codes_of_the_dumped_formula() {
+        let mut s = Solver::new();
+        let x: Vec<Lit> = (0..300).map(|_| s.new_var().positive()).collect();
+        s.add_clause(&[x[0]]);
+        s.add_clause(&[!x[1], x[299]]);
+        s.add_clause(&[x[7], !x[8], x[9]]);
+        let mut bytes = Vec::new();
+        for c in &from_solver(&s).clauses {
+            for l in c {
+                bytes.extend((l.code() as u32).to_le_bytes());
+            }
+            bytes.extend([0xff; 4]);
+        }
+        let mut fnv = Fnv1a::default();
+        fnv.update(&bytes);
+        assert_eq!(
+            fingerprint(&s),
+            CnfShape {
+                num_vars: 300,
+                num_clauses: 3,
+                hash: fnv.finish(),
+            }
+        );
+        // Moving a literal to another clause moves the hash.
+        let mut t = Solver::new();
+        let y: Vec<Lit> = (0..300).map(|_| t.new_var().positive()).collect();
+        t.add_clause(&[y[0]]);
+        t.add_clause(&[!y[1], y[299], y[7]]);
+        t.add_clause(&[!y[8], y[9]]);
+        assert_ne!(fingerprint(&t).hash, fingerprint(&s).hash);
     }
 
     #[test]

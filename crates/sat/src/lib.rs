@@ -35,12 +35,12 @@
 //!   proves each member critical with a SAT probe.
 //! * DRAT proof logging: attach a [`proof::ProofSink`] with
 //!   [`Solver::set_proof_sink`] and every learnt clause is streamed out for
-//!   independent checking (the `hh-proof` crate provides the binary writer
-//!   and a RUP checker).
+//!   independent checking; [`proof::DratLog`] keeps it in binary DRAT (the
+//!   `hh-proof` crate provides the reader and a RUP checker).
 //! * Budgeted solving: [`Solver::solve_limited`] stops after a conflict
 //!   budget with [`LimitedResult::Unknown`] and resumes losslessly.
-//! * A DIMACS writer in [`dimacs`]: [`dimacs::from_solver`] captures the
-//!   formula a proof refutes, which certificates hash.
+//! * [`dimacs::from_solver`] captures the formula a proof refutes, and
+//!   [`dimacs::fingerprint`] hashes it in place for certificates.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -56,6 +56,6 @@ pub mod dimacs;
 pub mod proof;
 
 pub use lit::{Lit, Var};
-pub use proof::{CountingSink, ProofSink};
+pub use proof::{CountingSink, DratLog, ProofSink};
 pub use solver::{Config, LimitedResult, SolveResult, Solver, SolverStats};
 pub use trim::trim_core;

@@ -574,7 +574,7 @@ impl Solver {
             match self.search(ceiling, assumptions) {
                 SearchOutcome::Done(result) => {
                     self.cancel_until(0);
-                    if result == SolveResult::Unsat && self.ok && self.proof.is_some() {
+                    if result == SolveResult::Unsat && self.ok {
                         // Assumption-based UNSAT: the standard DRAT wrapper
                         // trick. The final-core literals are logged as unit
                         // additions followed by the empty clause; a checker
@@ -582,11 +582,9 @@ impl Solver {
                         // (see `hh-proof`) then verifies the whole stream by
                         // plain RUP. The formula itself is not refuted, so
                         // `proof_done` stays clear.
-                        let core = self.core.clone();
-                        for &a in &core {
-                            self.proof_add(&[a]);
+                        if let Some(sink) = &mut self.proof {
+                            sink.add_core(&self.core);
                         }
-                        self.proof_add(&[]);
                     }
                     return Some(result);
                 }

@@ -355,8 +355,9 @@ fn rocket_learn_fields() -> Vec<(&'static str, Json)> {
 }
 
 /// Kill-and-restart from a checkpoint reproduces the answer with zero
-/// solving, and the certificate bundle re-emitted from restored state
-/// passes the independent `hh-proof` checker.
+/// solving, and the certificate bundles of the cold learn, of a warm
+/// repeat and of the restored answer all pass the independent `hh-proof`
+/// checker.
 #[test]
 fn restart_from_checkpoint_reproduces_answers() {
     let dir = temp_dir("restart");
@@ -377,6 +378,14 @@ fn restart_from_checkpoint_reproduces_answers() {
     let cert_path = PathBuf::from(cold.get("certificate").unwrap().as_str().unwrap());
     let report = hh_proof::cert::check_bundle(&cert_path).expect("bundle checks");
     assert!(report.obligations > 0);
+    // The same learn again, answered from the closed table: nothing is
+    // learned, so every obligation is proved at emission.
+    let warm = c.request("learn", rocket_learn_fields()).unwrap();
+    assert_eq!(warm.get("warm_hit").unwrap(), &Json::Bool(true));
+    assert_eq!(i64_field(&warm, "smt_queries"), 0);
+    let warm_path = PathBuf::from(warm.get("certificate").unwrap().as_str().unwrap());
+    let warm_report = hh_proof::cert::check_bundle(&warm_path).expect("warm bundle checks");
+    assert_eq!(warm_report.predicates, report.predicates);
     daemon.stop(); // checkpoints on the way down
 
     // A fresh process (modelled by a fresh server) restores the state dir.

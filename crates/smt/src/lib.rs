@@ -58,4 +58,4 @@ pub use query::{
     abduct, monolithic_induction_check, AbductionConfig, AbductionResult, InductionCex,
     MonolithicOutcome, MonolithicSession, QueryTelemetry,
 };
-pub use session::AbductionSession;
+pub use session::{AbductionSession, LoggedSolution, SessionCnf, SessionLog};

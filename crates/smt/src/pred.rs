@@ -360,8 +360,27 @@ impl Predicate {
     /// `impl` body is itself an `impl` (nothing builds one, and parsing a
     /// hostile chain of them would recurse once per link).
     pub fn from_wire(text: &str, netlist: &Netlist) -> Result<Predicate, String> {
+        Predicate::parse_whole(text, netlist, true)
+    }
+
+    /// [`Predicate::from_wire`] for a predicate only ever *encoded*, never
+    /// evaluated: an `inset` pattern value may have bits at or above the
+    /// state's width. The miner offers such candidates (a set of 32-bit
+    /// instruction patterns over a narrower register) and the encoder reads
+    /// their patterns over the state's bits only, so a certificate's
+    /// candidate table must be able to name them. Everything else is held
+    /// to the `from_wire` grammar.
+    ///
+    /// # Errors
+    ///
+    /// As [`Predicate::from_wire`], less the `inset` width rule.
+    pub fn candidate_from_wire(text: &str, netlist: &Netlist) -> Result<Predicate, String> {
+        Predicate::parse_whole(text, netlist, false)
+    }
+
+    fn parse_whole(text: &str, netlist: &Netlist, strict: bool) -> Result<Predicate, String> {
         let mut toks = text.split_whitespace();
-        let pred = Predicate::parse_wire(&mut toks, netlist, false)?;
+        let pred = Predicate::parse_wire(&mut toks, netlist, false, strict)?;
         match toks.next() {
             None => Ok(pred),
             Some(t) => Err(format!("trailing token {t:?} after predicate")),
@@ -372,6 +391,7 @@ impl Predicate {
         toks: &mut impl Iterator<Item = &'t str>,
         netlist: &Netlist,
         in_impl: bool,
+        strict: bool,
     ) -> Result<Predicate, String> {
         let mut next = |what: &str| {
             toks.next()
@@ -457,7 +477,7 @@ impl Predicate {
                     // instruction mask on a narrower field reads them as
                     // 0), but a value bit there would match nothing to
                     // `eval` while the encoder drops it.
-                    if width < 64 && value >> width != 0 {
+                    if strict && width < 64 && value >> width != 0 {
                         return Err(format!("pattern value {value:#x} exceeds width {width}"));
                     }
                     patterns.push(Pattern { mask, value });
@@ -472,7 +492,7 @@ impl Predicate {
             "impl" if in_impl => Err("an impl body cannot itself be an impl".into()),
             "impl" => {
                 let (guard_left, guard_right) = pair(next("guard left")?, next("guard right")?)?;
-                let body = Predicate::parse_wire(toks, netlist, true)?;
+                let body = Predicate::parse_wire(toks, netlist, true, strict)?;
                 Ok(Predicate::Impl {
                     guard_left,
                     guard_right,

@@ -67,6 +67,9 @@ pub struct AbductionResult {
     /// Indices into the candidate slice forming the abduct, or `None` if no
     /// conjunction of candidates can make the target relatively inductive.
     pub abduct: Option<Vec<usize>>,
+    /// The refutation behind `abduct`, when the session logs proofs
+    /// ([`AbductionSession::log_proofs`]) and the answer is UNSAT.
+    pub log: Option<crate::session::SessionLog>,
     /// Query telemetry.
     pub telemetry: QueryTelemetry,
 }

@@ -10,6 +10,22 @@
 //! query whose base encoding replays from the cache, so an answer is a
 //! function of (target, candidates) alone.
 //!
+//! ## Proof logging
+//!
+//! A session with [`AbductionSession::log_proofs`] on attaches a
+//! [`hh_sat::DratLog`] after building its CNF and hands back, with an UNSAT
+//! answer, a [`SessionLog`]: the CNF's shape and the binary DRAT of every
+//! solve of the query — the learnt clauses of all of them, and the wrapper
+//! (core units, empty clause) of the last solve only, since an earlier
+//! solve's wrapper is RUP only under that solve's larger assumption set.
+//! The last wrapper's units are exactly the abduct's indicators, so the log
+//! refutes "session CNF ∧ abduct indicators". Each candidate clause
+//! `¬a ∨ c` is satisfied by `a = false` and Tseitin variables are
+//! definitional, so that is "⋀abduct ∧ target ∧ ¬target′ is UNSAT": the
+//! certificate obligation, proved by the learn itself. A checker
+//! re-derives the CNF through [`AbductionSession::encode`], the function
+//! `solve` builds it with.
+//!
 //! ## Trimming
 //!
 //! An UNSAT answer's core is shrunk by [`hh_sat::trim_core`]: re-solve with
@@ -26,7 +42,8 @@ use crate::cnf::{map_bytes, set_bytes, vec_bytes};
 use crate::pred::Predicate;
 use crate::query::{AbductionConfig, AbductionResult, QueryTelemetry};
 use hh_netlist::Netlist;
-use hh_sat::{Lit, SolveResult};
+use hh_sat::dimacs::CnfShape;
+use hh_sat::{DratLog, Lit, SolveResult};
 use hh_trace::Counters;
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
@@ -64,6 +81,50 @@ pub struct AbductionSession<'a> {
     /// Whether the base encoding is replayed from / recorded into the
     /// cache, keyed by the target.
     use_entries: bool,
+    /// Whether each solve logs its proof ([`AbductionResult::log`]).
+    log_proofs: bool,
+}
+
+/// The proof an abduction query logged: the refutation of its session CNF
+/// ([`AbductionSession::encode`]) under the indicators of its abduct.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionLog {
+    /// Size and fingerprint of the session CNF, taken after it was built and
+    /// before the first solve.
+    pub shape: CnfShape,
+    /// Binary DRAT ([`hh_sat::DratLog`]): the learnt clauses of every solve
+    /// of the query, then the last solve's wrapper — a unit per abduct
+    /// indicator and the empty clause.
+    pub drat: Vec<u8>,
+}
+
+/// A committed abduction answer with the proof its query logged: what a
+/// certificate obligation is made from. Predicates are shared handles, as
+/// the engine holds them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoggedSolution {
+    /// The target predicate.
+    pub target: Arc<Predicate>,
+    /// The candidates the query registered, in order.
+    pub candidates: Vec<Arc<Predicate>>,
+    /// The abduct: the candidates whose indicators the log assumes.
+    pub abduct: Vec<Arc<Predicate>>,
+    /// The query's proof.
+    pub log: SessionLog,
+}
+
+/// A session's CNF: the base `target ∧ ¬target′`, then each distinct
+/// candidate behind a fresh indicator literal (`indicator → candidate holds
+/// now`), in first-occurrence order.
+#[derive(Debug)]
+pub struct SessionCnf<'a, 'c> {
+    /// The encoding, its solver holding the CNF.
+    pub enc: TransitionEncoding<'a>,
+    /// The indicator of each distinct candidate, in registration order.
+    pub indicators: Vec<Lit>,
+    seen: HashSet<&'c Predicate>,
+    /// Candidate index of each indicator.
+    index_of: HashMap<Lit, usize>,
 }
 
 impl<'a> AbductionSession<'a> {
@@ -100,6 +161,43 @@ impl<'a> AbductionSession<'a> {
             config,
             cache,
             use_entries,
+            log_proofs: false,
+        }
+    }
+
+    /// Turns proof logging on or off: with it on, an UNSAT answer carries
+    /// its [`SessionLog`]. The answer and its work are the same either way.
+    pub fn log_proofs(mut self, on: bool) -> AbductionSession<'a> {
+        self.log_proofs = on;
+        self
+    }
+
+    /// Builds this session's CNF over `candidates` ([`SessionCnf`]): the one
+    /// construction both [`AbductionSession::solve`] and a certificate
+    /// checker re-deriving a logged query's formula go through. A replayed
+    /// base encoding is the fresh one, so the CNF is a function of the
+    /// netlist, the target and the candidate list alone.
+    pub fn encode<'c, P: Borrow<Predicate>>(&self, candidates: &'c [P]) -> SessionCnf<'a, 'c> {
+        let mut enc = self.base().without_node_memo();
+        let mut seen: HashSet<&Predicate> = HashSet::with_capacity(candidates.len());
+        let mut index_of: HashMap<Lit, usize> = HashMap::with_capacity(candidates.len());
+        let mut indicators: Vec<Lit> = Vec::with_capacity(candidates.len());
+        for (i, cand) in candidates.iter().enumerate() {
+            let cand = cand.borrow();
+            if !seen.insert(cand) {
+                continue;
+            }
+            let cl = cand.encode_current(&mut enc);
+            let a = enc.cnf_mut().fresh();
+            enc.cnf_mut().clause(&[!a, cl]);
+            index_of.insert(a, i);
+            indicators.push(a);
+        }
+        SessionCnf {
+            enc,
+            indicators,
+            seen,
+            index_of,
         }
     }
 
@@ -112,30 +210,26 @@ impl<'a> AbductionSession<'a> {
     /// vectors and tables (so the figure repeats exactly run to run, unlike
     /// an RSS reading): the solver and encoder state plus the candidate
     /// registry. Candidate predicates themselves are not counted (the
-    /// caller owns them).
+    /// caller owns them), nor is a proof log.
     pub fn solve<P: Borrow<Predicate>>(&mut self, candidates: &[P]) -> AbductionResult {
         let t_encode = Instant::now();
         let _encode_span = hh_trace::span!("smt", "smt.session.solve");
-        let mut enc = self.base().without_node_memo();
-
-        // Each distinct candidate behind a fresh indicator literal
-        // (`indicator -> candidate holds now`), in first-occurrence order.
-        let mut seen: HashSet<&Predicate> = HashSet::with_capacity(candidates.len());
-        let mut index_of: HashMap<Lit, usize> = HashMap::with_capacity(candidates.len());
-        let mut assumptions: Vec<Lit> = Vec::with_capacity(candidates.len());
-        for (i, cand) in candidates.iter().enumerate() {
-            let cand = cand.borrow();
-            if !seen.insert(cand) {
-                continue;
-            }
-            let cl = cand.encode_current(&mut enc);
-            let a = enc.cnf_mut().fresh();
-            enc.cnf_mut().clause(&[!a, cl]);
-            index_of.insert(a, i);
-            assumptions.push(a);
-        }
+        let SessionCnf {
+            mut enc,
+            indicators: assumptions,
+            seen,
+            index_of,
+        } = self.encode(candidates);
         let encode_time = t_encode.elapsed();
         let (vars, clauses) = enc.size();
+
+        let logging = self.log_proofs.then(|| {
+            let solver = enc.cnf_mut().solver_mut();
+            let shape = hh_sat::dimacs::fingerprint(solver);
+            let log = DratLog::new();
+            solver.set_proof_sink(Box::new(log.handle()));
+            (shape, log)
+        });
 
         let t_solve = Instant::now();
         let solve_span = hh_trace::span!("smt", "smt.solve");
@@ -162,10 +256,19 @@ impl<'a> AbductionSession<'a> {
         };
         let solve_time = t_solve.elapsed();
         drop(solve_span);
+        let log = logging.and_then(|(shape, log)| {
+            enc.cnf_mut().solver_mut().take_proof_sink();
+            let mut drat = log.take();
+            // The log outlives the query (an engine keeps it with the memo
+            // entry): keep its bytes, not its growth slack.
+            drat.shrink_to_fit();
+            abduct.is_some().then_some(SessionLog { shape, drat })
+        });
         let after = enc.cnf().solver().stats();
         let solves = after.solves - before.solves;
         AbductionResult {
             abduct,
+            log,
             telemetry: QueryTelemetry {
                 vars,
                 clauses,

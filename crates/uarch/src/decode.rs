@@ -64,9 +64,9 @@ pub fn matches_pattern(n: &mut Netlist, word: NodeId, p: MaskMatch) -> NodeId {
 /// mask/match `patterns` (VeloCT's alphabet Σ).
 ///
 /// This is the *single* construction both the learner (`veloct`) and the
-/// certificate checker (`hh-proof`) use; a certificate's obligation CNFs are
-/// only reproducible because both sides build the identical miter from the
-/// identical pattern list.
+/// certificate checker (`hh-proof`) use; the session CNFs a certificate's
+/// proofs refute are only reproducible because both sides build the
+/// identical miter from the identical pattern list.
 pub fn constrained_miter(design: &crate::Design, patterns: &[MaskMatch]) -> Miter {
     let mut miter = Miter::build(&design.netlist);
     let instr = miter

@@ -40,12 +40,12 @@ use examples::{differential_tests, Divergence};
 use hh_isa::{safe_set_patterns, InstrClass, Instruction, Mnemonic, ALL_MNEMONICS};
 use hh_netlist::miter::Miter;
 use hh_smt::EncodeCache;
-use hh_smt::{Pattern, Predicate};
+use hh_smt::{LoggedSolution, Pattern, Predicate};
 use hh_uarch::Design;
 use hhoudini::baselines::{houdini, sorcar, BaselineBudget, BaselineOutcome, BaselineStats};
 use hhoudini::mine::{CoiMiner, ExampleFacts};
 use hhoudini::{EngineConfig, Invariant, ParallelEngine, PredicateStore, Stats};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// [`VeloctConfig::pairs_per_instr`] by default: also the default of a
@@ -81,13 +81,13 @@ pub struct VeloctConfig {
     /// their entries are valid.
     pub impl_predicates: bool,
     /// Marks a run whose memoised solutions the caller will hand to
-    /// [`Veloct::emit_certificate`]. The learn itself is the same engine
-    /// run with the flag on or off — same queries, same solver work, same
-    /// invariant — so nothing in [`Veloct::learn`] reads it: emission
-    /// re-proves every obligation from the solution table. Proofs logged
-    /// during the learn could not stand in for that, because a session's CNF
-    /// (indicator-guarded candidates) is not the obligation CNF the checker
-    /// re-derives.
+    /// [`Veloct::emit_certificate`]. An engine learn then logs every
+    /// abduction query's proof, and the `Veloct` keeps the logs of its
+    /// latest learn, keyed by safe set and target: emission writes them as
+    /// the certificate's obligations and solves only for memo entries the
+    /// learn did not prove itself (seeded or closed-table answers). The
+    /// learn is the same engine run with the flag on or off — same queries,
+    /// same solver work, same invariant.
     pub certify: bool,
 }
 
@@ -236,6 +236,9 @@ pub fn default_candidates() -> Vec<Mnemonic> {
 pub struct Veloct<'a> {
     design: &'a Design,
     config: VeloctConfig,
+    /// With [`VeloctConfig::certify`]: the safe set of the latest engine
+    /// learn and the proofs its queries logged, sorted by target.
+    logs: Mutex<Option<(Vec<Mnemonic>, Vec<LoggedSolution>)>>,
 }
 
 impl<'a> Veloct<'a> {
@@ -246,7 +249,11 @@ impl<'a> Veloct<'a> {
 
     /// Creates the analysis with explicit configuration.
     pub fn with_config(design: &'a Design, config: VeloctConfig) -> Veloct<'a> {
-        Veloct { design, config }
+        Veloct {
+            design,
+            config,
+            logs: Mutex::new(None),
+        }
     }
 
     /// The design under analysis.
@@ -258,8 +265,8 @@ impl<'a> Veloct<'a> {
     ///
     /// Delegates to [`hh_uarch::decode::constrained_miter`] — the single
     /// construction shared with `hh-proof`'s certificate verifier and with
-    /// `hh-serve`'s resident warm state, so that an emitted obligation CNF,
-    /// its independent re-derivation, and a daemon's resident product
+    /// `hh-serve`'s resident warm state, so that a logged query's session
+    /// CNF, its independent re-derivation, and a daemon's resident product
     /// netlist are all byte-identical. The build is deterministic: two
     /// calls with equal designs and safe sets produce netlists with
     /// identical state numbering, which is what lets warm-state predicates
@@ -404,9 +411,17 @@ impl<'a> Veloct<'a> {
         if let Some(cache) = warm.encode_cache {
             engine.set_encode_cache(cache);
         }
+        if self.config.certify {
+            engine.log_proofs();
+        }
         let memo_seeded = engine.seed_solutions(&warm.seeds);
         let props = self.property(&miter);
         let invariant = engine.learn(&props);
+        if self.config.certify {
+            let logged = engine.take_logged_solutions();
+            *self.logs.lock().expect("no holder of the logs panics") =
+                Some((safe.to_vec(), logged));
+        }
         let mut stats = engine.stats().clone();
         stats.counters.merge(&counts);
         LearnReport {
@@ -423,11 +438,19 @@ impl<'a> Veloct<'a> {
         }
     }
 
-    /// Replays a learning run's memoised solutions into an `hh-proof`
+    /// Writes a learning run's memoised solutions as an `hh-proof`
     /// certificate bundle at `dir`: one DRAT-certified relative-induction
     /// obligation per invariant predicate, re-derivable and checkable by
-    /// the standalone `certify` binary with no trust in this process. The
-    /// obligations are proved on [`VeloctConfig::threads`] workers; the
+    /// the standalone `certify` binary with no trust in this process.
+    ///
+    /// An obligation is the abduction query that proved its target. With
+    /// [`VeloctConfig::certify`], the latest learn of `safe` on this
+    /// `Veloct` logged those queries' proofs, and an entry whose abduct is
+    /// the solution's premises is written as logged; every other entry (a
+    /// seeded, restored or closed-table answer, a missing memo entry) is
+    /// proved here by the same query over its premises, on
+    /// [`VeloctConfig::threads`] workers. The logs move into the bundle: a
+    /// second emission of the same learn proves every obligation here. The
     /// bundle is byte-identical at every thread count.
     pub fn emit_certificate(
         &self,
@@ -437,11 +460,22 @@ impl<'a> Veloct<'a> {
         dir: &std::path::Path,
     ) -> Result<hh_proof::cert::EmitSummary, hh_proof::cert::CertError> {
         let patterns = instruction_patterns(safe);
+        let logged = {
+            let mut logs = self.logs.lock().expect("no holder of the logs panics");
+            match logs.take() {
+                Some((learned, logged)) if learned == safe => logged,
+                other => {
+                    *logs = other;
+                    Vec::new()
+                }
+            }
+        };
         let cert = hh_proof::cert::build_certificate(
             self.design,
             &pattern_mask_matches(&patterns),
             invariant.preds(),
             solutions,
+            logged,
             self.config.threads,
         )?;
         hh_proof::cert::write_bundle(&cert, dir)

@@ -3,13 +3,14 @@
 //! independent `hh-proof` checker.
 
 use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
-use hh_proof::cert::{self, CertError, Certificate, Obligation};
-use hh_proof::{CheckError, MemoryProof};
-use hh_sat::dimacs;
-use hh_smt::{Predicate, TransitionEncoding};
+use hh_proof::cert::{self, CertError};
+use hh_proof::CheckError;
 use hh_uarch::boomlite::{boom_lite, BoomVariant};
 use hh_uarch::rocketlite::rocket_lite;
+use hhoudini::mine::CoiMiner;
+use hhoudini::{EngineConfig, ParallelEngine};
 use std::path::Path;
+use veloct::examples::generate_examples_custom;
 use veloct::{Veloct, VeloctConfig};
 
 fn alu_safe_set() -> Vec<Mnemonic> {
@@ -194,6 +195,34 @@ fn emitted_bundle_checks_and_tampering_is_rejected() {
     ));
     std::fs::write(&manifest, &text).unwrap();
 
+    // Drop one candidate from an obligation's list and patch its count: the
+    // re-derived session CNF is another formula.
+    let (line_no, line) = (text.lines().enumerate())
+        .find(|(_, l)| l.starts_with("obligation ") && !l.contains(" candidates 0 "))
+        .expect("an obligation with candidates");
+    let toks: Vec<&str> = line.split_whitespace().collect();
+    let count: usize = toks[3].parse().unwrap();
+    let mut dropped: Vec<String> = toks.iter().map(|t| t.to_string()).collect();
+    dropped[3] = (count - 1).to_string();
+    dropped.remove(3 + count);
+    let dropped = (text.lines().enumerate())
+        .map(|(i, l)| {
+            if i == line_no {
+                dropped.join(" ")
+            } else {
+                l.to_string()
+            }
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    std::fs::write(&manifest, dropped + "\n").unwrap();
+    match hh_proof::cert::check_bundle(&dir) {
+        Err(CertError::CnfMismatch { .. } | CertError::Structure(_)) => {}
+        other => panic!("a dropped candidate must be rejected, got {other:?}"),
+    }
+    std::fs::write(&manifest, &text).unwrap();
+    hh_proof::cert::check_bundle(&dir).expect("restored bundle checks again");
+
     // Tamper with the predicate list: drop one predicate line and patch the
     // count. The coverage / property checks must catch it.
     let n = inv.len();
@@ -234,58 +263,11 @@ fn assert_same_bundle(a: &Path, b: &Path) {
     }
 }
 
-/// The emitter as it was before obligations shared a context and a queue:
-/// one `TransitionEncoding::new` (its own simplification map) and one
-/// solve per obligation, in order, on this thread, the CNF hashed through
-/// its DIMACS text. Predicates and premise lists are taken from `emitted`;
-/// everything derived from them is recomputed.
-fn reference_bundle(design: &hh_uarch::Design, emitted: &Certificate) -> Certificate {
-    let miter = hh_uarch::decode::constrained_miter(design, &emitted.patterns);
-    let netlist = miter.netlist();
-    let preds: Vec<Predicate> = emitted
-        .predicates
-        .iter()
-        .map(|wire| Predicate::from_wire(wire, netlist).unwrap())
-        .collect();
-    let obligations = emitted
-        .obligations
-        .iter()
-        .map(|ob| {
-            let target = &preds[ob.target];
-            let mut enc = TransitionEncoding::new(netlist);
-            let now = target.encode_current(&mut enc);
-            enc.assert_lit(now);
-            for &j in &ob.premises {
-                let l = preds[j].encode_current(&mut enc);
-                enc.assert_lit(l);
-            }
-            let next = target.encode_next(&mut enc);
-            enc.assert_lit(!next);
-            let solver = enc.cnf_mut().solver_mut();
-            let cnf = dimacs::from_solver(solver);
-            let proof = MemoryProof::new();
-            solver.set_proof_sink(Box::new(proof.handle()));
-            assert_eq!(solver.solve(), hh_sat::SolveResult::Unsat);
-            Obligation {
-                target: ob.target,
-                premises: ob.premises.clone(),
-                num_vars: cnf.num_vars,
-                num_clauses: cnf.clauses.len(),
-                cnf_hash: cert::fnv1a(dimacs::to_dimacs(&cnf).as_bytes()),
-                proof: proof.take_lines(),
-            }
-        })
-        .collect();
-    Certificate {
-        obligations,
-        ..emitted.clone()
-    }
-}
-
-/// One SmallBoomLite learn (58 obligations, enough for workers to
-/// interleave), emitted at 1, 2 and 4 threads: the bundle is the same bytes
-/// every time, and the same bytes as the one-shot sequential reference —
-/// shapes, streamed hashes and proofs included. With two proof blobs
+/// SmallBoomLite (59 obligations, enough for workers to interleave),
+/// learned and emitted at 1, 2 and 4 threads: the bundle is the same bytes
+/// every time, and every obligation is the learn's own logged query. A
+/// `Veloct` that did not learn proves every obligation at emit time over
+/// its premises: another bundle, which checks too. With two proof blobs
 /// corrupted the checker names the lower one, every time (the interleaving
 /// that could get this wrong is forced in `hh-proof`'s own queue test).
 #[test]
@@ -309,24 +291,26 @@ fn bundle_bytes_and_reported_failure_do_not_depend_on_threads() {
             },
         )
     };
-    let report = veloct(2).learn(&safe);
-    let inv = report
-        .invariant
-        .expect("the set is provable on SmallBoomLite");
-    assert!(
-        inv.len() > 41,
-        "need obligations 3 and 41, have {}",
-        inv.len()
-    );
-
+    let mut learned = None;
     let dirs: Vec<_> = [1usize, 2, 4]
         .iter()
         .map(|&threads| {
+            let v = veloct(threads);
+            let report = v.learn(&safe);
+            let inv = report
+                .invariant
+                .expect("the set is provable on SmallBoomLite");
+            assert!(
+                inv.len() > 41,
+                "need obligations 3 and 41, have {}",
+                inv.len()
+            );
             let dir = temp_dir(&format!("threads{threads}"));
-            let summary = veloct(threads)
+            let summary = v
                 .emit_certificate(&safe, &inv, &report.solutions, &dir)
                 .expect("certificate emission succeeds");
             assert_eq!(summary.obligations, inv.len());
+            learned = Some((inv, report.solutions));
             dir
         })
         .collect();
@@ -334,26 +318,46 @@ fn bundle_bytes_and_reported_failure_do_not_depend_on_threads() {
     assert_same_bundle(&dirs[0], &dirs[2]);
 
     let emitted = cert::read_bundle(&dirs[2]).unwrap();
-    let reference = reference_bundle(&design, &emitted);
-    for (ob, reference) in emitted.obligations.iter().zip(&reference.obligations) {
-        assert_eq!(
-            ob.cnf_hash, reference.cnf_hash,
-            "obligation {}: streamed fingerprint vs hash of the DIMACS text",
-            ob.target
-        );
-    }
-    let reference_dir = temp_dir("reference");
-    cert::write_bundle(&reference, &reference_dir).unwrap();
-    assert_same_bundle(&dirs[2], &reference_dir);
-
+    assert!(
+        (emitted.obligations.iter()).any(|ob| ob.candidates != ob.premises),
+        "obligations are the learn's queries"
+    );
+    assert!(
+        !emitted.candidates.is_empty(),
+        "queries register non-invariant candidates"
+    );
     let checked = cert::check_bundle(&dirs[2]).expect("genuine bundle must check");
-    assert_eq!(checked.obligations, inv.len());
-    let lemmas: usize = emitted.obligations.iter().map(|ob| ob.proof.len()).sum();
-    assert_eq!(checked.stats.lines, lemmas, "every proof line is consumed");
+    assert_eq!(checked.obligations, emitted.obligations.len());
+    let lines: usize = (emitted.obligations.iter())
+        .map(|ob| ob.proof.iter().filter(|&&b| b == 0).count())
+        .sum();
+    assert_eq!(checked.stats.lines, lines, "every proof line is consumed");
+
+    // No logs: every obligation is proved at emit time, with its premises
+    // as the candidates.
+    let (inv, solutions) = learned.unwrap();
+    let fresh_dir = temp_dir("fresh");
+    Veloct::with_config(
+        &design,
+        VeloctConfig {
+            threads: 2,
+            ..VeloctConfig::default()
+        },
+    )
+    .emit_certificate(&safe, &inv, &solutions, &fresh_dir)
+    .expect("emission without logs succeeds");
+    let fresh = cert::read_bundle(&fresh_dir).unwrap();
+    assert!(fresh.candidates.is_empty());
+    assert!(fresh
+        .obligations
+        .iter()
+        .all(|ob| ob.candidates == ob.premises));
+    cert::check_bundle(&fresh_dir).expect("an emit-time bundle checks");
 
     // Both proofs replaced by the bare claim "the empty clause follows":
-    // neither formula refutes itself by propagation, so both are rejected
-    // by the checker (not the parser), on whichever worker gets to them.
+    // neither formula refutes itself by propagation under its premises, so
+    // both are rejected by the checker (not the parser), on whichever
+    // worker gets to them.
     for k in [3, 41] {
         std::fs::write(dirs[2].join(format!("obligation-{k:03}.drat")), [b'a', 0]).unwrap();
     }
@@ -369,7 +373,7 @@ fn bundle_bytes_and_reported_failure_do_not_depend_on_threads() {
 
     // ... and 41 really was a second failure waiting behind it.
     std::fs::copy(
-        reference_dir.join("obligation-003.drat"),
+        dirs[0].join("obligation-003.drat"),
         dirs[2].join("obligation-003.drat"),
     )
     .unwrap();
@@ -378,7 +382,66 @@ fn bundle_bytes_and_reported_failure_do_not_depend_on_threads() {
         Err(CertError::ProofRejected { obligation: 41, .. })
     ));
 
-    for dir in dirs.iter().chain([&reference_dir]) {
+    for dir in dirs.iter().chain([&fresh_dir]) {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// A learn on rd = x3 examples backtracks: a swept target is asked again in
+/// a fresh session whose base encoding replays from the encode cache, and
+/// the table keeps the retry's answer. Every committed query's log — the
+/// retries' included — checks against the session CNF the checker blasts
+/// fresh.
+#[test]
+fn a_backtracking_learns_logs_make_a_bundle_that_checks() {
+    // RocketLite learns its ALU set on rd = x3 examples without a retry;
+    // SmallBoomLite's needs fifteen.
+    let design = boom_lite(BoomVariant::Small, 16);
+    let safe: Vec<Mnemonic> = ALL_MNEMONICS
+        .iter()
+        .copied()
+        .filter(|&m| m.class() == InstrClass::Alu && m != Mnemonic::Auipc)
+        .collect();
+    let v = Veloct::with_config(&design, VeloctConfig::default());
+    let (miter, patterns) = v.build_miter(&safe);
+    let examples = generate_examples_custom(&design, &miter, &safe, 1, 42, true, &[3]).unwrap();
+    let miner = CoiMiner::new(&miter, &examples, Some(patterns.clone()), vec![]);
+    let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 2);
+    engine.log_proofs();
+    let inv = engine
+        .learn(&v.property(&miter))
+        .expect("the ALU set proves");
+    let counters = engine.stats().counters;
+    assert!(counters.backtracks > 0, "rd = x3 backtracks");
+    assert!(
+        counters.encode_cache_hits > 0,
+        "retries replay their encoding"
+    );
+    let logged = engine.take_logged_solutions();
+    assert_eq!(logged.len(), engine.solutions().len());
+    assert!(
+        engine.take_logged_solutions().is_empty(),
+        "the proofs were taken"
+    );
+
+    let mask_matches: Vec<hh_isa::MaskMatch> = (patterns.iter())
+        .map(|p| hh_isa::MaskMatch {
+            mask: p.mask as u32,
+            matches: p.value as u32,
+        })
+        .collect();
+    let certificate = cert::build_certificate(
+        &design,
+        &mask_matches,
+        inv.preds(),
+        &engine.solutions(),
+        logged,
+        2,
+    )
+    .expect("certificate emission succeeds");
+    let dir = temp_dir("backtrack");
+    cert::write_bundle(&certificate, &dir).unwrap();
+    let report = cert::check_bundle(&dir).expect("the learn's logs check");
+    assert_eq!(report.predicates, inv.len());
+    let _ = std::fs::remove_dir_all(&dir);
 }
