@@ -8,8 +8,9 @@
 //! 2. keeps only variables whose left/right copies are **equal in every
 //!    positive example** (`V_Eq`, line 2 of Algorithm 2 — the premise P-S),
 //! 3. emits `Eq(v)` for each, `EqConst(v, c)` when the value is constant
-//!    across examples, and `InSafeSet(v)` when every example value matches
-//!    the safe-set encodings,
+//!    across examples, and `InSafeSet(v)` when `v` can hold an instruction
+//!    (every safe-set pattern fits its width, [`Pattern::fits`]) and every
+//!    example value matches the safe-set encodings,
 //! 4. adds expert annotation predicates, **also validated against the
 //!    examples** so that wrong annotations cannot break soundness (§5.1.2).
 //!
@@ -119,8 +120,9 @@ impl ExampleFacts {
     /// state ids, typically the design's masking annotations) lets the miner
     /// emit `Impl(valid → InSafeUop(field))` — the Impl-type future-work
     /// extension of the paper's §5.2.1, with which stale-uop residue needs
-    /// no example masking — when there are safe-set patterns and the field
-    /// is 32 bits (uop-shaped) wide.
+    /// no example masking — when there are safe-set patterns and every one
+    /// fits the field's width (the field can hold an instruction): the rule
+    /// by which [`CoiMiner`] offers `InSafeSet`.
     pub fn new(
         miter: &Miter,
         safe_patterns: Option<Vec<Pattern>>,
@@ -134,7 +136,7 @@ impl ExampleFacts {
         if let Some(ps) = &safe_patterns {
             for &(valid, field) in guards {
                 let (l, r) = miter.pair(field);
-                if product.state_width(l) == 32 {
+                if ps.iter().all(|p| p.fits(product.state_width(l))) {
                     let body = Predicate::in_set(l, r, ps.clone(), SetLabel::InSafeUop);
                     let (gl, gr) = miter.pair(valid);
                     checks.push(Predicate::implication(gl, gr, body));
@@ -307,13 +309,16 @@ impl CoiMiner {
         ))
     }
 
-    /// `InSafeSet(v)` when every example value of `base` is in the safe set.
+    /// `InSafeSet(v)` when `base` can hold every safe-set pattern and every
+    /// example value of it is in the safe set. On a narrower state a pattern
+    /// with a value bit above its width would mean one thing to `eval` and
+    /// another to the encoder, so no predicate is offered there.
     fn in_safe_set(&self, base: usize) -> Option<Predicate> {
         let frame = &*self.facts.frame;
         let ps = frame.safe_patterns.as_ref()?;
         let (l, r) = frame.pairs[base];
-        self.facts.vars[base]
-            .in_set_ok
+        let width = frame.widths[l.index()];
+        (self.facts.vars[base].in_set_ok && ps.iter().all(|p| p.fits(width)))
             .then(|| Predicate::in_set(l, r, ps.clone(), SetLabel::InSafeSet))
     }
 
@@ -497,6 +502,60 @@ mod tests {
         let preds = store.resolve(&mined);
         assert!(!preds.contains(&bad));
         assert!(preds.contains(&good));
+    }
+
+    /// `InSafeSet` and the Impl guard follow one rule: a state gets either
+    /// only if every safe-set pattern fits its width, whatever its examples.
+    #[test]
+    fn in_safe_set_only_where_every_pattern_fits() {
+        let mut n = Netlist::new("t");
+        let v = n.state("v", 1, Bv::zero(1));
+        let h = n.state("h", 16, Bv::zero(16));
+        let w = n.state("w", 32, Bv::zero(32));
+        for s in [v, h, w] {
+            n.keep_state(s);
+        }
+        let m = Miter::build(&n);
+        let mut ex = StateValues::initial(m.netlist());
+        for (s, width) in [(v, 1), (h, 16), (w, 32)] {
+            ex.set(m.left(s), Bv::new(width, 1));
+            ex.set(m.right(s), Bv::new(width, 1));
+        }
+        let low = Pattern {
+            mask: 0xff,
+            value: 1,
+        };
+        let wide = Pattern::exact(32, 0x4000_0033);
+        let guards = [(v, h), (v, w)];
+        for (patterns, offered) in [(vec![low, wide], vec![w]), (vec![low], vec![v, h, w])] {
+            let mut facts = ExampleFacts::new(&m, Some(patterns), vec![], &guards);
+            facts.fold_state(&ex);
+            // Every example value matches: the facts say so on every state.
+            assert!(facts.vars.iter().all(|f| f.in_set_ok));
+            let mut miner = CoiMiner::from_facts(&m, facts);
+            let mut store = PredicateStore::new();
+            for s in [v, h, w] {
+                let mined = miner.mine(&Predicate::eq(m.left(s), m.right(s)), &mut store);
+                let in_set = store
+                    .resolve(&mined)
+                    .iter()
+                    .any(|p| matches!(p, Predicate::InSet { .. }));
+                assert_eq!(in_set, offered.contains(&s), "state {s:?}");
+            }
+            let global = miner.mine_global(&mut store);
+            let global = store.resolve(&global);
+            let in_sets = global
+                .iter()
+                .filter(|p| matches!(p, Predicate::InSet { .. }))
+                .count();
+            assert_eq!(in_sets, offered.len());
+            let guarded: Vec<_> = [h, w]
+                .into_iter()
+                .filter(|f| miner.impl_guards.contains_key(f))
+                .collect();
+            let expected: Vec<_> = [h, w].into_iter().filter(|f| offered.contains(f)).collect();
+            assert_eq!(guarded, expected);
+        }
     }
 
     #[test]

@@ -198,8 +198,6 @@ impl Stats {
         self.counters.merge(&Counters {
             encode_cache_hits: c.hits,
             encode_cache_misses: c.misses,
-            encode_vars_saved: c.vars_saved,
-            encode_clauses_saved: c.clauses_saved,
             encode_cache_resident_bytes: cache.resident_bytes(),
             word_const_folds: simp.const_folds,
             word_rewrites: simp.rewrites,

@@ -479,16 +479,16 @@ pub fn build_certificate(
 }
 
 /// Parses a sorted, duplicate-free wire-format predicate list against
-/// `netlist` with `parse`; `what` names the list in errors.
+/// `netlist`; `what` names the list in errors.
 fn parse_sorted(
     wires: &[String],
     netlist: &hh_netlist::Netlist,
-    parse: fn(&str, &hh_netlist::Netlist) -> Result<Predicate, String>,
     what: &str,
 ) -> Result<Vec<Predicate>, CertError> {
     let mut out = Vec::with_capacity(wires.len());
     for (i, wire) in wires.iter().enumerate() {
-        let p = parse(wire, netlist).map_err(|e| CertError::Parse(format!("{what} {i}: {e}")))?;
+        let p = Predicate::from_wire(wire, netlist)
+            .map_err(|e| CertError::Parse(format!("{what} {i}: {e}")))?;
         out.push(p);
     }
     // Canonical order: sorted and duplicate-free. This makes the list
@@ -517,20 +517,12 @@ pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> 
     let miter = constrained_miter(&design, &cert.patterns);
     let netlist = miter.netlist();
 
-    let preds = parse_sorted(&cert.predicates, netlist, Predicate::from_wire, "predicate")?;
+    let preds = parse_sorted(&cert.predicates, netlist, "predicate")?;
     let n = preds.len();
     if n == 0 {
         return Err(CertError::Structure("empty predicate set".into()));
     }
-    // A candidate is never assumed unless it is a premise, and premises are
-    // predicates: its clauses only define a fresh indicator, so it is held
-    // to the encoder's grammar, not the evaluator's.
-    let cands = parse_sorted(
-        &cert.candidates,
-        netlist,
-        Predicate::candidate_from_wire,
-        "candidate",
-    )?;
+    let cands = parse_sorted(&cert.candidates, netlist, "candidate")?;
     if let Some(c) = cands.iter().position(|c| preds.binary_search(c).is_ok()) {
         return Err(CertError::Structure(format!(
             "candidate {c} is also a predicate"
@@ -636,7 +628,7 @@ pub fn verify_certificate(cert: &Certificate) -> Result<CheckReport, CertError> 
 const MANIFEST: &str = "MANIFEST";
 
 /// The first line of a MANIFEST of this format.
-const HEADER: &str = "hh-certificate v2";
+const HEADER: &str = "hh-certificate v3";
 
 fn proof_file_name(i: usize) -> String {
     format!("obligation-{i:03}.drat")
@@ -1087,20 +1079,32 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A v1 bundle has no candidate table; a v2 bundle's candidates may
+    /// hold `inset` values wider than their state. Both are refused by
+    /// their header, before anything else is read.
     #[test]
-    fn a_v1_manifest_is_a_parse_error() {
-        let dir = temp_bundle("v1");
+    fn an_older_manifest_is_a_parse_error() {
+        let dir = temp_bundle("old");
+        let header = |version: u32| format!("hh-certificate v{version}");
         let v1 = format!(
-            "{}1\ndesign rocketlite_x16\npatterns 0\npredicates 1\npred eq l$a r$a\n\
+            "{}\ndesign rocketlite_x16\npatterns 0\npredicates 1\npred eq l$a r$a\n\
              properties 0 \nobligations 1\n\
              obligation 0 0 vars 1 clauses 1 hash 0 proof obligation-000.drat\n",
-            HEADER.trim_end_matches('2')
+            header(1)
         );
-        std::fs::write(dir.join(MANIFEST), v1).unwrap();
+        let v2 = manifest(
+            "obligations 1\n\
+             obligation 0 candidates 0 premises 0 vars 1 clauses 1 hash 0 \
+             proof obligation-000.drat\n",
+        )
+        .replace(HEADER, &header(2));
         std::fs::write(dir.join("obligation-000.drat"), [b'a', 0]).unwrap();
-        match check_bundle(&dir) {
-            Err(CertError::Parse(msg)) => assert!(msg.contains("bad header"), "{msg}"),
-            other => panic!("expected a parse error, got {other:?}"),
+        for old in [v1, v2] {
+            std::fs::write(dir.join(MANIFEST), old).unwrap();
+            match check_bundle(&dir) {
+                Err(CertError::Parse(msg)) => assert!(msg.contains("bad header"), "{msg}"),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

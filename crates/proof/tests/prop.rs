@@ -6,7 +6,7 @@
 //! never as a panic or an allocation the size of a spelled-out number.
 
 use hh_proof::{check_proof, check_proof_with_assumptions, CheckError};
-use hh_sat::{dimacs, trim_core, Config, DratLog, LimitedResult, Lit, SolveResult, Solver, Var};
+use hh_sat::{trim_core, Config, DratLog, LimitedResult, Lit, SolveResult, Solver, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,7 +43,7 @@ fn solve_logged(
     assumptions: &[Lit],
 ) -> (Vec<Vec<Lit>>, SolveResult, Vec<Vec<Lit>>) {
     let mut s = build_solver(num_vars, clauses);
-    let formula = dimacs::from_solver(&s).clauses;
+    let formula = s.formula_clauses();
     let log = DratLog::new();
     s.set_proof_sink(Box::new(log.handle()));
     let res = if assumptions.is_empty() {
@@ -131,7 +131,7 @@ proptest! {
             set.iter().map(|&(v, pos)| vars[v].lit(pos)).collect()
         };
         let mut s = build_solver(7, &clauses);
-        let formula = dimacs::from_solver(&s).clauses;
+        let formula = s.formula_clauses();
         let log = DratLog::new();
         s.set_proof_sink(Box::new(log.handle()));
         for set in &churn {
@@ -181,7 +181,7 @@ proptest! {
             let lits: Vec<Lit> = clause.iter().map(|&(v, pos)| vars[v].lit(pos)).collect();
             s.add_clause(&lits);
         }
-        let formula = dimacs::from_solver(&s).clauses;
+        let formula = s.formula_clauses();
         let log = DratLog::new();
         s.set_proof_sink(Box::new(log.handle()));
         if s.solve_with_assumptions(&assumptions) == SolveResult::Unsat {
@@ -197,7 +197,7 @@ proptest! {
     #[test]
     fn budgeted_solve_proofs_always_check(clauses in arb_cnf(7, 30), slice in 1u64..8) {
         let mut s = build_solver(7, &clauses);
-        let formula = dimacs::from_solver(&s).clauses;
+        let formula = s.formula_clauses();
         let log = DratLog::new();
         s.set_proof_sink(Box::new(log.handle()));
         let mut verdict = None;
@@ -230,7 +230,7 @@ proptest! {
 /// the encoder produced when this was captured, so with an intact frame the
 /// checker gets as far as the proof blobs): the frame the hostile-input
 /// tests below break in every way they can think of.
-const MANIFEST: &str = "hh-certificate v2
+const MANIFEST: &str = "hh-certificate v3
 design rocketlite_x16
 patterns 23
 pattern 7f 17
@@ -369,6 +369,27 @@ fn overflowing_premise_count_is_a_parse_error() {
     write_bundle(&dir, &hostile, &[b'a', 0]);
     match hh_proof::cert::check_bundle(&dir) {
         Err(hh_proof::cert::CertError::Parse(msg)) => assert!(msg.contains("line 39"), "{msg}"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A candidate is read by the predicate grammar: an `inset` value with a
+/// bit above its state's width (what a v2 bundle could hold) is refused.
+#[test]
+fn an_over_wide_candidate_is_a_parse_error() {
+    let dir = bundle_dir("over-wide");
+    let hostile = MANIFEST.replace(
+        "candidates 0\n",
+        "candidates 1\ncand inset l$rf0 r$rf0 insafeset 1 fe00707f:40000033\n",
+    );
+    assert_ne!(hostile, MANIFEST);
+    write_bundle(&dir, &hostile, &[b'a', 0]);
+    match hh_proof::cert::check_bundle(&dir) {
+        Err(hh_proof::cert::CertError::Parse(msg)) => assert!(
+            msg.contains("candidate 0: pattern value 0x40000033 exceeds width 16"),
+            "{msg}"
+        ),
         other => panic!("expected a parse error, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -598,7 +619,7 @@ fn session_logs_check_iff_unsat_under_the_final_core() {
         for c in &clauses {
             s.add_clause(c);
         }
-        let formula = dimacs::from_solver(&s).clauses;
+        let formula = s.formula_clauses();
         let log = DratLog::new();
         s.set_proof_sink(Box::new(log.handle()));
         let assumed: Vec<Lit> = order.iter().map(|&i| a[i]).collect();

@@ -1,21 +1,12 @@
-//! A solver's formula as a CNF, and the fingerprint certificates give it.
+//! The fingerprint certificates give a solver's formula.
 //!
-//! [`from_solver`] captures the formula a proof stream refutes (the clause
-//! list a DIMACS file would hold). [`fingerprint`] walks the same formula
-//! in place and hashes its literal codes ([`CnfShape`]); certificates
+//! [`fingerprint`] walks the formula a proof stream refutes
+//! ([`Solver::visit_formula_clauses`], the clause list a DIMACS file would
+//! hold) in place and hashes its literal codes ([`CnfShape`]); certificates
 //! identify each obligation's formula by it.
 
 use crate::lit::Lit;
 use crate::solver::Solver;
-
-/// A CNF formula: the number of variables and the clause list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cnf {
-    /// Number of variables (DIMACS header value).
-    pub num_vars: usize,
-    /// Clauses over literals `1..=num_vars` encoded as [`Lit`]s.
-    pub clauses: Vec<Vec<Lit>>,
-}
 
 /// 64-bit FNV-1a, the hash certificates fingerprint formulas with.
 #[derive(Debug, Clone, Copy)]
@@ -86,30 +77,13 @@ impl ShapeHasher {
     }
 }
 
-/// The shape of a solver's current formula — the one [`from_solver`] would
-/// capture — hashed in place, with no copy of a clause. Must be called at
-/// decision level 0.
+/// The shape of a solver's current formula — the one
+/// [`Solver::formula_clauses`] would capture — hashed in place, with no
+/// copy of a clause. Must be called at decision level 0.
 pub fn fingerprint(s: &Solver) -> CnfShape {
     let mut h = ShapeHasher::default();
     s.visit_formula_clauses(|c| h.clause(c));
     h.finish(s.num_vars())
-}
-
-/// Captures a solver's current formula as a CNF.
-///
-/// [`Solver::add_clause`] simplifies clauses as they land: unit clauses
-/// vanish into the level-0 trail, falsified literals are stripped, satisfied
-/// clauses are dropped. A naive dump of the clause database would therefore
-/// *not* round-trip — in particular every input unit would be missing. This
-/// dump re-materialises the level-0 units as unit clauses (first, in trail
-/// order) followed by the live non-learnt clauses, which is exactly the
-/// formula a DRAT proof stream from this solver refutes. Must be called at
-/// decision level 0.
-pub fn from_solver(s: &Solver) -> Cnf {
-    Cnf {
-        num_vars: s.num_vars(),
-        clauses: s.formula_clauses(),
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +98,7 @@ mod tests {
         s.add_clause(&[!x[1], x[299]]);
         s.add_clause(&[x[7], !x[8], x[9]]);
         let mut bytes = Vec::new();
-        for c in &from_solver(&s).clauses {
+        for c in &s.formula_clauses() {
             for l in c {
                 bytes.extend((l.code() as u32).to_le_bytes());
             }
@@ -151,7 +125,8 @@ mod tests {
 
     #[test]
     fn solver_dump_preserves_level0_units() {
-        // Units are simplified into the trail by `add_clause`; the dump must
+        // Units are simplified into the trail by `add_clause` (falsified
+        // literals are stripped, satisfied clauses dropped); the dump must
         // re-materialise them, or the formula a proof refutes would lose
         // every input unit.
         let mut s = Solver::new();
@@ -160,11 +135,10 @@ mod tests {
         s.add_clause(&[!x[0], x[1], x[2]]);
         s.add_clause(&[!x[2]]);
         s.add_clause(&[x[1], x[3]]);
-        let dumped = from_solver(&s);
-        assert_eq!(dumped.num_vars, 4);
+        let dumped = s.formula_clauses();
         // The unit [1] fixed var 1 and propagation of [-1 2 3] with [-3]
         // fixed var 2; all three units must reappear in the dump.
-        let units: Vec<&Vec<Lit>> = dumped.clauses.iter().filter(|c| c.len() == 1).collect();
+        let units: Vec<&Vec<Lit>> = dumped.iter().filter(|c| c.len() == 1).collect();
         for unit in [x[0], !x[2], x[1]] {
             assert!(units.contains(&&vec![unit]), "unit {unit:?} lost");
         }

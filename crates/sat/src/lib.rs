@@ -39,7 +39,7 @@
 //!   `hh-proof` crate provides the reader and a RUP checker).
 //! * Budgeted solving: [`Solver::solve_limited`] stops after a conflict
 //!   budget with [`LimitedResult::Unknown`] and resumes losslessly.
-//! * [`dimacs::from_solver`] captures the formula a proof refutes, and
+//! * [`Solver::formula_clauses`] captures the formula a proof refutes, and
 //!   [`dimacs::fingerprint`] hashes it in place for certificates.
 
 #![deny(missing_docs)]
@@ -56,6 +56,6 @@ pub mod dimacs;
 pub mod proof;
 
 pub use lit::{Lit, Var};
-pub use proof::{CountingSink, DratLog, ProofSink};
+pub use proof::{DratLog, ProofSink};
 pub use solver::{Config, LimitedResult, SolveResult, Solver, SolverStats};
 pub use trim::trim_core;

@@ -49,23 +49,6 @@ pub trait ProofSink: std::fmt::Debug + Send {
     }
 }
 
-/// A sink that counts events and bytes but stores nothing. Useful for
-/// measuring proof-logging overhead without I/O.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CountingSink {
-    /// Number of `add_clause` events seen.
-    pub adds: u64,
-    /// Total literal count across all events.
-    pub lits: u64,
-}
-
-impl ProofSink for CountingSink {
-    fn add_clause(&mut self, lits: &[Lit]) {
-        self.adds += 1;
-        self.lits += lits.len() as u64;
-    }
-}
-
 /// Appends one addition step in **binary DRAT**, the compact form of
 /// `drat-trim`: the tag byte `a` (0x61), each literal as a 7-bit
 /// continuation varint, and a 0x00 terminator. A literal of variable index
@@ -159,17 +142,6 @@ impl ProofSink for DratLog {
 mod tests {
     use super::*;
     use crate::lit::Var;
-
-    #[test]
-    fn counting_sink_counts() {
-        let mut s = CountingSink::default();
-        let a = Var::from_index(0).positive();
-        s.add_clause(&[a, !a]);
-        s.add_clause(&[a]);
-        s.add_clause(&[]);
-        assert_eq!(s.adds, 3);
-        assert_eq!(s.lits, 3);
-    }
 
     #[test]
     fn binary_steps_use_the_drat_literal_mapping() {

@@ -286,8 +286,12 @@ impl ServeState {
             }
         }
 
-        let entry = self.designs.get_mut(&name).expect("just ensured");
         let job_id = key.id();
+        // Taken before the design entry is borrowed: a certificate is
+        // emitted through the `Veloct` that learns, which holds the logs of
+        // a cold learn's queries.
+        let job_dir = self.job_dir(&name, &job_id);
+        let entry = self.designs.get_mut(&name).expect("just ensured");
         // `verify` re-checks against warm state: it needs a prior learn for
         // this exact job (whose memo a delta may have partially invalidated
         // — that is the incremental case), never a cold start.
@@ -376,8 +380,7 @@ impl ServeState {
         // store: the bundle lives under the job's state directory.
         let mut certificate = None;
         if opts.certify && result == LearnResult::Proved {
-            let dir = self
-                .job_dir(&name, &job_id)
+            let dir = job_dir
                 .ok_or_else(|| {
                     (
                         ErrorCode::Internal,
@@ -385,20 +388,18 @@ impl ServeState {
                     )
                 })?
                 .join("cert");
-            let entry = self.designs.get(&name).expect("present");
-            let job = entry.jobs.get(&job_id).expect("present");
-            let veloct = Veloct::with_config(&entry.design, Self::veloct_config(&key, opts));
-            let inv = hhoudini::Invariant::new(invariant_preds.clone());
+            let inv = report
+                .invariant
+                .as_ref()
+                .expect("a proved learn has an invariant");
             std::fs::create_dir_all(&dir)
                 .map_err(|e| (ErrorCode::Internal, format!("creating {dir:?}: {e}")))?;
             veloct
-                .emit_certificate(&key.safe, &inv, &job.solutions, &dir)
+                .emit_certificate(&key.safe, inv, &job.solutions, &dir)
                 .map_err(|e| (ErrorCode::Internal, format!("certificate emission: {e}")))?;
             certificate = Some(dir);
         }
 
-        let entry = self.designs.get(&name).expect("present");
-        let job = entry.jobs.get(&job_id).expect("present");
         Ok(LearnOutcome {
             result,
             invariant: invariant_preds

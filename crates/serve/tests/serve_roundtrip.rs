@@ -378,6 +378,17 @@ fn restart_from_checkpoint_reproduces_answers() {
     let cert_path = PathBuf::from(cold.get("certificate").unwrap().as_str().unwrap());
     let report = hh_proof::cert::check_bundle(&cert_path).expect("bundle checks");
     assert!(report.obligations > 0);
+    // The cold bundle is the learn's own queries: an obligation proved at
+    // emission asks its premises alone, a logged one every candidate the
+    // learn mined for its target.
+    let proved_at_emit = |dir: &Path| -> Vec<bool> {
+        let cert = hh_proof::cert::read_bundle(dir).expect("bundle reads");
+        (cert.obligations.iter())
+            .map(|o| o.candidates == o.premises)
+            .collect()
+    };
+    let cold_emitted = proved_at_emit(&cert_path);
+    assert!(!cold_emitted.contains(&true), "{cold_emitted:?}");
     // The same learn again, answered from the closed table: nothing is
     // learned, so every obligation is proved at emission.
     let warm = c.request("learn", rocket_learn_fields()).unwrap();
@@ -386,6 +397,7 @@ fn restart_from_checkpoint_reproduces_answers() {
     let warm_path = PathBuf::from(warm.get("certificate").unwrap().as_str().unwrap());
     let warm_report = hh_proof::cert::check_bundle(&warm_path).expect("warm bundle checks");
     assert_eq!(warm_report.predicates, report.predicates);
+    assert!(!proved_at_emit(&warm_path).contains(&false));
     daemon.stop(); // checkpoints on the way down
 
     // A fresh process (modelled by a fresh server) restores the state dir.

@@ -78,10 +78,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Base encodings built fresh (and recorded).
     pub misses: u64,
-    /// SAT variables whose allocation a replay skipped re-deriving.
-    pub vars_saved: u64,
-    /// Clauses a replay spared the Tseitin encoder.
-    pub clauses_saved: u64,
 }
 
 /// Thread-shared per-target encoding cache.
@@ -95,8 +91,6 @@ pub struct EncodeCache {
     entries: Mutex<HashMap<Arc<Predicate>, Arc<EncodedCone>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    vars_saved: AtomicU64,
-    clauses_saved: AtomicU64,
 }
 
 impl EncodeCache {
@@ -108,8 +102,6 @@ impl EncodeCache {
             entries: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            vars_saved: AtomicU64::new(0),
-            clauses_saved: AtomicU64::new(0),
         }
     }
 
@@ -122,12 +114,8 @@ impl EncodeCache {
     pub(crate) fn lookup(&self, target: &Predicate) -> Option<Arc<EncodedCone>> {
         let entry = self.entries.lock().unwrap().get(target).cloned();
         match &entry {
-            Some(e) => {
+            Some(_) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                self.vars_saved
-                    .fetch_add(e.n_vars as u64, Ordering::Relaxed);
-                self.clauses_saved
-                    .fetch_add(e.clauses.len() as u64, Ordering::Relaxed);
                 hh_trace::counter!("smt", "smt.cache.hit", 1);
             }
             None => {
@@ -154,8 +142,6 @@ impl EncodeCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            vars_saved: self.vars_saved.load(Ordering::Relaxed),
-            clauses_saved: self.clauses_saved.load(Ordering::Relaxed),
         }
     }
 
@@ -170,26 +156,5 @@ impl EncodeCache {
                 .values()
                 .map(|entry| std::mem::size_of::<EncodedCone>() as u64 + entry.bytes())
                 .sum::<u64>()
-    }
-
-    /// Drops the recorded base encoding of `target`, if present; returns
-    /// whether an entry was evicted.
-    ///
-    /// Eviction is always *safe*, only ever a performance event: entries
-    /// are handed out as `Arc` snapshots, so sessions replaying the
-    /// encoding at eviction time keep their copy, and the next lookup of
-    /// the target simply misses and re-records. hh-vopr's eviction-race
-    /// fault calls this at adversarial points mid-run and asserts the
-    /// learned invariant is unchanged while misses increase.
-    pub fn evict(&self, target: &Predicate) -> bool {
-        self.entries.lock().unwrap().remove(target).is_some()
-    }
-
-    /// The targets of the currently recorded base encodings, sorted — the
-    /// deterministic key list fault injectors pick eviction victims from.
-    pub fn encoding_keys(&self) -> Vec<Arc<Predicate>> {
-        let mut keys: Vec<Arc<Predicate>> = self.entries.lock().unwrap().keys().cloned().collect();
-        keys.sort();
-        keys
     }
 }

@@ -9,7 +9,7 @@
 //!   transition step. Only the 1-step cone a query touches is ever encoded;
 //!   this is the mechanism behind H-Houdini's cheap incremental checks.
 //! * [`pred::Predicate`] — VeloCT's relational predicate language (`Eq`,
-//!   `EqConst`, `EqConstSet`/`InSafeSet` as mask/match sets).
+//!   `EqConst`, `InSafeSet`/`InSafeUop` as mask/match sets).
 //! * [`query`] — the abduction query (`⋀P_V ∧ p ∧ ¬p'` with UNSAT-core
 //!   extraction, §3.2.3), relative-induction checks, and the monolithic
 //!   HOUDINI query used by baselines.

@@ -8,9 +8,12 @@
 //!   on public data but not on secrets).
 //! * [`Predicate::EqConst`] — both copies hold one specific constant.
 //! * [`Predicate::InSet`] — both copies are equal and the value matches one
-//!   of a set of mask/match patterns. `EqConstSet` and the specialised
-//!   `InSafeSet`/`InSafeUop` predicates are all of this shape; the
-//!   [`SetLabel`] records the provenance for reporting.
+//!   of a set of mask/match patterns. The `InSafeSet`/`InSafeUop` predicates
+//!   and expert set annotations are all of this shape; the [`SetLabel`]
+//!   records the provenance for reporting. The miner offers `InSafeSet` only
+//!   on states every pattern fits ([`Pattern::fits`]) and the wire reader
+//!   refuses a pattern that does not, so the evaluator and the encoder read
+//!   every such predicate alike.
 
 use crate::blast::TransitionEncoding;
 use hh_netlist::{Bv, Netlist, StateId};
@@ -43,13 +46,20 @@ impl Pattern {
     pub fn matches(&self, v: u64) -> bool {
         v & self.mask == self.value
     }
+
+    /// Whether a `width`-bit state can hold a value this pattern matches
+    /// in every bit it names: no bit of `value` lies at or above `width`.
+    /// Mask bits there are fine (they read as 0 on both sides), but a value
+    /// bit there would match nothing to [`Pattern::matches`] while the
+    /// encoder, which reads the state's bits only, drops it.
+    pub fn fits(&self, width: u32) -> bool {
+        width >= 64 || self.value >> width == 0
+    }
 }
 
 /// Provenance of an [`Predicate::InSet`] predicate.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SetLabel {
-    /// Generic constant-set restriction mined from examples.
-    EqConstSet,
     /// Instruction-encoding restriction generated from the ISA spec (§5.1.1).
     InSafeSet,
     /// Decoded-uop restriction (BOOM-style expert annotation, §6.2).
@@ -318,7 +328,6 @@ impl Predicate {
                 label,
             } => {
                 let tag = match label {
-                    SetLabel::EqConstSet => "eqconstset".to_string(),
                     SetLabel::InSafeSet => "insafeset".to_string(),
                     SetLabel::InSafeUop => "insafeuop".to_string(),
                     SetLabel::Expert(s) => format!("expert:{}", wire_escape(s)),
@@ -356,31 +365,12 @@ impl Predicate {
     /// name does not exist in the netlist (the certificate and the design it
     /// claims to certify disagree), when the two states of a pair — or a
     /// constant and its states — differ in width, when a constant or an
-    /// `inset` pattern value has a bit at or above that width, or when an
-    /// `impl` body is itself an `impl` (nothing builds one, and parsing a
-    /// hostile chain of them would recurse once per link).
+    /// `inset` pattern value does not fit that width ([`Pattern::fits`]), or
+    /// when an `impl` body is itself an `impl` (nothing builds one, and
+    /// parsing a hostile chain of them would recurse once per link).
     pub fn from_wire(text: &str, netlist: &Netlist) -> Result<Predicate, String> {
-        Predicate::parse_whole(text, netlist, true)
-    }
-
-    /// [`Predicate::from_wire`] for a predicate only ever *encoded*, never
-    /// evaluated: an `inset` pattern value may have bits at or above the
-    /// state's width. The miner offers such candidates (a set of 32-bit
-    /// instruction patterns over a narrower register) and the encoder reads
-    /// their patterns over the state's bits only, so a certificate's
-    /// candidate table must be able to name them. Everything else is held
-    /// to the `from_wire` grammar.
-    ///
-    /// # Errors
-    ///
-    /// As [`Predicate::from_wire`], less the `inset` width rule.
-    pub fn candidate_from_wire(text: &str, netlist: &Netlist) -> Result<Predicate, String> {
-        Predicate::parse_whole(text, netlist, false)
-    }
-
-    fn parse_whole(text: &str, netlist: &Netlist, strict: bool) -> Result<Predicate, String> {
         let mut toks = text.split_whitespace();
-        let pred = Predicate::parse_wire(&mut toks, netlist, false, strict)?;
+        let pred = Predicate::parse_wire(&mut toks, netlist, false)?;
         match toks.next() {
             None => Ok(pred),
             Some(t) => Err(format!("trailing token {t:?} after predicate")),
@@ -391,7 +381,6 @@ impl Predicate {
         toks: &mut impl Iterator<Item = &'t str>,
         netlist: &Netlist,
         in_impl: bool,
-        strict: bool,
     ) -> Result<Predicate, String> {
         let mut next = |what: &str| {
             toks.next()
@@ -449,7 +438,6 @@ impl Predicate {
                 let (left, right) = pair(next("left")?, next("right")?)?;
                 let tag = next("label")?;
                 let label = match tag {
-                    "eqconstset" => SetLabel::EqConstSet,
                     "insafeset" => SetLabel::InSafeSet,
                     "insafeuop" => SetLabel::InSafeUop,
                     other => match other.strip_prefix("expert:") {
@@ -473,14 +461,11 @@ impl Predicate {
                     if value & mask != value {
                         return Err(format!("pattern value {value:#x} outside mask {mask:#x}"));
                     }
-                    // Mask bits above the width are legal (a 32-bit
-                    // instruction mask on a narrower field reads them as
-                    // 0), but a value bit there would match nothing to
-                    // `eval` while the encoder drops it.
-                    if strict && width < 64 && value >> width != 0 {
+                    let pattern = Pattern { mask, value };
+                    if !pattern.fits(width) {
                         return Err(format!("pattern value {value:#x} exceeds width {width}"));
                     }
-                    patterns.push(Pattern { mask, value });
+                    patterns.push(pattern);
                 }
                 Ok(Predicate::InSet {
                     left,
@@ -492,7 +477,7 @@ impl Predicate {
             "impl" if in_impl => Err("an impl body cannot itself be an impl".into()),
             "impl" => {
                 let (guard_left, guard_right) = pair(next("guard left")?, next("guard right")?)?;
-                let body = Predicate::parse_wire(toks, netlist, true, strict)?;
+                let body = Predicate::parse_wire(toks, netlist, true)?;
                 Ok(Predicate::Impl {
                     guard_left,
                     guard_right,
@@ -598,7 +583,7 @@ mod tests {
             l,
             rr,
             vec![Pattern::exact(8, 1), Pattern::exact(8, 2)],
-            SetLabel::EqConstSet,
+            SetLabel::InSafeSet,
         );
         let mut sv = StateValues::initial(m.netlist());
         sv.set(l, Bv::new(8, 2));
@@ -799,6 +784,7 @@ mod tests {
             "inset l$r r$r insafeset 2 ff:1",    // missing pattern
             "inset l$r r$r insafeset 1 f:10",    // value outside mask
             "inset l$r r$r insafeset 1 1ff:100", // value exceeds width
+            "inset l$r r$r eqconstset 1 ff:1",   // unknown set label
             "eq l$r r$r trailing",               // trailing garbage
             // An impl whose body is an impl (the guard pair alone is fine).
             "impl l$v r$v impl l$v r$v eq l$r r$r",

@@ -445,7 +445,7 @@ mod tests {
             m.left(r),
             m.right(r),
             vec![Pattern::exact(4, 1), Pattern::exact(4, 2)],
-            SetLabel::EqConstSet,
+            SetLabel::InSafeSet,
         );
         let res = abduct::<Predicate>(m.netlist(), &pred, &[], &AbductionConfig::paper_default());
         assert_eq!(res.abduct, Some(vec![]));

@@ -455,7 +455,6 @@ mod tests {
         assert_eq!(r2.abduct, fresh.abduct);
         assert_eq!(r2.abduct, None);
         assert_eq!(cache.stats().hits, 1);
-        assert!(cache.stats().vars_saved > 0);
     }
 
     #[test]
@@ -488,11 +487,6 @@ mod tests {
         }
         assert_eq!(cache.stats().misses, 3, "different targets must miss");
         assert_eq!(cache.stats().hits, 0);
-        assert_eq!(
-            cache.encoding_keys(),
-            [eq_b, eq_c, eq_a].map(Arc::new).to_vec(),
-            "one entry per target, sorted"
-        );
     }
 
     #[test]
@@ -580,13 +574,6 @@ mod tests {
             (ft.vars, ft.clauses, ft.solves)
         );
         assert_eq!(rt.counters, ft.counters);
-
-        let keys = cache.encoding_keys();
-        assert!(!keys.is_empty());
-        for key in &keys {
-            assert!(cache.evict(key));
-        }
-        assert!(cache.resident_bytes() < recorded);
     }
 
     /// Trimming on random CNFs. Candidate `i` is a random literal behind

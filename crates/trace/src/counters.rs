@@ -83,10 +83,6 @@ counter_table! {
         "base encodings replayed from the encode cache";
     encode_cache_misses, "smt.cache.miss", Sum,
         "base encodings blasted fresh and recorded into the encode cache";
-    encode_vars_saved, "smt.cache.vars_saved", Sum,
-        "SAT variables encode-cache replay avoided re-allocating";
-    encode_clauses_saved, "smt.cache.clauses_saved", Sum,
-        "Tseitin clauses encode-cache replay avoided re-deriving";
     encode_cache_resident_bytes, "smt.cache.resident_bytes", Max,
         "heap bytes the run's encode cache held when the run ended";
     word_const_folds, "smt.word.const_folds", Sum,

@@ -2,7 +2,7 @@
 //!
 //! Three tiny netlists chosen to hit the three qualitatively different
 //! engine paths: a *wide* design (many independent cones, so the reorder
-//! window has real width and eviction races have targets), a *backtrack*
+//! window has real width), a *backtrack*
 //! design (a mux on a secret, so `P_fail` grows and stale sweeps fire),
 //! and a *leak* design (genuinely unprovable, exercising the failure
 //! path). All are self-contained — no external design files — so a vopr
@@ -54,7 +54,7 @@ impl Scenario {
 
 /// `t' = r0 & r1 & ... & r{k-1}` over `k` independently held registers:
 /// the task DAG fans out one cone per register, giving the reorder window
-/// genuine width and the encode cache `k` isomorphic entries to evict.
+/// genuine width.
 fn wide(k: usize) -> Scenario {
     let mut n = Netlist::new("vopr-wide");
     let regs: Vec<_> = (0..k)

@@ -7,7 +7,6 @@
 //! | fault | seam | expected engine behaviour |
 //! |---|---|---|
 //! | [`Fault::WorkerDeath`] | `SimDriver::worker_dies` / `inject_worker_panic` | run poisoned, `learn` returns `None` |
-//! | [`Fault::CacheEvict`] | `EncodeCache::evict` at a commit boundary | transparent: identical invariant |
 //! | [`Fault::SinkDetach`] | `Solver::take_proof_sink` at a budget round | transparent: identical verdict |
 //! | [`Fault::CheckpointCrash`] | `ServeState::checkpoint_crash_after` | restart restores the last good state |
 //!
@@ -19,7 +18,6 @@
 //! still-failing prefix is found.
 
 use crate::rng::SplitMix64;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// One injected fault. See the module table for seam and semantics.
@@ -29,13 +27,6 @@ pub enum Fault {
     WorkerDeath {
         /// Job index (issue order) whose worker dies.
         job: usize,
-    },
-    /// Evict one RNG-chosen encoding from the shared [`hh_smt::EncodeCache`]
-    /// immediately after commit `at_commit` — racing eviction against
-    /// sessions that may still replay from the evicted entry.
-    CacheEvict {
-        /// Commit sequence number at which the eviction fires.
-        at_commit: usize,
     },
     /// Detach the DRAT proof sink from the SAT solver once `at_round`
     /// budget rounds have elapsed — mid-stream, between two rounds of an
@@ -56,7 +47,6 @@ impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Fault::WorkerDeath { job } => write!(f, "worker-death(job={job})"),
-            Fault::CacheEvict { at_commit } => write!(f, "cache-evict(commit={at_commit})"),
             Fault::SinkDetach { at_round } => write!(f, "sink-detach(round={at_round})"),
             Fault::CheckpointCrash { at_write } => write!(f, "checkpoint-crash(write={at_write})"),
         }
@@ -80,11 +70,6 @@ impl FaultPlan {
         if rng.chance(1, 3) {
             faults.push(Fault::WorkerDeath {
                 job: rng.below(12) as usize,
-            });
-        }
-        for _ in 0..rng.below(3) {
-            faults.push(Fault::CacheEvict {
-                at_commit: rng.below(10) as usize,
             });
         }
         if rng.chance(1, 2) {
@@ -115,17 +100,6 @@ impl FaultPlan {
             Fault::WorkerDeath { job } => Some(*job),
             _ => None,
         })
-    }
-
-    /// Commit sequence numbers at which cache-evict faults fire.
-    pub fn evict_commits(&self) -> BTreeSet<usize> {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::CacheEvict { at_commit } => Some(*at_commit),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Budget round after which the proof sink detaches, if any.
@@ -173,22 +147,20 @@ mod tests {
     fn seed_set_covers_the_whole_vocabulary() {
         // The CI smoke job runs seeds 0..32; every fault kind must appear
         // somewhere in that window or the acceptance criterion is void.
-        let (mut death, mut evict, mut sink, mut ckpt) = (0, 0, 0, 0);
+        let (mut death, mut sink, mut ckpt) = (0, 0, 0);
         for seed in 0..32u64 {
             let plan = FaultPlan::generate(&mut SplitMix64::new(seed).fork(0xFA));
             for f in &plan.faults {
                 match f {
                     Fault::WorkerDeath { .. } => death += 1,
-                    Fault::CacheEvict { .. } => evict += 1,
                     Fault::SinkDetach { .. } => sink += 1,
                     Fault::CheckpointCrash { .. } => ckpt += 1,
                 }
             }
         }
         assert!(
-            death > 0 && evict > 0 && sink > 0 && ckpt > 0,
-            "seed set misses a fault kind: deaths={death} evicts={evict} \
-             sinks={sink} ckpts={ckpt}"
+            death > 0 && sink > 0 && ckpt > 0,
+            "seed set misses a fault kind: deaths={death} sinks={sink} ckpts={ckpt}"
         );
     }
 

@@ -19,13 +19,11 @@ use crate::designs::Scenario;
 use crate::fault::FaultPlan;
 use crate::invariants::{InvariantResult, Registry, RunArtifacts};
 use crate::rng::SplitMix64;
-use hh_sat::{CountingSink, LimitedResult, SolveResult, Solver};
-use hh_smt::EncodeCache;
+use hh_sat::{DratLog, LimitedResult, SolveResult, Solver};
 use hh_trace::{EventKind, TraceConfig};
 use hhoudini::sim::{SchedEvent, SimDriver};
 use hhoudini::{EngineConfig, ParallelEngine};
-use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Serialises access to the process-global trace rings.
 static TRACE_GATE: Mutex<()> = Mutex::new(());
@@ -90,24 +88,20 @@ impl SeedReport {
 // ---------------------------------------------------------------------------
 
 /// The [`SimDriver`] owning all scheduler nondeterminism: window picks come
-/// from the seed's RNG, worker deaths and cache-evict faults from the fault
-/// plan. Records the scheduler event log for the checkers.
+/// from the seed's RNG, worker deaths from the fault plan. Records the
+/// scheduler event log for the checkers.
 #[derive(Debug)]
 struct VoprDriver {
     rng: SplitMix64,
     death_job: Option<usize>,
-    evict_at: BTreeSet<usize>,
-    cache: Arc<EncodeCache>,
     events: Vec<SchedEvent>,
 }
 
 impl VoprDriver {
-    fn new(rng: SplitMix64, plan: &FaultPlan, cache: Arc<EncodeCache>) -> VoprDriver {
+    fn new(rng: SplitMix64, plan: &FaultPlan) -> VoprDriver {
         VoprDriver {
             rng,
             death_job: plan.worker_death(),
-            evict_at: plan.evict_commits(),
-            cache,
             events: Vec::new(),
         }
     }
@@ -124,18 +118,6 @@ impl SimDriver for VoprDriver {
 
     fn observe(&mut self, ev: &SchedEvent) {
         self.events.push(*ev);
-        if let SchedEvent::Commit { seq, .. } = ev {
-            if self.evict_at.contains(seq) {
-                // Race an eviction against live sessions: drop one
-                // RNG-chosen encoding right at a commit boundary. In-flight
-                // replays hold Arc snapshots, so this must be transparent.
-                let keys = self.cache.encoding_keys();
-                if !keys.is_empty() {
-                    let victim = self.rng.below(keys.len() as u64) as usize;
-                    self.cache.evict(&keys[victim]);
-                }
-            }
-        }
     }
 }
 
@@ -156,18 +138,16 @@ fn engine_run(
     hh_trace::init(TraceConfig::on());
     let _ = hh_trace::drain(); // discard residue from earlier sections
 
-    let cache = Arc::new(EncodeCache::new(sc.miter.netlist()));
     let mut engine = ParallelEngine::new(
         sc.miter.netlist(),
         sc.miner(),
         EngineConfig::default(),
         window,
     );
-    engine.set_encode_cache(Arc::clone(&cache));
     if canary {
         engine.enable_commit_shuffle();
     }
-    let mut driver = VoprDriver::new(driver_rng, plan, cache);
+    let mut driver = VoprDriver::new(driver_rng, plan);
     let invariant = engine.learn_sim(&[sc.property()], &mut driver).map(|inv| {
         let mut preds: Vec<String> = inv
             .preds()
@@ -242,7 +222,7 @@ fn sat_scenario(rng: &mut SplitMix64, plan: &FaultPlan, registry: &mut Registry)
 
     let mut faulted = Solver::new();
     build(&mut faulted);
-    faulted.set_proof_sink(Box::new(CountingSink::default()));
+    faulted.set_proof_sink(Box::new(DratLog::new()));
     let detach_at = plan.sink_detach();
     let mut detached = false;
     let mut rounds_run: u64 = 0;

@@ -247,9 +247,8 @@ pub fn check_death_surfacing(run: &RunArtifacts) -> InvariantResult {
 
 /// Whenever a faulted run reports success, its learned invariant and full
 /// solution table must be bit-identical to the unfaulted reference —
-/// reorderings and evicted cache entries may only change timing, never
-/// results. (Poisoned runs report no result and are judged by
-/// [`check_death_surfacing`] instead.)
+/// reorderings may only change timing, never results. (Poisoned runs
+/// report no result and are judged by [`check_death_surfacing`] instead.)
 pub fn check_fault_transparency(
     reference: &RunArtifacts,
     faulted: &RunArtifacts,

@@ -3,9 +3,9 @@
 //! A VOPR-style simulator (Viewstamped Operation Replicator, after the
 //! TigerBeetle/Kimberlite lineage) for the H-Houdini engine: one seeded
 //! PRNG owns *every* source of nondeterminism — worker interleaving,
-//! commit reordering, cache-eviction timing, SAT budget slicing,
-//! fault injection — so `vopr --seed N` reproduces an entire engine run
-//! bit-for-bit, and a failing seed is a complete bug report.
+//! commit reordering, SAT budget slicing, fault injection — so
+//! `vopr --seed N` reproduces an entire engine run bit-for-bit, and a
+//! failing seed is a complete bug report.
 //!
 //! The crate splits into:
 //!

@@ -1,8 +1,8 @@
 //! The simulator's single source of randomness.
 //!
 //! Every nondeterministic choice in a vopr run — completion interleaving,
-//! reorder-window picks, fault placement, eviction victims, SAT budget
-//! slices — is drawn from one [`SplitMix64`] stream seeded by `--seed`.
+//! reorder-window picks, fault placement, SAT budget slices — is drawn
+//! from one [`SplitMix64`] stream seeded by `--seed`.
 //! Forked sub-streams ([`SplitMix64::fork`]) keep scenarios independent:
 //! adding a draw to one scenario does not shift the schedule of the next.
 

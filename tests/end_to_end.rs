@@ -3,12 +3,15 @@
 
 mod common;
 
-use common::{alu_set, boom_set};
+use common::{alu_set, boom_set, setup};
+use hh_suite::hhoudini::mine::{CoiMiner, Miner};
+use hh_suite::hhoudini::{EngineConfig, ParallelEngine, PredicateStore};
 use hh_suite::isa::Mnemonic;
 use hh_suite::netlist::miter::Miter;
+use hh_suite::smt::Predicate;
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::rocketlite::rocket_lite;
-use hh_suite::veloct::{default_candidates, Veloct, VeloctConfig};
+use hh_suite::veloct::{default_candidates, instruction_patterns, Veloct, VeloctConfig};
 
 fn fast_config() -> VeloctConfig {
     VeloctConfig {
@@ -72,6 +75,41 @@ fn boomlite_safe_set_matches_table2() {
     }
     let inv = report.invariant.expect("invariant for the BOOM safe set");
     assert!(inv.len() > 20, "BOOM invariant should be substantial");
+}
+
+/// One predicate grammar: every predicate the miner offers — its global
+/// pool and the candidates of every committed target, on the Table 2 sets
+/// of RocketLite and SmallBoomLite — reads back through
+/// `Predicate::from_wire` to itself, so any memo entry can be persisted and
+/// certified, and `eval` and the encoder read each alike.
+#[test]
+fn every_mined_predicate_reads_back_through_the_wire() {
+    for (design, safe) in [
+        (rocket_lite(16), alu_set()),
+        (boom_lite(BoomVariant::Small, 16), boom_set()),
+    ] {
+        let (miter, examples, props) = setup(&design, &safe);
+        let miner = || CoiMiner::new(&miter, &examples, Some(instruction_patterns(&safe)), vec![]);
+        let mut engine = ParallelEngine::new(miter.netlist(), miner(), EngineConfig::default(), 2);
+        let inv = engine.learn(&props).expect("invariant");
+        let mut miner = miner();
+        let mut store = PredicateStore::new();
+        let mut offered = miner.mine_global(&mut store);
+        for target in inv.preds() {
+            offered.extend(miner.mine(target, &mut store));
+        }
+        let offered = store.resolve(&offered);
+        assert!(offered.iter().any(|p| matches!(p, Predicate::InSet { .. })));
+        let netlist = miter.netlist();
+        for p in &offered {
+            let wire = p.to_wire(netlist);
+            assert_eq!(
+                Predicate::from_wire(&wire, netlist).as_ref(),
+                Ok(p),
+                "{wire}"
+            );
+        }
+    }
 }
 
 /// The learned invariant is genuinely inductive: re-verified with one

@@ -174,7 +174,7 @@ fn retries_with_witness_reuse_are_deterministic_across_thread_counts() {
                 stats.sat_conflicts,
                 stats.sat_propagations
             ),
-            (174, 8_870, 1_485_604)
+            (174, 8_870, 1_478_557)
         );
         // Byte gauges come from capacities, not from the allocator or the
         // clock: the same at every thread count.
