@@ -436,11 +436,9 @@ fn fig4(runs: &Runs, report: &mut Report) {
 /// holds exactly. Every limited run's `Stats::counters()` is pinned as
 /// `<target>-limited` rows — among them the largest session's bytes —
 /// beside its `queries_per_pred`, solver calls per learned predicate in
-/// the terms of Feldman et al. On every design each retry, and nothing
-/// else, replays its target's encoding from the encode cache. The
-/// MegaBoomLite run spends at most 1.15 queries per predicate, passes a
-/// monolithic induction check and is learned again on two workers, where
-/// it must not move.
+/// the terms of Feldman et al. The MegaBoomLite run spends at most 1.15
+/// queries per predicate, passes a monolithic induction check and is
+/// learned again on two workers, where it must not move.
 fn fig5(runs: &Runs, report: &mut Report) {
     println!("Limited examples (rd = x3 only; the paper's regime):");
     println!(
@@ -464,14 +462,6 @@ fn fig5(runs: &Runs, report: &mut Report) {
         for (key, value) in run.stats.counters() {
             report.push(&limited, key, value as f64, "count");
         }
-        // The encode cache is keyed by target: a retry replays the
-        // encoding its target's first query recorded, and nothing else
-        // does.
-        assert_eq!(
-            run.stats.counters.encode_cache_hits, bt,
-            "{}: encode-cache replays must be the retries",
-            t.name
-        );
     }
     let mega = runs.targets.len() - 1;
     let one = runs.shared(mega, Shared::Limited);
@@ -503,8 +493,8 @@ fn fig5(runs: &Runs, report: &mut Report) {
         "2 workers did other work"
     );
     println!(
-        "{}: {} backtracks, {} encode-cache replays; invariant re-checked monolithically, and identical with its counters on 2 workers",
-        t.name, c.backtracks, c.encode_cache_hits
+        "{}: {} backtracks; invariant re-checked monolithically, and identical with its counters on 2 workers",
+        t.name, c.backtracks
     );
 
     println!("\nRich examples (full rd rotation — near-exhaustive coverage):");
@@ -588,12 +578,6 @@ fn speedup(runs: &Runs, report: &mut Report) {
         for (key, value) in s.counters() {
             report.push(t.name, key, value as f64, "count");
         }
-        report.push(
-            t.name,
-            "encode_cache_hit_rate",
-            s.encode_cache_hit_rate(),
-            "frac",
-        );
         report.push(t.name, "encode_s", secs(s.encode_time), "s");
         report.push(t.name, "solve_s", secs(s.solve_time), "s");
         report.push(t.name, "occupancy", s.occupancy(), "frac");

@@ -70,12 +70,12 @@
 //! and its candidates: the worker that dequeues it builds the target's
 //! [`AbductionSession`], answers the query and drops the session before
 //! the answer travels back, so at most one session per worker exists and
-//! a query's answer is a function of (target, candidates) alone. A per-run
-//! [`hh_smt::EncodeCache`] is shared by all sessions and keyed by target: a
-//! backtracking retry replays the base encoding the target's first query
-//! recorded. A replay is byte-identical to a fresh build, and a target is
-//! never in flight twice, so the cache's hits and misses are the same at
-//! every thread count.
+//! a query's answer is a function of (target, candidates) alone. Sessions
+//! blast over one shared [`SimpMap`], and a backtracking retry re-blasts
+//! its cone, unless a daemon job attached its [`hh_smt::EncodeCache`]
+//! ([`ParallelEngine::set_encode_cache`]). A replay is byte-identical to a
+//! fresh build, and a target is never in flight twice, so the cache's hits
+//! and misses are the same at every thread count.
 
 use crate::invariant::closure;
 use crate::mine::Miner;
@@ -83,6 +83,7 @@ use crate::reorder::ReorderBuffer;
 use crate::sim::{SchedEvent, SimDriver};
 use crate::store::{PredId, PredicateStore};
 use crate::{Invariant, Stats};
+use hh_netlist::simp::SimpMap;
 use hh_netlist::Netlist;
 use hh_smt::{
     AbductionConfig, AbductionResult, AbductionSession, EncodeCache, LoggedSolution, Predicate,
@@ -218,10 +219,12 @@ pub struct ParallelEngine<'a, M: Miner> {
     /// Algorithm 1's state of every target: memo table, `P_fail` and the
     /// task DAG's discovery links.
     targets: Targets,
-    /// Externally owned warm [`EncodeCache`] (a resident service keeps one
-    /// across requests); when set, [`ParallelEngine::learn`] uses it instead
-    /// of building a per-run cache. See [`ParallelEngine::set_encode_cache`].
-    warm_cache: Option<Arc<EncodeCache>>,
+    /// A resident job's [`EncodeCache`], when one is attached
+    /// ([`ParallelEngine::set_encode_cache`]).
+    cache: Option<Arc<EncodeCache>>,
+    /// The word-level simplification map every session blasts over: the
+    /// attached cache's, or built on first need ([`ParallelEngine::simp`]).
+    simp: Option<Arc<SimpMap>>,
     stats: Stats,
     /// Fault-injection seam: job index whose worker panics mid-solve (the
     /// hh-vopr worker-death fault in the threaded backend).
@@ -242,12 +245,13 @@ struct Job {
 }
 
 /// What every job of a run shares: the netlist, the query configuration,
-/// the run's encode cache and whether queries log proofs.
+/// the simplification map, the encode cache and whether queries log proofs.
 #[derive(Clone, Copy)]
 struct Oracle<'r, 'a> {
     netlist: &'a Netlist,
     config: AbductionConfig,
-    cache: &'r Arc<EncodeCache>,
+    simp: &'r Arc<SimpMap>,
+    cache: Option<&'r Arc<EncodeCache>>,
     log_proofs: bool,
 }
 
@@ -269,8 +273,8 @@ struct JobDone {
 
 /// Runs one abduction query — the worker body shared by the threaded pool
 /// and the virtual (simulation) backend. The target's session is built
-/// here, over the run's encode cache (so a replay happens off the
-/// scheduler thread too), and dropped before the answer returns;
+/// here (so a blast or a replay happens off the scheduler thread too), and
+/// dropped before the answer returns;
 /// the answer's telemetry carries the query's bytes. A panicking solve
 /// is caught and surfaced as a `solved: None` completion, so the scheduler
 /// never waits on a `JobDone` that would never arrive.
@@ -287,10 +291,14 @@ fn solve_job(job: Job, oracle: Oracle<'_, '_>, panic_on: Option<usize>) -> JobDo
             panic_on != Some(job_idx),
             "injected worker death (fault-injection seam)"
         );
-        let cache = Arc::clone(oracle.cache);
-        AbductionSession::with_cache(oracle.netlist, target, oracle.config, cache, true)
-            .log_proofs(oracle.log_proofs)
-            .solve(&cands)
+        let (netlist, config) = (oracle.netlist, oracle.config);
+        let session = match oracle.cache {
+            Some(cache) => {
+                AbductionSession::with_cache(netlist, target, config, Arc::clone(cache), true)
+            }
+            None => AbductionSession::with_simp(netlist, target, config, Arc::clone(oracle.simp)),
+        };
+        session.log_proofs(oracle.log_proofs).solve(&cands)
     }));
     JobDone {
         job_idx,
@@ -316,7 +324,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             threads,
             store: PredicateStore::new(),
             targets: Targets::default(),
-            warm_cache: None,
+            cache: None,
+            simp: None,
             stats: Stats::default(),
             fail_job: None,
             canary_shuffle: false,
@@ -350,17 +359,25 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
         self.canary_shuffle = true;
     }
 
-    /// Attaches an externally owned, warm [`EncodeCache`] (encoding replay
-    /// streams). [`ParallelEngine::learn`] then shares it across this run's
-    /// sessions *instead of* building a fresh per-run cache, and leaves it
-    /// populated afterwards — this is how a resident service (`hh-serve`)
-    /// keeps blasting work warm across requests. Replayed encodings are
-    /// byte-identical to fresh builds, so the learned invariant is
-    /// unaffected; only timing and the cache's cumulative counters change.
-    /// The cache must have been built over a netlist identical in content
-    /// to this engine's.
+    /// Attaches a resident job's [`EncodeCache`]: every session of later
+    /// learn calls replays its target's base encoding from it or records
+    /// it there — how `hh-serve` keeps blasting work warm across requests.
+    /// Replayed encodings are byte-identical to fresh builds, so only
+    /// timing and the cache's own counters change. The cache must have been
+    /// built over a netlist identical in content to this engine's.
     pub fn set_encode_cache(&mut self, cache: Arc<EncodeCache>) {
-        self.warm_cache = Some(cache);
+        self.simp = Some(cache.simp());
+        self.cache = Some(cache);
+    }
+
+    /// The word-level simplification map of this engine's netlist, built
+    /// on first need and shared by every later session.
+    fn simp(&mut self) -> Arc<SimpMap> {
+        let netlist = self.netlist;
+        let simp = self
+            .simp
+            .get_or_insert_with(|| Arc::new(SimpMap::build(netlist)));
+        Arc::clone(simp)
     }
 
     /// Preloads the memo table with solutions from an earlier run: each
@@ -377,15 +394,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     /// usual stale sweep applies if one fails). Returns the number of
     /// entries seeded.
     pub fn seed_solutions(&mut self, solutions: &[(Predicate, Vec<Predicate>)]) -> usize {
-        // A cold learn seeds nothing: build no `SimpMap` for it.
-        if solutions.is_empty() {
-            return 0;
-        }
-        // Only the cache's `SimpMap` is used: a re-check records nothing.
-        let cache = match &self.warm_cache {
-            Some(cache) => Arc::clone(cache),
-            None => Arc::new(EncodeCache::new(self.netlist)),
-        };
+        // A re-check blasts over the run's map and records nothing.
+        let simp = self.simp();
         let mut seeded = 0;
         for (target, premises) in solutions {
             let p = self.store.intern(target.clone());
@@ -398,12 +408,11 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
                 continue;
             }
             // UNSAT or not is the whole answer: no core to trim.
-            let check = AbductionSession::with_cache(
+            let check = AbductionSession::with_simp(
                 self.netlist,
                 target.clone(),
                 AbductionConfig::default(),
-                Arc::clone(&cache),
-                false,
+                Arc::clone(&simp),
             )
             .solve(premises);
             self.stats.counters.merge(&check.telemetry.counters);
@@ -608,9 +617,8 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
     /// One learn run around `backend`, which drives
     /// [`Self::run_scheduler`] on its execution model. Everything either
     /// backend needs before the first issue and after the last commit is
-    /// here: the properties are interned, and the encode cache is the warm
-    /// one a resident service attached (it outlives the call and keeps its
-    /// recorded encodings) or a fresh per-run cache.
+    /// here: the properties are interned, and the sessions share the
+    /// engine's simplification map and the attached encode cache, if any.
     fn run(
         &mut self,
         properties: &[Predicate],
@@ -623,20 +631,18 @@ impl<'a, M: Miner> ParallelEngine<'a, M> {
             .iter()
             .map(|p| self.store.intern(p.clone()))
             .collect();
-        let encode_cache = self
-            .warm_cache
-            .clone()
-            .unwrap_or_else(|| Arc::new(EncodeCache::new(self.netlist)));
-
+        let simp = self.simp();
+        let cache = self.cache.clone();
         let oracle = Oracle {
             netlist: self.netlist,
             config: self.config.abduction,
-            cache: &encode_cache,
+            simp: &simp,
+            cache: cache.as_ref(),
             log_proofs: self.log_proofs,
         };
         let result = backend(self, &prop_ids, oracle);
 
-        self.stats.record_run_end(&encode_cache);
+        self.stats.record_run_end(&simp);
         self.stats.wall_time = t0.elapsed();
         self.targets.end_run();
         result
@@ -870,9 +876,9 @@ mod tests {
     /// with FIFO completions at windows 1, 2 and 4 (window 1 is the
     /// thread-free serial schedule) learn the same invariant, solution
     /// table and memo hits on a wide design, one whose task DAG has
-    /// parallel width, and count the same encode-cache hits and misses: a
-    /// target is never in flight twice, so no two sessions race to record
-    /// one encoding.
+    /// parallel width, and do the same work, counter for counter: every
+    /// query is a fresh session, so no answer depends on which worker ran
+    /// it or when.
     #[test]
     fn backends_and_thread_counts_agree() {
         let (base, m) = wide(8);
@@ -893,16 +899,10 @@ mod tests {
                 let inv = inv.unwrap();
                 assert!(inv.verify_monolithic(m.netlist()));
                 let stats = eng.stats();
-                assert!(stats.counters.encode_cache_misses > 0);
+                assert!(stats.counters.sat_solves > 0);
                 assert!(stats.num_tasks() >= 9);
                 assert!(stats.span() <= stats.simulated_time(1));
-                let got = (
-                    inv.preds().to_vec(),
-                    eng.solutions(),
-                    stats.counters.memo_hits,
-                    stats.counters.encode_cache_hits,
-                    stats.counters.encode_cache_misses,
-                );
+                let got = (inv.preds().to_vec(), eng.solutions(), stats.counters);
                 match &reference {
                     None => reference = Some(got),
                     Some(r) => assert_eq!(r, &got, "threaded {threaded}, {threads} thread(s)"),

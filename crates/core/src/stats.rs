@@ -10,6 +10,7 @@
 //! independent of how many physical cores this machine has.
 
 use crate::store::PredId;
+use hh_netlist::simp::SimpMap;
 use hh_trace::Counters;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -188,33 +189,17 @@ impl Stats {
         self.tasks.len() - 1
     }
 
-    /// End-of-run fold of the shared encode cache's final
-    /// [`hh_smt::CacheStats`] and footprint, and of its word-level
-    /// simplification map's counts (the map is built once per cache, so
-    /// they are counted once, not per query).
-    pub(crate) fn record_run_end(&mut self, cache: &hh_smt::EncodeCache) {
-        let c = cache.stats();
-        let simp = cache.simp().stats();
+    /// End-of-run fold of the run's word-level simplification map's counts
+    /// (the map is built once per engine, so they are counted once, not
+    /// per query).
+    pub(crate) fn record_run_end(&mut self, simp: &SimpMap) {
+        let simp = simp.stats();
         self.counters.merge(&Counters {
-            encode_cache_hits: c.hits,
-            encode_cache_misses: c.misses,
-            encode_cache_resident_bytes: cache.resident_bytes(),
             word_const_folds: simp.const_folds,
             word_rewrites: simp.rewrites,
             word_strash_hits: simp.strash_hits,
             ..Counters::default()
         });
-    }
-
-    /// Fraction of base encodings served by the cross-target encode cache
-    /// (0 when it was never consulted).
-    pub fn encode_cache_hit_rate(&self) -> f64 {
-        let c = &self.counters;
-        let consulted = c.encode_cache_hits + c.encode_cache_misses;
-        if consulted == 0 {
-            return 0.0;
-        }
-        c.encode_cache_hits as f64 / consulted as f64
     }
 
     /// Scheduler occupancy: the fraction of configured worker capacity

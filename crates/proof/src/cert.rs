@@ -51,9 +51,10 @@ use crate::check::{check_refutation, CheckStats};
 use crate::drat;
 use hh_isa::MaskMatch;
 use hh_netlist::miter::Miter;
+use hh_netlist::simp::SimpMap;
 use hh_sat::dimacs::{Fnv1a, ShapeHasher};
 use hh_sat::Lit;
-use hh_smt::{AbductionConfig, AbductionSession, EncodeCache, LoggedSolution, Predicate};
+use hh_smt::{AbductionConfig, AbductionSession, LoggedSolution, Predicate};
 use hh_uarch::decode::constrained_miter;
 use hh_uarch::Design;
 use std::collections::{HashMap, HashSet};
@@ -199,15 +200,14 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// What every obligation of one bundle is built from, built once per
-/// bundle: the safe-set-constrained miter, an encode cache without entries
-/// for its word-level simplification map (a pass over the whole netlist,
-/// built on first use) and the table the obligations index into — the
-/// predicates, then the candidates. The emitter and the checker each build
-/// their own from the design reference and hand it to their workers by
-/// shared reference.
+/// bundle: the safe-set-constrained miter, its word-level simplification
+/// map (a pass over the whole netlist, built on first use) and the table
+/// the obligations index into — the predicates, then the candidates. The
+/// emitter and the checker each build their own from the design reference
+/// and hand it to their workers by shared reference.
 struct SessionContext {
     miter: Miter,
-    cache: OnceLock<Arc<EncodeCache>>,
+    simp: OnceLock<Arc<SimpMap>>,
     table: Vec<Predicate>,
 }
 
@@ -215,25 +215,22 @@ impl SessionContext {
     fn new(miter: Miter, table: Vec<Predicate>) -> SessionContext {
         SessionContext {
             miter,
-            cache: OnceLock::new(),
+            simp: OnceLock::new(),
             table,
         }
     }
 
     /// The abduction session of `target`, blasting fresh over the shared
-    /// simplification map: the session the learn runs, minus its cache
-    /// entries (a replay is byte-identical to a fresh blast).
+    /// simplification map: the session a cold learn runs (a resident job's
+    /// replay is byte-identical to it).
     fn session(&self, target: usize) -> AbductionSession<'_> {
         let netlist = self.miter.netlist();
-        let cache = self
-            .cache
-            .get_or_init(|| Arc::new(EncodeCache::new(netlist)));
-        AbductionSession::with_cache(
+        let simp = self.simp.get_or_init(|| Arc::new(SimpMap::build(netlist)));
+        AbductionSession::with_simp(
             netlist,
             self.table[target].clone(),
             AbductionConfig::default(),
-            Arc::clone(cache),
-            false,
+            Arc::clone(simp),
         )
     }
 
@@ -918,54 +915,44 @@ mod tests {
         (m, table)
     }
 
-    /// A query the learn would run — encode-cache replay, trimming, proof
-    /// logged — checks against the session CNF a fresh context re-derives,
-    /// under its abduct's indicators and no fewer.
+    /// A query the learn would run — trimming, proof logged — checks
+    /// against the session CNF a fresh context re-derives, under its
+    /// abduct's indicators and no fewer. (A resident job's replayed query
+    /// logs the same bytes: `a_replayed_encoding_is_the_fresh_one` in
+    /// hh-smt.)
     #[test]
     fn a_logged_query_checks_against_the_re_derived_session() {
         let (m, table) = and_gate();
-        let cache = Arc::new(EncodeCache::new(m.netlist()));
         let cfg = AbductionConfig::paper_default();
-        let cands = &table[1..];
-        for _ in 0..2 {
-            // The second round replays the base encoding from the cache.
-            let answer = AbductionSession::with_cache(
-                m.netlist(),
-                table[0].clone(),
-                cfg,
-                cache.clone(),
-                true,
-            )
+        let answer = AbductionSession::new(m.netlist(), table[0].clone(), cfg)
             .log_proofs(true)
-            .solve(cands);
-            assert_eq!(answer.abduct, Some(vec![0, 1]));
-            let log = answer.log.expect("an UNSAT answer carries its log");
-            let ctx = SessionContext::new(m.clone(), table.clone());
-            let mut ob = Obligation {
-                target: 0,
-                candidates: vec![1, 2, 3],
-                premises: vec![1, 2],
-                num_vars: log.shape.num_vars,
-                num_clauses: log.shape.num_clauses,
-                cnf_hash: log.shape.hash,
-                proof: log.drat,
-            };
-            ctx.check(0, &ob).expect("the learn's own proof checks");
-            // One premise fewer: the wrapper's unit is no longer RUP.
-            ob.premises = vec![1];
-            assert!(matches!(
-                ctx.check(0, &ob),
-                Err(CertError::ProofRejected { obligation: 0, .. })
-            ));
-            // One candidate fewer: a different formula.
-            ob.premises = vec![1, 2];
-            ob.candidates = vec![1, 2];
-            assert!(matches!(
-                ctx.check(0, &ob),
-                Err(CertError::CnfMismatch { obligation: 0, .. })
-            ));
-        }
-        assert_eq!(cache.stats().hits, 1);
+            .solve(&table[1..]);
+        assert_eq!(answer.abduct, Some(vec![0, 1]));
+        let log = answer.log.expect("an UNSAT answer carries its log");
+        let ctx = SessionContext::new(m.clone(), table.clone());
+        let mut ob = Obligation {
+            target: 0,
+            candidates: vec![1, 2, 3],
+            premises: vec![1, 2],
+            num_vars: log.shape.num_vars,
+            num_clauses: log.shape.num_clauses,
+            cnf_hash: log.shape.hash,
+            proof: log.drat,
+        };
+        ctx.check(0, &ob).expect("the learn's own proof checks");
+        // One premise fewer: the wrapper's unit is no longer RUP.
+        ob.premises = vec![1];
+        assert!(matches!(
+            ctx.check(0, &ob),
+            Err(CertError::ProofRejected { obligation: 0, .. })
+        ));
+        // One candidate fewer: a different formula.
+        ob.premises = vec![1, 2];
+        ob.candidates = vec![1, 2];
+        assert!(matches!(
+            ctx.check(0, &ob),
+            Err(CertError::CnfMismatch { obligation: 0, .. })
+        ));
         // A SAT answer logs nothing, and an unlogged entry fails to prove.
         let sat = AbductionSession::new(m.netlist(), table[0].clone(), cfg)
             .log_proofs(true)

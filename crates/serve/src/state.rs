@@ -6,7 +6,8 @@
 //!
 //! * the product **miter** (deterministically rebuilt by every engine run,
 //!   so resident predicates resolve against identical state numbering),
-//! * a shared [`EncodeCache`] — recorded Tseitin replay streams,
+//! * an [`EncodeCache`] — recorded Tseitin replay streams, attached to
+//!   every learn of the job,
 //! * the **solution table** (`target ⊢ premises` memo entries) of the last
 //!   successful learn. It is the job's one record of what was learned: the
 //!   answer's invariant is the table's closure
@@ -94,6 +95,10 @@ pub struct JobState {
     pub proved: bool,
     /// Positive examples used by the last learn.
     pub num_examples: usize,
+    /// `cert/` holds the bundle of this very table: set by an emit, cleared
+    /// when the table changes or the job stops being proved. Not persisted,
+    /// so a restored job emits again.
+    certified: bool,
 }
 
 impl JobState {
@@ -107,6 +112,7 @@ impl JobState {
             solutions: Vec::new(),
             proved: false,
             num_examples: 0,
+            certified: false,
         }
     }
 }
@@ -348,6 +354,9 @@ impl ServeState {
         // Update warm state: keep the last *successful* memo (seeding from
         // a failed run would be wasted work — its entries reference
         // predicates in P_fail).
+        let table_kept =
+            job.proved && result == LearnResult::Proved && report.solutions == job.solutions;
+        job.certified &= table_kept;
         job.proved = result == LearnResult::Proved;
         if job.proved {
             job.solutions = report.solutions;
@@ -388,15 +397,18 @@ impl ServeState {
                     )
                 })?
                 .join("cert");
-            let inv = report
-                .invariant
-                .as_ref()
-                .expect("a proved learn has an invariant");
-            std::fs::create_dir_all(&dir)
-                .map_err(|e| (ErrorCode::Internal, format!("creating {dir:?}: {e}")))?;
-            veloct
-                .emit_certificate(&key.safe, inv, &job.solutions, &dir)
-                .map_err(|e| (ErrorCode::Internal, format!("certificate emission: {e}")))?;
+            if !job.certified {
+                let inv = report
+                    .invariant
+                    .as_ref()
+                    .expect("a proved learn has an invariant");
+                std::fs::create_dir_all(&dir)
+                    .map_err(|e| (ErrorCode::Internal, format!("creating {dir:?}: {e}")))?;
+                veloct
+                    .emit_certificate(&key.safe, inv, &job.solutions, &dir)
+                    .map_err(|e| (ErrorCode::Internal, format!("certificate emission: {e}")))?;
+                job.certified = true;
+            }
             certificate = Some(dir);
         }
 

@@ -389,15 +389,33 @@ fn restart_from_checkpoint_reproduces_answers() {
     };
     let cold_emitted = proved_at_emit(&cert_path);
     assert!(!cold_emitted.contains(&true), "{cold_emitted:?}");
-    // The same learn again, answered from the closed table: nothing is
-    // learned, so every obligation is proved at emission.
+    // The same learn again, answered from the closed table: the table did
+    // not change, so the answer is the cold bundle, and nothing is written.
+    let bundle_files = |dir: &Path| -> Vec<(PathBuf, Vec<u8>, std::time::SystemTime)> {
+        let mut files = files_under(dir, |_| true);
+        files.sort();
+        assert!(!files.is_empty());
+        (files.into_iter())
+            .map(|f| {
+                let modified = std::fs::metadata(&f).unwrap().modified().unwrap();
+                (f.clone(), std::fs::read(&f).unwrap(), modified)
+            })
+            .collect()
+    };
+    let cold_files = bundle_files(&cert_path);
     let warm = c.request("learn", rocket_learn_fields()).unwrap();
     assert_eq!(warm.get("warm_hit").unwrap(), &Json::Bool(true));
     assert_eq!(i64_field(&warm, "smt_queries"), 0);
     let warm_path = PathBuf::from(warm.get("certificate").unwrap().as_str().unwrap());
+    assert_eq!(warm_path, cert_path, "a repeat answers the stored bundle");
+    assert_eq!(
+        bundle_files(&warm_path),
+        cold_files,
+        "a repeat wrote nothing"
+    );
     let warm_report = hh_proof::cert::check_bundle(&warm_path).expect("warm bundle checks");
     assert_eq!(warm_report.predicates, report.predicates);
-    assert!(!proved_at_emit(&warm_path).contains(&false));
+    assert_eq!(proved_at_emit(&warm_path), cold_emitted);
     daemon.stop(); // checkpoints on the way down
 
     // A fresh process (modelled by a fresh server) restores the state dir.

@@ -25,8 +25,8 @@ pub struct TransitionEncoding<'a> {
     cnf: Cnf,
     /// Word-level simplification (constant folding + strash); every encoding
     /// request resolves through it, so folded nodes cost nothing and
-    /// structurally identical cones encode once. Shared (`Arc`) so an
-    /// engine-wide `EncodeCache` builds it once instead of once per session.
+    /// structurally identical cones encode once. Shared (`Arc`) so a learn
+    /// builds it once instead of once per session.
     simp: Arc<SimpMap>,
     /// Memo of the nodes encoded so far, one slot per netlist node while it
     /// is in use (empty otherwise). Only a memo: every node is a function of

@@ -1,22 +1,21 @@
-//! Per-target encoding cache.
+//! Per-target encoding cache of a daemon job.
 //!
-//! Backtracking re-asks a target over a smaller candidate set (paper
-//! §3.2.4), a design's resident job re-learns after a memo flush, and each
-//! such query starts from the same base encoding `target ∧ ¬target'` — the
-//! traversal in [`crate::TransitionEncoding`] is a pure function of the
-//! netlist and the target — so blasting it again is wasted work. An
-//! [`EncodeCache`] shared by every [`crate::AbductionSession`] of a learn run
-//! (or of a resident job) fixes that:
+//! A daemon job re-learns after a memo flush, and each such query starts
+//! from the base encoding `target ∧ ¬target'` an earlier learn of the job
+//! built — the traversal in [`crate::TransitionEncoding`] is a pure
+//! function of the netlist and the target. The job attaches one
+//! [`EncodeCache`] to all its learns, shared by their
+//! [`crate::AbductionSession`]s:
 //!
 //! * **Encoding replay.** The first session for a target records its base
 //!   encoding — the ordered clause stream plus the state/input literal
 //!   tables and gate hash-cons caches — keyed by the target predicate. A
-//!   later session for the same target *replays* that record into its
-//!   fresh solver instead of re-running Tseitin. A record is flat buffers
-//!   (literals and row ends), not a heap block per clause, and holds no
-//!   per-node table: nothing reads one after a replay (candidates encode
-//!   over current-state literals, and a node asked for again is re-derived
-//!   from them).
+//!   later session for the same target (a re-learn, or a backtracking
+//!   retry, §3.2.4) *replays* that record into its fresh solver instead of
+//!   re-running Tseitin. A record is flat buffers (literals and row ends),
+//!   not a heap block per clause, and holds no per-node table: nothing
+//!   reads one after a replay (candidates encode over current-state
+//!   literals, and a node asked for again is re-derived from them).
 //! * **Identical state.** Every session starts from an empty solver, and
 //!   the blaster allocates variables in traversal order, so a replay yields
 //!   a solver state byte-identical to the one a fresh build would have
@@ -24,7 +23,10 @@
 //!   replayed; only the telemetry differs. A target is never in flight
 //!   twice in one run, so which session records it is not a race either.
 //!
-//! The cache is engine-lifetime shared state behind plain [`Mutex`]es: entry
+//! A learn with no cache attached records nothing: recording every cone
+//! for the few retries of one run costs more than re-blasting them.
+//!
+//! The cache is job-lifetime shared state behind a plain [`Mutex`]: entry
 //! construction happens off-lock, the critical sections are map lookups and
 //! inserts.
 

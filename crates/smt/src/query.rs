@@ -93,7 +93,7 @@ pub fn abduct<P: std::borrow::Borrow<Predicate>>(
     candidates: &[P],
     config: &AbductionConfig,
 ) -> AbductionResult {
-    // The engine's query without the encode cache's entries.
+    // The engine's query, over a map of its own.
     AbductionSession::new(netlist, target.clone(), *config).solve(candidates)
 }
 

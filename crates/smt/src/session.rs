@@ -1,13 +1,14 @@
 //! Abduction sessions: one query per solve (paper §3.2.3).
 //!
 //! An [`AbductionSession`] holds a query's inputs — the netlist, the target
-//! predicate, the configuration and the run's [`EncodeCache`] — and nothing
-//! else. Each [`AbductionSession::solve`] call builds the target's base
-//! encoding (replayed from the cache when the target was encoded before),
-//! registers every candidate behind an indicator literal, solves under those
-//! assumptions, trims the core and drops the encoding before it returns. The paper's tool keeps an incremental context alive
-//! per target for backtracking retries (§3.2.4); here a retry is a fresh
-//! query whose base encoding replays from the cache, so an answer is a
+//! predicate, the configuration, the shared word-level [`SimpMap`] and, in a
+//! daemon job, the job's [`EncodeCache`] — and nothing else. Each
+//! [`AbductionSession::solve`] call blasts the target's base encoding (or
+//! replays the cache's byte-identical record of it), registers every
+//! candidate behind an indicator literal, solves under those assumptions,
+//! trims the core and drops the encoding before it returns. The paper's
+//! tool keeps an incremental context alive per target for backtracking
+//! retries (§3.2.4); here a retry is a fresh query, so an answer is a
 //! function of (target, candidates) alone.
 //!
 //! ## Proof logging
@@ -41,6 +42,7 @@ use crate::cache::EncodeCache;
 use crate::cnf::{map_bytes, set_bytes, vec_bytes};
 use crate::pred::Predicate;
 use crate::query::{AbductionConfig, AbductionResult, QueryTelemetry};
+use hh_netlist::simp::SimpMap;
 use hh_netlist::Netlist;
 use hh_sat::dimacs::CnfShape;
 use hh_sat::{DratLog, Lit, SolveResult};
@@ -75,12 +77,11 @@ pub struct AbductionSession<'a> {
     netlist: &'a Netlist,
     target: Arc<Predicate>,
     config: AbductionConfig,
-    /// Cross-target encoding cache (and its `SimpMap`): shared, or the
-    /// session's own without entries.
-    cache: Arc<EncodeCache>,
-    /// Whether the base encoding is replayed from / recorded into the
-    /// cache, keyed by the target.
-    use_entries: bool,
+    /// The word-level simplification map every blast goes through.
+    simp: Arc<SimpMap>,
+    /// The resident cache the base encoding replays from and records into,
+    /// keyed by the target; `None` blasts it fresh.
+    cache: Option<Arc<EncodeCache>>,
     /// Whether each solve logs its proof ([`AbductionResult::log`]).
     log_proofs: bool,
 }
@@ -128,25 +129,42 @@ pub struct SessionCnf<'a, 'c> {
 }
 
 impl<'a> AbductionSession<'a> {
-    /// Creates a session for `target` over a private [`EncodeCache`] that
-    /// records no entries. No encoding happens until
-    /// [`AbductionSession::solve`].
+    /// Creates a session for `target` over a [`SimpMap`] of its own. No
+    /// encoding happens until [`AbductionSession::solve`].
     pub fn new(
         netlist: &'a Netlist,
         target: impl Into<Arc<Predicate>>,
         config: AbductionConfig,
     ) -> AbductionSession<'a> {
-        let cache = Arc::new(EncodeCache::new(netlist));
-        AbductionSession::with_cache(netlist, target, config, cache, false)
+        let simp = Arc::new(SimpMap::build(netlist));
+        AbductionSession::with_simp(netlist, target, config, simp)
     }
 
-    /// Like [`AbductionSession::new`], attached to a shared [`EncodeCache`].
+    /// Like [`AbductionSession::new`], over a shared [`SimpMap`] built for
+    /// `netlist`: each solve blasts the cone fresh and records nothing.
+    pub fn with_simp(
+        netlist: &'a Netlist,
+        target: impl Into<Arc<Predicate>>,
+        config: AbductionConfig,
+        simp: Arc<SimpMap>,
+    ) -> AbductionSession<'a> {
+        hh_trace::event!("smt", "smt.session.create");
+        AbductionSession {
+            netlist,
+            target: target.into(),
+            config,
+            simp,
+            cache: None,
+            log_proofs: false,
+        }
+    }
+
+    /// Like [`AbductionSession::new`], attached to a resident
+    /// [`EncodeCache`] built for `netlist`.
     ///
     /// With `use_entries` each solve replays the target's base encoding
-    /// from (or records it into) the cache.
-    /// Without it the cone is blasted fresh over the cache's shared
-    /// [`hh_netlist::simp::SimpMap`] — the reference that replay is tested
-    /// against.
+    /// from (or records it into) the cache. Without it the session is
+    /// [`AbductionSession::with_simp`] over the cache's map.
     pub fn with_cache(
         netlist: &'a Netlist,
         target: impl Into<Arc<Predicate>>,
@@ -154,14 +172,10 @@ impl<'a> AbductionSession<'a> {
         cache: Arc<EncodeCache>,
         use_entries: bool,
     ) -> AbductionSession<'a> {
-        hh_trace::event!("smt", "smt.session.create");
+        let session = AbductionSession::with_simp(netlist, target, config, cache.simp());
         AbductionSession {
-            netlist,
-            target: target.into(),
-            config,
-            cache,
-            use_entries,
-            log_proofs: false,
+            cache: use_entries.then_some(cache),
+            ..session
         }
     }
 
@@ -293,24 +307,25 @@ impl<'a> AbductionSession<'a> {
         }
     }
 
-    /// The target's base encoding: replayed from the cache when it holds
-    /// one, else blasted (and recorded, when the session uses entries).
+    /// The target's base encoding: without a cache, blasted over the map;
+    /// with one, replayed from it when it holds the target, else blasted
+    /// and recorded.
     fn base(&self) -> TransitionEncoding<'a> {
-        let cache = &self.cache;
-        if !self.use_entries {
+        let simp = Arc::clone(&self.simp);
+        let Some(cache) = &self.cache else {
             let _blast = hh_trace::span!("smt", "smt.blast");
-            let mut enc = TransitionEncoding::with_simp(self.netlist, cache.simp());
+            let mut enc = TransitionEncoding::with_simp(self.netlist, simp);
             self.assert_base(&mut enc);
             return enc;
-        }
+        };
         if let Some(entry) = cache.lookup(&self.target) {
             // Replay: byte-identical solver state to a fresh build (identity
             // variable numbering), minus the Tseitin work.
             let _replay = hh_trace::span!("smt", "smt.replay");
-            return TransitionEncoding::from_cache(self.netlist, cache.simp(), &entry);
+            return TransitionEncoding::from_cache(self.netlist, simp, &entry);
         }
         let _blast = hh_trace::span!("smt", "smt.blast");
-        let mut enc = TransitionEncoding::recording(self.netlist, cache.simp());
+        let mut enc = TransitionEncoding::recording(self.netlist, simp);
         self.assert_base(&mut enc);
         let entry = enc.harvest();
         cache.insert(Arc::clone(&self.target), entry);
@@ -331,6 +346,7 @@ impl<'a> AbductionSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use hh_netlist::miter::Miter;
     use hh_netlist::{Bv, Netlist};
 
@@ -542,7 +558,7 @@ mod tests {
     fn a_replayed_encoding_is_the_fresh_one() {
         // A first session for Eq(A) records its base encoding, a second one
         // replays it; a third blasts Eq(A) fresh over the same SimpMap.
-        // Same formula size, same search, same bytes.
+        // Same formula size, same search, same bytes, same proof.
         let (base, m) = and_gate();
         let [a, b, c] = ["A", "B", "C"].map(|s| base.find_state(s).unwrap());
         let eq_a = Predicate::eq(m.left(a), m.right(a));
@@ -559,15 +575,19 @@ mod tests {
         let recorded = cache.resident_bytes();
         assert!(recorded > before);
 
-        let mut replayed =
-            AbductionSession::with_cache(m.netlist(), eq_a.clone(), cfg, Arc::clone(&cache), true);
-        let r = replayed.solve(&cands);
+        let r =
+            AbductionSession::with_cache(m.netlist(), eq_a.clone(), cfg, Arc::clone(&cache), true)
+                .log_proofs(true)
+                .solve(&cands);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.resident_bytes(), recorded, "a hit stores nothing");
-        let mut fresh =
-            AbductionSession::with_cache(m.netlist(), eq_a, cfg, Arc::clone(&cache), false);
-        let f = fresh.solve(&cands);
+        let f = AbductionSession::with_simp(m.netlist(), eq_a, cfg, cache.simp())
+            .log_proofs(true)
+            .solve(&cands);
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(r.abduct, f.abduct);
+        assert!(r.log.is_some());
+        assert_eq!(r.log, f.log, "a replayed query logs the fresh proof");
         let (rt, ft) = (r.telemetry, f.telemetry);
         assert_eq!(
             (rt.vars, rt.clauses, rt.solves),

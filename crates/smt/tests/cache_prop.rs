@@ -1,5 +1,5 @@
-//! Property tests for the per-target encoding cache: replaying a cached
-//! base encoding into a later session for the same target must be
+//! Property tests for a daemon job's per-target encoding cache: replaying
+//! a cached base encoding into a later session for the same target must be
 //! indistinguishable from blasting it fresh — same abducts, same
 //! variable/clause allocation.
 
@@ -156,17 +156,12 @@ fn replayed_encodings_answer_like_fresh_sessions() {
                 assert_eq!(rc.telemetry.vars, rf.telemetry.vars);
                 assert_eq!(rc.telemetry.clauses, rf.telemetry.clauses);
                 assert_eq!(rc.telemetry.counters, rf.telemetry.counters);
-                // So is blasting fresh over the cache's shared SimpMap
-                // (`use_entries` off): no lookup, no recording.
+                // So is blasting fresh over the cache's shared SimpMap, as
+                // a learn with no cache attached does: no lookup, no
+                // recording.
                 let before = cache.stats();
-                let rs = AbductionSession::with_cache(
-                    &d.netlist,
-                    target.clone(),
-                    cfg,
-                    Arc::clone(&cache),
-                    false,
-                )
-                .solve(cands);
+                let rs = AbductionSession::with_simp(&d.netlist, target.clone(), cfg, cache.simp())
+                    .solve(cands);
                 assert_eq!(rs.abduct, rc.abduct);
                 assert_eq!(rs.telemetry.vars, rc.telemetry.vars);
                 assert_eq!(rs.telemetry.clauses, rc.telemetry.clauses);

@@ -79,12 +79,6 @@ counter_table! {
         "memoised solutions swept because a member predicate failed";
     session_resident_bytes, "smt.session.resident_bytes", Max,
         "heap bytes of the largest abduction session when its query ended and it was dropped";
-    encode_cache_hits, "smt.cache.hit", Sum,
-        "base encodings replayed from the encode cache";
-    encode_cache_misses, "smt.cache.miss", Sum,
-        "base encodings blasted fresh and recorded into the encode cache";
-    encode_cache_resident_bytes, "smt.cache.resident_bytes", Max,
-        "heap bytes the run's encode cache held when the run ended";
     word_const_folds, "smt.word.const_folds", Sum,
         "word-level constant folds during pre-blast simplification";
     word_rewrites, "smt.word.rewrites", Sum,

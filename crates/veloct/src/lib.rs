@@ -156,9 +156,9 @@ pub struct LearnReport {
 }
 
 /// Warm state carried into [`Veloct::learn_warm`] / [`Veloct::learn_seeded`]
-/// by a resident service: an engine-external [`EncodeCache`] that outlives
-/// the call, plus memoised solutions from an earlier run to preload. Both
-/// are optional; the default context reproduces the cold [`Veloct::learn`]
+/// by a resident service: the job's [`EncodeCache`], which outlives the
+/// call, plus memoised solutions from an earlier run to preload. Both are
+/// optional; the default context reproduces the cold [`Veloct::learn`]
 /// behaviour exactly.
 ///
 /// The cache must have been built over a netlist whose content is identical
@@ -167,8 +167,9 @@ pub struct LearnReport {
 /// seeds it ([`ParallelEngine::seed_solutions`]).
 #[derive(Debug, Default)]
 pub struct WarmContext {
-    /// Resident encode cache (replay streams), or `None` to build a
-    /// per-run cache as usual.
+    /// Resident encode cache (replay streams) every session replays from
+    /// and records into, or `None` for a cold learn, whose sessions blast
+    /// fresh and record nothing.
     pub encode_cache: Option<Arc<EncodeCache>>,
     /// `(target, premises)` solutions to preload into the engine memo.
     pub seeds: Vec<(Predicate, Vec<Predicate>)>,

@@ -162,15 +162,14 @@ pub fn check_inflight_balance(run: &RunArtifacts) -> InvariantResult {
 }
 
 /// Trace counters and `Stats` are two recordings of the same run; the
-/// totals must agree wherever both exist. (`smt.cache.*` totals come from
-/// the shared cache's own counters, so they agree even on poisoned runs
-/// where uncommitted solves never reach `Stats` — `engine.query` is
-/// recorded at commit, so it agrees unconditionally too.)
+/// totals must agree wherever both exist. All three are recorded on the
+/// scheduler thread next to the `Stats` field they mirror (a query at
+/// commit), so they agree unconditionally, poisoned runs included.
 pub fn check_trace_agreement(run: &RunArtifacts) -> InvariantResult {
     let pairs: [(&str, u64); 3] = [
         ("engine.query", run.stats.smt_queries as u64),
-        ("smt.cache.hit", run.stats.counters.encode_cache_hits),
-        ("smt.cache.miss", run.stats.counters.encode_cache_misses),
+        ("engine.backtrack", run.stats.counters.backtracks),
+        ("engine.memo.hit", run.stats.counters.memo_hits),
     ];
     for (name, stat) in pairs {
         let traced = *run.counters.get(name).unwrap_or(&0);

@@ -6,11 +6,13 @@
 mod common;
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
-use common::{alu_set, boom_set, setup};
+use common::{alu_set, setup};
 use hh_suite::hhoudini::mine::CoiMiner;
 use hh_suite::hhoudini::{EngineConfig, ParallelEngine};
+use hh_suite::isa::Mnemonic;
+use hh_suite::smt::EncodeCache;
 use hh_suite::trace::json::Json;
 use hh_suite::trace::{self, Event, EventKind, Trace, TraceConfig};
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
@@ -149,7 +151,7 @@ fn parallel_trace_is_sound_at_every_thread_count() {
 
         // Stats is a projection of the trace: shared counter names agree.
         let projected: BTreeMap<&str, u64> = stats.counters().into_iter().collect();
-        for name in ["engine.query", "smt.cache.hit", "smt.cache.miss"] {
+        for name in ["engine.query", "engine.backtrack", "engine.memo.hit"] {
             assert_eq!(
                 counters.get(name).copied().unwrap_or(0),
                 projected.get(name).copied().unwrap_or(0) as i64,
@@ -175,38 +177,63 @@ fn parallel_trace_is_sound_at_every_thread_count() {
 }
 
 /// With one destination register in the examples (rd = x3, the Fig. 5
-/// regime) a SmallBoomLite learn backtracks, and every retry replays its
-/// target's encoding, so a traced learn records one encode-cache hit per
-/// backtrack — and tracing must not change what it learns.
+/// regime) a SmallBoomLite learn of the ALU set without `auipc` backtracks
+/// fifteen times. A cold learn, the batch path, records no encoding and
+/// replays none: each retry re-blasts its cone. The same learn with an
+/// empty encode cache attached, as the daemon's job does, replays once per
+/// backtrack. Both paths, traced or not, learn the same invariant and
+/// solution table with the same work.
 #[test]
-fn traced_boom_run_hits_the_encode_cache_and_learns_the_untraced_invariant() {
+fn a_cold_learn_replays_nothing_and_an_attached_cache_replays_each_backtrack() {
     let _g = lock();
     let design = boom_lite(BoomVariant::Small, 16);
-    let safe = boom_set();
+    let safe: Vec<Mnemonic> = (alu_set().into_iter())
+        .filter(|&m| m != Mnemonic::Auipc)
+        .collect();
     let (miter, _, props) = setup(&design, &safe);
     let examples =
         generate_examples_custom(&design, &miter, &safe, 1, 42, true, &[3]).expect("safe set");
-    let learn = || {
+    let learn = |cache: Option<Arc<EncodeCache>>| {
         let miner = CoiMiner::new(&miter, &examples, Some(instruction_patterns(&safe)), vec![]);
         let mut engine = ParallelEngine::new(miter.netlist(), miner, EngineConfig::default(), 2);
+        if let Some(cache) = cache {
+            engine.set_encode_cache(cache);
+        }
         let inv = engine.learn(&props).expect("invariant");
-        (inv, engine.stats().counters.backtracks)
+        (
+            inv.preds().to_vec(),
+            engine.solutions(),
+            engine.stats().counters(),
+        )
     };
-    trace::init(TraceConfig::Off);
-    let (untraced, _) = learn();
-    trace::init(TraceConfig::on());
-    let (traced, backtracks) = learn();
-    let trace = trace::drain();
-    trace::init(TraceConfig::Off);
-    assert_eq!(
-        traced.preds(),
-        untraced.preds(),
-        "tracing moved the invariant"
+    let traced = |cache: Option<Arc<EncodeCache>>| {
+        trace::init(TraceConfig::on());
+        let learned = learn(cache);
+        let trace = trace::drain();
+        trace::init(TraceConfig::Off);
+        assert_eq!(trace.dropped, 0);
+        Json::parse(&trace.chrome_json()).expect("chrome trace must be valid JSON");
+        (learned, trace.counter_totals(), trace.span_totals())
+    };
+    let untraced = learn(None);
+    let (cold, cold_counters, cold_spans) = traced(None);
+    let cache = Arc::new(EncodeCache::new(miter.netlist()));
+    let (daemon, daemon_counters, daemon_spans) = traced(Some(Arc::clone(&cache)));
+
+    assert_eq!(cold, untraced, "tracing moved the learn");
+    assert_eq!(daemon, cold, "an attached cache moved the learn");
+    let backtracks = cold_counters.get("engine.backtrack").copied();
+    assert_eq!(backtracks, Some(15), "rd = x3 backtracks");
+    assert!(
+        !cold_counters.keys().any(|k| k.starts_with("smt.cache.")),
+        "a cold learn consults no cache: {cold_counters:?}"
     );
-    Json::parse(&trace.chrome_json()).expect("chrome trace must be valid JSON");
-    assert!(backtracks > 0, "rd = x3 backtracks");
-    let hits = trace.counter_totals().get("smt.cache.hit").copied();
-    assert_eq!(hits, Some(backtracks as i64), "one replay per retry");
+    assert!(!cold_spans.contains_key("smt.replay"));
+    assert_eq!(daemon_counters.get("smt.cache.hit").copied(), Some(15));
+    assert_eq!(daemon_spans.get("smt.replay").map(|&(n, _)| n), Some(15));
+    assert_eq!(cache.stats().hits, 15, "one replay per retry");
+    let queries = cold_counters["engine.query"] as u64;
+    assert_eq!(cache.stats().hits + cache.stats().misses, queries);
 }
 
 #[test]
