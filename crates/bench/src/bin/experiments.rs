@@ -10,10 +10,12 @@
 //! makes once per design and hands to every experiment that asks: one run
 //! with rich examples (Table 1, Figs. 2–4, Fig. 5 rich, the hierarchical
 //! side of the speedup, the reference arm of each ablation) and one with
-//! rd = x3 examples (Fig. 5 limited), both on one thread of the
-//! `ParallelEngine` every product path runs. Table 2 classifies, the
-//! speedup adds the two monolithic baselines per design, and two ablation
-//! arms learn under a changed configuration.
+//! rd = x3 examples (Fig. 5 limited), both on one thread. Table 2
+//! classifies, the speedup adds the two monolithic baselines per design,
+//! and three ablation arms learn under a changed configuration. Every one
+//! of them is a `Veloct` call, with a configuration derived from one base
+//! ([`base`]): the same seed and example pairs everywhere, so the baselines
+//! fold the examples the hierarchical learner folds.
 //!
 //! Every invariant whose digest Table 1 pins, and Fig. 5's
 //! MegaBoomLite-limited one, is re-checked with one monolithic induction
@@ -27,16 +29,26 @@
 //! of the run that last moved a count, and a clean run leaves the tree
 //! clean: this run's timings are in what it prints.
 
-use hh_bench::{
-    all_targets, is_boom, known_safe_set, learn, secs, LearnSpec, Report, RunResult, Target,
-    LIMITED_RDS,
-};
+use hh_bench::{all_targets, is_boom, known_safe_set, secs, Report, Target};
 use hh_isa::Mnemonic;
 use hh_smt::Predicate;
 use hhoudini::baselines::BaselineBudget;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::time::{Duration, Instant};
-use veloct::{default_candidates, BaselineKind, Veloct, VeloctConfig};
+use veloct::examples::LIMITED_RDS;
+use veloct::{default_candidates, BaselineKind, LearnReport, Masking, Veloct, VeloctConfig};
+
+/// What every learn of the experiments starts from: one worker, one example
+/// pair per instruction, one seed, and otherwise the paper's configuration
+/// (`VeloctConfig::default()`: masked rich examples, trimmed cores).
+fn base() -> VeloctConfig {
+    VeloctConfig {
+        threads: 1,
+        pairs_per_instr: 1,
+        seed: 0xBEEF,
+        ..VeloctConfig::default()
+    }
+}
 
 /// The runs more than one experiment reads.
 #[derive(Clone, Copy)]
@@ -48,12 +60,12 @@ enum Shared {
 }
 
 impl Shared {
-    fn spec(self) -> LearnSpec {
+    fn config(self) -> VeloctConfig {
         match self {
-            Shared::Rich => LearnSpec::paper(),
-            Shared::Limited => LearnSpec {
+            Shared::Rich => base(),
+            Shared::Limited => VeloctConfig {
                 rds: LIMITED_RDS,
-                ..LearnSpec::paper()
+                ..base()
             },
         }
     }
@@ -64,7 +76,7 @@ struct Runs {
     targets: Vec<Target>,
     safe: Vec<Vec<Mnemonic>>,
     /// Indexed by `Shared`, then by target.
-    shared: [Vec<OnceCell<RunResult>>; 2],
+    shared: [Vec<OnceCell<LearnReport>>; 2],
     learns: Cell<usize>,
     /// The runs whose invariant [`Runs::verify`] found not inductive.
     unsound: RefCell<Vec<String>>,
@@ -83,17 +95,17 @@ impl Runs {
         }
     }
 
-    /// Learns target `i`'s known safe set under `spec`, on one thread.
-    fn learn(&self, i: usize, spec: LearnSpec) -> RunResult {
+    /// Learns target `i`'s known safe set under `config`.
+    fn learn(&self, i: usize, config: VeloctConfig) -> LearnReport {
         self.count_learn();
-        learn(&self.targets[i].design, &self.safe[i], 1, spec)
+        self.veloct(i, config).learn(&self.safe[i])
     }
 
     /// The shared run of target `i`, made on first use. The known safe set
-    /// is provable under both specs.
-    fn shared(&self, i: usize, which: Shared) -> &RunResult {
+    /// is provable under both configurations.
+    fn shared(&self, i: usize, which: Shared) -> &LearnReport {
         self.shared[which as usize][i].get_or_init(|| {
-            let run = self.learn(i, which.spec());
+            let run = self.learn(i, which.config());
             assert!(
                 run.invariant.is_some(),
                 "{}: the known safe set must be provable",
@@ -104,21 +116,15 @@ impl Runs {
     }
 
     /// Every target beside its shared run.
-    fn each(&self, which: Shared) -> impl Iterator<Item = (&Target, &RunResult)> {
+    fn each(&self, which: Shared) -> impl Iterator<Item = (&Target, &LearnReport)> {
         (self.targets.iter().enumerate()).map(move |(i, t)| (t, self.shared(i, which)))
     }
 
-    /// The full pipeline on target `i`, with one example pair per
-    /// instruction as in [`hh_bench::learn`]. The learns it makes are the
+    /// The full pipeline on target `i` under `config`, a configuration
+    /// derived from [`base`]. The learns a caller makes on it are the
     /// caller's to [`Runs::count_learn`].
     fn veloct(&self, i: usize, config: VeloctConfig) -> Veloct<'_> {
-        Veloct::with_config(
-            &self.targets[i].design,
-            VeloctConfig {
-                pairs_per_instr: 1,
-                ..config
-            },
-        )
+        Veloct::with_config(&self.targets[i].design, config)
     }
 
     fn count_learn(&self) {
@@ -128,7 +134,7 @@ impl Runs {
     /// Re-checks the invariant `run` learned on target `i` with one
     /// monolithic induction query over the whole miter; `label` names the
     /// run in the list a failure is recorded in, which makes `main` exit 1.
-    fn verify(&self, i: usize, run: &RunResult, label: &str) {
+    fn verify(&self, i: usize, run: &LearnReport, label: &str) {
         let inv = run.invariant.as_ref().expect("verified runs learn");
         let (miter, _) = Veloct::new(&self.targets[i].design).build_miter(&self.safe[i]);
         if !inv.verify_monolithic(miter.netlist()) {
@@ -137,21 +143,14 @@ impl Runs {
     }
 }
 
-fn one_thread() -> VeloctConfig {
-    VeloctConfig {
-        threads: 1,
-        ..VeloctConfig::default()
-    }
-}
-
-fn invariant_size(run: &RunResult) -> usize {
+fn invariant_size(run: &LearnReport) -> usize {
     run.invariant.as_ref().map_or(usize::MAX, |inv| inv.len())
 }
 
 /// FNV-1a of target `i`'s invariant as sorted, newline-joined
 /// `Predicate::to_wire` lines, kept to its low 52 bits so that the row's
 /// f64 holds it exactly.
-fn invariant_digest(runs: &Runs, i: usize, run: &RunResult) -> u64 {
+fn invariant_digest(runs: &Runs, i: usize, run: &LearnReport) -> u64 {
     let inv = run.invariant.as_ref().expect("shared runs learn");
     let (miter, _) = Veloct::new(&runs.targets[i].design).build_miter(&runs.safe[i]);
     let mut wire: Vec<String> = (inv.preds().iter())
@@ -271,9 +270,7 @@ fn table1(runs: &Runs, report: &mut Report) {
 /// are always excluded.
 fn table2(runs: &Runs, report: &mut Report) {
     for (i, t) in runs.targets.iter().enumerate() {
-        let r = runs
-            .veloct(i, VeloctConfig::default())
-            .classify(&default_candidates());
+        let r = runs.veloct(i, base()).classify(&default_candidates());
         let names: Vec<&str> = r.safe.iter().map(|m| m.name()).collect();
         let rejected: Vec<String> = r
             .rejected
@@ -348,7 +345,7 @@ fn fig3(runs: &Runs, report: &mut Report) {
         let t80 = secs(run.stats.simulated_time(80));
         let tinf = secs(run.stats.span());
         let props = span_propagations(&run.stats);
-        let wall = secs(run.total_time);
+        let wall = secs(run.examples_time + run.mine_time + run.stats.wall_time);
         println!(
             "{:<16} {bits:>12} {t80:>12.3} {tinf:>12.3} {props:>12} {wall:>12.3}",
             t.name
@@ -377,7 +374,7 @@ fn fig3(runs: &Runs, report: &mut Report) {
 
 /// Solver calls per learned predicate, the cost measure of Feldman et
 /// al.'s *Complexity and Information in Invariant Inference*.
-fn queries_per_pred(run: &RunResult) -> f64 {
+fn queries_per_pred(run: &LearnReport) -> f64 {
     run.stats.smt_queries as f64 / invariant_size(run) as f64
 }
 
@@ -477,11 +474,14 @@ fn fig5(runs: &Runs, report: &mut Report) {
         "MegaBoomLite-limited spends {:.3} queries per learned predicate",
         queries_per_pred(one)
     );
-    let (t, safe) = (&runs.targets[mega], &runs.safe[mega]);
+    let t = &runs.targets[mega];
     runs.verify(mega, one, &format!("{}-limited", t.name));
-    runs.count_learn();
-    let two = learn(&t.design, safe, 2, Shared::Limited.spec());
-    let preds = |run: &RunResult| run.invariant.as_ref().map(|inv| inv.preds().to_vec());
+    let two_workers = VeloctConfig {
+        threads: 2,
+        ..Shared::Limited.config()
+    };
+    let two = runs.learn(mega, two_workers);
+    let preds = |run: &LearnReport| run.invariant.as_ref().map(|inv| inv.preds().to_vec());
     assert_eq!(
         preds(&two),
         preds(one),
@@ -528,9 +528,10 @@ fn fig5(runs: &Runs, report: &mut Report) {
 
 /// The headline comparison (§6.3): the hierarchical learner against the
 /// monolithic MLIS learners (HOUDINI / SORCAR, the basis of ConjunCT) on
-/// the same miter and examples, *learning* time only — example generation
-/// is a stage both sides consume identically. Then the cost of certifying
-/// the RocketLite run.
+/// the same miter and examples — the baselines run under the shared rich
+/// run's configuration — *learning* time only: example generation is a
+/// stage both sides consume identically. Then the cost of certifying the
+/// RocketLite run.
 fn speedup(runs: &Runs, report: &mut Report) {
     println!(
         "{:<16} {:>12} {:>12} {:>12} {:>9} {:>9}",
@@ -542,7 +543,7 @@ fn speedup(runs: &Runs, report: &mut Report) {
     let mut factors = Vec::new();
     for (i, (t, run)) in runs.each(Shared::Rich).enumerate() {
         let hh = secs(run.stats.wall_time);
-        let v = runs.veloct(i, one_thread());
+        let v = runs.veloct(i, base());
         let mut times = Vec::new();
         for kind in [BaselineKind::Houdini, BaselineKind::Sorcar] {
             let b = v.learn_baseline(&runs.safe[i], kind, &budget);
@@ -600,7 +601,7 @@ fn speedup(runs: &Runs, report: &mut Report) {
         0,
         VeloctConfig {
             certify: true,
-            ..one_thread()
+            ..base()
         },
     );
     let (t, safe) = (&runs.targets[0], &runs.safe[0]);
@@ -632,15 +633,15 @@ fn speedup(runs: &Runs, report: &mut Report) {
     report.push(t.name, "proof_check_s", check_s, "s");
 }
 
-/// Ablations: each arm changes one field of the shared 1-thread run's spec.
+/// Ablations: each arm changes one field of [`base`], the shared rich
+/// run's configuration.
 fn ablation(runs: &Runs, report: &mut Report) {
     let small = 1;
-    let paper = Shared::Rich.spec();
 
     println!("1. Trimmed vs raw UNSAT cores (SmallBoomLite)");
     let trimmed = runs.shared(small, Shared::Rich);
-    let mut raw_cores = paper;
-    raw_cores.abduction.minimize = false;
+    let mut raw_cores = base();
+    raw_cores.engine.abduction.minimize = false;
     let raw = runs.learn(small, raw_cores);
     let (a, b) = (invariant_size(trimmed), invariant_size(&raw));
     println!(
@@ -656,8 +657,10 @@ fn ablation(runs: &Runs, report: &mut Report) {
     report.push("trim_cores", "inv_raw", b as f64, "predicates");
 
     println!("\n2. Example masking on an OoO core (SmallBoomLite)");
-    let mut no_mask = paper;
-    no_mask.mask = false;
+    let no_mask = VeloctConfig {
+        masking: Masking::Raw,
+        ..base()
+    };
     let unmasked = runs.learn(small, no_mask);
     println!(
         "  masked  : invariant with {} predicates",
@@ -675,15 +678,13 @@ fn ablation(runs: &Runs, report: &mut Report) {
     report.push("masking", "unmasked_ok", 0.0, "bool");
 
     println!("\n3. Impl predicates replace masking (SmallBoomLite; §5.2.1 future work)");
-    let v = runs.veloct(
+    let with_impl = runs.learn(
         small,
         VeloctConfig {
-            impl_predicates: true,
-            ..one_thread()
+            masking: Masking::Impl,
+            ..base()
         },
     );
-    runs.count_learn();
-    let with_impl = v.learn(&runs.safe[small]);
     let inv = with_impl
         .invariant
         .as_ref()

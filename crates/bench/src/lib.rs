@@ -1,8 +1,10 @@
 //! # hh-bench — the experiment harness
 //!
 //! Shared machinery for regenerating the paper's tables and figures: the
-//! evaluated designs, the known-correct safe sets, one learning entry point
-//! that returns full telemetry, and machine-readable result rows.
+//! evaluated designs, the known-correct safe sets and machine-readable
+//! result rows. It learns nothing itself: every learn of the experiments is
+//! a [`veloct::Veloct`] learn, and what it is asked to do (threads, seed,
+//! example spec, core trimming) is one [`veloct::VeloctConfig`].
 //!
 //! Its one binary, `experiments` (`cargo run -p hh-bench --release --bin
 //! experiments -- all`), regenerates every table and figure of the paper's
@@ -15,14 +17,10 @@
 
 use hh_isa::{InstrClass, Mnemonic, ALL_MNEMONICS};
 use hh_serve::json::Json;
-use hh_smt::AbductionConfig;
 use hh_uarch::boomlite::{boom_lite, BoomVariant, ALL_VARIANTS};
 use hh_uarch::rocketlite::rocket_lite;
 use hh_uarch::Design;
-use hhoudini::mine::{CoiMiner, ExampleFacts};
-use hhoudini::{EngineConfig, Invariant, ParallelEngine, Stats};
-use std::time::{Duration, Instant};
-use veloct::Veloct;
+use std::time::Duration;
 
 /// A named evaluated design.
 #[derive(Debug)]
@@ -87,80 +85,6 @@ pub fn known_safe_set(name: &str) -> Vec<Mnemonic> {
             .copied()
             .filter(|m| m.class() == InstrClass::Alu)
             .collect()
-    }
-}
-
-/// Everything a learning run produces.
-#[derive(Debug)]
-pub struct RunResult {
-    /// The learned invariant (None = unprovable).
-    pub invariant: Option<Invariant>,
-    /// Engine telemetry.
-    pub stats: Stats,
-    /// Positive example count.
-    pub num_examples: usize,
-    /// Wall-clock including example generation.
-    pub total_time: Duration,
-}
-
-/// The full destination-register rotation: near-exhaustive positive
-/// examples, under which learning does not backtrack.
-pub const RICH_RDS: &[u8] = &[3, 5, 6, 7, 1, 2, 4];
-/// One destination register, as a minimal harness would generate. Fewer
-/// registers = less exhaustive examples = more backtracking (the paper's
-/// Figure 5 regime).
-pub const LIMITED_RDS: &[u8] = &[3];
-
-/// Everything the experiments vary about what a learning run computes.
-/// (The thread count is not here: it changes the timings and nothing else.)
-#[derive(Debug, Clone, Copy)]
-pub struct LearnSpec {
-    /// Core trimming.
-    pub abduction: AbductionConfig,
-    /// Example masking through the design's valid-bit annotations (§5.2.1).
-    pub mask: bool,
-    /// Destination-register rotation of example generation ([`RICH_RDS`]
-    /// or [`LIMITED_RDS`]).
-    pub rds: &'static [u8],
-}
-
-impl LearnSpec {
-    /// The paper's configuration, with trimmed cores in place of its
-    /// minimal ones ([`AbductionConfig::paper_default`]): masked rich
-    /// examples. The other specs are this one with a field changed.
-    pub fn paper() -> LearnSpec {
-        LearnSpec {
-            abduction: AbductionConfig::paper_default(),
-            mask: true,
-            rds: RICH_RDS,
-        }
-    }
-}
-
-/// Runs H-Houdini on a target's known safe set, on `threads` workers of
-/// the engine `veloct`, the daemon and the benchmark run, over one example
-/// pair per instruction.
-pub fn learn(design: &Design, safe: &[Mnemonic], threads: usize, spec: LearnSpec) -> RunResult {
-    let t0 = Instant::now();
-    let veloct = Veloct::new(design);
-    let (miter, patterns) = veloct.build_miter(safe);
-    let facts = ExampleFacts::new(&miter, Some(patterns), vec![], &[]);
-    let (facts, counts) = veloct::examples::fold_examples(
-        design, &miter, safe, 1, 0xBEEF, spec.mask, spec.rds, threads, facts,
-    )
-    .expect("safe set examples");
-    let props = veloct.property(&miter);
-    let miner = CoiMiner::from_facts(&miter, facts);
-    let config = EngineConfig {
-        abduction: spec.abduction,
-    };
-    let mut engine = ParallelEngine::new(miter.netlist(), miner, config, threads);
-    let invariant = engine.learn(&props);
-    RunResult {
-        invariant,
-        stats: engine.stats().clone(),
-        num_examples: counts.examples_unique as usize,
-        total_time: t0.elapsed(),
     }
 }
 
@@ -326,6 +250,8 @@ pub fn secs(d: Duration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use veloct::examples::LIMITED_RDS;
+    use veloct::{Veloct, VeloctConfig};
 
     #[test]
     fn targets_enumerate_all_designs() {
@@ -345,14 +271,25 @@ mod tests {
         assert!(boom.contains(&Mnemonic::Mul));
     }
 
+    /// The experiments' RocketLite target and safe set learn the same
+    /// invariant with the same work on one and two workers, on examples
+    /// limited to one destination register (the regime with backtracks).
     #[test]
     fn one_and_two_threads_learn_rocketlite() {
         let t = &all_targets()[0];
         let safe = known_safe_set(t.name);
-        let one = learn(&t.design, &safe, 1, LearnSpec::paper());
-        let two = learn(&t.design, &safe, 2, LearnSpec::paper());
+        let learn = |threads| {
+            let config = VeloctConfig {
+                threads,
+                pairs_per_instr: 1,
+                rds: LIMITED_RDS,
+                ..VeloctConfig::default()
+            };
+            Veloct::with_config(&t.design, config).learn(&safe)
+        };
+        let (one, two) = (learn(1), learn(2));
         assert!(one.num_examples > 0);
-        assert_eq!(one.num_examples, two.num_examples);
+        assert_eq!(one.stats.counters(), two.stats.counters());
         assert_eq!(
             one.invariant.expect("provable").preds(),
             two.invariant.expect("provable").preds()

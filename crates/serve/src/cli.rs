@@ -19,7 +19,7 @@ use crate::server::{Bind, Server, ServerConfig};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use veloct::{default_candidates, Veloct, VeloctConfig};
+use veloct::{default_candidates, Masking, Veloct, VeloctConfig};
 
 /// CLI entry point: dispatches `serve` / `connect` subcommands, otherwise
 /// runs the batch pipeline.
@@ -344,7 +344,7 @@ fn batch_main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut design = BTreeMap::from([("name".to_string(), Json::Str("batch".to_string()))]);
     let mut run = Vec::new();
-    let mut impl_predicates = false;
+    let mut masking = Masking::Mask;
     let mut certify: Option<String> = None;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -356,7 +356,7 @@ fn batch_main() -> ExitCode {
         let mut val = || it.next().cloned().unwrap_or_else(|| batch_usage());
         match flag.as_str() {
             "--threads" => run.push(("threads", wire_int(val()))),
-            "--impl-predicates" => impl_predicates = true,
+            "--impl-predicates" => masking = Masking::Impl,
             "--certify" => certify = Some(val()),
             "--help" | "-h" => batch_usage(),
             other => batch_refuse(&format!("unknown argument: {other}")),
@@ -384,7 +384,7 @@ fn batch_main() -> ExitCode {
     let config = VeloctConfig {
         threads,
         pairs_per_instr: 1,
-        impl_predicates,
+        masking,
         certify: certify.is_some(),
         ..VeloctConfig::default()
     };

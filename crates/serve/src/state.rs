@@ -42,7 +42,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use veloct::{Veloct, VeloctConfig, WarmContext};
+use veloct::{Masking, Veloct, VeloctConfig, WarmContext};
 
 /// Content fingerprint of a built design: structure (canonical btor2
 /// serialization) plus every annotation that influences learning. Equal
@@ -224,7 +224,11 @@ impl ServeState {
             threads: opts.threads.max(1),
             pairs_per_instr: key.pairs_per_instr,
             seed: key.seed,
-            impl_predicates: key.impl_predicates,
+            masking: if key.impl_predicates {
+                Masking::Impl
+            } else {
+                Masking::Mask
+            },
             certify: opts.certify,
             ..VeloctConfig::default()
         }

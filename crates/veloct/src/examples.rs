@@ -15,17 +15,17 @@
 //! per side to a copy of the base state, and each product state leaves the
 //! runner as one row of raw `u64`s.
 //!
-//! A learn stores no row: [`fold_examples`] folds each into the miner's
+//! A learn stores no row: `fold_examples` folds each into the miner's
 //! [`ExampleFacts`] as it is produced. Pairs are independent of each other,
 //! so the two loops over them — one pair per `(instruction, secret
 //! configuration)` in example generation, one candidate per step in
 //! differential testing — run on the stack's indexed queue
 //! ([`hh_trace::run_indexed`]): each worker owns a `PairRunner` over the one
 //! shared tape, each pair folds into its own facts, and the pairs merge in
-//! pair order. `Veloct::learn` and `Veloct::classify` pass
-//! `VeloctConfig::threads`. [`generate_examples`] is the one-worker
-//! reference that keeps the distinct rows, for callers that need concrete
-//! states.
+//! pair order. Every learn and baseline of [`crate::Veloct`] folds through
+//! it, with the example spec and the workers of its [`crate::VeloctConfig`].
+//! [`generate_examples`] is the one-worker reference that keeps the
+//! distinct rows, for callers that need concrete states.
 
 use hh_isa::{asm, Instruction, Mnemonic};
 use hh_netlist::eval::StateValues;
@@ -162,8 +162,14 @@ pub fn exemplar(m: Mnemonic) -> Instruction {
 /// written by some example, otherwise spurious `EqConst(busy_r, 0)`-style
 /// predicates survive mining, get picked into abducts, fail, and force
 /// backtracks. The public base register (x4) is written last, after the
-/// memory system no longer needs it.
-pub(crate) const EXAMPLE_RDS: [u8; 7] = [3, 5, 6, 7, 1, 2, 4];
+/// memory system no longer needs it. [`crate::VeloctConfig::rds`] by
+/// default.
+pub const EXAMPLE_RDS: &[u8] = &[3, 5, 6, 7, 1, 2, 4];
+
+/// One destination register, as a minimal harness would generate: less
+/// exhaustive examples, so more spurious predicates survive mining and the
+/// learn backtracks (the paper's Figure 5 regime).
+pub const LIMITED_RDS: &[u8] = &[3];
 
 /// Builds the adversarial *probe* program for differential testing: a
 /// cache-warming public access, NOP padding, the instruction under test,
@@ -468,7 +474,7 @@ pub fn generate_examples(
         pairs_per_instr,
         seed,
         true,
-        &EXAMPLE_RDS,
+        EXAMPLE_RDS,
     )
 }
 
@@ -481,8 +487,7 @@ pub fn generate_examples(
 /// worker runs the pairs in order, the distinct rows collect in a sorted
 /// set, and the examples come out sorted (widths are equal position by
 /// position, so ordering the raw rows is ordering the `Bv` rows they stand
-/// for). A learn keeps no table: [`fold_examples`] folds the same rows into
-/// the same facts.
+/// for). A learn keeps no table: it folds the same rows into the same facts.
 #[allow(clippy::too_many_arguments)]
 pub fn generate_examples_custom(
     design: &Design,
@@ -527,7 +532,7 @@ pub fn generate_examples_custom(
 ///
 /// Returns the lowest diverging pair's [`Divergence`].
 #[allow(clippy::too_many_arguments)]
-pub fn fold_examples(
+pub(crate) fn fold_examples(
     design: &Design,
     miter: &Miter,
     safe: &[Mnemonic],
@@ -784,9 +789,13 @@ mod tests {
                 expert,
                 &guards,
             );
-            for ((mask, rds), counts) in [(true, &EXAMPLE_RDS[..]), (true, &[3]), (false, &[3])]
-                .into_iter()
-                .zip(pinned)
+            for ((mask, rds), counts) in [
+                (true, EXAMPLE_RDS),
+                (true, LIMITED_RDS),
+                (false, LIMITED_RDS),
+            ]
+            .into_iter()
+            .zip(pinned)
             {
                 let table = generate_examples_custom(d, &m, &safe, 2, 0xD1CE, mask, rds)
                     .expect("no divergence under random secrets");
@@ -865,7 +874,7 @@ mod tests {
                 2,
                 9,
                 true,
-                &EXAMPLE_RDS,
+                EXAMPLE_RDS,
                 threads,
                 empty.clone(),
             )

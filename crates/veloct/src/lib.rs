@@ -41,6 +41,7 @@ use hh_isa::{safe_set_patterns, InstrClass, Instruction, Mnemonic, ALL_MNEMONICS
 use hh_netlist::miter::Miter;
 use hh_smt::EncodeCache;
 use hh_smt::{LoggedSolution, Pattern, Predicate};
+use hh_trace::Counters;
 use hh_uarch::Design;
 use hhoudini::baselines::{houdini, sorcar, BaselineBudget, BaselineOutcome, BaselineStats};
 use hhoudini::mine::{CoiMiner, ExampleFacts};
@@ -74,12 +75,14 @@ pub struct VeloctConfig {
     pub pairs_per_instr: usize,
     /// RNG seed for secret values.
     pub seed: u64,
-    /// Enable Impl-type conditional predicates (the paper's §5.2.1
-    /// future-work extension). When set, example masking is *disabled* and
-    /// the miner instead emits `Impl(valid → InSafeSet(field))` predicates
-    /// from the masking annotations, constraining table payloads only while
-    /// their entries are valid.
-    pub impl_predicates: bool,
+    /// Destination registers rotated across the copies of each instruction
+    /// in an example program: [`examples::EXAMPLE_RDS`] (near-exhaustive
+    /// examples, the default) or fewer, such as [`examples::LIMITED_RDS`]
+    /// (the paper's Figure 5 regime, where learning backtracks).
+    pub rds: &'static [u8],
+    /// What the examples do with the design's valid-bit annotations
+    /// ([`Masking::Mask`] by default).
+    pub masking: Masking,
     /// Marks a run whose memoised solutions the caller will hand to
     /// [`Veloct::emit_certificate`]. An engine learn then logs every
     /// abduction query's proof, and the `Veloct` keeps the logs of its
@@ -100,10 +103,30 @@ impl Default for VeloctConfig {
             engine: EngineConfig::default(),
             pairs_per_instr: DEFAULT_PAIRS_PER_INSTR,
             seed: DEFAULT_SEED,
-            impl_predicates: false,
+            rds: examples::EXAMPLE_RDS,
+            masking: Masking::Mask,
             certify: false,
         }
     }
+}
+
+/// How a learn's positive examples use the design's masking annotations
+/// (the paper's §5.2.1): which entries of an out-of-order structure are
+/// valid, and which fields they guard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Masking {
+    /// Example masking: a field of an invalid entry is scrubbed before its
+    /// row is folded. The paper's configuration.
+    Mask,
+    /// Neither masking nor guards: the §5.2.1 ablation, in which stale-uop
+    /// residue blocks the `InSafeSet` predicates an out-of-order core's
+    /// invariant needs.
+    Raw,
+    /// Impl-type conditional predicates (the paper's §5.2.1 future-work
+    /// extension): the examples are not masked, and the miner emits
+    /// `Impl(valid → InSafeSet(field))` from the annotations, constraining a
+    /// field only while its entry is valid.
+    Impl,
 }
 
 /// Why an instruction was excluded from the safe set.
@@ -360,26 +383,9 @@ impl<'a> Veloct<'a> {
         warm: WarmContext,
     ) -> LearnReport {
         let state_bits = self.design.state_bits();
-        // With Impl predicates on, masking is unnecessary (that is the
-        // point of the extension) — fold raw examples instead, with the
-        // masking annotations as the guards.
-        let mask = !self.config.impl_predicates;
-        let guards: Vec<_> = (self.design.masking.iter().filter(|_| !mask))
-            .flat_map(|rule| rule.fields.iter().map(|&f| (rule.valid, f)))
-            .collect();
         let example_span = hh_trace::span!("veloct", "veloct.examples");
         let t0 = Instant::now();
-        let folded = examples::fold_examples(
-            self.design,
-            &miter,
-            safe,
-            self.config.pairs_per_instr,
-            self.config.seed,
-            mask,
-            &examples::EXAMPLE_RDS,
-            self.config.threads,
-            ExampleFacts::new(&miter, Some(patterns), vec![], &guards),
-        );
+        let folded = self.fold_examples(safe, &miter, patterns);
         let examples_time = t0.elapsed();
         let (facts, counts) = match folded {
             Ok(folded) => folded,
@@ -439,6 +445,34 @@ impl<'a> Veloct<'a> {
         }
     }
 
+    /// The positive examples of `safe` that the configuration asks for
+    /// (`pairs_per_instr`, `seed`, `rds`, `masking`), folded into the
+    /// miner's facts on `threads` workers: the one example path of the
+    /// learn and the baselines.
+    fn fold_examples(
+        &self,
+        safe: &[Mnemonic],
+        miter: &Miter,
+        patterns: Vec<Pattern>,
+    ) -> Result<(ExampleFacts, Counters), Divergence> {
+        let config = &self.config;
+        let guards: Vec<_> = (self.design.masking.iter())
+            .filter(|_| config.masking == Masking::Impl)
+            .flat_map(|rule| rule.fields.iter().map(|&f| (rule.valid, f)))
+            .collect();
+        examples::fold_examples(
+            self.design,
+            miter,
+            safe,
+            config.pairs_per_instr,
+            config.seed,
+            config.masking == Masking::Mask,
+            config.rds,
+            config.threads,
+            ExampleFacts::new(miter, Some(patterns), vec![], &guards),
+        )
+    }
+
     /// Writes a learning run's memoised solutions as an `hh-proof`
     /// certificate bundle at `dir`: one DRAT-certified relative-induction
     /// obligation per invariant predicate, re-derivable and checkable by
@@ -483,9 +517,10 @@ impl<'a> Veloct<'a> {
     }
 
     /// Runs a *monolithic* MLIS baseline (HOUDINI or SORCAR, §2.2) on the
-    /// same problem: same miter, same examples, but the predicate pool is
-    /// the global "kitchen sink" universe and every inductivity check spans
-    /// the whole design. Used for the paper's speedup comparison.
+    /// same problem: same miter, the examples [`Veloct::learn`] folds under
+    /// this configuration, but the predicate pool is the global "kitchen
+    /// sink" universe and every inductivity check spans the whole design.
+    /// Used for the paper's speedup comparison.
     pub fn learn_baseline(
         &self,
         safe: &[Mnemonic],
@@ -494,17 +529,7 @@ impl<'a> Veloct<'a> {
     ) -> BaselineReport {
         let _span = hh_trace::span!("veloct", "veloct.baseline");
         let (miter, patterns) = self.build_miter(safe);
-        let folded = examples::fold_examples(
-            self.design,
-            &miter,
-            safe,
-            self.config.pairs_per_instr,
-            self.config.seed,
-            true,
-            &examples::EXAMPLE_RDS,
-            self.config.threads,
-            ExampleFacts::new(&miter, Some(patterns), vec![], &[]),
-        );
+        let folded = self.fold_examples(safe, &miter, patterns);
         let miner = match folded {
             Ok((facts, _)) => CoiMiner::from_facts(&miter, facts),
             Err(_) => {

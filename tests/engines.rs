@@ -16,7 +16,7 @@ use hh_suite::smt::{abduct, AbductionSession, EncodeCache, Predicate, Transition
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
 use hh_suite::uarch::rocketlite::rocket_lite;
 use hh_suite::uarch::Design;
-use hh_suite::veloct::examples::generate_examples_custom;
+use hh_suite::veloct::examples::{generate_examples_custom, EXAMPLE_RDS, LIMITED_RDS};
 use hh_suite::veloct::{instruction_patterns, BaselineKind, Veloct, VeloctConfig};
 
 /// The serial reference: the engine's virtual backend with completions in
@@ -330,4 +330,39 @@ fn baselines_agree_with_hhoudini_on_provability() {
         // pool; H-Houdini's property-directed one should be no larger.
         assert!(h.invariant.as_ref().unwrap().len() <= inv.len());
     }
+}
+
+/// A baseline folds the examples its configuration asks for: on RocketLite
+/// the pool mined from rich examples is already inductive (HOUDINI proves
+/// it in one round), while one destination register leaves spurious
+/// candidates that a larger pool carries and HOUDINI drops round by round.
+#[test]
+fn baselines_fold_the_configured_examples() {
+    let design = rocket_lite(16);
+    let safe = alu_set();
+    let (miter, _) = Veloct::new(&design).build_miter(&safe);
+    let houdini = |rds| {
+        let config = VeloctConfig {
+            threads: 1,
+            pairs_per_instr: 1,
+            rds,
+            ..VeloctConfig::default()
+        };
+        let b = Veloct::with_config(&design, config).learn_baseline(
+            &safe,
+            BaselineKind::Houdini,
+            &BaselineBudget::default(),
+        );
+        let inv = b.invariant.expect("HOUDINI proves the ALU set");
+        assert!(inv.verify_monolithic(miter.netlist()), "{rds:?}");
+        (b.stats.rounds, b.pool_size)
+    };
+    let (rich_rounds, rich_pool) = houdini(EXAMPLE_RDS);
+    let (limited_rounds, limited_pool) = houdini(LIMITED_RDS);
+    assert_eq!(rich_rounds, 1);
+    assert!(limited_rounds > 1, "{limited_rounds} rounds");
+    assert!(
+        limited_pool > rich_pool,
+        "pool {limited_pool} vs {rich_pool}"
+    );
 }

@@ -7,17 +7,17 @@ mod common;
 use common::boom_set;
 use hh_suite::smt::Predicate;
 use hh_suite::uarch::boomlite::{boom_lite, BoomVariant};
-use hh_suite::veloct::{Veloct, VeloctConfig};
+use hh_suite::veloct::{Masking, Veloct, VeloctConfig};
 
 /// The headline extension result: without masking, plain learning fails
-/// (ablation 4), but with Impl predicates enabled it succeeds and the
+/// (`Masking::Raw`), but with Impl predicates enabled it succeeds and the
 /// invariant contains a conditional predicate.
 #[test]
 fn impl_predicates_replace_masking() {
     let design = boom_lite(BoomVariant::Small, 16);
     let safe = boom_set();
 
-    // Plain pipeline without masking: must fail.
+    // The paper's pipeline: masked examples.
     let plain = Veloct::with_config(
         &design,
         VeloctConfig {
@@ -26,14 +26,15 @@ fn impl_predicates_replace_masking() {
             ..VeloctConfig::default()
         },
     );
-    // (learn() applies masking by default; the unmasked failure case is
-    // covered by the ablation binary. Here we check the extension.)
+    // Unmasked examples with the masking annotations as guards. (The
+    // unmasked failure case, `Masking::Raw`, is ablation arm 2 of
+    // `experiments`. Here we check the extension.)
     let with_impl = Veloct::with_config(
         &design,
         VeloctConfig {
             threads: 1,
             pairs_per_instr: 1,
-            impl_predicates: true,
+            masking: Masking::Impl,
             ..VeloctConfig::default()
         },
     );
